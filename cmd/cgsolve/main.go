@@ -75,8 +75,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Pool = pool.New(*workers)
 	}
 	if *verbose {
-		cfg.Trace = func(format string, args ...any) {
-			fmt.Fprintf(stderr, "trace: "+format+"\n", args...)
+		cfg.OnDetection = func(ev core.DetectionEvent) {
+			how := "corrected forward"
+			if ev.RolledBack {
+				how = "rolled back"
+			}
+			fmt.Fprintf(stderr, "trace: it=%d detections=%d corrections=%d %s\n", ev.Iteration, ev.Detections, ev.Corrections, how)
 		}
 	}
 

@@ -52,7 +52,7 @@ func run(w io.Writer, n int) error {
 		m    *sparse.CSR
 	}{{"Jacobi", jacobi}, {"Neumann-2", neumann}} {
 		inj := fault.New(fault.Config{Alpha: 1.0 / 16, Seed: 77})
-		x, st, err := core.SolvePCG(a, b, core.PCGConfig{
+		x, st, err := core.Solve(a, b, core.Config{
 			Scheme:   core.ABFTCorrection,
 			M:        pc.m,
 			Tol:      1e-9,

@@ -1,0 +1,667 @@
+package core
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/abft"
+	"repro/internal/checkpoint"
+	"repro/internal/fault"
+	"repro/internal/sparse"
+	"repro/internal/tmr"
+	"repro/internal/vec"
+)
+
+// maxFinalCheckRetries bounds the convergence re-verification loop: a
+// latent corruption that was checkpointed (e.g. a Val flip in a column
+// where the iterate happens to be zero) can make the final residual check
+// fail repeatedly; after this many failures the solve aborts.
+const maxFinalCheckRetries = 20
+
+// stuckLimit is the number of no-progress rollbacks tolerated before
+// escalating to the initial state: a checkpoint that itself carries
+// (sub-tolerance) corruption can fail verification deterministically on
+// every retry, so the engine then restores the pristine initial state
+// instead ("re-reading the input data", which the paper notes is how the
+// first frame recovers).
+const stuckLimit = 5
+
+// Solve runs the resilient Conjugate Gradient of the configured scheme on
+// Ax = b — preconditioned by cfg.M when it is set — and returns the
+// solution, the execution statistics and an error when the method did not
+// converge. The caller's matrices are never modified: faults are injected
+// into internal working copies.
+func Solve(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
+	ws := cfg.Ws.begin()
+	e := &ws.run
+	label := ""
+	if cfg.M != nil {
+		label = "PCG "
+	}
+	return e.solve(&e.pcg, label, ws, a, b, cfg)
+}
+
+// SolveBiCGstab runs the resilient BiCGstab on Ax = b for general (possibly
+// nonsymmetric) A. Only the ABFT schemes are supported: Chen's
+// orthogonality test is CG-specific, so OnlineDetection has no faithful
+// BiCGstab counterpart; neither has the preconditioner slot.
+func SolveBiCGstab(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
+	if cfg.Scheme == OnlineDetection {
+		return nil, Stats{}, fmt.Errorf("core: BiCGstab supports the ABFT schemes only")
+	}
+	if cfg.M != nil {
+		return nil, Stats{}, fmt.Errorf("core: BiCGstab takes no preconditioner")
+	}
+	ws := cfg.Ws.begin()
+	e := &ws.run
+	return e.solve(&e.bicg, "BiCGstab ", ws, a, b, cfg)
+}
+
+// recurrence is what a solver contributes to the engine. The engine owns
+// everything the paper's model owns — scheme, d/s cadence, fault injection,
+// ABFT settlement, Chen's verification, checkpoint, rollback, escalation,
+// hooks, modeled time — over the state every Krylov recurrence here shares:
+// the iterate x, the residual r, a direction p with its product q = A·p,
+// and the scalar ρ. A recurrence adds its own vectors and scalars, says
+// which norm decides convergence, and advances one iteration in slices cut
+// at its protected products.
+type recurrence interface {
+	// init completes the initial state (the engine has set x = 0 and r = b;
+	// p, q and ρ are the recurrence's to initialise), draws the recurrence's
+	// own vectors from e.ws, registers what a checkpoint must carry beyond
+	// x, r, p and ρ (keep, keepScalar), arms its own guards (guard) and folds
+	// its per-iteration work into e.costs and e.confirm.
+	init(e *engine)
+	// resNorm is the residual norm tested against Tol·‖b‖.
+	resNorm(e *engine) float64
+	// step runs slice number stage of the current iteration. It returns
+	// stepProduct after describing a protected product with e.product (the
+	// engine multiplies, applies deferred faults, verifies, settles, and
+	// calls step again with stage+1), or one of the terminal verdicts.
+	step(e *engine, stage int) verdict
+}
+
+// verdict is the result of one recurrence slice.
+type verdict int
+
+const (
+	stepProduct verdict = iota // a protected product is pending in e.prod
+	stepDone                   // iteration complete
+	stepHalf                   // complete by an early exit: counted and reported, but no chunk bookkeeping
+	stepFail                   // an error was detected: roll back
+)
+
+// product describes one protected sparse product y ← (A or M)·x.
+type product struct {
+	slot int               // 0 = A, 1 = M
+	y, x []float64         // output and input
+	ref  *abft.VectorGuard // guard holding the reference checksum of x
+	// hit is the deferred-fault target struck in y right after the product
+	// (TargetVecQ or TargetVecZ). The zero value, a matrix target, is never
+	// deferred and so means none.
+	hit    fault.Target
+	charge chargeRule
+}
+
+// chargeRule selects which of the three historical readings of the
+// correction cost a product settles with.
+type chargeRule int
+
+const (
+	chargeVectorForX  chargeRule = iota // ClassX repairs are O(n), the rest Tcorrect
+	chargeMatrixOnly                    // only Val/Colid/Rowidx repairs cost Tcorrect
+	chargeAlwaysTcorr                   // every product repair costs Tcorrect
+)
+
+// scalarRef names one recurrence scalar carried by checkpoints.
+type scalarRef struct {
+	name string
+	p    *float64
+}
+
+// armed pairs a vector guard with the vector it shadows.
+type armed struct {
+	g *abft.VectorGuard
+	v []float64
+}
+
+// engine is the one resilient solve state machine. It lives in the
+// Workspace, so its helpers are methods instead of capturing closures and a
+// workspace-carrying warm solve allocates nothing.
+type engine struct {
+	cfg     Config
+	label   string // error-message prefix naming the recurrence
+	abft    bool   // an ABFT scheme (vs OnlineDetection)
+	costs   Costs
+	confirm float64 // modeled cost of the convergence-confirmation product
+	rec     recurrence
+	ws      *Workspace
+
+	mat  [2]*sparse.CSR     // live working copies: A, and M or nil
+	prot [2]*abft.Protected // their ABFT wrappers (ABFT schemes only)
+	b    []float64          // the caller's right-hand side
+	x, r []float64          // iterate and recurrence residual
+	p, q []float64          // direction and its product A·p
+	rr   []float64          // scratch: recomputed residuals
+	rho  float64            // the recurrence scalar reported by OnIteration
+	exec tmr.Executor       // kept across solves: resident TMR replica scratch
+	view *checkpoint.State  // reusable live-state view for save/rollback
+
+	rGuard, pGuard, xGuard *abft.VectorGuard
+	guards                 []armed // every guard, re-armed after a rollback
+	guardBuf               [4]armed
+	extra                  []scalarRef // recurrence scalars checkpointed beside ρ
+	extraBuf               [2]scalarRef
+
+	store, initStore *checkpoint.Store
+	stats            Stats
+	normB            float64
+	it               int // useful iterations completed (rolls back with the state)
+	d, s             int
+	last             int // iteration of the last checkpoint
+	highWater, stuck int
+	finalRetries     int
+	maxTotal         int64
+	lastD, lastC     int64 // counters at the previous OnDetection event
+
+	// The iteration in flight.
+	inIter   bool
+	stage    int
+	deferred []fault.Event
+	outs     [2]abft.Outcome // unsettled guard outcomes of r and x
+	pending  bool            // outs not yet settled
+	prod     product
+
+	done bool
+	err  error
+
+	pcg  pcgRec
+	bicg bicgRec
+}
+
+func (e *engine) solve(rec recurrence, label string, ws *Workspace, a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
+	if err := e.start(rec, label, ws, a, b, cfg, nil, nil); err != nil {
+		return nil, Stats{}, err
+	}
+	for !e.advance() {
+		e.complete(e.multiply())
+	}
+	return e.finish(a)
+}
+
+// start validates the problem and builds the initial resilient state. A
+// blocked solve hands every lane the same live matrix copy and checksum
+// encoding (sharedLive, sharedProt); a single solve passes nil and uses its
+// workspace's own.
+func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CSR, b []float64, cfg Config, sharedLive *sparse.CSR, sharedProt *abft.Protected) error {
+	n := a.Rows
+	if a.Cols != n || len(b) != n {
+		return fmt.Errorf("core: %sdimension mismatch: A %dx%d, len(b)=%d", label, a.Rows, a.Cols, len(b))
+	}
+	if cfg.M != nil && (cfg.M.Rows != n || cfg.M.Cols != n) {
+		return fmt.Errorf("core: %sneeds an n×n preconditioner", label)
+	}
+	cfg = cfg.withDefaults(n)
+
+	exec := e.exec
+	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme != OnlineDetection, rec: rec, ws: ws, b: b}
+	e.exec = exec
+	e.exec.Pool = cfg.Pool
+
+	e.mat[0] = sharedLive
+	if sharedLive == nil {
+		e.mat[0] = ws.liveCopy(0, a)
+	}
+	e.costs = NewCosts(e.mat[0], cfg.Scheme, cfg.Costs)
+	if cfg.M != nil {
+		e.mat[1] = ws.liveCopy(1, cfg.M)
+		// Checkpoints carry M as well.
+		extraCp := float64(e.mat[1].MemoryWords()) * cfg.Costs.WordTime
+		e.costs.Tcp += extraCp
+		e.costs.Trec += extraCp
+	}
+
+	e.d, e.s = cfg.D, cfg.S
+	if e.d == 0 || e.s == 0 {
+		alpha := 0.0
+		if cfg.Injector != nil {
+			alpha = cfg.Injector.Alpha()
+		}
+		od, os := OptimalIntervals(a, cfg.Scheme, alpha, cfg.Costs)
+		if e.d == 0 {
+			e.d = od
+		}
+		if e.s == 0 {
+			e.s = os
+		}
+	}
+	if e.abft {
+		e.d = 1 // ABFT schemes verify every iteration by construction
+	}
+	e.stats = Stats{Scheme: cfg.Scheme, D: e.d, S: e.s}
+	e.maxTotal = int64(cfg.MaxIters)*10 + 1000
+
+	e.x = ws.takeZero(n)
+	e.r = ws.takeCopy(b) // x0 = 0 ⇒ r0 = b
+	e.p = ws.take(n)
+	e.q = ws.take(n)
+	e.rr = ws.take(n)
+	ws.state = fault.State{A: e.mat[0], M: e.mat[1], R: e.r, P: e.p, Q: e.q, X: e.x}
+	e.view = ws.liveView(e.mat[0], e.mat[1])
+	e.keep("x", e.x)
+	e.keep("r", e.r)
+	e.keep("p", e.p)
+	e.guards = e.guardBuf[:0]
+	e.extra = e.extraBuf[:0]
+	e.normB = vec.Norm2(b)
+	if e.normB == 0 {
+		e.normB = 1
+	}
+
+	rec.init(e)
+
+	if e.abft {
+		mode := abftMode(cfg.Scheme)
+		e.prot[0] = sharedProt
+		if sharedProt == nil {
+			e.prot[0] = ws.protected(0, e.mat[0], mode)
+		}
+		e.stats.SimTime += SetupCost(e.mat[0], cfg.Scheme, cfg.Costs)
+		if e.mat[1] != nil {
+			e.prot[1] = ws.protected(1, e.mat[1], mode)
+			e.stats.SimTime += SetupCost(e.mat[1], cfg.Scheme, cfg.Costs)
+		}
+		// Armed over the completed initial state.
+		e.rGuard, e.pGuard, e.xGuard = e.guard(e.r), e.guard(e.p), e.guard(e.x)
+	}
+
+	e.store, e.initStore = ws.stores()
+	e.save(false) // initial state; re-reading inputs is free
+	e.initStore.Save(e.view)
+	return nil
+}
+
+// keep registers a vector the checkpoint must carry.
+func (e *engine) keep(name string, v []float64) { e.view.Vectors[name] = v }
+
+// keepScalar registers a recurrence scalar the checkpoint must carry.
+func (e *engine) keepScalar(name string, p *float64) {
+	e.extra = append(e.extra, scalarRef{name, p})
+}
+
+// guard arms the next workspace guard over v; it is re-armed after every
+// rollback. Online-Detection has no guards and gets nil.
+func (e *engine) guard(v []float64) *abft.VectorGuard {
+	if !e.abft {
+		return nil
+	}
+	g := e.ws.guard(len(e.guards), v, abftMode(e.cfg.Scheme))
+	e.guards = append(e.guards, armed{g, v})
+	return g
+}
+
+// The vector kernels of a recurrence: TMR under the ABFT schemes (selective
+// reliability for the computation), the deterministic blocked kernels
+// otherwise. refresh re-captures a guard after a verified write.
+
+func (e *engine) dot(a, b []float64) float64 {
+	if e.abft {
+		return e.exec.Dot(a, b)
+	}
+	return vec.DotPool(e.cfg.Pool, a, b)
+}
+
+func (e *engine) axpy(alpha float64, x, y []float64) {
+	if e.abft {
+		e.exec.Axpy(alpha, x, y)
+	} else {
+		vec.AxpyPool(e.cfg.Pool, alpha, x, y)
+	}
+}
+
+func (e *engine) axpyTo(dst []float64, alpha float64, x, y []float64) {
+	if e.abft {
+		e.exec.AxpyTo(dst, alpha, x, y)
+	} else {
+		vec.AxpyToPool(e.cfg.Pool, dst, alpha, x, y)
+	}
+}
+
+func (e *engine) xpay(alpha float64, x, y []float64) {
+	if e.abft {
+		e.exec.Xpay(alpha, x, y)
+	} else {
+		vec.XpayPool(e.cfg.Pool, alpha, x, y)
+	}
+}
+
+func (e *engine) refresh(g *abft.VectorGuard, v []float64) {
+	if g != nil {
+		g.Refresh(v)
+	}
+}
+
+// product records the next protected product for the engine to run.
+func (e *engine) product(slot int, y, x []float64, ref *abft.VectorGuard, hit fault.Target, charge chargeRule) verdict {
+	e.prod = product{slot: slot, y: y, x: x, ref: ref, hit: hit, charge: charge}
+	return stepProduct
+}
+
+// breakdown reports a non-finite or sign-violating recurrence scalar, which
+// every scheme treats as a detected error.
+func (e *engine) breakdown() verdict {
+	e.stats.Detections++
+	return stepFail
+}
+
+// advance runs the solve forward until it is over (true) or a protected
+// product is pending in e.prod (false); complete resumes it.
+func (e *engine) advance() bool {
+	for !e.done {
+		if !e.inIter && !e.begin() {
+			continue
+		}
+		switch e.rec.step(e, e.stage) {
+		case stepProduct:
+			e.stage++
+			return false
+		case stepDone:
+			e.end(true)
+		case stepHalf:
+			e.end(false)
+		case stepFail:
+			e.fail()
+		}
+	}
+	return true
+}
+
+// begin opens the next iteration: the convergence test with its confirmed
+// true residual, the iteration budget, fault injection and the per-iteration
+// charges and memory-fault checks. It returns false when it instead ended
+// the solve or rolled back.
+func (e *engine) begin() bool {
+	cfg, st := &e.cfg, &e.stats
+	// Convergence on the recurrence residual, confirmed against a recomputed
+	// true residual so grossly corrupted state cannot be returned. The
+	// confirmation threshold is floored at the detection capability of the
+	// verification mechanisms (~1e-6 relative): sub-threshold false
+	// negatives leave a drift the paper explicitly accepts ("the algorithm
+	// still converges towards the correct answer"), and demanding more here
+	// would loop forever on a consistently-corrupted-but-harmless system.
+	if e.rec.resNorm(e) <= cfg.Tol*e.normB {
+		st.TimeVerif += e.confirm
+		e.mat[0].MulVecRobustParallel(cfg.Pool, e.rr, e.x)
+		tr := e.residualNorm()
+		if tr <= math.Max(10*cfg.Tol, 1e-6)*e.normB && !math.IsNaN(tr) {
+			st.Converged = true
+			e.stop(nil)
+			return false
+		}
+		e.finalRetries++
+		if e.finalRetries >= maxFinalCheckRetries {
+			e.stop(fmt.Errorf("core: %s%v: convergence confirmation kept failing (latent corruption)", e.label, cfg.Scheme))
+			return false
+		}
+		e.rollback()
+		return false
+	}
+	if e.it >= cfg.MaxIters || st.TotalIterations >= e.maxTotal {
+		e.stop(fmt.Errorf("core: %s%v: not converged after %d useful (%d total) iterations",
+			e.label, cfg.Scheme, e.it, st.TotalIterations))
+		return false
+	}
+
+	st.TotalIterations++
+	e.deferred = nil
+	if cfg.Injector != nil {
+		_, e.deferred = cfg.Injector.InjectIterationSplit(&e.ws.state)
+	}
+	st.TimeIter += e.costs.Titer
+	if e.abft {
+		st.TimeVerif += e.costs.Tverif
+		// Memory-fault checks on the vectors written last iteration.
+		e.outs = [2]abft.Outcome{e.rGuard.Check(e.r), e.xGuard.Check(e.x)}
+		e.pending = true
+	}
+	e.inIter, e.stage = true, 0
+	return true
+}
+
+func (e *engine) stop(err error) {
+	e.stats.UsefulIterations = e.it
+	e.done, e.err = true, err
+}
+
+// residualNorm turns the product A·x just written to the scratch vector
+// into the true residual b − Ax and returns its norm.
+func (e *engine) residualNorm() float64 {
+	vec.Sub(e.rr, e.b, e.rr)
+	return vec.Norm2(e.rr)
+}
+
+// multiply runs the pending product sequentially: fused with the runtime
+// Rowidx checksums under ABFT, robust against corrupted indices otherwise.
+func (e *engine) multiply() (sr abft.RowSums) {
+	p := &e.prod
+	if e.abft {
+		return e.prot[p.slot].MulVec(p.y, p.x)
+	}
+	e.mat[p.slot].MulVecRobustParallel(e.cfg.Pool, p.y, p.x)
+	return sr
+}
+
+// complete is the post-product half of a protected product: the deferred
+// faults drawn against its output strike now, and under ABFT the product is
+// verified against the runtime Rowidx sums and settled together with any
+// guard outcomes still pending. The sequential and the blocked drivers share
+// it, so their detection behaviour is identical by construction.
+func (e *engine) complete(sr abft.RowSums) {
+	p := &e.prod
+	for _, ev := range e.deferred {
+		if ev.Target == p.hit {
+			e.cfg.Injector.ApplyEvent(&e.ws.state, ev)
+		}
+	}
+	if !e.abft {
+		return
+	}
+	out := e.prot[p.slot].Verify(p.y, p.x, p.ref.Ref(), sr)
+	if !e.settleGuards() || !e.settle(out, p) {
+		e.fail()
+	}
+}
+
+// settleGuards resolves the guard outcomes of r and x taken when the
+// iteration opened, if they are still pending.
+func (e *engine) settleGuards() bool {
+	if !e.pending {
+		return true
+	}
+	e.pending = false
+	return e.settle(e.outs[0], nil) && e.settle(e.outs[1], nil)
+}
+
+// settle accounts one detection outcome — of a vector guard (p == nil) or
+// of product p. A forward repair is counted and charged; an uncorrectable
+// error returns false and the iteration must roll back.
+func (e *engine) settle(out abft.Outcome, p *product) bool {
+	if !out.Detected {
+		return true
+	}
+	st := &e.stats
+	st.Detections++
+	if !out.Corrected {
+		return false
+	}
+	st.Corrections++
+	matrix := out.Class == abft.ClassVal || out.Class == abft.ClassColid || out.Class == abft.ClassRowidx
+	// Guard repairs are O(n); product repairs may recompute the O(nnz)
+	// column checksums.
+	vector := p == nil
+	if p != nil {
+		switch p.charge {
+		case chargeVectorForX:
+			vector = out.Class == abft.ClassX
+		case chargeMatrixOnly:
+			vector = !matrix
+		}
+	}
+	if vector {
+		st.TimeVerif += TcorrectVector(e.mat[0], e.cfg.Costs)
+	} else {
+		st.TimeVerif += e.costs.Tcorrect
+	}
+	// A matrix repair restores the original entry only to rounding;
+	// re-anchor the bitwise checksum identity on the repaired matrix.
+	if p != nil && matrix {
+		e.prot[p.slot].Reencode()
+	}
+	return true
+}
+
+// fail abandons the iteration in flight after a detection.
+func (e *engine) fail() {
+	e.emit(true)
+	e.rollback()
+}
+
+// end closes a successful iteration: hooks, progress tracking and — unless
+// the recurrence left by an early exit — the chunk boundary with Chen's
+// verification (Online-Detection) and the checkpoint cadence.
+func (e *engine) end(full bool) {
+	cfg, st := &e.cfg, &e.stats
+	e.inIter = false
+	e.it++
+	if cfg.OnIteration != nil {
+		cfg.OnIteration(e.it, e.rho)
+	}
+	e.emit(false)
+	if !full {
+		return
+	}
+	if e.it > e.highWater {
+		e.highWater = e.it
+		e.stuck = 0
+	}
+	if e.it%e.d != 0 {
+		return
+	}
+	if !e.abft {
+		st.TimeVerif += e.costs.Tverif
+		if !e.onlineVerify() {
+			st.Detections++
+			e.fail()
+			return
+		}
+	}
+	if (e.it/e.d)%e.s == 0 && e.it > e.last {
+		e.save(true)
+	}
+}
+
+// emit reports the detection/correction deltas since the previous episode
+// through OnDetection.
+func (e *engine) emit(rolledBack bool) {
+	if e.cfg.OnDetection == nil {
+		return
+	}
+	d, c := e.stats.Detections-e.lastD, e.stats.Corrections-e.lastC
+	if d == 0 && c == 0 {
+		return
+	}
+	e.lastD, e.lastC = e.stats.Detections, e.stats.Corrections
+	e.cfg.OnDetection(DetectionEvent{Iteration: e.it, Detections: d, Corrections: c, RolledBack: rolledBack})
+}
+
+// onlineVerify implements Chen's periodic tests (paper Section 3.1): the
+// residual is recomputed as b − Ax and compared with the recurrence
+// residual, and the A-orthogonality of the current direction p against the
+// last product q = A·p_prev is checked. Any discrepancy — including
+// non-finite values — reports an error.
+func (e *engine) onlineVerify() bool {
+	e.mat[0].MulVecRobustParallel(e.cfg.Pool, e.rr, e.x)
+	normRR := e.residualNorm()
+	normR := vec.Norm2(e.r)
+	if math.IsNaN(normRR) || math.IsNaN(normR) || math.IsInf(normRR, 0) || math.IsInf(normR, 0) {
+		return false
+	}
+	diff := vec.MaxAbsDiff(e.rr, e.r)
+	scale := math.Max(e.normB, math.Max(normRR, normR))
+	if diff > 1e-6*scale {
+		return false
+	}
+
+	// Orthogonality: after the p-update, p_{i+1}ᵀ A p_i = 0 up to rounding.
+	normP := vec.Norm2(e.p)
+	normQ := vec.Norm2(e.q)
+	if normP == 0 || normQ == 0 || math.IsNaN(normP) || math.IsNaN(normQ) {
+		return false
+	}
+	ortho := math.Abs(vec.Dot(e.p, e.q)) / (normP * normQ)
+	return ortho <= 1e-6 && !math.IsNaN(ortho)
+}
+
+// save snapshots the full resilient state (matrices included) through the
+// reusable live-state view. The view must carry the recurrence scalars: the
+// initial-state store deep-copies the same view, and an escalated rollback
+// resumes from them.
+func (e *engine) save(charge bool) {
+	e.view.Iteration = e.it
+	e.view.Scalars["rho"] = e.rho
+	for _, sc := range e.extra {
+		e.view.Scalars[sc.name] = *sc.p
+	}
+	e.store.Save(e.view)
+	e.last = e.it
+	if charge {
+		e.stats.Checkpoints++
+		e.stats.TimeCkpt += e.costs.Tcp
+	}
+}
+
+// rollback abandons any iteration in flight, restores the last checkpoint
+// (escalating to the pristine initial state after stuckLimit no-progress
+// retries) and re-arms the guards and the matrix checksum encodings.
+func (e *engine) rollback() {
+	e.inIter = false
+	store := e.store
+	e.stuck++
+	if e.stuck > stuckLimit {
+		store = e.initStore
+		e.stuck = 0
+		e.highWater = 0
+		e.last = 0
+	}
+	store.Restore(e.view)
+	e.it = e.view.Iteration
+	e.rho = e.view.Scalars["rho"]
+	for _, sc := range e.extra {
+		*sc.p = e.view.Scalars[sc.name]
+	}
+	e.stats.Rollbacks++
+	e.stats.TimeRecovery += e.costs.Trec
+	for _, a := range e.guards {
+		a.g.Refresh(a.v)
+	}
+	// The restored matrices predate any later forward repairs, whose ulp
+	// residues were absorbed into the current encodings; re-anchor them.
+	for _, p := range e.prot {
+		if p != nil {
+			p.Reencode()
+		}
+	}
+}
+
+// finish composes the modeled time and recomputes the reported residual on
+// the caller's pristine matrix.
+func (e *engine) finish(a *sparse.CSR) ([]float64, Stats, error) {
+	st := &e.stats
+	st.SimTime = st.TimeIter + st.TimeVerif + st.TimeCkpt + st.TimeRecovery + st.SimTime
+	if e.cfg.Injector != nil {
+		st.FaultsInjected = e.cfg.Injector.Stats().Flips
+	}
+	a.MulVecParallel(e.cfg.Pool, e.rr, e.x)
+	st.FinalResidual = e.residualNorm() / e.normB
+	return e.x, *st, e.err
+}

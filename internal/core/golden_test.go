@@ -60,20 +60,11 @@ func fstr(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // goldenSolve dispatches one cell onto the driver entry points; it is the
 // only part of this file that knows how the solver axis is spelled.
 func goldenSolve(kind string, a, m *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
-	switch kind {
-	case "pcg":
-		return SolvePCG(a, b, PCGConfig{
-			Scheme: cfg.Scheme, M: m, Tol: cfg.Tol, Injector: cfg.Injector,
-			OnIteration: cfg.OnIteration, OnDetection: cfg.OnDetection, Ws: cfg.Ws,
-		})
-	case "bicgstab":
-		return SolveBiCGstab(a, b, BiCGstabConfig{
-			Scheme: cfg.Scheme, Tol: cfg.Tol, Injector: cfg.Injector,
-			OnIteration: cfg.OnIteration, OnDetection: cfg.OnDetection, Ws: cfg.Ws,
-		})
-	default:
-		return Solve(a, b, cfg)
+	if kind == "bicgstab" {
+		return SolveBiCGstab(a, b, cfg)
 	}
+	cfg.M = m
+	return Solve(a, b, cfg)
 }
 
 // TestDriverGolden pins every supported solver × scheme cell on two

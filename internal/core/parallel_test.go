@@ -107,7 +107,7 @@ func TestParallelPCGBitwiseIdentical(t *testing.T) {
 	}
 
 	var seqHist history
-	xSeq, stSeq, errSeq := SolvePCG(a, b, PCGConfig{
+	xSeq, stSeq, errSeq := Solve(a, b, Config{
 		Scheme:      ABFTCorrection,
 		M:           m,
 		Tol:         1e-9,
@@ -118,7 +118,7 @@ func TestParallelPCGBitwiseIdentical(t *testing.T) {
 		t.Fatalf("sequential PCG failed: %v", errSeq)
 	}
 	var parHist history
-	xPar, stPar, errPar := SolvePCG(a, b, PCGConfig{
+	xPar, stPar, errPar := Solve(a, b, Config{
 		Scheme:      ABFTCorrection,
 		M:           m,
 		Tol:         1e-9,
@@ -142,7 +142,7 @@ func TestParallelPCGBitwiseIdentical(t *testing.T) {
 func TestParallelBiCGstabBitwiseIdentical(t *testing.T) {
 	a, b := poissonSystem(48, 19)
 
-	xSeq, stSeq, errSeq := SolveBiCGstab(a, b, BiCGstabConfig{
+	xSeq, stSeq, errSeq := SolveBiCGstab(a, b, Config{
 		Scheme:   ABFTCorrection,
 		Tol:      1e-8,
 		Injector: fault.New(fault.Config{Alpha: 1.0 / 32, Seed: 23}),
@@ -150,7 +150,7 @@ func TestParallelBiCGstabBitwiseIdentical(t *testing.T) {
 	if errSeq != nil {
 		t.Fatalf("sequential BiCGstab failed: %v", errSeq)
 	}
-	xPar, stPar, errPar := SolveBiCGstab(a, b, BiCGstabConfig{
+	xPar, stPar, errPar := SolveBiCGstab(a, b, Config{
 		Scheme:   ABFTCorrection,
 		Tol:      1e-8,
 		Injector: fault.New(fault.Config{Alpha: 1.0 / 32, Seed: 23}),

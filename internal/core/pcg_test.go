@@ -23,13 +23,13 @@ func pcgFixture(t *testing.T, n int, seed int64) (*sparse.CSR, *sparse.CSR, []fl
 
 func TestPCGFaultFreeMatchesPlain(t *testing.T) {
 	a, m, b, xTrue := pcgFixture(t, 900, 1)
-	ref, err := solver.PCG(a, b, solver.Options{Tol: 1e-10})
+	ref, err := solver.PCGWith(a, m, b, solver.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, scheme := range Schemes {
 		t.Run(scheme.String(), func(t *testing.T) {
-			x, st, err := SolvePCG(a, b, PCGConfig{Scheme: scheme, M: m, Tol: 1e-10})
+			x, st, err := Solve(a, b, Config{Scheme: scheme, M: m, Tol: 1e-10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestPCGConvergesUnderFaults(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			a, m, b, xTrue := pcgFixture(t, 900, 2)
 			inj := fault.New(fault.Config{Alpha: 1.0 / 16, Seed: 31})
-			x, st, err := SolvePCG(a, b, PCGConfig{Scheme: scheme, M: m, Tol: 1e-9, Injector: inj})
+			x, st, err := Solve(a, b, Config{Scheme: scheme, M: m, Tol: 1e-9, Injector: inj})
 			if err != nil {
 				t.Fatalf("%v (stats %+v)", err, st)
 			}
@@ -80,7 +80,7 @@ func TestPCGPreconditionerFaultsAreHandled(t *testing.T) {
 			fault.TargetVecX, fault.TargetVecZ,
 		},
 	})
-	_, st, err := SolvePCG(a, b, PCGConfig{Scheme: ABFTCorrection, M: m, Tol: 1e-9, Injector: inj})
+	_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: m, Tol: 1e-9, Injector: inj})
 	if err != nil {
 		t.Fatalf("%v (stats %+v)", err, st)
 	}
@@ -103,7 +103,7 @@ func TestPCGWithNeumannPreconditioner(t *testing.T) {
 	}
 	b, xTrue := rhsFor(a, 5)
 	inj := fault.New(fault.Config{Alpha: 0.02, Seed: 51})
-	x, st, err := SolvePCG(a, b, PCGConfig{Scheme: ABFTCorrection, M: m, Tol: 1e-9, Injector: inj})
+	x, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: m, Tol: 1e-9, Injector: inj})
 	if err != nil {
 		t.Fatalf("%v (stats %+v)", err, st)
 	}
@@ -117,14 +117,14 @@ func TestPCGWithNeumannPreconditioner(t *testing.T) {
 
 func TestPCGValidation(t *testing.T) {
 	a, m, b, _ := pcgFixture(t, 400, 7)
-	if _, _, err := SolvePCG(a, b[:10], PCGConfig{Scheme: ABFTCorrection, M: m}); err == nil {
+	if _, _, err := Solve(a, b[:10], Config{Scheme: ABFTCorrection, M: m}); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	if _, _, err := SolvePCG(a, b, PCGConfig{Scheme: ABFTCorrection}); err == nil {
-		t.Fatal("expected missing-preconditioner error")
+	if _, _, err := SolveBiCGstab(a, b, Config{Scheme: ABFTCorrection, M: m}); err == nil {
+		t.Fatal("expected BiCGstab to reject a preconditioner")
 	}
 	bad := sparse.Identity(3)
-	if _, _, err := SolvePCG(a, b, PCGConfig{Scheme: ABFTCorrection, M: bad}); err == nil {
+	if _, _, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: bad}); err == nil {
 		t.Fatal("expected preconditioner shape error")
 	}
 }
@@ -133,7 +133,7 @@ func TestPCGDeterministic(t *testing.T) {
 	a, m, b, _ := pcgFixture(t, 600, 8)
 	run := func() Stats {
 		inj := fault.New(fault.Config{Alpha: 0.05, Seed: 61})
-		_, st, err := SolvePCG(a, b, PCGConfig{Scheme: ABFTCorrection, M: m, Tol: 1e-8, Injector: inj})
+		_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: m, Tol: 1e-8, Injector: inj})
 		if err != nil {
 			t.Fatal(err)
 		}

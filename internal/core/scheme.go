@@ -46,6 +46,11 @@ var Schemes = []Scheme{OnlineDetection, ABFTDetection, ABFTCorrection}
 type Config struct {
 	// Scheme selects the resilience method.
 	Scheme Scheme
+	// M, when non-nil, is an explicit sparse SPD preconditioner M ≈ A⁻¹
+	// (e.g. precond.Jacobi or precond.Neumann output): Solve then runs PCG,
+	// with M living in corruptible memory and protected, checkpointed and
+	// recovered exactly like A. SolveBiCGstab takes none.
+	M *sparse.CSR
 	// S is the checkpoint interval in chunks (the paper's s). 0 means
 	// model-optimal via Eq. (6).
 	S int
@@ -62,9 +67,6 @@ type Config struct {
 	Injector *fault.Injector
 	// Costs calibrates the time accounting; zero value means defaults.
 	Costs CostParams
-	// Trace, when non-nil, receives a line per notable event (detections,
-	// corrections, rollbacks, checkpoints) for debugging and audits.
-	Trace func(format string, args ...any)
 	// Pool, when non-nil, executes the solver's hot kernels — the SpMxV row
 	// ranges and the blocked vector reductions — across the worker pool.
 	// Kernels use deterministic blocked summation, so a solve with any pool
@@ -116,24 +118,6 @@ type DetectionEvent struct {
 	Corrections int64
 	// RolledBack reports checkpoint recovery (vs. forward correction).
 	RolledBack bool
-}
-
-// detectionEmitter adapts an OnDetection hook into a per-episode closure
-// over the live Stats counters. A nil hook returns a nil func — callers
-// guard on that, so the fault-free hot path allocates nothing.
-func detectionEmitter(hook func(DetectionEvent), st *Stats) func(it int, rolledBack bool) {
-	if hook == nil {
-		return nil
-	}
-	var lastD, lastC int64
-	return func(it int, rolledBack bool) {
-		d, c := st.Detections-lastD, st.Corrections-lastC
-		if d == 0 && c == 0 {
-			return
-		}
-		lastD, lastC = st.Detections, st.Corrections
-		hook(DetectionEvent{Iteration: it, Detections: d, Corrections: c, RolledBack: rolledBack})
-	}
 }
 
 // Stats reports everything the experiments need about one resilient solve.

@@ -7,27 +7,24 @@ import (
 	"repro/internal/sparse"
 )
 
-// Workspace is the reusable arena of the resilient drivers. A solve that
-// carries one (Config.Ws / PCGConfig.Ws / BiCGstabConfig.Ws) draws its
-// working matrix copy, iteration vectors, checksum encodings, vector
-// guards and checkpoint stores from the workspace instead of the heap, so
-// repeated solves — the inner loop of every fault campaign — allocate
-// nothing once the workspace is warm. Reuse across different solvers,
-// schemes and matrix sizes is supported (storage grows as needed); sharing
-// one workspace between concurrent solves is not.
+// Workspace is the reusable arena of the resilient engine. A solve that
+// carries one (Config.Ws) draws its working matrix copies, iteration
+// vectors, checksum encodings, vector guards and checkpoint stores from the
+// workspace instead of the heap, so repeated solves — the inner loop of
+// every fault campaign — allocate nothing once the workspace is warm. Reuse
+// across different solvers, schemes and matrix sizes is supported (storage
+// grows as needed); sharing one workspace between concurrent solves is not.
 type Workspace struct {
-	live, liveM *sparse.CSR
-	bufs        [][]float64
-	next        int
-	prot, protM *abft.Protected
-	guards      [4]*abft.VectorGuard
-	store       *checkpoint.Store
-	initStore   *checkpoint.Store
-	state       fault.State
-	view        checkpoint.State
-	rs          runState
-	pr          pcgRun
-	br          bicgRun
+	live      [2]*sparse.CSR // slot 0: the system matrix, slot 1: the preconditioner
+	prot      [2]*abft.Protected
+	bufs      [][]float64
+	next      int
+	guards    [4]*abft.VectorGuard
+	store     *checkpoint.Store
+	initStore *checkpoint.Store
+	state     fault.State
+	view      checkpoint.State
+	run       engine
 }
 
 // NewWorkspace returns an empty workspace; storage is created on first use
@@ -41,14 +38,14 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // carrying this workspace against a same-shaped matrix reuses the storage
 // built here. Prewarming is optional and never changes results.
 func (w *Workspace) Prewarm(a *sparse.CSR, scheme Scheme) {
-	live := w.liveCopy(a)
+	live := w.liveCopy(0, a)
 	if scheme != OnlineDetection {
-		w.protected(live, abftMode(scheme))
+		w.protected(0, live, abftMode(scheme))
 	}
 }
 
 // begin resets the take cursor for a new solve; a nil receiver yields a
-// fresh single-use workspace so drivers can call it unconditionally.
+// fresh single-use workspace so the entry points can call it unconditionally.
 func (w *Workspace) begin() *Workspace {
 	if w == nil {
 		return &Workspace{}
@@ -58,8 +55,8 @@ func (w *Workspace) begin() *Workspace {
 }
 
 // take returns the next length-n scratch buffer, NOT zeroed: the take
-// order inside each driver is fixed, and every use site initialises its
-// buffer explicitly.
+// order of a solve is fixed, and every use site initialises its buffer
+// explicitly.
 func (w *Workspace) take(n int) []float64 {
 	if w.next < len(w.bufs) {
 		b := w.bufs[w.next]
@@ -95,46 +92,26 @@ func (w *Workspace) takeCopy(src []float64) []float64 {
 	return b
 }
 
-// liveCopy returns the workspace's working copy of a, refreshed from a
-// (in place when the shapes match, so the caller's matrix is never
-// aliased and a warm workspace never reallocates it).
-func (w *Workspace) liveCopy(a *sparse.CSR) *sparse.CSR {
-	if w.live != nil && w.live.Rows == a.Rows && w.live.Cols == a.Cols && len(w.live.Val) == len(a.Val) {
-		w.live.CopyFrom(a)
-		return w.live
+// liveCopy returns the workspace's working copy of a in the given matrix
+// slot, refreshed from a (in place when the shapes match, so the caller's
+// matrix is never aliased and a warm workspace never reallocates it).
+func (w *Workspace) liveCopy(slot int, a *sparse.CSR) *sparse.CSR {
+	if l := w.live[slot]; l != nil && l.Rows == a.Rows && l.Cols == a.Cols && len(l.Val) == len(a.Val) {
+		l.CopyFrom(a)
+		return l
 	}
-	w.live = a.Clone()
-	return w.live
+	w.live[slot] = a.Clone()
+	return w.live[slot]
 }
 
-// liveMCopy is liveCopy for the preconditioner slot.
-func (w *Workspace) liveMCopy(m *sparse.CSR) *sparse.CSR {
-	if w.liveM != nil && w.liveM.Rows == m.Rows && w.liveM.Cols == m.Cols && len(w.liveM.Val) == len(m.Val) {
-		w.liveM.CopyFrom(m)
-		return w.liveM
-	}
-	w.liveM = m.Clone()
-	return w.liveM
-}
-
-// protected returns the workspace's ABFT wrapper re-armed over a.
-func (w *Workspace) protected(a *sparse.CSR, mode abft.Mode) *abft.Protected {
-	if w.prot == nil {
-		w.prot = abft.NewProtected(a, mode)
+// protected returns the slot's ABFT wrapper re-armed over a.
+func (w *Workspace) protected(slot int, a *sparse.CSR, mode abft.Mode) *abft.Protected {
+	if w.prot[slot] == nil {
+		w.prot[slot] = abft.NewProtected(a, mode)
 	} else {
-		w.prot.Renew(a, mode)
+		w.prot[slot].Renew(a, mode)
 	}
-	return w.prot
-}
-
-// protectedM is protected for the preconditioner slot.
-func (w *Workspace) protectedM(m *sparse.CSR, mode abft.Mode) *abft.Protected {
-	if w.protM == nil {
-		w.protM = abft.NewProtected(m, mode)
-	} else {
-		w.protM.Renew(m, mode)
-	}
-	return w.protM
+	return w.prot[slot]
 }
 
 // guard returns the i-th reusable vector guard re-armed over v.
@@ -149,7 +126,7 @@ func (w *Workspace) guard(i int, v []float64, mode abft.Mode) *abft.VectorGuard 
 
 // stores returns the rolling checkpoint store and the initial-state store.
 // Stale snapshots from a previous solve are simply overwritten by the
-// driver's first Save (in place when shapes match).
+// engine's first Save (in place when shapes match).
 func (w *Workspace) stores() (store, initStore *checkpoint.Store) {
 	if w.store == nil {
 		w.store = checkpoint.NewStore()

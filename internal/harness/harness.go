@@ -238,33 +238,23 @@ func SolveWith(a *sparse.CSR, b []float64, sc Scenario, seed int64, opt SolveOpt
 	if sc.Alpha > 0 {
 		inj = fault.New(fault.Config{Alpha: sc.Alpha, Seed: seed})
 	}
+	cfg := core.Config{
+		Scheme: scheme, S: sc.S, D: sc.D, Tol: sc.Tol,
+		MaxIters: sc.MaxIters, Injector: inj, Pool: opt.Pool, OnIteration: opt.OnIteration,
+		OnDetection: opt.OnDetection, Ws: coreWs,
+	}
 	switch sc.Solver {
+	case "bicgstab":
+		return core.SolveBiCGstab(a, b, cfg)
 	case "pcg":
-		m := opt.M
-		if m == nil {
+		if cfg.M = opt.M; cfg.M == nil {
 			var err error
-			if m, err = buildPrecond(a, sc.Precond); err != nil {
+			if cfg.M, err = buildPrecond(a, sc.Precond); err != nil {
 				return nil, core.Stats{}, err
 			}
 		}
-		return core.SolvePCG(a, b, core.PCGConfig{
-			Scheme: scheme, M: m, S: sc.S, D: sc.D, Tol: sc.Tol,
-			MaxIters: sc.MaxIters, Injector: inj, Pool: opt.Pool, OnIteration: opt.OnIteration,
-			OnDetection: opt.OnDetection, Ws: coreWs,
-		})
-	case "bicgstab":
-		return core.SolveBiCGstab(a, b, core.BiCGstabConfig{
-			Scheme: scheme, S: sc.S, Tol: sc.Tol,
-			MaxIters: sc.MaxIters, Injector: inj, Pool: opt.Pool, OnIteration: opt.OnIteration,
-			OnDetection: opt.OnDetection, Ws: coreWs,
-		})
-	default: // cg
-		return core.Solve(a, b, core.Config{
-			Scheme: scheme, S: sc.S, D: sc.D, Tol: sc.Tol,
-			MaxIters: sc.MaxIters, Injector: inj, Pool: opt.Pool, OnIteration: opt.OnIteration,
-			OnDetection: opt.OnDetection, Ws: coreWs,
-		})
 	}
+	return core.Solve(a, b, cfg)
 }
 
 // solveUnprotected runs the fault-free reference solver and shapes its
