@@ -99,19 +99,8 @@ type product struct {
 	// hit is the deferred-fault target struck in y right after the product
 	// (TargetVecQ or TargetVecZ). The zero value, a matrix target, is never
 	// deferred and so means none.
-	hit    fault.Target
-	charge chargeRule
+	hit fault.Target
 }
-
-// chargeRule selects which of the three historical readings of the
-// correction cost a product settles with.
-type chargeRule int
-
-const (
-	chargeVectorForX  chargeRule = iota // ClassX repairs are O(n), the rest Tcorrect
-	chargeMatrixOnly                    // only Val/Colid/Rowidx repairs cost Tcorrect
-	chargeAlwaysTcorr                   // every product repair costs Tcorrect
-)
 
 // scalarRef names one recurrence scalar carried by checkpoints.
 type scalarRef struct {
@@ -342,8 +331,8 @@ func (e *engine) refresh(g *abft.VectorGuard, v []float64) {
 }
 
 // product records the next protected product for the engine to run.
-func (e *engine) product(slot int, y, x []float64, ref *abft.VectorGuard, hit fault.Target, charge chargeRule) verdict {
-	e.prod = product{slot: slot, y: y, x: x, ref: ref, hit: hit, charge: charge}
+func (e *engine) product(slot int, y, x []float64, ref *abft.VectorGuard, hit fault.Target) verdict {
+	e.prod = product{slot: slot, y: y, x: x, ref: ref, hit: hit}
 	return stepProduct
 }
 
@@ -495,26 +484,16 @@ func (e *engine) settle(out abft.Outcome, p *product) bool {
 		return false
 	}
 	st.Corrections++
-	matrix := out.Class == abft.ClassVal || out.Class == abft.ClassColid || out.Class == abft.ClassRowidx
-	// Guard repairs are O(n); product repairs may recompute the O(nnz)
-	// column checksums.
-	vector := p == nil
-	if p != nil {
-		switch p.charge {
-		case chargeVectorForX:
-			vector = out.Class == abft.ClassX
-		case chargeMatrixOnly:
-			vector = !matrix
-		}
-	}
-	if vector {
+	// Repairs of a vector — a guarded one, or a product's input — are O(n);
+	// the other product repairs may recompute the O(nnz) column checksums.
+	if p == nil || out.Class == abft.ClassX {
 		st.TimeVerif += TcorrectVector(e.mat[0], e.cfg.Costs)
 	} else {
 		st.TimeVerif += e.costs.Tcorrect
 	}
 	// A matrix repair restores the original entry only to rounding;
 	// re-anchor the bitwise checksum identity on the repaired matrix.
-	if p != nil && matrix {
+	if p != nil && (out.Class == abft.ClassVal || out.Class == abft.ClassColid || out.Class == abft.ClassRowidx) {
 		e.prot[p.slot].Reencode()
 	}
 	return true

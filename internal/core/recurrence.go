@@ -58,11 +58,7 @@ func (c *pcgRec) resNorm(e *engine) float64 {
 func (c *pcgRec) step(e *engine, stage int) verdict {
 	switch stage {
 	case 0:
-		charge := chargeMatrixOnly
-		if e.mat[1] == nil {
-			charge = chargeVectorForX
-		}
-		return e.product(0, e.q, e.p, e.pGuard, fault.TargetVecQ, charge)
+		return e.product(0, e.q, e.p, e.pGuard, fault.TargetVecQ)
 	case 1:
 		// Both schemes treat non-finite or non-positive curvature as a
 		// detected error.
@@ -78,7 +74,7 @@ func (c *pcgRec) step(e *engine, stage int) verdict {
 		if e.mat[1] != nil {
 			// z ← M·r, protected like the A-product (the r-guard provides
 			// the input reference).
-			return e.product(1, c.z, e.r, e.rGuard, fault.TargetVecZ, chargeAlwaysTcorr)
+			return e.product(1, c.z, e.r, e.rGuard, fault.TargetVecZ)
 		}
 	}
 	rhoNew := e.dot(e.r, c.z)
@@ -150,7 +146,7 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 		}
 		e.rho = rhoNew
 		e.refresh(e.pGuard, e.p)
-		return e.product(0, v, e.p, e.pGuard, fault.TargetVecQ, chargeAlwaysTcorr)
+		return e.product(0, v, e.p, e.pGuard, fault.TargetVecQ)
 	case 1:
 		den := e.dot(c.rHat, v)
 		if unusable(den) {
@@ -168,7 +164,7 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 			e.refresh(e.rGuard, e.r)
 			return stepHalf
 		}
-		return e.product(0, c.t, c.s, c.sGuard, 0, chargeAlwaysTcorr)
+		return e.product(0, c.t, c.s, c.sGuard, 0)
 	}
 	tt := e.dot(c.t, c.t)
 	if unusable(tt) {
