@@ -6,6 +6,7 @@ import (
 	"repro/internal/abft"
 	"repro/internal/checksum"
 	"repro/internal/core"
+	"repro/internal/precond"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/vec"
@@ -75,13 +76,17 @@ func TestZeroAllocSolverSteadyState(t *testing.T) {
 	a, b := allocMatrix(t)
 	ws := solver.NewWorkspace()
 	opt := solver.Options{Tol: 1e-8, Ws: ws}
+	m, err := precond.Jacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
 		run  func() (solver.Result, error)
 	}{
 		{"CG", func() (solver.Result, error) { return solver.CG(a, b, opt) }},
-		{"PCG", func() (solver.Result, error) { return solver.PCG(a, b, opt) }},
+		{"PCG", func() (solver.Result, error) { return solver.PCGWith(a, m, b, opt) }},
 		{"BiCGstab", func() (solver.Result, error) { return solver.BiCGstab(a, b, opt) }},
 	}
 	for _, tc := range cases {

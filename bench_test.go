@@ -20,9 +20,11 @@ import (
 	"repro/internal/abft"
 	"repro/internal/checksum"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/parallel"
 	"repro/internal/pool"
+	"repro/internal/precond"
 	"repro/internal/sim"
 	"repro/internal/solver"
 	"repro/internal/sparse"
@@ -35,17 +37,17 @@ const benchScale = 48 // suite downscale for the experiment benchmarks
 // benchMatrix builds one suite instance per id for the benchmarks.
 func benchMatrix(b *testing.B, id int) (*simMatrix, []float64) {
 	b.Helper()
-	sm, ok := sim.SuiteByID(id)
+	sm, ok := harness.SuiteByID(id)
 	if !ok {
 		b.Fatalf("unknown suite matrix %d", id)
 	}
 	a := sm.Generate(benchScale)
-	rhs, _ := sim.RHS(a, int64(id))
+	rhs, _ := harness.RHS(a, int64(id))
 	return &simMatrix{sm: sm, a: a}, rhs
 }
 
 type simMatrix struct {
-	sm sim.SuiteMatrix
+	sm harness.SuiteMatrix
 	a  *sparse.CSR
 }
 
@@ -476,9 +478,13 @@ func benchSolverSteadyState(b *testing.B, kind string) {
 	rhs := randVec(a.Rows, 3)
 	ws := solver.NewWorkspace()
 	opt := solver.Options{Tol: 1e-8, Ws: ws}
+	m, err := precond.Jacobi(a)
+	if err != nil {
+		b.Fatal(err)
+	}
 	run := func() (solver.Result, error) {
 		if kind == "pcg" {
-			return solver.PCG(a, rhs, opt)
+			return solver.PCGWith(a, m, rhs, opt)
 		}
 		return solver.CG(a, rhs, opt)
 	}

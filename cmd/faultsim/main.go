@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	suite, err := sim.SelectSuite(*matrices)
+	suite, err := harness.SelectSuite(*matrices)
 	if err != nil {
 		return err
 	}
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg := sim.Figure1Config{
 		Scale:   *scale,
 		Reps:    *reps,
-		MTBFs:   sim.LogSpace(1e2, 1e4, *points),
+		MTBFs:   harness.LogSpace(1e2, 1e4, *points),
 		Tol:     *tol,
 		Seed:    *seed,
 		Workers: *workers,

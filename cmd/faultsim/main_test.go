@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/harness"
-	"repro/internal/sim"
 )
 
 func TestRunSmallSweep(t *testing.T) {
@@ -74,11 +73,11 @@ func TestRunBadArgs(t *testing.T) {
 }
 
 func TestSelectSuiteDefaultsToAllNine(t *testing.T) {
-	suite, err := sim.SelectSuite("")
+	suite, err := harness.SelectSuite("")
 	if err != nil || len(suite) != 9 {
 		t.Fatalf("SelectSuite(\"\") = %d matrices, err %v", len(suite), err)
 	}
-	suite, err = sim.SelectSuite("341, 2213")
+	suite, err = harness.SelectSuite("341, 2213")
 	if err != nil || len(suite) != 2 || suite[0].ID != 341 || suite[1].ID != 2213 {
 		t.Fatalf("SelectSuite subset = %v, err %v", suite, err)
 	}

@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/harness"
 	"repro/internal/sim"
 )
 
@@ -46,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	suite, err := sim.SelectSuite(*matrices)
+	suite, err := harness.SelectSuite(*matrices)
 	if err != nil {
 		return err
 	}

@@ -113,10 +113,10 @@ func registerCampaigns() {
 	}
 }
 
-func smokeSuite() []sim.SuiteMatrix {
-	var suite []sim.SuiteMatrix
+func smokeSuite() []harness.SuiteMatrix {
+	var suite []harness.SuiteMatrix
 	for _, id := range []int{341, 2213} {
-		if sm, ok := sim.SuiteByID(id); ok {
+		if sm, ok := harness.SuiteByID(id); ok {
 			suite = append(suite, sm)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/pool"
 	"repro/internal/sim"
 )
@@ -28,12 +29,12 @@ func main() {
 // run sweeps matrix #341 at the given downscale with reps repetitions per
 // point. The smoke tests call it heavily downscaled with a single rep.
 func run(w io.Writer, scale, reps int) error {
-	sm, ok := sim.SuiteByID(341)
+	sm, ok := harness.SuiteByID(341)
 	if !ok {
 		return fmt.Errorf("suite matrix 341 missing")
 	}
 	a := sm.Generate(scale) // nnz/row is preserved under downscaling
-	b, _ := sim.RHS(a, 7)
+	b, _ := harness.RHS(a, 7)
 
 	fmt.Fprintf(w, "matrix #%d at 1/%d scale: n=%d, nnz=%d\n\n", sm.ID, scale, a.Rows, a.NNZ())
 	fmt.Fprintf(w, "%-14s %-20s %-20s %-20s\n", "MTBF (1/α)",

@@ -16,8 +16,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/harness"
 	"repro/internal/precond"
-	"repro/internal/sim"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 )
@@ -33,7 +33,7 @@ func main() {
 // preconditioners. The smoke tests call it with a tiny n.
 func run(w io.Writer, n int) error {
 	a := sparse.SuiteSPD(sparse.SuiteSPDOptions{N: n, Density: 0.005, Seed: 11})
-	b, xTrue := sim.RHS(a, 11)
+	b, xTrue := harness.RHS(a, 11)
 
 	jacobi, err := precond.Jacobi(a)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/sim"
+	"repro/internal/harness"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 )
@@ -31,7 +31,7 @@ func main() {
 // the report to w. The smoke tests call it with a tiny grid.
 func run(w io.Writer, side int) error {
 	a := sparse.Poisson2D(side, side)
-	b, xTrue := sim.RHS(a, 1)
+	b, xTrue := harness.RHS(a, 1)
 
 	// One expected silent error every 16 CG iterations — the fault rate of
 	// the paper's Table 1.

@@ -1,6 +1,6 @@
 // Package core implements the paper's primary contribution: resilient
-// Conjugate Gradient drivers that combine backward recovery (checkpoint and
-// rollback) with per-iteration verification, in three flavours:
+// iterative solves that combine backward recovery (checkpoint and rollback)
+// with per-iteration verification, in three flavours:
 //
 //	OnlineDetection — Chen's scheme (PPoPP'13) as extended by the paper:
 //	    verify every d iterations by recomputing the residual and checking
@@ -12,8 +12,17 @@
 //	ABFTCorrection — two-checksum ABFT SpMxV: single errors are corrected
 //	    forward with no rollback; only multi-error iterations roll back.
 //
-// The drivers operate on genuinely corrupted memory (the fault injector
-// flips real bits in the live arrays) and account execution time through a
+// The paper's model never mentions which recurrence runs inside a chunk,
+// and neither does the code: one engine (engine.go) owns the scheme, the
+// d/s cadence, fault injection, ABFT settlement, Chen's verification,
+// checkpoint, rollback and the modeled time, and is parameterised by a
+// recurrence (recurrence.go) — CG/PCG and BiCGstab — that supplies its
+// vectors, its convergence norm and one step cut at its protected products.
+// SolveBlock advances several engines in lockstep around one blocked
+// product.
+//
+// The engine operates on genuinely corrupted memory (the fault injector
+// flips real bits in the live arrays) and accounts execution time through a
 // deterministic cost model, so the experiments of the paper's Section 5 are
 // reproducible bit for bit.
 package core

@@ -46,15 +46,6 @@ type goldenCell struct {
 	TimeRecovery     string `json:"time_recovery"`
 }
 
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
-}
-
 func fstr(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // goldenSolve dispatches one cell onto the driver entry points; it is the
@@ -117,9 +108,9 @@ func TestDriverGolden(t *testing.T) {
 					if seed != 0 {
 						cfg.Injector = fault.New(fault.Config{Alpha: 1.0 / 16, Seed: seed})
 					}
-					ih := uint64(14695981039346656037)
+					ih := uint64(sparse.FNV1aOffset64)
 					cfg.OnIteration = func(it int, rho float64) {
-						ih = fnvMix(fnvMix(ih, uint64(it)), math.Float64bits(rho))
+						ih = sparse.FNVMix64(sparse.FNVMix64(ih, uint64(it)), math.Float64bits(rho))
 					}
 					cfg.OnDetection = func(ev DetectionEvent) {
 						how := "fwd"
@@ -133,9 +124,9 @@ func TestDriverGolden(t *testing.T) {
 					if err != nil {
 						cell.Err = err.Error()
 					}
-					xh := uint64(14695981039346656037)
+					xh := uint64(sparse.FNV1aOffset64)
 					for _, xi := range x {
-						xh = fnvMix(xh, math.Float64bits(xi))
+						xh = sparse.FNVMix64(xh, math.Float64bits(xi))
 					}
 					cell.IterHash = fmt.Sprintf("%016x", ih)
 					cell.XHash = fmt.Sprintf("%016x", xh)

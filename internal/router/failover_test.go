@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -61,10 +62,10 @@ func routedSolve(t *testing.T, url string, req *server.SolveRequest) (server.Sol
 // TestFailoverDeterminism is the sharded determinism gate, live: a mix
 // of matrices is served through the router over three real solve
 // services, one shard is killed, and every key must (1) keep answering,
-// (2) fail over to exactly its next ring replica while all other keys
-// stay put — the live minimal-disruption property — and (3) return
-// residual hashes bit-identical to before the kill and to direct,
-// router-less serving.
+// (2) fail over to exactly its next ring replica once the victim is gone,
+// while all other keys stay put — the live minimal-disruption property —
+// and (3) return residual hashes bit-identical to before the kill and to
+// direct, router-less serving.
 func TestFailoverDeterminism(t *testing.T) {
 	shards := []*realShard{newRealShard(t, "s0"), newRealShard(t, "s1"), newRealShard(t, "s2")}
 	specs := make([]Shard, len(shards))
@@ -141,8 +142,8 @@ func TestFailoverDeterminism(t *testing.T) {
 		defer wg.Done()
 		shards[1].kill()
 	}()
-	// Phase 2: concurrent re-request of the full mix during/after the
-	// kill. Every request must still answer 200 with the same hash.
+	// Phase 2: concurrent re-request of the full mix while the kill is in
+	// progress. Every request must still answer 200.
 	hash2 := make([]string, len(reqs))
 	shard2 := make([]string, len(reqs))
 	for i, req := range reqs {
@@ -155,29 +156,42 @@ func TestFailoverDeterminism(t *testing.T) {
 	}
 	wg.Wait()
 
-	for i := range reqs {
-		if hash2[i] != hash1[i] {
-			t.Errorf("cell %d: hash changed across failover: %s -> %s", i, hash1[i], hash2[i])
+	// A request races the kill, so inside the window a victim-owned key may
+	// still be answered by the victim; what must hold is that it is answered
+	// by the victim or its next replica, with the same hash, and that no
+	// other key moves. checkPlacement asserts the strict form once the
+	// victim is known to be gone.
+	checkPlacement := func(phase string, i int, hash, shard string, victimMayAnswer bool) {
+		t.Helper()
+		if hash != hash1[i] {
+			t.Errorf("%s cell %d: hash changed across failover: %s -> %s", phase, i, hash1[i], hash)
 		}
-		if shard1[i] == victim {
-			want := r.ring.Successors(keys[i], 2)[1]
-			if shard2[i] != want {
-				t.Errorf("cell %d: victim's key served by %s, want next replica %s", i, shard2[i], want)
+		switch {
+		case shard1[i] != victim:
+			if shard != shard1[i] {
+				t.Errorf("%s cell %d: unaffected key moved %s -> %s (disruption beyond the dead shard)", phase, i, shard1[i], shard)
 			}
-		} else if shard2[i] != shard1[i] {
-			t.Errorf("cell %d: unaffected key moved %s -> %s (disruption beyond the dead shard)", i, shard1[i], shard2[i])
+		case shard == victim && victimMayAnswer:
+		default:
+			if want := r.ring.Successors(keys[i], 2)[1]; shard != want {
+				t.Errorf("%s cell %d: victim's key served by %s, want next replica %s", phase, i, shard, want)
+			}
 		}
 	}
+	for i := range reqs {
+		checkPlacement("kill window", i, hash2[i], shard2[i], true)
+	}
 
-	// Phase 3: steady state after the kill — hashes still identical.
+	// kill has returned, so the victim's listener is closed: confirm it,
+	// then the strict minimal-disruption placement must hold.
+	if c, err := net.Dial("tcp", shards[1].ts.Listener.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("victim still accepts connections after kill returned")
+	}
+	// Phase 3: steady state after the kill.
 	for i, req := range reqs {
 		sr, shard := routedSolve(t, rts.URL, req)
-		if sr.Result.ResidualHash != hash1[i] {
-			t.Errorf("cell %d: post-failover hash %s != original %s", i, sr.Result.ResidualHash, hash1[i])
-		}
-		if shard == victim {
-			t.Errorf("cell %d still served by the dead shard", i)
-		}
+		checkPlacement("after kill", i, sr.Result.ResidualHash, shard, false)
 	}
 }
 

@@ -44,7 +44,7 @@ func (c Figure1Config) withDefaults() Figure1Config {
 		c.Reps = 50
 	}
 	if len(c.MTBFs) == 0 {
-		c.MTBFs = LogSpace(1e2, 1e4, 7)
+		c.MTBFs = harness.LogSpace(1e2, 1e4, 7)
 	}
 	if c.Tol == 0 {
 		c.Tol = 1e-8
@@ -56,7 +56,7 @@ func (c Figure1Config) withDefaults() Figure1Config {
 // cell. The seed formula is position-based and matches the historical
 // campaign seeding, so the refactored sweep reproduces its previous
 // outputs exactly.
-func (c Figure1Config) cellScenario(mi int, sm SuiteMatrix, scheme core.Scheme, xi int, mtbf float64) harness.Scenario {
+func (c Figure1Config) cellScenario(mi int, sm harness.SuiteMatrix, scheme core.Scheme, xi int, mtbf float64) harness.Scenario {
 	return harness.Scenario{
 		Name: fmt.Sprintf("figure1/m%d/%s/mtbf%g", sm.ID, harness.SchemeSlug(scheme), mtbf),
 		Tags: []string{"figure1", "campaign"},
@@ -75,7 +75,7 @@ func (c Figure1Config) cellScenario(mi int, sm SuiteMatrix, scheme core.Scheme, 
 // Figure1Scenarios expands the sweep into its harness scenarios — one per
 // (matrix, scheme, MTBF) cell — for registration and sharded execution.
 // The position indices follow the given suite slice.
-func (c Figure1Config) Figure1Scenarios(suite []SuiteMatrix) []harness.Scenario {
+func (c Figure1Config) Figure1Scenarios(suite []harness.SuiteMatrix) []harness.Scenario {
 	c = c.withDefaults()
 	var out []harness.Scenario
 	for mi, sm := range suite {
@@ -107,7 +107,7 @@ type Figure1Series struct {
 // RunFigure1 reproduces the paper's Figure 1 on the given suite: each cell
 // runs as a harness scenario (matrix built once per suite entry, trials
 // fanned out across the pool) and its record folds into the series.
-func RunFigure1(cfg Figure1Config, suite []SuiteMatrix) []Figure1Series {
+func RunFigure1(cfg Figure1Config, suite []harness.SuiteMatrix) []Figure1Series {
 	series, _ := RunFigure1Results(cfg, suite)
 	return series
 }
@@ -115,7 +115,7 @@ func RunFigure1(cfg Figure1Config, suite []SuiteMatrix) []Figure1Series {
 // RunFigure1Results is RunFigure1 returning both the folded series and the
 // raw harness records of every cell, for the machine-readable pipeline
 // (faultsim -json, CI artifacts, shard merges).
-func RunFigure1Results(cfg Figure1Config, suite []SuiteMatrix) ([]Figure1Series, []harness.Result) {
+func RunFigure1Results(cfg Figure1Config, suite []harness.SuiteMatrix) ([]Figure1Series, []harness.Result) {
 	cfg = cfg.withDefaults()
 	pl := campaignPool(cfg.Workers)
 	if cfg.Workers > 1 {

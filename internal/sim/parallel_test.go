@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/pool"
 )
 
@@ -14,9 +15,9 @@ import (
 // every trial (alpha = 1/16), so under -race this doubles as the campaign
 // concurrency stress test.
 func TestCampaignFanOutDeterministic(t *testing.T) {
-	sm, _ := SuiteByID(341)
+	sm, _ := harness.SuiteByID(341)
 	a := sm.Generate(96)
-	b, _ := RHS(a, 3)
+	b, _ := harness.RHS(a, 3)
 
 	const reps = 8
 	wantMean, wantSamples, wantFailures := AverageTimePool(nil, a, b, core.ABFTCorrection, 1.0/16, 2, 1, 1e-8, 77, reps)
@@ -40,9 +41,9 @@ func TestCampaignFanOutDeterministic(t *testing.T) {
 // TestAverageTimeMatchesPooledSequential pins the compatibility contract:
 // the legacy AverageTime entry point is AverageTimePool with a nil pool.
 func TestAverageTimeMatchesPooledSequential(t *testing.T) {
-	sm, _ := SuiteByID(2213)
+	sm, _ := harness.SuiteByID(2213)
 	a := sm.Generate(96)
-	b, _ := RHS(a, 5)
+	b, _ := harness.RHS(a, 5)
 	m1, s1, f1 := AverageTime(a, b, core.ABFTDetection, 1.0/16, 2, 1, 1e-8, 9, 3)
 	m2, s2, f2 := AverageTimePool(nil, a, b, core.ABFTDetection, 1.0/16, 2, 1, 1e-8, 9, 3)
 	if m1 != m2 || f1 != f2 || len(s1) != len(s2) {

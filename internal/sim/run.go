@@ -1,3 +1,10 @@
+// Package sim implements the experiment campaigns that regenerate the
+// paper's evaluation (Section 5): the Table 1 model-validation experiment
+// and the Figure 1 fault-rate sweep over the synthetic counterpart of its
+// nine-matrix UFL test suite (harness.PaperSuite). The campaigns are defined
+// as internal/harness scenarios (see Figure1Scenarios and Table1Scenarios)
+// and executed through the harness trial engine, so every cell is a named,
+// seeded, reproducible record.
 package sim
 
 import (

@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 )
 
 func TestSuiteProperties(t *testing.T) {
-	if len(PaperSuite) != 9 {
-		t.Fatalf("suite has %d matrices, the paper uses 9", len(PaperSuite))
+	if len(harness.PaperSuite) != 9 {
+		t.Fatalf("suite has %d matrices, the paper uses 9", len(harness.PaperSuite))
 	}
-	for _, sm := range PaperSuite {
+	for _, sm := range harness.PaperSuite {
 		if sm.N < 17456 || sm.N > 74752 {
 			t.Errorf("#%d: n = %d outside the paper's range", sm.ID, sm.N)
 		}
@@ -24,17 +25,17 @@ func TestSuiteProperties(t *testing.T) {
 }
 
 func TestSuiteByID(t *testing.T) {
-	m, ok := SuiteByID(341)
+	m, ok := harness.SuiteByID(341)
 	if !ok || m.N != 23052 {
-		t.Fatal("SuiteByID(341) wrong")
+		t.Fatal("harness.SuiteByID(341) wrong")
 	}
-	if _, ok := SuiteByID(1); ok {
+	if _, ok := harness.SuiteByID(1); ok {
 		t.Fatal("unknown id must return false")
 	}
 }
 
 func TestGeneratePreservesRowProfile(t *testing.T) {
-	sm := PaperSuite[0] // #341: ~50 nnz/row
+	sm := harness.PaperSuite[0] // #341: ~50 nnz/row
 	full := float64(sm.N) * sm.Density
 	a := sm.Generate(32)
 	got := float64(a.NNZ()) / float64(a.Rows)
@@ -47,17 +48,17 @@ func TestGeneratePreservesRowProfile(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := PaperSuite[3].Generate(64)
-	b := PaperSuite[3].Generate(64)
+	a := harness.PaperSuite[3].Generate(64)
+	b := harness.PaperSuite[3].Generate(64)
 	if !a.Equal(b) {
 		t.Fatal("suite generation not deterministic")
 	}
 }
 
 func TestRHSDeterministic(t *testing.T) {
-	a := PaperSuite[8].Generate(64)
-	b1, x1 := RHS(a, 5)
-	b2, x2 := RHS(a, 5)
+	a := harness.PaperSuite[8].Generate(64)
+	b1, x1 := harness.RHS(a, 5)
+	b2, x2 := harness.RHS(a, 5)
 	for i := range b1 {
 		if b1[i] != b2[i] || x1[i] != x2[i] {
 			t.Fatal("RHS not deterministic")
@@ -67,40 +68,40 @@ func TestRHSDeterministic(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
-	if Mean(xs) != 2.5 {
+	if harness.Mean(xs) != 2.5 {
 		t.Fatal("Mean wrong")
 	}
-	if math.Abs(StdDev(xs)-math.Sqrt(5.0/3)) > 1e-12 {
-		t.Fatalf("StdDev = %v", StdDev(xs))
+	if math.Abs(harness.StdDev(xs)-math.Sqrt(5.0/3)) > 1e-12 {
+		t.Fatalf("StdDev = %v", harness.StdDev(xs))
 	}
-	if Mean(nil) != 0 || StdDev([]float64{1}) != 0 {
+	if harness.Mean(nil) != 0 || harness.StdDev([]float64{1}) != 0 {
 		t.Fatal("degenerate stats wrong")
 	}
-	m, ci := MeanCI(xs)
+	m, ci := harness.MeanCI(xs)
 	if m != 2.5 || ci <= 0 {
 		t.Fatal("MeanCI wrong")
 	}
-	if Min(xs) != 1 || Min(nil) != 0 {
+	if harness.Min(xs) != 1 || harness.Min(nil) != 0 {
 		t.Fatal("Min wrong")
 	}
 }
 
 func TestLogSpace(t *testing.T) {
-	xs := LogSpace(100, 10000, 3)
+	xs := harness.LogSpace(100, 10000, 3)
 	want := []float64{100, 1000, 10000}
 	for i := range want {
 		if math.Abs(xs[i]-want[i]) > 1e-9*want[i] {
 			t.Fatalf("LogSpace = %v", xs)
 		}
 	}
-	if len(LogSpace(1, 10, 1)) != 1 {
+	if len(harness.LogSpace(1, 10, 1)) != 1 {
 		t.Fatal("k=1 must return single point")
 	}
 }
 
 func TestRunOnceFaultFree(t *testing.T) {
-	a := PaperSuite[8].Generate(64) // smallest after scaling
-	b, _ := RHS(a, 1)
+	a := harness.PaperSuite[8].Generate(64) // smallest after scaling
+	b, _ := harness.RHS(a, 1)
 	st, err := RunOnce(a, b, core.ABFTCorrection, 0, 0, 0, 1e-8, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +112,8 @@ func TestRunOnceFaultFree(t *testing.T) {
 }
 
 func TestAverageTimePaired(t *testing.T) {
-	a := PaperSuite[8].Generate(64)
-	b, _ := RHS(a, 2)
+	a := harness.PaperSuite[8].Generate(64)
+	b, _ := harness.RHS(a, 2)
 	m1, s1, _ := AverageTime(a, b, core.ABFTDetection, 0.05, 5, 1, 1e-8, 7, 3)
 	m2, s2, _ := AverageTime(a, b, core.ABFTDetection, 0.05, 5, 1, 1e-8, 7, 3)
 	if m1 != m2 || len(s1) != len(s2) {
@@ -149,7 +150,7 @@ func TestRunTable1Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table1 smoke is slow")
 	}
-	rows := RunTable1(Table1Config{Scale: 80, Reps: 3, Seed: 1}, PaperSuite[8:9])
+	rows := RunTable1(Table1Config{Scale: 80, Reps: 3, Seed: 1}, harness.PaperSuite[8:9])
 	if len(rows) != 1 {
 		t.Fatalf("want 1 row, got %d", len(rows))
 	}
@@ -179,7 +180,7 @@ func TestRunFigure1Smoke(t *testing.T) {
 	}
 	series := RunFigure1(Figure1Config{
 		Scale: 80, Reps: 2, MTBFs: []float64{1e2, 1e4}, Seed: 2,
-	}, PaperSuite[8:9])
+	}, harness.PaperSuite[8:9])
 	if len(series) != 1 {
 		t.Fatal("want 1 series")
 	}

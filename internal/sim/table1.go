@@ -61,7 +61,7 @@ func (c Table1Config) withDefaults() Table1Config {
 // cellScenario names the harness scenario of one (matrix, scheme, s) cell.
 // All cells of a (matrix, scheme) pair share the same seed, so the s* scan
 // is paired (common random numbers), like rerunning the same fault trace.
-func (c Table1Config) cellScenario(mi int, sm SuiteMatrix, si int, scheme core.Scheme, s int) harness.Scenario {
+func (c Table1Config) cellScenario(mi int, sm harness.SuiteMatrix, si int, scheme core.Scheme, s int) harness.Scenario {
 	return harness.Scenario{
 		Name: fmt.Sprintf("table1/m%d/%s/s%d", sm.ID, harness.SchemeSlug(scheme), s),
 		Tags: []string{"table1", "campaign"},
@@ -82,7 +82,7 @@ func (c Table1Config) cellScenario(mi int, sm SuiteMatrix, si int, scheme core.S
 // Table1Scenarios expands the experiment into its model-interval harness
 // scenarios (s = 0 lets the driver choose s̃ via Eq. (6)) — the registered
 // entry points; RunTable1 additionally scans the s* neighbourhood grid.
-func (c Table1Config) Table1Scenarios(suite []SuiteMatrix) []harness.Scenario {
+func (c Table1Config) Table1Scenarios(suite []harness.SuiteMatrix) []harness.Scenario {
 	c = c.withDefaults()
 	var out []harness.Scenario
 	for mi, sm := range suite {
@@ -114,7 +114,7 @@ type Table1Row struct {
 }
 
 // RunTable1 reproduces the paper's Table 1 on the given suite.
-func RunTable1(cfg Table1Config, suite []SuiteMatrix) []Table1Row {
+func RunTable1(cfg Table1Config, suite []harness.SuiteMatrix) []Table1Row {
 	cfg = cfg.withDefaults()
 	pl := campaignPool(cfg.Workers)
 	if cfg.Workers > 1 {
@@ -142,7 +142,7 @@ func RunTable1(cfg Table1Config, suite []SuiteMatrix) []Table1Row {
 // evalScheme computes the model interval s̃, scans a grid of intervals for
 // the empirically best s* and fills the evaluation cells. Each grid cell
 // runs as a harness scenario against the prebuilt matrix.
-func evalScheme(cfg Table1Config, pl *pool.Pool, a *sparse.CSR, mi int, sm SuiteMatrix, si int, scheme core.Scheme) SchemeEval {
+func evalScheme(cfg Table1Config, pl *pool.Pool, a *sparse.CSR, mi int, sm harness.SuiteMatrix, si int, scheme core.Scheme) SchemeEval {
 	_, sTilde := core.OptimalIntervals(a, scheme, cfg.Alpha, core.DefaultCostParams())
 
 	grid := sGrid(sTilde)

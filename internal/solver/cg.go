@@ -1,11 +1,11 @@
 // Package solver implements the unprotected baseline iterative solvers:
-// Conjugate Gradient (the paper's Algorithm 1), Jacobi-preconditioned CG,
-// BiCGstab and restarted GMRES. The paper's resilience techniques target
-// "any iterative solver that uses sparse matrix vector multiplies and
-// vector operations" — CGNE, BiCG, BiCGstab and preconditioned variants are
-// named explicitly — so the baselines beyond CG both ground that claim and
-// serve as fault-free references for the resilient drivers in
-// internal/core.
+// Conjugate Gradient (the paper's Algorithm 1), CG with an explicit sparse
+// preconditioner, their blocked multi-RHS form and BiCGstab. The paper's
+// resilience techniques target "any iterative solver that uses sparse
+// matrix vector multiplies and vector operations" — CGNE, BiCG, BiCGstab
+// and preconditioned variants are named explicitly — so the baselines
+// beyond CG both ground that claim and serve as the fault-free reference
+// oracle for the resilient recurrences in internal/core.
 package solver
 
 import (
@@ -36,7 +36,7 @@ type Options struct {
 	// exactly the point where RecordResiduals would append, and receives
 	// the same values. Unlike RecordResiduals it performs no allocation,
 	// so a workspace-carrying warm solve that fingerprints its trajectory
-	// stays allocation-free. Honoured by CG, PCG, PCGWith and BiCGstab.
+	// stays allocation-free. Honoured by CG, PCGWith and BiCGstab.
 	OnIteration func(it int, res float64)
 	// Ws, when non-nil, supplies the iteration vectors from a reusable
 	// workspace: a warm workspace makes the whole solve allocation-free.
@@ -68,9 +68,37 @@ type Result struct {
 // CG solves Ax = b for symmetric positive definite A using the Conjugate
 // Gradient method (paper Algorithm 1).
 func CG(a *sparse.CSR, b []float64, opt Options) (Result, error) {
+	return pcg("CG", a, nil, b, opt)
+}
+
+// PCGWith solves Ax = b with an explicit sparse preconditioner M ≈ A⁻¹
+// applied as z = M·r each iteration. It is the unprotected reference for
+// the resilient PCG recurrence, which protects exactly such an explicit M
+// (Jacobi or approximate inverse, see internal/precond), so overheads
+// compare like against like for any preconditioner.
+func PCGWith(a, m *sparse.CSR, b []float64, opt Options) (Result, error) {
+	if m == nil || m.Rows != a.Rows || m.Cols != a.Rows {
+		return Result{}, fmt.Errorf("solver: PCG needs an n×n preconditioner")
+	}
+	return pcg("PCG", a, m, b, opt)
+}
+
+// resNorm is the recurrence residual norm the loop reports and tests: √ρ =
+// √(rᵀr) for plain CG, the scaled 2-norm under a preconditioner (the two
+// differ in the last bits, and the residual hashes pin each).
+func resNorm(m *sparse.CSR, rho float64, r []float64) float64 {
+	if m == nil {
+		return math.Sqrt(rho)
+	}
+	return vec.Norm2(r)
+}
+
+// pcg is the preconditioned CG loop; CG is the case m == nil, where z
+// aliases r.
+func pcg(name string, a, m *sparse.CSR, b []float64, opt Options) (Result, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
-		return Result{}, fmt.Errorf("solver: CG dimension mismatch: A %dx%d, len(b)=%d", a.Rows, a.Cols, len(b))
+		return Result{}, fmt.Errorf("solver: %s dimension mismatch: A %dx%d, len(b)=%d", name, a.Rows, a.Cols, len(b))
 	}
 	opt = opt.withDefaults(n)
 	ws := opt.Ws.begin()
@@ -84,205 +112,60 @@ func CG(a *sparse.CSR, b []float64, opt Options) (Result, error) {
 	// r0 = b − A x0
 	a.MulVec(q, x)
 	vec.Sub(r, b, q)
-	p := ws.take(n)
-	copy(p, r)
-
-	normB := vec.Norm2(b)
-	if normB == 0 {
-		normB = 1
-	}
-	rho := vec.Norm2Sq(r)
-	res := Result{X: x}
-
-	for it := 0; it < opt.MaxIter; it++ {
-		if opt.RecordResiduals {
-			res.Residuals = append(res.Residuals, math.Sqrt(rho))
-		}
-		if opt.OnIteration != nil {
-			opt.OnIteration(it+1, math.Sqrt(rho))
-		}
-		if math.Sqrt(rho) <= opt.Tol*normB {
-			res.Iterations = it
-			res.Converged = true
-			res.Residual = trueResidualInto(q, a, x, b)
-			return res, nil
-		}
-		a.MulVec(q, p)
-		pq := vec.Dot(p, q)
-		if pq <= 0 || math.IsNaN(pq) {
-			return res, fmt.Errorf("solver: CG breakdown at iteration %d (pᵀAp = %v): matrix not SPD?", it, pq)
-		}
-		alpha := rho / pq
-		vec.Axpy(alpha, p, x)
-		vec.Axpy(-alpha, q, r)
-		rhoNew := vec.Norm2Sq(r)
-		beta := rhoNew / rho
-		vec.Xpay(beta, r, p) // p ← r + β p
-		rho = rhoNew
-		res.Iterations = it + 1
-	}
-	res.Residual = trueResidualInto(q, a, x, b)
-	res.Converged = math.Sqrt(rho) <= opt.Tol*normB
-	if !res.Converged {
-		return res, fmt.Errorf("%w: CG after %d iterations, ‖r‖/‖b‖ = %.3e",
-			ErrNotConverged, res.Iterations, math.Sqrt(rho)/normB)
-	}
-	return res, nil
-}
-
-// PCG solves Ax = b with Jacobi (diagonal) preconditioning: the paper's
-// conclusion singles out diagonal preconditioners as directly compatible
-// with the protection scheme.
-func PCG(a *sparse.CSR, b []float64, opt Options) (Result, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return Result{}, fmt.Errorf("solver: PCG dimension mismatch: A %dx%d, len(b)=%d", a.Rows, a.Cols, len(b))
-	}
-	opt = opt.withDefaults(n)
-	ws := opt.Ws.begin()
-
-	invD := a.DiagInto(ws.take(n))
-	for i, d := range invD {
-		if d == 0 {
-			return Result{}, fmt.Errorf("solver: PCG needs a nonzero diagonal (row %d)", i)
-		}
-		invD[i] = 1 / d
-	}
-
-	x := ws.takeZero(n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
-	}
-	r := ws.take(n)
-	q := ws.take(n)
-	z := ws.take(n)
-	a.MulVec(q, x)
-	vec.Sub(r, b, q)
-	applyDiag(z, invD, r)
-	p := ws.take(n)
-	copy(p, z)
-
-	normB := vec.Norm2(b)
-	if normB == 0 {
-		normB = 1
-	}
-	rho := vec.Dot(r, z)
-	res := Result{X: x}
-
-	for it := 0; it < opt.MaxIter; it++ {
-		rNorm := vec.Norm2(r)
-		if opt.RecordResiduals {
-			res.Residuals = append(res.Residuals, rNorm)
-		}
-		if opt.OnIteration != nil {
-			opt.OnIteration(it+1, rNorm)
-		}
-		if rNorm <= opt.Tol*normB {
-			res.Iterations = it
-			res.Converged = true
-			res.Residual = trueResidualInto(q, a, x, b)
-			return res, nil
-		}
-		a.MulVec(q, p)
-		pq := vec.Dot(p, q)
-		if pq <= 0 || math.IsNaN(pq) {
-			return res, fmt.Errorf("solver: PCG breakdown at iteration %d (pᵀAp = %v)", it, pq)
-		}
-		alpha := rho / pq
-		vec.Axpy(alpha, p, x)
-		vec.Axpy(-alpha, q, r)
-		applyDiag(z, invD, r)
-		rhoNew := vec.Dot(r, z)
-		beta := rhoNew / rho
-		vec.Xpay(beta, z, p)
-		rho = rhoNew
-		res.Iterations = it + 1
-	}
-	res.Residual = trueResidualInto(q, a, x, b)
-	res.Converged = vec.Norm2(r) <= opt.Tol*normB
-	if !res.Converged {
-		return res, fmt.Errorf("%w: PCG after %d iterations", ErrNotConverged, res.Iterations)
-	}
-	return res, nil
-}
-
-// PCGWith solves Ax = b with an explicit sparse preconditioner M ≈ A⁻¹
-// applied as z = M·r each iteration. It is the unprotected reference for
-// the resilient PCG driver, which protects exactly such an explicit M
-// (Jacobi or approximate inverse, see internal/precond), so overheads
-// compare like against like for any preconditioner.
-func PCGWith(a, m *sparse.CSR, b []float64, opt Options) (Result, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return Result{}, fmt.Errorf("solver: PCG dimension mismatch: A %dx%d, len(b)=%d", a.Rows, a.Cols, len(b))
-	}
-	if m == nil || m.Rows != n || m.Cols != n {
-		return Result{}, fmt.Errorf("solver: PCG needs an n×n preconditioner")
-	}
-	opt = opt.withDefaults(n)
-	ws := opt.Ws.begin()
-
-	x := ws.takeZero(n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
-	}
-	r := ws.take(n)
-	q := ws.take(n)
-	z := ws.take(n)
-	a.MulVec(q, x)
-	vec.Sub(r, b, q)
-	m.MulVec(z, r)
-	p := ws.take(n)
-	copy(p, z)
-
-	normB := vec.Norm2(b)
-	if normB == 0 {
-		normB = 1
-	}
-	rho := vec.Dot(r, z)
-	res := Result{X: x}
-
-	for it := 0; it < opt.MaxIter; it++ {
-		rNorm := vec.Norm2(r)
-		if opt.RecordResiduals {
-			res.Residuals = append(res.Residuals, rNorm)
-		}
-		if opt.OnIteration != nil {
-			opt.OnIteration(it+1, rNorm)
-		}
-		if rNorm <= opt.Tol*normB {
-			res.Iterations = it
-			res.Converged = true
-			res.Residual = trueResidualInto(q, a, x, b)
-			return res, nil
-		}
-		a.MulVec(q, p)
-		pq := vec.Dot(p, q)
-		if pq <= 0 || math.IsNaN(pq) {
-			return res, fmt.Errorf("solver: PCG breakdown at iteration %d (pᵀAp = %v)", it, pq)
-		}
-		alpha := rho / pq
-		vec.Axpy(alpha, p, x)
-		vec.Axpy(-alpha, q, r)
+	z := r
+	if m != nil {
+		z = ws.take(n)
 		m.MulVec(z, r)
+	}
+	p := ws.take(n)
+	copy(p, z)
+
+	normB := vec.Norm2(b)
+	if normB == 0 {
+		normB = 1
+	}
+	rho := vec.Dot(r, z)
+	res := Result{X: x}
+
+	for it := 0; it < opt.MaxIter; it++ {
+		rNorm := resNorm(m, rho, r)
+		if opt.RecordResiduals {
+			res.Residuals = append(res.Residuals, rNorm)
+		}
+		if opt.OnIteration != nil {
+			opt.OnIteration(it+1, rNorm)
+		}
+		if rNorm <= opt.Tol*normB {
+			res.Iterations = it
+			res.Converged = true
+			res.Residual = trueResidualInto(q, a, x, b)
+			return res, nil
+		}
+		a.MulVec(q, p)
+		pq := vec.Dot(p, q)
+		if pq <= 0 || math.IsNaN(pq) {
+			return res, fmt.Errorf("solver: %s breakdown at iteration %d (pᵀAp = %v): matrix not SPD?", name, it, pq)
+		}
+		alpha := rho / pq
+		vec.Axpy(alpha, p, x)
+		vec.Axpy(-alpha, q, r)
+		if m != nil {
+			m.MulVec(z, r)
+		}
 		rhoNew := vec.Dot(r, z)
 		beta := rhoNew / rho
-		vec.Xpay(beta, z, p)
+		vec.Xpay(beta, z, p) // p ← z + β p
 		rho = rhoNew
 		res.Iterations = it + 1
 	}
 	res.Residual = trueResidualInto(q, a, x, b)
-	res.Converged = vec.Norm2(r) <= opt.Tol*normB
+	rNorm := resNorm(m, rho, r)
+	res.Converged = rNorm <= opt.Tol*normB
 	if !res.Converged {
-		return res, fmt.Errorf("%w: PCG after %d iterations", ErrNotConverged, res.Iterations)
+		return res, fmt.Errorf("%w: %s after %d iterations, ‖r‖/‖b‖ = %.3e",
+			ErrNotConverged, name, res.Iterations, rNorm/normB)
 	}
 	return res, nil
-}
-
-func applyDiag(dst, invD, r []float64) {
-	for i := range dst {
-		dst[i] = invD[i] * r[i]
-	}
 }
 
 // trueResidualInto recomputes ‖b − Ax‖ using t as scratch (any length-n

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/precond"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 )
@@ -138,10 +139,19 @@ func TestCGNonSPDBreakdown(t *testing.T) {
 	}
 }
 
+// jacobiPCG is PCGWith under the explicit Jacobi preconditioner.
+func jacobiPCG(a *sparse.CSR, b []float64, opt Options) (Result, error) {
+	m, err := precond.Jacobi(a)
+	if err != nil {
+		return Result{}, err
+	}
+	return PCGWith(a, m, b, opt)
+}
+
 func TestPCGPoisson(t *testing.T) {
 	a := sparse.Poisson2D(20, 20)
 	b, xTrue := manufactured(a, 7)
-	res, err := PCG(a, b, Options{Tol: 1e-10})
+	res, err := jacobiPCG(a, b, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +173,7 @@ func TestPCGBeatsOrMatchesCGOnSkewedDiagonal(t *testing.T) {
 	a := c.ToCSR()
 	b, _ := manufactured(a, 9)
 	cg, err1 := CG(a, b, Options{Tol: 1e-10, MaxIter: 5000})
-	pcg, err2 := PCG(a, b, Options{Tol: 1e-10, MaxIter: 5000})
+	pcg, err2 := jacobiPCG(a, b, Options{Tol: 1e-10, MaxIter: 5000})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v, %v", err1, err2)
 	}
@@ -174,7 +184,7 @@ func TestPCGBeatsOrMatchesCGOnSkewedDiagonal(t *testing.T) {
 
 func TestPCGZeroDiagonal(t *testing.T) {
 	a := sparse.Dense(2, 2, []float64{0, 1, 1, 0})
-	if _, err := PCG(a, []float64{1, 1}, Options{}); err == nil {
+	if _, err := jacobiPCG(a, []float64{1, 1}, Options{}); err == nil {
 		t.Fatal("expected zero-diagonal error")
 	}
 }
@@ -211,64 +221,18 @@ func TestBiCGstabMatchesCGOnSPD(t *testing.T) {
 	checkSolution(t, a, res.X, xTrue, b, 1e-6)
 }
 
-func TestGMRESNonsymmetric(t *testing.T) {
-	base := sparse.Poisson2D(12, 12)
-	c := sparse.NewCOO(base.Rows, base.Cols)
-	for i := 0; i < base.Rows; i++ {
-		for k := base.Rowidx[i]; k < base.Rowidx[i+1]; k++ {
-			c.Add(i, base.Colid[k], base.Val[k])
-		}
-		if i+1 < base.Rows {
-			c.Add(i, i+1, 0.5)
-		}
-	}
-	a := c.ToCSR()
-	b, xTrue := manufactured(a, 12)
-	res, err := GMRES(a, b, GMRESOptions{Options: Options{Tol: 1e-10, MaxIter: 5000}, Restart: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSolution(t, a, res.X, xTrue, b, 1e-5)
-}
-
-func TestGMRESSmallRestart(t *testing.T) {
-	a := sparse.Poisson2D(10, 10)
-	b, xTrue := manufactured(a, 13)
-	res, err := GMRES(a, b, GMRESOptions{Options: Options{Tol: 1e-9, MaxIter: 20000}, Restart: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSolution(t, a, res.X, xTrue, b, 1e-4)
-}
-
-func TestGMRESExactAfterNSteps(t *testing.T) {
-	// Full GMRES (restart ≥ n) converges in at most n iterations.
-	n := 30
-	a := sparse.RandomSPD(sparse.RandomSPDOptions{N: n, Density: 0.3, DiagShift: 1, Seed: 14})
-	b, xTrue := manufactured(a, 14)
-	res, err := GMRES(a, b, GMRESOptions{Options: Options{Tol: 1e-10, MaxIter: 10 * n}, Restart: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations > n+1 {
-		t.Fatalf("full GMRES took %d > n iterations", res.Iterations)
-	}
-	checkSolution(t, a, res.X, xTrue, b, 1e-5)
-}
-
 func TestAllSolversAgree(t *testing.T) {
 	a := sparse.Poisson2D(10, 10)
 	b, _ := manufactured(a, 15)
 	cg, err1 := CG(a, b, Options{Tol: 1e-11})
-	pcg, err2 := PCG(a, b, Options{Tol: 1e-11})
+	pcg, err2 := jacobiPCG(a, b, Options{Tol: 1e-11})
 	bi, err3 := BiCGstab(a, b, Options{Tol: 1e-11})
-	gm, err4 := GMRES(a, b, GMRESOptions{Options: Options{Tol: 1e-11, MaxIter: 5000}, Restart: 50})
-	for i, err := range []error{err1, err2, err3, err4} {
+	for i, err := range []error{err1, err2, err3} {
 		if err != nil {
 			t.Fatalf("solver %d: %v", i, err)
 		}
 	}
-	for _, other := range [][]float64{pcg.X, bi.X, gm.X} {
+	for _, other := range [][]float64{pcg.X, bi.X} {
 		if d := vec.MaxAbsDiff(cg.X, other); d > 1e-6 {
 			t.Fatalf("solvers disagree by %v", d)
 		}
