@@ -6,9 +6,11 @@ import (
 	"repro/internal/abft"
 	"repro/internal/checksum"
 	"repro/internal/core"
+	"repro/internal/pool"
 	"repro/internal/precond"
 	"repro/internal/solver"
 	"repro/internal/sparse"
+	"repro/internal/tmr"
 	"repro/internal/vec"
 )
 
@@ -160,4 +162,28 @@ func TestZeroAllocPoolVecKernels(t *testing.T) {
 	y := randVec(3*vec.BlockSize, 2)
 	assertZeroAllocs(t, "vec.DotPool(nil)", func() { vec.DotPool(nil, x, y) })
 	assertZeroAllocs(t, "vec.Norm2SqPool(nil)", func() { vec.Norm2SqPool(nil, x) })
+}
+
+// TestZeroAllocTMRVectorOps gates the voted element-wise updates, guarded
+// and not, on one goroutine: the replica scratch is resident in the
+// Executor. The pooled half of the gate is in alloc_norace_test.go.
+func TestZeroAllocTMRVectorOps(t *testing.T) {
+	assertZeroAllocTMRVectorOps(t, nil)
+}
+
+func assertZeroAllocTMRVectorOps(t *testing.T, p *pool.Pool) {
+	t.Helper()
+	n := 3 * vec.BlockSize // above vec.MinParallel: a pool is consulted
+	x, y, dst := randVec(n, 1), randVec(n, 2), make([]float64, n)
+	e := tmr.Executor{Pool: p}
+	assertZeroAllocs(t, "tmr updates", func() {
+		e.Axpy(1e-9, x, y)
+		e.AxpyTo(dst, 1e-9, x, y)
+		e.Xpay(0.5, x, y)
+	})
+	assertZeroAllocs(t, "tmr guarded updates", func() {
+		e.AxpyGuarded(2, 1e-9, x, y)
+		e.AxpyToGuarded(2, dst, 1e-9, x, y)
+		e.XpayGuarded(1, 0.5, x, y)
+	})
 }

@@ -299,6 +299,44 @@ func BenchmarkPlainDot(b *testing.B) {
 	}
 }
 
+// The axpy trio shares one operand (n = 4096, the benchmark's probe size), so
+// TMRAxpy ÷ PlainAxpy is the voted update's overhead over the 3× floor and
+// TMRAxpyGuarded − TMRAxpy is what the fused guard checksum adds.
+
+func BenchmarkTMRAxpy(b *testing.B) {
+	b.ReportAllocs()
+	x := randVec(1<<12, 1)
+	y := randVec(1<<12, 2)
+	var e tmr.Executor
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Axpy(1e-9, x, y)
+	}
+}
+
+func BenchmarkPlainAxpy(b *testing.B) {
+	b.ReportAllocs()
+	x := randVec(1<<12, 1)
+	y := randVec(1<<12, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vec.Axpy(1e-9, x, y)
+	}
+}
+
+func BenchmarkTMRAxpyGuarded(b *testing.B) {
+	b.ReportAllocs()
+	x := randVec(1<<12, 1)
+	y := randVec(1<<12, 2)
+	var e tmr.Executor
+	var ref checksum.Vector
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ref = e.AxpyGuarded(2, 1e-9, x, y)
+	}
+	_ = ref
+}
+
 func BenchmarkOptimalS(b *testing.B) {
 	b.ReportAllocs()
 	p := model.Params{T: 1, Tverif: 0.2, Tcp: 1.9, Trec: 1.9, Lambda: 1.0 / 16}

@@ -329,7 +329,15 @@ func (p *Protected) MulVecBlock(ys, xs [][]float64) RowSums {
 // accumulator keeps the exact summation order of its former standalone
 // loop, so every defect and tolerance — and therefore every detection
 // outcome — is bitwise unchanged.
+//
+// In Detect mode only the first row is computed — ABFT-Detection is the
+// single-checksum scheme, FlopsVerify prices it so and verify reads nothing
+// else — and the row-2 results are zero.
 func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tolx1, tolx2, dxp1, dxp2, tolp1, tolp2 float64) {
+	if p.mode == Detect {
+		dx1, tolx1, dxp1, tolp1 = p.defectsRow1(y, x, xRef)
+		return
+	}
 	comp := p.policy == TolComponent
 
 	var sy1, sy2, normY, ay1, ay2 float64
@@ -394,6 +402,54 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 	tolx2 = p.tolX2Fac*normX + p.tolY2Fac*normY
 	tolp1 = p.tolP1Fac * normX
 	tolp2 = p.tolP2Fac * normX
+	return
+}
+
+// defectsRow1 is the first row of defects: the same accumulators in the same
+// order, without their row-2 companions.
+func (p *Protected) defectsRow1(y, x []float64, xRef checksum.Vector) (dx1, tolx1, dxp1, tolp1 float64) {
+	comp := p.policy == TolComponent
+
+	var sy1, normY, ay1 float64
+	for _, v := range y {
+		sy1 += v
+		if v > normY {
+			normY = v
+		} else if -v > normY {
+			normY = -v
+		}
+		if comp {
+			ay1 += math.Abs(v)
+		}
+	}
+
+	c1, absC1 := p.CS.C1, p.CS.AbsC1
+	var c1x, sx1, normX, ac1, ax1 float64
+	for j, xj := range x {
+		c1x += c1[j] * xj
+		sx1 += xj
+		if xj > normX {
+			normX = xj
+		} else if -xj > normX {
+			normX = -xj
+		}
+		if comp {
+			ax := math.Abs(xj)
+			ac1 += absC1[j] * ax
+			ax1 += ax
+		}
+	}
+
+	dx1 = sy1 - c1x
+	dxp1 = xRef.S1 - sx1
+	if comp {
+		gM := 2 * checksum.Gamma(2*p.CS.N)
+		tolx1 = gM*(ac1+math.Abs(p.CS.K)*ax1) + 2*checksum.Gamma(len(y))*ay1
+		tolp1 = 2 * checksum.Gamma(len(x)) * ax1
+		return
+	}
+	tolx1 = p.tolX1Fac*normX + p.tolY1Fac*normY
+	tolp1 = p.tolP1Fac * normX
 	return
 }
 

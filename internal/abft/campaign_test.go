@@ -1,6 +1,7 @@
 package abft
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -113,4 +114,90 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
+}
+
+// twoPassCheck is VectorGuard.Check as it was before the passes were fused:
+// Defect, then VectorTolerance, each its own traversal, both rows whatever
+// the mode. The repair itself is the guard's own; it did not change.
+func twoPassCheck(g *VectorGuard, v []float64) Outcome {
+	d1, d2 := g.ref.Defect(v)
+	t1, t2 := checksum.VectorTolerance(v)
+	bad := exceeds(d1, t1) || (g.mode == DetectCorrect && exceeds(d2, t2))
+	if !bad {
+		return Outcome{}
+	}
+	if g.mode == Detect {
+		return Outcome{Detected: true, Class: ClassX}
+	}
+	return g.correct(v, d1, d2)
+}
+
+// TestGuardCampaignSinglePassMatchesTwoPass runs the fault campaign of
+// TestRandomSingleFaultCampaign — uniform random single bit flips — against
+// guarded vectors, in both modes, and requires of the single-pass Check the
+// outcome and the repaired bits of the two-pass computation, and of its
+// fused accumulators the bits of the separate loops on every vector either
+// of them reads.
+func TestGuardCampaignSinglePassMatchesTwoPass(t *testing.T) {
+	const trials = 2000
+	rng := rand.New(rand.NewSource(99))
+
+	sameAccumulators := func(trial int, ref checksum.Vector, v []float64, rows int) {
+		t.Helper()
+		d1, d2, t1, t2 := ref.DefectTolerance(v, rows)
+		wd1, wd2 := ref.Defect(v)
+		wt1, wt2 := checksum.VectorTolerance(v)
+		if rows == 1 {
+			wd2, wt2 = 0, 0
+		}
+		got, want := [4]float64{d1, d2, t1, t2}, [4]float64{wd1, wd2, wt1, wt2}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("trial %d: one pass computes %v, two passes %v", trial, got, want)
+			}
+		}
+	}
+
+	var detected, corrected int
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + rng.Intn(700)
+		clean := make([]float64, n)
+		for i := range clean {
+			clean[i] = rng.NormFloat64() * 5
+		}
+		for _, mode := range []Mode{Detect, DetectCorrect} {
+			g := NewGuard(clean, mode)
+			if g.Ref() != checksum.NewVectorRows(clean, g.Rows()) {
+				t.Fatalf("trial %d: reference is not the checksum of the vector", trial)
+			}
+			one := append([]float64(nil), clean...)
+			if trial%10 != 0 { // every tenth trial stays fault-free
+				i := rng.Intn(n)
+				one[i] = bitflip.Float64(one[i], uint(rng.Intn(64)))
+			}
+			two := append([]float64(nil), one...)
+			sameAccumulators(trial, g.Ref(), one, g.Rows())
+
+			got, want := g.Check(one), twoPassCheck(g, two)
+			if got != want {
+				t.Fatalf("trial %d, %v: single pass %+v, two passes %+v", trial, mode, got, want)
+			}
+			for i := range one {
+				if math.Float64bits(one[i]) != math.Float64bits(two[i]) {
+					t.Fatalf("trial %d, %v: repairs differ at %d: %v vs %v", trial, mode, i, one[i], two[i])
+				}
+			}
+			// The repaired vector is what the re-verification read.
+			sameAccumulators(trial, g.Ref(), one, 2)
+			if got.Detected {
+				detected++
+			}
+			if got.Corrected {
+				corrected++
+			}
+		}
+	}
+	if detected == 0 || corrected == 0 {
+		t.Fatalf("campaign exercised %d detections, %d corrections", detected, corrected)
+	}
 }

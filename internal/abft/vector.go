@@ -6,14 +6,17 @@ import (
 	"repro/internal/checksum"
 )
 
-// VectorGuard is the reliable two-row checksum shadow of a solver vector.
-// It generalises the paper's protection of the SpMxV input x (auxiliary
-// copy x′ plus checksum c_x) uniformly to the other iteration vectors
-// (r and x in CG): the guard is refreshed — in reliable mode, as the paper
-// assumes for all checksum operations — whenever the vector is rewritten by
-// a verified operation, and checked at each verification point. A single
-// memory fault between refresh and check is detected (Detect mode) or
+// VectorGuard is the reliable checksum shadow of a solver vector. It
+// generalises the paper's protection of the SpMxV input x (auxiliary copy
+// x′ plus checksum c_x) uniformly to the other iteration vectors (r and x in
+// CG): the reference is captured — in reliable mode, as the paper assumes
+// for all checksum operations — whenever the vector is rewritten by a
+// verified operation, and checked at each verification point. A single
+// memory fault between capture and check is detected (Detect mode) or
 // located and repaired in place (DetectCorrect mode).
+//
+// A Detect guard keeps one checksum row, as ABFT-Detection does everywhere
+// else: the S2 of its reference is zero and never read.
 type VectorGuard struct {
 	ref  checksum.Vector
 	mode Mode
@@ -21,29 +24,47 @@ type VectorGuard struct {
 
 // NewGuard captures the checksum of v, assumed fault-free at this moment.
 func NewGuard(v []float64, mode Mode) *VectorGuard {
-	return &VectorGuard{ref: checksum.NewVector(v), mode: mode}
+	g := &VectorGuard{mode: mode}
+	g.Refresh(v)
+	return g
 }
 
-// Refresh re-captures the checksum after a verified write of v.
-func (g *VectorGuard) Refresh(v []float64) { g.ref = checksum.NewVector(v) }
+// Rows is the number of checksum rows the guard keeps: 1 in Detect mode, 2
+// in DetectCorrect.
+func (g *VectorGuard) Rows() int {
+	if g.mode == DetectCorrect {
+		return 2
+	}
+	return 1
+}
+
+// Refresh re-captures the checksum after a verified write of v, by reading
+// v back.
+func (g *VectorGuard) Refresh(v []float64) { g.ref = checksum.NewVectorRows(v, g.Rows()) }
+
+// Install adopts ref as the reference: the checksum of the guarded vector
+// under the guard's Rows, taken by the operation that wrote it (see
+// tmr.Executor.AxpyGuarded), so the vector is not re-read and no fault can
+// slip in between the write and the capture.
+func (g *VectorGuard) Install(ref checksum.Vector) { g.ref = ref }
 
 // Reset re-arms the guard over a new vector and mode, as a fresh NewGuard
 // would (workspace reuse).
 func (g *VectorGuard) Reset(v []float64, mode Mode) {
-	g.ref = checksum.NewVector(v)
 	g.mode = mode
+	g.Refresh(v)
 }
 
 // Ref returns the current reference checksum (used by Protected.Verify for
 // the SpMxV input).
 func (g *VectorGuard) Ref() checksum.Vector { return g.ref }
 
-// Check verifies v against the reference. In DetectCorrect mode a single
-// corrupted entry is located from the defect ratio and repaired in place
-// (including Inf/NaN poisoning, reconstructed from the first checksum row).
+// Check verifies v against the reference, defects and tolerances in one
+// pass. In DetectCorrect mode a single corrupted entry is located from the
+// defect ratio and repaired in place (including Inf/NaN poisoning,
+// reconstructed from the first checksum row).
 func (g *VectorGuard) Check(v []float64) Outcome {
-	d1, d2 := g.ref.Defect(v)
-	t1, t2 := checksum.VectorTolerance(v)
+	d1, d2, t1, t2 := g.ref.DefectTolerance(v, g.Rows())
 	bad := exceeds(d1, t1) || (g.mode == DetectCorrect && exceeds(d2, t2))
 	if !bad {
 		return Outcome{}
@@ -95,8 +116,7 @@ func (g *VectorGuard) correct(v []float64, d1, d2 float64) Outcome {
 }
 
 func (g *VectorGuard) recheck(v []float64) Outcome {
-	d1, d2 := g.ref.Defect(v)
-	t1, t2 := checksum.VectorTolerance(v)
+	d1, d2, t1, t2 := g.ref.DefectTolerance(v, 2)
 	if exceeds(d1, t1) || exceeds(d2, t2) {
 		return Outcome{Detected: true, Class: ClassMultiple}
 	}

@@ -32,11 +32,39 @@ func Gamma(m int) float64 {
 // Sums returns the two weighted sums of v under the implicit weight rows
 // w1 = ones and w2 = (1, 2, …, n): s1 = Σ vᵢ and s2 = Σ (i+1)·vᵢ.
 func Sums(v []float64) (s1, s2 float64) {
-	for i, x := range v {
-		s1 += x
-		s2 += float64(i+1) * x
+	var r Running
+	r.Add(v, 2)
+	return r.S1, r.S2
+}
+
+// Running is Sums part-way through a vector: the sums of the prefix read so
+// far and its length. Feeding a vector to Add block by block, in index
+// order, performs the additions of one Sums call over the whole vector in
+// the same order, so the result is the same bit for bit. The zero value is
+// the empty prefix.
+type Running struct {
+	S1, S2 float64
+	N      int // elements read; the next one weighs N+1 in row 2
+}
+
+// Add extends the prefix by v. rows is 2 for both sums, or 1 to leave S2
+// alone (single-row detection never reads it).
+func (r *Running) Add(v []float64, rows int) {
+	s1 := r.S1
+	if rows == 1 {
+		for _, x := range v {
+			s1 += x
+		}
+	} else {
+		s2, w := r.S2, r.N+1
+		for i, x := range v {
+			s1 += x
+			s2 += float64(w+i) * x
+		}
+		r.S2 = s2
 	}
-	return s1, s2
+	r.S1 = s1
+	r.N += len(v)
 }
 
 // SumsInt is Sums for integer arrays (used for the Rowidx pointers). The
@@ -269,9 +297,14 @@ type Vector struct {
 }
 
 // NewVector checksums v.
-func NewVector(v []float64) Vector {
-	s1, s2 := Sums(v)
-	return Vector{S1: s1, S2: s2}
+func NewVector(v []float64) Vector { return NewVectorRows(v, 2) }
+
+// NewVectorRows checksums v under the first rows weight rows (1 or 2); with
+// one row S2 is left zero.
+func NewVectorRows(v []float64, rows int) Vector {
+	var r Running
+	r.Add(v, rows)
+	return Vector{S1: r.S1, S2: r.S2}
 }
 
 // Defect returns the checksum defects (d1, d2) of v against the recorded
@@ -294,6 +327,34 @@ func VectorTolerance(v []float64) (t1, t2 float64) {
 	}
 	g := 2 * Gamma(len(v))
 	return g * a1, g * a2
+}
+
+// DefectTolerance is Defect and VectorTolerance in one pass over v: the four
+// accumulators keep the summation order of the two separate loops, so every
+// returned value is the same bit for bit (the row-2 weight is a running
+// float here: integers below 2^53 are exact in float64, so it is the number
+// a conversion of the index gives). With rows == 1 only the first row is
+// computed and d2, t2 are zero.
+func (c Vector) DefectTolerance(v []float64, rows int) (d1, d2, t1, t2 float64) {
+	g := 2 * Gamma(len(v))
+	var s1, s2, a1, a2 float64
+	if rows == 1 {
+		for _, x := range v {
+			s1 += x
+			a1 += math.Abs(x)
+		}
+		return c.S1 - s1, 0, g * a1, 0
+	}
+	var w float64
+	for _, x := range v {
+		w++
+		ax := math.Abs(x)
+		s1 += x
+		s2 += w * x
+		a1 += ax
+		a2 += w * ax
+	}
+	return c.S1 - s1, c.S2 - s2, g * a1, g * a2
 }
 
 // RandomWeights returns a random weight vector with entries in [0.5, 1.5),

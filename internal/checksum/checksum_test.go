@@ -217,6 +217,52 @@ func TestVectorTolerance(t *testing.T) {
 	}
 }
 
+// TestRunningMatchesSums pins the two fused forms to the loops they replace:
+// a vector fed to Running in uneven blocks has the sums of one index-weighted
+// pass (float64(i+1), converted per element), and DefectTolerance returns
+// what Defect and VectorTolerance return, bit for bit, for either row count.
+func TestRunningMatchesSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 7, 512, 1000, 5000} {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64() * 1e3
+		}
+		var w1, w2 float64
+		for i, x := range v {
+			w1 += x
+			w2 += float64(i+1) * x
+		}
+		for rows := 1; rows <= 2; rows++ {
+			var r Running
+			for lo := 0; lo < n; {
+				hi := min(lo+1+rng.Intn(600), n)
+				r.Add(v[lo:hi], rows)
+				lo = hi
+			}
+			want := Vector{S1: w1, S2: w2}
+			if rows == 1 {
+				want.S2 = 0
+			}
+			if got := (Vector{S1: r.S1, S2: r.S2}); got != want || NewVectorRows(v, rows) != want || r.N != n {
+				t.Fatalf("n=%d rows=%d: blocks sum to %v (N=%v), one pass to %v", n, rows, got, r.N, want)
+			}
+
+			ref := Vector{S1: 3, S2: -4}
+			d1, d2, t1, t2 := ref.DefectTolerance(v, rows)
+			wd1, wd2 := ref.Defect(v)
+			wt1, wt2 := VectorTolerance(v)
+			if rows == 1 {
+				wd2, wt2 = 0, 0
+			}
+			if d1 != wd1 || d2 != wd2 || t1 != wt1 || t2 != wt2 {
+				t.Fatalf("n=%d rows=%d: DefectTolerance = (%v %v %v %v), two passes give (%v %v %v %v)",
+					n, rows, d1, d2, t1, t2, wd1, wd2, wt1, wt2)
+			}
+		}
+	}
+}
+
 func TestRandomWeights(t *testing.T) {
 	w := RandomWeights(100, 3)
 	for _, v := range w {

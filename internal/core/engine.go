@@ -133,7 +133,7 @@ type engine struct {
 	p, q []float64          // direction and its product A·p
 	rr   []float64          // scratch: recomputed residuals
 	rho  float64            // the recurrence scalar reported by OnIteration
-	exec tmr.Executor       // kept across solves: resident TMR replica scratch
+	exec *tmr.Executor      // kept across solves
 	view *checkpoint.State  // reusable live-state view for save/rollback
 
 	rGuard, pGuard, xGuard *abft.VectorGuard
@@ -193,9 +193,11 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	cfg = cfg.withDefaults(n)
 
 	exec := e.exec
-	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme != OnlineDetection, rec: rec, ws: ws, b: b}
-	e.exec = exec
-	e.exec.Pool = cfg.Pool
+	if exec == nil {
+		exec = new(tmr.Executor)
+	}
+	exec.Pool = cfg.Pool
+	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme != OnlineDetection, rec: rec, ws: ws, b: b, exec: exec}
 
 	e.mat[0] = sharedLive
 	if sharedLive == nil {
@@ -291,7 +293,9 @@ func (e *engine) guard(v []float64) *abft.VectorGuard {
 
 // The vector kernels of a recurrence: TMR under the ABFT schemes (selective
 // reliability for the computation), the deterministic blocked kernels
-// otherwise. refresh re-captures a guard after a verified write.
+// otherwise. An update that completes a guarded vector names its guard and
+// installs the new reference from the checksum the voted update hands back;
+// g is nil for an intermediate update, and always under Online-Detection.
 
 func (e *engine) dot(a, b []float64) float64 {
 	if e.abft {
@@ -300,30 +304,34 @@ func (e *engine) dot(a, b []float64) float64 {
 	return vec.DotPool(e.cfg.Pool, a, b)
 }
 
-func (e *engine) axpy(alpha float64, x, y []float64) {
-	if e.abft {
-		e.exec.Axpy(alpha, x, y)
-	} else {
+func (e *engine) axpy(g *abft.VectorGuard, alpha float64, x, y []float64) {
+	switch {
+	case !e.abft:
 		vec.AxpyPool(e.cfg.Pool, alpha, x, y)
+	case g == nil:
+		e.exec.Axpy(alpha, x, y)
+	default:
+		g.Install(e.exec.AxpyGuarded(g.Rows(), alpha, x, y))
 	}
 }
 
-func (e *engine) axpyTo(dst []float64, alpha float64, x, y []float64) {
+func (e *engine) axpyTo(g *abft.VectorGuard, dst []float64, alpha float64, x, y []float64) {
 	if e.abft {
-		e.exec.AxpyTo(dst, alpha, x, y)
+		g.Install(e.exec.AxpyToGuarded(g.Rows(), dst, alpha, x, y))
 	} else {
 		vec.AxpyToPool(e.cfg.Pool, dst, alpha, x, y)
 	}
 }
 
-func (e *engine) xpay(alpha float64, x, y []float64) {
+func (e *engine) xpay(g *abft.VectorGuard, alpha float64, x, y []float64) {
 	if e.abft {
-		e.exec.Xpay(alpha, x, y)
+		g.Install(e.exec.XpayGuarded(g.Rows(), alpha, x, y))
 	} else {
 		vec.XpayPool(e.cfg.Pool, alpha, x, y)
 	}
 }
 
+// refresh re-captures a guard after a write that is not a TMR update.
 func (e *engine) refresh(g *abft.VectorGuard, v []float64) {
 	if g != nil {
 		g.Refresh(v)

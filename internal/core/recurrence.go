@@ -67,10 +67,8 @@ func (c *pcgRec) step(e *engine, stage int) verdict {
 			return e.breakdown()
 		}
 		alpha := e.rho / pq
-		e.axpy(alpha, e.p, e.x)
-		e.refresh(e.xGuard, e.x)
-		e.axpy(-alpha, e.q, e.r)
-		e.refresh(e.rGuard, e.r)
+		e.axpy(e.xGuard, alpha, e.p, e.x)
+		e.axpy(e.rGuard, -alpha, e.q, e.r)
 		if e.mat[1] != nil {
 			// z ← M·r, protected like the A-product (the r-guard provides
 			// the input reference).
@@ -81,8 +79,7 @@ func (c *pcgRec) step(e *engine, stage int) verdict {
 	if math.IsNaN(rhoNew) || math.IsInf(rhoNew, 0) {
 		return e.breakdown()
 	}
-	e.xpay(rhoNew/e.rho, c.z, e.p)
-	e.refresh(e.pGuard, e.p)
+	e.xpay(e.pGuard, rhoNew/e.rho, c.z, e.p)
 	e.rho = rhoNew
 	return stepDone
 }
@@ -153,13 +150,11 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 			return e.breakdown()
 		}
 		c.alpha = e.rho / den
-		e.axpyTo(c.s, -c.alpha, v, e.r)
-		e.refresh(c.sGuard, c.s)
+		e.axpyTo(c.sGuard, c.s, -c.alpha, v, e.r)
 		if vec.Norm2(c.s) <= e.cfg.Tol*e.normB {
 			// Early half-step convergence; the engine's confirmation
 			// validates it before the solve returns.
-			e.axpy(c.alpha, e.p, e.x)
-			e.refresh(e.xGuard, e.x)
+			e.axpy(e.xGuard, c.alpha, e.p, e.x)
 			copy(e.r, c.s)
 			e.refresh(e.rGuard, e.r)
 			return stepHalf
@@ -174,10 +169,8 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 	if unusable(c.omega) {
 		return e.breakdown()
 	}
-	e.axpy(c.alpha, e.p, e.x)
-	e.axpy(c.omega, c.s, e.x)
-	e.refresh(e.xGuard, e.x)
-	e.axpyTo(e.r, -c.omega, c.t, c.s)
-	e.refresh(e.rGuard, e.r)
+	e.axpy(nil, c.alpha, e.p, e.x)
+	e.axpy(e.xGuard, c.omega, c.s, e.x)
+	e.axpyTo(e.rGuard, e.r, -c.omega, c.t, c.s)
 	return stepDone
 }

@@ -1,6 +1,7 @@
 package tmr
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/vec"
@@ -130,5 +131,60 @@ func TestMatchesPlainKernels(t *testing.T) {
 func TestFlops(t *testing.T) {
 	if FlopsDot(10) != 3*vec.FlopsDot(10) || FlopsAxpy(10) != 3*vec.FlopsAxpy(10) {
 		t.Fatal("TMR flops must be 3x plain")
+	}
+}
+
+// TestVoteComparesBitPatterns pins the vote to bit patterns: equal NaNs
+// agree (== would call three identical NaNs a three-way dissent) and a
+// signed zero among unsigned ones is a dissent (== cannot see it).
+func TestVoteComparesBitPatterns(t *testing.T) {
+	nan := math.NaN()
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name       string
+		r          [3]float64
+		want       float64
+		mismatches int64
+	}{
+		{"three identical NaNs", [3]float64{nan, nan, nan}, nan, 0},
+		{"-0 in replica 0 among +0", [3]float64{negZero, 0, 0}, 0, 1},
+		{"-0 in replica 1 among +0", [3]float64{0, negZero, 0}, 0, 1},
+		{"-0 in replica 2 among +0", [3]float64{0, 0, negZero}, 0, 1},
+		{"NaN replica 0 outvoted", [3]float64{nan, 7, 7}, 7, 1},
+		{"NaN replica 1 outvoted", [3]float64{7, nan, 7}, 7, 1},
+		{"NaN replica 2 outvoted", [3]float64{7, 7, nan}, 7, 1},
+		{"total disagreement yields replica 1", [3]float64{1, 2, 3}, 2, 1},
+	}
+	for _, tc := range cases {
+		// The scalar vote, through Dot: the hook replaces each replica's
+		// result.
+		e := Executor{Corrupt: func(replica int, scalar *float64, _ []float64) {
+			if scalar != nil {
+				*scalar = tc.r[replica]
+			}
+		}}
+		got := e.Dot([]float64{1}, []float64{1})
+		if math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Errorf("%s: Dot voted %v, want %v", tc.name, got, tc.want)
+		}
+		if _, m := e.Stats(); m != tc.mismatches {
+			t.Errorf("%s: Dot counted %d mismatches, want %d", tc.name, m, tc.mismatches)
+		}
+
+		// The element-wise vote, through Axpy: the hook replaces one element
+		// of each replica's block.
+		e = Executor{Corrupt: func(replica int, _ *float64, block []float64) {
+			if block != nil {
+				block[1] = tc.r[replica]
+			}
+		}}
+		y := []float64{10, 20, 30}
+		e.Axpy(2, []float64{1, 2, 3}, y)
+		if y[0] != 12 || y[2] != 36 || math.Float64bits(y[1]) != math.Float64bits(tc.want) {
+			t.Errorf("%s: Axpy voted %v, want [12 %v 36]", tc.name, y, tc.want)
+		}
+		if _, m := e.Stats(); m != tc.mismatches {
+			t.Errorf("%s: Axpy counted %d mismatches, want %d", tc.name, m, tc.mismatches)
+		}
 	}
 }

@@ -23,9 +23,9 @@ import (
 // to their plain sequential counterparts on small inputs.
 const BlockSize = 4096
 
-// minParallel is the length below which the element-wise kernels skip the
+// MinParallel is the length below which the element-wise kernels skip the
 // pool: dispatch overhead dwarfs the O(n) work.
-const minParallel = 2 * BlockSize
+const MinParallel = 2 * BlockSize
 
 // blocks returns the number of BlockSize blocks covering a length-n vector.
 func blocks(n int) int { return (n + BlockSize - 1) / BlockSize }
@@ -137,7 +137,7 @@ func Norm2SqPool(p *pool.Pool, a []float64) float64 {
 // AxpyPool computes y ← y + alpha·x in place across the pool.
 func AxpyPool(p *pool.Pool, alpha float64, x, y []float64) {
 	checkLen("AxpyPool", x, y)
-	if p == nil || len(x) < minParallel {
+	if p == nil || len(x) < MinParallel {
 		Axpy(alpha, x, y)
 		return
 	}
@@ -152,7 +152,7 @@ func AxpyPool(p *pool.Pool, alpha float64, x, y []float64) {
 func AxpyToPool(p *pool.Pool, dst []float64, alpha float64, x, y []float64) {
 	checkLen("AxpyToPool", x, y)
 	checkLen("AxpyToPool", dst, y)
-	if p == nil || len(x) < minParallel {
+	if p == nil || len(x) < MinParallel {
 		AxpyTo(dst, alpha, x, y)
 		return
 	}
@@ -166,7 +166,7 @@ func AxpyToPool(p *pool.Pool, dst []float64, alpha float64, x, y []float64) {
 // XpayPool computes y ← x + alpha·y in place across the pool.
 func XpayPool(p *pool.Pool, alpha float64, x, y []float64) {
 	checkLen("XpayPool", x, y)
-	if p == nil || len(x) < minParallel {
+	if p == nil || len(x) < MinParallel {
 		Xpay(alpha, x, y)
 		return
 	}
