@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/server"
+	"repro/internal/api"
 )
 
 // TestRunServesAndDrains boots the daemon on an ephemeral port, exercises
@@ -53,7 +53,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	if post.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d", post.StatusCode)
 	}
-	var resp server.SolveResponse
+	var resp api.SolveResponse
 	if err := json.NewDecoder(post.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRunShardLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hz.Body.Close()
-	var health server.HealthResponse
+	var health api.HealthResponse
 	if err := json.NewDecoder(hz.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRunShardLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer post.Body.Close()
-	var resp server.SolveResponse
+	var resp api.SolveResponse
 	if err := json.NewDecoder(post.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}

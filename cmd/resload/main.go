@@ -13,11 +13,12 @@
 //	resload -addr http://127.0.0.1:8900 -router -check
 //	resload -addr ... -router -shards http://127.0.0.1:9001,http://127.0.0.1:9002 -check
 //
-// -router treats the target as a resrouter (its /routerz must answer and
-// is folded into the record); -shards re-issues one request per cell
-// directly against the listed shard addresses and fails -check unless
-// every direct residual hash is bit-identical to the routed one — the
-// determinism gate across routing paths, before and after failover.
+// -router treats the target as a resrouter (the router section of its
+// /v1/statusz must answer and is folded into the record); -shards
+// re-issues one request per cell directly against the listed shard
+// addresses and fails -check unless every direct residual hash is
+// bit-identical to the routed one — the determinism gate across routing
+// paths, before and after failover.
 //
 // Recorded campaigns replace the flag axes for production-shaped replay:
 //
@@ -46,13 +47,13 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -117,8 +118,8 @@ type Record struct {
 	// Batch is set when the mix carried batched cells: each deterministic
 	// batched cell's per-RHS hashes re-checked against single solves.
 	Batch *BatchCheck `json:"batch,omitempty"`
-	// Router is set in -router mode: the target's /routerz snapshot
-	// after the run.
+	// Router is set in -router mode: the router section of the target's
+	// /v1/statusz after the run.
 	Router *RouterSummary `json:"router,omitempty"`
 	// Stream is set in -stream mode: streamed terminal results
 	// cross-checked against buffered answers for the same cells.
@@ -136,12 +137,29 @@ type StreamCheck struct {
 	// decoded (and digest-verified) across all of them.
 	Requests int64 `json:"requests"`
 	Events   int64 `json:"events"`
-	// Checks counts buffered re-issues; Mismatches counts terminal hashes
-	// that differed from the buffered hash; Errors counts re-issues that
-	// failed outright.
+	crossCheck
+}
+
+// crossCheck is the tally every cross-check shares: Checks counts the
+// requests re-issued (buffered, one at a time), Mismatches those whose
+// residual hash differed from the one the run answered, Errors those that
+// failed outright.
+type crossCheck struct {
 	Checks     int `json:"checks"`
 	Mismatches int `json:"mismatches"`
 	Errors     int `json:"errors"`
+}
+
+// recheck re-issues one cell and scores it against the hash the run
+// answered.
+func (c *crossCheck) recheck(ac *api.Client, cl *cell, want string) {
+	c.Checks++
+	switch out := post(ac, 0, cl, false); {
+	case out.transport || out.digestBad || out.code != "" || out.solveErr:
+		c.Errors++
+	case out.hash != want:
+		c.Mismatches++
+	}
 }
 
 // HedgeCheck reports the -hedge A/B experiment: one unhedged pass (the
@@ -168,26 +186,16 @@ type ReplayCheck struct {
 // /v1/solve and its residual hash must be bit-identical to the one the
 // batch answered for that RHS.
 type BatchCheck struct {
-	// Checks counts right-hand sides re-issued; Mismatches counts hashes
-	// that differed from the batched answer; Errors counts single solves
-	// that failed outright.
-	Checks     int `json:"checks"`
-	Mismatches int `json:"mismatches"`
-	Errors     int `json:"errors"`
+	crossCheck
 }
 
 // DirectCheck reports the routed-vs-direct hash cross-check.
 type DirectCheck struct {
 	Shards []string `json:"shards"`
-	// Checks counts cells re-issued directly; Mismatches counts direct
-	// hashes that differed from the routed hash; Errors counts direct
-	// requests that failed outright.
-	Checks     int `json:"checks"`
-	Mismatches int `json:"mismatches"`
-	Errors     int `json:"errors"`
+	crossCheck
 }
 
-// RouterSummary condenses the target's /routerz after the run.
+// RouterSummary condenses the target's statusz router section after the run.
 type RouterSummary struct {
 	Shards        int   `json:"shards"`
 	HealthyShards int   `json:"healthy_shards"`
@@ -262,10 +270,10 @@ type cell struct {
 
 // outcome is one request's result.
 type outcome struct {
-	cell   int
-	status int
-	// code is the machine-readable error-envelope code of a non-200
-	// answer ("" when the body carried no envelope).
+	cell int
+	// code is the machine-readable error-envelope code of a refusal (a
+	// non-200 answer or a stream's terminal error frame); "" means the
+	// solve was answered.
 	code      string
 	hash      string
 	cacheHit  bool
@@ -277,17 +285,6 @@ type outcome struct {
 	// events counts the SSE frames a streamed solve delivered.
 	events  int64
 	latency time.Duration
-}
-
-// postOpts selects per-request wire behavior for one pass of the run.
-type postOpts struct {
-	// stream issues the solve with "Accept: text/event-stream" through the
-	// typed streaming client (single solves only; batches stay buffered).
-	stream bool
-	// hedge, when non-empty, is sent as the X-Resilient-Hedge header —
-	// api.HedgeOff opts the request out of router hedging (the unhedged
-	// baseline pass).
-	hedge string
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -309,8 +306,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		check     = fs.Bool("check", false, "exit nonzero unless every request succeeded, every cell hashed identically, and every enabled cross-check passed")
 		logFormat = fs.String("log-format", "text", "log line format: text or json")
 		quiet     = fs.Bool("q", false, "suppress progress output")
-		isRouter  = fs.Bool("router", false, "target is a resrouter: require and report its /routerz")
-		chaosMode = fs.Bool("chaos", false, "the target router runs a fault-injection plan (-chaos-plan): require its /routerz chaos section, and -check additionally requires every injected bit flip to be detected and zero corrupt responses at this client")
+		isRouter  = fs.Bool("router", false, "target is a resrouter: require and report the router section of its /v1/statusz")
+		chaosMode = fs.Bool("chaos", false, "the target router runs a fault-injection plan (-chaos-plan): require the chaos section of its /v1/statusz, and -check additionally requires every injected bit flip to be detected and zero corrupt responses at this client")
 		shardsCSV = fs.String("shards", "", "comma-separated direct shard base URLs: re-issue each cell directly and cross-check residual hashes against the routed run")
 		streamOn  = fs.Bool("stream", false, "issue every solve as a streamed (SSE) request and cross-check each terminal hash against a buffered solve")
 		hedgeOn   = fs.Bool("hedge", false, "A/B the router's hedged reads: a discarded warmup, an unhedged pass, then a hedged pass over the same mix, with per-pass latency summaries (requires -router)")
@@ -321,7 +318,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *chaosMode && !*isRouter {
-		return fmt.Errorf("-chaos requires -router (the chaos counters live in the router's /routerz)")
+		return fmt.Errorf("-chaos requires -router (the chaos counters live in the router's /v1/statusz)")
 	}
 	if *hedgeOn && !*isRouter {
 		return fmt.Errorf("-hedge requires -router (hedging is a router behavior)")
@@ -372,13 +369,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var outcomes []outcome
 	var wall time.Duration
 	var hedgeChk *HedgeCheck
+	ac := clientFor(*addr, *timeoutMS)
 	if *hedgeOn {
+		// The unhedged baseline is a second client whose every request
+		// opts out of router hedging.
+		unhedged := clientFor(*addr, *timeoutMS, api.WithHeader(api.HedgeHeader, api.HedgeOff))
 		// Warmup (discarded): one solve per cell, unhedged, so neither
 		// measured pass pays the cache-cold compute cost and the shards'
 		// latency windows start filling before anything is timed.
-		fire(*addr, mix, len(mix), min(*c, len(mix)), *timeoutMS, postOpts{hedge: api.HedgeOff})
-		outA, wallA := fire(*addr, mix, *n, *c, *timeoutMS, postOpts{hedge: api.HedgeOff})
-		outB, wallB := fire(*addr, mix, *n, *c, *timeoutMS, postOpts{})
+		fire(unhedged, mix, len(mix), min(*c, len(mix)), false)
+		outA, wallA := fire(unhedged, mix, *n, *c, false)
+		outB, wallB := fire(ac, mix, *n, *c, false)
 		hedgeChk = &HedgeCheck{
 			Unhedged: summarize(latenciesOf(outA)),
 			Hedged:   summarize(latenciesOf(outB)),
@@ -388,7 +389,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		outcomes = append(outA, outB...)
 		wall = wallA + wallB
 	} else {
-		outcomes, wall = fire(*addr, mix, *n, *c, *timeoutMS, postOpts{stream: *streamOn})
+		outcomes, wall = fire(ac, mix, *n, *c, *streamOn)
 	}
 	rec := aggregate(*addr, *c, mix, outcomes, wall)
 	rec.Hedge = hedgeChk
@@ -403,14 +404,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *streamOn {
-		rec.Stream = streamCheck(*addr, mix, rec.Mix, outcomes, *timeoutMS)
+		rec.Stream = streamCheck(ac, mix, rec.Mix, outcomes)
 	}
 	if *shardsCSV != "" {
 		rec.Direct = directCheck(splitList(*shardsCSV), mix, rec.Mix, *timeoutMS)
 	}
 	for i := range mix {
 		if len(mix[i].rhs) > 0 {
-			rec.Batch = batchCheck(*addr, mix, rec.Mix, *timeoutMS)
+			rec.Batch = batchCheck(ac, mix, rec.Mix)
 			break
 		}
 	}
@@ -418,9 +419,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rs, err := fetchRouterz(*addr)
 		if err != nil {
 			if *check {
-				return fmt.Errorf("check failed: -router target has no /routerz: %w", err)
+				return fmt.Errorf("check failed: -router target has no router statusz: %w", err)
 			}
-			logger.Warn("/routerz unreachable", "error", err.Error())
+			logger.Warn("router statusz unreachable", "error", err.Error())
 		}
 		rec.Router = rs
 	}
@@ -587,6 +588,17 @@ func writeCampaign(path string, n, c int, cells []MixCell, mix []cell) error {
 	return f.Close()
 }
 
+// clientFor builds the typed client of one pass. It carries a hard timeout
+// above any server-side deadline, so a wedged server surfaces as transport
+// errors instead of hanging the run (and the CI gate) forever.
+func clientFor(addr string, timeoutMS int, opts ...api.ClientOption) *api.Client {
+	timeout := 2 * time.Minute
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS)*time.Millisecond + 30*time.Second
+	}
+	return api.NewClient(addr, append(opts, api.WithTimeout(timeout))...)
+}
+
 // directCheck re-issues one request per deterministic cell straight at
 // the listed shard addresses (round-robin) and compares the direct
 // residual hash with the routed one: the determinism gate across routing
@@ -597,23 +609,11 @@ func directCheck(shards []string, mix []cell, cells []MixCell, timeoutMS int) *D
 	if len(shards) == 0 {
 		return dc
 	}
-	clientTimeout := 2 * time.Minute
-	if timeoutMS > 0 {
-		clientTimeout = time.Duration(timeoutMS)*time.Millisecond + 30*time.Second
-	}
-	client := &http.Client{Timeout: clientTimeout}
 	for i := range mix {
 		if cells[i].OK == 0 || cells[i].DistinctHashes != 1 {
 			continue
 		}
-		dc.Checks++
-		out := post(client, shards[i%len(shards)], i, &mix[i], postOpts{})
-		switch {
-		case out.transport || out.status != http.StatusOK || out.solveErr:
-			dc.Errors++
-		case out.hash != cells[i].ResidualHash:
-			dc.Mismatches++
-		}
+		dc.recheck(clientFor(shards[i%len(shards)], timeoutMS), &mix[i], cells[i].ResidualHash)
 	}
 	return dc
 }
@@ -621,13 +621,8 @@ func directCheck(shards []string, mix []cell, cells []MixCell, timeoutMS int) *D
 // batchCheck re-solves every right-hand side of each deterministic batched
 // cell as a single /v1/solve and compares hashes per RHS: the gate that
 // batched serving answers exactly what single serving would, bit for bit.
-func batchCheck(addr string, mix []cell, cells []MixCell, timeoutMS int) *BatchCheck {
+func batchCheck(ac *api.Client, mix []cell, cells []MixCell) *BatchCheck {
 	bc := &BatchCheck{}
-	clientTimeout := 2 * time.Minute
-	if timeoutMS > 0 {
-		clientTimeout = time.Duration(timeoutMS)*time.Millisecond + 30*time.Second
-	}
-	client := &http.Client{Timeout: clientTimeout}
 	for i := range mix {
 		m := &mix[i]
 		if len(m.rhs) == 0 || cells[i].OK == 0 || cells[i].DistinctHashes != 1 {
@@ -639,30 +634,27 @@ func batchCheck(addr string, mix []cell, cells []MixCell, timeoutMS int) *BatchC
 			continue
 		}
 		for j, rh := range m.rhs {
-			bc.Checks++
 			single := cell{req: m.req}
 			single.req.Seed = rh.Seed
 			single.req.RHSSeed = rh.RHSSeed
-			out := post(client, addr, i, &single, postOpts{})
-			switch {
-			case out.transport || out.status != http.StatusOK || out.solveErr:
-				bc.Errors++
-			case out.hash != parts[j]:
-				bc.Mismatches++
-			}
+			bc.recheck(ac, &single, parts[j])
 		}
 	}
 	return bc
 }
 
-// fetchRouterz snapshots the router's shard map after the run through
-// the typed client.
+// fetchRouterz snapshots the router's shard map after the run: the router
+// section of its /v1/statusz.
 func fetchRouterz(addr string) (*RouterSummary, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	rz, err := api.NewClient(addr).Routerz(ctx)
+	sz, err := api.NewClient(addr).Statusz(ctx)
 	if err != nil {
 		return nil, err
+	}
+	rz := sz.Router
+	if rz == nil {
+		return nil, fmt.Errorf("statusz answered by tier %q: not a router", sz.Tier)
 	}
 	return &RouterSummary{
 		Shards:        len(rz.Shards),
@@ -747,26 +739,18 @@ func splitList(s string) []string {
 }
 
 // fire issues n requests round-robin over the mix from c workers and
-// returns one outcome per request plus the measured wall time. The
-// client carries a hard timeout above any server-side deadline, so a
-// wedged server surfaces as transport errors instead of hanging the run
-// (and the CI gate) forever.
-func fire(addr string, mix []cell, n, c, timeoutMS int, opts postOpts) ([]outcome, time.Duration) {
-	clientTimeout := 2 * time.Minute
-	if timeoutMS > 0 {
-		clientTimeout = time.Duration(timeoutMS)*time.Millisecond + 30*time.Second
-	}
+// returns one outcome per request plus the measured wall time.
+func fire(ac *api.Client, mix []cell, n, c int, stream bool) ([]outcome, time.Duration) {
 	outcomes := make([]outcome, n)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	client := &http.Client{Timeout: clientTimeout}
 	start := time.Now()
 	for w := 0; w < c; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				outcomes[j] = post(client, addr, j%len(mix), &mix[j%len(mix)], opts)
+				outcomes[j] = post(ac, j%len(mix), &mix[j%len(mix)], stream)
 			}
 		}()
 	}
@@ -778,72 +762,45 @@ func fire(addr string, mix []cell, n, c, timeoutMS int, opts postOpts) ([]outcom
 	return outcomes, time.Since(start)
 }
 
-// post issues one cell's request — /v1/solve, or /v1/solve/batch when the
-// cell carries per-RHS seeds. A batched outcome's hash is the per-RHS
-// hashes joined with "+" in RHS order, so the per-cell determinism and
-// replay machinery gate every right-hand side at once.
-func post(client *http.Client, addr string, cellIdx int, cl *cell, opts postOpts) outcome {
-	if opts.stream && len(cl.rhs) == 0 {
-		return postStream(client, addr, cellIdx, cl)
-	}
+// post issues one cell's request through the typed client, which verifies
+// the stamped content digest over exactly what arrived (the client-side end
+// of the integrity pipeline) and decodes refusals into the unified
+// envelope: /v1/solve/batch when the cell carries per-RHS seeds, otherwise
+// /v1/solve — as an event stream when stream is set, every frame
+// digest-verified as it arrives and the terminal frame against the trailer.
+// A batched outcome's hash is the per-RHS hashes joined with "+" in RHS
+// order, so the per-cell determinism and replay machinery gate every
+// right-hand side at once.
+func post(ac *api.Client, cellIdx int, cl *cell, stream bool) outcome {
 	out := outcome{cell: cellIdx}
-	path := "/v1/solve"
-	var payload any = &cl.req
-	if len(cl.rhs) > 0 {
-		path = "/v1/solve/batch"
-		payload = &api.BatchSolveRequest{SolveRequest: cl.req, RHS: cl.rhs}
-	}
-	body, err := json.Marshal(payload)
-	if err != nil {
-		out.transport = true
-		return out
-	}
-	hreq, err := http.NewRequest(http.MethodPost, addr+path, bytes.NewReader(body))
-	if err != nil {
-		out.transport = true
-		return out
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if opts.hedge != "" {
-		hreq.Header.Set(api.HedgeHeader, opts.hedge)
-	}
+	ctx := context.Background()
+	var sr *api.SolveResponse
+	var br *api.BatchSolveResponse
+	var err error
 	start := time.Now()
-	resp, err := client.Do(hreq)
+	switch {
+	case len(cl.rhs) > 0:
+		br, err = ac.SolveBatch(ctx, &api.BatchSolveRequest{SolveRequest: cl.req, RHS: cl.rhs})
+	case stream:
+		sr, err = ac.SolveStream(ctx, &cl.req, func(*api.SolveEvent) error {
+			out.events++
+			return nil
+		})
+	default:
+		sr, err = ac.Solve(ctx, &cl.req)
+	}
 	out.latency = time.Since(start)
-	if err != nil {
-		out.transport = true
-		return out
-	}
-	defer resp.Body.Close()
-	out.status = resp.StatusCode
-	if resp.StatusCode != http.StatusOK {
-		// Refusals carry the unified envelope: the code tells saturation
-		// from expiry from draining regardless of which tier answered.
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		var e api.Error
-		if json.Unmarshal(raw, &e) == nil {
-			out.code = e.Code
-		}
-		return out
-	}
-	// Read the raw bytes first and verify the stamped content digest over
-	// exactly what arrived: the client-side end of the integrity pipeline.
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	out.latency = time.Since(start)
-	if err != nil {
-		out.transport = true
-		return out
-	}
-	if !api.VerifyDigest(resp.Header.Get(api.DigestHeader), raw) {
+	var refusal *api.Error
+	switch {
+	case errors.As(err, &refusal):
+		// The code tells saturation from expiry from draining regardless
+		// of which tier answered.
+		out.code = cmp.Or(refusal.Code, api.CodeInternal)
+	case errors.Is(err, api.ErrDigestMismatch):
 		out.digestBad = true
-		return out
-	}
-	if len(cl.rhs) > 0 {
-		var br api.BatchSolveResponse
-		if err := json.Unmarshal(raw, &br); err != nil || len(br.Results) != len(cl.rhs) {
-			out.transport = true
-			return out
-		}
+	case err != nil || (br != nil && len(br.Results) != len(cl.rhs)):
+		out.transport = true
+	case br != nil:
 		parts := make([]string, len(br.Results))
 		for i := range br.Results {
 			parts[i] = br.Results[i].Result.ResidualHash
@@ -853,48 +810,11 @@ func post(client *http.Client, addr string, cellIdx int, cl *cell, opts postOpts
 		}
 		out.hash = strings.Join(parts, "+")
 		out.cacheHit = br.CacheHit
-		return out
+	default:
+		out.hash = sr.Result.ResidualHash
+		out.cacheHit = sr.CacheHit
+		out.solveErr = sr.SolveError != ""
 	}
-	var sr api.SolveResponse
-	if err := json.Unmarshal(raw, &sr); err != nil {
-		out.transport = true
-		return out
-	}
-	out.hash = sr.Result.ResidualHash
-	out.cacheHit = sr.CacheHit
-	out.solveErr = sr.SolveError != ""
-	return out
-}
-
-// postStream issues one cell as a streamed solve through the typed
-// client: every frame is digest-verified as it arrives, the terminal
-// frame is re-verified against the stream trailer, and the decoded
-// result lands in the same outcome shape a buffered post produces.
-func postStream(client *http.Client, addr string, cellIdx int, cl *cell) outcome {
-	out := outcome{cell: cellIdx}
-	ac := api.NewClient(addr, api.WithHTTPClient(client))
-	start := time.Now()
-	resp, err := ac.SolveStream(context.Background(), &cl.req, func(ev *api.SolveEvent) error {
-		out.events++
-		return nil
-	})
-	out.latency = time.Since(start)
-	if err != nil {
-		var ae *api.Error
-		if errors.As(err, &ae) {
-			// A typed refusal (plain envelope before the stream, or a
-			// terminal error frame): classify by its code like any other.
-			out.code = ae.Code
-			out.status = http.StatusServiceUnavailable
-			return out
-		}
-		out.transport = true
-		return out
-	}
-	out.status = http.StatusOK
-	out.hash = resp.Result.ResidualHash
-	out.cacheHit = resp.CacheHit
-	out.solveErr = resp.SolveError != ""
 	return out
 }
 
@@ -902,29 +822,17 @@ func postStream(client *http.Client, addr string, cellIdx int, cl *cell) outcome
 // compares its hash against the streamed terminal hash: the gate that a
 // streamed solve answers exactly what a buffered one would, bit for
 // bit. Requests and Events aggregate the streamed pass itself.
-func streamCheck(addr string, mix []cell, cells []MixCell, outcomes []outcome, timeoutMS int) *StreamCheck {
+func streamCheck(ac *api.Client, mix []cell, cells []MixCell, outcomes []outcome) *StreamCheck {
 	sc := &StreamCheck{}
 	for _, o := range outcomes {
 		sc.Requests++
 		sc.Events += o.events
 	}
-	clientTimeout := 2 * time.Minute
-	if timeoutMS > 0 {
-		clientTimeout = time.Duration(timeoutMS)*time.Millisecond + 30*time.Second
-	}
-	client := &http.Client{Timeout: clientTimeout}
 	for i := range mix {
 		if cells[i].OK == 0 || cells[i].DistinctHashes != 1 {
 			continue
 		}
-		sc.Checks++
-		out := post(client, addr, i, &mix[i], postOpts{})
-		switch {
-		case out.transport || out.status != http.StatusOK || out.solveErr:
-			sc.Errors++
-		case out.hash != cells[i].ResidualHash:
-			sc.Mismatches++
-		}
+		sc.recheck(ac, &mix[i], cells[i].ResidualHash)
 	}
 	return sc
 }
@@ -955,25 +863,26 @@ func aggregate(addr string, c int, mix []cell, outcomes []outcome, wall time.Dur
 	for _, o := range outcomes {
 		cells[o.cell].Requests++
 		latencies = append(latencies, float64(o.latency)/1e6)
-		if o.status != http.StatusOK && !o.transport && o.code != "" {
+		if o.code != "" {
 			if rec.ErrorCodes == nil {
 				rec.ErrorCodes = make(map[string]int)
 			}
 			rec.ErrorCodes[o.code]++
 		}
-		// Classification prefers the envelope code over the HTTP status:
-		// a router relaying backpressure and a shard refusing directly
-		// stamp the same code even where statuses could blur.
+		// Classification is by envelope code, never by HTTP status: a
+		// router relaying backpressure and a shard refusing directly stamp
+		// the same code even where statuses could blur (the client derives
+		// the code from the status for a body that is no envelope).
 		switch {
 		case o.transport:
 			rec.TransportErrors++
 		case o.digestBad:
 			rec.DigestMismatches++
-		case o.code == api.CodeSaturated || (o.code == "" && o.status == http.StatusTooManyRequests):
+		case o.code == api.CodeSaturated:
 			rec.Rejected++
-		case o.code == api.CodeExpired || (o.code == "" && o.status == http.StatusGatewayTimeout):
+		case o.code == api.CodeExpired:
 			rec.Expired++
-		case o.status != http.StatusOK:
+		case o.code != "":
 			rec.OtherErrors++
 		case o.solveErr:
 			rec.SolveErrors++

@@ -19,7 +19,7 @@
 // /v1/admin surface drains, adds and removes shards at runtime.
 //
 // POST /v1/solve routes by matrix identity with health-checked failover
-// to the next ring replica; GET /routerz exposes the shard map, key
+// to the next ring replica; GET /v1/statusz exposes the shard map, key
 // distribution and per-shard inflight/latency stats; GET /v1/healthz
 // reports the router itself. SIGINT/SIGTERM drain gracefully: the router
 // refuses new solves, in-flight forwards complete, then managed shards
@@ -79,7 +79,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		retryBody     = fs.Int64("retry-body-bytes", 0, "largest request body buffered for failover resends (0 = 8 MiB, negative = unbounded); larger requests get a single attempt")
 		retryBudget   = fs.Int("retry-budget", 4, "per-request attempt ceiling across ring candidates (first try included)")
 		retryBackoff  = fs.Duration("retry-backoff", 25*time.Millisecond, "base delay before the second attempt (doubles per attempt, ±50% jitter; a shard retry_after_ms hint overrides when longer)")
-		chaosPlan     = fs.String("chaos-plan", "", "seeded fault-injection plan (JSON) applied to shard-bound solve traffic; /routerz grows a chaos section")
+		chaosPlan     = fs.String("chaos-plan", "", "seeded fault-injection plan (JSON) applied to shard-bound solve traffic; /v1/statusz grows a chaos section")
 		hedge         = fs.Bool("hedge", false, "hedge idempotent solves: arm a duplicate on the next ring replica after a tail-latency delay, first verified answer wins")
 		hedgeDelay    = fs.Duration("hedge-delay", 30*time.Millisecond, "hedge arm delay until a shard has a P99 estimate of its own")
 		hedgeMax      = fs.Duration("hedge-max-delay", 2*time.Second, "cap on the P99-derived hedge arm delay")

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/router"
 	"repro/internal/server"
 )
@@ -54,7 +55,7 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 }
 
 // TestRunSpawnsAndRoutes boots a router that spawns its own shard set,
-// routes solves through it, inspects /routerz and drains on cancel.
+// routes solves through it, inspects /v1/statusz and drains on cancel.
 func TestRunSpawnsAndRoutes(t *testing.T) {
 	base, cancel, done := boot(t, []string{"-addr", "127.0.0.1:0", "-spawn", "2", "-workers", "1", "-q"})
 	defer cancel()
@@ -64,7 +65,7 @@ func TestRunSpawnsAndRoutes(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("n=%s: status %d: %s", n, resp.StatusCode, raw)
 		}
-		var sr server.SolveResponse
+		var sr api.SolveResponse
 		if err := json.Unmarshal(raw, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -77,17 +78,9 @@ func TestRunSpawnsAndRoutes(t *testing.T) {
 		}
 	}
 
-	rz, err := http.Get(base + "/routerz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rz.Body.Close()
-	var status router.RouterzResponse
-	if err := json.NewDecoder(rz.Body).Decode(&status); err != nil {
-		t.Fatal(err)
-	}
-	if status.Schema != router.SchemaVersion || len(status.Shards) != 2 || status.Routed != 2 {
-		t.Errorf("routerz %+v: want schema %d, 2 shards, 2 routed", status, router.SchemaVersion)
+	status := routerz(t, base)
+	if status.Schema != api.SchemaVersion || len(status.Shards) != 2 || status.Routed != 2 {
+		t.Errorf("routerz %+v: want schema %d, 2 shards, 2 routed", status, api.SchemaVersion)
 	}
 
 	cancel()
@@ -218,7 +211,7 @@ func TestRunChaosPlanKeepsAnswersClean(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d under %s: %s", resp.StatusCode, base, raw)
 		}
-		var sr server.SolveResponse
+		var sr api.SolveResponse
 		if err := json.Unmarshal(raw, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -235,21 +228,9 @@ func TestRunChaosPlanKeepsAnswersClean(t *testing.T) {
 		}
 	}
 
-	routerz := func(base string) router.RouterzResponse {
-		rz, err := http.Get(base + "/routerz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rz.Body.Close()
-		var status router.RouterzResponse
-		if err := json.NewDecoder(rz.Body).Decode(&status); err != nil {
-			t.Fatal(err)
-		}
-		return status
-	}
-	status := routerz(baseChaos)
+	status := routerz(t, baseChaos)
 	if status.Chaos == nil {
-		t.Fatal("no chaos section on /routerz with -chaos-plan")
+		t.Fatal("no chaos section in statusz with -chaos-plan")
 	}
 	if status.Chaos.BitFlips == 0 || status.Chaos.Resets == 0 {
 		t.Errorf("plan injected no resets/bit flips over %d requests: %+v", len(reqs), status.Chaos)
@@ -273,7 +254,7 @@ func TestRunChaosPlanKeepsAnswersClean(t *testing.T) {
 	for _, body := range reqs {
 		hashOf(baseChaos2, body)
 	}
-	status2 := routerz(baseChaos2)
+	status2 := routerz(t, baseChaos2)
 	if status2.Chaos.TraceHash != status.Chaos.TraceHash {
 		t.Errorf("trace diverged across runs of the same plan: %s vs %s",
 			status2.Chaos.TraceHash, status.Chaos.TraceHash)

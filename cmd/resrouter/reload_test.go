@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -31,18 +32,22 @@ func writeTopology(t *testing.T, path string, names ...string) {
 	}
 }
 
-func routerzShards(t *testing.T, base string) []api.ShardStatus {
+// routerz fetches the router section of /v1/statusz.
+func routerz(t *testing.T, base string) api.RouterzResponse {
 	t.Helper()
-	resp, err := http.Get(base + "/routerz")
+	sz, err := api.NewClient(base).Statusz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var rz api.RouterzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rz); err != nil {
-		t.Fatal(err)
+	if sz.Router == nil {
+		t.Fatalf("statusz tier %q carries no router section", sz.Tier)
 	}
-	return rz.Shards
+	return *sz.Router
+}
+
+func routerzShards(t *testing.T, base string) []api.ShardStatus {
+	t.Helper()
+	return routerz(t, base).Shards
 }
 
 func waitForShardSet(t *testing.T, base string, want ...string) {

@@ -19,7 +19,7 @@ import (
 )
 
 // SchemaVersion identifies the request/response layout of the /v1 API
-// (the router's /routerz and the /v1/admin surface stamp the same
+// (/v1/statusz on both tiers and the /v1/admin surface stamp the same
 // version). Bump it on any incompatible change.
 const SchemaVersion = 1
 
@@ -245,7 +245,7 @@ type BatchSolveResponse struct {
 	Results []BatchResult `json:"results"`
 }
 
-// CacheStats summarises the artifact cache for /v1/stats.
+// CacheStats summarises the artifact cache inside StatsResponse.
 type CacheStats struct {
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
@@ -281,8 +281,7 @@ const (
 
 // StatuszResponse is the body of GET /v1/statusz, the introspection
 // surface both tiers serve under one path: Tier says which one answered,
-// and exactly one of Router and Shard carries its typed status. The
-// historical per-tier paths (/routerz, /v1/stats) stay as aliases.
+// and exactly one of Router and Shard carries its typed status.
 type StatuszResponse struct {
 	Schema int              `json:"schema"`
 	Tier   string           `json:"tier"`
@@ -291,7 +290,7 @@ type StatuszResponse struct {
 	Shard  *StatsResponse   `json:"shard,omitempty"`
 }
 
-// StatsResponse is the body of GET /v1/stats.
+// StatsResponse is the shard section of GET /v1/statusz.
 type StatsResponse struct {
 	Schema        int        `json:"schema"`
 	UptimeSeconds float64    `json:"uptime_seconds"`

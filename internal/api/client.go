@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,15 +15,21 @@ import (
 // maxResponseBytes bounds a decoded response body.
 const maxResponseBytes = 64 << 20
 
+// ErrDigestMismatch marks a buffered response whose stamped content digest
+// did not match the received bytes: corrupt bytes reached this client.
+// Callers tell it from a transport failure with errors.Is.
+var ErrDigestMismatch = errors.New("response digest mismatch (corrupt body)")
+
 // Client is the typed HTTP client over the whole wire contract: the solve
-// surface of a resilientd shard or a resrouter front end, plus the
-// router-only /routerz and token-authenticated /v1/admin surfaces.
+// and status surface of a resilientd shard or a resrouter front end, plus
+// the router's token-authenticated /v1/admin surface.
 // Non-200 answers decode the unified envelope and come back as *Error, so
 // callers branch on the machine-readable code, never on message strings.
 type Client struct {
-	base  string
-	token string
-	hc    *http.Client
+	base   string
+	token  string
+	header http.Header
+	hc     *http.Client
 }
 
 // ClientOption customises a Client.
@@ -39,6 +46,12 @@ func WithAdminToken(token string) ClientOption {
 	return func(c *Client) { c.token = token }
 }
 
+// WithHeader stamps a fixed header on every request the client issues
+// (e.g. HedgeHeader: HedgeOff for an unhedged baseline pass).
+func WithHeader(key, value string) ClientOption {
+	return func(c *Client) { c.header.Set(key, value) }
+}
+
 // WithTimeout bounds every request issued by the client.
 func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.hc.Timeout = d }
@@ -48,8 +61,9 @@ func WithTimeout(d time.Duration) ClientOption {
 // "http://127.0.0.1:8723").
 func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
-		base: strings.TrimRight(base, "/"),
-		hc:   &http.Client{Timeout: 2 * time.Minute},
+		base:   strings.TrimRight(base, "/"),
+		header: http.Header{},
+		hc:     &http.Client{Timeout: 2 * time.Minute},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -79,15 +93,10 @@ func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 // back to decoding that buffered body, so callers never need to probe
 // capability first.
 func (c *Client) SolveStream(ctx context.Context, req *SolveRequest, onEvent func(*SolveEvent) error) (*SolveResponse, error) {
-	raw, err := json.Marshal(req)
+	hreq, err := c.newRequest(ctx, http.MethodPost, "/v1/solve", req)
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/solve", bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set("Accept", "text/event-stream")
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
@@ -98,27 +107,9 @@ func (c *Client) SolveStream(ctx context.Context, req *SolveRequest, onEvent fun
 		// Buffered answer (old server, non-streaming hop, or an error
 		// envelope rejected before streaming began): decode it the
 		// buffered way, digest check included.
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-		if err != nil {
-			return nil, fmt.Errorf("POST /v1/solve: reading response: %w", err)
-		}
-		if !VerifyDigest(resp.Header.Get(DigestHeader), body) {
-			return nil, fmt.Errorf("POST /v1/solve: response digest mismatch (corrupt body)")
-		}
-		if resp.StatusCode != http.StatusOK {
-			var e Error
-			if json.Unmarshal(body, &e) != nil || e.Message == "" {
-				e = Error{
-					Schema:  SchemaVersion,
-					Code:    CodeForStatus(resp.StatusCode),
-					Message: fmt.Sprintf("POST /v1/solve: %s: %s", resp.Status, bytes.TrimSpace(body)),
-				}
-			}
-			return nil, &e
-		}
 		var out SolveResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			return nil, fmt.Errorf("POST /v1/solve: decoding response: %w", err)
+		if err := decode(resp, http.MethodPost, "/v1/solve", &out); err != nil {
+			return nil, err
 		}
 		return &out, nil
 	}
@@ -200,24 +191,6 @@ func (c *Client) RouterHealth(ctx context.Context) (*RouterHealth, error) {
 	return &out, nil
 }
 
-// Stats fetches a shard's /v1/stats.
-func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
-	var out StatsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Routerz fetches a router's /routerz shard map.
-func (c *Client) Routerz(ctx context.Context) (*RouterzResponse, error) {
-	var out RouterzResponse
-	if err := c.do(ctx, http.MethodGet, "/routerz", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Statusz fetches /v1/statusz, the unified introspection surface both
 // tiers serve: Tier says who answered.
 func (c *Client) Statusz(ctx context.Context) (*StatuszResponse, error) {
@@ -294,40 +267,57 @@ func (c *Client) AdminRemoveShard(ctx context.Context, name string) (*AdminRemov
 	return &out, nil
 }
 
-// do issues one request and decodes the answer: 200 into out, anything
-// else into the unified envelope returned as *Error. A non-envelope error
-// body (a crashed proxy, a non-API server) still yields an *Error with
-// CodeInternal and the raw body as the message.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// newRequest builds one request: the JSON body when in is non-nil, the
+// client's fixed headers and its bearer token.
+func (c *Client) newRequest(ctx context.Context, method, path string, in any) (*http.Request, error) {
 	var body io.Reader
 	if in != nil {
 		raw, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(raw)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	hreq.Header = c.header.Clone()
 	if in != nil {
 		hreq.Header.Set("Content-Type", "application/json")
 	}
 	if c.token != "" {
 		hreq.Header.Set("Authorization", "Bearer "+c.token)
 	}
+	return hreq, nil
+}
+
+// do issues one request and decodes the buffered answer.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	hreq, err := c.newRequest(ctx, method, path, in)
+	if err != nil {
+		return err
+	}
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	return decode(resp, method, path, out)
+}
+
+// decode reads one buffered answer: 200 into out, anything else into the
+// unified envelope returned as *Error. A non-envelope error body (a
+// crashed proxy, a non-API server) still yields an *Error with
+// CodeInternal and the raw body as the message; a body that fails its
+// stamped digest is ErrDigestMismatch whatever its status.
+func decode(resp *http.Response, method, path string, out any) error {
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		return fmt.Errorf("%s %s: reading response: %w", method, path, err)
 	}
 	if !VerifyDigest(resp.Header.Get(DigestHeader), raw) {
-		return fmt.Errorf("%s %s: response digest mismatch (corrupt body)", method, path)
+		return fmt.Errorf("%s %s: %w", method, path, ErrDigestMismatch)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e Error

@@ -87,7 +87,7 @@ type ChaosStats struct {
 	TraceHash string `json:"trace_hash"`
 }
 
-// Shard lifecycle states reported by /routerz and the admin API. A shard
+// Shard lifecycle states reported by statusz and the admin API. A shard
 // is active when it is on the ring and passing health probes, ejected
 // when probes (or passive circuit-breaking) took it out of rotation, and
 // draining when an operator latched it out of the ring: new keys route
@@ -100,7 +100,7 @@ const (
 	ShardDraining = "draining"
 )
 
-// ShardStatus is one shard's live picture in /routerz.
+// ShardStatus is one shard's live picture in the router's statusz.
 type ShardStatus struct {
 	Name string `json:"name"`
 	Addr string `json:"addr"`

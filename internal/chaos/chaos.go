@@ -476,7 +476,7 @@ func flipBit(resp *http.Response, rng *rand.Rand) error {
 	return nil
 }
 
-// Stats snapshots the injector for /routerz and reschaos's /chaosz.
+// Stats snapshots the injector for the router's statusz and reschaos's /chaosz.
 func (in *Injector) Stats() *api.ChaosStats {
 	in.mu.Lock()
 	trace := in.trace

@@ -279,7 +279,7 @@ func TestOnlySolveTrafficIsTouched(t *testing.T) {
 	in := New(forcedPlan(func(p *Plan) { p.PReset = 1 }), okShard())
 	for _, c := range []struct{ method, path string }{
 		{http.MethodGet, "/v1/healthz"},
-		{http.MethodGet, "/routerz"},
+		{http.MethodGet, "/v1/statusz"},
 		{http.MethodPost, "/v1/admin/shards"},
 		{http.MethodGet, "/v1/solve"}, // wrong method: not solve traffic
 	} {

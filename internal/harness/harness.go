@@ -200,7 +200,7 @@ type SolveOpts struct {
 	// solve allocation-free, and the returned solution aliases workspace
 	// memory. Must not be shared by concurrent solves.
 	Ws *Workspaces
-	// M is a prebuilt PCG preconditioner (the matrix buildPrecond would
+	// M is a prebuilt PCG preconditioner (the matrix BuildPrecond would
 	// derive from sc.Precond). Callers that serve many solves on one
 	// matrix cache it so the request path skips reconstruction; nil builds
 	// it per call. Ignored for non-PCG solvers.
@@ -249,7 +249,7 @@ func SolveWith(a *sparse.CSR, b []float64, sc Scenario, seed int64, opt SolveOpt
 	case "pcg":
 		if cfg.M = opt.M; cfg.M == nil {
 			var err error
-			if cfg.M, err = buildPrecond(a, sc.Precond); err != nil {
+			if cfg.M, err = BuildPrecond(a, sc.Precond); err != nil {
 				return nil, core.Stats{}, err
 			}
 		}
@@ -277,7 +277,7 @@ func solveUnprotected(a *sparse.CSR, b []float64, sc Scenario, m *sparse.CSR, ws
 		// Apply the same explicit preconditioner the protected driver would
 		// protect, so overheads compare like against like.
 		if m == nil {
-			m, err = buildPrecond(a, sc.Precond)
+			m, err = BuildPrecond(a, sc.Precond)
 		}
 		if err == nil {
 			res, err = solver.PCGWith(a, m, b, opt)
@@ -320,19 +320,15 @@ func normOf(b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-func buildPrecond(a *sparse.CSR, kind string) (*sparse.CSR, error) {
+// BuildPrecond constructs the explicit PCG preconditioner of the given
+// kind (a validated Scenario.Precond: "neumann", otherwise Jacobi).
+func BuildPrecond(a *sparse.CSR, kind string) (*sparse.CSR, error) {
 	switch kind {
 	case "neumann":
 		return precond.Neumann(a, precond.NeumannOptions{})
 	default:
 		return precond.Jacobi(a)
 	}
-}
-
-// trialOutcome is one rep's contribution to the aggregate record.
-type trialOutcome struct {
-	st     core.Stats
-	failed bool
 }
 
 // trialSeedStride spaces the per-trial injector seeds (kept identical to
@@ -345,9 +341,9 @@ const trialSeedStride = 7919
 // rep instead hands the pool to the solver kernels. Trial 0 records the
 // per-iteration recurrence history into hist. Outcomes land in per-trial
 // slots, so the result is deterministic for any worker count.
-func runTrials(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (outs []trialOutcome, hist []float64) {
+func runTrials(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (outs []Trial, hist []float64) {
 	sc = sc.withDefaults()
-	outs = make([]trialOutcome, sc.Reps)
+	outs = make([]Trial, sc.Reps)
 	trial := func(rep int) {
 		var onIter func(int, float64)
 		if rep == 0 {
@@ -357,7 +353,7 @@ func runTrials(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (outs []t
 		_, st, err := SolveWith(a, b, sc, sc.Seed+int64(rep)*trialSeedStride,
 			SolveOpts{Pool: kernelPool(pl, sc.Reps), Ws: ws, OnIteration: onIter})
 		wsPool.Put(ws)
-		outs[rep] = trialOutcome{st: st, failed: err != nil}
+		outs[rep] = Trial{Stats: st, Failed: err != nil}
 	}
 	if pl == nil || sc.Reps == 1 {
 		for rep := 0; rep < sc.Reps; rep++ {
@@ -386,8 +382,8 @@ func TrialsOn(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (mean floa
 	outs, _ := runTrials(pl, a, b, sc)
 	samples = make([]float64, len(outs))
 	for i, o := range outs {
-		samples[i] = o.st.SimTime
-		if o.failed {
+		samples[i] = o.Stats.SimTime
+		if o.Failed {
 			failures++
 		}
 	}
@@ -406,7 +402,7 @@ func RunOn(pl *pool.Pool, a *sparse.CSR, sc Scenario) (Result, error) {
 	outs, hist := runTrials(pl, a, b, sc)
 	wall := time.Since(start).Seconds()
 
-	res := newResult(sc, a, outs, hist)
+	res := NewResult(sc, sc.Matrix.String(), a, outs, HashBits(hist))
 	res.WallSeconds = wall
 	if sc.Baseline && sc.Scheme != "unprotected" {
 		base := sc

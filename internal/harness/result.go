@@ -96,49 +96,59 @@ type Result struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// newResult aggregates the trial outcomes into a record.
-func newResult(sc Scenario, a *sparse.CSR, outs []trialOutcome, hist []float64) Result {
+// Trial is one rep's contribution to the aggregate record.
+type Trial struct {
+	Stats  core.Stats
+	Failed bool
+}
+
+// NewResult aggregates trial outcomes into a record — the one constructor
+// behind campaign records and the solve service's responses. label names
+// the matrix (a spec's String, or a content fingerprint where there is no
+// spec to name) and hash is HashBits of trial 0's recurrence history. The
+// caller stamps what only it knows: Workers, WallSeconds and provenance.
+func NewResult(sc Scenario, label string, a *sparse.CSR, trials []Trial, hash uint64) Result {
 	r := Result{
 		Schema:   SchemaVersion,
 		Scenario: sc,
 		Matrix: MatrixInfo{
-			Label:   sc.Matrix.String(),
+			Label:   label,
 			N:       a.Rows,
 			NNZ:     a.NNZ(),
 			Density: a.Density(),
 		},
-		Reps:         len(outs),
+		Reps:         len(trials),
 		FlopsPerIter: core.CGFlopsPerIter(a),
-		ResidualHash: HashHistory(hist),
+		ResidualHash: FormatHash(hash),
 	}
 	if sc.Solver == "bicgstab" {
 		r.FlopsPerIter *= 2
 	}
 	var useful, total float64
-	r.SimTimes = make([]float64, len(outs))
-	for i, o := range outs {
-		if o.failed {
+	r.SimTimes = make([]float64, len(trials))
+	for i, o := range trials {
+		if o.Failed {
 			r.Failures++
 		}
-		if o.st.Converged {
+		if o.Stats.Converged {
 			r.Converged++
 		}
 		if i == 0 {
-			r.D, r.S = o.st.D, o.st.S
+			r.D, r.S = o.Stats.D, o.Stats.S
 		}
-		useful += float64(o.st.UsefulIterations)
-		total += float64(o.st.TotalIterations)
-		r.Detections += o.st.Detections
-		r.Corrections += o.st.Corrections
-		r.Rollbacks += o.st.Rollbacks
-		r.Checkpoints += o.st.Checkpoints
-		r.FaultsInjected += o.st.FaultsInjected
-		r.SimTimes[i] = o.st.SimTime
-		if o.st.FinalResidual > r.MaxFinalResidual {
-			r.MaxFinalResidual = o.st.FinalResidual
+		useful += float64(o.Stats.UsefulIterations)
+		total += float64(o.Stats.TotalIterations)
+		r.Detections += o.Stats.Detections
+		r.Corrections += o.Stats.Corrections
+		r.Rollbacks += o.Stats.Rollbacks
+		r.Checkpoints += o.Stats.Checkpoints
+		r.FaultsInjected += o.Stats.FaultsInjected
+		r.SimTimes[i] = o.Stats.SimTime
+		if o.Stats.FinalResidual > r.MaxFinalResidual {
+			r.MaxFinalResidual = o.Stats.FinalResidual
 		}
 	}
-	if n := float64(len(outs)); n > 0 {
+	if n := float64(len(trials)); n > 0 {
 		r.MeanUsefulIters = useful / n
 		r.MeanTotalIters = total / n
 	}

@@ -78,7 +78,7 @@ func (r *Router) handleAdminAddShard(w http.ResponseWriter, req *http.Request) {
 		respondAdminErr(w, err)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, api.AdminShardResponse{Schema: SchemaVersion, Shard: sh})
+	api.WriteJSON(w, http.StatusOK, api.AdminShardResponse{Schema: api.SchemaVersion, Shard: sh})
 }
 
 func (r *Router) handleAdminDrainShard(w http.ResponseWriter, req *http.Request) {
@@ -87,7 +87,7 @@ func (r *Router) handleAdminDrainShard(w http.ResponseWriter, req *http.Request)
 		respondAdminErr(w, err)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, api.AdminShardResponse{Schema: SchemaVersion, Shard: sh})
+	api.WriteJSON(w, http.StatusOK, api.AdminShardResponse{Schema: api.SchemaVersion, Shard: sh})
 }
 
 func (r *Router) handleAdminRemoveShard(w http.ResponseWriter, req *http.Request) {
@@ -96,7 +96,7 @@ func (r *Router) handleAdminRemoveShard(w http.ResponseWriter, req *http.Request
 		respondAdminErr(w, err)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, api.AdminRemoveResponse{Schema: SchemaVersion, Removed: label})
+	api.WriteJSON(w, http.StatusOK, api.AdminRemoveResponse{Schema: api.SchemaVersion, Removed: label})
 }
 
 // respondAdminErr maps the topology verbs' sentinel errors onto the

@@ -111,7 +111,7 @@ func TestAdminDrainAddRemoveLifecycle(t *testing.T) {
 		before[n] = owner(n)
 	}
 
-	// Drain s1: response says draining, topology agrees, /routerz shows
+	// Drain s1: response says draining, topology agrees, statusz shows
 	// it off the ring (vnodes 0) but still visible.
 	sh, err := cl.AdminDrainShard(ctx, "s1")
 	if err != nil {
@@ -120,11 +120,11 @@ func TestAdminDrainAddRemoveLifecycle(t *testing.T) {
 	if sh.Shard.State != api.ShardDraining {
 		t.Errorf("drain answered state %q, want %q", sh.Shard.State, api.ShardDraining)
 	}
-	rz, err := cl.Routerz(ctx)
+	sz, err := cl.Statusz(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range rz.Shards {
+	for _, s := range sz.Router.Shards {
 		if s.Name == "s1" && (s.State != api.ShardDraining || s.VNodes != 0) {
 			t.Errorf("routerz s1: state %q vnodes %d, want draining/0", s.State, s.VNodes)
 		}

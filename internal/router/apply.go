@@ -289,7 +289,7 @@ func (r *Router) CurrentTopology() api.AdminTopologyResponse {
 	r.ringMu.RUnlock()
 	sort.Slice(shards, func(i, j int) bool { return shards[i].name < shards[j].name })
 	out := api.AdminTopologyResponse{
-		Schema:   SchemaVersion,
+		Schema:   api.SchemaVersion,
 		Vnodes:   r.cfg.Vnodes,
 		Replicas: r.cfg.Replicas,
 		Shards:   make([]api.AdminShard, 0, len(shards)),

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/harness"
 	"repro/internal/server"
 )
@@ -38,7 +39,7 @@ func (s *realShard) kill() {
 }
 
 // routedSolve posts through the router and returns the full response.
-func routedSolve(t *testing.T, url string, req *server.SolveRequest) (server.SolveResponse, string) {
+func routedSolve(t *testing.T, url string, req *api.SolveRequest) (api.SolveResponse, string) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -52,7 +53,7 @@ func routedSolve(t *testing.T, url string, req *server.SolveRequest) (server.Sol
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("routed solve: status %d", resp.StatusCode)
 	}
-	var sr server.SolveResponse
+	var sr api.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestFailoverDeterminism(t *testing.T) {
 
 	// Grow the matrix mix until every shard owns at least one key, so
 	// the kill below always has victims and survivors.
-	var reqs []*server.SolveRequest
+	var reqs []*api.SolveRequest
 	var keys []string
 	owners := map[string]bool{}
 	for n := 64; n <= 400 && (len(reqs) < 8 || len(owners) < 3); n += 17 {
@@ -96,7 +97,7 @@ func TestFailoverDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			req := &server.SolveRequest{Matrix: &spec, Seed: 7}
+			req := &api.SolveRequest{Matrix: &spec, Seed: 7}
 			id, err := server.ResolveIdentity(req)
 			if err != nil {
 				t.Fatal(err)
@@ -148,7 +149,7 @@ func TestFailoverDeterminism(t *testing.T) {
 	shard2 := make([]string, len(reqs))
 	for i, req := range reqs {
 		wg.Add(1)
-		go func(i int, req *server.SolveRequest) {
+		go func(i int, req *api.SolveRequest) {
 			defer wg.Done()
 			sr, shard := routedSolve(t, rts.URL, req)
 			hash2[i], shard2[i] = sr.Result.ResidualHash, shard
@@ -237,7 +238,7 @@ func TestRetryBodyCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &server.SolveRequest{Matrix: &spec, Seed: 7}
+	req := &api.SolveRequest{Matrix: &spec, Seed: 7}
 	id, err := server.ResolveIdentity(req)
 	if err != nil {
 		t.Fatal(err)

@@ -233,14 +233,14 @@ func (s *shardState) notePassive(ok bool, errText string, threshold int) {
 	s.mu.Unlock()
 }
 
-// status snapshots the shard for /routerz. A drained shard owns no ring
+// status snapshots the shard for statusz. A drained shard owns no ring
 // points, so its VNodes report as zero.
-func (s *shardState) status(vnodes int) ShardStatus {
+func (s *shardState) status(vnodes int) api.ShardStatus {
 	s.mu.Lock()
 	if s.drained {
 		vnodes = 0
 	}
-	st := ShardStatus{
+	st := api.ShardStatus{
 		Name:                s.name,
 		Addr:                s.addr,
 		State:               s.stateLocked(),

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/server"
 )
 
 func bodyReader(body []byte) io.Reader { return bytes.NewReader(body) }
@@ -77,7 +77,7 @@ func newEvilShard(t *testing.T, name string) *evilShard {
 		w.Write(body)
 	})
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(server.HealthResponse{Schema: server.SchemaVersion, Status: "ok"})
+		json.NewEncoder(w).Encode(api.HealthResponse{Schema: api.SchemaVersion, Status: "ok"})
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
@@ -115,19 +115,17 @@ func evilRouter(t *testing.T, cfg Config, fakes ...*evilShard) (*Router, *httpte
 	return r, ts
 }
 
-// routerzOf fetches and decodes /routerz.
-func routerzOf(t *testing.T, base string) RouterzResponse {
+// routerzOf fetches the router section of /v1/statusz.
+func routerzOf(t *testing.T, base string) api.RouterzResponse {
 	t.Helper()
-	resp, err := http.Get(base + "/routerz")
+	sz, err := api.NewClient(base).Statusz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var rz RouterzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rz); err != nil {
-		t.Fatal(err)
+	if sz.Tier != api.TierRouter || sz.Router == nil {
+		t.Fatalf("statusz tier %q carries no router section", sz.Tier)
 	}
-	return rz
+	return *sz.Router
 }
 
 // TestRouterRejectsCorruptResponse is the tentpole gate: a shard whose
@@ -188,7 +186,7 @@ func TestRouterRejectsCorruptResponse(t *testing.T) {
 	}
 	rz := routerzOf(t, ts.URL)
 	if rz.Integrity.CorruptResponses != 1 || rz.Integrity.RetriesSpent < 1 || rz.Integrity.DigestVerified < 2 {
-		t.Errorf("/routerz integrity %+v: want 1 corrupt, ≥1 retry, ≥2 verified", rz.Integrity)
+		t.Errorf("statusz integrity %+v: want 1 corrupt, ≥1 retry, ≥2 verified", rz.Integrity)
 	}
 	if rz.Integrity.BudgetExhausted != 0 {
 		t.Errorf("budget exhausted %d times on a recoverable fault", rz.Integrity.BudgetExhausted)

@@ -9,8 +9,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Observability wiring for the routing tier: every routerz counter is
-// exported as a Prometheus series, so a scrape and a /routerz snapshot
+// Observability wiring for the routing tier: every statusz counter is
+// exported as a Prometheus series, so a scrape and a /v1/statusz snapshot
 // are two views of the same atomics — the obs-smoke CI job reconciles
 // them. All mapped series are scrape-time closures over the existing
 // counters (nothing is counted twice); the request-latency histogram is

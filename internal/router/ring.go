@@ -10,7 +10,7 @@
 // proxy with per-request deadlines, retry of idempotent solves on the
 // next ring replica on connection failure, active /v1/healthz probing
 // (EWMA latency, consecutive-failure ejection, re-admission) and passive
-// circuit-breaking on 5xx; /routerz exposes the shard map and per-shard
+// circuit-breaking on 5xx; /v1/statusz exposes the shard map and per-shard
 // stats as schema-versioned JSON.
 package router
 

@@ -20,25 +20,11 @@ import (
 	"repro/internal/server"
 )
 
-// SchemaVersion identifies the wire layout of every router endpoint —
-// /routerz, /v1/healthz, the admin surface and the error envelope. It is
-// the shared contract version from internal/api.
-const SchemaVersion = api.SchemaVersion
-
-// Wire types, aliased from the shared contract package. See internal/api
-// for field documentation.
-type (
-	RouterzResponse = api.RouterzResponse
-	ShardStatus     = api.ShardStatus
-	KeyDistribution = api.KeyDistribution
-	RouterHealth    = api.RouterHealth
-)
-
 // maxBodyBytes mirrors the shard-side request bound.
 const maxBodyBytes = 64 << 20
 
-// maxTrackedKeys bounds the distinct-key distribution kept for /routerz;
-// once full, unseen keys are no longer tracked — /routerz then reports
+// maxTrackedKeys bounds the distinct-key distribution kept for statusz;
+// once full, unseen keys are no longer tracked — statusz then reports
 // the distribution as saturated and its distinct count as a floor.
 const maxTrackedKeys = 4096
 
@@ -96,7 +82,7 @@ type Config struct {
 	// the seam the chaos injector wires into (-chaos-plan).
 	Transport http.RoundTripper
 	// ChaosStats, when set, contributes a fault-injection snapshot to
-	// /routerz (the chaos section is omitted otherwise).
+	// statusz (the chaos section is omitted otherwise).
 	ChaosStats func() *api.ChaosStats
 	// HedgeEnabled turns on hedged replica reads: an idempotent solve is
 	// armed on the next ring successor after a tail-latency delay, and the
@@ -234,7 +220,7 @@ type Router struct {
 	retriesSpent     atomic.Int64
 	budgetExhausted  atomic.Int64
 
-	// Hedge counters (the /routerz hedge section).
+	// Hedge counters (the statusz hedge section).
 	hedgeArmed          atomic.Int64 // secondary requests actually launched
 	hedgeWins           atomic.Int64 // races won by the hedge
 	hedgePrimaryWins    atomic.Int64 // races won by the primary after arming
@@ -292,7 +278,6 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", r.handleSolve)
 	mux.HandleFunc("/v1/solve/batch", r.handleSolveBatch)
-	mux.HandleFunc("/routerz", r.handleRouterz)
 	mux.HandleFunc("/v1/statusz", r.handleStatusz)
 	mux.HandleFunc("/v1/healthz", r.handleHealthz)
 	mux.HandleFunc("/v1/tracez", r.handleTracez)
@@ -324,7 +309,7 @@ func (r *Router) materialize(sh Shard) (*shardState, error) {
 	return &shardState{name: sh.Name, addr: addr, managed: managed, healthy: true, weight: sh.VnodeWeight}, nil
 }
 
-// Handler returns the HTTP API: /v1/solve (routed), /routerz,
+// Handler returns the HTTP API: /v1/solve (routed), /v1/statusz,
 // /v1/healthz and the token-gated /v1/admin surface.
 func (r *Router) Handler() http.Handler { return r.mux }
 
@@ -383,7 +368,7 @@ func (r *Router) candidates(key string) []*shardState {
 }
 
 // trackKey attributes a routed key to the shard that served it, for the
-// /routerz distribution (bounded; drops attribution past the cap).
+// statusz distribution (bounded; drops attribution past the cap).
 func (r *Router) trackKey(key string, shard string) {
 	h := KeyHash(key)
 	r.keysMu.Lock()
@@ -395,7 +380,7 @@ func (r *Router) trackKey(key string, shard string) {
 
 // forgetShardKeys drops the key attributions of a shard leaving the ring
 // (drain or removal): its keys re-attribute to their new owners as
-// traffic replays them, so /routerz reflects the post-change placement.
+// traffic replays them, so statusz reflects the post-change placement.
 func (r *Router) forgetShardKeys(name string) {
 	r.keysMu.Lock()
 	for h, shard := range r.keys {
@@ -785,18 +770,8 @@ func (r *Router) relay(w http.ResponseWriter, rel *relayable, isRetry, hedged bo
 	w.Write(rel.payload)
 }
 
-func (r *Router) handleRouterz(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		api.WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, errors.New("GET only"), 0)
-		return
-	}
-	out := r.routerz()
-	api.WriteJSON(w, http.StatusOK, out)
-}
-
-// handleStatusz answers the cross-tier introspection contract: the same
-// typed RouterzResponse, wrapped in a StatuszResponse that names the
-// tier. Shards expose the shard-shaped variant at the same path, so one
+// handleStatusz answers the cross-tier introspection contract: the typed
+// RouterzResponse, wrapped in a StatuszResponse that names the tier. Shards expose the shard-shaped variant at the same path, so one
 // client call pattern reads either tier.
 func (r *Router) handleStatusz(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
@@ -805,15 +780,15 @@ func (r *Router) handleStatusz(w http.ResponseWriter, req *http.Request) {
 	}
 	rz := r.routerz()
 	api.WriteJSON(w, http.StatusOK, api.StatuszResponse{
-		Schema: SchemaVersion,
+		Schema: api.SchemaVersion,
 		Tier:   api.TierRouter,
 		Build:  r.buildInfo(),
 		Router: &rz,
 	})
 }
 
-// routerz snapshots the router for /routerz and /v1/statusz.
-func (r *Router) routerz() RouterzResponse {
+// routerz snapshots the router for the router section of /v1/statusz.
+func (r *Router) routerz() api.RouterzResponse {
 	// Iterate the shard map, not the ring: drained shards are off the
 	// ring but operators still need to watch them coast to idle.
 	r.ringMu.RLock()
@@ -822,7 +797,7 @@ func (r *Router) routerz() RouterzResponse {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	statuses := make([]ShardStatus, 0, len(names))
+	statuses := make([]api.ShardStatus, 0, len(names))
 	healthy := 0
 	for _, n := range names {
 		// Report the shard's actual point count on the ring: weighted
@@ -843,8 +818,8 @@ func (r *Router) routerz() RouterzResponse {
 	}
 	r.keysMu.Unlock()
 
-	out := RouterzResponse{
-		Schema:        SchemaVersion,
+	out := api.RouterzResponse{
+		Schema:        api.SchemaVersion,
 		UptimeSeconds: time.Since(r.started).Seconds(),
 		Vnodes:        r.cfg.Vnodes,
 		Replicas:      r.cfg.Replicas,
@@ -854,7 +829,7 @@ func (r *Router) routerz() RouterzResponse {
 		Routed:        r.routed.Load(),
 		Failovers:     r.failovers.Load(),
 		Unroutable:    r.unroutable.Load(),
-		Keys: KeyDistribution{
+		Keys: api.KeyDistribution{
 			Distinct:  distinct,
 			Saturated: distinct >= maxTrackedKeys,
 			PerShard:  perShard,
@@ -898,8 +873,8 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	}
 	total := len(r.shards)
 	r.ringMu.RUnlock()
-	api.WriteJSON(w, http.StatusOK, RouterHealth{
-		Schema:        SchemaVersion,
+	api.WriteJSON(w, http.StatusOK, api.RouterHealth{
+		Schema:        api.SchemaVersion,
 		Status:        status,
 		HealthyShards: healthy,
 		TotalShards:   total,

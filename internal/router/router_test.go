@@ -6,13 +6,39 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/harness"
 	"repro/internal/server"
 )
+
+// TestMain is the package's leak check: once every test has shut its
+// routers and shards down, the goroutine count must come back to where it
+// started — a prober, hedge loser or forward that outlives Shutdown shows
+// up here with its stack.
+func TestMain(m *testing.M) {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		http.DefaultClient.CloseIdleConnections() // keep-alive reader/writer pairs are ours to drop
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d before the tests, %d after\n", before, after)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 // fakeShard is a minimal shard-API stand-in: it answers /v1/solve with a
 // canned body naming itself and /v1/healthz with a settable status, and
@@ -52,7 +78,7 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 		if !ok {
 			status = "draining"
 		}
-		json.NewEncoder(w).Encode(server.HealthResponse{Schema: server.SchemaVersion, Status: status})
+		json.NewEncoder(w).Encode(api.HealthResponse{Schema: api.SchemaVersion, Status: status})
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
@@ -101,7 +127,7 @@ func solveBody(t *testing.T, gen string, n int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(server.SolveRequest{Matrix: &spec, Seed: 7})
+	body, err := json.Marshal(api.SolveRequest{Matrix: &spec, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +161,7 @@ func TestRouterAffinity(t *testing.T) {
 	for _, n := range sizes {
 		body := solveBody(t, "poisson2d", n)
 		spec, _ := harness.NewMatrixSpec("poisson2d", n, 0)
-		id, err := server.ResolveIdentity(&server.SolveRequest{Matrix: &spec})
+		id, err := server.ResolveIdentity(&api.SolveRequest{Matrix: &spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,12 +191,12 @@ func TestRouterFailoverOnConnectionFailure(t *testing.T) {
 	var key string
 	for n := 16; n < 400; n++ {
 		spec, _ := harness.NewMatrixSpec("tridiag", n, 0)
-		id, err := server.ResolveIdentity(&server.SolveRequest{Matrix: &spec})
+		id, err := server.ResolveIdentity(&api.SolveRequest{Matrix: &spec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.ring.Lookup(id.Key) == "s1" {
-			req := server.SolveRequest{Matrix: &spec, Seed: 7}
+			req := api.SolveRequest{Matrix: &spec, Seed: 7}
 			body, _ = json.Marshal(req)
 			key = id.Key
 			break
@@ -319,7 +345,8 @@ func TestRouterProbeEjectionAndReadmission(t *testing.T) {
 	}
 }
 
-// TestRouterzEndpoint pins the /routerz schema and its shard map.
+// TestRouterzEndpoint pins the router section of /v1/statusz and its
+// shard map.
 func TestRouterzEndpoint(t *testing.T) {
 	fakes := []*fakeShard{newFakeShard(t, "s0"), newFakeShard(t, "s1"), newFakeShard(t, "s2")}
 	_, ts := testRouter(t, Config{ProbeInterval: time.Hour}, fakes...)
@@ -329,17 +356,9 @@ func TestRouterzEndpoint(t *testing.T) {
 			t.Fatalf("n=%d: status %d", n, code)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/routerz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var rz RouterzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rz); err != nil {
-		t.Fatal(err)
-	}
-	if rz.Schema != SchemaVersion || len(rz.Shards) != 3 || rz.HealthyShards != 3 {
-		t.Errorf("routerz %+v: want schema %d, 3 healthy shards", rz, SchemaVersion)
+	rz := routerzOf(t, ts.URL)
+	if rz.Schema != api.SchemaVersion || len(rz.Shards) != 3 || rz.HealthyShards != 3 {
+		t.Errorf("routerz %+v: want schema %d, 3 healthy shards", rz, api.SchemaVersion)
 	}
 	if rz.Routed != 4 || rz.Keys.Distinct != 4 {
 		t.Errorf("routed=%d distinct keys=%d, want 4 and 4", rz.Routed, rz.Keys.Distinct)
@@ -367,7 +386,7 @@ func TestRouterzEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hz.Body.Close()
-	var h RouterHealth
+	var h api.RouterHealth
 	if err := json.NewDecoder(hz.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +416,7 @@ func TestRouterValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var er server.ErrorResponse
+		var er api.Error
 		json.NewDecoder(resp.Body).Decode(&er)
 		resp.Body.Close()
 		if resp.StatusCode != tc.code || er.Message == "" {

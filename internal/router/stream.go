@@ -153,7 +153,7 @@ func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api
 		tr.SetError(api.CodeUnroutable)
 		if sse && !clientGone {
 			frame, merr := api.MarshalSSE(&api.SolveEvent{Kind: api.EventError, Error: &api.Error{
-				Schema:  SchemaVersion,
+				Schema:  api.SchemaVersion,
 				Code:    api.CodeUnroutable,
 				Message: fmt.Sprintf("shard %s died mid-stream: %v", target.name, copyErr),
 			}})

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/server"
 )
 
 // solveRequestOf decodes a solveBody back into the typed request the
@@ -139,7 +138,7 @@ func TestSchemaStampStatusz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stamped); err != nil {
 		t.Fatal(err)
 	}
-	if stamped.Schema != server.SchemaVersion {
-		t.Errorf("schema %d, want %d", stamped.Schema, server.SchemaVersion)
+	if stamped.Schema != api.SchemaVersion {
+		t.Errorf("schema %d, want %d", stamped.Schema, api.SchemaVersion)
 	}
 }

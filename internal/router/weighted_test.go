@@ -117,7 +117,7 @@ func TestApplyReweightsShard(t *testing.T) {
 		t.Errorf("VNodes(s1) = %d, want untouched 16", got)
 	}
 
-	// /routerz reports the lived truth: actual vnode counts and weights.
+	// statusz reports the lived truth: actual vnode counts and weights.
 	rz := routerzOf(t, ts.URL)
 	for _, s := range rz.Shards {
 		switch s.Name {

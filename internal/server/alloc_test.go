@@ -10,6 +10,7 @@ package server
 import (
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/harness"
 )
 
@@ -44,11 +45,11 @@ func TestZeroAllocWarmSolvePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := &SolveRequest{Matrix: &spec, Solver: tc.solver, Scheme: tc.scheme, Seed: 3}
+		req := &api.SolveRequest{Matrix: &spec, Solver: tc.solver, Scheme: tc.scheme, Seed: 3}
 		ent, sc := warmEntry(t, s, req)
 
 		solve := func() {
-			if out := s.solve(ent, sc, req.ResolvedRHSSeed(), nil); out.err != nil {
+			if out := s.solve(ent, sc, req.ResolvedRHSSeed(), nil, nil, nil); out.err != nil {
 				t.Fatalf("%s: %v", name, out.err)
 			}
 		}
@@ -66,7 +67,7 @@ func TestZeroAllocWarmSolvePath(t *testing.T) {
 		// pooled there.
 		tr := s.tracer.Start("")
 		traced := func() {
-			if out := s.solve(ent, sc, req.ResolvedRHSSeed(), tr); out.err != nil {
+			if out := s.solve(ent, sc, req.ResolvedRHSSeed(), tr, nil, nil); out.err != nil {
 				t.Fatalf("%s traced: %v", name, out.err)
 			}
 		}
@@ -101,12 +102,12 @@ func TestZeroAllocWarmBatchPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := &SolveRequest{Matrix: &spec, Solver: tc.solver, Scheme: tc.scheme, Seed: 3}
+		req := &api.SolveRequest{Matrix: &spec, Solver: tc.solver, Scheme: tc.scheme, Seed: 3}
 		ent, sc := warmEntry(t, s, req)
 
 		// One 3-wide task, reused across runs exactly as the scheduler
 		// reuses a coalesced group (outs are overwritten in place).
-		tk := newTask("", []rhsSpec{{3, 3}, {4, 4}, {5, 5}})
+		tk := newTask("", []api.BatchRHS{{Seed: 3}, {Seed: 4}, {Seed: 5}})
 		group := []*task{tk}
 		solve := func() {
 			s.runGroup(ent, sc, group)

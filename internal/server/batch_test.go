@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // postBatch posts the batch request and decodes the body into out (a
-// *BatchSolveResponse for 200, *ErrorResponse otherwise). Returns the
+// *api.BatchSolveResponse for 200, *api.Error otherwise). Returns the
 // status.
-func postBatch(t *testing.T, url string, req *BatchSolveRequest, out any) int {
+func postBatch(t *testing.T, url string, req *api.BatchSolveRequest, out any) int {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -44,13 +46,13 @@ func TestBatchSolveMatchesSingles(t *testing.T) {
 		{"pcg", "abft-correction"},
 	} {
 		name := tc.solver + "/" + tc.scheme
-		breq := &BatchSolveRequest{
+		breq := &api.BatchSolveRequest{
 			SolveRequest: *poisson2DRequest(225),
-			RHS:          []BatchRHS{{Seed: 1}, {Seed: 2}, {Seed: 3}},
+			RHS:          []api.BatchRHS{{Seed: 1}, {Seed: 2}, {Seed: 3}},
 		}
 		breq.Solver, breq.Scheme = tc.solver, tc.scheme
 
-		var first, second BatchSolveResponse
+		var first, second api.BatchSolveResponse
 		if code := postBatch(t, ts.URL, breq, &first); code != http.StatusOK {
 			t.Fatalf("%s: status %d", name, code)
 		}
@@ -78,7 +80,7 @@ func TestBatchSolveMatchesSingles(t *testing.T) {
 
 			single := poisson2DRequest(225)
 			single.Solver, single.Scheme, single.Seed = tc.solver, tc.scheme, int64(i+1)
-			var sr SolveResponse
+			var sr api.SolveResponse
 			if code := postSolve(t, ts.URL, single, &sr); code != http.StatusOK {
 				t.Fatalf("%s rhs %d single: status %d", name, i, code)
 			}
@@ -93,13 +95,13 @@ func TestBatchSolveMatchesSingles(t *testing.T) {
 func TestBatchValidation(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
 
-	var er ErrorResponse
-	empty := &BatchSolveRequest{SolveRequest: *poisson2DRequest(16)}
+	var er api.Error
+	empty := &api.BatchSolveRequest{SolveRequest: *poisson2DRequest(16)}
 	if code := postBatch(t, ts.URL, empty, &er); code != http.StatusBadRequest {
 		t.Errorf("empty rhs: status %d, want 400", code)
 	}
 
-	over := &BatchSolveRequest{SolveRequest: *poisson2DRequest(16), RHS: make([]BatchRHS, maxBatchRHS+1)}
+	over := &api.BatchSolveRequest{SolveRequest: *poisson2DRequest(16), RHS: make([]api.BatchRHS, api.MaxBatchRHS+1)}
 	if code := postBatch(t, ts.URL, over, &er); code != http.StatusBadRequest {
 		t.Errorf("oversized rhs: status %d, want 400", code)
 	}
@@ -131,10 +133,10 @@ func TestCoalescingMergesQueuedSingles(t *testing.T) {
 	// The blocker occupies the only solver slot on a different matrix, so
 	// it can never merge with the requests queuing behind it.
 	blocker := poisson2DRequest(64)
-	results := make(chan SolveResponse, 4)
-	async := func(req *SolveRequest) {
+	results := make(chan api.SolveResponse, 4)
+	async := func(req *api.SolveRequest) {
 		go func() {
-			var resp SolveResponse
+			var resp api.SolveResponse
 			if code := postSolve(t, ts.URL, req, &resp); code != http.StatusOK {
 				t.Errorf("status %d, want 200", code)
 			}
@@ -172,7 +174,7 @@ func TestCoalescingMergesQueuedSingles(t *testing.T) {
 	for seed, want := range hashes {
 		req := poisson2DRequest(225)
 		req.Seed = seed
-		var resp SolveResponse
+		var resp api.SolveResponse
 		if code := postSolve(t, ts.URL, req, &resp); code != http.StatusOK {
 			t.Fatalf("seed %d: status %d", seed, code)
 		}
@@ -199,9 +201,9 @@ func TestCoalesceMixedDeadlines(t *testing.T) {
 	}
 
 	blocker := poisson2DRequest(64)
-	okCodes := make(chan SolveResponse, 4)
+	okCodes := make(chan api.SolveResponse, 4)
 	go func() {
-		var resp SolveResponse
+		var resp api.SolveResponse
 		postSolve(t, ts.URL, blocker, &resp)
 		okCodes <- resp
 	}()
@@ -212,7 +214,7 @@ func TestCoalesceMixedDeadlines(t *testing.T) {
 		req := poisson2DRequest(225)
 		req.Seed = int64(i + 1)
 		go func() {
-			var resp SolveResponse
+			var resp api.SolveResponse
 			if code := postSolve(t, ts.URL, req, &resp); code != http.StatusOK {
 				t.Errorf("patient request: status %d, want 200", code)
 			}
@@ -224,7 +226,7 @@ func TestCoalesceMixedDeadlines(t *testing.T) {
 	timed.TimeoutMillis = 50
 	timedCode := make(chan int, 1)
 	go func() {
-		var er ErrorResponse
+		var er api.Error
 		timedCode <- postSolve(t, ts.URL, timed, &er)
 	}()
 	waitFor(t, func() bool { return s.sched.depth() >= 3 })
@@ -268,17 +270,17 @@ func TestBatchSurvivesMidQueueEviction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var resp SolveResponse
+		var resp api.SolveResponse
 		postSolve(t, ts.URL, blocker, &resp)
 	}()
 	<-entered
 
 	// The batch queues holding its materialised entry.
-	breq := &BatchSolveRequest{
+	breq := &api.BatchSolveRequest{
 		SolveRequest: *poisson2DRequest(225),
-		RHS:          []BatchRHS{{Seed: 1}, {Seed: 2}},
+		RHS:          []api.BatchRHS{{Seed: 1}, {Seed: 2}},
 	}
-	var batchResp BatchSolveResponse
+	var batchResp api.BatchSolveResponse
 	batchDone := make(chan int, 1)
 	go func() {
 		batchDone <- postBatch(t, ts.URL, breq, &batchResp)
@@ -291,7 +293,7 @@ func TestBatchSurvivesMidQueueEviction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var resp SolveResponse
+		var resp api.SolveResponse
 		postSolve(t, ts.URL, other, &resp)
 	}()
 	waitFor(t, func() bool { return s.sched.depth() >= 2 })
@@ -308,7 +310,7 @@ func TestBatchSurvivesMidQueueEviction(t *testing.T) {
 	}
 
 	// Refetch: the matrix rebuilds from its spec and must hash identically.
-	var again BatchSolveResponse
+	var again api.BatchSolveResponse
 	if code := postBatch(t, ts.URL, breq, &again); code != http.StatusOK {
 		t.Fatalf("refetch batch: status %d", code)
 	}

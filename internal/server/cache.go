@@ -6,10 +6,10 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/precond"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 )
@@ -215,10 +215,10 @@ func (c *cache) noteBatchWidth(e *entry, k int) {
 	c.evictOverBudgetLocked()
 }
 
-func (c *cache) stats() CacheStats {
+func (c *cache) stats() api.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	return api.CacheStats{
 		Entries:       c.ll.Len(),
 		Capacity:      c.capacity,
 		Bytes:         c.bytes,
@@ -327,14 +327,7 @@ func (e *entry) precondFor(kind string) (*sparse.CSR, error) {
 	if m, ok := e.preconds[kind]; ok {
 		return m, nil
 	}
-	var m *sparse.CSR
-	var err error
-	switch kind {
-	case "neumann":
-		m, err = precond.Neumann(e.a, precond.NeumannOptions{})
-	default:
-		m, err = precond.Jacobi(e.a)
-	}
+	m, err := harness.BuildPrecond(e.a, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -365,6 +358,31 @@ func (e *entry) intervalsFor(scheme core.Scheme, alpha float64) (d, s int) {
 	return d, s
 }
 
+// artifactsFor resolves what a solve of sc on this matrix needs beyond the
+// matrix and its right-hand sides, from the entry's caches: the explicit
+// preconditioner for pcg, and — where the request left d or s open on a
+// protected scheme — the model-optimal intervals, the same values the
+// drivers would derive per solve from the same inputs.
+func (e *entry) artifactsFor(sc harness.Scenario) (harness.Scenario, *sparse.CSR, error) {
+	var m *sparse.CSR
+	if sc.Solver == "pcg" {
+		var err error
+		if m, err = e.precondFor(sc.Precond); err != nil {
+			return sc, nil, err
+		}
+	}
+	if scheme, unprotected, _ := harness.ParseScheme(sc.Scheme); !unprotected && (sc.D == 0 || sc.S == 0) {
+		d, s := e.intervalsFor(scheme, sc.Alpha)
+		if sc.D == 0 {
+			sc.D = d
+		}
+		if sc.S == 0 {
+			sc.S = s
+		}
+	}
+	return sc, m, nil
+}
+
 // solveCtx is the per-request execution context drawn from an entry's
 // pool: a warm workspace pair, the residual-history buffer and the
 // recording closure bound to it. Everything is built once, so a warm
@@ -393,9 +411,6 @@ func newSolveCtx() *solveCtx {
 	}
 	return c
 }
-
-// clearTrace detaches the trace before the context returns to the pool.
-func (c *solveCtx) clearTrace() { c.trace = nil }
 
 // batchCtx is the per-group execution context of a blocked solve, drawn
 // from an entry's bctxs pool: the reusable block workspaces plus the

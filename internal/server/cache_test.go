@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/sparse"
@@ -154,17 +155,17 @@ func TestEntryPrecondAndIntervalCaching(t *testing.T) {
 // inline matrices: equal content maps to the same cache key, any value
 // perturbation to a different one.
 func TestInlineFingerprintKeying(t *testing.T) {
-	inline := func() *InlineCSR {
-		return &InlineCSR{
+	inline := func() *api.InlineCSR {
+		return &api.InlineCSR{
 			Rows: 2, Cols: 2,
 			Rowidx: []int{0, 2, 3},
 			Colid:  []int{0, 1, 1},
 			Val:    []float64{4, -1, 4},
 		}
 	}
-	key := func(ic *InlineCSR) string {
+	key := func(ic *api.InlineCSR) string {
 		t.Helper()
-		id, err := ResolveIdentity(&SolveRequest{Inline: ic})
+		id, err := ResolveIdentity(&api.SolveRequest{Inline: ic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestInlineFingerprintKeying(t *testing.T) {
 func TestSpecKeyingDistinguishesParameters(t *testing.T) {
 	keyOf := func(spec harness.MatrixSpec) string {
 		t.Helper()
-		id, err := ResolveIdentity(&SolveRequest{Matrix: &spec})
+		id, err := ResolveIdentity(&api.SolveRequest{Matrix: &spec})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,12 +3,13 @@ package server
 import (
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/harness"
 )
 
 // warmEntry resolves and materialises the request's cache entry exactly
 // like the handler does. Shared by the determinism and allocation gates.
-func warmEntry(t *testing.T, s *Server, req *SolveRequest) (*entry, harness.Scenario) {
+func warmEntry(t *testing.T, s *Server, req *api.SolveRequest) (*entry, harness.Scenario) {
 	t.Helper()
 	req.WithDefaults()
 	if err := req.Validate(); err != nil {
@@ -39,14 +40,14 @@ func TestWarmSolveBitIdentical(t *testing.T) {
 		{"bicgstab", "abft-correction"},
 		{"cg", "unprotected"},
 	} {
-		req := &SolveRequest{Matrix: &spec, Solver: tc.solver, Scheme: tc.scheme, Seed: 11}
+		req := &api.SolveRequest{Matrix: &spec, Solver: tc.solver, Scheme: tc.scheme, Seed: 11}
 
 		hashes := make(map[uint64]int)
 		for round := 0; round < 2; round++ {
 			s := New(Config{Workers: 1, Concurrency: 1})
 			ent, sc := warmEntry(t, s, req)
 			for rep := 0; rep < 3; rep++ { // rep 0 cold, reps 1–2 warm
-				out := s.solve(ent, sc, req.ResolvedRHSSeed(), nil)
+				out := s.solve(ent, sc, req.ResolvedRHSSeed(), nil, nil, nil)
 				if out.err != nil {
 					t.Fatalf("%s/%s: %v", tc.solver, tc.scheme, out.err)
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/api"
 	"repro/internal/harness"
 	"repro/internal/sparse"
 )
@@ -32,7 +33,7 @@ type Identity struct {
 // already be validated (exactly one of Matrix and Inline set); inline
 // matrices are structurally validated here because their fingerprint is
 // only meaningful for a well-formed CSR.
-func ResolveIdentity(req *SolveRequest) (Identity, error) {
+func ResolveIdentity(req *api.SolveRequest) (Identity, error) {
 	if req.Inline != nil {
 		a, err := req.Inline.ToCSR()
 		if err != nil {

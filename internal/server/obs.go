@@ -60,17 +60,21 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// traceSolved records the queue-wait/solve/coalesce spans and latency
-// observations of a completed task and fills the trace's solver tallies
-// from the authoritative per-lane statistics (summed across a batch).
-func (s *Server) traceSolved(tr *obs.Active, t *task, out *solveOutcome, submitAt int64, solverName string) {
+// settle accounts for a completed task on every surface at once: the
+// queue-wait/solve/coalesce spans and latency observations, the trace's
+// solver tallies from the authoritative per-lane statistics (summed across
+// a batch), and the completed/failed counters. A task with a failed lane
+// marks its trace with the first lane error, whichever edge it came in by.
+func (s *Server) settle(tr *obs.Active, t *task, submitAt int64, solverName string) {
+	solveNanos := t.outs[0].solveNanos // one blocked solve: shared by every lane
 	tr.AddSpan(obs.SpanQueueWait, "", "", submitAt, t.queueNanos)
 	solveStart := submitAt + t.queueNanos
-	tr.AddSpan(obs.SpanSolve, s.cfg.ShardLabel, solverName, solveStart, out.solveNanos)
+	tr.AddSpan(obs.SpanSolve, s.cfg.ShardLabel, solverName, solveStart, solveNanos)
 	if t.coalesced > len(t.specs) {
-		tr.AddSpan(obs.SpanCoalesce, "", "width="+strconv.Itoa(t.coalesced), solveStart, out.solveNanos)
+		tr.AddSpan(obs.SpanCoalesce, "", "width="+strconv.Itoa(t.coalesced), solveStart, solveNanos)
 	}
 	var tally obs.SolverTallies
+	var firstErr error
 	for i := range t.outs {
 		st := &t.outs[i].stats
 		tally.Iterations += int64(st.UsefulIterations)
@@ -80,10 +84,20 @@ func (s *Server) traceSolved(tr *obs.Active, t *task, out *solveOutcome, submitA
 		tally.Rollbacks += st.Rollbacks
 		tally.Checkpoints += st.Checkpoints
 		tally.FaultsInjected += st.FaultsInjected
+		if err := t.outs[i].err; err != nil {
+			s.failed.Add(1)
+			if firstErr == nil {
+				firstErr = err
+			}
+		}
 	}
 	tr.FillSolver(tally)
+	if firstErr != nil {
+		tr.SetError(firstErr.Error())
+	}
 	s.queueHist.Observe(float64(t.queueNanos) / 1e9)
-	s.solveHist.Observe(float64(out.solveNanos) / 1e9)
+	s.solveHist.Observe(float64(solveNanos) / 1e9)
+	s.completed.Add(1)
 }
 
 // buildInfo identifies this process for statusz scrapes.
@@ -102,8 +116,8 @@ func (s *Server) buildInfo() *api.BuildInfo {
 // an exact by-ID lookup.
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		respondErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		api.WriteError(w, http.StatusMethodNotAllowed, "", errors.New("GET only"), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.TracezSnapshot(s.tracer, api.TierShard, r))
+	api.WriteJSON(w, http.StatusOK, api.TracezSnapshot(s.tracer, api.TierShard, r))
 }

@@ -16,7 +16,7 @@ import (
 
 // postSolveTraced posts a solve with an optional inbound trace header and
 // returns the decoded response plus the echoed trace header.
-func postSolveTraced(t *testing.T, url string, req *SolveRequest, inbound string) (*SolveResponse, string) {
+func postSolveTraced(t *testing.T, url string, req *api.SolveRequest, inbound string) (*api.SolveResponse, string) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -39,7 +39,7 @@ func postSolveTraced(t *testing.T, url string, req *SolveRequest, inbound string
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("solve: status %d (%s)", resp.StatusCode, raw)
 	}
-	var out SolveResponse
+	var out api.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +151,65 @@ func TestStreamedTerminalEventCarriesTraceID(t *testing.T) {
 	}
 }
 
+// TestFailedLaneMarksTrace: a solve that ran and failed is a 200 on the
+// wire, so the trace is where an operator sees it — on every edge, batches
+// included, marked with the first lane's error.
+func TestFailedLaneMarksTrace(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	c := api.NewClient(ts.URL)
+	ctx := context.Background()
+	starved := poisson2DRequest(225)
+	starved.MaxIters = 3
+
+	edges := map[string]func() (traceID, solveError string, err error){
+		"single": func() (string, string, error) {
+			resp, err := c.Solve(ctx, starved)
+			if err != nil {
+				return "", "", err
+			}
+			return resp.Result.TraceID, resp.SolveError, nil
+		},
+		"stream": func() (string, string, error) {
+			resp, err := c.SolveStream(ctx, starved, nil)
+			if err != nil {
+				return "", "", err
+			}
+			return resp.Result.TraceID, resp.SolveError, nil
+		},
+		"batch": func() (string, string, error) {
+			resp, err := c.SolveBatch(ctx, &api.BatchSolveRequest{SolveRequest: *starved, RHS: []api.BatchRHS{{Seed: 1}, {Seed: 2}}})
+			if err != nil {
+				return "", "", err
+			}
+			return resp.Results[0].Result.TraceID, resp.Results[0].SolveError, nil
+		},
+	}
+	for name, post := range edges {
+		id, solveErr, err := post()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if solveErr == "" {
+			t.Fatalf("%s: a 3-iteration budget did not fail the solve", name)
+		}
+		var got string
+		waitFor(t, func() bool { // the trace lands in the ring once the handler returns
+			tz, err := c.Tracez(ctx, 0, id)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(tz.Traces) == 0 {
+				return false
+			}
+			got = tz.Traces[0].Error
+			return true
+		})
+		if got != solveErr {
+			t.Errorf("%s: trace error %q, want the lane's solve error %q", name, got, solveErr)
+		}
+	}
+}
+
 // scrapeMetrics fetches /metrics and returns the value of each plain
 // (label-free) sample line.
 func scrapeMetrics(t *testing.T, url string) map[string]float64 {
@@ -190,7 +249,7 @@ func TestMetricsReconcileWithStatusz(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		req := poisson2DRequest(16)
 		req.Seed = int64(10 + i)
-		var out SolveResponse
+		var out api.SolveResponse
 		if code := postSolve(t, ts.URL, req, &out); code != http.StatusOK {
 			t.Fatalf("solve %d: status %d", i, code)
 		}

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -17,13 +19,6 @@ var (
 	errShuttingDown = errors.New("server: shutting down")
 )
 
-// rhsSpec is one right-hand side of a scheduled solve: its trial seed and
-// the seed of its manufactured right-hand side.
-type rhsSpec struct {
-	seed    int64
-	rhsSeed int64
-}
-
 // task is one scheduled solve request carrying one or more right-hand
 // sides. Ownership is decided by a single atomic claim: a worker claims it
 // to execute (alone or merged into a same-key block), or the request's
@@ -34,8 +29,10 @@ type task struct {
 	// the same matrix under the same scenario axes and may be merged into
 	// one block by the worker that dequeues the first of them. "" never
 	// coalesces.
-	key   string
-	specs []rhsSpec
+	key string
+	// specs are the right-hand sides: each one's trial seed and the seed of
+	// its manufactured vector, as the request named them.
+	specs []api.BatchRHS
 	// exec solves the whole merged group (set by the handler that created
 	// the task; only the group leader's exec runs). It must fill every
 	// group member's outs.
@@ -50,6 +47,11 @@ type task struct {
 	// recorded live. Coalesced blocks leave the members' traces alone —
 	// the handlers fill solver tallies from the per-lane stats instead.
 	trace *obs.Active
+	// onIter and onDet, when non-nil, watch the solve live — the streaming
+	// edge's event pump. Such a task has an empty key: its events must not
+	// interleave with other lanes'.
+	onIter func(it int, rho float64)
+	onDet  func(core.DetectionEvent)
 
 	enqueued   time.Time
 	queueNanos int64
@@ -57,7 +59,7 @@ type task struct {
 	done       chan struct{}
 }
 
-func newTask(key string, specs []rhsSpec) *task {
+func newTask(key string, specs []api.BatchRHS) *task {
 	return &task{
 		key:      key,
 		specs:    specs,

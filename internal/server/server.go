@@ -1,3 +1,27 @@
+// Package server implements the resident resilient-solve service: a
+// long-running HTTP/JSON front end over the scenario harness that accepts
+// solve requests (a named matrix spec or an inline CSR, a solver, a
+// protection scheme and fault-injection knobs), schedules them over the
+// shared worker-pool engine with a bounded queue and per-request
+// deadlines, and answers with the same schema-versioned result records the
+// campaign tooling emits.
+//
+// Its core is a per-matrix artifact cache: the assembled CSR, its
+// NNZ-balanced partition plans, the ABFT checksum encodings, explicit
+// preconditioners, manufactured right-hand sides, model-optimal
+// checkpoint/verification intervals and a pool of warm solver workspaces
+// are all built once per matrix and reused across requests, so a warm
+// fault-free solve of a known matrix performs zero heap allocations on the
+// request hot path (gated by alloc_test.go) and repeated identical
+// requests return bit-identical residual-history hashes.
+//
+// Every solve request, whatever its edge — buffered single, multi-RHS
+// batch or SSE stream — runs through one pipeline: admit (decode, validate,
+// make the matrix resident), await (queue, wait, account) and response (the
+// wire answer of one lane). The wire contract itself — every request and
+// response body, the error envelope, and the schema version — lives in
+// internal/api: server, router and clients all marshal the same types, so
+// the contract cannot drift between them.
 package server
 
 import (
@@ -15,7 +39,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/sparse"
 )
 
 // maxBodyBytes bounds a request body (inline matrices dominate).
@@ -139,7 +162,6 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", s.handleSolve)
 	mux.HandleFunc("/v1/solve/batch", s.handleSolveBatch)
-	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/statusz", s.handleStatusz)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/tracez", s.handleTracez)
@@ -209,48 +231,27 @@ type solveOutcome struct {
 // alloc_test.go); fault-injecting requests additionally construct their
 // injector. Deterministic: identical (entry, scenario, seeds) always
 // produce bit-identical residual histories.
-func (s *Server) solve(ent *entry, sc harness.Scenario, rhsSeed int64, tr *obs.Active) solveOutcome {
-	return s.solveHooked(ent, sc, rhsSeed, tr, nil, nil)
-}
-
-// solveHooked is solve with optional observers: tr receives the live
-// iteration tally through the context's pre-bound recorder (nil = not
-// traced; either way the warm path stays allocation-free), onIter sees
-// every useful iteration (after the fingerprint recorder) and onDet every
-// fault-detection episode. Nil hooks reproduce solve exactly — same
-// arithmetic, same zero-allocation warm path — because the observers ride
-// on hooks the solvers already expose. OnDetection is only forwarded on
-// the streaming path (non-nil onDet): the solver's per-episode emitter
-// costs an allocation when armed, which streaming already pays and the
-// warm buffered path must not.
-func (s *Server) solveHooked(ent *entry, sc harness.Scenario, rhsSeed int64, tr *obs.Active, onIter func(it int, rho float64), onDet func(core.DetectionEvent)) solveOutcome {
-	var out solveOutcome
+//
+// The observers are optional and ride on hooks the solvers already expose,
+// so nil ones change neither the arithmetic nor the zero-allocation warm
+// path: tr receives the live iteration tally through the context's
+// pre-bound recorder, onIter sees every useful iteration (after the
+// fingerprint recorder) and onDet every fault-detection episode.
+// OnDetection is only forwarded on the streaming path (non-nil onDet): the
+// solver's per-episode emitter costs an allocation when armed, which
+// streaming already pays and the warm buffered path must not.
+func (s *Server) solve(ent *entry, sc harness.Scenario, rhsSeed int64, tr *obs.Active, onIter func(it int, rho float64), onDet func(core.DetectionEvent)) solveOutcome {
 	c := ent.ctxs.Get().(*solveCtx)
-	defer ent.ctxs.Put(c)
 	c.trace = tr
-	defer c.clearTrace()
+	defer func() {
+		c.trace = nil // detached before the context returns to the pool
+		ent.ctxs.Put(c)
+	}()
 
-	b := ent.rhsFor(rhsSeed)
-	var m *sparse.CSR
-	if sc.Solver == "pcg" {
-		var err error
-		if m, err = ent.precondFor(sc.Precond); err != nil {
-			out.err = err
-			return out
-		}
+	sc, m, err := ent.artifactsFor(sc)
+	if err != nil {
+		return solveOutcome{err: err}
 	}
-	if scheme, unprotected, _ := harness.ParseScheme(sc.Scheme); !unprotected && (sc.D == 0 || sc.S == 0) {
-		// Inject the cached model-optimal intervals — the same values the
-		// drivers would derive per solve from the same inputs.
-		d, sOpt := ent.intervalsFor(scheme, sc.Alpha)
-		if sc.D == 0 {
-			sc.D = d
-		}
-		if sc.S == 0 {
-			sc.S = sOpt
-		}
-	}
-
 	c.hist = c.hist[:0]
 	record := c.record
 	if onIter != nil {
@@ -266,22 +267,20 @@ func (s *Server) solveHooked(ent *entry, sc harness.Scenario, rhsSeed int64, tr 
 			onDet(ev)
 		}
 	}
+	b := ent.rhsFor(rhsSeed)
 	start := time.Now()
 	_, st, err := harness.SolveWith(ent.a, b, sc, sc.Seed, harness.SolveOpts{
 		Pool: s.pool, Ws: c.ws, M: m, OnIteration: record, OnDetection: det,
 	})
-	out.solveNanos = time.Since(start).Nanoseconds()
-	out.stats = st
-	out.hash = harness.HashBits(c.hist)
-	out.err = err
-	return out
+	nanos := time.Since(start).Nanoseconds()
+	return solveOutcome{stats: st, hash: harness.HashBits(c.hist), err: err, solveNanos: nanos}
 }
 
 // coalesceKey names the axes a queued request must share to be merged into
 // one blocked solve: the matrix identity plus every scenario axis except
 // the per-RHS seeds and the deadline. Requests with equal keys are
 // interchangeable lanes of one block.
-func coalesceKey(idKey string, r *SolveRequest) string {
+func coalesceKey(idKey string, r *api.SolveRequest) string {
 	return fmt.Sprintf("%s|%s|%s|%s|%g|%g|%d|%d|%d",
 		idKey, r.Solver, r.Precond, r.Scheme, r.Alpha, r.Tol, r.MaxIters, r.S, r.D)
 }
@@ -298,8 +297,8 @@ func (s *Server) runGroup(ent *entry, sc harness.Scenario, group []*task) {
 	if total == 1 {
 		t := group[0]
 		t.coalesced = 1
-		sc.Seed = t.specs[0].seed
-		t.outs[0] = s.solve(ent, sc, t.specs[0].rhsSeed, t.trace)
+		sc.Seed = t.specs[0].Seed
+		t.outs[0] = s.solve(ent, sc, t.specs[0].ResolvedRHSSeed(), t.trace, t.onIter, t.onDet)
 		return
 	}
 	s.solveBlock(ent, sc, group, total)
@@ -321,29 +320,15 @@ func (s *Server) solveBlock(ent *entry, sc harness.Scenario, group []*task, k in
 	for _, t := range group {
 		t.coalesced = k
 		for _, spec := range t.specs {
-			c.bs[i] = ent.rhsFor(spec.rhsSeed)
-			c.seeds[i] = spec.seed
+			c.bs[i] = ent.rhsFor(spec.ResolvedRHSSeed())
+			c.seeds[i] = spec.Seed
 			c.hists[i] = c.hists[i][:0]
 			i++
 		}
 	}
 
-	var m *sparse.CSR
-	var setupErr error
-	if sc.Solver == "pcg" {
-		m, setupErr = ent.precondFor(sc.Precond)
-	}
-	if scheme, unprotected, _ := harness.ParseScheme(sc.Scheme); setupErr == nil && !unprotected && (sc.D == 0 || sc.S == 0) {
-		d, sOpt := ent.intervalsFor(scheme, sc.Alpha)
-		if sc.D == 0 {
-			sc.D = d
-		}
-		if sc.S == 0 {
-			sc.S = sOpt
-		}
-	}
-
 	var nanos int64
+	sc, m, setupErr := ent.artifactsFor(sc)
 	if setupErr == nil {
 		start := time.Now()
 		setupErr = harness.SolveBlockWith(ent.a, c.bs[:k], sc, c.seeds[:k], harness.BlockOpts{
@@ -369,82 +354,75 @@ func (s *Server) solveBlock(ent *entry, sc harness.Scenario, group []*task, k in
 	}
 }
 
-// record shapes a solve outcome as the standard campaign record.
-func (s *Server) record(ent *entry, sc harness.Scenario, out solveOutcome) harness.Result {
-	st := out.stats
-	r := harness.Result{
-		Schema:   harness.SchemaVersion,
-		Scenario: sc,
-		Workers:  s.cfg.Workers,
-		Matrix: harness.MatrixInfo{
-			Label:   ent.label,
-			N:       ent.a.Rows,
-			NNZ:     ent.a.NNZ(),
-			Density: ent.a.Density(),
-		},
-		Reps:             1,
-		D:                st.D,
-		S:                st.S,
-		MeanUsefulIters:  float64(st.UsefulIterations),
-		MeanTotalIters:   float64(st.TotalIterations),
-		Detections:       st.Detections,
-		Corrections:      st.Corrections,
-		Rollbacks:        st.Rollbacks,
-		Checkpoints:      st.Checkpoints,
-		FaultsInjected:   st.FaultsInjected,
-		MeanSimTime:      st.SimTime,
-		SimTimes:         []float64{st.SimTime},
-		MaxFinalResidual: st.FinalResidual,
-		FlopsPerIter:     core.CGFlopsPerIter(ent.a),
-		ResidualHash:     harness.FormatHash(out.hash),
-		WallSeconds:      float64(out.solveNanos) / 1e9,
-		Shard:            s.cfg.ShardLabel,
-	}
-	if sc.Solver == "bicgstab" {
-		r.FlopsPerIter *= 2
-	}
-	if st.Converged {
-		r.Converged = 1
-	}
-	if out.err != nil {
-		r.Failures = 1
-	}
-	return r
+// solveBody is what admission needs of a request body; both
+// *api.SolveRequest and *api.BatchSolveRequest provide it.
+type solveBody interface {
+	WithDefaults()
+	Validate() error
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+// admission is a request that passed admission: decoded and validated, its
+// trace started and its matrix resident. The edge that called admit owns
+// finishing the trace.
+type admission struct {
+	tr  *obs.Active
+	ent *entry
+	hit bool
+	// key is the coalescing identity (coalesceKey) of the matrix and axes.
+	key string
+	// axes are the scenario axes every lane shares: the request itself,
+	// or the SolveRequest a batch embeds.
+	axes *api.SolveRequest
+}
+
+// refuse answers a traced request with the error envelope and marks its
+// trace with the same code.
+func refuse(w http.ResponseWriter, tr *obs.Active, status int, code string, err error, retryMillis int) {
+	tr.SetError(code)
+	api.WriteError(w, status, code, err, retryMillis)
+}
+
+// decode reads, defaults and validates the body and resolves the identity
+// of its matrix; every error it returns is the client's (400).
+func decode(w http.ResponseWriter, r *http.Request, body solveBody, axes *api.SolveRequest) (Identity, error) {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(body); err != nil {
+		return Identity{}, fmt.Errorf("decoding request: %w", err)
+	}
+	body.WithDefaults()
+	if err := body.Validate(); err != nil {
+		return Identity{}, err
+	}
+	return ResolveIdentity(axes)
+}
+
+// admit is the front half of every solve request, whatever its edge: it
+// decodes body (whose scenario axes are axes), validates it and makes the
+// matrix resident. A nil result means the request was already answered —
+// 405, 503 while draining, or a 400 naming what is wrong — and its trace
+// finished.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, body solveBody, axes *api.SolveRequest) (a *admission) {
 	if r.Method != http.MethodPost {
-		respondErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
+		api.WriteError(w, http.StatusMethodNotAllowed, "", errors.New("POST only"), 0)
+		return nil
 	}
 	// Reuse a valid inbound trace ID (a fronting router minted one) or
 	// mint a fresh one; either way the response echoes it before anything
 	// can fail, so even error envelopes are correlatable.
 	tr := s.tracer.Start(r.Header.Get(api.TraceHeader))
-	defer s.tracer.Finish(tr)
+	defer func() {
+		if a == nil {
+			s.tracer.Finish(tr)
+		}
+	}()
 	w.Header().Set(api.TraceHeader, tr.ID())
 	if s.draining.Load() {
-		tr.SetError(api.CodeDraining)
-		api.WriteError(w, http.StatusServiceUnavailable, api.CodeDraining, errShuttingDown, retryAfterDrainingMillis)
-		return
+		refuse(w, tr, http.StatusServiceUnavailable, api.CodeDraining, errShuttingDown, retryAfterDrainingMillis)
+		return nil
 	}
-	var req SolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		tr.SetError(api.CodeBadRequest)
-		respondErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	req.WithDefaults()
-	if err := req.Validate(); err != nil {
-		tr.SetError(api.CodeBadRequest)
-		respondErr(w, http.StatusBadRequest, err)
-		return
-	}
-	id, err := ResolveIdentity(&req)
+	id, err := decode(w, r, body, axes)
 	if err != nil {
-		tr.SetError(api.CodeBadRequest)
-		respondErr(w, http.StatusBadRequest, err)
-		return
+		refuse(w, tr, http.StatusBadRequest, api.CodeBadRequest, err, 0)
+		return nil
 	}
 	ent, hit := s.cache.get(id.Key, id.Label, id.Spec)
 	// Materialise on the handler goroutine: the cold construction cost
@@ -452,194 +430,194 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// same matrix block here on a single build.
 	fillStart := tr.Now()
 	if err := ent.materialise(s.kernelWorkers(), id.Build); err != nil {
-		tr.SetError(api.CodeBadRequest)
-		respondErr(w, http.StatusBadRequest, err)
-		return
+		refuse(w, tr, http.StatusBadRequest, api.CodeBadRequest, err, 0)
+		return nil
 	}
 	if !hit {
 		tr.AddSpan(obs.SpanCacheFill, s.cfg.ShardLabel, ent.label, fillStart, tr.Now()-fillStart)
 	}
 	s.cache.noteMaterialised(ent)
-	sc := req.Scenario(ent.spec, ent.label)
+	return &admission{tr: tr, ent: ent, hit: hit, key: coalesceKey(id.Key, axes), axes: axes}
+}
 
-	if wantsStream(r) {
-		// Streaming needs a flushing ResponseWriter; without one (an
-		// unusual middleware stack) the request falls through to the
-		// buffered path — the client's Accept is a preference, not a
-		// contract.
-		if _, ok := w.(http.Flusher); ok {
-			s.handleSolveStream(w, r, ent, hit, sc, &req, tr)
-			return
-		}
-	}
-
-	t := newTask(coalesceKey(id.Key, &req), []rhsSpec{{seed: req.Seed, rhsSeed: req.ResolvedRHSSeed()}})
+// await is the back half: it queues the admitted request's right-hand
+// sides as one task and blocks until the task is solved or its deadline
+// claims it while still queued. It answers 429/503/504 itself and returns
+// the completed task, accounted for, or nil. A task a worker already
+// claimed runs to completion and is delivered — the deadline bounds queue
+// wait, not a started solve. For a batch the deadline covers the whole
+// request: expiry while queued answers 504 for every right-hand side
+// (merged-in singles keep their own deadlines and answers).
+//
+// A non-nil pump makes the solve a streamed one: it never coalesces (the
+// result bits would still match, but the per-iteration events would
+// interleave lanes), its progress is written to the client while it runs,
+// and an expiry that comes after the stream opened is a terminal error
+// frame instead of a 504.
+func (s *Server) await(w http.ResponseWriter, r *http.Request, a *admission, rhs []api.BatchRHS, pump *eventPump) *task {
+	tr := a.tr
+	t := newTask(a.key, rhs)
+	// The solve runs on the scheduler goroutine while this one waits (and
+	// pumps); handing it the trace is safe because the handler only reads
+	// the trace after t.done.
 	t.trace = tr
+	var events chan api.SolveEvent // nil, so never ready, unless streaming
+	if pump != nil {
+		t.key = ""
+		t.onIter, t.onDet = pump.onIter, pump.onDet
+		events = pump.events
+	}
+	sc := a.axes.Scenario(a.ent.spec, a.ent.label)
 	t.exec = func(group []*task) {
 		if hook := s.testHookPreSolve; hook != nil {
 			hook()
 		}
-		s.runGroup(ent, sc, group)
-	}
-	submitAt := tr.Now()
-	if !s.await(w, r, t, req.TimeoutMillis, tr) {
-		return
+		s.runGroup(a.ent, sc, group)
 	}
 
-	out := t.outs[0]
-	s.traceSolved(tr, t, &out, submitAt, sc.Solver)
-	resp := SolveResponse{
-		Schema:      SchemaVersion,
-		Result:      s.record(ent, sc, out),
-		CacheHit:    hit,
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(a.axes.TimeoutMillis))
+	defer cancel()
+	submitAt := tr.Now()
+	if err := s.sched.submit(t); err != nil {
+		if errors.Is(err, errQueueFull) {
+			s.rejected.Add(1)
+			refuse(w, tr, http.StatusTooManyRequests, api.CodeSaturated, err, retryAfterSaturatedMillis)
+		} else {
+			refuse(w, tr, http.StatusServiceUnavailable, api.CodeDraining, err, retryAfterDrainingMillis)
+		}
+		return nil
+	}
+	// The refusals above are ordinary JSON envelopes: a stream only opens
+	// once the task is queued, so a client always gets either a plain
+	// rejection or a stream with a terminal frame.
+	ctxDone := ctx.Done()
+	for {
+		select {
+		case ev := <-events:
+			pump.send(&ev)
+		case <-ctxDone:
+			if t.claim() {
+				// Still queued: abandon it before a worker (or a coalescing
+				// scan) picks it up. The solve never ran.
+				s.expired.Add(1)
+				err := fmt.Errorf("deadline exceeded while queued: %w", ctx.Err())
+				if pump != nil {
+					tr.SetError(api.CodeExpired)
+					pump.send(&api.SolveEvent{Kind: api.EventError, Error: &api.Error{
+						Schema: api.SchemaVersion, Code: api.CodeExpired, Message: err.Error(),
+					}})
+				} else {
+					refuse(w, tr, http.StatusGatewayTimeout, api.CodeExpired, err, 0)
+				}
+				return nil
+			}
+			// A worker owns it: keep waiting (and streaming) until it
+			// completes.
+			ctxDone = nil
+		case <-t.done:
+			if pump != nil {
+				pump.drain()
+			}
+			s.settle(tr, t, submitAt, sc.Solver)
+			return t
+		}
+	}
+}
+
+// response shapes one lane of a completed task as the wire answer. It is
+// the only place a SolveResponse is built: the buffered body, a stream's
+// terminal frame and every batch result come from here, on top of the
+// harness's own record constructor.
+func (s *Server) response(a *admission, t *task, lane int) api.SolveResponse {
+	// Each record is stamped with its own seeds, so a batch lane replays
+	// as the equivalent single request.
+	req := *a.axes
+	req.Seed, req.RHSSeed = t.specs[lane].Seed, t.specs[lane].RHSSeed
+	out := &t.outs[lane]
+	resp := api.SolveResponse{
+		Schema: api.SchemaVersion,
+		Result: harness.NewResult(req.Scenario(a.ent.spec, a.ent.label), a.ent.label, a.ent.a,
+			[]harness.Trial{{Stats: out.stats, Failed: out.err != nil}}, out.hash),
+		CacheHit:    a.hit,
 		QueueMillis: float64(t.queueNanos) / 1e6,
 		SolveMillis: float64(out.solveNanos) / 1e6,
 		Coalesced:   t.coalesced,
 	}
-	resp.Result.TraceID = tr.ID()
+	resp.Result.Workers = s.cfg.Workers
+	resp.Result.WallSeconds = float64(out.solveNanos) / 1e9
+	resp.Result.Shard = s.cfg.ShardLabel
+	resp.Result.TraceID = a.tr.ID()
 	if out.err != nil {
-		s.failed.Add(1)
-		tr.SetError(out.err.Error())
 		resp.SolveError = out.err.Error()
 	}
-	s.completed.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
-// await submits the task and blocks until it is solved or its deadline
-// claims it while still queued. It answers 429/503/504 itself and reports
-// whether the caller owns a completed task to respond with. A task a
-// worker already claimed runs to completion and is delivered — the
-// deadline bounds queue wait, not a started solve.
-func (s *Server) await(w http.ResponseWriter, r *http.Request, t *task, timeoutMillis int, tr *obs.Active) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(timeoutMillis))
-	defer cancel()
-	if err := s.sched.submit(t); err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.rejected.Add(1)
-			tr.SetError(api.CodeSaturated)
-			api.WriteError(w, http.StatusTooManyRequests, api.CodeSaturated, err, retryAfterSaturatedMillis)
-		} else {
-			tr.SetError(api.CodeDraining)
-			api.WriteError(w, http.StatusServiceUnavailable, api.CodeDraining, err, retryAfterDrainingMillis)
-		}
-		return false
+// handleSolve is the single-solve edge, buffered or streamed: POST
+// /v1/solve with "Accept: text/event-stream" answers the same request as
+// schema-versioned SSE frames — live iteration and detection events while
+// the solver runs, then exactly one terminal frame (the full SolveResponse,
+// or the error envelope) — and since both come from response(), the
+// terminal result's deterministic fields are bit-identical to the buffered
+// answer; CI gates that equality.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	var req api.SolveRequest
+	a := s.admit(w, r, &req, &req)
+	if a == nil {
+		return
 	}
-	select {
-	case <-t.done:
-	case <-ctx.Done():
-		if t.claim() {
-			// Still queued: abandon it before a worker (or a coalescing
-			// scan) picks it up.
-			s.expired.Add(1)
-			tr.SetError(api.CodeExpired)
-			api.WriteError(w, http.StatusGatewayTimeout, api.CodeExpired,
-				fmt.Errorf("deadline exceeded while queued: %w", ctx.Err()), 0)
-			return false
+	defer s.tracer.Finish(a.tr)
+	var pump *eventPump
+	if wantsStream(r) {
+		// Streaming needs a flushing ResponseWriter; without one (an
+		// unusual middleware stack) the request is answered buffered — the
+		// client's Accept is a preference, not a contract.
+		if sw, err := api.NewSSEWriter(w); err == nil {
+			pump = newEventPump(sw)
 		}
-		<-t.done
 	}
-	return true
+	t := s.await(w, r, a, []api.BatchRHS{{Seed: req.Seed, RHSSeed: req.RHSSeed}}, pump)
+	if t == nil {
+		return
+	}
+	resp := s.response(a, t, 0)
+	if pump != nil {
+		pump.send(&api.SolveEvent{Kind: api.EventResult, Result: &resp})
+		return
+	}
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
+// handleSolveBatch is the multi-RHS edge: one task carrying every lane.
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		respondErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+	var req api.BatchSolveRequest
+	a := s.admit(w, r, &req, &req.SolveRequest)
+	if a == nil {
 		return
 	}
-	tr := s.tracer.Start(r.Header.Get(api.TraceHeader))
-	defer s.tracer.Finish(tr)
-	w.Header().Set(api.TraceHeader, tr.ID())
-	if s.draining.Load() {
-		tr.SetError(api.CodeDraining)
-		api.WriteError(w, http.StatusServiceUnavailable, api.CodeDraining, errShuttingDown, retryAfterDrainingMillis)
+	defer s.tracer.Finish(a.tr)
+	t := s.await(w, r, a, req.RHS, nil)
+	if t == nil {
 		return
 	}
-	var req BatchSolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		tr.SetError(api.CodeBadRequest)
-		respondErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	req.WithDefaults()
-	if err := req.Validate(); err != nil {
-		tr.SetError(api.CodeBadRequest)
-		respondErr(w, http.StatusBadRequest, err)
-		return
-	}
-	id, err := ResolveIdentity(&req.SolveRequest)
-	if err != nil {
-		tr.SetError(api.CodeBadRequest)
-		respondErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ent, hit := s.cache.get(id.Key, id.Label, id.Spec)
-	fillStart := tr.Now()
-	if err := ent.materialise(s.kernelWorkers(), id.Build); err != nil {
-		tr.SetError(api.CodeBadRequest)
-		respondErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if !hit {
-		tr.AddSpan(obs.SpanCacheFill, s.cfg.ShardLabel, ent.label, fillStart, tr.Now()-fillStart)
-	}
-	s.cache.noteMaterialised(ent)
-	s.cache.noteBatchWidth(ent, len(req.RHS))
-	sc := req.Scenario(ent.spec, ent.label)
-
-	specs := make([]rhsSpec, len(req.RHS))
-	for i := range req.RHS {
-		specs[i] = rhsSpec{seed: req.RHS[i].Seed, rhsSeed: req.RHS[i].ResolvedRHSSeed()}
-	}
-	t := newTask(coalesceKey(id.Key, &req.SolveRequest), specs)
-	t.exec = func(group []*task) {
-		if hook := s.testHookPreSolve; hook != nil {
-			hook()
-		}
-		s.runGroup(ent, sc, group)
-	}
-	// The deadline covers the whole batch: expiry while queued answers 504
-	// for every right-hand side of this request (merged-in singles keep
-	// their own deadlines and answers).
-	submitAt := tr.Now()
-	if !s.await(w, r, t, req.TimeoutMillis, tr) {
-		return
-	}
-	s.traceSolved(tr, t, &t.outs[0], submitAt, sc.Solver)
-
-	resp := BatchSolveResponse{
-		Schema:      SchemaVersion,
-		CacheHit:    hit,
+	resp := api.BatchSolveResponse{
+		Schema:      api.SchemaVersion,
+		CacheHit:    a.hit,
 		QueueMillis: float64(t.queueNanos) / 1e6,
 		Coalesced:   t.coalesced,
-		Results:     make([]BatchResult, len(specs)),
+		Results:     make([]api.BatchResult, len(req.RHS)),
 	}
-	for i := range specs {
-		// Stamp each record with its own seeds so batch results replay as
-		// the equivalent single requests.
-		ri := req.SolveRequest
-		ri.Seed = req.RHS[i].Seed
-		ri.RHSSeed = req.RHS[i].RHSSeed
-		out := t.outs[i]
-		br := BatchResult{
-			Result:      s.record(ent, ri.Scenario(ent.spec, ent.label), out),
-			SolveMillis: float64(out.solveNanos) / 1e6,
-		}
-		br.Result.TraceID = tr.ID()
-		if out.err != nil {
-			s.failed.Add(1)
-			br.SolveError = out.err.Error()
-		}
-		resp.Results[i] = br
+	for i := range resp.Results {
+		lane := s.response(a, t, i)
+		resp.Results[i] = api.BatchResult{Result: lane.Result, SolveMillis: lane.SolveMillis, SolveError: lane.SolveError}
 	}
-	s.completed.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// stats snapshots the service for /v1/stats and /v1/statusz.
-func (s *Server) stats() StatsResponse {
-	return StatsResponse{
-		Schema:        SchemaVersion,
+// stats snapshots the service for /v1/statusz.
+func (s *Server) stats() api.StatsResponse {
+	return api.StatsResponse{
+		Schema:        api.SchemaVersion,
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Workers:       s.kernelWorkers(),
 		Concurrency:   s.cfg.Concurrency,
@@ -654,25 +632,17 @@ func (s *Server) stats() StatsResponse {
 	}
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		respondErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.stats())
-}
-
-// handleStatusz serves the cross-tier introspection alias: the same
-// snapshot as /v1/stats, wrapped in the tier-tagged envelope the router
-// also serves under this path.
+// handleStatusz serves the cross-tier introspection surface: the stats
+// snapshot wrapped in the tier-tagged envelope the router also serves
+// under this path.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		respondErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		api.WriteError(w, http.StatusMethodNotAllowed, "", errors.New("GET only"), 0)
 		return
 	}
 	st := s.stats()
-	writeJSON(w, http.StatusOK, api.StatuszResponse{
-		Schema: SchemaVersion,
+	api.WriteJSON(w, http.StatusOK, api.StatuszResponse{
+		Schema: api.SchemaVersion,
 		Tier:   api.TierShard,
 		Build:  s.buildInfo(),
 		Shard:  &st,
@@ -684,8 +654,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{
-		Schema:        SchemaVersion,
+	api.WriteJSON(w, http.StatusOK, api.HealthResponse{
+		Schema:        api.SchemaVersion,
 		Status:        status,
 		Shard:         s.cfg.ShardLabel,
 		Draining:      s.draining.Load(),
@@ -701,14 +671,3 @@ const (
 	retryAfterSaturatedMillis = 250
 	retryAfterDrainingMillis  = 1000
 )
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	api.WriteJSON(w, code, v)
-}
-
-// respondErr answers with the unified envelope under the default
-// status→code mapping; paths with a sharper classification or a retry
-// hint call api.WriteError directly.
-func respondErr(w http.ResponseWriter, code int, err error) {
-	api.WriteError(w, code, "", err, 0)
-}

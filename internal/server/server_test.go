@@ -2,15 +2,43 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/harness"
 )
+
+// TestMain is the package's leak check: once every test has shut its
+// servers down, the goroutine count must come back to where it started —
+// a scheduler worker, TTL sweeper or handler that outlives Shutdown shows
+// up here with its stack.
+func TestMain(m *testing.M) {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		http.DefaultClient.CloseIdleConnections() // keep-alive reader/writer pairs are ours to drop
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d before the tests, %d after\n", before, after)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -23,14 +51,14 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func poisson2DRequest(n int) *SolveRequest {
+func poisson2DRequest(n int) *api.SolveRequest {
 	spec, _ := harness.NewMatrixSpec("poisson2d", n, 0)
-	return &SolveRequest{Matrix: &spec, Seed: 7}
+	return &api.SolveRequest{Matrix: &spec, Seed: 7}
 }
 
 // postSolve posts the request and decodes the body into out (a
-// *SolveResponse for 200, *ErrorResponse otherwise). Returns the status.
-func postSolve(t *testing.T, url string, req *SolveRequest, out any) int {
+// *api.SolveResponse for 200, *api.Error otherwise). Returns the status.
+func postSolve(t *testing.T, url string, req *api.SolveRequest, out any) int {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -69,12 +97,12 @@ func TestSolveEndToEnd(t *testing.T) {
 		name := tc.solver + "/" + tc.scheme
 		req := poisson2DRequest(225)
 		req.Solver, req.Scheme, req.Alpha = tc.solver, tc.scheme, tc.alpha
-		var resp SolveResponse
+		var resp api.SolveResponse
 		if code := postSolve(t, ts.URL, req, &resp); code != http.StatusOK {
 			t.Fatalf("%s: status %d", name, code)
 		}
-		if resp.Schema != SchemaVersion {
-			t.Errorf("%s: schema %d, want %d", name, resp.Schema, SchemaVersion)
+		if resp.Schema != api.SchemaVersion {
+			t.Errorf("%s: schema %d, want %d", name, resp.Schema, api.SchemaVersion)
 		}
 		if resp.SolveError != "" {
 			t.Fatalf("%s: solve error: %s", name, resp.SolveError)
@@ -100,37 +128,37 @@ func TestSolveRequestValidation(t *testing.T) {
 
 	cases := []struct {
 		name string
-		req  *SolveRequest
+		req  *api.SolveRequest
 		code int
 	}{
-		{"no matrix", &SolveRequest{Solver: "cg"}, http.StatusBadRequest},
-		{"both matrices", func() *SolveRequest {
+		{"no matrix", &api.SolveRequest{Solver: "cg"}, http.StatusBadRequest},
+		{"both matrices", func() *api.SolveRequest {
 			r := poisson2DRequest(16)
-			r.Inline = &InlineCSR{Rows: 1, Cols: 1, Rowidx: []int{0, 1}, Colid: []int{0}, Val: []float64{1}}
+			r.Inline = &api.InlineCSR{Rows: 1, Cols: 1, Rowidx: []int{0, 1}, Colid: []int{0}, Val: []float64{1}}
 			return r
 		}(), http.StatusBadRequest},
-		{"unknown solver", func() *SolveRequest {
+		{"unknown solver", func() *api.SolveRequest {
 			r := poisson2DRequest(16)
 			r.Solver = "chebyshev"
 			return r
 		}(), http.StatusBadRequest},
-		{"fault-injected baseline", func() *SolveRequest {
+		{"fault-injected baseline", func() *api.SolveRequest {
 			r := poisson2DRequest(16)
 			r.Scheme = "unprotected"
 			r.Alpha = 0.1
 			return r
 		}(), http.StatusBadRequest},
-		{"future schema", func() *SolveRequest {
+		{"future schema", func() *api.SolveRequest {
 			r := poisson2DRequest(16)
-			r.Schema = SchemaVersion + 1
+			r.Schema = api.SchemaVersion + 1
 			return r
 		}(), http.StatusBadRequest},
-		{"bad inline matrix", &SolveRequest{Inline: &InlineCSR{
+		{"bad inline matrix", &api.SolveRequest{Inline: &api.InlineCSR{
 			Rows: 2, Cols: 2, Rowidx: []int{0, 1}, Colid: []int{0}, Val: []float64{1},
 		}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		var er ErrorResponse
+		var er api.Error
 		if code := postSolve(t, ts.URL, tc.req, &er); code != tc.code {
 			t.Errorf("%s: status %d, want %d", tc.name, code, tc.code)
 		} else if er.Message == "" || er.Code == "" {
@@ -155,7 +183,7 @@ func TestRepeatedRequestsBitIdentical(t *testing.T) {
 		req.Solver, req.Scheme = tc.solver, tc.scheme
 
 		const reps = 6
-		responses := make([]SolveResponse, reps)
+		responses := make([]api.SolveResponse, reps)
 		var wg sync.WaitGroup
 		for i := 0; i < reps; i++ {
 			wg.Add(1)
@@ -202,7 +230,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	var hashes []string
 	for _, workers := range []int{1, 4} {
 		_, ts := testServer(t, Config{Workers: workers, Concurrency: 2})
-		var resp SolveResponse
+		var resp api.SolveResponse
 		if code := postSolve(t, ts.URL, req, &resp); code != http.StatusOK {
 			t.Fatalf("workers=%d: status %d", workers, code)
 		}
@@ -217,7 +245,7 @@ func TestCacheHitReporting(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
 	req := poisson2DRequest(64)
 
-	var cold, warm SolveResponse
+	var cold, warm api.SolveResponse
 	postSolve(t, ts.URL, req, &cold)
 	postSolve(t, ts.URL, req, &warm)
 	if cold.CacheHit {
@@ -247,12 +275,12 @@ func TestQueueSaturationAndDeadline(t *testing.T) {
 	req := poisson2DRequest(64)
 	type outcome struct {
 		code int
-		resp SolveResponse
+		resp api.SolveResponse
 	}
 	results := make(chan outcome, 4)
-	async := func(r *SolveRequest) {
+	async := func(r *api.SolveRequest) {
 		go func() {
-			var resp SolveResponse
+			var resp api.SolveResponse
 			code := postSolve(t, ts.URL, r, &resp)
 			results <- outcome{code, resp}
 		}()
@@ -267,13 +295,13 @@ func TestQueueSaturationAndDeadline(t *testing.T) {
 	// D fills queue slot 2 with a deadline far shorter than A's hold.
 	timed := poisson2DRequest(64)
 	timed.TimeoutMillis = 50
-	var er ErrorResponse
+	var er api.Error
 	timedCode := make(chan int, 1)
 	go func() { timedCode <- postSolve(t, ts.URL, timed, &er) }()
 	waitFor(t, func() bool { return s.sched.depth() >= 2 })
 
 	// C finds the queue full.
-	var full ErrorResponse
+	var full api.Error
 	if code := postSolve(t, ts.URL, req, &full); code != http.StatusTooManyRequests {
 		t.Fatalf("saturated queue: status %d, want 429", code)
 	}
@@ -316,7 +344,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	codes := make(chan int, 2)
 	async := func() {
 		go func() {
-			var resp SolveResponse
+			var resp api.SolveResponse
 			codes <- postSolve(t, ts.URL, req, &resp)
 		}()
 	}
@@ -333,7 +361,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	waitFor(t, func() bool { return s.draining.Load() })
 
 	// New work is refused while draining.
-	var er ErrorResponse
+	var er api.Error
 	if code := postSolve(t, ts.URL, req, &er); code != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain: status %d, want 503", code)
 	}
@@ -365,17 +393,12 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 	req := poisson2DRequest(64)
 	postSolve(t, ts.URL, req, nil)
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	sz, err := api.NewClient(ts.URL).Statusz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Schema != SchemaVersion || st.Completed != 1 || st.Cache.Entries != 1 {
-		t.Errorf("stats %+v: want schema %d, 1 completed, 1 cache entry", st, SchemaVersion)
+	if st := sz.Shard; st == nil || st.Schema != api.SchemaVersion || st.Completed != 1 || st.Cache.Entries != 1 {
+		t.Errorf("stats %+v: want schema %d, 1 completed, 1 cache entry", st, api.SchemaVersion)
 	}
 
 	hz, err := http.Get(ts.URL + "/v1/healthz")
@@ -383,12 +406,12 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hz.Body.Close()
-	var health HealthResponse
+	var health api.HealthResponse
 	if err := json.NewDecoder(hz.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Status != "ok" || health.Schema != SchemaVersion || health.Draining {
-		t.Errorf("health %+v, want ok/schema %d/not draining", health, SchemaVersion)
+	if health.Status != "ok" || health.Schema != api.SchemaVersion || health.Draining {
+		t.Errorf("health %+v, want ok/schema %d/not draining", health, api.SchemaVersion)
 	}
 }
 

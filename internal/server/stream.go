@@ -1,25 +1,12 @@
 package server
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/harness"
-	"repro/internal/obs"
 )
-
-// Streaming solves: POST /v1/solve with "Accept: text/event-stream"
-// answers the same request as schema-versioned SSE frames — live
-// iteration and detection events while the solver runs, then exactly one
-// terminal frame (the full SolveResponse, or the error envelope). The
-// terminal result is built by the same code as a buffered response, so
-// its deterministic fields — residual hash included — are bit-identical
-// to the buffered answer for the same request; CI gates that equality.
 
 // wantsStream reports whether the request asked for an event stream.
 func wantsStream(r *http.Request) bool {
@@ -33,163 +20,59 @@ func wantsStream(r *http.Request) bool {
 // channel).
 const streamEventBuffer = 256
 
-// handleSolveStream runs one admitted solve as an event stream. Admission
-// errors (queue full, draining) are answered as ordinary JSON envelopes —
-// the stream only starts once the task is queued, so a client always gets
-// either a plain rejection or a stream with a terminal frame. The
-// caller has already verified the ResponseWriter can flush.
-func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request, ent *entry, hit bool, sc harness.Scenario, req *SolveRequest, tr *obs.Active) {
-	events := make(chan api.SolveEvent, streamEventBuffer)
-	emit := func(ev api.SolveEvent) {
-		select {
-		case events <- ev:
-		default: // slow client: shed progress, never block the solver
-		}
-	}
-	onIter := func(it int, rho float64) {
-		emit(api.SolveEvent{Kind: api.EventIteration, Iteration: it, Rho: rho})
-	}
-	onDet := func(ev core.DetectionEvent) {
-		emit(api.SolveEvent{
-			Kind:        api.EventDetection,
-			Iteration:   ev.Iteration,
-			Detections:  ev.Detections,
-			Corrections: ev.Corrections,
-			RolledBack:  ev.RolledBack,
-		})
-	}
+// eventPump is the streaming edge of a solve: the solver goroutine emits
+// progress into events through the onIter/onDet hooks, and the handler
+// goroutine waiting in await sends them (and finally the terminal frame)
+// down the SSE writer. Nothing is written before the first send, so a
+// request refused at the queue is still answered as a plain envelope.
+type eventPump struct {
+	events chan api.SolveEvent
+	sw     *api.SSEWriter
+	gone   bool // the client went away mid-stream
+}
 
-	// An empty key never coalesces: a streamed solve owns its hooks and
-	// cannot be merged into a blocked solve (the result bits would still
-	// match, but the per-iteration events would interleave lanes).
-	t := newTask("", []rhsSpec{{seed: req.Seed, rhsSeed: req.ResolvedRHSSeed()}})
-	t.exec = func(group []*task) {
-		if hook := s.testHookPreSolve; hook != nil {
-			hook()
-		}
-		for _, m := range group {
-			m.coalesced = 1
-			scc := sc
-			scc.Seed = m.specs[0].seed
-			// The streamed solve runs on the scheduler goroutine while the
-			// handler pumps events; handing it the trace is safe because
-			// the handler only reads the trace after t.done.
-			m.outs[0] = s.solveHooked(ent, scc, m.specs[0].rhsSeed, tr, onIter, onDet)
-		}
-	}
+func newEventPump(sw *api.SSEWriter) *eventPump {
+	return &eventPump{events: make(chan api.SolveEvent, streamEventBuffer), sw: sw}
+}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMillis))
-	defer cancel()
-	submitAt := tr.Now()
-	if err := s.sched.submit(t); err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.rejected.Add(1)
-			tr.SetError(api.CodeSaturated)
-			api.WriteError(w, http.StatusTooManyRequests, api.CodeSaturated, err, retryAfterSaturatedMillis)
-		} else {
-			tr.SetError(api.CodeDraining)
-			api.WriteError(w, http.StatusServiceUnavailable, api.CodeDraining, err, retryAfterDrainingMillis)
-		}
-		return
-	}
-
-	sw, err := api.NewSSEWriter(w)
-	if err != nil {
-		// Flusher was pre-checked; losing it here is programmer error, but
-		// the task is already queued — let it run and answer buffered.
-		<-t.done
-		s.traceSolved(tr, t, &t.outs[0], submitAt, sc.Solver)
-		s.finishStreamBuffered(w, ent, hit, sc, t, tr)
-		return
-	}
-
-	alive := true
-	send := func(ev *api.SolveEvent) {
-		if !alive {
-			return
-		}
-		if err := sw.Send(ev); err != nil {
-			// The client went away mid-stream. The solve still completes
-			// (it may be feeding the cache and the counters); just stop
-			// writing.
-			alive = false
-		}
-	}
-
-	ctxDone := ctx.Done()
-	for {
-		select {
-		case ev := <-events:
-			send(&ev)
-		case <-ctxDone:
-			if t.claim() {
-				// Still queued at the deadline: the solve never ran. The
-				// headers may already be out, so the rejection is a typed
-				// terminal error frame instead of a 504.
-				s.expired.Add(1)
-				tr.SetError(api.CodeExpired)
-				send(&api.SolveEvent{Kind: api.EventError, Error: &api.Error{
-					Schema:  SchemaVersion,
-					Code:    api.CodeExpired,
-					Message: fmt.Sprintf("deadline exceeded while queued: %v", ctx.Err()),
-				}})
-				return
-			}
-			// A worker owns it: the deadline bounds queue wait, not a
-			// started solve. Keep streaming until it completes.
-			ctxDone = nil
-		case <-t.done:
-			// Flush progress events the solver emitted before finishing.
-			for {
-				select {
-				case ev := <-events:
-					send(&ev)
-					continue
-				default:
-				}
-				break
-			}
-			out := t.outs[0]
-			s.traceSolved(tr, t, &out, submitAt, sc.Solver)
-			resp := SolveResponse{
-				Schema:      SchemaVersion,
-				Result:      s.record(ent, sc, out),
-				CacheHit:    hit,
-				QueueMillis: float64(t.queueNanos) / 1e6,
-				SolveMillis: float64(out.solveNanos) / 1e6,
-				Coalesced:   t.coalesced,
-			}
-			resp.Result.TraceID = tr.ID()
-			if out.err != nil {
-				s.failed.Add(1)
-				tr.SetError(out.err.Error())
-				resp.SolveError = out.err.Error()
-			}
-			s.completed.Add(1)
-			send(&api.SolveEvent{Kind: api.EventResult, Result: &resp})
-			return
-		}
+func (p *eventPump) emit(ev api.SolveEvent) {
+	select {
+	case p.events <- ev:
+	default: // slow client: shed progress, never block the solver
 	}
 }
 
-// finishStreamBuffered answers a completed streamed task as a plain JSON
-// body — the fallback when the writer lost its Flusher between the
-// pre-check and the stream start.
-func (s *Server) finishStreamBuffered(w http.ResponseWriter, ent *entry, hit bool, sc harness.Scenario, t *task, tr *obs.Active) {
-	out := t.outs[0]
-	resp := SolveResponse{
-		Schema:      SchemaVersion,
-		Result:      s.record(ent, sc, out),
-		CacheHit:    hit,
-		QueueMillis: float64(t.queueNanos) / 1e6,
-		SolveMillis: float64(out.solveNanos) / 1e6,
-		Coalesced:   t.coalesced,
+func (p *eventPump) onIter(it int, rho float64) {
+	p.emit(api.SolveEvent{Kind: api.EventIteration, Iteration: it, Rho: rho})
+}
+
+func (p *eventPump) onDet(ev core.DetectionEvent) {
+	p.emit(api.SolveEvent{
+		Kind:        api.EventDetection,
+		Iteration:   ev.Iteration,
+		Detections:  ev.Detections,
+		Corrections: ev.Corrections,
+		RolledBack:  ev.RolledBack,
+	})
+}
+
+// send writes one frame. Once a write fails the client is gone: the solve
+// still completes (it may be feeding the cache and the counters), the pump
+// just stops writing.
+func (p *eventPump) send(ev *api.SolveEvent) {
+	if !p.gone && p.sw.Send(ev) != nil {
+		p.gone = true
 	}
-	resp.Result.TraceID = tr.ID()
-	if out.err != nil {
-		s.failed.Add(1)
-		resp.SolveError = out.err.Error()
+}
+
+// drain sends the progress events the solver emitted before it finished.
+func (p *eventPump) drain() {
+	for {
+		select {
+		case ev := <-p.events:
+			p.send(&ev)
+		default:
+			return
+		}
 	}
-	s.completed.Add(1)
-	writeJSON(w, http.StatusOK, resp)
 }

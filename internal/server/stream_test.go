@@ -16,7 +16,7 @@ func TestStreamTerminalMatchesBuffered(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 2, Concurrency: 2, QueueDepth: 8})
 	req := poisson2DRequest(64)
 
-	var buffered SolveResponse
+	var buffered api.SolveResponse
 	if code := postSolve(t, ts.URL, req, &buffered); code != http.StatusOK {
 		t.Fatalf("buffered solve: status %d", code)
 	}
@@ -96,7 +96,7 @@ func TestStreamQueuedExpiry(t *testing.T) {
 	// A claims the only solver slot and blocks inside the hook.
 	blocked := make(chan int, 1)
 	go func() {
-		var resp SolveResponse
+		var resp api.SolveResponse
 		blocked <- postSolve(t, ts.URL, poisson2DRequest(64), &resp)
 	}()
 	<-entered
