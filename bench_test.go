@@ -173,6 +173,38 @@ func benchProtected(b *testing.B, mode abft.Mode) {
 	}
 }
 
+// BenchmarkSpMxVBlock4 is the multi-RHS product at k = 4, plain (four strict
+// products) and protected (one pass over each row feeding four lanes), on a
+// 5-nnz/row stencil and on matrix 341 (49 nnz/row). Divide by four to set it
+// against BenchmarkSpMxVPlain and the product half of
+// BenchmarkSpMxVProtected*.
+func BenchmarkSpMxVBlock4(b *testing.B) {
+	m, _ := benchMatrix(b, 341)
+	for _, op := range []struct {
+		name string
+		a    *sparse.CSR
+	}{{"stencil", sparse.Poisson2D(64, 64)}, {"341", m.a}} {
+		xs, ys := make([][]float64, 4), make([][]float64, 4)
+		for j := range xs {
+			xs[j], ys[j] = randVec(op.a.Cols, int64(j+1)), make([]float64, op.a.Rows)
+		}
+		b.Run("plain/"+op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				op.a.MulVecBlock(ys, xs)
+			}
+		})
+		b.Run("protected/"+op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			p := abft.NewProtected(op.a, abft.DetectCorrect)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.MulVecBlock(ys, xs)
+			}
+		})
+	}
+}
+
 func BenchmarkSpMxVParallel8(b *testing.B) {
 	b.ReportAllocs()
 	m, _ := benchMatrix(b, 341)

@@ -244,76 +244,74 @@ type RowSums struct {
 // product time would silently absorb it. Verify instead reads y and x once
 // each (see defects).
 func (p *Protected) MulVec(y, x []float64) RowSums {
-	a := p.A
-	n := a.Rows
-	nnz := len(a.Val)
-	var sr RowSums
-	for i := 0; i < n; i++ {
-		lo, hi := a.Rowidx[i], a.Rowidx[i+1]
-		fv := float64(lo)
-		sr.S1 += fv
-		sr.S2 += float64(i+1) * fv
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nnz {
-			hi = nnz
-		}
-		var s float64
-		for k := lo; k < hi; k++ {
-			if ind := a.Colid[k]; uint(ind) < uint(len(x)) {
-				s += a.Val[k] * x[ind]
-			}
-		}
-		y[i] = s
+	val, col, rowidx := p.A.Hoist()
+	lo, his := rowidx[0], rowidx[1:]
+	y = y[:len(his)]
+	sr := RowSums{}.plus(0, lo)
+	for i, hi := range his {
+		y[i] = sparse.RowDotRobust(val, col, x, lo, hi)
+		sr = sr.plus(i+1, hi)
+		lo = hi
 	}
-	fv := float64(a.Rowidx[n])
-	sr.S1 += fv
-	sr.S2 += float64(n+1) * fv
 	return sr
 }
 
-// MulVecBlock computes ys[j] ← A·xs[j] for every column in one traversal of
-// the possibly corrupted arrays, with the runtime Rowidx checksums fused in.
-// Each row's pointer pair is read and accumulated into sr exactly once — in
-// the same index order as MulVec — and each column's product accumulates
-// left-to-right with the same clamping and column-index guards, so every
-// output column and the returned sr are bitwise identical to k separate
-// MulVec calls (sr depends only on Rowidx, so one accumulation serves all
-// columns). The per-column output checksums are, as in MulVec, deliberately
-// NOT captured here: each column's Verify must re-read its y so the window
-// between product and verification stays protected.
+// plus returns sr extended by the row pointer at index i, as read. (By value:
+// a pointer receiver would pin the caller's sums to the stack, and a store
+// and reload per row is what a five-nonzero row cannot hide.)
+func (sr RowSums) plus(i, ptr int) RowSums {
+	fv := float64(ptr)
+	return RowSums{S1: sr.S1 + fv, S2: sr.S2 + float64(i+1)*fv}
+}
+
+// MulVecBlock computes ys[j] ← A·xs[j] for every lane over the possibly
+// corrupted arrays, with the runtime Rowidx checksums fused in. Lanes are
+// taken four at a time: one pass over a row's nonzeros loads each Val[k] and
+// Colid[k] once, under one clamp and one column guard, and feeds four
+// independent sums (sparse.RowDotRobust4); the lanes left over (k mod 4) go
+// through MulVec. Each lane accumulates left-to-right with MulVec's clamping
+// and column-index guards, and every pass accumulates the row pointers in
+// MulVec's index order, so every output lane and the returned sr are bitwise
+// identical to k separate MulVec calls (sr depends only on Rowidx, so the
+// passes agree and any one of them serves all lanes). The per-lane output
+// checksums are, as in MulVec, deliberately NOT captured here: each lane's
+// Verify must re-read its y so the window between product and verification
+// stays protected.
 func (p *Protected) MulVecBlock(ys, xs [][]float64) RowSums {
-	a := p.A
-	n := a.Rows
-	nnz := len(a.Val)
-	var sr RowSums
-	for i := 0; i < n; i++ {
-		lo, hi := a.Rowidx[i], a.Rowidx[i+1]
-		fv := float64(lo)
-		sr.S1 += fv
-		sr.S2 += float64(i+1) * fv
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nnz {
-			hi = nnz
-		}
-		for j := range xs {
-			x := xs[j]
-			var s float64
-			for k := lo; k < hi; k++ {
-				if ind := a.Colid[k]; uint(ind) < uint(len(x)) {
-					s += a.Val[k] * x[ind]
-				}
-			}
-			ys[j][i] = s
-		}
+	if len(xs) == 0 {
+		return p.recomputeRowSums()
 	}
-	fv := float64(a.Rowidx[n])
-	sr.S1 += fv
-	sr.S2 += float64(n+1) * fv
+	var sr RowSums
+	j := 0
+	for ; j+4 <= len(xs); j += 4 {
+		sr = p.mulVec4(ys[j:j+4], xs[j:j+4])
+	}
+	for ; j < len(xs); j++ {
+		sr = p.MulVec(ys[j], xs[j])
+	}
 	return sr
+}
+
+// mulVec4 is MulVec for exactly four lanes.
+func (p *Protected) mulVec4(ys, xs [][]float64) RowSums {
+	val, col, rowidx := p.A.Hoist()
+	lo, his := rowidx[0], rowidx[1:]
+	x0, x1, x2, x3 := lanes4(xs, len(xs[0]))
+	y0, y1, y2, y3 := lanes4(ys, len(his))
+	sr := RowSums{}.plus(0, lo)
+	for i, hi := range his {
+		y0[i], y1[i], y2[i], y3[i] = sparse.RowDotRobust4(val, col, x0, x1, x2, x3, lo, hi)
+		sr = sr.plus(i+1, hi)
+		lo = hi
+	}
+	return sr
+}
+
+// lanes4 unpacks four lanes, each re-sliced to n so that the compiler knows
+// they have one length and RowDotRobust4's guard of a column against the
+// first lane covers the other three.
+func lanes4(vs [][]float64, n int) (v0, v1, v2, v3 []float64) {
+	return vs[0][:n], vs[1][:n], vs[2][:n], vs[3][:n]
 }
 
 // defects computes the dx and dx′ defect pairs and their tolerances.
@@ -325,7 +323,8 @@ func (p *Protected) MulVecBlock(ys, xs [][]float64) RowSums {
 // weighted sums, ‖y‖∞ and — under TolComponent — the rounding masses) is
 // accumulated in ONE pass over y, and everything derived from x (C₁ᵀx,
 // C₂ᵀx, the reference sums, ‖x‖∞ and the componentwise masses) in ONE pass
-// over x, replacing the historical five-to-seven separate passes. Each
+// over x, replacing the historical five-to-seven separate passes — and under
+// the default policy on a square matrix the two passes are one loop. Each
 // accumulator keeps the exact summation order of its former standalone
 // loop, so every defect and tolerance — and therefore every detection
 // outcome — is bitwise unchanged.
@@ -340,41 +339,67 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 	}
 	comp := p.policy == TolComponent
 
-	var sy1, sy2, normY, ay1, ay2 float64
-	for i, v := range y {
-		sy1 += v
-		sy2 += float64(i+1) * v
-		if v > normY {
-			normY = v
-		} else if -v > normY {
-			normY = -v
-		}
-		if comp {
-			av := math.Abs(v)
-			ay1 += av
-			ay2 += float64(i+1) * av
-		}
-	}
-
 	c1, c2 := p.CS.C1, p.CS.C2
 	absC1, absC2 := p.CS.AbsC1, p.CS.AbsC2
+	var sy1, sy2, normY, ay1, ay2 float64
 	var c1x, c2x, sx1, sx2, normX, ac1, ac2, ax1, ax2 float64
-	for j, xj := range x {
-		c1x += c1[j] * xj
-		c2x += c2[j] * xj
-		sx1 += xj
-		sx2 += float64(j+1) * xj
-		if xj > normX {
-			normX = xj
-		} else if -xj > normX {
-			normX = -xj
+	if !comp && len(x) == len(y) {
+		// The default policy on a square matrix — every solver's case: y
+		// and x go by in one loop. A sum is a serial chain of additions, so
+		// the sums of y and those of x overlap instead of queueing; the
+		// componentwise masses stay out, they would spill the accumulators.
+		c1, c2 := c1[:len(y)], c2[:len(y)]
+		for i, v := range y {
+			xj, w := x[i], float64(i+1)
+			sy1 += v
+			sy2 += w * v
+			if v > normY {
+				normY = v
+			} else if -v > normY {
+				normY = -v
+			}
+			c1x += c1[i] * xj
+			c2x += c2[i] * xj
+			sx1 += xj
+			sx2 += w * xj
+			if xj > normX {
+				normX = xj
+			} else if -xj > normX {
+				normX = -xj
+			}
 		}
-		if comp {
-			ax := math.Abs(xj)
-			ac1 += absC1[j] * ax
-			ac2 += absC2[j] * ax
-			ax1 += ax
-			ax2 += float64(j+1) * ax
+	} else {
+		for i, v := range y {
+			sy1 += v
+			sy2 += float64(i+1) * v
+			if v > normY {
+				normY = v
+			} else if -v > normY {
+				normY = -v
+			}
+			if comp {
+				av := math.Abs(v)
+				ay1 += av
+				ay2 += float64(i+1) * av
+			}
+		}
+		for j, xj := range x {
+			c1x += c1[j] * xj
+			c2x += c2[j] * xj
+			sx1 += xj
+			sx2 += float64(j+1) * xj
+			if xj > normX {
+				normX = xj
+			} else if -xj > normX {
+				normX = -xj
+			}
+			if comp {
+				ax := math.Abs(xj)
+				ac1 += absC1[j] * ax
+				ac2 += absC2[j] * ax
+				ax1 += ax
+				ax2 += float64(j+1) * ax
+			}
 		}
 	}
 
@@ -410,33 +435,52 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 func (p *Protected) defectsRow1(y, x []float64, xRef checksum.Vector) (dx1, tolx1, dxp1, tolp1 float64) {
 	comp := p.policy == TolComponent
 
-	var sy1, normY, ay1 float64
-	for _, v := range y {
-		sy1 += v
-		if v > normY {
-			normY = v
-		} else if -v > normY {
-			normY = -v
-		}
-		if comp {
-			ay1 += math.Abs(v)
-		}
-	}
-
 	c1, absC1 := p.CS.C1, p.CS.AbsC1
+	var sy1, normY, ay1 float64
 	var c1x, sx1, normX, ac1, ax1 float64
-	for j, xj := range x {
-		c1x += c1[j] * xj
-		sx1 += xj
-		if xj > normX {
-			normX = xj
-		} else if -xj > normX {
-			normX = -xj
+	if !comp && len(x) == len(y) {
+		c1 := c1[:len(y)]
+		for i, v := range y {
+			xj := x[i]
+			sy1 += v
+			if v > normY {
+				normY = v
+			} else if -v > normY {
+				normY = -v
+			}
+			c1x += c1[i] * xj
+			sx1 += xj
+			if xj > normX {
+				normX = xj
+			} else if -xj > normX {
+				normX = -xj
+			}
 		}
-		if comp {
-			ax := math.Abs(xj)
-			ac1 += absC1[j] * ax
-			ax1 += ax
+	} else {
+		for _, v := range y {
+			sy1 += v
+			if v > normY {
+				normY = v
+			} else if -v > normY {
+				normY = -v
+			}
+			if comp {
+				ay1 += math.Abs(v)
+			}
+		}
+		for j, xj := range x {
+			c1x += c1[j] * xj
+			sx1 += xj
+			if xj > normX {
+				normX = xj
+			} else if -xj > normX {
+				normX = -xj
+			}
+			if comp {
+				ax := math.Abs(xj)
+				ac1 += absC1[j] * ax
+				ax1 += ax
+			}
 		}
 	}
 

@@ -52,7 +52,7 @@ func (p *Protected) correctRowidx(y, x []float64, xRef checksum.Vector, dr1, dr2
 	n := p.A.Rows
 	for _, row := range []int{j - 1, j} {
 		if row >= 0 && row < n {
-			y[row] = p.robustRow(row, x)
+			y[row] = p.A.MulVecRowRobust(row, x)
 		}
 	}
 	sr := p.recomputeRowSums()
@@ -151,7 +151,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 				return fail
 			}
 		}
-		y[d] = p.robustRow(d, x)
+		y[d] = p.A.MulVecRowRobust(d, x)
 		return p.finish(y, x, xRef, ClassComputation)
 
 	case 1:
@@ -176,7 +176,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 					return fail
 				}
 				p.A.Val[k] = p.CS.C1[f] - p.colSumExcluding(f, k)
-				y[row] = p.robustRow(row, x)
+				y[row] = p.A.MulVecRowRobust(row, x)
 				return p.finish(y, x, xRef, ClassVal)
 			}
 			return fail
@@ -187,7 +187,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 		for k := p.A.Rowidx[d]; k < p.A.Rowidx[d+1]; k++ {
 			if p.A.Colid[k] == f {
 				p.A.Val[k] = p.CS.C1[f] - p.colSumExcluding(f, k)
-				y[d] = p.robustRow(d, x)
+				y[d] = p.A.MulVecRowRobust(d, x)
 				return p.finish(y, x, xRef, ClassVal)
 			}
 		}
@@ -197,7 +197,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 		for k := p.A.Rowidx[d]; k < p.A.Rowidx[d+1]; k++ {
 			if c := p.A.Colid[k]; c < 0 || c >= p.A.Cols {
 				p.A.Colid[k] = f
-				y[d] = p.robustRow(d, x)
+				y[d] = p.A.MulVecRowRobust(d, x)
 				return p.finish(y, x, xRef, ClassColid)
 			}
 		}
@@ -226,7 +226,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 			}
 			p.A.Colid[k] = oth
 			oldY := y[d]
-			y[d] = p.robustRow(d, x)
+			y[d] = p.A.MulVecRowRobust(d, x)
 			sr := p.recomputeRowSums()
 			if out := p.verify(y, x, xRef, sr, false); !out.Detected {
 				return Outcome{Detected: true, Corrected: true, Class: ClassColid}
@@ -355,33 +355,12 @@ func (p *Protected) colSumExcluding(f, exclude int) float64 {
 	return s
 }
 
-// robustRow recomputes one output entry tolerating corrupted indices.
-func (p *Protected) robustRow(i int, x []float64) float64 {
-	a := p.A
-	lo, hi := a.Rowidx[i], a.Rowidx[i+1]
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(a.Val) {
-		hi = len(a.Val)
-	}
-	var s float64
-	for k := lo; k < hi; k++ {
-		if ind := a.Colid[k]; uint(ind) < uint(len(x)) {
-			s += a.Val[k] * x[ind]
-		}
-	}
-	return s
-}
-
 // recomputeRowSums rebuilds the runtime Rowidx checksums from the live
 // array.
 func (p *Protected) recomputeRowSums() RowSums {
 	var sr RowSums
 	for idx, v := range p.A.Rowidx {
-		fv := float64(v)
-		sr.S1 += fv
-		sr.S2 += float64(idx+1) * fv
+		sr = sr.plus(idx, v)
 	}
 	return sr
 }

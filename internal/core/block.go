@@ -94,9 +94,10 @@ func (bw *BlockWorkspace) lane(j int) *blockLane {
 // SolveBlock runs the resilient CG of the configured ABFT scheme on the k
 // systems A·x_j = bs[j] simultaneously: every round advances each active
 // lane's engine to its pending product, computes all products q_j = A·p_j
-// in ONE protected traversal of the CSR arrays (abft.Protected.MulVecBlock),
-// paying the Rowidx checksum accumulation once per block instead of once
-// per system, and lets each lane complete its iteration on the shared sums.
+// four lanes to a pass over each row of the CSR arrays
+// (abft.Protected.MulVecBlock) — each nonzero loaded once and the Rowidx
+// checksums accumulated once per four systems — and lets each lane complete
+// its iteration on the shared sums.
 // Convergence, verification and detection state stay fully independent per
 // right-hand side, and each lane's entire trajectory — iterates, residual
 // history, statistics — is bitwise identical to solving that system alone

@@ -162,7 +162,7 @@ func (b *Block) mulVerify(a *sparse.CSR, y, x []float64) Outcome {
 		ipos := int(pos + 0.5)
 		if absf(pos-float64(ipos)) <= maxf(1e-8*absf(pos), 0.05) && ipos >= 1 && ipos <= b.Rows {
 			gi := b.Row0 + ipos - 1
-			y[gi] = rowProduct(a, gi, x)
+			y[gi] = a.MulVecRowRobust(gi, x)
 			sy1, sy2, yScale = b.sliceSums(y)
 			d1, d2, tol1, tol2 = b.defects(sy1, sy2, yScale, x)
 			if abs(d1) <= tol1 && abs(d2) <= tol2 {
@@ -178,28 +178,19 @@ func (b *Block) mulVerify(a *sparse.CSR, y, x []float64) Outcome {
 // sy2 = Σ (i+1)·yᵢ (local weights) and the slice max-norm. Accumulation
 // orders match the unfused slice-then-sums sequence bit for bit.
 func (b *Block) computeSlice(a *sparse.CSR, y, x []float64) (sr1, sr2, sy1, sy2, yScale float64) {
-	nnz := len(a.Val)
-	for i := 0; i <= b.Rows; i++ {
-		v := float64(a.Rowidx[b.Row0+i])
+	val, col, rowidx := a.Hoist()
+	rowidx = rowidx[b.Row0 : b.Row0+b.Rows+1]
+	for i, ptr := range rowidx {
+		v := float64(ptr)
 		sr1 += v
 		sr2 += float64(i+1) * v
 	}
-	for i := 0; i < b.Rows; i++ {
-		gi := b.Row0 + i
-		lo, hi := a.Rowidx[gi], a.Rowidx[gi+1]
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nnz {
-			hi = nnz
-		}
-		var s float64
-		for k := lo; k < hi; k++ {
-			if ind := a.Colid[k]; uint(ind) < uint(len(x)) {
-				s += a.Val[k] * x[ind]
-			}
-		}
-		y[gi] = s
+	lo, his := rowidx[0], rowidx[1:]
+	y = y[b.Row0:][:len(his)]
+	for i, hi := range his {
+		s := sparse.RowDotRobust(val, col, x, lo, hi)
+		lo = hi
+		y[i] = s
 		sy1 += s
 		sy2 += float64(i+1) * s
 		if a := absf(s); a > yScale {
@@ -240,23 +231,6 @@ func (b *Block) defects(sy1, sy2, yScale float64, x []float64) (d1, d2, tol1, to
 	d1 = sy1 - c1x
 	d2 = sy2 - c2x
 	return
-}
-
-func rowProduct(a *sparse.CSR, i int, x []float64) float64 {
-	lo, hi := a.Rowidx[i], a.Rowidx[i+1]
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(a.Val) {
-		hi = len(a.Val)
-	}
-	var s float64
-	for k := lo; k < hi; k++ {
-		if ind := a.Colid[k]; uint(ind) < uint(len(x)) {
-			s += a.Val[k] * x[ind]
-		}
-	}
-	return s
 }
 
 func abs(v float64) float64 {

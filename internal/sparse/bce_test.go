@@ -1,0 +1,82 @@
+package sparse
+
+import (
+	"os"
+	"os/exec"
+	"regexp"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The bounds checks the compiler leaves in the row kernels, as counted with
+// pinnedGo. It reports a site once per source position, and an inlined
+// loop's sites all take the position of the call, so two counts pin the
+// loops from two sides. kernelFileChecks are the sites in rowkernel.go
+// itself: the re-slices of Hoist, and the out-of-line copies of the row
+// loops, which know nothing of their caller's slices (Colid[k] and,
+// per lane, the lookup in x) — a check added to a loop's source shows up
+// here. callSiteChecks are the sites on the lines that call a RowDot*, where
+// the loops that actually run report: one per strict call (the lookup in x
+// that makes a strict product panic on a corrupted column; the range is
+// validated once per row), none per robust call (its clamp and Hoist's
+// re-slice prove the range — a caller that stops passing hoisted slices
+// shows up here), plus the two row-pointer loads of each MulVecRow*.
+const (
+	pinnedGo         = "go1.24"
+	kernelFileChecks = 9
+	callSiteChecks   = 7
+)
+
+// TestBoundsCheckBudget fails when an edit puts a bounds check back into a
+// row loop: it compiles the packages that hold products with the compiler's
+// check_bce debug output and counts the IsInBounds/IsSliceInBounds sites of
+// the kernel file and of every line that inlines a kernel. Fewer is fine —
+// lower the constants.
+func TestBoundsCheckBudget(t *testing.T) {
+	if !strings.HasPrefix(runtime.Version(), pinnedGo) {
+		t.Skipf("the committed counts are %s's; this is %s", pinnedGo, runtime.Version())
+	}
+	if v, err := exec.Command("go", "env", "GOVERSION").Output(); err != nil || strings.TrimSpace(string(v)) != runtime.Version() {
+		t.Skipf("the go command on PATH (%q, %v) is not the toolchain that built this test (%s)", v, err, runtime.Version())
+	}
+	out, err := exec.Command("go", "build", "-gcflags=-d=ssa/check_bce/debug=1",
+		"repro/internal/sparse", "repro/internal/abft", "repro/internal/parallel").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	site := regexp.MustCompile(`(?m)^(\S+\.go):(\d+):\d+: Found Is(?:Slice)?InBounds$`)
+	sources := map[string][]string{}
+	var inKernelFile, atCallSites int
+	for _, m := range site.FindAllStringSubmatch(string(out), -1) {
+		file := m[1]
+		if strings.HasSuffix(file, "rowkernel.go") {
+			inKernelFile++
+			continue
+		}
+		if _, ok := sources[file]; !ok {
+			sources[file] = readLines(t, file)
+		}
+		if line, _ := strconv.Atoi(m[2]); strings.Contains(sources[file][line-1], "RowDot") {
+			atCallSites++
+		}
+	}
+	if inKernelFile == 0 {
+		t.Fatalf("no bounds-check site reported for rowkernel.go; compiler output:\n%s", out)
+	}
+	if inKernelFile > kernelFileChecks || atCallSites > callSiteChecks {
+		t.Errorf("bounds checks: %d in rowkernel.go (budget %d), %d on lines calling a row kernel (budget %d)",
+			inKernelFile, kernelFileChecks, atCallSites, callSiteChecks)
+	}
+	t.Logf("bounds checks: %d in rowkernel.go, %d on lines calling a row kernel", inKernelFile, atCallSites)
+}
+
+func readLines(t *testing.T, file string) []string {
+	t.Helper()
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(src), "\n")
+}

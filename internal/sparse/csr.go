@@ -142,12 +142,18 @@ func (m *CSR) MulVec(y, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVec dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-			s += m.Val[k] * x[m.Colid[k]]
-		}
-		y[i] = s
+	m.mulRows(y, x, 0, m.Rows)
+}
+
+// mulRows is the strict product over rows [r0, r1): MulVec's body and the
+// pool products' range.
+func (m *CSR) mulRows(y, x []float64, r0, r1 int) {
+	val, col, rowidx := m.Hoist()
+	lo, his := rowidx[r0], rowidx[r0+1:r1+1]
+	y = y[r0:][:len(his)]
+	for i, hi := range his {
+		y[i] = RowDot(val, col, x, lo, hi)
+		lo = hi
 	}
 }
 
@@ -163,11 +169,12 @@ func (m *CSR) MulVecSums(y, x []float64) (s1, s2 float64) {
 		panic(fmt.Sprintf("sparse: MulVecSums dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-			s += m.Val[k] * x[m.Colid[k]]
-		}
+	val, col, rowidx := m.Hoist()
+	lo, his := rowidx[0], rowidx[1:]
+	y = y[:len(his)]
+	for i, hi := range his {
+		s := RowDot(val, col, x, lo, hi)
+		lo = hi
 		y[i] = s
 		s1 += s
 		s2 += float64(i+1) * s
@@ -175,13 +182,11 @@ func (m *CSR) MulVecSums(y, x []float64) (s1, s2 float64) {
 	return s1, s2
 }
 
-// MulVecBlock computes ys[j] ← A·xs[j] for every column j in one traversal
-// of the CSR arrays. The loop nest is row-outer/column-inner: each row's
-// Val/Colid segment is read once and stays hot across all k columns, which
-// is where the blocked tier's bandwidth win comes from. Every column is
-// accumulated left-to-right exactly as MulVec would, so each output vector
-// is bitwise identical to k separate MulVec calls. No scratch is needed —
-// the kernel allocates nothing.
+// MulVecBlock computes ys[j] ← A·xs[j] for every lane j: k strict products,
+// one lane after the other, so every output vector is bitwise identical to k
+// separate MulVec calls. (abft.Protected.MulVecBlock feeds four lanes from
+// one pass over each row; see README "Performance" for why this one does not
+// yet.) No scratch is needed — the kernel allocates nothing.
 func (m *CSR) MulVecBlock(ys, xs [][]float64) {
 	if len(ys) != len(xs) {
 		panic(fmt.Sprintf("sparse: MulVecBlock: %d outputs for %d inputs", len(ys), len(xs)))
@@ -192,24 +197,15 @@ func (m *CSR) MulVecBlock(ys, xs [][]float64) {
 				m.Rows, m.Cols, j, len(xs[j]), j, len(ys[j])))
 		}
 	}
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.Rowidx[i], m.Rowidx[i+1]
-		for j := range xs {
-			x := xs[j]
-			var s float64
-			for k := lo; k < hi; k++ {
-				s += m.Val[k] * x[m.Colid[k]]
-			}
-			ys[j][i] = s
-		}
+	for j := range xs {
+		m.mulRows(ys[j], xs[j], 0, m.Rows)
 	}
 }
 
-// MulVecSumsBlock is MulVecBlock fused with per-column output checksum
-// accumulation: one traversal computes ys[j] ← A·xs[j] and the weighted
-// sums s1s[j] = Σᵢ ys[j][i], s2s[j] = Σᵢ (i+1)·ys[j][i]. Per-column
-// accumulation order matches MulVecSums exactly, so outputs and checksums
-// are bitwise identical to k separate MulVecSums calls.
+// MulVecSumsBlock is MulVecBlock fused with per-lane output checksum
+// accumulation: it computes ys[j] ← A·xs[j] and the weighted sums
+// s1s[j] = Σᵢ ys[j][i], s2s[j] = Σᵢ (i+1)·ys[j][i] — k MulVecSums calls, to
+// which outputs and checksums are therefore bitwise identical.
 func (m *CSR) MulVecSumsBlock(ys, xs [][]float64, s1s, s2s []float64) {
 	if len(ys) != len(xs) || len(s1s) < len(xs) || len(s2s) < len(xs) {
 		panic(fmt.Sprintf("sparse: MulVecSumsBlock: %d outputs, %d inputs, %d/%d sum slots",
@@ -220,21 +216,9 @@ func (m *CSR) MulVecSumsBlock(ys, xs [][]float64, s1s, s2s []float64) {
 			panic(fmt.Sprintf("sparse: MulVecSumsBlock dimensions: A is %dx%d, len(xs[%d])=%d, len(ys[%d])=%d",
 				m.Rows, m.Cols, j, len(xs[j]), j, len(ys[j])))
 		}
-		s1s[j], s2s[j] = 0, 0
 	}
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.Rowidx[i], m.Rowidx[i+1]
-		w := float64(i + 1)
-		for j := range xs {
-			x := xs[j]
-			var s float64
-			for k := lo; k < hi; k++ {
-				s += m.Val[k] * x[m.Colid[k]]
-			}
-			ys[j][i] = s
-			s1s[j] += s
-			s2s[j] += w * s
-		}
+	for j := range xs {
+		s1s[j], s2s[j] = m.MulVecSums(ys[j], xs[j])
 	}
 }
 
@@ -248,22 +232,18 @@ func (m *CSR) MulVecRobust(y, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVecRobust dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	nnz := len(m.Val)
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.Rowidx[i], m.Rowidx[i+1]
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nnz {
-			hi = nnz
-		}
-		var s float64
-		for k := lo; k < hi; k++ {
-			if ind := m.Colid[k]; uint(ind) < uint(len(x)) {
-				s += m.Val[k] * x[ind]
-			}
-		}
-		y[i] = s
+	m.mulRowsRobust(y, x, 0, m.Rows)
+}
+
+// mulRowsRobust is the robust product over rows [r0, r1): MulVecRobust's
+// body and the pool products' range.
+func (m *CSR) mulRowsRobust(y, x []float64, r0, r1 int) {
+	val, col, rowidx := m.Hoist()
+	lo, his := rowidx[r0], rowidx[r0+1:r1+1]
+	y = y[r0:][:len(his)]
+	for i, hi := range his {
+		y[i] = RowDotRobust(val, col, x, lo, hi)
+		lo = hi
 	}
 }
 
@@ -288,21 +268,12 @@ func (m *CSR) MulVecRobustSums(y, x []float64) (s1, s2, normY float64) {
 		panic(fmt.Sprintf("sparse: MulVecRobustSums dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	nnz := len(m.Val)
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.Rowidx[i], m.Rowidx[i+1]
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nnz {
-			hi = nnz
-		}
-		var s float64
-		for k := lo; k < hi; k++ {
-			if ind := m.Colid[k]; uint(ind) < uint(len(x)) {
-				s += m.Val[k] * x[ind]
-			}
-		}
+	val, col, rowidx := m.Hoist()
+	lo, his := rowidx[0], rowidx[1:]
+	y = y[:len(his)]
+	for i, hi := range his {
+		s := RowDotRobust(val, col, x, lo, hi)
+		lo = hi
 		y[i] = s
 		s1 += s
 		s2 += float64(i+1) * s
@@ -319,11 +290,16 @@ func (m *CSR) MulVecRobustSums(y, x []float64) (s1, s2, normY float64) {
 // for row i. The ABFT correction step uses it to repair corrupted rows
 // without redoing the whole product.
 func (m *CSR) MulVecRow(i int, x []float64) float64 {
-	var s float64
-	for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-		s += m.Val[k] * x[m.Colid[k]]
-	}
-	return s
+	val, col, rowidx := m.Hoist()
+	return RowDot(val, col, x, rowidx[i], rowidx[i+1])
+}
+
+// MulVecRowRobust is MulVecRow over a possibly corrupted representation:
+// the row's range is clamped and out-of-range column indices contribute
+// nothing, exactly as in MulVecRobust.
+func (m *CSR) MulVecRowRobust(i int, x []float64) float64 {
+	val, col, rowidx := m.Hoist()
+	return RowDotRobust(val, col, x, rowidx[i], rowidx[i+1])
 }
 
 // MulTransVec computes y ← Aᵀx. Needed by the CGNE/BiCG family the paper

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/pool"
 )
@@ -35,15 +36,10 @@ func (m *CSR) MulVecParallel(p *pool.Pool, y, x []float64) {
 		m.MulVec(y, x)
 		return
 	}
-	p.RunRanges(m.PlanFor(p.Workers()).Bounds, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float64
-			for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-				s += m.Val[k] * x[m.Colid[k]]
-			}
-			y[i] = s
-		}
-	})
+	op := rangeOps.Get().(*rangeOp)
+	op.m, op.y, op.x = m, y, x
+	p.RunRanges(m.PlanFor(p.Workers()).Bounds, op.strict)
+	op.release()
 }
 
 // MulVecRobustParallel is MulVecParallel with MulVecRobust's tolerance of a
@@ -63,23 +59,32 @@ func (m *CSR) MulVecRobustParallel(p *pool.Pool, y, x []float64) {
 		m.MulVecRobust(y, x)
 		return
 	}
-	nnz := len(m.Val)
-	p.RunRanges(m.PlanFor(p.Workers()).Bounds, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rlo, rhi := m.Rowidx[i], m.Rowidx[i+1]
-			if rlo < 0 {
-				rlo = 0
-			}
-			if rhi > nnz {
-				rhi = nnz
-			}
-			var s float64
-			for k := rlo; k < rhi; k++ {
-				if ind := m.Colid[k]; uint(ind) < uint(len(x)) {
-					s += m.Val[k] * x[ind]
-				}
-			}
-			y[i] = s
-		}
-	})
+	op := rangeOps.Get().(*rangeOp)
+	op.m, op.y, op.x = m, y, x
+	p.RunRanges(m.PlanFor(p.Workers()).Bounds, op.robust)
+	op.release()
+}
+
+// rangeOp holds the operands of one pool product in flight, where the pool's
+// workers read them through closures built once — so a pool product
+// allocates nothing. Ops are recycled rather than kept on the matrix because
+// one matrix may serve several products at a time.
+type rangeOp struct {
+	m              *CSR
+	y, x           []float64
+	strict, robust func(lo, hi int)
+}
+
+var rangeOps = sync.Pool{New: func() any {
+	op := &rangeOp{}
+	op.strict = func(lo, hi int) { op.m.mulRows(op.y, op.x, lo, hi) }
+	op.robust = func(lo, hi int) { op.m.mulRowsRobust(op.y, op.x, lo, hi) }
+	return op
+}}
+
+// release drops the operands, so a recycled op pins no vectors, and returns
+// the op to the pool.
+func (op *rangeOp) release() {
+	op.m, op.y, op.x = nil, nil, nil
+	rangeOps.Put(op)
 }
