@@ -173,8 +173,8 @@ func benchProtected(b *testing.B, mode abft.Mode) {
 	}
 }
 
-// BenchmarkSpMxVBlock4 is the multi-RHS product at k = 4, plain (four strict
-// products) and protected (one pass over each row feeding four lanes), on a
+// BenchmarkSpMxVBlock4 is the multi-RHS product at k = 4, plain and
+// protected (each one pass over a row feeding four lanes), on a
 // 5-nnz/row stencil and on matrix 341 (49 nnz/row). Divide by four to set it
 // against BenchmarkSpMxVPlain and the product half of
 // BenchmarkSpMxVProtected*.

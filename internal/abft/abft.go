@@ -241,12 +241,12 @@ type RowSums struct {
 // between the product and its verification is part of the protection
 // contract — a memory fault striking y (or a deferred computation-error
 // injection) in that window must be caught by Verify, and sums captured at
-// product time would silently absorb it. Verify instead reads y and x once
-// each (see defects).
+// product time would silently absorb it. Verify instead reads y and x side
+// by side in one loop (see defects).
 func (p *Protected) MulVec(y, x []float64) RowSums {
 	val, col, rowidx := p.A.Hoist()
 	lo, his := rowidx[0], rowidx[1:]
-	y = y[:len(his)]
+	y = y[:len(his):len(y)] // panics on a y shorter than Rows, spare capacity or not
 	sr := RowSums{}.plus(0, lo)
 	for i, hi := range his {
 		y[i] = sparse.RowDotRobust(val, col, x, lo, hi)
@@ -268,8 +268,9 @@ func (sr RowSums) plus(i, ptr int) RowSums {
 // corrupted arrays, with the runtime Rowidx checksums fused in. Lanes are
 // taken four at a time: one pass over a row's nonzeros loads each Val[k] and
 // Colid[k] once, under one clamp and one column guard, and feeds four
-// independent sums (sparse.RowDotRobust4); the lanes left over (k mod 4) go
-// through MulVec. Each lane accumulates left-to-right with MulVec's clamping
+// independent sums (sparse.RowDotRobust4); the lanes left over (k mod 4) —
+// and all of them from the first four whose lengths differ — go through
+// MulVec. Each lane accumulates left-to-right with MulVec's clamping
 // and column-index guards, and every pass accumulates the row pointers in
 // MulVec's index order, so every output lane and the returned sr are bitwise
 // identical to k separate MulVec calls (sr depends only on Rowidx, so the
@@ -283,7 +284,7 @@ func (p *Protected) MulVecBlock(ys, xs [][]float64) RowSums {
 	}
 	var sr RowSums
 	j := 0
-	for ; j+4 <= len(xs); j += 4 {
+	for ; j+4 <= len(xs) && p.fourLanes(ys[j:j+4], xs[j:j+4]); j += 4 {
 		sr = p.mulVec4(ys[j:j+4], xs[j:j+4])
 	}
 	for ; j < len(xs); j++ {
@@ -292,12 +293,25 @@ func (p *Protected) MulVecBlock(ys, xs [][]float64) RowSums {
 	return sr
 }
 
-// mulVec4 is MulVec for exactly four lanes.
+// fourLanes reports whether four lanes can share a pass: inputs of one
+// length — one column guard then covers all four — and outputs that hold a
+// product. Lanes that differ go through MulVec one by one, which guards and
+// bounds-checks each on its own.
+func (p *Protected) fourLanes(ys, xs [][]float64) bool {
+	for j := range xs {
+		if len(xs[j]) != len(xs[0]) || len(ys[j]) < p.A.Rows {
+			return false
+		}
+	}
+	return true
+}
+
+// mulVec4 is MulVec for exactly four lanes that fourLanes accepted.
 func (p *Protected) mulVec4(ys, xs [][]float64) RowSums {
 	val, col, rowidx := p.A.Hoist()
 	lo, his := rowidx[0], rowidx[1:]
-	x0, x1, x2, x3 := lanes4(xs, len(xs[0]))
-	y0, y1, y2, y3 := lanes4(ys, len(his))
+	x0, x1, x2, x3 := sparse.Lanes4(xs, len(xs[0]))
+	y0, y1, y2, y3 := sparse.Lanes4(ys, len(his))
 	sr := RowSums{}.plus(0, lo)
 	for i, hi := range his {
 		y0[i], y1[i], y2[i], y3[i] = sparse.RowDotRobust4(val, col, x0, x1, x2, x3, lo, hi)
@@ -307,27 +321,21 @@ func (p *Protected) mulVec4(ys, xs [][]float64) RowSums {
 	return sr
 }
 
-// lanes4 unpacks four lanes, each re-sliced to n so that the compiler knows
-// they have one length and RowDotRobust4's guard of a column against the
-// first lane covers the other three.
-func lanes4(vs [][]float64, n int) (v0, v1, v2, v3 []float64) {
-	return vs[0][:n], vs[1][:n], vs[2][:n], vs[3][:n]
-}
-
 // defects computes the dx and dx′ defect pairs and their tolerances.
 //
 //	dx[r]  = w_rᵀ y − C_rᵀ x        (error in A or in the computation)
 //	dxp[r] = w_rᵀ xRef − w_rᵀ x     (error in x relative to its reference)
 //
-// This is the fused verification kernel: everything derived from y (the two
-// weighted sums, ‖y‖∞ and — under TolComponent — the rounding masses) is
-// accumulated in ONE pass over y, and everything derived from x (C₁ᵀx,
-// C₂ᵀx, the reference sums, ‖x‖∞ and the componentwise masses) in ONE pass
-// over x, replacing the historical five-to-seven separate passes — and under
-// the default policy on a square matrix the two passes are one loop. Each
-// accumulator keeps the exact summation order of its former standalone
-// loop, so every defect and tolerance — and therefore every detection
-// outcome — is bitwise unchanged.
+// This is the fused verification kernel: the weighted sums of y, C₁ᵀx, C₂ᵀx,
+// the reference sums of x and the two max-norms come from ONE loop that
+// reads y and x side by side — a sum is a serial chain of additions, so the
+// chains of y and those of x overlap instead of queueing — and, under
+// TolComponent only, the six rounding masses from a second one (fourteen
+// accumulators in one loop would spill), replacing the historical
+// five-to-seven separate passes. Each accumulator keeps the exact summation
+// order of its former standalone loop, so every defect and tolerance — and
+// therefore every detection outcome — is bitwise unchanged. y and x must
+// have the matrix dimension (checksum.Matrix is square).
 //
 // In Detect mode only the first row is computed — ABFT-Detection is the
 // single-checksum scheme, FlopsVerify prices it so and verify reads nothing
@@ -337,88 +345,48 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 		dx1, tolx1, dxp1, tolp1 = p.defectsRow1(y, x, xRef)
 		return
 	}
-	comp := p.policy == TolComponent
+	n := p.CS.N
+	y, x = sized(y, n), sized(x, n)
+	c1, c2 := sized(p.CS.C1, n), sized(p.CS.C2, n)
 
-	c1, c2 := p.CS.C1, p.CS.C2
-	absC1, absC2 := p.CS.AbsC1, p.CS.AbsC2
-	var sy1, sy2, normY, ay1, ay2 float64
-	var c1x, c2x, sx1, sx2, normX, ac1, ac2, ax1, ax2 float64
-	if !comp && len(x) == len(y) {
-		// The default policy on a square matrix — every solver's case: y
-		// and x go by in one loop. A sum is a serial chain of additions, so
-		// the sums of y and those of x overlap instead of queueing; the
-		// componentwise masses stay out, they would spill the accumulators.
-		c1, c2 := c1[:len(y)], c2[:len(y)]
-		for i, v := range y {
-			xj, w := x[i], float64(i+1)
-			sy1 += v
-			sy2 += w * v
-			if v > normY {
-				normY = v
-			} else if -v > normY {
-				normY = -v
-			}
-			c1x += c1[i] * xj
-			c2x += c2[i] * xj
-			sx1 += xj
-			sx2 += w * xj
-			if xj > normX {
-				normX = xj
-			} else if -xj > normX {
-				normX = -xj
-			}
-		}
-	} else {
-		for i, v := range y {
-			sy1 += v
-			sy2 += float64(i+1) * v
-			if v > normY {
-				normY = v
-			} else if -v > normY {
-				normY = -v
-			}
-			if comp {
-				av := math.Abs(v)
-				ay1 += av
-				ay2 += float64(i+1) * av
-			}
-		}
-		for j, xj := range x {
-			c1x += c1[j] * xj
-			c2x += c2[j] * xj
-			sx1 += xj
-			sx2 += float64(j+1) * xj
-			if xj > normX {
-				normX = xj
-			} else if -xj > normX {
-				normX = -xj
-			}
-			if comp {
-				ax := math.Abs(xj)
-				ac1 += absC1[j] * ax
-				ac2 += absC2[j] * ax
-				ax1 += ax
-				ax2 += float64(j+1) * ax
-			}
-		}
+	var sy1, sy2, normY, c1x, c2x, sx1, sx2, normX float64
+	for i, v := range y {
+		xj, w := x[i], float64(i+1)
+		sy1 += v
+		sy2 += w * v
+		normY = maxAbs(normY, v)
+		c1x += c1[i] * xj
+		c2x += c2[i] * xj
+		sx1 += xj
+		sx2 += w * xj
+		normX = maxAbs(normX, xj)
 	}
-
 	dx1 = sy1 - c1x
 	dx2 = sy2 - c2x
 	dxp1 = xRef.S1 - sx1
 	dxp2 = xRef.S2 - sx2
 
-	if comp {
+	if p.policy == TolComponent {
 		// Componentwise bound (paper Eq. (7)) plus the rounding mass of the
 		// weighted sums of y — the same quantities ToleranceComponentBoth,
-		// roundTolY and VectorTolerance produce, from the fused passes.
-		gM := 2 * checksum.Gamma(2*p.CS.N)
-		gY := 2 * checksum.Gamma(len(y))
-		gX := 2 * checksum.Gamma(len(x))
-		tolx1 = gM*(ac1+math.Abs(p.CS.K)*ax1) + gY*ay1
-		tolx2 = gM*ac2 + gY*ay2
-		tolp1 = gX * ax1
-		tolp2 = gX * ax2
+		// roundTolY and VectorTolerance produce.
+		absC1, absC2 := sized(p.CS.AbsC1, n), sized(p.CS.AbsC2, n)
+		var ay1, ay2, ac1, ac2, ax1, ax2 float64
+		for i, v := range y {
+			av, ax, w := math.Abs(v), math.Abs(x[i]), float64(i+1)
+			ay1 += av
+			ay2 += w * av
+			ac1 += absC1[i] * ax
+			ac2 += absC2[i] * ax
+			ax1 += ax
+			ax2 += w * ax
+		}
+		gM := 2 * checksum.Gamma(2*n)
+		gV := 2 * checksum.Gamma(n)
+		tolx1 = gM*(ac1+math.Abs(p.CS.K)*ax1) + gV*ay1
+		tolx2 = gM*ac2 + gV*ay2
+		tolp1 = gV * ax1
+		tolp2 = gV * ax2
 		return
 	}
 	// TolNorm (paper Eq. (9)): the matrix factors are precomputed; each
@@ -433,68 +401,59 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 // defectsRow1 is the first row of defects: the same accumulators in the same
 // order, without their row-2 companions.
 func (p *Protected) defectsRow1(y, x []float64, xRef checksum.Vector) (dx1, tolx1, dxp1, tolp1 float64) {
-	comp := p.policy == TolComponent
+	n := p.CS.N
+	y, x = sized(y, n), sized(x, n)
+	c1 := sized(p.CS.C1, n)
 
-	c1, absC1 := p.CS.C1, p.CS.AbsC1
-	var sy1, normY, ay1 float64
-	var c1x, sx1, normX, ac1, ax1 float64
-	if !comp && len(x) == len(y) {
-		c1 := c1[:len(y)]
-		for i, v := range y {
-			xj := x[i]
-			sy1 += v
-			if v > normY {
-				normY = v
-			} else if -v > normY {
-				normY = -v
-			}
-			c1x += c1[i] * xj
-			sx1 += xj
-			if xj > normX {
-				normX = xj
-			} else if -xj > normX {
-				normX = -xj
-			}
-		}
-	} else {
-		for _, v := range y {
-			sy1 += v
-			if v > normY {
-				normY = v
-			} else if -v > normY {
-				normY = -v
-			}
-			if comp {
-				ay1 += math.Abs(v)
-			}
-		}
-		for j, xj := range x {
-			c1x += c1[j] * xj
-			sx1 += xj
-			if xj > normX {
-				normX = xj
-			} else if -xj > normX {
-				normX = -xj
-			}
-			if comp {
-				ax := math.Abs(xj)
-				ac1 += absC1[j] * ax
-				ax1 += ax
-			}
-		}
+	var sy1, normY, c1x, sx1, normX float64
+	for i, v := range y {
+		xj := x[i]
+		sy1 += v
+		normY = maxAbs(normY, v)
+		c1x += c1[i] * xj
+		sx1 += xj
+		normX = maxAbs(normX, xj)
 	}
-
 	dx1 = sy1 - c1x
 	dxp1 = xRef.S1 - sx1
-	if comp {
-		gM := 2 * checksum.Gamma(2*p.CS.N)
-		tolx1 = gM*(ac1+math.Abs(p.CS.K)*ax1) + 2*checksum.Gamma(len(y))*ay1
-		tolp1 = 2 * checksum.Gamma(len(x)) * ax1
+
+	if p.policy == TolComponent {
+		absC1 := sized(p.CS.AbsC1, n)
+		var ay1, ac1, ax1 float64
+		for i, v := range y {
+			ax := math.Abs(x[i])
+			ay1 += math.Abs(v)
+			ac1 += absC1[i] * ax
+			ax1 += ax
+		}
+		gV := 2 * checksum.Gamma(n)
+		tolx1 = 2*checksum.Gamma(2*n)*(ac1+math.Abs(p.CS.K)*ax1) + gV*ay1
+		tolp1 = gV * ax1
 		return
 	}
 	tolx1 = p.tolX1Fac*normX + p.tolY1Fac*normY
 	tolp1 = p.tolP1Fac * normX
 	return
+}
+
+// sized returns v, known to hold exactly n elements — so that one loop can
+// index several vectors under one bound — and panics on any other length.
+func sized(v []float64, n int) []float64 {
+	if len(v) != n {
+		panic("abft: a vector's length differs from the matrix dimension")
+	}
+	return v
+}
+
+// maxAbs returns max(m, |v|), a NaN v leaving m as it is.
+func maxAbs(m, v float64) float64 {
+	if v > m {
+		return v
+	}
+	if -v > m {
+		return -v
+	}
+	return m
 }
 
 // roundTolY bounds the rounding of the weighted sum of y itself.

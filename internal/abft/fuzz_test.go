@@ -49,11 +49,14 @@ func refProtectedMulVec(a *sparse.CSR, y, x []float64) RowSums {
 // any shape, lane count and data, over row pointers made negative, larger
 // than nnz or inverted and column indices out of range, MulVec and
 // MulVecBlock return the reference loop's y and sr bit for bit and never
-// panic.
+// panic — also when the lanes of a block differ in length (strikes bit 2): a
+// shorter x with spare capacity behind it is not read past its length, a
+// longer one contributes its extra columns, a longer y keeps its tail.
 func FuzzProtectedProducts(f *testing.F) {
 	for i, shape := range [][2]int{{0, 0}, {1, 1}, {3, 3}, {4, 9}, {17, 6}, {64, 11}} {
 		for lanes := 0; lanes <= 9; lanes += 1 + i%2 {
 			f.Add(shape[0], shape[1], int64(i*17+lanes), lanes, uint8(i))
+			f.Add(shape[0], shape[1], int64(i*17+lanes), lanes, uint8(i)|4)
 		}
 	}
 
@@ -102,8 +105,16 @@ func FuzzProtectedProducts(f *testing.F) {
 
 		p := &Protected{A: a} // the products read nothing else
 		xs, ys := make([][]float64, lanes), make([][]float64, lanes)
+		const tail = 42
 		for j := range xs {
 			xs[j], ys[j] = draw(cols), make([]float64, rows)
+			if strikes&4 != 0 { // lanes of unequal lengths
+				xs[j] = draw(cols + 3)[:max(0, cols-2+rng.Intn(5))]
+				ys[j] = append(ys[j], make([]float64, rng.Intn(3))...)
+				for i := rows; i < len(ys[j]); i++ {
+					ys[j][i] = tail
+				}
+			}
 		}
 		want := make([]float64, rows)
 		wantSr := refProtectedMulVec(a, want, make([]float64, cols))
@@ -115,6 +126,11 @@ func FuzzProtectedProducts(f *testing.F) {
 			y := make([]float64, rows)
 			if sr := p.MulVec(y, x); sr != wantSr {
 				t.Fatalf("MulVec: sr = %v, the reference loop gives %v", sr, wantSr)
+			}
+			for _, v := range ys[j][rows:] {
+				if v != tail {
+					t.Fatalf("lane %d/%d: MulVecBlock wrote past row %d of its output", j, lanes, rows)
+				}
 			}
 			for i := range want {
 				if !same(y[i], want[i]) || !same(ys[j][i], want[i]) {

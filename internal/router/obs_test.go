@@ -411,9 +411,8 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 	}
 
 	// Shard tier: the same ID names the solve's trace on whichever
-	// replica(s) served it (both, when the hedge armed and raced — and then
-	// the loser may have been canceled before it reached its solve).
-	found, solved := 0, 0
+	// replica(s) served it (both, when the hedge armed and raced).
+	found := 0
 	for i, url := range shardURLs {
 		tz, err := api.NewClient(url).Tracez(context.Background(), 0, id)
 		if err != nil {
@@ -428,16 +427,14 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 			t.Errorf("shard %d trace tier = %q", i, srec.Tier)
 		}
 		snames := spanNames(srec)
-		if snames[obs.SpanSolve] && snames[obs.SpanQueueWait] && srec.Solver != nil && srec.Solver.Iterations > 0 {
-			solved++
-		} else {
-			t.Logf("shard %d trace without solve/queue-wait spans or solver tallies (a canceled hedge loser?): %+v", i, srec.Spans)
+		if !snames[obs.SpanSolve] || !snames[obs.SpanQueueWait] {
+			t.Errorf("shard %d trace missing solve/queue-wait spans: %+v", i, srec.Spans)
+		}
+		if srec.Solver == nil || srec.Solver.Iterations == 0 {
+			t.Errorf("shard %d trace has no solver tallies", i)
 		}
 	}
 	if found == 0 {
 		t.Fatalf("trace %s not found on any shard tier", id)
-	}
-	if solved == 0 {
-		t.Errorf("trace %s: no shard recorded the solve, its queue wait and the solver tallies", id)
 	}
 }

@@ -27,9 +27,10 @@ type BlockOptions struct {
 
 // CGBlock solves the k systems A·x_j = bs[j] simultaneously with the
 // Conjugate Gradient method: every iteration computes all active products
-// q_j = A·p_j in one call (sparse.CSR.MulVecBlock). Convergence is tracked
-// independently per right-hand side — a converged
-// or broken-down lane drops out of the block while the rest continue — and
+// q_j = A·p_j four lanes to a pass over each row of the CSR arrays
+// (sparse.CSR.MulVecBlock), so each nonzero is loaded once per four systems.
+// Convergence is tracked independently per right-hand side — a converged or
+// broken-down lane drops out of the block while the rest continue — and
 // each lane's trajectory is bitwise identical to solving that system alone
 // with CG, because the blocked product computes each column with exactly
 // the sequential kernel's arithmetic.

@@ -3,6 +3,7 @@ package sparse
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -14,10 +15,10 @@ import (
 // pinnedGo. It reports a site once per source position, and an inlined
 // loop's sites all take the position of the call, so two counts pin the
 // loops from two sides. kernelFileChecks are the sites in rowkernel.go
-// itself: the re-slices of Hoist, and the out-of-line copies of the row
-// loops, which know nothing of their caller's slices (Colid[k] and,
-// per lane, the lookup in x) — a check added to a loop's source shows up
-// here. callSiteChecks are the sites on the lines that call a RowDot*, where
+// itself: the re-slices of Hoist and Lanes4 (two, and two per lane), and the
+// out-of-line copies of the row loops, which know nothing of their caller's
+// slices (Colid[k] and, per lane, the lookup in x) — a check added to a
+// loop's source shows up here. callSiteChecks are the sites on the lines that call a RowDot*, where
 // the loops that actually run report: one per strict call (the lookup in x
 // that makes a strict product panic on a corrupted column; the range is
 // validated once per row), none per robust call (its clamp and Hoist's
@@ -25,8 +26,8 @@ import (
 // shows up here), plus the two row-pointer loads of each MulVecRow*.
 const (
 	pinnedGo         = "go1.24"
-	kernelFileChecks = 9
-	callSiteChecks   = 7
+	kernelFileChecks = 22
+	callSiteChecks   = 9
 )
 
 // TestBoundsCheckBudget fails when an edit puts a bounds check back into a
@@ -46,12 +47,25 @@ func TestBoundsCheckBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	site := regexp.MustCompile(`(?m)^(\S+\.go):(\d+):\d+: Found Is(?:Slice)?InBounds$`)
+	// A site is reported under its package's "# repro/internal/<pkg>" header
+	// with a path relative to wherever the package was compiled — the go
+	// command replays cached compiler output as first printed — so only the
+	// file's base name is taken from it.
+	site := regexp.MustCompile(`^(\S+\.go):(\d+):\d+: Found Is(?:Slice)?InBounds$`)
 	sources := map[string][]string{}
 	var inKernelFile, atCallSites int
-	for _, m := range site.FindAllStringSubmatch(string(out), -1) {
-		file := m[1]
-		if strings.HasSuffix(file, "rowkernel.go") {
+	pkg := ""
+	for _, l := range strings.Split(string(out), "\n") {
+		if p, ok := strings.CutPrefix(l, "# repro/internal/"); ok {
+			pkg = strings.Fields(p)[0]
+			continue
+		}
+		m := site.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		file := filepath.Join("..", pkg, filepath.Base(m[1]))
+		if filepath.Base(file) == "rowkernel.go" {
 			inKernelFile++
 			continue
 		}

@@ -182,11 +182,14 @@ func (m *CSR) MulVecSums(y, x []float64) (s1, s2 float64) {
 	return s1, s2
 }
 
-// MulVecBlock computes ys[j] ← A·xs[j] for every lane j: k strict products,
-// one lane after the other, so every output vector is bitwise identical to k
-// separate MulVec calls. (abft.Protected.MulVecBlock feeds four lanes from
-// one pass over each row; see README "Performance" for why this one does not
-// yet.) No scratch is needed — the kernel allocates nothing.
+// MulVecBlock computes ys[j] ← A·xs[j] for every lane j. Lanes are taken
+// four at a time: one pass over a row's nonzeros loads each Val[k] and
+// Colid[k] once and feeds four independent sums (RowDot4), so four lanes
+// cost well under four products — the sums' add chains overlap instead of
+// queueing one behind the other. The lanes left over (k mod 4) go through
+// the single-lane loop. Every lane is accumulated left-to-right exactly as
+// MulVec would, so each output vector is bitwise identical to k separate
+// MulVec calls. No scratch is needed — the kernel allocates nothing.
 func (m *CSR) MulVecBlock(ys, xs [][]float64) {
 	if len(ys) != len(xs) {
 		panic(fmt.Sprintf("sparse: MulVecBlock: %d outputs for %d inputs", len(ys), len(xs)))
@@ -197,15 +200,33 @@ func (m *CSR) MulVecBlock(ys, xs [][]float64) {
 				m.Rows, m.Cols, j, len(xs[j]), j, len(ys[j])))
 		}
 	}
-	for j := range xs {
+	j := 0
+	for ; j+4 <= len(xs); j += 4 {
+		m.mulVec4(ys[j:j+4], xs[j:j+4])
+	}
+	for ; j < len(xs); j++ {
 		m.mulRows(ys[j], xs[j], 0, m.Rows)
 	}
 }
 
-// MulVecSumsBlock is MulVecBlock fused with per-lane output checksum
-// accumulation: it computes ys[j] ← A·xs[j] and the weighted sums
-// s1s[j] = Σᵢ ys[j][i], s2s[j] = Σᵢ (i+1)·ys[j][i] — k MulVecSums calls, to
-// which outputs and checksums are therefore bitwise identical.
+// mulVec4 is MulVec for exactly four lanes of checked lengths.
+func (m *CSR) mulVec4(ys, xs [][]float64) {
+	val, col, rowidx := m.Hoist()
+	x0, x1, x2, x3 := Lanes4(xs, m.Cols)
+	lo, his := rowidx[0], rowidx[1:]
+	y0, y1, y2, y3 := Lanes4(ys, len(his))
+	for i, hi := range his {
+		y0[i], y1[i], y2[i], y3[i] = RowDot4(val, col, x0, x1, x2, x3, lo, hi)
+		lo = hi
+	}
+}
+
+// MulVecSumsBlock is MulVecBlock — four lanes per pass over a row, the rest
+// one by one — fused with per-lane output checksum accumulation: it computes
+// ys[j] ← A·xs[j] and the weighted sums s1s[j] = Σᵢ ys[j][i],
+// s2s[j] = Σᵢ (i+1)·ys[j][i]. Per-lane accumulation order matches
+// MulVecSums exactly, so outputs and checksums are bitwise identical to k
+// separate MulVecSums calls.
 func (m *CSR) MulVecSumsBlock(ys, xs [][]float64, s1s, s2s []float64) {
 	if len(ys) != len(xs) || len(s1s) < len(xs) || len(s2s) < len(xs) {
 		panic(fmt.Sprintf("sparse: MulVecSumsBlock: %d outputs, %d inputs, %d/%d sum slots",
@@ -217,9 +238,32 @@ func (m *CSR) MulVecSumsBlock(ys, xs [][]float64, s1s, s2s []float64) {
 				m.Rows, m.Cols, j, len(xs[j]), j, len(ys[j])))
 		}
 	}
-	for j := range xs {
+	j := 0
+	for ; j+4 <= len(xs); j += 4 {
+		m.mulVecSums4(ys[j:j+4], xs[j:j+4], s1s[j:j+4], s2s[j:j+4])
+	}
+	for ; j < len(xs); j++ {
 		s1s[j], s2s[j] = m.MulVecSums(ys[j], xs[j])
 	}
+}
+
+// mulVecSums4 is MulVecSums for exactly four lanes of checked lengths.
+func (m *CSR) mulVecSums4(ys, xs [][]float64, s1s, s2s []float64) {
+	val, col, rowidx := m.Hoist()
+	x0, x1, x2, x3 := Lanes4(xs, m.Cols)
+	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	lo, his := rowidx[0], rowidx[1:]
+	y0, y1, y2, y3 := Lanes4(ys, len(his))
+	for i, hi := range his {
+		s0, s1, s2, s3 := RowDot4(val, col, x0, x1, x2, x3, lo, hi)
+		lo = hi
+		y0[i], y1[i], y2[i], y3[i] = s0, s1, s2, s3
+		w := float64(i + 1)
+		a0, a1, a2, a3 = a0+s0, a1+s1, a2+s2, a3+s3
+		b0, b1, b2, b3 = b0+w*s0, b1+w*s1, b2+w*s2, b3+w*s3
+	}
+	s1s[0], s1s[1], s1s[2], s1s[3] = a0, a1, a2, a3
+	s2s[0], s2s[1], s2s[2], s2s[3] = b0, b1, b2, b3
 }
 
 // MulVecRobust computes y ← Ax tolerating a corrupted representation: row

@@ -2,8 +2,8 @@ package sparse
 
 // This file holds the one row loop under every sparse product in the
 // repository — the products of this package, abft.Protected's and
-// internal/parallel's. It comes in a strict and a robust flavour, the robust
-// one also for four lanes at once. The accumulation
+// internal/parallel's. It comes in a strict and a robust flavour, each for
+// one lane and for four lanes at once. The accumulation
 //
 //	s += val[k] * x[col[k]]
 //
@@ -14,9 +14,10 @@ package sparse
 // m.Val[k] reloads the slice header through the matrix pointer and checks
 // both Val and Colid for every nonzero) and pass them in; the functions are
 // small enough to be inlined, across packages too, so the arrays stay in
-// registers and a nonzero costs one bounds check plus the lookup in x (the
-// robust flavour, whose clamp proves its range, only its column guard). The
-// count of checks the compiler leaves is pinned by TestBoundsCheckBudget.
+// registers and a nonzero costs the lookup in x and no other check: the
+// strict flavour validates a row's range once, the robust one's clamp proves
+// it and its column guard is the lookup's check. The count of checks the
+// compiler leaves is pinned by TestBoundsCheckBudget.
 //
 // Every flavour accumulates a row left to right into a single sum per lane,
 // starting from +0: a product is bit-identical whichever caller computes it,
@@ -38,16 +39,47 @@ func (m *CSR) Hoist() (val []float64, col []int, rowidx []int) {
 // the row, which frees the loop of a check per nonzero — and on a column
 // outside x, which is how the unprotected products report a corrupted
 // matrix. col must have the length of val (see Hoist).
-func RowDot(val []float64, col []int, x []float64, lo, hi int) float64 {
-	l, h := max(lo, 0), min(hi, len(val))
-	if lo < hi && (l != lo || h != hi) {
+func RowDot(val []float64, col []int, x []float64, lo, hi int) (s float64) {
+	if lo >= hi {
+		return 0
+	}
+	if lo < 0 || hi > len(val) {
 		panic("sparse: row pointers outside the matrix arrays")
 	}
-	var s float64
-	for k := l; k < h; k++ {
+	for k := lo; k < hi; k++ {
 		s += val[k] * x[col[k]]
 	}
 	return s
+}
+
+// RowDot4 is RowDot for four lanes in one pass over the row: val[k] and
+// col[k] are loaded once, under RowDot's one check of the range, and feed
+// four independent sums. The lanes must have equal lengths, and the compiler
+// must know it (see Lanes4) for the lookup in the first to cover the others.
+func RowDot4(val []float64, col []int, x0, x1, x2, x3 []float64, lo, hi int) (s0, s1, s2, s3 float64) {
+	if lo >= hi {
+		return 0, 0, 0, 0
+	}
+	if lo < 0 || hi > len(val) {
+		panic("sparse: row pointers outside the matrix arrays")
+	}
+	for k := lo; k < hi; k++ {
+		v, ind := val[k], col[k]
+		s0 += v * x0[ind]
+		s1 += v * x1[ind]
+		s2 += v * x2[ind]
+		s3 += v * x3[ind]
+	}
+	return s0, s1, s2, s3
+}
+
+// Lanes4 unpacks the four lanes of a RowDot4 or RowDotRobust4 call, each
+// re-sliced to n so that the compiler knows they have one length and the
+// check of a column against the first lane covers the other three. Every
+// lane must hold exactly n elements (outputs: at least n): the callers check
+// that before they take the four-lane path.
+func Lanes4(vs [][]float64, n int) (v0, v1, v2, v3 []float64) {
+	return vs[0][:n], vs[1][:n], vs[2][:n], vs[3][:n]
 }
 
 // RowDotRobust is the robust row loop: the range is clamped to the arrays

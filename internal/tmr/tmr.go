@@ -12,14 +12,6 @@
 // a chosen replica. Replicas are compared by bit pattern, so three equal
 // NaNs agree and −0 against +0 is a dissent.
 //
-// The dot product's three replicas run interleaved in one loop when they run
-// on one goroutine: a sum is a serial chain of additions, so three sums one
-// after the other cost three times one, and three side by side little more
-// than one. They remain three executions — each replica is handed its own
-// operands and does its own loads, multiplications and additions, in a
-// function the compiler can neither inline nor specialise — summing in the
-// order of vec.DotPool, whose bits they return.
-//
 // The element-wise updates (Axpy, AxpyTo, Xpay and their Guarded forms) are
 // one kernel, dst ← a + α·b, run block by block: for each block of a few
 // hundred elements, replicas 1 and 2 are computed from the old operands into
@@ -125,52 +117,15 @@ func vote(a, b, c float64) (float64, bool) {
 // Dot computes aᵀb with TMR. The fault-free fast path takes no replica
 // addresses, so the replicas stay on the stack and the call is
 // allocation-free; the Corrupt hook (tests and campaigns only) goes through
-// the slow path. On one goroutine — no Pool, or a vector of a single
-// reduction block — the three replicas run interleaved in one loop (dot3);
-// across a Pool each replica is a pooled reduction of its own.
+// the slow path.
 func (e *Executor) Dot(a, b []float64) float64 {
 	if e.Corrupt != nil {
 		return e.dotCorrupt(a, b)
 	}
-	if e.Pool != nil && len(a) > vec.BlockSize {
-		r0 := vec.DotPool(e.Pool, a, b)
-		r1 := vec.DotPool(e.Pool, a, b)
-		r2 := vec.DotPool(e.Pool, a, b)
-		return e.voteScalar(r0, r1, r2)
-	}
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tmr: Dot length mismatch %d != %d", len(a), len(b)))
-	}
-	return e.voteScalar(dot3(a, b, a, b, a, b))
-}
-
-// dot3 computes three replicas of a dot product in one pass: a sum is a
-// serial chain of additions, one every add latency, and three chains that
-// run one after the other leave the adder idle two thirds of the time the
-// interleaved ones fill. Each replica has its own operands, loads,
-// multiplications and additions — the function is never inlined and cannot
-// know that its callers pass the same two vectors three times, so the
-// compiler cannot merge them — and each sums in the order of
-// vec.DotPool(nil, …): left to right within a reduction block, block sums
-// left to right, a single block's sum handed back as it is.
-//
-//go:noinline
-func dot3(a0, b0, a1, b1, a2, b2 []float64) (t0, t1, t2 float64) {
-	n := len(a0)
-	b0, a1, b1, a2, b2 = b0[:n], a1[:n], b1[:n], a2[:n], b2[:n]
-	for lo := 0; lo < n; lo += vec.BlockSize {
-		var s0, s1, s2 float64
-		for i, hi := lo, min(lo+vec.BlockSize, n); i < hi; i++ {
-			s0 += a0[i] * b0[i]
-			s1 += a1[i] * b1[i]
-			s2 += a2[i] * b2[i]
-		}
-		if n <= vec.BlockSize {
-			return s0, s1, s2
-		}
-		t0, t1, t2 = t0+s0, t1+s1, t2+s2
-	}
-	return t0, t1, t2
+	r0 := vec.DotPool(e.Pool, a, b)
+	r1 := vec.DotPool(e.Pool, a, b)
+	r2 := vec.DotPool(e.Pool, a, b)
+	return e.voteScalar(r0, r1, r2)
 }
 
 func (e *Executor) dotCorrupt(a, b []float64) float64 {

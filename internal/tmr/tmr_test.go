@@ -2,10 +2,8 @@ package tmr
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"repro/internal/pool"
 	"repro/internal/vec"
 )
 
@@ -127,32 +125,6 @@ func TestMatchesPlainKernels(t *testing.T) {
 	}
 	if e.Dot(x, y) != vec.Dot(x, y) {
 		t.Fatal("TMR Dot differs from plain Dot")
-	}
-}
-
-// TestDotMatchesBlockedReduction holds the interleaved replicas to the bits
-// of vec.DotPool on either side of the reduction block, with and without a
-// pool: block sums folded left to right, a lone block's sum — a −0 too —
-// handed back as it is.
-func TestDotMatchesBlockedReduction(t *testing.T) {
-	p := pool.New(2)
-	defer p.Close()
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 7, vec.BlockSize, vec.BlockSize + 1, 3*vec.BlockSize + 5} {
-		a, b := fuzzVector(rng, n), fuzzVector(rng, n)
-		if n == 1 {
-			a[0], b[0] = math.Copysign(0, -1), 1
-		}
-		want := vec.DotPool(nil, a, b)
-		for _, pl := range []*pool.Pool{nil, p} {
-			e := Executor{Pool: pl}
-			if got := e.Dot(a, b); !same(got, want) {
-				t.Errorf("n=%d pool=%v: Dot = %x, vec.DotPool gives %x", n, pl != nil, math.Float64bits(got), math.Float64bits(want))
-			}
-			if v, m := e.Stats(); v != 1 || m != 0 {
-				t.Errorf("n=%d: %d votes, %d mismatches", n, v, m)
-			}
-		}
 	}
 }
 
