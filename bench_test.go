@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/pool"
 	"repro/internal/precond"
 	"repro/internal/sim"
@@ -70,7 +69,7 @@ func benchTable1Cell(b *testing.B, scheme core.Scheme) {
 	_, sTilde := core.OptimalIntervals(m.a, scheme, alpha, core.DefaultCostParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mean, _, _ := sim.AverageTime(m.a, rhs, scheme, alpha, sTilde, 1, 1e-8, int64(i), 3)
+		mean, _, _ := sim.AverageTimePool(nil, m.a, rhs, scheme, alpha, sTilde, 1, 1e-8, int64(i), 3)
 		b.ReportMetric(mean, "model-s-time")
 	}
 }
@@ -111,10 +110,11 @@ func BenchmarkFigure1_ABFTCorrection_341_LowRate(b *testing.B) {
 
 func benchFigure1Point(b *testing.B, scheme core.Scheme, alpha float64) {
 	m, rhs := benchMatrix(b, 341)
+	sc := harness.Scenario{Solver: "cg", Scheme: harness.SchemeSlug(scheme), Alpha: alpha, Tol: 1e-8}
 	b.ResetTimer()
 	var lastMean float64
 	for i := 0; i < b.N; i++ {
-		st, err := sim.RunOnce(m.a, rhs, scheme, alpha, 0, 0, 1e-8, int64(i))
+		_, st, err := harness.SolveWith(m.a, rhs, sc, int64(i), harness.SolveOpts{})
 		if err != nil {
 			b.Logf("run %d did not converge: %v", i, err)
 		}
@@ -202,20 +202,6 @@ func BenchmarkSpMxVBlock4(b *testing.B) {
 				p.MulVecBlock(ys, xs)
 			}
 		})
-	}
-}
-
-func BenchmarkSpMxVParallel8(b *testing.B) {
-	b.ReportAllocs()
-	m, _ := benchMatrix(b, 341)
-	p := parallel.New(m.a, 8)
-	x := randVec(m.a.Rows, 1)
-	y := make([]float64, m.a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := p.MulVec(y, x); out.Detected {
-			b.Fatal("false positive in benchmark")
-		}
 	}
 }
 
@@ -448,35 +434,6 @@ func BenchmarkPoolSpMVRobustParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkPoolProtectedBlocksSequential(b *testing.B) {
-	b.ReportAllocs()
-	a := benchPoolMatrix(b)
-	pr := parallel.New(a, 2*pool.Default().Workers())
-	x := randVec(a.Cols, 1)
-	y := make([]float64, a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := pr.MulVecOn(nil, y, x); out.Detected {
-			b.Fatal("false positive")
-		}
-	}
-}
-
-func BenchmarkPoolProtectedBlocksParallel(b *testing.B) {
-	b.ReportAllocs()
-	a := benchPoolMatrix(b)
-	pr := parallel.New(a, 2*pool.Default().Workers())
-	p := pool.Default()
-	x := randVec(a.Cols, 1)
-	y := make([]float64, a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := pr.MulVecOn(p, y, x); out.Detected {
-			b.Fatal("false positive")
-		}
-	}
-}
-
 func BenchmarkPoolDotSequential(b *testing.B) {
 	b.ReportAllocs()
 	x := randVec(1<<20, 1)
@@ -587,35 +544,5 @@ func BenchmarkCoreSolveSteadyState(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSpMxVFusedSums vs BenchmarkSpMxVUnfusedSums quantify the fused
-// SpMV+checksum traversal against the two-pass equivalent it replaced.
-
-func BenchmarkSpMxVFusedSums(b *testing.B) {
-	b.ReportAllocs()
-	m, _ := benchMatrix(b, 341)
-	x := randVec(m.a.Rows, 1)
-	y := make([]float64, m.a.Rows)
-	b.SetBytes(int64(12 * m.a.NNZ()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, _ = m.a.MulVecRobustSums(y, x)
-	}
-}
-
-func BenchmarkSpMxVUnfusedSums(b *testing.B) {
-	b.ReportAllocs()
-	m, _ := benchMatrix(b, 341)
-	x := randVec(m.a.Rows, 1)
-	y := make([]float64, m.a.Rows)
-	b.SetBytes(int64(12 * m.a.NNZ()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.a.MulVecRobust(y, x)
-		s1, s2 := checksum.Sums(y)
-		_, _ = s1, s2
-		_ = vec.NormInf(y)
 	}
 }

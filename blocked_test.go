@@ -13,7 +13,7 @@ import (
 
 // This file pins the bitwise contract of the blocked multi-RHS tier on
 // every matrix of the paper suite, exactly the way fused_test.go pins the
-// fused kernels: a blocked product must produce each column's bits of the
+// pool products: a blocked product must produce each column's bits of the
 // corresponding single-vector kernel, and a blocked solve (k > 1) must
 // reproduce, per right-hand side, the exact residual history, statistics
 // and outcome of solving that system alone.
@@ -40,20 +40,6 @@ func TestBlockedKernelsBitwiseOnSuite(t *testing.T) {
 		for j := range xs {
 			if !bitsEqual(ysRef[j], ys[j]) {
 				t.Errorf("matrix %d: MulVecBlock column %d differs from MulVec", id, j)
-			}
-		}
-
-		// Fused blocked product+checksums vs k single fused products.
-		s1s := make([]float64, k)
-		s2s := make([]float64, k)
-		a.MulVecSumsBlock(ys, xs, s1s, s2s)
-		for j := range xs {
-			s1Ref, s2Ref := a.MulVecSums(ysRef[j], xs[j])
-			if !bitsEqual(ysRef[j], ys[j]) {
-				t.Errorf("matrix %d: MulVecSumsBlock column %d differs from MulVecSums", id, j)
-			}
-			if math.Float64bits(s1s[j]) != math.Float64bits(s1Ref) || math.Float64bits(s2s[j]) != math.Float64bits(s2Ref) {
-				t.Errorf("matrix %d: blocked sums col %d (%v,%v) != single (%v,%v)", id, j, s1s[j], s2s[j], s1Ref, s2Ref)
 			}
 		}
 

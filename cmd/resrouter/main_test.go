@@ -23,10 +23,16 @@ import (
 // the done channel; the context cancel drives the drain path.
 func boot(t *testing.T, args []string) (string, context.CancelFunc, chan error) {
 	t.Helper()
+	return bootLogging(t, io.Discard, args)
+}
+
+// bootLogging is boot with the router's log stream handed to the test.
+func bootLogging(t *testing.T, log io.Writer, args []string) (string, context.CancelFunc, chan error) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan net.Addr, 1)
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, args, io.Discard, started) }()
+	go func() { done <- run(ctx, args, log, started) }()
 	select {
 	case addr := <-started:
 		return "http://" + addr.String(), cancel, done

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -27,7 +29,27 @@ func writeTopology(t *testing.T, path string, names ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	replaceFile(t, path, blob)
+}
+
+// replaceFile moves content into place at path with a modification time
+// later than the one it replaces, so a watcher sees exactly one change and
+// never half a file — two writes a few milliseconds apart can otherwise
+// carry one timestamp.
+func replaceFile(t *testing.T, path string, content []byte) {
+	t.Helper()
+	next := path + ".next"
+	if err := os.WriteFile(next, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mtime := time.Now()
+	if old, err := os.Stat(path); err == nil && !mtime.After(old.ModTime()) {
+		mtime = old.ModTime().Add(time.Millisecond)
+	}
+	if err := os.Chtimes(next, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(next, path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,21 +72,66 @@ func routerzShards(t *testing.T, base string) []api.ShardStatus {
 	return routerz(t, base).Shards
 }
 
-func waitForShardSet(t *testing.T, base string, want ...string) {
+// waitFor polls cond until it holds; the test fails, naming what it waited
+// for, if that takes longer than 20 seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	var got []string
-	for time.Now().Before(deadline) {
-		got = got[:0]
-		for _, s := range routerzShards(t, base) {
-			got = append(got, s.Name)
-		}
-		if strings.Join(got, ",") == strings.Join(want, ",") {
-			return
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("shard set %v, want %v", got, want)
+}
+
+func shardSet(t *testing.T, base string) string {
+	t.Helper()
+	var names []string
+	for _, s := range routerzShards(t, base) {
+		names = append(names, s.Name)
+	}
+	return strings.Join(names, ",")
+}
+
+func waitForShardSet(t *testing.T, base string, want ...string) {
+	t.Helper()
+	set := strings.Join(want, ",")
+	waitFor(t, "shard set "+set, func() bool { return shardSet(t, base) == set })
+}
+
+// logLines is the router's log stream, kept for a test to wait on: a reload
+// says in it that it was applied or rejected, and why it ran.
+type logLines struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *logLines) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *logLines) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// count returns how many lines hold every one of the fragments.
+func (l *logLines) count(fragments ...string) int {
+	n := 0
+lines:
+	for _, line := range strings.Split(l.String(), "\n") {
+		for _, f := range fragments {
+			if !strings.Contains(line, f) {
+				continue lines
+			}
+		}
+		n++
+	}
+	return n
 }
 
 // TestTopologyMtimeReload boots with a fast mtime watch and grows, then
@@ -96,22 +163,25 @@ func TestTopologyMtimeReload(t *testing.T) {
 func TestSIGHUPReload(t *testing.T) {
 	topo := filepath.Join(t.TempDir(), "topo.json")
 	writeTopology(t, topo, "a", "b")
-	base, cancel, _ := boot(t, []string{
-		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", "0", "-workers", "1", "-q"})
+	log := &logLines{}
+	base, cancel, _ := bootLogging(t, log, []string{
+		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", "0", "-workers", "1"})
 	defer cancel()
 	waitForShardSet(t, base, "a", "b")
 
-	// Rewriting the file alone must do nothing without the watch.
+	// Rewriting the file alone must do nothing without the watch: the one
+	// reload of this run is the signal's.
 	writeTopology(t, topo, "a", "b", "c")
-	time.Sleep(150 * time.Millisecond)
-	if got := routerzShards(t, base); len(got) != 2 {
-		t.Fatalf("shard set grew to %d without SIGHUP", len(got))
-	}
-
 	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
 		t.Fatal(err)
 	}
-	waitForShardSet(t, base, "a", "b", "c")
+	waitFor(t, "the SIGHUP reload", func() bool { return log.count("topology reload applied", "reason=SIGHUP") == 1 })
+	if got := shardSet(t, base); got != "a,b,c" {
+		t.Errorf("shard set %s after the SIGHUP reload, want a,b,c", got)
+	}
+	if n := log.count("topology reload"); n != 1 {
+		t.Errorf("%d reloads logged, want the SIGHUP one alone:\n%s", n, log)
+	}
 }
 
 // TestMalformedRewriteKeepsPreviousRing rewrites the watched topology to
@@ -120,20 +190,22 @@ func TestSIGHUPReload(t *testing.T) {
 func TestMalformedRewriteKeepsPreviousRing(t *testing.T) {
 	topo := filepath.Join(t.TempDir(), "topo.json")
 	writeTopology(t, topo, "a", "b")
-	base, cancel, _ := boot(t, []string{
+	log := &logLines{}
+	base, cancel, _ := bootLogging(t, log, []string{
 		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", "25ms", "-workers", "1", "-q"})
 	defer cancel()
 	waitForShardSet(t, base, "a", "b")
 
-	for _, garbage := range []string{
+	for i, garbage := range []string{
 		"{not json",
 		`{"schema":99,"shards":[{"name":"a"}]}`,
 		`{"schema":1,"shards":[{"name":"a"},{"name":"a"}]}`,
 	} {
-		if err := os.WriteFile(topo, []byte(garbage), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(100 * time.Millisecond) // several watch ticks
+		// One rewrite, one rejected reload.
+		replaceFile(t, topo, []byte(garbage))
+		waitFor(t, "the watcher to reject "+garbage, func() bool {
+			return log.count("topology reload rejected", "reason=mtime") == i+1
+		})
 		if got := routerzShards(t, base); len(got) != 2 {
 			t.Fatalf("malformed rewrite %q changed the shard set to %d", garbage, len(got))
 		}
@@ -230,26 +302,14 @@ func TestSuperviseRestartsKilledShard(t *testing.T) {
 
 	// The supervisor must bring up a replacement process (new pid, same
 	// shard name, same port) and the probes re-admit it.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if np := findShardPID(t, bin, victim); np != 0 && np != pid {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("killed shard never restarted")
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	for {
+	waitFor(t, "the killed shard to restart", func() bool {
+		np := findShardPID(t, bin, victim)
+		return np != 0 && np != pid
+	})
+	waitFor(t, "restarted shard "+victim+" to take its keys back", func() bool {
 		code, rec := solve(sizes[0])
-		if code == http.StatusOK && rec.owner == victim {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restarted shard %s never took its keys back (last: status %d owner %q)", victim, code, rec.owner)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		return code == http.StatusOK && rec.owner == victim
+	})
 
 	// Determinism across the whole episode: every key answers with its
 	// baseline hash, and the victim's keys are served by the victim again.

@@ -4,17 +4,14 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/checksum"
 	"repro/internal/harness"
-	"repro/internal/parallel"
 	"repro/internal/pool"
 	"repro/internal/sparse"
 )
 
-// This file pins the bitwise contract of the fused kernel engine on every
-// matrix of the paper suite: the fused SpMV+checksum kernels must produce
-// exactly the bits of the unfused multi-pass code, and the parallel
-// products must produce exactly the sequential bits at every worker count.
+// This file pins the bitwise contract of the pool products on every matrix
+// of the paper suite: they must produce exactly the sequential bits at every
+// worker count.
 
 // suiteInstances generates a small instance of each of the nine paper
 // suite matrices (scale keeps the row counts in the low thousands so the
@@ -40,45 +37,6 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-func TestFusedKernelsBitwiseOnSuite(t *testing.T) {
-	for id, a := range suiteInstances(t) {
-		x := randVec(a.Cols, int64(id))
-		yRef := make([]float64, a.Rows)
-		yFused := make([]float64, a.Rows)
-
-		// Plain fused product vs MulVec + separate checksum pass.
-		a.MulVec(yRef, x)
-		s1Ref, s2Ref := checksum.Sums(yRef)
-		s1, s2 := a.MulVecSums(yFused, x)
-		if !bitsEqual(yRef, yFused) {
-			t.Errorf("matrix %d: MulVecSums output differs from MulVec", id)
-		}
-		if math.Float64bits(s1) != math.Float64bits(s1Ref) || math.Float64bits(s2) != math.Float64bits(s2Ref) {
-			t.Errorf("matrix %d: fused sums (%v,%v) != unfused (%v,%v)", id, s1, s2, s1Ref, s2Ref)
-		}
-
-		// Robust fused product vs MulVecRobust + sums + max-norm passes.
-		a.MulVecRobust(yRef, x)
-		s1Ref, s2Ref = checksum.Sums(yRef)
-		var normRef float64
-		for _, v := range yRef {
-			if av := math.Abs(v); av > normRef {
-				normRef = av
-			}
-		}
-		s1, s2, normY := a.MulVecRobustSums(yFused, x)
-		if !bitsEqual(yRef, yFused) {
-			t.Errorf("matrix %d: MulVecRobustSums output differs from MulVecRobust", id)
-		}
-		if math.Float64bits(s1) != math.Float64bits(s1Ref) || math.Float64bits(s2) != math.Float64bits(s2Ref) {
-			t.Errorf("matrix %d: fused robust sums differ", id)
-		}
-		if math.Float64bits(normY) != math.Float64bits(normRef) {
-			t.Errorf("matrix %d: fused ‖y‖∞ %v != %v", id, normY, normRef)
-		}
-	}
-}
-
 func TestParallelProductsBitwiseAcrossWorkers(t *testing.T) {
 	for id, a := range suiteInstances(t) {
 		x := randVec(a.Cols, int64(id))
@@ -97,28 +55,6 @@ func TestParallelProductsBitwiseAcrossWorkers(t *testing.T) {
 			a.MulVecRobustParallel(p, y, x)
 			if !bitsEqual(yRobustRef, y) {
 				t.Errorf("matrix %d: MulVecRobustParallel differs at %d workers", id, workers)
-			}
-			p.Close()
-		}
-	}
-}
-
-func TestBlockProtectedBitwiseAcrossWorkers(t *testing.T) {
-	for id, a := range suiteInstances(t) {
-		x := randVec(a.Cols, int64(id))
-		pr := parallel.New(a, 8)
-		yRef := make([]float64, a.Rows)
-		if out := pr.MulVecOn(nil, yRef, x); out.Detected {
-			t.Fatalf("matrix %d: false positive (sequential)", id)
-		}
-		for _, workers := range []int{2, 4} {
-			p := pool.New(workers)
-			y := make([]float64, a.Rows)
-			if out := pr.MulVecOn(p, y, x); out.Detected {
-				t.Fatalf("matrix %d: false positive at %d workers", id, workers)
-			}
-			if !bitsEqual(yRef, y) {
-				t.Errorf("matrix %d: block-protected product differs at %d workers", id, workers)
 			}
 			p.Close()
 		}

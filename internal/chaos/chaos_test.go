@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,26 @@ import (
 
 	"repro/internal/api"
 )
+
+// TestMain is the package's leak check: once every test is done, the
+// goroutine count must come back to where it started — anything an injected
+// fault leaves running past its round trip shows up here with its stack.
+func TestMain(m *testing.M) {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d before the tests, %d after\n", before, after)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 // rtFunc adapts a function to http.RoundTripper.
 type rtFunc func(*http.Request) (*http.Response, error)

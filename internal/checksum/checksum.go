@@ -104,9 +104,8 @@ type Matrix struct {
 	Norm1 float64
 }
 
-// NewMatrix computes the checksum encoding of A. A must be square (the
-// solvers only protect square systems; the row-block parallel decomposition
-// in internal/parallel handles the rectangular local blocks).
+// NewMatrix computes the checksum encoding of A. A must be square: the
+// solvers only protect square systems.
 //
 // The encoder tolerates a structurally corrupted representation — clamped
 // row-pointer ranges, skipped out-of-range column indices — because the

@@ -180,18 +180,8 @@ var wsPool = sync.Pool{New: func() any {
 	return &Workspaces{Core: core.NewWorkspace(), Solver: solver.NewWorkspace()}
 }}
 
-// SolveOne runs a single trial of the scenario on a prebuilt matrix and
-// right-hand side: it constructs the injector from (sc.Alpha, seed),
-// dispatches on the solver axis and returns the solution and statistics.
-// onIter, when non-nil, receives the per-iteration recurrence scalar (used
-// to fingerprint trajectories). pl, when non-nil, runs the solver kernels
-// on the worker pool; the arithmetic is identical either way.
-func SolveOne(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario, seed int64, onIter func(it int, rho float64)) ([]float64, core.Stats, error) {
-	return SolveWith(a, b, sc, seed, SolveOpts{Pool: pl, OnIteration: onIter})
-}
-
 // SolveOpts bundles the cache-aware execution hooks of SolveWith. Every
-// field is optional; the zero value reproduces SolveOne.
+// field is optional.
 type SolveOpts struct {
 	// Pool, when non-nil, runs the solver kernels on the worker pool; the
 	// arithmetic is identical either way.
@@ -214,8 +204,11 @@ type SolveOpts struct {
 	OnDetection func(core.DetectionEvent)
 }
 
-// SolveWith is the single-trial solve primitive behind SolveOne and the
-// campaign drivers, with every reusable artifact injectable: long-running
+// SolveWith runs a single trial of the scenario on a prebuilt matrix and
+// right-hand side: it constructs the injector from (sc.Alpha, seed),
+// dispatches on the solver axis and returns the solution and statistics.
+// It is the solve primitive behind the campaign drivers and the service,
+// with every reusable artifact injectable: long-running
 // callers (the solve service) hand in cached workspaces and
 // preconditioners so a warm solve of a known matrix never reconstructs
 // per-matrix state. Results are bitwise identical for any combination of
@@ -410,7 +403,7 @@ func RunOn(pl *pool.Pool, a *sparse.CSR, sc Scenario) (Result, error) {
 		base.Alpha = 0
 		base.Reps = 1
 		base.Baseline = false
-		switch _, st, err := SolveOne(pl, a, b, base, base.Seed, nil); {
+		switch _, st, err := SolveWith(a, b, base, base.Seed, SolveOpts{Pool: pl}); {
 		case err != nil:
 			res.BaselineError = err.Error()
 		case st.SimTime <= 0:

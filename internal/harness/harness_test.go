@@ -103,7 +103,7 @@ func TestSolverAxes(t *testing.T) {
 	for _, tc := range cases {
 		sc := Scenario{Solver: tc.solver, Scheme: tc.scheme, Tol: 1e-8}
 		var hist []float64
-		_, st, err := SolveOne(nil, a, b, sc, 1, func(_ int, rho float64) { hist = append(hist, rho) })
+		_, st, err := SolveWith(a, b, sc, 1, SolveOpts{OnIteration: func(_ int, rho float64) { hist = append(hist, rho) }})
 		if err != nil {
 			t.Errorf("%s/%s: %v", tc.solver, tc.scheme, err)
 			continue
@@ -150,7 +150,7 @@ func TestUnprotectedNeumannPCG(t *testing.T) {
 	a := sparse.Tridiag(150, 2, -1)
 	b, _ := RHS(a, 3)
 	sc := Scenario{Solver: "pcg", Precond: "neumann", Scheme: "unprotected", Tol: 1e-8}
-	_, st, err := SolveOne(nil, a, b, sc, 1, nil)
+	_, st, err := SolveWith(a, b, sc, 1, SolveOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

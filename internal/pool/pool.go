@@ -1,8 +1,7 @@
 // Package pool implements the shared worker-pool execution engine that the
-// hot paths of this repository run on: the blocked-checksum parallel SpMxV
-// (internal/parallel), the row-partitioned CSR products (internal/sparse),
-// the blocked vector kernels (internal/vec) and the fault-campaign fan-out
-// (internal/sim).
+// hot paths of this repository run on: the row-partitioned CSR products
+// (internal/sparse), the blocked vector kernels (internal/vec) and the
+// fault-campaign fan-out (internal/sim).
 //
 // The engine is a fixed set of resident worker goroutines (sized by
 // runtime.GOMAXPROCS by default) fed over an unbuffered channel. Every

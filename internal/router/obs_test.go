@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -374,7 +375,10 @@ func TestRouterStatuszBuildInfo(t *testing.T) {
 // solver shards behind a hedge-enabled router, one request, and the
 // trace ID from the response header retrievable from BOTH tiers'
 // /v1/tracez — router spans (route/attempt/hedge bookkeeping) on one
-// side, shard spans (queue-wait/solve) on the other, under one ID.
+// side, shard spans (queue-wait/solve) on the other, under one ID. The
+// shard held to the full span set is the one the response names: the
+// replica that lost the hedge race is canceled, and if that reached it
+// before a worker did it holds the ID with an error mark and no solve.
 func TestTracePropagationAcrossTiers(t *testing.T) {
 	shardURLs := make([]string, 2)
 	shards := make([]Shard, 2)
@@ -392,10 +396,19 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 	rts := httptest.NewServer(r.Handler())
 	t.Cleanup(func() { rts.Close(); r.Shutdown() })
 
-	status, id := postTraced(t, rts.URL, solveBody(t, "poisson2d", 225), "")
-	if status != http.StatusOK {
-		t.Fatalf("routed solve: status %d", status)
+	resp, err := http.Post(rts.URL+"/v1/solve", "application/json", bytes.NewReader(solveBody(t, "poisson2d", 225)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed solve: status %d", resp.StatusCode)
+	}
+	var answer api.SolveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil {
+		t.Fatal(err)
+	}
+	id, served := resp.Header.Get(api.TraceHeader), answer.Result.Shard
 	if !obs.ValidTraceID(id) {
 		t.Fatalf("invalid trace ID %q", id)
 	}
@@ -410,9 +423,9 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 		t.Errorf("router trace missing attempt/route spans: %+v", rec.Spans)
 	}
 
-	// Shard tier: the same ID names the solve's trace on whichever
-	// replica(s) served it (both, when the hedge armed and raced).
-	found := 0
+	// Shard tier: the same ID names the solve's trace on the replica that
+	// served it, and on the other one too when the hedge armed and raced.
+	found := false
 	for i, url := range shardURLs {
 		tz, err := api.NewClient(url).Tracez(context.Background(), 0, id)
 		if err != nil {
@@ -421,12 +434,20 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 		if len(tz.Traces) == 0 {
 			continue
 		}
-		found++
 		srec := tz.Traces[0]
 		if srec.Tier != api.TierShard {
 			t.Errorf("shard %d trace tier = %q", i, srec.Tier)
 		}
 		snames := spanNames(srec)
+		if shards[i].Name != served {
+			// The hedge loser either solved anyway (a worker had it when the
+			// cancel arrived) or was refused, and says so.
+			if !snames[obs.SpanSolve] && srec.Error == "" {
+				t.Errorf("shard %d lost the race without solving, and its trace has no error mark: %+v", i, srec)
+			}
+			continue
+		}
+		found = true
 		if !snames[obs.SpanSolve] || !snames[obs.SpanQueueWait] {
 			t.Errorf("shard %d trace missing solve/queue-wait spans: %+v", i, srec.Spans)
 		}
@@ -434,7 +455,7 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 			t.Errorf("shard %d trace has no solver tallies", i)
 		}
 	}
-	if found == 0 {
-		t.Fatalf("trace %s not found on any shard tier", id)
+	if !found {
+		t.Fatalf("trace %s not found on shard %q, which served it", id, served)
 	}
 }

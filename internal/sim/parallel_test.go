@@ -38,24 +38,6 @@ func TestCampaignFanOutDeterministic(t *testing.T) {
 	}
 }
 
-// TestAverageTimeMatchesPooledSequential pins the compatibility contract:
-// the legacy AverageTime entry point is AverageTimePool with a nil pool.
-func TestAverageTimeMatchesPooledSequential(t *testing.T) {
-	sm, _ := harness.SuiteByID(2213)
-	a := sm.Generate(96)
-	b, _ := harness.RHS(a, 5)
-	m1, s1, f1 := AverageTime(a, b, core.ABFTDetection, 1.0/16, 2, 1, 1e-8, 9, 3)
-	m2, s2, f2 := AverageTimePool(nil, a, b, core.ABFTDetection, 1.0/16, 2, 1, 1e-8, 9, 3)
-	if m1 != m2 || f1 != f2 || len(s1) != len(s2) {
-		t.Fatalf("AverageTime diverged from nil-pool AverageTimePool: %v/%d vs %v/%d", m1, f1, m2, f2)
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("sample %d differs", i)
-		}
-	}
-}
-
 // TestCampaignWorkersKnob checks the Workers resolution used by the
 // experiment configs.
 func TestCampaignWorkersKnob(t *testing.T) {

@@ -14,32 +14,15 @@ import (
 	"repro/internal/sparse"
 )
 
-// RunOnce executes one resilient solve with a fresh injector and returns
-// its statistics. s and d override the model-optimal intervals when > 0.
-func RunOnce(a *sparse.CSR, b []float64, scheme core.Scheme, alpha float64, s, d int, tol float64, seed int64) (core.Stats, error) {
-	sc := harness.Scenario{
-		Solver: "cg", Scheme: harness.SchemeSlug(scheme),
-		Alpha: alpha, S: s, D: d, Tol: tol,
-	}
-	_, st, err := harness.SolveOne(nil, a, b, sc, seed, nil)
-	return st, err
-}
-
-// AverageTime runs `reps` independent solves (distinct injector seeds)
-// sequentially and returns the mean simulated execution time and the raw
+// AverageTimePool runs `reps` independent solves (distinct injector seeds),
+// fanned out across the worker pool (nil runs them sequentially on the
+// caller), and returns the mean simulated execution time and the raw
 // samples. Runs that fail to converge are charged at their (large)
 // accumulated time — exactly what an operator would experience — and
-// counted.
-func AverageTime(a *sparse.CSR, b []float64, scheme core.Scheme, alpha float64, s, d int, tol float64, baseSeed int64, reps int) (mean float64, samples []float64, failures int) {
-	return AverageTimePool(nil, a, b, scheme, alpha, s, d, tol, baseSeed, reps)
-}
-
-// AverageTimePool is AverageTime with the independent trials fanned out
-// across the worker pool (nil runs them sequentially on the caller). It is
-// a thin veneer over the harness trial engine: each trial owns a fresh
-// injector seeded deterministically by its index and samples land in
-// per-trial slots, making mean, samples and the failure count identical
-// for any worker count.
+// counted. It is a thin veneer over the harness trial engine: each trial
+// owns a fresh injector seeded deterministically by its index and samples
+// land in per-trial slots, making mean, samples and the failure count
+// identical for any worker count.
 func AverageTimePool(p *pool.Pool, a *sparse.CSR, b []float64, scheme core.Scheme, alpha float64, s, d int, tol float64, baseSeed int64, reps int) (mean float64, samples []float64, failures int) {
 	if reps < 0 {
 		reps = 0

@@ -99,25 +99,13 @@ func TestLogSpace(t *testing.T) {
 	}
 }
 
-func TestRunOnceFaultFree(t *testing.T) {
-	a := harness.PaperSuite[8].Generate(64) // smallest after scaling
-	b, _ := harness.RHS(a, 1)
-	st, err := RunOnce(a, b, core.ABFTCorrection, 0, 0, 0, 1e-8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged || st.Rollbacks != 0 {
-		t.Fatalf("fault-free run: %+v", st)
-	}
-}
-
 func TestAverageTimePaired(t *testing.T) {
 	a := harness.PaperSuite[8].Generate(64)
 	b, _ := harness.RHS(a, 2)
-	m1, s1, _ := AverageTime(a, b, core.ABFTDetection, 0.05, 5, 1, 1e-8, 7, 3)
-	m2, s2, _ := AverageTime(a, b, core.ABFTDetection, 0.05, 5, 1, 1e-8, 7, 3)
+	m1, s1, _ := AverageTimePool(nil, a, b, core.ABFTDetection, 0.05, 5, 1, 1e-8, 7, 3)
+	m2, s2, _ := AverageTimePool(nil, a, b, core.ABFTDetection, 0.05, 5, 1, 1e-8, 7, 3)
 	if m1 != m2 || len(s1) != len(s2) {
-		t.Fatal("AverageTime not deterministic for equal seeds")
+		t.Fatal("AverageTimePool not deterministic for equal seeds")
 	}
 	if len(s1) != 3 {
 		t.Fatalf("want 3 samples, got %d", len(s1))

@@ -21,9 +21,6 @@ func BiCGstab(a *sparse.CSR, b []float64, opt Options) (Result, error) {
 	ws := opt.Ws.begin()
 
 	x := ws.takeZero(n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
-	}
 	r := ws.take(n)
 	t := ws.take(n) // A·s later; r0 scratch now
 	a.MulVec(t, x)
@@ -46,9 +43,6 @@ func BiCGstab(a *sparse.CSR, b []float64, opt Options) (Result, error) {
 
 	for it := 0; it < opt.MaxIter; it++ {
 		rNorm := vec.Norm2(r)
-		if opt.RecordResiduals {
-			res.Residuals = append(res.Residuals, rNorm)
-		}
 		if opt.OnIteration != nil {
 			opt.OnIteration(it+1, rNorm)
 		}

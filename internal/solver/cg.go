@@ -26,15 +26,9 @@ type Options struct {
 	Tol float64
 	// MaxIter caps the iterations; 0 means 10·n.
 	MaxIter int
-	// X0 is the initial guess (zero vector if nil).
-	X0 []float64
-	// RecordResiduals, when true, stores ‖r‖ at every iteration in the
-	// result (used by convergence tests and plots).
-	RecordResiduals bool
 	// OnIteration, when non-nil, streams the per-iteration recurrence
-	// residual norm: it is called with the 1-based iteration index at
-	// exactly the point where RecordResiduals would append, and receives
-	// the same values. Unlike RecordResiduals it performs no allocation,
+	// residual norm: it is called with the 1-based iteration index before
+	// the convergence test of that iteration. It performs no allocation,
 	// so a workspace-carrying warm solve that fingerprints its trajectory
 	// stays allocation-free. Honoured by CG, PCGWith and BiCGstab.
 	OnIteration func(it int, res float64)
@@ -61,8 +55,7 @@ type Result struct {
 	Converged  bool
 	// Residual is the final true residual norm ‖b − Ax‖ (recomputed, not
 	// the recurrence value).
-	Residual  float64
-	Residuals []float64 // per-iteration recurrence residual norms, if recorded
+	Residual float64
 }
 
 // CG solves Ax = b for symmetric positive definite A using the Conjugate
@@ -104,12 +97,9 @@ func pcg(name string, a, m *sparse.CSR, b []float64, opt Options) (Result, error
 	ws := opt.Ws.begin()
 
 	x := ws.takeZero(n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
-	}
 	r := ws.take(n)
 	q := ws.take(n)
-	// r0 = b − A x0
+	// r0 = b − A x0, x0 = 0
 	a.MulVec(q, x)
 	vec.Sub(r, b, q)
 	z := r
@@ -129,9 +119,6 @@ func pcg(name string, a, m *sparse.CSR, b []float64, opt Options) (Result, error
 
 	for it := 0; it < opt.MaxIter; it++ {
 		rNorm := resNorm(m, rho, r)
-		if opt.RecordResiduals {
-			res.Residuals = append(res.Residuals, rNorm)
-		}
 		if opt.OnIteration != nil {
 			opt.OnIteration(it+1, rNorm)
 		}

@@ -18,16 +18,18 @@ import (
 // itself: the re-slices of Hoist and Lanes4 (two, and two per lane), and the
 // out-of-line copies of the row loops, which know nothing of their caller's
 // slices (Colid[k] and, per lane, the lookup in x) — a check added to a
-// loop's source shows up here. callSiteChecks are the sites on the lines that call a RowDot*, where
-// the loops that actually run report: one per strict call (the lookup in x
-// that makes a strict product panic on a corrupted column; the range is
-// validated once per row), none per robust call (its clamp and Hoist's
-// re-slice prove the range — a caller that stops passing hoisted slices
-// shows up here), plus the two row-pointer loads of each MulVecRow*.
+// loop's source shows up here. callSiteChecks are the sites on the lines
+// that call a RowDot*, where the loops that actually run report: one per
+// strict call (mulRows and mulVec4: the lookup in x that makes a strict
+// product panic on a corrupted column; the range is validated once per
+// row), none per robust call (mulRowsRobust and abft.Protected's products:
+// the clamp and Hoist's re-slice prove the range — a caller that stops
+// passing hoisted slices shows up here), plus the two row-pointer loads of
+// MulVecRowRobust.
 const (
 	pinnedGo         = "go1.24"
 	kernelFileChecks = 22
-	callSiteChecks   = 9
+	callSiteChecks   = 4
 )
 
 // TestBoundsCheckBudget fails when an edit puts a bounds check back into a
@@ -43,7 +45,7 @@ func TestBoundsCheckBudget(t *testing.T) {
 		t.Skipf("the go command on PATH (%q, %v) is not the toolchain that built this test (%s)", v, err, runtime.Version())
 	}
 	out, err := exec.Command("go", "build", "-gcflags=-d=ssa/check_bce/debug=1",
-		"repro/internal/sparse", "repro/internal/abft", "repro/internal/parallel").CombinedOutput()
+		"repro/internal/sparse", "repro/internal/abft").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}

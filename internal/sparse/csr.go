@@ -157,31 +157,6 @@ func (m *CSR) mulRows(y, x []float64, r0, r1 int) {
 	}
 }
 
-// MulVecSums computes y ← Ax and, fused into the same traversal, the
-// two weighted output checksums s1 = Σ yᵢ and s2 = Σ (i+1)·yᵢ. Each row is
-// accumulated left-to-right exactly as in MulVec and the checksums are
-// accumulated in row order exactly as checksum.Sums would over the finished
-// y, so both the output vector and the sums are bitwise identical to the
-// unfused MulVec-then-Sums sequence — while Val, Colid and y are read once
-// instead of twice.
-func (m *CSR) MulVecSums(y, x []float64) (s1, s2 float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("sparse: MulVecSums dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	val, col, rowidx := m.Hoist()
-	lo, his := rowidx[0], rowidx[1:]
-	y = y[:len(his)]
-	for i, hi := range his {
-		s := RowDot(val, col, x, lo, hi)
-		lo = hi
-		y[i] = s
-		s1 += s
-		s2 += float64(i+1) * s
-	}
-	return s1, s2
-}
-
 // MulVecBlock computes ys[j] ← A·xs[j] for every lane j. Lanes are taken
 // four at a time: one pass over a row's nonzeros loads each Val[k] and
 // Colid[k] once and feeds four independent sums (RowDot4), so four lanes
@@ -221,51 +196,6 @@ func (m *CSR) mulVec4(ys, xs [][]float64) {
 	}
 }
 
-// MulVecSumsBlock is MulVecBlock — four lanes per pass over a row, the rest
-// one by one — fused with per-lane output checksum accumulation: it computes
-// ys[j] ← A·xs[j] and the weighted sums s1s[j] = Σᵢ ys[j][i],
-// s2s[j] = Σᵢ (i+1)·ys[j][i]. Per-lane accumulation order matches
-// MulVecSums exactly, so outputs and checksums are bitwise identical to k
-// separate MulVecSums calls.
-func (m *CSR) MulVecSumsBlock(ys, xs [][]float64, s1s, s2s []float64) {
-	if len(ys) != len(xs) || len(s1s) < len(xs) || len(s2s) < len(xs) {
-		panic(fmt.Sprintf("sparse: MulVecSumsBlock: %d outputs, %d inputs, %d/%d sum slots",
-			len(ys), len(xs), len(s1s), len(s2s)))
-	}
-	for j := range xs {
-		if len(xs[j]) != m.Cols || len(ys[j]) != m.Rows {
-			panic(fmt.Sprintf("sparse: MulVecSumsBlock dimensions: A is %dx%d, len(xs[%d])=%d, len(ys[%d])=%d",
-				m.Rows, m.Cols, j, len(xs[j]), j, len(ys[j])))
-		}
-	}
-	j := 0
-	for ; j+4 <= len(xs); j += 4 {
-		m.mulVecSums4(ys[j:j+4], xs[j:j+4], s1s[j:j+4], s2s[j:j+4])
-	}
-	for ; j < len(xs); j++ {
-		s1s[j], s2s[j] = m.MulVecSums(ys[j], xs[j])
-	}
-}
-
-// mulVecSums4 is MulVecSums for exactly four lanes of checked lengths.
-func (m *CSR) mulVecSums4(ys, xs [][]float64, s1s, s2s []float64) {
-	val, col, rowidx := m.Hoist()
-	x0, x1, x2, x3 := Lanes4(xs, m.Cols)
-	var a0, a1, a2, a3, b0, b1, b2, b3 float64
-	lo, his := rowidx[0], rowidx[1:]
-	y0, y1, y2, y3 := Lanes4(ys, len(his))
-	for i, hi := range his {
-		s0, s1, s2, s3 := RowDot4(val, col, x0, x1, x2, x3, lo, hi)
-		lo = hi
-		y0[i], y1[i], y2[i], y3[i] = s0, s1, s2, s3
-		w := float64(i + 1)
-		a0, a1, a2, a3 = a0+s0, a1+s1, a2+s2, a3+s3
-		b0, b1, b2, b3 = b0+w*s0, b1+w*s1, b2+w*s2, b3+w*s3
-	}
-	s1s[0], s1s[1], s1s[2], s1s[3] = a0, a1, a2, a3
-	s2s[0], s2s[1], s2s[2], s2s[3] = b0, b1, b2, b3
-}
-
 // MulVecRobust computes y ← Ax tolerating a corrupted representation: row
 // pointer ranges are clamped to the valid nonzero range and out-of-range
 // column indices contribute nothing. The resilient drivers use it so that a
@@ -291,77 +221,14 @@ func (m *CSR) mulRowsRobust(y, x []float64, r0, r1 int) {
 	}
 }
 
-// MulVecRobustSums is MulVecRobust fused with output checksum and max-norm
-// accumulation: in one traversal it computes y ← Ax (clamped row-pointer
-// ranges, skipped out-of-range column indices), the weighted sums
-// s1 = Σ yᵢ and s2 = Σ (i+1)·yᵢ, and normY = maxᵢ|yᵢ|. The per-row
-// accumulation order matches MulVecRobust and the checksum accumulation
-// order matches checksum.Sums over the finished vector, so every returned
-// quantity is bitwise identical to the unfused multi-pass sequence.
-//
-// Note that abft.Protected.MulVec deliberately does NOT use this kernel
-// for its defect tests: the window between a protected product and its
-// verification is part of the ABFT protection contract, so Verify must
-// re-read y (see the comment there). This kernel serves callers whose
-// checksum consumer needs the sums of the product as written — e.g.
-// capturing a reliable reference of a freshly computed vector in the same
-// pass, as the per-block verification in internal/parallel does for its
-// own output slices.
-func (m *CSR) MulVecRobustSums(y, x []float64) (s1, s2, normY float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("sparse: MulVecRobustSums dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	val, col, rowidx := m.Hoist()
-	lo, his := rowidx[0], rowidx[1:]
-	y = y[:len(his)]
-	for i, hi := range his {
-		s := RowDotRobust(val, col, x, lo, hi)
-		lo = hi
-		y[i] = s
-		s1 += s
-		s2 += float64(i+1) * s
-		if s > normY {
-			normY = s
-		} else if -s > normY {
-			normY = -s
-		}
-	}
-	return s1, s2, normY
-}
-
-// MulVecRow recomputes the single output entry yᵢ = Σ_k Val[k]·x[Colid[k]]
-// for row i. The ABFT correction step uses it to repair corrupted rows
-// without redoing the whole product.
-func (m *CSR) MulVecRow(i int, x []float64) float64 {
-	val, col, rowidx := m.Hoist()
-	return RowDot(val, col, x, rowidx[i], rowidx[i+1])
-}
-
-// MulVecRowRobust is MulVecRow over a possibly corrupted representation:
-// the row's range is clamped and out-of-range column indices contribute
-// nothing, exactly as in MulVecRobust.
+// MulVecRowRobust recomputes the single output entry
+// yᵢ = Σ_k Val[k]·x[Colid[k]] for row i over a possibly corrupted
+// representation: the row's range is clamped and out-of-range column indices
+// contribute nothing, exactly as in MulVecRobust. The ABFT correction step
+// uses it to repair corrupted rows without redoing the whole product.
 func (m *CSR) MulVecRowRobust(i int, x []float64) float64 {
 	val, col, rowidx := m.Hoist()
 	return RowDotRobust(val, col, x, rowidx[i], rowidx[i+1])
-}
-
-// MulTransVec computes y ← Aᵀx. Needed by the CGNE/BiCG family the paper
-// names as further targets of the scheme.
-func (m *CSR) MulTransVec(y, x []float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("sparse: MulTransVec dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-			y[m.Colid[k]] += m.Val[k] * xi
-		}
-	}
 }
 
 // Norm1 returns ‖A‖₁ = max_j Σᵢ |aᵢⱼ| (maximum absolute column sum), the

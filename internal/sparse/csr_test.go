@@ -62,28 +62,14 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestMulVecRow(t *testing.T) {
+func TestMulVecRowRobust(t *testing.T) {
 	m := tri3()
 	x := []float64{1, 2, 3}
 	for i := 0; i < 3; i++ {
 		y := make([]float64, 3)
 		m.MulVec(y, x)
-		if got := m.MulVecRow(i, x); got != y[i] {
-			t.Fatalf("MulVecRow(%d) = %v, want %v", i, got, y[i])
-		}
-	}
-}
-
-func TestMulTransVec(t *testing.T) {
-	// Non-symmetric fixture: [1 2; 0 3].
-	m := Dense(2, 2, []float64{1, 2, 0, 3})
-	x := []float64{1, 1}
-	y := make([]float64, 2)
-	m.MulTransVec(y, x)
-	want := []float64{1, 5}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("MulTransVec = %v, want %v", y, want)
+		if got := m.MulVecRowRobust(i, x); got != y[i] {
+			t.Fatalf("MulVecRowRobust(%d) = %v, want %v", i, got, y[i])
 		}
 	}
 }
@@ -213,41 +199,6 @@ func TestMulVecMatchesDense(t *testing.T) {
 				want += dense[i*n+j] * x[j]
 			}
 			if math.Abs(want-y[i]) > 1e-9*(1+math.Abs(want)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: MulTransVec(y, x) equals building the transpose densely.
-func TestMulTransVecMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows := 2 + rng.Intn(10)
-		cols := 2 + rng.Intn(10)
-		dense := make([]float64, rows*cols)
-		for i := range dense {
-			if rng.Float64() < 0.4 {
-				dense[i] = rng.NormFloat64()
-			}
-		}
-		m := Dense(rows, cols, dense)
-		x := make([]float64, rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		y := make([]float64, cols)
-		m.MulTransVec(y, x)
-		for j := 0; j < cols; j++ {
-			var want float64
-			for i := 0; i < rows; i++ {
-				want += dense[i*cols+j] * x[i]
-			}
-			if math.Abs(want-y[j]) > 1e-9*(1+math.Abs(want)) {
 				return false
 			}
 		}

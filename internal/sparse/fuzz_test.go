@@ -61,11 +61,10 @@ func same(a, b float64) bool {
 }
 
 // refProduct is the reference the kernels are held to: the robust product
-// as it was written before the row loops were hoisted, with the sums of the
-// fused variants taken the slow way. On a valid matrix it is the strict
-// product too.
-func refProduct(m *CSR, x []float64) (y []float64, s1, s2, norm float64) {
-	y = make([]float64, m.Rows)
+// as it was written before the row loops were hoisted. On a valid matrix it
+// is the strict product too.
+func refProduct(m *CSR, x []float64) []float64 {
+	y := make([]float64, m.Rows)
 	nnz := len(m.Val)
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.Rowidx[i], m.Rowidx[i+1]
@@ -82,15 +81,8 @@ func refProduct(m *CSR, x []float64) (y []float64, s1, s2, norm float64) {
 			}
 		}
 		y[i] = s
-		s1 += s
-		s2 += float64(i+1) * s
-		if s > norm {
-			norm = s
-		} else if -s > norm {
-			norm = -s
-		}
 	}
-	return y, s1, s2, norm
+	return y
 }
 
 func requireSame(t *testing.T, what string, got, want []float64) {
@@ -150,15 +142,10 @@ func FuzzProducts(f *testing.F) {
 		checkRobust := func(m *CSR) {
 			split := rng.Intn(rows + 1)
 			for j, x := range xs {
-				want, w1, w2, wnorm := refProduct(m, x)
+				want := refProduct(m, x)
 				y := make([]float64, rows)
 				m.MulVecRobust(y, x)
 				requireSame(t, "MulVecRobust", y, want)
-
-				y = make([]float64, rows)
-				s1, s2, norm := m.MulVecRobustSums(y, x)
-				requireSame(t, "MulVecRobustSums", y, want)
-				requireSame(t, "MulVecRobustSums sums", []float64{s1, s2, norm}, []float64{w1, w2, wnorm})
 
 				y = make([]float64, rows)
 				m.mulRowsRobust(y, x, split, rows)
@@ -175,38 +162,23 @@ func FuzzProducts(f *testing.F) {
 
 		// A valid matrix: every variant is the reference.
 		checkRobust(m)
-		ys, ysSums := make([][]float64, lanes), make([][]float64, lanes)
+		ys := make([][]float64, lanes)
 		for j := range ys {
-			ys[j], ysSums[j] = make([]float64, rows), make([]float64, rows)
+			ys[j] = make([]float64, rows)
 		}
-		s1s, s2s := make([]float64, lanes), make([]float64, lanes)
 		m.MulVecBlock(ys, xs)
-		m.MulVecSumsBlock(ysSums, xs, s1s, s2s)
 		split := rng.Intn(rows + 1)
 		for j, x := range xs {
-			want, w1, w2, _ := refProduct(m, x)
+			want := refProduct(m, x)
 			y := make([]float64, rows)
 			m.MulVec(y, x)
 			requireSame(t, "MulVec", y, want)
 			requireSame(t, "MulVecBlock lane", ys[j], want)
-			requireSame(t, "MulVecSumsBlock lane", ysSums[j], want)
-			requireSame(t, "MulVecSumsBlock sums", []float64{s1s[j], s2s[j]}, []float64{w1, w2})
-
-			y = make([]float64, rows)
-			s1, s2 := m.MulVecSums(y, x)
-			requireSame(t, "MulVecSums", y, want)
-			requireSame(t, "MulVecSums sums", []float64{s1, s2}, []float64{w1, w2})
 
 			y = make([]float64, rows)
 			m.mulRows(y, x, split, rows)
 			m.mulRows(y, x, 0, split)
 			requireSame(t, "mulRows in two ranges", y, want)
-
-			for i := range want {
-				if got := m.MulVecRow(i, x); !same(got, want[i]) {
-					t.Fatalf("MulVecRow(%d) = %x, the reference loop gives %x", i, math.Float64bits(got), math.Float64bits(want[i]))
-				}
-			}
 		}
 		if m.NNZ() == 0 {
 			return
@@ -215,22 +187,14 @@ func FuzzProducts(f *testing.F) {
 		// Out-of-range columns under intact row pointers: every nonzero
 		// belongs to a row, so a strict product meets one and panics.
 		bad := m.Clone()
-		struck := rng.Intn(bad.NNZ())
-		bad.Colid[struck] = wild(rng, cols)
+		bad.Colid[rng.Intn(bad.NNZ())] = wild(rng, cols)
 		for n := rng.Intn(3); n > 0; n-- {
 			bad.Colid[rng.Intn(bad.NNZ())] = wild(rng, cols)
 		}
 		checkRobust(bad)
-		struckRow := 0
-		for bad.Rowidx[struckRow+1] <= struck {
-			struckRow++
-		}
 		y := make([]float64, rows)
 		requirePanic(t, "MulVec", func() { bad.MulVec(y, xs[0]) })
-		requirePanic(t, "MulVecSums", func() { bad.MulVecSums(y, xs[0]) })
-		requirePanic(t, "MulVecRow", func() { bad.MulVecRow(struckRow, xs[0]) })
 		requirePanic(t, "MulVecBlock", func() { bad.MulVecBlock(ys, xs) })
-		requirePanic(t, "MulVecSumsBlock", func() { bad.MulVecSumsBlock(ys, xs, s1s, s2s) })
 
 		// A last row pointer past nnz: a non-empty range that leaves the
 		// arrays, which a strict product refuses.
@@ -238,7 +202,6 @@ func FuzzProducts(f *testing.F) {
 		long.Rowidx[rows] = long.NNZ() + 1 + rng.Intn(3)
 		checkRobust(long)
 		requirePanic(t, "MulVec on a row past nnz", func() { long.MulVec(y, xs[0]) })
-		requirePanic(t, "MulVecRow on a row past nnz", func() { long.MulVecRow(rows-1, xs[0]) })
 
 		// Row pointers made negative, larger than nnz or inverted, on top of
 		// the columns.

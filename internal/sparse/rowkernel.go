@@ -1,9 +1,9 @@
 package sparse
 
 // This file holds the one row loop under every sparse product in the
-// repository — the products of this package, abft.Protected's and
-// internal/parallel's. It comes in a strict and a robust flavour, each for
-// one lane and for four lanes at once. The accumulation
+// repository — the products of this package and abft.Protected's. It comes
+// in a strict and a robust flavour, each for one lane and for four lanes at
+// once. The accumulation
 //
 //	s += val[k] * x[col[k]]
 //

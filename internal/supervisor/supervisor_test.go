@@ -1,12 +1,38 @@
 package supervisor
 
 import (
+	"fmt"
 	"net"
+	"os"
 	"os/exec"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestMain is the package's leak check: once every test has stopped its
+// children, the goroutine count must come back to where it started — a
+// supervision loop or a Wait that outlives Stop shows up here with its
+// stack.
+func TestMain(m *testing.M) {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d before the tests, %d after\n", before, after)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 // recorder collects lifecycle events for assertions.
 type recorder struct {
@@ -34,6 +60,17 @@ func (r *recorder) count(kind string) int {
 		}
 	}
 	return n
+}
+
+// loopExited reports whether the child's supervision loop has returned:
+// from then on nothing can start a process again.
+func loopExited(c *Child) bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
 }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -134,13 +171,12 @@ func TestStopTerminatesAndDoesNotRestart(t *testing.T) {
 		t.Error("child still alive after Stop")
 	}
 
-	starts := rec.count("start")
-	time.Sleep(50 * time.Millisecond) // would be several backoffs
-	if got := rec.count("start"); got != starts {
-		t.Errorf("%d new starts after Stop", got-starts)
+	// Stop returned, so the loop that restarts must be gone with it.
+	if !loopExited(c) {
+		t.Error("supervision loop still running after Stop")
 	}
-	if starts != 1 {
-		t.Errorf("%d starts before Stop, want 1", starts)
+	if starts := rec.count("start"); starts != 1 {
+		t.Errorf("%d starts, want 1", starts)
 	}
 
 	// Stop is idempotent.
@@ -151,14 +187,17 @@ func TestStopTerminatesAndDoesNotRestart(t *testing.T) {
 // SIGKILL after the grace period.
 func TestStopKillsStubbornChild(t *testing.T) {
 	rec := &recorder{}
+	trapped := filepath.Join(t.TempDir(), "trapped")
 	c := Supervise("stubborn", func() *exec.Cmd {
-		return exec.Command("/bin/sh", "-c", "trap '' TERM; sleep 60 & wait")
+		return exec.Command("/bin/sh", "-c", "trap '' TERM; : > \"$0\"; sleep 60 & wait", trapped)
 	}, Config{
 		Grace:   100 * time.Millisecond,
 		OnEvent: rec.observe,
 	})
-	waitUntil(t, "child start", c.Alive)
-	time.Sleep(50 * time.Millisecond) // let the shell install its trap
+	waitUntil(t, "the shell to install its trap", func() bool {
+		_, err := os.Stat(trapped)
+		return err == nil
+	})
 
 	begun := time.Now()
 	c.Stop()
@@ -203,7 +242,7 @@ func TestCrashLoopExhaustion(t *testing.T) {
 
 	// The supervision loop must have fully exited, not be sleeping toward
 	// another relaunch.
-	time.Sleep(50 * time.Millisecond) // several backoffs past the last exit
+	waitUntil(t, "the supervision loop to exit", func() bool { return loopExited(c) })
 	if got := rec.count("start"); got != maxRestarts+1 {
 		t.Errorf("%d starts, want initial run + %d restarts = %d", got, maxRestarts, maxRestarts+1)
 	}
