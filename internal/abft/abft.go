@@ -117,6 +117,7 @@ type Stats struct {
 	Rollbacks    int64 // detections left to the caller (uncorrectable or Detect mode)
 	PerClass     [ClassMultiple + 1]int64
 	FalseCorrect int64 // corrections whose re-verification failed (counted as rollbacks too)
+	Encodings    int64 // O(nnz) builds of the checksum encoding, the arming one included
 }
 
 // TolerancePolicy selects how the rounding tolerances of the checksum
@@ -151,6 +152,10 @@ type Protected struct {
 	// (paper Section 3.2); defaults to 1e-8.
 	eps   float64
 	stats Stats
+	// reanchored is set once Reencode has rebuilt the encoding from a
+	// repaired matrix: it then no longer describes the matrix the wrapper was
+	// armed over. Restored clears it.
+	reanchored bool
 
 	// Precomputed norm-tolerance factors (TolNorm): tol = factor · ‖·‖∞.
 	tolX1Fac, tolX2Fac float64 // × ‖x‖∞, covers C_rᵀx rounding incl. shift
@@ -176,7 +181,7 @@ func NewProtected(a *sparse.CSR, mode Mode) *Protected {
 		mode: mode,
 		eps:  1e-8,
 	}
-	p.Reencode()
+	p.encode()
 	return p
 }
 
@@ -190,15 +195,39 @@ func (p *Protected) Renew(a *sparse.CSR, mode Mode) {
 	p.policy = TolNorm
 	p.eps = 1e-8
 	p.stats = Stats{}
-	p.Reencode()
+	p.reanchored = false
+	p.encode()
 }
 
 // Reencode rebuilds the reliable checksum encoding from the live matrix.
-// The resilient drivers call it after a forward repair of the matrix (the
+// The resilient drivers call it after a forward repair of the matrix: the
 // reconstructed entry matches the original only to rounding, so the
-// bitwise C == C′ identity used by the error decoder must be re-anchored)
-// and after a rollback (the restored matrix predates any later repairs).
+// bitwise C == C′ identity used by the error decoder must be re-anchored on
+// the repaired matrix. From then on the encoding describes that matrix and
+// not the one the wrapper was armed over, until Restored.
 func (p *Protected) Reencode() {
+	p.encode()
+	p.reanchored = true
+}
+
+// Restored tells the wrapper that the live matrix holds again, bit for bit,
+// the matrix it was armed over (by NewProtected or Renew) — the state a
+// rollback leaves. The encoding derived from that matrix is valid as it
+// stands unless a Reencode has re-anchored it since, and only then is it
+// rebuilt: under Detect, which never repairs, a rollback costs no O(nnz)
+// pass. The bit lives here and not in a driver because blocked lanes share
+// one encoding — the lane that rolls back need not be the one that repaired.
+func (p *Protected) Restored() {
+	if p.reanchored {
+		p.encode()
+		p.reanchored = false
+	}
+}
+
+// encode derives the checksum encoding and the norm-tolerance factors from
+// the live matrix.
+func (p *Protected) encode() {
+	p.stats.Encodings++
 	p.CS = checksum.NewMatrixInto(p.CS, p.A)
 	n := float64(p.CS.N)
 	g := tolSafety * 2 * checksum.Gamma(2*p.CS.N)

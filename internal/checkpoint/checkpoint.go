@@ -1,17 +1,30 @@
 // Package checkpoint implements the backward-recovery substrate: an
 // in-memory snapshot store for the resilient solver state.
 //
-// Following the paper (Section 3.1), a checkpoint saves the current
-// iteration vectors *and the sparse matrix A*: "if this error comes from a
-// corruption in data memory, we need to recover with a valid copy of the
-// data matrix A. This holds for the three methods under study … which have
-// exactly the same checkpoint cost."
+// The paper (Section 3.1) has a checkpoint save the current iteration
+// vectors *and the sparse matrix A*: "if this error comes from a corruption
+// in data memory, we need to recover with a valid copy of the data matrix A.
+// This holds for the three methods under study … which have exactly the same
+// checkpoint cost." Two things follow from that sentence, and the repo keeps
+// them apart:
+//
+//   - What the model prices. Tcp and Trec are the cost of writing and reading
+//     that full checkpoint — matrix, preconditioner and vectors
+//     (core.NewCosts) — and every modeled time, Table 1 and Figure 1 are in
+//     that currency.
+//   - What the wall pays. A is read-only input, so a valid copy already
+//     exists: the caller's own matrix, which the engine never writes (the
+//     injector strikes a working copy) and already trusts for the residual it
+//     reports. The engine's checkpoints therefore carry vectors and scalars
+//     only, and a rollback restores the live matrices from the caller's.
+//
+// A State may still name matrices, and Save and Restore copy them like any
+// vector — the benchmark's checkpoint probes time exactly that, the full
+// checkpoint the engine no longer takes.
 //
 // Checkpoints are only ever taken right after a verification, so the saved
 // state is always valid; recovery rolls the live state back to it. Both
-// operations are error-free in the model (selective reliability), and their
-// costs Tcp and Trec are charged by the caller through the cost model using
-// the Words() size of the snapshot.
+// operations are error-free in the model (selective reliability).
 package checkpoint
 
 import (
@@ -23,9 +36,8 @@ import (
 // they use).
 type State struct {
 	A *sparse.CSR
-	// M is the explicit sparse preconditioner of the PCG drivers (nil for
-	// unpreconditioned solvers); it is checkpointed and restored exactly
-	// like A, so memory faults on the preconditioner are recoverable too.
+	// M is an explicit sparse preconditioner, saved and restored exactly
+	// like A. Both are nil in the engine's own view (see the package doc).
 	M         *sparse.CSR
 	Vectors   map[string][]float64
 	Iteration int
@@ -34,13 +46,9 @@ type State struct {
 	Scalars map[string]float64
 }
 
-// Store holds the last snapshot and usage counters.
+// Store holds the last snapshot.
 type Store struct {
-	saved       *State
-	saves       int64
-	restores    int64
-	savedWords  int64
-	hasSnapshot bool
+	saved *State
 }
 
 // NewStore returns an empty store.
@@ -52,7 +60,7 @@ func NewStore() *Store { return &Store{} }
 // in place, so periodic checkpointing in a steady-state solve allocates
 // nothing; otherwise fresh storage is taken.
 func (s *Store) Save(live *State) {
-	if s.hasSnapshot && sameShape(s.saved, live) {
+	if s.saved != nil && sameShape(s.saved, live) {
 		snap := s.saved
 		snap.Iteration = live.Iteration
 		if live.A != nil {
@@ -68,7 +76,6 @@ func (s *Store) Save(live *State) {
 		for name, v := range live.Scalars {
 			snap.Scalars[name] = v
 		}
-		s.saves++
 		return
 	}
 	snap := &State{
@@ -91,9 +98,6 @@ func (s *Store) Save(live *State) {
 		snap.Scalars[name] = v
 	}
 	s.saved = snap
-	s.saves++
-	s.savedWords = int64(snapWords(snap))
-	s.hasSnapshot = true
 }
 
 // sameShape reports whether the snapshot can absorb the live state without
@@ -125,10 +129,10 @@ func sameShape(snap, live *State) bool {
 // Panics if no snapshot exists or shapes mismatch — both are programming
 // errors in the drivers.
 func (s *Store) Restore(live *State) {
-	if !s.hasSnapshot {
+	snap := s.saved
+	if snap == nil {
 		panic("checkpoint: Restore without a snapshot")
 	}
-	snap := s.saved
 	if (snap.A == nil) != (live.A == nil) {
 		panic("checkpoint: matrix presence mismatch")
 	}
@@ -155,41 +159,4 @@ func (s *Store) Restore(live *State) {
 	for name, v := range snap.Scalars {
 		live.Scalars[name] = v
 	}
-	s.restores++
 }
-
-// HasSnapshot reports whether a snapshot exists.
-func (s *Store) HasSnapshot() bool { return s.hasSnapshot }
-
-// SavedIteration returns the iteration number of the snapshot (-1 if none).
-func (s *Store) SavedIteration() int {
-	if !s.hasSnapshot {
-		return -1
-	}
-	return s.saved.Iteration
-}
-
-// Words returns the size of the last snapshot in machine words — the
-// quantity the cost model converts into Tcp and Trec.
-func (s *Store) Words() int64 { return s.savedWords }
-
-// Counters returns how many saves and restores have been performed.
-func (s *Store) Counters() (saves, restores int64) { return s.saves, s.restores }
-
-func snapWords(st *State) int {
-	w := 0
-	if st.A != nil {
-		w += st.A.MemoryWords()
-	}
-	if st.M != nil {
-		w += st.M.MemoryWords()
-	}
-	for _, v := range st.Vectors {
-		w += len(v)
-	}
-	return w
-}
-
-// StateWords returns the checkpointable size of a live state without saving
-// it (used to compute Tcp before the first checkpoint).
-func StateWords(st *State) int64 { return int64(snapWords(st)) }

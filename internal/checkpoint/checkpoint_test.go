@@ -101,31 +101,6 @@ func TestRestoreWithoutSnapshotPanics(t *testing.T) {
 	NewStore().Restore(liveState(3))
 }
 
-func TestWordsAndCounters(t *testing.T) {
-	st := liveState(10)
-	store := NewStore()
-	if store.HasSnapshot() || store.SavedIteration() != -1 {
-		t.Fatal("empty store state wrong")
-	}
-	store.Save(st)
-	wantWords := int64(st.A.MemoryWords() + 20)
-	if store.Words() != wantWords {
-		t.Fatalf("Words = %d, want %d", store.Words(), wantWords)
-	}
-	if StateWords(st) != wantWords {
-		t.Fatalf("StateWords = %d, want %d", StateWords(st), wantWords)
-	}
-	store.Restore(st)
-	store.Restore(st)
-	saves, restores := store.Counters()
-	if saves != 1 || restores != 2 {
-		t.Fatalf("counters = %d, %d", saves, restores)
-	}
-	if store.SavedIteration() != 7 {
-		t.Fatalf("SavedIteration = %d", store.SavedIteration())
-	}
-}
-
 func TestNoMatrixState(t *testing.T) {
 	st := &State{Vectors: map[string][]float64{"x": {1, 2, 3}}}
 	store := NewStore()

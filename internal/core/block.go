@@ -45,8 +45,8 @@ type BlockConfig struct {
 // working matrix copy and one shared checksum encoding (the amortisation
 // win — the encoding is built once per block instead of once per solve),
 // plus a per-lane core.Workspace carrying each right-hand side's private
-// vectors, guards, checkpoint stores and engine. Storage grows with the
-// widest block seen and is recycled afterwards.
+// vectors, guards, checkpoint store (vectors only) and engine. Storage grows
+// with the widest block seen and is recycled afterwards.
 type BlockWorkspace struct {
 	shared Workspace // only its matrix slot 0: the live copy and its encoding
 	lanes  []*blockLane
@@ -176,7 +176,7 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 
 	bw.xs = bw.xs[:0]
 	for j := 0; j < k; j++ {
-		x, st, err := bw.lanes[j].ws.run.finish(a)
+		x, st, err := bw.lanes[j].ws.run.finish()
 		sts[j], errs[j] = st, err
 		bw.xs = append(bw.xs, x)
 	}

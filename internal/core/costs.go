@@ -5,8 +5,8 @@
 //	OnlineDetection — Chen's scheme (PPoPP'13) as extended by the paper:
 //	    verify every d iterations by recomputing the residual and checking
 //	    the A-orthogonality of consecutive search directions; checkpoint
-//	    every s·d iterations (including the matrix A, so memory faults on A
-//	    are recoverable); roll back on any detection.
+//	    every s·d iterations (priced with the matrix A, as the paper does, so
+//	    that memory faults on A are recoverable); roll back on any detection.
 //	ABFTDetection  — single-checksum ABFT SpMxV every iteration plus TMR
 //	    vector kernels; roll back on any detection.
 //	ABFTCorrection — two-checksum ABFT SpMxV: single errors are corrected
@@ -60,11 +60,18 @@ func DefaultCostParams() CostParams {
 // one matrix: the quantities Titer, Tverif, Tcp and Trec of the paper's
 // model, plus the forward-correction cost that the model neglects (it is
 // paid only on actual corrections, which are rare).
+//
+// Tcp and Trec price the paper's checkpoint — "a valid copy of the data
+// matrix A" written and read back with the vectors (checkpointWords, plus M
+// when there is one) — and so do Stats.TimeCkpt, Stats.TimeRecovery and the
+// model-chosen s: Table 1 and Figure 1 stay in the paper's currency. The
+// wall clock pays less: the engine saves vectors and scalars only and a
+// rollback re-reads the caller's matrices (see package checkpoint).
 type Costs struct {
 	Titer    float64 // raw CG iteration (paper's Titer)
 	Tverif   float64 // per-chunk verification overhead
-	Tcp      float64 // checkpoint
-	Trec     float64 // recovery
+	Tcp      float64 // checkpoint, matrix included
+	Trec     float64 // recovery, matrix included
 	Tcorrect float64 // one forward correction (ABFT-Correction only)
 }
 
@@ -80,9 +87,10 @@ func cgFlopsPerIter(a *sparse.CSR) int64 {
 // modeled times can be converted back into work.
 func CGFlopsPerIter(a *sparse.CSR) int64 { return cgFlopsPerIter(a) }
 
-// checkpointWords is the snapshot size: the three matrix arrays plus the
-// three iteration vectors (x, r, p) — identical for all three methods, as
-// the paper notes.
+// checkpointWords is the size of the checkpoint the model prices: the three
+// matrix arrays plus the three iteration vectors (x, r, p) — identical for
+// all three methods, as the paper notes. It is not what the engine writes,
+// which is the vectors alone.
 func checkpointWords(a *sparse.CSR) int64 {
 	return int64(a.MemoryWords() + 3*a.Rows)
 }

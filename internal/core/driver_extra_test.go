@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/fault"
@@ -10,8 +11,8 @@ import (
 
 // TestOnlineDetectionCatchesMatrixCorruption checks Chen's extended scheme:
 // the recomputed residual exposes a corrupted matrix even though the
-// recurrence residual looks healthy, and rollback restores the
-// checkpointed matrix copy.
+// recurrence residual looks healthy, and rollback restores the matrix from
+// the caller's copy.
 func TestOnlineDetectionCatchesMatrixCorruption(t *testing.T) {
 	a := sparse.SuiteSPD(sparse.SuiteSPDOptions{N: 900, Density: 0.01, Seed: 21})
 	b, _ := rhsFor(a, 21)
@@ -52,6 +53,44 @@ func TestEscalationBreaksStuckRollbacks(t *testing.T) {
 	}
 	if st.Rollbacks > st.TotalIterations {
 		t.Fatalf("rollbacks (%d) exceed executed iterations (%d): livelock", st.Rollbacks, st.TotalIterations)
+	}
+}
+
+// TestEscalationReplacesTheUnusableCheckpoint pins what an escalated rollback
+// leaves in the rolling store. The checkpoint of iteration 8 is poisoned (a
+// NaN in p, written before the save): every retry from it fails, and the
+// sixth rollback escalates to the initial state. One more detection, before
+// the next checkpoint is due, must then resume from that initial state — not
+// from the checkpoint the engine has just judged unusable, iteration counter
+// included, which costs another round of stuck retries.
+func TestEscalationReplacesTheUnusableCheckpoint(t *testing.T) {
+	a := sparse.Poisson2D(12, 12)
+	b, _ := rhsFor(a, 5)
+	ws := NewWorkspace()
+	poisoned, struck := false, false
+	cfg := Config{Scheme: ABFTDetection, S: 8, Tol: 1e-8, Ws: ws}
+	cfg.OnIteration = func(it int, _ float64) {
+		e := &ws.run
+		switch {
+		case !poisoned && it == 8:
+			poisoned = true
+			e.p[0] = math.NaN()
+		case poisoned && !struck && it == 3:
+			struck = true
+			e.r[0] = math.NaN()
+		}
+	}
+	_, st, err := Solve(a, b, cfg)
+	if err != nil || !st.Converged {
+		t.Fatalf("err %v, stats %+v", err, st)
+	}
+	if !struck {
+		t.Fatal("the solve never came back through iteration 3: no escalation")
+	}
+	// stuckLimit retries from the poisoned checkpoint, the escalating
+	// rollback, and the one detection after it.
+	if want := int64(stuckLimit + 2); st.Rollbacks != want {
+		t.Errorf("rollbacks = %d, want %d: the last one resumed from the abandoned checkpoint", st.Rollbacks, want)
 	}
 }
 

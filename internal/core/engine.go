@@ -13,24 +13,25 @@ import (
 )
 
 // maxFinalCheckRetries bounds the convergence re-verification loop: a
-// latent corruption that was checkpointed (e.g. a Val flip in a column
-// where the iterate happens to be zero) can make the final residual check
-// fail repeatedly; after this many failures the solve aborts.
+// latent corruption that was checkpointed (a sub-tolerance flip in an
+// iteration vector) can make the final residual check fail repeatedly;
+// after this many failures the solve aborts.
 const maxFinalCheckRetries = 20
 
 // stuckLimit is the number of no-progress rollbacks tolerated before
-// escalating to the initial state: a checkpoint that itself carries
+// escalating to the initial state: a checkpoint whose vectors carry
 // (sub-tolerance) corruption can fail verification deterministically on
-// every retry, so the engine then restores the pristine initial state
-// instead ("re-reading the input data", which the paper notes is how the
-// first frame recovers).
+// every retry, so the engine then rebuilds the initial state instead
+// ("re-reading the input data", which the paper notes is how the first frame
+// recovers).
 const stuckLimit = 5
 
 // Solve runs the resilient Conjugate Gradient of the configured scheme on
 // Ax = b — preconditioned by cfg.M when it is set — and returns the
 // solution, the execution statistics and an error when the method did not
-// converge. The caller's matrices are never modified: faults are injected
-// into internal working copies.
+// converge. The caller's matrices are never modified — faults are injected
+// into internal working copies — and must not be modified by anyone else
+// while the solve runs: they are the valid copy a rollback restores from.
 func Solve(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 	ws := cfg.Ws.begin()
 	e := &ws.run
@@ -66,12 +67,16 @@ func SolveBiCGstab(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, er
 // which norm decides convergence, and advances one iteration in slices cut
 // at its protected products.
 type recurrence interface {
-	// init completes the initial state (the engine has set x = 0 and r = b;
-	// p, q and ρ are the recurrence's to initialise), draws the recurrence's
-	// own vectors from e.ws, registers what a checkpoint must carry beyond
-	// x, r, p and ρ (keep, keepScalar), arms its own guards (guard) and folds
-	// its per-iteration work into e.costs and e.confirm.
+	// init draws the recurrence's own vectors from e.ws, registers what a
+	// checkpoint must carry beyond x, r, p and ρ (keep, keepScalar), arms its
+	// own guards (guard) and folds its per-iteration work into e.costs and
+	// e.confirm.
 	init(e *engine)
+	// reset completes the initial state from the input: the engine has set
+	// x = 0 and r = b; p, ρ and everything init registered are the
+	// recurrence's to initialise. It runs when the solve starts and again when
+	// a rollback escalates, on matrices just restored from the caller's.
+	reset(e *engine)
 	// resNorm is the residual norm tested against Tol·‖b‖.
 	resNorm(e *engine) float64
 	// step runs slice number stage of the current iteration. It returns
@@ -126,7 +131,8 @@ type engine struct {
 	rec     recurrence
 	ws      *Workspace
 
-	mat  [2]*sparse.CSR     // live working copies: A, and M or nil
+	src  [2]*sparse.CSR     // the caller's A, and M or nil: read-only input, the valid copy
+	mat  [2]*sparse.CSR     // live working copies of src, which the injector strikes
 	prot [2]*abft.Protected // their ABFT wrappers (ABFT schemes only)
 	b    []float64          // the caller's right-hand side
 	x, r []float64          // iterate and recurrence residual
@@ -142,7 +148,7 @@ type engine struct {
 	extra                  []scalarRef // recurrence scalars checkpointed beside ρ
 	extraBuf               [2]scalarRef
 
-	store, initStore *checkpoint.Store
+	store            *checkpoint.Store
 	stats            Stats
 	normB            float64
 	it               int // useful iterations completed (rolls back with the state)
@@ -175,7 +181,7 @@ func (e *engine) solve(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	for !e.advance() {
 		e.complete(e.multiply())
 	}
-	return e.finish(a)
+	return e.finish()
 }
 
 // start validates the problem and builds the initial resilient state. A
@@ -198,6 +204,7 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	}
 	exec.Pool = cfg.Pool
 	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme != OnlineDetection, rec: rec, ws: ws, b: b, exec: exec}
+	e.src = [2]*sparse.CSR{a, cfg.M}
 
 	e.mat[0] = sharedLive
 	if sharedLive == nil {
@@ -206,7 +213,7 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	e.costs = NewCosts(e.mat[0], cfg.Scheme, cfg.Costs)
 	if cfg.M != nil {
 		e.mat[1] = ws.liveCopy(1, cfg.M)
-		// Checkpoints carry M as well.
+		// The paper's checkpoint carries every matrix, so M is priced as well.
 		extraCp := float64(e.mat[1].MemoryWords()) * cfg.Costs.WordTime
 		e.costs.Tcp += extraCp
 		e.costs.Trec += extraCp
@@ -232,13 +239,13 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	e.stats = Stats{Scheme: cfg.Scheme, D: e.d, S: e.s}
 	e.maxTotal = int64(cfg.MaxIters)*10 + 1000
 
-	e.x = ws.takeZero(n)
-	e.r = ws.takeCopy(b) // x0 = 0 ⇒ r0 = b
+	e.x = ws.take(n)
+	e.r = ws.take(n)
 	e.p = ws.take(n)
 	e.q = ws.take(n)
 	e.rr = ws.take(n)
 	ws.state = fault.State{A: e.mat[0], M: e.mat[1], R: e.r, P: e.p, Q: e.q, X: e.x}
-	e.view = ws.liveView(e.mat[0], e.mat[1])
+	e.view = ws.liveView()
 	e.keep("x", e.x)
 	e.keep("r", e.r)
 	e.keep("p", e.p)
@@ -250,6 +257,7 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	}
 
 	rec.init(e)
+	e.restart()
 
 	if e.abft {
 		mode := abftMode(cfg.Scheme)
@@ -266,10 +274,18 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 		e.rGuard, e.pGuard, e.xGuard = e.guard(e.r), e.guard(e.p), e.guard(e.x)
 	}
 
-	e.store, e.initStore = ws.stores()
+	e.store = ws.checkpoints()
 	e.save(false) // initial state; re-reading inputs is free
-	e.initStore.Save(e.view)
 	return nil
+}
+
+// restart builds the initial state from the input data: x0 = 0, hence
+// r0 = b, and the recurrence's own part.
+func (e *engine) restart() {
+	clear(e.x)
+	copy(e.r, e.b)
+	e.rec.reset(e)
+	e.it = 0
 }
 
 // keep registers a vector the checkpoint must carry.
@@ -589,10 +605,10 @@ func (e *engine) onlineVerify() bool {
 	return ortho <= 1e-6 && !math.IsNaN(ortho)
 }
 
-// save snapshots the full resilient state (matrices included) through the
-// reusable live-state view. The view must carry the recurrence scalars: the
-// initial-state store deep-copies the same view, and an escalated rollback
-// resumes from them.
+// save snapshots what the recurrence cannot recompute — its vectors and
+// scalars — through the reusable live-state view. No matrix is written: A and
+// M are read-only input whose valid copy is the caller's (rollback), while
+// Tcp goes on pricing the paper's checkpoint, matrix included (costs.go).
 func (e *engine) save(charge bool) {
 	e.view.Iteration = e.it
 	e.view.Scalars["rho"] = e.rho
@@ -607,48 +623,57 @@ func (e *engine) save(charge bool) {
 	}
 }
 
-// rollback abandons any iteration in flight, restores the last checkpoint
-// (escalating to the pristine initial state after stuckLimit no-progress
-// retries) and re-arms the guards and the matrix checksum encodings.
+// rollback abandons any iteration in flight, restores the live matrices and
+// the last checkpoint — escalating to the initial state after stuckLimit
+// no-progress retries — and re-arms the guards.
 func (e *engine) rollback() {
 	e.inIter = false
-	store := e.store
-	e.stuck++
-	if e.stuck > stuckLimit {
-		store = e.initStore
-		e.stuck = 0
-		e.highWater = 0
-		e.last = 0
-	}
-	store.Restore(e.view)
-	e.it = e.view.Iteration
-	e.rho = e.view.Scalars["rho"]
-	for _, sc := range e.extra {
-		*sc.p = e.view.Scalars[sc.name]
-	}
 	e.stats.Rollbacks++
 	e.stats.TimeRecovery += e.costs.Trec
+	// A rollback is the one moment the live matrices are known suspect, and
+	// the caller's are the valid copy the paper asks recovery to find. The
+	// encodings were derived from those very bits, so they stand unless a
+	// forward repair has re-anchored them since (Protected.Restored).
+	for slot, src := range e.src {
+		if src == nil {
+			continue
+		}
+		e.mat[slot].CopyFrom(src)
+		if p := e.prot[slot]; p != nil {
+			p.Restored()
+		}
+	}
+	e.stuck++
+	if e.stuck > stuckLimit {
+		// Re-read the input. The rolling checkpoint has just been judged
+		// unusable, so the initial state replaces it: the next detection
+		// before a new checkpoint must not jump back to it.
+		e.restart()
+		e.save(false)
+		e.stuck = 0
+		e.highWater = 0
+	} else {
+		e.store.Restore(e.view)
+		e.it = e.view.Iteration
+		e.rho = e.view.Scalars["rho"]
+		for _, sc := range e.extra {
+			*sc.p = e.view.Scalars[sc.name]
+		}
+	}
 	for _, a := range e.guards {
 		a.g.Refresh(a.v)
-	}
-	// The restored matrices predate any later forward repairs, whose ulp
-	// residues were absorbed into the current encodings; re-anchor them.
-	for _, p := range e.prot {
-		if p != nil {
-			p.Reencode()
-		}
 	}
 }
 
 // finish composes the modeled time and recomputes the reported residual on
 // the caller's pristine matrix.
-func (e *engine) finish(a *sparse.CSR) ([]float64, Stats, error) {
+func (e *engine) finish() ([]float64, Stats, error) {
 	st := &e.stats
 	st.SimTime = st.TimeIter + st.TimeVerif + st.TimeCkpt + st.TimeRecovery + st.SimTime
 	if e.cfg.Injector != nil {
 		st.FaultsInjected = e.cfg.Injector.Stats().Flips
 	}
-	a.MulVecParallel(e.cfg.Pool, e.rr, e.x)
+	e.src[0].MulVecParallel(e.cfg.Pool, e.rr, e.x)
 	st.FinalResidual = e.residualNorm() / e.normB
 	return e.x, *st, e.err
 }

@@ -16,9 +16,9 @@ import (
 // applied as an explicit sparse matrix (Jacobi or a sparse approximate
 // inverse, see internal/precond) is protected by exactly the same
 // ABFT-SpMxV machinery as A: its own checksum rows, its own detect/correct
-// verification, and inclusion in the checkpointed state so matrix faults on
-// M are also recoverable. Plain CG is the case M = I: z aliases r and the
-// second product disappears.
+// verification, and recovery from the caller's copy on rollback, so matrix
+// faults on M are also recoverable. Plain CG is the case M = I: z aliases r
+// and the second product disappears.
 type pcgRec struct {
 	z []float64 // preconditioned residual M·r
 }
@@ -26,14 +26,9 @@ type pcgRec struct {
 func (c *pcgRec) init(e *engine) {
 	if m := e.mat[1]; m == nil {
 		c.z = e.r
-		copy(e.p, e.r)
-		e.rho = vec.Norm2Sq(e.r)
 	} else {
 		n := len(e.r)
 		c.z = e.ws.take(n)
-		m.MulVecRobustParallel(e.cfg.Pool, c.z, e.r)
-		copy(e.p, c.z)
-		e.rho = vec.DotPool(e.cfg.Pool, e.r, c.z)
 		e.keep("z", c.z)
 		e.ws.state.Z = c.z
 		// The preconditioner product adds its own iteration and verification
@@ -44,6 +39,17 @@ func (c *pcgRec) init(e *engine) {
 		}
 	}
 	e.confirm = e.costs.Titer
+}
+
+func (c *pcgRec) reset(e *engine) {
+	if m := e.mat[1]; m == nil {
+		copy(e.p, e.r)
+		e.rho = vec.Norm2Sq(e.r)
+	} else {
+		m.MulVecRobustParallel(e.cfg.Pool, c.z, e.r)
+		copy(e.p, c.z)
+		e.rho = vec.DotPool(e.cfg.Pool, e.r, c.z)
+	}
 }
 
 // resNorm is ‖r‖ as the unprotected baselines compute it: √ρ for plain CG,
@@ -99,12 +105,9 @@ type bicgRec struct {
 
 func (c *bicgRec) init(e *engine) {
 	n := len(e.r)
-	c.rHat = e.ws.takeCopy(e.r)
+	c.rHat = e.ws.take(n)
 	c.s = e.ws.takeZero(n)
 	c.t = e.ws.take(n)
-	clear(e.p)
-	clear(e.q)
-	e.rho, c.alpha, c.omega = 1, 1, 1
 	e.keep("rHat", c.rHat)
 	e.keep("v", e.q)
 	e.keepScalar("alpha", &c.alpha)
@@ -114,6 +117,13 @@ func (c *bicgRec) init(e *engine) {
 	// confirmation is still one product.
 	e.confirm = e.costs.Titer
 	e.costs.Titer *= 2
+}
+
+func (c *bicgRec) reset(e *engine) {
+	copy(c.rHat, e.r)
+	clear(e.p)
+	clear(e.q)
+	e.rho, c.alpha, c.omega = 1, 1, 1
 }
 
 func (c *bicgRec) resNorm(e *engine) float64 { return vec.Norm2(e.r) }

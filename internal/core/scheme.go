@@ -48,8 +48,8 @@ type Config struct {
 	Scheme Scheme
 	// M, when non-nil, is an explicit sparse SPD preconditioner M ≈ A⁻¹
 	// (e.g. precond.Jacobi or precond.Neumann output): Solve then runs PCG,
-	// with M living in corruptible memory and protected, checkpointed and
-	// recovered exactly like A. SolveBiCGstab takes none.
+	// with a working copy of M living in corruptible memory, protected and
+	// recovered exactly like A's. SolveBiCGstab takes none.
 	M *sparse.CSR
 	// S is the checkpoint interval in chunks (the paper's s). 0 means
 	// model-optimal via Eq. (6).
@@ -84,7 +84,7 @@ type Config struct {
 	// nothing on the hot path.
 	OnDetection func(DetectionEvent)
 	// Ws, when non-nil, supplies the working matrix copy, iteration vectors,
-	// checksum encodings and checkpoint stores from a reusable arena: a warm
+	// checksum encodings and checkpoint store from a reusable arena: a warm
 	// workspace makes repeated solves allocation-free. The arithmetic is
 	// identical with or without a workspace. Must not be shared by
 	// concurrent solves, and the returned solution vector aliases workspace

@@ -9,22 +9,23 @@ import (
 
 // Workspace is the reusable arena of the resilient engine. A solve that
 // carries one (Config.Ws) draws its working matrix copies, iteration
-// vectors, checksum encodings, vector guards and checkpoint stores from the
+// vectors, checksum encodings, vector guards and checkpoint store from the
 // workspace instead of the heap, so repeated solves — the inner loop of
-// every fault campaign — allocate nothing once the workspace is warm. Reuse
+// every fault campaign — allocate nothing once the workspace is warm. It
+// holds one copy of each matrix, the live one: checkpoints carry vectors
+// and scalars only, and recovery re-reads the caller's matrix. Reuse
 // across different solvers, schemes and matrix sizes is supported (storage
 // grows as needed); sharing one workspace between concurrent solves is not.
 type Workspace struct {
-	live      [2]*sparse.CSR // slot 0: the system matrix, slot 1: the preconditioner
-	prot      [2]*abft.Protected
-	bufs      [][]float64
-	next      int
-	guards    [4]*abft.VectorGuard
-	store     *checkpoint.Store
-	initStore *checkpoint.Store
-	state     fault.State
-	view      checkpoint.State
-	run       engine
+	live   [2]*sparse.CSR // slot 0: the system matrix, slot 1: the preconditioner
+	prot   [2]*abft.Protected
+	bufs   [][]float64
+	next   int
+	guards [4]*abft.VectorGuard
+	store  *checkpoint.Store
+	state  fault.State
+	view   checkpoint.State
+	run    engine
 }
 
 // NewWorkspace returns an empty workspace; storage is created on first use
@@ -85,13 +86,6 @@ func (w *Workspace) takeZero(n int) []float64 {
 	return b
 }
 
-// takeCopy is take initialised to a copy of src.
-func (w *Workspace) takeCopy(src []float64) []float64 {
-	b := w.take(len(src))
-	copy(b, src)
-	return b
-}
-
 // liveCopy returns the workspace's working copy of a in the given matrix
 // slot, refreshed from a (in place when the shapes match, so the caller's
 // matrix is never aliased and a warm workspace never reallocates it).
@@ -124,23 +118,21 @@ func (w *Workspace) guard(i int, v []float64, mode abft.Mode) *abft.VectorGuard 
 	return w.guards[i]
 }
 
-// stores returns the rolling checkpoint store and the initial-state store.
-// Stale snapshots from a previous solve are simply overwritten by the
-// engine's first Save (in place when shapes match).
-func (w *Workspace) stores() (store, initStore *checkpoint.Store) {
+// checkpoints returns the rolling checkpoint store. A stale snapshot from a
+// previous solve is simply overwritten by the engine's first Save (in place
+// when shapes match).
+func (w *Workspace) checkpoints() *checkpoint.Store {
 	if w.store == nil {
 		w.store = checkpoint.NewStore()
-		w.initStore = checkpoint.NewStore()
 	}
-	return w.store, w.initStore
+	return w.store
 }
 
-// liveView returns the reusable checkpoint view of the live state, with
-// fresh matrix slots and cleared vector/scalar maps (a previous solve may
-// have registered different names).
-func (w *Workspace) liveView(a, m *sparse.CSR) *checkpoint.State {
+// liveView returns the reusable checkpoint view of the live state — vectors
+// and scalars, no matrix — with cleared maps (a previous solve may have
+// registered different names).
+func (w *Workspace) liveView() *checkpoint.State {
 	v := &w.view
-	v.A, v.M = a, m
 	v.Iteration = 0
 	if v.Vectors == nil {
 		v.Vectors = make(map[string][]float64, 8)

@@ -55,11 +55,13 @@ func (p Params) Q() float64 {
 
 // FrameTime returns E(s,T), the expected time to complete one frame of s
 // chunks (paper Eq. (5)). The λ→0 limit (q = 1) is handled exactly.
-func (p Params) FrameTime(s int) float64 {
+func (p Params) FrameTime(s int) float64 { return p.frameTime(p.Q(), s) }
+
+// frameTime is FrameTime at a chunk success probability computed once.
+func (p Params) frameTime(q float64, s int) float64 {
 	if s < 1 {
 		panic("model: frame needs at least one chunk")
 	}
-	q := p.Q()
 	work := p.T + p.Tverif
 	if q >= 1 {
 		return float64(s)*work + p.Tcp
@@ -74,22 +76,50 @@ func (p Params) FrameTime(s int) float64 {
 // Overhead returns the expected time per unit of useful work,
 // E(s,T)/(s·T) — the objective of Eq. (6). Lower is better; 1 would be
 // fault-free execution with zero resilience cost.
-func (p Params) Overhead(s int) float64 {
-	return p.FrameTime(s) / (float64(s) * p.T)
+func (p Params) Overhead(s int) float64 { return p.overhead(p.Q(), s) }
+
+func (p Params) overhead(q float64, s int) float64 {
+	return p.frameTime(q, s) / (float64(s) * p.T)
 }
 
 // OptimalS minimises the overhead over 1 ≤ s ≤ maxS (Eq. (6) must be solved
-// numerically, as the paper notes). The overhead is unimodal in s for the
-// regimes of interest, but we scan exhaustively — the range is small and
-// correctness beats cleverness here.
+// numerically, as the paper notes) and returns the first s attaining the
+// minimum, with the minimum — bit for bit what scanning Overhead over the
+// whole range returns; that scan is the oracle of the package's property
+// tests.
+//
+// It stops scanning once past s*. With K = Trec + (T + Tverif)/(1 − q) and
+// c = −ln q, Eq. (5) reads E(s) = Tcp + K·(e^{cs} − 1), so the objective
+// Tcp/(sT) + K·(e^{cs} − 1)/(sT) is a sum of two convex functions of s: once
+// it stands above an earlier value it never comes back down. What is
+// computed is that objective plus rounding noise. Every step of Overhead is
+// one correctly rounded operation except Pow, whose repeated squaring is off
+// by at most s ulps; carried through the cancellations in q^{-s} − 1 and
+// 1 − q^s, a computed value o lies within (s + 8)·2⁻⁵³·(o + K/T) of the true
+// one. A candidate that stands above the running minimum by twice that
+// bound, taken at maxS, has truly risen — once for its own noise, once for
+// that of any later candidate — and nothing after it can compute below the
+// minimum; the search asks for four times. Near q = 1 the bound is wide
+// (K/T ~ 1/(1 − q)) and at q = 1 infinite: there the objective falls all the
+// way and the scan runs to maxS, at a few nanoseconds a candidate now that
+// Q() is evaluated once.
 func (p Params) OptimalS(maxS int) (s int, overhead float64) {
 	if maxS < 1 {
 		maxS = 1
 	}
+	q := p.Q()
+	eps := float64(maxS+8) * 0x1p-51
+	noise := (p.Trec + (p.T+p.Tverif)/(1-q)) / p.T // K/T
+	if !(p.Tcp >= 0 && noise >= 0) {
+		noise = math.Inf(1) // a negative cost: nothing says convex, scan it all
+	}
 	best, bestS := math.Inf(1), 1
 	for cand := 1; cand <= maxS; cand++ {
-		if o := p.Overhead(cand); o < best {
+		o := p.overhead(q, cand)
+		if o < best {
 			best, bestS = o, cand
+		} else if o-best > eps*(o+noise) { // false on a NaN or an infinity: scan on
+			break
 		}
 	}
 	return bestS, best

@@ -184,8 +184,10 @@ func entryFootprint(a *sparse.CSR) int64 {
 
 // perRHSFootprint estimates the resident bytes one blocked-solve lane adds
 // on top of entryFootprint: each lane owns its iteration vectors, guards
-// and rollback stores — the stores deep-copy the protected matrix per
-// checkpoint slot (~2× the CSR words) plus ~10 lane vectors.
+// and checkpoint store (~10 lane vectors). The 2× CSR words date from when
+// the stores deep-copied the matrix; checkpoints carry vectors only now, so
+// a lane is overcharged by that much. Re-basing the estimate moves what a
+// byte budget evicts and is left to its own issue.
 func perRHSFootprint(a *sparse.CSR) int64 {
 	const wordBytes = 8
 	return wordBytes * int64(2*a.MemoryWords()+10*a.Rows)

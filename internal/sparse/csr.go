@@ -81,8 +81,9 @@ func (m *CSR) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the matrix. The resilient drivers checkpoint
-// the matrix with Clone so that memory faults on A can be rolled back.
+// Clone returns a deep copy of the matrix. The resilient drivers take their
+// working copy with it, so that faults strike the copy and a rollback can
+// restore it from the caller's matrix (CopyFrom).
 func (m *CSR) Clone() *CSR {
 	out := &CSR{
 		Rows:   m.Rows,
