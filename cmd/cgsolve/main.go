@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "converged:         %v\n", st.Converged)
 	fmt.Fprintf(stdout, "useful iterations: %d (total executed %d)\n", st.UsefulIterations, st.TotalIterations)
 	fmt.Fprintf(stdout, "faults injected:   %d\n", st.FaultsInjected)
-	fmt.Fprintf(stdout, "detections:        %d (corrected %d, rollbacks %d)\n", st.Detections, st.Corrections, st.Rollbacks)
+	fmt.Fprintf(stdout, "detections:        %d (corrected %d, rollbacks %d, matrix re-reads %d)\n", st.Detections, st.Corrections, st.Rollbacks, st.Rereads)
 	fmt.Fprintf(stdout, "checkpoints:       %d\n", st.Checkpoints)
 	fmt.Fprintf(stdout, "model time:        %.4f s (iter %.4f, verif %.4f, ckpt %.4f, recovery %.4f)\n",
 		st.SimTime, st.TimeIter, st.TimeVerif, st.TimeCkpt, st.TimeRecovery)

@@ -50,7 +50,7 @@ func run(w io.Writer, side int) error {
 		a.Rows, a.Cols, a.NNZ(), st.Scheme)
 	fmt.Fprintf(w, "  iterations: %d useful, %d executed\n", st.UsefulIterations, st.TotalIterations)
 	fmt.Fprintf(w, "  faults:     %d injected, %d detected\n", st.FaultsInjected, st.Detections)
-	fmt.Fprintf(w, "  recovery:   %d corrected forward, %d rollbacks\n", st.Corrections, st.Rollbacks)
+	fmt.Fprintf(w, "  recovery:   %d corrected forward, %d rollbacks, %d matrix re-reads\n", st.Corrections, st.Rollbacks, st.Rereads)
 	fmt.Fprintf(w, "  residual:   %.2e   solution error: %.2e\n",
 		st.FinalResidual, vec.MaxAbsDiff(x, xTrue))
 	fmt.Fprintf(w, "  model time: %.4f s (checkpoints: %d at interval s=%d)\n",

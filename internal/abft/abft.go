@@ -31,6 +31,16 @@
 // Selective reliability: everything stored inside Protected and VectorGuard
 // (checksum rows, cr, k, tolerances) lives in "reliable" memory and is never
 // struck by the fault injector, matching the paper's model.
+//
+// A flip below the comparison tolerance of Eq. (9) — a low mantissa bit of a
+// Val entry — passes every test: the paper's accepted false negative, harmless
+// to the iteration. It stays in the live matrix, though, and the decoder of
+// correct.go compares recomputed column checksums with the reliable ones bit
+// for bit, so when the next error arrives it sees one column too many and
+// cannot name a single error. Nothing here undoes such a flip; the caller
+// does, the next time it restores the live matrix from its valid copy — the
+// resilient drivers do so when a verdict comes back ClassMultiple (the
+// re-read of core/engine.go) and on every rollback.
 package abft
 
 import (
@@ -145,6 +155,13 @@ type Protected struct {
 	// CS is the reliable checksum encoding computed from A when it was known
 	// to be good.
 	CS *checksum.Matrix
+	// Valid, when set, is the read-only matrix A was copied from before the
+	// wrapper was armed — the paper's valid copy, which no fault strikes. The
+	// decoders finish every matrix repair against it (correct.go), so a
+	// repaired A holds its bits and CS, derived from those bits, goes on
+	// describing A without a Reencode. Nil for a wrapper armed over the only
+	// copy there is; Renew clears it.
+	Valid *sparse.CSR
 
 	mode   Mode
 	policy TolerancePolicy
@@ -152,10 +169,6 @@ type Protected struct {
 	// (paper Section 3.2); defaults to 1e-8.
 	eps   float64
 	stats Stats
-	// reanchored is set once Reencode has rebuilt the encoding from a
-	// repaired matrix: it then no longer describes the matrix the wrapper was
-	// armed over. Restored clears it.
-	reanchored bool
 
 	// Precomputed norm-tolerance factors (TolNorm): tol = factor · ‖·‖∞.
 	tolX1Fac, tolX2Fac float64 // × ‖x‖∞, covers C_rᵀx rounding incl. shift
@@ -191,38 +204,21 @@ func NewProtected(a *sparse.CSR, mode Mode) *Protected {
 // Workspaces use it so repeated protected solves allocate nothing.
 func (p *Protected) Renew(a *sparse.CSR, mode Mode) {
 	p.A = a
+	p.Valid = nil
 	p.mode = mode
 	p.policy = TolNorm
 	p.eps = 1e-8
 	p.stats = Stats{}
-	p.reanchored = false
 	p.encode()
 }
 
-// Reencode rebuilds the reliable checksum encoding from the live matrix.
-// The resilient drivers call it after a forward repair of the matrix: the
-// reconstructed entry matches the original only to rounding, so the
-// bitwise C == C′ identity used by the error decoder must be re-anchored on
-// the repaired matrix. From then on the encoding describes that matrix and
-// not the one the wrapper was armed over, until Restored.
-func (p *Protected) Reencode() {
-	p.encode()
-	p.reanchored = true
-}
-
-// Restored tells the wrapper that the live matrix holds again, bit for bit,
-// the matrix it was armed over (by NewProtected or Renew) — the state a
-// rollback leaves. The encoding derived from that matrix is valid as it
-// stands unless a Reencode has re-anchored it since, and only then is it
-// rebuilt: under Detect, which never repairs, a rollback costs no O(nnz)
-// pass. The bit lives here and not in a driver because blocked lanes share
-// one encoding — the lane that rolls back need not be the one that repaired.
-func (p *Protected) Restored() {
-	if p.reanchored {
-		p.encode()
-		p.reanchored = false
-	}
-}
+// Reencode rebuilds the reliable checksum encoding from the live matrix. A
+// caller without a valid copy runs it after a forward repair of the matrix:
+// an entry reconstructed by exclusion matches the original only to rounding,
+// so the bitwise C == C′ identity used by the error decoder must be
+// re-anchored on the repaired matrix. With Valid set a repair leaves the
+// original's bits and there is nothing to re-anchor.
+func (p *Protected) Reencode() { p.encode() }
 
 // encode derives the checksum encoding and the norm-tolerance factors from
 // the live matrix.

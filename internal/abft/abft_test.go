@@ -380,50 +380,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestRestoredReencodesOnlyAfterReencode pins the bit a rollback consults: the
-// encoding is rebuilt when, and only when, a Reencode has re-anchored it since
-// the wrapper was armed — once, and Renew arms afresh.
-func TestRestoredReencodesOnlyAfterReencode(t *testing.T) {
-	h := newHarness(t, 40, DetectCorrect, 14)
-	encodings := func() int64 { return h.p.Stats().Encodings }
-	if encodings() != 1 {
-		t.Fatalf("arming encoded %d times", encodings())
-	}
-	h.p.Restored()
-	if encodings() != 1 {
-		t.Fatal("Restored rebuilt an encoding nothing had re-anchored")
-	}
-
-	// A forward repair, the driver's re-anchoring, then a rollback.
-	h.p.A.Val[2] = bitflip.Float64(h.p.A.Val[2], 60)
-	if out := h.run(); !out.Corrected {
-		t.Fatalf("repair failed: %+v", out)
-	}
-	h.p.Reencode()
-	h.p.A.CopyFrom(h.orig)
-	h.p.Restored()
-	if encodings() != 3 {
-		t.Fatalf("%d encodings after arm, Reencode, Restored; want 3", encodings())
-	}
-	want := checksum.NewMatrix(h.orig)
-	for j := range want.C1 {
-		if h.p.CS.C1[j] != want.C1[j] || h.p.CS.C2[j] != want.C2[j] {
-			t.Fatalf("column %d: the encoding is not the restored matrix's", j)
-		}
-	}
-	h.p.Restored()
-	if encodings() != 3 {
-		t.Fatal("a second Restored rebuilt the encoding again")
-	}
-
-	h.p.Reencode()
-	h.p.Renew(h.orig.Clone(), Detect)
-	h.p.Restored()
-	if encodings() != 1 {
-		t.Fatalf("%d encodings after Renew and Restored; want 1: Renew arms afresh", encodings())
-	}
-}
-
 // --- the paper's shifted no-copy test ---
 
 func TestShiftedTestCleanPasses(t *testing.T) {

@@ -11,7 +11,9 @@ import (
 // locates a single error from the two-row checksum defects, repairs the
 // corrupted word in place, recomputes the affected part of the product and
 // re-verifies the full test battery once. A failed re-verification means
-// the single-error assumption was violated and the caller must roll back.
+// the single-error assumption was violated and the caller must fall back on
+// its valid copy of the data. Every repair of a matrix word ends in finish,
+// which holds it against that copy when the wrapper knows one.
 
 // exceeds reports whether a defect is beyond its tolerance. Non-finite
 // defects (a bit flip in an exponent can turn a value into ±Inf or NaN,
@@ -47,21 +49,7 @@ func (p *Protected) correctRowidx(y, x []float64, xRef checksum.Vector, dr1, dr2
 		return fail
 	}
 	p.A.Rowidx[j] += delta
-
-	// Recompute the two rows adjacent to the repaired boundary.
-	n := p.A.Rows
-	for _, row := range []int{j - 1, j} {
-		if row >= 0 && row < n {
-			y[row] = p.A.MulVecRowRobust(row, x)
-		}
-	}
-	sr := p.recomputeRowSums()
-	out := p.verify(y, x, xRef, sr, false)
-	if out.Detected {
-		p.stats.FalseCorrect++
-		return fail
-	}
-	return Outcome{Detected: true, Corrected: true, Class: ClassRowidx}
+	return p.finish(y, x, xRef, ClassRowidx, j, j)
 }
 
 // correctX repairs a single corrupted entry of the input vector. The defect
@@ -151,8 +139,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 				return fail
 			}
 		}
-		y[d] = p.A.MulVecRowRobust(d, x)
-		return p.finish(y, x, xRef, ClassComputation)
+		return p.finish(y, x, xRef, ClassComputation, -1, d)
 
 	case 1:
 		f := diffCols[0]
@@ -176,8 +163,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 					return fail
 				}
 				p.A.Val[k] = p.CS.C1[f] - p.colSumExcluding(f, k)
-				y[row] = p.A.MulVecRowRobust(row, x)
-				return p.finish(y, x, xRef, ClassVal)
+				return p.finish(y, x, xRef, ClassVal, k, row)
 			}
 			return fail
 		}
@@ -187,8 +173,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 		for k := p.A.Rowidx[d]; k < p.A.Rowidx[d+1]; k++ {
 			if p.A.Colid[k] == f {
 				p.A.Val[k] = p.CS.C1[f] - p.colSumExcluding(f, k)
-				y[d] = p.A.MulVecRowRobust(d, x)
-				return p.finish(y, x, xRef, ClassVal)
+				return p.finish(y, x, xRef, ClassVal, k, d)
 			}
 		}
 		// No such entry: the column contribution was lost entirely, which
@@ -197,8 +182,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 		for k := p.A.Rowidx[d]; k < p.A.Rowidx[d+1]; k++ {
 			if c := p.A.Colid[k]; c < 0 || c >= p.A.Cols {
 				p.A.Colid[k] = f
-				y[d] = p.A.MulVecRowRobust(d, x)
-				return p.finish(y, x, xRef, ClassColid)
+				return p.finish(y, x, xRef, ClassColid, k, d)
 			}
 		}
 		return fail
@@ -226,10 +210,8 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 			}
 			p.A.Colid[k] = oth
 			oldY := y[d]
-			y[d] = p.A.MulVecRowRobust(d, x)
-			sr := p.recomputeRowSums()
-			if out := p.verify(y, x, xRef, sr, false); !out.Detected {
-				return Outcome{Detected: true, Corrected: true, Class: ClassColid}
+			if out := p.finish(y, x, xRef, ClassColid, k, d); out.Corrected {
+				return out
 			}
 			p.A.Colid[k] = cur // revert and try the next candidate
 			y[d] = oldY
@@ -241,13 +223,47 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 	}
 }
 
-// finish re-verifies after a repair and returns the final outcome.
-func (p *Protected) finish(y, x []float64, xRef checksum.Vector, cls ErrorClass) Outcome {
+// finish closes a repair of class cls affecting row d of the product: a
+// decoder has rewritten word k of the array cls names (Val, Colid or Rowidx),
+// or located a computation error and rewritten nothing (k unused). The word
+// is first held against the valid copy: an index must equal it; a value
+// reconstructed by exclusion must agree with it within the rounding of the
+// two column sums it is the difference of — Eq. (7)'s 2γ₂ₙ on the column's
+// mass AbsC1 — and then takes its bits, so that the repaired matrix is again
+// the one CS was derived from. A word the valid copy contradicts was
+// mislocated, or shares its checksum with a second error: not a repair.
+// Then the rows the word feeds are recomputed — row d, and the row before a
+// moved row pointer — and the full battery re-verifies once.
+func (p *Protected) finish(y, x []float64, xRef checksum.Vector, cls ErrorClass, k, d int) Outcome {
+	fail := Outcome{Detected: true, Class: ClassMultiple}
+	if v := p.Valid; v != nil {
+		switch cls {
+		case ClassVal:
+			bound := 2 * checksum.Gamma(2*p.CS.N) * p.CS.AbsC1[p.A.Colid[k]]
+			if !(math.Abs(p.A.Val[k]-v.Val[k]) <= bound) {
+				return fail
+			}
+			p.A.Val[k] = v.Val[k]
+		case ClassColid:
+			if p.A.Colid[k] != v.Colid[k] {
+				return fail
+			}
+		case ClassRowidx:
+			if p.A.Rowidx[k] != v.Rowidx[k] {
+				return fail
+			}
+		}
+	}
+	if cls == ClassRowidx && d > 0 {
+		y[d-1] = p.A.MulVecRowRobust(d-1, x)
+	}
+	if d < p.A.Rows {
+		y[d] = p.A.MulVecRowRobust(d, x)
+	}
 	sr := p.recomputeRowSums()
-	out := p.verify(y, x, xRef, sr, false)
-	if out.Detected {
+	if out := p.verify(y, x, xRef, sr, false); out.Detected {
 		p.stats.FalseCorrect++
-		return Outcome{Detected: true, Class: ClassMultiple}
+		return fail
 	}
 	return Outcome{Detected: true, Corrected: true, Class: cls}
 }

@@ -108,21 +108,21 @@ type Matrix struct {
 // solvers only protect square systems.
 //
 // The encoder tolerates a structurally corrupted representation — clamped
-// row-pointer ranges, skipped out-of-range column indices — because the
-// resilient drivers re-encode after rollbacks, and a checkpoint can carry a
-// *latent* corruption whose numerical effect was below the detection
-// tolerance (e.g. an out-of-range Colid on a tiny value). Re-encoding such
-// a matrix simply adopts the harmless perturbation as the new reference.
+// row-pointer ranges, skipped out-of-range column indices — because a caller
+// without a valid copy re-encodes a live matrix (abft.Protected.Reencode),
+// which can carry a *latent* corruption whose numerical effect was below the
+// detection tolerance (e.g. an out-of-range Colid on a tiny value).
+// Re-encoding such a matrix simply adopts the harmless perturbation as the
+// new reference.
 func NewMatrix(a *sparse.CSR) *Matrix {
 	return NewMatrixInto(nil, a)
 }
 
 // NewMatrixInto recomputes the checksum encoding of a into m, reusing its
 // checksum rows when the dimension matches; a nil or mis-sized m gets fresh
-// storage. The resilient drivers re-encode after every forward repair and
-// rollback, so reuse keeps those paths allocation-free. The accumulation
-// order is identical to a fresh NewMatrix, so the encoding is bitwise the
-// same either way.
+// storage, so a warm workspace arms solve after solve without allocating.
+// The accumulation order is identical to a fresh NewMatrix, so the encoding
+// is bitwise the same either way.
 func NewMatrixInto(m *Matrix, a *sparse.CSR) *Matrix {
 	if a.Rows != a.Cols {
 		panic("checksum: NewMatrix requires a square matrix")

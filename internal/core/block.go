@@ -136,7 +136,7 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 	}
 	bw.onIter = cfg.OnIteration
 	live := bw.shared.liveCopy(0, a)
-	prot := bw.shared.protected(0, live, abftMode(cfg.Scheme))
+	prot := bw.shared.protected(0, live, a, abftMode(cfg.Scheme))
 
 	// Resolve the model-optimal intervals once for the whole block.
 	laneCfg := Config{

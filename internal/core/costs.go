@@ -10,7 +10,10 @@
 //	ABFTDetection  — single-checksum ABFT SpMxV every iteration plus TMR
 //	    vector kernels; roll back on any detection.
 //	ABFTCorrection — two-checksum ABFT SpMxV: single errors are corrected
-//	    forward with no rollback; only multi-error iterations roll back.
+//	    forward with no rollback; so is any number of errors in a matrix or a
+//	    product's output, by restoring the matrix from the caller's copy and
+//	    running the product again; only what then remains — several errors in
+//	    the vectors of one iteration — rolls back.
 //
 // The paper's model never mentions which recurrence runs inside a chunk,
 // and neither does the code: one engine (engine.go) owns the scheme, the

@@ -263,11 +263,11 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 		mode := abftMode(cfg.Scheme)
 		e.prot[0] = sharedProt
 		if sharedProt == nil {
-			e.prot[0] = ws.protected(0, e.mat[0], mode)
+			e.prot[0] = ws.protected(0, e.mat[0], a, mode)
 		}
 		e.stats.SimTime += SetupCost(e.mat[0], cfg.Scheme, cfg.Costs)
 		if e.mat[1] != nil {
-			e.prot[1] = ws.protected(1, e.mat[1], mode)
+			e.prot[1] = ws.protected(1, e.mat[1], cfg.M, mode)
 			e.stats.SimTime += SetupCost(e.mat[1], cfg.Scheme, cfg.Costs)
 		}
 		// Armed over the completed initial state.
@@ -480,9 +480,44 @@ func (e *engine) complete(sr abft.RowSums) {
 		return
 	}
 	out := e.prot[p.slot].Verify(p.y, p.x, p.ref.Ref(), sr)
-	if !e.settleGuards() || !e.settle(out, p) {
+	if !e.settleGuards() {
+		e.fail()
+		return
+	}
+	if out.Detected && !out.Corrected && e.cfg.Scheme == ABFTCorrection {
+		out = e.reread(p)
+	}
+	if !e.settle(out, p) {
 		e.fail()
 	}
+}
+
+// reread is ABFT-Correction's last forward step, taken when the decoder could
+// not pin the failed product p on a single word: the matrix the product read
+// is restored from the caller's copy — what a rollback does first anyway —
+// and the product runs and is verified once more, whatever struck its output
+// the first time being overwritten. Errors that were the matrix's, however
+// many, are gone by then: a sub-tolerance flip still sitting in the live
+// arrays when the next error arrives (Eq. (9)'s accepted false negative,
+// which the decoder's bit-for-bit column comparison counts as a second
+// error), or two flips in one iteration. The episode counts as one detection
+// and, clean or repaired the second time, one correction; if the second
+// verification cannot settle it either, the vectors are the suspects and the
+// caller rolls back. The model is charged the words re-read, one product and
+// one verification.
+func (e *engine) reread(p *product) abft.Outcome {
+	st, cp, prot := &e.stats, &e.cfg.Costs, e.prot[p.slot]
+	st.Rereads++
+	e.mat[p.slot].CopyFrom(e.src[p.slot])
+	st.TimeRecovery += float64(e.src[p.slot].MemoryWords()) * cp.WordTime
+	st.TimeIter += float64(prot.FlopsMulVec()) * cp.FlopTime
+	st.TimeVerif += float64(prot.FlopsVerify()) * cp.FlopTime
+	out := prot.Verify(p.y, p.x, p.ref.Ref(), prot.MulVec(p.y, p.x))
+	if !out.Detected {
+		// Several errors, all of them the matrix's or the output's, and gone.
+		return abft.Outcome{Detected: true, Corrected: true, Class: abft.ClassMultiple}
+	}
+	return out
 }
 
 // settleGuards resolves the guard outcomes of r and x taken when the
@@ -497,7 +532,10 @@ func (e *engine) settleGuards() bool {
 
 // settle accounts one detection outcome — of a vector guard (p == nil) or
 // of product p. A forward repair is counted and charged; an uncorrectable
-// error returns false and the iteration must roll back.
+// error returns false and the iteration must roll back. Nothing is
+// re-encoded after a matrix repair: the decoder finished it against the
+// caller's copy (abft.Protected.Valid), so the repaired word holds the bits
+// the encoding was derived from.
 func (e *engine) settle(out abft.Outcome, p *product) bool {
 	if !out.Detected {
 		return true
@@ -509,16 +547,13 @@ func (e *engine) settle(out abft.Outcome, p *product) bool {
 	}
 	st.Corrections++
 	// Repairs of a vector — a guarded one, or a product's input — are O(n);
-	// the other product repairs may recompute the O(nnz) column checksums.
-	if p == nil || out.Class == abft.ClassX {
+	// the other product repairs recompute the O(nnz) column checksums, and a
+	// re-read (ClassMultiple, corrected) has been charged already.
+	switch {
+	case p == nil || out.Class == abft.ClassX:
 		st.TimeVerif += TcorrectVector(e.mat[0], e.cfg.Costs)
-	} else {
+	case out.Class != abft.ClassMultiple:
 		st.TimeVerif += e.costs.Tcorrect
-	}
-	// A matrix repair restores the original entry only to rounding;
-	// re-anchor the bitwise checksum identity on the repaired matrix.
-	if p != nil && (out.Class == abft.ClassVal || out.Class == abft.ClassColid || out.Class == abft.ClassRowidx) {
-		e.prot[p.slot].Reencode()
 	}
 	return true
 }
@@ -630,17 +665,12 @@ func (e *engine) rollback() {
 	e.inIter = false
 	e.stats.Rollbacks++
 	e.stats.TimeRecovery += e.costs.Trec
-	// A rollback is the one moment the live matrices are known suspect, and
-	// the caller's are the valid copy the paper asks recovery to find. The
-	// encodings were derived from those very bits, so they stand unless a
-	// forward repair has re-anchored them since (Protected.Restored).
+	// A rollback finds the live matrices suspect, and the caller's are the
+	// valid copy the paper asks recovery to find. The encodings were derived
+	// from those very bits, and no repair moves them, so they stand.
 	for slot, src := range e.src {
-		if src == nil {
-			continue
-		}
-		e.mat[slot].CopyFrom(src)
-		if p := e.prot[slot]; p != nil {
-			p.Restored()
+		if src != nil {
+			e.mat[slot].CopyFrom(src)
 		}
 	}
 	e.stuck++

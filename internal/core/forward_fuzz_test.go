@@ -1,0 +1,260 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/precond"
+	"repro/internal/solver"
+	"repro/internal/sparse"
+)
+
+// fwdSystem is one solver × operand cell of FuzzForwardRecovery with its
+// unprotected reference.
+type fwdSystem struct {
+	name  string
+	kind  string // cg, pcg or bicgstab
+	a, m  *sparse.CSR
+	b     []float64
+	ref   []float64 // the unprotected solver's x
+	iters int       // and its iteration count: flips are scheduled inside it
+}
+
+// fwdFlip is one scheduled bit flip: a word, a bit, and the executed
+// iteration (1-based, as Stats.TotalIterations counts) it strikes in.
+type fwdFlip struct {
+	fault.Event
+	iter int64
+}
+
+func (fl fwdFlip) String() string {
+	return fmt.Sprintf("%v[%d] bit %d @%d", fl.Target, fl.Index, fl.Bit, fl.iter)
+}
+
+// The three kinds of word a flip strikes: a word of A or M, an entry of a
+// protected product's output, a word of r, p or x.
+func fwdMatrixWord(t fault.Target) bool { return t.IsMatrix() || t.IsPrecond() }
+func fwdOutput(t fault.Target) bool     { return t == fault.TargetVecQ || t == fault.TargetVecZ }
+func fwdVectorWord(t fault.Target) bool { return !fwdMatrixWord(t) && !fwdOutput(t) }
+
+// forward reports whether the flip strikes a matrix word or the output of a
+// protected product: the errors ABFT-Correction settles without executing an
+// iteration twice, however many of them meet.
+func (fl fwdFlip) forward() bool { return !fwdVectorWord(fl.Target) }
+
+const fwdTol = 1e-8
+
+var fwdSystems = sync.OnceValue(func() []*fwdSystem {
+	var out []*fwdSystem
+	for _, g := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"poisson2d144", sparse.Poisson2D(12, 12)},
+		{"suitespd150", sparse.SuiteSPD(sparse.SuiteSPDOptions{N: 150, Density: 0.04, Seed: 29})},
+	} {
+		b, _ := rhsFor(g.a, 61)
+		m, err := precond.Jacobi(g.a)
+		if err != nil {
+			panic(err)
+		}
+		for _, kind := range []string{"cg", "pcg", "bicgstab"} {
+			s := &fwdSystem{name: g.name + "/" + kind, kind: kind, a: g.a, b: b}
+			opt := solver.Options{Tol: fwdTol}
+			var res solver.Result
+			switch kind {
+			case "cg":
+				res, err = solver.CG(g.a, b, opt)
+			case "pcg":
+				s.m = m
+				res, err = solver.PCGWith(g.a, m, b, opt)
+			default:
+				res, err = solver.BiCGstab(g.a, b, opt)
+			}
+			if err != nil || !res.Converged {
+				panic(fmt.Sprintf("%s: reference solve: %v", s.name, err))
+			}
+			s.ref, s.iters = append([]float64(nil), res.X...), res.Iterations
+			out = append(out, s)
+		}
+	}
+	return out
+})
+
+// targets lists what a flip can strike in this system, in the order the
+// schedule's target byte indexes.
+func (s *fwdSystem) targets() []fault.Target {
+	ts := []fault.Target{
+		fault.TargetVal, fault.TargetColid, fault.TargetRowidx, fault.TargetVecQ,
+		fault.TargetVecR, fault.TargetVecP, fault.TargetVecX,
+	}
+	if s.m != nil {
+		ts = append(ts, fault.TargetMVal, fault.TargetMColid, fault.TargetMRowidx, fault.TargetVecZ)
+	}
+	return ts
+}
+
+// words is the length of the array a target names.
+func (s *fwdSystem) words(t fault.Target) int {
+	switch t {
+	case fault.TargetVal, fault.TargetColid:
+		return s.a.NNZ()
+	case fault.TargetMVal, fault.TargetMColid:
+		return s.m.NNZ()
+	case fault.TargetRowidx, fault.TargetMRowidx:
+		return s.a.Rows + 1
+	}
+	return s.a.Rows
+}
+
+// fwdFlipBytes is the size of one encoded flip: target, index (two bytes),
+// bit, iteration.
+const fwdFlipBytes = 5
+
+// decode reads up to four flips from the fuzzer's bytes. Every field is
+// reduced into range — index bits to the 30 the injector draws from — so all
+// inputs are schedules.
+func (s *fwdSystem) decode(sched []byte) []fwdFlip {
+	var flips []fwdFlip
+	ts := s.targets()
+	for ; len(sched) >= fwdFlipBytes && len(flips) < 4; sched = sched[fwdFlipBytes:] {
+		t := ts[int(sched[0])%len(ts)]
+		bits := 64
+		if fwdMatrixWord(t) && t != fault.TargetVal && t != fault.TargetMVal {
+			bits = 30
+		}
+		flips = append(flips, fwdFlip{
+			Event: fault.Event{Target: t, Index: (int(sched[1])<<8 | int(sched[2])) % s.words(t), Bit: uint(int(sched[3]) % bits)},
+			iter:  1 + int64(int(sched[4])%s.iters),
+		})
+	}
+	return flips
+}
+
+// encode is decode's inverse for the seed corpus (index < 65536, which every
+// array of the two operands is shorter than; iteration ≤ 255).
+func (s *fwdSystem) encode(flips ...fwdFlip) []byte {
+	var out []byte
+	ts := s.targets()
+	for _, fl := range flips {
+		ti := 0
+		for ts[ti] != fl.Target {
+			ti++
+		}
+		out = append(out, byte(ti), byte(fl.Index>>8), byte(fl.Index), byte(fl.Bit), byte(fl.iter-1))
+	}
+	return out
+}
+
+// solve is engine.solve under ABFT-Correction with the schedule struck where
+// the injector strikes. Matrix words are struck once the iteration has opened
+// and before anything reads them, product outputs right after their product:
+// the injector's moments exactly. The words of r, p and x are struck between
+// two iterations, ahead of the guard checks that open the next one as the
+// injector's strikes are — one convergence test earlier than its, which can
+// only cost a failed confirmation.
+func (s *fwdSystem) solve(flips []fwdFlip) ([]float64, Stats, error) {
+	ws := NewWorkspace()
+	e := &ws.run
+	var rec recurrence = &e.pcg
+	if s.kind == "bicgstab" {
+		rec = &e.bicg
+	}
+	inj := fault.New(fault.Config{}) // applies the events; draws none
+	struck := make([]bool, len(flips))
+	strike := func(iter int64, due func(fault.Target) bool) {
+		for i, fl := range flips {
+			if !struck[i] && fl.iter == iter && due(fl.Target) {
+				struck[i] = true
+				inj.ApplyEvent(&ws.state, fl.Event)
+			}
+		}
+	}
+	thisOutput := func(t fault.Target) bool { return fwdOutput(t) && t == e.prod.hit }
+
+	cfg := Config{Scheme: ABFTCorrection, M: s.m, Tol: fwdTol, Ws: ws}
+	cfg.OnIteration = func(int, float64) { strike(e.stats.TotalIterations+1, fwdVectorWord) }
+	if err := e.start(rec, "", ws, s.a, s.b, cfg, nil, nil); err != nil {
+		return nil, Stats{}, err
+	}
+	strike(1, fwdVectorWord)
+	for !e.advance() {
+		if e.stage == 1 { // the iteration's first product is pending
+			strike(e.stats.TotalIterations, fwdMatrixWord)
+		}
+		sr := e.multiply()
+		strike(e.stats.TotalIterations, thisOutput)
+		e.complete(sr)
+	}
+	return e.finish()
+}
+
+// FuzzForwardRecovery states Section 3.2's guarantee as a property of the
+// whole driver. Over CG, Jacobi-PCG and BiCGstab on two small operands and
+// any schedule of up to four bit flips — any word of A, M, r, p, x, any entry
+// of a product's output, any bit, any iteration, several in one — an
+// ABFT-Correction solve converges to the unprotected solver's answer; and
+// when every struck word is a matrix word or a product output it gets there
+// forward: no rollback, no iteration executed twice. (Errors in r, p and x
+// are corrected forward one at a time; two in one vector between two checks
+// are what the checkpoint is for.)
+func FuzzForwardRecovery(f *testing.F) {
+	systems := fwdSystems()
+	val := func(index int, bit uint, iter int64) fwdFlip {
+		return fwdFlip{fault.Event{Target: fault.TargetVal, Index: index, Bit: bit}, iter}
+	}
+	at := func(t fault.Target, index int, bit uint, iter int64) fwdFlip {
+		return fwdFlip{fault.Event{Target: t, Index: index, Bit: bit}, iter}
+	}
+	// The verdicts that rolled ABFT-Correction back on the repo benchmark: a
+	// flip in a low mantissa bit of Val that Eq. (9) tolerates, still live
+	// when a Colid, Val or product-output flip arrives some iterations on;
+	// and two flips in one iteration.
+	for si, s := range systems {
+		last := int64(s.iters)
+		f.Add(uint8(si), s.encode())
+		f.Add(uint8(si), s.encode(val(10, 20, 3), at(fault.TargetColid, 100, 2, 8)))
+		f.Add(uint8(si), s.encode(val(10, 20, 3), val(200, 54, 13)))
+		f.Add(uint8(si), s.encode(val(77, 12, 2), at(fault.TargetVecQ, 40, 55, last-2)))
+		f.Add(uint8(si), s.encode(val(77, 25, 2), at(fault.TargetVecQ, 40, 62, 9), at(fault.TargetRowidx, 30, 3, 9)))
+		f.Add(uint8(si), s.encode(val(31, 54, 6), at(fault.TargetColid, 300, 1, 6)))
+		f.Add(uint8(si), s.encode(val(31, 62, 6), val(32, 63, 6), at(fault.TargetRowidx, 0, 0, 6), at(fault.TargetColid, 5, 29, 6)))
+		f.Add(uint8(si), s.encode(at(fault.TargetRowidx, 50, 10, 4), at(fault.TargetRowidx, 51, 4, 4)))
+		f.Add(uint8(si), s.encode(at(fault.TargetVecP, 9, 52, 5), at(fault.TargetVecR, 70, 60, 7), at(fault.TargetVecX, 3, 40, 7)))
+		f.Add(uint8(si), s.encode(at(fault.TargetVecP, 9, 61, 5), at(fault.TargetVecP, 90, 58, 5)))
+		if s.m != nil {
+			f.Add(uint8(si), s.encode(at(fault.TargetMVal, 10, 18, 2), at(fault.TargetMVal, 60, 54, 11)))
+			f.Add(uint8(si), s.encode(at(fault.TargetMVal, 10, 18, 2), at(fault.TargetVecZ, 60, 57, 7), at(fault.TargetMColid, 20, 4, 7)))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, system uint8, sched []byte) {
+		s := systems[int(system)%len(systems)]
+		flips := s.decode(sched)
+		x, st, err := s.solve(flips)
+		if err != nil || !st.Converged {
+			t.Fatalf("%s %v: err %v, stats %+v", s.name, flips, err, st)
+		}
+		var diff, scale float64
+		for i, v := range s.ref {
+			diff, scale = math.Max(diff, math.Abs(x[i]-v)), math.Max(scale, math.Abs(v))
+		}
+		// The confirmation accepts a true residual of 10⁻⁶‖b‖ at worst (see
+		// engine.begin), the references stop at 10⁻⁸: the two answers agree
+		// to that residual times the operands' condition numbers (< 10²).
+		if !(diff <= 1e-4*scale) || !(st.FinalResidual <= 1e-6) {
+			t.Fatalf("%s %v: x is off the reference by %.3g (‖x‖∞ = %.3g), residual %.3g", s.name, flips, diff, scale, st.FinalResidual)
+		}
+		forward := true
+		for _, fl := range flips {
+			forward = forward && fl.forward()
+		}
+		if forward && (st.Rollbacks != 0 || st.TotalIterations != int64(st.UsefulIterations) || st.Detections != st.Corrections) {
+			t.Fatalf("%s %v: matrix and product-output errors only, yet %d rollbacks, %d iterations for %d useful, %d of %d detections corrected (%d re-reads)",
+				s.name, flips, st.Rollbacks, st.TotalIterations, st.UsefulIterations, st.Corrections, st.Detections, st.Rereads)
+		}
+	})
+}

@@ -35,6 +35,7 @@ type goldenCell struct {
 	NDetections      int64  `json:"n_detections"`
 	Corrections      int64  `json:"corrections"`
 	Rollbacks        int64  `json:"rollbacks"`
+	Rereads          int64  `json:"rereads,omitempty"`
 	Checkpoints      int64  `json:"checkpoints"`
 	FaultsInjected   int64  `json:"faults_injected"`
 	Converged        bool   `json:"converged"`
@@ -133,7 +134,7 @@ func TestDriverGolden(t *testing.T) {
 					cell.D, cell.S = st.D, st.S
 					cell.UsefulIterations, cell.TotalIterations = st.UsefulIterations, st.TotalIterations
 					cell.NDetections, cell.Corrections = st.Detections, st.Corrections
-					cell.Rollbacks, cell.Checkpoints = st.Rollbacks, st.Checkpoints
+					cell.Rollbacks, cell.Rereads, cell.Checkpoints = st.Rollbacks, st.Rereads, st.Checkpoints
 					cell.FaultsInjected, cell.Converged = st.FaultsInjected, st.Converged
 					cell.FinalResidual = fstr(st.FinalResidual)
 					cell.SimTime, cell.TimeIter, cell.TimeVerif = fstr(st.SimTime), fstr(st.TimeIter), fstr(st.TimeVerif)

@@ -135,16 +135,33 @@ func TestRollbackRestoresTheCallersMatrices(t *testing.T) {
 	}
 }
 
-// TestRollbackAfterRepairReencodes: under ABFT-Correction a forward repair of
-// a matrix entry re-anchors the encoding on the repaired matrix (equal to the
-// original only to rounding). A later rollback restores the caller's matrix,
-// so it must bring the encoding back to that matrix as well; the solve then
-// runs on without a single further detection.
-func TestRollbackAfterRepairReencodes(t *testing.T) {
+// rebuiltByExclusion is what the Val decoder computes for entry k: the
+// reliable checksum of its column less the column's other entries.
+func rebuiltByExclusion(a *sparse.CSR, k int) float64 {
+	f := a.Colid[k]
+	var rest float64
+	for j, c := range a.Colid {
+		if j != k && c == f {
+			rest += a.Val[j]
+		}
+	}
+	return checksum.NewMatrix(a).C1[f] - rest
+}
+
+// TestRollbackAfterRepairKeepsTheEncoding: under ABFT-Correction a forward
+// repair of a matrix entry is finished against the caller's matrix, so the
+// live word holds the caller's bits again — not the value exclusion rebuilds,
+// which is off by rounding — and the encoding built when the solve was armed
+// describes the live matrix through the repair and the rollback after it: it
+// is built once, and the solve runs on without a single further detection.
+func TestRollbackAfterRepairKeepsTheEncoding(t *testing.T) {
 	a, b, _ := testMatrix(200, 3)
 	k := smallEntry(a, 30)
+	if rebuiltByExclusion(a, k) == a.Val[k] {
+		t.Fatal("exclusion rebuilds the entry exactly: the scenario does not tell a finished repair from an unfinished one")
+	}
 	ws := NewWorkspace()
-	struck, rolled, residue := false, false, false
+	struck, rolled := false, false
 	cfg := Config{Scheme: ABFTCorrection, S: 4, Tol: 1e-8, Ws: ws}
 	cfg.OnIteration = func(it int, _ float64) {
 		switch {
@@ -153,7 +170,9 @@ func TestRollbackAfterRepairReencodes(t *testing.T) {
 			ws.live[0].Val[k] = bitflip.Float64(ws.live[0].Val[k], 54) // an exponent bit: gross, single, correctable
 		case it == 6 && !rolled:
 			rolled = true
-			residue = ws.live[0].Val[k] != a.Val[k]
+			if !ws.live[0].Equal(a) {
+				t.Error("after the repair the live matrix is not bit-equal to the caller's")
+			}
 			strikeTwice(ws.run.x)
 		}
 	}
@@ -161,26 +180,22 @@ func TestRollbackAfterRepairReencodes(t *testing.T) {
 	if err != nil || !st.Converged {
 		t.Fatalf("err %v, stats %+v", err, st)
 	}
-	if st.Corrections != 1 || st.Rollbacks != 1 || st.Detections != 2 {
-		t.Fatalf("corrections %d, rollbacks %d, detections %d; want 1, 1, 2 (a third detection is a false positive)",
-			st.Corrections, st.Rollbacks, st.Detections)
+	if st.Corrections != 1 || st.Rollbacks != 1 || st.Detections != 2 || st.Rereads != 0 {
+		t.Fatalf("corrections %d, rollbacks %d, detections %d, re-reads %d; want 1, 1, 2, 0 (a third detection is a false positive)",
+			st.Corrections, st.Rollbacks, st.Detections, st.Rereads)
 	}
 	prot := ws.prot[0]
-	if got := prot.Stats().Encodings; got != 3 {
-		t.Errorf("encoded %d times, want 3: arming, the repair, the rollback after it", got)
+	if got := prot.Stats().Encodings; got != 1 {
+		t.Errorf("encoded %d times, want once: neither the repair nor the rollback moves the matrix off its encoding", got)
 	}
 	if !ws.live[0].Equal(a) || !pristineEncoding(prot, a) {
 		t.Error("after the rollback the live matrix or its encoding is not the caller's")
 	}
-	if !residue {
-		t.Error("the repair was exact: the scenario does not tell a re-encoded rollback from a skipped one")
-	}
 }
 
 // TestBlockLaneRollbackAfterAnotherLanesRepair: blocked lanes share one live
-// matrix and one encoding, so the lane that rolls back need not be the lane
-// whose repair re-anchored the encoding — which is why the bit lives in
-// abft.Protected and not in an engine.
+// matrix and one encoding, and the lane that rolls back need not be the lane
+// that repaired. Neither touches the encoding: it is built once per block.
 func TestBlockLaneRollbackAfterAnotherLanesRepair(t *testing.T) {
 	a, _, _ := testMatrix(200, 3)
 	const k = 4
@@ -200,6 +215,9 @@ func TestBlockLaneRollbackAfterAnotherLanesRepair(t *testing.T) {
 			live.Val[e] = bitflip.Float64(live.Val[e], 54)
 		case rhs == 2 && it == 6 && !rolled:
 			rolled = true
+			if !bw.shared.live[0].Equal(a) {
+				t.Error("after lane 0's repair the shared live matrix is not bit-equal to the caller's")
+			}
 			strikeTwice(bw.lanes[2].ws.run.x)
 		}
 	}
@@ -223,11 +241,117 @@ func TestBlockLaneRollbackAfterAnotherLanesRepair(t *testing.T) {
 		t.Fatalf("lane 0 repaired nothing: %+v", sts[0])
 	}
 	prot := bw.shared.prot[0]
-	if got := prot.Stats().Encodings; got != 3 {
-		t.Errorf("shared encoding built %d times, want 3: arming, lane 0's repair, lane 2's rollback", got)
+	if got := prot.Stats().Encodings; got != 1 {
+		t.Errorf("shared encoding built %d times, want once", got)
 	}
 	if !bw.shared.live[0].Equal(a) || !pristineEncoding(prot, a) {
 		t.Error("after lane 2's rollback the shared live matrix or its encoding is not the caller's")
+	}
+}
+
+// TestRereadSettlesMatrixErrorsForward pins ABFT-Correction's step between a
+// decoder that cannot name a single error and a rollback. Each scenario puts
+// two errors in front of one product of A, which no two-row code decodes;
+// where both sit in the matrix, or in the matrix and the product's output,
+// restoring A from the caller's copy and running the product once more ends
+// the episode forward — one detection, one correction, no iteration executed
+// twice, M untouched — and where the vectors carry them it ends in the
+// rollback it always did, one re-read dearer.
+func TestRereadSettlesMatrixErrorsForward(t *testing.T) {
+	a := sparse.Poisson2D(14, 14)
+	b, _ := rhsFor(a, 7)
+	m, err := precond.Jacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type strike func(ws *Workspace)
+	// Mantissa bit 20 moves a value by 2⁻³² of itself: under Eq. (9)'s
+	// tolerance, yet visible bit for bit in the column's checksums (the last
+	// bit of a stencil's −1 rounds away in its column sum).
+	latent := func(v float64) float64 { return bitflip.Float64(v, 20) }
+	gross := func(ws *Workspace) { ws.live[0].Val[40] = bitflip.Float64(ws.live[0].Val[40], 54) }
+	scenarios := []struct {
+		name    string
+		at      map[int]strike // useful iteration → what strikes after it
+		forward bool
+	}{
+		{"a sub-tolerance flip still live when the next error comes", map[int]strike{
+			3: func(ws *Workspace) { ws.live[0].Val[10] = latent(ws.live[0].Val[10]) },
+			9: gross,
+		}, true},
+		{"two matrix flips in one iteration", map[int]strike{
+			5: func(ws *Workspace) {
+				gross(ws)
+				ws.live[0].Colid[100] = bitflip.Int(ws.live[0].Colid[100], 3)
+			},
+		}, true},
+		{"a row pointer and a value in one iteration", map[int]strike{
+			5: func(ws *Workspace) {
+				gross(ws)
+				ws.live[0].Rowidx[60] = bitflip.Int(ws.live[0].Rowidx[60], 2)
+			},
+		}, true},
+		{"two entries of the product's input", map[int]strike{
+			5: func(ws *Workspace) { strikeTwice(ws.run.p) },
+		}, false},
+	}
+	for _, sc := range scenarios {
+		for _, pre := range []*sparse.CSR{nil, m} {
+			name := fmt.Sprintf("%s/M=%v", sc.name, pre != nil)
+			ws := NewWorkspace()
+			var events []DetectionEvent
+			done := map[int]bool{}
+			cfg := Config{Scheme: ABFTCorrection, M: pre, S: 4, Tol: 1e-8, Ws: ws}
+			cfg.OnDetection = func(ev DetectionEvent) { events = append(events, ev) }
+			cfg.OnIteration = func(it int, _ float64) {
+				if it == 1 && pre != nil && !done[it] {
+					// Rides along: a re-read of A is one CopyFrom of one matrix.
+					ws.live[1].Val[20] = lastBit(ws.live[1].Val[20])
+				}
+				if hit := sc.at[it]; hit != nil && !done[it] {
+					hit(ws)
+				}
+				done[it] = true
+			}
+			_, st, err := Solve(a, b, cfg)
+			if err != nil || !st.Converged {
+				t.Fatalf("%s: err %v, stats %+v", name, err, st)
+			}
+			cp := DefaultCostParams()
+			reread := float64(a.MemoryWords()) * cp.WordTime
+			products := st.TotalIterations + 1 // each iteration's product of A, and the re-read's
+			wantCorr, wantRb, wantRec := int64(1), int64(0), reread
+			if !sc.forward {
+				wantCorr, wantRb = 0, 1
+				wantRec += float64(a.MemoryWords()+3*a.Rows) * cp.WordTime
+				if pre != nil {
+					wantRec += float64(pre.MemoryWords()) * cp.WordTime
+				}
+			}
+			if st.Rereads != 1 || st.Detections != 1 || st.Corrections != wantCorr || st.Rollbacks != wantRb {
+				t.Errorf("%s: %d re-reads, %d detections, %d corrections, %d rollbacks; want 1, 1, %d, %d",
+					name, st.Rereads, st.Detections, st.Corrections, st.Rollbacks, wantCorr, wantRb)
+			}
+			if sc.forward && st.TotalIterations != int64(st.UsefulIterations) {
+				t.Errorf("%s: %d iterations run for %d useful", name, st.TotalIterations, st.UsefulIterations)
+			}
+			if len(events) != 1 || events[0].RolledBack == sc.forward || events[0].Detections != 1 || events[0].Corrections != wantCorr {
+				t.Errorf("%s: detection events %+v", name, events)
+			}
+			if math.Abs(st.TimeRecovery-wantRec) > 1e-12*wantRec {
+				t.Errorf("%s: TimeRecovery %g, want %g", name, st.TimeRecovery, wantRec)
+			}
+			ps := ws.prot[0].Stats()
+			if ps.Encodings != 1 || ps.Products != products {
+				t.Errorf("%s: A encoded %d times and verified %d times; want once and %d times", name, ps.Encodings, ps.Products, products)
+			}
+			if !ws.live[0].Equal(a) {
+				t.Errorf("%s: the live A is not the caller's after the re-read", name)
+			}
+			if pre != nil && sc.forward && ws.live[1].Equal(pre) {
+				t.Errorf("%s: the re-read of A restored M as well", name)
+			}
+		}
 	}
 }
 

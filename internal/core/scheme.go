@@ -136,6 +136,12 @@ type Stats struct {
 	Corrections int64
 	Rollbacks   int64
 	Checkpoints int64
+	// Rereads counts the detections ABFT-Correction's decoder could not pin
+	// on a single word and the engine answered by restoring the matrix from
+	// the caller's copy and running the product again, before any rollback.
+	// One that came out clean or repairable is among Corrections, one that
+	// did not among Rollbacks.
+	Rereads int64
 	// SimTime is the modeled execution time in seconds, with its breakdown.
 	SimTime      float64
 	TimeIter     float64

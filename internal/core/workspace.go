@@ -41,7 +41,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 func (w *Workspace) Prewarm(a *sparse.CSR, scheme Scheme) {
 	live := w.liveCopy(0, a)
 	if scheme != OnlineDetection {
-		w.protected(0, live, abftMode(scheme))
+		w.protected(0, live, a, abftMode(scheme))
 	}
 }
 
@@ -98,13 +98,16 @@ func (w *Workspace) liveCopy(slot int, a *sparse.CSR) *sparse.CSR {
 	return w.live[slot]
 }
 
-// protected returns the slot's ABFT wrapper re-armed over a.
-func (w *Workspace) protected(slot int, a *sparse.CSR, mode abft.Mode) *abft.Protected {
+// protected returns the slot's ABFT wrapper re-armed over live, a fresh copy
+// of the caller's matrix src, which the wrapper's repairs are finished
+// against.
+func (w *Workspace) protected(slot int, live, src *sparse.CSR, mode abft.Mode) *abft.Protected {
 	if w.prot[slot] == nil {
-		w.prot[slot] = abft.NewProtected(a, mode)
+		w.prot[slot] = abft.NewProtected(live, mode)
 	} else {
-		w.prot[slot].Renew(a, mode)
+		w.prot[slot].Renew(live, mode)
 	}
+	w.prot[slot].Valid = src
 	return w.prot[slot]
 }
 
