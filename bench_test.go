@@ -271,16 +271,14 @@ func benchTolerance(b *testing.B, policy abft.TolerancePolicy) {
 func BenchmarkRelModeAblation(b *testing.B) {
 	b.ReportAllocs()
 	// The selective-reliability pricing choice: reliable mode free in time
-	// (the default) vs TMR charged as three sequential executions.
+	// (the default), charged one extra execution — what the wall pays while
+	// the first two executions of a vote agree, the fault-free case — or two,
+	// the vote that needs its third.
 	m, rhs := benchMatrix(b, 2213)
-	for _, extra := range []float64{0, 2} {
-		name := "energyPriced"
-		if extra > 0 {
-			name = "timePriced3x"
-		}
+	for extra, name := range []string{"energyPriced", "timePriced2x", "timePriced3x"} {
 		b.Run(name, func(b *testing.B) {
 			cp := core.DefaultCostParams()
-			cp.RelModeExtra = extra
+			cp.RelModeExtra = float64(extra)
 			for i := 0; i < b.N; i++ {
 				_, st, err := core.Solve(m.a, rhs, core.Config{
 					Scheme: core.ABFTCorrection, Tol: 1e-8, Costs: cp,
@@ -295,11 +293,17 @@ func BenchmarkRelModeAblation(b *testing.B) {
 }
 
 // --- TMR and model micro-benchmarks ---
+//
+// The vector kernels share one operand (n = 4096, the size of the benchmark's
+// tmr.* and vec.* probes): TMRDot ÷ PlainDot and TMRAxpy ÷ PlainAxpy are the
+// vote's cost over the plain kernel, two executions and a comparison when
+// nothing dissents; TMRAxpyGuarded − TMRAxpy is what the fused guard checksum
+// adds, and GuardCheck what reading it back costs an iteration later.
 
 func BenchmarkTMRDot(b *testing.B) {
 	b.ReportAllocs()
-	x := randVec(1<<13, 1)
-	y := randVec(1<<13, 2)
+	x := randVec(1<<12, 1)
+	y := randVec(1<<12, 2)
 	var e tmr.Executor
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -309,17 +313,13 @@ func BenchmarkTMRDot(b *testing.B) {
 
 func BenchmarkPlainDot(b *testing.B) {
 	b.ReportAllocs()
-	x := randVec(1<<13, 1)
-	y := randVec(1<<13, 2)
+	x := randVec(1<<12, 1)
+	y := randVec(1<<12, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = vec.Dot(x, y)
 	}
 }
-
-// The axpy trio shares one operand (n = 4096, the benchmark's probe size), so
-// TMRAxpy ÷ PlainAxpy is the voted update's overhead over the 3× floor and
-// TMRAxpyGuarded − TMRAxpy is what the fused guard checksum adds.
 
 func BenchmarkTMRAxpy(b *testing.B) {
 	b.ReportAllocs()
@@ -353,6 +353,21 @@ func BenchmarkTMRAxpyGuarded(b *testing.B) {
 		ref = e.AxpyGuarded(2, 1e-9, x, y)
 	}
 	_ = ref
+}
+
+func BenchmarkGuardCheck(b *testing.B) {
+	x := randVec(1<<12, 1)
+	for _, mode := range []abft.Mode{abft.Detect, abft.DetectCorrect} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			g := abft.NewGuard(x, mode)
+			for i := 0; i < b.N; i++ {
+				if out := g.Check(x); out.Detected {
+					b.Fatal("false positive")
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkOptimalS(b *testing.B) {

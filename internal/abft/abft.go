@@ -351,16 +351,16 @@ func (p *Protected) mulVec4(ys, xs [][]float64) RowSums {
 //	dx[r]  = w_rᵀ y − C_rᵀ x        (error in A or in the computation)
 //	dxp[r] = w_rᵀ xRef − w_rᵀ x     (error in x relative to its reference)
 //
-// This is the fused verification kernel: the weighted sums of y, C₁ᵀx, C₂ᵀx,
-// the reference sums of x and the two max-norms come from ONE loop that
-// reads y and x side by side — a sum is a serial chain of additions, so the
-// chains of y and those of x overlap instead of queueing — and, under
-// TolComponent only, the six rounding masses from a second one (fourteen
-// accumulators in one loop would spill), replacing the historical
-// five-to-seven separate passes. Each accumulator keeps the exact summation
-// order of its former standalone loop, so every defect and tolerance — and
-// therefore every detection outcome — is bitwise unchanged. y and x must
-// have the matrix dimension (checksum.Matrix is square).
+// This is the fused verification kernel: the weighted sums of y, C₁ᵀx, C₂ᵀx
+// and the reference sums of x come from ONE loop that reads y and x side by
+// side — a sum is a serial chain of additions, so the chains of y and those
+// of x overlap instead of queueing — and what the tolerances need from a
+// second one: under TolComponent the six rounding masses, under TolNorm the
+// two max-norms, and those only for a defect that needs them (normTolerances).
+// Each accumulator keeps the exact summation order of its former standalone
+// loop, so every defect and tolerance — and therefore every detection
+// outcome — is bitwise unchanged. y and x must have the matrix dimension
+// (checksum.Matrix is square).
 //
 // In Detect mode only the first row is computed — ABFT-Detection is the
 // single-checksum scheme, FlopsVerify prices it so and verify reads nothing
@@ -374,17 +374,15 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 	y, x = sized(y, n), sized(x, n)
 	c1, c2 := sized(p.CS.C1, n), sized(p.CS.C2, n)
 
-	var sy1, sy2, normY, c1x, c2x, sx1, sx2, normX float64
+	var sy1, sy2, c1x, c2x, sx1, sx2 float64
 	for i, v := range y {
 		xj, w := x[i], float64(i+1)
 		sy1 += v
 		sy2 += w * v
-		normY = maxAbs(normY, v)
 		c1x += c1[i] * xj
 		c2x += c2[i] * xj
 		sx1 += xj
 		sx2 += w * xj
-		normX = maxAbs(normX, xj)
 	}
 	dx1 = sy1 - c1x
 	dx2 = sy2 - c2x
@@ -414,12 +412,7 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 		tolp2 = gV * ax2
 		return
 	}
-	// TolNorm (paper Eq. (9)): the matrix factors are precomputed; each
-	// verification only needs the two max-norms.
-	tolx1 = p.tolX1Fac*normX + p.tolY1Fac*normY
-	tolx2 = p.tolX2Fac*normX + p.tolY2Fac*normY
-	tolp1 = p.tolP1Fac * normX
-	tolp2 = p.tolP2Fac * normX
+	tolx1, tolx2, tolp1, tolp2 = p.normTolerances(y, x, dx1, dx2, dxp1, dxp2)
 	return
 }
 
@@ -430,14 +423,12 @@ func (p *Protected) defectsRow1(y, x []float64, xRef checksum.Vector) (dx1, tolx
 	y, x = sized(y, n), sized(x, n)
 	c1 := sized(p.CS.C1, n)
 
-	var sy1, normY, c1x, sx1, normX float64
+	var sy1, c1x, sx1 float64
 	for i, v := range y {
 		xj := x[i]
 		sy1 += v
-		normY = maxAbs(normY, v)
 		c1x += c1[i] * xj
 		sx1 += xj
-		normX = maxAbs(normX, xj)
 	}
 	dx1 = sy1 - c1x
 	dxp1 = xRef.S1 - sx1
@@ -456,10 +447,43 @@ func (p *Protected) defectsRow1(y, x []float64, xRef checksum.Vector) (dx1, tolx
 		tolp1 = gV * ax1
 		return
 	}
-	tolx1 = p.tolX1Fac*normX + p.tolY1Fac*normY
-	tolp1 = p.tolP1Fac * normX
+	tolx1, _, tolp1, _ = p.normTolerances(y, x, dx1, 0, dxp1, 0)
 	return
 }
+
+// normStride is the sampling stride of normTolerances' first tier.
+const normStride = 16
+
+// normTolerances returns tolerances under which the four defects get the
+// verdict of TolNorm (paper Eq. (9): precomputed matrix factors times ‖x‖∞
+// and ‖y‖∞). The verdict comes first, the norms on demand: the factors are
+// non-negative and rounding is monotone, so Eq. (9) evaluated at LOWER bounds
+// of the two norms — the largest magnitude in a strided sample — is a lower
+// bound of the exact tolerance, and a finite defect within the lower bound is
+// within the exact one. A fault-free product's defects are rounding noise,
+// orders of magnitude below either, and are cleared by the sample; only when
+// some defect is not (an error, or an operand whose magnitude the sample
+// misses) are the exact max-norms taken and the exact tolerances returned.
+// Either way exceeds decides on the returned values what it would decide on
+// the exact ones. A defect of a row the caller does not compute is passed
+// as 0.
+func (p *Protected) normTolerances(y, x []float64, dx1, dx2, dxp1, dxp2 float64) (tolx1, tolx2, tolp1, tolp2 float64) {
+	for _, stride := range [2]int{normStride, 1} {
+		normX, normY := maxAbsEvery(stride, x), maxAbsEvery(stride, y)
+		tolx1 = p.tolX1Fac*normX + p.tolY1Fac*normY
+		tolx2 = p.tolX2Fac*normX + p.tolY2Fac*normY
+		tolp1 = p.tolP1Fac * normX
+		tolp2 = p.tolP2Fac * normX
+		if within(dx1, tolx1) && within(dx2, tolx2) && within(dxp1, tolp1) && within(dxp2, tolp2) {
+			break
+		}
+	}
+	return
+}
+
+// within reports a finite defect no larger than tol: the negation of exceeds,
+// except that it is false where tol is NaN.
+func within(d, tol float64) bool { return finite(d) && math.Abs(d) <= tol }
 
 // sized returns v, known to hold exactly n elements — so that one loop can
 // index several vectors under one bound — and panics on any other length.
@@ -468,6 +492,15 @@ func sized(v []float64, n int) []float64 {
 		panic("abft: a vector's length differs from the matrix dimension")
 	}
 	return v
+}
+
+// maxAbsEvery returns the largest magnitude among every stride-th element of
+// v, NaNs skipped: ‖v‖∞ at stride 1, a lower bound of it at any other.
+func maxAbsEvery(stride int, v []float64) (m float64) {
+	for i := 0; i < len(v); i += stride {
+		m = maxAbs(m, v[i])
+	}
+	return m
 }
 
 // maxAbs returns max(m, |v|), a NaN v leaving m as it is.

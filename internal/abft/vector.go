@@ -59,11 +59,20 @@ func (g *VectorGuard) Reset(v []float64, mode Mode) {
 // the SpMxV input).
 func (g *VectorGuard) Ref() checksum.Vector { return g.ref }
 
-// Check verifies v against the reference, defects and tolerances in one
-// pass. In DetectCorrect mode a single corrupted entry is located from the
-// defect ratio and repaired in place (including Inf/NaN poisoning,
-// reconstructed from the first checksum row).
+// Check verifies v against the reference. The verdict comes first: a vector
+// nothing struck sums to the very bits the reference holds — Install's are
+// those of a re-read (checksum.NewVectorRows) — and a defect of exactly zero
+// exceeds no tolerance, so none is computed. Only a nonzero or non-finite
+// defect pays for the pass that judges it (checksum.Vector.DefectTolerance,
+// the same sums again beside their rounding masses). In DetectCorrect mode a
+// single corrupted entry is then located from the defect ratio and repaired
+// in place (including Inf/NaN poisoning, reconstructed from the first
+// checksum row).
 func (g *VectorGuard) Check(v []float64) Outcome {
+	sums := checksum.NewVectorRows(v, g.Rows())
+	if g.ref.S1-sums.S1 == 0 && (g.mode == Detect || g.ref.S2-sums.S2 == 0) {
+		return Outcome{}
+	}
 	d1, d2, t1, t2 := g.ref.DefectTolerance(v, g.Rows())
 	bad := exceeds(d1, t1) || (g.mode == DetectCorrect && exceeds(d2, t2))
 	if !bad {
@@ -122,16 +131,3 @@ func (g *VectorGuard) recheck(v []float64) Outcome {
 	}
 	return Outcome{Detected: true, Corrected: true, Class: ClassX}
 }
-
-// FlopsCheck returns the per-check flop cost of a guard over a length-n
-// vector: the two weighted sums plus the tolerance pass.
-func FlopsCheck(mode Mode, n int) int64 {
-	rows := int64(1)
-	if mode == DetectCorrect {
-		rows = 2
-	}
-	return rows * 4 * int64(n)
-}
-
-// FlopsRefresh returns the flop cost of refreshing a guard.
-func FlopsRefresh(n int) int64 { return 3 * int64(n) }

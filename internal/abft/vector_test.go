@@ -138,12 +138,3 @@ func TestGuardCorrectionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGuardFlops(t *testing.T) {
-	if FlopsCheck(Detect, 100) >= FlopsCheck(DetectCorrect, 100) {
-		t.Fatal("detect check must be cheaper")
-	}
-	if FlopsRefresh(100) <= 0 {
-		t.Fatal("refresh flops must be positive")
-	}
-}

@@ -49,8 +49,10 @@ type CostParams struct {
 	// the extra time charged is RelModeExtra × the raw kernel time. The
 	// paper's selective reliability model (Section 2) prices reliable mode
 	// in energy, not time ("error-free but energy consuming"), so the
-	// default is 0; set 2 to model TMR as three full sequential
-	// re-executions (the ablation benchmark exercises both).
+	// default is 0. Set 1 to model what the wall pays fault-free — internal/tmr
+	// runs two executions and only a difference between them a third — and
+	// 2 for the dissenting case, three full sequential executions (the
+	// ablation benchmark exercises all three).
 	RelModeExtra float64
 }
 
@@ -122,10 +124,13 @@ func NewCosts(a *sparse.CSR, scheme Scheme, cp CostParams) Costs {
 		// implementation under the TolNorm policy: the runtime Rowidx
 		// counters (4n), the weighted sums of y (3n), C_rᵀx (2n per row),
 		// the reference sums of x (3n), the two max-norms (2n) and the
-		// vector-guard checks on r and x (4n each). The TMR vector kernels
-		// and the guard refreshes run in reliable mode, priced in energy
-		// under the paper's selective-reliability model; their time
-		// surcharge is RelModeExtra (0 by default, see CostParams).
+		// vector-guard checks on r and x (4n each) — the evidence in full, as
+		// a failed check computes it. A check that passes reads a sample of
+		// the norms and no guard tolerance; the model does not price that
+		// apart, so Tverif, and with it d and s, stay as they were. The TMR
+		// vector kernels and the guard refreshes run in reliable mode, priced
+		// in energy under the paper's selective-reliability model; their
+		// time surcharge is RelModeExtra (0 by default, see CostParams).
 		tests := 4*(n+1) + 3*n + 2*n + 3*n + 2*n
 		if scheme == ABFTCorrection {
 			tests += 2 * n // second checksum row of Cᵀx

@@ -158,6 +158,7 @@ type engine struct {
 	finalRetries     int
 	maxTotal         int64
 	lastD, lastC     int64 // counters at the previous OnDetection event
+	undecided        int64 // exec's votes without a majority, as of the last slice
 
 	// The iteration in flight.
 	inIter   bool
@@ -205,6 +206,7 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	exec.Pool = cfg.Pool
 	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme != OnlineDetection, rec: rec, ws: ws, b: b, exec: exec}
 	e.src = [2]*sparse.CSR{a, cfg.M}
+	_, _, e.undecided = exec.Stats()
 
 	e.mat[0] = sharedLive
 	if sharedLive == nil {
@@ -367,6 +369,22 @@ func (e *engine) breakdown() verdict {
 	return stepFail
 }
 
+// unvouched turns the verdict of a recurrence slice into a failure when one
+// of its voted kernels found no two executions agreeing (tmr.Executor.Stats):
+// the slice went on with a value nobody vouched for, which every scheme
+// treats like a breakdown — one detection, unless the slice reported its own.
+func (e *engine) unvouched(v verdict) verdict {
+	_, _, u := e.exec.Stats()
+	if u == e.undecided {
+		return v
+	}
+	e.undecided = u
+	if v == stepFail {
+		return v
+	}
+	return e.breakdown()
+}
+
 // advance runs the solve forward until it is over (true) or a protected
 // product is pending in e.prod (false); complete resumes it.
 func (e *engine) advance() bool {
@@ -374,7 +392,7 @@ func (e *engine) advance() bool {
 		if !e.inIter && !e.begin() {
 			continue
 		}
-		switch e.rec.step(e, e.stage) {
+		switch e.unvouched(e.rec.step(e, e.stage)) {
 		case stepProduct:
 			e.stage++
 			return false

@@ -12,6 +12,7 @@ import (
 	"repro/internal/checksum"
 	"repro/internal/precond"
 	"repro/internal/sparse"
+	"repro/internal/tmr"
 )
 
 // The tests of this file pin where recovery finds its valid copy of the
@@ -407,5 +408,79 @@ func TestWorkspaceHoldsOneMatrixCopy(t *testing.T) {
 	}
 	if block > limit {
 		t.Errorf("warm k = %d BlockWorkspace holds %d bytes, limit %d (1.5 × CSR)", k, block, limit)
+	}
+}
+
+// TestVoteWithoutMajorityRollsBack: a voted kernel whose three executions all
+// differ yields a value nobody vouches for, and the engine must not iterate on
+// it. The hook of the workspace's executor strikes every execution of one
+// vote differently — the ninth dot product's scalar, or one element of the
+// ninth update's block — and each ABFT scheme, under CG and under BiCGstab,
+// answers with exactly one detection and one rollback, then converges to the
+// bits of the solve nothing struck. (A difference between two executions that
+// the third settles costs nothing: see internal/tmr.)
+func TestVoteWithoutMajorityRollsBack(t *testing.T) {
+	a, b, _ := testMatrix(150, 21)
+	solvers := []struct {
+		name  string
+		solve func(*sparse.CSR, []float64, Config) ([]float64, Stats, error)
+	}{{"cg", Solve}, {"bicgstab", SolveBiCGstab}}
+	for _, s := range solvers {
+		for _, scheme := range []Scheme{ABFTDetection, ABFTCorrection} {
+			for _, update := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%v/update=%v", s.name, scheme, update), func(t *testing.T) {
+					cfg := Config{Scheme: scheme, S: 4, Tol: 1e-8}
+					want, clean, err := s.solve(a, b, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					// The hook counts the votes of the struck kind by the replica that
+					// opens one — 1 for an update's block, 0 for a reduction — and makes
+					// the three executions of the ninth differ from one another.
+					first, votes := 0, 0
+					if update {
+						first = 1
+					}
+					exec := &tmr.Executor{}
+					exec.Corrupt = func(replica int, scalar *float64, block []float64) {
+						if isUpdate := block != nil; isUpdate != update {
+							return
+						}
+						if replica == first {
+							votes++
+						}
+						if votes != 9 {
+							return
+						}
+						if update {
+							block[3] += float64(replica + 1)
+						} else {
+							*scalar += float64(replica + 1)
+						}
+					}
+					cfg.Ws = NewWorkspace()
+					cfg.Ws.run.exec = exec
+					x, st, err := s.solve(a, b, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, _, undecided := exec.Stats(); undecided != 1 {
+						t.Fatalf("%d votes without a majority, want 1", undecided)
+					}
+					if st.Detections != 1 || st.Rollbacks != 1 || st.Corrections != 0 {
+						t.Fatalf("%d detections, %d corrections, %d rollbacks, want 1, 0, 1", st.Detections, st.Corrections, st.Rollbacks)
+					}
+					if !st.Converged || st.UsefulIterations != clean.UsefulIterations || st.TotalIterations <= clean.TotalIterations {
+						t.Fatalf("converged=%v after %d useful of %d iterations; the clean solve took %d", st.Converged, st.UsefulIterations, st.TotalIterations, clean.UsefulIterations)
+					}
+					for i := range x {
+						if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("x[%d] = %v, the clean solve gives %v", i, x[i], want[i])
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/checksum"
 	"repro/internal/vec"
 )
 
@@ -14,15 +15,37 @@ func TestDotNoFault(t *testing.T) {
 	if got := e.Dot(a, b); got != 32 {
 		t.Fatalf("Dot = %v", got)
 	}
-	if v, m := e.Stats(); v != 1 || m != 0 {
-		t.Fatalf("stats = %d votes, %d mismatches", v, m)
+	if v, m, u := e.Stats(); v != 1 || m != 0 || u != 0 {
+		t.Fatalf("stats = %d votes, %d mismatches, %d undecided", v, m, u)
+	}
+}
+
+// wantLazyStats holds a vote struck by one transient in the victim replica
+// to the lazy third execution: a transient in replica 0 or 1 is outvoted and
+// counted; replica 2 is what would have settled a difference, and with none
+// to settle it never ran — nothing is counted, and the hook was never shown
+// it.
+func wantLazyStats(t *testing.T, e *Executor, victim int, calls [3]int) {
+	t.Helper()
+	want := [3]int{1, 1, 1}
+	mismatches := int64(1)
+	if victim == 2 {
+		want[2], mismatches = 0, 0
+	}
+	if calls != want {
+		t.Fatalf("victim %d: the hook saw %v calls per replica, want %v", victim, calls, want)
+	}
+	if v, m, u := e.Stats(); v != 1 || m != mismatches || u != 0 {
+		t.Fatalf("victim %d: %d votes, %d mismatches, %d undecided, want 1, %d, 0", victim, v, m, u, mismatches)
 	}
 }
 
 func TestDotOutvotesSingleTransient(t *testing.T) {
 	for victim := 0; victim < 3; victim++ {
+		var calls [3]int
 		e := Executor{Corrupt: func(replica int, scalar *float64, _ []float64) {
-			if replica == victim && scalar != nil {
+			calls[replica]++
+			if replica == victim {
 				*scalar += 1e6
 			}
 		}}
@@ -31,9 +54,7 @@ func TestDotOutvotesSingleTransient(t *testing.T) {
 		if got := e.Dot(a, b); got != 32 {
 			t.Fatalf("victim %d: Dot = %v, want 32", victim, got)
 		}
-		if _, m := e.Stats(); m != 1 {
-			t.Fatalf("victim %d: mismatch not recorded", victim)
-		}
+		wantLazyStats(t, &e, victim, calls)
 	}
 }
 
@@ -41,6 +62,17 @@ func TestNorm2Sq(t *testing.T) {
 	var e Executor
 	if got := e.Norm2Sq([]float64{3, 4}); got != 25 {
 		t.Fatalf("Norm2Sq = %v", got)
+	}
+	e.Corrupt = func(replica int, scalar *float64, _ []float64) {
+		if replica == 1 {
+			*scalar = -1
+		}
+	}
+	if got := e.Norm2Sq([]float64{3, 4}); got != 25 {
+		t.Fatalf("Norm2Sq with a transient in replica 1 = %v", got)
+	}
+	if v, m, u := e.Stats(); v != 2 || m != 1 || u != 0 {
+		t.Fatalf("stats = %d votes, %d mismatches, %d undecided", v, m, u)
 	}
 }
 
@@ -56,8 +88,10 @@ func TestAxpyNoFault(t *testing.T) {
 
 func TestAxpyOutvotesSingleTransient(t *testing.T) {
 	for victim := 0; victim < 3; victim++ {
+		var calls [3]int
 		e := Executor{Corrupt: func(replica int, _ *float64, out []float64) {
-			if replica == victim && out != nil {
+			calls[replica]++
+			if replica == victim {
 				out[0] += 42
 			}
 		}}
@@ -67,9 +101,7 @@ func TestAxpyOutvotesSingleTransient(t *testing.T) {
 		if y[0] != 12 || y[1] != 24 {
 			t.Fatalf("victim %d: Axpy = %v", victim, y)
 		}
-		if _, m := e.Stats(); m != 1 {
-			t.Fatalf("victim %d: mismatch not recorded", victim)
-		}
+		wantLazyStats(t, &e, victim, calls)
 	}
 }
 
@@ -99,7 +131,7 @@ func TestXpay(t *testing.T) {
 
 func TestXpayOutvotesTransient(t *testing.T) {
 	e := Executor{Corrupt: func(replica int, _ *float64, out []float64) {
-		if replica == 2 && out != nil {
+		if replica == 1 && out != nil {
 			out[1] = -999
 		}
 	}}
@@ -128,54 +160,67 @@ func TestMatchesPlainKernels(t *testing.T) {
 	}
 }
 
-func TestFlops(t *testing.T) {
-	if FlopsDot(10) != 3*vec.FlopsDot(10) || FlopsAxpy(10) != 3*vec.FlopsAxpy(10) {
-		t.Fatal("TMR flops must be 3x plain")
-	}
-}
-
 // TestVoteComparesBitPatterns pins the vote to bit patterns: equal NaNs
 // agree (== would call three identical NaNs a three-way dissent) and a
-// signed zero among unsigned ones is a dissent (== cannot see it).
+// signed zero among unsigned ones is a dissent (== cannot see it). The hook
+// replaces what each execution produced, so the rows also pin the lazy third
+// execution — when replicas 0 and 1 agree, replica 2's value is never asked
+// for — and the vote without a majority.
 func TestVoteComparesBitPatterns(t *testing.T) {
 	nan := math.NaN()
 	negZero := math.Copysign(0, -1)
 	cases := []struct {
-		name       string
-		r          [3]float64
-		want       float64
-		mismatches int64
+		name                  string
+		r                     [3]float64
+		want                  float64
+		mismatches, undecided int64
 	}{
-		{"three identical NaNs", [3]float64{nan, nan, nan}, nan, 0},
-		{"-0 in replica 0 among +0", [3]float64{negZero, 0, 0}, 0, 1},
-		{"-0 in replica 1 among +0", [3]float64{0, negZero, 0}, 0, 1},
-		{"-0 in replica 2 among +0", [3]float64{0, 0, negZero}, 0, 1},
-		{"NaN replica 0 outvoted", [3]float64{nan, 7, 7}, 7, 1},
-		{"NaN replica 1 outvoted", [3]float64{7, nan, 7}, 7, 1},
-		{"NaN replica 2 outvoted", [3]float64{7, 7, nan}, 7, 1},
-		{"total disagreement yields replica 1", [3]float64{1, 2, 3}, 2, 1},
+		{"three identical NaNs", [3]float64{nan, nan, nan}, nan, 0, 0},
+		{"-0 in replica 0 among +0", [3]float64{negZero, 0, 0}, 0, 1, 0},
+		{"-0 in replica 1 among +0", [3]float64{0, negZero, 0}, 0, 1, 0},
+		{"-0 in replica 2 never computed", [3]float64{0, 0, negZero}, 0, 0, 0},
+		{"NaN replica 0 outvoted", [3]float64{nan, 7, 7}, 7, 1, 0},
+		{"NaN replica 1 outvoted", [3]float64{7, nan, 7}, 7, 1, 0},
+		{"NaN replica 2 never computed", [3]float64{7, 7, nan}, 7, 0, 0},
+		{"no majority yields replica 1, unvouched", [3]float64{1, 2, 3}, 2, 1, 1},
 	}
 	for _, tc := range cases {
+		third := 0 // executions of replica 2 a vote needs
+		if tc.mismatches > 0 {
+			third = 1
+		}
+		check := func(op string, e *Executor, calls int) {
+			t.Helper()
+			if _, m, u := e.Stats(); m != tc.mismatches || u != tc.undecided {
+				t.Errorf("%s: %s counted %d mismatches and %d undecided, want %d and %d", tc.name, op, m, u, tc.mismatches, tc.undecided)
+			}
+			if calls != third {
+				t.Errorf("%s: %s ran replica 2 %d times, want %d", tc.name, op, calls, third)
+			}
+		}
+
 		// The scalar vote, through Dot: the hook replaces each replica's
 		// result.
+		calls := 0
 		e := Executor{Corrupt: func(replica int, scalar *float64, _ []float64) {
-			if scalar != nil {
-				*scalar = tc.r[replica]
+			*scalar = tc.r[replica]
+			if replica == 2 {
+				calls++
 			}
 		}}
 		got := e.Dot([]float64{1}, []float64{1})
 		if math.Float64bits(got) != math.Float64bits(tc.want) {
 			t.Errorf("%s: Dot voted %v, want %v", tc.name, got, tc.want)
 		}
-		if _, m := e.Stats(); m != tc.mismatches {
-			t.Errorf("%s: Dot counted %d mismatches, want %d", tc.name, m, tc.mismatches)
-		}
+		check("Dot", &e, calls)
 
 		// The element-wise vote, through Axpy: the hook replaces one element
 		// of each replica's block.
+		calls = 0
 		e = Executor{Corrupt: func(replica int, _ *float64, block []float64) {
-			if block != nil {
-				block[1] = tc.r[replica]
+			block[1] = tc.r[replica]
+			if replica == 2 {
+				calls++
 			}
 		}}
 		y := []float64{10, 20, 30}
@@ -183,8 +228,32 @@ func TestVoteComparesBitPatterns(t *testing.T) {
 		if y[0] != 12 || y[2] != 36 || math.Float64bits(y[1]) != math.Float64bits(tc.want) {
 			t.Errorf("%s: Axpy voted %v, want [12 %v 36]", tc.name, y, tc.want)
 		}
-		if _, m := e.Stats(); m != tc.mismatches {
-			t.Errorf("%s: Axpy counted %d mismatches, want %d", tc.name, m, tc.mismatches)
+		check("Axpy", &e, calls)
+	}
+}
+
+// TestOperandFlipBetweenExecutions strikes operand memory after the first
+// execution of a block has read it. Memory is the guards' business, not the
+// vote's, but the vote must still be the three-way one: the two executions
+// that read the struck word agree and win, in place over an aliased operand
+// too, and the returned checksum is that of what was written — so a guard
+// installed from it describes the vector as it is.
+func TestOperandFlipBetweenExecutions(t *testing.T) {
+	x := []float64{1, 2, 3}
+	y := []float64{10, 20, 30}
+	e := Executor{Corrupt: func(replica int, _ *float64, _ []float64) {
+		if replica == 1 {
+			x[2] = -3
 		}
+	}}
+	ref := e.AxpyGuarded(2, 2, x, y)
+	if y[0] != 12 || y[1] != 24 || y[2] != 24 {
+		t.Fatalf("Axpy = %v, want [12 24 24]", y)
+	}
+	if want := checksum.NewVector(y); ref != want {
+		t.Fatalf("returned sums %v, the written vector has %v", ref, want)
+	}
+	if _, m, u := e.Stats(); m != 1 || u != 0 {
+		t.Fatalf("%d mismatches, %d undecided, want 1 and 0", m, u)
 	}
 }
