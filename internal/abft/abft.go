@@ -235,6 +235,11 @@ func (p *Protected) encode() {
 	p.tolP2Fac = g * n * n
 }
 
+// Err is checksum.ErrNoShift when the live matrix had no encoding the last
+// time one was built (‖A‖₁ not finite), and nil otherwise. A wrapper that
+// reports an error protects nothing: its products must not be run.
+func (p *Protected) Err() error { return p.CS.Err }
+
 // SetPolicy selects the tolerance policy (TolNorm by default).
 func (p *Protected) SetPolicy(policy TolerancePolicy) { p.policy = policy }
 

@@ -1,6 +1,7 @@
 package abft
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -471,5 +472,39 @@ func TestModeString(t *testing.T) {
 	}
 	if ClassVal.String() != "Val" || ClassNone.String() != "none" {
 		t.Fatal("class names wrong")
+	}
+}
+
+// TestHugeNormArmsAndVerifies: arming used to search for the shift in a loop
+// that never ended once ‖A‖₁ ≥ 2⁵³ and a column summed to −‖A‖₁. The wrapper
+// must come back, protect the operand like any other — a clean product passes,
+// a struck x is caught through the shifted column — and report a matrix that
+// has no encoding as the typed error.
+func TestHugeNormArmsAndVerifies(t *testing.T) {
+	p := NewProtected(sparse.Dense(1, 1, []float64{-1e20}), DetectCorrect)
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	x, y := []float64{3}, make([]float64, 1)
+	xRef := checksum.NewVector(x)
+	if out := p.Verify(y, x, xRef, p.MulVec(y, x)); out.Detected || y[0] != -3e20 {
+		t.Fatalf("clean product: %+v, y = %v", out, y)
+	}
+	x[0] = 4
+	if out := p.Verify(y, x, xRef, p.MulVec(y, x)); !out.Corrected || x[0] != 3 || y[0] != -3e20 {
+		t.Fatalf("struck x: %+v, x = %v, y = %v", out, x, y)
+	}
+	if !p.ShiftedTest(y, x, x) {
+		t.Fatal("shifted test rejects the clean product")
+	}
+
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.MaxFloat64} {
+		p.Renew(sparse.Dense(1, 1, []float64{v}), Detect)
+		if !errors.Is(p.Err(), checksum.ErrNoShift) {
+			t.Fatalf("[%g]: Err = %v, want ErrNoShift", v, p.Err())
+		}
+	}
+	if p.Renew(sparse.Dense(1, 1, []float64{2}), Detect); p.Err() != nil {
+		t.Fatalf("re-armed over [2]: %v", p.Err())
 	}
 }

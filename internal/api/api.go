@@ -13,6 +13,7 @@ package api
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/harness"
 	"repro/internal/sparse"
@@ -38,7 +39,14 @@ type InlineCSR struct {
 	Val    []float64 `json:"val"`
 }
 
-// ToCSR assembles and structurally validates the matrix.
+// ToCSR assembles and validates the matrix: its structure, and that every
+// value is finite. It is where both tiers admit an operand that arrives by
+// content — the router to fingerprint it, the shard to solve it — so both
+// refuse the same bodies. JSON cannot spell NaN or ±Inf and the decoder
+// rejects a number that overflows, so today the check only stops a caller
+// that fills the struct itself; any other encoding of the arrays will pass
+// through here too. Finite values whose column sums overflow are the shard's
+// to refuse, once per matrix (server.ResolveIdentity's Build).
 func (ic *InlineCSR) ToCSR() (*sparse.CSR, error) {
 	a := &sparse.CSR{
 		Rows: ic.Rows, Cols: ic.Cols,
@@ -52,6 +60,11 @@ func (ic *InlineCSR) ToCSR() (*sparse.CSR, error) {
 	}
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("inline matrix: %w", err)
+	}
+	for k, v := range a.Val {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("inline matrix: val[%d] is not finite", k)
+		}
 	}
 	return a, nil
 }

@@ -13,6 +13,7 @@
 package checksum
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
@@ -102,7 +103,18 @@ type Matrix struct {
 
 	// Norm1 is ‖A‖₁, retained for the norm-based tolerance (paper Eq. (9)).
 	Norm1 float64
+
+	// Err is ErrNoShift when A has no encoding, and nil otherwise. The
+	// constructors keep their one result, so the verdict travels with the
+	// encoding; nothing else of a Matrix whose Err is set may be used.
+	Err error
 }
+
+// ErrNoShift reports a matrix whose ‖A‖₁ is not finite — an entry is NaN or
+// ±Inf, or a column's absolute sum overflows: no finite shift K clears every
+// column (Theorem 1, condition 1), and no checksum of such a matrix compares
+// with anything.
+var ErrNoShift = errors.New("checksum: no representable shift")
 
 // NewMatrix computes the checksum encoding of A. A must be square: the
 // solvers only protect square systems.
@@ -168,32 +180,31 @@ func NewMatrixInto(m *Matrix, a *sparse.CSR) *Matrix {
 	}
 	m.CR1, m.CR2 = SumsInt(a.Rowidx)
 	for _, s := range m.AbsC1 {
-		if s > m.Norm1 {
+		if s > m.Norm1 || s != s { // a NaN column makes the norm NaN, and it stays
 			m.Norm1 = s
 		}
 	}
-	m.K = ShiftK(m.C1, m.Norm1)
+	m.K, m.Err = ShiftK(m.Norm1)
 	return m
 }
 
-// ShiftK returns a shift constant k such that colSums[j] + k ≠ 0 for all j.
-// Any |colSums[j]| is bounded by ‖A‖₁, so norm1 + 1 always works; we keep
-// the deterministic choice simple rather than minimal.
-func ShiftK(colSums []float64, norm1 float64) float64 {
+// ShiftK returns a shift constant k such that c + k ≠ 0 for every column sum
+// c of a matrix whose 1-norm is norm1. No column sum exceeds ‖A‖₁ in
+// magnitude — in floating point too: the sums of a column and of its absolute
+// values are accumulated in the same order, and rounding is monotone — so any
+// k > ‖A‖₁ works. Below 2⁵³ that is ‖A‖₁ + 1, the shift every encoding has
+// always had; from there on adding 1 no longer changes the number, and
+// 2·‖A‖₁ leaves c + k ≥ ‖A‖₁ > 0. A norm that is not finite, or whose double
+// is not, has no shift: ErrNoShift.
+func ShiftK(norm1 float64) (float64, error) {
 	k := norm1 + 1
-	for hasZero(colSums, k) {
-		k++ // can only happen with adversarial values; still terminates fast
+	if norm1 >= 1<<53 {
+		k = 2 * norm1
 	}
-	return k
-}
-
-func hasZero(colSums []float64, k float64) bool {
-	for _, c := range colSums {
-		if c+k == 0 {
-			return true
-		}
+	if math.IsNaN(k) || math.IsInf(k, 0) {
+		return 0, ErrNoShift
 	}
-	return false
+	return k, nil
 }
 
 // ToleranceComponent returns the componentwise rounding tolerance of the

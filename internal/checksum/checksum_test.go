@@ -1,6 +1,7 @@
 package checksum
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,12 +88,49 @@ func TestShiftKHandlesZeroColumnSums(t *testing.T) {
 	}
 }
 
+// TestShiftKAdversarial: the shift is a closed form of ‖A‖₁, whatever its
+// magnitude. From 2⁵³ on, adding 1 to the norm no longer changes it, and the
+// loop that used to search for a shift never returned once a column summed to
+// −‖A‖₁ — the 1×1 matrix [−1e20] did it.
 func TestShiftKAdversarial(t *testing.T) {
-	// Column sums engineered so the first candidate k collides.
-	cols := []float64{-(1.5 + 1)} // norm1 pretend = 1.5 → k starts at 2.5
-	k := ShiftK(cols, 1.5)
-	if cols[0]+k == 0 {
-		t.Fatal("ShiftK returned a colliding shift")
+	for _, norm1 := range []float64{0, 1.5, 1<<53 - 1, 1 << 53, 1e20, math.MaxFloat64 / 2} {
+		k, err := ShiftK(norm1)
+		if err != nil {
+			t.Fatalf("ShiftK(%g): %v", norm1, err)
+		}
+		// The two extreme column sums a matrix of that norm can have.
+		if -norm1+k == 0 || norm1+k == 0 || !(k > norm1) {
+			t.Fatalf("ShiftK(%g) = %g collides with a column of that magnitude", norm1, k)
+		}
+	}
+	m := NewMatrix(sparse.Dense(1, 1, []float64{-1e20}))
+	if m.Err != nil || m.C1[0]+m.K == 0 {
+		t.Fatalf("[-1e20]: K = %g, Err = %v", m.K, m.Err)
+	}
+}
+
+// TestNoRepresentableShift: a norm that is not finite — or too large to
+// double — is the typed error, and travels with the encoding.
+func TestNoRepresentableShift(t *testing.T) {
+	for _, norm1 := range []float64{math.Inf(1), math.NaN(), math.MaxFloat64} {
+		if _, err := ShiftK(norm1); !errors.Is(err, ErrNoShift) {
+			t.Fatalf("ShiftK(%g): err = %v, want ErrNoShift", norm1, err)
+		}
+	}
+	for _, val := range [][]float64{
+		{math.NaN(), 1, 1, 2},      // the NaN column comes before a finite one
+		{math.Inf(-1), 0, 0, 1},    // an infinite entry
+		{1e308, 0, -1e308, 0},      // finite entries, a column that overflows
+		{1, 0, 0, math.MaxFloat64}, // a norm whose double overflows
+	} {
+		m := NewMatrix(sparse.Dense(2, 2, val))
+		if !errors.Is(m.Err, ErrNoShift) {
+			t.Fatalf("%v: Err = %v (‖A‖₁ = %g), want ErrNoShift", val, m.Err, m.Norm1)
+		}
+		// Reusing the storage for a matrix that has an encoding clears it.
+		if m = NewMatrixInto(m, sparse.Dense(2, 2, []float64{1, 2, 3, 4})); m.Err != nil || m.K != 7 {
+			t.Fatalf("re-encoding after %v: K = %g, Err = %v", val, m.K, m.Err)
+		}
 	}
 }
 

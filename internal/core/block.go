@@ -137,6 +137,9 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 	bw.onIter = cfg.OnIteration
 	live := bw.shared.liveCopy(0, a)
 	prot := bw.shared.protected(0, live, a, abftMode(cfg.Scheme))
+	if err := prot.Err(); err != nil {
+		return nil, fmt.Errorf("core: SolveBlock %v: %w", cfg.Scheme, err)
+	}
 
 	// Resolve the model-optimal intervals once for the whole block.
 	laneCfg := Config{

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/checksum"
 	"repro/internal/fault"
 	"repro/internal/sparse"
 	"repro/internal/vec"
@@ -165,5 +167,34 @@ func TestZeroRHS(t *testing.T) {
 	}
 	if !st.Converged || vec.Norm2(x) != 0 {
 		t.Fatalf("zero rhs: %+v, ‖x‖=%v", st, vec.Norm2(x))
+	}
+}
+
+// TestUnencodableMatrixIsATypedError: an ABFT scheme cannot protect a matrix
+// whose ‖A‖₁ is not finite; every driver says so with checksum.ErrNoShift
+// instead of iterating on checksums that compare with nothing. A huge but
+// finite operand is solved like any other.
+func TestUnencodableMatrixIsATypedError(t *testing.T) {
+	bad := sparse.Dense(2, 2, []float64{1e308, 0, 1e308, 1})
+	b := []float64{1, 1}
+	for _, scheme := range []Scheme{ABFTDetection, ABFTCorrection} {
+		cfg := Config{Scheme: scheme}
+		if _, _, err := Solve(bad, b, cfg); !errors.Is(err, checksum.ErrNoShift) {
+			t.Errorf("Solve %v: err = %v", scheme, err)
+		}
+		cfg.M = bad
+		if _, _, err := Solve(sparse.Dense(2, 2, []float64{2, 0, 0, 2}), b, cfg); !errors.Is(err, checksum.ErrNoShift) {
+			t.Errorf("Solve %v with an unencodable M: err = %v", scheme, err)
+		}
+		if _, _, err := SolveBiCGstab(bad, b, Config{Scheme: scheme}); !errors.Is(err, checksum.ErrNoShift) {
+			t.Errorf("SolveBiCGstab %v: err = %v", scheme, err)
+		}
+		if _, err := SolveBlock(bad, [][]float64{b}, BlockConfig{Scheme: scheme}, make([]Stats, 1), make([]error, 1)); !errors.Is(err, checksum.ErrNoShift) {
+			t.Errorf("SolveBlock %v: err = %v", scheme, err)
+		}
+		x, st, err := Solve(sparse.Dense(1, 1, []float64{1e20}), []float64{3e20}, Config{Scheme: scheme})
+		if err != nil || !st.Converged || math.Abs(x[0]-3) > 1e-12 {
+			t.Errorf("%v on [1e20]: x = %v, %+v, %v", scheme, x, st, err)
+		}
 	}
 }

@@ -272,6 +272,12 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 			e.prot[1] = ws.protected(1, e.mat[1], cfg.M, mode)
 			e.stats.SimTime += SetupCost(e.mat[1], cfg.Scheme, cfg.Costs)
 		}
+		// A matrix without an encoding (checksum.ErrNoShift) cannot be protected.
+		for _, prot := range e.prot {
+			if prot != nil && prot.Err() != nil {
+				return fmt.Errorf("core: %s%v: %w", label, cfg.Scheme, prot.Err())
+			}
+		}
 		// Armed over the completed initial state.
 		e.rGuard, e.pGuard, e.xGuard = e.guard(e.r), e.guard(e.p), e.guard(e.x)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/api"
+	"repro/internal/checksum"
 	"repro/internal/harness"
 	"repro/internal/sparse"
 )
@@ -31,8 +32,13 @@ type Identity struct {
 
 // ResolveIdentity derives the request's matrix identity. The request must
 // already be validated (exactly one of Matrix and Inline set); inline
-// matrices are structurally validated here because their fingerprint is
-// only meaningful for a well-formed CSR.
+// matrices are validated here (api.InlineCSR.ToCSR: structure, finite
+// values) because their fingerprint is only meaningful for a well-formed
+// CSR. An inline matrix's Build — the shard's cache fill, which the router
+// never runs — also refuses finite values whose ‖A‖₁ overflows: the ABFT
+// schemes have no encoding for it (checksum.ErrNoShift), and a matrix the
+// default scheme cannot serve is not admitted under any. The generators build
+// nothing of that magnitude and are not checked.
 func ResolveIdentity(req *api.SolveRequest) (Identity, error) {
 	if req.Inline != nil {
 		a, err := req.Inline.ToCSR()
@@ -44,7 +50,12 @@ func ResolveIdentity(req *api.SolveRequest) (Identity, error) {
 			Key:   label,
 			Label: label,
 			Spec:  harness.MatrixSpec{Gen: "inline", N: a.Rows},
-			Build: func() (*sparse.CSR, error) { return a, nil },
+			Build: func() (*sparse.CSR, error) {
+				if _, err := checksum.ShiftK(a.Norm1()); err != nil {
+					return nil, err
+				}
+				return a, nil
+			},
 		}, nil
 	}
 	if req.Matrix == nil {

@@ -5,16 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/checksum"
 	"repro/internal/harness"
 )
 
@@ -423,5 +426,53 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHugeInlineOperandIsAnswered: an inline matrix of huge magnitude used to
+// wedge the shard for ever — arming the default scheme searched for the
+// checksum shift in a loop that never ended from ‖A‖₁ = 2⁵³ on, inside a
+// worker slot that no deadline frees. The request must be answered within its
+// deadline, and the slot serve the next one; finite values whose ‖A‖₁
+// overflows are refused at admission, on both edges.
+func TestHugeInlineOperandIsAnswered(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
+	client := &http.Client{Timeout: time.Second}
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatalf("%s %s: %v", path, body, err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+
+	// Negative definite, so CG breaks down: a solve error, but an answer.
+	status, raw := post("/v1/solve", `{"inline":{"rows":1,"cols":1,"val":[-1e20],"colid":[0],"rowidx":[0,1]}}`)
+	var failed, ok api.SolveResponse
+	if err := json.Unmarshal(raw, &failed); status != http.StatusOK || err != nil || failed.SolveError == "" {
+		t.Fatalf("[-1e20]: status %d, body %s", status, raw)
+	}
+	status, raw = post("/v1/solve", `{"inline":{"rows":1,"cols":1,"val":[1e20],"colid":[0],"rowidx":[0,1]}}`)
+	if err := json.Unmarshal(raw, &ok); status != http.StatusOK || err != nil || ok.Result.Converged != 1 || ok.SolveError != "" {
+		t.Fatalf("[1e20]: status %d, body %s", status, raw)
+	}
+
+	overflow := `{"inline":{"rows":2,"cols":2,"val":[1e308,1e308,1],"colid":[0,0,1],"rowidx":[0,1,3]}`
+	for path, body := range map[string]string{
+		"/v1/solve":       overflow + `}`,
+		"/v1/solve/batch": overflow + `,"rhs":[{"seed":1}]}`,
+	} {
+		status, raw := post(path, body)
+		var e api.Error
+		if err := json.Unmarshal(raw, &e); status != http.StatusBadRequest || err != nil ||
+			e.Code != api.CodeBadRequest || !strings.Contains(e.Message, checksum.ErrNoShift.Error()) {
+			t.Fatalf("%s: status %d, body %s", path, status, raw)
+		}
 	}
 }
