@@ -14,6 +14,7 @@
 package repro
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -295,10 +296,14 @@ func BenchmarkRelModeAblation(b *testing.B) {
 // --- TMR and model micro-benchmarks ---
 //
 // The vector kernels share one operand (n = 4096, the size of the benchmark's
-// tmr.* and vec.* probes): TMRDot ÷ PlainDot and TMRAxpy ÷ PlainAxpy are the
-// vote's cost over the plain kernel, two executions and a comparison when
-// nothing dissents; TMRAxpyGuarded − TMRAxpy is what the fused guard checksum
-// adds, and GuardCheck what reading it back costs an iteration later.
+// tmr.* and vec.* probes): TMRDot ÷ PlainDot is the vote's cost over the plain
+// kernel, two executions and a comparison when nothing dissents; TMRAxpy ÷
+// PlainAxpy is 1, an update runs once; TMRAxpyGuarded is what the engine pays
+// per update — the execution with its checksum riding along, then the linear
+// check against the operands' references — under one checksum row and two,
+// beside the voted update it replaced (two executions, a bit comparison, a
+// copy; kept here as the reference row); GuardCheck is the standalone pass
+// over a vector that only BiCGstab still runs, once an iteration.
 
 func BenchmarkTMRDot(b *testing.B) {
 	b.ReportAllocs()
@@ -343,16 +348,38 @@ func BenchmarkPlainAxpy(b *testing.B) {
 }
 
 func BenchmarkTMRAxpyGuarded(b *testing.B) {
-	b.ReportAllocs()
 	x := randVec(1<<12, 1)
 	y := randVec(1<<12, 2)
-	var e tmr.Executor
-	var ref checksum.Vector
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref = e.AxpyGuarded(2, 1e-9, x, y)
+	for _, mode := range []abft.Mode{abft.Detect, abft.DetectCorrect} {
+		b.Run("once/"+mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var e tmr.Executor
+			gx, gy := abft.NewGuard(x, mode), abft.NewGuard(y, mode)
+			for i := 0; i < b.N; i++ {
+				got := e.AxpyGuarded(gy.Rows(), 1e-9, x, y)
+				if out := gy.Linear(y, got, y, gy.Ref(), 1e-9, x, gx.Ref()); out.Detected {
+					b.Fatal("false positive")
+				}
+			}
+		})
 	}
-	_ = ref
+	b.Run("voted/"+abft.DetectCorrect.String(), func(b *testing.B) {
+		b.ReportAllocs()
+		r0, r1 := make([]float64, len(y)), make([]float64, len(y))
+		var ref checksum.Vector
+		for i := 0; i < b.N; i++ {
+			vec.AxpyTo(r0, 1e-9, x, y)
+			vec.AxpyTo(r1, 1e-9, x, y)
+			for k := range r0 {
+				if math.Float64bits(r0[k]) != math.Float64bits(r1[k]) {
+					b.Fatal("two executions differ")
+				}
+			}
+			copy(y, r0)
+			ref = checksum.NewVector(y)
+		}
+		_ = ref
+	})
 }
 
 func BenchmarkGuardCheck(b *testing.B) {

@@ -28,6 +28,21 @@
 // no-copy detection test (ShiftedTest) that works even for matrices with
 // zero column sums such as graph Laplacians.
 //
+// A guarded vector is held to its reference wherever a verified kernel reads
+// it: as the input of a protected product (Verify's test (ii)), as an operand
+// of an element-wise update (VectorGuard.Linear, which verifies z ← a + α·b
+// by the linearity of the checksum and so reads a and b against their
+// references at the point of use), or in a pass of its own
+// (VectorGuard.Check). A product's output takes its reference from the sums
+// Verify read off it (OutputSums), an update's output from the sums the update
+// accumulated, so no vector is re-read to capture one. Between two such
+// kernels nothing holds a vector to anything: a dot product or a norm, a
+// hand-written loop (BiCGstab's direction update) and the convergence tests
+// read memory as it is. A word struck in such a window is still detected by
+// the next verified kernel that reads the vector, but whatever was computed
+// from it in between is not; internal/tmr's package doc lists those reads
+// and what the resilient drivers do about each.
+//
 // Selective reliability: everything stored inside Protected and VectorGuard
 // (checksum rows, cr, k, tolerances) lives in "reliable" memory and is never
 // struck by the fault injector, matching the paper's model.
@@ -174,6 +189,10 @@ type Protected struct {
 	tolX1Fac, tolX2Fac float64 // × ‖x‖∞, covers C_rᵀx rounding incl. shift
 	tolY1Fac, tolY2Fac float64 // × ‖y‖∞, covers w_rᵀy rounding
 	tolP1Fac, tolP2Fac float64 // × ‖x‖∞, covers the reference-sum defects
+
+	// ySums and xSums are w_rᵀy and w_rᵀx as the last pass of defects summed
+	// them.
+	ySums, xSums checksum.Vector
 
 	// scratch for correction (avoid per-verify allocations)
 	cPrime1, cPrime2 []float64
@@ -389,6 +408,7 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 		sx1 += xj
 		sx2 += w * xj
 	}
+	p.ySums, p.xSums = checksum.Vector{S1: sy1, S2: sy2}, checksum.Vector{S1: sx1, S2: sx2}
 	dx1 = sy1 - c1x
 	dx2 = sy2 - c2x
 	dxp1 = xRef.S1 - sx1
@@ -435,6 +455,7 @@ func (p *Protected) defectsRow1(y, x []float64, xRef checksum.Vector) (dx1, tolx
 		c1x += c1[i] * xj
 		sx1 += xj
 	}
+	p.ySums, p.xSums = checksum.Vector{S1: sy1}, checksum.Vector{S1: sx1}
 	dx1 = sy1 - c1x
 	dxp1 = xRef.S1 - sx1
 
@@ -551,6 +572,24 @@ func (p *Protected) Verify(y, x []float64, xRef checksum.Vector, sr RowSums) Out
 	}
 	return out
 }
+
+// OutputSums returns the checksum of y that the last Verify judged, under the
+// rows of the mode (S2 is zero in Detect mode): the sums of its final pass
+// over y, taken after any repair, in the index order of checksum.NewVectorRows
+// and so with its bits. After a Verify that reported no error, or corrected
+// one, it is the reference y carries into whatever reads it next (see
+// VectorGuard.Linear) — no second pass over y, and no window between the
+// verification and the capture.
+func (p *Protected) OutputSums() checksum.Vector { return p.ySums }
+
+// InputSums is OutputSums for the input x. A Verify that reported no error,
+// or corrected one, has accepted x as it stands: within Eq. (9)'s tolerance of
+// the reference it was given — the paper's harmless false negative, if a flip
+// hides there — or rebuilt to the rounding of an exclusion. A caller that goes
+// on holding x to a reference, under a tolerance tighter than Eq. (9)'s, adopts
+// these sums as that reference, or the difference Verify accepted is found
+// again by every later check.
+func (p *Protected) InputSums() checksum.Vector { return p.xSums }
 
 // verify implements one detection/correction pass. allowRepair guards the
 // recursion: after a repair we re-verify once, and a second failure means

@@ -7,8 +7,9 @@
 //	    the A-orthogonality of consecutive search directions; checkpoint
 //	    every s·d iterations (priced with the matrix A, as the paper does, so
 //	    that memory faults on A are recoverable); roll back on any detection.
-//	ABFTDetection  — single-checksum ABFT SpMxV every iteration plus TMR
-//	    vector kernels; roll back on any detection.
+//	ABFTDetection  — single-checksum ABFT SpMxV every iteration plus
+//	    reliable-mode vector kernels (voted dots, checksum-verified updates);
+//	    roll back on any detection.
 //	ABFTCorrection — two-checksum ABFT SpMxV: single errors are corrected
 //	    forward with no rollback; so is any number of errors in a matrix or a
 //	    product's output, by restoring the matrix from the caller's copy and
@@ -45,14 +46,17 @@ type CostParams struct {
 	// recovery), in seconds.
 	WordTime float64
 	// RelModeExtra is the *time* surcharge factor for operations executed
-	// in reliable mode (the TMR vector kernels and the guard refreshes):
-	// the extra time charged is RelModeExtra × the raw kernel time. The
-	// paper's selective reliability model (Section 2) prices reliable mode
-	// in energy, not time ("error-free but energy consuming"), so the
-	// default is 0. Set 1 to model what the wall pays fault-free — internal/tmr
-	// runs two executions and only a difference between them a third — and
-	// 2 for the dissenting case, three full sequential executions (the
-	// ablation benchmark exercises all three).
+	// in reliable mode (the vector kernels of internal/tmr and their
+	// checksums): the extra time charged is RelModeExtra × the raw kernel
+	// time. The paper's selective reliability model (Section 2) prices
+	// reliable mode in energy, not time ("error-free but energy consuming"),
+	// so the default is 0. The wall pays less than one factor covers: a dot
+	// product runs twice fault-free (a surcharge of 1, and 2 when the two
+	// differ and a third execution votes), an update runs once with its
+	// checksum riding along (≈ 0.7 of a plain update at n = 4096, README
+	// Performance). Set 1 for an upper bound of the fault-free wall and 2 for
+	// the paper's three full executions (the ablation benchmark exercises
+	// all three).
 	RelModeExtra float64
 }
 
@@ -124,13 +128,15 @@ func NewCosts(a *sparse.CSR, scheme Scheme, cp CostParams) Costs {
 		// implementation under the TolNorm policy: the runtime Rowidx
 		// counters (4n), the weighted sums of y (3n), C_rᵀx (2n per row),
 		// the reference sums of x (3n), the two max-norms (2n) and the
-		// vector-guard checks on r and x (4n each) — the evidence in full, as
-		// a failed check computes it. A check that passes reads a sample of
-		// the norms and no guard tolerance; the model does not price that
-		// apart, so Tverif, and with it d and s, stay as they were. The TMR
-		// vector kernels and the guard refreshes run in reliable mode, priced
-		// in energy under the paper's selective-reliability model; their
-		// time surcharge is RelModeExtra (0 by default, see CostParams).
+		// checks of the vectors against their references (4n each for r and
+		// x) — the evidence in full, as a failed check computes it. A check
+		// that passes reads a sample of the norms, and the vectors are held
+		// to their references inside the updates that read them, by sums the
+		// update accumulates anyway; the model does not price that apart, so
+		// Tverif, and with it d and s, stay as they were. The reliable-mode
+		// vector kernels are priced in energy under the paper's
+		// selective-reliability model; their time surcharge is RelModeExtra
+		// (0 by default, see CostParams).
 		tests := 4*(n+1) + 3*n + 2*n + 3*n + 2*n
 		if scheme == ABFTCorrection {
 			tests += 2 * n // second checksum row of Cᵀx

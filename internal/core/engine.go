@@ -100,6 +100,7 @@ const (
 type product struct {
 	slot int               // 0 = A, 1 = M
 	y, x []float64         // output and input
+	out  *abft.VectorGuard // guard of y: takes the checksum its verification summed
 	ref  *abft.VectorGuard // guard holding the reference checksum of x
 	// hit is the deferred-fault target struck in y right after the product
 	// (TargetVecQ or TargetVecZ). The zero value, a matrix target, is never
@@ -142,11 +143,11 @@ type engine struct {
 	exec *tmr.Executor      // kept across solves
 	view *checkpoint.State  // reusable live-state view for save/rollback
 
-	rGuard, pGuard, xGuard *abft.VectorGuard
-	guards                 []armed // every guard, re-armed after a rollback
-	guardBuf               [4]armed
-	extra                  []scalarRef // recurrence scalars checkpointed beside ρ
-	extraBuf               [2]scalarRef
+	rGuard, pGuard, xGuard, qGuard *abft.VectorGuard
+	guards                         []armed // every guard, re-armed after a rollback
+	guardBuf                       [6]armed
+	extra                          []scalarRef // recurrence scalars checkpointed beside ρ
+	extraBuf                       [2]scalarRef
 
 	store            *checkpoint.Store
 	stats            Stats
@@ -164,8 +165,6 @@ type engine struct {
 	inIter   bool
 	stage    int
 	deferred []fault.Event
-	outs     [2]abft.Outcome // unsettled guard outcomes of r and x
-	pending  bool            // outs not yet settled
 	prod     product
 
 	done bool
@@ -279,7 +278,7 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 			}
 		}
 		// Armed over the completed initial state.
-		e.rGuard, e.pGuard, e.xGuard = e.guard(e.r), e.guard(e.p), e.guard(e.x)
+		e.rGuard, e.pGuard, e.xGuard, e.qGuard = e.guard(e.r), e.guard(e.p), e.guard(e.x), e.guard(e.q)
 	}
 
 	e.store = ws.checkpoints()
@@ -315,11 +314,16 @@ func (e *engine) guard(v []float64) *abft.VectorGuard {
 	return g
 }
 
-// The vector kernels of a recurrence: TMR under the ABFT schemes (selective
-// reliability for the computation), the deterministic blocked kernels
-// otherwise. An update that completes a guarded vector names its guard and
-// installs the new reference from the checksum the voted update hands back;
-// g is nil for an intermediate update, and always under Online-Detection.
+// The vector kernels of a recurrence run in reliable mode under the ABFT
+// schemes (internal/tmr) and as the deterministic blocked kernels otherwise.
+// A dot product is voted. An update z ← a + α·b is executed once, with the
+// checksum of z accumulated as it is written, and verified by linearity
+// against the references of its operands (abft.VectorGuard.Linear): every
+// vector an update reads or writes has a guard — a product's output takes its
+// reference from the sums its verification read — and the updates name the
+// guard of each operand. They return false after an error that was detected
+// and not repaired: the slice must end with stepFail. Online-Detection has no
+// guards; all of them are nil and none is read.
 
 func (e *engine) dot(a, b []float64) float64 {
 	if e.abft {
@@ -328,34 +332,57 @@ func (e *engine) dot(a, b []float64) float64 {
 	return vec.DotPool(e.cfg.Pool, a, b)
 }
 
-func (e *engine) axpy(g *abft.VectorGuard, alpha float64, x, y []float64) {
-	switch {
-	case !e.abft:
+// axpy is y ← y + alpha·x.
+func (e *engine) axpy(alpha float64, x []float64, gx *abft.VectorGuard, y []float64, gy *abft.VectorGuard) bool {
+	if !e.abft {
 		vec.AxpyPool(e.cfg.Pool, alpha, x, y)
-	case g == nil:
-		e.exec.Axpy(alpha, x, y)
-	default:
-		g.Install(e.exec.AxpyGuarded(g.Rows(), alpha, x, y))
+		return true
 	}
+	got := e.exec.AxpyGuarded(gy.Rows(), alpha, x, y)
+	return e.held(gy.Linear(y, got, y, gy.Ref(), alpha, x, gx.Ref()), armed{gx, x})
 }
 
-func (e *engine) axpyTo(g *abft.VectorGuard, dst []float64, alpha float64, x, y []float64) {
-	if e.abft {
-		g.Install(e.exec.AxpyToGuarded(g.Rows(), dst, alpha, x, y))
-	} else {
+// axpyTo is dst ← y + alpha·x, dst distinct from both.
+func (e *engine) axpyTo(dst []float64, gd *abft.VectorGuard, alpha float64, x []float64, gx *abft.VectorGuard, y []float64, gy *abft.VectorGuard) bool {
+	if !e.abft {
 		vec.AxpyToPool(e.cfg.Pool, dst, alpha, x, y)
+		return true
 	}
+	got := e.exec.AxpyToGuarded(gd.Rows(), dst, alpha, x, y)
+	return e.held(gd.Linear(dst, got, y, gy.Ref(), alpha, x, gx.Ref()), armed{gx, x}, armed{gy, y})
 }
 
-func (e *engine) xpay(g *abft.VectorGuard, alpha float64, x, y []float64) {
-	if e.abft {
-		g.Install(e.exec.XpayGuarded(g.Rows(), alpha, x, y))
-	} else {
+// xpay is y ← x + alpha·y.
+func (e *engine) xpay(alpha float64, x []float64, gx *abft.VectorGuard, y []float64, gy *abft.VectorGuard) bool {
+	if !e.abft {
 		vec.XpayPool(e.cfg.Pool, alpha, x, y)
+		return true
 	}
+	got := e.exec.XpayGuarded(gy.Rows(), alpha, x, y)
+	return e.held(gy.Linear(y, got, x, gx.Ref(), alpha, y, gy.Ref()), armed{gx, x})
 }
 
-// refresh re-captures a guard after a write that is not a TMR update.
+// held settles the verdict of an update's linear check; read names the
+// operands the update did not overwrite. A rebuilt element is a forward repair
+// only while those operands still match their references. One that does not
+// was struck in memory after the kernel that last verified it — the injector
+// never strikes there: its flips meet a verification before any update reads
+// them — and a dot product may have read the struck word since, so a scalar
+// of this iteration is in doubt, which no repair of a vector reaches: the
+// iteration rolls back.
+func (e *engine) held(out abft.Outcome, read ...armed) bool {
+	if out.Corrected {
+		for _, a := range read {
+			if a.g.Check(a.v).Detected {
+				out = abft.Outcome{Detected: true, Class: abft.ClassMultiple}
+				break
+			}
+		}
+	}
+	return e.settle(out, nil)
+}
+
+// refresh re-captures a guard after a write that is not a verified update.
 func (e *engine) refresh(g *abft.VectorGuard, v []float64) {
 	if g != nil {
 		g.Refresh(v)
@@ -363,8 +390,8 @@ func (e *engine) refresh(g *abft.VectorGuard, v []float64) {
 }
 
 // product records the next protected product for the engine to run.
-func (e *engine) product(slot int, y, x []float64, ref *abft.VectorGuard, hit fault.Target) verdict {
-	e.prod = product{slot: slot, y: y, x: x, ref: ref, hit: hit}
+func (e *engine) product(slot int, y []float64, out *abft.VectorGuard, x []float64, ref *abft.VectorGuard, hit fault.Target) verdict {
+	e.prod = product{slot: slot, y: y, out: out, x: x, ref: ref, hit: hit}
 	return stepProduct
 }
 
@@ -415,8 +442,7 @@ func (e *engine) advance() bool {
 
 // begin opens the next iteration: the convergence test with its confirmed
 // true residual, the iteration budget, fault injection and the per-iteration
-// charges and memory-fault checks. It returns false when it instead ended
-// the solve or rolled back.
+// charges. It returns false when it instead ended the solve or rolled back.
 func (e *engine) begin() bool {
 	cfg, st := &e.cfg, &e.stats
 	// Convergence on the recurrence residual, confirmed against a recomputed
@@ -457,9 +483,6 @@ func (e *engine) begin() bool {
 	st.TimeIter += e.costs.Titer
 	if e.abft {
 		st.TimeVerif += e.costs.Tverif
-		// Memory-fault checks on the vectors written last iteration.
-		e.outs = [2]abft.Outcome{e.rGuard.Check(e.r), e.xGuard.Check(e.x)}
-		e.pending = true
 	}
 	e.inIter, e.stage = true, 0
 	return true
@@ -490,9 +513,11 @@ func (e *engine) multiply() (sr abft.RowSums) {
 
 // complete is the post-product half of a protected product: the deferred
 // faults drawn against its output strike now, and under ABFT the product is
-// verified against the runtime Rowidx sums and settled together with any
-// guard outcomes still pending. The sequential and the blocked drivers share
-// it, so their detection behaviour is identical by construction.
+// verified against the runtime Rowidx sums and settled; the sums that
+// verification read off the output and the input become their references —
+// the output's first, the input's again: what Verify accepted is what later
+// checks hold it to. The sequential and the blocked drivers share it, so their
+// detection behaviour is identical by construction.
 func (e *engine) complete(sr abft.RowSums) {
 	p := &e.prod
 	for _, ev := range e.deferred {
@@ -503,17 +528,17 @@ func (e *engine) complete(sr abft.RowSums) {
 	if !e.abft {
 		return
 	}
-	out := e.prot[p.slot].Verify(p.y, p.x, p.ref.Ref(), sr)
-	if !e.settleGuards() {
-		e.fail()
-		return
-	}
+	prot := e.prot[p.slot]
+	out := prot.Verify(p.y, p.x, p.ref.Ref(), sr)
 	if out.Detected && !out.Corrected && e.cfg.Scheme == ABFTCorrection {
 		out = e.reread(p)
 	}
 	if !e.settle(out, p) {
 		e.fail()
+		return
 	}
+	p.out.Install(prot.OutputSums())
+	p.ref.Install(prot.InputSums())
 }
 
 // reread is ABFT-Correction's last forward step, taken when the decoder could
@@ -544,17 +569,7 @@ func (e *engine) reread(p *product) abft.Outcome {
 	return out
 }
 
-// settleGuards resolves the guard outcomes of r and x taken when the
-// iteration opened, if they are still pending.
-func (e *engine) settleGuards() bool {
-	if !e.pending {
-		return true
-	}
-	e.pending = false
-	return e.settle(e.outs[0], nil) && e.settle(e.outs[1], nil)
-}
-
-// settle accounts one detection outcome — of a vector guard (p == nil) or
+// settle accounts one detection outcome — of a vector's check (p == nil) or
 // of product p. A forward repair is counted and charged; an uncorrectable
 // error returns false and the iteration must roll back. Nothing is
 // re-encoded after a matrix repair: the decoder finished it against the

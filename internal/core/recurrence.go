@@ -20,7 +20,8 @@ import (
 // faults on M are also recoverable. Plain CG is the case M = I: z aliases r
 // and the second product disappears.
 type pcgRec struct {
-	z []float64 // preconditioned residual M·r
+	z      []float64         // preconditioned residual M·r
+	zGuard *abft.VectorGuard // its guard: r's for plain CG
 }
 
 func (c *pcgRec) init(e *engine) {
@@ -29,6 +30,7 @@ func (c *pcgRec) init(e *engine) {
 	} else {
 		n := len(e.r)
 		c.z = e.ws.take(n)
+		c.zGuard = e.guard(c.z)
 		e.keep("z", c.z)
 		e.ws.state.Z = c.z
 		// The preconditioner product adds its own iteration and verification
@@ -64,7 +66,7 @@ func (c *pcgRec) resNorm(e *engine) float64 {
 func (c *pcgRec) step(e *engine, stage int) verdict {
 	switch stage {
 	case 0:
-		return e.product(0, e.q, e.p, e.pGuard, fault.TargetVecQ)
+		return e.product(0, e.q, e.qGuard, e.p, e.pGuard, fault.TargetVecQ)
 	case 1:
 		// Both schemes treat non-finite or non-positive curvature as a
 		// detected error.
@@ -73,21 +75,46 @@ func (c *pcgRec) step(e *engine, stage int) verdict {
 			return e.breakdown()
 		}
 		alpha := e.rho / pq
-		e.axpy(e.xGuard, alpha, e.p, e.x)
-		e.axpy(e.rGuard, -alpha, e.q, e.r)
+		repairs := e.stats.Corrections
+		if !e.axpy(alpha, e.p, e.pGuard, e.x, e.xGuard) || !e.axpy(-alpha, e.q, e.qGuard, e.r, e.rGuard) {
+			return stepFail
+		}
 		if e.mat[1] != nil {
+			if e.stats.Corrections != repairs && !c.rhoStands(e, alpha) {
+				return e.breakdown()
+			}
 			// z ← M·r, protected like the A-product (the r-guard provides
 			// the input reference).
-			return e.product(1, c.z, e.r, e.rGuard, fault.TargetVecZ)
+			return e.product(1, c.z, c.zGuard, e.r, e.rGuard, fault.TargetVecZ)
 		}
 	}
 	rhoNew := e.dot(e.r, c.z)
 	if math.IsNaN(rhoNew) || math.IsInf(rhoNew, 0) {
 		return e.breakdown()
 	}
-	e.xpay(e.pGuard, rhoNew/e.rho, c.z, e.p)
+	zGuard := c.zGuard
+	if e.mat[1] == nil {
+		zGuard = e.rGuard
+	}
+	if !e.xpay(rhoNew/e.rho, c.z, zGuard, e.p, e.pGuard) {
+		return stepFail
+	}
 	e.rho = rhoNew
 	return stepDone
+}
+
+// rhoStands re-derives ρ after an update of this iteration rebuilt an
+// element. The r-update is the first verified kernel to read r since ρ = rᵀz
+// did, unverified (plain CG's direction update reads r right after its ρ, and
+// engine.held sends a struck r back from there): if what it repaired was a
+// word of r struck before that dot product, ρ — and with it β, p and this
+// iteration's α — came from the struck word, and the repair of r does not
+// reach them. z still holds M·r of the previous iteration and the r of then is
+// r + α·q, so ρ is computed again and held to the one in use; a difference is
+// a detected error like any broken-down scalar.
+func (c *pcgRec) rhoStands(e *engine, alpha float64) bool {
+	rz, qz := vec.Dot(e.r, c.z), alpha*vec.Dot(e.q, c.z)
+	return math.Abs(rz+qz-e.rho) <= 1e-8*(math.Abs(rz)+math.Abs(qz)+math.Abs(e.rho))
 }
 
 // bicgRec is the BiCGstab recurrence. The paper's Section 3 claims its
@@ -98,9 +125,9 @@ func (c *pcgRec) step(e *engine, stage int) verdict {
 // t = A·s); both are ABFT-protected, and the checkpoint additionally
 // carries the shadow residual r̂, v and the scalars α and ω.
 type bicgRec struct {
-	rHat, s, t   []float64
-	sGuard       *abft.VectorGuard
-	alpha, omega float64
+	rHat, s, t     []float64
+	sGuard, tGuard *abft.VectorGuard
+	alpha, omega   float64
 }
 
 func (c *bicgRec) init(e *engine) {
@@ -112,7 +139,7 @@ func (c *bicgRec) init(e *engine) {
 	e.keep("v", e.q)
 	e.keepScalar("alpha", &c.alpha)
 	e.keepScalar("omega", &c.omega)
-	c.sGuard = e.guard(c.s)
+	c.sGuard, c.tGuard = e.guard(c.s), e.guard(c.t)
 	// Two products and roughly twice the vector work per iteration; the
 	// confirmation is still one product.
 	e.confirm = e.costs.Titer
@@ -135,8 +162,9 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 	v := e.q
 	switch stage {
 	case 0:
-		// ρ reads r before any product, so a corrupted r must be settled now.
-		if !e.settleGuards() {
+		// ρ and the direction read r before any update holds it to its
+		// reference, so r is checked here, in a pass of its own.
+		if e.abft && !e.settle(e.rGuard.Check(e.r), nil) {
 			return stepFail
 		}
 		rhoNew := e.dot(c.rHat, e.r)
@@ -153,23 +181,27 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 		}
 		e.rho = rhoNew
 		e.refresh(e.pGuard, e.p)
-		return e.product(0, v, e.p, e.pGuard, fault.TargetVecQ)
+		return e.product(0, v, e.qGuard, e.p, e.pGuard, fault.TargetVecQ)
 	case 1:
 		den := e.dot(c.rHat, v)
 		if unusable(den) {
 			return e.breakdown()
 		}
 		c.alpha = e.rho / den
-		e.axpyTo(c.sGuard, c.s, -c.alpha, v, e.r)
+		if !e.axpyTo(c.s, c.sGuard, -c.alpha, v, e.qGuard, e.r, e.rGuard) {
+			return stepFail
+		}
 		if vec.Norm2(c.s) <= e.cfg.Tol*e.normB {
 			// Early half-step convergence; the engine's confirmation
 			// validates it before the solve returns.
-			e.axpy(e.xGuard, c.alpha, e.p, e.x)
+			if !e.axpy(c.alpha, e.p, e.pGuard, e.x, e.xGuard) {
+				return stepFail
+			}
 			copy(e.r, c.s)
 			e.refresh(e.rGuard, e.r)
 			return stepHalf
 		}
-		return e.product(0, c.t, c.s, c.sGuard, 0)
+		return e.product(0, c.t, c.tGuard, c.s, c.sGuard, 0)
 	}
 	tt := e.dot(c.t, c.t)
 	if unusable(tt) {
@@ -179,8 +211,9 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 	if unusable(c.omega) {
 		return e.breakdown()
 	}
-	e.axpy(nil, c.alpha, e.p, e.x)
-	e.axpy(e.xGuard, c.omega, c.s, e.x)
-	e.axpyTo(e.rGuard, e.r, -c.omega, c.t, c.s)
+	if !e.axpy(c.alpha, e.p, e.pGuard, e.x, e.xGuard) || !e.axpy(c.omega, c.s, c.sGuard, e.x, e.xGuard) ||
+		!e.axpyTo(e.r, e.rGuard, -c.omega, c.t, c.tGuard, c.s, c.sGuard) {
+		return stepFail
+	}
 	return stepDone
 }

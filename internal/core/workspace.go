@@ -21,7 +21,7 @@ type Workspace struct {
 	prot   [2]*abft.Protected
 	bufs   [][]float64
 	next   int
-	guards [4]*abft.VectorGuard
+	guards [6]*abft.VectorGuard
 	store  *checkpoint.Store
 	state  fault.State
 	view   checkpoint.State

@@ -1,36 +1,37 @@
-// Package tmr implements triple modular redundancy for the cheap vector
-// kernels of the solvers (dot products, norms, axpy updates), as prescribed
-// by the paper's Section 3: "As ABFT methods for vector operations is as
-// costly as a repeated computation, we use triple modular redundancy (TMR)
-// for them for simplicity … we compute the dots, norms and axpy operations
-// in the resilient mode."
+// Package tmr runs the cheap vector kernels of the solvers (dot products,
+// norms, axpy updates) in the paper's reliable mode. Section 3 prescribes
+// triple modular redundancy for all of them — "As ABFT methods for vector
+// operations is as costly as a repeated computation, we use triple modular
+// redundancy (TMR) for them for simplicity … we compute the dots, norms and
+// axpy operations in the resilient mode" — and this package votes the
+// reductions as prescribed. The premise does not hold for the updates here:
+// the checksum of an updated vector rides inside the loop that writes it, so
+// an update is executed once and verified by the paper's own method for the
+// product, a checksum that is linear in the operands.
 //
 // # Fault model
 //
 // The paper asks for a reliable mode and names TMR; it does not say which
-// faults the vote must survive. This package votes against ONE transient per
-// voted operation, striking one execution of the kernel: an operand as it is
-// loaded, the arithmetic, an accumulator, or the result (the scalar, or an
-// element of the block the execution wrote). Operand memory is not the
-// vote's business: a word that is wrong in memory is wrong for every
-// execution that loads it, and is what the checksum guards of internal/abft
-// are for. Loop control is inside the model — a transient in an index or a
-// bound is a transient of that execution — so executions share nothing: each
-// is its own call that the compiler may not inline, with its own loads, its
-// own arithmetic and its own induction variable.
+// faults it must survive. This package guards against ONE transient per
+// operation, striking one execution of the kernel: an operand as it is loaded,
+// the arithmetic, an accumulator, or the result (the scalar, or an element of
+// the vector the execution wrote). Loop control is inside the model — a
+// transient in an index or a bound is a transient of that execution.
 //
-// # What follows from it
+// # Reductions: voted
 //
-// A majority of three is decided by two that agree. With at most one
-// transient, two executions that agree bit for bit are both clean, and a
-// third could only repeat them: vote(a, a, c) = a for every c. So every
-// operation runs two executions and compares; the third runs only when they
-// differ, and then decides as the three-way vote always did. The outcome is
-// that vote's for every triple — the value returned, the bits written —
-// whichever execution a transient strikes and whatever it does to it. What
-// is given up is a count: a transient that would have struck only the third
-// execution is no longer outvoted and recorded, because that execution no
-// longer exists.
+// A dot product or a norm has no linear invariant to hold it to, so it is
+// voted. Executions of a vote share nothing: each is its own call that the
+// compiler may not inline, with its own loads, its own arithmetic and its own
+// induction variable. A majority of three is decided by two that agree. With
+// at most one transient, two executions that agree bit for bit are both
+// clean, and a third could only repeat them: vote(a, a, c) = a for every c.
+// So every reduction runs two executions and compares; the third runs only
+// when they differ, and then decides as the three-way vote always did. The
+// outcome is that vote's for every triple, whichever execution a transient
+// strikes and whatever it does to it. What is given up is a count: a
+// transient that would have struck only the third execution is no longer
+// outvoted and recorded, because that execution no longer exists.
 //
 // A vote in which all three executions differ has no majority: more than one
 // transient struck, which the model excludes and the vote cannot repair. It
@@ -38,93 +39,132 @@
 // vouches for that value, so such votes are counted (Stats) and the
 // resilient drivers treat a moved count as a detected error and roll back.
 //
-// On deterministic hardware the executions are bit-identical unless a
-// transient strikes one; the Corrupt hook lets tests and fault campaigns
-// inject exactly such a transient into a chosen one. Results are compared by
-// bit pattern, so equal NaNs agree and −0 against +0 is a dissent.
+// Results are compared by bit pattern, so equal NaNs agree and −0 against +0
+// is a dissent. Operand memory is not the vote's business: a word that is
+// wrong in memory is wrong for every execution that loads it. A reduction
+// reads its operands unverified — see the last section for what that leaves.
 //
-// # The element-wise updates
+// # Updates: one execution, verified by linearity
 //
-// Axpy, AxpyTo, Xpay and their Guarded forms are one kernel, dst ← a + α·b,
-// run block by block: for each block of a few hundred elements, replicas 1
-// and 0 are computed from the operands into two cache-resident buffers and
-// compared in bulk; when they agree, one of them is copied to the
-// destination. Only a block on which they differ runs replica 2 — last and
-// in place, the others having read the old operands, which dst may alias —
-// and is voted element by element. The Guarded forms additionally return the
-// two-row checksum of the voted vector, accumulated block after block in
-// index order — the bits checksum.Sums would produce from re-reading it — so
-// a guard reference can be installed with no second pass and no window
-// between the write and the capture.
+// Axpy, AxpyTo, Xpay and their Guarded forms are one kernel, z ← a + α·b,
+// executed once and in place. The Guarded forms return the checksum of z
+// under one or two weight rows, accumulated in index order as the elements
+// are written — the bits checksum.Sums would produce from re-reading z. The
+// caller holds them to wᵀa + α·wᵀb, computed from the reliable checksums it
+// already keeps of a and b (abft.VectorGuard.Linear), within the rounding of
+// the sums and of the update: 2γₙ₊₂ Σ wᵢ(|aᵢ| + |α·bᵢ| + |zᵢ|), the bound of
+// the paper's Eq. (7) for this kernel. The sums that pass become the
+// reference of z, so no second pass captures it and no rounding accumulates.
 //
-// The updates write what vec.Axpy, vec.AxpyTo and vec.Xpay write, bit for
-// bit, with one exception no caller can tell apart: where both addends of an
-// element are NaN, the payload that survives is the first operand of the
-// machine add, an order Go leaves to the compiler per loop and per build
-// mode. FuzzVotedOps checks exactly this, and holds the lazy vote to an eager
-// three-execution one.
+// Because z is computed from the operands' memory while the expectation comes
+// from their references, that one comparison covers more than the arithmetic:
+//
+//   - a transient in the execution — an operand load, the multiply-add, the
+//     value on its way to memory and to the sums — moves wᵀz alone;
+//   - a word of a or b that changed in memory since its reference was taken,
+//     however long ago, is read by the update and contradicts the reference:
+//     operand memory is verified at the point of use, with no pass of its own
+//     and no window between a check and the read it was meant to protect;
+//   - a word of z that changes after the update is caught the same way by
+//     whatever update or protected product reads z next.
+//
+// One checksum row detects; two rows locate — a single error of value δ in
+// element d leaves the defect pair (δ, (d+1)·δ) — and the element is rebuilt
+// by exclusion from the expected checksum, then everything is summed and
+// compared once more.
+//
+// What is given up against voting the updates, as this package did before: the
+// bit-exact vote caught every transient, however small; the checksum catches
+// those whose effect on a row exceeds the tolerance. A transient that changes
+// an element by less than the rounding of the sums it enters escapes — the
+// accepted false negative the paper's Eq. (9) gives the product, harmless for
+// the same reason: it is a perturbation of rounding magnitude in an iteration
+// that tolerates rounding. Memory flips lose nothing (the guards' checks were
+// tolerance-based already) and gain the windows above.
+//
+// On deterministic hardware an execution is what the plain kernel computes;
+// the Corrupt hook lets tests and fault campaigns inject a transient into a
+// chosen execution. The updates write what vec.Axpy, vec.AxpyTo and vec.Xpay
+// write, bit for bit, with one exception no caller can tell apart: where both
+// addends of an element are NaN, the payload that survives is the first
+// operand of the machine add, an order Go leaves to the compiler per loop and
+// per build mode. FuzzVotedOps checks exactly this against the eager voted
+// update, which survives as its reference, and holds the linear check to its
+// contract; FuzzVotedDots holds the lazy vote to an eager one.
+//
+// # Reads that stay unverified
+//
+// A verified kernel — an update, or a protected product (internal/abft) —
+// holds every vector it reads to its reference. What the resilient drivers
+// (internal/core) read outside one is not held to anything at that moment:
+//
+//   - a dot product or norm reads its operands as they are. A word struck
+//     after the last verified kernel touched the vector and before the
+//     reduction gives a wrong scalar; the next verified kernel that reads the
+//     vector detects the word, and the drivers then do not repair forward
+//     around a scalar that may be wrong (core: an update that finds a
+//     surviving operand changed rolls back; PCG re-derives ρ = rᵀz when its
+//     r-update repairs). Until that kernel runs the scalar is in use.
+//   - BiCGstab computes ρ = r̂ᵀr, and its direction p ← r + β(p − ω·v) in a
+//     hand-written loop, before any update or product has read r: it keeps
+//     one standalone check of r there (abft.VectorGuard.Check). p and v are
+//     read by that loop as they are and the result is re-captured: a word of
+//     theirs struck since their last verified read becomes part of the new
+//     direction, which is a valid direction still.
+//   - BiCGstab's half-step test reads ‖s‖, and every recurrence's convergence
+//     test a norm of r, unverified: a wrong one costs a failed confirmation
+//     or an iteration more, never a wrong answer — convergence is confirmed
+//     on a recomputed residual.
+//   - the shadow residual r̂ is written once and only ever read by dot
+//     products; it has no checksum.
+//
+// core.FuzzPhaseBoundaries strikes between every two of these phases and
+// requires convergence to the unprotected answer under both ABFT schemes.
 package tmr
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/checksum"
 	"repro/internal/pool"
 	"repro/internal/vec"
 )
 
-// block is the number of elements voted at a time: the two replica buffers
-// and the block of the destination stay well inside an L1 cache.
+// block is the number of elements the Corrupt hook is shown at a time.
 const block = 512
 
-// Executor runs vector kernels in triple modular redundancy. It must not be
-// copied after first use.
+// Executor runs vector kernels in reliable mode. It must not be copied after
+// first use.
 type Executor struct {
 	// Corrupt, when non-nil, may perturb an execution to simulate a transient
 	// fault in it. The reductions call it once per execution with the replica
 	// index and the scalar result: replicas 0 and 1, and replica 2 only when
-	// those two differ. The element-wise updates call it once per execution
-	// per block with the replica index and that block of the replica's output
-	// — the whole vector when it is no longer than a block — in the order 1,
-	// 0, and then 2 only for a block on which those two differ: a replica 2
-	// that nothing called for is never run, so a hook waiting for it is never
-	// called. With a Pool and a vector long enough to be split, blocks of
-	// different ranges reach the hook concurrently.
+	// those two differ. The element-wise updates run once and call it once per
+	// block, with replica 0 and the block just written — the whole vector when
+	// it is no longer than a block — before the block's checksum is taken, as
+	// a transient in the arithmetic would come before it. With a Pool and a
+	// vector long enough to be split, blocks of different ranges reach the
+	// hook concurrently.
 	Corrupt func(replica int, scalar *float64, vector []float64)
 
 	// Pool, when non-nil, spreads the O(n) work over the worker pool: the
 	// reductions run each replica through the deterministic blocked variants
-	// from internal/vec, the element-wise updates vote disjoint ranges
-	// concurrently. Either way the replicas stay bit-identical (the voting
-	// invariant) and the result is that of a nil Pool — same bits, one
-	// goroutine.
+	// from internal/vec, the element-wise updates write disjoint ranges
+	// concurrently. Either way the result is that of a nil Pool — same bits,
+	// one goroutine.
 	Pool *pool.Pool
 
 	votes, mismatches, undecided int64
 
-	// scratch holds replicas 0 and 1 of the block being voted on the calling
-	// goroutine, grown to two blocks — or two vectors, when those are
-	// shorter — and kept; pool workers draw theirs from rangeScratch.
-	scratch []float64
-
 	// The update in flight, read by the pool workers through ranges — the
-	// closure is built once, so a pooled update allocates nothing; dissent
-	// and split are what the ranges found.
-	dst, a, b      []float64
-	alpha          float64
-	dissent, split atomic.Bool
-	ranges         func(lo, hi int)
+	// closure is built once, so a pooled update allocates nothing.
+	dst, a, b []float64
+	alpha     float64
+	ranges    func(lo, hi int)
 }
 
-// rangeScratch recycles the replica buffers of the pooled ranges.
-var rangeScratch = sync.Pool{New: func() any { return new([2 * block]float64) }}
-
-// Stats reports how many operations were voted, how many of them saw two
+// Stats reports how many reductions were voted, how many of them saw two
 // executions differ (a transient was outvoted), and how many found no two
 // executions agreeing: a value nobody vouches for went out, and the caller
 // must treat the operation as failed.
@@ -132,7 +172,7 @@ func (e *Executor) Stats() (votes, mismatches, undecided int64) {
 	return e.votes, e.mismatches, e.undecided
 }
 
-// count records one voted operation.
+// count records one voted reduction.
 func (e *Executor) count(dissent, split bool) {
 	e.votes++
 	if dissent {
@@ -198,19 +238,20 @@ func (e *Executor) corrupted(replica int, r float64) float64 {
 	return r
 }
 
-// Axpy computes y ← y + alpha·x with TMR.
+// Axpy computes y ← y + alpha·x.
 func (e *Executor) Axpy(alpha float64, x, y []float64) { e.update(y, y, alpha, x, 0) }
 
-// AxpyTo computes dst ← y + alpha·x with TMR. dst may alias y or x.
+// AxpyTo computes dst ← y + alpha·x. dst may alias y or x.
 func (e *Executor) AxpyTo(dst []float64, alpha float64, x, y []float64) {
 	e.update(dst, y, alpha, x, 0)
 }
 
-// Xpay computes y ← x + alpha·y with TMR.
+// Xpay computes y ← x + alpha·y.
 func (e *Executor) Xpay(alpha float64, x, y []float64) { e.update(y, x, alpha, y, 0) }
 
 // AxpyGuarded is Axpy returning the checksum of the updated y under the
-// first rows weight rows (1 or 2; with one row S2 is zero).
+// first rows weight rows (1 or 2; with one row S2 is zero): what the caller
+// holds to the operands' checksums (abft.VectorGuard.Linear).
 func (e *Executor) AxpyGuarded(rows int, alpha float64, x, y []float64) checksum.Vector {
 	return e.update(y, y, alpha, x, rows)
 }
@@ -226,102 +267,55 @@ func (e *Executor) XpayGuarded(rows int, alpha float64, x, y []float64) checksum
 	return e.update(y, x, alpha, y, rows)
 }
 
-// update is the voted element-wise kernel dst ← a + alpha·b; dst may alias
-// either operand. rows selects the checksum rows of dst handed back (0 for
-// none). Vectors below vec.MinParallel never consult the pool, as the plain
-// pooled kernels behave; above it each pool range votes its own blocks and
-// the sums are taken afterwards in one index-order pass, because per-range
-// partial sums would round differently.
+// update is the element-wise kernel dst ← a + alpha·b, one execution in
+// place; dst may alias either operand. rows selects the checksum rows of dst
+// handed back (0 for none). Vectors below vec.MinParallel never consult the
+// pool, as the plain pooled kernels behave; above it each pool range writes
+// its own elements and the sums are taken afterwards in one index-order pass,
+// because per-range partial sums would round differently.
 func (e *Executor) update(dst, a []float64, alpha float64, b []float64, rows int) checksum.Vector {
 	n := len(dst)
 	if len(a) != n || len(b) != n {
 		panic(fmt.Sprintf("tmr: length mismatch %d, %d, %d", n, len(a), len(b)))
 	}
-	e.dst, e.a, e.b, e.alpha = dst, a, b, alpha
 	var sums checksum.Running
-	var dissent, split bool
 	if e.Pool == nil || n < vec.MinParallel {
-		if need := 2 * min(n, block); len(e.scratch) < need {
-			e.scratch = make([]float64, need)
-		}
-		dissent, split = e.voteRange(0, n, e.scratch, rows, &sums)
+		e.run(dst, a, alpha, b, rows, &sums)
 	} else {
+		e.dst, e.a, e.b, e.alpha = dst, a, b, alpha
 		if e.ranges == nil {
-			e.ranges = func(lo, hi int) {
-				buf := rangeScratch.Get().(*[2 * block]float64)
-				var none checksum.Running
-				if dissent, split := e.voteRange(lo, hi, buf[:], 0, &none); dissent {
-					e.dissent.Store(true)
-					if split {
-						e.split.Store(true)
-					}
-				}
-				rangeScratch.Put(buf)
-			}
+			e.ranges = func(lo, hi int) { e.run(e.dst[lo:hi], e.a[lo:hi], e.alpha, e.b[lo:hi], 0, nil) }
 		}
-		e.dissent.Store(false)
-		e.split.Store(false)
 		e.Pool.Run(n, vec.BlockSize, e.ranges)
-		dissent, split = e.dissent.Load(), e.split.Load()
 		if rows > 0 {
 			sums.Add(dst, rows)
 		}
 	}
-	e.count(dissent, split)
 	return checksum.Vector{S1: sums.S1, S2: sums.S2}
 }
 
-// voteRange runs the update in flight over [lo, hi) block by block, using
-// the two halves of buf for replicas 0 and 1, and reports whether any block
-// saw them differ and whether any element was left without a majority. With
-// rows > 0 it extends sums by every voted block.
-func (e *Executor) voteRange(lo, hi int, buf []float64, rows int, sums *checksum.Running) (dissent, split bool) {
-	half := len(buf) / 2
-	for ; lo < hi; lo += block {
-		end := min(lo+block, hi)
-		dst, a, b := e.dst[lo:end], e.a[lo:end], e.b[lo:end]
-		r0, r1 := buf[:end-lo], buf[half:half+end-lo]
-		axpyBlock(r1, a, e.alpha, b, 0, nil)
-		if e.Corrupt != nil {
-			e.Corrupt(1, nil, r1)
-		}
-		// Replica 0's values are summed as they are computed; the sums stand
-		// unless the block has to be voted.
-		before := *sums
-		axpyBlock(r0, a, e.alpha, b, rows, sums)
-		if e.Corrupt != nil {
-			e.Corrupt(0, nil, r0)
-		}
-		if sameBits(r0, r1) {
-			copy(dst, r0)
-			continue
-		}
-		// Replica 2 goes last and in place: the others have read the old
-		// operands, which dst may alias.
-		dissent = true
-		axpyBlock(dst, a, e.alpha, b, 0, nil)
-		if e.Corrupt != nil {
-			e.Corrupt(2, nil, dst)
-		}
-		for i, r2 := range dst {
-			v, _, none := vote(r0[i], r1[i], r2)
-			dst[i] = v
-			split = split || none
-		}
+// run is the one execution of the update over a range. With a Corrupt hook
+// it goes block by block, each block shown to the hook as soon as it is
+// written and summed from memory after that: the bits the fused summation
+// gives when the hook perturbs nothing.
+func (e *Executor) run(dst, a []float64, alpha float64, b []float64, rows int, sums *checksum.Running) {
+	if e.Corrupt == nil {
+		axpyBlock(dst, a, alpha, b, rows, sums)
+		return
+	}
+	for lo := 0; lo < len(dst); lo += block {
+		end := min(lo+block, len(dst))
+		axpyBlock(dst[lo:end], a[lo:end], alpha, b[lo:end], 0, nil)
+		e.Corrupt(0, nil, dst[lo:end])
 		if rows > 0 {
-			*sums = before
-			sums.Add(dst, rows)
+			sums.Add(dst[lo:end], rows)
 		}
 	}
-	return dissent, split
 }
 
 // axpyBlock computes dst ← a + alpha·b and, with rows > 0, extends sums by
 // the values written — the latency-bound summation rides along with the
-// arithmetic instead of re-reading the block. It is never inlined, so the
-// replicas of a block are executions the compiler cannot merge.
-//
-//go:noinline
+// arithmetic instead of re-reading the block.
 func axpyBlock(dst, a []float64, alpha float64, b []float64, rows int, sums *checksum.Running) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	switch rows {
@@ -352,15 +346,4 @@ func axpyBlock(dst, a []float64, alpha float64, b []float64, rows int, sums *che
 		sums.S1, sums.S2 = s1, s2
 		sums.N += len(dst)
 	}
-}
-
-// sameBits reports whether two blocks hold the same bit patterns. It is the
-// repository's one use of unsafe: viewing the blocks as bytes hands the
-// comparison to the runtime's vectorised memequal, several times faster
-// than any element loop the compiler emits — and the fault-free vote is
-// nothing but this comparison.
-func sameBits(p, q []float64) bool {
-	return bytes.Equal(
-		unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p))), 8*len(p)),
-		unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(q))), 8*len(q)))
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/abft"
 	"repro/internal/checksum"
 	"repro/internal/vec"
 )
@@ -86,22 +87,55 @@ func TestAxpyNoFault(t *testing.T) {
 	}
 }
 
-func TestAxpyOutvotesSingleTransient(t *testing.T) {
-	for victim := 0; victim < 3; victim++ {
-		var calls [3]int
-		e := Executor{Corrupt: func(replica int, _ *float64, out []float64) {
-			calls[replica]++
-			if replica == victim {
-				out[0] += 42
-			}
-		}}
-		x := []float64{1, 2}
-		y := []float64{10, 20}
-		e.Axpy(2, x, y)
-		if y[0] != 12 || y[1] != 24 {
-			t.Fatalf("victim %d: Axpy = %v", victim, y)
+// held runs the linear check of an update that left dst for a + alpha·b,
+// against references taken from the pristine operands a and b, under a guard
+// of each mode, on a copy of dst each. It returns the two verdicts and the
+// vector the two-row guard left.
+func held(dst, a []float64, alpha float64, b []float64) (detect, correct abft.Outcome, repaired []float64) {
+	for _, mode := range []abft.Mode{abft.Detect, abft.DetectCorrect} {
+		g := abft.NewGuard(a, mode)
+		aRef, bRef := g.Ref(), abft.NewGuard(b, mode).Ref()
+		z := vec.Clone(dst)
+		out := g.Linear(z, checksum.NewVectorRows(z, g.Rows()), a, aRef, alpha, b, bRef)
+		if mode == abft.Detect {
+			detect = out
+		} else {
+			correct, repaired = out, z
 		}
-		wantLazyStats(t, &e, victim, calls)
+	}
+	return detect, correct, repaired
+}
+
+// TestAxpyTransientIsDetectedAndRepaired: an update runs once, so a transient
+// in it reaches the vector — and the checksum the update hands back, which the
+// operands' checksums contradict: one row detects it, two rows name the
+// element and rebuild it.
+func TestAxpyTransientIsDetectedAndRepaired(t *testing.T) {
+	calls := 0
+	e := Executor{Corrupt: func(replica int, _ *float64, out []float64) {
+		if calls++; replica != 0 {
+			t.Errorf("the hook was shown replica %d of an update", replica)
+		}
+		out[0] += 42
+	}}
+	x, y0 := []float64{1, 2}, []float64{10, 20}
+	y := vec.Clone(y0)
+	sums := e.AxpyGuarded(2, 2, x, y)
+	if y[0] != 54 || y[1] != 24 || calls != 1 {
+		t.Fatalf("Axpy = %v after %d hook calls, want the struck [54 24] after 1", y, calls)
+	}
+	if want := checksum.NewVector(y); sums != want {
+		t.Fatalf("returned sums %v, the written vector has %v", sums, want)
+	}
+	detect, correct, repaired := held(y, y0, 2, x)
+	if !detect.Detected || detect.Corrected {
+		t.Fatalf("one row: %+v, want detected and left to the caller", detect)
+	}
+	if !correct.Corrected || repaired[0] != 12 || repaired[1] != 24 {
+		t.Fatalf("two rows: %+v, vector %v, want [12 24] restored", correct, repaired)
+	}
+	if v, m, u := e.Stats(); v != 0 || m != 0 || u != 0 {
+		t.Fatalf("an update counted %d votes, %d mismatches, %d undecided: it is not voted", v, m, u)
 	}
 }
 
@@ -129,17 +163,17 @@ func TestXpay(t *testing.T) {
 	}
 }
 
-func TestXpayOutvotesTransient(t *testing.T) {
-	e := Executor{Corrupt: func(replica int, _ *float64, out []float64) {
-		if replica == 1 && out != nil {
-			out[1] = -999
-		}
-	}}
-	x := []float64{1, 2}
-	y := []float64{10, 20}
+func TestXpayTransientIsDetectedAndRepaired(t *testing.T) {
+	e := Executor{Corrupt: func(_ int, _ *float64, out []float64) { out[1] = -999 }}
+	x, y0 := []float64{1, 2}, []float64{10, 20}
+	y := vec.Clone(y0)
 	e.Xpay(0.5, x, y)
-	if y[1] != 12 {
-		t.Fatalf("Xpay with transient = %v", y)
+	if y[0] != 6 || y[1] != -999 {
+		t.Fatalf("Xpay = %v, want the struck [6 -999]", y)
+	}
+	detect, correct, repaired := held(y, x, 0.5, y0)
+	if !detect.Detected || !correct.Corrected || repaired[0] != 6 || repaired[1] != 12 {
+		t.Fatalf("one row %+v, two rows %+v leaving %v, want [6 12] restored", detect, correct, repaired)
 	}
 }
 
@@ -189,18 +223,7 @@ func TestVoteComparesBitPatterns(t *testing.T) {
 		if tc.mismatches > 0 {
 			third = 1
 		}
-		check := func(op string, e *Executor, calls int) {
-			t.Helper()
-			if _, m, u := e.Stats(); m != tc.mismatches || u != tc.undecided {
-				t.Errorf("%s: %s counted %d mismatches and %d undecided, want %d and %d", tc.name, op, m, u, tc.mismatches, tc.undecided)
-			}
-			if calls != third {
-				t.Errorf("%s: %s ran replica 2 %d times, want %d", tc.name, op, calls, third)
-			}
-		}
-
-		// The scalar vote, through Dot: the hook replaces each replica's
-		// result.
+		// The hook replaces each replica's result.
 		calls := 0
 		e := Executor{Corrupt: func(replica int, scalar *float64, _ []float64) {
 			*scalar = tc.r[replica]
@@ -212,48 +235,46 @@ func TestVoteComparesBitPatterns(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(tc.want) {
 			t.Errorf("%s: Dot voted %v, want %v", tc.name, got, tc.want)
 		}
-		check("Dot", &e, calls)
-
-		// The element-wise vote, through Axpy: the hook replaces one element
-		// of each replica's block.
-		calls = 0
-		e = Executor{Corrupt: func(replica int, _ *float64, block []float64) {
-			block[1] = tc.r[replica]
-			if replica == 2 {
-				calls++
-			}
-		}}
-		y := []float64{10, 20, 30}
-		e.Axpy(2, []float64{1, 2, 3}, y)
-		if y[0] != 12 || y[2] != 36 || math.Float64bits(y[1]) != math.Float64bits(tc.want) {
-			t.Errorf("%s: Axpy voted %v, want [12 %v 36]", tc.name, y, tc.want)
+		if _, m, u := e.Stats(); m != tc.mismatches || u != tc.undecided {
+			t.Errorf("%s: Dot counted %d mismatches and %d undecided, want %d and %d", tc.name, m, u, tc.mismatches, tc.undecided)
 		}
-		check("Axpy", &e, calls)
+		if calls != third {
+			t.Errorf("%s: Dot ran replica 2 %d times, want %d", tc.name, calls, third)
+		}
 	}
 }
 
-// TestOperandFlipBetweenExecutions strikes operand memory after the first
-// execution of a block has read it. Memory is the guards' business, not the
-// vote's, but the vote must still be the three-way one: the two executions
-// that read the struck word agree and win, in place over an aliased operand
-// too, and the returned checksum is that of what was written — so a guard
-// installed from it describes the vector as it is.
-func TestOperandFlipBetweenExecutions(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{10, 20, 30}
-	e := Executor{Corrupt: func(replica int, _ *float64, _ []float64) {
-		if replica == 1 {
+// TestOperandFlipBeforeTheUpdate strikes operand memory after its reference
+// was taken. The update computes from what is in memory, and the checksum it
+// returns is that of what it wrote; the expectation comes from the references,
+// so the same comparison that guards the arithmetic catches the struck word —
+// in place over an aliased operand too — and two rows rebuild the element it
+// fed. The struck operand word is not this check's to repair.
+func TestOperandFlipBeforeTheUpdate(t *testing.T) {
+	x0, y0 := []float64{1, 2, 3}, []float64{10, 20, 30}
+	for _, strikeY := range []bool{false, true} {
+		x, y := vec.Clone(x0), vec.Clone(y0)
+		if strikeY {
+			y[2] = -30 // the operand the update overwrites
+		} else {
 			x[2] = -3
 		}
-	}}
-	ref := e.AxpyGuarded(2, 2, x, y)
-	if y[0] != 12 || y[1] != 24 || y[2] != 24 {
-		t.Fatalf("Axpy = %v, want [12 24 24]", y)
-	}
-	if want := checksum.NewVector(y); ref != want {
-		t.Fatalf("returned sums %v, the written vector has %v", ref, want)
-	}
-	if _, m, u := e.Stats(); m != 1 || u != 0 {
-		t.Fatalf("%d mismatches, %d undecided, want 1 and 0", m, u)
+		var e Executor
+		ref := e.AxpyGuarded(2, 2, x, y)
+		if want := checksum.NewVector(y); ref != want || y[2] == 36 {
+			t.Fatalf("struck y=%v: Axpy = %v with sums %v, the written vector has %v", strikeY, y, ref, want)
+		}
+		// References of the pristine operands, memory as the update left it.
+		g := abft.NewGuard(y0, abft.DetectCorrect)
+		out := g.Linear(y, ref, y, g.Ref(), 2, x, checksum.NewVector(x0))
+		if !out.Corrected || y[0] != 12 || y[1] != 24 || y[2] != 36 {
+			t.Fatalf("struck y=%v: %+v leaving %v, want [12 24 36]", strikeY, out, y)
+		}
+		if g.Ref() != checksum.NewVector(y) {
+			t.Fatalf("struck y=%v: the guard holds %v, the repaired vector sums to %v", strikeY, g.Ref(), checksum.NewVector(y))
+		}
+		if !strikeY && x[2] != -3 {
+			t.Fatalf("the struck operand word was rewritten to %v", x[2])
+		}
 	}
 }
