@@ -168,7 +168,8 @@ type Protected struct {
 	// A is the live matrix: the fault injector strikes its arrays directly.
 	A *sparse.CSR
 	// CS is the reliable checksum encoding computed from A when it was known
-	// to be good.
+	// to be good. Its Err is set when A has none (‖A‖₁ not finite): such a
+	// wrapper protects nothing and its products must not be run.
 	CS *checksum.Matrix
 	// Valid, when set, is the read-only matrix A was copied from before the
 	// wrapper was armed — the paper's valid copy, which no fault strikes. The
@@ -253,11 +254,6 @@ func (p *Protected) encode() {
 	p.tolP1Fac = g * n
 	p.tolP2Fac = g * n * n
 }
-
-// Err is checksum.ErrNoShift when the live matrix had no encoding the last
-// time one was built (‖A‖₁ not finite), and nil otherwise. A wrapper that
-// reports an error protects nothing: its products must not be run.
-func (p *Protected) Err() error { return p.CS.Err }
 
 // SetPolicy selects the tolerance policy (TolNorm by default).
 func (p *Protected) SetPolicy(policy TolerancePolicy) { p.policy = policy }

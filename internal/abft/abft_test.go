@@ -482,7 +482,7 @@ func TestModeString(t *testing.T) {
 // has no encoding as the typed error.
 func TestHugeNormArmsAndVerifies(t *testing.T) {
 	p := NewProtected(sparse.Dense(1, 1, []float64{-1e20}), DetectCorrect)
-	if err := p.Err(); err != nil {
+	if err := p.CS.Err; err != nil {
 		t.Fatal(err)
 	}
 	x, y := []float64{3}, make([]float64, 1)
@@ -500,11 +500,11 @@ func TestHugeNormArmsAndVerifies(t *testing.T) {
 
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.MaxFloat64} {
 		p.Renew(sparse.Dense(1, 1, []float64{v}), Detect)
-		if !errors.Is(p.Err(), checksum.ErrNoShift) {
-			t.Fatalf("[%g]: Err = %v, want ErrNoShift", v, p.Err())
+		if !errors.Is(p.CS.Err, checksum.ErrNoShift) {
+			t.Fatalf("[%g]: Err = %v, want ErrNoShift", v, p.CS.Err)
 		}
 	}
-	if p.Renew(sparse.Dense(1, 1, []float64{2}), Detect); p.Err() != nil {
-		t.Fatalf("re-armed over [2]: %v", p.Err())
+	if p.Renew(sparse.Dense(1, 1, []float64{2}), Detect); p.CS.Err != nil {
+		t.Fatalf("re-armed over [2]: %v", p.CS.Err)
 	}
 }

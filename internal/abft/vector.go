@@ -123,10 +123,10 @@ func (g *VectorGuard) Linear(z []float64, got checksum.Vector, a []float64, aRef
 	if d1 == 0 && d2 == 0 {
 		return Outcome{}
 	}
-	if t1, t2 := linearSample(z, rows); covers(t1, d1) && covers(t2, d2) {
+	if t1, t2 := linearSample(z, rows); covers(d1, t1) && covers(d2, t2) {
 		return Outcome{}
 	}
-	if t1, t2 := linearTolerance(z, a, alpha, b, rows, -1); covers(t1, d1) && covers(t2, d2) {
+	if t1, t2 := linearTolerance(z, a, alpha, b, rows, -1); covers(d1, t1) && covers(d2, t2) {
 		return Outcome{}
 	}
 	if g.mode == Detect {
@@ -138,7 +138,7 @@ func (g *VectorGuard) Linear(z []float64, got checksum.Vector, a []float64, aRef
 		return fail
 	}
 	g.ref = checksum.NewVector(z)
-	if t1, t2 := linearTolerance(z, a, alpha, b, rows, d); !covers(t1, want.S1-g.ref.S1) || !covers(t2, want.S2-g.ref.S2) {
+	if t1, t2 := linearTolerance(z, a, alpha, b, rows, d); !covers(want.S1-g.ref.S1, t1) || !covers(want.S2-g.ref.S2, t2) {
 		return fail
 	}
 	return Outcome{Detected: true, Corrected: true, Class: ClassX}
@@ -147,7 +147,7 @@ func (g *VectorGuard) Linear(z []float64, got checksum.Vector, a []float64, aRef
 // covers reports a finite defect within a finite tolerance. Masses that
 // overflow bound nothing: a single flip of a top exponent bit puts an element
 // near 2¹⁰²³, and a tolerance of +Inf must not wave its defect through.
-func covers(tol, d float64) bool { return within(d, tol) && !math.IsInf(tol, 1) }
+func covers(d, tol float64) bool { return within(d, tol) && !math.IsInf(tol, 1) }
 
 // linearSample is Linear's tolerance with only every normStride-th element of
 // z in the masses: a lower bound of linearTolerance, with room to spare — the

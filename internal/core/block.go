@@ -137,7 +137,7 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 	bw.onIter = cfg.OnIteration
 	live := bw.shared.liveCopy(0, a)
 	prot := bw.shared.protected(0, live, a, abftMode(cfg.Scheme))
-	if err := prot.Err(); err != nil {
+	if err := prot.CS.Err; err != nil {
 		return nil, fmt.Errorf("core: SolveBlock %v: %w", cfg.Scheme, err)
 	}
 

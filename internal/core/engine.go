@@ -273,8 +273,8 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 		}
 		// A matrix without an encoding (checksum.ErrNoShift) cannot be protected.
 		for _, prot := range e.prot {
-			if prot != nil && prot.Err() != nil {
-				return fmt.Errorf("core: %s%v: %w", label, cfg.Scheme, prot.Err())
+			if prot != nil && prot.CS.Err != nil {
+				return fmt.Errorf("core: %s%v: %w", label, cfg.Scheme, prot.CS.Err)
 			}
 		}
 		// Armed over the completed initial state.
@@ -339,7 +339,7 @@ func (e *engine) axpy(alpha float64, x []float64, gx *abft.VectorGuard, y []floa
 		return true
 	}
 	got := e.exec.AxpyGuarded(gy.Rows(), alpha, x, y)
-	return e.held(gy.Linear(y, got, y, gy.Ref(), alpha, x, gx.Ref()), armed{gx, x})
+	return e.held(gy.Linear(y, got, y, gy.Ref(), alpha, x, gx.Ref()), armed{gx, x}, armed{})
 }
 
 // axpyTo is dst ← y + alpha·x, dst distinct from both.
@@ -359,25 +359,20 @@ func (e *engine) xpay(alpha float64, x []float64, gx *abft.VectorGuard, y []floa
 		return true
 	}
 	got := e.exec.XpayGuarded(gy.Rows(), alpha, x, y)
-	return e.held(gy.Linear(y, got, x, gx.Ref(), alpha, y, gy.Ref()), armed{gx, x})
+	return e.held(gy.Linear(y, got, x, gx.Ref(), alpha, y, gy.Ref()), armed{gx, x}, armed{})
 }
 
-// held settles the verdict of an update's linear check; read names the
-// operands the update did not overwrite. A rebuilt element is a forward repair
+// held settles the verdict of an update's linear check; a and b name the
+// operands the update did not overwrite (b is empty when there is only one). A rebuilt element is a forward repair
 // only while those operands still match their references. One that does not
 // was struck in memory after the kernel that last verified it — the injector
 // never strikes there: its flips meet a verification before any update reads
 // them — and a dot product may have read the struck word since, so a scalar
 // of this iteration is in doubt, which no repair of a vector reaches: the
 // iteration rolls back.
-func (e *engine) held(out abft.Outcome, read ...armed) bool {
-	if out.Corrected {
-		for _, a := range read {
-			if a.g.Check(a.v).Detected {
-				out = abft.Outcome{Detected: true, Class: abft.ClassMultiple}
-				break
-			}
-		}
+func (e *engine) held(out abft.Outcome, a, b armed) bool {
+	if out.Corrected && (a.g.Check(a.v).Detected || (b.g != nil && b.g.Check(b.v).Detected)) {
+		out = abft.Outcome{Detected: true, Class: abft.ClassMultiple}
 	}
 	return e.settle(out, nil)
 }

@@ -294,25 +294,6 @@ func (e *Executor) update(dst, a []float64, alpha float64, b []float64, rows int
 	return checksum.Vector{S1: sums.S1, S2: sums.S2}
 }
 
-// run is the one execution of the update over a range. With a Corrupt hook
-// it goes block by block, each block shown to the hook as soon as it is
-// written and summed from memory after that: the bits the fused summation
-// gives when the hook perturbs nothing.
-func (e *Executor) run(dst, a []float64, alpha float64, b []float64, rows int, sums *checksum.Running) {
-	if e.Corrupt == nil {
-		axpyBlock(dst, a, alpha, b, rows, sums)
-		return
-	}
-	for lo := 0; lo < len(dst); lo += block {
-		end := min(lo+block, len(dst))
-		axpyBlock(dst[lo:end], a[lo:end], alpha, b[lo:end], 0, nil)
-		e.Corrupt(0, nil, dst[lo:end])
-		if rows > 0 {
-			sums.Add(dst[lo:end], rows)
-		}
-	}
-}
-
 // axpyBlock computes dst ← a + alpha·b and, with rows > 0, extends sums by
 // the values written — the latency-bound summation rides along with the
 // arithmetic instead of re-reading the block.
@@ -345,5 +326,24 @@ func axpyBlock(dst, a []float64, alpha float64, b []float64, rows int, sums *che
 		}
 		sums.S1, sums.S2 = s1, s2
 		sums.N += len(dst)
+	}
+}
+
+// run is the one execution of the update over a range. With a Corrupt hook
+// it goes block by block, each block shown to the hook as soon as it is
+// written and summed from memory after that: the bits the fused summation
+// gives when the hook perturbs nothing.
+func (e *Executor) run(dst, a []float64, alpha float64, b []float64, rows int, sums *checksum.Running) {
+	if e.Corrupt == nil {
+		axpyBlock(dst, a, alpha, b, rows, sums)
+		return
+	}
+	for lo := 0; lo < len(dst); lo += block {
+		end := min(lo+block, len(dst))
+		axpyBlock(dst[lo:end], a[lo:end], alpha, b[lo:end], 0, nil)
+		e.Corrupt(0, nil, dst[lo:end])
+		if rows > 0 {
+			sums.Add(dst[lo:end], rows)
+		}
 	}
 }
