@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -25,6 +26,25 @@ const maxFinalCheckRetries = 20
 // ("re-reading the input data", which the paper notes is how the first frame
 // recovers).
 const stuckLimit = 5
+
+// ErrNotConverged is wrapped by the error of a solve that used up its budget:
+// Config.MaxIters useful iterations, or ten times that and a thousand with the
+// re-executed ones.
+var ErrNotConverged = errors.New("not converged")
+
+// ErrBreakdown is wrapped by the error of a solve that ended on a failure no
+// fault can explain (engine.rollback) — a recurrence scalar that is not finite
+// or has the wrong sign, a verification that fails: the problem itself breaks
+// the method down — CG on a matrix that is not positive definite or not
+// symmetric, values whose products leave the floating-point range — and no
+// number of rollbacks would change that.
+var ErrBreakdown = errors.New("recurrence breakdown")
+
+// ErrScale is wrapped by the error of a solve refused at its start because
+// ‖b‖ is not finite or ‖b‖² is not a normal float64: the recurrences square
+// the residual, so its norm would overflow, or underflow to a ρ that passes
+// the convergence test on x = 0.
+var ErrScale = errors.New("right-hand side out of floating-point range")
 
 // Solve runs the resilient Conjugate Gradient of the configured scheme on
 // Ax = b — preconditioned by cfg.M when it is set — and returns the
@@ -108,6 +128,13 @@ type product struct {
 	hit fault.Target
 }
 
+// scalar is a recurrence scalar that broke the iteration in flight down.
+type scalar struct {
+	name string
+	v    float64
+	hint string
+}
+
 // scalarRef names one recurrence scalar carried by checkpoints.
 type scalarRef struct {
 	name string
@@ -156,6 +183,7 @@ type engine struct {
 	d, s             int
 	last             int // iteration of the last checkpoint
 	highWater, stuck int
+	fromInput        int64 // injector flips when an escalated rollback last rebuilt the state from the input; -1 before
 	finalRetries     int
 	maxTotal         int64
 	lastD, lastC     int64 // counters at the previous OnDetection event
@@ -166,6 +194,7 @@ type engine struct {
 	stage    int
 	deferred []fault.Event
 	prod     product
+	scalar   scalar // what breakdown reported, if it did
 
 	done bool
 	err  error
@@ -205,6 +234,7 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	exec.Pool = cfg.Pool
 	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme != OnlineDetection, rec: rec, ws: ws, b: b, exec: exec}
 	e.src = [2]*sparse.CSR{a, cfg.M}
+	e.fromInput = -1
 	_, _, e.undecided = exec.Stats()
 
 	e.mat[0] = sharedLive
@@ -253,8 +283,10 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	e.guards = e.guardBuf[:0]
 	e.extra = e.extraBuf[:0]
 	e.normB = vec.Norm2(b)
-	if e.normB == 0 {
+	if sq := vec.Norm2Sq(b); sq == 0 && e.normB == 0 {
 		e.normB = 1
+	} else if !(sq >= 0x1p-1022 && sq <= math.MaxFloat64) {
+		return fmt.Errorf("core: %s%v: %w: ‖b‖² = %.3g", label, cfg.Scheme, ErrScale, sq)
 	}
 
 	rec.init(e)
@@ -390,11 +422,40 @@ func (e *engine) product(slot int, y []float64, out *abft.VectorGuard, x []float
 	return stepProduct
 }
 
-// breakdown reports a non-finite or sign-violating recurrence scalar, which
-// every scheme treats as a detected error.
-func (e *engine) breakdown() verdict {
+// breakdown reports a non-finite or sign-violating recurrence scalar. A fault
+// may have produced it, so it is a detected error like any other and rolls
+// back; the scalar is remembered for the error of a solve that ends on it
+// (rollback).
+func (e *engine) breakdown(name string, v float64, hint string) verdict {
+	e.scalar = scalar{name, v, hint}
+	return e.detected()
+}
+
+// detected fails the slice on an error no checksum flagged.
+func (e *engine) detected() verdict {
 	e.stats.Detections++
 	return stepFail
+}
+
+// unexplained is the error of a solve that ended on a failure no fault can
+// explain. It names the scalar when the last iteration broke down, and
+// otherwise says what is left: a verification the problem itself fails —
+// Chen's tests on a matrix that is not symmetric, checksums whose sums
+// overflow.
+func (e *engine) unexplained() error {
+	what := "a verification fails on a state no fault has struck"
+	if sc := e.scalar; sc.name != "" {
+		what = fmt.Sprintf("%s = %.3g%s", sc.name, sc.v, sc.hint)
+	}
+	return fmt.Errorf("core: %s%v: %w after %d iterations: %s", e.label, e.cfg.Scheme, ErrBreakdown, e.it, what)
+}
+
+// flips is the number of bit flips the injector has landed so far.
+func (e *engine) flips() int64 {
+	if e.cfg.Injector == nil {
+		return 0
+	}
+	return e.cfg.Injector.Stats().Flips
 }
 
 // unvouched turns the verdict of a recurrence slice into a failure when one
@@ -410,7 +471,7 @@ func (e *engine) unvouched(v verdict) verdict {
 	if v == stepFail {
 		return v
 	}
-	return e.breakdown()
+	return e.detected()
 }
 
 // advance runs the solve forward until it is over (true) or a protected
@@ -465,8 +526,8 @@ func (e *engine) begin() bool {
 		return false
 	}
 	if e.it >= cfg.MaxIters || st.TotalIterations >= e.maxTotal {
-		e.stop(fmt.Errorf("core: %s%v: not converged after %d useful (%d total) iterations",
-			e.label, cfg.Scheme, e.it, st.TotalIterations))
+		e.stop(fmt.Errorf("core: %s%v: %w after %d useful (%d total) iterations",
+			e.label, cfg.Scheme, ErrNotConverged, e.it, st.TotalIterations))
 		return false
 	}
 
@@ -479,7 +540,7 @@ func (e *engine) begin() bool {
 	if e.abft {
 		st.TimeVerif += e.costs.Tverif
 	}
-	e.inIter, e.stage = true, 0
+	e.inIter, e.stage, e.scalar = true, 0, scalar{}
 	return true
 }
 
@@ -694,9 +755,16 @@ func (e *engine) save(charge bool) {
 
 // rollback abandons any iteration in flight, restores the live matrices and
 // the last checkpoint — escalating to the initial state after stuckLimit
-// no-progress retries — and re-arms the guards.
+// no-progress retries — and re-arms the guards. An escalation is tried once:
+// when the retries from the rebuilt state are used up as well and no flip has
+// landed since it was built, they were a function of the input alone and
+// would fail the same way for ever, so the solve ends with ErrBreakdown.
 func (e *engine) rollback() {
 	e.inIter = false
+	if e.stuck >= stuckLimit && e.fromInput == e.flips() {
+		e.stop(e.unexplained())
+		return
+	}
 	e.stats.Rollbacks++
 	e.stats.TimeRecovery += e.costs.Trec
 	// A rollback finds the live matrices suspect, and the caller's are the
@@ -716,6 +784,7 @@ func (e *engine) rollback() {
 		e.save(false)
 		e.stuck = 0
 		e.highWater = 0
+		e.fromInput = e.flips()
 	} else {
 		e.store.Restore(e.view)
 		e.it = e.view.Iteration

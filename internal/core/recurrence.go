@@ -72,7 +72,7 @@ func (c *pcgRec) step(e *engine, stage int) verdict {
 		// detected error.
 		pq := e.dot(e.p, e.q)
 		if pq <= 0 || math.IsNaN(pq) || math.IsInf(pq, 0) {
-			return e.breakdown()
+			return e.breakdown("pᵀAp", pq, ": matrix not SPD?")
 		}
 		alpha := e.rho / pq
 		repairs := e.stats.Corrections
@@ -81,7 +81,7 @@ func (c *pcgRec) step(e *engine, stage int) verdict {
 		}
 		if e.mat[1] != nil {
 			if e.stats.Corrections != repairs && !c.rhoStands(e, alpha) {
-				return e.breakdown()
+				return e.detected()
 			}
 			// z ← M·r, protected like the A-product (the r-guard provides
 			// the input reference).
@@ -90,7 +90,7 @@ func (c *pcgRec) step(e *engine, stage int) verdict {
 	}
 	rhoNew := e.dot(e.r, c.z)
 	if math.IsNaN(rhoNew) || math.IsInf(rhoNew, 0) {
-		return e.breakdown()
+		return e.breakdown("ρ", rhoNew, "")
 	}
 	zGuard := c.zGuard
 	if e.mat[1] == nil {
@@ -169,7 +169,7 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 		}
 		rhoNew := e.dot(c.rHat, e.r)
 		if unusable(rhoNew) {
-			return e.breakdown()
+			return e.breakdown("ρ = r̂ᵀr", rhoNew, "")
 		}
 		if e.it == 0 {
 			copy(e.p, e.r)
@@ -185,7 +185,7 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 	case 1:
 		den := e.dot(c.rHat, v)
 		if unusable(den) {
-			return e.breakdown()
+			return e.breakdown("r̂ᵀv", den, "")
 		}
 		c.alpha = e.rho / den
 		if !e.axpyTo(c.s, c.sGuard, -c.alpha, v, e.qGuard, e.r, e.rGuard) {
@@ -205,11 +205,11 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 	}
 	tt := e.dot(c.t, c.t)
 	if unusable(tt) {
-		return e.breakdown()
+		return e.breakdown("tᵀt", tt, "")
 	}
 	c.omega = e.dot(c.t, c.s) / tt
 	if unusable(c.omega) {
-		return e.breakdown()
+		return e.breakdown("ω", c.omega, "")
 	}
 	if !e.axpy(c.alpha, e.p, e.pGuard, e.x, e.xGuard) || !e.axpy(c.omega, c.s, c.sGuard, e.x, e.xGuard) ||
 		!e.axpyTo(e.r, e.rGuard, -c.omega, c.t, c.tGuard, c.s, c.sGuard) {

@@ -18,7 +18,9 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/checksum"
+	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/sparse"
 )
 
 // TestMain is the package's leak check: once every test has shut its
@@ -426,6 +428,60 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// operandSchemes is every scheme an inline operand may ask for.
+var operandSchemes = []string{"online-detection", "abft-detection", "abft-correction"}
+
+// scaledLaplacian is f·L for the 2-D Laplacian of an m×m grid, as an inline
+// operand.
+func scaledLaplacian(m int, f float64) *api.InlineCSR {
+	a := sparse.Poisson2D(m, m)
+	for i := range a.Val {
+		a.Val[i] *= f
+	}
+	return &api.InlineCSR{Rows: a.Rows, Cols: a.Cols, Rowidx: a.Rowidx, Colid: a.Colid, Val: a.Val}
+}
+
+// TestOperandThatBreaksTheMethodDownIsAnswered: an inline operand that is
+// merely not positive definite, or whose scale takes the recurrence out of the
+// floating-point range, held a solver slot for 10·MaxIters + 1000 rollbacks —
+// seconds at n = 1024, the better part of a minute at n = 4096 — which no
+// deadline frees once the solve has started. It is a property of the operand
+// and its right-hand side, found by solving, so it is answered as a solve
+// error in a 200 (not a 400 at admission, which has no right-hand side yet)
+// within the client's deadline, on every scheme, and the slot serves the next
+// request.
+func TestOperandThatBreaksTheMethodDownIsAnswered(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
+	client := &http.Client{Timeout: time.Second}
+	for _, f := range []float64{-1, 1e160, 1e-170} {
+		for _, scheme := range operandSchemes {
+			req := api.SolveRequest{Inline: scaledLaplacian(32, f), Scheme: scheme, Seed: 7}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%g·L under %s: %v", f, scheme, err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var out api.SolveResponse
+			if err := json.Unmarshal(raw, &out); resp.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("%g·L under %s: status %d, body %s", f, scheme, resp.StatusCode, raw)
+			}
+			typed := strings.Contains(out.SolveError, core.ErrBreakdown.Error()) || strings.Contains(out.SolveError, core.ErrScale.Error())
+			if !typed || out.Result.Converged != 0 || out.Result.Failures != 1 {
+				t.Errorf("%g·L under %s: solve_error %q, record %+v", f, scheme, out.SolveError, out.Result)
+			}
+		}
+	}
+	var ok api.SolveResponse
+	if status := postSolve(t, ts.URL, poisson2DRequest(64), &ok); status != http.StatusOK || ok.Result.Converged != 1 {
+		t.Fatalf("the slot did not serve the next request: status %d, %+v", status, ok)
 	}
 }
 

@@ -232,6 +232,23 @@ func TestWireGolden(t *testing.T) {
 		}}
 		add(exchange(t, "single inline", http.MethodPost, ts.URL+"/v1/solve", mustJSON(t, inline), false))
 
+		// An operand that breaks the method down by itself — not positive
+		// definite, or with ‖b‖² outside the normal range — is a 200 with a
+		// typed solve_error as well: it takes the solve to find out.
+		for _, edge := range []struct {
+			tag string
+			f   float64
+		}{{"not SPD", -1}, {"out of scale", 1e-170}} {
+			broken := inline
+			broken.Inline = &api.InlineCSR{Rows: 3, Cols: 3, Rowidx: inline.Inline.Rowidx, Colid: inline.Inline.Colid}
+			for _, v := range inline.Inline.Val {
+				broken.Inline.Val = append(broken.Inline.Val, edge.f*v)
+			}
+			add(exchange(t, "single inline "+edge.tag, http.MethodPost, ts.URL+"/v1/solve", mustJSON(t, broken), false))
+			add(exchange(t, "batch inline "+edge.tag, http.MethodPost, ts.URL+"/v1/solve/batch",
+				mustJSON(t, api.BatchSolveRequest{SolveRequest: broken, RHS: []api.BatchRHS{{Seed: 1}, {Seed: 2}}}), false))
+		}
+
 		starved := specRequest(t, "poisson2d", 225, 0)
 		starved.MaxIters = 3
 		add(exchange(t, "single solve error", http.MethodPost, ts.URL+"/v1/solve", mustJSON(t, starved), false))
