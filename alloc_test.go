@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/precond"
-	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/tmr"
 	"repro/internal/vec"
@@ -74,28 +73,30 @@ func TestZeroAllocVectorGuard(t *testing.T) {
 	})
 }
 
+// TestZeroAllocSolverSteadyState is the unprotected baseline's gate: the
+// engine's Unprotected scheme, every recurrence, on a warm workspace.
 func TestZeroAllocSolverSteadyState(t *testing.T) {
 	a, b := allocMatrix(t)
-	ws := solver.NewWorkspace()
-	opt := solver.Options{Tol: 1e-8, Ws: ws}
 	m, err := precond.Jacobi(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := core.Config{Scheme: core.Unprotected, Tol: 1e-8, Ws: core.NewWorkspace()}
+	pcg := cfg
+	pcg.M = m
 
 	cases := []struct {
 		name string
-		run  func() (solver.Result, error)
+		run  func() ([]float64, core.Stats, error)
 	}{
-		{"CG", func() (solver.Result, error) { return solver.CG(a, b, opt) }},
-		{"PCG", func() (solver.Result, error) { return solver.PCGWith(a, m, b, opt) }},
-		{"BiCGstab", func() (solver.Result, error) { return solver.BiCGstab(a, b, opt) }},
+		{"CG", func() ([]float64, core.Stats, error) { return core.Solve(a, b, cfg) }},
+		{"PCG", func() ([]float64, core.Stats, error) { return core.Solve(a, b, pcg) }},
+		{"BiCGstab", func() ([]float64, core.Stats, error) { return core.SolveBiCGstab(a, b, cfg) }},
 	}
 	for _, tc := range cases {
-		tc.run() // warm the workspace
-		assertZeroAllocs(t, "solver."+tc.name, func() {
-			if _, err := tc.run(); err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
+		assertZeroAllocs(t, "core.Unprotected/"+tc.name, func() {
+			if _, st, err := tc.run(); err != nil || !st.Converged {
+				t.Fatalf("%s: err=%v converged=%v", tc.name, err, st.Converged)
 			}
 		})
 	}
@@ -125,24 +126,10 @@ func TestZeroAllocBlockedSolvers(t *testing.T) {
 		}
 	}
 
-	sws := solver.NewWorkspace()
-	res := make([]solver.Result, k)
-	serrs := make([]error, k)
-	assertZeroAllocs(t, "solver.CGBlock", func() {
-		if err := solver.CGBlock(a, bs, solver.BlockOptions{Tol: 1e-8, Ws: sws}, res, serrs); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < k; j++ {
-			if serrs[j] != nil || !res[j].Converged {
-				t.Fatalf("lane %d: err=%v converged=%v", j, serrs[j], res[j].Converged)
-			}
-		}
-	})
-
 	bw := core.NewBlockWorkspace()
 	sts := make([]core.Stats, k)
 	errs := make([]error, k)
-	for _, scheme := range []core.Scheme{core.ABFTDetection, core.ABFTCorrection} {
+	for _, scheme := range []core.Scheme{core.Unprotected, core.ABFTDetection, core.ABFTCorrection} {
 		cfg := core.BlockConfig{Scheme: scheme, Tol: 1e-8, S: 4, Ws: bw}
 		assertZeroAllocs(t, "core.SolveBlock/"+scheme.String(), func() {
 			if _, err := core.SolveBlock(a, bs, cfg, sts, errs); err != nil {

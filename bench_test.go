@@ -26,7 +26,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/precond"
 	"repro/internal/sim"
-	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/tmr"
 	"repro/internal/vec"
@@ -545,24 +544,20 @@ func BenchmarkPCGSteadyState(b *testing.B) {
 func benchSolverSteadyState(b *testing.B, kind string) {
 	a := sparse.Poisson2D(48, 48)
 	rhs := randVec(a.Rows, 3)
-	ws := solver.NewWorkspace()
-	opt := solver.Options{Tol: 1e-8, Ws: ws}
-	m, err := precond.Jacobi(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func() (solver.Result, error) {
-		if kind == "pcg" {
-			return solver.PCGWith(a, m, rhs, opt)
+	cfg := core.Config{Scheme: core.Unprotected, Tol: 1e-8, Ws: core.NewWorkspace()}
+	if kind == "pcg" {
+		m, err := precond.Jacobi(a)
+		if err != nil {
+			b.Fatal(err)
 		}
-		return solver.CG(a, rhs, opt)
+		cfg.M = m
 	}
-	if _, err := run(); err != nil { // warm the workspace
+	if _, _, err := core.Solve(a, rhs, cfg); err != nil { // warm the workspace
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(); err != nil {
+		if _, _, err := core.Solve(a, rhs, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

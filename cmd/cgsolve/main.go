@@ -119,11 +119,11 @@ func loadMatrix(path, gen string, n int) (*sparse.CSR, error) {
 // historical spellings like "ABFT-Correction" keep working). The
 // unprotected baseline is resbench territory, not a resilient solve.
 func parseScheme(name string) (core.Scheme, error) {
-	scheme, unprotected, err := harness.ParseScheme(strings.ToLower(name))
+	scheme, err := harness.ParseScheme(strings.ToLower(name))
 	if err != nil {
 		return 0, err
 	}
-	if unprotected {
+	if scheme == core.Unprotected {
 		return 0, fmt.Errorf("unknown scheme %q (cgsolve runs the resilient schemes; use resbench for unprotected baselines)", name)
 	}
 	return scheme, nil

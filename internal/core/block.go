@@ -3,19 +3,20 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/abft"
 	"repro/internal/pool"
 	"repro/internal/sparse"
 )
 
-// BlockConfig parameterises a blocked multi-RHS resilient solve. The axes
-// mirror Config; fault injection is deliberately absent — the blocked tier
-// shares one live matrix and one checksum encoding across the right-hand
-// sides, which is only sound when nothing mutates them mid-block, so
-// SolveBlock is a fault-free tier (the service's batch path, where ABFT
-// verification still guards against real silent errors, is exactly that).
+// BlockConfig parameterises a blocked multi-RHS solve. The axes mirror
+// Config; fault injection is deliberately absent — the blocked tier shares
+// one live matrix and one checksum encoding across the right-hand sides,
+// which is only sound when nothing mutates them mid-block, so SolveBlock is a
+// fault-free tier (the service's batch path, where ABFT verification still
+// guards against real silent errors, is exactly that).
 type BlockConfig struct {
-	// Scheme selects the resilience method: ABFTDetection or ABFTCorrection.
-	// OnlineDetection has no protected product to amortise and is not
+	// Scheme selects the method: ABFTDetection, ABFTCorrection or Unprotected.
+	// OnlineDetection's robust product has no blocked form and is not
 	// supported here (callers fall back to sequential solves).
 	Scheme Scheme
 	// S and D override the model-optimal checkpoint and verification
@@ -91,13 +92,13 @@ func (bw *BlockWorkspace) lane(j int) *blockLane {
 	return bw.lanes[j]
 }
 
-// SolveBlock runs the resilient CG of the configured ABFT scheme on the k
-// systems A·x_j = bs[j] simultaneously: every round advances each active
-// lane's engine to its pending product, computes all products q_j = A·p_j
-// four lanes to a pass over each row of the CSR arrays
-// (abft.Protected.MulVecBlock) — each nonzero loaded once and the Rowidx
-// checksums accumulated once per four systems — and lets each lane complete
-// its iteration on the shared sums.
+// SolveBlock runs the CG of the configured scheme on the k systems
+// A·x_j = bs[j] simultaneously: every round advances each active lane's
+// engine to its pending product, computes all products q_j = A·p_j four lanes
+// to a pass over each row of the CSR arrays (abft.Protected.MulVecBlock, or
+// sparse.CSR.MulVecBlock under Unprotected) — each nonzero loaded once and the
+// Rowidx checksums accumulated once per four systems — and lets each lane
+// complete its iteration on the shared sums.
 // Convergence, verification and detection state stay fully independent per
 // right-hand side, and each lane's entire trajectory — iterates, residual
 // history, statistics — is bitwise identical to solving that system alone
@@ -126,8 +127,8 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 	if len(sts) < k || len(errs) < k {
 		return nil, fmt.Errorf("core: SolveBlock needs len(sts) and len(errs) ≥ %d", k)
 	}
-	if cfg.Scheme != ABFTDetection && cfg.Scheme != ABFTCorrection {
-		return nil, fmt.Errorf("core: SolveBlock supports the ABFT schemes only, got %v", cfg.Scheme)
+	if cfg.Scheme == OnlineDetection {
+		return nil, fmt.Errorf("core: SolveBlock has no blocked product for %v", cfg.Scheme)
 	}
 
 	bw := cfg.Ws
@@ -135,19 +136,23 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 		bw = NewBlockWorkspace()
 	}
 	bw.onIter = cfg.OnIteration
-	live := bw.shared.liveCopy(0, a)
-	prot := bw.shared.protected(0, live, a, abftMode(cfg.Scheme))
-	if err := prot.CS.Err; err != nil {
-		return nil, fmt.Errorf("core: SolveBlock %v: %w", cfg.Scheme, err)
-	}
-
-	// Resolve the model-optimal intervals once for the whole block.
 	laneCfg := Config{
 		Scheme: cfg.Scheme, S: cfg.S, D: 1, Tol: cfg.Tol, MaxIters: cfg.MaxIters,
 		Costs: cfg.Costs, Pool: cfg.Pool,
 	}.withDefaults(n)
-	if laneCfg.S == 0 {
-		_, laneCfg.S = OptimalIntervals(a, cfg.Scheme, 0, laneCfg.Costs)
+	// One live copy, one encoding and one resolution of the model-optimal
+	// interval for the whole block; Unprotected has none of the three.
+	var live *sparse.CSR
+	var prot *abft.Protected
+	if cfg.Scheme.abft() {
+		live = bw.shared.liveCopy(0, a)
+		prot = bw.shared.protected(0, live, a, abftMode(cfg.Scheme))
+		if err := prot.CS.Err; err != nil {
+			return nil, fmt.Errorf("core: SolveBlock %v: %w", cfg.Scheme, err)
+		}
+		if laneCfg.S == 0 {
+			_, laneCfg.S = OptimalIntervals(a, cfg.Scheme, 0, laneCfg.Costs)
+		}
 	}
 	for j := 0; j < k; j++ {
 		l := bw.lane(j)
@@ -171,7 +176,12 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 		if len(bw.idx) == 0 {
 			break
 		}
-		sr := prot.MulVecBlock(bw.qs, bw.ps)
+		var sr abft.RowSums
+		if prot != nil {
+			sr = prot.MulVecBlock(bw.qs, bw.ps)
+		} else {
+			a.MulVecBlock(bw.qs, bw.ps)
+		}
 		for _, j := range bw.idx {
 			bw.lanes[j].ws.run.complete(sr)
 		}

@@ -44,7 +44,7 @@ func solveAs(solver string, a *sparse.CSR, b []float64, cfg Config) ([]float64, 
 }
 
 // breakdownSchemes is every scheme a breakdown must end under.
-var breakdownSchemes = Schemes
+var breakdownSchemes = []Scheme{OnlineDetection, ABFTDetection, ABFTCorrection, Unprotected}
 
 // TestUnexplainedBreakdownIsATypedError: an operand that breaks the method
 // down by itself — not positive definite, or of a magnitude whose products

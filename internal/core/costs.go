@@ -158,9 +158,9 @@ func TcorrectVector(a *sparse.CSR, cp CostParams) float64 {
 }
 
 // SetupCost returns the one-off cost of building the ABFT checksum
-// encoding (amortised over the whole solve; zero for Online-Detection).
+// encoding (amortised over the whole solve; zero for the schemes without one).
 func SetupCost(a *sparse.CSR, scheme Scheme, cp CostParams) float64 {
-	if scheme == OnlineDetection {
+	if !scheme.abft() {
 		return 0
 	}
 	return float64(8*int64(a.NNZ())+4*int64(len(a.Rowidx))) * cp.FlopTime

@@ -46,12 +46,13 @@ var ErrBreakdown = errors.New("recurrence breakdown")
 // the convergence test on x = 0.
 var ErrScale = errors.New("right-hand side out of floating-point range")
 
-// Solve runs the resilient Conjugate Gradient of the configured scheme on
-// Ax = b — preconditioned by cfg.M when it is set — and returns the
-// solution, the execution statistics and an error when the method did not
-// converge. The caller's matrices are never modified — faults are injected
-// into internal working copies — and must not be modified by anyone else
-// while the solve runs: they are the valid copy a rollback restores from.
+// Solve runs the Conjugate Gradient of the configured scheme on Ax = b —
+// preconditioned by cfg.M when it is set — and returns the solution, the
+// execution statistics and an error when the method did not converge. The
+// caller's matrices are never modified — faults are injected into internal
+// working copies — and must not be modified by anyone else while the solve
+// runs: they are the valid copy a rollback restores from, and what an
+// Unprotected solve reads.
 func Solve(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 	ws := cfg.Ws.begin()
 	e := &ws.run
@@ -62,10 +63,10 @@ func Solve(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 	return e.solve(&e.pcg, label, ws, a, b, cfg)
 }
 
-// SolveBiCGstab runs the resilient BiCGstab on Ax = b for general (possibly
-// nonsymmetric) A. Only the ABFT schemes are supported: Chen's
-// orthogonality test is CG-specific, so OnlineDetection has no faithful
-// BiCGstab counterpart; neither has the preconditioner slot.
+// SolveBiCGstab runs BiCGstab on Ax = b for general (possibly nonsymmetric)
+// A, under the ABFT schemes or Unprotected: Chen's orthogonality test is
+// CG-specific, so OnlineDetection has no faithful BiCGstab counterpart;
+// neither has the preconditioner slot.
 func SolveBiCGstab(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 	if cfg.Scheme == OnlineDetection {
 		return nil, Stats{}, fmt.Errorf("core: BiCGstab supports the ABFT schemes only")
@@ -114,6 +115,7 @@ const (
 	stepDone                   // iteration complete
 	stepHalf                   // complete by an early exit: counted and reported, but no chunk bookkeeping
 	stepFail                   // an error was detected: roll back
+	stepStop                   // the slice ended the solve (engine.stop)
 )
 
 // product describes one protected sparse product y ← (A or M)·x.
@@ -147,20 +149,21 @@ type armed struct {
 	v []float64
 }
 
-// engine is the one resilient solve state machine. It lives in the
+// engine is the one solve state machine, under every scheme. It lives in the
 // Workspace, so its helpers are methods instead of capturing closures and a
 // workspace-carrying warm solve allocates nothing.
 type engine struct {
 	cfg     Config
 	label   string // error-message prefix naming the recurrence
-	abft    bool   // an ABFT scheme (vs OnlineDetection)
+	abft    bool   // an ABFT scheme
+	plain   bool   // Unprotected: no working copies, no verification, no checkpoint
 	costs   Costs
 	confirm float64 // modeled cost of the convergence-confirmation product
 	rec     recurrence
 	ws      *Workspace
 
 	src  [2]*sparse.CSR     // the caller's A, and M or nil: read-only input, the valid copy
-	mat  [2]*sparse.CSR     // live working copies of src, which the injector strikes
+	mat  [2]*sparse.CSR     // live working copies of src, which the injector strikes (src itself when plain)
 	prot [2]*abft.Protected // their ABFT wrappers (ABFT schemes only)
 	b    []float64          // the caller's right-hand side
 	x, r []float64          // iterate and recurrence residual
@@ -226,24 +229,32 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 		return fmt.Errorf("core: %sneeds an n×n preconditioner", label)
 	}
 	cfg = cfg.withDefaults(n)
+	plain := cfg.Scheme == Unprotected
+	if plain && cfg.Injector != nil {
+		return fmt.Errorf("core: %s%v takes no injector: nothing would recover from a flip", label, cfg.Scheme)
+	}
 
 	exec := e.exec
 	if exec == nil {
 		exec = new(tmr.Executor)
 	}
 	exec.Pool = cfg.Pool
-	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme != OnlineDetection, rec: rec, ws: ws, b: b, exec: exec}
+	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme.abft(), plain: plain, rec: rec, ws: ws, b: b, exec: exec}
 	e.src = [2]*sparse.CSR{a, cfg.M}
 	e.fromInput = -1
 	_, _, e.undecided = exec.Stats()
 
-	e.mat[0] = sharedLive
-	if sharedLive == nil {
-		e.mat[0] = ws.liveCopy(0, a)
+	e.mat = e.src
+	if !plain {
+		if e.mat[0] = sharedLive; sharedLive == nil {
+			e.mat[0] = ws.liveCopy(0, a)
+		}
+		if cfg.M != nil {
+			e.mat[1] = ws.liveCopy(1, cfg.M)
+		}
 	}
 	e.costs = NewCosts(e.mat[0], cfg.Scheme, cfg.Costs)
 	if cfg.M != nil {
-		e.mat[1] = ws.liveCopy(1, cfg.M)
 		// The paper's checkpoint carries every matrix, so M is priced as well.
 		extraCp := float64(e.mat[1].MemoryWords()) * cfg.Costs.WordTime
 		e.costs.Tcp += extraCp
@@ -251,7 +262,9 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	}
 
 	e.d, e.s = cfg.D, cfg.S
-	if e.d == 0 || e.s == 0 {
+	if plain {
+		e.d, e.s = 0, 0 // no verification, no checkpoint: no cadence
+	} else if e.d == 0 || e.s == 0 {
 		alpha := 0.0
 		if cfg.Injector != nil {
 			alpha = cfg.Injector.Alpha()
@@ -313,8 +326,10 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 		e.rGuard, e.pGuard, e.xGuard, e.qGuard = e.guard(e.r), e.guard(e.p), e.guard(e.x), e.guard(e.q)
 	}
 
-	e.store = ws.checkpoints()
-	e.save(false) // initial state; re-reading inputs is free
+	if !plain {
+		e.store = ws.checkpoints()
+		e.save(false) // initial state; re-reading inputs is free
+	}
 	return nil
 }
 
@@ -425,9 +440,14 @@ func (e *engine) product(slot int, y []float64, out *abft.VectorGuard, x []float
 // breakdown reports a non-finite or sign-violating recurrence scalar. A fault
 // may have produced it, so it is a detected error like any other and rolls
 // back; the scalar is remembered for the error of a solve that ends on it
-// (rollback).
+// (rollback). Unprotected has nothing to roll back to and no fault model to
+// blame: its solve ends here.
 func (e *engine) breakdown(name string, v float64, hint string) verdict {
 	e.scalar = scalar{name, v, hint}
+	if e.plain {
+		e.stop(e.unexplained())
+		return stepStop
+	}
 	return e.detected()
 }
 
@@ -491,6 +511,7 @@ func (e *engine) advance() bool {
 			e.end(false)
 		case stepFail:
 			e.fail()
+		case stepStop:
 		}
 	}
 	return true
@@ -509,10 +530,7 @@ func (e *engine) begin() bool {
 	// still converges towards the correct answer"), and demanding more here
 	// would loop forever on a consistently-corrupted-but-harmless system.
 	if e.rec.resNorm(e) <= cfg.Tol*e.normB {
-		st.TimeVerif += e.confirm
-		e.mat[0].MulVecRobustParallel(cfg.Pool, e.rr, e.x)
-		tr := e.residualNorm()
-		if tr <= math.Max(10*cfg.Tol, 1e-6)*e.normB && !math.IsNaN(tr) {
+		if e.plain || e.confirmed() {
 			st.Converged = true
 			e.stop(nil)
 			return false
@@ -544,6 +562,20 @@ func (e *engine) begin() bool {
 	return true
 }
 
+// confirmed recomputes the true residual of the iterate and holds it to the
+// confirmation threshold (begin), at the modeled cost of one product.
+func (e *engine) confirmed() bool {
+	e.stats.TimeVerif += e.confirm
+	e.mat[0].MulVecRobustParallel(e.cfg.Pool, e.rr, e.x)
+	return e.verified(e.residualNorm())
+}
+
+// verified holds a recomputed true residual norm to the confirmation
+// threshold.
+func (e *engine) verified(tr float64) bool {
+	return tr <= math.Max(10*e.cfg.Tol, 1e-6)*e.normB && !math.IsNaN(tr)
+}
+
 func (e *engine) stop(err error) {
 	e.stats.UsefulIterations = e.it
 	e.done, e.err = true, err
@@ -556,14 +588,19 @@ func (e *engine) residualNorm() float64 {
 	return vec.Norm2(e.rr)
 }
 
-// multiply runs the pending product sequentially: fused with the runtime
-// Rowidx checksums under ABFT, robust against corrupted indices otherwise.
+// multiply runs the pending product: fused with the runtime Rowidx checksums
+// under ABFT, robust against corrupted indices under Online-Detection, strict
+// where nothing corrupts them.
 func (e *engine) multiply() (sr abft.RowSums) {
 	p := &e.prod
-	if e.abft {
+	switch {
+	case e.abft:
 		return e.prot[p.slot].MulVec(p.y, p.x)
+	case e.plain:
+		e.mat[p.slot].MulVecParallel(e.cfg.Pool, p.y, p.x)
+	default:
+		e.mat[p.slot].MulVecRobustParallel(e.cfg.Pool, p.y, p.x)
 	}
-	e.mat[p.slot].MulVecRobustParallel(e.cfg.Pool, p.y, p.x)
 	return sr
 }
 
@@ -670,7 +707,7 @@ func (e *engine) end(full bool) {
 		cfg.OnIteration(e.it, e.rho)
 	}
 	e.emit(false)
-	if !full {
+	if !full || e.plain {
 		return
 	}
 	if e.it > e.highWater {
@@ -802,11 +839,24 @@ func (e *engine) rollback() {
 // the caller's pristine matrix.
 func (e *engine) finish() ([]float64, Stats, error) {
 	st := &e.stats
+	if e.plain {
+		// What the paper normalises by is a product, not a running sum.
+		st.TimeIter = float64(st.TotalIterations) * e.costs.Titer
+	}
 	st.SimTime = st.TimeIter + st.TimeVerif + st.TimeCkpt + st.TimeRecovery + st.SimTime
 	if e.cfg.Injector != nil {
 		st.FaultsInjected = e.cfg.Injector.Stats().Flips
 	}
 	e.src[0].MulVecParallel(e.cfg.Pool, e.rr, e.x)
-	st.FinalResidual = e.residualNorm() / e.normB
+	tr := e.residualNorm()
+	st.FinalResidual = tr / e.normB
+	if e.plain && st.Converged && !e.verified(tr) {
+		// Nothing confirmed the recurrence residual on the way, and on an
+		// ill-conditioned operand it can part from the true one (BiCGstab's
+		// does): the product the report needs anyway says so.
+		st.Converged = false
+		e.err = fmt.Errorf("core: %s%v: %w: the recurrence residual met the tolerance, the true relative residual is %.3g",
+			e.label, e.cfg.Scheme, ErrNotConverged, st.FinalResidual)
+	}
 	return e.x, *st, e.err
 }

@@ -9,8 +9,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// Scheme identifies one of the three resilient methods compared in the
-// paper.
+// Scheme identifies how a solve is protected: one of the three resilient
+// methods compared in the paper, or not at all — the baseline every result of
+// the paper is a quotient against, which the same engine runs.
 type Scheme int
 
 const (
@@ -23,7 +24,16 @@ const (
 	// ABFTCorrection verifies every iteration with double checksums and
 	// corrects single errors forward (Section 4.2.3).
 	ABFTCorrection
+	// Unprotected is the baseline: the same recurrences on the strict product
+	// and the plain vector kernels, reading the caller's matrices in place —
+	// no verification, no checkpoint, no confirmation product, no injector
+	// (there is nothing to recover with), and a scalar that breaks down ends
+	// the solve. Appended, so no stored scheme value moved.
+	Unprotected
 )
+
+// abft reports one of the two ABFT schemes.
+func (s Scheme) abft() bool { return s == ABFTDetection || s == ABFTCorrection }
 
 // String returns the paper's name for the scheme.
 func (s Scheme) String() string {
@@ -34,15 +44,18 @@ func (s Scheme) String() string {
 		return "ABFT-Detection"
 	case ABFTCorrection:
 		return "ABFT-Correction"
+	case Unprotected:
+		return "Unprotected"
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
 }
 
-// Schemes lists all three, in the paper's presentation order.
+// Schemes lists the three resilient methods, in the paper's presentation
+// order.
 var Schemes = []Scheme{OnlineDetection, ABFTDetection, ABFTCorrection}
 
-// Config parameterises a resilient solve.
+// Config parameterises a solve.
 type Config struct {
 	// Scheme selects the resilience method.
 	Scheme Scheme
@@ -63,7 +76,7 @@ type Config struct {
 	// MaxIters caps the useful iterations (default 20·n).
 	MaxIters int
 	// Injector, when non-nil, strikes the live state with bit flips each
-	// iteration. Nil runs fault-free.
+	// iteration. Nil runs fault-free. Unprotected refuses one.
 	Injector *fault.Injector
 	// Costs calibrates the time accounting; zero value means defaults.
 	Costs CostParams

@@ -39,8 +39,11 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // carrying this workspace against a same-shaped matrix reuses the storage
 // built here. Prewarming is optional and never changes results.
 func (w *Workspace) Prewarm(a *sparse.CSR, scheme Scheme) {
+	if scheme == Unprotected {
+		return // reads a in place
+	}
 	live := w.liveCopy(0, a)
-	if scheme != OnlineDetection {
+	if scheme.abft() {
 		w.protected(0, live, a, abftMode(scheme))
 	}
 }

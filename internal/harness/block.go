@@ -5,23 +5,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pool"
-	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
 // BlockWorkspaces bundles the reusable arenas of a blocked multi-RHS solve:
 // the core block workspace (shared matrix copy + checksum encoding, per-lane
-// vectors), the solver workspace for the unprotected blocked CG, and a
-// sequential workspace pair for the axis combinations the blocked drivers do
-// not cover (see SolveBlockWith). Not safe for concurrent solves.
+// vectors) and a sequential workspace for the axis combinations the blocked
+// driver does not cover (see SolveBlockWith). Not safe for concurrent solves.
 type BlockWorkspaces struct {
-	Core   *core.BlockWorkspace
-	Solver *solver.Workspace
-	Seq    *Workspaces
-
-	// per-lane scratch of the unprotected dispatch, reused across solves
-	res  []solver.Result
-	onit func(rhs, it int, res float64)
+	Core *core.BlockWorkspace
+	Seq  *Workspaces
 
 	// per-lane iteration adapters of the sequential fallback, bound to
 	// seqCB so the closures themselves survive across solves (the warm
@@ -43,11 +36,7 @@ func (ws *BlockWorkspaces) laneCallback(j int, cb func(rhs, it int, rho float64)
 
 // NewBlockWorkspaces returns an empty warm-up-on-first-use workspace bundle.
 func NewBlockWorkspaces() *BlockWorkspaces {
-	return &BlockWorkspaces{
-		Core:   core.NewBlockWorkspace(),
-		Solver: solver.NewWorkspace(),
-		Seq:    &Workspaces{Core: core.NewWorkspace(), Solver: solver.NewWorkspace()},
-	}
+	return &BlockWorkspaces{Core: core.NewBlockWorkspace(), Seq: &Workspaces{Core: core.NewWorkspace()}}
 }
 
 // BlockOpts bundles the execution hooks of SolveBlockWith. Every field is
@@ -72,14 +61,14 @@ type BlockOpts struct {
 // caller (the batch service resolves each from its own rhs_seed).
 //
 // Dispatch: CG × {unprotected, abft-detection, abft-correction} × fault-free
-// runs the true blocked drivers (one matrix traversal per iteration covers
-// every active system); every other combination — PCG, BiCGstab,
-// online-detection, or fault injection, whose per-system injector streams
-// and preconditioner state don't share a traversal — falls back to
-// sequential per-system solves on the Seq workspace pair. Both paths are
-// bitwise identical per system to a sequential SolveWith of that system
-// alone; the blocked drivers guarantee it by construction (gated in CI on
-// every suite matrix), the fallback trivially.
+// runs the blocked driver (one matrix traversal per iteration covers every
+// active system); every other combination — PCG, BiCGstab, online-detection,
+// or fault injection, whose per-system injector streams and preconditioner
+// state don't share a traversal — falls back to sequential per-system solves
+// on the Seq workspace. Both paths are bitwise identical per system to a
+// sequential SolveWith of that system alone; the blocked driver guarantees
+// it by construction (gated in CI on every suite matrix), the fallback
+// trivially.
 //
 // Per-system statistics and errors land in sts[j] and errs[j] (length ≥ k).
 func SolveBlockWith(a *sparse.CSR, bs [][]float64, sc Scenario, seeds []int64, opt BlockOpts, sts []core.Stats, errs []error) error {
@@ -101,70 +90,27 @@ func SolveBlockWith(a *sparse.CSR, bs [][]float64, sc Scenario, seeds []int64, o
 	if ws == nil {
 		ws = NewBlockWorkspaces()
 	}
-	scheme, unprotected, _ := ParseScheme(sc.Scheme)
+	scheme, _ := ParseScheme(sc.Scheme)
 
-	switch {
-	case sc.Solver == "cg" && sc.Alpha == 0 && unprotected:
-		return solveBlockUnprotected(a, bs, sc, ws, opt, sts, errs)
-	case sc.Solver == "cg" && sc.Alpha == 0 && (scheme == core.ABFTDetection || scheme == core.ABFTCorrection):
+	if sc.Solver == "cg" && sc.Alpha == 0 && scheme != core.OnlineDetection {
 		_, err := core.SolveBlock(a, bs, core.BlockConfig{
 			Scheme: scheme, S: sc.S, D: sc.D, Tol: sc.Tol, MaxIters: sc.MaxIters,
 			Pool: opt.Pool, OnIteration: opt.OnIteration, Ws: ws.Core,
 		}, sts, errs)
 		return err
-	default:
-		for j := 0; j < k; j++ {
-			scj := sc
-			scj.Seed = seeds[j]
-			var onIter func(it int, rho float64)
-			if opt.OnIteration != nil {
-				onIter = ws.laneCallback(j, opt.OnIteration)
-			}
-			_, st, err := SolveWith(a, bs[j], scj, seeds[j], SolveOpts{
-				Pool: opt.Pool, Ws: ws.Seq, M: opt.M, OnIteration: onIter,
-			})
-			sts[j] = st
-			errs[j] = err
-		}
-		return nil
 	}
-}
-
-// solveBlockUnprotected runs the blocked unprotected CG and shapes each
-// lane's outcome exactly as solveUnprotected would for that system alone.
-func solveBlockUnprotected(a *sparse.CSR, bs [][]float64, sc Scenario, ws *BlockWorkspaces, opt BlockOpts, sts []core.Stats, errs []error) error {
-	k := len(bs)
-	opts := solver.BlockOptions{Tol: sc.Tol, MaxIter: sc.MaxIters, Ws: ws.Solver}
-	if opts.Tol == 0 {
-		opts.Tol = 1e-8
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 20 * a.Rows
-	}
-	if opt.OnIteration != nil {
-		opts.OnIteration = opt.OnIteration
-	}
-	ws.res = ws.res[:0]
-	for len(ws.res) < k {
-		ws.res = append(ws.res, solver.Result{})
-	}
-	if err := solver.CGBlock(a, bs, opts, ws.res, errs); err != nil {
-		return err
-	}
-	titer := rawTiter(a, sc.Solver)
 	for j := 0; j < k; j++ {
-		res := ws.res[j]
-		st := core.Stats{
-			UsefulIterations: res.Iterations,
-			TotalIterations:  int64(res.Iterations),
-			Converged:        res.Converged,
+		scj := sc
+		scj.Seed = seeds[j]
+		var onIter func(it int, rho float64)
+		if opt.OnIteration != nil {
+			onIter = ws.laneCallback(j, opt.OnIteration)
 		}
-		st.SimTime = float64(res.Iterations) * titer
-		st.TimeIter = st.SimTime
-		if nb := normOf(bs[j]); nb > 0 {
-			st.FinalResidual = res.Residual / nb
-		}
+		_, st, err := SolveWith(a, bs[j], scj, seeds[j], SolveOpts{
+			Pool: opt.Pool, Ws: ws.Seq, M: opt.M, OnIteration: onIter,
+		})
 		sts[j] = st
+		errs[j] = err
 	}
 	return nil
 }

@@ -5,6 +5,11 @@
 // injector and worker counts — into named, seeded, reproducible scenarios
 // with a typed, schema-versioned JSON result record.
 //
+// Every scheme, the baseline included, is one call into internal/core's
+// engine: an overhead reported here divides two runs of the same loop with
+// the same hooks. internal/solver is not on that path; tests compare the
+// engine against it.
+//
 // The experiment packages (internal/sim) define the paper's Table 1 and
 // Figure 1 campaigns as harness scenarios, cmd/resbench lists and runs
 // registered scenarios (optionally sharded across processes, with an
@@ -19,7 +24,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -114,15 +118,14 @@ func (sc Scenario) Validate() error {
 	default:
 		return fmt.Errorf("harness: unknown solver %q", sc.Solver)
 	}
-	if sc.Scheme != "unprotected" {
-		if _, _, err := ParseScheme(sc.Scheme); err != nil {
-			return err
-		}
+	scheme, err := ParseScheme(sc.Scheme)
+	if err != nil {
+		return err
 	}
-	if sc.Scheme == "unprotected" && sc.Alpha > 0 {
+	if scheme == core.Unprotected && sc.Alpha > 0 {
 		return fmt.Errorf("harness: %s: the unprotected baseline cannot run under fault injection", sc.Name)
 	}
-	if sc.Solver == "bicgstab" && sc.Scheme == "online-detection" {
+	if sc.Solver == "bicgstab" && scheme == core.OnlineDetection {
 		return fmt.Errorf("harness: %s: BiCGstab supports the ABFT schemes only", sc.Name)
 	}
 	if sc.Solver == "pcg" {
@@ -136,30 +139,31 @@ func (sc Scenario) Validate() error {
 }
 
 // ParseScheme resolves a scheme slug (or its common aliases) to the core
-// scheme. The second result is true for the unprotected baseline, in which
-// case the core scheme is meaningless.
-func ParseScheme(name string) (core.Scheme, bool, error) {
+// scheme.
+func ParseScheme(name string) (core.Scheme, error) {
 	switch name {
 	case "online-detection", "online":
-		return core.OnlineDetection, false, nil
+		return core.OnlineDetection, nil
 	case "abft-detection", "abft-d":
-		return core.ABFTDetection, false, nil
+		return core.ABFTDetection, nil
 	case "abft-correction", "abft-c":
-		return core.ABFTCorrection, false, nil
+		return core.ABFTCorrection, nil
 	case "unprotected", "none":
-		return 0, true, nil
+		return core.Unprotected, nil
 	default:
-		return 0, false, fmt.Errorf("unknown scheme %q", name)
+		return 0, fmt.Errorf("unknown scheme %q", name)
 	}
 }
 
-// SchemeSlug is the inverse of ParseScheme for the protected schemes.
+// SchemeSlug is the inverse of ParseScheme.
 func SchemeSlug(s core.Scheme) string {
 	switch s {
 	case core.OnlineDetection:
 		return "online-detection"
 	case core.ABFTDetection:
 		return "abft-detection"
+	case core.Unprotected:
+		return "unprotected"
 	default:
 		return "abft-correction"
 	}
@@ -171,14 +175,14 @@ func SchemeSlug(s core.Scheme) string {
 // per-trial heap allocations only for the bookkeeping the drivers cannot
 // recycle. Not safe for concurrent solves.
 type Workspaces struct {
-	Core   *core.Workspace
+	Core *core.Workspace
+	// Solver is read by nothing: every scheme runs on Core. It stays until
+	// bench/, the last code to fill it, may drop it (ROADMAP item 6).
 	Solver *solver.Workspace
 }
 
 // wsPool recycles per-worker workspaces across the campaign fan-out.
-var wsPool = sync.Pool{New: func() any {
-	return &Workspaces{Core: core.NewWorkspace(), Solver: solver.NewWorkspace()}
-}}
+var wsPool = sync.Pool{New: func() any { return &Workspaces{Core: core.NewWorkspace()} }}
 
 // SolveOpts bundles the cache-aware execution hooks of SolveWith. Every
 // field is optional.
@@ -186,7 +190,7 @@ type SolveOpts struct {
 	// Pool, when non-nil, runs the solver kernels on the worker pool; the
 	// arithmetic is identical either way.
 	Pool *pool.Pool
-	// Ws supplies reusable solver arenas: a warm workspace pair makes the
+	// Ws supplies reusable solver arenas: a warm workspace makes the
 	// solve allocation-free, and the returned solution aliases workspace
 	// memory. Must not be shared by concurrent solves.
 	Ws *Workspaces
@@ -200,7 +204,7 @@ type SolveOpts struct {
 	OnIteration func(it int, rho float64)
 	// OnDetection, when non-nil, receives one event per fault-detection
 	// episode (streaming solves surface these live). The unprotected
-	// scheme has no detection machinery and never calls it.
+	// scheme detects nothing and never calls it.
 	OnDetection func(core.DetectionEvent)
 }
 
@@ -219,14 +223,10 @@ func SolveWith(a *sparse.CSR, b []float64, sc Scenario, seed int64, opt SolveOpt
 		return nil, core.Stats{}, err
 	}
 	var coreWs *core.Workspace
-	var solverWs *solver.Workspace
 	if opt.Ws != nil {
-		coreWs, solverWs = opt.Ws.Core, opt.Ws.Solver
+		coreWs = opt.Ws.Core
 	}
-	scheme, unprotected, _ := ParseScheme(sc.Scheme)
-	if unprotected {
-		return solveUnprotected(a, b, sc, opt.M, solverWs, opt.OnIteration)
-	}
+	scheme, _ := ParseScheme(sc.Scheme)
 	var inj *fault.Injector
 	if sc.Alpha > 0 {
 		inj = fault.New(fault.Config{Alpha: sc.Alpha, Seed: seed})
@@ -248,69 +248,6 @@ func SolveWith(a *sparse.CSR, b []float64, sc Scenario, seed int64, opt SolveOpt
 		}
 	}
 	return core.Solve(a, b, cfg)
-}
-
-// solveUnprotected runs the fault-free reference solver and shapes its
-// outcome as core.Stats: SimTime is iterations × the raw Titer of the cost
-// model, so overheads computed against it match the paper's normalisation.
-// The residual history streams through the solver's OnIteration hook, so a
-// warm workspace-carrying solve allocates nothing even when fingerprinted.
-func solveUnprotected(a *sparse.CSR, b []float64, sc Scenario, m *sparse.CSR, ws *solver.Workspace, onIter func(it int, rho float64)) ([]float64, core.Stats, error) {
-	opt := solver.Options{Tol: sc.Tol, MaxIter: sc.MaxIters, OnIteration: onIter, Ws: ws}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-8
-	}
-	if opt.MaxIter == 0 {
-		opt.MaxIter = 20 * a.Rows
-	}
-	var res solver.Result
-	var err error
-	switch sc.Solver {
-	case "pcg":
-		// Apply the same explicit preconditioner the protected driver would
-		// protect, so overheads compare like against like.
-		if m == nil {
-			m, err = BuildPrecond(a, sc.Precond)
-		}
-		if err == nil {
-			res, err = solver.PCGWith(a, m, b, opt)
-		}
-	case "bicgstab":
-		res, err = solver.BiCGstab(a, b, opt)
-	default:
-		res, err = solver.CG(a, b, opt)
-	}
-	st := core.Stats{
-		UsefulIterations: res.Iterations,
-		TotalIterations:  int64(res.Iterations),
-		Converged:        res.Converged,
-	}
-	st.SimTime = float64(res.Iterations) * rawTiter(a, sc.Solver)
-	st.TimeIter = st.SimTime
-	if nb := normOf(b); nb > 0 {
-		st.FinalResidual = res.Residual / nb
-	}
-	return res.X, st, err
-}
-
-// rawTiter is the modeled cost of one raw (unprotected) iteration.
-func rawTiter(a *sparse.CSR, solverKind string) float64 {
-	t := core.NewCosts(a, core.OnlineDetection, core.DefaultCostParams()).Titer
-	if solverKind == "bicgstab" {
-		t *= 2 // two products and roughly twice the vector work
-	}
-	return t
-}
-
-func normOf(b []float64) float64 {
-	var s float64
-	for _, v := range b {
-		s += v * v
-	}
-	if s == 0 {
-		return 1
-	}
-	return math.Sqrt(s)
 }
 
 // BuildPrecond constructs the explicit PCG preconditioner of the given

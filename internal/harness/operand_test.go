@@ -16,7 +16,7 @@ import (
 // operandCells is every solver × scheme cell SolveWith serves.
 var operandCells = func() (cells [][2]string) {
 	for _, solver := range []string{"cg", "pcg", "bicgstab"} {
-		for _, scheme := range []string{"online-detection", "abft-detection", "abft-correction"} {
+		for _, scheme := range []string{"unprotected", "online-detection", "abft-detection", "abft-correction"} {
 			if (harness.Scenario{Solver: solver, Scheme: scheme}).Validate() == nil {
 				cells = append(cells, [2]string{solver, scheme})
 			}

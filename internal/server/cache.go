@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/solver"
 	"repro/internal/sparse"
 )
 
@@ -373,7 +372,7 @@ func (e *entry) artifactsFor(sc harness.Scenario) (harness.Scenario, *sparse.CSR
 			return sc, nil, err
 		}
 	}
-	if scheme, unprotected, _ := harness.ParseScheme(sc.Scheme); !unprotected && (sc.D == 0 || sc.S == 0) {
+	if scheme, _ := harness.ParseScheme(sc.Scheme); scheme != core.Unprotected && (sc.D == 0 || sc.S == 0) {
 		d, s := e.intervalsFor(scheme, sc.Alpha)
 		if sc.D == 0 {
 			sc.D = d
@@ -386,7 +385,7 @@ func (e *entry) artifactsFor(sc harness.Scenario) (harness.Scenario, *sparse.CSR
 }
 
 // solveCtx is the per-request execution context drawn from an entry's
-// pool: a warm workspace pair, the residual-history buffer and the
+// pool: a warm workspace, the residual-history buffer and the
 // recording closure bound to it. Everything is built once, so a warm
 // request reuses it all and allocates nothing.
 type solveCtx struct {
@@ -401,10 +400,7 @@ type solveCtx struct {
 }
 
 func newSolveCtx() *solveCtx {
-	c := &solveCtx{ws: &harness.Workspaces{
-		Core:   core.NewWorkspace(),
-		Solver: solver.NewWorkspace(),
-	}}
+	c := &solveCtx{ws: &harness.Workspaces{Core: core.NewWorkspace()}}
 	c.record = func(_ int, rho float64) {
 		c.hist = append(c.hist, rho)
 		if tr := c.trace; tr != nil {

@@ -432,7 +432,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // operandSchemes is every scheme an inline operand may ask for.
-var operandSchemes = []string{"online-detection", "abft-detection", "abft-correction"}
+var operandSchemes = []string{"unprotected", "online-detection", "abft-detection", "abft-correction"}
 
 // scaledLaplacian is f·L for the 2-D Laplacian of an m×m grid, as an inline
 // operand.
