@@ -1,6 +1,7 @@
 // Package core implements the paper's primary contribution: resilient
 // iterative solves that combine backward recovery (checkpoint and rollback)
-// with per-iteration verification, in three flavours:
+// with per-iteration verification, in three flavours — and, through the same
+// code, the solve they are all measured against:
 //
 //	OnlineDetection — Chen's scheme (PPoPP'13) as extended by the paper:
 //	    verify every d iterations by recomputing the residual and checking
@@ -15,20 +16,29 @@
 //	    product's output, by restoring the matrix from the caller's copy and
 //	    running the product again; only what then remains — several errors in
 //	    the vectors of one iteration — rolls back.
+//	Unprotected    — the baseline of every overhead the paper reports: the
+//	    strict product and the plain vector kernels on the caller's matrices,
+//	    nothing verified, nothing saved.
 //
-// The paper's model never mentions which recurrence runs inside a chunk,
-// and neither does the code: one engine (engine.go) owns the scheme, the
-// d/s cadence, fault injection, ABFT settlement, Chen's verification,
-// checkpoint, rollback and the modeled time, and is parameterised by a
-// recurrence (recurrence.go) — CG/PCG and BiCGstab — that supplies its
-// vectors, its convergence norm and one step cut at its protected products.
-// SolveBlock advances several engines in lockstep around one blocked
-// product.
+// One engine, four schemes. The paper's model never mentions which
+// recurrence runs inside a chunk, and neither does the code: the engine
+// (engine.go) owns the scheme, the d/s cadence, fault injection, ABFT
+// settlement, Chen's verification, checkpoint, rollback and the modeled time,
+// and is parameterised by a recurrence (recurrence.go) — CG/PCG and BiCGstab —
+// that supplies its vectors, its convergence norm and one step cut at its
+// products. A scheme decides which product and which vector kernels a step
+// runs and what happens between steps; the loop, the convergence test, the
+// breakdown rule, the OnIteration stream and the clock are the same for all
+// four, so a protection overhead divides two runs of one driver. SolveBlock
+// advances several engines in lockstep around one blocked product.
 //
 // The engine operates on genuinely corrupted memory (the fault injector
 // flips real bits in the live arrays) and accounts execution time through a
 // deterministic cost model, so the experiments of the paper's Section 5 are
-// reproducible bit for bit.
+// reproducible bit for bit. What no fault can explain — a scalar that breaks
+// down again on a state rebuilt from the input, a right-hand side whose norm
+// cannot be squared — ends a solve with a typed error (ErrBreakdown,
+// ErrScale) instead of a rollback budget.
 package core
 
 import (

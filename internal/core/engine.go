@@ -115,7 +115,6 @@ const (
 	stepDone                   // iteration complete
 	stepHalf                   // complete by an early exit: counted and reported, but no chunk bookkeeping
 	stepFail                   // an error was detected: roll back
-	stepStop                   // the slice ended the solve (engine.stop)
 )
 
 // product describes one protected sparse product y ← (A or M)·x.
@@ -440,14 +439,9 @@ func (e *engine) product(slot int, y []float64, out *abft.VectorGuard, x []float
 // breakdown reports a non-finite or sign-violating recurrence scalar. A fault
 // may have produced it, so it is a detected error like any other and rolls
 // back; the scalar is remembered for the error of a solve that ends on it
-// (rollback). Unprotected has nothing to roll back to and no fault model to
-// blame: its solve ends here.
+// (rollback).
 func (e *engine) breakdown(name string, v float64, hint string) verdict {
 	e.scalar = scalar{name, v, hint}
-	if e.plain {
-		e.stop(e.unexplained())
-		return stepStop
-	}
 	return e.detected()
 }
 
@@ -510,8 +504,7 @@ func (e *engine) advance() bool {
 		case stepHalf:
 			e.end(false)
 		case stepFail:
-			e.fail()
-		case stepStop:
+			e.rollback()
 		}
 	}
 	return true
@@ -627,7 +620,7 @@ func (e *engine) complete(sr abft.RowSums) {
 		out = e.reread(p)
 	}
 	if !e.settle(out, p) {
-		e.fail()
+		e.rollback()
 		return
 	}
 	p.out.Install(prot.OutputSums())
@@ -690,12 +683,6 @@ func (e *engine) settle(out abft.Outcome, p *product) bool {
 	return true
 }
 
-// fail abandons the iteration in flight after a detection.
-func (e *engine) fail() {
-	e.emit(true)
-	e.rollback()
-}
-
 // end closes a successful iteration: hooks, progress tracking and — unless
 // the recurrence left by an early exit — the chunk boundary with Chen's
 // verification (Online-Detection) and the checkpoint cadence.
@@ -721,7 +708,7 @@ func (e *engine) end(full bool) {
 		st.TimeVerif += e.costs.Tverif
 		if !e.onlineVerify() {
 			st.Detections++
-			e.fail()
+			e.rollback()
 			return
 		}
 	}
@@ -790,18 +777,21 @@ func (e *engine) save(charge bool) {
 	}
 }
 
-// rollback abandons any iteration in flight, restores the live matrices and
-// the last checkpoint — escalating to the initial state after stuckLimit
-// no-progress retries — and re-arms the guards. An escalation is tried once:
-// when the retries from the rebuilt state are used up as well and no flip has
-// landed since it was built, they were a function of the input alone and
-// would fail the same way for ever, so the solve ends with ErrBreakdown.
+// rollback abandons any iteration in flight after a detection, restores the
+// live matrices and the last checkpoint — escalating to the initial state
+// after stuckLimit no-progress retries — and re-arms the guards. An escalation
+// is tried once: when the retries from the rebuilt state are used up as well
+// and no flip has landed since it was built, they were a function of the input
+// alone and would fail the same way for ever, so the solve ends with
+// ErrBreakdown. So does an Unprotected solve at once: it has nothing to
+// restore and no fault model to blame.
 func (e *engine) rollback() {
 	e.inIter = false
-	if e.stuck >= stuckLimit && e.fromInput == e.flips() {
+	if e.plain || (e.stuck >= stuckLimit && e.fromInput == e.flips()) {
 		e.stop(e.unexplained())
 		return
 	}
+	e.emit(true)
 	e.stats.Rollbacks++
 	e.stats.TimeRecovery += e.costs.Trec
 	// A rollback finds the live matrices suspect, and the caller's are the
