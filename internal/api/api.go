@@ -131,6 +131,12 @@ func (r *SolveRequest) Validate() error {
 	if (r.Matrix == nil) == (r.Inline == nil) {
 		return fmt.Errorf("exactly one of \"matrix\" and \"inline\" must be set")
 	}
+	// A file spec names a path on the machine that builds the matrix: the
+	// command line's (cgsolve -matrix), never a client's. Refused before
+	// anything resolves the spec, so no tier opens what a request names.
+	if r.Matrix != nil && (r.Matrix.Gen == "file" || r.Matrix.Path != "") {
+		return fmt.Errorf("\"matrix\": file specs (gen \"file\", \"path\") are not accepted on the wire; send the matrix as \"inline\"")
+	}
 	if r.TimeoutMillis < 0 {
 		return fmt.Errorf("negative timeout_ms")
 	}

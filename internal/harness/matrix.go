@@ -32,7 +32,9 @@ type MatrixSpec struct {
 	// Density is the target density of the randomspd generator (default
 	// 0.01).
 	Density float64 `json:"density,omitempty"`
-	// Path is the Matrix Market file (Gen == "file").
+	// Path is the Matrix Market file (Gen == "file"). A file spec is for a
+	// command line (cgsolve -matrix); api.SolveRequest.Validate refuses one
+	// on the wire, so a service never opens a path a client names.
 	Path string `json:"path,omitempty"`
 }
 

@@ -402,17 +402,33 @@ func TestRouterValidation(t *testing.T) {
 	fakes := []*fakeShard{newFakeShard(t, "s0")}
 	r, ts := testRouter(t, Config{ProbeInterval: time.Hour}, fakes...)
 
+	// A file spec is refused here as on the shard (api.SolveRequest.Validate),
+	// on every edge: the router must not relay a path for a shard to open.
+	fileSpec := `{"matrix":{"gen":"file","path":"/etc/passwd"}`
 	cases := []struct {
-		name string
-		body string
-		code int
+		name   string
+		path   string
+		body   string
+		stream bool
+		code   int
 	}{
-		{"not json", "{", http.StatusBadRequest},
-		{"no matrix", `{"solver":"cg"}`, http.StatusBadRequest},
-		{"unknown solver", `{"matrix":{"gen":"poisson2d","n":16},"solver":"magic"}`, http.StatusBadRequest},
+		{"not json", "/v1/solve", "{", false, http.StatusBadRequest},
+		{"no matrix", "/v1/solve", `{"solver":"cg"}`, false, http.StatusBadRequest},
+		{"unknown solver", "/v1/solve", `{"matrix":{"gen":"poisson2d","n":16},"solver":"magic"}`, false, http.StatusBadRequest},
+		{"file spec", "/v1/solve", fileSpec + `}`, false, http.StatusBadRequest},
+		{"file spec, batch", "/v1/solve/batch", fileSpec + `,"rhs":[{"seed":1}]}`, false, http.StatusBadRequest},
+		{"file spec, stream", "/v1/solve", fileSpec + `}`, true, http.StatusBadRequest},
+		{"path beside a generator", "/v1/solve", `{"matrix":{"gen":"poisson2d","n":16,"path":"/etc/passwd"}}`, false, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte(tc.body)))
+		hreq, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, bytes.NewReader([]byte(tc.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.stream {
+			hreq.Header.Set("Accept", "text/event-stream")
+		}
+		resp, err := http.DefaultClient.Do(hreq)
 		if err != nil {
 			t.Fatal(err)
 		}

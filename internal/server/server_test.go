@@ -532,3 +532,72 @@ func TestHugeInlineOperandIsAnswered(t *testing.T) {
 		}
 	}
 }
+
+// TestFileSpecIsRefusedOnTheWire: a file spec is cgsolve -matrix's alone. A
+// request naming one — gen "file", or a path beside any generator — opened a
+// server-side file of the client's choosing and echoed its first line in the
+// 400. Every edge must refuse it with one message whatever the path holds:
+// a file with content, nothing, or a directory that cannot be listed.
+func TestFileSpecIsRefusedOnTheWire(t *testing.T) {
+	_, ts := testServer(t, Config{Concurrency: 1})
+	dir := t.TempDir()
+	secret := dir + "/secret.txt"
+	if err := os.WriteFile(secret, []byte("root:x:0:0:super-secret-first-line\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	locked := dir + "/locked"
+	if err := os.Mkdir(locked, 0o000); err != nil {
+		t.Fatal(err)
+	}
+
+	post := func(path, body string, stream bool) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream {
+			req.Header.Set("Accept", "text/event-stream")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	for _, edge := range []struct {
+		name, path, tail string
+		stream           bool
+	}{
+		{"single", "/v1/solve", `}`, false},
+		{"batch", "/v1/solve/batch", `,"rhs":[{"seed":1}]}`, false},
+		{"stream", "/v1/solve", `}`, true},
+	} {
+		var first string
+		for _, matrix := range []string{
+			`{"gen":"file","path":"` + secret + `"}`,
+			`{"gen":"file","path":"` + dir + `/absent"}`,
+			`{"gen":"file","path":"` + locked + `/m.mtx"}`,
+			`{"gen":"poisson2d","n":16,"path":"` + secret + `"}`,
+		} {
+			status, body := post(edge.path, `{"matrix":`+matrix+edge.tail, edge.stream)
+			var e api.Error
+			if err := json.Unmarshal([]byte(body), &e); status != http.StatusBadRequest || err != nil || e.Code != api.CodeBadRequest {
+				t.Errorf("%s %s: status %d, body %s", edge.name, matrix, status, body)
+			}
+			if strings.Contains(body, "super-secret") || strings.Contains(body, dir) {
+				t.Errorf("%s %s: the answer leaks the file or its path: %s", edge.name, matrix, body)
+			}
+			if first == "" {
+				first = e.Message
+			} else if e.Message != first {
+				t.Errorf("%s %s: message %q, want the same refusal as for any other path, %q", edge.name, matrix, e.Message, first)
+			}
+		}
+	}
+}

@@ -277,6 +277,11 @@ func TestWireGolden(t *testing.T) {
 		add(exchange(t, "batch inline without a shift", http.MethodPost, ts.URL+"/v1/solve/batch", []byte(noShift+`,"rhs":[{"seed":1}]}`), false))
 		add(exchange(t, "batch empty rhs", http.MethodPost, ts.URL+"/v1/solve/batch",
 			[]byte(`{"matrix":{"gen":"poisson2d","n":16},"rhs":[]}`), false))
+		// A file spec is the command line's: refused unopened on every edge.
+		fileSpec := `{"matrix":{"gen":"file","path":"/srv/a.mtx"}`
+		add(exchange(t, "single file spec", http.MethodPost, ts.URL+"/v1/solve", []byte(fileSpec+`}`), false))
+		add(exchange(t, "batch file spec", http.MethodPost, ts.URL+"/v1/solve/batch", []byte(fileSpec+`,"rhs":[{"seed":1}]}`), false))
+		add(exchange(t, "stream file spec", http.MethodPost, ts.URL+"/v1/solve", []byte(fileSpec+`}`), true))
 	}
 
 	// Refusals decided at or after admission to the queue: a full queue, a
