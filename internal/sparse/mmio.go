@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -13,10 +14,19 @@ import (
 // are read with all values set to 1.
 
 // maxMMDim bounds the dimensions and entry count accepted from a size
-// line: far beyond any matrix this repository handles, but small enough
-// that a hostile or corrupted header cannot drive a multi-gigabyte
-// allocation (or a makeslice panic) before a single entry is read.
+// line: far beyond any matrix this repository handles, and small enough
+// that no sum of them overflows an int.
 const maxMMDim = 1 << 28
+
+// maxMMEmptyDim is the dimension a size line may declare whatever its entry
+// count. Beyond it a dimension must not exceed the declared entries: those
+// are appended as they are read, so by the time the row pointer — the one
+// allocation sized by a dimension — is made, the stream has delivered a line
+// for every element of it. What a header alone can make the reader allocate
+// is therefore 8 MiB, not the 2 GiB a `268435456 268435456 0` size line
+// used to. The price is a matrix over a million rows with fewer entries
+// than rows, which no solver here can use.
+const maxMMEmptyDim = 1 << 20
 
 // WriteMatrixMarket writes m in Matrix Market coordinate/real/general format.
 func WriteMatrixMarket(w io.Writer, m *CSR) error {
@@ -41,7 +51,7 @@ func WriteMatrixMarket(w io.Writer, m *CSR) error {
 // matrix. Symmetric storage is expanded; pattern entries become 1.0.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 1<<16), 1<<24)
 
 	if !sc.Scan() {
 		return nil, fmt.Errorf("sparse: empty Matrix Market stream")
@@ -90,6 +100,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows > maxMMDim || cols > maxMMDim || nnz > maxMMDim {
 		return nil, fmt.Errorf("sparse: implausibly large size line (%d x %d, %d entries; limit %d)", rows, cols, nnz, maxMMDim)
 	}
+	if lim := max(nnz, maxMMEmptyDim); rows > lim || cols > lim {
+		return nil, fmt.Errorf("sparse: size line declares %d x %d with %d entries; a dimension beyond %d must not exceed the entry count", rows, cols, nnz, maxMMEmptyDim)
+	}
 	if symmetry == "symmetric" && rows != cols {
 		return nil, fmt.Errorf("sparse: symmetric matrix must be square, got %dx%d", rows, cols)
 	}
@@ -126,6 +139,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sparse: bad value %q: %v", f[2], err)
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("sparse: entry (%d,%d) is not finite: %q", i, j, f[2])
+			}
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("sparse: entry (%d,%d) out of %dx%d", i, j, rows, cols)
@@ -137,7 +153,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		read++
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sparse: reading Matrix Market stream: %w", err)
 	}
 	return c.ToCSR(), nil
 }

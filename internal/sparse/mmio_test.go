@@ -2,8 +2,11 @@ package sparse
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestMatrixMarketRoundTrip(t *testing.T) {
@@ -105,6 +108,11 @@ func TestReadErrors(t *testing.T) {
 		"badValue":            {"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 zz\n", "bad value"},
 		"valueOverflow":       {"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1e999\n", "bad value"},
 		"shortEntries":        {"%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n", "bad entry line"},
+		"dimsBeyondEntries":   {hollowGiant, "must not exceed the entry count"},
+		"colsBeyondEntries":   {"%%MatrixMarket matrix coordinate real general\n1 2000000 1\n1 1 1.0\n", "must not exceed the entry count"},
+		"nanValue":            {"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 nan\n", "not finite"},
+		"infValue":            {"%%MatrixMarket matrix coordinate real general\n2 2 1\n2 2 inf\n", "not finite"},
+		"negInfValue":         {"%%MatrixMarket matrix coordinate real general\n2 2 1\n2 2 -Infinity\n", "not finite"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -116,6 +124,34 @@ func TestReadErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// hollowGiant is 67 bytes that pass maxMMDim: with nothing to read, COO.ToCSR
+// went on to allocate a 2 GiB row pointer (10.6 s, 2 060 MiB measured).
+const hollowGiant = "%%MatrixMarket matrix coordinate real general\n268435456 268435456 0"
+
+// TestReadBoundsWhatAHeaderAllocates: a size line alone buys an error, fast
+// and in the scanner's buffer — the reader allocates for a dimension only
+// what the stream has paid for in entries, or maxMMEmptyDim rows.
+func TestReadBoundsWhatAHeaderAllocates(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := ReadMatrixMarket(strings.NewReader(hollowGiant))
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.HasPrefix(err.Error(), "sparse: ") {
+		t.Fatalf("hollow 2²⁸-row matrix: error %v, want a sparse: refusal", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 || took > 10*time.Millisecond {
+		t.Errorf("refusing %d bytes allocated %d bytes in %v, want under 1 MiB and 10 ms", len(hollowGiant), grew, took)
+	}
+
+	// At the bound the header is honoured: 2²⁰ empty rows, an 8 MiB row pointer.
+	m, err := ReadMatrixMarket(strings.NewReader("%%MatrixMarket matrix coordinate pattern general\n1048576 1048576 1\n1048576 1\n"))
+	if err != nil || m.Rows != maxMMEmptyDim || m.NNZ() != 1 || m.Validate() != nil {
+		t.Fatalf("matrix at the bound: %v", err)
 	}
 }
 
@@ -133,4 +169,53 @@ func TestReadEmptyMatrix(t *testing.T) {
 	if err != nil || m.Rows != 3 || m.NNZ() != 0 {
 		t.Fatalf("structurally empty matrix: %+v, %v", m, err)
 	}
+}
+
+// FuzzReadMatrixMarket holds the reader to what a file surface owes any
+// byte stream: a matrix that passes Validate, with finite entries as read,
+// or an error — never a panic, and within a deadline and a memory ceiling
+// proportional to the stream, so no header buys an allocation its entries
+// have not paid for.
+func FuzzReadMatrixMarket(f *testing.F) {
+	const general = "%%MatrixMarket matrix coordinate real general\n"
+	f.Add([]byte(hollowGiant))
+	f.Add([]byte(general + "1 1 1\n1 1 nan\n"))
+	f.Add([]byte(general + "2 2 1\n2 2 inf\n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate real symmetric\n% a comment\n3 3 4\n1 1 2\n2 1 -1\n2 2 2\n3 3 1e-3\n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate pattern general\n2 3 3\n1 1\n1 3\n2 2\n"))
+	f.Add([]byte(general + "3 3 5\n1 1 4\n2 2 4\n3 "))
+	f.Add([]byte(general + "1048576 1048576 1\n7 7 1\n"))
+
+	f.Fuzz(func(t *testing.T, src []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		m, err := ReadMatrixMarket(bytes.NewReader(src))
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+
+		// 8 MiB is maxMMEmptyDim rows; an entry costs its line a few bytes
+		// and the reader under 200 (COO, the sort's copy, CSR; twice when
+		// symmetric).
+		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(16<<20+512*len(src)); grew > ceiling {
+			t.Fatalf("%d bytes of input allocated %d, ceiling %d", len(src), grew, ceiling)
+		}
+		if took > 2*time.Second {
+			t.Fatalf("%d bytes of input took %v", len(src), took)
+		}
+		if err != nil {
+			if m != nil || !strings.HasPrefix(err.Error(), "sparse: ") {
+				t.Fatalf("matrix %v beside error %q", m != nil, err)
+			}
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted a matrix that does not validate: %v", err)
+		}
+		for k, v := range m.Val {
+			if math.IsNaN(v) {
+				t.Fatalf("val[%d] is NaN", k) // ±Inf can still arise as the sum of duplicate entries
+			}
+		}
+	})
 }
