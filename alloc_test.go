@@ -6,7 +6,6 @@ import (
 	"repro/internal/abft"
 	"repro/internal/checksum"
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/precond"
 	"repro/internal/sparse"
 	"repro/internal/tmr"
@@ -147,22 +146,16 @@ func TestZeroAllocBlockedSolvers(t *testing.T) {
 func TestZeroAllocPoolVecKernels(t *testing.T) {
 	x := randVec(3*vec.BlockSize, 1)
 	y := randVec(3*vec.BlockSize, 2)
-	assertZeroAllocs(t, "vec.DotPool(nil)", func() { vec.DotPool(nil, x, y) })
-	assertZeroAllocs(t, "vec.Norm2SqPool(nil)", func() { vec.Norm2SqPool(nil, x) })
+	assertZeroAllocs(t, "vec.DotBlocked", func() { vec.DotBlocked(x, y) })
+	assertZeroAllocs(t, "vec.Norm2SqBlocked", func() { vec.Norm2SqBlocked(x) })
 }
 
-// TestZeroAllocTMRVectorOps gates the voted element-wise updates, guarded
-// and not, on one goroutine: the replica scratch is resident in the
-// Executor. The pooled half of the gate is in alloc_norace_test.go.
+// TestZeroAllocTMRVectorOps gates the one-execution element-wise updates,
+// guarded and not.
 func TestZeroAllocTMRVectorOps(t *testing.T) {
-	assertZeroAllocTMRVectorOps(t, nil)
-}
-
-func assertZeroAllocTMRVectorOps(t *testing.T, p *pool.Pool) {
-	t.Helper()
-	n := 3 * vec.BlockSize // above vec.MinParallel: a pool is consulted
+	n := 3 * vec.BlockSize
 	x, y, dst := randVec(n, 1), randVec(n, 2), make([]float64, n)
-	e := tmr.Executor{Pool: p}
+	var e tmr.Executor
 	assertZeroAllocs(t, "tmr updates", func() {
 		e.Axpy(1e-9, x, y)
 		e.AxpyTo(dst, 1e-9, x, y)

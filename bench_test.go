@@ -414,12 +414,13 @@ func BenchmarkOptimalPlacementDP(b *testing.B) {
 	}
 }
 
-// --- Worker-pool engine: parallel vs sequential hot kernels ---
+// --- Worker-pool engine ---
 //
-// The BenchmarkPool* pairs quantify the internal/pool rewiring on matrices
-// above the parallel cutoff (n ≥ 100k rows). On a multicore host the
-// *Parallel variants should beat their *Sequential baselines by roughly the
-// core count; on a single-core host they degrade to the sequential path.
+// The campaign pair is the level the system is parallel at: independent
+// trials across workers. The SpMV pair times the one pool kernel left,
+// sparse.MulVecParallel, which only bench/'s
+// sparse.mulvec_parallel_speedup.large still calls (n ≥ 100k rows, above the
+// size at which it pays).
 
 // benchPoolMatrix is a 2D Poisson system with n = 102400 ≥ 100k rows.
 func benchPoolMatrix(b *testing.B) *sparse.CSR {
@@ -449,50 +450,6 @@ func BenchmarkPoolSpMVParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.MulVecParallel(p, y, x)
-	}
-}
-
-func BenchmarkPoolSpMVRobustSequential(b *testing.B) {
-	b.ReportAllocs()
-	a := benchPoolMatrix(b)
-	x := randVec(a.Cols, 1)
-	y := make([]float64, a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVecRobust(y, x)
-	}
-}
-
-func BenchmarkPoolSpMVRobustParallel(b *testing.B) {
-	b.ReportAllocs()
-	a := benchPoolMatrix(b)
-	p := pool.Default()
-	x := randVec(a.Cols, 1)
-	y := make([]float64, a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVecRobustParallel(p, y, x)
-	}
-}
-
-func BenchmarkPoolDotSequential(b *testing.B) {
-	b.ReportAllocs()
-	x := randVec(1<<20, 1)
-	y := randVec(1<<20, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = vec.DotPool(nil, x, y)
-	}
-}
-
-func BenchmarkPoolDotParallel(b *testing.B) {
-	b.ReportAllocs()
-	p := pool.Default()
-	x := randVec(1<<20, 1)
-	y := randVec(1<<20, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = vec.DotPool(p, x, y)
 	}
 }
 

@@ -12,7 +12,6 @@
 //
 //	cgsolve -gen poisson2d -n 10000 -scheme abft-correction -alpha 0.0625
 //	cgsolve -matrix A.mtx -scheme online-detection -alpha 0.01 -seed 7
-//	cgsolve -gen poisson2d -n 1000000 -workers 0   # pool-parallel kernels
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/harness"
-	"repro/internal/pool"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 )
@@ -50,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		s          = fs.Int("s", 0, "checkpoint interval in chunks (0 = model-optimal)")
 		d          = fs.Int("d", 0, "verification interval in iterations, online scheme only (0 = model-optimal)")
 		seed       = fs.Int64("seed", 1, "RNG seed for the fault injector and the manufactured solution")
-		workers    = fs.Int("workers", 1, "worker pool size for the solver kernels: 1 = sequential, 0 = GOMAXPROCS")
 		verbose    = fs.Bool("v", false, "trace detections, corrections and rollbacks")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -70,9 +67,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg := core.Config{Scheme: scheme, S: *s, D: *d, Tol: *tol}
 	if *alpha > 0 {
 		cfg.Injector = fault.New(fault.Config{Alpha: *alpha, Seed: *seed})
-	}
-	if *workers != 1 {
-		cfg.Pool = pool.New(*workers)
 	}
 	if *verbose {
 		cfg.OnDetection = func(ev core.DetectionEvent) {

@@ -24,10 +24,10 @@ func TestRunArgs(t *testing.T) {
 			wantOut: "converged:         true",
 		},
 		{
-			// n = 4096 > sparse.ParallelMinRows and > vec.BlockSize, so the
-			// pooled kernel paths really execute.
-			name:    "pooled solve matches the engine wiring",
-			args:    []string{"-gen", "poisson2d", "-n", "4096", "-workers", "2", "-seed", "5"},
+			// n = 4356 > vec.BlockSize, so the blocked reductions fold more
+			// than one partial.
+			name:    "solve beyond one reduction block",
+			args:    []string{"-gen", "poisson2d", "-n", "4300", "-seed", "5"},
 			wantOut: "converged:         true",
 		},
 		{

@@ -1,12 +1,12 @@
 // Command resilientd is the resident resilient-solve service: it serves
 // the HTTP/JSON API of internal/server — POST /v1/solve, GET /v1/stats,
-// GET /v1/healthz — scheduling solve requests over the shared worker-pool
-// engine with a bounded queue, per-request deadlines and a per-matrix
-// artifact cache that keeps checksum encodings, partition plans,
+// GET /v1/healthz — scheduling solve requests over -concurrency solver
+// slots (one goroutine per solve) with a bounded queue, per-request
+// deadlines and a per-matrix artifact cache that keeps checksum encodings,
 // preconditioners and warm solver workspaces resident between requests.
 //
 //	resilientd -addr 127.0.0.1:8723
-//	resilientd -workers 8 -concurrency 4 -queue 128 -cache 64
+//	resilientd -concurrency 4 -queue 128 -cache 64
 //
 // SIGINT/SIGTERM drain gracefully: new solves are refused, everything
 // already admitted completes and is delivered, then the process exits.
@@ -45,7 +45,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	fs.SetOutput(stderr)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8723", "listen address")
-		workers     = fs.Int("workers", 0, "kernel pool size: 0 = GOMAXPROCS, 1 = sequential kernels")
 		concurrency = fs.Int("concurrency", 0, "solves executing at once (0 = GOMAXPROCS/2)")
 		queue       = fs.Int("queue", 64, "bounded queue depth; beyond it requests get 429")
 		maxCoalesce = fs.Int("max-coalesce", 0, "right-hand sides merged into one blocked solve when queued requests share a matrix and scenario (0 = 8)")
@@ -66,7 +65,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	logger := obs.NewLogger(stderr, *logFormat, *quiet)
 
 	srv := server.New(server.Config{
-		Workers:        *workers,
 		Concurrency:    *concurrency,
 		QueueDepth:     *queue,
 		MaxCoalesce:    *maxCoalesce,

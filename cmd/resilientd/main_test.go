@@ -22,7 +22,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	started := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-q"}, io.Discard, started)
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-q"}, io.Discard, started)
 	}()
 
 	var addr net.Addr
@@ -98,7 +98,7 @@ func TestRunShardLabel(t *testing.T) {
 	started := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-shard", "s7", "-q"}, io.Discard, started)
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-shard", "s7", "-q"}, io.Discard, started)
 	}()
 	var addr net.Addr
 	select {

@@ -18,7 +18,7 @@ import (
 
 func loadTarget(t *testing.T) string {
 	t.Helper()
-	s := server.New(server.Config{Workers: 1, Concurrency: 2, QueueDepth: 64})
+	s := server.New(server.Config{Concurrency: 2, QueueDepth: 64})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -210,7 +210,7 @@ func routerTarget(t *testing.T) (string, []string, func()) {
 	shards := make([]router.Shard, len(names))
 	var killFirst func()
 	for i, name := range names {
-		s := server.New(server.Config{Workers: 1, Concurrency: 2, QueueDepth: 64, ShardLabel: name})
+		s := server.New(server.Config{Concurrency: 2, QueueDepth: 64, ShardLabel: name})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(func() {
 			ts.Close()

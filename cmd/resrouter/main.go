@@ -69,7 +69,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		restartMax    = fs.Duration("restart-max", 5*time.Second, "restart-delay cap for a crash-looping supervised shard")
 		restartLimit  = fs.Int("restart-limit", 0, "consecutive crash-loop restarts before a supervised shard is given up on (0 = unlimited)")
 		adminToken    = fs.String("admin-token", "", "bearer token enabling the /v1/admin control plane (empty = disabled)")
-		workers       = fs.Int("workers", 0, "kernel pool size per managed shard (resilientd -workers semantics)")
 		vnodes        = fs.Int("vnodes", router.DefaultVnodes, "virtual nodes per shard on the hash ring")
 		replicas      = fs.Int("replicas", 2, "distinct ring replicas a request may try (owner + failovers)")
 		probeInterval = fs.Duration("probe-interval", 2*time.Second, "active health-check period")
@@ -123,7 +122,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	if *supervise {
 		procs = newProcRuntime(procConfig{
 			bin:         *shardBin,
-			workers:     *workers,
 			backoff:     *restartBase,
 			maxBackoff:  *restartMax,
 			maxRestarts: *restartLimit,
@@ -131,7 +129,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		})
 		runtime = procs
 	} else {
-		runtime = newLocalRuntime(*workers)
+		runtime = newLocalRuntime()
 	}
 
 	cfg := router.Config{

@@ -63,7 +63,7 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 // TestRunSpawnsAndRoutes boots a router that spawns its own shard set,
 // routes solves through it, inspects /v1/statusz and drains on cancel.
 func TestRunSpawnsAndRoutes(t *testing.T) {
-	base, cancel, done := boot(t, []string{"-addr", "127.0.0.1:0", "-spawn", "2", "-workers", "1", "-q"})
+	base, cancel, done := boot(t, []string{"-addr", "127.0.0.1:0", "-spawn", "2", "-q"})
 	defer cancel()
 
 	for _, n := range []string{"64", "100"} {
@@ -103,7 +103,7 @@ func TestRunSpawnsAndRoutes(t *testing.T) {
 // TestRunAttachesTopology mixes an attached external shard with a
 // spawned one through a topology file.
 func TestRunAttachesTopology(t *testing.T) {
-	ext := server.New(server.Config{Workers: 1, ShardLabel: "external"})
+	ext := server.New(server.Config{ShardLabel: "external"})
 	ts := httptest.NewServer(ext.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -122,7 +122,7 @@ func TestRunAttachesTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, cancel, done := boot(t, []string{"-addr", "127.0.0.1:0", "-topology", topo, "-workers", "1", "-q"})
+	base, cancel, done := boot(t, []string{"-addr", "127.0.0.1:0", "-topology", topo, "-q"})
 	defer cancel()
 
 	// Drive enough distinct matrices that both shards serve something.
@@ -198,10 +198,10 @@ func TestRunChaosPlanKeepsAnswersClean(t *testing.T) {
 	if err := os.WriteFile(plan, []byte(planJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	chaosArgs := []string{"-addr", "127.0.0.1:0", "-spawn", "2", "-workers", "1", "-q",
+	chaosArgs := []string{"-addr", "127.0.0.1:0", "-spawn", "2", "-q",
 		"-chaos-plan", plan, "-retry-budget", "8", "-retry-backoff", "1ms"}
 
-	baseClean, cancelClean, _ := boot(t, []string{"-addr", "127.0.0.1:0", "-spawn", "2", "-workers", "1", "-q"})
+	baseClean, cancelClean, _ := boot(t, []string{"-addr", "127.0.0.1:0", "-spawn", "2", "-q"})
 	defer cancelClean()
 	baseChaos, cancelChaos, _ := boot(t, chaosArgs)
 	defer cancelChaos()

@@ -140,7 +140,7 @@ func TestTopologyMtimeReload(t *testing.T) {
 	topo := filepath.Join(t.TempDir(), "topo.json")
 	writeTopology(t, topo, "a", "b")
 	base, cancel, _ := boot(t, []string{
-		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", "25ms", "-workers", "1", "-q"})
+		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", "25ms", "-q"})
 	defer cancel()
 
 	waitForShardSet(t, base, "a", "b")
@@ -165,7 +165,7 @@ func TestSIGHUPReload(t *testing.T) {
 	writeTopology(t, topo, "a", "b")
 	log := &logLines{}
 	base, cancel, _ := bootLogging(t, log, []string{
-		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", "0", "-workers", "1"})
+		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", "0"})
 	defer cancel()
 	waitForShardSet(t, base, "a", "b")
 
@@ -192,7 +192,7 @@ func TestMalformedRewriteKeepsPreviousRing(t *testing.T) {
 	writeTopology(t, topo, "a", "b")
 	log := &logLines{}
 	base, cancel, _ := bootLogging(t, log, []string{
-		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", "25ms", "-workers", "1", "-q"})
+		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", "25ms", "-q"})
 	defer cancel()
 	waitForShardSet(t, base, "a", "b")
 
@@ -265,7 +265,7 @@ func TestSuperviseRestartsKilledShard(t *testing.T) {
 
 	base, cancel, done := boot(t, []string{
 		"-addr", "127.0.0.1:0", "-spawn", "2", "-supervise", "-shard-bin", bin,
-		"-workers", "1", "-restart-backoff", "50ms", "-restart-max", "250ms",
+		"-restart-backoff", "50ms", "-restart-max", "250ms",
 		"-probe-interval", "100ms", "-q"})
 	defer cancel()
 

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"os/exec"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +19,6 @@ import (
 // deployment. Each Start builds a full internal/server instance on an
 // ephemeral port; Stop drains it like a resilientd receiving SIGTERM.
 type localRuntime struct {
-	workers int
-
 	mu     sync.Mutex
 	shards map[string]*localShard
 }
@@ -31,12 +28,12 @@ type localShard struct {
 	hs  *http.Server
 }
 
-func newLocalRuntime(workers int) *localRuntime {
-	return &localRuntime{workers: workers, shards: make(map[string]*localShard)}
+func newLocalRuntime() *localRuntime {
+	return &localRuntime{shards: make(map[string]*localShard)}
 }
 
 func (l *localRuntime) Start(name string) (string, error) {
-	srv := server.New(server.Config{Workers: l.workers, ShardLabel: name})
+	srv := server.New(server.Config{ShardLabel: name})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		srv.Shutdown()
@@ -84,7 +81,6 @@ type procRuntime struct {
 
 type procConfig struct {
 	bin        string
-	workers    int
 	backoff    time.Duration
 	maxBackoff time.Duration
 	// maxRestarts caps consecutive crash-loop restarts per child
@@ -120,7 +116,6 @@ func (p *procRuntime) Start(name string) (string, error) {
 		return exec.Command(p.cfg.bin,
 			"-addr", hostport,
 			"-shard", name,
-			"-workers", strconv.Itoa(p.cfg.workers),
 			"-q",
 		)
 	}, supervisor.Config{

@@ -181,10 +181,7 @@ type Protected struct {
 
 	mode   Mode
 	policy TolerancePolicy
-	// eps is the integer-proximity threshold for the position ratios
-	// (paper Section 3.2); defaults to 1e-8.
-	eps   float64
-	stats Stats
+	stats  Stats
 
 	// Precomputed norm-tolerance factors (TolNorm): tol = factor · ‖·‖∞.
 	tolX1Fac, tolX2Fac float64 // × ‖x‖∞, covers C_rᵀx rounding incl. shift
@@ -199,6 +196,10 @@ type Protected struct {
 	cPrime1, cPrime2 []float64
 }
 
+// positionEps is the integer-proximity threshold for the position ratios of
+// the decoders (paper Section 3.2).
+const positionEps = 1e-8
+
 // tolSafety widens the Eq. (9) norm bound: the bound tracks the dominant
 // rounding terms but can be undercut by ~20%% in edge regimes (observed near
 // CG convergence, where the defect is pure accumulated rounding on a tiny
@@ -212,7 +213,6 @@ func NewProtected(a *sparse.CSR, mode Mode) *Protected {
 	p := &Protected{
 		A:    a,
 		mode: mode,
-		eps:  1e-8,
 	}
 	p.encode()
 	return p
@@ -227,7 +227,6 @@ func (p *Protected) Renew(a *sparse.CSR, mode Mode) {
 	p.Valid = nil
 	p.mode = mode
 	p.policy = TolNorm
-	p.eps = 1e-8
 	p.stats = Stats{}
 	p.encode()
 }
@@ -263,9 +262,6 @@ func (p *Protected) Mode() Mode { return p.mode }
 
 // Stats returns a copy of the accumulated statistics.
 func (p *Protected) Stats() Stats { return p.stats }
-
-// SetEpsilon overrides the integer-proximity threshold used by the decoders.
-func (p *Protected) SetEpsilon(eps float64) { p.eps = eps }
 
 // RowSums holds the runtime Rowidx counters accumulated during a product
 // (the paper's sr), to be passed to Verify.
@@ -644,9 +640,9 @@ func (p *Protected) verify(y, x []float64, xRef checksum.Vector, sr RowSums, all
 // apart, so the absolute floor of 0.05 tolerates rounding noise on small
 // defects; a mislocated repair is caught by the mandatory re-verification,
 // which turns it into a rollback rather than a silent corruption.
-func (p *Protected) nearestInt(v float64) (int, bool) {
+func nearestInt(v float64) (int, bool) {
 	r := math.Round(v)
-	if math.Abs(v-r) > math.Max(p.eps*math.Abs(v), 0.05) {
+	if math.Abs(v-r) > math.Max(positionEps*math.Abs(v), 0.05) {
 		return 0, false
 	}
 	if math.Abs(r) > 1e15 {

@@ -36,7 +36,7 @@ func (p *Protected) correctRowidx(y, x []float64, xRef checksum.Vector, dr1, dr2
 		// S1 untouched but S2 defective: impossible for a single error.
 		return fail
 	}
-	pos1, ok := p.nearestInt(dr2 / dr1)
+	pos1, ok := nearestInt(dr2 / dr1)
 	if !ok {
 		return fail
 	}
@@ -44,7 +44,7 @@ func (p *Protected) correctRowidx(y, x []float64, xRef checksum.Vector, dr1, dr2
 	if j < 0 || j >= len(p.A.Rowidx) {
 		return fail
 	}
-	delta, ok := p.nearestInt(dr1)
+	delta, ok := nearestInt(dr1)
 	if !ok {
 		return fail
 	}
@@ -61,7 +61,7 @@ func (p *Protected) correctX(y, x []float64, xRef checksum.Vector, dxp1, dxp2 fl
 	if dxp1 == 0 {
 		return fail
 	}
-	pos1, ok := p.nearestInt(dxp2 / dxp1)
+	pos1, ok := nearestInt(dxp2 / dxp1)
 	if !ok {
 		return fail
 	}
@@ -123,7 +123,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 	// non-finite defects fall back to scanning for the poisoned entry.
 	d := -1
 	if finite(dx1) && finite(dx2) && dx1 != 0 {
-		if pos1, ok := p.nearestInt(dx2 / dx1); ok {
+		if pos1, ok := nearestInt(dx2 / dx1); ok {
 			d = pos1 - 1
 		}
 	}
@@ -148,7 +148,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 		// The column defect ratio localises the row even when the dx ratio
 		// could not (e.g. NaN poisoning of the weighted sums of y).
 		if finite(ct1) && finite(ct2) && ct1 != 0 {
-			if rowPos, ok := p.nearestInt(ct2 / ct1); ok {
+			if rowPos, ok := nearestInt(ct2 / ct1); ok {
 				rd := rowPos - 1
 				if d >= 0 && rd != d && finite(dx1) {
 					return fail // inconsistent localisations ⇒ multi-error

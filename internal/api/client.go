@@ -172,16 +172,6 @@ func (c *Client) SolveBatch(ctx context.Context, req *BatchSolveRequest) (*Batch
 	return &out, nil
 }
 
-// Health fetches /v1/healthz (shards and routers both serve it; the
-// router's body is RouterHealth — use RouterHealth for that).
-func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	var out HealthResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // RouterHealth fetches a router's own /v1/healthz.
 func (c *Client) RouterHealth(ctx context.Context) (*RouterHealth, error) {
 	var out RouterHealth

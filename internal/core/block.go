@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/abft"
-	"repro/internal/pool"
 	"repro/internal/sparse"
 )
 
@@ -29,9 +28,6 @@ type BlockConfig struct {
 	MaxIters int
 	// Costs calibrates the time accounting; zero value means defaults.
 	Costs CostParams
-	// Pool, when non-nil, executes the confirmation and final-residual
-	// products on the worker pool; the arithmetic is identical either way.
-	Pool *pool.Pool
 	// OnIteration, when non-nil, is called after every useful iteration of
 	// every right-hand side with the RHS index, the iteration count and the
 	// recurrence scalar ρ — the same values the sequential driver's
@@ -138,7 +134,7 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 	bw.onIter = cfg.OnIteration
 	laneCfg := Config{
 		Scheme: cfg.Scheme, S: cfg.S, D: 1, Tol: cfg.Tol, MaxIters: cfg.MaxIters,
-		Costs: cfg.Costs, Pool: cfg.Pool,
+		Costs: cfg.Costs,
 	}.withDefaults(n)
 	// One live copy, one encoding and one resolution of the model-optimal
 	// interval for the whole block; Unprotected has none of the three.

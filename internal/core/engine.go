@@ -237,7 +237,6 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	if exec == nil {
 		exec = new(tmr.Executor)
 	}
-	exec.Pool = cfg.Pool
 	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme.abft(), plain: plain, rec: rec, ws: ws, b: b, exec: exec}
 	e.src = [2]*sparse.CSR{a, cfg.M}
 	e.fromInput = -1
@@ -375,13 +374,13 @@ func (e *engine) dot(a, b []float64) float64 {
 	if e.abft {
 		return e.exec.Dot(a, b)
 	}
-	return vec.DotPool(e.cfg.Pool, a, b)
+	return vec.DotBlocked(a, b)
 }
 
 // axpy is y ← y + alpha·x.
 func (e *engine) axpy(alpha float64, x []float64, gx *abft.VectorGuard, y []float64, gy *abft.VectorGuard) bool {
 	if !e.abft {
-		vec.AxpyPool(e.cfg.Pool, alpha, x, y)
+		vec.Axpy(alpha, x, y)
 		return true
 	}
 	got := e.exec.AxpyGuarded(gy.Rows(), alpha, x, y)
@@ -391,7 +390,7 @@ func (e *engine) axpy(alpha float64, x []float64, gx *abft.VectorGuard, y []floa
 // axpyTo is dst ← y + alpha·x, dst distinct from both.
 func (e *engine) axpyTo(dst []float64, gd *abft.VectorGuard, alpha float64, x []float64, gx *abft.VectorGuard, y []float64, gy *abft.VectorGuard) bool {
 	if !e.abft {
-		vec.AxpyToPool(e.cfg.Pool, dst, alpha, x, y)
+		vec.AxpyTo(dst, alpha, x, y)
 		return true
 	}
 	got := e.exec.AxpyToGuarded(gd.Rows(), dst, alpha, x, y)
@@ -401,7 +400,7 @@ func (e *engine) axpyTo(dst []float64, gd *abft.VectorGuard, alpha float64, x []
 // xpay is y ← x + alpha·y.
 func (e *engine) xpay(alpha float64, x []float64, gx *abft.VectorGuard, y []float64, gy *abft.VectorGuard) bool {
 	if !e.abft {
-		vec.XpayPool(e.cfg.Pool, alpha, x, y)
+		vec.Xpay(alpha, x, y)
 		return true
 	}
 	got := e.exec.XpayGuarded(gy.Rows(), alpha, x, y)
@@ -559,7 +558,7 @@ func (e *engine) begin() bool {
 // confirmation threshold (begin), at the modeled cost of one product.
 func (e *engine) confirmed() bool {
 	e.stats.TimeVerif += e.confirm
-	e.mat[0].MulVecRobustParallel(e.cfg.Pool, e.rr, e.x)
+	e.mat[0].MulVecRobust(e.rr, e.x)
 	return e.verified(e.residualNorm())
 }
 
@@ -590,9 +589,9 @@ func (e *engine) multiply() (sr abft.RowSums) {
 	case e.abft:
 		return e.prot[p.slot].MulVec(p.y, p.x)
 	case e.plain:
-		e.mat[p.slot].MulVecParallel(e.cfg.Pool, p.y, p.x)
+		e.mat[p.slot].MulVec(p.y, p.x)
 	default:
-		e.mat[p.slot].MulVecRobustParallel(e.cfg.Pool, p.y, p.x)
+		e.mat[p.slot].MulVecRobust(p.y, p.x)
 	}
 	return sr
 }
@@ -737,7 +736,7 @@ func (e *engine) emit(rolledBack bool) {
 // last product q = A·p_prev is checked. Any discrepancy — including
 // non-finite values — reports an error.
 func (e *engine) onlineVerify() bool {
-	e.mat[0].MulVecRobustParallel(e.cfg.Pool, e.rr, e.x)
+	e.mat[0].MulVecRobust(e.rr, e.x)
 	normRR := e.residualNorm()
 	normR := vec.Norm2(e.r)
 	if math.IsNaN(normRR) || math.IsNaN(normR) || math.IsInf(normRR, 0) || math.IsInf(normR, 0) {
@@ -837,7 +836,7 @@ func (e *engine) finish() ([]float64, Stats, error) {
 	if e.cfg.Injector != nil {
 		st.FaultsInjected = e.cfg.Injector.Stats().Flips
 	}
-	e.src[0].MulVecParallel(e.cfg.Pool, e.rr, e.x)
+	e.src[0].MulVec(e.rr, e.x)
 	tr := e.residualNorm()
 	st.FinalResidual = tr / e.normB
 	if e.plain && st.Converged && !e.verified(tr) {

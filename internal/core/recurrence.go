@@ -48,9 +48,9 @@ func (c *pcgRec) reset(e *engine) {
 		copy(e.p, e.r)
 		e.rho = vec.Norm2Sq(e.r)
 	} else {
-		m.MulVecRobustParallel(e.cfg.Pool, c.z, e.r)
+		m.MulVecRobust(c.z, e.r)
 		copy(e.p, c.z)
-		e.rho = vec.DotPool(e.cfg.Pool, e.r, c.z)
+		e.rho = vec.DotBlocked(e.r, c.z)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/model"
-	"repro/internal/pool"
 	"repro/internal/sparse"
 )
 
@@ -80,12 +79,6 @@ type Config struct {
 	Injector *fault.Injector
 	// Costs calibrates the time accounting; zero value means defaults.
 	Costs CostParams
-	// Pool, when non-nil, executes the solver's hot kernels — the SpMxV row
-	// ranges and the blocked vector reductions — across the worker pool.
-	// Kernels use deterministic blocked summation, so a solve with any pool
-	// (including nil) produces a bitwise-identical iterate trajectory; the
-	// pool changes wall-clock time only, never the arithmetic.
-	Pool *pool.Pool
 	// OnIteration, when non-nil, is called after every useful iteration with
 	// the iteration count and the current recurrence quantity ρ (‖r‖² for
 	// CG, rᵀz for PCG). Tests use it to compare residual histories across

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/sparse"
 )
 
@@ -42,9 +41,6 @@ func NewBlockWorkspaces() *BlockWorkspaces {
 // BlockOpts bundles the execution hooks of SolveBlockWith. Every field is
 // optional.
 type BlockOpts struct {
-	// Pool, when non-nil, runs the parallel kernels on the worker pool; the
-	// arithmetic is identical either way.
-	Pool *pool.Pool
 	// Ws supplies the reusable block arenas; nil builds single-use ones.
 	Ws *BlockWorkspaces
 	// M is a prebuilt PCG preconditioner, forwarded to the sequential
@@ -95,7 +91,7 @@ func SolveBlockWith(a *sparse.CSR, bs [][]float64, sc Scenario, seeds []int64, o
 	if sc.Solver == "cg" && sc.Alpha == 0 && scheme != core.OnlineDetection {
 		_, err := core.SolveBlock(a, bs, core.BlockConfig{
 			Scheme: scheme, S: sc.S, D: sc.D, Tol: sc.Tol, MaxIters: sc.MaxIters,
-			Pool: opt.Pool, OnIteration: opt.OnIteration, Ws: ws.Core,
+			OnIteration: opt.OnIteration, Ws: ws.Core,
 		}, sts, errs)
 		return err
 	}
@@ -107,7 +103,7 @@ func SolveBlockWith(a *sparse.CSR, bs [][]float64, sc Scenario, seeds []int64, o
 			onIter = ws.laneCallback(j, opt.OnIteration)
 		}
 		_, st, err := SolveWith(a, bs[j], scj, seeds[j], SolveOpts{
-			Pool: opt.Pool, Ws: ws.Seq, M: opt.M, OnIteration: onIter,
+			Ws: ws.Seq, M: opt.M, OnIteration: onIter,
 		})
 		sts[j] = st
 		errs[j] = err

@@ -187,9 +187,6 @@ var wsPool = sync.Pool{New: func() any { return &Workspaces{Core: core.NewWorksp
 // SolveOpts bundles the cache-aware execution hooks of SolveWith. Every
 // field is optional.
 type SolveOpts struct {
-	// Pool, when non-nil, runs the solver kernels on the worker pool; the
-	// arithmetic is identical either way.
-	Pool *pool.Pool
 	// Ws supplies reusable solver arenas: a warm workspace makes the
 	// solve allocation-free, and the returned solution aliases workspace
 	// memory. Must not be shared by concurrent solves.
@@ -233,7 +230,7 @@ func SolveWith(a *sparse.CSR, b []float64, sc Scenario, seed int64, opt SolveOpt
 	}
 	cfg := core.Config{
 		Scheme: scheme, S: sc.S, D: sc.D, Tol: sc.Tol,
-		MaxIters: sc.MaxIters, Injector: inj, Pool: opt.Pool, OnIteration: opt.OnIteration,
+		MaxIters: sc.MaxIters, Injector: inj, OnIteration: opt.OnIteration,
 		OnDetection: opt.OnDetection, Ws: coreWs,
 	}
 	switch sc.Solver {
@@ -266,11 +263,11 @@ func BuildPrecond(a *sparse.CSR, kind string) (*sparse.CSR, error) {
 // previous outputs).
 const trialSeedStride = 7919
 
-// runTrials executes sc.Reps independent trials. With a pool and more than
-// one rep the trials fan out across workers (sequential kernels); a single
-// rep instead hands the pool to the solver kernels. Trial 0 records the
-// per-iteration recurrence history into hist. Outcomes land in per-trial
-// slots, so the result is deterministic for any worker count.
+// runTrials executes sc.Reps independent trials, fanned out across the pool's
+// workers when there is one — each trial is one goroutine from start to end.
+// Trial 0 records the per-iteration recurrence history into hist. Outcomes
+// land in per-trial slots, so the result is deterministic for any worker
+// count.
 func runTrials(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (outs []Trial, hist []float64) {
 	sc = sc.withDefaults()
 	outs = make([]Trial, sc.Reps)
@@ -281,7 +278,7 @@ func runTrials(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (outs []T
 		}
 		ws := wsPool.Get().(*Workspaces)
 		_, st, err := SolveWith(a, b, sc, sc.Seed+int64(rep)*trialSeedStride,
-			SolveOpts{Pool: kernelPool(pl, sc.Reps), Ws: ws, OnIteration: onIter})
+			SolveOpts{Ws: ws, OnIteration: onIter})
 		wsPool.Put(ws)
 		outs[rep] = Trial{Stats: st, Failed: err != nil}
 	}
@@ -293,15 +290,6 @@ func runTrials(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (outs []T
 		pl.ForEach(sc.Reps, trial)
 	}
 	return outs, hist
-}
-
-// kernelPool decides where the pool goes: campaigns (reps > 1) spend it on
-// the trial fan-out, single solves spend it inside the kernels.
-func kernelPool(pl *pool.Pool, reps int) *pool.Pool {
-	if reps == 1 {
-		return pl
-	}
-	return nil
 }
 
 // TrialsOn is the campaign primitive: it runs the scenario's repetitions on
@@ -340,7 +328,7 @@ func RunOn(pl *pool.Pool, a *sparse.CSR, sc Scenario) (Result, error) {
 		base.Alpha = 0
 		base.Reps = 1
 		base.Baseline = false
-		switch _, st, err := SolveWith(a, b, base, base.Seed, SolveOpts{Pool: pl}); {
+		switch _, st, err := SolveWith(a, b, base, base.Seed, SolveOpts{}); {
 		case err != nil:
 			res.BaselineError = err.Error()
 		case st.SimTime <= 0:

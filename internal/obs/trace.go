@@ -336,13 +336,6 @@ func (t *Tracer) Finish(a *Active) {
 // (monotonic; the ring keeps only the most recent of them).
 func (t *Tracer) Total() uint64 { return t.finished.Load() }
 
-// RingSize is the ring capacity.
-func (t *Tracer) RingSize() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ring)
-}
-
 // Snapshot returns completed traces, newest first. With a non-empty id
 // only traces with that exact identifier are returned (a request that
 // crossed a tier twice — retried through another path — may legitimately

@@ -1,7 +1,8 @@
-// Package pool implements the shared worker-pool execution engine that the
-// hot paths of this repository run on: the row-partitioned CSR products
-// (internal/sparse), the blocked vector kernels (internal/vec) and the
-// fault-campaign fan-out (internal/sim).
+// Package pool implements the worker-pool execution engine of the one level
+// at which this repository is parallel: independent solves — the trial
+// fan-out of the campaigns (internal/harness, internal/sim). No kernel of a
+// solve runs on it; a solve is one goroutine from its first product to its
+// last.
 //
 // The engine is a fixed set of resident worker goroutines (sized by
 // runtime.GOMAXPROCS by default) fed over an unbuffered channel. Every
@@ -10,17 +11,15 @@
 // only handed to a resident worker that is ready to receive it. Two
 // properties follow:
 //
-//   - No deadlock under nesting. A kernel running on a worker may itself
-//     call into the pool (e.g. a fault-campaign trial whose solver uses the
-//     parallel SpMxV); if no worker is idle the nested call simply degrades
-//     to inline execution on the calling goroutine.
+//   - No deadlock under nesting. Work running on a worker may itself call
+//     into the pool; if no worker is idle the nested call simply degrades to
+//     inline execution on the calling goroutine.
 //   - No unbounded goroutine growth. The pool never spawns per-call
 //     goroutines; concurrency is bounded by the resident worker count.
 //
 // Chunk boundaries depend only on (n, grain), never on the worker count or
-// the scheduling order, so deterministic algorithms (such as the blocked
-// reductions in internal/vec) produce bitwise-identical results whether they
-// run on one goroutine or many.
+// the scheduling order, so work that writes disjoint ranges produces
+// bitwise-identical results whether it runs on one goroutine or many.
 package pool
 
 import (
@@ -56,8 +55,8 @@ var (
 )
 
 // Default returns the process-wide shared pool, sized by GOMAXPROCS at first
-// use. The hot-path kernels accept any *Pool; Default is the conventional
-// choice when the caller has no reason to isolate its parallelism.
+// use: the conventional choice when the caller has no reason to isolate its
+// parallelism.
 func Default() *Pool {
 	defaultOnce.Do(func() { defaultPool = New(0) })
 	return defaultPool
@@ -187,7 +186,9 @@ func (p *Pool) Run(n, grain int, fn func(lo, hi int)) {
 // exactly like Run's uniform chunks. The caller provides the boundaries —
 // typically a precomputed work-balanced partition (see sparse.Partition) —
 // so dispatch does no per-call planning. A single chunk, a single-worker
-// pool or a closed pool runs inline on the caller.
+// pool or a closed pool runs inline on the caller. Its last caller is
+// sparse.MulVecParallel, which bench/probes.go's
+// sparse.mulvec_parallel_speedup.large keeps; it goes with that probe.
 func (p *Pool) RunRanges(bounds []int, fn func(lo, hi int)) {
 	nchunks := len(bounds) - 1
 	if nchunks <= 0 {

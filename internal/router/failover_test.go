@@ -24,7 +24,7 @@ type realShard struct {
 
 func newRealShard(t *testing.T, name string) *realShard {
 	t.Helper()
-	s := server.New(server.Config{Workers: 1, Concurrency: 2, QueueDepth: 32, ShardLabel: name})
+	s := server.New(server.Config{Concurrency: 2, QueueDepth: 32, ShardLabel: name})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

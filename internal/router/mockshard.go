@@ -26,8 +26,7 @@ type MockShard struct {
 	ln   net.Listener
 	url  string
 
-	healthy atomic.Bool
-	solves  atomic.Int64
+	solves atomic.Int64
 	// delayNanos stalls every solve answer — the knob hedge tests turn to
 	// make this shard the slow replica.
 	delayNanos atomic.Int64
@@ -49,7 +48,6 @@ func NewMockShard(name string) (*MockShard, error) {
 		ln:   ln,
 		url:  "http://" + ln.Addr().String(),
 	}
-	m.healthy.Store(true)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", m.handleHealthz)
 	mux.HandleFunc("/v1/solve", m.handleSolve)
@@ -67,10 +65,6 @@ func (m *MockShard) Name() string { return m.name }
 
 // Solves counts the solve requests this shard answered.
 func (m *MockShard) Solves() int64 { return m.solves.Load() }
-
-// SetHealthy flips what /v1/healthz reports, so tests can drive the
-// router's ejection and re-admission paths.
-func (m *MockShard) SetHealthy(ok bool) { m.healthy.Store(ok) }
 
 // SetDelay stalls every subsequent solve answer by d, making this shard
 // the slow replica in a hedge race.
@@ -90,10 +84,6 @@ func (m *MockShard) Kill() {
 }
 
 func (m *MockShard) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if !m.healthy.Load() {
-		api.WriteJSON(w, http.StatusOK, api.HealthResponse{Schema: api.SchemaVersion, Status: "unhealthy"})
-		return
-	}
 	api.WriteJSON(w, http.StatusOK, api.HealthResponse{Schema: api.SchemaVersion, Status: "ok"})
 }
 

@@ -383,7 +383,7 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 	shardURLs := make([]string, 2)
 	shards := make([]Shard, 2)
 	for i, name := range []string{"s0", "s1"} {
-		s := server.New(server.Config{Workers: 1, ShardLabel: name})
+		s := server.New(server.Config{ShardLabel: name})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(func() { ts.Close(); s.Shutdown() })
 		shardURLs[i] = ts.URL

@@ -24,7 +24,7 @@ import (
 // must not touch the heap.
 
 func TestZeroAllocWarmSolvePath(t *testing.T) {
-	s := New(Config{Workers: 1, Concurrency: 1, QueueDepth: 4})
+	s := New(Config{Concurrency: 1, QueueDepth: 4})
 	defer s.Shutdown()
 
 	cases := []struct{ solver, scheme string }{
@@ -87,7 +87,7 @@ func TestZeroAllocWarmSolvePath(t *testing.T) {
 // history slices at capacity, cached RHS vectors — must allocate nothing
 // per group, across the blocked (cg) and sequential-fallback (pcg) paths.
 func TestZeroAllocWarmBatchPath(t *testing.T) {
-	s := New(Config{Workers: 1, Concurrency: 1, QueueDepth: 4})
+	s := New(Config{Concurrency: 1, QueueDepth: 4})
 	defer s.Shutdown()
 
 	cases := []struct{ solver, scheme string }{

@@ -38,7 +38,7 @@ func postBatch(t *testing.T, url string, req *api.BatchSolveRequest, out any) in
 // (cg × ABFT, cg × unprotected) and the sequential fallback (pcg), and a
 // repeated batch must reproduce itself bit for bit.
 func TestBatchSolveMatchesSingles(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 2, Concurrency: 2, QueueDepth: 16})
+	_, ts := testServer(t, Config{Concurrency: 2, QueueDepth: 16})
 
 	for _, tc := range []struct{ solver, scheme string }{
 		{"cg", "abft-correction"},
@@ -93,7 +93,7 @@ func TestBatchSolveMatchesSingles(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
+	_, ts := testServer(t, Config{Concurrency: 1})
 
 	var er api.Error
 	empty := &api.BatchSolveRequest{SolveRequest: *poisson2DRequest(16)}
@@ -122,7 +122,7 @@ func TestBatchValidation(t *testing.T) {
 // response with the coalesced width — and with exactly the hash it would
 // answer alone.
 func TestCoalescingMergesQueuedSingles(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, Concurrency: 1, QueueDepth: 8})
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8})
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s.testHookPreSolve = func() {
@@ -192,7 +192,7 @@ func TestCoalescingMergesQueuedSingles(t *testing.T) {
 // one expires before a solver frees, that request alone answers 504 — the
 // coalescing scan drops it — while the others merge and succeed.
 func TestCoalesceMixedDeadlines(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, Concurrency: 1, QueueDepth: 8})
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8})
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s.testHookPreSolve = func() {
@@ -257,7 +257,7 @@ func TestCoalesceMixedDeadlines(t *testing.T) {
 // on the entry it holds, and a fresh request for the evicted matrix
 // rebuilds it with unchanged hashes.
 func TestBatchSurvivesMidQueueEviction(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, Concurrency: 1, QueueDepth: 8, CacheEntries: 1})
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8, CacheEntries: 1})
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s.testHookPreSolve = func() {
@@ -333,7 +333,7 @@ func TestBatchSurvivesMidQueueEviction(t *testing.T) {
 // the high-water width, and widening can push the cache over its byte
 // budget and evict colder entries.
 func TestBatchCacheAccounting(t *testing.T) {
-	s := New(Config{Workers: 1, Concurrency: 1})
+	s := New(Config{Concurrency: 1})
 	defer s.Shutdown()
 
 	req := poisson2DRequest(100)
@@ -365,7 +365,7 @@ func TestBatchCacheAccounting(t *testing.T) {
 	// Eviction on the byte budget: a second entry fits beside the first
 	// only until the first widens past the budget.
 	budget := entryFootprint(ent.a) + 6*perRHSFootprint(ent.a) + 2*entryFootprint(ent.a)
-	s2 := New(Config{Workers: 1, Concurrency: 1, CacheBytes: budget})
+	s2 := New(Config{Concurrency: 1, CacheBytes: budget})
 	defer s2.Shutdown()
 	entA, _ := warmEntry(t, s2, poisson2DRequest(100))
 	s2.cache.noteMaterialised(entA)

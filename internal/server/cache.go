@@ -271,11 +271,10 @@ type intervalKey struct {
 }
 
 // materialise builds the matrix and its shareable artifacts exactly once:
-// the CSR itself, the NNZ-balanced partition plan for the server's kernel
-// worker count, and a warm-workspace factory whose checksum encodings are
+// the CSR itself and a warm-workspace factory whose checksum encodings are
 // prewarmed for the default scheme. Safe for concurrent callers; the
 // first error is sticky.
-func (e *entry) materialise(workers int, build func() (*sparse.CSR, error)) error {
+func (e *entry) materialise(build func() (*sparse.CSR, error)) error {
 	e.once.Do(func() {
 		a, err := build()
 		if err != nil {
@@ -283,9 +282,6 @@ func (e *entry) materialise(workers int, build func() (*sparse.CSR, error)) erro
 			return
 		}
 		e.a = a
-		if workers > 1 {
-			a.PlanFor(workers) // precompute the partition plan the parallel kernels will ask for
-		}
 		e.ctxs.New = func() any {
 			c := newSolveCtx()
 			c.ws.Core.Prewarm(a, core.ABFTCorrection)

@@ -64,7 +64,7 @@ func TestEntryMaterialiseOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := ent.materialise(2, build); err != nil {
+			if err := ent.materialise(build); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -82,11 +82,11 @@ func TestEntryMaterialiseErrorSticky(t *testing.T) {
 	c := newCache(4, 0, 0)
 	ent, _ := c.get("bad", "bad", harness.MatrixSpec{})
 	boom := errors.New("boom")
-	if err := ent.materialise(1, func() (*sparse.CSR, error) { return nil, boom }); !errors.Is(err, boom) {
+	if err := ent.materialise(func() (*sparse.CSR, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failed build must not rerun; the error is the entry's state.
-	if err := ent.materialise(1, func() (*sparse.CSR, error) { return sparse.Poisson2D(4, 4), nil }); !errors.Is(err, boom) {
+	if err := ent.materialise(func() (*sparse.CSR, error) { return sparse.Poisson2D(4, 4), nil }); !errors.Is(err, boom) {
 		t.Fatalf("second materialise: err = %v, want sticky boom", err)
 	}
 }
@@ -94,7 +94,7 @@ func TestEntryMaterialiseErrorSticky(t *testing.T) {
 func TestEntryRHSCaching(t *testing.T) {
 	c := newCache(4, 0, 0)
 	ent, _ := c.get("k", "k", harness.MatrixSpec{})
-	if err := ent.materialise(1, func() (*sparse.CSR, error) { return sparse.Poisson2D(6, 6), nil }); err != nil {
+	if err := ent.materialise(func() (*sparse.CSR, error) { return sparse.Poisson2D(6, 6), nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +127,7 @@ func TestEntryRHSCaching(t *testing.T) {
 func TestEntryPrecondAndIntervalCaching(t *testing.T) {
 	c := newCache(4, 0, 0)
 	ent, _ := c.get("k", "k", harness.MatrixSpec{})
-	if err := ent.materialise(1, func() (*sparse.CSR, error) { return sparse.Poisson2D(8, 8), nil }); err != nil {
+	if err := ent.materialise(func() (*sparse.CSR, error) { return sparse.Poisson2D(8, 8), nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,7 +209,7 @@ func TestSpecKeyingDistinguishesParameters(t *testing.T) {
 func materialised(t *testing.T, c *cache, key string, side int) *entry {
 	t.Helper()
 	ent, _ := c.get(key, key, harness.MatrixSpec{})
-	if err := ent.materialise(1, func() (*sparse.CSR, error) { return sparse.Poisson2D(side, side), nil }); err != nil {
+	if err := ent.materialise(func() (*sparse.CSR, error) { return sparse.Poisson2D(side, side), nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.noteMaterialised(ent)
@@ -276,7 +276,7 @@ func TestCacheWeightAccounting(t *testing.T) {
 	ent, _ := c.get("late", "late", harness.MatrixSpec{})
 	c.get("d", "d", harness.MatrixSpec{})
 	materialised(t, c, "e", 8) // "late" is now evicted
-	if err := ent.materialise(1, func() (*sparse.CSR, error) { return sparse.Poisson2D(8, 8), nil }); err != nil {
+	if err := ent.materialise(func() (*sparse.CSR, error) { return sparse.Poisson2D(8, 8), nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.noteMaterialised(ent)

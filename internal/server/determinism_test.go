@@ -20,7 +20,7 @@ func warmEntry(t *testing.T, s *Server, req *api.SolveRequest) (*entry, harness.
 		t.Fatal(err)
 	}
 	ent, _ := s.cache.get(id.Key, id.Label, id.Spec)
-	if err := ent.materialise(s.kernelWorkers(), id.Build); err != nil {
+	if err := ent.materialise(id.Build); err != nil {
 		t.Fatal(err)
 	}
 	return ent, req.Scenario(ent.spec, ent.label)
@@ -44,7 +44,7 @@ func TestWarmSolveBitIdentical(t *testing.T) {
 
 		hashes := make(map[uint64]int)
 		for round := 0; round < 2; round++ {
-			s := New(Config{Workers: 1, Concurrency: 1})
+			s := New(Config{Concurrency: 1})
 			ent, sc := warmEntry(t, s, req)
 			for rep := 0; rep < 3; rep++ { // rep 0 cold, reps 1–2 warm
 				out := s.solve(ent, sc, req.ResolvedRHSSeed(), nil, nil, nil)

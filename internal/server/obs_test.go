@@ -47,7 +47,7 @@ func postSolveTraced(t *testing.T, url string, req *api.SolveRequest, inbound st
 }
 
 func TestShardMintsAndEchoesTraceID(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	_, ts := testServer(t, Config{})
 	resp, echoed := postSolveTraced(t, ts.URL, poisson2DRequest(16), "")
 	if echoed == "" || !obs.ValidTraceID(echoed) {
 		t.Fatalf("shard did not mint a valid trace ID: %q", echoed)
@@ -58,7 +58,7 @@ func TestShardMintsAndEchoesTraceID(t *testing.T) {
 }
 
 func TestShardReusesInboundTraceID(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	_, ts := testServer(t, Config{})
 	resp, echoed := postSolveTraced(t, ts.URL, poisson2DRequest(16), "router-minted-42")
 	if echoed != "router-minted-42" {
 		t.Fatalf("inbound trace ID not reused: %q", echoed)
@@ -75,7 +75,7 @@ func TestShardReusesInboundTraceID(t *testing.T) {
 }
 
 func TestTracezCarriesSpansAndSolverTallies(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, ShardLabel: "s0"})
+	s, ts := testServer(t, Config{ShardLabel: "s0"})
 	_, id := postSolveTraced(t, ts.URL, poisson2DRequest(16), "")
 
 	tz, err := api.NewClient(ts.URL).Tracez(context.Background(), 0, id)
@@ -126,7 +126,7 @@ func TestTracezCarriesSpansAndSolverTallies(t *testing.T) {
 }
 
 func TestStreamedTerminalEventCarriesTraceID(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	_, ts := testServer(t, Config{})
 	req := poisson2DRequest(16)
 	resp, err := api.NewClient(ts.URL).SolveStream(context.Background(), req, nil)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestStreamedTerminalEventCarriesTraceID(t *testing.T) {
 // wire, so the trace is where an operator sees it — on every edge, batches
 // included, marked with the first lane's error.
 func TestFailedLaneMarksTrace(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	_, ts := testServer(t, Config{})
 	c := api.NewClient(ts.URL)
 	ctx := context.Background()
 	starved := poisson2DRequest(225)
@@ -245,7 +245,7 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 }
 
 func TestMetricsReconcileWithStatusz(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 8})
+	_, ts := testServer(t, Config{QueueDepth: 8})
 	for i := 0; i < 3; i++ {
 		req := poisson2DRequest(16)
 		req.Seed = int64(10 + i)
@@ -293,7 +293,7 @@ func TestMetricsReconcileWithStatusz(t *testing.T) {
 }
 
 func TestShardStatuszBuildInfo(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, ShardLabel: "s7"})
+	_, ts := testServer(t, Config{ShardLabel: "s7"})
 	st, err := api.NewClient(ts.URL).Statusz(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestShardStatuszBuildInfo(t *testing.T) {
 }
 
 func TestShardPprofBehindAdminToken(t *testing.T) {
-	_, tsNoToken := testServer(t, Config{Workers: 1})
+	_, tsNoToken := testServer(t, Config{})
 	resp, err := http.Get(tsNoToken.URL + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestShardPprofBehindAdminToken(t *testing.T) {
 		t.Fatalf("no token configured: status %d, want 403", resp.StatusCode)
 	}
 
-	_, ts := testServer(t, Config{Workers: 1, AdminToken: "sekrit"})
+	_, ts := testServer(t, Config{AdminToken: "sekrit"})
 	get := func(auth string) int {
 		req, err := http.NewRequest(http.MethodGet, ts.URL+"/debug/pprof/cmdline", nil)
 		if err != nil {

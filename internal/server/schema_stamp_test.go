@@ -18,7 +18,7 @@ import (
 // its 403, /metrics with the schema gauge), and the retired status aliases
 // resolve to nothing.
 func TestRouteTable(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1})
+	s, ts := testServer(t, Config{})
 	routes := map[string]string{ // request path → registered pattern, "" = 404
 		"/v1/solve":                "/v1/solve",
 		"/v1/solve/batch":          "/v1/solve/batch",
@@ -73,7 +73,7 @@ func TestRouteTable(t *testing.T) {
 // bodies and error envelopes alike — and asserts every response carries
 // the wire schema version.
 func TestEveryEndpointStampsSchema(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	_, ts := testServer(t, Config{})
 
 	spec, err := harness.NewMatrixSpec("tridiag", 16, 0)
 	if err != nil {

@@ -1,19 +1,19 @@
 // Package server implements the resident resilient-solve service: a
 // long-running HTTP/JSON front end over the scenario harness that accepts
 // solve requests (a named matrix spec or an inline CSR, a solver, a
-// protection scheme and fault-injection knobs), schedules them over the
-// shared worker-pool engine with a bounded queue and per-request
-// deadlines, and answers with the same schema-versioned result records the
-// campaign tooling emits.
+// protection scheme and fault-injection knobs), schedules them over a fixed
+// number of solver slots — each solve runs on one goroutine, the slots are
+// the shard's parallelism — with a bounded queue and per-request deadlines,
+// and answers with the same schema-versioned result records the campaign
+// tooling emits.
 //
-// Its core is a per-matrix artifact cache: the assembled CSR, its
-// NNZ-balanced partition plans, the ABFT checksum encodings, explicit
-// preconditioners, manufactured right-hand sides, model-optimal
-// checkpoint/verification intervals and a pool of warm solver workspaces
-// are all built once per matrix and reused across requests, so a warm
-// fault-free solve of a known matrix performs zero heap allocations on the
-// request hot path (gated by alloc_test.go) and repeated identical
-// requests return bit-identical residual-history hashes.
+// Its core is a per-matrix artifact cache: the assembled CSR, the ABFT
+// checksum encodings, explicit preconditioners, manufactured right-hand
+// sides, model-optimal checkpoint/verification intervals and a pool of warm
+// solver workspaces are all built once per matrix and reused across
+// requests, so a warm fault-free solve of a known matrix performs zero heap
+// allocations on the request hot path (gated by alloc_test.go) and repeated
+// identical requests return bit-identical residual-history hashes.
 //
 // Every solve request, whatever its edge — buffered single, multi-RHS
 // batch or SSE stream — runs through one pipeline: admit (decode, validate,
@@ -38,21 +38,22 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // maxBodyBytes bounds a request body (inline matrices dominate).
 const maxBodyBytes = 64 << 20
 
+// solveWorkers is what the "workers" field of a result record and of
+// /v1/statusz reads: a solve runs on one core. The field stays on the wire
+// (harness.Result.Workers is resbench's fan-out size) until a schema bump
+// can drop it.
+const solveWorkers = 1
+
 // Config parameterises the service. Zero values select the defaults.
 type Config struct {
-	// Workers sizes the kernel worker pool the solves run on: 0 = the
-	// shared GOMAXPROCS pool, 1 = sequential kernels, otherwise a
-	// dedicated pool of that size (harness.PoolFor semantics).
-	Workers int
 	// Concurrency is the number of solves executing at once (default
-	// GOMAXPROCS/2, at least 1). Kernel-level parallelism inside each
-	// solve comes on top, bounded by the shared pool.
+	// GOMAXPROCS/2, at least 1), each on one goroutine: the slots are all
+	// the parallelism a shard has.
 	Concurrency int
 	// QueueDepth bounds the requests queued but not yet solving (default
 	// 64); submissions beyond it are rejected with HTTP 429.
@@ -120,14 +121,12 @@ func (c Config) withDefaults() Config {
 // Server is the resident solve service. Construct with New, mount
 // Handler on an http.Server, and Shutdown to drain.
 type Server struct {
-	cfg       Config
-	pool      *pool.Pool
-	poolClose func()
-	cache     *cache
-	sched     *scheduler
-	mux       *http.ServeMux
-	started   time.Time
-	draining  atomic.Bool
+	cfg      Config
+	cache    *cache
+	sched    *scheduler
+	mux      *http.ServeMux
+	started  time.Time
+	draining atomic.Bool
 
 	completed atomic.Int64
 	failed    atomic.Int64
@@ -148,15 +147,12 @@ type Server struct {
 // New builds a ready-to-serve service.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	pl, done := harness.PoolFor(cfg.Workers)
 	s := &Server{
-		cfg:       cfg,
-		pool:      pl,
-		poolClose: done,
-		cache:     newCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL),
-		sched:     newScheduler(cfg.Concurrency, cfg.QueueDepth, cfg.MaxCoalesce),
-		started:   time.Now(),
-		tracer:    obs.NewTracer(api.TierShard, cfg.TraceRing),
+		cfg:     cfg,
+		cache:   newCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL),
+		sched:   newScheduler(cfg.Concurrency, cfg.QueueDepth, cfg.MaxCoalesce),
+		started: time.Now(),
+		tracer:  obs.NewTracer(api.TierShard, cfg.TraceRing),
 	}
 	s.registerMetrics()
 	mux := http.NewServeMux()
@@ -183,23 +179,14 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
 // Shutdown drains gracefully: new solve requests are refused with 503
-// immediately, every request already admitted to the queue still runs to
-// completion, and the dedicated kernel pool (if any) is released last.
-// Idempotent. Callers embedding the handler in an http.Server should stop
-// that server first so in-flight handlers can collect their results.
+// immediately and every request already admitted to the queue still runs to
+// completion. Idempotent. Callers embedding the handler in an http.Server
+// should stop that server first so in-flight handlers can collect their
+// results.
 func (s *Server) Shutdown() {
 	s.StartDraining()
 	s.sched.shutdown()
 	s.cache.close()
-	s.poolClose()
-}
-
-// kernelWorkers is the worker count the parallel kernels will plan for.
-func (s *Server) kernelWorkers() int {
-	if s.pool == nil {
-		return 1
-	}
-	return s.pool.Workers()
 }
 
 func (s *Server) timeoutFor(ms int) time.Duration {
@@ -226,7 +213,7 @@ type solveOutcome struct {
 // solve is the request hot path: it draws a warm per-matrix context from
 // the entry's pool, resolves every per-matrix artifact from the cache
 // (right-hand side, preconditioner, model-optimal intervals) and runs the
-// single trial on the shared kernel pool. For a warm entry and a
+// single trial on this goroutine. For a warm entry and a
 // fault-free request this performs zero heap allocations (gated by
 // alloc_test.go); fault-injecting requests additionally construct their
 // injector. Deterministic: identical (entry, scenario, seeds) always
@@ -270,7 +257,7 @@ func (s *Server) solve(ent *entry, sc harness.Scenario, rhsSeed int64, tr *obs.A
 	b := ent.rhsFor(rhsSeed)
 	start := time.Now()
 	_, st, err := harness.SolveWith(ent.a, b, sc, sc.Seed, harness.SolveOpts{
-		Pool: s.pool, Ws: c.ws, M: m, OnIteration: record, OnDetection: det,
+		Ws: c.ws, M: m, OnIteration: record, OnDetection: det,
 	})
 	nanos := time.Since(start).Nanoseconds()
 	return solveOutcome{stats: st, hash: harness.HashBits(c.hist), err: err, solveNanos: nanos}
@@ -332,7 +319,7 @@ func (s *Server) solveBlock(ent *entry, sc harness.Scenario, group []*task, k in
 	if setupErr == nil {
 		start := time.Now()
 		setupErr = harness.SolveBlockWith(ent.a, c.bs[:k], sc, c.seeds[:k], harness.BlockOpts{
-			Pool: s.pool, Ws: c.ws, M: m, OnIteration: c.record,
+			Ws: c.ws, M: m, OnIteration: c.record,
 		}, c.sts[:k], c.errs[:k])
 		nanos = time.Since(start).Nanoseconds()
 	}
@@ -429,7 +416,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, body solveBody, a
 	// never occupies a solver slot, and concurrent first requests for the
 	// same matrix block here on a single build.
 	fillStart := tr.Now()
-	if err := ent.materialise(s.kernelWorkers(), id.Build); err != nil {
+	if err := ent.materialise(id.Build); err != nil {
 		refuse(w, tr, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return nil
 	}
@@ -543,7 +530,7 @@ func (s *Server) response(a *admission, t *task, lane int) api.SolveResponse {
 		SolveMillis: float64(out.solveNanos) / 1e6,
 		Coalesced:   t.coalesced,
 	}
-	resp.Result.Workers = s.cfg.Workers
+	resp.Result.Workers = solveWorkers
 	resp.Result.WallSeconds = float64(out.solveNanos) / 1e9
 	resp.Result.Shard = s.cfg.ShardLabel
 	resp.Result.TraceID = a.tr.ID()
@@ -619,7 +606,7 @@ func (s *Server) stats() api.StatsResponse {
 	return api.StatsResponse{
 		Schema:        api.SchemaVersion,
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Workers:       s.kernelWorkers(),
+		Workers:       solveWorkers,
 		Concurrency:   s.cfg.Concurrency,
 		QueueDepth:    s.sched.depth(),
 		QueueCapacity: s.cfg.QueueDepth,

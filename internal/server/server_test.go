@@ -83,7 +83,7 @@ func postSolve(t *testing.T, url string, req *api.SolveRequest, out any) int {
 }
 
 func TestSolveEndToEnd(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 2, Concurrency: 2, QueueDepth: 8})
+	_, ts := testServer(t, Config{Concurrency: 2, QueueDepth: 8})
 
 	cases := []struct {
 		solver, scheme string
@@ -129,7 +129,7 @@ func TestSolveEndToEnd(t *testing.T) {
 }
 
 func TestSolveRequestValidation(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
+	_, ts := testServer(t, Config{Concurrency: 1})
 
 	cases := []struct {
 		name string
@@ -177,7 +177,7 @@ func TestSolveRequestValidation(t *testing.T) {
 // cache — must return bit-identical residual-history hashes and identical
 // canonical records.
 func TestRepeatedRequestsBitIdentical(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 4, Concurrency: 4, QueueDepth: 32})
+	_, ts := testServer(t, Config{Concurrency: 4, QueueDepth: 32})
 
 	for _, tc := range []struct{ solver, scheme string }{
 		{"cg", "abft-correction"},
@@ -225,29 +225,34 @@ func TestRepeatedRequestsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossWorkerCounts runs the same request on a sequential
-// and a 4-worker server: the deterministic blocked kernels must produce
-// the same residual hash.
+// TestDeterminismAcrossWorkerCounts runs the same request on a server with
+// one scheduler worker and on one with four: the slots are the only workers a
+// shard has, a solve runs on one of them from start to end, and its residual
+// hash — and the "workers": 1 its record carries — does not depend on how
+// many there are.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	req := poisson2DRequest(225)
 	req.Scheme = "abft-correction"
 
 	var hashes []string
-	for _, workers := range []int{1, 4} {
-		_, ts := testServer(t, Config{Workers: workers, Concurrency: 2})
+	for _, slots := range []int{1, 4} {
+		_, ts := testServer(t, Config{Concurrency: slots})
 		var resp api.SolveResponse
 		if code := postSolve(t, ts.URL, req, &resp); code != http.StatusOK {
-			t.Fatalf("workers=%d: status %d", workers, code)
+			t.Fatalf("slots=%d: status %d", slots, code)
+		}
+		if resp.Result.Workers != 1 {
+			t.Errorf("slots=%d: the record says %d workers, a solve runs on 1", slots, resp.Result.Workers)
 		}
 		hashes = append(hashes, resp.Result.ResidualHash)
 	}
 	if hashes[0] != hashes[1] {
-		t.Errorf("hash differs across worker counts: %s vs %s", hashes[0], hashes[1])
+		t.Errorf("hash differs across slot counts: %s vs %s", hashes[0], hashes[1])
 	}
 }
 
 func TestCacheHitReporting(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
+	s, ts := testServer(t, Config{Concurrency: 1})
 	req := poisson2DRequest(64)
 
 	var cold, warm api.SolveResponse
@@ -269,7 +274,7 @@ func TestCacheHitReporting(t *testing.T) {
 // full queue answers 429 immediately, and a queued request whose deadline
 // expires before a solver slot frees answers 504 without ever solving.
 func TestQueueSaturationAndDeadline(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, Concurrency: 1, QueueDepth: 2})
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 2})
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s.testHookPreSolve = func() {
@@ -337,7 +342,7 @@ func TestQueueSaturationAndDeadline(t *testing.T) {
 // are refused immediately, but everything already admitted — the solve in
 // flight and the solve still queued — completes with a full response.
 func TestGracefulShutdownDrains(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, Concurrency: 1, QueueDepth: 4})
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 4})
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s.testHookPreSolve = func() {
@@ -394,7 +399,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 func TestStatsAndHealthEndpoints(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
+	_, ts := testServer(t, Config{Concurrency: 1})
 	req := poisson2DRequest(64)
 	postSolve(t, ts.URL, req, nil)
 
@@ -402,8 +407,8 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := sz.Shard; st == nil || st.Schema != api.SchemaVersion || st.Completed != 1 || st.Cache.Entries != 1 {
-		t.Errorf("stats %+v: want schema %d, 1 completed, 1 cache entry", st, api.SchemaVersion)
+	if st := sz.Shard; st == nil || st.Schema != api.SchemaVersion || st.Completed != 1 || st.Cache.Entries != 1 || st.Workers != 1 {
+		t.Errorf("stats %+v: want schema %d, 1 completed, 1 cache entry, 1 worker per solve", st, api.SchemaVersion)
 	}
 
 	hz, err := http.Get(ts.URL + "/v1/healthz")
@@ -454,7 +459,7 @@ func scaledLaplacian(m int, f float64) *api.InlineCSR {
 // within the client's deadline, on every scheme, and the slot serves the next
 // request.
 func TestOperandThatBreaksTheMethodDownIsAnswered(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
+	_, ts := testServer(t, Config{Concurrency: 1})
 	client := &http.Client{Timeout: time.Second}
 	for _, f := range []float64{-1, 1e160, 1e-170} {
 		for _, scheme := range operandSchemes {
@@ -492,7 +497,7 @@ func TestOperandThatBreaksTheMethodDownIsAnswered(t *testing.T) {
 // deadline, and the slot serve the next one; finite values whose ‖A‖₁
 // overflows are refused at admission, on both edges.
 func TestHugeInlineOperandIsAnswered(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, Concurrency: 1})
+	_, ts := testServer(t, Config{Concurrency: 1})
 	client := &http.Client{Timeout: time.Second}
 	post := func(path, body string) (int, []byte) {
 		t.Helper()

@@ -13,7 +13,7 @@ import (
 // for streaming: the terminal frame of a streamed solve must carry the
 // exact residual hash a buffered solve of the same request produces.
 func TestStreamTerminalMatchesBuffered(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 2, Concurrency: 2, QueueDepth: 8})
+	_, ts := testServer(t, Config{Concurrency: 2, QueueDepth: 8})
 	req := poisson2DRequest(64)
 
 	var buffered api.SolveResponse
@@ -49,7 +49,7 @@ func TestStreamTerminalMatchesBuffered(t *testing.T) {
 // stream: detection events on the wire must agree with the detections the
 // terminal record reports.
 func TestStreamDetectionEvents(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	_, ts := testServer(t, Config{})
 	req := poisson2DRequest(64)
 	req.Solver, req.Scheme, req.Alpha = "cg", "abft-correction", 0.5
 
@@ -85,7 +85,7 @@ func TestStreamDetectionEvents(t *testing.T) {
 // with a typed in-stream error event (the headers are already out, so a
 // 504 status is no longer possible).
 func TestStreamQueuedExpiry(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, Concurrency: 1, QueueDepth: 2})
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 2})
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s.testHookPreSolve = func() {
@@ -128,7 +128,7 @@ func TestStreamQueuedExpiry(t *testing.T) {
 // TestShardStatusz checks the unified introspection endpoint on the
 // shard tier: a typed StatuszResponse wrapping the stats snapshot.
 func TestShardStatusz(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	_, ts := testServer(t, Config{})
 	st, err := api.NewClient(ts.URL).Statusz(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -175,7 +175,7 @@ func TestWireGolden(t *testing.T) {
 		tag   string
 		alpha float64
 	}{{"clean", 0}, {"alpha", 1.0 / 16}} {
-		_, ts := testServer(t, Config{Workers: 1, Concurrency: 1, QueueDepth: 8, ShardLabel: "g0"})
+		_, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8, ShardLabel: "g0"})
 		solveURL, batchURL := ts.URL+"/v1/solve", ts.URL+"/v1/solve/batch"
 		name := func(n string) string { return mode.tag + "/" + n }
 
@@ -196,7 +196,7 @@ func TestWireGolden(t *testing.T) {
 		// Two same-identity singles queue behind a blocker on another
 		// matrix and are merged into one 2-wide block (a second server, so
 		// the hook is in place before its workers ever read it).
-		s, ts := testServer(t, Config{Workers: 1, Concurrency: 1, QueueDepth: 8, ShardLabel: "g0"})
+		s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8, ShardLabel: "g0"})
 		solveURL = ts.URL + "/v1/solve"
 		entered, release := holdWorkers(s)
 		blocker := make(chan wireCell, 1)
@@ -223,7 +223,7 @@ func TestWireGolden(t *testing.T) {
 	// Inline matrices are labelled by content fingerprint, not by spec, and
 	// an exhausted iteration budget is a 200 with solve_error set.
 	{
-		_, ts := testServer(t, Config{Workers: 1, Concurrency: 1, ShardLabel: "g0"})
+		_, ts := testServer(t, Config{Concurrency: 1, ShardLabel: "g0"})
 		inline := api.SolveRequest{Seed: 7, Inline: &api.InlineCSR{
 			Rows: 3, Cols: 3,
 			Rowidx: []int{0, 2, 5, 7},
@@ -259,7 +259,7 @@ func TestWireGolden(t *testing.T) {
 
 	// Refusals that never reach the queue.
 	{
-		_, ts := testServer(t, Config{Workers: 1, Concurrency: 1, ShardLabel: "g0"})
+		_, ts := testServer(t, Config{Concurrency: 1, ShardLabel: "g0"})
 		badInline := mustJSON(t, api.SolveRequest{Inline: &api.InlineCSR{
 			Rows: 2, Cols: 2, Rowidx: []int{0, 1}, Colid: []int{0}, Val: []float64{1},
 		}})
@@ -288,7 +288,7 @@ func TestWireGolden(t *testing.T) {
 	// deadline that expires while queued (buffered, batched and streamed),
 	// and a draining server.
 	{
-		s, ts := testServer(t, Config{Workers: 1, Concurrency: 1, QueueDepth: 4, ShardLabel: "g0"})
+		s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 4, ShardLabel: "g0"})
 		entered, release := holdWorkers(s)
 		held := mustJSON(t, specRequest(t, "poisson2d", 64, 0))
 		done := make(chan wireCell, 2)

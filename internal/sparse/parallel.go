@@ -7,11 +7,15 @@ import (
 	"repro/internal/pool"
 )
 
-// ParallelMinRows is the row-count cutoff below which the parallel products
-// fall back to their sequential counterparts: under it the SpMxV fits in
-// cache and pool dispatch costs more than it saves. The resilient drivers in
-// internal/core use the same cutoff to decide whether an iteration's
-// products go through the pool.
+// No solve runs a product on the pool any more: the system is parallel over
+// solves, never inside one (README, "Parallelism"). MulVecParallel, the
+// partition plan behind it (partition.go) and pool.RunRanges are kept for
+// their last caller, bench/probes.go's sparse.mulvec_parallel_speedup.large,
+// and go with it.
+
+// ParallelMinRows is the row-count cutoff below which the parallel product
+// falls back to its sequential counterpart: under it the SpMxV fits in
+// cache and pool dispatch costs more than it saves.
 const ParallelMinRows = 2048
 
 // parallelRowGrain is the minimum number of rows per scheduled chunk,
@@ -42,43 +46,19 @@ func (m *CSR) MulVecParallel(p *pool.Pool, y, x []float64) {
 	op.release()
 }
 
-// MulVecRobustParallel is MulVecParallel with MulVecRobust's tolerance of a
-// corrupted representation: row pointer ranges are clamped and out-of-range
-// column indices contribute nothing, so a bit flip in Colid or Rowidx
-// perturbs the product instead of crashing a worker. Row i's accumulation
-// order matches MulVecRobust exactly, so sequential and parallel execution
-// agree bitwise. The NNZ-balanced plan may be stale for a corrupted Rowidx
-// (plans are balanced on the trusted structure); that only skews the load,
-// never the result.
-func (m *CSR) MulVecRobustParallel(p *pool.Pool, y, x []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("sparse: MulVecRobustParallel dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	if p == nil || p.Workers() == 1 || m.Rows < ParallelMinRows {
-		m.MulVecRobust(y, x)
-		return
-	}
-	op := rangeOps.Get().(*rangeOp)
-	op.m, op.y, op.x = m, y, x
-	p.RunRanges(m.PlanFor(p.Workers()).Bounds, op.robust)
-	op.release()
-}
-
 // rangeOp holds the operands of one pool product in flight, where the pool's
-// workers read them through closures built once — so a pool product
+// workers read them through a closure built once — so a pool product
 // allocates nothing. Ops are recycled rather than kept on the matrix because
 // one matrix may serve several products at a time.
 type rangeOp struct {
-	m              *CSR
-	y, x           []float64
-	strict, robust func(lo, hi int)
+	m      *CSR
+	y, x   []float64
+	strict func(lo, hi int)
 }
 
 var rangeOps = sync.Pool{New: func() any {
 	op := &rangeOp{}
 	op.strict = func(lo, hi int) { op.m.mulRows(op.y, op.x, lo, hi) }
-	op.robust = func(lo, hi int) { op.m.mulRowsRobust(op.y, op.x, lo, hi) }
 	return op
 }}
 

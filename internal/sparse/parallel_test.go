@@ -46,29 +46,6 @@ func TestMulVecParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMulVecRobustParallelToleratesCorruption corrupts Rowidx and Colid the
-// way the fault injector does and checks the parallel robust product agrees
-// with the sequential robust product instead of crashing a worker.
-func TestMulVecRobustParallelToleratesCorruption(t *testing.T) {
-	a := Poisson2D(60, 60) // n = 3600 > ParallelMinRows
-	x := randX(a.Cols, 7)
-	p := pool.New(4)
-
-	// Corrupt a row pointer far out of range and a column index negative.
-	a.Rowidx[100] = 1 << 40
-	a.Colid[50] = -3
-
-	want := make([]float64, a.Rows)
-	a.MulVecRobust(want, x)
-	got := make([]float64, a.Rows)
-	a.MulVecRobustParallel(p, got, x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: robust parallel %v != robust sequential %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestMulVecParallelDimensionPanic(t *testing.T) {
 	a := Poisson2D(10, 10)
 	defer func() {

@@ -25,6 +25,10 @@ import (
 // product stays bitwise identical to the sequential kernel for any plan,
 // any worker count, and even a plan gone stale through in-place mutation
 // of the matrix (it merely balances suboptimally until re-planned).
+//
+// Last caller: MulVecParallel, itself kept only for bench/probes.go's
+// sparse.mulvec_parallel_speedup.large (see parallel.go); the file goes with
+// that probe.
 
 // Partition is a precomputed row partition: chunk c covers rows
 // [Bounds[c], Bounds[c+1]). Bounds is strictly increasing with

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/abft"
 	"repro/internal/checksum"
-	"repro/internal/pool"
 	"repro/internal/vec"
 )
 
@@ -58,8 +57,8 @@ type transients struct {
 func (tr *transients) hook(replica int, scalar *float64, blk []float64) {
 	call := int(tr.calls[replica].Add(1)) - 1
 	for _, h := range tr.hits {
-		// An update shows its blocks in index order (it is only struck
-		// without a pool); a reduction shows each replica's scalar once.
+		// An update shows its blocks in index order; a reduction shows each
+		// replica's scalar once.
 		if h.replica != replica || (scalar == nil && call != h.blk) {
 			continue
 		}
@@ -178,11 +177,11 @@ func (c *update) voted(t *testing.T) []float64 {
 
 // bits requires the voted reference's bits in the output, the checksum of the
 // output in the returned sums, one hook call per block and no vote counted.
-func (c *update) bits(t *testing.T, p *pool.Pool, rows int) {
+func (c *update) bits(t *testing.T, rows int) {
 	t.Helper()
 	var calls atomic.Int64
 	for _, hooked := range []bool{false, true} {
-		e := &Executor{Pool: p}
+		e := &Executor{}
 		if hooked {
 			e.Corrupt = func(replica int, scalar *float64, blk []float64) {
 				if calls.Add(1); replica != 0 || scalar != nil || len(blk) == 0 || len(blk) > block {
@@ -210,10 +209,8 @@ func (c *update) bits(t *testing.T, p *pool.Pool, rows int) {
 			t.Fatalf("an update counted %d votes, %d mismatches, %d undecided", v, m, u)
 		}
 	}
-	// Pool ranges need not start on a block boundary, so a pooled update may
-	// cut a few blocks more.
 	nblocks := int64((len(c.x) + block - 1) / block)
-	if got := calls.Load(); got < nblocks || (got > nblocks && p == nil) {
+	if got := calls.Load(); got != nblocks {
 		t.Fatalf("the hook saw %d blocks, want %d", got, nblocks)
 	}
 }
@@ -309,13 +306,13 @@ const (
 // — (d+1)·T₁ ≤ T₂ — the element is rebuilt to within T₁ and every other one
 // keeps the pristine bits; any other repair the check accepts leaves no
 // element further from the pristine update than δ was.
-func (c *update) linear(t *testing.T, p *pool.Pool, mode abft.Mode, kind int, at hit) {
+func (c *update) linear(t *testing.T, mode abft.Mode, kind int, at hit) {
 	t.Helper()
 	rows := 1 + int(mode)
 	what := fmt.Sprintf("op %d alias %d, %v, strike %d at %d", c.op, c.alias, mode, kind, at.idx)
 	x, y := vec.Clone(c.x), vec.Clone(c.y)
 	dst, a, b := c.roles(x, y)
-	alpha, e := c.alpha, &Executor{Pool: p}
+	alpha, e := c.alpha, &Executor{}
 	g := abft.NewGuard(dst, mode)
 	aRef, bRef := checksum.NewVectorRows(a, rows), checksum.NewVectorRows(b, rows)
 	clean := c.voted(t)
@@ -433,7 +430,7 @@ func (c *update) linear(t *testing.T, p *pool.Pool, mode abft.Mode, kind int, at
 
 // FuzzVotedOps is the property test of the element-wise updates, which run
 // once and are verified by linearity. On any length, scalar, data (NaN, Inf
-// and signed zeros included), aliasing and pool, the one execution writes the
+// and signed zeros included) and aliasing, the one execution writes the
 // bits and returns the sums of the eager three-execution voted update it
 // replaced. And over operands that strain a tolerance — badly scaled,
 // cancelling, all zero, denormal, signed zeros — the linear check has no
@@ -442,27 +439,25 @@ func (c *update) linear(t *testing.T, p *pool.Pool, mode abft.Mode, kind int, at
 // an output element after it, whose effect on a checksum row is beyond the
 // tolerance, bounds what it lets pass, and with two rows repairs (linear).
 func FuzzVotedOps(f *testing.F) {
-	// knobs packs aliasing (AxpyTo only), checksum rows and pool: every
-	// length meets every operation on every pool.
+	// knobs packs aliasing (AxpyTo only) and checksum rows: every length
+	// meets every operation under every aliasing and row count.
 	for i, n := range []int{0, 1, block - 1, block, block + 1, 4097, 2*vec.BlockSize + 3} {
 		for op := 0; op < 3; op++ {
-			for pl := 0; pl < 4; pl++ {
-				knobs := (i+pl)%3 + 3*((i+op)%3) + 9*pl
-				f.Add(n, int64(n+op), 0.75, uint8(op), uint8(knobs), uint64(n+pl)*2654435761)
+			for k := 0; k < 4; k++ {
+				knobs := (i+k)%3 + 3*((i+op)%3)
+				f.Add(n, int64(n+op), 0.75, uint8(op), uint8(knobs), uint64(n+k)*2654435761)
 			}
 		}
 	}
 	f.Add(3*block, int64(9), math.NaN(), uint8(2), uint8(7), uint64(1)<<63)
-	f.Add(vec.MinParallel, int64(10), math.Inf(-1), uint8(1), uint8(3+9*2), uint64(12345))
+	f.Add(2*vec.BlockSize, int64(10), math.Inf(-1), uint8(1), uint8(3), uint64(12345))
 
-	pools := fuzzPools(f)
 	f.Fuzz(func(t *testing.T, n int, seed int64, alpha float64, op, knobs uint8, bits uint64) {
 		n = int(uint(n) % uint(3*vec.BlockSize+1))
 		rng := rand.New(rand.NewSource(seed))
 		c := &update{op: int(op % 3), alias: int(knobs % 3), alpha: alpha, x: fuzzVector(rng, n), y: fuzzVector(rng, n)}
-		p := pools[knobs/9%4]
 		rows := int(knobs / 3 % 3)
-		c.bits(t, p, rows)
+		c.bits(t, rows)
 		if n == 0 {
 			return
 		}
@@ -472,18 +467,14 @@ func FuzzVotedOps(f *testing.F) {
 		// tolerance, with nothing struck and with one strike of every kind.
 		mode := abft.Mode(rows % 2)
 		at := hit{idx: int(bits >> 8 % uint64(n)), mask: bits | 1}
-		c.linear(t, p, mode, strikeNone, at)
+		c.linear(t, mode, strikeNone, at)
 		if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 			return
 		}
 		for shape := 0; shape < 6; shape++ {
 			c.x, c.y = shaped(rng, shape, n, c.op, alpha)
-			c.linear(t, p, mode, strikeNone, at)
-			// A hook sees blocks in index order only without the pool.
-			for kind := strikeNone + 1; kind < strikeKinds; kind++ {
-				if kind != strikeTransient || p == nil || n < vec.MinParallel {
-					c.linear(t, p, mode, kind, at)
-				}
+			for kind := strikeNone; kind < strikeKinds; kind++ {
+				c.linear(t, mode, kind, at)
 			}
 			at.mask = at.mask>>7 | at.mask<<57 // another bit pattern per shape
 			at.idx = (at.idx*31 + 7) % n
@@ -497,29 +488,27 @@ func FuzzVotedOps(f *testing.F) {
 // third execution only when the first two differ.
 func FuzzVotedDots(f *testing.F) {
 	for i, n := range []int{0, 1, 7, vec.BlockSize, vec.BlockSize + 1, 2*vec.BlockSize + 3} {
-		for pl := 0; pl < 4; pl++ {
-			f.Add(n, int64(n+pl), uint8(i%2+2*pl), uint64(n+pl+1)*2654435761)
+		for k := 0; k < 4; k++ {
+			f.Add(n, int64(n+k), uint8(i%2), uint64(n+k+1)*2654435761)
 		}
 	}
 	f.Add(5, int64(3), uint8(1), uint64(1)<<63|1<<40)
 
-	pools := fuzzPools(f)
 	f.Fuzz(func(t *testing.T, n int, seed int64, knobs uint8, bits uint64) {
 		n = int(uint(n) % uint(3*vec.BlockSize+1))
 		rng := rand.New(rand.NewSource(seed))
 		a, b := fuzzVector(rng, n), fuzzVector(rng, n)
-		p := pools[knobs/2%4]
 		norm := knobs%2 == 1
-		plain := vec.DotPool(p, a, b)
+		plain := vec.DotBlocked(a, b)
 		if norm {
-			plain = vec.Norm2SqPool(p, a)
+			plain = vec.Norm2SqBlocked(a)
 		}
 
 		one := hit{replica: int(bits % 3), mask: bits | 1}
 		two := hit{replica: (one.replica + 1 + int(bits>>40%2)) % 3, mask: one.mask ^ 2}
 		for _, hits := range [][]hit{nil, {one}, {one, two}} {
 			what := fmt.Sprintf("norm=%v, %d transients", norm, len(hits))
-			e, tr := &Executor{Pool: p}, (*transients)(nil)
+			e, tr := &Executor{}, (*transients)(nil)
 			if len(hits) > 0 {
 				tr = &transients{hits: hits}
 				e.Corrupt = tr.hook
@@ -544,16 +533,4 @@ func FuzzVotedDots(f *testing.F) {
 			wantStats(t, what, e, tr, split, hits)
 		}
 	})
-}
-
-// fuzzPools is no pool and pools of one, two and four workers, closed with
-// the fuzz target.
-func fuzzPools(f *testing.F) []*pool.Pool {
-	pools := []*pool.Pool{nil, pool.New(1), pool.New(2), pool.New(4)}
-	f.Cleanup(func() {
-		for _, p := range pools[1:] {
-			p.Close()
-		}
-	})
-	return pools
 }

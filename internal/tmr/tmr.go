@@ -127,7 +127,6 @@ import (
 	"math"
 
 	"repro/internal/checksum"
-	"repro/internal/pool"
 	"repro/internal/vec"
 )
 
@@ -143,25 +142,10 @@ type Executor struct {
 	// those two differ. The element-wise updates run once and call it once per
 	// block, with replica 0 and the block just written — the whole vector when
 	// it is no longer than a block — before the block's checksum is taken, as
-	// a transient in the arithmetic would come before it. With a Pool and a
-	// vector long enough to be split, blocks of different ranges reach the
-	// hook concurrently.
+	// a transient in the arithmetic would come before it.
 	Corrupt func(replica int, scalar *float64, vector []float64)
 
-	// Pool, when non-nil, spreads the O(n) work over the worker pool: the
-	// reductions run each replica through the deterministic blocked variants
-	// from internal/vec, the element-wise updates write disjoint ranges
-	// concurrently. Either way the result is that of a nil Pool — same bits,
-	// one goroutine.
-	Pool *pool.Pool
-
 	votes, mismatches, undecided int64
-
-	// The update in flight, read by the pool workers through ranges — the
-	// closure is built once, so a pooled update allocates nothing.
-	dst, a, b []float64
-	alpha     float64
-	ranges    func(lo, hi int)
 }
 
 // Stats reports how many reductions were voted, how many of them saw two
@@ -197,17 +181,17 @@ func vote(a, b, c float64) (v float64, dissent, split bool) {
 }
 
 // Dot computes aᵀb with TMR.
-func (e *Executor) Dot(a, b []float64) float64 { return e.reduce(vec.DotPool, a, b) }
+func (e *Executor) Dot(a, b []float64) float64 { return e.reduce(vec.DotBlocked, a, b) }
 
 // Norm2Sq computes ‖a‖₂² with TMR.
 func (e *Executor) Norm2Sq(a []float64) float64 { return e.reduce(norm2Sq, a, nil) }
 
-// norm2Sq gives vec.Norm2SqPool the shape of reduce's two-operand kernels.
-func norm2Sq(p *pool.Pool, a, _ []float64) float64 { return vec.Norm2SqPool(p, a) }
+// norm2Sq gives vec.Norm2SqBlocked the shape of reduce's two-operand kernels.
+func norm2Sq(a, _ []float64) float64 { return vec.Norm2SqBlocked(a) }
 
 // reduce votes one scalar kernel over a and b: two executions, and the third
 // only to settle a difference between them.
-func (e *Executor) reduce(kernel func(*pool.Pool, []float64, []float64) float64, a, b []float64) float64 {
+func (e *Executor) reduce(kernel func(a, b []float64) float64, a, b []float64) float64 {
 	r0, r1 := e.once(kernel, 0, a, b), e.once(kernel, 1, a, b)
 	if math.Float64bits(r0) == math.Float64bits(r1) {
 		e.count(false, false)
@@ -223,8 +207,8 @@ func (e *Executor) reduce(kernel func(*pool.Pool, []float64, []float64) float64,
 // loop.
 //
 //go:noinline
-func (e *Executor) once(kernel func(*pool.Pool, []float64, []float64) float64, replica int, a, b []float64) float64 {
-	r := kernel(e.Pool, a, b)
+func (e *Executor) once(kernel func(a, b []float64) float64, replica int, a, b []float64) float64 {
+	r := kernel(a, b)
 	if e.Corrupt == nil {
 		return r
 	}
@@ -269,28 +253,14 @@ func (e *Executor) XpayGuarded(rows int, alpha float64, x, y []float64) checksum
 
 // update is the element-wise kernel dst ← a + alpha·b, one execution in
 // place; dst may alias either operand. rows selects the checksum rows of dst
-// handed back (0 for none). Vectors below vec.MinParallel never consult the
-// pool, as the plain pooled kernels behave; above it each pool range writes
-// its own elements and the sums are taken afterwards in one index-order pass,
-// because per-range partial sums would round differently.
+// handed back (0 for none).
 func (e *Executor) update(dst, a []float64, alpha float64, b []float64, rows int) checksum.Vector {
 	n := len(dst)
 	if len(a) != n || len(b) != n {
 		panic(fmt.Sprintf("tmr: length mismatch %d, %d, %d", n, len(a), len(b)))
 	}
 	var sums checksum.Running
-	if e.Pool == nil || n < vec.MinParallel {
-		e.run(dst, a, alpha, b, rows, &sums)
-	} else {
-		e.dst, e.a, e.b, e.alpha = dst, a, b, alpha
-		if e.ranges == nil {
-			e.ranges = func(lo, hi int) { e.run(e.dst[lo:hi], e.a[lo:hi], e.alpha, e.b[lo:hi], 0, nil) }
-		}
-		e.Pool.Run(n, vec.BlockSize, e.ranges)
-		if rows > 0 {
-			sums.Add(dst, rows)
-		}
-	}
+	e.run(dst, a, alpha, b, rows, &sums)
 	return checksum.Vector{S1: sums.S1, S2: sums.S2}
 }
 

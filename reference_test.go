@@ -103,8 +103,23 @@ func TestUnprotectedMatchesReferenceOnSuite(t *testing.T) {
 // benchmark issue drops it) imports internal/solver, and internal/solver's own
 // non-test files import nothing of this module but internal/sparse, for the
 // CSR type — the oracle shares no arithmetic with what it judges.
+//
+// The same walk holds the one level of parallelism: the system is parallel
+// over solves — campaign trials in internal/harness and internal/sim, the
+// commands and examples that size their fan-out — and never inside one, so
+// nothing a solve runs through (core, vec, tmr, abft, checksum, checkpoint)
+// and nothing of the service (server, router, api) imports internal/pool.
+// internal/sparse still does, for the one product bench/'s
+// sparse.mulvec_parallel_speedup.large times, until that probe goes.
 func TestReferenceStaysAReference(t *testing.T) {
-	const ref = "repro/internal/solver"
+	const ref, workers = "repro/internal/solver", "repro/internal/pool"
+	fanOut := func(dir string) bool {
+		switch dir {
+		case "internal/sparse", "internal/harness", "internal/sim", "bench":
+			return true
+		}
+		return strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/")
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
@@ -127,6 +142,8 @@ func TestReferenceStaysAReference(t *testing.T) {
 				}
 			case name == ref && dir != "internal/harness" && dir != "bench":
 				t.Errorf("%s imports %s: only tests compare against the reference", path, name)
+			case name == workers && !fanOut(dir):
+				t.Errorf("%s imports %s: cores run solves, a solve runs on one core", path, name)
 			}
 		}
 		return nil
