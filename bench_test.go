@@ -419,8 +419,7 @@ func BenchmarkOptimalPlacementDP(b *testing.B) {
 // The campaign pair is the level the system is parallel at: independent
 // trials across workers. The SpMV pair times the one pool kernel left,
 // sparse.MulVecParallel, which only bench/'s
-// sparse.mulvec_parallel_speedup.large still calls (n ≥ 100k rows, above the
-// size at which it pays).
+// sparse.mulvec_parallel_speedup.large still calls, at n ≥ 100k rows.
 
 // benchPoolMatrix is a 2D Poisson system with n = 102400 ≥ 100k rows.
 func benchPoolMatrix(b *testing.B) *sparse.CSR {

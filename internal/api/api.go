@@ -183,8 +183,8 @@ type SolveResponse struct {
 	Schema int `json:"schema"`
 	// Result is the standard campaign record of the single-trial run; its
 	// deterministic fields (residual hash included) are bit-identical for
-	// repeated identical requests, any worker count and warm or cold
-	// caches.
+	// repeated identical requests, any number of solver slots and warm or
+	// cold caches.
 	Result harness.Result `json:"result"`
 	// CacheHit reports whether the per-matrix artifacts were already
 	// resident.

@@ -32,6 +32,11 @@
 // four, so a protection overhead divides two runs of one driver. SolveBlock
 // advances several engines in lockstep around one blocked product.
 //
+// A solve runs on one goroutine, whatever its scheme — the paper's Titer,
+// Tverif and Tcp are one core's flops and words, and both sides of every
+// overhead get that one core by construction. Callers with cores to spare run
+// more solves (the campaign fan-out of internal/harness, a shard's slots).
+//
 // The engine operates on genuinely corrupted memory (the fault injector
 // flips real bits in the live arrays) and accounts execution time through a
 // deterministic cost model, so the experiments of the paper's Section 5 are

@@ -16,10 +16,11 @@
 // aggregator that merges shard outputs), and CI drives a smoke campaign
 // whose records gate regressions.
 //
-// Every scenario is deterministic in its seed: the solver kernels use
-// deterministic blocked arithmetic and per-trial injector seeds are fixed
-// by trial index, so a record's canonical form (wall time excluded) is
-// bitwise identical for any worker count.
+// Every scenario is deterministic in its seed: a trial is one sequential
+// solve, per-trial injector seeds are fixed by trial index and outcomes land
+// in per-trial slots, so a record's canonical form (wall time excluded) is
+// bitwise identical for any worker count of the trial fan-out — the one
+// level at which anything here runs in parallel.
 package harness
 
 import (

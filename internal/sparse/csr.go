@@ -26,7 +26,7 @@ type CSR struct {
 	Colid      []int
 	Rowidx     []int
 
-	// plan caches NNZ-balanced partition plans for the parallel kernels
+	// plan caches NNZ-balanced partition plans for MulVecParallel
 	// (see partition.go). It is derived data — never serialised, never
 	// compared — and CopyFrom invalidates it.
 	plan planCache

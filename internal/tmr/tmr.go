@@ -189,6 +189,25 @@ func (e *Executor) Norm2Sq(a []float64) float64 { return e.reduce(norm2Sq, a, ni
 // norm2Sq gives vec.Norm2SqBlocked the shape of reduce's two-operand kernels.
 func norm2Sq(a, _ []float64) float64 { return vec.Norm2SqBlocked(a) }
 
+// run is the one execution of an update. With a Corrupt hook it goes block
+// by block, each block shown to the hook as soon as it is written and summed
+// from memory after that: the bits the fused summation gives when the hook
+// perturbs nothing.
+func (e *Executor) run(dst, a []float64, alpha float64, b []float64, rows int, sums *checksum.Running) {
+	if e.Corrupt == nil {
+		axpyBlock(dst, a, alpha, b, rows, sums)
+		return
+	}
+	for lo := 0; lo < len(dst); lo += block {
+		end := min(lo+block, len(dst))
+		axpyBlock(dst[lo:end], a[lo:end], alpha, b[lo:end], 0, nil)
+		e.Corrupt(0, nil, dst[lo:end])
+		if rows > 0 {
+			sums.Add(dst[lo:end], rows)
+		}
+	}
+}
+
 // reduce votes one scalar kernel over a and b: two executions, and the third
 // only to settle a difference between them.
 func (e *Executor) reduce(kernel func(a, b []float64) float64, a, b []float64) float64 {
@@ -296,24 +315,5 @@ func axpyBlock(dst, a []float64, alpha float64, b []float64, rows int, sums *che
 		}
 		sums.S1, sums.S2 = s1, s2
 		sums.N += len(dst)
-	}
-}
-
-// run is the one execution of the update over a range. With a Corrupt hook
-// it goes block by block, each block shown to the hook as soon as it is
-// written and summed from memory after that: the bits the fused summation
-// gives when the hook perturbs nothing.
-func (e *Executor) run(dst, a []float64, alpha float64, b []float64, rows int, sums *checksum.Running) {
-	if e.Corrupt == nil {
-		axpyBlock(dst, a, alpha, b, rows, sums)
-		return
-	}
-	for lo := 0; lo < len(dst); lo += block {
-		end := min(lo+block, len(dst))
-		axpyBlock(dst[lo:end], a[lo:end], alpha, b[lo:end], 0, nil)
-		e.Corrupt(0, nil, dst[lo:end])
-		if rows > 0 {
-			sums.Add(dst[lo:end], rows)
-		}
 	}
 }

@@ -13,6 +13,27 @@ package vec
 // to their plain counterparts on small inputs.
 const BlockSize = 4096
 
+// Norm2SqBlocked returns ‖a‖₂² by the blocked reduction.
+func Norm2SqBlocked(a []float64) float64 {
+	if len(a) <= BlockSize {
+		return Norm2Sq(a)
+	}
+	n := len(a)
+	var total float64
+	for lo := 0; lo < n; lo += BlockSize {
+		hi := lo + BlockSize
+		if hi > n {
+			hi = n
+		}
+		var s float64
+		for i := lo; i < hi; i++ {
+			s += a[i] * a[i]
+		}
+		total += s
+	}
+	return total
+}
+
 // DotBlocked returns aᵀb by the blocked reduction.
 func DotBlocked(a, b []float64) float64 {
 	checkLen("DotBlocked", a, b)
@@ -29,27 +50,6 @@ func DotBlocked(a, b []float64) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			s += a[i] * b[i]
-		}
-		total += s
-	}
-	return total
-}
-
-// Norm2SqBlocked returns ‖a‖₂² by the blocked reduction.
-func Norm2SqBlocked(a []float64) float64 {
-	if len(a) <= BlockSize {
-		return Norm2Sq(a)
-	}
-	n := len(a)
-	var total float64
-	for lo := 0; lo < n; lo += BlockSize {
-		hi := lo + BlockSize
-		if hi > n {
-			hi = n
-		}
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += a[i] * a[i]
 		}
 		total += s
 	}

@@ -22,6 +22,18 @@ func checkLen(op string, a, b []float64) {
 	}
 }
 
+// MaxAbsDiff returns max |aᵢ − bᵢ|, a convenient convergence/corruption metric.
+func MaxAbsDiff(a, b []float64) float64 {
+	checkLen("MaxAbsDiff", a, b)
+	var m float64
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 // Dot returns the inner product aᵀb.
 func Dot(a, b []float64) float64 {
 	checkLen("Dot", a, b)
@@ -193,18 +205,6 @@ func Equal(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbsDiff returns max |aᵢ − bᵢ|, a convenient convergence/corruption metric.
-func MaxAbsDiff(a, b []float64) float64 {
-	checkLen("MaxAbsDiff", a, b)
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Flop counts for the kernels above, in floating point operations, as used
