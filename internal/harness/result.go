@@ -35,8 +35,9 @@ type Result struct {
 	// Scenario echoes the exact scenario that produced the record (with
 	// defaults resolved), so it can be replayed from the JSON alone.
 	Scenario Scenario `json:"scenario"`
-	// Workers is the pool sizing knob the run used (0 = shared default
-	// pool); it never changes the record's deterministic fields.
+	// Workers is the size of the trial fan-out the run used (0 = shared
+	// default pool; a shard, which runs one solve per record, stamps 1); it
+	// never changes the record's deterministic fields.
 	Workers int `json:"workers"`
 	// Matrix describes the materialised matrix.
 	Matrix MatrixInfo `json:"matrix"`

@@ -117,10 +117,8 @@ func RunFigure1(cfg Figure1Config, suite []harness.SuiteMatrix) []Figure1Series 
 // (faultsim -json, CI artifacts, shard merges).
 func RunFigure1Results(cfg Figure1Config, suite []harness.SuiteMatrix) ([]Figure1Series, []harness.Result) {
 	cfg = cfg.withDefaults()
-	pl := campaignPool(cfg.Workers)
-	if cfg.Workers > 1 {
-		defer pl.Close() // dedicated pool: release its workers on return
-	}
+	pl, done := harness.PoolFor(cfg.Workers)
+	defer done() // releases a dedicated pool's workers
 	out := make([]Figure1Series, 0, len(suite))
 	var records []harness.Result
 	for mi, sm := range suite {

@@ -41,13 +41,15 @@ func TestCampaignFanOutDeterministic(t *testing.T) {
 // TestCampaignWorkersKnob checks the Workers resolution used by the
 // experiment configs.
 func TestCampaignWorkersKnob(t *testing.T) {
-	if campaignPool(1) != nil {
+	if p, _ := harness.PoolFor(1); p != nil {
 		t.Fatal("Workers=1 must run sequentially (nil pool)")
 	}
-	if p := campaignPool(3); p == nil || p.Workers() != 3 {
+	p, done := harness.PoolFor(3)
+	if p == nil || p.Workers() != 3 {
 		t.Fatal("Workers=3 must size a dedicated pool")
 	}
-	if p := campaignPool(0); p != pool.Default() {
+	done()
+	if p, _ := harness.PoolFor(0); p != pool.Default() {
 		t.Fatal("Workers=0 must select the shared default pool")
 	}
 }

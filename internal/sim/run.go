@@ -38,14 +38,6 @@ func AverageTimePool(p *pool.Pool, a *sparse.CSR, b []float64, scheme core.Schem
 	return harness.TrialsOn(p, a, b, sc)
 }
 
-// campaignPool resolves the Workers knob shared by the experiment configs:
-// 0 selects the process-wide default pool, 1 forces sequential execution,
-// and any other value sizes a dedicated pool.
-func campaignPool(workers int) *pool.Pool {
-	p, _ := harness.PoolFor(workers)
-	return p
-}
-
 // Progress is an optional hook the long-running experiments call with a
 // human-readable status line; nil disables reporting.
 type Progress func(format string, args ...any)

@@ -116,10 +116,8 @@ type Table1Row struct {
 // RunTable1 reproduces the paper's Table 1 on the given suite.
 func RunTable1(cfg Table1Config, suite []harness.SuiteMatrix) []Table1Row {
 	cfg = cfg.withDefaults()
-	pl := campaignPool(cfg.Workers)
-	if cfg.Workers > 1 {
-		defer pl.Close() // dedicated pool: release its workers on return
-	}
+	pl, done := harness.PoolFor(cfg.Workers)
+	defer done() // releases a dedicated pool's workers
 	rows := make([]Table1Row, 0, len(suite))
 	for mi, sm := range suite {
 		a := sm.Generate(cfg.Scale)
