@@ -69,8 +69,8 @@ func (r *Router) handleAdminAddShard(w http.ResponseWriter, req *http.Request) {
 		respondBadRequest(w, fmt.Errorf("unsupported schema %d (want %d)", body.Schema, api.SchemaVersion))
 		return
 	}
-	if body.Name == "" {
-		respondBadRequest(w, errors.New("shard needs a name"))
+	if err := (Shard{Name: body.Name, Addr: body.Addr, VnodeWeight: body.VnodeWeight}).Validate(); err != nil {
+		respondBadRequest(w, err)
 		return
 	}
 	sh, err := r.AddShard(body.Name, body.Addr, body.VnodeWeight)

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,5 +281,87 @@ func TestAdminUnknownEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusUnauthorized {
 		t.Errorf("unauthenticated unknown admin path: status %d, want 401", resp2.StatusCode)
+	}
+}
+
+// TestAdminAddRefusesInvalidShard: an add the topology file would refuse
+// — an addr that is not an http(s) base URL, a weight outside (0, 16] — is
+// the client's 400 through the real handler, and the shard set is as it
+// was: not a joined shard, not a 500.
+func TestAdminAddRefusesInvalidShard(t *testing.T) {
+	r, _, ts := mockRouter(t, Config{AdminToken: "sekrit"}, "s0")
+	before := ringOwners(r, 64)
+	for _, body := range []string{
+		`{"name":"bad","addr":"not a url at all"}`,
+		`{"name":"ftp","addr":"ftp://x/y"}`,
+		`{"name":"nohost","addr":"http://"}`,
+		`{"name":"neg","vnode_weight":-1}`,
+		`{"name":"big","vnode_weight":16.5}`,
+		`{"addr":"http://127.0.0.1:9"}`,
+	} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/admin/shards", strings.NewReader(body))
+		req.Header.Set("Authorization", "Bearer sekrit")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e api.Error
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeBadRequest {
+			t.Errorf("add %s: status %d envelope %+v (%v), want 400 %s", body, resp.StatusCode, e, err, api.CodeBadRequest)
+		}
+	}
+	if topo := r.CurrentTopology(); len(topo.Shards) != 1 || topo.Shards[0].Name != "s0" {
+		t.Errorf("refused adds changed the shard set: %+v", topo.Shards)
+	}
+	if got := ringOwners(r, 64); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Error("refused adds disturbed the ring")
+	}
+}
+
+// TestAdminAddJoinProbeDecides: the synchronous join probe is the shard's
+// first health verdict. One failure is enough — a shard that does not
+// answer joins ejected, so its keys go to their healthy successors at once
+// instead of paying failover retries for FailThreshold probe rounds — and
+// the first good probe re-admits it like any other ejection. A live shard
+// joins active.
+func TestAdminAddJoinProbeDecides(t *testing.T) {
+	r, _, ts := mockRouter(t, Config{AdminToken: "sekrit"}, "s0")
+	cl := adminClient(ts.URL)
+	ctx := context.Background()
+
+	late := newFakeShard(t, "late")
+	late.setHealthy(false)
+	add, err := cl.AdminAddShard(ctx, "late", late.ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if add.Shard.State != api.ShardEjected || add.Shard.Healthy {
+		t.Errorf("shard failing its join probe answered %+v, want ejected and unhealthy", add.Shard)
+	}
+	late.setHealthy(true)
+	r.probeAll()
+	for _, sh := range r.CurrentTopology().Shards {
+		if sh.State != api.ShardActive || !sh.Healthy {
+			t.Errorf("shard %s is %q after a good probe round, want active", sh.Name, sh.State)
+		}
+	}
+
+	dead, err := cl.AdminAddShard(ctx, "dead", "http://127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dead.Shard.State != api.ShardEjected || dead.Shard.Healthy {
+		t.Errorf("dead addr joined as %+v, want ejected and unhealthy", dead.Shard)
+	}
+
+	live := newFakeShard(t, "live")
+	add, err = cl.AdminAddShard(ctx, "live", live.ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if add.Shard.State != api.ShardActive || !add.Shard.Healthy {
+		t.Errorf("live shard joined as %+v, want active and healthy", add.Shard)
 	}
 }

@@ -151,14 +151,12 @@ func (r *Router) Apply(topo Topology) (ApplyReport, error) {
 // whose weight changed. An empty addr asks the runtime to materialise
 // the process; weight 0 selects the router's default vnode count. The
 // shard is probed synchronously before it joins, so its health picture
-// is current the moment keys can land on it — a dead addr joins as
-// ejected and converges through the probe loop like any other ejection.
+// is current the moment keys can land on it — one failed join probe is
+// enough: a dead addr joins as ejected and the first good probe of the
+// probe loop re-admits it like any other ejection.
 func (r *Router) AddShard(name, addr string, weight float64) (api.AdminShard, error) {
-	if name == "" {
-		return api.AdminShard{}, errors.New("router: shard needs a name")
-	}
-	if weight < 0 || weight > maxVnodeWeight {
-		return api.AdminShard{}, fmt.Errorf("router: vnode_weight %g out of (0, %g]", weight, maxVnodeWeight)
+	if err := (Shard{Name: name, Addr: addr, VnodeWeight: weight}).Validate(); err != nil {
+		return api.AdminShard{}, err
 	}
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
@@ -191,7 +189,7 @@ func (r *Router) AddShard(name, addr string, weight float64) (api.AdminShard, er
 			existing.setWeight(weight)
 		}
 		existing.setDrained(false)
-		r.probe(existing)
+		r.probe(existing, 1)
 		r.ringMu.Lock()
 		r.ring.AddN(name, r.vnodesFor(existing.getWeight()))
 		r.ringMu.Unlock()
@@ -202,7 +200,7 @@ func (r *Router) AddShard(name, addr string, weight float64) (api.AdminShard, er
 	if err != nil {
 		return api.AdminShard{}, err
 	}
-	r.probe(st)
+	r.probe(st, 1)
 	r.ringMu.Lock()
 	r.shards[name] = st
 	r.ring.AddN(name, r.vnodesFor(weight))

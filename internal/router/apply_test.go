@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
 	"testing"
 
@@ -125,6 +126,45 @@ func TestApplyStartFailureAborts(t *testing.T) {
 	}
 	if rt.Get("s1") != nil {
 		t.Error("aborted apply leaked a running shard")
+	}
+}
+
+// recordingRuntime is a ShardRuntime double that records every Start and
+// Stop and fails the Start of one name.
+type recordingRuntime struct {
+	*MockRuntime
+	failOn           string
+	started, stopped []string
+}
+
+func (rt *recordingRuntime) Start(name string) (string, error) {
+	if name == rt.failOn {
+		return "", errors.New("injected start failure")
+	}
+	rt.started = append(rt.started, name)
+	return rt.MockRuntime.Start(name)
+}
+
+func (rt *recordingRuntime) Stop(name string) error {
+	rt.stopped = append(rt.stopped, name)
+	return rt.MockRuntime.Stop(name)
+}
+
+// TestNewStartFailureStopsStarted: a router that cannot be built leaves
+// nothing running — when the k-th managed shard fails to start, the k−1
+// started before it are stopped again (under -supervise they are child
+// processes nobody would ever reap).
+func TestNewStartFailureStopsStarted(t *testing.T) {
+	rt := &recordingRuntime{MockRuntime: NewMockRuntime(), failOn: "c"}
+	t.Cleanup(rt.StopAll)
+	r, err := New(Config{Runtime: rt}, []Shard{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}})
+	if err == nil {
+		r.Shutdown()
+		t.Fatal("New succeeded though shard c cannot start")
+	}
+	sort.Strings(rt.stopped)
+	if fmt.Sprint(rt.started) != "[a b]" || fmt.Sprint(rt.stopped) != "[a b]" {
+		t.Errorf("started=%v stopped=%v, want a and b started, then both stopped", rt.started, rt.stopped)
 	}
 }
 

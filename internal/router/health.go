@@ -292,7 +292,7 @@ func (r *Router) probeAll() {
 		wg.Add(1)
 		go func(s *shardState) {
 			defer wg.Done()
-			r.probe(s)
+			r.probe(s, r.cfg.FailThreshold)
 		}(s)
 	}
 	wg.Wait()
@@ -302,10 +302,12 @@ func (r *Router) probeAll() {
 // answers 200 with status "ok" inside the probe timeout. A draining
 // shard reports itself unhealthy here on purpose — it refuses new solves
 // with 503, so routing must move its keys to the next replica now.
-func (r *Router) probe(s *shardState) {
+// threshold is how many consecutive failures eject: FailThreshold on the
+// probe loop, 1 for the probe a shard must pass to join the ring healthy.
+func (r *Router) probe(s *shardState, threshold int) {
 	req, err := http.NewRequest(http.MethodGet, s.baseURL()+"/v1/healthz", nil)
 	if err != nil {
-		s.noteProbe(false, err.Error(), 0, r.cfg.FailThreshold)
+		s.noteProbe(false, err.Error(), 0, threshold)
 		return
 	}
 	ctx, cancel := contextWithTimeout(r.cfg.ProbeTimeout)
@@ -314,19 +316,19 @@ func (r *Router) probe(s *shardState) {
 	resp, err := r.client.Do(req.WithContext(ctx))
 	latency := time.Since(start)
 	if err != nil {
-		s.noteProbe(false, err.Error(), latency, r.cfg.FailThreshold)
+		s.noteProbe(false, err.Error(), latency, threshold)
 		return
 	}
 	defer resp.Body.Close()
 	var h api.HealthResponse
 	switch {
 	case resp.StatusCode != http.StatusOK:
-		s.noteProbe(false, "healthz status "+resp.Status, latency, r.cfg.FailThreshold)
+		s.noteProbe(false, "healthz status "+resp.Status, latency, threshold)
 	case json.NewDecoder(resp.Body).Decode(&h) != nil:
-		s.noteProbe(false, "healthz: undecodable body", latency, r.cfg.FailThreshold)
+		s.noteProbe(false, "healthz: undecodable body", latency, threshold)
 	case h.Status != "ok":
-		s.noteProbe(false, "healthz status "+h.Status, latency, r.cfg.FailThreshold)
+		s.noteProbe(false, "healthz status "+h.Status, latency, threshold)
 	default:
-		s.noteProbe(true, "", latency, r.cfg.FailThreshold)
+		s.noteProbe(true, "", latency, threshold)
 	}
 }

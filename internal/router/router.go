@@ -270,6 +270,11 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 		}
 		st, err := r.materialize(sh)
 		if err != nil {
+			for name, started := range r.shards {
+				if started.managed {
+					_ = r.runtime.Stop(name)
+				}
+			}
 			return nil, err
 		}
 		r.shards[sh.Name] = st

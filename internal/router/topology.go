@@ -2,6 +2,7 @@ package router
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
@@ -28,7 +29,7 @@ type Topology struct {
 }
 
 // Validate rejects malformed topologies: unknown schema, no shards,
-// duplicate or empty names, unparseable addresses.
+// duplicate names, or an entry Shard.Validate refuses.
 func (t *Topology) Validate() error {
 	if t.Schema != 0 && t.Schema != TopologySchemaVersion {
 		return fmt.Errorf("topology: unsupported schema %d (want %d)", t.Schema, TopologySchemaVersion)
@@ -38,23 +39,34 @@ func (t *Topology) Validate() error {
 	}
 	seen := make(map[string]bool, len(t.Shards))
 	for i, sh := range t.Shards {
-		if sh.Name == "" {
-			return fmt.Errorf("topology: shard %d has no name", i)
+		if err := sh.Validate(); err != nil {
+			return fmt.Errorf("topology: entry %d: %w", i, err)
 		}
 		if seen[sh.Name] {
 			return fmt.Errorf("topology: duplicate shard name %q", sh.Name)
 		}
 		seen[sh.Name] = true
-		if sh.VnodeWeight < 0 || sh.VnodeWeight > maxVnodeWeight {
-			return fmt.Errorf("topology: shard %q: vnode_weight %g out of (0, %g]", sh.Name, sh.VnodeWeight, maxVnodeWeight)
-		}
-		if sh.Addr == "" {
-			continue // spawned in-process by resrouter
-		}
-		u, err := url.Parse(sh.Addr)
-		if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
-			return fmt.Errorf("topology: shard %q: addr %q is not an http(s) base URL", sh.Name, sh.Addr)
-		}
+	}
+	return nil
+}
+
+// Validate is the one check of a shard entry, whichever surface it came in
+// by (start-up flags, topology file, admin add): a name, a vnode_weight in
+// (0, 16] or 0 for the default, and an addr that is an http(s) base URL or
+// empty (the runtime starts the process).
+func (sh Shard) Validate() error {
+	if sh.Name == "" {
+		return errors.New("shard has no name")
+	}
+	if !(sh.VnodeWeight >= 0 && sh.VnodeWeight <= maxVnodeWeight) {
+		return fmt.Errorf("shard %q: vnode_weight %g out of (0, %g]", sh.Name, sh.VnodeWeight, maxVnodeWeight)
+	}
+	if sh.Addr == "" {
+		return nil
+	}
+	u, err := url.Parse(sh.Addr)
+	if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
+		return fmt.Errorf("shard %q: addr %q is not an http(s) base URL", sh.Name, sh.Addr)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/api"
 )
 
 // TestRingAddNSkewsOwnership: a shard holding more vnodes must own a
@@ -179,8 +181,12 @@ func TestAdminAddShardWeighted(t *testing.T) {
 	// Out-of-range weights are rejected at the API boundary.
 	if _, err := cl.AdminAddShardWeighted(ctx, "w1", "", maxVnodeWeight+1); err == nil {
 		t.Error("over-limit vnode_weight accepted")
+	} else if e := asAPIError(t, err); e.Code != api.CodeBadRequest {
+		t.Errorf("over-limit vnode_weight: code %q, want %q", e.Code, api.CodeBadRequest)
 	}
 	if _, err := cl.AdminAddShardWeighted(ctx, "w1", "", -1); err == nil {
 		t.Error("negative vnode_weight accepted")
+	} else if e := asAPIError(t, err); e.Code != api.CodeBadRequest {
+		t.Errorf("negative vnode_weight: code %q, want %q", e.Code, api.CodeBadRequest)
 	}
 }
