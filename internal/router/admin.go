@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 
 	"repro/internal/api"
@@ -99,6 +100,18 @@ func (r *Router) handleAdminRemoveShard(w http.ResponseWriter, req *http.Request
 	api.WriteJSON(w, http.StatusOK, api.AdminRemoveResponse{Schema: api.SchemaVersion, Removed: label})
 }
 
+// Sentinel errors of the topology verbs; the admin surface maps them to
+// HTTP statuses.
+var (
+	// ErrShardNotFound: the named shard is not in the topology.
+	ErrShardNotFound = errors.New("router: shard not found")
+	// ErrShardExists: an add named a shard that is already active.
+	ErrShardExists = errors.New("router: shard already active")
+	// ErrLastShard: draining or removing the shard would leave the ring
+	// empty.
+	ErrLastShard = errors.New("router: refusing to take the last routable shard out of the ring")
+)
+
 // respondAdminErr maps the topology verbs' sentinel errors onto the
 // envelope: unknown shard → 404, already-active add or last-shard guard
 // → 409, anything else (runtime start failures) → 500.
@@ -111,4 +124,41 @@ func respondAdminErr(w http.ResponseWriter, err error) {
 	default:
 		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, err, 0)
 	}
+}
+
+// CurrentTopology snapshots the live shard set for the admin API,
+// sorted by name.
+func (r *Router) CurrentTopology() api.AdminTopologyResponse {
+	r.ringMu.RLock()
+	shards := make([]*shardState, 0, len(r.shards))
+	for _, s := range r.shards {
+		shards = append(shards, s)
+	}
+	r.ringMu.RUnlock()
+	sort.Slice(shards, func(i, j int) bool { return shards[i].name < shards[j].name })
+	out := api.AdminTopologyResponse{
+		Schema:   api.SchemaVersion,
+		Vnodes:   r.cfg.Vnodes,
+		Replicas: r.cfg.Replicas,
+		Shards:   make([]api.AdminShard, 0, len(shards)),
+	}
+	for _, s := range shards {
+		out.Shards = append(out.Shards, s.adminView())
+	}
+	return out
+}
+
+// adminView snapshots the shard for the admin API.
+func (s *shardState) adminView() api.AdminShard {
+	s.mu.Lock()
+	v := api.AdminShard{
+		Name:        s.name,
+		Addr:        s.placement.addr,
+		State:       s.stateLocked(),
+		Healthy:     s.healthy,
+		VnodeWeight: s.placement.weight,
+	}
+	s.mu.Unlock()
+	v.Inflight = s.inflight.Load()
+	return v
 }

@@ -1,142 +1,112 @@
 package router
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/api"
 )
 
-// Sentinel errors of the topology verbs; the admin surface maps them to
-// HTTP statuses.
-var (
-	// ErrShardNotFound: the named shard is not in the topology.
-	ErrShardNotFound = errors.New("router: shard not found")
-	// ErrShardExists: an add named a shard that is already active.
-	ErrShardExists = errors.New("router: shard already active")
-	// ErrLastShard: draining or removing the shard would leave the ring
-	// empty.
-	ErrLastShard = errors.New("router: refusing to take the last routable shard out of the ring")
-)
-
-// ApplyReport says what a topology apply changed. Shards absent from all
-// four lists did not exist before or after.
-type ApplyReport struct {
-	Added   []string // new shards joined to the ring
-	Removed []string // shards taken off the ring and forgotten
-	Updated []string // retained shards whose addr changed or drain latch cleared
-	Kept    []string // retained shards, untouched
+// want is one entry of a desired state: a shard's name and what the control
+// plane decides about it. An empty addr means "where it is now" for a shard
+// the router holds and "ask the runtime" for a new one.
+type want struct {
+	name string
+	placement
 }
 
-// Changed reports whether the apply moved anything.
-func (a ApplyReport) Changed() bool {
-	return len(a.Added)+len(a.Removed)+len(a.Updated) > 0
-}
-
-func (a ApplyReport) String() string {
-	return fmt.Sprintf("added=%v removed=%v updated=%v kept=%d", a.Added, a.Removed, a.Updated, len(a.Kept))
-}
-
-// Apply reconciles the live ring with a desired topology under traffic,
-// with minimal key movement: only shards that join or leave touch the
-// ring, so retained shards keep every key they own. Presence in the
-// topology means desired-active — a drained shard named by the topology
-// is re-admitted (latch cleared, back on the ring). A shard whose entry
-// names a new addr is repointed in place without leaving the ring. On any
-// error the previous ring keeps serving untouched.
-func (r *Router) Apply(topo Topology) (ApplyReport, error) {
+// reconcile makes the live membership equal the desired state. It is the
+// one writer of r.ring and r.shards, the one caller of the runtime's Start
+// and — Shutdown apart — Stop, and the one place key attributions are
+// forgotten. Callers hold applyMu, so nothing else writes r.shards while
+// this reads it unlocked; ringMu is taken only to publish, never while a
+// process starts or a probe runs. A shard's ring points are touched only
+// when its vnode count changes, and a vnode keeps its "name#i" position, so
+// a reweight moves the keys of the count difference and a join or leave
+// only that shard's keys. On error nothing has changed: joiners already
+// started are stopped again and the previous ring keeps serving. With
+// joinProbe every shard entering the ring — new, or drained before — is
+// health-checked first and one failure is enough: a dead shard joins ejected.
+func (r *Router) reconcile(desired []want, joinProbe bool) (ApplyReport, error) {
+	type step struct {
+		s         *shardState
+		joins     bool // new to the router: attached or started below
+		old, next placement
+	}
 	var rep ApplyReport
-	if err := topo.Validate(); err != nil {
-		return rep, err
-	}
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-
-	desired := make(map[string]Shard, len(topo.Shards))
-	for _, sh := range topo.Shards {
-		desired[sh.Name] = sh
-	}
-
-	// Phase 1 (no locks): materialise joiners. A start failure aborts the
-	// whole apply — already-started joiners are stopped again and the
-	// live ring is left exactly as it was.
-	r.ringMu.RLock()
-	var joiners []Shard
-	for _, sh := range topo.Shards {
-		if _, ok := r.shards[sh.Name]; !ok {
-			joiners = append(joiners, sh)
-		}
-	}
-	r.ringMu.RUnlock()
-	states := make(map[string]*shardState, len(joiners))
-	for _, sh := range joiners {
-		st, err := r.materialize(sh)
-		if err != nil {
-			for started, s := range states {
-				if s.managed && r.runtime != nil {
-					_ = r.runtime.Stop(started)
-				}
+	steps := make([]step, 0, len(desired))
+	keep := make(map[string]bool, len(desired))
+	for _, w := range desired {
+		keep[w.name] = true
+		st := step{s: r.shards[w.name], next: w.placement}
+		if st.s != nil {
+			st.old = st.s.placed()
+			if st.next.addr == "" {
+				st.next.addr = st.old.addr
 			}
-			return rep, err
+		} else {
+			addr, err := r.materialize(w)
+			if err != nil {
+				for _, started := range steps {
+					if started.joins && started.s.managed {
+						_ = r.runtime.Stop(started.s.name) // the start failure is the error to report
+					}
+				}
+				return rep, err
+			}
+			st.s = &shardState{name: w.name, managed: w.addr == "", healthy: true}
+			st.next.addr = addr
+			st.joins, st.old.drained = true, true // a joiner comes from off the ring
 		}
-		states[sh.Name] = st
+		if joinProbe && st.old.drained && !st.next.drained {
+			// Off the ring, so the verdict cannot move a key before the
+			// placement it was taken for is published below.
+			st.s.noteProbe(r.healthCheck(st.next.addr), 1)
+		}
+		steps = append(steps, st)
 	}
-
-	// Phase 2: swap the membership in one critical section.
-	var leaverStops []string
+	var offRing []string      // left the ring: their key attributions are stale
+	var leavers []*shardState // left the router
 	r.ringMu.Lock()
 	for name, s := range r.shards {
-		want, keep := desired[name]
-		if !keep {
+		if !keep[name] {
 			r.ring.Remove(name)
 			delete(r.shards, name)
 			rep.Removed = append(rep.Removed, name)
-			if s.managed {
-				leaverStops = append(leaverStops, name)
+			offRing = append(offRing, name)
+			leavers = append(leavers, s)
+		}
+	}
+	for _, st := range steps {
+		name := st.s.name
+		st.s.place(st.next)
+		if was, now := r.ringPoints(st.old), r.ringPoints(st.next); was != now {
+			r.ring.Remove(name)
+			if now > 0 {
+				r.ring.AddN(name, now)
+			} else {
+				offRing = append(offRing, name)
 			}
-			continue
 		}
-		changed := false
-		if want.Addr != "" && want.Addr != s.baseURL() {
-			s.setAddr(want.Addr)
-			changed = true
-		}
-		if want.VnodeWeight != s.getWeight() {
-			// Reweight in place: vnodes keep their canonical "name#i"
-			// positions, so only the keys owned by the count difference
-			// move — a weighted rebalance is as minimal as a join or leave.
-			s.setWeight(want.VnodeWeight)
-			if !s.isDrained() {
-				r.ring.Remove(name)
-				r.ring.AddN(name, r.vnodesFor(want.VnodeWeight))
-			}
-			changed = true
-		}
-		if s.isDrained() {
-			s.setDrained(false)
-			r.ring.AddN(name, r.vnodesFor(s.getWeight()))
-			changed = true
-		}
-		if changed {
+		switch {
+		case st.joins:
+			r.shards[name] = st.s
+			rep.Added = append(rep.Added, name)
+		case st.next != st.old:
 			rep.Updated = append(rep.Updated, name)
-		} else {
+		default:
 			rep.Kept = append(rep.Kept, name)
 		}
 	}
-	for name, st := range states {
-		r.shards[name] = st
-		r.ring.AddN(name, r.vnodesFor(st.getWeight()))
-		rep.Added = append(rep.Added, name)
-	}
 	r.ringMu.Unlock()
 
-	for _, name := range rep.Removed {
+	for _, name := range offRing {
 		r.forgetShardKeys(name)
 	}
-	if r.runtime != nil {
-		for _, name := range leaverStops {
-			_ = r.runtime.Stop(name)
+	for _, s := range leavers {
+		if s.managed {
+			_ = r.runtime.Stop(s.name) // off the ring whether or not its process goes quietly
 		}
 	}
 	sort.Strings(rep.Added)
@@ -146,169 +116,135 @@ func (r *Router) Apply(topo Topology) (ApplyReport, error) {
 	return rep, nil
 }
 
-// AddShard joins a new shard to the ring, or re-admits a drained one of
-// the same name (clearing the drain latch), or rebalances an active one
-// whose weight changed. An empty addr asks the runtime to materialise
-// the process; weight 0 selects the router's default vnode count. The
-// shard is probed synchronously before it joins, so its health picture
-// is current the moment keys can land on it — one failed join probe is
-// enough: a dead addr joins as ejected and the first good probe of the
-// probe loop re-admits it like any other ejection.
+// ringPoints is how many ring points a placement owns: none while drained.
+func (r *Router) ringPoints(p placement) int {
+	if p.drained {
+		return 0
+	}
+	return r.vnodesFor(p.weight)
+}
+
+// materialize says where a joiner listens, starting its process through
+// the runtime when the entry names no address.
+func (r *Router) materialize(w want) (addr string, err error) {
+	if w.addr != "" {
+		return w.addr, nil
+	}
+	if r.runtime == nil {
+		return "", fmt.Errorf("router: shard %q has no addr and no runtime is configured", w.name)
+	}
+	if addr, err = r.runtime.Start(w.name); err != nil {
+		return "", fmt.Errorf("router: starting shard %q: %w", w.name, err)
+	}
+	return addr, nil
+}
+
+// current is the live membership as a desired state, for an admin verb to
+// edit name's entry of (index i; −1: no such shard). Callers hold applyMu.
+func (r *Router) current(name string) (desired []want, i int) {
+	i = -1
+	for n, s := range r.shards {
+		if n == name {
+			i = len(desired)
+		}
+		desired = append(desired, want{n, s.placed()})
+	}
+	return desired, i
+}
+
+// leaving is current for the verbs that take a shard off the ring: refused
+// when there is no such shard, or it is the last one on the ring.
+func (r *Router) leaving(name string) (desired []want, i int, err error) {
+	if desired, i = r.current(name); i < 0 {
+		return nil, i, fmt.Errorf("%w: %q", ErrShardNotFound, name)
+	}
+	onRing := func(w want) bool { return !w.drained && w.name != name }
+	if !desired[i].drained && !slices.ContainsFunc(desired, onRing) {
+		return nil, i, fmt.Errorf("%w (%q is the only one left)", ErrLastShard, name)
+	}
+	return desired, i, nil
+}
+
+// Apply reconciles the live ring with a topology under traffic. Presence
+// means desired-active: a drained shard the topology names is re-admitted,
+// a shard it does not name leaves, whichever admin verb put it there; an
+// entry with a new addr repoints its shard in place. On any error the
+// previous ring keeps serving untouched.
+func (r *Router) Apply(topo Topology) (ApplyReport, error) {
+	if err := topo.Validate(); err != nil {
+		return ApplyReport{}, err
+	}
+	desired := make([]want, len(topo.Shards))
+	for i, sh := range topo.Shards {
+		desired[i] = want{sh.Name, placement{addr: sh.Addr, weight: sh.VnodeWeight}}
+	}
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
+	return r.reconcile(desired, false)
+}
+
+// AddShard joins a new shard, re-admits a drained one of the same name
+// (clearing the latch; a non-empty addr repoints it) or rebalances an
+// active one whose weight changed. An empty addr asks the runtime for the
+// process; weight 0 is the default vnode count for a new shard and "as it
+// is" for a known one. The shard is probed before it enters the ring, so
+// its health picture is current the moment keys can land on it: a dead addr
+// joins ejected and the first good probe re-admits it like any ejection.
 func (r *Router) AddShard(name, addr string, weight float64) (api.AdminShard, error) {
 	if err := (Shard{Name: name, Addr: addr, VnodeWeight: weight}).Validate(); err != nil {
 		return api.AdminShard{}, err
 	}
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
-
-	r.ringMu.RLock()
-	existing := r.shards[name]
-	r.ringMu.RUnlock()
-
-	if existing != nil {
-		if !existing.isDrained() {
-			if weight != 0 && weight != existing.getWeight() {
-				// Weighted re-add of an active shard = in-place rebalance:
-				// vnodes keep their canonical positions, so only the keys
-				// owned by the count difference change owner.
-				existing.setWeight(weight)
-				r.ringMu.Lock()
-				r.ring.Remove(name)
-				r.ring.AddN(name, r.vnodesFor(weight))
-				r.ringMu.Unlock()
-				return existing.adminView(), nil
-			}
-			return existing.adminView(), fmt.Errorf("%w: %q", ErrShardExists, name)
-		}
-		// Re-admission: same state machine as a probe re-admission, just
-		// with the latch cleared first so the probe outcome can stick.
-		if addr != "" {
-			existing.setAddr(addr)
+	desired, i := r.current(name)
+	switch {
+	case i < 0:
+		desired = append(desired, want{name, placement{addr: addr, weight: weight}})
+	case !desired[i].drained && (weight == 0 || weight == desired[i].weight):
+		return api.AdminShard{}, fmt.Errorf("%w: %q", ErrShardExists, name)
+	default:
+		if desired[i].drained && addr != "" {
+			desired[i].addr = addr
 		}
 		if weight != 0 {
-			existing.setWeight(weight)
+			desired[i].weight = weight
 		}
-		existing.setDrained(false)
-		r.probe(existing, 1)
-		r.ringMu.Lock()
-		r.ring.AddN(name, r.vnodesFor(existing.getWeight()))
-		r.ringMu.Unlock()
-		return existing.adminView(), nil
+		desired[i].drained = false
 	}
-
-	st, err := r.materialize(Shard{Name: name, Addr: addr, VnodeWeight: weight})
-	if err != nil {
+	if _, err := r.reconcile(desired, true); err != nil {
 		return api.AdminShard{}, err
 	}
-	r.probe(st, 1)
-	r.ringMu.Lock()
-	r.shards[name] = st
-	r.ring.AddN(name, r.vnodesFor(weight))
-	r.ringMu.Unlock()
-	return st.adminView(), nil
+	return r.shards[name].adminView(), nil
 }
 
-// DrainShard latches the shard out of the ring: new keys route past it
-// (its keys move to their ring successors), in-flight requests finish,
-// probes keep watching it, and only an add of the same name brings it
-// back. Draining the last routable shard is refused. Idempotent.
+// DrainShard latches the shard out of the ring: its keys move to their
+// ring successors, in-flight requests finish, probes keep watching it, and
+// only an add of the same name or a topology reload brings it back.
+// Draining the last routable shard is refused. Idempotent.
 func (r *Router) DrainShard(name string) (api.AdminShard, error) {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
-
-	r.ringMu.RLock()
-	s := r.shards[name]
-	routable := 0
-	for _, sh := range r.shards {
-		if !sh.isDrained() {
-			routable++
-		}
+	desired, i, err := r.leaving(name)
+	if err == nil {
+		desired[i].drained = true
+		_, err = r.reconcile(desired, false)
 	}
-	r.ringMu.RUnlock()
-	if s == nil {
-		return api.AdminShard{}, fmt.Errorf("%w: %q", ErrShardNotFound, name)
+	if err != nil {
+		return api.AdminShard{}, err
 	}
-	if s.isDrained() {
-		return s.adminView(), nil
-	}
-	if routable <= 1 {
-		return api.AdminShard{}, fmt.Errorf("%w (%q is the only one left)", ErrLastShard, name)
-	}
-	s.setDrained(true)
-	r.ringMu.Lock()
-	r.ring.Remove(name)
-	r.ringMu.Unlock()
-	r.forgetShardKeys(name)
-	return s.adminView(), nil
+	return r.shards[name].adminView(), nil
 }
 
-// RemoveShard deletes the shard from the topology entirely, stopping its
-// process when the runtime started it. An active shard may be removed
-// directly (drain first to let in-flight work finish); removing the last
-// routable shard is refused.
+// RemoveShard deletes the shard from the topology, stopping its process
+// when the runtime started it. An active shard may be removed directly
+// (drain first to let in-flight work finish); removing the last routable
+// shard is refused.
 func (r *Router) RemoveShard(name string) error {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
-
-	r.ringMu.RLock()
-	s := r.shards[name]
-	routable := 0
-	for _, sh := range r.shards {
-		if !sh.isDrained() {
-			routable++
-		}
+	desired, i, err := r.leaving(name)
+	if err == nil {
+		_, err = r.reconcile(slices.Delete(desired, i, i+1), false)
 	}
-	r.ringMu.RUnlock()
-	if s == nil {
-		return fmt.Errorf("%w: %q", ErrShardNotFound, name)
-	}
-	if !s.isDrained() && routable <= 1 {
-		return fmt.Errorf("%w (%q is the only one left)", ErrLastShard, name)
-	}
-	r.ringMu.Lock()
-	r.ring.Remove(name)
-	delete(r.shards, name)
-	r.ringMu.Unlock()
-	r.forgetShardKeys(name)
-	if s.managed && r.runtime != nil {
-		_ = r.runtime.Stop(name)
-	}
-	return nil
-}
-
-// CurrentTopology snapshots the live shard set for the admin API,
-// sorted by name.
-func (r *Router) CurrentTopology() api.AdminTopologyResponse {
-	r.ringMu.RLock()
-	shards := make([]*shardState, 0, len(r.shards))
-	for _, s := range r.shards {
-		shards = append(shards, s)
-	}
-	r.ringMu.RUnlock()
-	sort.Slice(shards, func(i, j int) bool { return shards[i].name < shards[j].name })
-	out := api.AdminTopologyResponse{
-		Schema:   api.SchemaVersion,
-		Vnodes:   r.cfg.Vnodes,
-		Replicas: r.cfg.Replicas,
-		Shards:   make([]api.AdminShard, 0, len(shards)),
-	}
-	for _, s := range shards {
-		out.Shards = append(out.Shards, s.adminView())
-	}
-	return out
-}
-
-// adminView snapshots the shard for the admin API.
-func (s *shardState) adminView() api.AdminShard {
-	s.mu.Lock()
-	v := api.AdminShard{
-		Name:        s.name,
-		Addr:        s.addr,
-		State:       s.stateLocked(),
-		Healthy:     s.healthy,
-		VnodeWeight: s.weight,
-	}
-	s.mu.Unlock()
-	v.Inflight = s.inflight.Load()
-	return v
+	return err
 }

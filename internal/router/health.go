@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -38,22 +39,14 @@ type shardState struct {
 	managed bool
 
 	mu sync.Mutex
-	// addr is the shard's base URL, e.g. http://127.0.0.1:8723. Guarded
-	// by mu: a topology reload may repoint a retained shard.
-	addr string
+	// placement is the shard's entry in the desired state. reconcile alone
+	// writes it (place); everything else reads.
+	placement placement
 	// healthy gates routing: an unhealthy shard is skipped at candidate
 	// selection (still probed, and re-admitted on the next good probe).
 	// Shards start healthy — a router in front of a live shard set must
 	// route before the first probe round completes.
 	healthy bool
-	// weight is the shard's relative ring weight (0 = the router default).
-	// Guarded by mu: an admin re-add may rebalance a shard in place.
-	weight float64
-	// drained is the admin drain latch: a drained shard is off the ring
-	// (new keys route past it) and stays out no matter what the probes
-	// say — only an admin re-add clears the latch. Probes keep running so
-	// the health picture stays current while the shard coasts to idle.
-	drained bool
 	// probeFails counts consecutive active-probe failures; at
 	// FailThreshold the shard is ejected.
 	probeFails int
@@ -76,6 +69,33 @@ type shardState struct {
 	errors   atomic.Int64 // transport failures + 5xx answers
 }
 
+// placement is what the control plane decided about a shard, as opposed to
+// what the probes observe.
+type placement struct {
+	// addr is the shard's base URL, e.g. http://127.0.0.1:8723.
+	addr string
+	// weight is the relative ring weight (0 = the router default).
+	weight float64
+	// drained is the admin drain latch: a drained shard is off the ring
+	// (new keys route past it) and stays out no matter what the probes
+	// say — only an admin add or a topology reload clears the latch.
+	// Probes keep running so the health picture stays current while the
+	// shard coasts to idle.
+	drained bool
+}
+
+func (s *shardState) placed() placement {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.placement
+}
+
+func (s *shardState) place(p placement) {
+	s.mu.Lock()
+	s.placement = p
+	s.mu.Unlock()
+}
+
 func (s *shardState) isHealthy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -87,50 +107,13 @@ func (s *shardState) isHealthy() bool {
 func (s *shardState) isRoutable() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.healthy && !s.drained
-}
-
-func (s *shardState) setDrained(d bool) {
-	s.mu.Lock()
-	s.drained = d
-	s.mu.Unlock()
-}
-
-func (s *shardState) setWeight(w float64) {
-	s.mu.Lock()
-	s.weight = w
-	s.mu.Unlock()
-}
-
-func (s *shardState) getWeight() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.weight
-}
-
-func (s *shardState) isDrained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drained
-}
-
-// baseURL returns the shard's current base address.
-func (s *shardState) baseURL() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addr
-}
-
-func (s *shardState) setAddr(addr string) {
-	s.mu.Lock()
-	s.addr = addr
-	s.mu.Unlock()
+	return s.healthy && !s.placement.drained
 }
 
 // stateLocked names the lifecycle state. Callers hold s.mu.
 func (s *shardState) stateLocked() string {
 	switch {
-	case s.drained:
+	case s.placement.drained:
 		return api.ShardDraining
 	case !s.healthy:
 		return api.ShardEjected
@@ -192,23 +175,30 @@ func (s *shardState) latencyP99Locked() float64 {
 	return api.NearestRank(buf, 0.99)
 }
 
+// probeResult is the outcome of one active health check.
+type probeResult struct {
+	ok      bool
+	errText string
+	latency time.Duration
+}
+
 // noteProbe folds one active health-probe outcome in. A success
 // re-admits the shard immediately (and closes a passively-opened
 // circuit); failures eject it after threshold consecutive misses.
-func (s *shardState) noteProbe(ok bool, errText string, latency time.Duration, threshold int) {
+func (s *shardState) noteProbe(p probeResult, threshold int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastProbe = time.Now()
-	if ok {
+	if p.ok {
 		s.probeFails = 0
 		s.passiveFails = 0
 		s.healthy = true
 		s.lastErr = ""
-		s.updateEWMALocked(latency)
+		s.updateEWMALocked(p.latency)
 		return
 	}
 	s.probeFails++
-	s.lastErr = errText
+	s.lastErr = p.errText
 	if s.probeFails >= threshold {
 		s.healthy = false
 	}
@@ -237,12 +227,12 @@ func (s *shardState) notePassive(ok bool, errText string, threshold int) {
 // points, so its VNodes report as zero.
 func (s *shardState) status(vnodes int) api.ShardStatus {
 	s.mu.Lock()
-	if s.drained {
+	if s.placement.drained {
 		vnodes = 0
 	}
 	st := api.ShardStatus{
 		Name:                s.name,
-		Addr:                s.addr,
+		Addr:                s.placement.addr,
 		State:               s.stateLocked(),
 		Healthy:             s.healthy,
 		ConsecutiveFailures: max(s.probeFails, s.passiveFails),
@@ -250,7 +240,7 @@ func (s *shardState) status(vnodes int) api.ShardStatus {
 		P99LatencyMs:        s.latencyP99Locked(),
 		LastError:           s.lastErr,
 		VNodes:              vnodes,
-		VnodeWeight:         s.weight,
+		VnodeWeight:         s.placement.weight,
 	}
 	if !s.lastProbe.IsZero() {
 		st.LastProbeAgeSeconds = time.Since(s.lastProbe).Seconds()
@@ -292,43 +282,41 @@ func (r *Router) probeAll() {
 		wg.Add(1)
 		go func(s *shardState) {
 			defer wg.Done()
-			r.probe(s, r.cfg.FailThreshold)
+			s.noteProbe(r.healthCheck(s.placed().addr), r.cfg.FailThreshold)
 		}(s)
 	}
 	wg.Wait()
 }
 
-// probe issues one active health check: a shard is up when /v1/healthz
-// answers 200 with status "ok" inside the probe timeout. A draining
-// shard reports itself unhealthy here on purpose — it refuses new solves
-// with 503, so routing must move its keys to the next replica now.
-// threshold is how many consecutive failures eject: FailThreshold on the
-// probe loop, 1 for the probe a shard must pass to join the ring healthy.
-func (r *Router) probe(s *shardState, threshold int) {
-	req, err := http.NewRequest(http.MethodGet, s.baseURL()+"/v1/healthz", nil)
-	if err != nil {
-		s.noteProbe(false, err.Error(), 0, threshold)
-		return
-	}
-	ctx, cancel := contextWithTimeout(r.cfg.ProbeTimeout)
+// healthCheck issues one active health check: a shard is up when
+// /v1/healthz answers 200 with status "ok" inside the probe timeout. A
+// draining shard reports itself unhealthy here on purpose — it refuses new
+// solves with 503, so routing must move its keys to the next replica now.
+func (r *Router) healthCheck(addr string) probeResult {
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
 	defer cancel()
-	start := time.Now()
-	resp, err := r.client.Do(req.WithContext(ctx))
-	latency := time.Since(start)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/healthz", nil)
 	if err != nil {
-		s.noteProbe(false, err.Error(), latency, threshold)
-		return
+		return probeResult{errText: err.Error()}
+	}
+	start := time.Now()
+	resp, err := r.client.Do(req)
+	res := probeResult{latency: time.Since(start)}
+	if err != nil {
+		res.errText = err.Error()
+		return res
 	}
 	defer resp.Body.Close()
 	var h api.HealthResponse
 	switch {
 	case resp.StatusCode != http.StatusOK:
-		s.noteProbe(false, "healthz status "+resp.Status, latency, threshold)
+		res.errText = "healthz status " + resp.Status
 	case json.NewDecoder(resp.Body).Decode(&h) != nil:
-		s.noteProbe(false, "healthz: undecodable body", latency, threshold)
+		res.errText = "healthz: undecodable body"
 	case h.Status != "ok":
-		s.noteProbe(false, "healthz status "+h.Status, latency, threshold)
+		res.errText = "healthz status " + h.Status
 	default:
-		s.noteProbe(true, "", latency, threshold)
+		res.ok = true
 	}
+	return res
 }

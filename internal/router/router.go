@@ -239,9 +239,6 @@ type Router struct {
 // are materialised through cfg.Runtime.
 func New(cfg Config, shards []Shard) (*Router, error) {
 	cfg = cfg.withDefaults()
-	if len(shards) == 0 {
-		return nil, errors.New("router: empty shard set")
-	}
 	r := &Router{
 		cfg:     cfg,
 		client:  &http.Client{Transport: cfg.Transport},
@@ -261,24 +258,8 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 	if cfg.Observe != nil {
 		cfg.Observe(r.metrics)
 	}
-	for _, sh := range shards {
-		if sh.Name == "" {
-			return nil, fmt.Errorf("router: shard needs a name (got %+v)", sh)
-		}
-		if _, dup := r.shards[sh.Name]; dup {
-			return nil, fmt.Errorf("router: duplicate shard name %q", sh.Name)
-		}
-		st, err := r.materialize(sh)
-		if err != nil {
-			for name, started := range r.shards {
-				if started.managed {
-					_ = r.runtime.Stop(name)
-				}
-			}
-			return nil, err
-		}
-		r.shards[sh.Name] = st
-		r.ring.AddN(sh.Name, r.vnodesFor(sh.VnodeWeight))
+	if _, err := r.Apply(Topology{Shards: shards}); err != nil {
+		return nil, err
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", r.handleSolve)
@@ -293,25 +274,6 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 	r.probing.Add(1)
 	go r.probeLoop(time.NewTicker(cfg.ProbeInterval))
 	return r, nil
-}
-
-// materialize turns a topology entry into live shard state, starting the
-// process through the runtime when the entry names no address.
-func (r *Router) materialize(sh Shard) (*shardState, error) {
-	addr := sh.Addr
-	managed := false
-	if addr == "" {
-		if r.runtime == nil {
-			return nil, fmt.Errorf("router: shard %q has no addr and no runtime is configured", sh.Name)
-		}
-		started, err := r.runtime.Start(sh.Name)
-		if err != nil {
-			return nil, fmt.Errorf("router: starting shard %q: %w", sh.Name, err)
-		}
-		addr = started
-		managed = true
-	}
-	return &shardState{name: sh.Name, addr: addr, managed: managed, healthy: true, weight: sh.VnodeWeight}, nil
 }
 
 // Handler returns the HTTP API: /v1/solve (routed), /v1/statusz,
@@ -661,7 +623,7 @@ type relayable struct {
 // relayable, not retried. hint carries a shard-supplied retry_after_ms
 // to pace the next attempt.
 func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []byte, traceID string) (rel *relayable, hint time.Duration, err error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, s.baseURL()+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, s.placed().addr+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -884,10 +846,6 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		HealthyShards: healthy,
 		TotalShards:   total,
 	})
-}
-
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
 }
 
 func respondBadRequest(w http.ResponseWriter, err error) {

@@ -61,7 +61,7 @@ func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api
 	ctx, cancel := context.WithTimeout(req.Context(), timeout)
 	defer cancel()
 
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, target.baseURL()+"/v1/solve", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, target.placed().addr+"/v1/solve", bytes.NewReader(body))
 	if err != nil {
 		r.unroutable.Add(1)
 		tr.SetError(api.CodeUnroutable)

@@ -86,3 +86,21 @@ func LoadTopology(path string) (Topology, error) {
 	}
 	return t, nil
 }
+
+// ApplyReport says what a topology apply changed. Shards absent from all
+// four lists did not exist before or after.
+type ApplyReport struct {
+	Added   []string // new shards joined to the ring
+	Removed []string // shards taken off the ring and forgotten
+	Updated []string // retained shards whose addr, weight or drain latch changed
+	Kept    []string // retained shards, untouched
+}
+
+// Changed reports whether the apply moved anything.
+func (a ApplyReport) Changed() bool {
+	return len(a.Added)+len(a.Removed)+len(a.Updated) > 0
+}
+
+func (a ApplyReport) String() string {
+	return fmt.Sprintf("added=%v removed=%v updated=%v kept=%d", a.Added, a.Removed, a.Updated, len(a.Kept))
+}
