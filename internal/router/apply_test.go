@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 )
@@ -289,4 +293,277 @@ func TestApplyUnderTraffic(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+}
+
+// modelShard is what the membership model knows about one shard.
+type modelShard struct {
+	addr    string
+	weight  float64
+	drained bool
+	managed bool
+}
+
+// TestReconcileMatchesModel is the property that replaces reading the five
+// entry points: random sequences of Apply, AddShard (new, re-admit,
+// reweight), DrainShard and RemoveShard, legal and refused, against a map
+// model. After every step the ring is exactly the one built from scratch
+// out of the model's undrained members and weights (placement is a pure
+// function of names and counts), CurrentTopology is the model, the runtime
+// has seen one Start per managed join and one Stop per managed leave, and a
+// refused verb — the model left as it was — changed none of that.
+func TestReconcileMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { reconcileAgainstModel(t, seed, 300) })
+	}
+}
+
+func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	rt := &recordingRuntime{MockRuntime: NewMockRuntime()}
+	r, err := New(Config{Runtime: rt, Vnodes: 8, ProbeInterval: time.Hour, ProbeTimeout: 200 * time.Millisecond},
+		[]Shard{{Name: "s0"}, {Name: "s1", VnodeWeight: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		r.Shutdown()
+		rt.StopAll()
+	})
+	model := map[string]*modelShard{
+		"s0": {addr: rt.Get("s0").URL(), managed: true},
+		"s1": {addr: rt.Get("s1").URL(), weight: 2, managed: true},
+	}
+	starts := map[string]int{"s0": 1, "s1": 1}
+	stops := map[string]int{}
+
+	const dead = "http://127.0.0.1:1" // an external shard nobody listens on
+	names := []string{"s0", "s1", "s2", "s3", "s4", "s5"}
+	pick := func() string { return names[rng.Intn(len(names))] }
+	weights := []float64{0, 0, 0.5, 1, 2, 3}
+	addrs := []string{"", "", "", dead, "ftp://nope", "not a url"}
+	routable := func() int {
+		n := 0
+		for _, m := range model {
+			if !m.drained {
+				n++
+			}
+		}
+		return n
+	}
+	// join and leave are the model's side of a membership change.
+	join := func(name, addr string, weight float64) {
+		model[name] = &modelShard{addr: addr, weight: weight, managed: addr == ""}
+		if addr == "" {
+			starts[name]++
+			model[name].addr = rt.Get(name).URL()
+		}
+	}
+	leave := func(name string) {
+		if model[name].managed {
+			stops[name]++
+		}
+		delete(model, name)
+	}
+
+	for step := 0; step < steps; step++ {
+		var what string
+		switch op := rng.Intn(10); {
+		case op < 3: // Apply a random topology, sometimes malformed, sometimes with a joiner that cannot start
+			var topo Topology
+			for _, n := range names {
+				if rng.Intn(2) == 0 {
+					topo.Shards = append(topo.Shards, Shard{Name: n, VnodeWeight: weights[rng.Intn(len(weights))]})
+				}
+			}
+			rng.Shuffle(len(topo.Shards), func(i, j int) { topo.Shards[i], topo.Shards[j] = topo.Shards[j], topo.Shards[i] })
+			valid := len(topo.Shards) > 0
+			if valid {
+				switch rng.Intn(8) {
+				case 0:
+					topo.Shards = append(topo.Shards, topo.Shards[0])
+					valid = false
+				case 1:
+					topo.Shards[0].VnodeWeight = -1
+					valid = false
+				case 2:
+					topo.Shards[0].Addr = "ftp://nope"
+					valid = false
+				case 3:
+					rt.failOn = pick()
+				}
+			}
+			what = fmt.Sprintf("Apply(%+v) failOn=%q", topo.Shards, rt.failOn)
+			// A joiner that cannot start aborts the apply; the joiners
+			// started ahead of it are stopped again.
+			var aborted []string
+			for _, sh := range topo.Shards {
+				if model[sh.Name] != nil {
+					continue
+				}
+				if sh.Name == rt.failOn {
+					valid = false
+					for _, n := range aborted {
+						starts[n]++
+						stops[n]++
+					}
+					break
+				}
+				aborted = append(aborted, sh.Name)
+			}
+			rep, err := r.Apply(topo)
+			rt.failOn = ""
+			if (err == nil) != valid {
+				t.Fatalf("step %d %s: err %v, model says valid=%v", step, what, err, valid)
+			}
+			if !valid {
+				break
+			}
+			var want ApplyReport
+			inTopo := map[string]bool{}
+			for _, sh := range topo.Shards {
+				inTopo[sh.Name] = true
+				switch m := model[sh.Name]; {
+				case m == nil:
+					join(sh.Name, "", sh.VnodeWeight)
+					want.Added = append(want.Added, sh.Name)
+				case m.drained || m.weight != sh.VnodeWeight:
+					m.drained, m.weight = false, sh.VnodeWeight
+					want.Updated = append(want.Updated, sh.Name)
+				default:
+					want.Kept = append(want.Kept, sh.Name)
+				}
+			}
+			for n := range model {
+				if !inTopo[n] {
+					leave(n)
+					want.Removed = append(want.Removed, n)
+				}
+			}
+			for _, l := range []*[]string{&want.Added, &want.Removed, &want.Updated, &want.Kept} {
+				sort.Strings(*l)
+			}
+			if !reflect.DeepEqual(rep, want) {
+				t.Fatalf("step %d %s: report %+v, want %+v", step, what, rep, want)
+			}
+		case op < 6: // AddShard: new, re-admit, reweight, duplicate, malformed
+			name, addr, weight := pick(), addrs[rng.Intn(len(addrs))], weights[rng.Intn(len(weights))]
+			if rng.Intn(12) == 0 {
+				weight = 17
+			}
+			what = fmt.Sprintf("AddShard(%q, %q, %g)", name, addr, weight)
+			view, err := r.AddShard(name, addr, weight)
+			m := model[name]
+			switch {
+			case (Shard{Name: name, Addr: addr, VnodeWeight: weight}).Validate() != nil:
+				if err == nil || errors.Is(err, ErrShardExists) {
+					t.Fatalf("step %d %s: err %v, want a validation error", step, what, err)
+				}
+			case m == nil:
+				if err != nil {
+					t.Fatalf("step %d %s: %v", step, what, err)
+				}
+				join(name, addr, weight)
+				if wantState := map[bool]string{true: api.ShardEjected, false: api.ShardActive}[addr == dead]; view.State != wantState {
+					t.Fatalf("step %d %s: joined %q, want %q", step, what, view.State, wantState)
+				}
+			case !m.drained && (weight == 0 || weight == m.weight):
+				if !errors.Is(err, ErrShardExists) {
+					t.Fatalf("step %d %s: err %v, want ErrShardExists", step, what, err)
+				}
+			default:
+				if err != nil {
+					t.Fatalf("step %d %s: %v", step, what, err)
+				}
+				if m.drained && addr != "" {
+					m.addr = addr
+				}
+				if weight != 0 {
+					m.weight = weight
+				}
+				m.drained = false
+			}
+		case op < 8:
+			name := pick()
+			what = fmt.Sprintf("DrainShard(%q)", name)
+			_, err := r.DrainShard(name)
+			switch m := model[name]; {
+			case m == nil:
+				if !errors.Is(err, ErrShardNotFound) {
+					t.Fatalf("step %d %s: err %v, want ErrShardNotFound", step, what, err)
+				}
+			case !m.drained && routable() <= 1:
+				if !errors.Is(err, ErrLastShard) {
+					t.Fatalf("step %d %s: err %v, want ErrLastShard", step, what, err)
+				}
+			default:
+				if err != nil {
+					t.Fatalf("step %d %s: %v", step, what, err)
+				}
+				m.drained = true
+			}
+		default:
+			name := pick()
+			what = fmt.Sprintf("RemoveShard(%q)", name)
+			err := r.RemoveShard(name)
+			switch m := model[name]; {
+			case m == nil:
+				if !errors.Is(err, ErrShardNotFound) {
+					t.Fatalf("step %d %s: err %v, want ErrShardNotFound", step, what, err)
+				}
+			case !m.drained && routable() <= 1:
+				if !errors.Is(err, ErrLastShard) {
+					t.Fatalf("step %d %s: err %v, want ErrLastShard", step, what, err)
+				}
+			default:
+				if err != nil {
+					t.Fatalf("step %d %s: %v", step, what, err)
+				}
+				leave(name)
+			}
+		}
+
+		// (i) The ring is the one the model builds from scratch.
+		fresh := NewRing(r.cfg.Vnodes)
+		for n, m := range model {
+			if !m.drained {
+				fresh.AddN(n, r.vnodesFor(m.weight))
+			}
+		}
+		if !reflect.DeepEqual(r.ring.shards, fresh.shards) || !slices.Equal(r.ring.points, fresh.points) {
+			t.Fatalf("step %d %s: ring members %v, model builds %v", step, what, r.ring.shards, fresh.shards)
+		}
+		// (ii) CurrentTopology is the model.
+		topo := r.CurrentTopology().Shards
+		if len(topo) != len(model) {
+			t.Fatalf("step %d %s: topology %+v, model %d shards", step, what, topo, len(model))
+		}
+		for _, sh := range topo {
+			m := model[sh.Name]
+			if m == nil || sh.Addr != m.addr || sh.VnodeWeight != m.weight || (sh.State == api.ShardDraining) != m.drained {
+				t.Fatalf("step %d %s: shard %+v, model %+v", step, what, sh, m)
+			}
+		}
+		// (iii) One Start per managed join, one Stop per managed leave.
+		for _, n := range names {
+			gotStarts, gotStops := count(rt.started, n), count(rt.stopped, n)
+			if gotStarts != starts[n] || gotStops != stops[n] {
+				t.Fatalf("step %d %s: shard %s started %d× stopped %d×, model says %d× and %d×",
+					step, what, n, gotStarts, gotStops, starts[n], stops[n])
+			}
+			held := model[n] != nil && model[n].managed
+			if running := rt.Get(n) != nil; running != held {
+				t.Fatalf("step %d %s: shard %s running=%v, model holds it managed=%v", step, what, n, running, held)
+			}
+		}
+	}
+}
+
+func count(list []string, name string) int {
+	n := 0
+	for _, s := range list {
+		if s == name {
+			n++
+		}
+	}
+	return n
 }
