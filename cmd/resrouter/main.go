@@ -13,7 +13,7 @@
 // supervised resilientd child processes under -supervise (crashed
 // children restart with capped exponential backoff and re-admit through
 // the router's health probes). The topology is live: SIGHUP — and a
-// polling mtime watch (-topology-watch) — reloads the file and applies it
+// polling content watch (-topology-watch) — reloads the file and applies it
 // to the ring with minimal key movement; a malformed file is rejected and
 // the previous ring keeps serving. With -admin-token the token-gated
 // /v1/admin surface drains, adds and removes shards at runtime.
@@ -27,7 +27,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +63,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	var (
 		addr          = fs.String("addr", "127.0.0.1:8900", "listen address")
 		topoPath      = fs.String("topology", "", "JSON topology file naming the shard set")
-		topoWatch     = fs.Duration("topology-watch", 2*time.Second, "poll the topology file for mtime changes this often and reload on change (0 = SIGHUP only)")
+		topoWatch     = fs.Duration("topology-watch", 2*time.Second, "poll the topology file this often and reload when its content changed (0 = SIGHUP only)")
 		spawn         = fs.Int("spawn", 0, "materialise this many shards through the runtime (instead of, or in addition to, -topology)")
 		supervise     = fs.Bool("supervise", false, "materialise address-less shards as supervised resilientd child processes instead of in-process servers")
 		shardBin      = fs.String("shard-bin", "resilientd", "resilientd binary for -supervise (looked up in PATH unless a path is given)")
@@ -92,27 +94,26 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	logger := obs.NewLogger(stderr, *logFormat, *quiet)
 
 	// desiredTopology is the reload unit: the topology file (when given)
-	// plus the -spawn synthetic shards, revalidated as a whole.
-	desiredTopology := func() (router.Topology, error) {
-		var topo router.Topology
+	// plus the -spawn synthetic shards, revalidated as a whole. raw is the
+	// file as read, what the watcher compares the next read against.
+	desiredTopology := func() (topo router.Topology, raw []byte, err error) {
 		if *topoPath != "" {
-			var err error
-			if topo, err = router.LoadTopology(*topoPath); err != nil {
-				return topo, err
+			if raw, err = os.ReadFile(*topoPath); err != nil {
+				return topo, raw, err
+			}
+			if err = json.Unmarshal(raw, &topo); err != nil {
+				return topo, raw, fmt.Errorf("topology %s: %w", *topoPath, err)
 			}
 		}
 		for i := 0; i < *spawn; i++ {
 			topo.Shards = append(topo.Shards, router.Shard{Name: fmt.Sprintf("spawn%d", i)})
 		}
 		if len(topo.Shards) == 0 {
-			return topo, fmt.Errorf("no shards: provide -topology and/or -spawn")
+			return topo, raw, fmt.Errorf("no shards: provide -topology and/or -spawn")
 		}
-		if err := topo.Validate(); err != nil {
-			return topo, err
-		}
-		return topo, nil
+		return topo, raw, topo.Validate()
 	}
-	topo, err := desiredTopology()
+	topo, lastRead, err := desiredTopology()
 	if err != nil {
 		return err
 	}
@@ -198,14 +199,22 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		logger.Info("admin API enabled", "path", "/v1/admin")
 	}
 
-	// Live topology: SIGHUP and the mtime watch both funnel into one
+	// Live topology: SIGHUP and the content watch both funnel into one
 	// reload path. A reload that fails to parse or validate is rejected
-	// whole — the previous ring keeps serving.
+	// whole — the previous ring keeps serving. A reload replaces whatever
+	// the admin verbs did since the last one, so the watch fires on the
+	// file's bytes, not its mtime: a touch, or a rewrite of the same
+	// content, changes nothing, and two rewrites inside one timestamp
+	// granule are still two. (The reason stays "mtime" in the log line;
+	// operators grep for it.)
 	sighup := make(chan os.Signal, 1)
 	signal.Notify(sighup, syscall.SIGHUP)
 	defer signal.Stop(sighup)
 	reload := func(reason string) {
-		next, err := desiredTopology()
+		next, raw, err := desiredTopology()
+		if raw != nil {
+			lastRead = raw
+		}
 		if err != nil {
 			logger.Warn("topology reload rejected, keeping previous ring", "reason", reason, "error", err.Error())
 			return
@@ -232,10 +241,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 			defer t.Stop()
 			tick = t.C
 		}
-		lastMod := time.Time{}
-		if fi, err := os.Stat(*topoPath); err == nil {
-			lastMod = fi.ModTime()
-		}
 		for {
 			select {
 			case <-watchCtx.Done():
@@ -243,15 +248,10 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 			case <-sighup:
 				reload("SIGHUP")
 			case <-tick:
-				fi, err := os.Stat(*topoPath)
-				if err != nil {
-					// A mid-rewrite window (move-over-rename) or a deleted
-					// file: keep serving the current ring, try again next
-					// tick.
-					continue
-				}
-				if mt := fi.ModTime(); !mt.Equal(lastMod) {
-					lastMod = mt
+				// An unreadable file is a mid-rewrite window
+				// (move-over-rename) or a deletion: keep serving the
+				// current ring, try again next tick.
+				if raw, err := os.ReadFile(*topoPath); err == nil && !bytes.Equal(raw, lastRead) {
 					reload("mtime")
 				}
 			}

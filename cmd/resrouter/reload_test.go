@@ -21,6 +21,11 @@ import (
 
 func writeTopology(t *testing.T, path string, names ...string) {
 	t.Helper()
+	replaceFile(t, path, topologyJSON(t, names...))
+}
+
+func topologyJSON(t *testing.T, names ...string) []byte {
+	t.Helper()
 	topo := router.Topology{Schema: router.TopologySchemaVersion}
 	for _, n := range names {
 		topo.Shards = append(topo.Shards, router.Shard{Name: n})
@@ -29,7 +34,7 @@ func writeTopology(t *testing.T, path string, names ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replaceFile(t, path, blob)
+	return blob
 }
 
 // replaceFile moves content into place at path with a modification time
@@ -157,6 +162,61 @@ func TestTopologyMtimeReload(t *testing.T) {
 
 	writeTopology(t, topo, "a", "b")
 	waitForShardSet(t, base, "a", "b")
+}
+
+// TestTopologyWatchComparesContent pins what the watch fires on — the
+// file's bytes, not its timestamp. A rewrite that keeps the mtime (two
+// writes inside one timestamp granule look like that) is still applied,
+// and a rewrite of the same bytes with a new mtime — a touch, a config
+// push that changed nothing — is not a reload, so an admin drain made since
+// the last one stays in place.
+func TestTopologyWatchComparesContent(t *testing.T) {
+	const tick = 25 * time.Millisecond
+	topo := filepath.Join(t.TempDir(), "topo.json")
+	writeTopology(t, topo, "a", "b")
+	log := &logLines{}
+	base, cancel, _ := bootLogging(t, log, []string{
+		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", tick.String(), "-admin-token", "sekrit"})
+	defer cancel()
+	waitForShardSet(t, base, "a", "b")
+
+	// New content, old mtime — moved into place already carrying it.
+	before, err := os.Stat(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := topo + ".next"
+	if err := os.WriteFile(next, topologyJSON(t, "a", "b", "c"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(next, before.ModTime(), before.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(next, topo); err != nil {
+		t.Fatal(err)
+	}
+	waitForShardSet(t, base, "a", "b", "c")
+
+	// Old content, new mtime, over a live admin edit.
+	admin := api.NewClient(base, api.WithAdminToken("sekrit"))
+	if _, err := admin.AdminDrainShard(context.Background(), "b"); err != nil {
+		t.Fatal(err)
+	}
+	reloads := log.count("topology reload")
+	same, err := os.ReadFile(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaceFile(t, topo, same)
+	time.Sleep(10 * tick) // nothing to wait for: the claim is that nothing happens
+	if n := log.count("topology reload"); n != reloads {
+		t.Errorf("%d reloads after a rewrite of identical bytes, want none:\n%s", n-reloads, log)
+	}
+	for _, s := range routerzShards(t, base) {
+		if s.Name == "b" && s.State != api.ShardDraining {
+			t.Errorf("shard b is %q after a rewrite of identical bytes, want the admin drain left in place", s.State)
+		}
+	}
 }
 
 // TestSIGHUPReload disables the mtime watch and reloads by signal only.

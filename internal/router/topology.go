@@ -1,11 +1,9 @@
 package router
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/url"
-	"os"
 )
 
 // TopologySchemaVersion identifies the topology file layout.
@@ -69,22 +67,6 @@ func (sh Shard) Validate() error {
 		return fmt.Errorf("shard %q: addr %q is not an http(s) base URL", sh.Name, sh.Addr)
 	}
 	return nil
-}
-
-// LoadTopology reads and validates a topology file.
-func LoadTopology(path string) (Topology, error) {
-	var t Topology
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return t, err
-	}
-	if err := json.Unmarshal(raw, &t); err != nil {
-		return t, fmt.Errorf("topology %s: %w", path, err)
-	}
-	if err := t.Validate(); err != nil {
-		return t, fmt.Errorf("%s: %w", path, err)
-	}
-	return t, nil
 }
 
 // ApplyReport says what a topology apply changed. Shards absent from all
