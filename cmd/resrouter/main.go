@@ -94,8 +94,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	logger := obs.NewLogger(stderr, *logFormat, *quiet)
 
 	// desiredTopology is the reload unit: the topology file (when given)
-	// plus the -spawn synthetic shards, revalidated as a whole. raw is the
-	// file as read, what the watcher compares the next read against.
+	// plus the -spawn synthetic shards; the router validates it as a whole.
+	// raw is the file as read, what the watcher compares the next read
+	// against.
 	desiredTopology := func() (topo router.Topology, raw []byte, err error) {
 		if *topoPath != "" {
 			if raw, err = os.ReadFile(*topoPath); err != nil {
@@ -111,7 +112,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		if len(topo.Shards) == 0 {
 			return topo, raw, fmt.Errorf("no shards: provide -topology and/or -spawn")
 		}
-		return topo, raw, topo.Validate()
+		return topo, raw, nil
 	}
 	topo, lastRead, err := desiredTopology()
 	if err != nil {
@@ -201,12 +202,11 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 
 	// Live topology: SIGHUP and the content watch both funnel into one
 	// reload path. A reload that fails to parse or validate is rejected
-	// whole — the previous ring keeps serving. A reload replaces whatever
-	// the admin verbs did since the last one, so the watch fires on the
-	// file's bytes, not its mtime: a touch, or a rewrite of the same
-	// content, changes nothing, and two rewrites inside one timestamp
-	// granule are still two. (The reason stays "mtime" in the log line;
-	// operators grep for it.)
+	// whole — the previous ring keeps serving. A reload replaces what the
+	// admin verbs did since the last one, so the watch fires on the file's
+	// bytes, not its mtime: a touch changes nothing, and two rewrites in
+	// one timestamp granule are still two. (The log line's reason stays
+	// "mtime": operators grep for it.)
 	sighup := make(chan os.Signal, 1)
 	signal.Notify(sighup, syscall.SIGHUP)
 	defer signal.Stop(sighup)
@@ -215,11 +215,10 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		if raw != nil {
 			lastRead = raw
 		}
-		if err != nil {
-			logger.Warn("topology reload rejected, keeping previous ring", "reason", reason, "error", err.Error())
-			return
+		var rep router.ApplyReport
+		if err == nil {
+			rep, err = rt.Apply(next)
 		}
-		rep, err := rt.Apply(next)
 		if err != nil {
 			logger.Warn("topology reload rejected, keeping previous ring", "reason", reason, "error", err.Error())
 			return

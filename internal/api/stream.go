@@ -20,6 +20,13 @@ import (
 // in the X-Resilient-Digest HTTP trailer so a buffered client and a
 // streaming client verify the same end-to-end integrity contract.
 
+// WantsStream reports whether the request asked for the event stream —
+// the one reading of the Accept header, for the shard that answers it, the
+// router that passes it through and the mock shard that stands in.
+func WantsStream(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
+}
+
 // SolveEvent kinds.
 const (
 	// EventIteration reports one solver iteration: Iteration and the

@@ -252,6 +252,19 @@ func (s *shardState) status(vnodes int) api.ShardStatus {
 	return st
 }
 
+// healthyShards counts the shards the probes currently hold healthy, and
+// all of them.
+func (r *Router) healthyShards() (healthy, total int) {
+	r.ringMu.RLock()
+	defer r.ringMu.RUnlock()
+	for _, s := range r.shards {
+		if s.isHealthy() {
+			healthy++
+		}
+	}
+	return healthy, len(r.shards)
+}
+
 // probeLoop actively probes every shard each interval until stop closes.
 // Probes run concurrently so one hung shard cannot starve the others'
 // re-admission, and each round is awaited so loops never pile up.

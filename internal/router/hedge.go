@@ -18,24 +18,18 @@ import (
 // the primary has been out longer than its own observed P99, i.e. for
 // the ~1% of requests already in the tail.
 
-// hedgePair picks the two shards a hedged attempt races: the routable
-// candidates with the lowest EWMA latency, primary first. Shards with
-// no sample yet sort after every measured one (in ring order among
-// themselves, so a fresh ring behaves like unhedged ring routing).
-// Returns nils when fewer than two candidates are routable — hedging
-// against a known-unhealthy shard would just double the failure.
-func hedgePair(cands []*shardState) (primary, secondary *shardState) {
-	routable := make([]*shardState, 0, len(cands))
+// byLatency ranks the routable candidates by EWMA latency, best first.
+// Shards with no sample yet sort after every measured one, in ring order
+// among themselves, so a fresh ring behaves like plain ring routing.
+func byLatency(cands []*shardState) []*shardState {
+	ranked := make([]*shardState, 0, len(cands))
 	for _, s := range cands {
 		if s.isRoutable() {
-			routable = append(routable, s)
+			ranked = append(ranked, s)
 		}
 	}
-	if len(routable) < 2 {
-		return nil, nil
-	}
-	sort.SliceStable(routable, func(i, j int) bool {
-		ei, ej := routable[i].ewmaLatency(), routable[j].ewmaLatency()
+	sort.SliceStable(ranked, func(i, j int) bool {
+		ei, ej := ranked[i].ewmaLatency(), ranked[j].ewmaLatency()
 		if ei == 0 {
 			ei = math.Inf(1)
 		}
@@ -44,7 +38,19 @@ func hedgePair(cands []*shardState) (primary, secondary *shardState) {
 		}
 		return ei < ej
 	})
-	return routable[0], routable[1]
+	return ranked
+}
+
+// hedgePair picks the two shards a hedged attempt races: the two
+// best-ranked routable candidates, primary first. Returns nils when fewer
+// than two are routable — hedging against a known-unhealthy shard would
+// just double the failure.
+func hedgePair(cands []*shardState) (primary, secondary *shardState) {
+	ranked := byLatency(cands)
+	if len(ranked) < 2 {
+		return nil, nil
+	}
+	return ranked[0], ranked[1]
 }
 
 // hedgeDelayFor derives the arm delay for a hedged request to s: the

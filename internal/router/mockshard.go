@@ -117,7 +117,7 @@ func (m *MockShard) handleSolve(w http.ResponseWriter, req *http.Request) {
 	resp.Result.Reps = 1
 	resp.Result.Converged = 1
 	resp.Result.ResidualHash = fmt.Sprintf("mock-%016x", h.Sum64())
-	if req.URL.Path == "/v1/solve" && wantsStream(req) {
+	if req.URL.Path == "/v1/solve" && api.WantsStream(req) {
 		m.streamSolve(w, &resp)
 		return
 	}

@@ -22,7 +22,12 @@ func (r *Router) registerMetrics() {
 	m.GaugeFunc("resilient_router_uptime_seconds", "Seconds since the router started.",
 		func() float64 { return time.Since(r.started).Seconds() })
 	m.GaugeFunc("resilient_router_draining", "1 while the router refuses new solves for shutdown.",
-		func() float64 { return b2f(r.draining.Load()) })
+		func() float64 {
+			if r.draining.Load() {
+				return 1
+			}
+			return 0
+		})
 	m.CounterFunc("resilient_router_routed_total", "Solves relayed to a shard (including streamed pass-throughs).",
 		func() float64 { return float64(r.routed.Load()) })
 	m.CounterFunc("resilient_router_failovers_total", "Attempts re-sent to another replica after a failure.",
@@ -48,23 +53,9 @@ func (r *Router) registerMetrics() {
 	m.CounterFunc("resilient_router_streamed_passthrough_total", "Streaming solves relayed unbuffered.",
 		func() float64 { return float64(r.streamedPassthrough.Load()) })
 	m.GaugeFunc("resilient_router_healthy_shards", "Shards currently admitting routed traffic.",
-		func() float64 {
-			r.ringMu.RLock()
-			defer r.ringMu.RUnlock()
-			n := 0
-			for _, s := range r.shards {
-				if s.isHealthy() {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { healthy, _ := r.healthyShards(); return float64(healthy) })
 	m.GaugeFunc("resilient_router_shards", "Shards in the topology (healthy or not).",
-		func() float64 {
-			r.ringMu.RLock()
-			defer r.ringMu.RUnlock()
-			return float64(len(r.shards))
-		})
+		func() float64 { _, total := r.healthyShards(); return float64(total) })
 	m.CounterFunc("resilient_router_traces_total", "Requests traced since start.",
 		func() float64 { return float64(r.tracer.Total()) })
 	r.reqHist = m.Histogram("resilient_router_request_seconds",
@@ -79,14 +70,6 @@ func (r *Router) registerMetrics() {
 			})
 	}
 	r.metrics = m
-}
-
-// b2f maps a bool onto the 0/1 gauge convention.
-func b2f(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 func (r *Router) handleTracez(w http.ResponseWriter, req *http.Request) {

@@ -65,7 +65,7 @@ func newTraceShard(t *testing.T, name string) *traceShard {
 		resp.Result.Reps = 1
 		resp.Result.Converged = 1
 		resp.Result.ResidualHash = "trace-shard-" + f.name
-		if wantsStream(r) {
+		if api.WantsStream(r) {
 			sw, err := api.NewSSEWriter(w)
 			if err != nil {
 				api.WriteJSON(w, http.StatusOK, resp)

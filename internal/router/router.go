@@ -288,25 +288,16 @@ func (r *Router) StartDraining() {
 }
 
 // Shutdown drains: new solves are refused, in-flight forwards complete,
-// the prober stops, runtime-managed shards are stopped. Idempotent.
+// the prober stops, and the membership is reconciled to the empty set,
+// which stops the runtime-managed shards. Idempotent.
 func (r *Router) Shutdown() {
 	r.StartDraining()
 	r.stopOnce.Do(func() { close(r.stop) })
 	r.probing.Wait()
 	r.inflight.Wait()
-	if r.runtime != nil {
-		r.ringMu.RLock()
-		var managed []string
-		for n, s := range r.shards {
-			if s.managed {
-				managed = append(managed, n)
-			}
-		}
-		r.ringMu.RUnlock()
-		for _, n := range managed {
-			_ = r.runtime.Stop(n)
-		}
-	}
+	r.applyMu.Lock()
+	_, _ = r.reconcile(nil, false) // to the empty set: nothing joins, so nothing can fail
+	r.applyMu.Unlock()
 	r.client.CloseIdleConnections()
 }
 
@@ -400,37 +391,7 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request, path strin
 		respondBadRequest(w, fmt.Errorf("reading request: %w", err))
 		return
 	}
-	var sreq api.SolveRequest
-	if path == "/v1/solve/batch" {
-		var breq api.BatchSolveRequest
-		if err := json.Unmarshal(body, &breq); err != nil {
-			tr.SetError(api.CodeBadRequest)
-			respondBadRequest(w, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		breq.WithDefaults()
-		if err := breq.Validate(); err != nil {
-			tr.SetError(api.CodeBadRequest)
-			respondBadRequest(w, err)
-			return
-		}
-		sreq = breq.SolveRequest
-	} else {
-		if err := json.Unmarshal(body, &sreq); err != nil {
-			tr.SetError(api.CodeBadRequest)
-			respondBadRequest(w, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		sreq.WithDefaults()
-		if err := sreq.Validate(); err != nil {
-			tr.SetError(api.CodeBadRequest)
-			respondBadRequest(w, err)
-			return
-		}
-	}
-	// The routing key is the shard-side cache identity, so a matrix's
-	// artifacts warm exactly one shard.
-	id, err := server.ResolveIdentity(&sreq)
+	sreq, id, err := identify(path, body)
 	if err != nil {
 		tr.SetError(api.CodeBadRequest)
 		respondBadRequest(w, err)
@@ -443,11 +404,11 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request, path strin
 		api.WriteError(w, http.StatusBadGateway, api.CodeUnroutable, errors.New("router: no shard available"), 0)
 		return
 	}
-	if path == "/v1/solve" && wantsStream(req) {
+	if path == "/v1/solve" && api.WantsStream(req) {
 		// Streaming is explicitly non-idempotent at the relay layer: frames
 		// go to the client as they arrive, so once the stream starts there
 		// is nothing to retry, hedge or buffer. Dedicated pass-through path.
-		r.streamSolve(w, req, &sreq, id.Key, body, cands, tr)
+		r.streamSolve(w, req, sreq, id.Key, body, cands, tr)
 		return
 	}
 	budget := r.cfg.RetryBudget
@@ -458,13 +419,7 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request, path strin
 		budget = 1
 	}
 
-	timeout := r.cfg.RequestTimeout
-	if sreq.TimeoutMillis > 0 {
-		// Respect the request's own deadline plus forwarding slack; the
-		// shard still enforces the precise one.
-		timeout = time.Duration(sreq.TimeoutMillis)*time.Millisecond + 15*time.Second
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), timeout)
+	ctx, cancel := context.WithTimeout(req.Context(), r.deadlineFor(sreq))
 	defer cancel()
 
 	// The first attempt may be hedged: when enabled and at least two
@@ -551,6 +506,59 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request, path strin
 	api.WriteError(w, status, code, fmt.Errorf("router: %d attempts over %d candidate shards failed, last: %w", budget, len(cands), lastErr), retry)
 }
 
+// identify decodes, defaults and validates a solve body — a single's or a
+// batch's, which embeds one — and resolves the routing key: the shard-side
+// cache identity of its matrix, so a matrix's artifacts warm exactly one
+// shard. Every error it returns is the client's (400).
+func identify(path string, body []byte) (*api.SolveRequest, server.Identity, error) {
+	var breq api.BatchSolveRequest
+	sreq := &breq.SolveRequest
+	var decoded interface {
+		WithDefaults()
+		Validate() error
+	} = sreq
+	if path == "/v1/solve/batch" {
+		decoded = &breq
+	}
+	if err := json.Unmarshal(body, decoded); err != nil {
+		return nil, server.Identity{}, fmt.Errorf("decoding request: %w", err)
+	}
+	decoded.WithDefaults()
+	if err := decoded.Validate(); err != nil {
+		return nil, server.Identity{}, err
+	}
+	id, err := server.ResolveIdentity(sreq)
+	return sreq, id, err
+}
+
+// deadlineFor is how long a forwarded solve may take: the request's own
+// timeout_ms plus forwarding slack (the shard still enforces the precise
+// one), or RequestTimeout when it names none.
+func (r *Router) deadlineFor(sreq *api.SolveRequest) time.Duration {
+	if sreq.TimeoutMillis > 0 {
+		return time.Duration(sreq.TimeoutMillis)*time.Millisecond + 15*time.Second
+	}
+	return r.cfg.RequestTimeout
+}
+
+// shardRequest builds the POST that carries a solve body to a shard.
+func shardRequest(ctx context.Context, s *shardState, path string, body []byte, traceID string) (*http.Request, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, s.placed().addr+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	if traceID != "" {
+		// Propagate the trace so the shard's spans land under the same ID
+		// — every attempt of a hedged or failover round shares it.
+		hreq.Header.Set(api.TraceHeader, traceID)
+	}
+	// GetBody lets seam transports (the chaos injector) fingerprint the
+	// request without consuming the primary reader.
+	hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	return hreq, nil
+}
+
 // errSaturated marks a 429 refusal: retryable on the next replica, and
 // relayed as 429 (not 502) when every candidate refuses.
 var errSaturated = errors.New("shard queue saturated (429)")
@@ -623,19 +631,10 @@ type relayable struct {
 // relayable, not retried. hint carries a shard-supplied retry_after_ms
 // to pace the next attempt.
 func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []byte, traceID string) (rel *relayable, hint time.Duration, err error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, s.placed().addr+path, bytes.NewReader(body))
+	hreq, err := shardRequest(ctx, s, path, body, traceID)
 	if err != nil {
 		return nil, 0, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		// Propagate the trace so the shard's spans land under the same ID
-		// — every attempt of a hedged or failover round shares it.
-		hreq.Header.Set(api.TraceHeader, traceID)
-	}
-	// GetBody lets seam transports (the chaos injector) fingerprint the
-	// request without consuming the primary reader.
-	hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	s.inflight.Add(1)
 	start := time.Now()
 	resp, err := r.client.Do(hreq)
@@ -831,15 +830,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if r.draining.Load() {
 		status = "draining"
 	}
-	healthy := 0
-	r.ringMu.RLock()
-	for _, s := range r.shards {
-		if s.isHealthy() {
-			healthy++
-		}
-	}
-	total := len(r.shards)
-	r.ringMu.RUnlock()
+	healthy, total := r.healthyShards()
 	api.WriteJSON(w, http.StatusOK, api.RouterHealth{
 		Schema:        api.SchemaVersion,
 		Status:        status,

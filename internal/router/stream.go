@@ -1,14 +1,11 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/obs"
@@ -23,27 +20,15 @@ import (
 // the shard dies mid-stream the failure surfaces as a typed terminal
 // error frame inside the stream instead of a silent truncation.
 
-// wantsStream reports whether the client asked for an event stream.
-func wantsStream(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-}
-
-// streamTarget picks the replica a stream goes to: the routable
-// candidate with the best measured EWMA latency, falling back to the
-// ring owner (cands[0] — candidates orders routable shards first) when
-// nothing is measured yet.
+// streamTarget picks the replica a stream goes to: the best-ranked
+// routable candidate, which is the ring owner while nothing is measured
+// (candidates orders routable shards first), and the ring owner anyway
+// when nothing is routable.
 func streamTarget(cands []*shardState) *shardState {
-	target := cands[0]
-	best := math.Inf(1)
-	for _, s := range cands {
-		if !s.isRoutable() {
-			continue
-		}
-		if e := s.ewmaLatency(); e > 0 && e < best {
-			best, target = e, s
-		}
+	if ranked := byLatency(cands); len(ranked) > 0 {
+		return ranked[0]
 	}
-	return target
+	return cands[0]
 }
 
 // streamSolve relays one streaming solve unbuffered. Failures before
@@ -54,24 +39,17 @@ func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api
 	target := streamTarget(cands)
 	streamStart := tr.Now()
 
-	timeout := r.cfg.RequestTimeout
-	if sreq.TimeoutMillis > 0 {
-		timeout = time.Duration(sreq.TimeoutMillis)*time.Millisecond + 15*time.Second
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), timeout)
+	ctx, cancel := context.WithTimeout(req.Context(), r.deadlineFor(sreq))
 	defer cancel()
 
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, target.placed().addr+"/v1/solve", bytes.NewReader(body))
+	hreq, err := shardRequest(ctx, target, "/v1/solve", body, tr.ID())
 	if err != nil {
 		r.unroutable.Add(1)
 		tr.SetError(api.CodeUnroutable)
 		api.WriteError(w, http.StatusBadGateway, api.CodeUnroutable, err, 0)
 		return
 	}
-	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set("Accept", "text/event-stream")
-	hreq.Header.Set(api.TraceHeader, tr.ID())
-	hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 
 	target.inflight.Add(1)
 	defer target.inflight.Add(-1)

@@ -174,8 +174,8 @@ func (c *cache) removeLocked(el *list.Element) {
 // entryFootprint estimates the resident bytes of one entry's shareable
 // artifacts. Everything scales with the CSR: the matrix itself is
 // NNZ+rows words of values plus NNZ+rows+1 of indices, and the checksum
-// encodings, partition plans and warm workspaces are small multiples of
-// it — 3× covers them without per-artifact bookkeeping.
+// encodings and warm workspaces are small multiples of it — 3× covers
+// them without per-artifact bookkeeping.
 func entryFootprint(a *sparse.CSR) int64 {
 	const wordBytes = 8
 	return 3 * wordBytes * int64(a.MemoryWords()+a.Rows)
@@ -270,10 +270,10 @@ type intervalKey struct {
 	alpha  float64
 }
 
-// materialise builds the matrix and its shareable artifacts exactly once:
-// the CSR itself and a warm-workspace factory whose checksum encodings are
-// prewarmed for the default scheme. Safe for concurrent callers; the
-// first error is sticky.
+// materialise builds the matrix exactly once and arms the pools of solve
+// contexts, whose workspaces warm up — working matrix copy, checksum
+// encodings, vectors — in the first solve that carries them. Safe for
+// concurrent callers; the first error is sticky.
 func (e *entry) materialise(build func() (*sparse.CSR, error)) error {
 	e.once.Do(func() {
 		a, err := build()
@@ -282,16 +282,8 @@ func (e *entry) materialise(build func() (*sparse.CSR, error)) error {
 			return
 		}
 		e.a = a
-		e.ctxs.New = func() any {
-			c := newSolveCtx()
-			c.ws.Core.Prewarm(a, core.ABFTCorrection)
-			return c
-		}
-		e.bctxs.New = func() any {
-			c := newBatchCtx()
-			c.ws.Core.Prewarm(a, core.ABFTCorrection)
-			return c
-		}
+		e.ctxs.New = func() any { return newSolveCtx() }
+		e.bctxs.New = func() any { return newBatchCtx() }
 	})
 	return e.err
 }

@@ -21,7 +21,12 @@ func (s *Server) registerMetrics() {
 	m.GaugeFunc("resilient_shard_uptime_seconds", "Seconds since the shard started.",
 		func() float64 { return time.Since(s.started).Seconds() })
 	m.GaugeFunc("resilient_shard_draining", "1 while the shard refuses new work.",
-		func() float64 { return b2f(s.draining.Load()) })
+		func() float64 {
+			if s.draining.Load() {
+				return 1
+			}
+			return 0
+		})
 	m.CounterFunc("resilient_shard_completed_total", "Solve requests answered 200 (including solve errors reported in-band).",
 		func() float64 { return float64(s.completed.Load()) })
 	m.CounterFunc("resilient_shard_failed_total", "Right-hand sides whose solve returned an error.",
@@ -51,13 +56,6 @@ func (s *Server) registerMetrics() {
 	s.queueHist = m.Histogram("resilient_shard_queue_wait_seconds", "Time solved requests spent queued.", nil)
 	s.solveHist = m.Histogram("resilient_shard_solve_seconds", "Solve execution time (per task; a coalesced block counts once per member).", nil)
 	s.metrics = m
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // settle accounts for a completed task on every surface at once: the

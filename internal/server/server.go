@@ -555,7 +555,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.tracer.Finish(a.tr)
 	var pump *eventPump
-	if wantsStream(r) {
+	if api.WantsStream(r) {
 		// Streaming needs a flushing ResponseWriter; without one (an
 		// unusual middleware stack) the request is answered buffered — the
 		// client's Accept is a preference, not a contract.

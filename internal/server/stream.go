@@ -1,17 +1,9 @@
 package server
 
 import (
-	"net/http"
-	"strings"
-
 	"repro/internal/api"
 	"repro/internal/core"
 )
-
-// wantsStream reports whether the request asked for an event stream.
-func wantsStream(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-}
 
 // streamEventBuffer bounds the in-flight event queue between the solver
 // goroutine and the HTTP writer. The solver never blocks on a slow
