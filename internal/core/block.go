@@ -59,12 +59,6 @@ type BlockWorkspace struct {
 // first use and recycled afterwards.
 func NewBlockWorkspace() *BlockWorkspace { return &BlockWorkspace{} }
 
-// Prewarm builds the shared working matrix copy and checksum encoding ahead
-// of the first block solve, so a cache handing out warm workspaces pays the
-// construction cost at fill time instead of on the request path. Optional;
-// never changes results.
-func (bw *BlockWorkspace) Prewarm(a *sparse.CSR, scheme Scheme) { bw.shared.Prewarm(a, scheme) }
-
 // blockLane is the per-RHS solve state of one block: a private workspace,
 // whose engine the blocked driver advances in lockstep with the others.
 type blockLane struct {

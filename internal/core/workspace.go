@@ -32,22 +32,6 @@ type Workspace struct {
 // and recycled afterwards.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Prewarm builds the workspace's working matrix copy and — for the ABFT
-// schemes — its Rowidx/column checksum encodings for a ahead of the first
-// solve, so a cache that hands out warm workspaces pays the construction
-// cost at cache-fill time instead of on the request path. A later solve
-// carrying this workspace against a same-shaped matrix reuses the storage
-// built here. Prewarming is optional and never changes results.
-func (w *Workspace) Prewarm(a *sparse.CSR, scheme Scheme) {
-	if scheme == Unprotected {
-		return // reads a in place
-	}
-	live := w.liveCopy(0, a)
-	if scheme.abft() {
-		w.protected(0, live, a, abftMode(scheme))
-	}
-}
-
 // begin resets the take cursor for a new solve; a nil receiver yields a
 // fresh single-use workspace so the entry points can call it unconditionally.
 func (w *Workspace) begin() *Workspace {
