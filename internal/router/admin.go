@@ -129,22 +129,14 @@ func respondAdminErr(w http.ResponseWriter, err error) {
 // CurrentTopology snapshots the live shard set for the admin API,
 // sorted by name.
 func (r *Router) CurrentTopology() api.AdminTopologyResponse {
+	out := api.AdminTopologyResponse{Schema: api.SchemaVersion, Vnodes: r.cfg.Vnodes, Replicas: r.cfg.Replicas}
 	r.ringMu.RLock()
-	shards := make([]*shardState, 0, len(r.shards))
+	out.Shards = make([]api.AdminShard, 0, len(r.shards))
 	for _, s := range r.shards {
-		shards = append(shards, s)
-	}
-	r.ringMu.RUnlock()
-	sort.Slice(shards, func(i, j int) bool { return shards[i].name < shards[j].name })
-	out := api.AdminTopologyResponse{
-		Schema:   api.SchemaVersion,
-		Vnodes:   r.cfg.Vnodes,
-		Replicas: r.cfg.Replicas,
-		Shards:   make([]api.AdminShard, 0, len(shards)),
-	}
-	for _, s := range shards {
 		out.Shards = append(out.Shards, s.adminView())
 	}
+	r.ringMu.RUnlock()
+	sort.Slice(out.Shards, func(i, j int) bool { return out.Shards[i].Name < out.Shards[j].Name })
 	return out
 }
 

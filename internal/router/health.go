@@ -282,22 +282,16 @@ func (r *Router) probeLoop(t *time.Ticker) {
 }
 
 func (r *Router) probeAll() {
-	// Snapshot the shard set: a concurrent topology apply may grow or
-	// shrink r.shards while the round is in flight.
-	r.ringMu.RLock()
-	shards := make([]*shardState, 0, len(r.shards))
-	for _, s := range r.shards {
-		shards = append(shards, s)
-	}
-	r.ringMu.RUnlock()
 	var wg sync.WaitGroup
-	for _, s := range shards {
+	r.ringMu.RLock() // held while the probes are launched, not while they run
+	for _, s := range r.shards {
 		wg.Add(1)
 		go func(s *shardState) {
 			defer wg.Done()
 			s.noteProbe(r.healthCheck(s.placed().addr), r.cfg.FailThreshold)
 		}(s)
 	}
+	r.ringMu.RUnlock()
 	wg.Wait()
 }
 

@@ -18,9 +18,10 @@ import (
 // the primary has been out longer than its own observed P99, i.e. for
 // the ~1% of requests already in the tail.
 
-// byLatency ranks the routable candidates by EWMA latency, best first.
-// Shards with no sample yet sort after every measured one, in ring order
-// among themselves, so a fresh ring behaves like plain ring routing.
+// byLatency ranks the routable candidates by EWMA latency, best first: a
+// hedged attempt races the first two, a stream goes to the first. Shards
+// with no sample yet sort after every measured one, in ring order among
+// themselves, so a fresh ring behaves like plain ring routing.
 func byLatency(cands []*shardState) []*shardState {
 	ranked := make([]*shardState, 0, len(cands))
 	for _, s := range cands {
@@ -39,18 +40,6 @@ func byLatency(cands []*shardState) []*shardState {
 		return ei < ej
 	})
 	return ranked
-}
-
-// hedgePair picks the two shards a hedged attempt races: the two
-// best-ranked routable candidates, primary first. Returns nils when fewer
-// than two are routable — hedging against a known-unhealthy shard would
-// just double the failure.
-func hedgePair(cands []*shardState) (primary, secondary *shardState) {
-	ranked := byLatency(cands)
-	if len(ranked) < 2 {
-		return nil, nil
-	}
-	return ranked[0], ranked[1]
 }
 
 // hedgeDelayFor derives the arm delay for a hedged request to s: the

@@ -2,8 +2,8 @@
 // routing front end over N resilientd shards. Requests are keyed on the
 // same canonical matrix identity the solve service's artifact cache uses
 // (server.ResolveIdentity), so every matrix's artifacts — assembled CSR,
-// checksum encodings, partition plans, warm workspaces — stay warm on
-// exactly one shard and the cache scales horizontally.
+// checksum encodings, warm workspaces — stay warm on exactly one shard and
+// the cache scales horizontally.
 //
 // The pieces: Ring is a ketama-style hash ring with virtual nodes and
 // deterministic, minimal-disruption placement; Router is the reverse
@@ -12,6 +12,22 @@
 // (EWMA latency, consecutive-failure ejection, re-admission) and passive
 // circuit-breaking on 5xx; /v1/statusz exposes the shard map and per-shard
 // stats as schema-versioned JSON.
+//
+// Membership is data: per shard a name, an addr, a vnode weight and a drain
+// latch. reconcile is the only code that makes the ring, the shard map and
+// the runtime's processes equal that state; five surfaces edit it:
+//
+//	surface                what it edits                validated by
+//	start-up (New)         the whole state, from empty  Topology.Validate
+//	reload (Apply)         the whole state: presence    Topology.Validate
+//	                       means on the ring
+//	admin add (AddShard)   one entry: joins, or latch   Shard.Validate, ErrShardExists
+//	                       cleared, or reweighted
+//	admin drain            one entry: latch set         ErrShardNotFound, ErrLastShard
+//	admin remove           one entry: deleted           ErrShardNotFound, ErrLastShard
+//
+// The last edit wins, and a reload edits everything: it re-admits what an
+// admin drained and removes what an admin added unless the file agrees.
 package router
 
 import (

@@ -177,16 +177,14 @@ func (r *Router) vnodesFor(weight float64) int {
 }
 
 // Router is the consistent-hash routing tier. Construct with New, mount
-// Handler, Shutdown to drain. Topology is live: Apply, AddShard,
-// DrainShard and RemoveShard reshape the ring under traffic with minimal
-// key movement.
+// Handler, Shutdown to drain. Membership is live (see the package doc).
 type Router struct {
 	cfg     Config
 	client  *http.Client
 	runtime ShardRuntime
 
-	// applyMu serialises topology mutations (Apply and the admin verbs)
-	// against each other; readers of ring/shards take ringMu only.
+	// applyMu serialises reconcile's callers; readers of ring/shards take
+	// ringMu only.
 	applyMu sync.Mutex
 
 	ringMu sync.RWMutex
@@ -233,10 +231,11 @@ type Router struct {
 	logger  *slog.Logger
 }
 
-// New builds a router over the shard set and starts its health prober.
-// Shards start healthy (optimistic admission); the prober ejects dead
-// ones within FailThreshold probe intervals. Shards with an empty Addr
-// are materialised through cfg.Runtime.
+// New builds a router over the shard set — applied like a topology reload,
+// from the empty set — and starts its health prober. Shards start healthy
+// (optimistic admission); the prober ejects dead ones within FailThreshold
+// probe intervals. Shards with an empty Addr are materialised through
+// cfg.Runtime; when one fails to start, those already started are stopped.
 func New(cfg Config, shards []Shard) (*Router, error) {
 	cfg = cfg.withDefaults()
 	r := &Router{
@@ -262,8 +261,8 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/solve", r.handleSolve)
-	mux.HandleFunc("/v1/solve/batch", r.handleSolveBatch)
+	mux.HandleFunc("/v1/solve", r.routeSolve)
+	mux.HandleFunc("/v1/solve/batch", r.routeSolve)
 	mux.HandleFunc("/v1/statusz", r.handleStatusz)
 	mux.HandleFunc("/v1/healthz", r.handleHealthz)
 	mux.HandleFunc("/v1/tracez", r.handleTracez)
@@ -349,19 +348,12 @@ func (r *Router) forgetShardKeys(name string) {
 	r.keysMu.Unlock()
 }
 
-func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
-	r.routeSolve(w, req, "/v1/solve")
-}
-
-func (r *Router) handleSolveBatch(w http.ResponseWriter, req *http.Request) {
-	r.routeSolve(w, req, "/v1/solve/batch")
-}
-
 // routeSolve forwards a single or batched solve to the shard owning its
 // matrix identity, failing over across ring replicas. Batch requests route
 // by the same key as their singles — the embedded SolveRequest carries the
 // matrix — so batched and single solves of one matrix warm one shard.
-func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request, path string) {
+func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
+	path := req.URL.Path // the mux routes exactly /v1/solve and /v1/solve/batch here
 	if req.Method != http.MethodPost {
 		api.WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, errors.New("POST only"), 0)
 		return
@@ -423,13 +415,16 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request, path strin
 	defer cancel()
 
 	// The first attempt may be hedged: when enabled and at least two
-	// routable replicas exist, the request goes to the lowest-EWMA shard
-	// with a second copy armed on the next-best after a tail-derived
-	// delay. A hedged round is still one attempt against the budget —
-	// hedging trades a duplicate request for latency, never extra retries.
-	hedgeP, hedgeS := (*shardState)(nil), (*shardState)(nil)
+	// routable replicas exist (racing a known-unhealthy shard would just
+	// double the failure), the request goes to the lowest-EWMA shard with a
+	// second copy armed on the next-best after a tail-derived delay. A
+	// hedged round is still one attempt against the budget — hedging trades
+	// a duplicate request for latency, never extra retries.
+	var hedge []*shardState
 	if r.cfg.HedgeEnabled && budget > 1 && req.Header.Get(api.HedgeHeader) != api.HedgeOff {
-		hedgeP, hedgeS = hedgePair(cands)
+		if ranked := byLatency(cands); len(ranked) >= 2 {
+			hedge = ranked[:2]
+		}
 	}
 
 	// Attempts cycle the candidate list until one response is relayable
@@ -452,8 +447,8 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request, path strin
 		var hedgedWin bool
 		var hint time.Duration
 		var err error
-		if attempt == 0 && hedgeP != nil {
-			rel, hedgedWin, hint, err = r.fetchHedged(ctx, hedgeP, hedgeS, path, body, tr)
+		if attempt == 0 && hedge != nil {
+			rel, hedgedWin, hint, err = r.fetchHedged(ctx, hedge[0], hedge[1], path, body, tr)
 		} else {
 			// Span bookkeeping stays on this goroutine: the fetch both
 			// starts and finishes here, so the span brackets it exactly.
@@ -548,11 +543,9 @@ func shardRequest(ctx context.Context, s *shardState, path string, body []byte, 
 		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		// Propagate the trace so the shard's spans land under the same ID
-		// — every attempt of a hedged or failover round shares it.
-		hreq.Header.Set(api.TraceHeader, traceID)
-	}
+	// Propagate the trace so the shard's spans land under the same ID —
+	// every attempt of a hedged or failover round shares it.
+	hreq.Header.Set(api.TraceHeader, traceID)
 	// GetBody lets seam transports (the chaos injector) fingerprint the
 	// request without consuming the primary reader.
 	hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }

@@ -20,23 +20,18 @@ import (
 // the shard dies mid-stream the failure surfaces as a typed terminal
 // error frame inside the stream instead of a silent truncation.
 
-// streamTarget picks the replica a stream goes to: the best-ranked
-// routable candidate, which is the ring owner while nothing is measured
-// (candidates orders routable shards first), and the ring owner anyway
-// when nothing is routable.
-func streamTarget(cands []*shardState) *shardState {
-	if ranked := byLatency(cands); len(ranked) > 0 {
-		return ranked[0]
-	}
-	return cands[0]
-}
-
 // streamSolve relays one streaming solve unbuffered. Failures before
 // the upstream answers are still plain JSON envelopes (the client has
 // seen nothing yet); failures after the first relayed byte become a
 // typed error frame in the stream.
 func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api.SolveRequest, key string, body []byte, cands []*shardState, tr *obs.Active) {
-	target := streamTarget(cands)
+	// The best-ranked routable candidate — the ring owner while nothing is
+	// measured (candidates orders routable shards first) — and the ring
+	// owner anyway when nothing is routable.
+	target := cands[0]
+	if ranked := byLatency(cands); len(ranked) > 0 {
+		target = ranked[0]
+	}
 	streamStart := tr.Now()
 
 	ctx, cancel := context.WithTimeout(req.Context(), r.deadlineFor(sreq))
