@@ -187,6 +187,55 @@ func TestCoalescingMergesQueuedSingles(t *testing.T) {
 	}
 }
 
+// TestCoalescingRespectsMaxCoalesce pins the cap: a queued task joins a
+// group only if the group's width stays within MaxCoalesce. A same-key
+// 16-RHS batch queued behind a single does not fit a cap of 4 — the single
+// solves alone and the batch, wider than the cap by itself, leads the next
+// group.
+func TestCoalescingRespectsMaxCoalesce(t *testing.T) {
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8, MaxCoalesce: 4})
+	entered, release := holdWorkers(s)
+
+	blocked := make(chan int, 1)
+	go func() { blocked <- postSolve(t, ts.URL, poisson2DRequest(64), nil) }()
+	<-entered
+
+	single := make(chan api.SolveResponse, 1)
+	go func() {
+		var resp api.SolveResponse
+		if code := postSolve(t, ts.URL, poisson2DRequest(225), &resp); code != http.StatusOK {
+			t.Errorf("single: status %d, want 200", code)
+		}
+		single <- resp
+	}()
+	waitFor(t, func() bool { return s.sched.depth() >= 1 })
+	const wide = 16
+	breq := &api.BatchSolveRequest{SolveRequest: *poisson2DRequest(225), RHS: make([]api.BatchRHS, wide)}
+	for i := range breq.RHS {
+		breq.RHS[i].Seed = int64(i + 1)
+	}
+	batch := make(chan api.BatchSolveResponse, 1)
+	go func() {
+		var resp api.BatchSolveResponse
+		if code := postBatch(t, ts.URL, breq, &resp); code != http.StatusOK {
+			t.Errorf("batch: status %d, want 200", code)
+		}
+		batch <- resp
+	}()
+	waitFor(t, func() bool { return s.sched.depth() >= 2 })
+	close(release)
+
+	if code := <-blocked; code != http.StatusOK {
+		t.Errorf("blocker: status %d, want 200", code)
+	}
+	if got := (<-single).Coalesced; got != 1 {
+		t.Errorf("single: coalesced %d, want 1 (the batch does not fit a cap of 4)", got)
+	}
+	if got := (<-batch).Coalesced; got != wide {
+		t.Errorf("batch: coalesced %d, want %d (its own group)", got, wide)
+	}
+}
+
 // TestCoalesceMixedDeadlines pins the corner the merge must not break:
 // when same-identity requests with different deadlines queue together and
 // one expires before a solver frees, that request alone answers 504 — the

@@ -101,10 +101,12 @@ func newScheduler(workers, depth, maxCoalesce int) *scheduler {
 }
 
 // worker dequeues the oldest claimable task, merges every queued task
-// sharing its coalescing key into the group (up to maxCoalesce total
-// right-hand sides), runs the leader's exec over the group and answers all
-// of its waiters. Tasks whose deadline already claimed them are dropped
-// without closing done — their handlers have answered 504.
+// sharing its coalescing key that fits into the group (at most maxCoalesce
+// right-hand sides in all; a task that does not fit stays queued, in order,
+// and a leader wider than the cap by itself runs alone), runs the leader's
+// exec over the group and answers all of its waiters. Tasks whose deadline
+// already claimed them are dropped without closing done — their handlers
+// have answered 504.
 func (s *scheduler) worker() {
 	defer s.wg.Done()
 	var group []*task
@@ -130,7 +132,7 @@ func (s *scheduler) worker() {
 			total := len(lead.specs)
 			kept := s.q[:0]
 			for _, t := range s.q {
-				if total < s.maxCoalesce && t.key == lead.key {
+				if t.key == lead.key && total+len(t.specs) <= s.maxCoalesce {
 					if t.claim() {
 						group = append(group, t)
 						total += len(t.specs)
