@@ -125,12 +125,27 @@ func TestZeroAllocBlockedSolvers(t *testing.T) {
 		}
 	}
 
+	m, err := precond.Jacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	bw := core.NewBlockWorkspace()
 	sts := make([]core.Stats, k)
 	errs := make([]error, k)
-	for _, scheme := range []core.Scheme{core.Unprotected, core.ABFTDetection, core.ABFTCorrection} {
-		cfg := core.BlockConfig{Scheme: scheme, Tol: 1e-8, S: 4, Ws: bw}
-		assertZeroAllocs(t, "core.SolveBlock/"+scheme.String(), func() {
+	cases := []struct {
+		name string
+		cfg  core.BlockConfig
+	}{
+		{"Unprotected", core.BlockConfig{Scheme: core.Unprotected}},
+		{"ABFT-Detection", core.BlockConfig{Scheme: core.ABFTDetection}},
+		{"ABFT-Correction", core.BlockConfig{Scheme: core.ABFTCorrection}},
+		{"PCG/ABFT-Correction", core.BlockConfig{Scheme: core.ABFTCorrection, M: m}},
+	}
+	for _, tc := range cases {
+		cfg := tc.cfg
+		cfg.Tol, cfg.S, cfg.Ws = 1e-8, 4, bw
+		assertZeroAllocs(t, "core.SolveBlock/"+tc.name, func() {
 			if _, err := core.SolveBlock(a, bs, cfg, sts, errs); err != nil {
 				t.Fatal(err)
 			}

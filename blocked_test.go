@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,9 +15,9 @@ import (
 // This file pins the bitwise contract of the blocked multi-RHS tier on
 // every matrix of the paper suite, exactly the way fused_test.go pins the
 // pool products: a blocked product must produce each column's bits of the
-// corresponding single-vector kernel, and a blocked solve (k > 1) must
-// reproduce, per right-hand side, the exact residual history, statistics
-// and outcome of solving that system alone.
+// corresponding single-vector kernel, and a blocked solve must reproduce,
+// per right-hand side, the exact residual history, statistics and outcome
+// of solving that system alone — whatever the solver, scheme and fault rate.
 
 func TestBlockedKernelsBitwiseOnSuite(t *testing.T) {
 	const k = 4
@@ -66,129 +67,109 @@ func TestBlockedKernelsBitwiseOnSuite(t *testing.T) {
 	}
 }
 
-// blockedSchemes are the axis combinations the true blocked drivers cover;
-// every other combination dispatches to bitwise-trivially-equal sequential
-// solves (see TestBlockedSolveFallbackBitwise).
-var blockedSchemes = []string{"unprotected", "abft-detection", "abft-correction"}
+// blockedSolvers are the solver axis of the bitwise table: every
+// recurrence, PCG under both preconditioners.
+var blockedSolvers = []harness.Scenario{
+	{Solver: "cg"},
+	{Solver: "pcg", Precond: "jacobi"},
+	{Solver: "pcg", Precond: "neumann"},
+	{Solver: "bicgstab"},
+}
 
+// blockedSchemes are the scheme axis: all four, wherever Scenario.Validate
+// accepts them.
+var blockedSchemes = []string{"unprotected", "online-detection", "abft-detection", "abft-correction"}
+
+// checkBlockedLanes solves the systems bs under sc as one block and each one
+// alone with SolveWith under the same seed, and reports every lane whose
+// residual history, statistics or error differ from its single solve. It
+// returns the block's statistics.
+func checkBlockedLanes(t *testing.T, name string, a *sparse.CSR, bs [][]float64, sc harness.Scenario, seeds []int64, ws *core.BlockWorkspace) []core.Stats {
+	t.Helper()
+	k := len(bs)
+	blockHists := make([][]float64, k)
+	onIter := func(rhs, it int, rho float64) { blockHists[rhs] = append(blockHists[rhs], rho) }
+	sts := make([]core.Stats, k)
+	errs := make([]error, k)
+	if err := harness.SolveBlockWith(a, bs, sc, seeds, harness.BlockOpts{Ws: ws, OnIteration: onIter}, sts, errs); err != nil {
+		t.Fatalf("%s: SolveBlockWith: %v", name, err)
+	}
+	for j := 0; j < k; j++ {
+		var seqHist []float64
+		_, seqSt, seqErr := harness.SolveWith(a, bs[j], sc, seeds[j], harness.SolveOpts{
+			OnIteration: func(_ int, rho float64) { seqHist = append(seqHist, rho) },
+		})
+		if !bitsEqual(blockHists[j], seqHist) {
+			t.Errorf("%s rhs %d: blocked residual history differs from sequential (%d vs %d iters)",
+				name, j, len(blockHists[j]), len(seqHist))
+		}
+		if sts[j] != seqSt {
+			t.Errorf("%s rhs %d: blocked stats %+v != sequential %+v", name, j, sts[j], seqSt)
+		}
+		if (errs[j] == nil) != (seqErr == nil) || (errs[j] != nil && errs[j].Error() != seqErr.Error()) {
+			t.Errorf("%s rhs %d: blocked err %v != sequential %v", name, j, errs[j], seqErr)
+		}
+	}
+	return sts
+}
+
+// TestBlockedSolveBitwiseOnSuite: lane j of a blocked solve is its single
+// solve, bit for bit, for every solver × scheme on the nine suite matrices
+// fault-free — lanes sharing one live matrix, one encoding and the blocked
+// products, four of them to a pass — and under injection on two of them,
+// where every lane owns its matrices and its injector (seeds[j], as
+// SolveWith draws it). The matrices are generated at scale 32, where most
+// solves converge inside the budget.
 func TestBlockedSolveBitwiseOnSuite(t *testing.T) {
-	const k = 3
-	for id, a := range suiteInstances(t) {
+	const k = 4
+	faulty := map[int]bool{341: true, 2213: true}
+	for _, sm := range harness.PaperSuite {
+		id, a := sm.ID, sm.Generate(32)
 		bs := make([][]float64, k)
 		seeds := make([]int64, k)
 		for j := range bs {
 			bs[j], _ = harness.RHS(a, int64(id)+int64(j)*101)
 			seeds[j] = int64(j + 1)
 		}
-		for _, scheme := range blockedSchemes {
-			sc := harness.Scenario{Name: "blocked/" + scheme, Solver: "cg", Scheme: scheme, MaxIters: 150}
-
-			blockHists := make([][]float64, k)
-			onIter := func(rhs, it int, rho float64) { blockHists[rhs] = append(blockHists[rhs], rho) }
-			sts := make([]core.Stats, k)
-			errs := make([]error, k)
-			if err := harness.SolveBlockWith(a, bs, sc, seeds, harness.BlockOpts{OnIteration: onIter}, sts, errs); err != nil {
-				t.Fatalf("matrix %d %s: SolveBlockWith: %v", id, scheme, err)
-			}
-
-			for j := 0; j < k; j++ {
-				var seqHist []float64
-				_, seqSt, seqErr := harness.SolveWith(a, bs[j], sc, seeds[j], harness.SolveOpts{
-					OnIteration: func(_ int, rho float64) { seqHist = append(seqHist, rho) },
-				})
-				if !bitsEqual(blockHists[j], seqHist) {
-					t.Errorf("matrix %d %s rhs %d: blocked residual history differs from sequential (%d vs %d iters)",
-						id, scheme, j, len(blockHists[j]), len(seqHist))
-				}
-				if sts[j] != seqSt {
-					t.Errorf("matrix %d %s rhs %d: blocked stats %+v != sequential %+v", id, scheme, j, sts[j], seqSt)
-				}
-				if (errs[j] == nil) != (seqErr == nil) || (errs[j] != nil && errs[j].Error() != seqErr.Error()) {
-					t.Errorf("matrix %d %s rhs %d: blocked err %v != sequential %v", id, scheme, j, errs[j], seqErr)
+		alphas := []float64{0}
+		if faulty[id] {
+			alphas = append(alphas, 1.0/16)
+		}
+		for _, solver := range blockedSolvers {
+			for _, scheme := range blockedSchemes {
+				for _, alpha := range alphas {
+					sc := solver
+					sc.Name, sc.Scheme, sc.Alpha, sc.MaxIters = "blocked", scheme, alpha, 150
+					if sc.Validate() != nil {
+						continue
+					}
+					name := fmt.Sprintf("matrix %d %s/%s/%s alpha=%g", id, sc.Solver, sc.Precond, scheme, alpha)
+					checkBlockedLanes(t, name, a, bs, sc, seeds, nil)
 				}
 			}
 		}
 	}
 }
 
-// TestBlockedSolveFallbackBitwise exercises the sequential-fallback
-// dispatch (axes outside the blocked drivers' coverage) and pins that it,
-// too, reproduces per-RHS sequential results exactly.
-func TestBlockedSolveFallbackBitwise(t *testing.T) {
-	a := sparse.Poisson2D(16, 16)
-	const k = 2
-	bs := make([][]float64, k)
-	seeds := make([]int64, k)
-	for j := range bs {
-		bs[j], _ = harness.RHS(a, int64(j)*31)
-		seeds[j] = int64(100 + j)
-	}
-	cases := []harness.Scenario{
-		{Name: "fallback/pcg", Solver: "pcg", Scheme: "abft-correction"},
-		{Name: "fallback/online", Solver: "cg", Scheme: "online-detection"},
-		{Name: "fallback/faulty", Solver: "cg", Scheme: "abft-correction", Alpha: 0.2},
-	}
-	for _, sc := range cases {
-		blockHists := make([][]float64, k)
-		onIter := func(rhs, it int, rho float64) { blockHists[rhs] = append(blockHists[rhs], rho) }
-		sts := make([]core.Stats, k)
-		errs := make([]error, k)
-		if err := harness.SolveBlockWith(a, bs, sc, seeds, harness.BlockOpts{OnIteration: onIter}, sts, errs); err != nil {
-			t.Fatalf("%s: SolveBlockWith: %v", sc.Name, err)
-		}
-		for j := 0; j < k; j++ {
-			var seqHist []float64
-			scj := sc
-			scj.Seed = seeds[j]
-			_, seqSt, seqErr := harness.SolveWith(a, bs[j], scj, seeds[j], harness.SolveOpts{
-				OnIteration: func(_ int, rho float64) { seqHist = append(seqHist, rho) },
-			})
-			if !bitsEqual(blockHists[j], seqHist) {
-				t.Errorf("%s rhs %d: fallback residual history differs from sequential", sc.Name, j)
-			}
-			if sts[j] != seqSt {
-				t.Errorf("%s rhs %d: fallback stats differ", sc.Name, j)
-			}
-			if (errs[j] == nil) != (seqErr == nil) {
-				t.Errorf("%s rhs %d: fallback err %v != sequential %v", sc.Name, j, errs[j], seqErr)
-			}
-		}
-	}
-}
-
-// TestBlockedSolveReusedWorkspace pins that a warm BlockWorkspaces bundle
-// reproduces the cold bits across repeated and width-varying blocks.
+// TestBlockedSolveReusedWorkspace pins that a warm block workspace
+// reproduces the cold bits across repeated and width-varying blocks, each of
+// another solver.
 func TestBlockedSolveReusedWorkspace(t *testing.T) {
 	a := sparse.Poisson2D(20, 20)
-	ws := harness.NewBlockWorkspaces()
-	sc := harness.Scenario{Name: "blocked/reuse", Solver: "cg", Scheme: "abft-correction"}
-	for _, k := range []int{3, 1, 4, 3} {
+	ws := core.NewBlockWorkspace()
+	for i, k := range []int{3, 1, 4, 3, 2} {
+		sc := blockedSolvers[i%len(blockedSolvers)]
+		sc.Name, sc.Scheme = "blocked/reuse", "abft-correction"
 		bs := make([][]float64, k)
 		seeds := make([]int64, k)
 		for j := range bs {
 			bs[j], _ = harness.RHS(a, int64(j)*17)
 			seeds[j] = int64(j)
 		}
-		hists := make([][]float64, k)
-		onIter := func(rhs, it int, rho float64) { hists[rhs] = append(hists[rhs], rho) }
-		sts := make([]core.Stats, k)
-		errs := make([]error, k)
-		if err := harness.SolveBlockWith(a, bs, sc, seeds, harness.BlockOpts{Ws: ws, OnIteration: onIter}, sts, errs); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		for j := 0; j < k; j++ {
-			var seqHist []float64
-			_, _, err := harness.SolveWith(a, bs[j], sc, seeds[j], harness.SolveOpts{
-				OnIteration: func(_ int, rho float64) { seqHist = append(seqHist, rho) },
-			})
-			if err != nil {
-				t.Fatalf("k=%d rhs %d: sequential: %v", k, j, err)
-			}
-			if !bitsEqual(hists[j], seqHist) {
-				t.Errorf("k=%d rhs %d: warm blocked history differs from sequential", k, j)
-			}
-			if !sts[j].Converged {
-				t.Errorf("k=%d rhs %d: not converged", k, j)
+		name := fmt.Sprintf("k=%d %s/%s", k, sc.Solver, sc.Precond)
+		for j, st := range checkBlockedLanes(t, name, a, bs, sc, seeds, ws) {
+			if !st.Converged {
+				t.Errorf("%s rhs %d: not converged", name, j)
 			}
 		}
 	}

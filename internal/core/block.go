@@ -4,55 +4,51 @@ import (
 	"fmt"
 
 	"repro/internal/abft"
+	"repro/internal/fault"
 	"repro/internal/sparse"
 )
 
-// BlockConfig parameterises a blocked multi-RHS solve. The axes mirror
-// Config; fault injection is deliberately absent — the blocked tier shares
-// one live matrix and one checksum encoding across the right-hand sides,
-// which is only sound when nothing mutates them mid-block, so SolveBlock is a
-// fault-free tier (the service's batch path, where ABFT verification still
-// guards against real silent errors, is exactly that).
+// BlockConfig parameterises a blocked multi-RHS solve: the inputs of Config,
+// with one injector and one stream of observations per right-hand side.
 type BlockConfig struct {
-	// Scheme selects the method: ABFTDetection, ABFTCorrection or Unprotected.
-	// OnlineDetection's robust product has no blocked form and is not
-	// supported here (callers fall back to sequential solves).
-	Scheme Scheme
-	// S and D override the model-optimal checkpoint and verification
-	// intervals when > 0 (D is forced to 1 for the ABFT schemes, as in the
-	// sequential driver).
-	S, D int
-	// Tol is the relative residual tolerance (default 1e-8).
-	Tol float64
-	// MaxIters caps the useful iterations per right-hand side (default 20·n).
+	// Scheme, M, S, D, Tol and MaxIters are Config's, for every lane (any
+	// scheme; SolveBlockBiCGstab takes no M).
+	Scheme   Scheme
+	M        *sparse.CSR
+	S, D     int
+	Tol      float64
 	MaxIters int
-	// Costs calibrates the time accounting; zero value means defaults.
-	Costs CostParams
-	// OnIteration, when non-nil, is called after every useful iteration of
-	// every right-hand side with the RHS index, the iteration count and the
-	// recurrence scalar ρ — the same values the sequential driver's
-	// OnIteration would deliver for that system solved alone.
+	// Injectors holds lane j's injector at index j (Config.Injector); a nil
+	// entry, or none past the end of the slice, runs that lane fault-free.
+	Injectors []*fault.Injector
+	// OnIteration and OnDetection, when non-nil, receive every right-hand
+	// side's stream of Config.OnIteration and Config.OnDetection — what that
+	// system solved alone would deliver — with its index.
 	OnIteration func(rhs, it int, rho float64)
+	OnDetection func(rhs int, ev DetectionEvent)
 	// Ws supplies the reusable block arena; a warm workspace makes repeated
 	// block solves allocation-free. Must not be shared by concurrent solves.
 	Ws *BlockWorkspace
 }
 
-// BlockWorkspace is the reusable arena of the blocked driver: one shared
-// working matrix copy and one shared checksum encoding (the amortisation
-// win — the encoding is built once per block instead of once per solve),
-// plus a per-lane core.Workspace carrying each right-hand side's private
-// vectors, guards, checkpoint store (vectors only) and engine. Storage grows
-// with the widest block seen and is recycled afterwards.
+// BlockWorkspace is the reusable arena of the blocked driver: the live copies
+// and encodings of A and M the fault-free lanes share (one encoding per block,
+// not per solve) and a Workspace per lane. Storage grows with the widest
+// block seen and is recycled afterwards.
 type BlockWorkspace struct {
-	shared Workspace // only its matrix slot 0: the live copy and its encoding
+	shared Workspace // its matrix slots only: what the fault-free lanes share
 	lanes  []*blockLane
-	// gathered active-column headers for the shared product, and the
-	// returned solution headers — reused across rounds and solves.
+	k      int // width of the block in flight
+	// The round's pending products: by matrix slot those that may join
+	// another lane's, and those that run alone.
+	pend  [2][]*engine
+	alone []*engine
+	// operand headers of one blocked product, and the returned solution
+	// headers — reused across rounds and solves.
 	ps, qs [][]float64
-	idx    []int
 	xs     [][]float64
 	onIter func(rhs, it int, rho float64)
+	onDet  func(rhs int, ev DetectionEvent)
 }
 
 // NewBlockWorkspace returns an empty block workspace; storage is created on
@@ -62,126 +58,199 @@ func NewBlockWorkspace() *BlockWorkspace { return &BlockWorkspace{} }
 // blockLane is the per-RHS solve state of one block: a private workspace,
 // whose engine the blocked driver advances in lockstep with the others.
 type blockLane struct {
-	ws *Workspace
-	cb func(it int, rho float64)
+	ws     *Workspace
+	onIter func(it int, rho float64)
+	onDet  func(DetectionEvent)
+	err    error // why the lane could not start; nil once it has
 }
 
 // lane returns the j-th per-RHS lane, growing the pool as needed. The
-// OnIteration closure is built once per lane and reads the workspace's
-// current callback, so warm solves install a new callback without
-// allocating.
+// observer closures are built once per lane and read the workspace's current
+// observers, so warm solves install new ones without allocating.
 func (bw *BlockWorkspace) lane(j int) *blockLane {
 	for len(bw.lanes) <= j {
 		idx := len(bw.lanes)
-		bw.lanes = append(bw.lanes, &blockLane{ws: NewWorkspace(), cb: func(it int, rho float64) {
-			if f := bw.onIter; f != nil {
-				f(idx, it, rho)
-			}
-		}})
+		bw.lanes = append(bw.lanes, &blockLane{
+			ws:     NewWorkspace(),
+			onIter: func(it int, rho float64) { bw.onIter(idx, it, rho) },
+			onDet:  func(ev DetectionEvent) { bw.onDet(idx, ev) },
+		})
 	}
 	return bw.lanes[j]
 }
 
-// SolveBlock runs the CG of the configured scheme on the k systems
-// A·x_j = bs[j] simultaneously: every round advances each active lane's
-// engine to its pending product, computes all products q_j = A·p_j four lanes
-// to a pass over each row of the CSR arrays (abft.Protected.MulVecBlock, or
-// sparse.CSR.MulVecBlock under Unprotected) — each nonzero loaded once and the
-// Rowidx checksums accumulated once per four systems — and lets each lane
-// complete its iteration on the shared sums.
-// Convergence, verification and detection state stay fully independent per
-// right-hand side, and each lane's entire trajectory — iterates, residual
-// history, statistics — is bitwise identical to solving that system alone
-// with Solve: it is the same engine, the blocked product computes each
-// column with exactly the sequential kernel's arithmetic, and the shared
-// Rowidx sums are bitwise equal to the per-solve sums (they depend only on
-// Rowidx).
+// SolveBlock runs the CG — PCG when cfg.M is set — of the configured scheme
+// on the k systems A·x_j = bs[j] in lockstep: every round advances each
+// lane's engine to its pending product, groups the products by matrix, runs
+// each group of two or more four lanes to a pass over each row of the CSR
+// (abft.Protected.MulVecBlock, or sparse.CSR.MulVecBlock under Unprotected),
+// and lets each lane complete its step on the shared Rowidx sums. Lanes
+// pending on A and on M in one round (one rolled back) form two groups.
 //
-// Per-lane statistics and errors land in sts[j] and errs[j] (both must have
-// length ≥ len(bs)); the returned solutions alias workspace memory. The
-// caller's matrix is never modified.
+// The fault-free lanes share one live copy and one encoding of A, and of M. A
+// product runs alone, through the single solve's kernel, for a lane with an
+// injector — it owns its live matrices, so a flip strikes one solve, not k,
+// and an injected k-wide block holds k copies — for an Online-Detection lane,
+// whose robust product has no blocked form, and for a group of one.
+//
+// Each lane's trajectory — iterates, residual history, statistics, error — is
+// bitwise that of Solve on its system under the same injector: the same
+// engine, a blocked product computing each column with the single kernel's
+// arithmetic, Rowidx sums that depend on Rowidx alone. Statistics and errors
+// land in sts[j] and errs[j] (length ≥ len(bs)), a lane that cannot start
+// reporting what Solve would; SolveBlock itself fails only on what the lanes
+// share — the shapes of A and M, their encoding. The solutions alias
+// workspace memory; the caller's matrices are never modified.
 func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, errs []error) ([][]float64, error) {
-	n := a.Rows
-	k := len(bs)
-	if k == 0 {
-		return nil, nil
+	label := ""
+	if cfg.M != nil {
+		label = "PCG "
 	}
-	if a.Cols != n {
-		return nil, fmt.Errorf("core: SolveBlock needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	for j, b := range bs {
-		if len(b) != n {
-			return nil, fmt.Errorf("core: SolveBlock dimension mismatch: A %dx%d, len(bs[%d])=%d", a.Rows, a.Cols, j, len(b))
-		}
-	}
-	if len(sts) < k || len(errs) < k {
-		return nil, fmt.Errorf("core: SolveBlock needs len(sts) and len(errs) ≥ %d", k)
-	}
-	if cfg.Scheme == OnlineDetection {
-		return nil, fmt.Errorf("core: SolveBlock has no blocked product for %v", cfg.Scheme)
-	}
+	return cfg.Ws.solve(false, label, a, bs, cfg, sts, errs)
+}
 
-	bw := cfg.Ws
+// SolveBlockBiCGstab is SolveBlock for BiCGstab: its two products per
+// iteration are two rounds, and a lane that converges at the half step pends
+// on nothing in the second. Each lane refuses what SolveBiCGstab refuses.
+func SolveBlockBiCGstab(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, errs []error) ([][]float64, error) {
+	return cfg.Ws.solve(true, "BiCGstab ", a, bs, cfg, sts, errs)
+}
+
+// solve is the lockstep loop, on a fresh arena when bw is nil.
+func (bw *BlockWorkspace) solve(bicg bool, label string, a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, errs []error) ([][]float64, error) {
+	if len(sts) < len(bs) || len(errs) < len(bs) {
+		return nil, fmt.Errorf("core: SolveBlock needs len(sts) and len(errs) ≥ %d", len(bs))
+	}
 	if bw == nil {
 		bw = NewBlockWorkspace()
 	}
-	bw.onIter = cfg.OnIteration
-	laneCfg := Config{
-		Scheme: cfg.Scheme, S: cfg.S, D: 1, Tol: cfg.Tol, MaxIters: cfg.MaxIters,
-		Costs: cfg.Costs,
-	}.withDefaults(n)
-	// One live copy, one encoding and one resolution of the model-optimal
-	// interval for the whole block; Unprotected has none of the three.
-	var live *sparse.CSR
-	var prot *abft.Protected
-	if cfg.Scheme.abft() {
-		live = bw.shared.liveCopy(0, a)
-		prot = bw.shared.protected(0, live, a, abftMode(cfg.Scheme))
-		if err := prot.CS.Err; err != nil {
-			return nil, fmt.Errorf("core: SolveBlock %v: %w", cfg.Scheme, err)
-		}
-		if laneCfg.S == 0 {
-			_, laneCfg.S = OptimalIntervals(a, cfg.Scheme, 0, laneCfg.Costs)
-		}
+	if err := bw.start(bicg, label, a, bs, cfg); err != nil {
+		return nil, err
 	}
-	for j := 0; j < k; j++ {
+	for bw.pending() {
+		bw.multiply()
+	}
+	return bw.finish(sts, errs), nil
+}
+
+// start starts every lane's engine, arming the shared matrices for the first
+// fault-free lane.
+func (bw *BlockWorkspace) start(bicg bool, label string, a *sparse.CSR, bs [][]float64, cfg BlockConfig) error {
+	n := a.Rows
+	if a.Cols != n {
+		return fmt.Errorf("core: SolveBlock needs a square matrix, got %dx%d", a.Rows, a.Cols)
+	}
+	if cfg.M != nil && (cfg.M.Rows != n || cfg.M.Cols != n) {
+		return fmt.Errorf("core: %sneeds an n×n preconditioner", label)
+	}
+	bw.k, bw.onIter, bw.onDet = len(bs), cfg.OnIteration, cfg.OnDetection
+	var shared *Workspace
+	for j, b := range bs {
 		l := bw.lane(j)
-		laneCfg.OnIteration = l.cb
-		e := &l.ws.begin().run
-		if err := e.start(&e.pcg, "", l.ws, a, bs[j], laneCfg, live, prot); err != nil {
-			return nil, err
+		c := Config{Scheme: cfg.Scheme, M: cfg.M, S: cfg.S, D: cfg.D, Tol: cfg.Tol, MaxIters: cfg.MaxIters, Ws: l.ws}
+		if j < len(cfg.Injectors) {
+			c.Injector = cfg.Injectors[j]
 		}
-	}
-
-	// Lockstep rounds until every lane is over.
-	for {
-		bw.ps, bw.qs, bw.idx = bw.ps[:0], bw.qs[:0], bw.idx[:0]
-		for j := 0; j < k; j++ {
-			if e := &bw.lanes[j].ws.run; !e.advance() {
-				bw.ps = append(bw.ps, e.prod.x)
-				bw.qs = append(bw.qs, e.prod.y)
-				bw.idx = append(bw.idx, j)
+		if cfg.OnIteration != nil {
+			c.OnIteration = l.onIter
+		}
+		if cfg.OnDetection != nil {
+			c.OnDetection = l.onDet
+		}
+		from := shared
+		if c.Injector != nil || cfg.Scheme == Unprotected {
+			from = nil
+		} else if shared == nil {
+			if err := bw.arm(label, a, cfg); err != nil {
+				return err
 			}
+			shared, from = &bw.shared, &bw.shared
 		}
-		if len(bw.idx) == 0 {
-			break
+		e := &l.ws.begin().run
+		rec := recurrence(&e.pcg)
+		if bicg {
+			rec = &e.bicg
 		}
-		var sr abft.RowSums
-		if prot != nil {
-			sr = prot.MulVecBlock(bw.qs, bw.ps)
-		} else {
-			a.MulVecBlock(bw.qs, bw.ps)
+		l.err = e.start(rec, label, l.ws, a, b, c, from)
+	}
+	return nil
+}
+
+// arm refreshes the shared live copies of A and M from the caller's and, under
+// ABFT, re-arms their encodings.
+func (bw *BlockWorkspace) arm(label string, a *sparse.CSR, cfg BlockConfig) error {
+	for slot, src := range [2]*sparse.CSR{a, cfg.M} {
+		if src == nil {
+			continue
 		}
-		for _, j := range bw.idx {
-			bw.lanes[j].ws.run.complete(sr)
+		live := bw.shared.liveCopy(slot, src)
+		if !cfg.Scheme.abft() {
+			continue
+		}
+		if err := bw.shared.protected(slot, live, src, abftMode(cfg.Scheme)).CS.Err; err != nil {
+			return fmt.Errorf("core: %s%v: %w", label, cfg.Scheme, err)
 		}
 	}
+	return nil
+}
 
+// pending advances every lane that started to its next product and reports
+// whether any is pending: a fault-free lane's by matrix slot, unless its
+// scheme is Online-Detection; any other alone.
+func (bw *BlockWorkspace) pending() bool {
+	bw.pend[0], bw.pend[1], bw.alone = bw.pend[0][:0], bw.pend[1][:0], bw.alone[:0]
+	any := false
+	for _, l := range bw.lanes[:bw.k] {
+		e := &l.ws.run
+		if l.err != nil || e.advance() {
+			continue
+		}
+		if any = true; e.cfg.Injector == nil && e.cfg.Scheme != OnlineDetection {
+			bw.pend[e.prod.slot] = append(bw.pend[e.prod.slot], e)
+		} else {
+			bw.alone = append(bw.alone, e)
+		}
+	}
+	return any
+}
+
+// multiply runs the round's products and completes every lane on its own:
+// each group of two or more as one blocked product, everything else through
+// the lane's own kernel.
+func (bw *BlockWorkspace) multiply() {
+	for _, group := range bw.pend {
+		if len(group) < 2 {
+			bw.alone = append(bw.alone, group...)
+			continue
+		}
+		bw.ps, bw.qs = bw.ps[:0], bw.qs[:0]
+		for _, e := range group {
+			bw.ps, bw.qs = append(bw.ps, e.prod.x), append(bw.qs, e.prod.y)
+		}
+		e, sr := group[0], abft.RowSums{}
+		if e.abft {
+			sr = e.prot[e.prod.slot].MulVecBlock(bw.qs, bw.ps)
+		} else {
+			e.mat[e.prod.slot].MulVecBlock(bw.qs, bw.ps)
+		}
+		for _, e := range group {
+			e.complete(sr)
+		}
+	}
+	for _, e := range bw.alone {
+		e.complete(e.multiply())
+	}
+}
+
+// finish collects every lane's solution, statistics and error.
+func (bw *BlockWorkspace) finish(sts []Stats, errs []error) [][]float64 {
 	bw.xs = bw.xs[:0]
-	for j := 0; j < k; j++ {
-		x, st, err := bw.lanes[j].ws.run.finish()
-		sts[j], errs[j] = st, err
+	for j, l := range bw.lanes[:bw.k] {
+		var x []float64
+		if sts[j], errs[j] = (Stats{}), l.err; l.err == nil {
+			x, sts[j], errs[j] = l.ws.run.finish()
+		}
 		bw.xs = append(bw.xs, x)
 	}
-	return bw.xs, nil
+	return bw.xs
 }

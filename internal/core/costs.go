@@ -30,7 +30,9 @@
 // runs and what happens between steps; the loop, the convergence test, the
 // breakdown rule, the OnIteration stream and the clock are the same for all
 // four, so a protection overhead divides two runs of one driver. SolveBlock
-// advances several engines in lockstep around one blocked product.
+// and SolveBlockBiCGstab advance several engines in lockstep around blocked
+// products, under every scheme and fault rate the single solves take, each
+// lane bitwise its single solve.
 //
 // A solve runs on one goroutine, whatever its scheme — the paper's Titer,
 // Tverif and Tcp are one core's flops and words, and both sides of every

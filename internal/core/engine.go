@@ -68,12 +68,6 @@ func Solve(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 // CG-specific, so OnlineDetection has no faithful BiCGstab counterpart;
 // neither has the preconditioner slot.
 func SolveBiCGstab(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
-	if cfg.Scheme == OnlineDetection {
-		return nil, Stats{}, fmt.Errorf("core: BiCGstab supports the ABFT schemes only")
-	}
-	if cfg.M != nil {
-		return nil, Stats{}, fmt.Errorf("core: BiCGstab takes no preconditioner")
-	}
 	ws := cfg.Ws.begin()
 	e := &ws.run
 	return e.solve(&e.bicg, "BiCGstab ", ws, a, b, cfg)
@@ -206,7 +200,7 @@ type engine struct {
 }
 
 func (e *engine) solve(rec recurrence, label string, ws *Workspace, a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
-	if err := e.start(rec, label, ws, a, b, cfg, nil, nil); err != nil {
+	if err := e.start(rec, label, ws, a, b, cfg, nil); err != nil {
 		return nil, Stats{}, err
 	}
 	for !e.advance() {
@@ -216,10 +210,15 @@ func (e *engine) solve(rec recurrence, label string, ws *Workspace, a *sparse.CS
 }
 
 // start validates the problem and builds the initial resilient state. A
-// blocked solve hands every lane the same live matrix copy and checksum
-// encoding (sharedLive, sharedProt); a single solve passes nil and uses its
-// workspace's own.
-func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CSR, b []float64, cfg Config, sharedLive *sparse.CSR, sharedProt *abft.Protected) error {
+// blocked solve's fault-free lanes read the live copies and encodings of
+// shared, whose matrix slots it armed over A and M; a single solve, and a
+// lane with an injector, pass nil and use their workspace's own.
+func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CSR, b []float64, cfg Config, shared *Workspace) error {
+	if _, bicg := rec.(*bicgRec); bicg && cfg.Scheme == OnlineDetection {
+		return fmt.Errorf("core: BiCGstab supports the ABFT schemes only")
+	} else if bicg && cfg.M != nil {
+		return fmt.Errorf("core: BiCGstab takes no preconditioner")
+	}
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
 		return fmt.Errorf("core: %sdimension mismatch: A %dx%d, len(b)=%d", label, a.Rows, a.Cols, len(b))
@@ -243,12 +242,13 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	_, _, e.undecided = exec.Stats()
 
 	e.mat = e.src
-	if !plain {
-		if e.mat[0] = sharedLive; sharedLive == nil {
-			e.mat[0] = ws.liveCopy(0, a)
-		}
-		if cfg.M != nil {
-			e.mat[1] = ws.liveCopy(1, cfg.M)
+	for slot, src := range e.src {
+		switch {
+		case src == nil || plain:
+		case shared != nil:
+			e.mat[slot] = shared.live[slot]
+		default:
+			e.mat[slot] = ws.liveCopy(slot, src)
 		}
 	}
 	e.costs = NewCosts(e.mat[0], cfg.Scheme, cfg.Costs)
@@ -304,20 +304,19 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	e.restart()
 
 	if e.abft {
-		mode := abftMode(cfg.Scheme)
-		e.prot[0] = sharedProt
-		if sharedProt == nil {
-			e.prot[0] = ws.protected(0, e.mat[0], a, mode)
-		}
-		e.stats.SimTime += SetupCost(e.mat[0], cfg.Scheme, cfg.Costs)
-		if e.mat[1] != nil {
-			e.prot[1] = ws.protected(1, e.mat[1], cfg.M, mode)
-			e.stats.SimTime += SetupCost(e.mat[1], cfg.Scheme, cfg.Costs)
-		}
-		// A matrix without an encoding (checksum.ErrNoShift) cannot be protected.
-		for _, prot := range e.prot {
-			if prot != nil && prot.CS.Err != nil {
-				return fmt.Errorf("core: %s%v: %w", label, cfg.Scheme, prot.CS.Err)
+		for slot, m := range e.mat {
+			switch {
+			case m == nil:
+				continue
+			case shared != nil:
+				e.prot[slot] = shared.prot[slot]
+			default:
+				e.prot[slot] = ws.protected(slot, m, e.src[slot], abftMode(cfg.Scheme))
+			}
+			e.stats.SimTime += SetupCost(m, cfg.Scheme, cfg.Costs)
+			// A matrix without an encoding (checksum.ErrNoShift) cannot be protected.
+			if err := e.prot[slot].CS.Err; err != nil {
+				return fmt.Errorf("core: %s%v: %w", label, cfg.Scheme, err)
 			}
 		}
 		// Armed over the completed initial state.

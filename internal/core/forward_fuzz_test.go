@@ -176,7 +176,7 @@ func (s *fwdSystem) solve(flips []fwdFlip) ([]float64, Stats, error) {
 
 	cfg := Config{Scheme: ABFTCorrection, M: s.m, Tol: fwdTol, Ws: ws}
 	cfg.OnIteration = func(int, float64) { strike(e.stats.TotalIterations+1, fwdVectorWord) }
-	if err := e.start(rec, "", ws, s.a, s.b, cfg, nil, nil); err != nil {
+	if err := e.start(rec, "", ws, s.a, s.b, cfg, nil); err != nil {
 		return nil, Stats{}, err
 	}
 	strike(1, fwdVectorWord)

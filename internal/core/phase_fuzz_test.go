@@ -87,7 +87,7 @@ func (s *fwdSystem) phaseSolve(scheme Scheme, flips []phaseFlip) ([]float64, Sta
 	}}
 	cfg := Config{Scheme: scheme, M: s.m, Tol: fwdTol, Ws: ws}
 	cfg.OnIteration = func(int, float64) { boundary() }
-	if err := e.start(rec, "", ws, s.a, s.b, cfg, nil, nil); err != nil {
+	if err := e.start(rec, "", ws, s.a, s.b, cfg, nil); err != nil {
 		return nil, Stats{}, 0, err
 	}
 	for !e.advance() {

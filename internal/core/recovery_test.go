@@ -250,6 +250,83 @@ func TestBlockLaneRollbackAfterAnotherLanesRepair(t *testing.T) {
 	}
 }
 
+// TestBlockLanesPendOnAAndMInOneRound: a PCG lane that rolls back after its
+// product of A restarts its iteration there, while the other lanes go on to
+// their product of M — so a round holds products of both matrices, two
+// groups, the lone lane's product of A running through its own kernel. Every
+// lane still equals its single solve, the struck one struck the same way.
+// The test drives SolveBlock's own loop to see the rounds.
+func TestBlockLanesPendOnAAndMInOneRound(t *testing.T) {
+	a, _, _ := testMatrix(200, 3)
+	m, err := precond.Jacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, struck, at = 4, 2, 6
+	bs := make([][]float64, k)
+	for j := range bs {
+		bs[j], _ = rhsFor(a, int64(20+j))
+	}
+	// strike corrupts x twice at the end of the struck lane's iteration at,
+	// once; the x-update of the next iteration cannot repair it and rolls
+	// back.
+	strike := func(rhs, it int, x []float64, done *bool) {
+		if rhs == struck && it == at && !*done {
+			*done = true
+			strikeTwice(x)
+		}
+	}
+
+	bw := NewBlockWorkspace()
+	hists := make([][]float64, k)
+	struckBlock := false
+	cfg := BlockConfig{Scheme: ABFTCorrection, M: m, S: 4, Tol: 1e-8, Ws: bw}
+	cfg.OnIteration = func(rhs, it int, rho float64) {
+		hists[rhs] = append(hists[rhs], rho)
+		strike(rhs, it, bw.lanes[struck].ws.run.x, &struckBlock)
+	}
+	if err := bw.start(false, "PCG ", a, bs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	mixed := 0
+	for bw.pending() {
+		if len(bw.pend[0]) > 0 && len(bw.pend[1]) > 0 {
+			mixed++
+		}
+		bw.multiply()
+	}
+	sts, errs := make([]Stats, k), make([]error, k)
+	xs := bw.finish(sts, errs)
+	if mixed == 0 {
+		t.Error("no round had lanes pending on A and on M at once")
+	}
+
+	for j := range bs {
+		ws := NewWorkspace()
+		var hist []float64
+		struckSingle := false
+		single := Config{Scheme: ABFTCorrection, M: m, S: 4, Tol: 1e-8, Ws: ws}
+		single.OnIteration = func(it int, rho float64) {
+			hist = append(hist, rho)
+			strike(j, it, ws.run.x, &struckSingle)
+		}
+		x, st, err := Solve(a, bs[j], single)
+		if err != nil || !st.Converged {
+			t.Fatalf("lane %d alone: err %v, stats %+v", j, err, st)
+		}
+		want := int64(0)
+		if j == struck {
+			want = 1
+		}
+		if sts[j].Rollbacks != want {
+			t.Errorf("lane %d: %d rollbacks, want %d", j, sts[j].Rollbacks, want)
+		}
+		if errs[j] != nil || sts[j] != st || !bitsEqual(hists[j], hist) || !bitsEqual(xs[j], x) {
+			t.Errorf("lane %d: err %v, stats %+v, %d iterations; alone: %+v, %d iterations", j, errs[j], sts[j], len(hists[j]), st, len(hist))
+		}
+	}
+}
+
 // TestRereadSettlesMatrixErrorsForward pins ABFT-Correction's step between a
 // decoder that cannot name a single error and a rollback. Each scenario puts
 // two errors in front of one product of A, which no two-row code decodes;

@@ -8,7 +8,10 @@
 // Every scheme, the baseline included, is one call into internal/core's
 // engine: an overhead reported here divides two runs of the same loop with
 // the same hooks. internal/solver is not on that path; tests compare the
-// engine against it.
+// engine against it. SolveWith solves one system, the reference; for a
+// block of them SolveBlockWith makes the same choices — entry point,
+// preconditioner, one injector per system — and hands them to
+// core.SolveBlock, whose lanes are bitwise their SolveWith.
 //
 // The experiment packages (internal/sim) define the paper's Table 1 and
 // Figure 1 campaigns as harness scenarios, cmd/resbench lists and runs
@@ -178,7 +181,7 @@ func SchemeSlug(s core.Scheme) string {
 type Workspaces struct {
 	Core *core.Workspace
 	// Solver is read by nothing: every scheme runs on Core. It stays until
-	// bench/, the last code to fill it, may drop it (ROADMAP item 6).
+	// bench/, the last code to fill it, may drop it (ROADMAP item 3).
 	Solver *solver.Workspace
 }
 
@@ -224,28 +227,62 @@ func SolveWith(a *sparse.CSR, b []float64, sc Scenario, seed int64, opt SolveOpt
 	if opt.Ws != nil {
 		coreWs = opt.Ws.Core
 	}
+	m, err := sc.precond(a, opt.M)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
 	scheme, _ := ParseScheme(sc.Scheme)
-	var inj *fault.Injector
-	if sc.Alpha > 0 {
-		inj = fault.New(fault.Config{Alpha: sc.Alpha, Seed: seed})
-	}
-	cfg := core.Config{
-		Scheme: scheme, S: sc.S, D: sc.D, Tol: sc.Tol,
-		MaxIters: sc.MaxIters, Injector: inj, OnIteration: opt.OnIteration,
+	solve, _ := sc.drivers()
+	return solve(a, b, core.Config{
+		Scheme: scheme, M: m, S: sc.S, D: sc.D, Tol: sc.Tol,
+		MaxIters: sc.MaxIters, Injector: sc.injector(seed), OnIteration: opt.OnIteration,
 		OnDetection: opt.OnDetection, Ws: coreWs,
+	})
+}
+
+// drivers returns the engine's entry points for the scenario's solver: one
+// system, and a block of them.
+func (sc Scenario) drivers() (func(*sparse.CSR, []float64, core.Config) ([]float64, core.Stats, error),
+	func(*sparse.CSR, [][]float64, core.BlockConfig, []core.Stats, []error) ([][]float64, error)) {
+	if sc.Solver == "bicgstab" {
+		return core.SolveBiCGstab, core.SolveBlockBiCGstab
 	}
-	switch sc.Solver {
-	case "bicgstab":
-		return core.SolveBiCGstab(a, b, cfg)
-	case "pcg":
-		if cfg.M = opt.M; cfg.M == nil {
-			var err error
-			if cfg.M, err = BuildPrecond(a, sc.Precond); err != nil {
-				return nil, core.Stats{}, err
-			}
-		}
+	return core.Solve, core.SolveBlock
+}
+
+// precond returns the preconditioner the scenario's solver applies: none but
+// for pcg, whose is m when the caller prebuilt it and built from sc.Precond
+// otherwise.
+func (sc Scenario) precond(a, m *sparse.CSR) (*sparse.CSR, error) {
+	if sc.Solver != "pcg" {
+		return nil, nil
 	}
-	return core.Solve(a, b, cfg)
+	if m != nil {
+		return m, nil
+	}
+	return BuildPrecond(a, sc.Precond)
+}
+
+// injector returns the fault injector of the trial with this seed, nil when
+// the scenario is fault-free.
+func (sc Scenario) injector(seed int64) *fault.Injector {
+	if sc.Alpha <= 0 {
+		return nil
+	}
+	return fault.New(fault.Config{Alpha: sc.Alpha, Seed: seed})
+}
+
+// injectors returns injector(seeds[j]) at index j, nil when the scenario is
+// fault-free.
+func (sc Scenario) injectors(seeds []int64) []*fault.Injector {
+	if sc.Alpha <= 0 {
+		return nil
+	}
+	injs := make([]*fault.Injector, len(seeds))
+	for j, seed := range seeds {
+		injs[j] = sc.injector(seed)
+	}
+	return injs
 }
 
 // BuildPrecond constructs the explicit PCG preconditioner of the given

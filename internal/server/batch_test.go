@@ -34,9 +34,8 @@ func postBatch(t *testing.T, url string, req *api.BatchSolveRequest, out any) in
 
 // TestBatchSolveMatchesSingles is the batch-path determinism gate: every
 // right-hand side of a batched solve must answer the exact residual hash
-// the equivalent single request answers, across the blocked drivers
-// (cg × ABFT, cg × unprotected) and the sequential fallback (pcg), and a
-// repeated batch must reproduce itself bit for bit.
+// the equivalent single request answers, for cg under ABFT and unprotected
+// and for pcg, and a repeated batch must reproduce itself bit for bit.
 func TestBatchSolveMatchesSingles(t *testing.T) {
 	_, ts := testServer(t, Config{Concurrency: 2, QueueDepth: 16})
 

@@ -183,10 +183,11 @@ func entryFootprint(a *sparse.CSR) int64 {
 
 // perRHSFootprint estimates the resident bytes one blocked-solve lane adds
 // on top of entryFootprint: each lane owns its iteration vectors, guards
-// and checkpoint store (~10 lane vectors). The 2× CSR words date from when
-// the stores deep-copied the matrix; checkpoints carry vectors only now, so
-// a lane is overcharged by that much. Re-basing the estimate moves what a
-// byte budget evicts and is left to its own issue.
+// and checkpoint store (~10 lane vectors), and a lane that ran with an
+// injector keeps its own live copy of the matrices, which the 2× CSR words
+// cover. A fault-free lane shares the block's copy and is overcharged by
+// that much. Re-basing the estimate moves what a byte budget evicts and is
+// left to ROADMAP item 3.
 func perRHSFootprint(a *sparse.CSR) int64 {
 	const wordBytes = 8
 	return wordBytes * int64(2*a.MemoryWords()+10*a.Rows)
@@ -258,9 +259,7 @@ type entry struct {
 	preconds  map[string]*sparse.CSR
 	intervals map[intervalKey][2]int
 
-	// ctxs pools warm per-request solve contexts (see solveCtx); bctxs
-	// pools warm blocked-solve contexts (see batchCtx).
-	ctxs  sync.Pool
+	// bctxs pools warm solve contexts (see batchCtx).
 	bctxs sync.Pool
 }
 
@@ -270,7 +269,7 @@ type intervalKey struct {
 	alpha  float64
 }
 
-// materialise builds the matrix exactly once and arms the pools of solve
+// materialise builds the matrix exactly once and arms the pool of solve
 // contexts, whose workspaces warm up — working matrix copy, checksum
 // encodings, vectors — in the first solve that carries them. Safe for
 // concurrent callers; the first error is sticky.
@@ -282,7 +281,6 @@ func (e *entry) materialise(build func() (*sparse.CSR, error)) error {
 			return
 		}
 		e.a = a
-		e.ctxs.New = func() any { return newSolveCtx() }
 		e.bctxs.New = func() any { return newBatchCtx() }
 	})
 	return e.err
@@ -372,50 +370,42 @@ func (e *entry) artifactsFor(sc harness.Scenario) (harness.Scenario, *sparse.CSR
 	return sc, m, nil
 }
 
-// solveCtx is the per-request execution context drawn from an entry's
-// pool: a warm workspace, the residual-history buffer and the
-// recording closure bound to it. Everything is built once, so a warm
-// request reuses it all and allocates nothing.
-type solveCtx struct {
-	ws     *harness.Workspaces
-	hist   []float64
-	record func(it int, rho float64)
-	// trace, when set for the duration of one solve, receives the live
-	// iteration tally through the pre-bound record closure — tracing a
-	// warm solve therefore allocates exactly as much as not tracing it:
-	// nothing.
-	trace *obs.Active
-}
-
-func newSolveCtx() *solveCtx {
-	c := &solveCtx{ws: &harness.Workspaces{Core: core.NewWorkspace()}}
-	c.record = func(_ int, rho float64) {
-		c.hist = append(c.hist, rho)
-		if tr := c.trace; tr != nil {
-			tr.Solver.Iterations++
-		}
-	}
-	return c
-}
-
-// batchCtx is the per-group execution context of a blocked solve, drawn
-// from an entry's bctxs pool: the reusable block workspaces plus the
-// per-lane argument and result slices and the recording closure. All
-// slices grow to the high-water lane count and persist, so a warm batched
-// request reuses everything.
+// batchCtx is the per-group execution context of a solve, drawn from an
+// entry's bctxs pool: the reusable block workspace plus the per-lane
+// argument and result slices and the observer closures. All slices grow to
+// the high-water lane count and persist, and the closures are built once,
+// so a warm request — a single one included — reuses everything.
 type batchCtx struct {
-	ws     *harness.BlockWorkspaces
+	ws     *core.BlockWorkspace
 	bs     [][]float64
 	seeds  []int64
 	hists  [][]float64
 	sts    []core.Stats
 	errs   []error
 	record func(rhs, it int, rho float64)
+	detect func(rhs int, ev core.DetectionEvent)
+	// The leader's trace and observers, set for the duration of a solve:
+	// record forwards each iteration to onIter, and detect — armed for a
+	// streamed group only — each episode to the trace and to onDet.
+	trace  *obs.Active
+	onIter func(it int, rho float64)
+	onDet  func(core.DetectionEvent)
 }
 
 func newBatchCtx() *batchCtx {
-	c := &batchCtx{ws: harness.NewBlockWorkspaces()}
-	c.record = func(rhs, _ int, rho float64) { c.hists[rhs] = append(c.hists[rhs], rho) }
+	c := &batchCtx{ws: core.NewBlockWorkspace()}
+	c.record = func(rhs, it int, rho float64) {
+		c.hists[rhs] = append(c.hists[rhs], rho)
+		if c.onIter != nil {
+			c.onIter(it, rho)
+		}
+	}
+	c.detect = func(_ int, ev core.DetectionEvent) {
+		if tr := c.trace; tr != nil {
+			tr.RecordDetection(ev.Iteration, ev.Detections, ev.Corrections, ev.RolledBack)
+		}
+		c.onDet(ev)
+	}
 	return c
 }
 
@@ -423,10 +413,7 @@ func newBatchCtx() *batchCtx {
 // capacity (hists keep their backing arrays across uses).
 func (c *batchCtx) grow(k int) {
 	for len(c.bs) < k {
-		c.bs = append(c.bs, nil)
-		c.seeds = append(c.seeds, 0)
-		c.hists = append(c.hists, nil)
-		c.sts = append(c.sts, core.Stats{})
-		c.errs = append(c.errs, nil)
+		c.bs, c.seeds, c.hists = append(c.bs, nil), append(c.seeds, 0), append(c.hists, nil)
+		c.sts, c.errs = append(c.sts, core.Stats{}), append(c.errs, nil)
 	}
 }

@@ -46,8 +46,10 @@ func TestWarmSolveBitIdentical(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			s := New(Config{Concurrency: 1})
 			ent, sc := warmEntry(t, s, req)
+			tk := newTask("", []api.BatchRHS{{Seed: req.Seed, RHSSeed: req.RHSSeed}})
 			for rep := 0; rep < 3; rep++ { // rep 0 cold, reps 1–2 warm
-				out := s.solve(ent, sc, req.ResolvedRHSSeed(), nil, nil, nil)
+				s.runGroup(ent, sc, []*task{tk})
+				out := tk.outs[0]
 				if out.err != nil {
 					t.Fatalf("%s/%s: %v", tc.solver, tc.scheme, out.err)
 				}

@@ -42,14 +42,13 @@ type task struct {
 	// coalesced is the total RHS width of the merged block this task was
 	// solved in (1 for an un-coalesced single).
 	coalesced int
-	// trace, when non-nil, is the request's active trace; the single-solve
-	// path threads it into the solver hooks so iteration tallies are
-	// recorded live. Coalesced blocks leave the members' traces alone —
-	// the handlers fill solver tallies from the per-lane stats instead.
+	// trace, when non-nil, is the request's active trace. The handler fills
+	// its solver tallies from the per-lane stats once the task is done; a
+	// streamed task's solve records its detection episodes in it as well.
 	trace *obs.Active
 	// onIter and onDet, when non-nil, watch the solve live — the streaming
-	// edge's event pump. Such a task has an empty key: its events must not
-	// interleave with other lanes'.
+	// edge's event pump. Such a task has an empty key, so it always solves
+	// as a group of one: its events must not interleave with other lanes'.
 	onIter func(it int, rho float64)
 	onDet  func(core.DetectionEvent)
 

@@ -18,7 +18,11 @@
 // Every solve request, whatever its edge — buffered single, multi-RHS
 // batch or SSE stream — runs through one pipeline: admit (decode, validate,
 // make the matrix resident), await (queue, wait, account) and response (the
-// wire answer of one lane). The wire contract itself — every request and
+// wire answer of one lane). There is one solve path as well: every group the
+// scheduler runs — coalesced singles, a batch, a lone single or stream as a
+// group of one — is one blocked solve (runGroup, harness.SolveBlockWith),
+// each lane bit-identical to harness.SolveWith of that system alone, the
+// reference the tests hold it to. The wire contract itself — every request and
 // response body, the error envelope, and the schema version — lives in
 // internal/api: server, router and clients all marshal the same types, so
 // the contract cannot drift between them.
@@ -200,67 +204,15 @@ func (s *Server) timeoutFor(ms int) time.Duration {
 	return d
 }
 
-// solveOutcome is what the hot path hands back to the handler: the raw
-// stats, the residual-history fingerprint bits and the measured solve
-// time. Formatting into the response record happens off the hot path.
+// solveOutcome is what a solve hands back to the handler for one
+// right-hand side: the raw stats, the residual-history fingerprint bits and
+// the measured solve time. Formatting into the response record happens off
+// the solve path.
 type solveOutcome struct {
 	stats      core.Stats
 	hash       uint64
 	err        error
 	solveNanos int64
-}
-
-// solve is the request hot path: it draws a warm per-matrix context from
-// the entry's pool, resolves every per-matrix artifact from the cache
-// (right-hand side, preconditioner, model-optimal intervals) and runs the
-// single trial on this goroutine. For a warm entry and a
-// fault-free request this performs zero heap allocations (gated by
-// alloc_test.go); fault-injecting requests additionally construct their
-// injector. Deterministic: identical (entry, scenario, seeds) always
-// produce bit-identical residual histories.
-//
-// The observers are optional and ride on hooks the solvers already expose,
-// so nil ones change neither the arithmetic nor the zero-allocation warm
-// path: tr receives the live iteration tally through the context's
-// pre-bound recorder, onIter sees every useful iteration (after the
-// fingerprint recorder) and onDet every fault-detection episode.
-// OnDetection is only forwarded on the streaming path (non-nil onDet): the
-// solver's per-episode emitter costs an allocation when armed, which
-// streaming already pays and the warm buffered path must not.
-func (s *Server) solve(ent *entry, sc harness.Scenario, rhsSeed int64, tr *obs.Active, onIter func(it int, rho float64), onDet func(core.DetectionEvent)) solveOutcome {
-	c := ent.ctxs.Get().(*solveCtx)
-	c.trace = tr
-	defer func() {
-		c.trace = nil // detached before the context returns to the pool
-		ent.ctxs.Put(c)
-	}()
-
-	sc, m, err := ent.artifactsFor(sc)
-	if err != nil {
-		return solveOutcome{err: err}
-	}
-	c.hist = c.hist[:0]
-	record := c.record
-	if onIter != nil {
-		record = func(it int, rho float64) {
-			c.record(it, rho)
-			onIter(it, rho)
-		}
-	}
-	det := onDet
-	if onDet != nil && tr != nil {
-		det = func(ev core.DetectionEvent) {
-			tr.RecordDetection(ev.Iteration, ev.Detections, ev.Corrections, ev.RolledBack)
-			onDet(ev)
-		}
-	}
-	b := ent.rhsFor(rhsSeed)
-	start := time.Now()
-	_, st, err := harness.SolveWith(ent.a, b, sc, sc.Seed, harness.SolveOpts{
-		Ws: c.ws, M: m, OnIteration: record, OnDetection: det,
-	})
-	nanos := time.Since(start).Nanoseconds()
-	return solveOutcome{stats: st, hash: harness.HashBits(c.hist), err: err, solveNanos: nanos}
 }
 
 // coalesceKey names the axes a queued request must share to be merged into
@@ -272,33 +224,28 @@ func coalesceKey(idKey string, r *api.SolveRequest) string {
 		idKey, r.Solver, r.Precond, r.Scheme, r.Alpha, r.Tol, r.MaxIters, r.S, r.D)
 }
 
-// runGroup executes one scheduled group — the leader task plus any queued
-// same-key tasks the worker merged in — and fills every member's outs and
-// coalesced width. sc is the leader's scenario; key equality guarantees
-// every member shares its axes, so only the per-RHS seeds vary.
+// runGroup is the one solve path. It executes one scheduled group — the
+// leader task plus any queued same-key tasks the worker merged in; a single
+// request alone is a group of one, a streamed one always is — as one blocked
+// solve, and fills every member's outs and coalesced width. sc is the
+// leader's scenario; key equality guarantees every member shares its axes,
+// so only the per-RHS seeds vary.
+//
+// It draws a warm block context from the entry's pool and resolves every
+// per-matrix artifact from the cache (right-hand sides, preconditioner,
+// model-optimal intervals), so a warm fault-free group performs zero heap
+// allocations (gated by alloc_test.go); fault-injecting groups additionally
+// construct their injectors. Each lane's residual history, statistics and
+// outcome are bit-identical to a single solve of that system
+// (blocked_test.go), so identical (entry, scenario, seeds) always answer
+// identically, merged or not. A streamed leader's observers watch the solve:
+// onIter every useful iteration (after the fingerprint recorder), onDet —
+// recorded in the trace as well — every fault-detection episode.
 func (s *Server) runGroup(ent *entry, sc harness.Scenario, group []*task) {
-	total := 0
+	k := 0
 	for _, t := range group {
-		total += len(t.specs)
+		k += len(t.specs)
 	}
-	if total == 1 {
-		t := group[0]
-		t.coalesced = 1
-		sc.Seed = t.specs[0].Seed
-		t.outs[0] = s.solve(ent, sc, t.specs[0].ResolvedRHSSeed(), t.trace, t.onIter, t.onDet)
-		return
-	}
-	s.solveBlock(ent, sc, group, total)
-}
-
-// solveBlock is the batched hot path: it draws a warm block context from
-// the entry's pool, resolves the per-matrix artifacts exactly as solve()
-// does and runs all k systems through one blocked solve (one matrix
-// traversal per iteration serves every active lane). Each lane's residual
-// history, statistics and outcome are bit-identical to a single solve of
-// that system — the blocked drivers guarantee it by construction, gated in
-// CI on every suite matrix.
-func (s *Server) solveBlock(ent *entry, sc harness.Scenario, group []*task, k int) {
 	s.cache.noteBatchWidth(ent, k)
 	c := ent.bctxs.Get().(*batchCtx)
 	defer ent.bctxs.Put(c)
@@ -313,28 +260,37 @@ func (s *Server) solveBlock(ent *entry, sc harness.Scenario, group []*task, k in
 			i++
 		}
 	}
+	opt := harness.BlockOpts{Ws: c.ws, OnIteration: c.record}
+	lead := group[0] // a streamed task is a group of one: its observers watch
+	c.trace, c.onIter, c.onDet = lead.trace, lead.onIter, lead.onDet
+	if lead.onDet != nil {
+		opt.OnDetection = c.detect
+	}
 
 	var nanos int64
-	sc, m, setupErr := ent.artifactsFor(sc)
-	if setupErr == nil {
+	sc, m, err := ent.artifactsFor(sc)
+	if err == nil {
+		opt.M = m
 		start := time.Now()
-		setupErr = harness.SolveBlockWith(ent.a, c.bs[:k], sc, c.seeds[:k], harness.BlockOpts{
-			Ws: c.ws, M: m, OnIteration: c.record,
-		}, c.sts[:k], c.errs[:k])
+		err = harness.SolveBlockWith(ent.a, c.bs[:k], sc, c.seeds[:k], opt, c.sts[:k], c.errs[:k])
 		nanos = time.Since(start).Nanoseconds()
 	}
+	c.trace, c.onIter, c.onDet = nil, nil, nil // detached before the context returns to the pool
 
 	i = 0
 	for _, t := range group {
 		for j := range t.specs {
 			out := &t.outs[j]
-			out.solveNanos = nanos
-			if setupErr != nil {
-				out.err = setupErr
-			} else {
-				out.stats = c.sts[i]
-				out.hash = harness.HashBits(c.hists[i])
-				out.err = c.errs[i]
+			*out = solveOutcome{err: err, solveNanos: nanos}
+			if err == nil {
+				out.stats, out.err = c.sts[i], c.errs[i]
+				// A lane that could not start hashes its empty history; in a
+				// wider block it answers the zero hash the batch edge has
+				// always answered for it (wire_golden.json, "batch inline out
+				// of scale").
+				if k == 1 || out.stats != (core.Stats{}) {
+					out.hash = harness.HashBits(c.hists[i])
+				}
 			}
 			i++
 		}
