@@ -99,11 +99,10 @@ type span struct {
 // Active is one in-flight trace. It is drawn from the owning Tracer's
 // pool by Start and returned by Finish; between the two it is owned by
 // the request it traces. Spans may be added from concurrent goroutines
-// (the router's hedged fetches race) — AddSpan locks. The Solver
-// tallies and detection events are written only from the solving
-// goroutine, whose completion the handler observes through the task's
-// done channel before reading them, so the hot-path increments take no
-// lock and allocate nothing.
+// (the router's hedged fetches race) — AddSpan locks. Detection events
+// are written only from the solving goroutine, whose completion the
+// handler observes through the task's done channel before reading them,
+// so recording them takes no lock and allocates nothing.
 type Active struct {
 	id        string
 	start     time.Time // monotonic reference for span offsets
@@ -115,11 +114,9 @@ type Active struct {
 	droppedSpans int
 	errMsg       string
 
-	// Solver is the live solver-event surface: the solve path's
-	// pre-bound hooks increment Iterations per useful iteration and
-	// RecordDetection appends detection episodes; the handler overwrites
-	// the tallies with the solver's exact core.Stats once the solve
-	// completes (identical numbers, plus the fields hooks cannot see).
+	// Solver holds the solver's tallies, which the handler fills from the
+	// exact core.Stats once the solve completes; a streamed solve's hooks
+	// append its detection episodes through RecordDetection as it runs.
 	Solver       SolverTallies
 	solverFilled bool
 	dets         [MaxDetections]DetectionRecord
