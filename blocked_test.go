@@ -151,6 +151,29 @@ func TestBlockedSolveBitwiseOnSuite(t *testing.T) {
 	}
 }
 
+// TestBlockedSolveFallbackBitwise pins, on a small Poisson system, the three
+// axes the multi-RHS tier once served by k sequential solves — PCG, Online
+// Detection and injected faults — now that the blocked driver runs them:
+// every lane still reproduces its single solve exactly.
+func TestBlockedSolveFallbackBitwise(t *testing.T) {
+	a := sparse.Poisson2D(16, 16)
+	const k = 2
+	bs := make([][]float64, k)
+	seeds := make([]int64, k)
+	for j := range bs {
+		bs[j], _ = harness.RHS(a, int64(j)*31)
+		seeds[j] = int64(100 + j)
+	}
+	cases := []harness.Scenario{
+		{Name: "fallback/pcg", Solver: "pcg", Scheme: "abft-correction"},
+		{Name: "fallback/online", Solver: "cg", Scheme: "online-detection"},
+		{Name: "fallback/faulty", Solver: "cg", Scheme: "abft-correction", Alpha: 0.2},
+	}
+	for _, sc := range cases {
+		checkBlockedLanes(t, sc.Name, a, bs, sc, seeds, nil)
+	}
+}
+
 // TestBlockedSolveReusedWorkspace pins that a warm block workspace
 // reproduces the cold bits across repeated and width-varying blocks, each of
 // another solver.
