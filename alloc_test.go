@@ -81,8 +81,8 @@ func TestZeroAllocSolverSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Scheme: core.Unprotected, Tol: 1e-8, Ws: core.NewWorkspace()}
-	pcg := cfg
-	pcg.M = m
+	pcg, bicg := cfg, cfg
+	pcg.M, bicg.Recurrence = m, core.BiCGstab
 
 	cases := []struct {
 		name string
@@ -90,7 +90,7 @@ func TestZeroAllocSolverSteadyState(t *testing.T) {
 	}{
 		{"CG", func() ([]float64, core.Stats, error) { return core.Solve(a, b, cfg) }},
 		{"PCG", func() ([]float64, core.Stats, error) { return core.Solve(a, b, pcg) }},
-		{"BiCGstab", func() ([]float64, core.Stats, error) { return core.SolveBiCGstab(a, b, cfg) }},
+		{"BiCGstab", func() ([]float64, core.Stats, error) { return core.Solve(a, b, bicg) }},
 	}
 	for _, tc := range cases {
 		assertZeroAllocs(t, "core.Unprotected/"+tc.name, func() {
@@ -101,16 +101,31 @@ func TestZeroAllocSolverSteadyState(t *testing.T) {
 	}
 }
 
+// TestZeroAllocCoreSolveSteadyState gates the block of one under the three
+// resilient schemes and every recurrence that runs under each, on one warm
+// workspace.
 func TestZeroAllocCoreSolveSteadyState(t *testing.T) {
 	a, b := allocMatrix(t)
+	m, err := precond.Jacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ws := core.NewWorkspace()
 	for _, scheme := range []core.Scheme{core.ABFTDetection, core.ABFTCorrection, core.OnlineDetection} {
 		cfg := core.Config{Scheme: scheme, Tol: 1e-8, S: 4, D: 2, Ws: ws}
-		assertZeroAllocs(t, "core.Solve/"+scheme.String(), func() {
-			if _, st, err := core.Solve(a, b, cfg); err != nil || !st.Converged {
-				t.Fatalf("%v: err=%v converged=%v", scheme, err, st.Converged)
-			}
-		})
+		pcg, bicg := cfg, cfg
+		pcg.M, bicg.Recurrence = m, core.BiCGstab
+		cases := map[string]core.Config{"CG": cfg, "PCG": pcg, "BiCGstab": bicg}
+		if scheme == core.OnlineDetection {
+			delete(cases, "BiCGstab") // refused: Chen's tests are CG's
+		}
+		for name, cfg := range cases {
+			assertZeroAllocs(t, "core.Solve/"+scheme.String()+"/"+name, func() {
+				if _, st, err := core.Solve(a, b, cfg); err != nil || !st.Converged {
+					t.Fatalf("%v %s: err=%v converged=%v", scheme, name, err, st.Converged)
+				}
+			})
+		}
 	}
 }
 
@@ -130,21 +145,21 @@ func TestZeroAllocBlockedSolvers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bw := core.NewBlockWorkspace()
+	ws := core.NewWorkspace()
 	sts := make([]core.Stats, k)
 	errs := make([]error, k)
 	cases := []struct {
 		name string
-		cfg  core.BlockConfig
+		cfg  core.Config
 	}{
-		{"Unprotected", core.BlockConfig{Scheme: core.Unprotected}},
-		{"ABFT-Detection", core.BlockConfig{Scheme: core.ABFTDetection}},
-		{"ABFT-Correction", core.BlockConfig{Scheme: core.ABFTCorrection}},
-		{"PCG/ABFT-Correction", core.BlockConfig{Scheme: core.ABFTCorrection, M: m}},
+		{"Unprotected", core.Config{Scheme: core.Unprotected}},
+		{"ABFT-Detection", core.Config{Scheme: core.ABFTDetection}},
+		{"ABFT-Correction", core.Config{Scheme: core.ABFTCorrection}},
+		{"PCG/ABFT-Correction", core.Config{Scheme: core.ABFTCorrection, M: m}},
 	}
 	for _, tc := range cases {
 		cfg := tc.cfg
-		cfg.Tol, cfg.S, cfg.Ws = 1e-8, 4, bw
+		cfg.Tol, cfg.S, cfg.Ws = 1e-8, 4, ws
 		assertZeroAllocs(t, "core.SolveBlock/"+tc.name, func() {
 			if _, err := core.SolveBlock(a, bs, cfg, sts, errs); err != nil {
 				t.Fatal(err)

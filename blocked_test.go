@@ -82,16 +82,16 @@ var blockedSchemes = []string{"unprotected", "online-detection", "abft-detection
 
 // checkBlockedLanes solves the systems bs under sc as one block and each one
 // alone with SolveWith under the same seed, and reports every lane whose
-// residual history, statistics or error differ from its single solve. It
+// residual history, statistics or error differ from its block of one. It
 // returns the block's statistics.
-func checkBlockedLanes(t *testing.T, name string, a *sparse.CSR, bs [][]float64, sc harness.Scenario, seeds []int64, ws *core.BlockWorkspace) []core.Stats {
+func checkBlockedLanes(t *testing.T, name string, a *sparse.CSR, bs [][]float64, sc harness.Scenario, seeds []int64, ws *core.Workspace) []core.Stats {
 	t.Helper()
 	k := len(bs)
 	blockHists := make([][]float64, k)
 	onIter := func(rhs, it int, rho float64) { blockHists[rhs] = append(blockHists[rhs], rho) }
 	sts := make([]core.Stats, k)
 	errs := make([]error, k)
-	if err := harness.SolveBlockWith(a, bs, sc, seeds, harness.BlockOpts{Ws: ws, OnIteration: onIter}, sts, errs); err != nil {
+	if _, err := harness.SolveBlockWith(a, bs, sc, seeds, harness.BlockOpts{Ws: ws, OnIteration: onIter}, sts, errs); err != nil {
 		t.Fatalf("%s: SolveBlockWith: %v", name, err)
 	}
 	for j := 0; j < k; j++ {
@@ -179,7 +179,7 @@ func TestBlockedSolveFallbackBitwise(t *testing.T) {
 // another solver.
 func TestBlockedSolveReusedWorkspace(t *testing.T) {
 	a := sparse.Poisson2D(20, 20)
-	ws := core.NewBlockWorkspace()
+	ws := core.NewWorkspace()
 	for i, k := range []int{3, 1, 4, 3, 2} {
 		sc := blockedSolvers[i%len(blockedSolvers)]
 		sc.Name, sc.Scheme = "blocked/reuse", "abft-correction"

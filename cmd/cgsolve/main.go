@@ -66,10 +66,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	b, xTrue := harness.RHS(a, *seed)
 	cfg := core.Config{Scheme: scheme, S: *s, D: *d, Tol: *tol}
 	if *alpha > 0 {
-		cfg.Injector = fault.New(fault.Config{Alpha: *alpha, Seed: *seed})
+		cfg.Injectors = []*fault.Injector{fault.New(fault.Config{Alpha: *alpha, Seed: *seed})}
 	}
 	if *verbose {
-		cfg.OnDetection = func(ev core.DetectionEvent) {
+		cfg.OnDetection = func(_ int, ev core.DetectionEvent) {
 			how := "corrected forward"
 			if ev.RolledBack {
 				how = "rolled back"

@@ -53,10 +53,10 @@ func run(w io.Writer, n int) error {
 	}{{"Jacobi", jacobi}, {"Neumann-2", neumann}} {
 		inj := fault.New(fault.Config{Alpha: 1.0 / 16, Seed: 77})
 		x, st, err := core.Solve(a, b, core.Config{
-			Scheme:   core.ABFTCorrection,
-			M:        pc.m,
-			Tol:      1e-9,
-			Injector: inj,
+			Scheme:    core.ABFTCorrection,
+			M:         pc.m,
+			Tol:       1e-9,
+			Injectors: []*fault.Injector{inj},
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", pc.name, err)

@@ -38,9 +38,9 @@ func run(w io.Writer, side int) error {
 	inj := fault.New(fault.Config{Alpha: 1.0 / 16, Seed: 2024})
 
 	x, st, err := core.Solve(a, b, core.Config{
-		Scheme:   core.ABFTCorrection,
-		Tol:      1e-10,
-		Injector: inj,
+		Scheme:    core.ABFTCorrection,
+		Tol:       1e-10,
+		Injectors: []*fault.Injector{inj},
 	})
 	if err != nil {
 		return err

@@ -29,7 +29,7 @@ func TestBiCGstabFaultFree(t *testing.T) {
 	b, xTrue := rhsFor(a, 33)
 	for _, scheme := range []Scheme{ABFTDetection, ABFTCorrection} {
 		t.Run(scheme.String(), func(t *testing.T) {
-			x, st, err := SolveBiCGstab(a, b, Config{Scheme: scheme, Tol: 1e-9})
+			x, st, err := Solve(a, b, Config{Recurrence: BiCGstab, Scheme: scheme, Tol: 1e-9})
 			if err != nil {
 				t.Fatalf("%v (stats %+v)", err, st)
 			}
@@ -47,7 +47,7 @@ func TestBiCGstabUnderFaults(t *testing.T) {
 	a := nonsym(800)
 	b, xTrue := rhsFor(a, 35)
 	inj := fault.New(fault.Config{Alpha: 1.0 / 32, Seed: 71})
-	x, st, err := SolveBiCGstab(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-9, Injector: inj})
+	x, st, err := Solve(a, b, Config{Recurrence: BiCGstab, Scheme: ABFTCorrection, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 	if err != nil {
 		t.Fatalf("%v (stats %+v)", err, st)
 	}
@@ -65,14 +65,14 @@ func TestBiCGstabUnderFaults(t *testing.T) {
 func TestBiCGstabRejectsOnline(t *testing.T) {
 	a := nonsym(100)
 	b, _ := rhsFor(a, 37)
-	if _, _, err := SolveBiCGstab(a, b, Config{Scheme: OnlineDetection}); err == nil {
+	if _, _, err := Solve(a, b, Config{Recurrence: BiCGstab, Scheme: OnlineDetection}); err == nil {
 		t.Fatal("OnlineDetection must be rejected for BiCGstab")
 	}
 }
 
 func TestBiCGstabDimensionMismatch(t *testing.T) {
 	a := nonsym(100)
-	if _, _, err := SolveBiCGstab(a, make([]float64, 5), Config{Scheme: ABFTCorrection}); err == nil {
+	if _, _, err := Solve(a, make([]float64, 5), Config{Recurrence: BiCGstab, Scheme: ABFTCorrection}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }

@@ -25,13 +25,13 @@ func bitsEqual(a, b []float64) bool {
 var blockAlphas = []float64{0, 1.0 / 64, 1.0 / 16}
 
 // FuzzBlockLanes states SolveBlock's contract as a property: over CG,
-// Jacobi-PCG and BiCGstab on two small operands, any scheme, k = 1…5 lanes
-// and a fault rate, lane j of a blocked solve — its injector seeded
-// seed + j·7919 — returns the x, Stats and error of Solve or SolveBiCGstab
-// of that system alone under an injector of the same seed. Fault-free lanes
-// share matrices and blocked products; injected ones own theirs and multiply
-// alone; a refusal (BiCGstab under Online-Detection, an injector under
-// Unprotected) is the single solve's refusal.
+// Jacobi-PCG and BiCGstab on two small operands, any scheme, k = 1…5 systems
+// and a fault rate, system j of a blocked solve — its injector seeded
+// seed + j·7919 — returns the x, Stats and error of the block of one on that
+// system under an injector of the same seed. Fault-free systems share
+// matrices and blocked products; injected ones own theirs and multiply alone;
+// a refusal (BiCGstab under Online-Detection, an injector under Unprotected)
+// is the block of one's refusal.
 func FuzzBlockLanes(f *testing.F) {
 	systems := fwdSystems()
 	for si := range systems {
@@ -47,45 +47,42 @@ func FuzzBlockLanes(f *testing.F) {
 		s := systems[int(system)%len(systems)]
 		k := 1 + int(width)%5
 		alpha := blockAlphas[int(rate)%len(blockAlphas)]
-		cfg := Config{Scheme: Scheme(scheme % 4), M: s.m}
 		injector := func(j int) *fault.Injector {
 			if alpha == 0 {
 				return nil
 			}
 			return fault.New(fault.Config{Alpha: alpha, Seed: seed + int64(j)*7919})
 		}
-		solve, solveBlock := Solve, SolveBlock
-		if s.kind == "bicgstab" {
-			solve, solveBlock = SolveBiCGstab, SolveBlockBiCGstab
-		}
+		cfg := s.config(Scheme(scheme % 4))
 		name := fmt.Sprintf("%s %v k=%d alpha=%g seed=%d", s.name, cfg.Scheme, k, alpha, seed)
 
 		bs := make([][]float64, k)
-		block := BlockConfig{Scheme: cfg.Scheme, M: cfg.M, Injectors: make([]*fault.Injector, k)}
+		block := cfg
+		block.Injectors = make([]*fault.Injector, k)
 		for j := range bs {
 			bs[j], _ = rhsFor(s.a, int64(j))
 			block.Injectors[j] = injector(j)
 		}
 		sts, errs := make([]Stats, k), make([]error, k)
-		xs, blockErr := solveBlock(s.a, bs, block, sts, errs)
+		xs, blockErr := SolveBlock(s.a, bs, block, sts, errs)
 
 		for j, b := range bs {
-			cfg.Injector = injector(j)
-			x, st, err := solve(s.a, b, cfg)
+			cfg.Injectors = []*fault.Injector{injector(j)}
+			x, st, err := Solve(s.a, b, cfg)
 			if blockErr != nil {
 				if err == nil || err.Error() != blockErr.Error() {
-					t.Fatalf("%s: the block refused with %v, lane %d alone answers %v", name, blockErr, j, err)
+					t.Fatalf("%s: the block refused with %v, system %d alone answers %v", name, blockErr, j, err)
 				}
 				continue
 			}
 			if fmt.Sprint(errs[j]) != fmt.Sprint(err) {
-				t.Fatalf("%s lane %d: err %v, alone %v", name, j, errs[j], err)
+				t.Fatalf("%s system %d: err %v, alone %v", name, j, errs[j], err)
 			}
 			if sts[j] != st && fmt.Sprintf("%+v", sts[j]) != fmt.Sprintf("%+v", st) {
-				t.Fatalf("%s lane %d: stats %+v, alone %+v", name, j, sts[j], st)
+				t.Fatalf("%s system %d: stats %+v, alone %+v", name, j, sts[j], st)
 			}
 			if !bitsEqual(xs[j], x) {
-				t.Fatalf("%s lane %d: x differs from the single solve's", name, j)
+				t.Fatalf("%s system %d: x differs from the block of one's", name, j)
 			}
 		}
 	})

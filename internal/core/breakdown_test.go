@@ -28,11 +28,11 @@ func scaled(a *sparse.CSR, f float64) (*sparse.CSR, []float64) {
 	return s, b
 }
 
-// solveAs dispatches one solver × scheme cell on the entry points.
+// solveAs runs one solver × scheme cell.
 func solveAs(solver string, a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 	switch solver {
 	case "bicgstab":
-		return SolveBiCGstab(a, b, cfg)
+		cfg.Recurrence = BiCGstab
 	case "pcg":
 		m, err := precond.Jacobi(a)
 		if err != nil {
@@ -103,7 +103,7 @@ func TestBreakdownAfterAFlipStillRollsBack(t *testing.T) {
 	a, b, _ := testMatrix(150, 3)
 	for seed := int64(1); seed <= 8; seed++ {
 		inj := fault.New(fault.Config{Alpha: 0.25, Seed: seed})
-		_, st, err := Solve(a, b, Config{Scheme: ABFTDetection, Injector: inj})
+		_, st, err := Solve(a, b, Config{Scheme: ABFTDetection, Injectors: []*fault.Injector{inj}})
 		if err != nil || !st.Converged {
 			t.Fatalf("seed %d: %+v, %v", seed, st, err)
 		}
@@ -112,7 +112,7 @@ func TestBreakdownAfterAFlipStillRollsBack(t *testing.T) {
 	// the solve still ends long before the rollback budget.
 	neg, nb := scaled(a, -1)
 	inj := fault.New(fault.Config{Alpha: 0.25, Seed: 1})
-	_, st, err := Solve(neg, nb, Config{Scheme: ABFTDetection, Injector: inj})
+	_, st, err := Solve(neg, nb, Config{Scheme: ABFTDetection, Injectors: []*fault.Injector{inj}})
 	if !errors.Is(err, ErrBreakdown) || st.TotalIterations > 1000 {
 		t.Fatalf("negated under injection: %d total iterations, err = %v", st.TotalIterations, err)
 	}

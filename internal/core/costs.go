@@ -20,19 +20,20 @@
 //	    strict product and the plain vector kernels on the caller's matrices,
 //	    nothing verified, nothing saved.
 //
-// One engine, four schemes. The paper's model never mentions which
+// One engine, four schemes, one loop. The paper's model never mentions which
 // recurrence runs inside a chunk, and neither does the code: the engine
 // (engine.go) owns the scheme, the d/s cadence, fault injection, ABFT
 // settlement, Chen's verification, checkpoint, rollback and the modeled time,
-// and is parameterised by a recurrence (recurrence.go) — CG/PCG and BiCGstab —
-// that supplies its vectors, its convergence norm and one step cut at its
-// products. A scheme decides which product and which vector kernels a step
-// runs and what happens between steps; the loop, the convergence test, the
-// breakdown rule, the OnIteration stream and the clock are the same for all
-// four, so a protection overhead divides two runs of one driver. SolveBlock
-// and SolveBlockBiCGstab advance several engines in lockstep around blocked
-// products, under every scheme and fault rate the single solves take, each
-// lane bitwise its single solve.
+// and is parameterised by a recurrence (recurrence.go) — CG/PCG and BiCGstab,
+// chosen by Config.Recurrence — that supplies its vectors, its convergence
+// norm and one step cut at its products. A scheme decides which product and
+// which vector kernels a step runs and what happens between steps; the
+// convergence test, the breakdown rule, the OnIteration stream and the clock
+// are the same for all four, so a protection overhead divides two runs of one
+// driver. SolveBlock holds the one loop: it advances the engines of k systems
+// in lockstep around blocked products, under every recurrence, scheme and
+// fault rate, and Solve is its block of one — each system of a block is
+// bitwise that block of one.
 //
 // A solve runs on one goroutine, whatever its scheme — the paper's Titer,
 // Tverif and Tcp are one core's flops and words, and both sides of every

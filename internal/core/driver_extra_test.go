@@ -25,7 +25,7 @@ func TestOnlineDetectionCatchesMatrixCorruption(t *testing.T) {
 			fault.TargetVecR, fault.TargetVecP, fault.TargetVecQ, fault.TargetVecX,
 		},
 	})
-	_, st, err := Solve(a, b, Config{Scheme: OnlineDetection, Tol: 1e-9, Injector: inj})
+	_, st, err := Solve(a, b, Config{Scheme: OnlineDetection, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 	if err != nil {
 		t.Fatalf("%v (stats %+v)", err, st)
 	}
@@ -46,7 +46,7 @@ func TestEscalationBreaksStuckRollbacks(t *testing.T) {
 	// Very high fault rate: double faults per iteration are common, so
 	// uncorrectable detections and corrupted-checkpoint scenarios occur.
 	inj := fault.New(fault.Config{Alpha: 1.5, Seed: 13})
-	_, st, _ := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injector: inj, MaxIters: 4000})
+	_, st, _ := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injectors: []*fault.Injector{inj}, MaxIters: 4000})
 	// The run may or may not converge at α = 1.5; the invariant is that it
 	// terminates without exhausting the total-iteration backstop purely on
 	// stuck retries, i.e. rollbacks stay bounded relative to progress.
@@ -71,8 +71,8 @@ func TestEscalationReplacesTheUnusableCheckpoint(t *testing.T) {
 	ws := NewWorkspace()
 	poisoned, struck := false, false
 	cfg := Config{Scheme: ABFTDetection, S: 8, Tol: 1e-8, Ws: ws}
-	cfg.OnIteration = func(it int, _ float64) {
-		e := &ws.run
+	cfg.OnIteration = func(_, it int, _ float64) {
+		e := &ws.lanes[0].run
 		switch {
 		case !poisoned && it == 8:
 			poisoned = true
@@ -125,7 +125,7 @@ func TestSchemeRankingAtTableRate(t *testing.T) {
 		const reps = 6
 		for rep := 0; rep < reps; rep++ {
 			inj := fault.New(fault.Config{Alpha: 1.0 / 16, Seed: int64(1000 + rep)})
-			_, st, _ := Solve(a, b, Config{Scheme: scheme, Tol: 1e-8, Injector: inj})
+			_, st, _ := Solve(a, b, Config{Scheme: scheme, Tol: 1e-8, Injectors: []*fault.Injector{inj}})
 			total += st.SimTime
 		}
 		return total / reps
@@ -144,7 +144,7 @@ func TestFinalResidualUsesPristineMatrix(t *testing.T) {
 	a := sparse.SuiteSPD(sparse.SuiteSPDOptions{N: 500, Density: 0.02, Seed: 27})
 	b, _ := rhsFor(a, 27)
 	inj := fault.New(fault.Config{Alpha: 0.1, Seed: 17})
-	x, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-9, Injector: inj})
+	x, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +186,59 @@ func TestUnencodableMatrixIsATypedError(t *testing.T) {
 		if _, _, err := Solve(sparse.Dense(2, 2, []float64{2, 0, 0, 2}), b, cfg); !errors.Is(err, checksum.ErrNoShift) {
 			t.Errorf("Solve %v with an unencodable M: err = %v", scheme, err)
 		}
-		if _, _, err := SolveBiCGstab(bad, b, Config{Scheme: scheme}); !errors.Is(err, checksum.ErrNoShift) {
-			t.Errorf("SolveBiCGstab %v: err = %v", scheme, err)
+		if _, _, err := Solve(bad, b, Config{Recurrence: BiCGstab, Scheme: scheme}); !errors.Is(err, checksum.ErrNoShift) {
+			t.Errorf("BiCGstab %v: err = %v", scheme, err)
 		}
-		if _, err := SolveBlock(bad, [][]float64{b}, BlockConfig{Scheme: scheme}, make([]Stats, 1), make([]error, 1)); !errors.Is(err, checksum.ErrNoShift) {
+		if _, err := SolveBlock(bad, [][]float64{b, b}, Config{Scheme: scheme}, make([]Stats, 2), make([]error, 2)); !errors.Is(err, checksum.ErrNoShift) {
 			t.Errorf("SolveBlock %v: err = %v", scheme, err)
 		}
 		x, st, err := Solve(sparse.Dense(1, 1, []float64{1e20}), []float64{3e20}, Config{Scheme: scheme})
 		if err != nil || !st.Converged || math.Abs(x[0]-3) > 1e-12 {
 			t.Errorf("%v on [1e20]: x = %v, %+v, %v", scheme, x, st, err)
 		}
+	}
+}
+
+// TestCostsReachEveryLane: Config.Costs prices every system of a block, a
+// fault-free one on the shared matrices and an injected one on its own, as
+// it prices the block of one on that system — and prices it differently from
+// the defaults.
+func TestCostsReachEveryLane(t *testing.T) {
+	a, _, _ := testMatrix(200, 3)
+	const k = 3
+	bs := make([][]float64, k)
+	for j := range bs {
+		bs[j], _ = rhsFor(a, int64(50+j))
+	}
+	injector := func(j int) *fault.Injector {
+		if j != 1 {
+			return nil
+		}
+		return fault.New(fault.Config{Alpha: 1.0 / 16, Seed: 13})
+	}
+	cp := DefaultCostParams()
+	cp.FlopTime *= 3
+	cp.WordTime /= 2
+	cfg := Config{Scheme: ABFTCorrection, Tol: 1e-8, Costs: cp, Injectors: make([]*fault.Injector, k)}
+	for j := range bs {
+		cfg.Injectors[j] = injector(j)
+	}
+	sts, errs := make([]Stats, k), make([]error, k)
+	if _, err := SolveBlock(a, bs, cfg, sts, errs); err != nil {
+		t.Fatal(err)
+	}
+	for j, b := range bs {
+		one := Config{Scheme: ABFTCorrection, Tol: 1e-8, Costs: cp, Injectors: []*fault.Injector{injector(j)}}
+		_, st, err := Solve(a, b, one)
+		if errs[j] != nil || err != nil || sts[j] != st {
+			t.Errorf("system %d: %+v, %v; the block of one: %+v, %v", j, sts[j], errs[j], st, err)
+		}
+		one.Costs, one.Injectors = CostParams{}, []*fault.Injector{injector(j)}
+		if _, def, _ := Solve(a, b, one); def.SimTime == st.SimTime {
+			t.Errorf("system %d: SimTime %g under the custom costs and under the defaults", j, st.SimTime)
+		}
+	}
+	if sts[1].FaultsInjected == 0 {
+		t.Error("the injected system drew no fault")
 	}
 }

@@ -54,7 +54,7 @@ func TestCallerMatrixNotModified(t *testing.T) {
 	a, b, _ := testMatrix(100, 2)
 	pristine := a.Clone()
 	inj := fault.New(fault.Config{Alpha: 0.2, Seed: 7})
-	_, _, _ = Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injector: inj})
+	_, _, _ = Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injectors: []*fault.Injector{inj}})
 	if !a.Equal(pristine) {
 		t.Fatal("Solve corrupted the caller's matrix")
 	}
@@ -67,7 +67,7 @@ func TestConvergesUnderFaults(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			a, b, xTrue := testMatrix(250, 3)
 			inj := fault.New(fault.Config{Alpha: 1.0 / 16, Seed: 11})
-			x, st, err := Solve(a, b, Config{Scheme: scheme, Tol: 1e-9, Injector: inj})
+			x, st, err := Solve(a, b, Config{Scheme: scheme, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 			if err != nil {
 				t.Fatalf("err: %v (stats %+v)", err, st)
 			}
@@ -96,7 +96,7 @@ func TestABFTCorrectionAvoidsRollbacks(t *testing.T) {
 	b, _ := rhsFor(a, 4)
 	run := func(scheme Scheme) Stats {
 		inj := fault.New(fault.Config{Alpha: 1.0 / 8, Seed: 21})
-		_, st, err := Solve(a, b, Config{Scheme: scheme, Tol: 1e-9, Injector: inj})
+		_, st, err := Solve(a, b, Config{Scheme: scheme, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -137,7 +137,7 @@ func TestOnlineDetectionLosesWholeChunks(t *testing.T) {
 	// useful) should be non-trivial when faults strike.
 	a, b, _ := testMatrix(250, 5)
 	inj := fault.New(fault.Config{Alpha: 1.0 / 8, Seed: 31})
-	_, st, err := Solve(a, b, Config{Scheme: OnlineDetection, Tol: 1e-9, Injector: inj})
+	_, st, err := Solve(a, b, Config{Scheme: OnlineDetection, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 	if err != nil {
 		t.Fatalf("%v (stats %+v)", err, st)
 	}
@@ -152,7 +152,7 @@ func TestOnlineDetectionLosesWholeChunks(t *testing.T) {
 func TestModelOptimalIntervalsUsed(t *testing.T) {
 	a, b, _ := testMatrix(150, 6)
 	inj := fault.New(fault.Config{Alpha: 0.05, Seed: 41})
-	_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injector: inj})
+	_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injectors: []*fault.Injector{inj}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCheckpointsHappen(t *testing.T) {
 func TestSimTimeBreakdownConsistent(t *testing.T) {
 	a, b, _ := testMatrix(150, 9)
 	inj := fault.New(fault.Config{Alpha: 0.1, Seed: 51})
-	_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injector: inj})
+	_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injectors: []*fault.Injector{inj}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestHigherFaultRateCostsMore(t *testing.T) {
 	a, b, _ := testMatrix(200, 10)
 	run := func(alpha float64) float64 {
 		inj := fault.New(fault.Config{Alpha: alpha, Seed: 61})
-		_, st, err := Solve(a, b, Config{Scheme: ABFTDetection, Tol: 1e-9, Injector: inj})
+		_, st, err := Solve(a, b, Config{Scheme: ABFTDetection, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 		if err != nil {
 			t.Fatalf("alpha=%v: %v", alpha, err)
 		}
@@ -303,7 +303,7 @@ func TestReproducibleWithSameSeed(t *testing.T) {
 	a, b, _ := testMatrix(150, 14)
 	run := func() Stats {
 		inj := fault.New(fault.Config{Alpha: 0.1, Seed: 71})
-		_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injector: inj})
+		_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injectors: []*fault.Injector{inj}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestSolutionCorrectDespiteExtremeFaults(t *testing.T) {
 	// may be slow but must not return a wrong answer silently.
 	a, b, xTrue := testMatrix(150, 15)
 	inj := fault.New(fault.Config{Alpha: 0.5, Seed: 81})
-	x, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injector: inj, MaxIters: 20000})
+	x, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, Tol: 1e-8, Injectors: []*fault.Injector{inj}, MaxIters: 20000})
 	if err != nil {
 		t.Skipf("did not converge at extreme rate (acceptable): %v", err)
 	}

@@ -46,33 +46,6 @@ var ErrBreakdown = errors.New("recurrence breakdown")
 // the convergence test on x = 0.
 var ErrScale = errors.New("right-hand side out of floating-point range")
 
-// Solve runs the Conjugate Gradient of the configured scheme on Ax = b —
-// preconditioned by cfg.M when it is set — and returns the solution, the
-// execution statistics and an error when the method did not converge. The
-// caller's matrices are never modified — faults are injected into internal
-// working copies — and must not be modified by anyone else while the solve
-// runs: they are the valid copy a rollback restores from, and what an
-// Unprotected solve reads.
-func Solve(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
-	ws := cfg.Ws.begin()
-	e := &ws.run
-	label := ""
-	if cfg.M != nil {
-		label = "PCG "
-	}
-	return e.solve(&e.pcg, label, ws, a, b, cfg)
-}
-
-// SolveBiCGstab runs BiCGstab on Ax = b for general (possibly nonsymmetric)
-// A, under the ABFT schemes or Unprotected: Chen's orthogonality test is
-// CG-specific, so OnlineDetection has no faithful BiCGstab counterpart;
-// neither has the preconditioner slot.
-func SolveBiCGstab(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
-	ws := cfg.Ws.begin()
-	e := &ws.run
-	return e.solve(&e.bicg, "BiCGstab ", ws, a, b, cfg)
-}
-
 // recurrence is what a solver contributes to the engine. The engine owns
 // everything the paper's model owns — scheme, d/s cadence, fault injection,
 // ABFT settlement, Chen's verification, checkpoint, rollback, escalation,
@@ -142,18 +115,21 @@ type armed struct {
 	v []float64
 }
 
-// engine is the one solve state machine, under every scheme. It lives in the
+// engine is the one solve state machine, under every scheme: the solve of one
+// system, which SolveBlock advances. It lives in the system's arena of the
 // Workspace, so its helpers are methods instead of capturing closures and a
 // workspace-carrying warm solve allocates nothing.
 type engine struct {
 	cfg     Config
-	label   string // error-message prefix naming the recurrence
-	abft    bool   // an ABFT scheme
-	plain   bool   // Unprotected: no working copies, no verification, no checkpoint
+	lane    int             // the system's index in its block, passed to the observers
+	inj     *fault.Injector // the system's injector, nil when fault-free
+	label   string          // error-message prefix naming the recurrence
+	abft    bool            // an ABFT scheme
+	plain   bool            // Unprotected: no working copies, no verification, no checkpoint
 	costs   Costs
 	confirm float64 // modeled cost of the convergence-confirmation product
 	rec     recurrence
-	ws      *Workspace
+	ws      *arena
 
 	src  [2]*sparse.CSR     // the caller's A, and M or nil: read-only input, the valid copy
 	mat  [2]*sparse.CSR     // live working copies of src, which the injector strikes (src itself when plain)
@@ -199,27 +175,17 @@ type engine struct {
 	bicg bicgRec
 }
 
-func (e *engine) solve(rec recurrence, label string, ws *Workspace, a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
-	if err := e.start(rec, label, ws, a, b, cfg, nil); err != nil {
-		return nil, Stats{}, err
-	}
-	for !e.advance() {
-		e.complete(e.multiply())
-	}
-	return e.finish()
-}
-
-// start validates the problem and builds the initial resilient state. A
-// blocked solve's fault-free lanes read the live copies and encodings of
-// shared, whose matrix slots it armed over A and M; a single solve, and a
-// lane with an injector, pass nil and use their workspace's own.
-func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CSR, b []float64, cfg Config, shared *Workspace) error {
-	if _, bicg := rec.(*bicgRec); bicg && cfg.Scheme == OnlineDetection {
+// start validates system lane of the block and builds its initial resilient
+// state in the arena ws. A fault-free system reads the live copies and
+// encodings of shared, which SolveBlock armed over A and M; a system with an
+// injector passes nil and uses its arena's own.
+func (e *engine) start(ws *arena, lane int, a *sparse.CSR, b []float64, cfg Config, shared *matrices) error {
+	if bicg := cfg.Recurrence == BiCGstab; bicg && cfg.Scheme == OnlineDetection {
 		return fmt.Errorf("core: BiCGstab supports the ABFT schemes only")
 	} else if bicg && cfg.M != nil {
 		return fmt.Errorf("core: BiCGstab takes no preconditioner")
 	}
-	n := a.Rows
+	label, n := cfg.label(), a.Rows
 	if a.Cols != n || len(b) != n {
 		return fmt.Errorf("core: %sdimension mismatch: A %dx%d, len(b)=%d", label, a.Rows, a.Cols, len(b))
 	}
@@ -227,8 +193,8 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 		return fmt.Errorf("core: %sneeds an n×n preconditioner", label)
 	}
 	cfg = cfg.withDefaults(n)
-	plain := cfg.Scheme == Unprotected
-	if plain && cfg.Injector != nil {
+	plain, inj := cfg.Scheme == Unprotected, cfg.injector(lane)
+	if plain && inj != nil {
 		return fmt.Errorf("core: %s%v takes no injector: nothing would recover from a flip", label, cfg.Scheme)
 	}
 
@@ -236,7 +202,12 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 	if exec == nil {
 		exec = new(tmr.Executor)
 	}
-	*e = engine{cfg: cfg, label: label, abft: cfg.Scheme.abft(), plain: plain, rec: rec, ws: ws, b: b, exec: exec}
+	*e = engine{cfg: cfg, lane: lane, inj: inj, label: label, abft: cfg.Scheme.abft(), plain: plain, ws: ws, b: b, exec: exec}
+	e.rec = &e.pcg
+	if cfg.Recurrence == BiCGstab {
+		e.rec = &e.bicg
+	}
+	ws.next = 0
 	e.src = [2]*sparse.CSR{a, cfg.M}
 	e.fromInput = -1
 	_, _, e.undecided = exec.Stats()
@@ -264,8 +235,8 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 		e.d, e.s = 0, 0 // no verification, no checkpoint: no cadence
 	} else if e.d == 0 || e.s == 0 {
 		alpha := 0.0
-		if cfg.Injector != nil {
-			alpha = cfg.Injector.Alpha()
+		if inj != nil {
+			alpha = inj.Alpha()
 		}
 		od, os := OptimalIntervals(a, cfg.Scheme, alpha, cfg.Costs)
 		if e.d == 0 {
@@ -300,7 +271,7 @@ func (e *engine) start(rec recurrence, label string, ws *Workspace, a *sparse.CS
 		return fmt.Errorf("core: %s%v: %w: ‖b‖² = %.3g", label, cfg.Scheme, ErrScale, sq)
 	}
 
-	rec.init(e)
+	e.rec.init(e)
 	e.restart()
 
 	if e.abft {
@@ -464,10 +435,10 @@ func (e *engine) unexplained() error {
 
 // flips is the number of bit flips the injector has landed so far.
 func (e *engine) flips() int64 {
-	if e.cfg.Injector == nil {
+	if e.inj == nil {
 		return 0
 	}
-	return e.cfg.Injector.Stats().Flips
+	return e.inj.Stats().Flips
 }
 
 // unvouched turns the verdict of a recurrence slice into a failure when one
@@ -542,8 +513,8 @@ func (e *engine) begin() bool {
 
 	st.TotalIterations++
 	e.deferred = nil
-	if cfg.Injector != nil {
-		_, e.deferred = cfg.Injector.InjectIterationSplit(&e.ws.state)
+	if e.inj != nil {
+		_, e.deferred = e.inj.InjectIterationSplit(&e.ws.state)
 	}
 	st.TimeIter += e.costs.Titer
 	if e.abft {
@@ -553,11 +524,14 @@ func (e *engine) begin() bool {
 	return true
 }
 
-// confirmed recomputes the true residual of the iterate and holds it to the
-// confirmation threshold (begin), at the modeled cost of one product.
+// confirmed recomputes the true residual of the iterate on the caller's A —
+// the valid copy, as for a rollback — and holds it to the confirmation
+// threshold (begin), at the modeled cost of one product. On the live copy it
+// would confirm a solve of whatever A had become: a matrix flip while x = 0
+// leaves Chen's residual test consistent with the struck matrix ever after.
 func (e *engine) confirmed() bool {
 	e.stats.TimeVerif += e.confirm
-	e.mat[0].MulVecRobust(e.rr, e.x)
+	e.src[0].MulVec(e.rr, e.x)
 	return e.verified(e.residualNorm())
 }
 
@@ -600,13 +574,13 @@ func (e *engine) multiply() (sr abft.RowSums) {
 // verified against the runtime Rowidx sums and settled; the sums that
 // verification read off the output and the input become their references —
 // the output's first, the input's again: what Verify accepted is what later
-// checks hold it to. The sequential and the blocked drivers share it, so their
-// detection behaviour is identical by construction.
+// checks hold it to. A product run alone and one of a blocked group share it,
+// so their detection behaviour is identical by construction.
 func (e *engine) complete(sr abft.RowSums) {
 	p := &e.prod
 	for _, ev := range e.deferred {
 		if ev.Target == p.hit {
-			e.cfg.Injector.ApplyEvent(&e.ws.state, ev)
+			e.inj.ApplyEvent(&e.ws.state, ev)
 		}
 	}
 	if !e.abft {
@@ -689,7 +663,7 @@ func (e *engine) end(full bool) {
 	e.inIter = false
 	e.it++
 	if cfg.OnIteration != nil {
-		cfg.OnIteration(e.it, e.rho)
+		cfg.OnIteration(e.lane, e.it, e.rho)
 	}
 	e.emit(false)
 	if !full || e.plain {
@@ -726,7 +700,7 @@ func (e *engine) emit(rolledBack bool) {
 		return
 	}
 	e.lastD, e.lastC = e.stats.Detections, e.stats.Corrections
-	e.cfg.OnDetection(DetectionEvent{Iteration: e.it, Detections: d, Corrections: c, RolledBack: rolledBack})
+	e.cfg.OnDetection(e.lane, DetectionEvent{Iteration: e.it, Detections: d, Corrections: c, RolledBack: rolledBack})
 }
 
 // onlineVerify implements Chen's periodic tests (paper Section 3.1): the
@@ -832,8 +806,8 @@ func (e *engine) finish() ([]float64, Stats, error) {
 		st.TimeIter = float64(st.TotalIterations) * e.costs.Titer
 	}
 	st.SimTime = st.TimeIter + st.TimeVerif + st.TimeCkpt + st.TimeRecovery + st.SimTime
-	if e.cfg.Injector != nil {
-		st.FaultsInjected = e.cfg.Injector.Stats().Flips
+	if e.inj != nil {
+		st.FaultsInjected = e.inj.Stats().Flips
 	}
 	e.src[0].MulVec(e.rr, e.x)
 	tr := e.residualNorm()

@@ -148,35 +148,40 @@ func (s *fwdSystem) encode(flips ...fwdFlip) []byte {
 	return out
 }
 
-// solve is engine.solve under ABFT-Correction with the schedule struck where
-// the injector strikes. Matrix words are struck once the iteration has opened
+// config is the system's recurrence and preconditioner under scheme.
+func (s *fwdSystem) config(scheme Scheme) Config {
+	cfg := Config{Scheme: scheme, M: s.m, Tol: fwdTol}
+	if s.kind == "bicgstab" {
+		cfg.Recurrence = BiCGstab
+	}
+	return cfg
+}
+
+// solve is the block of one under scheme with the schedule struck where the
+// injector strikes. Matrix words are struck once the iteration has opened
 // and before anything reads them, product outputs right after their product:
 // the injector's moments exactly. The words of r, p and x are struck between
 // two iterations, ahead of the guard checks that open the next one as the
 // injector's strikes are — one convergence test earlier than its, which can
 // only cost a failed confirmation.
-func (s *fwdSystem) solve(flips []fwdFlip) ([]float64, Stats, error) {
-	ws := NewWorkspace()
-	e := &ws.run
-	var rec recurrence = &e.pcg
-	if s.kind == "bicgstab" {
-		rec = &e.bicg
-	}
+func (s *fwdSystem) solve(scheme Scheme, flips []fwdFlip) ([]float64, Stats, error) {
+	l := NewWorkspace().lane(0)
+	e := &l.run
 	inj := fault.New(fault.Config{}) // applies the events; draws none
 	struck := make([]bool, len(flips))
 	strike := func(iter int64, due func(fault.Target) bool) {
 		for i, fl := range flips {
 			if !struck[i] && fl.iter == iter && due(fl.Target) {
 				struck[i] = true
-				inj.ApplyEvent(&ws.state, fl.Event)
+				inj.ApplyEvent(&l.state, fl.Event)
 			}
 		}
 	}
 	thisOutput := func(t fault.Target) bool { return fwdOutput(t) && t == e.prod.hit }
 
-	cfg := Config{Scheme: ABFTCorrection, M: s.m, Tol: fwdTol, Ws: ws}
-	cfg.OnIteration = func(int, float64) { strike(e.stats.TotalIterations+1, fwdVectorWord) }
-	if err := e.start(rec, "", ws, s.a, s.b, cfg, nil); err != nil {
+	cfg := s.config(scheme)
+	cfg.OnIteration = func(int, int, float64) { strike(e.stats.TotalIterations+1, fwdVectorWord) }
+	if err := e.start(l, 0, s.a, s.b, cfg, nil); err != nil {
 		return nil, Stats{}, err
 	}
 	strike(1, fwdVectorWord)
@@ -191,15 +196,20 @@ func (s *fwdSystem) solve(flips []fwdFlip) ([]float64, Stats, error) {
 	return e.finish()
 }
 
+// fwdSchemes are the schemes FuzzForwardRecovery's scheme byte picks from.
+var fwdSchemes = []Scheme{ABFTCorrection, ABFTDetection, OnlineDetection}
+
 // FuzzForwardRecovery states Section 3.2's guarantee as a property of the
 // whole driver. Over CG, Jacobi-PCG and BiCGstab on two small operands and
 // any schedule of up to four bit flips — any word of A, M, r, p, x, any entry
-// of a product's output, any bit, any iteration, several in one — an
-// ABFT-Correction solve converges to the unprotected solver's answer; and
-// when every struck word is a matrix word or a product output it gets there
-// forward: no rollback, no iteration executed twice. (Errors in r, p and x
-// are corrected forward one at a time; two in one vector between two checks
-// are what the checkpoint is for.)
+// of a product's output, any bit, any iteration, several in one — a solve
+// under each resilient scheme converges to the unprotected solver's answer
+// (BiCGstab has no Online-Detection). Under ABFT-Correction, when every
+// struck word is a matrix word or a product output it gets there forward: no
+// rollback, no iteration executed twice. (Errors in r, p and x are corrected
+// forward one at a time; two in one vector between two checks are what the
+// checkpoint is for.) ABFT-Detection and Online-Detection correct nothing:
+// they get there by rolling back.
 func FuzzForwardRecovery(f *testing.F) {
 	systems := fwdSystems()
 	val := func(index int, bit uint, iter int64) fwdFlip {
@@ -214,28 +224,45 @@ func FuzzForwardRecovery(f *testing.F) {
 	// and two flips in one iteration.
 	for si, s := range systems {
 		last := int64(s.iters)
-		f.Add(uint8(si), s.encode())
-		f.Add(uint8(si), s.encode(val(10, 20, 3), at(fault.TargetColid, 100, 2, 8)))
-		f.Add(uint8(si), s.encode(val(10, 20, 3), val(200, 54, 13)))
-		f.Add(uint8(si), s.encode(val(77, 12, 2), at(fault.TargetVecQ, 40, 55, last-2)))
-		f.Add(uint8(si), s.encode(val(77, 25, 2), at(fault.TargetVecQ, 40, 62, 9), at(fault.TargetRowidx, 30, 3, 9)))
-		f.Add(uint8(si), s.encode(val(31, 54, 6), at(fault.TargetColid, 300, 1, 6)))
-		f.Add(uint8(si), s.encode(val(31, 62, 6), val(32, 63, 6), at(fault.TargetRowidx, 0, 0, 6), at(fault.TargetColid, 5, 29, 6)))
-		f.Add(uint8(si), s.encode(at(fault.TargetRowidx, 50, 10, 4), at(fault.TargetRowidx, 51, 4, 4)))
-		f.Add(uint8(si), s.encode(at(fault.TargetVecP, 9, 52, 5), at(fault.TargetVecR, 70, 60, 7), at(fault.TargetVecX, 3, 40, 7)))
-		f.Add(uint8(si), s.encode(at(fault.TargetVecP, 9, 61, 5), at(fault.TargetVecP, 90, 58, 5)))
+		scheds := [][]byte{
+			s.encode(),
+			s.encode(val(10, 20, 3), at(fault.TargetColid, 100, 2, 8)),
+			s.encode(val(10, 20, 3), val(200, 54, 13)),
+			s.encode(val(77, 12, 2), at(fault.TargetVecQ, 40, 55, last-2)),
+			s.encode(val(77, 25, 2), at(fault.TargetVecQ, 40, 62, 9), at(fault.TargetRowidx, 30, 3, 9)),
+			s.encode(val(31, 54, 6), at(fault.TargetColid, 300, 1, 6)),
+			s.encode(val(31, 62, 6), val(32, 63, 6), at(fault.TargetRowidx, 0, 0, 6), at(fault.TargetColid, 5, 29, 6)),
+			s.encode(at(fault.TargetRowidx, 50, 10, 4), at(fault.TargetRowidx, 51, 4, 4)),
+			s.encode(at(fault.TargetVecP, 9, 52, 5), at(fault.TargetVecR, 70, 60, 7), at(fault.TargetVecX, 3, 40, 7)),
+			s.encode(at(fault.TargetVecP, 9, 61, 5), at(fault.TargetVecP, 90, 58, 5)),
+		}
 		if s.m != nil {
-			f.Add(uint8(si), s.encode(at(fault.TargetMVal, 10, 18, 2), at(fault.TargetMVal, 60, 54, 11)))
-			f.Add(uint8(si), s.encode(at(fault.TargetMVal, 10, 18, 2), at(fault.TargetVecZ, 60, 57, 7), at(fault.TargetMColid, 20, 4, 7)))
+			scheds = append(scheds,
+				s.encode(at(fault.TargetMVal, 10, 18, 2), at(fault.TargetMVal, 60, 54, 11)),
+				s.encode(at(fault.TargetMVal, 10, 18, 2), at(fault.TargetVecZ, 60, 57, 7), at(fault.TargetMColid, 20, 4, 7)))
+		}
+		for sch := range fwdSchemes {
+			for _, sched := range scheds {
+				f.Add(uint8(si), uint8(sch), sched)
+			}
 		}
 	}
+	// What the first runs under Online-Detection found, on suitespd150/cg: a
+	// flip of A in the first iteration, while x = 0, keeps b − Ax and the
+	// recurrence's r consistent with the struck matrix ever after, and the
+	// solve confirmed an answer of that matrix (engine.confirmed).
+	f.Add(uint8(3), uint8(2), systems[3].encode(val(400, 48, 1)))
 
-	f.Fuzz(func(t *testing.T, system uint8, sched []byte) {
+	f.Fuzz(func(t *testing.T, system, scheme uint8, sched []byte) {
 		s := systems[int(system)%len(systems)]
+		sch := fwdSchemes[int(scheme)%len(fwdSchemes)]
+		if s.kind == "bicgstab" && sch == OnlineDetection {
+			return // refused at the start: Chen's tests are CG's
+		}
 		flips := s.decode(sched)
-		x, st, err := s.solve(flips)
+		x, st, err := s.solve(sch, flips)
 		if err != nil || !st.Converged {
-			t.Fatalf("%s %v: err %v, stats %+v", s.name, flips, err, st)
+			t.Fatalf("%s %v %v: err %v, stats %+v", s.name, sch, flips, err, st)
 		}
 		var diff, scale float64
 		for i, v := range s.ref {
@@ -245,9 +272,9 @@ func FuzzForwardRecovery(f *testing.F) {
 		// engine.begin), the references stop at 10⁻⁸: the two answers agree
 		// to that residual times the operands' condition numbers (< 10²).
 		if !(diff <= 1e-4*scale) || !(st.FinalResidual <= 1e-6) {
-			t.Fatalf("%s %v: x is off the reference by %.3g (‖x‖∞ = %.3g), residual %.3g", s.name, flips, diff, scale, st.FinalResidual)
+			t.Fatalf("%s %v %v: x is off the reference by %.3g (‖x‖∞ = %.3g), residual %.3g", s.name, sch, flips, diff, scale, st.FinalResidual)
 		}
-		forward := true
+		forward := sch == ABFTCorrection
 		for _, fl := range flips {
 			forward = forward && fl.forward()
 		}

@@ -49,13 +49,14 @@ type goldenCell struct {
 
 func fstr(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// goldenSolve dispatches one cell onto the driver entry points; it is the
-// only part of this file that knows how the solver axis is spelled.
+// goldenSolve runs one cell; it is the only part of this file that knows how
+// the solver axis is spelled.
 func goldenSolve(kind string, a, m *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 	if kind == "bicgstab" {
-		return SolveBiCGstab(a, b, cfg)
+		cfg.Recurrence = BiCGstab
+	} else {
+		cfg.M = m
 	}
-	cfg.M = m
 	return Solve(a, b, cfg)
 }
 
@@ -107,13 +108,13 @@ func TestDriverGolden(t *testing.T) {
 					cell := goldenCell{Name: fmt.Sprintf("%s/%s/%v/seed%d", mat.name, v.name, scheme, seed)}
 					cfg := Config{Scheme: scheme, Tol: 1e-8, Ws: ws}
 					if seed != 0 {
-						cfg.Injector = fault.New(fault.Config{Alpha: 1.0 / 16, Seed: seed})
+						cfg.Injectors = []*fault.Injector{fault.New(fault.Config{Alpha: 1.0 / 16, Seed: seed})}
 					}
 					ih := uint64(sparse.FNV1aOffset64)
-					cfg.OnIteration = func(it int, rho float64) {
+					cfg.OnIteration = func(_, it int, rho float64) {
 						ih = sparse.FNVMix64(sparse.FNVMix64(ih, uint64(it)), math.Float64bits(rho))
 					}
-					cfg.OnDetection = func(ev DetectionEvent) {
+					cfg.OnDetection = func(_ int, ev DetectionEvent) {
 						how := "fwd"
 						if ev.RolledBack {
 							how = "rb"

@@ -48,7 +48,7 @@ func TestPCGConvergesUnderFaults(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			a, m, b, xTrue := pcgFixture(t, 900, 2)
 			inj := fault.New(fault.Config{Alpha: 1.0 / 16, Seed: 31})
-			x, st, err := Solve(a, b, Config{Scheme: scheme, M: m, Tol: 1e-9, Injector: inj})
+			x, st, err := Solve(a, b, Config{Scheme: scheme, M: m, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 			if err != nil {
 				t.Fatalf("%v (stats %+v)", err, st)
 			}
@@ -77,7 +77,7 @@ func TestPCGPreconditionerFaultsAreHandled(t *testing.T) {
 			fault.TargetVecX, fault.TargetVecZ,
 		},
 	})
-	_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: m, Tol: 1e-9, Injector: inj})
+	_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: m, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 	if err != nil {
 		t.Fatalf("%v (stats %+v)", err, st)
 	}
@@ -100,7 +100,7 @@ func TestPCGWithNeumannPreconditioner(t *testing.T) {
 	}
 	b, xTrue := rhsFor(a, 5)
 	inj := fault.New(fault.Config{Alpha: 0.02, Seed: 51})
-	x, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: m, Tol: 1e-9, Injector: inj})
+	x, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: m, Tol: 1e-9, Injectors: []*fault.Injector{inj}})
 	if err != nil {
 		t.Fatalf("%v (stats %+v)", err, st)
 	}
@@ -117,7 +117,7 @@ func TestPCGValidation(t *testing.T) {
 	if _, _, err := Solve(a, b[:10], Config{Scheme: ABFTCorrection, M: m}); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	if _, _, err := SolveBiCGstab(a, b, Config{Scheme: ABFTCorrection, M: m}); err == nil {
+	if _, _, err := Solve(a, b, Config{Recurrence: BiCGstab, Scheme: ABFTCorrection, M: m}); err == nil {
 		t.Fatal("expected BiCGstab to reject a preconditioner")
 	}
 	bad := sparse.Identity(3)
@@ -130,7 +130,7 @@ func TestPCGDeterministic(t *testing.T) {
 	a, m, b, _ := pcgFixture(t, 600, 8)
 	run := func() Stats {
 		inj := fault.New(fault.Config{Alpha: 0.05, Seed: 61})
-		_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: m, Tol: 1e-8, Injector: inj})
+		_, st, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: m, Tol: 1e-8, Injectors: []*fault.Injector{inj}})
 		if err != nil {
 			t.Fatal(err)
 		}

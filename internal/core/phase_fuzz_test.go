@@ -53,7 +53,7 @@ func (s *fwdSystem) phaseDecode(sched []byte, boundaries int) []phaseFlip {
 	return flips
 }
 
-// phaseSolve is engine.solve with the flips struck at the boundaries between
+// phaseSolve is the block of one with the flips struck at the boundaries between
 // the engine's phases, numbered as they pass: after every dot product's vote
 // and every update's execution (the executor's hook; the vectors are shorter
 // than a block, so an update shows it once, between its write and its check),
@@ -61,12 +61,8 @@ func (s *fwdSystem) phaseDecode(sched []byte, boundaries int) []phaseFlip {
 // after the verification, and between two iterations. It returns the number
 // of boundaries passed.
 func (s *fwdSystem) phaseSolve(scheme Scheme, flips []phaseFlip) ([]float64, Stats, int, error) {
-	ws := NewWorkspace()
-	e := &ws.run
-	var rec recurrence = &e.pcg
-	if s.kind == "bicgstab" {
-		rec = &e.bicg
-	}
+	l := NewWorkspace().lane(0)
+	e := &l.run
 	passed := 0
 	boundary := func() {
 		passed++
@@ -85,9 +81,9 @@ func (s *fwdSystem) phaseSolve(scheme Scheme, flips []phaseFlip) ([]float64, Sta
 			boundary()
 		}
 	}}
-	cfg := Config{Scheme: scheme, M: s.m, Tol: fwdTol, Ws: ws}
-	cfg.OnIteration = func(int, float64) { boundary() }
-	if err := e.start(rec, "", ws, s.a, s.b, cfg, nil); err != nil {
+	cfg := s.config(scheme)
+	cfg.OnIteration = func(int, int, float64) { boundary() }
+	if err := e.start(l, 0, s.a, s.b, cfg, nil); err != nil {
 		return nil, Stats{}, 0, err
 	}
 	for !e.advance() {

@@ -71,23 +71,23 @@ func TestRollbackRestoresTheCallersMatrices(t *testing.T) {
 			name := fmt.Sprintf("%v/M=%v", scheme, pre != nil)
 			ws := NewWorkspace()
 			live := func() string {
-				if !ws.live[0].Equal(a) {
+				if !ws.shared.live[0].Equal(a) {
 					return "A"
 				}
-				if pre != nil && !ws.live[1].Equal(pre) {
+				if pre != nil && !ws.shared.live[1].Equal(pre) {
 					return "M"
 				}
 				return ""
 			}
 			rollbacks, afterRollback := 0, false
 			cfg := Config{Scheme: scheme, M: pre, S: 4, D: 1, Tol: 1e-8, Ws: ws}
-			cfg.OnDetection = func(ev DetectionEvent) {
+			cfg.OnDetection = func(_ int, ev DetectionEvent) {
 				if ev.RolledBack {
 					rollbacks++
 					afterRollback = true
 				}
 			}
-			cfg.OnIteration = func(it int, _ float64) {
+			cfg.OnIteration = func(_, it int, _ float64) {
 				if afterRollback {
 					// First iteration since the rollback; nothing has struck since.
 					afterRollback = false
@@ -100,16 +100,16 @@ func TestRollbackRestoresTheCallersMatrices(t *testing.T) {
 				}
 				switch it {
 				case 3: // before the checkpoint of iteration 4
-					ws.live[0].Val[10] = lastBit(ws.live[0].Val[10])
+					ws.shared.live[0].Val[10] = lastBit(ws.shared.live[0].Val[10])
 					if pre != nil {
-						ws.live[1].Val[20] = lastBit(ws.live[1].Val[20])
+						ws.shared.live[1].Val[20] = lastBit(ws.shared.live[1].Val[20])
 					}
 				case 5: // after it: the flips were checkpointed, had checkpoints carried matrices
 					if live() == "" {
 						t.Errorf("%s: the latent flips did not survive to iteration 5", name)
 					}
 				case 6:
-					strikeTwice(ws.run.x)
+					strikeTwice(ws.lanes[0].run.x)
 				}
 			}
 			_, st, err := Solve(a, b, cfg)
@@ -123,7 +123,7 @@ func TestRollbackRestoresTheCallersMatrices(t *testing.T) {
 				t.Errorf("%s: no checkpoint taken", name)
 			}
 			if scheme == ABFTDetection {
-				for slot, p := range ws.prot { // fresh workspace: slot 1 is armed only under M
+				for slot, p := range ws.shared.prot { // fresh workspace: slot 1 is armed only under M
 					if p != nil && p.Stats().Encodings != 1 {
 						t.Errorf("%s: matrix %d encoded %d times, want once", name, slot, p.Stats().Encodings)
 					}
@@ -164,17 +164,17 @@ func TestRollbackAfterRepairKeepsTheEncoding(t *testing.T) {
 	ws := NewWorkspace()
 	struck, rolled := false, false
 	cfg := Config{Scheme: ABFTCorrection, S: 4, Tol: 1e-8, Ws: ws}
-	cfg.OnIteration = func(it int, _ float64) {
+	cfg.OnIteration = func(_, it int, _ float64) {
 		switch {
 		case it == 2 && !struck:
 			struck = true
-			ws.live[0].Val[k] = bitflip.Float64(ws.live[0].Val[k], 54) // an exponent bit: gross, single, correctable
+			ws.shared.live[0].Val[k] = bitflip.Float64(ws.shared.live[0].Val[k], 54) // an exponent bit: gross, single, correctable
 		case it == 6 && !rolled:
 			rolled = true
-			if !ws.live[0].Equal(a) {
+			if !ws.shared.live[0].Equal(a) {
 				t.Error("after the repair the live matrix is not bit-equal to the caller's")
 			}
-			strikeTwice(ws.run.x)
+			strikeTwice(ws.lanes[0].run.x)
 		}
 	}
 	_, st, err := Solve(a, b, cfg)
@@ -185,11 +185,11 @@ func TestRollbackAfterRepairKeepsTheEncoding(t *testing.T) {
 		t.Fatalf("corrections %d, rollbacks %d, detections %d, re-reads %d; want 1, 1, 2, 0 (a third detection is a false positive)",
 			st.Corrections, st.Rollbacks, st.Detections, st.Rereads)
 	}
-	prot := ws.prot[0]
+	prot := ws.shared.prot[0]
 	if got := prot.Stats().Encodings; got != 1 {
 		t.Errorf("encoded %d times, want once: neither the repair nor the rollback moves the matrix off its encoding", got)
 	}
-	if !ws.live[0].Equal(a) || !pristineEncoding(prot, a) {
+	if !ws.shared.live[0].Equal(a) || !pristineEncoding(prot, a) {
 		t.Error("after the rollback the live matrix or its encoding is not the caller's")
 	}
 }
@@ -204,9 +204,9 @@ func TestBlockLaneRollbackAfterAnotherLanesRepair(t *testing.T) {
 	for j := range bs {
 		bs[j], _ = rhsFor(a, int64(20+j))
 	}
-	bw := NewBlockWorkspace()
+	bw := NewWorkspace()
 	repaired, rolled := false, false
-	cfg := BlockConfig{Scheme: ABFTCorrection, S: 4, Tol: 1e-8, Ws: bw}
+	cfg := Config{Scheme: ABFTCorrection, S: 4, Tol: 1e-8, Ws: bw}
 	cfg.OnIteration = func(rhs, it int, _ float64) {
 		switch {
 		case rhs == 0 && it == 2 && !repaired:
@@ -219,7 +219,7 @@ func TestBlockLaneRollbackAfterAnotherLanesRepair(t *testing.T) {
 			if !bw.shared.live[0].Equal(a) {
 				t.Error("after lane 0's repair the shared live matrix is not bit-equal to the caller's")
 			}
-			strikeTwice(bw.lanes[2].ws.run.x)
+			strikeTwice(bw.lanes[2].run.x)
 		}
 	}
 	sts, errs := make([]Stats, k), make([]error, k)
@@ -277,15 +277,15 @@ func TestBlockLanesPendOnAAndMInOneRound(t *testing.T) {
 		}
 	}
 
-	bw := NewBlockWorkspace()
+	bw := NewWorkspace()
 	hists := make([][]float64, k)
 	struckBlock := false
-	cfg := BlockConfig{Scheme: ABFTCorrection, M: m, S: 4, Tol: 1e-8, Ws: bw}
+	cfg := Config{Scheme: ABFTCorrection, M: m, S: 4, Tol: 1e-8, Ws: bw}
 	cfg.OnIteration = func(rhs, it int, rho float64) {
 		hists[rhs] = append(hists[rhs], rho)
-		strike(rhs, it, bw.lanes[struck].ws.run.x, &struckBlock)
+		strike(rhs, it, bw.lanes[struck].run.x, &struckBlock)
 	}
-	if err := bw.start(false, "PCG ", a, bs, cfg); err != nil {
+	if err := bw.start(a, bs, cfg); err != nil {
 		t.Fatal(err)
 	}
 	mixed := 0
@@ -306,9 +306,9 @@ func TestBlockLanesPendOnAAndMInOneRound(t *testing.T) {
 		var hist []float64
 		struckSingle := false
 		single := Config{Scheme: ABFTCorrection, M: m, S: 4, Tol: 1e-8, Ws: ws}
-		single.OnIteration = func(it int, rho float64) {
+		single.OnIteration = func(_, it int, rho float64) {
 			hist = append(hist, rho)
-			strike(j, it, ws.run.x, &struckSingle)
+			strike(j, it, ws.lanes[0].run.x, &struckSingle)
 		}
 		x, st, err := Solve(a, bs[j], single)
 		if err != nil || !st.Converged {
@@ -347,30 +347,30 @@ func TestRereadSettlesMatrixErrorsForward(t *testing.T) {
 	// tolerance, yet visible bit for bit in the column's checksums (the last
 	// bit of a stencil's −1 rounds away in its column sum).
 	latent := func(v float64) float64 { return bitflip.Float64(v, 20) }
-	gross := func(ws *Workspace) { ws.live[0].Val[40] = bitflip.Float64(ws.live[0].Val[40], 54) }
+	gross := func(ws *Workspace) { ws.shared.live[0].Val[40] = bitflip.Float64(ws.shared.live[0].Val[40], 54) }
 	scenarios := []struct {
 		name    string
 		at      map[int]strike // useful iteration → what strikes after it
 		forward bool
 	}{
 		{"a sub-tolerance flip still live when the next error comes", map[int]strike{
-			3: func(ws *Workspace) { ws.live[0].Val[10] = latent(ws.live[0].Val[10]) },
+			3: func(ws *Workspace) { ws.shared.live[0].Val[10] = latent(ws.shared.live[0].Val[10]) },
 			9: gross,
 		}, true},
 		{"two matrix flips in one iteration", map[int]strike{
 			5: func(ws *Workspace) {
 				gross(ws)
-				ws.live[0].Colid[100] = bitflip.Int(ws.live[0].Colid[100], 3)
+				ws.shared.live[0].Colid[100] = bitflip.Int(ws.shared.live[0].Colid[100], 3)
 			},
 		}, true},
 		{"a row pointer and a value in one iteration", map[int]strike{
 			5: func(ws *Workspace) {
 				gross(ws)
-				ws.live[0].Rowidx[60] = bitflip.Int(ws.live[0].Rowidx[60], 2)
+				ws.shared.live[0].Rowidx[60] = bitflip.Int(ws.shared.live[0].Rowidx[60], 2)
 			},
 		}, true},
 		{"two entries of the product's input", map[int]strike{
-			5: func(ws *Workspace) { strikeTwice(ws.run.p) },
+			5: func(ws *Workspace) { strikeTwice(ws.lanes[0].run.p) },
 		}, false},
 	}
 	for _, sc := range scenarios {
@@ -380,11 +380,11 @@ func TestRereadSettlesMatrixErrorsForward(t *testing.T) {
 			var events []DetectionEvent
 			done := map[int]bool{}
 			cfg := Config{Scheme: ABFTCorrection, M: pre, S: 4, Tol: 1e-8, Ws: ws}
-			cfg.OnDetection = func(ev DetectionEvent) { events = append(events, ev) }
-			cfg.OnIteration = func(it int, _ float64) {
+			cfg.OnDetection = func(_ int, ev DetectionEvent) { events = append(events, ev) }
+			cfg.OnIteration = func(_, it int, _ float64) {
 				if it == 1 && pre != nil && !done[it] {
 					// Rides along: a re-read of A is one CopyFrom of one matrix.
-					ws.live[1].Val[20] = lastBit(ws.live[1].Val[20])
+					ws.shared.live[1].Val[20] = lastBit(ws.shared.live[1].Val[20])
 				}
 				if hit := sc.at[it]; hit != nil && !done[it] {
 					hit(ws)
@@ -419,14 +419,14 @@ func TestRereadSettlesMatrixErrorsForward(t *testing.T) {
 			if math.Abs(st.TimeRecovery-wantRec) > 1e-12*wantRec {
 				t.Errorf("%s: TimeRecovery %g, want %g", name, st.TimeRecovery, wantRec)
 			}
-			ps := ws.prot[0].Stats()
+			ps := ws.shared.prot[0].Stats()
 			if ps.Encodings != 1 || ps.Products != products {
 				t.Errorf("%s: A encoded %d times and verified %d times; want once and %d times", name, ps.Encodings, ps.Products, products)
 			}
-			if !ws.live[0].Equal(a) {
+			if !ws.shared.live[0].Equal(a) {
 				t.Errorf("%s: the live A is not the caller's after the re-read", name)
 			}
-			if pre != nil && sc.forward && ws.live[1].Equal(pre) {
+			if pre != nil && sc.forward && ws.shared.live[1].Equal(pre) {
 				t.Errorf("%s: the re-read of A restored M as well", name)
 			}
 		}
@@ -448,7 +448,7 @@ func heapHeld(build func() any) int64 {
 // TestWorkspaceHoldsOneMatrixCopy bounds what a warm workspace keeps alive
 // against the bytes of the CSR it solves on (the benchmark's suite:341
 // operand): the live copy, and vectors, stores and encodings worth less than
-// half of it — for one right-hand side and for a block of four. With a
+// half of it — for a block of one and for a block of four. With a
 // matrix in every checkpoint store the two read > 3× and ≈ 9×.
 func TestWorkspaceHoldsOneMatrixCopy(t *testing.T) {
 	// harness.SuiteByID(341).Generate(8), spelled out: harness imports core.
@@ -469,22 +469,22 @@ func TestWorkspaceHoldsOneMatrixCopy(t *testing.T) {
 		return ws
 	})
 	block := heapHeld(func() any {
-		bw := NewBlockWorkspace()
-		if _, err := SolveBlock(a, bs, BlockConfig{Scheme: ABFTCorrection, Ws: bw}, make([]Stats, k), make([]error, k)); err != nil {
+		ws := NewWorkspace()
+		if _, err := SolveBlock(a, bs, Config{Scheme: ABFTCorrection, Ws: ws}, make([]Stats, k), make([]error, k)); err != nil {
 			t.Fatal(err)
 		}
-		return bw
+		return ws
 	})
-	t.Logf("CSR %d bytes (n = %d); warm Workspace %.2f×, warm k = %d BlockWorkspace %.2f×",
-		csr, a.Rows, float64(single)/float64(csr), k, float64(block)/float64(csr))
+	t.Logf("CSR %d bytes (n = %d); warm Workspace %.2f× for one system, %.2f× for k = %d",
+		csr, a.Rows, float64(single)/float64(csr), float64(block)/float64(csr), k)
 	if single < csr || block < csr {
 		t.Fatalf("measured %d and %d bytes held, below the live copy's %d: the measurement is broken", single, block, csr)
 	}
 	if single > limit {
-		t.Errorf("warm Workspace holds %d bytes, limit %d (1.5 × CSR)", single, limit)
+		t.Errorf("warm Workspace holds %d bytes for one system, limit %d (1.5 × CSR)", single, limit)
 	}
 	if block > limit {
-		t.Errorf("warm k = %d BlockWorkspace holds %d bytes, limit %d (1.5 × CSR)", k, block, limit)
+		t.Errorf("warm Workspace holds %d bytes for k = %d, limit %d (1.5 × CSR)", block, k, limit)
 	}
 }
 
@@ -503,15 +503,15 @@ func TestWorkspaceHoldsOneMatrixCopy(t *testing.T) {
 func TestVoteWithoutMajorityRollsBack(t *testing.T) {
 	a, b, _ := testMatrix(150, 21)
 	solvers := []struct {
-		name  string
-		solve func(*sparse.CSR, []float64, Config) ([]float64, Stats, error)
-	}{{"cg", Solve}, {"bicgstab", SolveBiCGstab}}
+		name string
+		rec  Recurrence
+	}{{"cg", CG}, {"bicgstab", BiCGstab}}
 	for _, s := range solvers {
 		for _, scheme := range []Scheme{ABFTDetection, ABFTCorrection} {
 			for _, update := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%v/update=%v", s.name, scheme, update), func(t *testing.T) {
-					cfg := Config{Scheme: scheme, S: 4, Tol: 1e-8}
-					want, clean, err := s.solve(a, b, cfg)
+					cfg := Config{Scheme: scheme, Recurrence: s.rec, S: 4, Tol: 1e-8}
+					want, clean, err := Solve(a, b, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -537,8 +537,8 @@ func TestVoteWithoutMajorityRollsBack(t *testing.T) {
 						}
 					}
 					cfg.Ws = NewWorkspace()
-					cfg.Ws.run.exec = exec
-					x, st, err := s.solve(a, b, cfg)
+					cfg.Ws.lane(0).run.exec = exec
+					x, st, err := Solve(a, b, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

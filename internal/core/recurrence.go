@@ -153,8 +153,6 @@ func (c *bicgRec) reset(e *engine) {
 	e.rho, c.alpha, c.omega = 1, 1, 1
 }
 
-func (c *bicgRec) resNorm(e *engine) float64 { return vec.Norm2(e.r) }
-
 // unusable reports a BiCGstab scalar that would break the recurrence down.
 func unusable(v float64) bool { return v == 0 || math.IsNaN(v) || math.IsInf(v, 0) }
 
@@ -217,3 +215,5 @@ func (c *bicgRec) step(e *engine, stage int) verdict {
 	}
 	return stepDone
 }
+
+func (c *bicgRec) resNorm(e *engine) float64 { return vec.Norm2(e.r) }

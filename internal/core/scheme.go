@@ -54,14 +54,32 @@ func (s Scheme) String() string {
 // order.
 var Schemes = []Scheme{OnlineDetection, ABFTDetection, ABFTCorrection}
 
-// Config parameterises a solve.
+// Recurrence selects the Krylov method a solve runs (recurrence.go). Its zero
+// value is CG.
+type Recurrence int
+
+const (
+	// CG is the Conjugate Gradient, paper Algorithm 1 — PCG when Config.M is
+	// set.
+	CG Recurrence = iota
+	// BiCGstab is for general, possibly nonsymmetric A, under the ABFT schemes
+	// or Unprotected: Chen's orthogonality test is CG-specific, so
+	// Online-Detection has no faithful BiCGstab counterpart; neither has the
+	// preconditioner slot.
+	BiCGstab
+)
+
+// Config parameterises a solve of k systems on one matrix; a single system is
+// a block of one (Solve).
 type Config struct {
 	// Scheme selects the resilience method.
 	Scheme Scheme
+	// Recurrence selects the method: CG (the zero value) or BiCGstab.
+	Recurrence Recurrence
 	// M, when non-nil, is an explicit sparse SPD preconditioner M ≈ A⁻¹
-	// (e.g. precond.Jacobi or precond.Neumann output): Solve then runs PCG,
+	// (e.g. precond.Jacobi or precond.Neumann output): CG then runs PCG,
 	// with a working copy of M living in corruptible memory, protected and
-	// recovered exactly like A's. SolveBiCGstab takes none.
+	// recovered exactly like A's. BiCGstab takes none.
 	M *sparse.CSR
 	// S is the checkpoint interval in chunks (the paper's s). 0 means
 	// model-optimal via Eq. (6).
@@ -74,29 +92,50 @@ type Config struct {
 	Tol float64
 	// MaxIters caps the useful iterations (default 20·n).
 	MaxIters int
-	// Injector, when non-nil, strikes the live state with bit flips each
-	// iteration. Nil runs fault-free. Unprotected refuses one.
-	Injector *fault.Injector
+	// Injectors holds the injector of system j at index j: it strikes that
+	// solve's live state with bit flips each iteration. A nil entry, or none
+	// past the end of the slice, runs the system fault-free. Unprotected
+	// refuses one.
+	Injectors []*fault.Injector
 	// Costs calibrates the time accounting; zero value means defaults.
 	Costs CostParams
-	// OnIteration, when non-nil, is called after every useful iteration with
-	// the iteration count and the current recurrence quantity ρ (‖r‖² for
-	// CG, rᵀz for PCG). Tests use it to compare residual histories across
-	// execution modes.
-	OnIteration func(it int, rho float64)
+	// OnIteration, when non-nil, is called after every useful iteration of
+	// system rhs with the iteration count and the current recurrence quantity
+	// ρ (‖r‖² for CG, rᵀz for PCG). Tests use it to compare residual
+	// histories across execution modes.
+	OnIteration func(rhs, it int, rho float64)
 	// OnDetection, when non-nil, is called after every fault-detection
-	// episode with the detection/correction deltas since the previous
-	// episode. Streaming solves surface these as live events; nil costs
-	// nothing on the hot path.
-	OnDetection func(DetectionEvent)
-	// Ws, when non-nil, supplies the working matrix copy, iteration vectors,
-	// checksum encodings and checkpoint store from a reusable arena: a warm
-	// workspace makes repeated solves allocation-free. The arithmetic is
-	// identical with or without a workspace. Must not be shared by
-	// concurrent solves, and the returned solution vector aliases workspace
-	// memory — copy it out before the next solve on the same workspace
-	// overwrites it.
+	// episode of system rhs with the detection/correction deltas since its
+	// previous episode. Streaming solves surface these as live events; nil
+	// costs nothing on the hot path.
+	OnDetection func(rhs int, ev DetectionEvent)
+	// Ws, when non-nil, supplies the working matrix copies, iteration
+	// vectors, checksum encodings and checkpoint stores from a reusable
+	// arena: a warm workspace makes repeated solves allocation-free. The
+	// arithmetic is identical with or without a workspace. Must not be shared
+	// by concurrent solves, and the returned solutions alias workspace memory
+	// — copy them out before the next solve on the same workspace overwrites
+	// them.
 	Ws *Workspace
+}
+
+// injector is system j's injector, nil when it runs fault-free.
+func (c *Config) injector(j int) *fault.Injector {
+	if j < len(c.Injectors) {
+		return c.Injectors[j]
+	}
+	return nil
+}
+
+// label is the error-message prefix naming the recurrence.
+func (c *Config) label() string {
+	switch {
+	case c.Recurrence == BiCGstab:
+		return "BiCGstab "
+	case c.M != nil:
+		return "PCG "
+	}
+	return ""
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -112,8 +151,8 @@ func (c Config) withDefaults(n int) Config {
 	return c
 }
 
-// DetectionEvent is one fault-detection episode, reported through
-// Config.OnDetection: the counter deltas since the previous episode and
+// DetectionEvent is one fault-detection episode of one system, reported
+// through Config.OnDetection: the counter deltas since the previous episode and
 // whether the solver recovered by rolling back to a checkpoint (false
 // means it corrected forward).
 type DetectionEvent struct {

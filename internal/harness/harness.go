@@ -1,17 +1,16 @@
 // Package harness is the scenario subsystem behind every experiment and
 // benchmark in this repository: it composes the existing axes — matrix
 // generators, solvers (CG, PCG, BiCGstab), protection schemes (the three
-// resilient methods plus the unprotected baseline), the silent-error
-// injector and worker counts — into named, seeded, reproducible scenarios
-// with a typed, schema-versioned JSON result record.
+// resilient methods plus the unprotected baseline) and the silent-error
+// injector — into named, seeded, reproducible scenarios with a typed,
+// schema-versioned JSON result record.
 //
 // Every scheme, the baseline included, is one call into internal/core's
 // engine: an overhead reported here divides two runs of the same loop with
 // the same hooks. internal/solver is not on that path; tests compare the
-// engine against it. SolveWith solves one system, the reference; for a
-// block of them SolveBlockWith makes the same choices — entry point,
-// preconditioner, one injector per system — and hands them to
-// core.SolveBlock, whose lanes are bitwise their SolveWith.
+// engine against it. SolveBlockWith turns a scenario into one core.SolveBlock
+// — recurrence, preconditioner, one injector per system — and SolveWith, a
+// campaign trial, is its block of one.
 //
 // The experiment packages (internal/sim) define the paper's Table 1 and
 // Figure 1 campaigns as harness scenarios, cmd/resbench lists and runs
@@ -187,68 +186,6 @@ type Workspaces struct {
 
 // wsPool recycles per-worker workspaces across the campaign fan-out.
 var wsPool = sync.Pool{New: func() any { return &Workspaces{Core: core.NewWorkspace()} }}
-
-// SolveOpts bundles the cache-aware execution hooks of SolveWith. Every
-// field is optional.
-type SolveOpts struct {
-	// Ws supplies reusable solver arenas: a warm workspace makes the
-	// solve allocation-free, and the returned solution aliases workspace
-	// memory. Must not be shared by concurrent solves.
-	Ws *Workspaces
-	// M is a prebuilt PCG preconditioner (the matrix BuildPrecond would
-	// derive from sc.Precond). Callers that serve many solves on one
-	// matrix cache it so the request path skips reconstruction; nil builds
-	// it per call. Ignored for non-PCG solvers.
-	M *sparse.CSR
-	// OnIteration, when non-nil, receives the per-iteration recurrence
-	// scalar (used to fingerprint trajectories).
-	OnIteration func(it int, rho float64)
-	// OnDetection, when non-nil, receives one event per fault-detection
-	// episode (streaming solves surface these live). The unprotected
-	// scheme detects nothing and never calls it.
-	OnDetection func(core.DetectionEvent)
-}
-
-// SolveWith runs a single trial of the scenario on a prebuilt matrix and
-// right-hand side: it constructs the injector from (sc.Alpha, seed),
-// dispatches on the solver axis and returns the solution and statistics.
-// It is the solve primitive behind the campaign drivers and the service,
-// with every reusable artifact injectable: long-running
-// callers (the solve service) hand in cached workspaces and
-// preconditioners so a warm solve of a known matrix never reconstructs
-// per-matrix state. Results are bitwise identical for any combination of
-// hooks.
-func SolveWith(a *sparse.CSR, b []float64, sc Scenario, seed int64, opt SolveOpts) ([]float64, core.Stats, error) {
-	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, core.Stats{}, err
-	}
-	var coreWs *core.Workspace
-	if opt.Ws != nil {
-		coreWs = opt.Ws.Core
-	}
-	m, err := sc.precond(a, opt.M)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	scheme, _ := ParseScheme(sc.Scheme)
-	solve, _ := sc.drivers()
-	return solve(a, b, core.Config{
-		Scheme: scheme, M: m, S: sc.S, D: sc.D, Tol: sc.Tol,
-		MaxIters: sc.MaxIters, Injector: sc.injector(seed), OnIteration: opt.OnIteration,
-		OnDetection: opt.OnDetection, Ws: coreWs,
-	})
-}
-
-// drivers returns the engine's entry points for the scenario's solver: one
-// system, and a block of them.
-func (sc Scenario) drivers() (func(*sparse.CSR, []float64, core.Config) ([]float64, core.Stats, error),
-	func(*sparse.CSR, [][]float64, core.BlockConfig, []core.Stats, []error) ([][]float64, error)) {
-	if sc.Solver == "bicgstab" {
-		return core.SolveBiCGstab, core.SolveBlockBiCGstab
-	}
-	return core.Solve, core.SolveBlock
-}
 
 // precond returns the preconditioner the scenario's solver applies: none but
 // for pcg, whose is m when the caller prebuilt it and built from sc.Precond

@@ -376,7 +376,7 @@ func (e *entry) artifactsFor(sc harness.Scenario) (harness.Scenario, *sparse.CSR
 // the high-water lane count and persist, and the closures are built once,
 // so a warm request — a single one included — reuses everything.
 type batchCtx struct {
-	ws     *core.BlockWorkspace
+	ws     *core.Workspace
 	bs     [][]float64
 	seeds  []int64
 	hists  [][]float64
@@ -393,7 +393,7 @@ type batchCtx struct {
 }
 
 func newBatchCtx() *batchCtx {
-	c := &batchCtx{ws: core.NewBlockWorkspace()}
+	c := &batchCtx{ws: core.NewWorkspace()}
 	c.record = func(rhs, it int, rho float64) {
 		c.hists[rhs] = append(c.hists[rhs], rho)
 		if c.onIter != nil {

@@ -272,7 +272,7 @@ func (s *Server) runGroup(ent *entry, sc harness.Scenario, group []*task) {
 	if err == nil {
 		opt.M = m
 		start := time.Now()
-		err = harness.SolveBlockWith(ent.a, c.bs[:k], sc, c.seeds[:k], opt, c.sts[:k], c.errs[:k])
+		_, err = harness.SolveBlockWith(ent.a, c.bs[:k], sc, c.seeds[:k], opt, c.sts[:k], c.errs[:k])
 		nanos = time.Since(start).Nanoseconds()
 	}
 	c.trace, c.onIter, c.onDet = nil, nil, nil // detached before the context returns to the pool

@@ -26,7 +26,7 @@ func unprotectedAs(kind string, a, m *sparse.CSR, b []float64, tol float64) ([]f
 	cfg := core.Config{Scheme: core.Unprotected, Tol: tol, MaxIters: 10 * a.Rows}
 	switch kind {
 	case "bicgstab":
-		return core.SolveBiCGstab(a, b, cfg)
+		cfg.Recurrence = core.BiCGstab
 	case "pcg":
 		cfg.M = m
 	}
