@@ -1,12 +1,15 @@
 package api
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestSSERoundTrip streams events through a real HTTP hop — SSEWriter on
@@ -214,4 +217,61 @@ func TestSummarizeLatencies(t *testing.T) {
 	if s.MeanMs != 500.5 {
 		t.Errorf("mean = %v, want 500.5", s.MeanMs)
 	}
+}
+
+// FuzzSSEReader holds the event-stream decoder to what a wire surface owes
+// any byte stream: events, then io.EOF or an error wrapping
+// ErrMalformedStream — no panic, no other error (the reader beneath cannot
+// fail), in bounded time and memory. Every event it returns carries this
+// schema. The seeds are the frames of the tests above, whole, corrupted and
+// cut.
+func FuzzSSEReader(f *testing.F) {
+	var stream []byte
+	for _, ev := range []*SolveEvent{
+		{Kind: EventIteration, Iteration: 1, Rho: 0.5},
+		{Kind: EventDetection, Iteration: 2, Detections: 1, Corrections: 1, RolledBack: true},
+		{Kind: EventResult, Result: &SolveResponse{Schema: SchemaVersion}},
+		{Kind: EventError, Error: &Error{Schema: SchemaVersion, Code: CodeExpired, Message: "deadline exceeded while queued"}},
+	} {
+		frame, err := MarshalSSE(ev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add([]byte(strings.TrimRight(string(frame), "\n")))
+		f.Add([]byte(strings.Replace(string(frame), `"schema":`, `"schema":9`, 1)))
+		stream = append(stream, frame...)
+	}
+	f.Add(stream)
+	f.Add([]byte("\n\n: keep-alive\n\n" + string(stream)))
+	f.Add([]byte("event: iteration\nid: x\ndata: {}\n\n"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, src []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		rd := NewSSEReader(bytes.NewReader(src))
+		var err error
+		for frames := 0; err == nil; frames++ {
+			if frames > len(src) {
+				t.Fatalf("%d bytes gave more than %d frames", len(src), frames)
+			}
+			var ev *SolveEvent
+			if ev, err = rd.Next(); err == nil && (ev == nil || ev.Schema != SchemaVersion) {
+				t.Fatalf("event %+v without an error", ev)
+			}
+		}
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != io.EOF && !errors.Is(err, ErrMalformedStream) {
+			t.Fatalf("error %v is neither io.EOF nor ErrMalformedStream", err)
+		}
+		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(src)); grew > ceiling {
+			t.Fatalf("%d bytes of input allocated %d, ceiling %d", len(src), grew, ceiling)
+		}
+		if took > time.Second {
+			t.Fatalf("%d bytes of input took %v", len(src), took)
+		}
+	})
 }
