@@ -46,8 +46,14 @@ type InlineCSR struct {
 // rejects a number that overflows, so today the check only stops a caller
 // that fills the struct itself; any other encoding of the arrays will pass
 // through here too. Finite values whose column sums overflow are the shard's
-// to refuse, once per matrix (server.ResolveIdentity's Build).
+// to refuse, once per matrix (server.ResolveIdentity's Build). The solvers
+// take square systems only, and a square matrix has no dimension the body
+// has not paid for: Rows is bounded by len(Rowidx), so Cols may not be
+// anything else (the shard's Build sizes a vector by it).
 func (ic *InlineCSR) ToCSR() (*sparse.CSR, error) {
+	if ic.Rows != ic.Cols {
+		return nil, fmt.Errorf("inline matrix: %dx%d is not square", ic.Rows, ic.Cols)
+	}
 	a := &sparse.CSR{
 		Rows: ic.Rows, Cols: ic.Cols,
 		Val: ic.Val, Colid: ic.Colid, Rowidx: ic.Rowidx,

@@ -538,6 +538,44 @@ func TestHugeInlineOperandIsAnswered(t *testing.T) {
 	}
 }
 
+// TestNonSquareInlineIsRefused: a 1x2 operand panicked a solver worker in
+// harness.RHS and took the shard down with it, and 0 rows of 2⁵⁰ columns
+// had the cache fill size a column-sum vector by the unpaid-for width. Both
+// are a 400 on every edge, and the shard serves the next request.
+func TestNonSquareInlineIsRefused(t *testing.T) {
+	_, ts := testServer(t, Config{Concurrency: 1})
+	for _, inline := range []string{
+		`{"rows":1,"cols":2,"val":[1,1],"colid":[0,1],"rowidx":[0,2]}`,
+		`{"rows":0,"cols":1125899906842624,"rowidx":[0]}`,
+	} {
+		for path, body := range map[string]string{
+			"/v1/solve":       `{"inline":` + inline + `}`,
+			"/v1/solve/batch": `{"inline":` + inline + `,"rhs":[{"seed":1}]}`,
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", path, inline, err)
+			}
+			var e api.Error
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || e.Code != api.CodeBadRequest ||
+				!strings.Contains(e.Message, "is not square") {
+				t.Fatalf("%s %s: status %d, envelope %+v, %v", path, inline, resp.StatusCode, e, err)
+			}
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
+		strings.NewReader(`{"inline":{"rows":1,"cols":1,"val":[2],"colid":[0],"rowidx":[0,1]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("square operand after the refusals: status %d", resp.StatusCode)
+	}
+}
+
 // TestFileSpecIsRefusedOnTheWire: a file spec is cgsolve -matrix's alone. A
 // request naming one — gen "file", or a path beside any generator — opened a
 // server-side file of the client's choosing and echoed its first line in the
