@@ -1,12 +1,12 @@
 // Command resilientd is the resident resilient-solve service: it serves
-// the HTTP/JSON API of internal/server — POST /v1/solve, GET /v1/stats,
+// the HTTP/JSON API of internal/server — POST /v1/solve, GET /v1/statusz,
 // GET /v1/healthz — scheduling solve requests over -concurrency solver
 // slots (one goroutine per solve) with a bounded queue, per-request
 // deadlines and a per-matrix artifact cache that keeps checksum encodings,
 // preconditioners and warm solver workspaces resident between requests.
 //
 //	resilientd -addr 127.0.0.1:8723
-//	resilientd -concurrency 4 -queue 128 -cache 64
+//	resilientd -concurrency 4 -queue 128
 //
 // SIGINT/SIGTERM drain gracefully: new solves are refused, everything
 // already admitted completes and is delivered, then the process exits.
@@ -28,6 +28,10 @@ import (
 	"repro/internal/server"
 )
 
+// drainTimeout bounds the graceful drain: the shard's clamp on a request's
+// deadline, so every admitted solve can still deliver.
+const drainTimeout = 5 * time.Minute
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -47,14 +51,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		addr        = fs.String("addr", "127.0.0.1:8723", "listen address")
 		concurrency = fs.Int("concurrency", 0, "solves executing at once (0 = GOMAXPROCS/2)")
 		queue       = fs.Int("queue", 64, "bounded queue depth; beyond it requests get 429")
-		maxCoalesce = fs.Int("max-coalesce", 0, "right-hand sides merged into one blocked solve when queued requests share a matrix and scenario (0 = 8)")
-		cacheSize   = fs.Int("cache", 32, "per-matrix artifact cache entries (LRU)")
-		cacheBytes  = fs.Int64("cache-bytes", 0, "artifact cache footprint budget in bytes (0 = 256 MiB, negative = unbounded)")
-		cacheTTL    = fs.Duration("cache-ttl", 0, "age out cache entries idle this long (0 = 15m, negative = never)")
 		shard       = fs.String("shard", "", "shard label stamped into result provenance and /v1/healthz (sharded deployments)")
-		timeout     = fs.Duration("timeout", 30*time.Second, "default per-request deadline")
-		maxTimeout  = fs.Duration("max-timeout", 5*time.Minute, "clamp on requested deadlines")
-		traceRing   = fs.Int("trace-ring", 0, "completed traces retained for /v1/tracez (0 = default)")
 		adminToken  = fs.String("admin-token", "", "bearer token gating /debug/pprof (empty = disabled)")
 		logFormat   = fs.String("log-format", "text", "log line format: text or json")
 		quiet       = fs.Bool("q", false, "log warnings and errors only")
@@ -65,17 +62,10 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	logger := obs.NewLogger(stderr, *logFormat, *quiet)
 
 	srv := server.New(server.Config{
-		Concurrency:    *concurrency,
-		QueueDepth:     *queue,
-		MaxCoalesce:    *maxCoalesce,
-		CacheEntries:   *cacheSize,
-		CacheBytes:     *cacheBytes,
-		CacheTTL:       *cacheTTL,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
-		ShardLabel:     *shard,
-		TraceRing:      *traceRing,
-		AdminToken:     *adminToken,
+		Concurrency: *concurrency,
+		QueueDepth:  *queue,
+		ShardLabel:  *shard,
+		AdminToken:  *adminToken,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -102,7 +92,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	// listener — then stop accepting connections and let in-flight
 	// handlers collect their solves, then drain the solve queue itself.
 	srv.StartDraining()
-	sctx, cancel := context.WithTimeout(context.Background(), *maxTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	httpErr := hs.Shutdown(sctx)
 	srv.Shutdown()

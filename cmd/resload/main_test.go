@@ -225,7 +225,7 @@ func routerTarget(t *testing.T) (string, []string, func()) {
 			}
 		}
 	}
-	rt, err := router.New(router.Config{ProbeInterval: time.Hour, FailThreshold: 3}, shards)
+	rt, err := router.New(router.Config{ProbeInterval: time.Hour}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,6 +45,10 @@ import (
 	"repro/internal/router"
 )
 
+// drainTimeout bounds the graceful drain: the router's deadline for a
+// forwarded solve that names none, so every in-flight forward can deliver.
+const drainTimeout = 2 * time.Minute
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -71,20 +75,13 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		restartMax    = fs.Duration("restart-max", 5*time.Second, "restart-delay cap for a crash-looping supervised shard")
 		restartLimit  = fs.Int("restart-limit", 0, "consecutive crash-loop restarts before a supervised shard is given up on (0 = unlimited)")
 		adminToken    = fs.String("admin-token", "", "bearer token enabling the /v1/admin control plane (empty = disabled)")
-		vnodes        = fs.Int("vnodes", router.DefaultVnodes, "virtual nodes per shard on the hash ring")
-		replicas      = fs.Int("replicas", 2, "distinct ring replicas a request may try (owner + failovers)")
 		probeInterval = fs.Duration("probe-interval", 2*time.Second, "active health-check period")
-		probeTimeout  = fs.Duration("probe-timeout", time.Second, "per-probe deadline")
-		failThreshold = fs.Int("fail-threshold", 3, "consecutive failures that eject a shard")
-		reqTimeout    = fs.Duration("timeout", 2*time.Minute, "forwarded-request deadline when the request names none")
-		retryBody     = fs.Int64("retry-body-bytes", 0, "largest request body buffered for failover resends (0 = 8 MiB, negative = unbounded); larger requests get a single attempt")
 		retryBudget   = fs.Int("retry-budget", 4, "per-request attempt ceiling across ring candidates (first try included)")
 		retryBackoff  = fs.Duration("retry-backoff", 25*time.Millisecond, "base delay before the second attempt (doubles per attempt, ±50% jitter; a shard retry_after_ms hint overrides when longer)")
 		chaosPlan     = fs.String("chaos-plan", "", "seeded fault-injection plan (JSON) applied to shard-bound solve traffic; /v1/statusz grows a chaos section")
 		hedge         = fs.Bool("hedge", false, "hedge idempotent solves: arm a duplicate on the next ring replica after a tail-latency delay, first verified answer wins")
 		hedgeDelay    = fs.Duration("hedge-delay", 30*time.Millisecond, "hedge arm delay until a shard has a P99 estimate of its own")
 		hedgeMax      = fs.Duration("hedge-max-delay", 2*time.Second, "cap on the P99-derived hedge arm delay")
-		traceRing     = fs.Int("trace-ring", 0, "completed traces retained for /v1/tracez (0 = default)")
 		logFormat     = fs.String("log-format", "text", "log line format: text or json")
 		quiet         = fs.Bool("q", false, "log warnings and errors only")
 	)
@@ -135,22 +132,15 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	}
 
 	cfg := router.Config{
-		Vnodes:         *vnodes,
-		Replicas:       *replicas,
-		ProbeInterval:  *probeInterval,
-		ProbeTimeout:   *probeTimeout,
-		FailThreshold:  *failThreshold,
-		RequestTimeout: *reqTimeout,
-		RetryBodyBytes: *retryBody,
-		RetryBudget:    *retryBudget,
-		RetryBackoff:   *retryBackoff,
-		AdminToken:     *adminToken,
-		Runtime:        runtime,
-		HedgeEnabled:   *hedge,
-		HedgeDelay:     *hedgeDelay,
-		HedgeMaxDelay:  *hedgeMax,
-		TraceRing:      *traceRing,
-		Logger:         logger,
+		ProbeInterval: *probeInterval,
+		RetryBudget:   *retryBudget,
+		RetryBackoff:  *retryBackoff,
+		AdminToken:    *adminToken,
+		Runtime:       runtime,
+		HedgeEnabled:  *hedge,
+		HedgeDelay:    *hedgeDelay,
+		HedgeMaxDelay: *hedgeMax,
+		Logger:        logger,
 	}
 	if procs != nil {
 		// The watchdog's restart tally joins the router's /metrics page: a
@@ -277,7 +267,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	// forwards and finally the managed shards (rt.Shutdown stops them
 	// through the runtime).
 	rt.StartDraining()
-	sctx, cancel := context.WithTimeout(context.Background(), *reqTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	httpErr := hs.Shutdown(sctx)
 	rt.Shutdown()

@@ -275,7 +275,7 @@ type CacheStats struct {
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 	// Bytes is the estimated resident footprint of the cached matrices
-	// and CapacityBytes its budget (0 = unbounded).
+	// and CapacityBytes its budget.
 	Bytes         int64 `json:"bytes"`
 	CapacityBytes int64 `json:"capacity_bytes"`
 	Hits          int64 `json:"hits"`

@@ -1,6 +1,6 @@
 package api
 
-// RouterzResponse is the body of GET /routerz.
+// RouterzResponse is the router section of GET /v1/statusz.
 type RouterzResponse struct {
 	Schema        int           `json:"schema"`
 	UptimeSeconds float64       `json:"uptime_seconds"`
@@ -68,8 +68,7 @@ type HedgeStats struct {
 	StreamedPassthrough int64 `json:"streamed_passthrough"`
 }
 
-// ChaosStats snapshots a fault injector (router -chaos-plan, or the
-// standalone reschaos proxy's /chaosz).
+// ChaosStats snapshots the router's fault injector (-chaos-plan).
 type ChaosStats struct {
 	Seed          int64 `json:"seed"`
 	Requests      int64 `json:"requests"`

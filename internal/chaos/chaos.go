@@ -3,8 +3,7 @@
 // modes a sharded deployment actually sees on the wire — connection
 // resets, mid-body truncation, single-bit flips in response payloads,
 // latency spikes, 5xx storms and shard kill signals mid-solve — between
-// the router and its shards (resrouter -chaos-plan) or as a standalone
-// reverse proxy (cmd/reschaos).
+// the router and its shards (resrouter -chaos-plan).
 //
 // Every injection decision is a pure function of (plan seed, request
 // identity, attempt): the identity fingerprints the request bytes with
@@ -173,8 +172,7 @@ var ErrInjectedReset = errors.New("chaos: injected connection reset")
 const maxTrackedIdentities = 1 << 16
 
 // Injector is the fault-injecting RoundTripper. Wrap a base transport
-// with New and hand the result to an http.Client (resrouter) or a
-// reverse proxy (reschaos).
+// with New and hand the result to the router's http.Client (resrouter).
 type Injector struct {
 	plan Plan
 	base http.RoundTripper
@@ -476,7 +474,7 @@ func flipBit(resp *http.Response, rng *rand.Rand) error {
 	return nil
 }
 
-// Stats snapshots the injector for the router's statusz and reschaos's /chaosz.
+// Stats snapshots the injector for the router's statusz.
 func (in *Injector) Stats() *api.ChaosStats {
 	in.mu.Lock()
 	trace := in.trace

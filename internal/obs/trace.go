@@ -198,8 +198,7 @@ type Tracer struct {
 	count int
 }
 
-// DefaultTraceRing is the completed-trace ring capacity when a tier is
-// configured with zero.
+// DefaultTraceRing is the completed-trace ring capacity of both tiers.
 const DefaultTraceRing = 128
 
 // NewTracer builds a tracer for the tier ("router" or "shard") keeping

@@ -95,7 +95,7 @@ func TestAdminAuth(t *testing.T) {
 // removed (process stopped). Throughout, the surviving shards keep their
 // keys — drain moves only the drained shard's keys.
 func TestAdminDrainAddRemoveLifecycle(t *testing.T) {
-	r, rt, ts := mockRouter(t, Config{AdminToken: "sekrit", Replicas: 2}, "s0", "s1", "s2")
+	r, rt, ts := mockRouter(t, Config{AdminToken: "sekrit"}, "s0", "s1", "s2")
 	cl := adminClient(ts.URL)
 	ctx := context.Background()
 
@@ -323,7 +323,7 @@ func TestAdminAddRefusesInvalidShard(t *testing.T) {
 // TestAdminAddJoinProbeDecides: the synchronous join probe is the shard's
 // first health verdict. One failure is enough — a shard that does not
 // answer joins ejected, so its keys go to their healthy successors at once
-// instead of paying failover retries for FailThreshold probe rounds — and
+// instead of paying failover retries for failThreshold probe rounds — and
 // the first good probe re-admits it like any other ejection. A live shard
 // joins active.
 func TestAdminAddJoinProbeDecides(t *testing.T) {

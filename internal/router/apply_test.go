@@ -236,7 +236,7 @@ func TestApplyRepointsAddr(t *testing.T) {
 // error to a client — affected keys fail over, unaffected keys never
 // notice. (Run with -race to make this earn its keep.)
 func TestApplyUnderTraffic(t *testing.T) {
-	r, _, ts := mockRouter(t, Config{Replicas: 2}, "s0", "s1", "s2")
+	r, _, ts := mockRouter(t, Config{}, "s0", "s1", "s2")
 
 	bodies := [][]byte{
 		solveBody(t, "poisson2d", 16),
@@ -320,7 +320,7 @@ func TestReconcileMatchesModel(t *testing.T) {
 func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	rt := &recordingRuntime{MockRuntime: NewMockRuntime()}
-	r, err := New(Config{Runtime: rt, Vnodes: 8, ProbeInterval: time.Hour, ProbeTimeout: 200 * time.Millisecond},
+	r, err := New(Config{Runtime: rt, vnodes: 8, ProbeInterval: time.Hour},
 		[]Shard{{Name: "s0"}, {Name: "s1", VnodeWeight: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -522,38 +522,45 @@ func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
 			}
 		}
 
-		// (i) The ring is the one the model builds from scratch.
-		fresh := NewRing(r.cfg.Vnodes)
-		for n, m := range model {
-			if !m.drained {
-				fresh.AddN(n, r.vnodesFor(m.weight))
-			}
+		assertMatchesModel(t, r, rt, model, starts, stops, names, fmt.Sprintf("step %d %s", step, what))
+	}
+}
+
+// assertMatchesModel checks what every reconcile owes the membership model:
+// (i) the ring is the one the model builds from scratch, (ii)
+// CurrentTopology is the model, and (iii) the runtime has seen one Start per
+// managed join and one Stop per managed leave of each of names, and runs
+// exactly the managed shards the model holds.
+func assertMatchesModel(t *testing.T, r *Router, rt *recordingRuntime, model map[string]*modelShard, starts, stops map[string]int, names []string, what string) {
+	t.Helper()
+	fresh := NewRing(r.cfg.vnodes)
+	for n, m := range model {
+		if !m.drained {
+			fresh.AddN(n, r.vnodesFor(m.weight))
 		}
-		if !reflect.DeepEqual(r.ring.shards, fresh.shards) || !slices.Equal(r.ring.points, fresh.points) {
-			t.Fatalf("step %d %s: ring members %v, model builds %v", step, what, r.ring.shards, fresh.shards)
+	}
+	if !reflect.DeepEqual(r.ring.shards, fresh.shards) || !slices.Equal(r.ring.points, fresh.points) {
+		t.Fatalf("%s: ring members %v, model builds %v", what, r.ring.shards, fresh.shards)
+	}
+	topo := r.CurrentTopology().Shards
+	if len(topo) != len(model) {
+		t.Fatalf("%s: topology %+v, model %d shards", what, topo, len(model))
+	}
+	for _, sh := range topo {
+		m := model[sh.Name]
+		if m == nil || sh.Addr != m.addr || sh.VnodeWeight != m.weight || (sh.State == api.ShardDraining) != m.drained {
+			t.Fatalf("%s: shard %+v, model %+v", what, sh, m)
 		}
-		// (ii) CurrentTopology is the model.
-		topo := r.CurrentTopology().Shards
-		if len(topo) != len(model) {
-			t.Fatalf("step %d %s: topology %+v, model %d shards", step, what, topo, len(model))
+	}
+	for _, n := range names {
+		gotStarts, gotStops := count(rt.started, n), count(rt.stopped, n)
+		if gotStarts != starts[n] || gotStops != stops[n] {
+			t.Fatalf("%s: shard %s started %d× stopped %d×, model says %d× and %d×",
+				what, n, gotStarts, gotStops, starts[n], stops[n])
 		}
-		for _, sh := range topo {
-			m := model[sh.Name]
-			if m == nil || sh.Addr != m.addr || sh.VnodeWeight != m.weight || (sh.State == api.ShardDraining) != m.drained {
-				t.Fatalf("step %d %s: shard %+v, model %+v", step, what, sh, m)
-			}
-		}
-		// (iii) One Start per managed join, one Stop per managed leave.
-		for _, n := range names {
-			gotStarts, gotStops := count(rt.started, n), count(rt.stopped, n)
-			if gotStarts != starts[n] || gotStops != stops[n] {
-				t.Fatalf("step %d %s: shard %s started %d× stopped %d×, model says %d× and %d×",
-					step, what, n, gotStarts, gotStops, starts[n], stops[n])
-			}
-			held := model[n] != nil && model[n].managed
-			if running := rt.Get(n) != nil; running != held {
-				t.Fatalf("step %d %s: shard %s running=%v, model holds it managed=%v", step, what, n, running, held)
-			}
+		held := model[n] != nil && model[n].managed
+		if running := rt.Get(n) != nil; running != held {
+			t.Fatalf("%s: shard %s running=%v, model holds it managed=%v", what, n, running, held)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func TestFailoverDeterminism(t *testing.T) {
 	for i, s := range shards {
 		specs[i] = Shard{Name: s.name, Addr: s.ts.URL}
 	}
-	r, err := New(Config{ProbeInterval: time.Hour, FailThreshold: 3}, specs)
+	r, err := New(Config{ProbeInterval: time.Hour}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +209,10 @@ func routedStatus(t *testing.T, url, path string, body []byte) int {
 }
 
 // TestRetryBodyCap pins the bounded-buffering rule: a request body over
-// RetryBodyBytes is forwarded once to the key's owner — the solve still
+// retryBodyBytes is forwarded once to the key's owner — the solve still
 // runs — but is never held for a failover resend, so the same request
-// answers 502 when the owner dies, while a router without the cap fails
-// over and answers the identical hash.
+// answers 502 when the owner dies, while a router whose cap the body fits
+// fails over and answers the identical hash.
 func TestRetryBodyCap(t *testing.T) {
 	shards := []*realShard{newRealShard(t, "s0"), newRealShard(t, "s1")}
 	specs := []Shard{
@@ -221,7 +221,7 @@ func TestRetryBodyCap(t *testing.T) {
 	}
 	newRouter := func(retryBytes int64) *Router {
 		t.Helper()
-		r, err := New(Config{ProbeInterval: time.Hour, FailThreshold: 3, RetryBodyBytes: retryBytes}, specs)
+		r, err := New(Config{ProbeInterval: time.Hour, retryBodyBytes: retryBytes}, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestRetryBodyCap(t *testing.T) {
 		return r
 	}
 	capped := newRouter(16) // every real request body exceeds 16 bytes
-	free := newRouter(-1)   // unbounded: retry always allowed
+	free := newRouter(0)    // the deployed 8 MiB cap: this body fits
 	cappedTS := httptest.NewServer(capped.Handler())
 	freeTS := httptest.NewServer(free.Handler())
 	t.Cleanup(func() { cappedTS.Close(); freeTS.Close() })
@@ -261,7 +261,7 @@ func TestRetryBodyCap(t *testing.T) {
 		}
 	}
 
-	// Without the cap the body is held and resent: the request fails over
+	// Under the cap the body is held and resent: the request fails over
 	// to the surviving replica with a bit-identical answer.
 	fsr, fshard := routedSolve(t, freeTS.URL, req)
 	if fshard == owner {

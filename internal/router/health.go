@@ -48,10 +48,10 @@ type shardState struct {
 	// route before the first probe round completes.
 	healthy bool
 	// probeFails counts consecutive active-probe failures; at
-	// FailThreshold the shard is ejected.
+	// failThreshold the shard is ejected.
 	probeFails int
 	// passiveFails counts consecutive forwarded requests that died on
-	// transport or answered 5xx; at FailThreshold the circuit opens
+	// transport or answered 5xx; at failThreshold the circuit opens
 	// (healthy = false) until an active probe succeeds — the probe loop
 	// is the half-open path.
 	passiveFails int
@@ -288,7 +288,7 @@ func (r *Router) probeAll() {
 		wg.Add(1)
 		go func(s *shardState) {
 			defer wg.Done()
-			s.noteProbe(r.healthCheck(s.placed().addr), r.cfg.FailThreshold)
+			s.noteProbe(r.healthCheck(s.placed().addr), r.cfg.failThreshold)
 		}(s)
 	}
 	r.ringMu.RUnlock()
@@ -300,7 +300,7 @@ func (r *Router) probeAll() {
 // draining shard reports itself unhealthy here on purpose — it refuses new
 // solves with 503, so routing must move its keys to the next replica now.
 func (r *Router) healthCheck(addr string) probeResult {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/healthz", nil)
 	if err != nil {

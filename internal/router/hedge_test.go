@@ -38,7 +38,6 @@ func ownerOf(t *testing.T, url string, body []byte) string {
 // canceled, and the counters account for all of it.
 func TestHedgeWinsWhenPrimaryIsSlow(t *testing.T) {
 	r, rt, ts := mockRouter(t, Config{
-		Replicas:      2,
 		HedgeEnabled:  true,
 		HedgeDelay:    20 * time.Millisecond,
 		HedgeMaxDelay: 50 * time.Millisecond,
@@ -114,7 +113,6 @@ func TestHedgeWinsWhenPrimaryIsSlow(t *testing.T) {
 // the slow owner and never arm a duplicate.
 func TestHedgeOffHeaderDisablesHedging(t *testing.T) {
 	r, rt, ts := mockRouter(t, Config{
-		Replicas:     2,
 		HedgeEnabled: true,
 		HedgeDelay:   10 * time.Millisecond,
 	}, "s0", "s1")
@@ -153,7 +151,6 @@ func TestHedgeOffHeaderDisablesHedging(t *testing.T) {
 // the secondary is the canceled loser.
 func TestHedgePrimaryWinStillCounts(t *testing.T) {
 	r, rt, ts := mockRouter(t, Config{
-		Replicas:      2,
 		HedgeEnabled:  true,
 		HedgeDelay:    10 * time.Millisecond,
 		HedgeMaxDelay: 20 * time.Millisecond,

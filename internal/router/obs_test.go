@@ -190,7 +190,7 @@ func TestRouterTraceSurvivesFailoverRetry(t *testing.T) {
 	// order the key hashes to.
 	a, b := newTraceShard(t, "s0"), newTraceShard(t, "s1")
 	a.refuse, b.refuse = 1, 1
-	_, ts := traceRouter(t, Config{Replicas: 2, RetryBackoff: time.Millisecond}, a, b)
+	_, ts := traceRouter(t, Config{RetryBackoff: time.Millisecond}, a, b)
 
 	status, id := postTraced(t, ts.URL, solveBody(t, "poisson2d", 16), "")
 	if status != http.StatusOK {
@@ -220,7 +220,7 @@ func TestRouterTraceSurvivesHedgedRace(t *testing.T) {
 	// on the pooled trace if any fetch goroutine touched it.
 	a, b := newTraceShard(t, "s0"), newTraceShard(t, "s1")
 	a.delay, b.delay = 50*time.Millisecond, 50*time.Millisecond
-	_, ts := traceRouter(t, Config{Replicas: 2, HedgeEnabled: true, HedgeDelay: time.Millisecond}, a, b)
+	_, ts := traceRouter(t, Config{HedgeEnabled: true, HedgeDelay: time.Millisecond}, a, b)
 
 	status, id := postTraced(t, ts.URL, solveBody(t, "poisson2d", 16), "")
 	if status != http.StatusOK {
@@ -389,7 +389,7 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 		shardURLs[i] = ts.URL
 		shards[i] = Shard{Name: name, Addr: ts.URL}
 	}
-	r, err := New(Config{Replicas: 2, HedgeEnabled: true, HedgeDelay: time.Millisecond}, shards)
+	r, err := New(Config{HedgeEnabled: true, HedgeDelay: time.Millisecond}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

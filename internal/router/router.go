@@ -34,31 +34,33 @@ const (
 	retryAfterDrainingMillis  = 1000
 )
 
+// The router's fixed parameters; the ring's vnode count is DefaultVnodes.
+const (
+	// replicas is how many distinct ring successors a request may try: the
+	// key's owner plus replicas−1 failover candidates.
+	replicas = 2
+	// probeTimeout bounds each active health probe.
+	probeTimeout = time.Second
+	// failThreshold ejects a shard after this many consecutive probe
+	// failures, and opens the passive circuit after this many consecutive
+	// forwarded-request failures.
+	failThreshold = 3
+	// requestTimeout bounds a forwarded solve when the request names no
+	// deadline of its own. Requests carrying timeout_ms get that deadline
+	// plus scheduling slack instead.
+	requestTimeout = 2 * time.Minute
+	// retryBodyBytes caps the request bodies eligible for replica failover.
+	// Failover needs the whole body buffered for a bit-identical resend, so
+	// bodies above the cap — huge inline matrices — are forwarded to the
+	// key's owner only, in a single attempt, instead of pinning the buffer
+	// across retries.
+	retryBodyBytes = 8 << 20
+)
+
 // Config parameterises the router. Zero values select the defaults.
 type Config struct {
-	// Vnodes is the virtual-node count per shard (default DefaultVnodes).
-	Vnodes int
-	// Replicas is how many distinct ring successors a request may try:
-	// the key's owner plus Replicas−1 failover candidates (default 2).
-	Replicas int
-	// ProbeInterval paces the active health checks (default 2s);
-	// ProbeTimeout bounds each probe (default 1s).
+	// ProbeInterval paces the active health checks (default 2s).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// FailThreshold ejects a shard after this many consecutive probe
-	// failures, and opens the passive circuit after this many
-	// consecutive forwarded-request failures (default 3).
-	FailThreshold int
-	// RequestTimeout bounds a forwarded solve when the request names no
-	// deadline of its own (default 2m). Requests carrying timeout_ms get
-	// that deadline plus scheduling slack instead.
-	RequestTimeout time.Duration
-	// RetryBodyBytes caps the request bodies eligible for replica
-	// failover (default 8 MiB; negative = no cap). Failover needs the
-	// whole body buffered for a bit-identical resend, so bodies above the
-	// cap — huge inline matrices — are forwarded to the key's owner only,
-	// in a single attempt, instead of pinning the buffer across retries.
-	RetryBodyBytes int64
 	// RetryBudget is the per-request attempt ceiling (first try included,
 	// default 4): attempts cycle the ring candidates until one answer is
 	// relayable or the budget is spent. The budget is what keeps an
@@ -98,9 +100,6 @@ type Config struct {
 	// HedgeMaxDelay caps the P99-derived arm delay (default 2s): a shard
 	// whose tail blew out still gets hedged within a bounded wait.
 	HedgeMaxDelay time.Duration
-	// TraceRing bounds the completed traces retained for /v1/tracez
-	// (default obs.DefaultTraceRing).
-	TraceRing int
 	// Logger receives request-scoped structured log lines (failovers,
 	// budget exhaustion), each carrying the request's trace_id. Nil
 	// discards them.
@@ -109,29 +108,30 @@ type Config struct {
 	// registry so the embedding process can contribute series of its own
 	// (the resrouter daemon registers supervisor restart counts here).
 	Observe func(*obs.Registry)
+
+	// Tests override the fixed parameters of the same names here (vnodes:
+	// DefaultVnodes); zero keeps the constant.
+	vnodes         int
+	replicas       int
+	failThreshold  int
+	retryBodyBytes int64
 }
 
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
+	if c.vnodes <= 0 {
+		c.vnodes = DefaultVnodes
 	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
+	if c.replicas <= 0 {
+		c.replicas = replicas
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
+	if c.failThreshold <= 0 {
+		c.failThreshold = failThreshold
 	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 2 * time.Minute
-	}
-	if c.RetryBodyBytes == 0 {
-		c.RetryBodyBytes = 8 << 20
+	if c.retryBodyBytes <= 0 {
+		c.retryBodyBytes = retryBodyBytes
 	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 4
@@ -167,9 +167,9 @@ const maxVnodeWeight = 16.0
 // router's ring (weight 0 = the default count; always at least 1).
 func (r *Router) vnodesFor(weight float64) int {
 	if weight == 0 {
-		return r.cfg.Vnodes
+		return r.cfg.vnodes
 	}
-	n := int(weight*float64(r.cfg.Vnodes) + 0.5)
+	n := int(weight*float64(r.cfg.vnodes) + 0.5)
 	if n < 1 {
 		n = 1
 	}
@@ -233,7 +233,7 @@ type Router struct {
 
 // New builds a router over the shard set — applied like a topology reload,
 // from the empty set — and starts its health prober. Shards start healthy
-// (optimistic admission); the prober ejects dead ones within FailThreshold
+// (optimistic admission); the prober ejects dead ones within failThreshold
 // probe intervals. Shards with an empty Addr are materialised through
 // cfg.Runtime; when one fails to start, those already started are stopped.
 func New(cfg Config, shards []Shard) (*Router, error) {
@@ -242,12 +242,12 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 		cfg:     cfg,
 		client:  &http.Client{Transport: cfg.Transport},
 		runtime: cfg.Runtime,
-		ring:    NewRing(cfg.Vnodes),
+		ring:    NewRing(cfg.vnodes),
 		shards:  make(map[string]*shardState, len(shards)),
 		keys:    make(map[uint64]string),
 		started: time.Now(),
 		stop:    make(chan struct{}),
-		tracer:  obs.NewTracer(api.TierRouter, cfg.TraceRing),
+		tracer:  obs.NewTracer(api.TierRouter, obs.DefaultTraceRing),
 		logger:  cfg.Logger,
 	}
 	if r.logger == nil {
@@ -300,7 +300,7 @@ func (r *Router) Shutdown() {
 	r.client.CloseIdleConnections()
 }
 
-// candidates returns the failover sequence for a key: up to Replicas
+// candidates returns the failover sequence for a key: up to replicas
 // distinct ring successors, routable shards first (in ring order), then —
 // only if every candidate is ejected — the unhealthy ones anyway, so a
 // fully-ejected shard set degrades to optimistic forwarding instead of
@@ -308,7 +308,7 @@ func (r *Router) Shutdown() {
 // the ring, so Successors cannot name them.
 func (r *Router) candidates(key string) []*shardState {
 	r.ringMu.RLock()
-	names := r.ring.Successors(key, r.cfg.Replicas)
+	names := r.ring.Successors(key, r.cfg.replicas)
 	out := make([]*shardState, 0, len(names))
 	var down []*shardState
 	for _, n := range names {
@@ -404,7 +404,7 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	budget := r.cfg.RetryBudget
-	if r.cfg.RetryBodyBytes > 0 && int64(len(body)) > r.cfg.RetryBodyBytes {
+	if int64(len(body)) > r.cfg.retryBodyBytes {
 		// Too large to hold for a resend: single attempt on the key's
 		// owner, no failover. The solve still runs; only retry is waived.
 		cands = cands[:1]
@@ -528,12 +528,12 @@ func identify(path string, body []byte) (*api.SolveRequest, server.Identity, err
 
 // deadlineFor is how long a forwarded solve may take: the request's own
 // timeout_ms plus forwarding slack (the shard still enforces the precise
-// one), or RequestTimeout when it names none.
+// one), or requestTimeout when it names none.
 func (r *Router) deadlineFor(sreq *api.SolveRequest) time.Duration {
 	if sreq.TimeoutMillis > 0 {
 		return time.Duration(sreq.TimeoutMillis)*time.Millisecond + 15*time.Second
 	}
-	return r.cfg.RequestTimeout
+	return requestTimeout
 }
 
 // shardRequest builds the POST that carries a solve body to a shard.
@@ -638,7 +638,7 @@ func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []b
 		// here as a context error: that says nothing about the shard's
 		// health, so it must not feed the circuit breaker.
 		if ctx.Err() == nil {
-			s.notePassive(false, err.Error(), r.cfg.FailThreshold)
+			s.notePassive(false, err.Error(), r.cfg.failThreshold)
 		}
 		return nil, 0, err
 	}
@@ -650,7 +650,7 @@ func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []b
 		// Draining or refusing: the next replica can serve this key, after
 		// any backoff the shard asked for.
 		refusal, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		s.notePassive(false, "shard answered 503", r.cfg.FailThreshold)
+		s.notePassive(false, "shard answered 503", r.cfg.failThreshold)
 		return nil, retryAfterHint(refusal), fmt.Errorf("%s: 503 from shard", s.name)
 	case http.StatusTooManyRequests:
 		// Saturated, not sick: spill to the replica without feeding the
@@ -666,7 +666,7 @@ func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []b
 	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		if ctx.Err() == nil {
-			s.notePassive(false, err.Error(), r.cfg.FailThreshold)
+			s.notePassive(false, err.Error(), r.cfg.failThreshold)
 		}
 		return nil, 0, fmt.Errorf("%s: reading shard response: %w", s.name, err)
 	}
@@ -678,7 +678,7 @@ func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []b
 	digest := resp.Header.Get(api.DigestHeader)
 	if !api.VerifyDigest(digest, payload) {
 		r.corruptResponses.Add(1)
-		s.notePassive(false, "response digest mismatch", r.cfg.FailThreshold)
+		s.notePassive(false, "response digest mismatch", r.cfg.failThreshold)
 		return nil, 0, fmt.Errorf("%s: response digest mismatch (corrupt body)", s.name)
 	}
 	if resp.StatusCode == http.StatusOK {
@@ -687,7 +687,7 @@ func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []b
 		}
 		if json.Unmarshal(payload, &stamp) != nil || stamp.Schema != api.SchemaVersion {
 			r.corruptResponses.Add(1)
-			s.notePassive(false, "response schema violation", r.cfg.FailThreshold)
+			s.notePassive(false, "response schema violation", r.cfg.failThreshold)
 			return nil, 0, fmt.Errorf("%s: response schema violation (corrupt body)", s.name)
 		}
 	}
@@ -695,7 +695,7 @@ func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []b
 	if digest != "" {
 		r.digestVerified.Add(1)
 	}
-	s.notePassive(resp.StatusCode < 500, "shard answered "+resp.Status, r.cfg.FailThreshold)
+	s.notePassive(resp.StatusCode < 500, "shard answered "+resp.Status, r.cfg.failThreshold)
 	return &relayable{
 		status:      resp.StatusCode,
 		ctype:       resp.Header.Get("Content-Type"),
@@ -780,8 +780,8 @@ func (r *Router) routerz() api.RouterzResponse {
 	out := api.RouterzResponse{
 		Schema:        api.SchemaVersion,
 		UptimeSeconds: time.Since(r.started).Seconds(),
-		Vnodes:        r.cfg.Vnodes,
-		Replicas:      r.cfg.Replicas,
+		Vnodes:        r.cfg.vnodes,
+		Replicas:      r.cfg.replicas,
 		Draining:      r.draining.Load(),
 		Shards:        statuses,
 		HealthyShards: healthy,

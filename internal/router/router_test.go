@@ -2,7 +2,9 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -21,11 +23,12 @@ import (
 // TestMain is the package's leak check: once every test has shut its
 // routers and shards down, the goroutine count must come back to where it
 // started — a prober, hedge loser or forward that outlives Shutdown shows
-// up here with its stack.
+// up here with its stack. Under -fuzz the check is off: the fuzzing
+// coordinator keeps a signal handler of its own running.
 func TestMain(m *testing.M) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
-	if code == 0 {
+	if code == 0 && flag.Lookup("test.fuzz").Value.String() == "" {
 		http.DefaultClient.CloseIdleConnections() // keep-alive reader/writer pairs are ours to drop
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -180,11 +183,11 @@ func TestRouterAffinity(t *testing.T) {
 
 // TestRouterFailoverOnConnectionFailure kills a shard outright: requests
 // for its keys must fail over to the next ring replica and succeed, the
-// failover is marked, and after FailThreshold passive failures the dead
+// failover is marked, and after failThreshold passive failures the dead
 // shard is ejected so later requests skip the doomed attempt.
 func TestRouterFailoverOnConnectionFailure(t *testing.T) {
 	fakes := []*fakeShard{newFakeShard(t, "s0"), newFakeShard(t, "s1"), newFakeShard(t, "s2")}
-	r, ts := testRouter(t, Config{ProbeInterval: time.Hour, FailThreshold: 2}, fakes...)
+	r, ts := testRouter(t, Config{ProbeInterval: time.Hour, failThreshold: 2}, fakes...)
 
 	// Find a matrix size owned by s1 so the kill is targeted.
 	var body []byte
@@ -257,7 +260,7 @@ func TestRouterRetriesDrainingShard(t *testing.T) {
 // when every candidate is saturated the client gets the 429 back.
 func TestRouterSpillsSaturatedShard(t *testing.T) {
 	fakes := []*fakeShard{newFakeShard(t, "s0"), newFakeShard(t, "s1")}
-	r, ts := testRouter(t, Config{ProbeInterval: time.Hour, FailThreshold: 2}, fakes...)
+	r, ts := testRouter(t, Config{ProbeInterval: time.Hour, failThreshold: 2}, fakes...)
 
 	body := solveBody(t, "poisson2d", 25)
 	_, owner, _ := postRouted(t, ts.URL, body)
@@ -329,8 +332,6 @@ func TestRouterProbeEjectionAndReadmission(t *testing.T) {
 	fakes := []*fakeShard{newFakeShard(t, "s0"), newFakeShard(t, "s1")}
 	r, _ := testRouter(t, Config{
 		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-		FailThreshold: 3,
 	}, fakes...)
 
 	fakes[0].setHealthy(false)
@@ -339,7 +340,7 @@ func TestRouterProbeEjectionAndReadmission(t *testing.T) {
 	fakes[0].setHealthy(true)
 	waitFor(t, func() bool { return r.shards["s0"].isHealthy() })
 
-	st := r.shards["s0"].status(r.cfg.Vnodes)
+	st := r.shards["s0"].status(r.cfg.vnodes)
 	if st.EWMALatencyMs <= 0 {
 		t.Errorf("probe latency EWMA not tracked: %+v", st)
 	}
@@ -392,6 +393,48 @@ func TestRouterzEndpoint(t *testing.T) {
 	}
 	if h.Status != "ok" || h.HealthyShards != 3 || h.TotalShards != 3 {
 		t.Errorf("router health %+v", h)
+	}
+}
+
+// TestZeroConfigDefaults pins what a deployment gets from zero configs on
+// both tiers: the router's ring and failover width on statusz and the admin
+// topology, and the shard's cache and queue bounds on statusz.
+func TestZeroConfigDefaults(t *testing.T) {
+	srv := server.New(server.Config{})
+	shardTS := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		shardTS.Close()
+		srv.Shutdown()
+	})
+	r, err := New(Config{}, []Shard{{Name: "s0", Addr: shardTS.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(r.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		r.Shutdown()
+	})
+
+	rz := routerzOf(t, ts.URL)
+	if rz.Vnodes != DefaultVnodes || rz.Replicas != 2 || len(rz.Shards) != 1 || rz.Shards[0].VNodes != DefaultVnodes {
+		t.Errorf("router statusz: vnodes %d, replicas %d, shards %+v; want %d, 2 and one shard of %d vnodes",
+			rz.Vnodes, rz.Replicas, rz.Shards, DefaultVnodes, DefaultVnodes)
+	}
+	if topo := r.CurrentTopology(); topo.Vnodes != DefaultVnodes || topo.Replicas != 2 {
+		t.Errorf("admin topology: vnodes %d, replicas %d; want %d and 2", topo.Vnodes, topo.Replicas, DefaultVnodes)
+	}
+
+	sz, err := api.NewClient(shardTS.URL).Statusz(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz.Shard == nil {
+		t.Fatalf("shard statusz tier %q carries no shard section", sz.Tier)
+	}
+	if c := sz.Shard.Cache; c.Capacity != 32 || c.CapacityBytes != 256<<20 || sz.Shard.QueueCapacity != 64 {
+		t.Errorf("shard statusz: cache capacity %d entries and %d bytes, queue capacity %d; want 32, %d and 64",
+			c.Capacity, c.CapacityBytes, sz.Shard.QueueCapacity, 256<<20)
 	}
 }
 

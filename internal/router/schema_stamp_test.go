@@ -76,7 +76,7 @@ func TestRouteTable(t *testing.T) {
 // asserts every single response carries the wire schema version. A client
 // must be able to version-check any answer it gets, including rejections.
 func TestEveryEndpointStampsSchema(t *testing.T) {
-	_, _, ts := mockRouter(t, Config{AdminToken: "sekrit", Replicas: 2}, "s0", "s1")
+	_, _, ts := mockRouter(t, Config{AdminToken: "sekrit"}, "s0", "s1")
 	_, _, tsNoAdmin := mockRouter(t, Config{}, "s0")
 
 	good := solveBody(t, "poisson2d", 16)

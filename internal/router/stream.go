@@ -54,7 +54,7 @@ func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api
 		// client asked for a stream, and a silent replay could interleave
 		// a second solver's progress with the first's admission effects.)
 		if ctx.Err() == nil {
-			target.notePassive(false, err.Error(), r.cfg.FailThreshold)
+			target.notePassive(false, err.Error(), r.cfg.failThreshold)
 		}
 		r.unroutable.Add(1)
 		tr.SetError(api.CodeUnroutable)
@@ -120,7 +120,7 @@ func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api
 		// gone, so the failure is reported in-band: one terminal typed
 		// error frame, exactly what a client-side SSE decoder expects.
 		if ctx.Err() == nil {
-			target.notePassive(false, copyErr.Error(), r.cfg.FailThreshold)
+			target.notePassive(false, copyErr.Error(), r.cfg.failThreshold)
 		}
 		tr.AddSpan(obs.SpanStream, target.name, "died mid-stream", streamStart, tr.Now()-streamStart)
 		tr.SetError(api.CodeUnroutable)
@@ -147,7 +147,7 @@ func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api
 			h.Set(api.DigestHeader, d)
 		}
 	}
-	target.notePassive(resp.StatusCode < 500, "shard answered "+resp.Status, r.cfg.FailThreshold)
+	target.notePassive(resp.StatusCode < 500, "shard answered "+resp.Status, r.cfg.failThreshold)
 	tr.AddSpan(obs.SpanStream, target.name, "", streamStart, tr.Now()-streamStart)
 	r.streamedPassthrough.Add(1)
 	r.routed.Add(1)

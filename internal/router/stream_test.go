@@ -27,7 +27,7 @@ func solveRequestOf(t *testing.T, body []byte) *api.SolveRequest {
 // requires the terminal hash to be bit-identical to a buffered solve of
 // the same request — the relay must not perturb a single byte.
 func TestStreamPassThrough(t *testing.T) {
-	r, _, ts := mockRouter(t, Config{Replicas: 2}, "s0", "s1")
+	r, _, ts := mockRouter(t, Config{}, "s0", "s1")
 	body := solveBody(t, "poisson2d", 16)
 
 	// Buffered baseline.
@@ -71,7 +71,6 @@ func TestStreamPassThrough(t *testing.T) {
 // pass-through path and never arms a duplicate.
 func TestStreamPassThroughNeverHedges(t *testing.T) {
 	r, rt, ts := mockRouter(t, Config{
-		Replicas:     2,
 		HedgeEnabled: true,
 		HedgeDelay:   5 * time.Millisecond,
 	}, "s0", "s1")
@@ -95,7 +94,7 @@ func TestStreamPassThroughNeverHedges(t *testing.T) {
 // the terminal: the router must convert the upstream death into a typed
 // in-stream error event, not a silent truncation.
 func TestStreamMidStreamKill(t *testing.T) {
-	_, rt, ts := mockRouter(t, Config{Replicas: 2}, "s0", "s1")
+	_, rt, ts := mockRouter(t, Config{}, "s0", "s1")
 	body := solveBody(t, "tridiag", 16)
 	owner := ownerOf(t, ts.URL, body)
 	rt.Get(owner).KillMidStream()

@@ -70,7 +70,7 @@ func TestRingReweightMinimalMovement(t *testing.T) {
 }
 
 func TestVnodesFor(t *testing.T) {
-	r, _, _ := mockRouter(t, Config{Vnodes: 64}, "s0")
+	r, _, _ := mockRouter(t, Config{vnodes: 64}, "s0")
 	cases := []struct {
 		weight float64
 		want   int
@@ -92,7 +92,7 @@ func TestVnodesFor(t *testing.T) {
 // vnode_weight must rebalance the ring in place and report the shard as
 // updated — no restart, no remove/re-add churn.
 func TestApplyReweightsShard(t *testing.T) {
-	r, _, ts := mockRouter(t, Config{Vnodes: 16}, "s0", "s1")
+	r, _, ts := mockRouter(t, Config{vnodes: 16}, "s0", "s1")
 	if got := r.ring.VNodes("s0"); got != 16 {
 		t.Fatalf("initial VNodes(s0) = %d, want 16", got)
 	}
@@ -149,7 +149,7 @@ func TestApplyReweightsShard(t *testing.T) {
 // typed client: a weighted add materializes with the scaled ring share,
 // and re-adding an active shard with a new weight rebalances in place.
 func TestAdminAddShardWeighted(t *testing.T) {
-	r, _, ts := mockRouter(t, Config{Vnodes: 16, AdminToken: "sekrit"}, "s0")
+	r, _, ts := mockRouter(t, Config{vnodes: 16, AdminToken: "sekrit"}, "s0")
 	cl := adminClient(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -187,12 +187,12 @@ func TestCoalescingMergesQueuedSingles(t *testing.T) {
 }
 
 // TestCoalescingRespectsMaxCoalesce pins the cap: a queued task joins a
-// group only if the group's width stays within MaxCoalesce. A same-key
+// group only if the group's width stays within maxCoalesce. A same-key
 // 16-RHS batch queued behind a single does not fit a cap of 4 — the single
 // solves alone and the batch, wider than the cap by itself, leads the next
 // group.
 func TestCoalescingRespectsMaxCoalesce(t *testing.T) {
-	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8, MaxCoalesce: 4})
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8, maxCoalesce: 4})
 	entered, release := holdWorkers(s)
 
 	blocked := make(chan int, 1)
@@ -305,7 +305,7 @@ func TestCoalesceMixedDeadlines(t *testing.T) {
 // on the entry it holds, and a fresh request for the evicted matrix
 // rebuilds it with unchanged hashes.
 func TestBatchSurvivesMidQueueEviction(t *testing.T) {
-	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8, CacheEntries: 1})
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 8, cacheEntries: 1})
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s.testHookPreSolve = func() {
@@ -413,7 +413,7 @@ func TestBatchCacheAccounting(t *testing.T) {
 	// Eviction on the byte budget: a second entry fits beside the first
 	// only until the first widens past the budget.
 	budget := entryFootprint(ent.a) + 6*perRHSFootprint(ent.a) + 2*entryFootprint(ent.a)
-	s2 := New(Config{Concurrency: 1, CacheBytes: budget})
+	s2 := New(Config{Concurrency: 1, cacheBytes: budget})
 	defer s2.Shutdown()
 	entA, _ := warmEntry(t, s2, poisson2DRequest(100))
 	s2.cache.noteMaterialised(entA)

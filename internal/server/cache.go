@@ -33,7 +33,7 @@ const (
 type cache struct {
 	mu           sync.Mutex
 	capacity     int
-	bytesCap     int64 // ≤ 0 = unbounded
+	bytesCap     int64
 	ttl          time.Duration
 	bytes        int64
 	entries      map[string]*list.Element
@@ -49,9 +49,6 @@ type cache struct {
 }
 
 func newCache(capacity int, bytesCap int64, ttl time.Duration) *cache {
-	if capacity < 1 {
-		capacity = 1
-	}
 	c := &cache{
 		capacity: capacity,
 		bytesCap: bytesCap,
@@ -60,19 +57,13 @@ func newCache(capacity int, bytesCap int64, ttl time.Duration) *cache {
 		ll:       list.New(),
 		stop:     make(chan struct{}),
 	}
-	if ttl > 0 {
-		// Sweep well inside the TTL so an idle entry overstays by at most
-		// ~25%, without ticking hot enough to matter. The ticker is built
-		// here, not in the goroutine, so the sweeper performs all its
-		// setup allocation before newCache returns (the warm solve path is
-		// gated at zero allocations process-wide).
-		tick := ttl / 4
-		if tick < time.Second {
-			tick = time.Second
-		}
-		c.sweeping.Add(1)
-		go c.sweepLoop(time.NewTicker(tick))
-	}
+	// Sweep well inside the TTL so an idle entry overstays by at most ~25%,
+	// without ticking hot enough to matter. The ticker is built here, not in
+	// the goroutine, so the sweeper performs all its setup allocation before
+	// newCache returns (the warm solve path is gated at zero allocations
+	// process-wide).
+	c.sweeping.Add(1)
+	go c.sweepLoop(time.NewTicker(max(ttl/4, time.Second)))
 	return c
 }
 
@@ -158,7 +149,7 @@ func (c *cache) noteMaterialised(e *entry) {
 // larger than the whole byte budget still serves (and is dropped as soon
 // as anything else displaces it).
 func (c *cache) evictOverBudgetLocked() {
-	for c.ll.Len() > 1 && (c.ll.Len() > c.capacity || (c.bytesCap > 0 && c.bytes > c.bytesCap)) {
+	for c.ll.Len() > 1 && (c.ll.Len() > c.capacity || c.bytes > c.bytesCap) {
 		c.removeLocked(c.ll.Back())
 	}
 }
@@ -224,7 +215,7 @@ func (c *cache) stats() api.CacheStats {
 		Entries:       c.ll.Len(),
 		Capacity:      c.capacity,
 		Bytes:         c.bytes,
-		CapacityBytes: max(c.bytesCap, 0),
+		CapacityBytes: c.bytesCap,
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Evictions:     c.evictions,

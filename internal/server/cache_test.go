@@ -22,7 +22,8 @@ func specFor(t *testing.T, gen string, n int) harness.MatrixSpec {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newCache(2, 0, 0)
+	c := newCache(2, cacheBytes, cacheTTL)
+	defer c.close()
 	var spec harness.MatrixSpec
 
 	if _, hit := c.get("k1", "k1", spec); hit {
@@ -48,7 +49,8 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestEntryMaterialiseOnce(t *testing.T) {
-	c := newCache(4, 0, 0)
+	c := newCache(4, cacheBytes, cacheTTL)
+	defer c.close()
 	ent, _ := c.get("k", "k", harness.MatrixSpec{})
 
 	var builds int
@@ -79,7 +81,8 @@ func TestEntryMaterialiseOnce(t *testing.T) {
 }
 
 func TestEntryMaterialiseErrorSticky(t *testing.T) {
-	c := newCache(4, 0, 0)
+	c := newCache(4, cacheBytes, cacheTTL)
+	defer c.close()
 	ent, _ := c.get("bad", "bad", harness.MatrixSpec{})
 	boom := errors.New("boom")
 	if err := ent.materialise(func() (*sparse.CSR, error) { return nil, boom }); !errors.Is(err, boom) {
@@ -92,7 +95,8 @@ func TestEntryMaterialiseErrorSticky(t *testing.T) {
 }
 
 func TestEntryRHSCaching(t *testing.T) {
-	c := newCache(4, 0, 0)
+	c := newCache(4, cacheBytes, cacheTTL)
+	defer c.close()
 	ent, _ := c.get("k", "k", harness.MatrixSpec{})
 	if err := ent.materialise(func() (*sparse.CSR, error) { return sparse.Poisson2D(6, 6), nil }); err != nil {
 		t.Fatal(err)
@@ -125,7 +129,8 @@ func TestEntryRHSCaching(t *testing.T) {
 }
 
 func TestEntryPrecondAndIntervalCaching(t *testing.T) {
-	c := newCache(4, 0, 0)
+	c := newCache(4, cacheBytes, cacheTTL)
+	defer c.close()
 	ent, _ := c.get("k", "k", harness.MatrixSpec{})
 	if err := ent.materialise(func() (*sparse.CSR, error) { return sparse.Poisson2D(8, 8), nil }); err != nil {
 		t.Fatal(err)
@@ -222,7 +227,8 @@ func materialised(t *testing.T, c *cache, key string, side int) *entry {
 func TestCacheWeightEviction(t *testing.T) {
 	small := materialisedWeight(16)
 	budget := 2*materialisedWeight(16) + materialisedWeight(16)/2
-	c := newCache(64, budget, 0)
+	c := newCache(64, budget, cacheTTL)
+	defer c.close()
 
 	materialised(t, c, "a", 16)
 	materialised(t, c, "b", 16)
@@ -260,7 +266,8 @@ func materialisedWeight(side int) int64 {
 // materialisation, shrinks on eviction, and an entry evicted while still
 // building is never charged.
 func TestCacheWeightAccounting(t *testing.T) {
-	c := newCache(2, 0, 0)
+	c := newCache(2, cacheBytes, cacheTTL)
+	defer c.close()
 	materialised(t, c, "a", 8)
 	materialised(t, c, "b", 8)
 	if got, want := c.stats().Bytes, 2*materialisedWeight(8); got != want {
@@ -288,7 +295,7 @@ func TestCacheWeightAccounting(t *testing.T) {
 // TestCacheTTLExpiry pins idle aging: entries idle past the TTL are swept
 // (oldest first), fresh entries and recently-hit entries survive.
 func TestCacheTTLExpiry(t *testing.T) {
-	c := newCache(8, 0, time.Minute)
+	c := newCache(8, cacheBytes, time.Minute)
 	defer c.close()
 	materialised(t, c, "idle", 8)
 	materialised(t, c, "fresh", 8)

@@ -53,6 +53,28 @@ const maxBodyBytes = 64 << 20
 // can drop it.
 const solveWorkers = 1
 
+// The shard's fixed limits.
+const (
+	// maxCoalesce caps the total right-hand sides merged into one blocked
+	// solve when queued requests share a matrix and scenario axes. Merging
+	// never changes result bits — each merged system solves exactly as it
+	// would alone.
+	maxCoalesce = 8
+	// cacheEntries bounds the per-matrix artifact cache (LRU-evicted).
+	cacheEntries = 32
+	// cacheBytes additionally bounds the cache by the estimated memory
+	// footprint of the resident matrices (NNZ-derived, so one huge inline
+	// matrix weighs what it costs, not one slot).
+	cacheBytes = 256 << 20
+	// cacheTTL ages out entries idle for longer than this on a background
+	// ticker.
+	cacheTTL = 15 * time.Minute
+	// defaultTimeout applies when a request names no deadline; maxTimeout
+	// clamps requested deadlines.
+	defaultTimeout = 30 * time.Second
+	maxTimeout     = 5 * time.Minute
+)
+
 // Config parameterises the service. Zero values select the defaults.
 type Config struct {
 	// Concurrency is the number of solves executing at once (default
@@ -62,36 +84,19 @@ type Config struct {
 	// QueueDepth bounds the requests queued but not yet solving (default
 	// 64); submissions beyond it are rejected with HTTP 429.
 	QueueDepth int
-	// MaxCoalesce caps the total right-hand sides merged into one blocked
-	// solve when queued requests share a matrix and scenario axes (default
-	// 8; 1 disables coalescing). Merging never changes result bits — each
-	// merged system solves exactly as it would alone.
-	MaxCoalesce int
-	// CacheEntries bounds the per-matrix artifact cache (default 32,
-	// LRU-evicted).
-	CacheEntries int
-	// CacheBytes additionally bounds the cache by the estimated memory
-	// footprint of the resident matrices (NNZ-derived, so one huge inline
-	// matrix weighs what it costs, not one slot). 0 = 256 MiB; negative =
-	// unbounded.
-	CacheBytes int64
-	// CacheTTL ages out entries idle for longer than this on a background
-	// ticker (default 15m; negative = never expire).
-	CacheTTL time.Duration
-	// DefaultTimeout applies when a request names no deadline (default
-	// 30s); MaxTimeout clamps requested deadlines (default 5m).
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// ShardLabel names this process in a sharded deployment; it is echoed
 	// in /v1/healthz and stamped into every result record's Shard field so
 	// routed responses carry their provenance.
 	ShardLabel string
-	// TraceRing bounds the completed traces retained for /v1/tracez
-	// (default obs.DefaultTraceRing).
-	TraceRing int
 	// AdminToken, when non-empty, unlocks the /debug/pprof endpoints via
 	// bearer auth; with no token profiling answers 403.
 	AdminToken string
+
+	// Tests override the fixed limits of the same names here; zero keeps
+	// the constant.
+	maxCoalesce  int
+	cacheEntries int
+	cacheBytes   int64
 }
 
 func (c Config) withDefaults() Config {
@@ -101,23 +106,14 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.MaxCoalesce <= 0 {
-		c.MaxCoalesce = 8
+	if c.maxCoalesce <= 0 {
+		c.maxCoalesce = maxCoalesce
 	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 32
+	if c.cacheEntries <= 0 {
+		c.cacheEntries = cacheEntries
 	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 256 << 20
-	}
-	if c.CacheTTL == 0 {
-		c.CacheTTL = 15 * time.Minute
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
+	if c.cacheBytes <= 0 {
+		c.cacheBytes = cacheBytes
 	}
 	return c
 }
@@ -153,10 +149,10 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		cache:   newCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL),
-		sched:   newScheduler(cfg.Concurrency, cfg.QueueDepth, cfg.MaxCoalesce),
+		cache:   newCache(cfg.cacheEntries, cfg.cacheBytes, cacheTTL),
+		sched:   newScheduler(cfg.Concurrency, cfg.QueueDepth, cfg.maxCoalesce),
 		started: time.Now(),
-		tracer:  obs.NewTracer(api.TierShard, cfg.TraceRing),
+		tracer:  obs.NewTracer(api.TierShard, obs.DefaultTraceRing),
 	}
 	s.registerMetrics()
 	mux := http.NewServeMux()
@@ -194,14 +190,10 @@ func (s *Server) Shutdown() {
 }
 
 func (s *Server) timeoutFor(ms int) time.Duration {
-	d := s.cfg.DefaultTimeout
-	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
+	if ms <= 0 {
+		return defaultTimeout
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
+	return min(time.Duration(ms)*time.Millisecond, maxTimeout)
 }
 
 // solveOutcome is what a solve hands back to the handler for one
