@@ -22,15 +22,10 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server"
 )
-
-// drainTimeout bounds the graceful drain: the shard's clamp on a request's
-// deadline, so every admitted solve can still deliver.
-const drainTimeout = 5 * time.Minute
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -92,7 +87,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	// listener — then stop accepting connections and let in-flight
 	// handlers collect their solves, then drain the solve queue itself.
 	srv.StartDraining()
-	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), server.DrainTimeout)
 	defer cancel()
 	httpErr := hs.Shutdown(sctx)
 	srv.Shutdown()

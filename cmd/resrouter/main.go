@@ -45,10 +45,6 @@ import (
 	"repro/internal/router"
 )
 
-// drainTimeout bounds the graceful drain: the router's deadline for a
-// forwarded solve that names none, so every in-flight forward can deliver.
-const drainTimeout = 2 * time.Minute
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -267,7 +263,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	// forwards and finally the managed shards (rt.Shutdown stops them
 	// through the runtime).
 	rt.StartDraining()
-	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), router.DrainTimeout)
 	defer cancel()
 	httpErr := hs.Shutdown(sctx)
 	rt.Shutdown()

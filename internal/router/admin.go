@@ -129,7 +129,7 @@ func respondAdminErr(w http.ResponseWriter, err error) {
 // CurrentTopology snapshots the live shard set for the admin API,
 // sorted by name.
 func (r *Router) CurrentTopology() api.AdminTopologyResponse {
-	out := api.AdminTopologyResponse{Schema: api.SchemaVersion, Vnodes: r.cfg.vnodes, Replicas: r.cfg.replicas}
+	out := api.AdminTopologyResponse{Schema: api.SchemaVersion, Vnodes: r.cfg.vnodes, Replicas: replicas}
 	r.ringMu.RLock()
 	out.Shards = make([]api.AdminShard, 0, len(r.shards))
 	for _, s := range r.shards {

@@ -222,7 +222,7 @@ func TestRouterRejectsSchemaViolation(t *testing.T) {
 func TestRouterRetryBudgetBoundsCorruption(t *testing.T) {
 	s0 := newEvilShard(t, "s0")
 	s0.setMode("corrupt", 0)
-	cfg := Config{ProbeInterval: time.Hour, replicas: 1, failThreshold: 100, RetryBudget: 3, RetryBackoff: time.Millisecond}
+	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, RetryBudget: 3, RetryBackoff: time.Millisecond}
 	r, ts := evilRouter(t, cfg, s0)
 
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bodyReader(solveBody(t, "poisson2d", 50)))
@@ -262,7 +262,7 @@ func TestRouterHonorsRetryAfterHint(t *testing.T) {
 	const hintMillis = 150
 	s0 := newEvilShard(t, "s0")
 	s0.setMode("refuse-once", hintMillis)
-	cfg := Config{ProbeInterval: time.Hour, replicas: 1, failThreshold: 100, RetryBudget: 2, RetryBackoff: time.Millisecond}
+	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, RetryBudget: 2, RetryBackoff: time.Millisecond}
 	_, ts := evilRouter(t, cfg, s0)
 
 	start := time.Now()

@@ -57,6 +57,11 @@ const (
 	retryBodyBytes = 8 << 20
 )
 
+// DrainTimeout bounds the graceful drain of the http.Server the router is
+// mounted on: the deadline of a forwarded solve that names none, so every
+// in-flight forward can still deliver.
+const DrainTimeout = requestTimeout
+
 // Config parameterises the router. Zero values select the defaults.
 type Config struct {
 	// ProbeInterval paces the active health checks (default 2s).
@@ -112,7 +117,6 @@ type Config struct {
 	// Tests override the fixed parameters of the same names here (vnodes:
 	// DefaultVnodes); zero keeps the constant.
 	vnodes         int
-	replicas       int
 	failThreshold  int
 	retryBodyBytes int64
 }
@@ -120,9 +124,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.vnodes <= 0 {
 		c.vnodes = DefaultVnodes
-	}
-	if c.replicas <= 0 {
-		c.replicas = replicas
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -308,7 +309,7 @@ func (r *Router) Shutdown() {
 // the ring, so Successors cannot name them.
 func (r *Router) candidates(key string) []*shardState {
 	r.ringMu.RLock()
-	names := r.ring.Successors(key, r.cfg.replicas)
+	names := r.ring.Successors(key, replicas)
 	out := make([]*shardState, 0, len(names))
 	var down []*shardState
 	for _, n := range names {
@@ -781,7 +782,7 @@ func (r *Router) routerz() api.RouterzResponse {
 		Schema:        api.SchemaVersion,
 		UptimeSeconds: time.Since(r.started).Seconds(),
 		Vnodes:        r.cfg.vnodes,
-		Replicas:      r.cfg.replicas,
+		Replicas:      replicas,
 		Draining:      r.draining.Load(),
 		Shards:        statuses,
 		HealthyShards: healthy,

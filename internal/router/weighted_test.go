@@ -70,15 +70,15 @@ func TestRingReweightMinimalMovement(t *testing.T) {
 }
 
 func TestVnodesFor(t *testing.T) {
-	r, _, _ := mockRouter(t, Config{vnodes: 64}, "s0")
+	r, _, _ := mockRouter(t, Config{}, "s0")
 	cases := []struct {
 		weight float64
 		want   int
 	}{
-		{0, 64},   // zero = default weight
-		{1, 64},   // explicit default
-		{0.5, 32}, // half share
-		{2, 128},  // double share
+		{0, DefaultVnodes},             // zero = default weight
+		{1, DefaultVnodes},             // explicit default
+		{0.5, (DefaultVnodes + 1) / 2}, // half share
+		{2, 2 * DefaultVnodes},         // double share
 		{0.001, 1},
 	}
 	for _, c := range cases {

@@ -75,6 +75,11 @@ const (
 	maxTimeout     = 5 * time.Minute
 )
 
+// DrainTimeout bounds the graceful drain of the http.Server the service is
+// mounted on: the clamp on a request's deadline, so every admitted solve can
+// still deliver.
+const DrainTimeout = maxTimeout
+
 // Config parameterises the service. Zero values select the defaults.
 type Config struct {
 	// Concurrency is the number of solves executing at once (default
