@@ -1,12 +1,9 @@
 package api_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"runtime"
 	"strings"
 	"testing"
@@ -18,14 +15,14 @@ import (
 	"repro/internal/sparse"
 )
 
-// admitInline is the shard's request decode on a body of src: the JSON
-// decoder under the shard's 64 MiB cap, WithDefaults, Validate,
-// ResolveIdentity, and — for an inline matrix — the cache fill's Build.
-// stage names the step that refused the body.
+// admitInline is the shard's request decode on a body of src, step by step
+// as server.Decode takes them: json.Unmarshal (exactly one value, nothing
+// but whitespace after it), WithDefaults, Validate, ResolveIdentity, and —
+// for an inline matrix — the cache fill's Build. stage names the step that
+// refused the body.
 func admitInline(src []byte) (id server.Identity, a *sparse.CSR, stage string, err error) {
 	var req api.SolveRequest
-	body := http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(src)), 64<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := json.Unmarshal(src, &req); err != nil {
 		return id, nil, "decode", err
 	}
 	req.WithDefaults()
@@ -67,6 +64,7 @@ func FuzzInlineCSR(f *testing.F) {
 	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":16}}`))
 	f.Add([]byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1]},"schema":9}`))
 	f.Add([]byte(`{"inline":`))
+	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":64},"solver":"cg"} trailing`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, src []byte) {
@@ -92,7 +90,7 @@ func FuzzInlineCSR(f *testing.F) {
 		case stage == "decode":
 			var syntax *json.SyntaxError
 			var typ *json.UnmarshalTypeError
-			if !errors.As(err, &syntax) && !errors.As(err, &typ) && err != io.EOF && err != io.ErrUnexpectedEOF {
+			if !errors.As(err, &syntax) && !errors.As(err, &typ) {
 				t.Fatalf("decode error %T %v is not the JSON decoder's", err, err)
 			}
 		case stage == "identity":

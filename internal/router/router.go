@@ -503,28 +503,22 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 }
 
 // identify decodes, defaults and validates a solve body — a single's or a
-// batch's, which embeds one — and resolves the routing key: the shard-side
-// cache identity of its matrix, so a matrix's artifacts warm exactly one
-// shard. Every error it returns is the client's (400).
+// batch's, which embeds one — by the shard's own rule (server.Decode), and
+// resolves the routing key: the shard-side cache identity of its matrix, so a
+// matrix's artifacts warm exactly one shard. Every error it returns is the
+// client's (400).
 func identify(path string, body []byte) (*api.SolveRequest, server.Identity, error) {
 	var breq api.BatchSolveRequest
 	sreq := &breq.SolveRequest
-	var decoded interface {
-		WithDefaults()
-		Validate() error
-	} = sreq
+	var decoded server.SolveBody = sreq
 	if path == "/v1/solve/batch" {
 		decoded = &breq
 	}
-	if err := json.Unmarshal(body, decoded); err != nil {
-		return nil, server.Identity{}, fmt.Errorf("decoding request: %w", err)
-	}
-	decoded.WithDefaults()
-	if err := decoded.Validate(); err != nil {
+	id, err := server.Decode(body, decoded, sreq)
+	if err != nil {
 		return nil, server.Identity{}, err
 	}
-	id, err := server.ResolveIdentity(sreq)
-	return sreq, id, err
+	return sreq, id, nil
 }
 
 // deadlineFor is how long a forwarded solve may take: the request's own

@@ -493,6 +493,50 @@ func TestRouterValidation(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesRefusedOnBothTiers holds the shard and the router to one
+// decode rule: a body is exactly one JSON value, so bytes other than
+// whitespace after it are the same 400 on either tier, and trailing
+// whitespace is no error on either.
+func TestTrailingBytesRefusedOnBothTiers(t *testing.T) {
+	shard := newRealShard(t, "s0")
+	r, err := New(Config{ProbeInterval: time.Hour}, []Shard{{Name: shard.name, Addr: shard.ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(r.Handler())
+	t.Cleanup(func() {
+		rts.Close()
+		r.Shutdown()
+	})
+	const single = `{"matrix":{"gen":"poisson2d","n":64},"solver":"cg"}`
+	const batch = `{"matrix":{"gen":"poisson2d","n":64},"solver":"cg","rhs":[{"seed":1}]}`
+	cases := []struct {
+		path, body string
+		code       int
+		message    string
+	}{
+		{"/v1/solve", single + ` trailing`, http.StatusBadRequest, "decoding request: invalid character 't' after top-level value"},
+		{"/v1/solve", single + single, http.StatusBadRequest, "decoding request: invalid character '{' after top-level value"},
+		{"/v1/solve/batch", batch + `]`, http.StatusBadRequest, "decoding request: invalid character ']' after top-level value"},
+		{"/v1/solve", single + " \n\t", http.StatusOK, ""},
+		{"/v1/solve/batch", batch + "\r\n", http.StatusOK, ""},
+	}
+	for _, tc := range cases {
+		for tier, base := range map[string]string{"shard": shard.ts.URL, "router": rts.URL} {
+			resp, err := http.Post(base+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er api.Error
+			json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			if resp.StatusCode != tc.code || er.Message != tc.message {
+				t.Errorf("%s %s %q: %d %q, want %d %q", tier, tc.path, tc.body, resp.StatusCode, er.Message, tc.code, tc.message)
+			}
+		}
+	}
+}
+
 func TestRouterNewValidation(t *testing.T) {
 	if _, err := New(Config{}, nil); err == nil {
 		t.Error("empty shard set accepted")

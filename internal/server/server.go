@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -294,9 +295,9 @@ func (s *Server) runGroup(ent *entry, sc harness.Scenario, group []*task) {
 	}
 }
 
-// solveBody is what admission needs of a request body; both
+// SolveBody is what admission needs of a request body; both
 // *api.SolveRequest and *api.BatchSolveRequest provide it.
-type solveBody interface {
+type SolveBody interface {
 	WithDefaults()
 	Validate() error
 }
@@ -322,10 +323,23 @@ func refuse(w http.ResponseWriter, tr *obs.Active, status int, code string, err 
 	api.WriteError(w, status, code, err, retryMillis)
 }
 
-// decode reads, defaults and validates the body and resolves the identity
-// of its matrix; every error it returns is the client's (400).
-func decode(w http.ResponseWriter, r *http.Request, body solveBody, axes *api.SolveRequest) (Identity, error) {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(body); err != nil {
+// decode reads the request body whole and hands it to Decode; every error
+// it returns is the client's (400).
+func decode(w http.ResponseWriter, r *http.Request, body SolveBody, axes *api.SolveRequest) (Identity, error) {
+	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		return Identity{}, fmt.Errorf("reading request: %w", err)
+	}
+	return Decode(src, body, axes)
+}
+
+// Decode is the decode rule of both tiers — the shard's admission and the
+// router's routing key: src must be exactly one JSON value (anything but
+// whitespace after it is refused), which is decoded into body, defaulted
+// and validated, and the identity of its matrix (axes, the scenario axes
+// body carries) is resolved. Every error it returns is the client's (400).
+func Decode(src []byte, body SolveBody, axes *api.SolveRequest) (Identity, error) {
+	if err := json.Unmarshal(src, body); err != nil {
 		return Identity{}, fmt.Errorf("decoding request: %w", err)
 	}
 	body.WithDefaults()
@@ -340,7 +354,7 @@ func decode(w http.ResponseWriter, r *http.Request, body solveBody, axes *api.So
 // matrix resident. A nil result means the request was already answered —
 // 405, 503 while draining, or a 400 naming what is wrong — and its trace
 // finished.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, body solveBody, axes *api.SolveRequest) (a *admission) {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, body SolveBody, axes *api.SolveRequest) (a *admission) {
 	if r.Method != http.MethodPost {
 		api.WriteError(w, http.StatusMethodNotAllowed, "", errors.New("POST only"), 0)
 		return nil
