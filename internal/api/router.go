@@ -10,10 +10,13 @@ type RouterzResponse struct {
 	Shards        []ShardStatus `json:"shards"`
 	HealthyShards int           `json:"healthy_shards"`
 	// Routed counts requests answered through the ring; Failovers counts
-	// attempts past a key's owner; Unroutable counts requests every
-	// candidate failed.
+	// retries past a request's first attempt; Spilled counts buffered
+	// requests whose first attempt went to the key's ring successor because
+	// the owner held more than its bounded share of in-flight right-hand
+	// sides; Unroutable counts requests every candidate failed.
 	Routed     int64           `json:"routed"`
 	Failovers  int64           `json:"failovers"`
+	Spilled    int64           `json:"spilled"`
 	Unroutable int64           `json:"unroutable"`
 	Keys       KeyDistribution `json:"keys"`
 	// Integrity reports the router's end-to-end response verification.
@@ -114,9 +117,13 @@ type ShardStatus struct {
 	P99LatencyMs        float64 `json:"p99_latency_ms,omitempty"`
 	LastError           string  `json:"last_error,omitempty"`
 	LastProbeAgeSeconds float64 `json:"last_probe_age_seconds,omitempty"`
-	Inflight            int64   `json:"inflight"`
-	Routed              int64   `json:"routed"`
-	Errors              int64   `json:"errors"`
+	// Inflight counts requests forwarded to the shard and not yet
+	// answered; Load counts their right-hand sides (a batch counts its
+	// width), the measure the router's bounded-load placement compares.
+	Inflight int64 `json:"inflight"`
+	Load     int64 `json:"load"`
+	Routed   int64 `json:"routed"`
+	Errors   int64 `json:"errors"`
 	// VNodes is the shard's virtual-node count on the ring (0 while
 	// draining — a drained shard owns no keys).
 	VNodes int `json:"vnodes"`
@@ -126,9 +133,10 @@ type ShardStatus struct {
 }
 
 // KeyDistribution reports how many distinct routing keys this router has
-// seen and which shard each landed on. Tracking is bounded: when
-// Saturated is true, Distinct is a floor and keys beyond the bound are
-// unattributed.
+// seen and which shard each landed on: the one that last answered it, except
+// that a request spilled past a busy owner still counts for the owner.
+// Tracking is bounded: when Saturated is true, Distinct is a floor and keys
+// beyond the bound are unattributed.
 type KeyDistribution struct {
 	Distinct  int            `json:"distinct"`
 	Saturated bool           `json:"saturated,omitempty"`

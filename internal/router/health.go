@@ -65,8 +65,11 @@ type shardState struct {
 	lastProbe time.Time
 
 	inflight atomic.Int64
-	routed   atomic.Int64 // requests answered by this shard (any status)
-	errors   atomic.Int64 // transport failures + 5xx answers
+	// load is the right-hand sides in flight here (a batch counts its
+	// width): what the bounded-load rule of candidates compares.
+	load   atomic.Int64
+	routed atomic.Int64 // requests answered by this shard (any status)
+	errors atomic.Int64 // transport failures + 5xx answers
 }
 
 // placement is what the control plane decided about a shard, as opposed to
@@ -247,6 +250,7 @@ func (s *shardState) status(vnodes int) api.ShardStatus {
 	}
 	s.mu.Unlock()
 	st.Inflight = s.inflight.Load()
+	st.Load = s.load.Load()
 	st.Routed = s.routed.Load()
 	st.Errors = s.errors.Load()
 	return st

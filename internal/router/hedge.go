@@ -19,9 +19,9 @@ import (
 // the ~1% of requests already in the tail.
 
 // byLatency ranks the routable candidates by EWMA latency, best first: a
-// hedged attempt races the first two, a stream goes to the first. Shards
-// with no sample yet sort after every measured one, in ring order among
-// themselves, so a fresh ring behaves like plain ring routing.
+// hedged attempt races the first two. Shards with no sample yet sort after
+// every measured one, in candidate order among themselves, so a fresh ring
+// behaves like plain routing.
 func byLatency(cands []*shardState) []*shardState {
 	ranked := make([]*shardState, 0, len(cands))
 	for _, s := range cands {
@@ -73,7 +73,7 @@ func (r *Router) hedgeDelayFor(s *shardState) time.Duration {
 // indifferent: a primary failure before the hedge arms returns at once
 // (the outer loop's next attempt is the failover); after arming, the
 // round only fails when both replicas have.
-func (r *Router) fetchHedged(ctx context.Context, primary, secondary *shardState, path string, body []byte, tr *obs.Active) (rel *relayable, hedgedWin bool, hint time.Duration, err error) {
+func (r *Router) fetchHedged(ctx context.Context, primary, secondary *shardState, path string, body []byte, w int64, tr *obs.Active) (rel *relayable, hedgedWin bool, hint time.Duration, err error) {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the loser (or both, on outer-deadline exit)
 
@@ -90,7 +90,7 @@ func (r *Router) fetchHedged(ctx context.Context, primary, secondary *shardState
 	traceID := tr.ID()
 	launch := func(s *shardState) {
 		go func() {
-			rel, hint, err := r.fetch(hctx, s, path, body, traceID)
+			rel, hint, err := r.fetch(hctx, s, path, body, w, traceID)
 			results <- result{rel, hint, err, s}
 		}()
 	}

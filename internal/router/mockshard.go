@@ -27,6 +27,11 @@ type MockShard struct {
 	url  string
 
 	solves atomic.Int64
+	// conns counts the connections the shard accepted.
+	conns atomic.Int64
+	// refusal, when non-zero, is the status every solve answers with a
+	// retryable refusal envelope (429 saturated, 503 draining).
+	refusal atomic.Int64
 	// delayNanos stalls every solve answer — the knob hedge tests turn to
 	// make this shard the slow replica.
 	delayNanos atomic.Int64
@@ -52,7 +57,11 @@ func NewMockShard(name string) (*MockShard, error) {
 	mux.HandleFunc("/v1/healthz", m.handleHealthz)
 	mux.HandleFunc("/v1/solve", m.handleSolve)
 	mux.HandleFunc("/v1/solve/batch", m.handleSolve)
-	m.srv = &http.Server{Handler: mux}
+	m.srv = &http.Server{Handler: mux, ConnState: func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			m.conns.Add(1)
+		}
+	}}
 	go m.srv.Serve(ln)
 	return m, nil
 }
@@ -65,6 +74,13 @@ func (m *MockShard) Name() string { return m.name }
 
 // Solves counts the solve requests this shard answered.
 func (m *MockShard) Solves() int64 { return m.solves.Load() }
+
+// Conns counts the connections this shard accepted.
+func (m *MockShard) Conns() int64 { return m.conns.Load() }
+
+// Refuse makes every subsequent solve answer status (429 or 503) with the
+// refusal envelope a saturated or draining shard sends; 0 serves again.
+func (m *MockShard) Refuse(status int) { m.refusal.Store(int64(status)) }
 
 // SetDelay stalls every subsequent solve answer by d, making this shard
 // the slow replica in a hedge race.
@@ -102,6 +118,14 @@ func (m *MockShard) handleSolve(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	m.solves.Add(1)
+	if status := int(m.refusal.Load()); status != 0 {
+		code := api.CodeDraining
+		if status == http.StatusTooManyRequests {
+			code = api.CodeSaturated
+		}
+		api.WriteError(w, status, code, fmt.Errorf("%s refuses", m.name), 0)
+		return
+	}
 	if d := time.Duration(m.delayNanos.Load()); d > 0 {
 		select {
 		case <-time.After(d):

@@ -32,6 +32,8 @@ func (r *Router) registerMetrics() {
 		func() float64 { return float64(r.routed.Load()) })
 	m.CounterFunc("resilient_router_failovers_total", "Attempts re-sent to another replica after a failure.",
 		func() float64 { return float64(r.failovers.Load()) })
+	m.CounterFunc("resilient_router_spilled_total", "Buffered requests first sent to the key's ring successor because the owner was over its bounded load.",
+		func() float64 { return float64(r.spilled.Load()) })
 	m.CounterFunc("resilient_router_unroutable_total", "Requests answered with an error after every candidate failed.",
 		func() float64 { return float64(r.unroutable.Load()) })
 	m.CounterFunc("resilient_router_digest_verified_total", "Shard responses whose content digest verified before relay.",

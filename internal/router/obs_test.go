@@ -327,6 +327,7 @@ func TestRouterMetricsReconcileWithRouterz(t *testing.T) {
 		"resilient_schema_version":               float64(api.SchemaVersion),
 		"resilient_router_routed_total":          float64(rz.Routed),
 		"resilient_router_failovers_total":       float64(rz.Failovers),
+		"resilient_router_spilled_total":         float64(rz.Spilled),
 		"resilient_router_unroutable_total":      float64(rz.Unroutable),
 		"resilient_router_digest_verified_total": float64(rz.Integrity.DigestVerified),
 		"resilient_router_healthy_shards":        float64(rz.HealthyShards),

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -55,6 +56,15 @@ const (
 	// key's owner only, in a single attempt, instead of pinning the buffer
 	// across retries.
 	retryBodyBytes = 8 << 20
+	// loadSlack bounds a shard's share of the router's in-flight right-hand
+	// sides: a request leaves its key's owner for the ring successor only
+	// while the owner would hold more than loadSlack times an even share
+	// (see candidates).
+	loadSlack = 1.25
+	// maxIdlePerShard is how many idle connections the router keeps to each
+	// shard — a shard's default queue depth — so a burst of concurrent
+	// forwards reuses its connections instead of dialing again.
+	maxIdlePerShard = 64
 )
 
 // DrainTimeout bounds the graceful drain of the http.Server the router is
@@ -193,7 +203,7 @@ type Router struct {
 	shards map[string]*shardState
 
 	keysMu sync.Mutex
-	keys   map[uint64]string // key hash -> owning shard at first routing
+	keys   map[uint64]string // key hash -> the shard that last answered it (a spill names the owner)
 
 	mux     *http.ServeMux
 	started time.Time
@@ -208,8 +218,13 @@ type Router struct {
 	stop     chan struct{}
 	probing  sync.WaitGroup
 
+	// load is the right-hand sides in flight over every shard: the sum of
+	// the shards' load, the T of the bound candidates applies.
+	load atomic.Int64
+
 	routed     atomic.Int64
 	failovers  atomic.Int64
+	spilled    atomic.Int64
 	unroutable atomic.Int64
 
 	// Integrity counters: every forwarded response is digest- and
@@ -239,9 +254,19 @@ type Router struct {
 // cfg.Runtime; when one fails to start, those already started are stopped.
 func New(cfg Config, shards []Shard) (*Router, error) {
 	cfg = cfg.withDefaults()
+	transport := cfg.Transport
+	if transport == nil {
+		// The router's own pool: http.DefaultTransport keeps two idle
+		// connections per host, so a third concurrent forward to one shard
+		// would close a connection on every answer, and Shutdown would empty
+		// the process-wide pool.
+		own := http.DefaultTransport.(*http.Transport).Clone()
+		own.MaxIdleConnsPerHost = maxIdlePerShard
+		transport = own
+	}
 	r := &Router{
 		cfg:     cfg,
-		client:  &http.Client{Transport: cfg.Transport},
+		client:  &http.Client{Transport: transport},
 		runtime: cfg.Runtime,
 		ring:    NewRing(cfg.vnodes),
 		shards:  make(map[string]*shardState, len(shards)),
@@ -301,16 +326,26 @@ func (r *Router) Shutdown() {
 	r.client.CloseIdleConnections()
 }
 
-// candidates returns the failover sequence for a key: up to replicas
-// distinct ring successors, routable shards first (in ring order), then —
-// only if every candidate is ejected — the unhealthy ones anyway, so a
-// fully-ejected shard set degrades to optimistic forwarding instead of
-// refusing outright. Drained shards are never candidates: they are off
-// the ring, so Successors cannot name them.
-func (r *Router) candidates(key string) []*shardState {
+// candidates returns the failover sequence for a key and a request of w
+// right-hand sides: up to replicas distinct ring successors, routable shards
+// first, then — only if every candidate is ejected — the unhealthy ones
+// anyway, so a fully-ejected shard set degrades to optimistic forwarding
+// instead of refusing outright. Drained shards are never candidates: they
+// are off the ring, so Successors cannot name them.
+//
+// The routable shards keep ring order unless the owner is busy: consistent
+// hashing with bounded loads (Mirrokni, Thorup and Zadimoghaddam) puts first
+// the first of the two whose load after taking the request is at most
+// ⌈loadSlack·(T + w)/N⌉ — load being in-flight right-hand sides, T the
+// router's total and N the shards on the ring — and, when neither fits, the
+// less loaded one, the owner on ties. An idle ring, one request at a time and
+// two single callers over two shards therefore route to the owner. spilled
+// reports that the owner was put second.
+func (r *Router) candidates(key string, w int64) (out []*shardState, spilled bool) {
 	r.ringMu.RLock()
 	names := r.ring.Successors(key, replicas)
-	out := make([]*shardState, 0, len(names))
+	onRing := r.ring.Len()
+	out = make([]*shardState, 0, len(names))
 	var down []*shardState
 	for _, n := range names {
 		if s := r.shards[n]; s != nil {
@@ -322,7 +357,34 @@ func (r *Router) candidates(key string) []*shardState {
 		}
 	}
 	r.ringMu.RUnlock()
-	return append(out, down...)
+	if len(out) == 2 && spills(out[0].load.Load(), out[1].load.Load(), r.load.Load(), w, onRing) {
+		out[0], out[1] = out[1], out[0]
+		spilled = true
+	}
+	return append(out, down...), spilled
+}
+
+// spills is the bounded-load rule for a request of w right-hand sides whose
+// owner holds owner of them and whose ring successor holds next, with total
+// in flight over n ring shards: true sends it to the successor.
+func spills(owner, next, total, w int64, n int) bool {
+	bound := int64(math.Ceil(loadSlack * float64(total+w) / float64(n)))
+	switch {
+	case owner+w <= bound:
+		return false
+	case next+w <= bound:
+		return true
+	default:
+		return next < owner
+	}
+}
+
+// carry adds w right-hand sides to a shard's load and the router's total
+// (negative w takes them off): every forward holds its width for as long as
+// it is in flight.
+func (r *Router) carry(s *shardState, w int64) {
+	s.load.Add(w)
+	r.load.Add(w)
 }
 
 // trackKey attributes a routed key to the shard that served it, for the
@@ -384,30 +446,38 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 		respondBadRequest(w, fmt.Errorf("reading request: %w", err))
 		return
 	}
-	sreq, id, err := identify(path, body)
+	breq, id, err := identify(path, body)
 	if err != nil {
 		tr.SetError(api.CodeBadRequest)
 		respondBadRequest(w, err)
 		return
 	}
-	cands := r.candidates(id.Key)
+	sreq := &breq.SolveRequest
+	width := int64(max(1, len(breq.RHS))) // a single or a stream is one right-hand side
+	cands, spilled := r.candidates(id.Key, width)
 	if len(cands) == 0 {
 		r.unroutable.Add(1)
 		tr.SetError(api.CodeUnroutable)
 		api.WriteError(w, http.StatusBadGateway, api.CodeUnroutable, errors.New("router: no shard available"), 0)
 		return
 	}
+	// home is where routing with no load sends the key: its first routable
+	// ring candidate. A spill still attributes the key to it in statusz.
+	home := cands[0]
+	if spilled {
+		home = cands[1]
+	}
 	if path == "/v1/solve" && api.WantsStream(req) {
 		// Streaming is explicitly non-idempotent at the relay layer: frames
 		// go to the client as they arrive, so once the stream starts there
 		// is nothing to retry, hedge or buffer. Dedicated pass-through path.
-		r.streamSolve(w, req, sreq, id.Key, body, cands, tr)
+		r.streamSolve(w, req, sreq, id.Key, body, home, tr)
 		return
 	}
 	budget := r.cfg.RetryBudget
 	if int64(len(body)) > r.cfg.retryBodyBytes {
-		// Too large to hold for a resend: single attempt on the key's
-		// owner, no failover. The solve still runs; only retry is waived.
+		// Too large to hold for a resend: single attempt on the first
+		// candidate, no failover. The solve still runs; only retry is waived.
 		cands = cands[:1]
 		budget = 1
 	}
@@ -449,13 +519,16 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 		var hint time.Duration
 		var err error
 		if attempt == 0 && hedge != nil {
-			rel, hedgedWin, hint, err = r.fetchHedged(ctx, hedge[0], hedge[1], path, body, tr)
+			rel, hedgedWin, hint, err = r.fetchHedged(ctx, hedge[0], hedge[1], path, body, width, tr)
 		} else {
 			// Span bookkeeping stays on this goroutine: the fetch both
 			// starts and finishes here, so the span brackets it exactly.
 			shard := cands[attempt%len(cands)]
+			if attempt == 0 && spilled {
+				r.spilled.Add(1)
+			}
 			t0 := tr.Now()
-			rel, hint, err = r.fetch(ctx, shard, path, body, tr.ID())
+			rel, hint, err = r.fetch(ctx, shard, path, body, width, tr.ID())
 			name := obs.SpanAttempt
 			if attempt > 0 {
 				name = obs.SpanRetry
@@ -470,7 +543,11 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 			r.reqHist.Observe(float64(tr.Now()) / 1e9)
 			r.relay(w, rel, attempt > 0, hedgedWin)
 			r.routed.Add(1)
-			r.trackKey(id.Key, rel.shard.name)
+			served := rel.shard
+			if attempt == 0 && hedge == nil {
+				served = home
+			}
+			r.trackKey(id.Key, served.name)
 			return
 		}
 		lastErr = err
@@ -503,22 +580,22 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 }
 
 // identify decodes, defaults and validates a solve body — a single's or a
-// batch's, which embeds one — by the shard's own rule (server.Decode), and
-// resolves the routing key: the shard-side cache identity of its matrix, so a
-// matrix's artifacts warm exactly one shard. Every error it returns is the
-// client's (400).
-func identify(path string, body []byte) (*api.SolveRequest, server.Identity, error) {
-	var breq api.BatchSolveRequest
-	sreq := &breq.SolveRequest
-	var decoded server.SolveBody = sreq
+// batch's, which embeds one; a single's has no RHS — by the shard's own rule
+// (server.Decode), and resolves the routing key: the shard-side cache
+// identity of its matrix. A key's artifacts are warm on its ring owner, and on
+// the owner's successor once load has spilled it there (see candidates).
+// Every error it returns is the client's (400).
+func identify(path string, body []byte) (*api.BatchSolveRequest, server.Identity, error) {
+	breq := new(api.BatchSolveRequest)
+	var decoded server.SolveBody = &breq.SolveRequest
 	if path == "/v1/solve/batch" {
-		decoded = &breq
+		decoded = breq
 	}
-	id, err := server.Decode(body, decoded, sreq)
+	id, err := server.Decode(body, decoded, &breq.SolveRequest)
 	if err != nil {
 		return nil, server.Identity{}, err
 	}
-	return sreq, id, nil
+	return breq, id, nil
 }
 
 // deadlineFor is how long a forwarded solve may take: the request's own
@@ -605,7 +682,8 @@ type relayable struct {
 	verifyNanos int64
 }
 
-// fetch sends the solve to one shard and returns the verified answer.
+// fetch sends the solve — w right-hand sides, carried as the shard's load
+// until it returns — to one shard and returns the verified answer.
 // A nil relayable with the cause means the next replica should be
 // tried: the solve is deterministic and idempotent, so retrying is
 // always safe when the shard could not take the request — a connection
@@ -618,11 +696,13 @@ type relayable struct {
 // computed and that verify — 200s, validation 4xxs, solver 5xxs — are
 // relayable, not retried. hint carries a shard-supplied retry_after_ms
 // to pace the next attempt.
-func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []byte, traceID string) (rel *relayable, hint time.Duration, err error) {
+func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []byte, w int64, traceID string) (rel *relayable, hint time.Duration, err error) {
 	hreq, err := shardRequest(ctx, s, path, body, traceID)
 	if err != nil {
 		return nil, 0, err
 	}
+	r.carry(s, w)
+	defer r.carry(s, -w)
 	s.inflight.Add(1)
 	start := time.Now()
 	resp, err := r.client.Do(hreq)
@@ -782,6 +862,7 @@ func (r *Router) routerz() api.RouterzResponse {
 		HealthyShards: healthy,
 		Routed:        r.routed.Load(),
 		Failovers:     r.failovers.Load(),
+		Spilled:       r.spilled.Load(),
 		Unroutable:    r.unroutable.Load(),
 		Keys: api.KeyDistribution{
 			Distinct:  distinct,

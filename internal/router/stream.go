@@ -16,22 +16,19 @@ import (
 // reach the client as the solver produces them, so once the stream has
 // started there is nothing left to buffer, retry or hedge. The router
 // therefore forwards it on a dedicated fast path — single attempt at
-// the best replica, chunks relayed and flushed as they arrive — and if
+// the key's home shard, chunks relayed and flushed as they arrive — and if
 // the shard dies mid-stream the failure surfaces as a typed terminal
 // error frame inside the stream instead of a silent truncation.
 
-// streamSolve relays one streaming solve unbuffered. Failures before
-// the upstream answers are still plain JSON envelopes (the client has
-// seen nothing yet); failures after the first relayed byte become a
-// typed error frame in the stream.
-func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api.SolveRequest, key string, body []byte, cands []*shardState, tr *obs.Active) {
-	// The best-ranked routable candidate — the ring owner while nothing is
-	// measured (candidates orders routable shards first) — and the ring
-	// owner anyway when nothing is routable.
-	target := cands[0]
-	if ranked := byLatency(cands); len(ranked) > 0 {
-		target = ranked[0]
-	}
+// streamSolve relays one streaming solve unbuffered to target, the key's
+// home: its first routable ring candidate, or the ring owner when nothing
+// is routable. A stream is placed as if the ring were idle — it cannot move
+// once started, and its right-hand side counts toward target's load, so the
+// buffered requests spill around it instead. Failures before the upstream
+// answers are still plain JSON envelopes (the client has seen nothing yet);
+// failures after the first relayed byte become a typed error frame in the
+// stream.
+func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api.SolveRequest, key string, body []byte, target *shardState, tr *obs.Active) {
 	streamStart := tr.Now()
 
 	ctx, cancel := context.WithTimeout(req.Context(), r.deadlineFor(sreq))
@@ -48,6 +45,8 @@ func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api
 
 	target.inflight.Add(1)
 	defer target.inflight.Add(-1)
+	r.carry(target, 1)
+	defer r.carry(target, -1)
 	resp, err := r.client.Do(hreq)
 	if err != nil {
 		// Nothing was relayed: answer a plain envelope. (No retry — the
