@@ -8,10 +8,13 @@
 // Every injection decision is a pure function of (plan seed, request
 // identity, attempt): the identity fingerprints the request bytes with
 // the repository's FNV-1a family, and the attempt counts how many times
-// this identity has been seen (so a router's failover resend of the same
-// body draws a fresh, but reproducible, fate). The same plan against the
-// same request sequence therefore injects the same faults — the property
-// the chaos-smoke CI gate pins by comparing trace hashes across runs.
+// this identity has been sent (so a router's failover resend of the same
+// body draws a fresh, but reproducible, fate). An attempt a shard refused
+// at connect — down, or restarting after a kill — never left the router and
+// does not count: the identity draws the same fate again. The same plan
+// against the same request sequence therefore injects the same faults,
+// however many requests a restart window refuses — the property the
+// chaos-smoke CI gate pins by comparing trace hashes across runs.
 //
 // The router's end-to-end integrity machinery is the system under test:
 // resets and truncations must surface as retryable transport failures,
@@ -31,6 +34,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/api"
@@ -72,8 +76,8 @@ type Plan struct {
 	// without forwarding — a refusing or mid-drain shard.
 	P503 float64 `json:"p_503"`
 	// PKill sends the target shard a kill signal through the configured
-	// KillFunc, then forwards into the dying process. Downgrades to a
-	// reset when no KillFunc is wired or MaxKills is spent.
+	// KillFunc and fails the attempt as the death would (ErrInjectedKill).
+	// Downgrades to a reset when no KillFunc is wired or MaxKills is spent.
 	PKill float64 `json:"p_kill"`
 	// MaxKills bounds process kills per run (default 1 when PKill > 0).
 	MaxKills int `json:"max_kills,omitempty"`
@@ -166,6 +170,10 @@ func (f Fault) String() string {
 // surfaces as.
 var ErrInjectedReset = errors.New("chaos: injected connection reset")
 
+// ErrInjectedKill is the transport error the attempt that drew a kill
+// surfaces as: its shard was signalled under it.
+var ErrInjectedKill = errors.New("chaos: shard killed under the request")
+
 // maxTrackedIdentities bounds the per-identity attempt counters; beyond
 // the bound, unseen identities draw as attempt 0 every time (still
 // seeded, no longer occurrence-distinct).
@@ -184,8 +192,11 @@ type Injector struct {
 
 	mu       sync.Mutex
 	attempts map[uint64]uint64
-	kills    int
-	trace    uint64 // XOR-fold of per-event hashes: order-independent
+	// redo holds attempt indices a refused connect voided, per identity:
+	// the identity's next attempts draw them again.
+	redo  map[uint64][]uint64
+	kills int
+	trace uint64 // XOR-fold of per-event hashes: order-independent
 
 	requests  atomic.Int64
 	passed    atomic.Int64
@@ -223,6 +234,7 @@ func New(plan Plan, base http.RoundTripper, opts ...Option) *Injector {
 		base:     base,
 		sleep:    time.Sleep,
 		attempts: make(map[uint64]uint64),
+		redo:     make(map[uint64][]uint64),
 	}
 	for _, opt := range opts {
 		opt(in)
@@ -264,10 +276,19 @@ func identity(req *http.Request) (uint64, error) {
 	}
 }
 
-// nextAttempt returns this identity's occurrence index and increments it.
+// nextAttempt returns this identity's occurrence index and increments it,
+// or an index a refused connect voided.
 func (in *Injector) nextAttempt(id uint64) uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	if r := in.redo[id]; len(r) > 0 {
+		if len(r) == 1 {
+			delete(in.redo, id)
+		} else {
+			in.redo[id] = r[1:]
+		}
+		return r[0]
+	}
 	n, ok := in.attempts[id]
 	if !ok && len(in.attempts) >= maxTrackedIdentities {
 		return 0
@@ -291,6 +312,22 @@ func (in *Injector) record(id, attempt uint64, f Fault) {
 	in.mu.Lock()
 	in.trace ^= eventHash(id, attempt, f)
 	in.mu.Unlock()
+}
+
+// void takes back an attempt that never reached a shard: its event leaves
+// the trace (XOR is its own inverse), it leaves the request and spike
+// counts, and the identity draws its index again.
+func (in *Injector) void(id, attempt uint64, f Fault, spike bool) {
+	in.mu.Lock()
+	in.trace ^= eventHash(id, attempt, f)
+	if _, tracked := in.attempts[id]; tracked {
+		in.redo[id] = append(in.redo[id], attempt)
+	}
+	in.mu.Unlock()
+	in.requests.Add(-1)
+	if spike && in.plan.LatencyMillis > 0 {
+		in.spikes.Add(-1)
+	}
 }
 
 // seedMix derives the per-(identity, attempt) PRNG seed.
@@ -367,14 +404,19 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 		return synth503(req), nil
 	case FaultKill:
 		in.killsSent.Add(1)
-		// Signal the shard, then forward into the dying process: the
-		// request races the death, which is exactly the mid-solve crash
-		// the router must absorb.
+		// Signal the shard and fail this attempt as its death does. Sending
+		// it on would race the signal: the dying process answers in some
+		// runs and not in others, and the attempts after it would differ.
+		// Requests already on the shard still die mid-solve.
 		in.kill(req.URL.Host)
-		return in.base.RoundTrip(req)
+		return nil, ErrInjectedKill
 	}
 
 	resp, err := in.base.RoundTrip(req)
+	if errors.Is(err, syscall.ECONNREFUSED) {
+		in.void(id, attempt, fault, spike)
+		return nil, err
+	}
 	if err != nil || resp.StatusCode != http.StatusOK || resp.Body == nil {
 		// Only successful payloads are worth corrupting: errors already
 		// exercise the retry path.

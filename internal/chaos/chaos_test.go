@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -273,12 +275,10 @@ func TestKillHookAndBudget(t *testing.T) {
 			return true
 		}))
 
-	// First kill: hook fires, request still forwards into the dying shard.
-	resp, err := in.RoundTrip(solveReq(t, 0))
-	if err != nil {
-		t.Fatal(err)
+	// First kill: hook fires, and the attempt fails as the shard's death.
+	if _, err := in.RoundTrip(solveReq(t, 0)); !errors.Is(err, ErrInjectedKill) {
+		t.Fatalf("kill err = %v, want ErrInjectedKill", err)
 	}
-	resp.Body.Close()
 	if len(killed) != 1 || killed[0] != "127.0.0.1:19999" {
 		t.Fatalf("killed = %v, want the target host once", killed)
 	}
@@ -407,5 +407,46 @@ func TestAttemptsDrawFreshFates(t *testing.T) {
 	if outcomes[true] == 0 || outcomes[false] == 0 {
 		t.Errorf("32 attempts at p_reset=0.5 were uniform (%d pass, %d reset): attempts are not drawing fresh fates",
 			outcomes[true], outcomes[false])
+	}
+}
+
+// TestRefusedConnectIsVoid replays one request sequence twice, once with a
+// shard that refuses the connect of every third attempt (a restart window)
+// and the router resending until it passes: the refused attempts draw
+// again, so both runs inject the same faults and trace the same hash.
+func TestRefusedConnectIsVoid(t *testing.T) {
+	clean := runSequence(t, mixedPlan(1234), []int{0, 1, 2, 3, 4, 5, 6, 7}, 3)
+
+	calls := 0
+	ok := okShard()
+	refusing := rtFunc(func(req *http.Request) (*http.Response, error) {
+		if calls++; calls%3 == 0 {
+			return nil, &net.OpError{Op: "dial", Net: "tcp", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)}
+		}
+		return ok.RoundTrip(req)
+	})
+	in := New(mixedPlan(1234), refusing, withSleep(func(time.Duration) {}))
+	refused := 0
+	for a := 0; a < 3; a++ {
+		for i := 0; i < 8; i++ {
+			for {
+				resp, err := in.RoundTrip(solveReq(t, i))
+				if errors.Is(err, syscall.ECONNREFUSED) {
+					refused++
+					continue // the router resends a refused connect
+				}
+				if err == nil {
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+				break
+			}
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no connect was refused: the comparison is vacuous")
+	}
+	if got := in.Stats(); *got != *clean {
+		t.Errorf("%d refused connects moved the run:\n  clean    %+v\n  refusing %+v", refused, clean, got)
 	}
 }
