@@ -1,7 +1,8 @@
 // Command resrouter is the sharded solve tier's front door: a
 // consistent-hash router over N resilientd shards, keyed on the same
 // per-matrix cache identity the shards key their artifact caches on, so
-// every matrix stays warm on exactly one shard.
+// a matrix is warm on its ring owner, and on the owner's successor while
+// load spills requests there.
 //
 //	resrouter -addr 127.0.0.1:8900 -topology shards.json
 //	resrouter -addr 127.0.0.1:8900 -spawn 3

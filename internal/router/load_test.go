@@ -59,8 +59,10 @@ func (m *loadModel) choose(succ []string, w int64, onRing int) (pick string, up 
 // rings of one to five shards, and holds every pick candidates makes to the
 // model's, and to the rule's properties: an idle ring routes to the owner,
 // and the pick is within the bound or, when neither candidate fits, the less
-// loaded one, the owner on ties.
+// loaded one, the owner on ties. It first pins the two cases the rule was
+// sized for (boundedLoadPairs).
 func TestBoundedLoadMatchesModel(t *testing.T) {
+	boundedLoadPairs(t)
 	var seen [3]int // picks of the owner, of the successor within the bound, past the bound
 	for seed := int64(1); seed <= 60; seed++ {
 		boundedLoadAgainstModel(t, seed, 300, &seen)
@@ -187,11 +189,10 @@ func names(cands []*shardState) []string {
 	return out
 }
 
-// TestBoundedLoadPairs pins the two cases the rule was sized for, on two
-// shards and every pair of keys: two concurrent singles never spill
-// (⌈1.25·2/2⌉ = 2), and a single whose owner holds a k=4 batch always does
-// (⌈1.25·5/2⌉ = 4).
-func TestBoundedLoadPairs(t *testing.T) {
+// boundedLoadPairs holds two shards and every pair of keys to the cases the
+// rule was sized for: two concurrent singles never spill (⌈1.25·2/2⌉ = 2),
+// and a single whose owner holds a k=4 batch always does (⌈1.25·5/2⌉ = 4).
+func boundedLoadPairs(t *testing.T) {
 	r, err := New(Config{ProbeInterval: time.Hour}, []Shard{{Name: "a", Addr: "http://127.0.0.1:9"}, {Name: "b", Addr: "http://127.0.0.1:10"}})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +308,7 @@ func TestLoadSettlesAtZero(t *testing.T) {
 	t.Run("429 spill", func(t *testing.T) {
 		r, rt, ts := mockRouter(t, Config{}, "s0", "s1")
 		owner := ownerOf(t, ts.URL, body)
-		rt.Get(owner).Refuse(http.StatusTooManyRequests)
+		rt.Get(owner).SetSaturated(true)
 		if code, shard, _ := postRouted(t, ts.URL, body); code != http.StatusOK || shard == owner {
 			t.Fatalf("solve past a saturated owner: %d from %s", code, shard)
 		}

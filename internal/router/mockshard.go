@@ -29,9 +29,9 @@ type MockShard struct {
 	solves atomic.Int64
 	// conns counts the connections the shard accepted.
 	conns atomic.Int64
-	// refusal, when non-zero, is the status every solve answers with a
-	// retryable refusal envelope (429 saturated, 503 draining).
-	refusal atomic.Int64
+	// saturated makes every solve answer 429, like a shard whose queue is
+	// full.
+	saturated atomic.Bool
 	// delayNanos stalls every solve answer — the knob hedge tests turn to
 	// make this shard the slow replica.
 	delayNanos atomic.Int64
@@ -78,9 +78,9 @@ func (m *MockShard) Solves() int64 { return m.solves.Load() }
 // Conns counts the connections this shard accepted.
 func (m *MockShard) Conns() int64 { return m.conns.Load() }
 
-// Refuse makes every subsequent solve answer status (429 or 503) with the
-// refusal envelope a saturated or draining shard sends; 0 serves again.
-func (m *MockShard) Refuse(status int) { m.refusal.Store(int64(status)) }
+// SetSaturated makes every subsequent solve answer the 429 envelope of a
+// full queue (true) or serve again (false).
+func (m *MockShard) SetSaturated(on bool) { m.saturated.Store(on) }
 
 // SetDelay stalls every subsequent solve answer by d, making this shard
 // the slow replica in a hedge race.
@@ -118,12 +118,8 @@ func (m *MockShard) handleSolve(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	m.solves.Add(1)
-	if status := int(m.refusal.Load()); status != 0 {
-		code := api.CodeDraining
-		if status == http.StatusTooManyRequests {
-			code = api.CodeSaturated
-		}
-		api.WriteError(w, status, code, fmt.Errorf("%s refuses", m.name), 0)
+	if m.saturated.Load() {
+		api.WriteError(w, http.StatusTooManyRequests, api.CodeSaturated, fmt.Errorf("%s: queue full", m.name), 0)
 		return
 	}
 	if d := time.Duration(m.delayNanos.Load()); d > 0 {

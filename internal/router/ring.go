@@ -1,9 +1,11 @@
 // Package router implements the sharded solve tier: a consistent-hash
 // routing front end over N resilientd shards. Requests are keyed on the
 // same canonical matrix identity the solve service's artifact cache uses
-// (server.ResolveIdentity), so every matrix's artifacts — assembled CSR,
-// checksum encodings, warm workspaces — stay warm on exactly one shard and
-// the cache scales horizontally.
+// (server.ResolveIdentity), so a matrix's artifacts — assembled CSR,
+// checksum encodings, warm workspaces — are warm on its ring owner, and on
+// the owner's successor only while load spills requests there (consistent
+// hashing with bounded loads, see Router.candidates), and the cache scales
+// horizontally.
 //
 // The pieces: Ring is a ketama-style hash ring with virtual nodes and
 // deterministic, minimal-disruption placement; Router is the reverse

@@ -411,10 +411,11 @@ func (r *Router) forgetShardKeys(name string) {
 	r.keysMu.Unlock()
 }
 
-// routeSolve forwards a single or batched solve to the shard owning its
-// matrix identity, failing over across ring replicas. Batch requests route
-// by the same key as their singles — the embedded SolveRequest carries the
-// matrix — so batched and single solves of one matrix warm one shard.
+// routeSolve forwards a single or batched solve to the first of its matrix
+// identity's ring candidates (see candidates), failing over across them.
+// Batch requests route by the same key as their singles — the embedded
+// SolveRequest carries the matrix — so batched and single solves of one
+// matrix warm the same two shards at most.
 func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 	path := req.URL.Path // the mux routes exactly /v1/solve and /v1/solve/batch here
 	if req.Method != http.MethodPost {
