@@ -30,6 +30,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptrace"
 	"os"
 	"strings"
 	"sync"
@@ -75,9 +76,11 @@ type Plan struct {
 	// P503 synthesizes a 503 envelope (with a retry_after_ms hint)
 	// without forwarding — a refusing or mid-drain shard.
 	P503 float64 `json:"p_503"`
-	// PKill sends the target shard a kill signal through the configured
-	// KillFunc and fails the attempt as the death would (ErrInjectedKill).
-	// Downgrades to a reset when no KillFunc is wired or MaxKills is spent.
+	// PKill forwards the request, sends the target shard a kill signal
+	// through the configured KillFunc once the request is written, and
+	// fails the attempt as the death would (ErrInjectedKill) whatever the
+	// shard still answered. Downgrades to a reset when no KillFunc is wired
+	// or MaxKills is spent.
 	PKill float64 `json:"p_kill"`
 	// MaxKills bounds process kills per run (default 1 when PKill > 0).
 	MaxKills int `json:"max_kills,omitempty"`
@@ -171,7 +174,7 @@ func (f Fault) String() string {
 var ErrInjectedReset = errors.New("chaos: injected connection reset")
 
 // ErrInjectedKill is the transport error the attempt that drew a kill
-// surfaces as: its shard was signalled under it.
+// surfaces as: its shard was signalled with the request on it.
 var ErrInjectedKill = errors.New("chaos: shard killed under the request")
 
 // maxTrackedIdentities bounds the per-identity attempt counters; beyond
@@ -192,11 +195,8 @@ type Injector struct {
 
 	mu       sync.Mutex
 	attempts map[uint64]uint64
-	// redo holds attempt indices a refused connect voided, per identity:
-	// the identity's next attempts draw them again.
-	redo  map[uint64][]uint64
-	kills int
-	trace uint64 // XOR-fold of per-event hashes: order-independent
+	kills    int
+	trace    uint64 // XOR-fold of per-event hashes: order-independent
 
 	requests  atomic.Int64
 	passed    atomic.Int64
@@ -234,7 +234,6 @@ func New(plan Plan, base http.RoundTripper, opts ...Option) *Injector {
 		base:     base,
 		sleep:    time.Sleep,
 		attempts: make(map[uint64]uint64),
-		redo:     make(map[uint64][]uint64),
 	}
 	for _, opt := range opts {
 		opt(in)
@@ -276,19 +275,10 @@ func identity(req *http.Request) (uint64, error) {
 	}
 }
 
-// nextAttempt returns this identity's occurrence index and increments it,
-// or an index a refused connect voided.
+// nextAttempt returns this identity's occurrence index and increments it.
 func (in *Injector) nextAttempt(id uint64) uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if r := in.redo[id]; len(r) > 0 {
-		if len(r) == 1 {
-			delete(in.redo, id)
-		} else {
-			in.redo[id] = r[1:]
-		}
-		return r[0]
-	}
 	n, ok := in.attempts[id]
 	if !ok && len(in.attempts) >= maxTrackedIdentities {
 		return 0
@@ -316,12 +306,17 @@ func (in *Injector) record(id, attempt uint64, f Fault) {
 
 // void takes back an attempt that never reached a shard: its event leaves
 // the trace (XOR is its own inverse), it leaves the request and spike
-// counts, and the identity draws its index again.
+// counts, a kill it drew returns to the budget, and the identity's counter
+// rewinds so its next attempt draws the same index. The rewind is exact
+// while one request is in flight at a time — the case the trace gate runs.
 func (in *Injector) void(id, attempt uint64, f Fault, spike bool) {
 	in.mu.Lock()
 	in.trace ^= eventHash(id, attempt, f)
 	if _, tracked := in.attempts[id]; tracked {
-		in.redo[id] = append(in.redo[id], attempt)
+		in.attempts[id] = attempt
+	}
+	if f == FaultKill {
+		in.kills--
 	}
 	in.mu.Unlock()
 	in.requests.Add(-1)
@@ -403,17 +398,16 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 		in.storms.Add(1)
 		return synth503(req), nil
 	case FaultKill:
+		if err := in.killInFlight(req); err != nil {
+			in.void(id, attempt, fault, spike)
+			return nil, err
+		}
 		in.killsSent.Add(1)
-		// Signal the shard and fail this attempt as its death does. Sending
-		// it on would race the signal: the dying process answers in some
-		// runs and not in others, and the attempts after it would differ.
-		// Requests already on the shard still die mid-solve.
-		in.kill(req.URL.Host)
 		return nil, ErrInjectedKill
 	}
 
 	resp, err := in.base.RoundTrip(req)
-	if errors.Is(err, syscall.ECONNREFUSED) {
+	if refused(err) {
 		in.void(id, attempt, fault, spike)
 		return nil, err
 	}
@@ -437,6 +431,47 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	return resp, nil
 }
+
+// killInFlight forwards the request and signals the shard behind it once the
+// request is written, so the process dies with the solve in it. The attempt
+// fails either way: whatever the dying shard still answered is discarded, so
+// its fate does not depend on whether the answer beat the signal. A connect
+// the shard refused reached no process; it is returned and nothing is
+// signalled.
+func (in *Injector) killInFlight(req *http.Request) error {
+	wrote := make(chan struct{})
+	var once sync.Once
+	ctx := httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+		WroteRequest: func(httptrace.WroteRequestInfo) { once.Do(func() { close(wrote) }) },
+	})
+	type answer struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := in.base.RoundTrip(req.WithContext(ctx))
+		done <- answer{resp, err}
+	}()
+	var a answer
+	select {
+	case <-wrote:
+		in.kill(req.URL.Host)
+		a = <-done
+	case a = <-done:
+		if refused(a.err) {
+			return a.err
+		}
+		in.kill(req.URL.Host)
+	}
+	if a.resp != nil {
+		a.resp.Body.Close()
+	}
+	return nil
+}
+
+// refused reports a connect the shard refused: down, or restarting.
+func refused(err error) bool { return errors.Is(err, syscall.ECONNREFUSED) }
 
 // synth503 fabricates the refusal a saturated or draining shard would
 // answer, retry hint included, so the router's internal retry path sees

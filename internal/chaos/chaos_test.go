@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -291,6 +292,70 @@ func TestKillHookAndBudget(t *testing.T) {
 	}
 	if s := in.Stats(); s.Kills != 1 || s.Resets != 1 {
 		t.Errorf("stats %+v: want 1 kill, 1 reset", s)
+	}
+}
+
+// TestKillLandsMidRequest: the attempt that draws a kill reaches a real
+// shard and the signal arrives while its handler is still solving; what
+// the dying shard then answers is discarded, so the attempt fails either way.
+func TestKillLandsMidRequest(t *testing.T) {
+	arrived := make(chan struct{})
+	killed := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		close(arrived)
+		<-killed // the solve runs until the signal lands
+		_, _ = w.Write(cleanBody)
+	}))
+	defer srv.Close()
+	in := New(forcedPlan(func(p *Plan) { p.PKill = 1; p.MaxKills = 1 }), srv.Client().Transport,
+		WithKillFunc(func(string) bool {
+			select {
+			case <-arrived:
+			case <-time.After(5 * time.Second):
+				t.Error("kill signalled before the request reached the shard")
+			}
+			close(killed)
+			return true
+		}))
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/solve", strings.NewReader(`{"matrix":{"gen":"poisson2d","n":8}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.RoundTrip(req); !errors.Is(err, ErrInjectedKill) {
+		t.Fatalf("kill err = %v, want ErrInjectedKill", err)
+	}
+	if s := in.Stats(); s.Kills != 1 || s.Requests != 1 {
+		t.Errorf("stats %+v: want 1 kill of 1 request", s)
+	}
+}
+
+// TestRefusedKillIsVoid: a kill drawn against a shard that refuses the
+// connect signals nothing and keeps its budget, and the identity draws the
+// same kill again on its next attempt.
+func TestRefusedKillIsVoid(t *testing.T) {
+	refuse := true
+	var killed int
+	base := rtFunc(func(req *http.Request) (*http.Response, error) {
+		if refuse {
+			return nil, &net.OpError{Op: "dial", Net: "tcp", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)}
+		}
+		return okShard().RoundTrip(req)
+	})
+	in := New(forcedPlan(func(p *Plan) { p.PKill = 1; p.MaxKills = 1 }), base,
+		WithKillFunc(func(string) bool { killed++; return true }))
+	if _, err := in.RoundTrip(solveReq(t, 0)); !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("refused kill err = %v, want ECONNREFUSED", err)
+	}
+	if s := in.Stats(); killed != 0 || s.Kills != 0 || s.Requests != 0 {
+		t.Fatalf("after a refused connect: %d signals, stats %+v; want none", killed, s)
+	}
+	refuse = false
+	if _, err := in.RoundTrip(solveReq(t, 0)); !errors.Is(err, ErrInjectedKill) {
+		t.Fatalf("redrawn err = %v, want ErrInjectedKill", err)
+	}
+	if s := in.Stats(); killed != 1 || s.Kills != 1 || s.Requests != 1 {
+		t.Errorf("after the redraw: %d signals, stats %+v; want one kill of one request", killed, s)
 	}
 }
 
