@@ -19,7 +19,8 @@ import (
 // the ~1% of requests already in the tail.
 
 // byLatency ranks the routable candidates by EWMA latency, best first: a
-// hedged attempt races the first two. Shards with no sample yet sort after
+// hedged attempt races the first two, and under hedging a stream goes to the
+// first. Shards with no sample yet sort after
 // every measured one, in candidate order among themselves, so a fresh ring
 // behaves like plain routing.
 func byLatency(cands []*shardState) []*shardState {

@@ -471,8 +471,16 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 	if path == "/v1/solve" && api.WantsStream(req) {
 		// Streaming is explicitly non-idempotent at the relay layer: frames
 		// go to the client as they arrive, so once the stream starts there
-		// is nothing to retry, hedge or buffer. Dedicated pass-through path.
-		r.streamSolve(w, req, sreq, id.Key, body, home, tr)
+		// is nothing to retry, hedge or buffer. Dedicated pass-through path,
+		// to the key's home, or — when hedging makes the router read latency
+		// — to the hedged round's primary, the EWMA-best candidate.
+		target := home
+		if r.cfg.HedgeEnabled {
+			if ranked := byLatency(cands); len(ranked) > 0 {
+				target = ranked[0]
+			}
+		}
+		r.streamSolve(w, req, sreq, id.Key, body, target, tr)
 		return
 	}
 	budget := r.cfg.RetryBudget

@@ -16,18 +16,20 @@ import (
 // reach the client as the solver produces them, so once the stream has
 // started there is nothing left to buffer, retry or hedge. The router
 // therefore forwards it on a dedicated fast path — single attempt at
-// the key's home shard, chunks relayed and flushed as they arrive — and if
-// the shard dies mid-stream the failure surfaces as a typed terminal
-// error frame inside the stream instead of a silent truncation.
+// one shard, chunks relayed and flushed as they arrive — and if the shard
+// dies mid-stream the failure surfaces as a typed terminal error frame
+// inside the stream instead of a silent truncation.
 
-// streamSolve relays one streaming solve unbuffered to target, the key's
-// home: its first routable ring candidate, or the ring owner when nothing
-// is routable. A stream is placed as if the ring were idle — it cannot move
-// once started, and its right-hand side counts toward target's load, so the
-// buffered requests spill around it instead. Failures before the upstream
-// answers are still plain JSON envelopes (the client has seen nothing yet);
-// failures after the first relayed byte become a typed error frame in the
-// stream.
+// streamSolve relays one streaming solve unbuffered to target. Without
+// hedging that is the key's home: its first routable ring candidate, or the
+// ring owner when nothing is routable. A stream is placed as if the ring
+// were idle — it cannot move once started, and its right-hand side counts
+// toward target's load, so the buffered requests spill around it instead.
+// With hedging on, the router reads latency, and a stream goes where a
+// hedged round's primary would: the EWMA-best candidate. Failures before
+// the upstream answers are still plain JSON envelopes (the client has seen
+// nothing yet); failures after the first relayed byte become a typed error
+// frame in the stream.
 func (r *Router) streamSolve(w http.ResponseWriter, req *http.Request, sreq *api.SolveRequest, key string, body []byte, target *shardState, tr *obs.Active) {
 	streamStart := tr.Now()
 

@@ -90,6 +90,40 @@ func TestStreamPassThroughNeverHedges(t *testing.T) {
 	}
 }
 
+// TestStreamPlacementFollowsHedging: with the key's home measurably slow, a
+// stream still goes to its home when hedging is off — placement reads ring
+// and load alone, as for a buffered request — and to the EWMA-best replica,
+// the hedged round's primary, when it is on.
+func TestStreamPlacementFollowsHedging(t *testing.T) {
+	for _, hedged := range []bool{false, true} {
+		_, rt, ts := mockRouter(t, Config{HedgeEnabled: hedged, HedgeDelay: 5 * time.Millisecond}, "s0", "s1")
+		body := solveBody(t, "poisson2d", 16)
+		home := ownerOf(t, ts.URL, body)
+		rt.Get(home).SetDelay(20 * time.Millisecond)
+		// Unhedged buffered traffic over many keys measures both shards (a
+		// hedge loser is canceled before it yields a sample).
+		for n := 8; n < 40; n++ {
+			hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(solveBody(t, "tridiag", n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hreq.Header.Set(api.HedgeHeader, api.HedgeOff)
+			resp, err := http.DefaultClient.Do(hreq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+		before := rt.Get(home).Solves()
+		if _, err := api.NewClient(ts.URL).SolveStream(context.Background(), solveRequestOf(t, body), nil); err != nil {
+			t.Fatal(err)
+		}
+		if onHome := rt.Get(home).Solves() > before; onHome == hedged {
+			t.Errorf("hedging %v: stream served by its slow home = %v, want %v", hedged, onHome, !hedged)
+		}
+	}
+}
+
 // TestStreamMidStreamKill kills the shard between the first frame and
 // the terminal: the router must convert the upstream death into a typed
 // in-stream error event, not a silent truncation.
