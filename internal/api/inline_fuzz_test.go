@@ -1,9 +1,13 @@
 package api_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -36,9 +40,28 @@ func admitInline(src []byte) (id server.Identity, a *sparse.CSR, stage string, e
 	return id, a, "build", err
 }
 
+// contentKey is the cache key an admitted matrix must carry: the SHA-256 of
+// the words its fingerprint hashes, little-endian.
+func contentKey(a *sparse.CSR) string {
+	words := binary.LittleEndian.AppendUint64(nil, uint64(a.Rows))
+	words = binary.LittleEndian.AppendUint64(words, uint64(a.Cols))
+	for _, r := range a.Rowidx {
+		words = binary.LittleEndian.AppendUint64(words, uint64(r))
+	}
+	for _, c := range a.Colid {
+		words = binary.LittleEndian.AppendUint64(words, uint64(c))
+	}
+	for _, v := range a.Val {
+		words = binary.LittleEndian.AppendUint64(words, math.Float64bits(v))
+	}
+	sum := sha256.Sum256(words)
+	return "inline:sha256:" + hex.EncodeToString(sum[:])
+}
+
 // FuzzInlineCSR holds the shard's decode of an inline operand to what a
 // wire surface owes any bytes: a matrix the solvers can take — square,
-// valid, keyed by its fingerprint — or an error of the step that refused
+// valid, keyed by a SHA-256 of its content and labelled by its
+// fingerprint — or an error of the step that refused
 // it, in bounded time and memory. The seeds reach every refusal of an
 // inline CSR: a decreasing Rowidx, a Colid out of range, dimensions that
 // promise more than the arrays hold, and finite values whose column sum
@@ -80,8 +103,11 @@ func FuzzInlineCSR(f *testing.F) {
 			if a.Rows != a.Cols || a.Validate() != nil {
 				t.Fatalf("admitted a %dx%d matrix that does not validate: %v", a.Rows, a.Cols, a.Validate())
 			}
-			if key := fmt.Sprintf("inline:%016x", a.Fingerprint()); id.Key != key || id.Spec.N != a.Rows {
+			if key := contentKey(a); id.Key != key || id.Spec.N != a.Rows {
 				t.Fatalf("identity %q n=%d for a matrix keyed %q n=%d", id.Key, id.Spec.N, key, a.Rows)
+			}
+			if label := fmt.Sprintf("inline:%016x", a.Fingerprint()); id.Label != label {
+				t.Fatalf("identity labelled %q for a matrix fingerprinted %q", id.Label, label)
 			}
 		case err == nil:
 			if !strings.HasPrefix(id.Key, "spec:") {

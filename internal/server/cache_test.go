@@ -1,7 +1,13 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -157,8 +163,10 @@ func TestEntryPrecondAndIntervalCaching(t *testing.T) {
 }
 
 // TestInlineFingerprintKeying pins the content-addressed identity of
-// inline matrices: equal content maps to the same cache key, any value
-// perturbation to a different one.
+// inline matrices: equal content maps to the same cache key, which is a
+// SHA-256 of the fingerprint's words (one vector pinned), while the label
+// stays the FNV-1a fingerprint; perturbing any single word — a dimension, a
+// row pointer, a column index or one bit of a value — changes the key.
 func TestInlineFingerprintKeying(t *testing.T) {
 	inline := func() *api.InlineCSR {
 		return &api.InlineCSR{
@@ -183,6 +191,53 @@ func TestInlineFingerprintKeying(t *testing.T) {
 	perturbed.Val[2] = 4.0000000001
 	if key(inline()) == key(perturbed) {
 		t.Error("perturbed inline matrix shares the cache key")
+	}
+
+	// The key vector: SHA-256 of the eleven little-endian words 2, 2, 0, 2, 3,
+	// 0, 1, 1 and the bits of 4, -1, 4 (here written out by hand).
+	id, err := ResolveIdentity(&api.SolveRequest{Inline: inline()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words []byte
+	for _, w := range []uint64{2, 2, 0, 2, 3, 0, 1, 1, 0x4010000000000000, 0xbff0000000000000, 0x4010000000000000} {
+		words = binary.LittleEndian.AppendUint64(words, w)
+	}
+	sum := sha256.Sum256(words)
+	const pinned = "inline:sha256:359c71461a5c222f6bf7be627ed3cebe5369d107a8585c8ee2d67a13c6b7b769"
+	if want := "inline:sha256:" + hex.EncodeToString(sum[:]); id.Key != want || id.Key != pinned {
+		t.Errorf("key %q, want %q (pinned %q)", id.Key, want, pinned)
+	}
+	if want := "inline:5d90883957143fd9"; id.Label != want {
+		t.Errorf("label %q, want the fingerprint %q", id.Label, want)
+	}
+
+	// Every single-word perturbation of the matrix, valid or not, keys apart
+	// from the original and from every other perturbation.
+	base := sparse.CSR{Rows: 2, Cols: 2, Rowidx: []int{0, 2, 3}, Colid: []int{0, 1, 1}, Val: []float64{4, -1, 4}}
+	seen := map[string]string{inlineKey(&base): "original"}
+	perturb := func(name string, edit func(a *sparse.CSR)) {
+		a := &sparse.CSR{Rows: base.Rows, Cols: base.Cols,
+			Rowidx: slices.Clone(base.Rowidx), Colid: slices.Clone(base.Colid), Val: slices.Clone(base.Val)}
+		edit(a)
+		k := inlineKey(a)
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%s keys like %s: %s", name, prev, k)
+		}
+		seen[k] = name
+	}
+	perturb("rows", func(a *sparse.CSR) { a.Rows++ })
+	perturb("cols", func(a *sparse.CSR) { a.Cols++ })
+	for i := range base.Rowidx {
+		perturb(fmt.Sprintf("rowidx[%d]", i), func(a *sparse.CSR) { a.Rowidx[i] ^= 1 << 40 })
+	}
+	for i := range base.Colid {
+		perturb(fmt.Sprintf("colid[%d]", i), func(a *sparse.CSR) { a.Colid[i]++ })
+	}
+	for i := range base.Val {
+		perturb(fmt.Sprintf("val[%d]", i), func(a *sparse.CSR) {
+			a.Val[i] = math.Float64frombits(math.Float64bits(a.Val[i]) ^ 1)
+		})
 	}
 }
 

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/api"
 	"repro/internal/checksum"
@@ -12,13 +16,14 @@ import (
 
 // Identity is the canonical cache identity of a solve request's matrix:
 // named generator specs key on their canonical JSON, inline matrices on
-// their CSR content fingerprint. It is the single key space shared by the
+// a SHA-256 of their CSR content. It is the single key space shared by the
 // per-matrix artifact cache here and the consistent-hash placement in
 // internal/router — both resolve it through ResolveIdentity, so the
 // routing tier and the cache can never disagree about which requests
 // share a matrix.
 type Identity struct {
-	// Key is the cache/routing key ("spec:{...}" or "inline:%016x").
+	// Key is the cache/routing key ("spec:{...}" or "inline:sha256:<hex>",
+	// see inlineKey).
 	Key string
 	// Label is the human-readable matrix name used in records.
 	Label string
@@ -33,8 +38,7 @@ type Identity struct {
 // ResolveIdentity derives the request's matrix identity. The request must
 // already be validated (exactly one of Matrix and Inline set); inline
 // matrices are validated here (api.InlineCSR.ToCSR: structure, finite
-// values) because their fingerprint is only meaningful for a well-formed
-// CSR. An inline matrix's Build — the shard's cache fill, which the router
+// values) because their key is only meaningful for a well-formed CSR. An inline matrix's Build — the shard's cache fill, which the router
 // never runs — also refuses finite values whose ‖A‖₁ overflows: the ABFT
 // schemes have no encoding for it (checksum.ErrNoShift), and a matrix the
 // default scheme cannot serve is not admitted under any. The generators build
@@ -45,10 +49,9 @@ func ResolveIdentity(req *api.SolveRequest) (Identity, error) {
 		if err != nil {
 			return Identity{}, err
 		}
-		label := fmt.Sprintf("inline:%016x", a.Fingerprint())
 		return Identity{
-			Key:   label,
-			Label: label,
+			Key:   inlineKey(a),
+			Label: fmt.Sprintf("inline:%016x", a.Fingerprint()),
 			Spec:  harness.MatrixSpec{Gen: "inline", N: a.Rows},
 			Build: func() (*sparse.CSR, error) {
 				if _, err := checksum.ShiftK(a.Norm1()); err != nil {
@@ -72,4 +75,38 @@ func ResolveIdentity(req *api.SolveRequest) (Identity, error) {
 		Spec:  spec,
 		Build: spec.Build,
 	}, nil
+}
+
+// inlineKey is the cache and routing key of an inline matrix: a SHA-256
+// over the words its Fingerprint hashes — Rows, Cols, Rowidx, Colid and the
+// IEEE-754 bits of Val, each as 8 little-endian bytes, in that order. A
+// validated CSR fixes the length of every array, so the word stream names
+// one matrix. The 64-bit FNV-1a fingerprint stays the matrix's label in
+// records; it is not collision-resistant, and a key it made would let a
+// crafted operand be solved against another client's resident matrix.
+func inlineKey(a *sparse.CSR) string {
+	h := sha256.New()
+	var buf [4096]byte
+	n := 0
+	word := func(w uint64) {
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], w)
+		n += 8
+	}
+	word(uint64(a.Rows))
+	word(uint64(a.Cols))
+	for _, r := range a.Rowidx {
+		word(uint64(r))
+	}
+	for _, c := range a.Colid {
+		word(uint64(c))
+	}
+	for _, v := range a.Val {
+		word(math.Float64bits(v))
+	}
+	h.Write(buf[:n])
+	return "inline:sha256:" + hex.EncodeToString(h.Sum(nil))
 }
