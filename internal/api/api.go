@@ -29,28 +29,39 @@ const MaxBatchRHS = 64
 
 // InlineCSR carries a matrix by content instead of by named generator
 // spec: the standard CSR triplet plus the dimensions. Inline matrices are
-// cached under their content fingerprint, so resubmitting the same matrix
-// hits the warm artifacts.
+// cached under a hash of their content, so resubmitting the same matrix
+// hits the warm artifacts. Decoded from JSON, an InlineCSR keeps the
+// operand's bytes and leaves the fields empty: ToCSR parses them (see
+// UnmarshalJSON).
 type InlineCSR struct {
 	Rows   int       `json:"rows"`
 	Cols   int       `json:"cols"`
 	Rowidx []int     `json:"rowidx"`
 	Colid  []int     `json:"colid"`
 	Val    []float64 `json:"val"`
+
+	// raw holds the JSON of each occurrence of the operand, in order.
+	raw [][]byte
 }
 
-// ToCSR assembles and validates the matrix: its structure, and that every
-// value is finite. It is where both tiers admit an operand that arrives by
-// content — the router to fingerprint it, the shard to solve it — so both
-// refuse the same bodies. JSON cannot spell NaN or ±Inf and the decoder
-// rejects a number that overflows, so today the check only stops a caller
-// that fills the struct itself; any other encoding of the arrays will pass
-// through here too. Finite values whose column sums overflow are the shard's
-// to refuse, once per matrix (server.ResolveIdentity's Build). The solvers
-// take square systems only, and a square matrix has no dimension the body
-// has not paid for: Rows is bounded by len(Rowidx), so Cols may not be
-// anything else (the shard's Build sizes a vector by it).
+// ToCSR parses a decoded operand, then assembles and validates the matrix:
+// its structure, and that every value is finite. It is where both tiers
+// admit an operand that arrives by content — the router to key it, the
+// shard to solve it — so both refuse the same bodies, and a body the
+// decoder took whose arrays are not numbers an int or a float64 holds
+// (1.5 or 1e2 as an index, 1e999, a string, a nested array) is refused here
+// with an "inline matrix:" error. JSON cannot spell NaN or ±Inf, so the
+// finiteness check only stops a caller that fills the struct itself.
+// Finite values whose column sums overflow are the shard's to refuse, once
+// per matrix (server.ResolveIdentity's Build). The solvers take square
+// systems only, and a square matrix has no dimension the body has not paid
+// for: Rows is bounded by len(Rowidx), so Cols may not be anything else (the
+// shard's Build sizes a vector by it).
 func (ic *InlineCSR) ToCSR() (*sparse.CSR, error) {
+	ic, err := ic.parse()
+	if err != nil {
+		return nil, fmt.Errorf("inline matrix: %w", err)
+	}
 	if ic.Rows != ic.Cols {
 		return nil, fmt.Errorf("inline matrix: %dx%d is not square", ic.Rows, ic.Cols)
 	}
@@ -329,4 +340,15 @@ type StatsResponse struct {
 	Expired       int64      `json:"expired"`
 	Draining      bool       `json:"draining"`
 	Cache         CacheStats `json:"cache"`
+	// Inline counts this shard's inline operands (see InlineStats).
+	Inline InlineStats `json:"inline"`
+}
+
+// InlineStats counts a tier's inline operands in statusz: Parsed is how
+// often it parsed an operand's bytes — to resolve its identity, or on the
+// shard to fill the cache — and Remembered how often it resolved an
+// operand from the bytes' SHA-256 without parsing them.
+type InlineStats struct {
+	Parsed     int64 `json:"parsed"`
+	Remembered int64 `json:"remembered"`
 }

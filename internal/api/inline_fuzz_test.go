@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,11 +21,12 @@ import (
 )
 
 // admitInline is the shard's request decode on a body of src, step by step
-// as server.Decode takes them: json.Unmarshal (exactly one value, nothing
-// but whitespace after it), WithDefaults, Validate, ResolveIdentity, and —
-// for an inline matrix — the cache fill's Build. stage names the step that
-// refused the body.
-func admitInline(src []byte) (id server.Identity, a *sparse.CSR, stage string, err error) {
+// as server.OperandMemo.Decode and the shard's admission take them:
+// json.Unmarshal (exactly one value, nothing but whitespace after it),
+// WithDefaults, Validate, the memo's ResolveIdentity, and — for an inline
+// matrix — the cache fill's Build, after which the shard admits the operand
+// to its memo. stage names the step that refused the body.
+func admitInline(memo *server.OperandMemo, src []byte) (id server.Identity, a *sparse.CSR, stage string, err error) {
 	var req api.SolveRequest
 	if err := json.Unmarshal(src, &req); err != nil {
 		return id, nil, "decode", err
@@ -33,10 +35,12 @@ func admitInline(src []byte) (id server.Identity, a *sparse.CSR, stage string, e
 	if err := req.Validate(); err != nil {
 		return id, nil, "validate", err
 	}
-	if id, err = server.ResolveIdentity(&req); err != nil || req.Inline == nil {
+	if id, err = memo.ResolveIdentity(&req); err != nil || req.Inline == nil {
 		return id, nil, "identity", err
 	}
-	a, err = id.Build()
+	if a, err = id.Build(); err == nil {
+		memo.Admit(id)
+	}
 	return id, a, "build", err
 }
 
@@ -61,11 +65,14 @@ func contentKey(a *sparse.CSR) string {
 // FuzzInlineCSR holds the shard's decode of an inline operand to what a
 // wire surface owes any bytes: a matrix the solvers can take — square,
 // valid, keyed by a SHA-256 of its content and labelled by its
-// fingerprint — or an error of the step that refused
-// it, in bounded time and memory. The seeds reach every refusal of an
-// inline CSR: a decreasing Rowidx, a Colid out of range, dimensions that
-// promise more than the arrays hold, and finite values whose column sum
-// overflows.
+// fingerprint — or an error of the step that refused it (a number the
+// operand's arrays cannot hold, 1e999 among them, at identity resolution),
+// in bounded time and memory. The same bytes decoded again through the warm
+// memo resolve to the same identity without a parse, and its Build parses
+// the same matrix bit for bit; a refused body is never remembered. The
+// seeds reach every refusal of an inline CSR: a decreasing Rowidx, a Colid
+// out of range, dimensions that promise more than the arrays hold, finite
+// values whose column sum overflows, and duplicate or non-object operands.
 func FuzzInlineCSR(f *testing.F) {
 	for _, inline := range []string{
 		`{"rows":3,"cols":3,"rowidx":[0,2,5,7],"colid":[0,1,0,1,2,1,2],"val":[4,-1,-1,4,-1,-1,4]}`,
@@ -86,15 +93,20 @@ func FuzzInlineCSR(f *testing.F) {
 	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":16},"inline":{"rows":0,"cols":0,"rowidx":[0]}}`))
 	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":16}}`))
 	f.Add([]byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1]},"schema":9}`))
+	f.Add([]byte(`{"inline":{"rows":2,"cols":2,"rowidx":[0,1,2],"colid":[0,1]},"inline":{"val":[2,3]}}`))
+	f.Add([]byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1]},"inline":null}`))
+	f.Add([]byte(`{"inline":5}`))
+	f.Add([]byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[1.0],"val":[null]}}`))
 	f.Add([]byte(`{"inline":`))
 	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":64},"solver":"cg"} trailing`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, src []byte) {
+		memo := server.NewOperandMemo()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		id, a, stage, err := admitInline(src)
+		id, a, stage, err := admitInline(memo, src)
 		took := time.Since(start)
 		runtime.ReadMemStats(&after)
 
@@ -114,10 +126,15 @@ func FuzzInlineCSR(f *testing.F) {
 				t.Fatalf("a spec request resolved to key %q", id.Key)
 			}
 		case stage == "decode":
+			// The operand's bytes are kept whole: what its arrays hold is
+			// refused at identity resolution, never here.
 			var syntax *json.SyntaxError
 			var typ *json.UnmarshalTypeError
 			if !errors.As(err, &syntax) && !errors.As(err, &typ) {
 				t.Fatalf("decode error %T %v is not the JSON decoder's", err, err)
+			}
+			if typ != nil && strings.HasPrefix(typ.Field, "inline") {
+				t.Fatalf("decode error %v is inside the operand", err)
 			}
 		case stage == "identity":
 			if !strings.HasPrefix(err.Error(), "inline matrix: ") {
@@ -134,5 +151,42 @@ func FuzzInlineCSR(f *testing.F) {
 		if took > time.Second {
 			t.Fatalf("%d bytes of input took %v", len(src), took)
 		}
+
+		// The same bytes again, through the warm memo: an admitted operand
+		// resolves unparsed to the same identity, whose Build parses to the
+		// same matrix bit for bit; a refused one was not remembered and is
+		// refused again at the same step.
+		st := memo.Stats()
+		id2, a2, stage2, err2 := admitInline(memo, src)
+		st2 := memo.Stats()
+		switch {
+		case (err == nil) != (err2 == nil) || (err != nil && stage != stage2):
+			t.Fatalf("second decode: stage %s err %v, first stage %s err %v", stage2, err2, stage, err)
+		case err == nil && a != nil:
+			if id2.Key != id.Key || id2.Label != id.Label || id2.Spec != id.Spec {
+				t.Fatalf("remembered identity %q %q %+v, parsed %q %q %+v", id2.Key, id2.Label, id2.Spec, id.Key, id.Label, id.Spec)
+			}
+			if st2.Remembered != st.Remembered+1 || st2.Parsed != st.Parsed+1 {
+				t.Fatalf("memo counters %+v after %+v: want one recall and only Build's parse", st2, st)
+			}
+			if !sameCSR(a, a2) {
+				t.Fatalf("Build of the remembered identity parsed a different matrix")
+			}
+		case st2.Remembered != st.Remembered:
+			t.Fatalf("a body refused at %s (%v) was remembered", stage, err)
+		}
 	})
+}
+
+// sameCSR reports bit-for-bit equality of two matrices.
+func sameCSR(a, b *sparse.CSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !slices.Equal(a.Rowidx, b.Rowidx) || !slices.Equal(a.Colid, b.Colid) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for i := range a.Val {
+		if math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
+			return false
+		}
+	}
+	return true
 }

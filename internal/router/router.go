@@ -205,6 +205,10 @@ type Router struct {
 	keysMu sync.Mutex
 	keys   map[uint64]string // key hash -> the shard that last answered it (a spill names the owner)
 
+	// memo resolves an inline operand the router has routed before without
+	// parsing it again.
+	memo *server.OperandMemo
+
 	mux     *http.ServeMux
 	started time.Time
 	// drainMu orders solve admission against StartDraining: an admission
@@ -271,6 +275,7 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 		ring:    NewRing(cfg.vnodes),
 		shards:  make(map[string]*shardState, len(shards)),
 		keys:    make(map[uint64]string),
+		memo:    server.NewOperandMemo(),
 		started: time.Now(),
 		stop:    make(chan struct{}),
 		tracer:  obs.NewTracer(api.TierRouter, obs.DefaultTraceRing),
@@ -447,12 +452,13 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 		respondBadRequest(w, fmt.Errorf("reading request: %w", err))
 		return
 	}
-	breq, id, err := identify(path, body)
+	breq, id, err := r.identify(path, body)
 	if err != nil {
 		tr.SetError(api.CodeBadRequest)
 		respondBadRequest(w, err)
 		return
 	}
+	r.memo.Admit(id)
 	sreq := &breq.SolveRequest
 	width := int64(max(1, len(breq.RHS))) // a single or a stream is one right-hand side
 	cands, spilled := r.candidates(id.Key, width)
@@ -590,17 +596,18 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 
 // identify decodes, defaults and validates a solve body — a single's or a
 // batch's, which embeds one; a single's has no RHS — by the shard's own rule
-// (server.Decode), and resolves the routing key: the shard-side cache
-// identity of its matrix. A key's artifacts are warm on its ring owner, and on
-// the owner's successor once load has spilled it there (see candidates).
-// Every error it returns is the client's (400).
-func identify(path string, body []byte) (*api.BatchSolveRequest, server.Identity, error) {
+// (server.OperandMemo.Decode, through the router's memo), and resolves the
+// routing key: the shard-side cache identity of its matrix. A key's
+// artifacts are warm on its ring owner, and on the owner's successor once
+// load has spilled it there (see candidates). Every error it returns is the
+// client's (400).
+func (r *Router) identify(path string, body []byte) (*api.BatchSolveRequest, server.Identity, error) {
 	breq := new(api.BatchSolveRequest)
 	var decoded server.SolveBody = &breq.SolveRequest
 	if path == "/v1/solve/batch" {
 		decoded = breq
 	}
-	id, err := server.Decode(body, decoded, &breq.SolveRequest)
+	id, err := r.memo.Decode(body, decoded, &breq.SolveRequest)
 	if err != nil {
 		return nil, server.Identity{}, err
 	}
@@ -878,6 +885,7 @@ func (r *Router) routerz() api.RouterzResponse {
 			Saturated: distinct >= maxTrackedKeys,
 			PerShard:  perShard,
 		},
+		Inline: r.memo.Stats(),
 		Integrity: api.IntegrityStats{
 			DigestVerified:   r.digestVerified.Load(),
 			CorruptResponses: r.corruptResponses.Load(),

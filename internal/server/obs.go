@@ -47,6 +47,10 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.cache.stats().Evictions) })
 	m.CounterFunc("resilient_shard_cache_ttl_evictions_total", "Matrix cache entries aged out idle.",
 		func() float64 { return float64(s.cache.stats().TTLEvictions) })
+	m.CounterFunc("resilient_shard_inline_parsed_total", "Inline operands parsed, to resolve their identity or to fill the cache.",
+		func() float64 { return float64(s.memo.Stats().Parsed) })
+	m.CounterFunc("resilient_shard_inline_remembered_total", "Inline operands resolved from the identity remembered for their bytes, unparsed.",
+		func() float64 { return float64(s.memo.Stats().Remembered) })
 	m.GaugeFunc("resilient_shard_cache_entries", "Resident matrix cache entries.",
 		func() float64 { return float64(s.cache.stats().Entries) })
 	m.GaugeFunc("resilient_shard_cache_bytes", "Estimated resident footprint of the cached matrices.",

@@ -30,7 +30,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -129,6 +128,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	cache    *cache
+	memo     *OperandMemo
 	sched    *scheduler
 	mux      *http.ServeMux
 	started  time.Time
@@ -156,6 +156,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   newCache(cfg.cacheEntries, cfg.cacheBytes, cacheTTL),
+		memo:    NewOperandMemo(),
 		sched:   newScheduler(cfg.Concurrency, cfg.QueueDepth, cfg.maxCoalesce),
 		started: time.Now(),
 		tracer:  obs.NewTracer(api.TierShard, obs.DefaultTraceRing),
@@ -323,30 +324,14 @@ func refuse(w http.ResponseWriter, tr *obs.Active, status int, code string, err 
 	api.WriteError(w, status, code, err, retryMillis)
 }
 
-// decode reads the request body whole and hands it to Decode; every error
-// it returns is the client's (400).
-func decode(w http.ResponseWriter, r *http.Request, body SolveBody, axes *api.SolveRequest) (Identity, error) {
+// decode reads the request body whole and hands it to the memo's Decode;
+// every error it returns is the client's (400).
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, body SolveBody, axes *api.SolveRequest) (Identity, error) {
 	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return Identity{}, fmt.Errorf("reading request: %w", err)
 	}
-	return Decode(src, body, axes)
-}
-
-// Decode is the decode rule of both tiers — the shard's admission and the
-// router's routing key: src must be exactly one JSON value (anything but
-// whitespace after it is refused), which is decoded into body, defaulted
-// and validated, and the identity of its matrix (axes, the scenario axes
-// body carries) is resolved. Every error it returns is the client's (400).
-func Decode(src []byte, body SolveBody, axes *api.SolveRequest) (Identity, error) {
-	if err := json.Unmarshal(src, body); err != nil {
-		return Identity{}, fmt.Errorf("decoding request: %w", err)
-	}
-	body.WithDefaults()
-	if err := body.Validate(); err != nil {
-		return Identity{}, err
-	}
-	return ResolveIdentity(axes)
+	return s.memo.Decode(src, body, axes)
 }
 
 // admit is the front half of every solve request, whatever its edge: it
@@ -373,7 +358,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, body SolveBody, a
 		refuse(w, tr, http.StatusServiceUnavailable, api.CodeDraining, errShuttingDown, retryAfterDrainingMillis)
 		return nil
 	}
-	id, err := decode(w, r, body, axes)
+	id, err := s.decode(w, r, body, axes)
 	if err != nil {
 		refuse(w, tr, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return nil
@@ -390,6 +375,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, body SolveBody, a
 	if !hit {
 		tr.AddSpan(obs.SpanCacheFill, s.cfg.ShardLabel, ent.label, fillStart, tr.Now()-fillStart)
 	}
+	s.memo.Admit(id)
 	s.cache.noteMaterialised(ent)
 	return &admission{tr: tr, ent: ent, hit: hit, key: coalesceKey(id.Key, axes), axes: axes}
 }
@@ -583,6 +569,7 @@ func (s *Server) stats() api.StatsResponse {
 		Expired:       s.expired.Load(),
 		Draining:      s.draining.Load(),
 		Cache:         s.cache.stats(),
+		Inline:        s.memo.Stats(),
 	}
 }
 
