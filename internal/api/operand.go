@@ -67,20 +67,11 @@ func withSpare[T any](s []T) []T {
 	return append([]T(nil), s[:cap(s)]...)[:len(s)]
 }
 
-// The fields of an operand, in operandKeys order.
-const (
-	fieldRows = iota
-	fieldCols
-	fieldRowidx
-	fieldColid
-	fieldVal
-)
-
 // operandKeys has InlineCSR's JSON keys. Decoding an object whose values
-// are member indices into it records, in order, every member encoding/json
-// assigns to a field: the matching of keys (exact, then case-insensitive),
-// duplicates (each one assigned in turn) and unknown keys (skipped) stay
-// encoding/json's.
+// are member indices into it hands each member encoding/json assigns to a
+// field to that field's decoder, in order: the matching of keys (exact,
+// then case-insensitive), duplicates (each one decoded in turn) and unknown
+// keys (skipped) stay encoding/json's.
 type operandKeys struct {
 	Rows   memberRef `json:"rows"`
 	Cols   memberRef `json:"cols"`
@@ -89,16 +80,19 @@ type operandKeys struct {
 	Val    memberRef `json:"val"`
 }
 
-// memberRef records the member assigned to one field of operandKeys.
+// memberRef decodes the member whose index encoding/json assigns to its
+// field.
 type memberRef struct {
-	field    int
-	assigned *[][2]int // (field, member) pairs, in assignment order
+	vals   [][]byte
+	decode func(v []byte) error
 }
 
 func (r *memberRef) UnmarshalJSON(b []byte) error {
 	member, err := strconv.Atoi(string(b))
-	*r.assigned = append(*r.assigned, [2]int{r.field, member})
-	return err
+	if err != nil {
+		return err
+	}
+	return r.decode(r.vals[member])
 }
 
 // decodeObject decodes one occurrence of the operand — a JSON value, valid
@@ -126,34 +120,23 @@ func (f *InlineCSR) decodeObject(b []byte) error {
 		mini = strconv.AppendInt(mini, int64(i), 10)
 	}
 	mini = append(mini, '}')
-	var assigned [][2]int
-	refs := operandKeys{}
-	for i, r := range []*memberRef{&refs.Rows, &refs.Cols, &refs.Rowidx, &refs.Colid, &refs.Val} {
-		r.field, r.assigned = i, &assigned
-	}
-	if err := json.Unmarshal(mini, &refs); err != nil {
-		return err
-	}
-	for _, a := range assigned {
-		v := vals[a[1]]
-		var err error
-		switch a[0] {
-		case fieldRows:
-			err = json.Unmarshal(v, &f.Rows)
-		case fieldCols:
-			err = json.Unmarshal(v, &f.Cols)
-		case fieldRowidx:
+	ref := func(decode func(v []byte) error) memberRef { return memberRef{vals, decode} }
+	return json.Unmarshal(mini, &operandKeys{
+		Rows: ref(func(v []byte) error { return json.Unmarshal(v, &f.Rows) }),
+		Cols: ref(func(v []byte) error { return json.Unmarshal(v, &f.Cols) }),
+		Rowidx: ref(func(v []byte) (err error) {
 			f.Rowidx, err = decodeArray(v, f.Rowidx, parseInt)
-		case fieldColid:
-			f.Colid, err = decodeArray(v, f.Colid, parseInt)
-		case fieldVal:
-			f.Val, err = decodeArray(v, f.Val, parseFloat)
-		}
-		if err != nil {
 			return err
-		}
-	}
-	return nil
+		}),
+		Colid: ref(func(v []byte) (err error) {
+			f.Colid, err = decodeArray(v, f.Colid, parseInt)
+			return err
+		}),
+		Val: ref(func(v []byte) (err error) {
+			f.Val, err = decodeArray(v, f.Val, parseFloat)
+			return err
+		}),
+	})
 }
 
 // errNotObject refuses an operand that is not a JSON object.

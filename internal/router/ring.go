@@ -1,8 +1,10 @@
 // Package router implements the sharded solve tier: a consistent-hash
 // routing front end over N resilientd shards. Requests are keyed on the
 // same canonical matrix identity the solve service's artifact cache uses
-// (server.ResolveIdentity), so a matrix's artifacts — assembled CSR,
-// checksum encodings, warm workspaces — are warm on its ring owner, and on
+// (server.OperandMemo.Decode, through a memo of the router's own that
+// routes a repeat inline operand without parsing it again), so a matrix's
+// artifacts — assembled CSR, checksum encodings, warm workspaces — are
+// warm on its ring owner, and on
 // the owner's successor only while load spills requests there (consistent
 // hashing with bounded loads, see Router.candidates), and the cache scales
 // horizontally.

@@ -25,7 +25,7 @@ const (
 
 // cache is the per-matrix artifact cache: an LRU of entries keyed by the
 // canonical matrix identity (the spec's JSON for named matrices, the
-// content fingerprint for inline ones). Admission is bounded twice — by
+// content SHA-256 for inline ones). Admission is bounded twice — by
 // entry count and by the estimated memory footprint of the resident
 // matrices — and entries idle past the TTL age out on a background
 // sweeper. Eviction only drops references — requests holding an evicted
