@@ -248,7 +248,7 @@ func decodeArray[T int | float64](b []byte, prev []T, conv func([]byte) (T, bool
 			}
 			v, ok := conv(b[i:j])
 			if !ok {
-				return prev, fmt.Errorf("%w: number %s out of range", errNotNumbers, b[i:j])
+				return prev, fmt.Errorf("%w: %s does not fit %T", errNotNumbers, b[i:j], v)
 			}
 			buf[n] = v
 			i = j
