@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -363,6 +364,47 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		if recorded.Mix[i].ResidualHash != replayed.Mix[i].ResidualHash {
 			t.Errorf("cell %s: replay hash %s != recorded run hash %s",
 				recorded.Mix[i].Name, replayed.Mix[i].ResidualHash, recorded.Mix[i].ResidualHash)
+		}
+	}
+}
+
+// TestReplayInlineCampaign replays a campaign whose cells carry their
+// matrix inline, a single and a batch: every request must be answered (a
+// 400 fails -check), and the campaign it records back holds the same
+// operands.
+func TestReplayInlineCampaign(t *testing.T) {
+	url := loadTarget(t)
+	dir := t.TempDir()
+	const inline = `{"rows":3,"cols":3,"rowidx":[0,2,5,7],"colid":[0,1,0,1,2,1,2],"val":[4,-1,-1,4,-1,-1,4]}`
+	campaign := filepath.Join(dir, "inline.json")
+	if err := os.WriteFile(campaign, []byte(`{"schema":1,"requests":4,"concurrency":2,"cells":[`+
+		`{"name":"single","request":{"inline":`+inline+`,"seed":3}},`+
+		`{"name":"batch","request":{"inline":`+inline+`},"rhs":[{"seed":1},{"seed":2}]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recorded := filepath.Join(dir, "recorded.json")
+	var stdout bytes.Buffer
+	if err := run([]string{"-addr", url, "-replay", campaign, "-record", recorded, "-json", "-check", "-q"}, &stdout, io.Discard); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	var rec Record
+	if err := json.Unmarshal(stdout.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Requests != 4 || rec.OK != 4 {
+		t.Errorf("replay answered %d of %d requests", rec.OK, rec.Requests)
+	}
+	sent, err := loadCampaign(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := loadCampaign(recorded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sent.Cells {
+		if !reflect.DeepEqual(back.Cells[i].Request.Inline, sent.Cells[i].Request.Inline) {
+			t.Errorf("cell %s recorded operand %+v, sent %+v", sent.Cells[i].Name, back.Cells[i].Request.Inline, sent.Cells[i].Request.Inline)
 		}
 	}
 }

@@ -30,38 +30,28 @@ const MaxBatchRHS = 64
 // InlineCSR carries a matrix by content instead of by named generator
 // spec: the standard CSR triplet plus the dimensions. Inline matrices are
 // cached under a hash of their content, so resubmitting the same matrix
-// hits the warm artifacts. Decoded from JSON, an InlineCSR keeps the
-// operand's bytes and leaves the fields empty: ToCSR parses them (see
-// UnmarshalJSON).
+// hits the warm artifacts. The tiers decode a request's operand as
+// InlineBytes instead, and parse it only when they must.
 type InlineCSR struct {
 	Rows   int       `json:"rows"`
 	Cols   int       `json:"cols"`
 	Rowidx []int     `json:"rowidx"`
 	Colid  []int     `json:"colid"`
 	Val    []float64 `json:"val"`
-
-	// raw holds the JSON of each occurrence of the operand, in order.
-	raw [][]byte
 }
 
-// ToCSR parses a decoded operand, then assembles and validates the matrix:
-// its structure, and that every value is finite. It is where both tiers
-// admit an operand that arrives by content — the router to key it, the
-// shard to solve it — so both refuse the same bodies, and a body the
-// decoder took whose arrays are not numbers an int or a float64 holds
-// (1.5 or 1e2 as an index, 1e999, a string, a nested array) is refused here
-// with an "inline matrix:" error. JSON cannot spell NaN or ±Inf, so the
-// finiteness check only stops a caller that fills the struct itself.
+// ToCSR assembles and validates the matrix: its structure, and that every
+// value is finite. It is where both tiers admit an operand that arrives by
+// content — the router to key it, the shard to solve it — so both refuse
+// the same bodies (through InlineBytes.ToCSR, which parses it first). JSON
+// cannot spell NaN or ±Inf and the decoder rejects a number that overflows,
+// so the finiteness check only stops a caller that fills the struct itself.
 // Finite values whose column sums overflow are the shard's to refuse, once
 // per matrix (server.ResolveIdentity's Build). The solvers take square
 // systems only, and a square matrix has no dimension the body has not paid
 // for: Rows is bounded by len(Rowidx), so Cols may not be anything else (the
 // shard's Build sizes a vector by it).
 func (ic *InlineCSR) ToCSR() (*sparse.CSR, error) {
-	ic, err := ic.parse()
-	if err != nil {
-		return nil, fmt.Errorf("inline matrix: %w", err)
-	}
 	if ic.Rows != ic.Cols {
 		return nil, fmt.Errorf("inline matrix: %dx%d is not square", ic.Rows, ic.Cols)
 	}

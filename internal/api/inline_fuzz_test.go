@@ -20,28 +20,53 @@ import (
 	"repro/internal/sparse"
 )
 
-// admitInline is the shard's request decode on a body of src, step by step
-// as server.OperandMemo.Decode and the shard's admission take them:
-// json.Unmarshal (exactly one value, nothing but whitespace after it),
-// WithDefaults, Validate, the memo's ResolveIdentity, and — for an inline
-// matrix — the cache fill's Build, after which the shard admits the operand
-// to its memo. stage names the step that refused the body.
+// admitInline is the shard's request decode on a body of src:
+// server.OperandMemo.Decode — json.Unmarshal (exactly one value, nothing but
+// whitespace after it, the operand kept as bytes), WithDefaults, Validate
+// and the identity's resolution, which parses the operand or recalls it —
+// and, for an inline matrix, the cache fill's Build. stage names the step
+// that refused the body, told apart by Decode's error prefixes.
 func admitInline(memo *server.OperandMemo, src []byte) (id server.Identity, a *sparse.CSR, stage string, err error) {
 	var req api.SolveRequest
+	if id, err = memo.Decode(src, &req, &req); err != nil {
+		switch msg := err.Error(); {
+		case strings.HasPrefix(msg, "decoding request: "):
+			return id, nil, "decode", err
+		case strings.HasPrefix(msg, "inline matrix: "):
+			return id, nil, "identity", err
+		}
+		// Validate refuses the decoded request again, with the same error.
+		if again := req.Validate(); again == nil || again.Error() != err.Error() {
+			return id, nil, "unknown", err
+		}
+		return id, nil, "validate", err
+	}
+	if req.Inline == nil {
+		return id, nil, "identity", nil
+	}
+	a, err = id.Build()
+	return id, a, "build", err
+}
+
+// plainAdmit is the same decode by the rule the tiers followed before they
+// kept an operand's bytes: encoding/json decodes the whole body, operand
+// included, then WithDefaults, Validate, server.ResolveIdentity and, for an
+// inline matrix, Build.
+func plainAdmit(src []byte) (server.Identity, error) {
+	var req api.SolveRequest
 	if err := json.Unmarshal(src, &req); err != nil {
-		return id, nil, "decode", err
+		return server.Identity{}, err
 	}
 	req.WithDefaults()
 	if err := req.Validate(); err != nil {
-		return id, nil, "validate", err
+		return server.Identity{}, err
 	}
-	if id, err = memo.ResolveIdentity(&req); err != nil || req.Inline == nil {
-		return id, nil, "identity", err
+	id, err := server.ResolveIdentity(&req)
+	if err != nil || req.Inline == nil {
+		return id, err
 	}
-	if a, err = id.Build(); err == nil {
-		memo.Admit(id)
-	}
-	return id, a, "build", err
+	_, err = id.Build()
+	return id, err
 }
 
 // contentKey is the cache key an admitted matrix must carry: the SHA-256 of
@@ -69,7 +94,10 @@ func contentKey(a *sparse.CSR) string {
 // operand's arrays cannot hold, 1e999 among them, at identity resolution),
 // in bounded time and memory. The same bytes decoded again through the warm
 // memo resolve to the same identity without a parse, and its Build parses
-// the same matrix bit for bit; a refused body is never remembered. The
+// the same matrix bit for bit or refuses it as before; a body refused
+// before the operand parsed is never remembered. Every body is refused
+// exactly when decoding it whole with encoding/json, as the tiers did
+// before they kept an operand's bytes, refuses it, and keyed alike. The
 // seeds reach every refusal of an inline CSR: a decreasing Rowidx, a Colid
 // out of range, dimensions that promise more than the arrays hold, finite
 // values whose column sum overflows, and duplicate or non-object operands.
@@ -96,6 +124,7 @@ func FuzzInlineCSR(f *testing.F) {
 	f.Add([]byte(`{"inline":{"rows":2,"cols":2,"rowidx":[0,1,2],"colid":[0,1]},"inline":{"val":[2,3]}}`))
 	f.Add([]byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1]},"inline":null}`))
 	f.Add([]byte(`{"inline":5}`))
+	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":16},"inline":{"rowidx":[1.5]},"inline":null}`))
 	f.Add([]byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[1.0],"val":[null]}}`))
 	f.Add([]byte(`{"inline":`))
 	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":64},"solver":"cg"} trailing`))
@@ -136,10 +165,8 @@ func FuzzInlineCSR(f *testing.F) {
 			if typ != nil && strings.HasPrefix(typ.Field, "inline") {
 				t.Fatalf("decode error %v is inside the operand", err)
 			}
-		case stage == "identity":
-			if !strings.HasPrefix(err.Error(), "inline matrix: ") {
-				t.Fatalf("identity error %q does not name the inline matrix", err)
-			}
+		case stage == "unknown":
+			t.Fatalf("error %q is neither the decoder's, Validate's nor the inline matrix's", err)
 		case stage == "build":
 			if !errors.Is(err, checksum.ErrNoShift) {
 				t.Fatalf("build error %v is not checksum.ErrNoShift", err)
@@ -152,24 +179,31 @@ func FuzzInlineCSR(f *testing.F) {
 			t.Fatalf("%d bytes of input took %v", len(src), took)
 		}
 
-		// The same bytes again, through the warm memo: an admitted operand
+		// Refused exactly when the plain decode refuses the body, and keyed
+		// as it keys it.
+		if plainID, plainErr := plainAdmit(src); (plainErr == nil) != (err == nil) || plainID.Key != id.Key {
+			t.Fatalf("refusal %v, key %q; the plain decode's %v, %q", err, id.Key, plainErr, plainID.Key)
+		}
+
+		// The same bytes again, through the warm memo: an operand that parsed
 		// resolves unparsed to the same identity, whose Build parses to the
-		// same matrix bit for bit; a refused one was not remembered and is
-		// refused again at the same step.
+		// same matrix bit for bit, or is refused again by it; one refused
+		// before that was not remembered and is refused again at the same
+		// step.
 		st := memo.Stats()
 		id2, a2, stage2, err2 := admitInline(memo, src)
 		st2 := memo.Stats()
 		switch {
 		case (err == nil) != (err2 == nil) || (err != nil && stage != stage2):
 			t.Fatalf("second decode: stage %s err %v, first stage %s err %v", stage2, err2, stage, err)
-		case err == nil && a != nil:
+		case stage == "build":
 			if id2.Key != id.Key || id2.Label != id.Label || id2.Spec != id.Spec {
 				t.Fatalf("remembered identity %q %q %+v, parsed %q %q %+v", id2.Key, id2.Label, id2.Spec, id.Key, id.Label, id.Spec)
 			}
 			if st2.Remembered != st.Remembered+1 || st2.Parsed != st.Parsed+1 {
 				t.Fatalf("memo counters %+v after %+v: want one recall and only Build's parse", st2, st)
 			}
-			if !sameCSR(a, a2) {
+			if err == nil && !sameCSR(a, a2) {
 				t.Fatalf("Build of the remembered identity parsed a different matrix")
 			}
 		case st2.Remembered != st.Remembered:

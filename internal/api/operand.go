@@ -8,50 +8,63 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
+
+	"repro/internal/sparse"
 )
 
-// UnmarshalJSON keeps the operand's bytes instead of decoding them: ToCSR
-// parses them, so a tier that has met the same bytes before can resolve
-// them without parsing (server.OperandMemo, keyed by Sum). The bytes are a
-// JSON value already checked by the decoder that called this. Each
-// occurrence of the "inline" key is kept in order, and ToCSR decodes them in
-// turn into one value, as encoding/json would have decoded them into this
-// struct.
-func (ic *InlineCSR) UnmarshalJSON(b []byte) error {
-	ic.raw = append(ic.raw, bytes.Clone(b))
+// InlineBytes is a request's "inline" member kept as the JSON it arrived
+// in, for a tier that resolves a repeat operand by the SHA-256 of its bytes
+// (server.OperandMemo) and parses it only when it must. Decoded as a
+// struct field (not a pointer), it sees every occurrence of the member, in
+// order, null included; Parse decodes them in turn as encoding/json decodes
+// them into a *InlineCSR field. An InlineCSR decoded from JSON holds the
+// parsed operand itself.
+type InlineBytes struct {
+	raw [][]byte
+}
+
+// UnmarshalJSON keeps a copy of one occurrence of the member.
+func (o *InlineBytes) UnmarshalJSON(b []byte) error {
+	o.raw = append(o.raw, bytes.Clone(b))
 	return nil
 }
 
-// Sum is the SHA-256 of the bytes the operand was decoded from. ok is
-// false when those bytes alone do not determine it: a value built in memory,
-// or one whose fields were set as well. Equal sums mean equal bytes, so
-// ToCSR's outcome for them is equal too.
-func (ic *InlineCSR) Sum() (sum [sha256.Size]byte, ok bool) {
-	if len(ic.raw) == 0 || ic.Rows != 0 || ic.Cols != 0 || ic.Rowidx != nil || ic.Colid != nil || ic.Val != nil {
-		return sum, false
-	}
+// Present reports whether the member names an operand: it occurred, and
+// its last occurrence is not null (encoding/json sets a *InlineCSR field
+// to nil on null).
+func (o *InlineBytes) Present() bool {
+	return len(o.raw) > 0 && string(o.raw[len(o.raw)-1]) != "null"
+}
+
+// Sum is the SHA-256 of the kept occurrences, each prefixed by its length.
+// Equal sums mean equal bytes, so Parse's outcome for them is equal too.
+func (o *InlineBytes) Sum() (sum [sha256.Size]byte) {
 	h := sha256.New()
 	var n [8]byte
-	for _, b := range ic.raw {
+	for _, b := range o.raw {
 		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
 		h.Write(n[:])
 		h.Write(b)
 	}
 	h.Sum(sum[:0])
-	return sum, true
+	return sum
 }
 
-// parse decodes the kept bytes on top of the struct's fields. The fields'
-// arrays are copied with their spare capacity first: encoding/json decodes
-// into the slice it finds, so a null element keeps what the backing array
-// held, and parse must not write into the caller's.
-func (ic *InlineCSR) parse() (*InlineCSR, error) {
-	if len(ic.raw) == 0 {
-		return ic, nil
-	}
-	f := &InlineCSR{Rows: ic.Rows, Cols: ic.Cols,
-		Rowidx: withSpare(ic.Rowidx), Colid: withSpare(ic.Colid), Val: withSpare(ic.Val)}
-	for _, b := range ic.raw {
+// Parse decodes the kept occurrences in turn, refusing exactly what
+// encoding/json refuses when it decodes them into a *InlineCSR field —
+// an occurrence a later null dropped included — and returns the operand
+// that field would hold (nil when not Present).
+func (o *InlineBytes) Parse() (*InlineCSR, error) {
+	var f *InlineCSR
+	for _, b := range o.raw {
+		if string(b) == "null" {
+			f = nil
+			continue
+		}
+		if f == nil {
+			f = new(InlineCSR)
+		}
 		if err := f.decodeObject(b); err != nil {
 			return nil, err
 		}
@@ -59,84 +72,58 @@ func (ic *InlineCSR) parse() (*InlineCSR, error) {
 	return f, nil
 }
 
-// withSpare copies s together with its spare capacity, nil to nil.
-func withSpare[T any](s []T) []T {
-	if s == nil {
-		return nil
+// ToCSR parses a Present operand and admits it as InlineCSR.ToCSR does. A
+// member that is not an object of InlineCSR's shape, or whose arrays hold a
+// number an int or a float64 cannot (1.5 or 1e2 as an index, 1e999), is
+// refused with an "inline matrix:" error.
+func (o *InlineBytes) ToCSR() (*sparse.CSR, error) {
+	ic, err := o.Parse()
+	if err == nil && ic == nil {
+		err = errors.New("no operand")
 	}
-	return append([]T(nil), s[:cap(s)]...)[:len(s)]
-}
-
-// operandKeys has InlineCSR's JSON keys. Decoding an object whose values
-// are member indices into it hands each member encoding/json assigns to a
-// field to that field's decoder, in order: the matching of keys (exact,
-// then case-insensitive), duplicates (each one decoded in turn) and unknown
-// keys (skipped) stay encoding/json's.
-type operandKeys struct {
-	Rows   memberRef `json:"rows"`
-	Cols   memberRef `json:"cols"`
-	Rowidx memberRef `json:"rowidx"`
-	Colid  memberRef `json:"colid"`
-	Val    memberRef `json:"val"`
-}
-
-// memberRef decodes the member whose index encoding/json assigns to its
-// field.
-type memberRef struct {
-	vals   [][]byte
-	decode func(v []byte) error
-}
-
-func (r *memberRef) UnmarshalJSON(b []byte) error {
-	member, err := strconv.Atoi(string(b))
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("inline matrix: %w", err)
 	}
-	return r.decode(r.vals[member])
+	return ic.ToCSR()
 }
 
-// decodeObject decodes one occurrence of the operand — a JSON value, valid
-// as the json.Unmarshaler contract promises — into f as encoding/json
-// would: nothing for null, a type error for anything else but an object,
-// and each member assigned to a field decoded into it in turn, rows and
-// cols by encoding/json, the arrays by decodeArray. Only the keys go
-// through encoding/json's scanner; the arrays are read once, by
-// decodeArray.
+// decodeObject decodes one occurrence of the operand — a JSON value other
+// than null, valid as the json.Unmarshaler contract promises — into f as
+// encoding/json decodes it into the struct: a type error for anything but
+// an object, and each member in order into the field its key names,
+// matched as encoding/json matches it (unquoted, then equal under Unicode
+// case folding; no two of the fields fold alike), rows and cols by
+// encoding/json and the arrays by decodeArray. Unknown keys are skipped.
+// The arrays are read once: the members are split by hand, not by a second
+// pass of encoding/json's scanner.
 func (f *InlineCSR) decodeObject(b []byte) error {
-	if string(bytes.TrimSpace(b)) == "null" {
-		return nil
-	}
 	keys, vals, ok := members(b)
 	if !ok {
 		return errNotObject
 	}
-	mini := []byte{'{'}
-	for i, k := range keys {
-		if i > 0 {
-			mini = append(mini, ',')
+	for i, key := range keys {
+		var name string
+		if err := json.Unmarshal(key, &name); err != nil {
+			return err
 		}
-		mini = append(mini, k...)
-		mini = append(mini, ':')
-		mini = strconv.AppendInt(mini, int64(i), 10)
-	}
-	mini = append(mini, '}')
-	ref := func(decode func(v []byte) error) memberRef { return memberRef{vals, decode} }
-	return json.Unmarshal(mini, &operandKeys{
-		Rows: ref(func(v []byte) error { return json.Unmarshal(v, &f.Rows) }),
-		Cols: ref(func(v []byte) error { return json.Unmarshal(v, &f.Cols) }),
-		Rowidx: ref(func(v []byte) (err error) {
+		var err error
+		switch v := vals[i]; {
+		case strings.EqualFold(name, "rows"):
+			err = json.Unmarshal(v, &f.Rows)
+		case strings.EqualFold(name, "cols"):
+			err = json.Unmarshal(v, &f.Cols)
+		case strings.EqualFold(name, "rowidx"):
 			f.Rowidx, err = decodeArray(v, f.Rowidx, parseInt)
-			return err
-		}),
-		Colid: ref(func(v []byte) (err error) {
+		case strings.EqualFold(name, "colid"):
 			f.Colid, err = decodeArray(v, f.Colid, parseInt)
-			return err
-		}),
-		Val: ref(func(v []byte) (err error) {
+		case strings.EqualFold(name, "val"):
 			f.Val, err = decodeArray(v, f.Val, parseFloat)
+		}
+		if err != nil {
 			return err
-		}),
-	})
+		}
+	}
+	return nil
 }
 
 // errNotObject refuses an operand that is not a JSON object.
@@ -322,101 +309,16 @@ func scanNumber(b []byte, i int) int {
 	return i
 }
 
-// fastDigits is how many decimal digits always fit an int.
-const fastDigits = 9 + 9*(strconv.IntSize/64)
-
 // parseInt converts a JSON number to an int as encoding/json does: the
 // literal must be an integer (no fraction or exponent) that fits.
 func parseInt(lit []byte) (int, bool) {
-	s := lit
-	if s[0] == '-' {
-		s = s[1:]
-	}
-	if len(s) > fastDigits {
-		n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-		return int(n), err == nil
-	}
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	if lit[0] == '-' {
-		n = -n
-	}
-	return n, true
+	n, err := strconv.Atoi(string(lit))
+	return n, err == nil
 }
 
-// parseFloat converts a JSON number to a float64 as encoding/json does:
-// strconv.ParseFloat, refusing a literal beyond the float64 range.
+// parseFloat converts a JSON number to a float64 as encoding/json does,
+// refusing a literal beyond the float64 range.
 func parseFloat(lit []byte) (float64, bool) {
-	if v, ok := exactFloat(lit); ok {
-		return v, true
-	}
 	v, err := strconv.ParseFloat(string(lit), 64)
 	return v, err == nil
-}
-
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// exactFloat converts a JSON number literal whose decimal mantissa is at
-// most 2⁵³ and whose decimal exponent is within ±22: mantissa and power of
-// ten are then exact float64s, so the one rounding of their product or
-// quotient gives the correctly rounded value ParseFloat returns (its own
-// exact path). ok is false for any other literal.
-func exactFloat(lit []byte) (v float64, ok bool) {
-	neg := lit[0] == '-'
-	if neg {
-		lit = lit[1:]
-	}
-	var m uint64
-	exp, i := 0, 0
-	for ; i < len(lit) && lit[i] >= '0' && lit[i] <= '9'; i++ {
-		if m = m*10 + uint64(lit[i]-'0'); m > 1<<53 {
-			return 0, false
-		}
-	}
-	if i < len(lit) && lit[i] == '.' {
-		for i++; i < len(lit) && lit[i] >= '0' && lit[i] <= '9'; i++ {
-			if m = m*10 + uint64(lit[i]-'0'); m > 1<<53 {
-				return 0, false
-			}
-			exp--
-		}
-	}
-	if i < len(lit) {
-		i++ // 'e' or 'E'
-		sign := 1
-		if lit[i] == '+' || lit[i] == '-' {
-			if lit[i] == '-' {
-				sign = -1
-			}
-			i++
-		}
-		if len(lit)-i > 3 {
-			return 0, false
-		}
-		e := 0
-		for ; i < len(lit); i++ {
-			e = e*10 + int(lit[i]-'0')
-		}
-		exp += sign * e
-	}
-	switch {
-	case m == 0:
-	case exp >= 0 && exp < len(pow10):
-		v = float64(m) * pow10[exp]
-	case exp < 0 && -exp < len(pow10):
-		v = float64(m) / pow10[-exp]
-	default:
-		return 0, false
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
 }

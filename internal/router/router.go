@@ -458,7 +458,6 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 		respondBadRequest(w, err)
 		return
 	}
-	r.memo.Admit(id)
 	sreq := &breq.SolveRequest
 	width := int64(max(1, len(breq.RHS))) // a single or a stream is one right-hand side
 	cands, spilled := r.candidates(id.Key, width)

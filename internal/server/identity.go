@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"repro/internal/api"
+	"repro/internal/checksum"
 	"repro/internal/harness"
 	"repro/internal/sparse"
 )
@@ -32,38 +33,27 @@ type Identity struct {
 	// Build materialises the matrix; it runs at most once per cache
 	// entry. Routing-only callers never invoke it.
 	Build func() (*sparse.CSR, error)
-
-	// parsed is what an OperandMemo remembers of an inline operand it
-	// parsed to this identity, once the tier admits it (OperandMemo.Admit).
-	parsed *memoEntry
 }
 
 // ResolveIdentity derives the request's matrix identity. The request must
 // already be validated (exactly one of Matrix and Inline set); inline
-// matrices are parsed and validated here (api.InlineCSR.ToCSR: structure,
-// finite values) because their key is only meaningful for a well-formed CSR.
-// An inline matrix's Build — the shard's cache fill, which the router never
+// matrices are validated here (api.InlineCSR.ToCSR: structure, finite
+// values) because their key is only meaningful for a well-formed CSR. An
+// inline matrix's Build — the shard's cache fill, which the router never
 // runs — also refuses finite values whose ‖A‖₁ overflows: the ABFT schemes
 // have no encoding for it (checksum.ErrNoShift), and a matrix the default
 // scheme cannot serve is not admitted under any. The generators build
-// nothing of that magnitude and are not checked. The tiers resolve through
-// their OperandMemo, which parses an operand's bytes once.
+// nothing of that magnitude and are not checked. The tiers resolve a
+// request they decode through their OperandMemo, which keeps its operand
+// as bytes and parses them at most once.
 func ResolveIdentity(req *api.SolveRequest) (Identity, error) {
-	return (*OperandMemo)(nil).ResolveIdentity(req)
-}
-
-// inlineIdentity is the identity of a parsed, validated inline matrix.
-func inlineIdentity(a *sparse.CSR) Identity {
-	return Identity{
-		Key:   inlineKey(a),
-		Label: fmt.Sprintf("inline:%016x", a.Fingerprint()),
-		Spec:  harness.MatrixSpec{Gen: "inline", N: a.Rows},
-		Build: func() (*sparse.CSR, error) { return withShift(a) },
+	if req.Inline != nil {
+		a, err := req.Inline.ToCSR()
+		if err != nil {
+			return Identity{}, err
+		}
+		return inlineIdentity(a), nil
 	}
-}
-
-// specIdentity is the identity of a request that names a generator spec.
-func specIdentity(req *api.SolveRequest) (Identity, error) {
 	if req.Matrix == nil {
 		return Identity{}, fmt.Errorf("request names no matrix")
 	}
@@ -78,6 +68,26 @@ func specIdentity(req *api.SolveRequest) (Identity, error) {
 		Spec:  spec,
 		Build: spec.Build,
 	}, nil
+}
+
+// inlineIdentity is the identity of a parsed, validated inline matrix.
+func inlineIdentity(a *sparse.CSR) Identity {
+	return Identity{
+		Key:   inlineKey(a),
+		Label: fmt.Sprintf("inline:%016x", a.Fingerprint()),
+		Spec:  harness.MatrixSpec{Gen: "inline", N: a.Rows},
+		Build: func() (*sparse.CSR, error) { return withShift(a) },
+	}
+}
+
+// withShift admits a parsed inline matrix to the shard's cache: the ABFT
+// schemes have no encoding for a matrix whose ‖A‖₁ overflows
+// (checksum.ErrNoShift).
+func withShift(a *sparse.CSR) (*sparse.CSR, error) {
+	if _, err := checksum.ShiftK(a.Norm1()); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // inlineKey is the cache and routing key of an inline matrix: a SHA-256

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/api"
-	"repro/internal/checksum"
 	"repro/internal/harness"
 	"repro/internal/sparse"
 )
@@ -20,16 +19,18 @@ import (
 const operandMemoEntries = 1024
 
 // OperandMemo remembers, by the SHA-256 of an inline operand's bytes
-// (api.InlineCSR.Sum), the identity its first successful parse produced,
-// so a tier that meets the same bytes again resolves them without parsing:
-// the router routes a repeat operand on the remembered key, and a shard
-// whose artifact cache holds the entry serves it from there — on a cache
-// miss the identity's Build parses, as it builds the matrix. Identical bytes
-// parse to an identical outcome, and SHA-256 makes a forged match
-// infeasible, so a remembered identity is the one a parse would produce. An
-// operand is remembered only once the tier has admitted it (Admit), so one
-// it refuses never is. The router and each shard own one; a nil memo
-// remembers nothing and counts nothing. Safe for concurrent use.
+// (api.InlineBytes.Sum), the identity their first successful parse
+// produced, so a tier that meets the same bytes again resolves them without
+// parsing: the router routes a repeat operand on the remembered key, and a
+// shard whose artifact cache holds the entry serves it from there — on a
+// cache miss the identity's Build parses, as it builds the matrix.
+// Identical bytes parse to an identical outcome, and SHA-256 makes a forged
+// match infeasible, so a remembered identity is the one a parse would
+// produce. An operand is remembered once it parses and validates
+// (api.InlineCSR.ToCSR); one the shard then refuses in ShiftK is
+// remembered too, and refused again by the Build of its recalled identity,
+// which caches nothing. The router and each shard own one. Safe for
+// concurrent use.
 type OperandMemo struct {
 	mu      sync.Mutex
 	entries map[[sha256.Size]byte]*list.Element
@@ -54,100 +55,101 @@ func NewOperandMemo() *OperandMemo {
 // Stats reports the operands this tier parsed — at identity resolution or
 // in a cache fill's Build — and those it resolved from the memo.
 func (m *OperandMemo) Stats() api.InlineStats {
-	if m == nil {
-		return api.InlineStats{}
-	}
 	return api.InlineStats{Parsed: m.parsed.Load(), Remembered: m.remembered.Load()}
 }
 
-// ResolveIdentity derives the request's matrix identity (see the
-// package-level ResolveIdentity) through the memo: an inline operand whose
-// bytes it remembers resolves without a parse, and the Build of that
-// identity parses them. It remembers nothing itself; the tier calls Admit
-// once it has admitted the operand.
-func (m *OperandMemo) ResolveIdentity(req *api.SolveRequest) (Identity, error) {
-	if req.Inline == nil {
-		return specIdentity(req)
-	}
-	ic := req.Inline
-	sum, ok := ic.Sum()
-	ok = ok && m != nil
-	if ok {
-		if e, hit := m.recall(sum); hit {
-			m.remembered.Add(1)
-			return Identity{
-				Key:   e.key,
-				Label: e.label,
-				Spec:  harness.MatrixSpec{Gen: "inline", N: e.n},
-				Build: func() (*sparse.CSR, error) {
-					a, err := m.toCSR(ic)
-					if err != nil {
-						return nil, err
-					}
-					if key := inlineKey(a); key != e.key {
-						return nil, fmt.Errorf("inline matrix: parsed to %s, remembered as %s", key, e.key)
-					}
-					return withShift(a)
-				},
-			}, nil
-		}
-	}
-	a, err := m.toCSR(ic)
-	if err != nil {
-		return Identity{}, err
-	}
-	id := inlineIdentity(a)
-	if ok {
-		id.parsed = &memoEntry{sum: sum, key: id.Key, label: id.Label, n: a.Rows}
-	}
-	return id, nil
+// solveRequest and batchSolveRequest decode a request body with its
+// "inline" member kept as bytes: their own field of that name hides the one
+// the embedded request declares, so the request's Inline stays nil. They
+// are named after the api types they wrap, which a type error names.
+type solveRequest struct {
+	*api.SolveRequest
+	Inline api.InlineBytes `json:"inline"`
 }
 
-// Admit remembers the operand of an identity this memo parsed, once the
-// tier has admitted it: the router when it routes the request, the shard
-// when the matrix is resident. An identity recalled from the memo, or not
-// an inline operand's, changes nothing.
-func (m *OperandMemo) Admit(id Identity) {
-	if m == nil || id.parsed == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[id.parsed.sum]; ok {
-		m.ll.MoveToFront(el)
-		return
-	}
-	m.entries[id.parsed.sum] = m.ll.PushFront(id.parsed)
-	if m.ll.Len() > operandMemoEntries {
-		back := m.ll.Back()
-		m.ll.Remove(back)
-		delete(m.entries, back.Value.(*memoEntry).sum)
-	}
+type batchSolveRequest struct {
+	*api.BatchSolveRequest
+	Inline api.InlineBytes `json:"inline"`
 }
 
 // Decode is the decode rule of both tiers — the shard's admission and the
 // router's routing key: src must be exactly one JSON value (anything but
 // whitespace after it is refused), which is decoded into body, defaulted
 // and validated, and the identity of its matrix (axes, the scenario axes
-// body carries) is resolved through the memo. Every error it returns is the
-// client's (400).
+// body carries) is resolved. body is a *api.SolveRequest or a
+// *api.BatchSolveRequest; its inline operand is decoded as bytes and
+// resolved through the memo, and axes.Inline is left an empty InlineCSR
+// that marks the operand present — the identity, not the body, carries it.
+// Every error it returns is the client's (400).
 func (m *OperandMemo) Decode(src []byte, body SolveBody, axes *api.SolveRequest) (Identity, error) {
-	if err := json.Unmarshal(src, body); err != nil {
+	var op api.InlineBytes
+	var err error
+	switch b := body.(type) {
+	case *api.SolveRequest:
+		w := solveRequest{SolveRequest: b}
+		err = json.Unmarshal(src, &w)
+		op = w.Inline
+	case *api.BatchSolveRequest:
+		w := batchSolveRequest{BatchSolveRequest: b}
+		err = json.Unmarshal(src, &w)
+		op = w.Inline
+	default:
+		return Identity{}, fmt.Errorf("decoding request: %T is not a solve body", body)
+	}
+	if err != nil {
 		return Identity{}, fmt.Errorf("decoding request: %w", err)
+	}
+	if op.Present() {
+		axes.Inline = new(api.InlineCSR)
 	}
 	body.WithDefaults()
 	if err := body.Validate(); err != nil {
 		return Identity{}, err
 	}
-	return m.ResolveIdentity(axes)
+	if !op.Present() {
+		// An operand a later "inline":null dropped is still refused where
+		// encoding/json refuses it.
+		if _, err := op.Parse(); err != nil {
+			return Identity{}, fmt.Errorf("inline matrix: %w", err)
+		}
+		return ResolveIdentity(axes)
+	}
+	return m.resolve(&op)
+}
+
+// resolve derives the identity of a Present operand: recalled by the
+// SHA-256 of its bytes when the memo holds them, with a Build that parses
+// them; parsed and remembered otherwise.
+func (m *OperandMemo) resolve(op *api.InlineBytes) (Identity, error) {
+	sum := op.Sum()
+	if e, ok := m.recall(sum); ok {
+		m.remembered.Add(1)
+		return Identity{
+			Key:   e.key,
+			Label: e.label,
+			Spec:  harness.MatrixSpec{Gen: "inline", N: e.n},
+			Build: func() (*sparse.CSR, error) {
+				a, err := m.toCSR(op)
+				if err != nil {
+					return nil, err
+				}
+				return withShift(a)
+			},
+		}, nil
+	}
+	a, err := m.toCSR(op)
+	if err != nil {
+		return Identity{}, err
+	}
+	id := inlineIdentity(a)
+	m.remember(&memoEntry{sum: sum, key: id.Key, label: id.Label, n: a.Rows})
+	return id, nil
 }
 
 // toCSR parses and validates an inline operand, counting the parse.
-func (m *OperandMemo) toCSR(ic *api.InlineCSR) (*sparse.CSR, error) {
-	if m != nil {
-		m.parsed.Add(1)
-	}
-	return ic.ToCSR()
+func (m *OperandMemo) toCSR(op *api.InlineBytes) (*sparse.CSR, error) {
+	m.parsed.Add(1)
+	return op.ToCSR()
 }
 
 func (m *OperandMemo) recall(sum [sha256.Size]byte) (memoEntry, bool) {
@@ -161,12 +163,17 @@ func (m *OperandMemo) recall(sum [sha256.Size]byte) (memoEntry, bool) {
 	return *el.Value.(*memoEntry), true
 }
 
-// withShift admits a parsed inline matrix to the shard's cache: the ABFT
-// schemes have no encoding for a matrix whose ‖A‖₁ overflows
-// (checksum.ErrNoShift).
-func withShift(a *sparse.CSR) (*sparse.CSR, error) {
-	if _, err := checksum.ShiftK(a.Norm1()); err != nil {
-		return nil, err
+func (m *OperandMemo) remember(e *memoEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.entries[e.sum]; ok {
+		m.ll.MoveToFront(el)
+		return
 	}
-	return a, nil
+	m.entries[e.sum] = m.ll.PushFront(e)
+	if m.ll.Len() > operandMemoEntries {
+		back := m.ll.Back()
+		m.ll.Remove(back)
+		delete(m.entries, back.Value.(*memoEntry).sum)
+	}
 }

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/checksum"
 )
 
 // inlineBody is a 1×1 operand request whose value is v.
@@ -13,8 +15,8 @@ func inlineBody(v int) []byte {
 	return []byte(fmt.Sprintf(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[%d]}}`, v))
 }
 
-// decodeAdmit is a tier's use of the memo: decode, build, admit.
-func decodeAdmit(t *testing.T, m *OperandMemo, body []byte) Identity {
+// decodeBuild is a shard's use of the memo on a cache miss: decode, build.
+func decodeBuild(t *testing.T, m *OperandMemo, body []byte) Identity {
 	var req api.SolveRequest
 	id, err := m.Decode(body, &req, &req)
 	if err != nil {
@@ -24,13 +26,12 @@ func decodeAdmit(t *testing.T, m *OperandMemo, body []byte) Identity {
 	if _, err := id.Build(); err != nil {
 		t.Error(err)
 	}
-	m.Admit(id)
 	return id
 }
 
 // TestOperandMemoConcurrent decodes a few operands from many goroutines
 // through one memo: every operand resolves to one identity, the counters
-// add up, and once all are admitted a further round is recalled whole.
+// add up, and once all are remembered a further round is recalled whole.
 func TestOperandMemoConcurrent(t *testing.T) {
 	m := NewOperandMemo()
 	const operands, workers, rounds = 4, 8, 25
@@ -42,7 +43,7 @@ func TestOperandMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				v := (w + r) % operands
-				id := decodeAdmit(t, m, inlineBody(v+1))
+				id := decodeBuild(t, m, inlineBody(v+1))
 				keys[v].Store(id.Key, id.Label)
 			}
 		}()
@@ -62,10 +63,10 @@ func TestOperandMemoConcurrent(t *testing.T) {
 		}
 	}
 	for v := 0; v < operands; v++ {
-		decodeAdmit(t, m, inlineBody(v+1))
+		decodeBuild(t, m, inlineBody(v+1))
 	}
 	if got := m.Stats(); got.Remembered != st.Remembered+operands || got.Parsed != st.Parsed+operands {
-		t.Errorf("stats %+v after a round of admitted operands, want %d more recalls, each Build parsing (from %+v)", got, operands, st)
+		t.Errorf("stats %+v after a round of remembered operands, want %d more recalls, each Build parsing (from %+v)", got, operands, st)
 	}
 }
 
@@ -74,9 +75,9 @@ func TestOperandMemoConcurrent(t *testing.T) {
 func TestOperandMemoBounded(t *testing.T) {
 	m := NewOperandMemo()
 	for v := 1; v <= operandMemoEntries+1; v++ {
-		decodeAdmit(t, m, inlineBody(v))
+		decodeBuild(t, m, inlineBody(v))
 		if v == operandMemoEntries/2 {
-			decodeAdmit(t, m, inlineBody(2)) // recalled: now the most recent
+			decodeBuild(t, m, inlineBody(2)) // recalled: now the most recent
 		}
 	}
 	if got := len(m.entries); got != operandMemoEntries {
@@ -91,5 +92,26 @@ func TestOperandMemoBounded(t *testing.T) {
 	}
 	if got := m.Stats(); got.Remembered != before.Remembered+1 || got.Parsed != before.Parsed+1 {
 		t.Errorf("stats %+v from %+v: want operand 2 recalled and the evicted operand 1 parsed", got, before)
+	}
+}
+
+// TestOperandMemoRefusedBuild remembers an operand that parses and
+// validates but whose column sums overflow: the recalled identity's Build
+// parses it again and refuses it as the first one did.
+func TestOperandMemoRefusedBuild(t *testing.T) {
+	m := NewOperandMemo()
+	body := []byte(`{"inline":{"rows":2,"cols":2,"rowidx":[0,1,3],"colid":[0,0,1],"val":[1e308,1e308,1]}}`)
+	for i := 0; i < 2; i++ {
+		var req api.SolveRequest
+		id, err := m.Decode(body, &req, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := id.Build(); !errors.Is(err, checksum.ErrNoShift) {
+			t.Fatalf("decode %d: Build error %v, want checksum.ErrNoShift", i, err)
+		}
+	}
+	if got, want := m.Stats(), (api.InlineStats{Parsed: 2, Remembered: 1}); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
 	}
 }

@@ -375,7 +375,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, body SolveBody, a
 	if !hit {
 		tr.AddSpan(obs.SpanCacheFill, s.cfg.ShardLabel, ent.label, fillStart, tr.Now()-fillStart)
 	}
-	s.memo.Admit(id)
 	s.cache.noteMaterialised(ent)
 	return &admission{tr: tr, ent: ent, hit: hit, key: coalesceKey(id.Key, axes), axes: axes}
 }
