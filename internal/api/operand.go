@@ -8,26 +8,51 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/sparse"
 )
 
-// InlineBytes is a request's "inline" member kept as the JSON it arrived
-// in, for a tier that resolves a repeat operand by the SHA-256 of its bytes
-// (server.OperandMemo) and parses it only when it must. Decoded as a
-// struct field (not a pointer), it sees every occurrence of the member, in
-// order, null included; Parse decodes them in turn as encoding/json decodes
-// them into a *InlineCSR field. An InlineCSR decoded from JSON holds the
-// parsed operand itself.
+// InlineBytes is a request body's "inline" member kept as the JSON it
+// arrived in — every occurrence of it, in order, null included, each a span
+// of the body (SplitInline) — for a tier that resolves a repeat operand by
+// the SHA-256 of its bytes (server.OperandMemo) and parses it only when it
+// must. Parse decodes the occurrences in turn as encoding/json decodes them
+// into a *InlineCSR field. An InlineCSR decoded from JSON holds the parsed
+// operand itself.
 type InlineBytes struct {
 	raw [][]byte
 }
 
-// UnmarshalJSON keeps a copy of one occurrence of the member.
-func (o *InlineBytes) UnmarshalJSON(b []byte) error {
-	o.raw = append(o.raw, bytes.Clone(b))
-	return nil
+// SplitInline walks a request body once. It reports whether src is valid
+// JSON, accepting exactly what json.Valid accepts, and, when it is, splits
+// out the operand: op holds the value of every top-level member whose key
+// encoding/json maps to an "inline" field, as spans of src, and rest is src
+// with each of those values replaced by null — src itself when there is
+// none. Decoding rest with encoding/json then does everything decoding src
+// would, except the operand's decode, and never scans the operand's bytes.
+func SplitInline(src []byte) (op InlineBytes, rest []byte, valid bool) {
+	var spans [][2]int
+	valid = walk(src, func(key []byte, start, end int) {
+		if bytes.EqualFold(unquoteKey(key), []byte("inline")) {
+			spans = append(spans, [2]int{start, end})
+		}
+	}) != notJSON
+	if !valid || len(spans) == 0 {
+		return InlineBytes{}, src, valid
+	}
+	op.raw = make([][]byte, len(spans))
+	n := len(src)
+	for _, s := range spans {
+		n += len("null") - (s[1] - s[0])
+	}
+	rest = make([]byte, 0, n)
+	prev := 0
+	for k, s := range spans {
+		op.raw[k] = src[s[0]:s[1]:s[1]]
+		rest = append(append(rest, src[prev:s[0]]...), "null"...)
+		prev = s[1]
+	}
+	return op, append(rest, src[prev:]...), true
 }
 
 // Present reports whether the member names an operand: it occurred, and
@@ -87,105 +112,232 @@ func (o *InlineBytes) ToCSR() (*sparse.CSR, error) {
 	return ic.ToCSR()
 }
 
-// decodeObject decodes one occurrence of the operand — a JSON value other
-// than null, valid as the json.Unmarshaler contract promises — into f as
-// encoding/json decodes it into the struct: a type error for anything but
-// an object, and each member in order into the field its key names,
-// matched as encoding/json matches it (unquoted, then equal under Unicode
-// case folding; no two of the fields fold alike), rows and cols by
-// encoding/json and the arrays by decodeArray. Unknown keys are skipped.
-// The arrays are read once: the members are split by hand, not by a second
-// pass of encoding/json's scanner.
+// decodeObject decodes one occurrence of the operand — a valid JSON value
+// other than null, as SplitInline keeps it — into f as encoding/json
+// decodes it into the struct: a type error for anything but an object, and
+// each member in order into the field its key names, matched as
+// encoding/json matches it (unquoted, then equal under Unicode case
+// folding; no two of the fields fold alike), rows and cols by encoding/json
+// and the arrays by decodeArray. Unknown keys are skipped. The arrays are
+// read once by the walker and once by decodeArray, never by encoding/json.
 func (f *InlineCSR) decodeObject(b []byte) error {
-	keys, vals, ok := members(b)
-	if !ok {
-		return errNotObject
-	}
-	for i, key := range keys {
-		var name string
-		if err := json.Unmarshal(key, &name); err != nil {
-			return err
+	var err error
+	switch walk(b, func(key []byte, start, end int) {
+		if err != nil {
+			return
 		}
-		var err error
-		switch v := vals[i]; {
-		case strings.EqualFold(name, "rows"):
+		switch name, v := unquoteKey(key), b[start:end]; {
+		case bytes.EqualFold(name, []byte("rows")):
 			err = json.Unmarshal(v, &f.Rows)
-		case strings.EqualFold(name, "cols"):
+		case bytes.EqualFold(name, []byte("cols")):
 			err = json.Unmarshal(v, &f.Cols)
-		case strings.EqualFold(name, "rowidx"):
+		case bytes.EqualFold(name, []byte("rowidx")):
 			f.Rowidx, err = decodeArray(v, f.Rowidx, parseInt)
-		case strings.EqualFold(name, "colid"):
+		case bytes.EqualFold(name, []byte("colid")):
 			f.Colid, err = decodeArray(v, f.Colid, parseInt)
-		case strings.EqualFold(name, "val"):
+		case bytes.EqualFold(name, []byte("val")):
 			f.Val, err = decodeArray(v, f.Val, parseFloat)
 		}
-		if err != nil {
-			return err
-		}
+	}) {
+	case notJSON:
+		return errNotJSON
+	case notObject:
+		return errNotObject
 	}
-	return nil
+	return err
 }
 
-// errNotObject refuses an operand that is not a JSON object.
-var errNotObject = errors.New("not an object")
+var (
+	// errNotJSON refuses an operand that is not valid JSON.
+	errNotJSON = errors.New("not valid JSON")
+	// errNotObject refuses an operand that is not a JSON object.
+	errNotObject = errors.New("not an object")
+)
 
-// members splits the JSON object b into its members: each key as written,
-// quotes and escapes included, and the bytes of its value. b must be valid
-// JSON; ok is false when it is not an object.
-func members(b []byte) (keys, vals [][]byte, ok bool) {
-	i := skipSpace(b, 0)
-	if i == len(b) || b[i] != '{' {
-		return nil, nil, false
+// unquoteKey returns an object key as encoding/json reads it: key is the
+// key as written, quotes included, and only a key with an escape in it is
+// copied to unquote it.
+func unquoteKey(key []byte) []byte {
+	inner := key[1 : len(key)-1]
+	if bytes.IndexByte(inner, '\\') < 0 {
+		return inner
 	}
-	i = skipSpace(b, i+1)
-	for i < len(b) && b[i] == '"' {
-		end := skipValue(b, i)
+	var s string
+	json.Unmarshal(key, &s) // a valid JSON string: the walker has read it
+	return []byte(s)
+}
+
+// maxDepth is encoding/json's limit on nested arrays and objects: a value
+// inside more of them is a syntax error.
+const maxDepth = 10000
+
+// walkResult is what walk found.
+type walkResult int
+
+const (
+	notJSON   walkResult = iota // b is not valid JSON
+	notObject                   // a valid value other than an object
+	object                      // a valid object
+)
+
+// walk validates b — one JSON value with optional surrounding whitespace —
+// in one pass, accepting exactly what json.Valid accepts: the value
+// grammar, string escapes and control bytes, the number grammar, literals,
+// whitespace and maxDepth. While the value is an object, visit is called
+// for each of its members in order, with the member's key as written
+// (quotes and escapes included) and its value at b[start:end]; each member
+// visited is valid, though a later byte may still make b invalid.
+func walk(b []byte, visit func(key []byte, start, end int)) walkResult {
+	i := skipSpace(b, 0)
+	res := notObject
+	var end int
+	if i < len(b) && b[i] == '{' {
+		res = object
+		end = scanObject(b, i, 1, visit)
+	} else {
+		end = scanValue(b, i, 0)
+	}
+	if end < 0 || skipSpace(b, end) != len(b) {
+		return notJSON
+	}
+	return res
+}
+
+// scanValue returns the end of the valid JSON value starting at b[i], or
+// -1 if none starts there. depth counts the arrays and objects around it.
+func scanValue(b []byte, i, depth int) int {
+	if i >= len(b) {
+		return -1
+	}
+	switch b[i] {
+	case '"':
+		return scanString(b, i)
+	case '{':
+		return scanObject(b, i, depth+1, nil)
+	case '[':
+		return scanArray(b, i, depth+1)
+	case 't':
+		return scanLiteral(b, i, "true")
+	case 'f':
+		return scanLiteral(b, i, "false")
+	case 'n':
+		return scanLiteral(b, i, "null")
+	}
+	return scanNumber(b, i)
+}
+
+// scanArray returns the end of the valid array opening at b[i], at nesting
+// depth depth, or -1.
+func scanArray(b []byte, i, depth int) int {
+	if depth > maxDepth {
+		return -1
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
+		return i + 1
+	}
+	for {
+		if i = scanValue(b, i, depth); i < 0 {
+			return -1
+		}
+		if i = skipSpace(b, i); i == len(b) {
+			return -1
+		}
+		switch b[i] {
+		case ',':
+			i = skipSpace(b, i+1)
+		case ']':
+			return i + 1
+		default:
+			return -1
+		}
+	}
+}
+
+// scanObject returns the end of the valid object opening at b[i], at
+// nesting depth depth, or -1, calling visit (when not nil) for each member
+// as walk describes.
+func scanObject(b []byte, i, depth int, visit func(key []byte, start, end int)) int {
+	if depth > maxDepth {
+		return -1
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == '}' {
+		return i + 1
+	}
+	for {
+		if i >= len(b) || b[i] != '"' {
+			return -1
+		}
+		end := scanString(b, i)
+		if end < 0 {
+			return -1
+		}
 		key := b[i:end]
 		if i = skipSpace(b, end); i == len(b) || b[i] != ':' {
-			return nil, nil, false
+			return -1
 		}
 		start := skipSpace(b, i+1)
-		end = skipValue(b, start)
-		keys, vals = append(keys, key), append(vals, b[start:end])
-		if i = skipSpace(b, end); i < len(b) && b[i] == ',' {
+		if end = scanValue(b, start, depth); end < 0 {
+			return -1
+		}
+		if visit != nil {
+			visit(key, start, end)
+		}
+		if i = skipSpace(b, end); i == len(b) {
+			return -1
+		}
+		switch b[i] {
+		case ',':
 			i = skipSpace(b, i+1)
+		case '}':
+			return i + 1
+		default:
+			return -1
 		}
 	}
-	return keys, vals, i < len(b) && b[i] == '}'
 }
 
-// skipValue returns the end of the valid JSON value starting at b[i]: a
-// string's closing quote, the bracket that closes an array or object, or
-// the first byte after a literal.
-func skipValue(b []byte, i int) int {
-	depth := 0
-	for ; i < len(b); i++ {
-		switch b[i] {
-		case '"':
-			for i++; i < len(b) && b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
+// scanString returns the end of the valid string opening at b[i], past its
+// closing quote, or -1: a control byte, or an escape other than \", \\,
+// \/, \b, \f, \n, \r, \t and \u with four hex digits, is invalid. Other
+// bytes, invalid UTF-8 included, are accepted as json.Valid accepts them.
+func scanString(b []byte, i int) int {
+	for i++; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1
+		case c < 0x20:
+			return -1
+		case c == '\\':
+			if i++; i == len(b) {
+				return -1
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if i+4 >= len(b) {
+					return -1
 				}
-			}
-			if depth == 0 {
-				return min(i+1, len(b))
-			}
-		case '[', '{':
-			depth++
-		case ']', '}':
-			if depth == 0 {
-				return i // after a literal
-			}
-			if depth--; depth == 0 {
-				return i + 1
-			}
-		case ',', ' ', '\t', '\n', '\r', ':':
-			if depth == 0 {
-				return i
+				for _, h := range b[i+1 : i+5] {
+					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+						return -1
+					}
+				}
+				i += 4
+			default:
+				return -1
 			}
 		}
 	}
-	return len(b)
+	return -1
+}
+
+// scanLiteral returns the end of lit at b[i], or -1 if b does not spell it
+// there.
+func scanLiteral(b []byte, i int, lit string) int {
+	if !bytes.HasPrefix(b[i:], []byte(lit)) {
+		return -1
+	}
+	return i + len(lit)
 }
 
 // errNotNumbers refuses a value encoding/json would not decode into a
@@ -261,7 +413,7 @@ func decodeArray[T int | float64](b []byte, prev []T, conv func([]byte) (T, bool
 // skipSpace returns the index of the first byte at or after i that is not
 // JSON whitespace.
 func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
 		i++
 	}
 	return i
@@ -271,42 +423,41 @@ func skipSpace(b []byte, i int) int {
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or -1 if none starts
 // there.
 func scanNumber(b []byte, i int) int {
-	digits := func(i int) int {
-		j := i
-		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-			j++
-		}
-		if j == i {
-			return -1
-		}
-		return j
-	}
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
+	if i < len(b) && b[i] == '0' {
 		i++
-	default:
-		if i = digits(i); i < 0 {
-			return -1
-		}
+	} else if i = digits(b, i); i < 0 {
+		return -1
 	}
 	if i < len(b) && b[i] == '.' {
-		if i = digits(i + 1); i < 0 {
+		if i = digits(b, i+1); i < 0 {
 			return -1
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if i = digits(i); i < 0 {
+		if i = digits(b, i); i < 0 {
 			return -1
 		}
 	}
 	return i
+}
+
+// digits returns the end of the run of decimal digits at b[i], or -1 if
+// none starts there.
+func digits(b []byte, i int) int {
+	j := i
+	for j < len(b) && b[j]-'0' < 10 {
+		j++
+	}
+	if j == i {
+		return -1
+	}
+	return j
 }
 
 // parseInt converts a JSON number to an int as encoding/json does: the

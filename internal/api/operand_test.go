@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -41,37 +43,57 @@ func sameOperand(got, want *InlineCSR) bool {
 		sameArray(got.Val, want.Val, nil, nil, math.Float64bits)
 }
 
-// FuzzOperandArrays holds the operand decoders to encoding/json on any
-// bytes. As a value, the bytes decode through decodeArray exactly as
-// encoding/json decodes them into []int and []float64: the same accept or
-// refuse decision and, when accepted, the same nil-ness and bit-identical
-// elements — null elements, 1.0 or 1e2 as an int, 1e999, nested values,
-// whitespace. As a request body, and as the operand of one, an "inline"
-// member kept as InlineBytes and parsed is refused exactly when
-// encoding/json refuses the body decoded into a *InlineCSR field, and
-// otherwise holds the operand that field holds — case-insensitive keys,
-// duplicate members decoded in turn and a later null dropping an earlier
-// operand included. The hand split of an operand's members never panics or
-// hangs, even on bytes that are not JSON.
+// occurrences keeps every value encoding/json hands an Unmarshaler field,
+// as the reference for what SplitInline splits out.
+type occurrences [][]byte
+
+func (o *occurrences) UnmarshalJSON(b []byte) error {
+	*o = append(*o, bytes.Clone(b))
+	return nil
+}
+
+// operandSeeds are FuzzOperandArrays' seeds, which TestWalkNestingLimit also
+// runs at encoding/json's nesting limit.
+var operandSeeds = []string{
+	`[1,2,3]`, ` [ 0 , -0 , null , 17 ] `, `[]`, `[ ]`, `null`, ` null `, `[null]`, `nul`, `[nul]`,
+	`[1.0]`, `[1e2]`, `[1E+2]`, `[-1e-2]`, `[1e999]`, `[-1e999]`, `[1e-400]`, `[0e999]`, `[2.5e-3,1e22,1e23]`,
+	`[9007199254740993]`, `[0.1000000000000000055511151231257827021181583404541015625]`,
+	`[4.9406564584124654e-324]`, `[1.7976931348623157e308]`, `[1.7976931348623159e308]`,
+	`[9223372036854775807]`, `[-9223372036854775808]`, `[9223372036854775808]`, `[123456789012345678]`,
+	`[[1],2]`, `[{"a":1}]`, `["1"]`, `[true]`, `[1,]`, `[,1]`, `[01]`, `[1.]`, `[.5]`, `[-]`, `[+1]`,
+	`[1 2]`, `[1]x`, `[1] `, "[\t1\n,\r2]", `{}`, `"x"`, `7`, ``, `[`,
+	`{"rows":2,"cols":2,"rowidx":[0,1,2],"colid":[0,1],"val":[1,2]}`,
+	`{"ROWS":1,"Cols":1,"rowIdx":[0,1],"colid":[0],"val":[3],"extra":{"val":[9]}}`,
+	`{"rowidx":[1,2,3],"rowidx":[4],"rowidx":[null,null,null,null]}`,
+	`{"val":[1.5,2.5],"val":null,"val":[null]}`, `{"rows":5,"rows":null,"cols":"5"}`,
+	`{"val":[],"val":[null,7]}`, `{"rows":3,"colid":[1e2]}`, `[{"rows":1}]`,
+	`{"inline":{"rows":1,"val":[1,2]},"Inline":{"val":[null]}}`,
+	`{"inline":{"rows":1},"inline":null}`, `{"inline":{"rows":"1"},"inline":null}`,
+	`{"inline":{"val":[1e999]},"inline":null,"inline":{"cols":2}}`, `{"inline":null,"inline":[1]}`,
+	`{"rowſ":1,"\u0063OLS":2,"Val":[1],"vaL":[2,3]}`, `{"inline":5}`, `{"INLINE":"x"}`, `{"inline":{"rows":1}} `, `{"inline":{}}x`,
+	`{"\u0069nline":{"rows":1},"in\u004cine":{"cols":1},"inline\u0000":7,"\"inline":8}`,
+	`{"a":"\ud800\udc00\/\b\f\n\r\t\"\\","b":"\u00e9\uDBFF"}`, `"\x"`, `"\u12"`, `"\u12g4"`, "\"\x01\"", "\"\xff\xfe\"",
+	` {"inline" : [ 1 , { "x" : [ ] } ] , "seed" : 3 } `, `{"inline":{},}`, `{"inline"}`, `{"inline":}`, `{,}`, `{"a":1 "b":2}`,
+	`[true,false,null]`, `[tru]`, `[nulll]`, `-0.0e-0`, `-01`, `1e`, `1e+`, "\ufeff{}",
+	`[[1]]`, `[{"a":[]}]`, `{"inline":[[]]}`, `[[`, `]]`,
+}
+
+// FuzzOperandArrays holds the walker and the operand decoders to
+// encoding/json on any bytes. As a value, the bytes decode through
+// decodeArray exactly as encoding/json decodes them into []int and
+// []float64: the same accept or refuse decision and, when accepted, the
+// same nil-ness and bit-identical elements — null elements, 1.0 or 1e2 as
+// an int, 1e999, nested values, whitespace. As a request body, and as the
+// operand of one, SplitInline accepts exactly what json.Valid accepts, deep
+// nesting included, and splits out the very occurrences an Unmarshaler
+// field named "inline" is handed; decoding the rest with encoding/json and
+// parsing the occurrences is refused exactly when encoding/json refuses the
+// body decoded into a *InlineCSR field, and otherwise holds the operand
+// that field holds — case-insensitive and escaped keys, duplicate members
+// decoded in turn and a later null dropping an earlier operand included.
+// decodeObject never panics or hangs, even on bytes that are not JSON.
 func FuzzOperandArrays(f *testing.F) {
-	for _, s := range []string{
-		`[1,2,3]`, ` [ 0 , -0 , null , 17 ] `, `[]`, `[ ]`, `null`, ` null `, `[null]`, `nul`, `[nul]`,
-		`[1.0]`, `[1e2]`, `[1E+2]`, `[-1e-2]`, `[1e999]`, `[-1e999]`, `[1e-400]`, `[0e999]`, `[2.5e-3,1e22,1e23]`,
-		`[9007199254740993]`, `[0.1000000000000000055511151231257827021181583404541015625]`,
-		`[4.9406564584124654e-324]`, `[1.7976931348623157e308]`, `[1.7976931348623159e308]`,
-		`[9223372036854775807]`, `[-9223372036854775808]`, `[9223372036854775808]`, `[123456789012345678]`,
-		`[[1],2]`, `[{"a":1}]`, `["1"]`, `[true]`, `[1,]`, `[,1]`, `[01]`, `[1.]`, `[.5]`, `[-]`, `[+1]`,
-		`[1 2]`, `[1]x`, `[1] `, "[\t1\n,\r2]", `{}`, `"x"`, `7`, ``, `[`,
-		`{"rows":2,"cols":2,"rowidx":[0,1,2],"colid":[0,1],"val":[1,2]}`,
-		`{"ROWS":1,"Cols":1,"rowIdx":[0,1],"colid":[0],"val":[3],"extra":{"val":[9]}}`,
-		`{"rowidx":[1,2,3],"rowidx":[4],"rowidx":[null,null,null,null]}`,
-		`{"val":[1.5,2.5],"val":null,"val":[null]}`, `{"rows":5,"rows":null,"cols":"5"}`,
-		`{"val":[],"val":[null,7]}`, `{"rows":3,"colid":[1e2]}`, `[{"rows":1}]`,
-		`{"inline":{"rows":1,"val":[1,2]},"Inline":{"val":[null]}}`,
-		`{"inline":{"rows":1},"inline":null}`, `{"inline":{"rows":"1"},"inline":null}`,
-		`{"inline":{"val":[1e999]},"inline":null,"inline":{"cols":2}}`, `{"inline":null,"inline":[1]}`,
-		`{"rowſ":1,"\u0063OLS":2,"Val":[1],"vaL":[2,3]}`, `{"inline":5}`, `{"INLINE":"x"}`, `{"inline":{"rows":1}} `, `{"inline":{}}x`,
-	} {
+	for _, s := range operandSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -91,17 +113,35 @@ func FuzzOperandArrays(f *testing.F) {
 		new(InlineCSR).decodeObject(b) // any bytes, valid or not: no panic, no hang
 
 		for _, body := range [][]byte{b, bytes.Join([][]byte{[]byte(`{"inline":`), b, []byte(`}`)}, nil)} {
+			op, rest, valid := SplitInline(body)
+			if valid != json.Valid(body) {
+				t.Fatalf("body %q: SplitInline valid %v, json.Valid %v", body, valid, !valid)
+			}
+			if !valid {
+				continue
+			}
+			var seen struct {
+				Inline occurrences `json:"inline"`
+			}
+			json.Unmarshal(body, &seen) // a type error leaves what was seen
+			if !slices.EqualFunc(op.raw, seen.Inline, bytes.Equal) {
+				t.Fatalf("body %q: split out %q, an Unmarshaler field sees %q", body, op.raw, seen.Inline)
+			}
+
 			var want struct {
 				Inline *InlineCSR `json:"inline"`
 			}
 			wantErr := json.Unmarshal(body, &want)
 			var got struct {
-				Inline InlineBytes `json:"inline"`
+				Inline *InlineCSR `json:"inline"`
 			}
-			gotErr := json.Unmarshal(body, &got)
+			gotErr := json.Unmarshal(rest, &got)
+			if got.Inline != nil {
+				t.Fatalf("body %q: the rest %q still carries an operand", body, rest)
+			}
 			var parsed *InlineCSR
 			if gotErr == nil {
-				parsed, gotErr = got.Inline.Parse()
+				parsed, gotErr = op.Parse()
 			}
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("body %q: err %v, encoding/json err %v", body, gotErr, wantErr)
@@ -109,10 +149,10 @@ func FuzzOperandArrays(f *testing.F) {
 			if gotErr != nil {
 				continue
 			}
-			if got.Inline.Present() != (want.Inline != nil) || !sameOperand(parsed, want.Inline) {
-				t.Fatalf("body %q: present %v, %+v; encoding/json %+v", body, got.Inline.Present(), parsed, want.Inline)
+			if op.Present() != (want.Inline != nil) || !sameOperand(parsed, want.Inline) {
+				t.Fatalf("body %q: present %v, %+v; encoding/json %+v", body, op.Present(), parsed, want.Inline)
 			}
-			if _, err := got.Inline.ToCSR(); err == nil && !got.Inline.Present() {
+			if _, err := op.ToCSR(); err == nil && !op.Present() {
 				t.Fatalf("body %q: an absent operand admitted", body)
 			}
 		}
@@ -149,5 +189,26 @@ func TestInlineCSRRoundTrip(t *testing.T) {
 	}
 	if !sameOperand(again.Inline, want) || again.Solver != req.Solver || again.Seed != req.Seed {
 		t.Fatalf("decoded again %+v, want %+v", again, req)
+	}
+}
+
+// TestWalkNestingLimit holds the walker to json.Valid where encoding/json's
+// nesting limit decides: every FuzzOperandArrays seed inside maxDepth-1
+// arrays, or objects, is valid only while it nests no deeper than one more
+// level. (Inputs this large would slow the fuzzer's mutator tenfold, so
+// the limit is checked here rather than there.)
+func TestWalkNestingLimit(t *testing.T) {
+	const d = maxDepth - 1
+	for _, s := range append(operandSeeds, `[]`, `[[]]`, `{}`, `{"a":{}}`, `[{}]`, `1`, `[1]`) {
+		for _, wrap := range [][2]string{{"[", "]"}, {`{"inline":`, "}"}, {`{"a":[`, "]}"}} {
+			n := d
+			if wrap[0] == `{"a":[` {
+				n = d / 2 // two levels a wrap
+			}
+			deep := []byte(strings.Repeat(wrap[0], n) + s + strings.Repeat(wrap[1], n))
+			if got, want := walk(deep, nil) != notJSON, json.Valid(deep); got != want {
+				t.Errorf("%q inside %d×%s: walker valid %v, json.Valid %v", s, n, wrap[0], got, want)
+			}
+		}
 	}
 }

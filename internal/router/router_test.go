@@ -493,11 +493,18 @@ func TestRouterValidation(t *testing.T) {
 	}
 }
 
-// TestTrailingBytesRefusedOnBothTiers holds the shard and the router to one
-// decode rule: a body is exactly one JSON value, so bytes other than
-// whitespace after it are the same 400 on either tier, and trailing
-// whitespace is no error on either.
-func TestTrailingBytesRefusedOnBothTiers(t *testing.T) {
+// tierCase is a body posted to a path, and the status and error message
+// both tiers must answer it with.
+type tierCase struct {
+	path, body string
+	code       int
+	message    string
+}
+
+// answerOnBothTiers posts every case to a real shard and to a router in
+// front of it, and holds both to the case's answer.
+func answerOnBothTiers(t *testing.T, cases []tierCase) {
+	t.Helper()
 	shard := newRealShard(t, "s0")
 	r, err := New(Config{ProbeInterval: time.Hour}, []Shard{{Name: shard.name, Addr: shard.ts.URL}})
 	if err != nil {
@@ -508,19 +515,6 @@ func TestTrailingBytesRefusedOnBothTiers(t *testing.T) {
 		rts.Close()
 		r.Shutdown()
 	})
-	const single = `{"matrix":{"gen":"poisson2d","n":64},"solver":"cg"}`
-	const batch = `{"matrix":{"gen":"poisson2d","n":64},"solver":"cg","rhs":[{"seed":1}]}`
-	cases := []struct {
-		path, body string
-		code       int
-		message    string
-	}{
-		{"/v1/solve", single + ` trailing`, http.StatusBadRequest, "decoding request: invalid character 't' after top-level value"},
-		{"/v1/solve", single + single, http.StatusBadRequest, "decoding request: invalid character '{' after top-level value"},
-		{"/v1/solve/batch", batch + `]`, http.StatusBadRequest, "decoding request: invalid character ']' after top-level value"},
-		{"/v1/solve", single + " \n\t", http.StatusOK, ""},
-		{"/v1/solve/batch", batch + "\r\n", http.StatusOK, ""},
-	}
 	for _, tc := range cases {
 		for tier, base := range map[string]string{"shard": shard.ts.URL, "router": rts.URL} {
 			resp, err := http.Post(base+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
@@ -535,6 +529,47 @@ func TestTrailingBytesRefusedOnBothTiers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTrailingBytesRefusedOnBothTiers holds the shard and the router to one
+// decode rule: a body is exactly one JSON value, so bytes other than
+// whitespace after it are the same 400 on either tier, and trailing
+// whitespace is no error on either.
+func TestTrailingBytesRefusedOnBothTiers(t *testing.T) {
+	const single = `{"matrix":{"gen":"poisson2d","n":64},"solver":"cg"}`
+	const batch = `{"matrix":{"gen":"poisson2d","n":64},"solver":"cg","rhs":[{"seed":1}]}`
+	answerOnBothTiers(t, []tierCase{
+		{"/v1/solve", single + ` trailing`, http.StatusBadRequest, "decoding request: invalid character 't' after top-level value"},
+		{"/v1/solve", single + single, http.StatusBadRequest, "decoding request: invalid character '{' after top-level value"},
+		{"/v1/solve/batch", batch + `]`, http.StatusBadRequest, "decoding request: invalid character ']' after top-level value"},
+		{"/v1/solve", single + " \n\t", http.StatusOK, ""},
+		{"/v1/solve/batch", batch + "\r\n", http.StatusOK, ""},
+	})
+}
+
+// TestTypeErrorsNameTheAPITypes holds both tiers' 400 for a body of the
+// wrong shape to encoding/json's text for the api type itself — the type a
+// client sends, not a server-side decode type — on a single and a batch,
+// with and without an inline operand ahead of the bad member.
+func TestTypeErrorsNameTheAPITypes(t *testing.T) {
+	const (
+		spec    = `"matrix":{"gen":"poisson2d","n":64}`
+		inline  = `"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[2]}`
+		rhs     = `"rhs":[{"seed":1}]`
+		prefix  = "decoding request: json: cannot unmarshal "
+		single  = prefix + "number into Go struct field SolveRequest.solver of type string"
+		batched = prefix + "number into Go struct field BatchSolveRequest.SolveRequest.solver of type string"
+	)
+	answerOnBothTiers(t, []tierCase{
+		{"/v1/solve", `{` + spec + `,"solver":5}`, http.StatusBadRequest, single},
+		{"/v1/solve", `{` + inline + `,"solver":5}`, http.StatusBadRequest, single},
+		{"/v1/solve", `[1]`, http.StatusBadRequest, prefix + "array into Go value of type api.SolveRequest"},
+		{"/v1/solve", `{` + spec + `,"matrix":{"n":"x"}}`, http.StatusBadRequest, prefix + "string into Go struct field MatrixSpec.matrix.n of type int"},
+		{"/v1/solve/batch", `{` + spec + `,"solver":5,` + rhs + `}`, http.StatusBadRequest, batched},
+		{"/v1/solve/batch", `{` + inline + `,"solver":5,` + rhs + `}`, http.StatusBadRequest, batched},
+		{"/v1/solve/batch", `[1]`, http.StatusBadRequest, prefix + "array into Go value of type api.BatchSolveRequest"},
+		{"/v1/solve/batch", `{` + spec + `,"rhs":{}}`, http.StatusBadRequest, prefix + "object into Go struct field BatchSolveRequest.rhs of type []api.BatchRHS"},
+	})
 }
 
 func TestRouterNewValidation(t *testing.T) {

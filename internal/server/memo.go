@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -58,43 +59,26 @@ func (m *OperandMemo) Stats() api.InlineStats {
 	return api.InlineStats{Parsed: m.parsed.Load(), Remembered: m.remembered.Load()}
 }
 
-// solveRequest and batchSolveRequest decode a request body with its
-// "inline" member kept as bytes: their own field of that name hides the one
-// the embedded request declares, so the request's Inline stays nil. They
-// are named after the api types they wrap, which a type error names.
-type solveRequest struct {
-	*api.SolveRequest
-	Inline api.InlineBytes `json:"inline"`
-}
-
-type batchSolveRequest struct {
-	*api.BatchSolveRequest
-	Inline api.InlineBytes `json:"inline"`
-}
-
 // Decode is the decode rule of both tiers — the shard's admission and the
 // router's routing key: src must be exactly one JSON value (anything but
 // whitespace after it is refused), which is decoded into body, defaulted
 // and validated, and the identity of its matrix (axes, the scenario axes
 // body carries) is resolved. body is a *api.SolveRequest or a
-// *api.BatchSolveRequest; its inline operand is decoded as bytes and
-// resolved through the memo, and axes.Inline is left an empty InlineCSR
-// that marks the operand present — the identity, not the body, carries it.
-// Every error it returns is the client's (400).
+// *api.BatchSolveRequest. One walk (api.SplitInline) validates src and
+// splits out its inline operand; encoding/json then decodes the rest, so it
+// never scans the operand, and an invalid src is refused by encoding/json
+// itself, in the words of its own syntax error. The operand is resolved
+// through the memo, and axes.Inline is left an empty InlineCSR that marks
+// it present — the identity, not the body, carries it. Every error it
+// returns is the client's (400).
 func (m *OperandMemo) Decode(src []byte, body SolveBody, axes *api.SolveRequest) (Identity, error) {
-	var op api.InlineBytes
-	var err error
-	switch b := body.(type) {
-	case *api.SolveRequest:
-		w := solveRequest{SolveRequest: b}
-		err = json.Unmarshal(src, &w)
-		op = w.Inline
-	case *api.BatchSolveRequest:
-		w := batchSolveRequest{BatchSolveRequest: b}
-		err = json.Unmarshal(src, &w)
-		op = w.Inline
-	default:
-		return Identity{}, fmt.Errorf("decoding request: %T is not a solve body", body)
+	op, rest, valid := api.SplitInline(src)
+	if !valid {
+		rest = src
+	}
+	err := json.Unmarshal(rest, body)
+	if err == nil && !valid {
+		err = errors.New("invalid JSON") // unreachable: SplitInline accepts what json.Valid does
 	}
 	if err != nil {
 		return Identity{}, fmt.Errorf("decoding request: %w", err)

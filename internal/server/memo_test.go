@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/checksum"
+	"repro/internal/harness"
 )
 
 // inlineBody is a 1×1 operand request whose value is v.
@@ -113,5 +115,51 @@ func TestOperandMemoRefusedBuild(t *testing.T) {
 	}
 	if got, want := m.Stats(), (api.InlineStats{Parsed: 2, Remembered: 1}); got != want {
 		t.Errorf("stats %+v, want %+v", got, want)
+	}
+}
+
+// BenchmarkDecodeInline prices a warm-memo Decode — the whole decode rule of
+// either tier on a repeat request — of serve_mixed's two inline body shapes
+// (a 1024-row randomspd operand, ≈ 219 KB, and a 1024-row laplacian one,
+// ≈ 52 KB) and of a spec body.
+func BenchmarkDecodeInline(b *testing.B) {
+	rhs := int64(1)
+	for _, bc := range []struct {
+		name string
+		spec harness.MatrixSpec
+	}{
+		{"randomspd", harness.MatrixSpec{Gen: "randomspd", N: 1024, Seed: 1001}},
+		{"laplacian", harness.MatrixSpec{Gen: "laplacian", N: 1024, Seed: 1000}},
+		{"spec", harness.MatrixSpec{Gen: "poisson2d", N: 256}},
+	} {
+		req := api.SolveRequest{Solver: "cg", Scheme: "abft-correction", Seed: 1, RHSSeed: &rhs}
+		if bc.name == "spec" {
+			req.Matrix = &bc.spec
+		} else {
+			a, err := bc.spec.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			req.Inline = &api.InlineCSR{Rows: a.Rows, Cols: a.Cols, Rowidx: a.Rowidx, Colid: a.Colid, Val: a.Val}
+		}
+		body, err := json.Marshal(&req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := NewOperandMemo()
+		decode := func() {
+			var req api.SolveRequest
+			if _, err := m.Decode(body, &req, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		decode() // the memo now holds the operand
+		b.Run(fmt.Sprintf("%s/%dKB", bc.name, len(body)>>10), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for range b.N {
+				decode()
+			}
+		})
 	}
 }
