@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/sparse"
 )
@@ -23,22 +24,23 @@ type InlineBytes struct {
 	raw [][]byte
 }
 
-// SplitInline walks a request body once. It reports whether src is valid
-// JSON, accepting exactly what json.Valid accepts, and, when it is, splits
-// out the operand: op holds the value of every top-level member whose key
-// encoding/json maps to an "inline" field, as spans of src, and rest is src
-// with each of those values replaced by null — src itself when there is
-// none. Decoding rest with encoding/json then does everything decoding src
-// would, except the operand's decode, and never scans the operand's bytes.
-func SplitInline(src []byte) (op InlineBytes, rest []byte, valid bool) {
+// SplitInline walks a request body once, validating it as json.Valid
+// does, and splits out the operand: op holds the value of every top-level
+// member whose key encoding/json maps to an "inline" field, as spans of
+// src, and rest is src with each of those values replaced by null. Decoding
+// rest with encoding/json then does everything decoding src would, except
+// the operand's decode, and never scans the operand's bytes. When src has no
+// such member, or is not valid JSON, rest is src itself, which
+// encoding/json refuses in the words of its own syntax error.
+func SplitInline(src []byte) (op InlineBytes, rest []byte) {
 	var spans [][2]int
-	valid = walk(src, func(key []byte, start, end int) {
-		if bytes.EqualFold(unquoteKey(key), []byte("inline")) {
+	valid := walk(src, func(key []byte, start, end int) {
+		if keyIs(key, "inline") {
 			spans = append(spans, [2]int{start, end})
 		}
 	}) != notJSON
 	if !valid || len(spans) == 0 {
-		return InlineBytes{}, src, valid
+		return InlineBytes{}, src
 	}
 	op.raw = make([][]byte, len(spans))
 	n := len(src)
@@ -52,7 +54,7 @@ func SplitInline(src []byte) (op InlineBytes, rest []byte, valid bool) {
 		rest = append(append(rest, src[prev:s[0]]...), "null"...)
 		prev = s[1]
 	}
-	return op, append(rest, src[prev:]...), true
+	return op, append(rest, src[prev:]...)
 }
 
 // Present reports whether the member names an operand: it occurred, and
@@ -126,16 +128,16 @@ func (f *InlineCSR) decodeObject(b []byte) error {
 		if err != nil {
 			return
 		}
-		switch name, v := unquoteKey(key), b[start:end]; {
-		case bytes.EqualFold(name, []byte("rows")):
+		switch v := b[start:end]; {
+		case keyIs(key, "rows"):
 			err = json.Unmarshal(v, &f.Rows)
-		case bytes.EqualFold(name, []byte("cols")):
+		case keyIs(key, "cols"):
 			err = json.Unmarshal(v, &f.Cols)
-		case bytes.EqualFold(name, []byte("rowidx")):
+		case keyIs(key, "rowidx"):
 			f.Rowidx, err = decodeArray(v, f.Rowidx, parseInt)
-		case bytes.EqualFold(name, []byte("colid")):
+		case keyIs(key, "colid"):
 			f.Colid, err = decodeArray(v, f.Colid, parseInt)
-		case bytes.EqualFold(name, []byte("val")):
+		case keyIs(key, "val"):
 			f.Val, err = decodeArray(v, f.Val, parseFloat)
 		}
 	}) {
@@ -154,17 +156,20 @@ var (
 	errNotObject = errors.New("not an object")
 )
 
-// unquoteKey returns an object key as encoding/json reads it: key is the
-// key as written, quotes included, and only a key with an escape in it is
-// copied to unquote it.
-func unquoteKey(key []byte) []byte {
+// keyIs reports whether encoding/json maps an object key — key as
+// written, quotes included — to the field name (ASCII): unquoted, then
+// equal under Unicode case folding. A key without an escape is compared
+// in place: a rune is at most 4 bytes, so a longer key cannot fold to
+// name, and a shorter one converts to a string in a stack buffer, without
+// allocating.
+func keyIs(key []byte, name string) bool {
 	inner := key[1 : len(key)-1]
-	if bytes.IndexByte(inner, '\\') < 0 {
-		return inner
+	if bytes.IndexByte(inner, '\\') >= 0 {
+		var s string
+		json.Unmarshal(key, &s) // a valid JSON string: the walker has read it
+		return strings.EqualFold(s, name)
 	}
-	var s string
-	json.Unmarshal(key, &s) // a valid JSON string: the walker has read it
-	return []byte(s)
+	return len(inner) <= 4*len(name) && strings.EqualFold(string(inner), name)
 }
 
 // maxDepth is encoding/json's limit on nested arrays and objects: a value

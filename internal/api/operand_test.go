@@ -84,9 +84,11 @@ var operandSeeds = []string{
 // []float64: the same accept or refuse decision and, when accepted, the
 // same nil-ness and bit-identical elements — null elements, 1.0 or 1e2 as
 // an int, 1e999, nested values, whitespace. As a request body, and as the
-// operand of one, SplitInline accepts exactly what json.Valid accepts, deep
-// nesting included, and splits out the very occurrences an Unmarshaler
-// field named "inline" is handed; decoding the rest with encoding/json and
+// operand of one, the walker accepts exactly what json.Valid accepts (at
+// the nesting limit too: TestWalkNestingLimit); SplitInline leaves an
+// invalid body whole, for encoding/json to refuse, and from a valid one
+// splits out the very occurrences an Unmarshaler field named "inline" is
+// handed; decoding the rest with encoding/json and
 // parsing the occurrences is refused exactly when encoding/json refuses the
 // body decoded into a *InlineCSR field, and otherwise holds the operand
 // that field holds — case-insensitive and escaped keys, duplicate members
@@ -113,11 +115,14 @@ func FuzzOperandArrays(f *testing.F) {
 		new(InlineCSR).decodeObject(b) // any bytes, valid or not: no panic, no hang
 
 		for _, body := range [][]byte{b, bytes.Join([][]byte{[]byte(`{"inline":`), b, []byte(`}`)}, nil)} {
-			op, rest, valid := SplitInline(body)
-			if valid != json.Valid(body) {
-				t.Fatalf("body %q: SplitInline valid %v, json.Valid %v", body, valid, !valid)
+			if valid, want := walk(body, nil) != notJSON, json.Valid(body); valid != want {
+				t.Fatalf("body %q: walker valid %v, json.Valid %v", body, valid, want)
 			}
-			if !valid {
+			op, rest := SplitInline(body)
+			if !json.Valid(body) {
+				if op.raw != nil || !bytes.Equal(rest, body) {
+					t.Fatalf("invalid body %q split into %q and %q", body, op.raw, rest)
+				}
 				continue
 			}
 			var seen struct {

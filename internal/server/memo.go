@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -66,21 +65,14 @@ func (m *OperandMemo) Stats() api.InlineStats {
 // body carries) is resolved. body is a *api.SolveRequest or a
 // *api.BatchSolveRequest. One walk (api.SplitInline) validates src and
 // splits out its inline operand; encoding/json then decodes the rest, so it
-// never scans the operand, and an invalid src is refused by encoding/json
-// itself, in the words of its own syntax error. The operand is resolved
+// never scans the operand, and refuses an invalid src itself, in the words
+// of its own syntax error. The operand is resolved
 // through the memo, and axes.Inline is left an empty InlineCSR that marks
 // it present — the identity, not the body, carries it. Every error it
 // returns is the client's (400).
 func (m *OperandMemo) Decode(src []byte, body SolveBody, axes *api.SolveRequest) (Identity, error) {
-	op, rest, valid := api.SplitInline(src)
-	if !valid {
-		rest = src
-	}
-	err := json.Unmarshal(rest, body)
-	if err == nil && !valid {
-		err = errors.New("invalid JSON") // unreachable: SplitInline accepts what json.Valid does
-	}
-	if err != nil {
+	op, rest := api.SplitInline(src)
+	if err := json.Unmarshal(rest, body); err != nil {
 		return Identity{}, fmt.Errorf("decoding request: %w", err)
 	}
 	if op.Present() {
