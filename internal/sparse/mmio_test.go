@@ -131,21 +131,19 @@ func TestReadErrors(t *testing.T) {
 // went on to allocate a 2 GiB row pointer (10.6 s, 2 060 MiB measured).
 const hollowGiant = "%%MatrixMarket matrix coordinate real general\n268435456 268435456 0"
 
-// TestReadBoundsWhatAHeaderAllocates: a size line alone buys an error, fast
-// and in the scanner's buffer — the reader allocates for a dimension only
+// TestReadBoundsWhatAHeaderAllocates: a size line alone buys an error in the
+// scanner's buffer — the reader allocates for a dimension only
 // what the stream has paid for in entries, or maxMMEmptyDim rows.
 func TestReadBoundsWhatAHeaderAllocates(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
 	_, err := ReadMatrixMarket(strings.NewReader(hollowGiant))
-	took := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.HasPrefix(err.Error(), "sparse: ") {
 		t.Fatalf("hollow 2²⁸-row matrix: error %v, want a sparse: refusal", err)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 || took > 10*time.Millisecond {
-		t.Errorf("refusing %d bytes allocated %d bytes in %v, want under 1 MiB and 10 ms", len(hollowGiant), grew, took)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing %d bytes allocated %d bytes, want under 1 MiB", len(hollowGiant), grew)
 	}
 
 	// At the bound the header is honoured: 2²⁰ empty rows, an 8 MiB row pointer.
