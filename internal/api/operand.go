@@ -124,7 +124,7 @@ func (o *InlineBytes) ToCSR() (*sparse.CSR, error) {
 // read once by the walker and once by decodeArray, never by encoding/json.
 func (f *InlineCSR) decodeObject(b []byte) error {
 	var err error
-	switch walk(b, func(key []byte, start, end int) {
+	if walk(b, func(key []byte, start, end int) {
 		if err != nil {
 			return
 		}
@@ -140,21 +140,14 @@ func (f *InlineCSR) decodeObject(b []byte) error {
 		case keyIs(key, "val"):
 			f.Val, err = decodeArray(v, f.Val, parseFloat)
 		}
-	}) {
-	case notJSON:
-		return errNotJSON
-	case notObject:
+	}) != object {
 		return errNotObject
 	}
 	return err
 }
 
-var (
-	// errNotJSON refuses an operand that is not valid JSON.
-	errNotJSON = errors.New("not valid JSON")
-	// errNotObject refuses an operand that is not a JSON object.
-	errNotObject = errors.New("not an object")
-)
+// errNotObject refuses an operand that is not a JSON object.
+var errNotObject = errors.New("not an object")
 
 // keyIs reports whether encoding/json maps an object key — key as
 // written, quotes included — to the field name (ASCII): unquoted, then

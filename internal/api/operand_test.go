@@ -88,11 +88,11 @@ var operandSeeds = []string{
 // the nesting limit too: TestWalkNestingLimit); SplitInline leaves an
 // invalid body whole, for encoding/json to refuse, and from a valid one
 // splits out the very occurrences an Unmarshaler field named "inline" is
-// handed; decoding the rest with encoding/json and
-// parsing the occurrences is refused exactly when encoding/json refuses the
-// body decoded into a *InlineCSR field, and otherwise holds the operand
-// that field holds — case-insensitive and escaped keys, duplicate members
-// decoded in turn and a later null dropping an earlier operand included.
+// handed; decoding the rest with encoding/json and parsing the occurrences
+// is refused exactly when encoding/json refuses the body decoded into a
+// *InlineCSR field, and otherwise holds the operand that field holds —
+// case-insensitive and escaped keys, duplicate members decoded in turn and
+// a later null dropping an earlier operand included.
 // decodeObject never panics or hangs, even on bytes that are not JSON.
 func FuzzOperandArrays(f *testing.F) {
 	for _, s := range operandSeeds {

@@ -66,10 +66,10 @@ func (m *OperandMemo) Stats() api.InlineStats {
 // *api.BatchSolveRequest. One walk (api.SplitInline) validates src and
 // splits out its inline operand; encoding/json then decodes the rest, so it
 // never scans the operand, and refuses an invalid src itself, in the words
-// of its own syntax error. The operand is resolved
-// through the memo, and axes.Inline is left an empty InlineCSR that marks
-// it present — the identity, not the body, carries it. Every error it
-// returns is the client's (400).
+// of its own syntax error. The operand is resolved through the memo, and
+// axes.Inline is left an empty InlineCSR that marks it present — the
+// identity, not the body, carries it. Every error it returns is the
+// client's (400).
 func (m *OperandMemo) Decode(src []byte, body SolveBody, axes *api.SolveRequest) (Identity, error) {
 	op, rest := api.SplitInline(src)
 	if err := json.Unmarshal(rest, body); err != nil {
