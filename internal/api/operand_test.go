@@ -75,7 +75,7 @@ var operandSeeds = []string{
 	`{"a":"\ud800\udc00\/\b\f\n\r\t\"\\","b":"\u00e9\uDBFF"}`, `"\x"`, `"\u12"`, `"\u12g4"`, "\"\x01\"", "\"\xff\xfe\"",
 	` {"inline" : [ 1 , { "x" : [ ] } ] , "seed" : 3 } `, `{"inline":{},}`, `{"inline"}`, `{"inline":}`, `{,}`, `{"a":1 "b":2}`,
 	`[true,false,null]`, `[tru]`, `[nulll]`, `-0.0e-0`, `-01`, `1e`, `1e+`, "\ufeff{}",
-	`[[1]]`, `[{"a":[]}]`, `{"inline":[[]]}`, `[[`, `]]`,
+	`[[1]]`, `[{"a":[]}]`, `{"inline":[[]]}`, `[[`, `]]`, "\"\x1f\"", "\"\x20\x7f\"",
 }
 
 // FuzzOperandArrays holds the walker and the operand decoders to
@@ -198,21 +198,20 @@ func TestInlineCSRRoundTrip(t *testing.T) {
 }
 
 // TestWalkNestingLimit holds the walker to json.Valid where encoding/json's
-// nesting limit decides: every FuzzOperandArrays seed inside maxDepth-1
-// arrays, or objects, is valid only while it nests no deeper than one more
-// level. (Inputs this large would slow the fuzzer's mutator tenfold, so
-// the limit is checked here rather than there.)
+// nesting limit decides: every FuzzOperandArrays seed, nested just short of
+// maxDepth in arrays, in objects, or in both alternating, is valid only
+// while its own nesting keeps the total within maxDepth. (Inputs this large
+// would slow the fuzzer's mutator tenfold, so the limit is checked here
+// rather than there.)
 func TestWalkNestingLimit(t *testing.T) {
-	const d = maxDepth - 1
 	for _, s := range append(operandSeeds, `[]`, `[[]]`, `{}`, `{"a":{}}`, `[{}]`, `1`, `[1]`) {
-		for _, wrap := range [][2]string{{"[", "]"}, {`{"inline":`, "}"}, {`{"a":[`, "]}"}} {
-			n := d
-			if wrap[0] == `{"a":[` {
-				n = d / 2 // two levels a wrap
-			}
-			deep := []byte(strings.Repeat(wrap[0], n) + s + strings.Repeat(wrap[1], n))
+		for _, wrap := range []struct {
+			open, close string
+			n           int // times open is repeated; `{"a":[` opens two levels
+		}{{"[", "]", maxDepth - 1}, {`{"inline":`, "}", maxDepth - 1}, {`{"a":[`, "]}", (maxDepth - 1) / 2}} {
+			deep := []byte(strings.Repeat(wrap.open, wrap.n) + s + strings.Repeat(wrap.close, wrap.n))
 			if got, want := walk(deep, nil) != notJSON, json.Valid(deep); got != want {
-				t.Errorf("%q inside %d×%s: walker valid %v, json.Valid %v", s, n, wrap[0], got, want)
+				t.Errorf("%q inside %d×%s: walker valid %v, json.Valid %v", s, wrap.n, wrap.open, got, want)
 			}
 		}
 	}
