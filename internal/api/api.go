@@ -41,13 +41,13 @@ type InlineCSR struct {
 }
 
 // ToCSR assembles and validates the matrix: its structure, and that every
-// value is finite. It is where both tiers admit an operand that arrives by
-// content — the router to key it, the shard to solve it — so both refuse
-// the same bodies (through InlineBytes.ToCSR, which parses it first). JSON
-// cannot spell NaN or ±Inf and the decoder rejects a number that overflows,
-// so the finiteness check only stops a caller that fills the struct itself.
+// value is finite. It is where a shard admits an operand that arrives by
+// content, when a cache miss parses it (through InlineBytes.ToCSR, which
+// parses it first); the router relays what it refuses. JSON cannot spell
+// NaN or ±Inf and the decoder rejects a number that overflows, so the
+// finiteness check only stops a caller that fills the struct itself.
 // Finite values whose column sums overflow are the shard's to refuse, once
-// per matrix (server.ResolveIdentity's Build). The solvers take square
+// per matrix (the Build of a server.Identity). The solvers take square
 // systems only, and a square matrix has no dimension the body has not paid
 // for: Rows is bounded by len(Rowidx), so Cols may not be anything else (the
 // shard's Build sizes a vector by it).
@@ -334,11 +334,9 @@ type StatsResponse struct {
 	Inline InlineStats `json:"inline"`
 }
 
-// InlineStats counts a tier's inline operands in statusz: Parsed is how
-// often it parsed an operand's bytes — to resolve its identity, or on the
-// shard to fill the cache — and Remembered how often it resolved an
-// operand from the bytes' SHA-256 without parsing them.
+// InlineStats counts a shard's inline operands in statusz: Parsed is how
+// often it parsed an operand's bytes to fill its cache. A cache hit is
+// served by the SHA-256 of the bytes, unparsed.
 type InlineStats struct {
-	Parsed     int64 `json:"parsed"`
-	Remembered int64 `json:"remembered"`
+	Parsed int64 `json:"parsed"`
 }

@@ -1,12 +1,9 @@
 package api_test
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -20,15 +17,15 @@ import (
 	"repro/internal/sparse"
 )
 
-// admitInline is the shard's request decode on a body of src:
-// server.OperandMemo.Decode — json.Unmarshal (exactly one value, nothing but
-// whitespace after it, the operand kept as bytes), WithDefaults, Validate
-// and the identity's resolution, which parses the operand or recalls it —
-// and, for an inline matrix, the cache fill's Build. stage names the step
+// admitInline is the shard's admission of a body of src: server.Decode —
+// json.Unmarshal of all but the operand (exactly one value, nothing but
+// whitespace after it), WithDefaults, Validate and the key, by the
+// operand's bytes — and, for an inline matrix, the cache fill's Build,
+// which parses the operand and admits the matrix. stage names the step
 // that refused the body, told apart by Decode's error prefixes.
-func admitInline(memo *server.OperandMemo, src []byte) (id server.Identity, a *sparse.CSR, stage string, err error) {
+func admitInline(src []byte) (id server.Identity, a *sparse.CSR, stage string, err error) {
 	var req api.SolveRequest
-	if id, err = memo.Decode(src, &req, &req); err != nil {
+	if id, err = server.Decode(src, &req, &req); err != nil {
 		switch msg := err.Error(); {
 		case strings.HasPrefix(msg, "decoding request: "):
 			return id, nil, "decode", err
@@ -48,59 +45,48 @@ func admitInline(memo *server.OperandMemo, src []byte) (id server.Identity, a *s
 	return id, a, "build", err
 }
 
-// plainAdmit is the same decode by the rule the tiers followed before they
-// kept an operand's bytes: encoding/json decodes the whole body, operand
-// included, then WithDefaults, Validate, server.ResolveIdentity and, for an
-// inline matrix, Build.
-func plainAdmit(src []byte) (server.Identity, error) {
+// plainAdmit is the same admission by the rule the tiers followed before
+// they kept an operand's bytes: encoding/json decodes the whole body,
+// operand included, then WithDefaults, Validate, server.ResolveIdentity
+// and, for an inline matrix, Build. It returns the decoded request.
+func plainAdmit(src []byte) (*api.SolveRequest, server.Identity, error) {
 	var req api.SolveRequest
 	if err := json.Unmarshal(src, &req); err != nil {
-		return server.Identity{}, err
+		return nil, server.Identity{}, err
 	}
 	req.WithDefaults()
 	if err := req.Validate(); err != nil {
-		return server.Identity{}, err
+		return nil, server.Identity{}, err
 	}
 	id, err := server.ResolveIdentity(&req)
 	if err != nil || req.Inline == nil {
-		return id, err
+		return &req, id, err
 	}
 	_, err = id.Build()
-	return id, err
+	return &req, id, err
 }
 
-// contentKey is the cache key an admitted matrix must carry: the SHA-256 of
-// the words its fingerprint hashes, little-endian.
-func contentKey(a *sparse.CSR) string {
-	words := binary.LittleEndian.AppendUint64(nil, uint64(a.Rows))
-	words = binary.LittleEndian.AppendUint64(words, uint64(a.Cols))
-	for _, r := range a.Rowidx {
-		words = binary.LittleEndian.AppendUint64(words, uint64(r))
-	}
-	for _, c := range a.Colid {
-		words = binary.LittleEndian.AppendUint64(words, uint64(c))
-	}
-	for _, v := range a.Val {
-		words = binary.LittleEndian.AppendUint64(words, math.Float64bits(v))
-	}
-	sum := sha256.Sum256(words)
+// bytesKey is the key of the operand src carries: the SHA-256 of its bytes.
+func bytesKey(src []byte) string {
+	op, _ := api.SplitInline(src)
+	sum := op.Sum()
 	return "inline:sha256:" + hex.EncodeToString(sum[:])
 }
 
-// FuzzInlineCSR holds the shard's decode of an inline operand to what a
-// wire surface owes any bytes: a matrix the solvers can take — square,
-// valid, keyed by a SHA-256 of its content and labelled by its
-// fingerprint — or an error of the step that refused it (a number the
-// operand's arrays cannot hold, 1e999 among them, at identity resolution),
-// in bounded time and memory. The same bytes decoded again through the warm
-// memo resolve to the same identity without a parse, and its Build parses
-// the same matrix bit for bit or refuses it as before; a body refused
-// before the operand parsed is never remembered. Every body is refused
-// exactly when decoding it whole with encoding/json, as the tiers did
-// before they kept an operand's bytes, refuses it, and keyed alike. The
-// seeds reach every refusal of an inline CSR: a decreasing Rowidx, a Colid
-// out of range, dimensions that promise more than the arrays hold, finite
-// values whose column sum overflows, and duplicate or non-object operands.
+// FuzzInlineCSR holds the shard's admission of an inline operand to what
+// a wire surface owes any bytes: a matrix the solvers can take — square,
+// valid, keyed by the SHA-256 of the operand's bytes — or an error of the
+// step that refused it (a number the operand's arrays cannot hold, 1e999
+// among them, at the Build's parse), in bounded time and memory. Equal
+// operand bytes, in a body that differs around them, give an equal key and
+// a Build that parses the same matrix bit for bit or refuses it the same
+// way. Every body is refused exactly when decoding it whole with
+// encoding/json, as the tiers did before they kept an operand's bytes,
+// refuses it, and an operand sent as the bytes encoding/json writes for its
+// decoded value is keyed as ResolveIdentity keys that value. The seeds
+// reach every refusal of an inline CSR: a decreasing Rowidx, a Colid out of
+// range, dimensions that promise more than the arrays hold, finite values
+// whose column sum overflows, and duplicate or non-object operands.
 func FuzzInlineCSR(f *testing.F) {
 	for _, inline := range []string{
 		`{"rows":3,"cols":3,"rowidx":[0,2,5,7],"colid":[0,1,0,1,2,1,2],"val":[4,-1,-1,4,-1,-1,4]}`,
@@ -131,11 +117,10 @@ func FuzzInlineCSR(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, src []byte) {
-		memo := server.NewOperandMemo()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		id, a, stage, err := admitInline(memo, src)
+		id, a, stage, err := admitInline(src)
 		took := time.Since(start)
 		runtime.ReadMemStats(&after)
 
@@ -144,11 +129,8 @@ func FuzzInlineCSR(f *testing.F) {
 			if a.Rows != a.Cols || a.Validate() != nil {
 				t.Fatalf("admitted a %dx%d matrix that does not validate: %v", a.Rows, a.Cols, a.Validate())
 			}
-			if key := contentKey(a); id.Key != key || id.Spec.N != a.Rows {
-				t.Fatalf("identity %q n=%d for a matrix keyed %q n=%d", id.Key, id.Spec.N, key, a.Rows)
-			}
-			if label := fmt.Sprintf("inline:%016x", a.Fingerprint()); id.Label != label {
-				t.Fatalf("identity labelled %q for a matrix fingerprinted %q", id.Label, label)
+			if key := bytesKey(src); id.Key != key {
+				t.Fatalf("identity %q for an operand whose bytes key %q", id.Key, key)
 			}
 		case err == nil:
 			if !strings.HasPrefix(id.Key, "spec:") {
@@ -156,7 +138,7 @@ func FuzzInlineCSR(f *testing.F) {
 			}
 		case stage == "decode":
 			// The operand's bytes are kept whole: what its arrays hold is
-			// refused at identity resolution, never here.
+			// refused by the Build's parse, never here.
 			var syntax *json.SyntaxError
 			var typ *json.UnmarshalTypeError
 			if !errors.As(err, &syntax) && !errors.As(err, &typ) {
@@ -168,8 +150,8 @@ func FuzzInlineCSR(f *testing.F) {
 		case stage == "unknown":
 			t.Fatalf("error %q is neither the decoder's, Validate's nor the inline matrix's", err)
 		case stage == "build":
-			if !errors.Is(err, checksum.ErrNoShift) {
-				t.Fatalf("build error %v is not checksum.ErrNoShift", err)
+			if !errors.Is(err, checksum.ErrNoShift) && !strings.HasPrefix(err.Error(), "inline matrix: ") {
+				t.Fatalf("build error %v is neither the parse's nor checksum.ErrNoShift", err)
 			}
 		}
 		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(src)); grew > ceiling {
@@ -179,35 +161,42 @@ func FuzzInlineCSR(f *testing.F) {
 			t.Fatalf("%d bytes of input took %v", len(src), took)
 		}
 
-		// Refused exactly when the plain decode refuses the body, and keyed
-		// as it keys it.
-		if plainID, plainErr := plainAdmit(src); (plainErr == nil) != (err == nil) || plainID.Key != id.Key {
-			t.Fatalf("refusal %v, key %q; the plain decode's %v, %q", err, id.Key, plainErr, plainID.Key)
+		// The same operand bytes in another body — trailing whitespace is
+		// no error — key alike, and the Build parses the same matrix bit
+		// for bit or refuses it with the same error.
+		id2, a2, stage2, err2 := admitInline(append(slices.Clip(src), ' '))
+		switch {
+		case (err == nil) != (err2 == nil) || stage != stage2:
+			t.Fatalf("with a trailing space: stage %s err %v, alone stage %s err %v", stage2, err2, stage, err)
+		case stage == "build" && id2.Key != id.Key:
+			t.Fatalf("equal operand bytes keyed %q and %q", id.Key, id2.Key)
+		case stage == "build" && err != nil && err.Error() != err2.Error():
+			t.Fatalf("equal operand bytes refused as %v and %v", err, err2)
+		case a != nil && !sameCSR(a, a2):
+			t.Fatalf("equal operand bytes built different matrices")
 		}
 
-		// The same bytes again, through the warm memo: an operand that parsed
-		// resolves unparsed to the same identity, whose Build parses to the
-		// same matrix bit for bit, or is refused again by it; one refused
-		// before that was not remembered and is refused again at the same
-		// step.
-		st := memo.Stats()
-		id2, a2, stage2, err2 := admitInline(memo, src)
-		st2 := memo.Stats()
-		switch {
-		case (err == nil) != (err2 == nil) || (err != nil && stage != stage2):
-			t.Fatalf("second decode: stage %s err %v, first stage %s err %v", stage2, err2, stage, err)
-		case stage == "build":
-			if id2.Key != id.Key || id2.Label != id.Label || id2.Spec != id.Spec {
-				t.Fatalf("remembered identity %q %q %+v, parsed %q %q %+v", id2.Key, id2.Label, id2.Spec, id.Key, id.Label, id.Spec)
+		// Refused exactly when the plain decode refuses the body.
+		req, plainID, plainErr := plainAdmit(src)
+		if (plainErr == nil) != (err == nil) {
+			t.Fatalf("refusal %v; the plain decode's %v", err, plainErr)
+		}
+		if err != nil || req.Inline == nil {
+			if err == nil && plainID.Key != id.Key {
+				t.Fatalf("spec keyed %q, by the plain decode %q", id.Key, plainID.Key)
 			}
-			if st2.Remembered != st.Remembered+1 || st2.Parsed != st.Parsed+1 {
-				t.Fatalf("memo counters %+v after %+v: want one recall and only Build's parse", st2, st)
-			}
-			if err == nil && !sameCSR(a, a2) {
-				t.Fatalf("Build of the remembered identity parsed a different matrix")
-			}
-		case st2.Remembered != st.Remembered:
-			t.Fatalf("a body refused at %s (%v) was remembered", stage, err)
+			return
+		}
+
+		// The operand as encoding/json writes it is keyed as ResolveIdentity
+		// keys the value, and builds the same matrix.
+		body, merr := json.Marshal(req)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		id3, a3, _, err3 := admitInline(body)
+		if err3 != nil || id3.Key != plainID.Key || !sameCSR(a, a3) {
+			t.Fatalf("re-encoded operand keyed %q (%v), ResolveIdentity %q", id3.Key, err3, plainID.Key)
 		}
 	})
 }

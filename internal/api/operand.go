@@ -15,13 +15,20 @@ import (
 
 // InlineBytes is a request body's "inline" member kept as the JSON it
 // arrived in — every occurrence of it, in order, null included, each a span
-// of the body (SplitInline) — for a tier that resolves a repeat operand by
-// the SHA-256 of its bytes (server.OperandMemo) and parses it only when it
-// must. Parse decodes the occurrences in turn as encoding/json decodes them
-// into a *InlineCSR field. An InlineCSR decoded from JSON holds the parsed
-// operand itself.
+// of the body (SplitInline) — for the tiers, which name an operand by the
+// SHA-256 of its bytes (Sum) and parse it only to fill a shard's cache.
+// Parse decodes the occurrences in turn as encoding/json decodes them into a
+// *InlineCSR field. An InlineCSR decoded from JSON holds the parsed operand
+// itself.
 type InlineBytes struct {
 	raw [][]byte
+}
+
+// MarshalInline keeps ic as the bytes encoding/json writes for it, which
+// are the bytes Client sends as a request's "inline" member.
+func MarshalInline(ic *InlineCSR) (InlineBytes, error) {
+	b, err := json.Marshal(ic)
+	return InlineBytes{raw: [][]byte{b}}, err
 }
 
 // SplitInline walks a request body once, validating it as json.Valid

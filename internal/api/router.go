@@ -19,9 +19,6 @@ type RouterzResponse struct {
 	Spilled    int64           `json:"spilled"`
 	Unroutable int64           `json:"unroutable"`
 	Keys       KeyDistribution `json:"keys"`
-	// Inline counts the inline operands the router parsed to route them
-	// and those it routed on a remembered key.
-	Inline InlineStats `json:"inline"`
 	// Integrity reports the router's end-to-end response verification.
 	Integrity IntegrityStats `json:"integrity"`
 	// Hedge reports the tail-latency hedging tier (always present; Enabled

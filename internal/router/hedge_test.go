@@ -48,21 +48,21 @@ func TestHedgeWinsWhenPrimaryIsSlow(t *testing.T) {
 	if owner == "" {
 		t.Fatal("no X-Resilient-Shard header on the owner probe")
 	}
-	// Stall the ring owner well past the arm delay: the hedge must win.
-	rt.Get(owner).SetDelay(400 * time.Millisecond)
+	// Stall the ring owner for far longer than the test runs: any answer
+	// at all is the hedge's. The stalled mock returns once its request is
+	// canceled, so the loser still gives its connection back.
+	rt.Get(owner).SetDelay(time.Minute)
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	start := time.Now()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("hedged solve: status %d", resp.StatusCode)
 	}
@@ -79,12 +79,6 @@ func TestHedgeWinsWhenPrimaryIsSlow(t *testing.T) {
 	if sr.Result.ResidualHash == "" {
 		t.Error("hedged answer carries no residual hash")
 	}
-	// The win must arrive well before the stalled primary would have
-	// answered — that is the whole point.
-	if elapsed >= 400*time.Millisecond {
-		t.Errorf("hedged request took %v, no faster than the stalled primary", elapsed)
-	}
-
 	rz := r.routerz()
 	if !rz.Hedge.Enabled || rz.Hedge.Armed != 1 || rz.Hedge.Wins != 1 {
 		t.Errorf("hedge stats %+v, want enabled with 1 armed / 1 win", rz.Hedge)

@@ -34,10 +34,6 @@ func (r *Router) registerMetrics() {
 		func() float64 { return float64(r.failovers.Load()) })
 	m.CounterFunc("resilient_router_spilled_total", "Buffered requests first sent to the key's ring successor because the owner was over its bounded load.",
 		func() float64 { return float64(r.spilled.Load()) })
-	m.CounterFunc("resilient_router_inline_parsed_total", "Inline operands parsed to route them.",
-		func() float64 { return float64(r.memo.Stats().Parsed) })
-	m.CounterFunc("resilient_router_inline_remembered_total", "Inline operands routed on the key remembered for their bytes, unparsed.",
-		func() float64 { return float64(r.memo.Stats().Remembered) })
 	m.CounterFunc("resilient_router_unroutable_total", "Requests answered with an error after every candidate failed.",
 		func() float64 { return float64(r.unroutable.Load()) })
 	m.CounterFunc("resilient_router_digest_verified_total", "Shard responses whose content digest verified before relay.",

@@ -324,16 +324,14 @@ func TestRouterMetricsReconcileWithRouterz(t *testing.T) {
 	m := scrapeRouterMetrics(t, ts.URL)
 	rz := r.routerz()
 	checks := map[string]float64{
-		"resilient_schema_version":                 float64(api.SchemaVersion),
-		"resilient_router_routed_total":            float64(rz.Routed),
-		"resilient_router_failovers_total":         float64(rz.Failovers),
-		"resilient_router_spilled_total":           float64(rz.Spilled),
-		"resilient_router_unroutable_total":        float64(rz.Unroutable),
-		"resilient_router_inline_parsed_total":     float64(rz.Inline.Parsed),
-		"resilient_router_inline_remembered_total": float64(rz.Inline.Remembered),
-		"resilient_router_digest_verified_total":   float64(rz.Integrity.DigestVerified),
-		"resilient_router_healthy_shards":          float64(rz.HealthyShards),
-		"resilient_router_shards":                  1,
+		"resilient_schema_version":               float64(api.SchemaVersion),
+		"resilient_router_routed_total":          float64(rz.Routed),
+		"resilient_router_failovers_total":       float64(rz.Failovers),
+		"resilient_router_spilled_total":         float64(rz.Spilled),
+		"resilient_router_unroutable_total":      float64(rz.Unroutable),
+		"resilient_router_digest_verified_total": float64(rz.Integrity.DigestVerified),
+		"resilient_router_healthy_shards":        float64(rz.HealthyShards),
+		"resilient_router_shards":                1,
 	}
 	for name, want := range checks {
 		got, ok := m[name]

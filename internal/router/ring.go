@@ -1,13 +1,11 @@
 // Package router implements the sharded solve tier: a consistent-hash
 // routing front end over N resilientd shards. Requests are keyed on the
 // same canonical matrix identity the solve service's artifact cache uses
-// (server.OperandMemo.Decode, through a memo of the router's own that
-// routes a repeat inline operand without parsing it again), so a matrix's
-// artifacts — assembled CSR, checksum encodings, warm workspaces — are
-// warm on its ring owner, and on
-// the owner's successor only while load spills requests there (consistent
-// hashing with bounded loads, see Router.candidates), and the cache scales
-// horizontally.
+// (server.Decode, which keys an inline operand by its bytes, unparsed), so a
+// matrix's artifacts — assembled CSR, checksum encodings, warm workspaces —
+// are warm on its ring owner, and on the owner's successor only while load
+// spills requests there (consistent hashing with bounded loads, see
+// Router.candidates), and the cache scales horizontally.
 //
 // The pieces: Ring is a ketama-style hash ring with virtual nodes and
 // deterministic, minimal-disruption placement; Router is the reverse
@@ -41,10 +39,10 @@ import (
 	"repro/internal/sparse"
 )
 
-// DefaultVnodes is the per-shard virtual node count: high enough that a
+// defaultVnodes is the per-shard virtual node count: high enough that a
 // departing shard's keys spread over all survivors instead of dogpiling
 // one, low enough that a lookup's binary search stays trivial.
-const DefaultVnodes = 64
+const defaultVnodes = 64
 
 // Ring is a ketama-style consistent-hash ring: each shard owns Vnodes
 // points placed by hashing "name#i" with the repository's FNV-1a family,
@@ -67,10 +65,10 @@ type point struct {
 }
 
 // NewRing returns an empty ring with the given virtual-node count per
-// shard (≤ 0 selects DefaultVnodes).
+// shard (≤ 0 selects defaultVnodes).
 func NewRing(vnodes int) *Ring {
 	if vnodes <= 0 {
-		vnodes = DefaultVnodes
+		vnodes = defaultVnodes
 	}
 	return &Ring{vnodes: vnodes, shards: make(map[string]int)}
 }
@@ -138,8 +136,8 @@ func (r *Ring) Shards() []string {
 // Len returns the number of member shards.
 func (r *Ring) Len() int { return len(r.shards) }
 
-// KeyHash is the position of a routing key on the ring.
-func KeyHash(key string) uint64 { return spread(sparse.FNV1aString(key)) }
+// keyHash is the position of a routing key on the ring.
+func keyHash(key string) uint64 { return spread(sparse.FNV1aString(key)) }
 
 func vnodeHash(shard string, i int) uint64 {
 	return spread(sparse.FNV1aString(fmt.Sprintf("%s#%d", shard, i)))
@@ -166,7 +164,7 @@ func (r *Ring) Lookup(key string) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	return r.points[r.at(KeyHash(key))].shard
+	return r.points[r.at(keyHash(key))].shard
 }
 
 // Successors returns up to n distinct shards in ring order starting at
@@ -181,7 +179,7 @@ func (r *Ring) Successors(key string, n int) []string {
 	}
 	out := make([]string, 0, n)
 	seen := make(map[string]bool, n)
-	for i, start := 0, r.at(KeyHash(key)); len(out) < n && i < len(r.points); i++ {
+	for i, start := 0, r.at(keyHash(key)); len(out) < n && i < len(r.points); i++ {
 		s := r.points[(start+i)%len(r.points)].shard
 		if !seen[s] {
 			seen[s] = true

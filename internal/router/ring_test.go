@@ -144,7 +144,7 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 	r.Add("only")
 	r.Add("only") // duplicate add is a no-op
-	if len(r.points) != DefaultVnodes {
+	if len(r.points) != defaultVnodes {
 		t.Errorf("duplicate Add grew the ring to %d points", len(r.points))
 	}
 	if got := r.Lookup("k"); got != "only" {

@@ -35,7 +35,7 @@ const (
 	retryAfterDrainingMillis  = 1000
 )
 
-// The router's fixed parameters; the ring's vnode count is DefaultVnodes.
+// The router's fixed parameters; the ring's vnode count is defaultVnodes.
 const (
 	// replicas is how many distinct ring successors a request may try: the
 	// key's owner plus replicas−1 failover candidates.
@@ -125,7 +125,7 @@ type Config struct {
 	Observe func(*obs.Registry)
 
 	// Tests override the fixed parameters of the same names here (vnodes:
-	// DefaultVnodes); zero keeps the constant.
+	// defaultVnodes); zero keeps the constant.
 	vnodes         int
 	failThreshold  int
 	retryBodyBytes int64
@@ -133,7 +133,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.vnodes <= 0 {
-		c.vnodes = DefaultVnodes
+		c.vnodes = defaultVnodes
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -205,10 +205,6 @@ type Router struct {
 	keysMu sync.Mutex
 	keys   map[uint64]string // key hash -> the shard that last answered it (a spill names the owner)
 
-	// memo resolves an inline operand the router has routed before without
-	// parsing it again.
-	memo *server.OperandMemo
-
 	mux     *http.ServeMux
 	started time.Time
 	// drainMu orders solve admission against StartDraining: an admission
@@ -275,7 +271,6 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 		ring:    NewRing(cfg.vnodes),
 		shards:  make(map[string]*shardState, len(shards)),
 		keys:    make(map[uint64]string),
-		memo:    server.NewOperandMemo(),
 		started: time.Now(),
 		stop:    make(chan struct{}),
 		tracer:  obs.NewTracer(api.TierRouter, obs.DefaultTraceRing),
@@ -395,7 +390,7 @@ func (r *Router) carry(s *shardState, w int64) {
 // trackKey attributes a routed key to the shard that served it, for the
 // statusz distribution (bounded; drops attribution past the cap).
 func (r *Router) trackKey(key string, shard string) {
-	h := KeyHash(key)
+	h := keyHash(key)
 	r.keysMu.Lock()
 	if _, ok := r.keys[h]; ok || len(r.keys) < maxTrackedKeys {
 		r.keys[h] = shard
@@ -595,18 +590,19 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 
 // identify decodes, defaults and validates a solve body — a single's or a
 // batch's, which embeds one; a single's has no RHS — by the shard's own rule
-// (server.OperandMemo.Decode, through the router's memo), and resolves the
-// routing key: the shard-side cache identity of its matrix. A key's
-// artifacts are warm on its ring owner, and on the owner's successor once
-// load has spilled it there (see candidates). Every error it returns is the
-// client's (400).
+// (server.Decode), and resolves the routing key: the shard-side cache
+// identity of its matrix. An inline operand is keyed by its bytes and never
+// parsed here: what only its parse refuses, the shard refuses and the
+// router relays. A key's artifacts are warm on its ring owner, and on the
+// owner's successor once load has spilled it there (see candidates). Every
+// error it returns is the client's (400).
 func (r *Router) identify(path string, body []byte) (*api.BatchSolveRequest, server.Identity, error) {
 	breq := new(api.BatchSolveRequest)
 	var decoded server.SolveBody = &breq.SolveRequest
 	if path == "/v1/solve/batch" {
 		decoded = breq
 	}
-	id, err := r.memo.Decode(body, decoded, &breq.SolveRequest)
+	id, err := server.Decode(body, decoded, &breq.SolveRequest)
 	if err != nil {
 		return nil, server.Identity{}, err
 	}
@@ -884,7 +880,6 @@ func (r *Router) routerz() api.RouterzResponse {
 			Saturated: distinct >= maxTrackedKeys,
 			PerShard:  perShard,
 		},
-		Inline: r.memo.Stats(),
 		Integrity: api.IntegrityStats{
 			DigestVerified:   r.digestVerified.Load(),
 			CorruptResponses: r.corruptResponses.Load(),

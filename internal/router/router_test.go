@@ -374,8 +374,8 @@ func TestRouterzEndpoint(t *testing.T) {
 	names := map[string]bool{}
 	for _, s := range rz.Shards {
 		names[s.Name] = true
-		if s.VNodes != DefaultVnodes {
-			t.Errorf("shard %s vnodes=%d, want %d", s.Name, s.VNodes, DefaultVnodes)
+		if s.VNodes != defaultVnodes {
+			t.Errorf("shard %s vnodes=%d, want %d", s.Name, s.VNodes, defaultVnodes)
 		}
 	}
 	if !names["s0"] || !names["s1"] || !names["s2"] {
@@ -417,12 +417,12 @@ func TestZeroConfigDefaults(t *testing.T) {
 	})
 
 	rz := routerzOf(t, ts.URL)
-	if rz.Vnodes != DefaultVnodes || rz.Replicas != 2 || len(rz.Shards) != 1 || rz.Shards[0].VNodes != DefaultVnodes {
+	if rz.Vnodes != defaultVnodes || rz.Replicas != 2 || len(rz.Shards) != 1 || rz.Shards[0].VNodes != defaultVnodes {
 		t.Errorf("router statusz: vnodes %d, replicas %d, shards %+v; want %d, 2 and one shard of %d vnodes",
-			rz.Vnodes, rz.Replicas, rz.Shards, DefaultVnodes, DefaultVnodes)
+			rz.Vnodes, rz.Replicas, rz.Shards, defaultVnodes, defaultVnodes)
 	}
-	if topo := r.CurrentTopology(); topo.Vnodes != DefaultVnodes || topo.Replicas != 2 {
-		t.Errorf("admin topology: vnodes %d, replicas %d; want %d and 2", topo.Vnodes, topo.Replicas, DefaultVnodes)
+	if topo := r.CurrentTopology(); topo.Vnodes != defaultVnodes || topo.Replicas != 2 {
+		t.Errorf("admin topology: vnodes %d, replicas %d; want %d and 2", topo.Vnodes, topo.Replicas, defaultVnodes)
 	}
 
 	sz, err := api.NewClient(shardTS.URL).Statusz(context.Background())
@@ -502,8 +502,9 @@ type tierCase struct {
 }
 
 // answerOnBothTiers posts every case to a real shard and to a router in
-// front of it, and holds both to the case's answer.
-func answerOnBothTiers(t *testing.T, cases []tierCase) {
+// front of it — a single also as a stream — and holds both tiers to the
+// case's status and message and to one error code. It returns the shard.
+func answerOnBothTiers(t *testing.T, cases []tierCase) (*realShard, string) {
 	t.Helper()
 	shard := newRealShard(t, "s0")
 	r, err := New(Config{ProbeInterval: time.Hour}, []Shard{{Name: shard.name, Addr: shard.ts.URL}})
@@ -516,19 +517,40 @@ func answerOnBothTiers(t *testing.T, cases []tierCase) {
 		r.Shutdown()
 	})
 	for _, tc := range cases {
-		for tier, base := range map[string]string{"shard": shard.ts.URL, "router": rts.URL} {
-			resp, err := http.Post(base+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
-			if err != nil {
-				t.Fatal(err)
+		for _, stream := range []bool{false, true} {
+			if stream && tc.path != "/v1/solve" {
+				continue
 			}
-			var er api.Error
-			json.NewDecoder(resp.Body).Decode(&er)
-			resp.Body.Close()
-			if resp.StatusCode != tc.code || er.Message != tc.message {
-				t.Errorf("%s %s %q: %d %q, want %d %q", tier, tc.path, tc.body, resp.StatusCode, er.Message, tc.code, tc.message)
+			var codes []string
+			for _, tier := range []struct{ name, base string }{{"shard", shard.ts.URL}, {"router", rts.URL}} {
+				hreq, err := http.NewRequest(http.MethodPost, tier.base+tc.path, bytes.NewReader([]byte(tc.body)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				hreq.Header.Set("Content-Type", "application/json")
+				if stream {
+					hreq.Header.Set("Accept", "text/event-stream")
+				}
+				resp, err := http.DefaultClient.Do(hreq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var er api.Error
+				if resp.StatusCode != http.StatusOK {
+					json.NewDecoder(resp.Body).Decode(&er)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != tc.code || er.Message != tc.message {
+					t.Errorf("%s %s (stream %v) %q: %d %q, want %d %q", tier.name, tc.path, stream, tc.body, resp.StatusCode, er.Message, tc.code, tc.message)
+				}
+				codes = append(codes, er.Code)
+			}
+			if codes[0] != codes[1] {
+				t.Errorf("%s (stream %v) %q: code %q on the shard, %q on the router", tc.path, stream, tc.body, codes[0], codes[1])
 			}
 		}
 	}
+	return shard, rts.URL
 }
 
 // TestTrailingBytesRefusedOnBothTiers holds the shard and the router to one
@@ -570,6 +592,54 @@ func TestTypeErrorsNameTheAPITypes(t *testing.T) {
 		{"/v1/solve/batch", `[1]`, http.StatusBadRequest, prefix + "array into Go value of type api.BatchSolveRequest"},
 		{"/v1/solve/batch", `{` + spec + `,"rhs":{}}`, http.StatusBadRequest, prefix + "object into Go struct field BatchSolveRequest.rhs of type []api.BatchRHS"},
 	})
+}
+
+// TestParseRefusalsAnsweredAlikeOnBothTiers holds the tiers to one answer
+// for an operand that only its parse refuses — a type error inside it, a
+// row-pointer array of the wrong length, a non-square shape, a value beyond
+// float64 and a fractional index — on a single, a batch and a stream. The
+// router keys such an operand by its bytes and forwards it; the shard
+// refuses it and the router relays the 400. Fifty distinct refused operands
+// leave the shard's cache as they found it, a resident matrix included: no
+// entry, no hit, no miss.
+func TestParseRefusalsAnsweredAlikeOnBothTiers(t *testing.T) {
+	const prefix = "inline matrix: "
+	var cases []tierCase
+	for _, op := range []struct{ inline, message string }{
+		{`{"rows":"3","cols":3,"rowidx":[0,1,2,3],"colid":[0,1,2],"val":[1,1,1]}`, prefix + "json: cannot unmarshal string into Go value of type int"},
+		{`{"rows":2,"cols":2,"rowidx":[0,1],"colid":[0],"val":[1]}`, prefix + "sparse: len(Rowidx)=2, want rows+1=3"},
+		{`{"rows":1,"cols":2,"rowidx":[0,2],"colid":[0,1],"val":[1,1]}`, prefix + "1x2 is not square"},
+		{`{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1e999]}`, prefix + "not an array of numbers: 1e999 does not fit float64"},
+		{`{"rows":1,"cols":1,"rowidx":[0,1],"colid":[1.5],"val":[1]}`, prefix + "not an array of numbers: 1.5 does not fit int"},
+	} {
+		cases = append(cases,
+			tierCase{"/v1/solve", `{"inline":` + op.inline + `}`, http.StatusBadRequest, op.message},
+			tierCase{"/v1/solve/batch", `{"inline":` + op.inline + `,"rhs":[{"seed":1}]}`, http.StatusBadRequest, op.message})
+	}
+	shard, router := answerOnBothTiers(t, cases)
+
+	cacheOf := func() api.CacheStats {
+		t.Helper()
+		st, err := api.NewClient(shard.ts.URL).Statusz(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Shard.Cache
+	}
+	resident := []byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[2]}}`)
+	if code, _, _ := postRouted(t, router, resident); code != http.StatusOK {
+		t.Fatalf("resident operand: status %d", code)
+	}
+	before := cacheOf()
+	for i := range 50 {
+		body := fmt.Sprintf(`{"inline":{"rows":2,"cols":2,"rowidx":[0,1],"colid":[0],"val":[%d]}}`, i)
+		if code, _, _ := postRouted(t, router, []byte(body)); code != http.StatusBadRequest {
+			t.Fatalf("refused operand %d: status %d", i, code)
+		}
+	}
+	if after := cacheOf(); before.Entries != 1 || after.Entries != before.Entries || after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("50 refused operands moved the shard's cache from %+v to %+v", before, after)
+	}
 }
 
 func TestRouterNewValidation(t *testing.T) {

@@ -75,10 +75,10 @@ func TestVnodesFor(t *testing.T) {
 		weight float64
 		want   int
 	}{
-		{0, DefaultVnodes},             // zero = default weight
-		{1, DefaultVnodes},             // explicit default
-		{0.5, (DefaultVnodes + 1) / 2}, // half share
-		{2, 2 * DefaultVnodes},         // double share
+		{0, defaultVnodes},             // zero = default weight
+		{1, defaultVnodes},             // explicit default
+		{0.5, (defaultVnodes + 1) / 2}, // half share
+		{2, 2 * defaultVnodes},         // double share
 		{0.001, 1},
 	}
 	for _, c := range cases {

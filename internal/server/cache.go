@@ -25,9 +25,9 @@ const (
 
 // cache is the per-matrix artifact cache: an LRU of entries keyed by the
 // canonical matrix identity (the spec's JSON for named matrices, the
-// content SHA-256 for inline ones). Admission is bounded twice — by
-// entry count and by the estimated memory footprint of the resident
-// matrices — and entries idle past the TTL age out on a background
+// SHA-256 of the operand's bytes for inline ones). Admission is bounded
+// twice — by entry count and by the estimated memory footprint of the
+// resident matrices — and entries idle past the TTL age out on a background
 // sweeper. Eviction only drops references — requests holding an evicted
 // entry finish on it undisturbed.
 type cache struct {
@@ -111,11 +111,7 @@ func (c *cache) close() {
 func (c *cache) get(key, label string, spec harness.MatrixSpec) (*entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*entry)
-		e.lastUsed = time.Now()
-		c.hits++
+	if e := c.hitLocked(key); e != nil {
 		return e, true
 	}
 	c.misses++
@@ -123,6 +119,29 @@ func (c *cache) get(key, label string, spec harness.MatrixSpec) (*entry, bool) {
 	c.entries[key] = c.ll.PushFront(e)
 	c.evictOverBudgetLocked()
 	return e, false
+}
+
+// lookup returns the entry for key and counts the hit, or reports a miss
+// without counting it or admitting anything.
+func (c *cache) lookup(key string) (*entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.hitLocked(key)
+	return e, e != nil
+}
+
+// hitLocked returns the entry for key, marked most recently used and
+// counted as a hit, or nil.
+func (c *cache) hitLocked(key string) *entry {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	e := el.Value.(*entry)
+	e.lastUsed = time.Now()
+	c.hits++
+	return e
 }
 
 // noteMaterialised charges a freshly materialised entry's footprint to the

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -162,11 +161,15 @@ func TestEntryPrecondAndIntervalCaching(t *testing.T) {
 	}
 }
 
-// TestInlineFingerprintKeying pins the content-addressed identity of
-// inline matrices: equal content maps to the same cache key, which is a
-// SHA-256 of the fingerprint's words (one vector pinned), while the label
-// stays the FNV-1a fingerprint; perturbing any single word — a dimension, a
-// row pointer, a column index or one bit of a value — changes the key.
+// TestInlineFingerprintKeying pins the identity of an inline operand: its
+// key is the SHA-256 of its bytes, prefixed by their length as
+// api.InlineBytes.Sum hashes them (one vector pinned), so equal operands key
+// alike, and the body a client sends for an operand keys as ResolveIdentity
+// keys it in memory; perturbing any single word of the operand — a
+// dimension, a row pointer, a column index or one bit of a value — changes
+// the key. Another encoding of the same matrix is another key, and its
+// parse gives the same matrix. The label stays the FNV-1a fingerprint of
+// the parsed matrix.
 func TestInlineFingerprintKeying(t *testing.T) {
 	inline := func() *api.InlineCSR {
 		return &api.InlineCSR{
@@ -176,67 +179,81 @@ func TestInlineFingerprintKeying(t *testing.T) {
 			Val:    []float64{4, -1, 4},
 		}
 	}
-	key := func(ic *api.InlineCSR) string {
+	resolve := func(ic *api.InlineCSR) Identity {
 		t.Helper()
 		id, err := ResolveIdentity(&api.SolveRequest{Inline: ic})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return id.Key
+		return id
 	}
-	if key(inline()) != key(inline()) {
+	decode := func(body string) Identity {
+		t.Helper()
+		var req api.SolveRequest
+		id, err := Decode([]byte(body), &req, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	parse := func(id Identity) Identity {
+		t.Helper()
+		parsed, err := id.parse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parsed
+	}
+	id := resolve(inline())
+	if resolve(inline()).Key != id.Key {
 		t.Error("identical inline matrices keyed differently")
 	}
-	perturbed := inline()
-	perturbed.Val[2] = 4.0000000001
-	if key(inline()) == key(perturbed) {
-		t.Error("perturbed inline matrix shares the cache key")
-	}
 
-	// The key vector: SHA-256 of the eleven little-endian words 2, 2, 0, 2, 3,
-	// 0, 1, 1 and the bits of 4, -1, 4 (here written out by hand).
-	id, err := ResolveIdentity(&api.SolveRequest{Inline: inline()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var words []byte
-	for _, w := range []uint64{2, 2, 0, 2, 3, 0, 1, 1, 0x4010000000000000, 0xbff0000000000000, 0x4010000000000000} {
-		words = binary.LittleEndian.AppendUint64(words, w)
-	}
-	sum := sha256.Sum256(words)
-	const pinned = "inline:sha256:359c71461a5c222f6bf7be627ed3cebe5369d107a8585c8ee2d67a13c6b7b769"
+	// The key vector: SHA-256 of the operand's JSON after its length as 8
+	// little-endian bytes.
+	const js = `{"rows":2,"cols":2,"rowidx":[0,2,3],"colid":[0,1,1],"val":[4,-1,4]}`
+	sum := sha256.Sum256(append(binary.LittleEndian.AppendUint64(nil, uint64(len(js))), js...))
+	const pinned = "inline:sha256:fc7858d95453c343a0306143b99ac62be7884bc7f59d8eb157d7a7403886c9d0"
 	if want := "inline:sha256:" + hex.EncodeToString(sum[:]); id.Key != want || id.Key != pinned {
 		t.Errorf("key %q, want %q (pinned %q)", id.Key, want, pinned)
 	}
-	if want := "inline:5d90883957143fd9"; id.Label != want {
-		t.Errorf("label %q, want the fingerprint %q", id.Label, want)
+	if sent := decode(`{"seed":3,"inline":` + js + `}`); sent.Key != id.Key {
+		t.Errorf("the body a client sends keys %q, in memory %q", sent.Key, id.Key)
+	}
+	parsed := parse(id)
+	if want := "inline:5d90883957143fd9"; parsed.Label != want || parsed.Spec != (harness.MatrixSpec{Gen: "inline", N: 2}) {
+		t.Errorf("parsed %q %+v, want the fingerprint %q and n=2", parsed.Label, parsed.Spec, want)
+	}
+	spaced := decode(`{"inline": {"rows": 2, "cols": 2, "rowidx": [0, 2, 3], "colid": [0, 1, 1], "val": [4, -1, 4.0]}}`)
+	if again := parse(spaced); spaced.Key == id.Key || again.Label != parsed.Label || again.Spec != parsed.Spec {
+		t.Errorf("another encoding keyed %q and parsed to %q %+v; first %q, %q %+v",
+			spaced.Key, again.Label, again.Spec, id.Key, parsed.Label, parsed.Spec)
 	}
 
-	// Every single-word perturbation of the matrix, valid or not, keys apart
+	// Every single-word perturbation of the operand, valid or not, keys apart
 	// from the original and from every other perturbation.
-	base := sparse.CSR{Rows: 2, Cols: 2, Rowidx: []int{0, 2, 3}, Colid: []int{0, 1, 1}, Val: []float64{4, -1, 4}}
-	seen := map[string]string{inlineKey(&base): "original"}
-	perturb := func(name string, edit func(a *sparse.CSR)) {
-		a := &sparse.CSR{Rows: base.Rows, Cols: base.Cols,
-			Rowidx: slices.Clone(base.Rowidx), Colid: slices.Clone(base.Colid), Val: slices.Clone(base.Val)}
-		edit(a)
-		k := inlineKey(a)
+	seen := map[string]string{id.Key: "original"}
+	perturb := func(name string, edit func(ic *api.InlineCSR)) {
+		ic := inline()
+		edit(ic)
+		k := resolve(ic).Key
 		if prev, ok := seen[k]; ok {
 			t.Errorf("%s keys like %s: %s", name, prev, k)
 		}
 		seen[k] = name
 	}
-	perturb("rows", func(a *sparse.CSR) { a.Rows++ })
-	perturb("cols", func(a *sparse.CSR) { a.Cols++ })
+	base := inline()
+	perturb("rows", func(ic *api.InlineCSR) { ic.Rows++ })
+	perturb("cols", func(ic *api.InlineCSR) { ic.Cols++ })
 	for i := range base.Rowidx {
-		perturb(fmt.Sprintf("rowidx[%d]", i), func(a *sparse.CSR) { a.Rowidx[i] ^= 1 << 40 })
+		perturb(fmt.Sprintf("rowidx[%d]", i), func(ic *api.InlineCSR) { ic.Rowidx[i] ^= 1 << 40 })
 	}
 	for i := range base.Colid {
-		perturb(fmt.Sprintf("colid[%d]", i), func(a *sparse.CSR) { a.Colid[i]++ })
+		perturb(fmt.Sprintf("colid[%d]", i), func(ic *api.InlineCSR) { ic.Colid[i]++ })
 	}
 	for i := range base.Val {
-		perturb(fmt.Sprintf("val[%d]", i), func(a *sparse.CSR) {
-			a.Val[i] = math.Float64frombits(math.Float64bits(a.Val[i]) ^ 1)
+		perturb(fmt.Sprintf("val[%d]", i), func(ic *api.InlineCSR) {
+			ic.Val[i] = math.Float64frombits(math.Float64bits(ic.Val[i]) ^ 1)
 		})
 	}
 }

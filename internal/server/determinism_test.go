@@ -19,8 +19,8 @@ func warmEntry(t *testing.T, s *Server, req *api.SolveRequest) (*entry, harness.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, _ := s.cache.get(id.Key, id.Label, id.Spec)
-	if err := ent.materialise(id.Build); err != nil {
+	ent, _, err := s.resident(id)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return ent, req.Scenario(ent.spec, ent.label)

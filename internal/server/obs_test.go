@@ -273,7 +273,6 @@ func TestMetricsReconcileWithStatusz(t *testing.T) {
 		"resilient_shard_cache_misses_total":       float64(st.Shard.Cache.Misses),
 		"resilient_shard_cache_entries":            float64(st.Shard.Cache.Entries),
 		"resilient_shard_inline_parsed_total":      float64(st.Shard.Inline.Parsed),
-		"resilient_shard_inline_remembered_total":  float64(st.Shard.Inline.Remembered),
 		"resilient_shard_queue_capacity":           8,
 		"resilient_shard_solve_seconds_count":      3,
 		"resilient_shard_queue_wait_seconds_count": 3,

@@ -42,6 +42,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/sparse"
 )
 
 // maxBodyBytes bounds a request body (inline matrices dominate).
@@ -128,7 +129,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	cache    *cache
-	memo     *OperandMemo
 	sched    *scheduler
 	mux      *http.ServeMux
 	started  time.Time
@@ -138,6 +138,8 @@ type Server struct {
 	failed    atomic.Int64
 	rejected  atomic.Int64
 	expired   atomic.Int64
+	// parsed counts the inline operands parsed to fill the cache.
+	parsed atomic.Int64
 
 	tracer    *obs.Tracer
 	metrics   *obs.Registry
@@ -156,7 +158,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   newCache(cfg.cacheEntries, cfg.cacheBytes, cacheTTL),
-		memo:    NewOperandMemo(),
 		sched:   newScheduler(cfg.Concurrency, cfg.QueueDepth, cfg.maxCoalesce),
 		started: time.Now(),
 		tracer:  obs.NewTracer(api.TierShard, obs.DefaultTraceRing),
@@ -324,14 +325,41 @@ func refuse(w http.ResponseWriter, tr *obs.Active, status int, code string, err 
 	api.WriteError(w, status, code, err, retryMillis)
 }
 
-// decode reads the request body whole and hands it to the memo's Decode;
-// every error it returns is the client's (400).
+// decode reads the request body whole and hands it to Decode; every error
+// it returns is the client's (400).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, body SolveBody, axes *api.SolveRequest) (Identity, error) {
 	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return Identity{}, fmt.Errorf("reading request: %w", err)
 	}
-	return s.memo.Decode(src, body, axes)
+	return Decode(src, body, axes)
+}
+
+// resident returns the cache entry of id's matrix, materialised, and
+// whether the cache held it. An inline operand is looked up by its bytes
+// and parsed only on a miss, before the cache admits anything: an operand
+// the parse refuses leaves no entry behind and moves no counter, so a flood
+// of them evicts nothing. The entry takes its label and size from the
+// parsed matrix; one whose ‖A‖₁ overflows is a sticky entry that its Build
+// refuses (withShift).
+func (s *Server) resident(id Identity) (*entry, bool, error) {
+	if id.op != nil {
+		if ent, ok := s.cache.lookup(id.Key); ok {
+			// A request that finds the entry before its filler materialises
+			// it builds it as the filler would.
+			return ent, true, ent.materialise(func() (*sparse.CSR, error) {
+				s.parsed.Add(1)
+				return id.Build()
+			})
+		}
+		s.parsed.Add(1)
+		var err error
+		if id, err = id.parse(); err != nil {
+			return nil, false, err
+		}
+	}
+	ent, hit := s.cache.get(id.Key, id.Label, id.Spec)
+	return ent, hit, ent.materialise(id.Build)
 }
 
 // admit is the front half of every solve request, whatever its edge: it
@@ -363,12 +391,12 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, body SolveBody, a
 		refuse(w, tr, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return nil
 	}
-	ent, hit := s.cache.get(id.Key, id.Label, id.Spec)
 	// Materialise on the handler goroutine: the cold construction cost
 	// never occupies a solver slot, and concurrent first requests for the
 	// same matrix block here on a single build.
 	fillStart := tr.Now()
-	if err := ent.materialise(id.Build); err != nil {
+	ent, hit, err := s.resident(id)
+	if err != nil {
 		refuse(w, tr, http.StatusBadRequest, api.CodeBadRequest, err, 0)
 		return nil
 	}
@@ -568,7 +596,7 @@ func (s *Server) stats() api.StatsResponse {
 		Expired:       s.expired.Load(),
 		Draining:      s.draining.Load(),
 		Cache:         s.cache.stats(),
-		Inline:        s.memo.Stats(),
+		Inline:        api.InlineStats{Parsed: s.parsed.Load()},
 	}
 }
 
