@@ -335,7 +335,8 @@ type StatsResponse struct {
 }
 
 // InlineStats counts a shard's inline operands in statusz: Parsed is how
-// often it parsed an operand's bytes to fill its cache. A cache hit is
+// often it parsed an operand's bytes: once per cache fill, and once more
+// for each request that raced the fill of the same operand. A cache hit is
 // served by the SHA-256 of the bytes, unparsed.
 type InlineStats struct {
 	Parsed int64 `json:"parsed"`

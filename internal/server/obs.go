@@ -47,7 +47,7 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.cache.stats().Evictions) })
 	m.CounterFunc("resilient_shard_cache_ttl_evictions_total", "Matrix cache entries aged out idle.",
 		func() float64 { return float64(s.cache.stats().TTLEvictions) })
-	m.CounterFunc("resilient_shard_inline_parsed_total", "Inline operands parsed to fill the cache.",
+	m.CounterFunc("resilient_shard_inline_parsed_total", "Inline operands parsed: one per cache fill, plus requests that raced a fill.",
 		func() float64 { return float64(s.parsed.Load()) })
 	m.GaugeFunc("resilient_shard_cache_entries", "Resident matrix cache entries.",
 		func() float64 { return float64(s.cache.stats().Entries) })

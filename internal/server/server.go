@@ -138,7 +138,8 @@ type Server struct {
 	failed    atomic.Int64
 	rejected  atomic.Int64
 	expired   atomic.Int64
-	// parsed counts the inline operands parsed to fill the cache.
+	// parsed counts the inline operands parsed: one per cache fill, and one
+	// more for each request that raced a fill of its operand.
 	parsed atomic.Int64
 
 	tracer    *obs.Tracer
@@ -346,7 +347,7 @@ func (s *Server) resident(id Identity) (*entry, bool, error) {
 	if id.op != nil {
 		if ent, ok := s.cache.lookup(id.Key); ok {
 			// A request that finds the entry before its filler materialises
-			// it builds it as the filler would.
+			// it builds it as the filler would, and its parse is counted.
 			return ent, true, ent.materialise(func() (*sparse.CSR, error) {
 				s.parsed.Add(1)
 				return id.Build()
