@@ -228,17 +228,57 @@ func BenchmarkWeightAblationOnes(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = checksum.GeneralMatrixChecksum(m.a, ones)
+		_ = generalMatrixChecksum(m.a, ones)
 	}
 }
 
 func BenchmarkWeightAblationRandom(b *testing.B) {
 	b.ReportAllocs()
 	m, _ := benchMatrix(b, 341)
-	w := checksum.RandomWeights(m.a.Rows, 3)
+	w := randomWeights(m.a.Rows, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = checksum.GeneralMatrixChecksum(m.a, w)
+		_ = generalMatrixChecksum(m.a, w)
+	}
+}
+
+// randomWeights returns a random weight vector with entries in [0.5, 1.5).
+func randomWeights(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 0.5 + rng.Float64()
+	}
+	return w
+}
+
+// generalMatrixChecksum computes wᵀA for an arbitrary weight vector, the
+// generalised checksum row the weight ablation prices.
+func generalMatrixChecksum(a *sparse.CSR, w []float64) []float64 {
+	out := make([]float64, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		wi := w[i]
+		for k := a.Rowidx[i]; k < a.Rowidx[i+1]; k++ {
+			out[a.Colid[k]] += wi * a.Val[k]
+		}
+	}
+	return out
+}
+
+// TestGeneralMatrixChecksum holds the ablation's checksum row under ones
+// to the C1 row the protected product uses.
+func TestGeneralMatrixChecksum(t *testing.T) {
+	a := sparse.Poisson2D(6, 6)
+	ones := make([]float64, a.Rows)
+	for i := range ones {
+		ones[i] = 1
+	}
+	got := generalMatrixChecksum(a, ones)
+	m := checksum.NewMatrix(a)
+	for j := range got {
+		if got[j] != m.C1[j] {
+			t.Fatalf("ones-weight general checksum %v != C1 %v", got, m.C1)
+		}
 	}
 }
 

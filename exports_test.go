@@ -52,13 +52,7 @@ var exportAllowlist = map[string]string{
 	"chaos.Plan.Validate":                    "diet",
 	"chaos.PlanSchemaVersion":                "diet",
 	"checksum.ErrNoShift":                    "diet",
-	"checksum.FlopsCompute":                  "diet",
-	"checksum.GeneralMatrixChecksum":         "diet",
-	"checksum.Matrix.Row":                    "diet",
 	"checksum.Matrix.ToleranceComponentBoth": "diet",
-	"checksum.Matrix.ToleranceNorm":          "diet",
-	"checksum.RandomWeights":                 "diet",
-	"checksum.SumsInt":                       "diet",
 	"checksum.Vector.Defect":                 "diet",
 	"checksum.VectorTolerance":               "diet",
 	"core.ErrBreakdown":                      "diet",
@@ -67,13 +61,6 @@ var exportAllowlist = map[string]string{
 	"core.OnlineMaxD":                        "diet",
 	"core.SetupCost":                         "diet",
 	"core.TcorrectVector":                    "diet",
-	"fault.AlphaForMTBF":                     "diet",
-	"fault.Injector.InjectIteration":         "diet",
-	"fault.Injector.PoissonCount":            "diet",
-	"fault.State.Words":                      "diet",
-	"fault.Target.IsMatrix":                  "diet",
-	"fault.Target.IsPrecond":                 "diet",
-	"fault.WordRate":                         "diet",
 	"harness.All":                            "diet",
 	"harness.Mean":                           "diet",
 	"harness.MeanCI":                         "diet",
@@ -151,21 +138,8 @@ var exportAllowlist = map[string]string{
 	"supervisor.Child.Alive":                 "diet",
 	"supervisor.Child.PID":                   "diet",
 	"tmr.Executor.AxpyTo":                    "diet",
-	"vec.Add":                                "diet",
 	"vec.BlockSize":                          "diet",
-	"vec.Clone":                              "diet",
-	"vec.Copy":                               "diet",
-	"vec.Equal":                              "diet",
-	"vec.Fill":                               "diet",
-	"vec.FlopsAxpy":                          "diet",
-	"vec.FlopsDot":                           "diet",
-	"vec.FlopsNorm2":                         "diet",
-	"vec.Norm1":                              "diet",
 	"vec.NormInf":                            "diet",
-	"vec.Scale":                              "diet",
-	"vec.Sum":                                "diet",
-	"vec.WeightedSum":                        "diet",
-	"vec.Zero":                               "diet",
 }
 
 // exportReasonKinds are the reasons an export without a caller may keep:

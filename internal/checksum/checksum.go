@@ -15,7 +15,6 @@ package checksum
 import (
 	"errors"
 	"math"
-	"math/rand"
 
 	"repro/internal/sparse"
 )
@@ -68,10 +67,10 @@ func (r *Running) Add(v []float64, rows int) {
 	r.N += len(v)
 }
 
-// SumsInt is Sums for integer arrays (used for the Rowidx pointers). The
+// sumsInt is Sums for integer arrays (used for the Rowidx pointers). The
 // values are accumulated in float64; row pointers are ≤ nnz ≤ 2^40 in any
 // realistic matrix, far below the 2^53 exact-integer range of float64.
-func SumsInt(v []int) (s1, s2 float64) {
+func sumsInt(v []int) (s1, s2 float64) {
 	for i, x := range v {
 		s1 += float64(x)
 		s2 += float64(i+1) * float64(x)
@@ -178,7 +177,7 @@ func NewMatrixInto(m *Matrix, a *sparse.CSR) *Matrix {
 			m.AbsC2[j] += w2 * av
 		}
 	}
-	m.CR1, m.CR2 = SumsInt(a.Rowidx)
+	m.CR1, m.CR2 = sumsInt(a.Rowidx)
 	for _, s := range m.AbsC1 {
 		if s > m.Norm1 || s != s { // a NaN column makes the norm NaN, and it stays
 			m.Norm1 = s
@@ -250,24 +249,6 @@ func (m *Matrix) ToleranceComponentBoth(x []float64) (t1, t2 float64) {
 	return g * s1, g * s2
 }
 
-// ToleranceNorm returns the norm-based tolerance of the paper's Eq. (9):
-//
-//	2 γ_{2n} n ‖w_r‖∞ ‖A‖₁ ‖x‖∞
-//
-// with ‖w1‖∞ = 1 and ‖w2‖∞ = n. It needs only ‖x‖∞ at verification time but
-// overestimates badly for large n — kept for the ablation experiment.
-func (m *Matrix) ToleranceNorm(r int, normXInf float64) float64 {
-	wInf := 1.0
-	if r == 2 {
-		wInf = float64(m.N)
-	}
-	base := 2 * Gamma(2*m.N) * float64(m.N) * wInf * m.Norm1 * normXInf
-	if r == 1 {
-		base += 2 * Gamma(2*m.N) * float64(m.N) * math.Abs(m.K) * normXInf
-	}
-	return base
-}
-
 func (m *Matrix) absRow(r int) []float64 {
 	switch r {
 	case 1:
@@ -277,25 +258,6 @@ func (m *Matrix) absRow(r int) []float64 {
 	default:
 		panic("checksum: weight row index must be 1 or 2")
 	}
-}
-
-// Row returns the unshifted checksum row r.
-func (m *Matrix) Row(r int) []float64 {
-	switch r {
-	case 1:
-		return m.C1
-	case 2:
-		return m.C2
-	default:
-		panic("checksum: weight row index must be 1 or 2")
-	}
-}
-
-// FlopsCompute returns the flop count of NewMatrix (the setup cost that is
-// amortised over all SpMxVs with the same matrix): roughly 8 flops per
-// stored nonzero plus the Rowidx sums.
-func FlopsCompute(a *sparse.CSR) int64 {
-	return 8*int64(a.NNZ()) + 4*int64(len(a.Rowidx))
 }
 
 // Vector holds the reliable two-row checksum of a dense vector, refreshed
@@ -365,32 +327,4 @@ func (c Vector) DefectTolerance(v []float64, rows int) (d1, d2, t1, t2 float64) 
 		a2 += w * ax
 	}
 	return c.S1 - s1, c.S2 - s2, g * a1, g * a2
-}
-
-// RandomWeights returns a random weight vector with entries in [0.5, 1.5),
-// used by the weight-vector ablation (the paper argues the ones vector is
-// preferable because random weights cost extra flops and rounding).
-func RandomWeights(n int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 0.5 + rng.Float64()
-	}
-	return w
-}
-
-// GeneralMatrixChecksum computes wᵀA for an arbitrary weight vector — the
-// generalised checksum row used by the ablation benchmarks.
-func GeneralMatrixChecksum(a *sparse.CSR, w []float64) []float64 {
-	if len(w) != a.Rows {
-		panic("checksum: weight length mismatch")
-	}
-	out := make([]float64, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		wi := w[i]
-		for k := a.Rowidx[i]; k < a.Rowidx[i+1]; k++ {
-			out[a.Colid[k]] += wi * a.Val[k]
-		}
-	}
-	return out
 }

@@ -32,9 +32,9 @@ func TestSums(t *testing.T) {
 }
 
 func TestSumsInt(t *testing.T) {
-	s1, s2 := SumsInt([]int{1, 2, 3})
+	s1, s2 := sumsInt([]int{1, 2, 3})
 	if s1 != 6 || s2 != 1+4+9 {
-		t.Fatalf("SumsInt = %v, %v", s1, s2)
+		t.Fatalf("sumsInt = %v, %v", s1, s2)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestNewMatrixChecksums(t *testing.T) {
 		t.Fatalf("AbsC1 = %v", m.AbsC1)
 	}
 	// Rowidx = [0 1 4 7] → wait: Tridiag(3) rowidx is [0,2,5,7].
-	cr1, cr2 := SumsInt(a.Rowidx)
+	cr1, cr2 := sumsInt(a.Rowidx)
 	if m.CR1 != cr1 || m.CR2 != cr2 {
 		t.Fatal("Rowidx checksums wrong")
 	}
@@ -202,29 +202,6 @@ func TestShiftedChecksumIdentity(t *testing.T) {
 	}
 }
 
-func TestToleranceNormDominatesComponent(t *testing.T) {
-	a := sparse.RandomSPD(sparse.RandomSPDOptions{N: 100, Density: 0.05, DiagShift: 1, Seed: 4})
-	m := NewMatrix(a)
-	x := make([]float64, 100)
-	rng := rand.New(rand.NewSource(1))
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	var nx float64
-	for _, v := range x {
-		if av := math.Abs(v); av > nx {
-			nx = av
-		}
-	}
-	for r := 1; r <= 2; r++ {
-		comp := m.ToleranceComponent(r, x)
-		norm := m.ToleranceNorm(r, nx)
-		if comp > norm {
-			t.Fatalf("row %d: component tolerance %v exceeds norm tolerance %v", r, comp, norm)
-		}
-	}
-}
-
 func TestVectorChecksumDefect(t *testing.T) {
 	v := []float64{1, 2, 3, 4}
 	c := NewVector(v)
@@ -299,53 +276,6 @@ func TestRunningMatchesSums(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestRandomWeights(t *testing.T) {
-	w := RandomWeights(100, 3)
-	for _, v := range w {
-		if v < 0.5 || v >= 1.5 {
-			t.Fatalf("weight %v out of [0.5, 1.5)", v)
-		}
-	}
-	w2 := RandomWeights(100, 3)
-	for i := range w {
-		if w[i] != w2[i] {
-			t.Fatal("RandomWeights not deterministic")
-		}
-	}
-}
-
-func TestGeneralMatrixChecksum(t *testing.T) {
-	a := sparse.Tridiag(3, 2, -1)
-	ones := []float64{1, 1, 1}
-	got := GeneralMatrixChecksum(a, ones)
-	m := NewMatrix(a)
-	for j := range got {
-		if got[j] != m.C1[j] {
-			t.Fatalf("ones-weight general checksum %v != C1 %v", got, m.C1)
-		}
-	}
-}
-
-func TestFlopsCompute(t *testing.T) {
-	a := sparse.Tridiag(10, 2, -1)
-	if FlopsCompute(a) <= 0 {
-		t.Fatal("flops must be positive")
-	}
-}
-
-func TestRowAccessors(t *testing.T) {
-	m := NewMatrix(sparse.Tridiag(3, 2, -1))
-	if &m.Row(1)[0] != &m.C1[0] || &m.Row(2)[0] != &m.C2[0] {
-		t.Fatal("Row accessor wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for row 3")
-		}
-	}()
-	m.Row(3)
 }
 
 func TestToleranceComponentBothMatchesSingleRows(t *testing.T) {

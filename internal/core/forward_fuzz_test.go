@@ -36,7 +36,13 @@ func (fl fwdFlip) String() string {
 
 // The three kinds of word a flip strikes: a word of A or M, an entry of a
 // protected product's output, a word of r, p or x.
-func fwdMatrixWord(t fault.Target) bool { return t.IsMatrix() || t.IsPrecond() }
+func fwdMatrixWord(t fault.Target) bool {
+	switch t {
+	case fault.TargetVal, fault.TargetColid, fault.TargetRowidx, fault.TargetMVal, fault.TargetMColid, fault.TargetMRowidx:
+		return true
+	}
+	return false
+}
 func fwdOutput(t fault.Target) bool     { return t == fault.TargetVecQ || t == fault.TargetVecZ }
 func fwdVectorWord(t fault.Target) bool { return !fwdMatrixWord(t) && !fwdOutput(t) }
 

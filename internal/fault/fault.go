@@ -75,18 +75,6 @@ func (t Target) String() string {
 	}
 }
 
-// IsMatrix reports whether the target is part of the system matrix
-// representation.
-func (t Target) IsMatrix() bool {
-	return t == TargetVal || t == TargetColid || t == TargetRowidx
-}
-
-// IsPrecond reports whether the target is part of the preconditioner
-// representation.
-func (t Target) IsPrecond() bool {
-	return t == TargetMVal || t == TargetMColid || t == TargetMRowidx
-}
-
 // Event records one injected bit flip.
 type Event struct {
 	Target Target
@@ -125,22 +113,6 @@ func (s *State) vector(t Target) []float64 {
 	default:
 		return nil
 	}
-}
-
-// Words returns the number of corruptible words in the state: the quantity M
-// of the paper (matrix arrays plus solver vectors).
-func (s *State) Words() int {
-	m := 0
-	if s.A != nil {
-		m += s.A.MemoryWords()
-	}
-	if s.M != nil {
-		m += s.M.MemoryWords()
-	}
-	for _, t := range []Target{TargetVecR, TargetVecP, TargetVecQ, TargetVecX, TargetVecZ} {
-		m += len(s.vector(t))
-	}
-	return m
 }
 
 // Config parameterises an Injector.
@@ -205,10 +177,10 @@ func (in *Injector) Alpha() float64 { return in.alpha }
 // Stats returns a copy of the accumulated statistics.
 func (in *Injector) Stats() Stats { return in.stats }
 
-// PoissonCount draws the number of faults striking one iteration
+// poissonCount draws the number of faults striking one iteration
 // (mean Alpha). Uses Knuth's method, which is exact and fast for the small
 // means used by the experiments (α ≤ 1).
-func (in *Injector) PoissonCount() int {
+func (in *Injector) poissonCount() int {
 	if in.alpha == 0 {
 		return 0
 	}
@@ -224,35 +196,19 @@ func (in *Injector) PoissonCount() int {
 	}
 }
 
-// InjectIteration advances one iteration: it draws a Poisson count of faults
-// and applies each to a uniformly random corruptible word of st. It returns
-// the events applied (empty most iterations).
-func (in *Injector) InjectIteration(st *State) []Event {
-	in.stats.Iterations++
-	k := in.PoissonCount()
-	if k == 0 {
-		return nil
-	}
-	events := make([]Event, 0, k)
-	for i := 0; i < k; i++ {
-		if ev, ok := in.strike(st); ok {
-			events = append(events, ev)
-		}
-	}
-	return events
-}
-
-// InjectIterationSplit is InjectIteration for drivers whose q (and, for
-// PCG, z) vectors are produced mid-iteration by a protected product: faults
-// drawn against TargetVecQ or TargetVecZ are *not* applied (the buffer
-// would be overwritten) but returned separately, to be applied by the
-// caller right after the corresponding product via ApplyEvent. This models
-// a silent error in the product computation itself, struck with probability
-// proportional to the buffer's share of the memory — still one uniform draw
-// over all M words, as in the paper's setup.
+// InjectIterationSplit advances one iteration: it draws a Poisson count of
+// faults, each at a uniformly random corruptible word of st, and applies
+// them. The drivers' q (and, for PCG, z) vectors are produced mid-iteration
+// by a protected product, so faults drawn against TargetVecQ or TargetVecZ
+// are *not* applied (the buffer would be overwritten) but returned
+// separately, to be applied by the caller right after the corresponding
+// product via ApplyEvent. This models a silent error in the product
+// computation itself, struck with probability proportional to the buffer's
+// share of the memory — still one uniform draw over all M words, as in the
+// paper's setup.
 func (in *Injector) InjectIterationSplit(st *State) (applied, deferred []Event) {
 	in.stats.Iterations++
-	k := in.PoissonCount()
+	k := in.poissonCount()
 	for i := 0; i < k; i++ {
 		ev, ok := in.choose(st)
 		if !ok {
@@ -271,17 +227,6 @@ func (in *Injector) InjectIterationSplit(st *State) (applied, deferred []Event) 
 // ApplyEvent applies a previously chosen event (used for deferred q faults).
 func (in *Injector) ApplyEvent(st *State, ev Event) {
 	in.apply(st, ev)
-}
-
-// strike flips one bit in a uniformly random enabled word. Returns false if
-// no enabled words exist.
-func (in *Injector) strike(st *State) (Event, bool) {
-	ev, ok := in.choose(st)
-	if !ok {
-		return Event{}, false
-	}
-	in.apply(st, ev)
-	return ev, true
 }
 
 // choose picks a uniformly random enabled word and bit without applying the
@@ -362,22 +307,4 @@ func (in *Injector) apply(st *State, ev Event) {
 	}
 	in.stats.Flips++
 	in.stats.PerTarget[ev.Target]++
-}
-
-// AlphaForMTBF converts a normalised mean time between failures x = 1/α
-// (the x-axis of the paper's Figure 1) into α.
-func AlphaForMTBF(x float64) float64 {
-	if x <= 0 {
-		panic("fault: MTBF must be positive")
-	}
-	return 1 / x
-}
-
-// WordRate returns the per-word fault rate λ_word = α/M used in the paper's
-// setup (λ inversely proportional to memory size).
-func WordRate(alpha float64, words int) float64 {
-	if words <= 0 {
-		return 0
-	}
-	return alpha / float64(words)
 }

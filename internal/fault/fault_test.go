@@ -17,13 +17,14 @@ func newState(n int) *State {
 	}
 }
 
-func TestWords(t *testing.T) {
-	st := newState(10)
-	// Tridiag(10): nnz = 28, Rowidx 11, four vectors of 10.
-	want := 28 + 28 + 11 + 40
-	if got := st.Words(); got != want {
-		t.Fatalf("Words = %d, want %d", got, want)
+// injectAll is one iteration of InjectIterationSplit with the deferred
+// events applied at once: every event drawn strikes st.
+func injectAll(in *Injector, st *State) []Event {
+	applied, deferred := in.InjectIterationSplit(st)
+	for _, ev := range deferred {
+		in.ApplyEvent(st, ev)
 	}
+	return append(applied, deferred...)
 }
 
 func TestPoissonCountMean(t *testing.T) {
@@ -31,7 +32,7 @@ func TestPoissonCountMean(t *testing.T) {
 	var sum int
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += in.PoissonCount()
+		sum += in.poissonCount()
 	}
 	mean := float64(sum) / n
 	if math.Abs(mean-0.25) > 0.02 {
@@ -42,7 +43,7 @@ func TestPoissonCountMean(t *testing.T) {
 func TestPoissonZeroAlpha(t *testing.T) {
 	in := New(Config{Alpha: 0, Seed: 1})
 	for i := 0; i < 100; i++ {
-		if in.PoissonCount() != 0 {
+		if in.poissonCount() != 0 {
 			t.Fatal("alpha=0 must never produce faults")
 		}
 	}
@@ -53,7 +54,7 @@ func TestInjectChangesExactlyOneWordPerEvent(t *testing.T) {
 	st := newState(20)
 	ref := newState(20)
 
-	events := in.InjectIteration(st)
+	events := injectAll(in, st)
 	if len(events) == 0 {
 		t.Skip("unlucky draw (possible but ~e^-5); rerun with different seed")
 	}
@@ -96,7 +97,7 @@ func TestInjectDeterministic(t *testing.T) {
 		in := New(Config{Alpha: 0.5, Seed: 7})
 		st := newState(30)
 		for i := 0; i < 200; i++ {
-			in.InjectIteration(st)
+			injectAll(in, st)
 		}
 		return in.Stats()
 	}
@@ -114,7 +115,7 @@ func TestInjectRespectsDisabled(t *testing.T) {
 	st := newState(15)
 	matRef := st.A.Clone()
 	for i := 0; i < 300; i++ {
-		in.InjectIteration(st)
+		injectAll(in, st)
 	}
 	if !st.A.Equal(matRef) {
 		t.Fatal("disabled matrix targets were struck")
@@ -132,7 +133,7 @@ func TestInjectNilVectors(t *testing.T) {
 	in := New(Config{Alpha: 2, Seed: 9})
 	st := &State{A: sparse.Tridiag(5, 4, -1)} // no vectors registered
 	for i := 0; i < 100; i++ {
-		in.InjectIteration(st)
+		injectAll(in, st)
 	}
 	if in.Stats().Flips == 0 {
 		t.Fatal("matrix-only state should still be struck")
@@ -142,7 +143,7 @@ func TestInjectNilVectors(t *testing.T) {
 func TestInjectEmptyState(t *testing.T) {
 	in := New(Config{Alpha: 2, Seed: 9})
 	st := &State{}
-	ev := in.InjectIteration(st)
+	ev := injectAll(in, st)
 	if len(ev) != 0 {
 		t.Fatal("empty state cannot be struck")
 	}
@@ -158,12 +159,12 @@ func TestTargetDistributionRoughlyProportional(t *testing.T) {
 		R: make([]float64, n),
 	}
 	for i := 0; i < 5000; i++ {
-		in.InjectIteration(st)
+		injectAll(in, st)
 	}
 	s := in.Stats()
 	mat := s.PerTarget[TargetVal] + s.PerTarget[TargetColid] + s.PerTarget[TargetRowidx]
 	vecs := s.PerTarget[TargetVecR]
-	words := st.Words()
+	words := st.A.MemoryWords() + n
 	wantVecFrac := float64(n) / float64(words)
 	gotVecFrac := float64(vecs) / float64(mat+vecs)
 	if math.Abs(gotVecFrac-wantVecFrac) > 0.02 {
@@ -180,30 +181,6 @@ func TestTargetString(t *testing.T) {
 		if tgt.String() != want {
 			t.Errorf("String(%d) = %q, want %q", tgt, tgt.String(), want)
 		}
-	}
-	if !TargetVal.IsMatrix() || TargetVecR.IsMatrix() {
-		t.Error("IsMatrix wrong")
-	}
-}
-
-func TestAlphaForMTBF(t *testing.T) {
-	if got := AlphaForMTBF(100); got != 0.01 {
-		t.Fatalf("AlphaForMTBF(100) = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive MTBF")
-		}
-	}()
-	AlphaForMTBF(0)
-}
-
-func TestWordRate(t *testing.T) {
-	if got := WordRate(0.5, 1000); got != 0.0005 {
-		t.Fatalf("WordRate = %v", got)
-	}
-	if WordRate(0.5, 0) != 0 {
-		t.Fatal("WordRate with zero words should be 0")
 	}
 }
 

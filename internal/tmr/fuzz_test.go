@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -157,7 +158,7 @@ func (c *update) voted(t *testing.T) []float64 {
 	t.Helper()
 	var r [3][]float64
 	for k := range r {
-		r[k] = vec.Clone(c.y)
+		r[k] = slices.Clone(c.y)
 		switch c.op {
 		case 0:
 			vec.Axpy(c.alpha, c.x, r[k])
@@ -189,7 +190,7 @@ func (c *update) bits(t *testing.T, rows int) {
 				}
 			}
 		}
-		x, y := vec.Clone(c.x), vec.Clone(c.y)
+		x, y := slices.Clone(c.x), slices.Clone(c.y)
 		dst, _, _ := c.roles(x, y)
 		ref := c.run(e, rows, dst, x, y)
 		for i, want := range c.voted(t) {
@@ -310,7 +311,7 @@ func (c *update) linear(t *testing.T, mode abft.Mode, kind int, at hit) {
 	t.Helper()
 	rows := 1 + int(mode)
 	what := fmt.Sprintf("op %d alias %d, %v, strike %d at %d", c.op, c.alias, mode, kind, at.idx)
-	x, y := vec.Clone(c.x), vec.Clone(c.y)
+	x, y := slices.Clone(c.x), slices.Clone(c.y)
 	dst, a, b := c.roles(x, y)
 	alpha, e := c.alpha, &Executor{}
 	g := abft.NewGuard(dst, mode)
@@ -338,17 +339,17 @@ func (c *update) linear(t *testing.T, mode abft.Mode, kind int, at hit) {
 		if out := g.Linear(dst, c.run(e, rows, dst, x, y), a, aRef, alpha, b, bRef); out.Detected && finite(clean, c.x, c.y) {
 			t.Fatalf("%s: the pristine first update is detected: %+v", what, out)
 		}
-		a, aRef = vec.Clone(dst), g.Ref()
+		a, aRef = slices.Clone(dst), g.Ref()
 		a[d] = at.strike(a[d])
-		b = vec.Clone(c.x)
+		b = slices.Clone(c.x)
 		bRef = checksum.NewVectorRows(b, rows)
 		clean = make([]float64, len(a))
 		vec.AxpyTo(clean, alpha, b, dst)
 		dst = make([]float64, len(a))
 		g = abft.NewGuard(dst, mode)
 	}
-	aRead, bRead := vec.Clone(a), vec.Clone(b) // what the update reads
-	aClean, bClean := vec.Clone(a), vec.Clone(b)
+	aRead, bRead := slices.Clone(a), slices.Clone(b) // what the update reads
+	aClean, bClean := slices.Clone(a), slices.Clone(b)
 	switch kind {
 	case strikeOperandA, strikeOutput:
 		aClean[d] = at.strike(aClean[d])
@@ -361,7 +362,7 @@ func (c *update) linear(t *testing.T, mode abft.Mode, kind int, at hit) {
 	} else {
 		got = c.run(e, rows, dst, x, y)
 	}
-	struck := vec.Clone(dst)
+	struck := slices.Clone(dst)
 	out := g.Linear(dst, got, a, aRef, alpha, b, bRef)
 
 	for i := range struck {

@@ -2,6 +2,7 @@ package tmr
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/abft"
@@ -95,7 +96,7 @@ func held(dst, a []float64, alpha float64, b []float64) (detect, correct abft.Ou
 	for _, mode := range []abft.Mode{abft.Detect, abft.DetectCorrect} {
 		g := abft.NewGuard(a, mode)
 		aRef, bRef := g.Ref(), abft.NewGuard(b, mode).Ref()
-		z := vec.Clone(dst)
+		z := slices.Clone(dst)
 		out := g.Linear(z, checksum.NewVectorRows(z, g.Rows()), a, aRef, alpha, b, bRef)
 		if mode == abft.Detect {
 			detect = out
@@ -119,7 +120,7 @@ func TestAxpyTransientIsDetectedAndRepaired(t *testing.T) {
 		out[0] += 42
 	}}
 	x, y0 := []float64{1, 2}, []float64{10, 20}
-	y := vec.Clone(y0)
+	y := slices.Clone(y0)
 	sums := e.AxpyGuarded(2, 2, x, y)
 	if y[0] != 54 || y[1] != 24 || calls != 1 {
 		t.Fatalf("Axpy = %v after %d hook calls, want the struck [54 24] after 1", y, calls)
@@ -166,7 +167,7 @@ func TestXpay(t *testing.T) {
 func TestXpayTransientIsDetectedAndRepaired(t *testing.T) {
 	e := Executor{Corrupt: func(_ int, _ *float64, out []float64) { out[1] = -999 }}
 	x, y0 := []float64{1, 2}, []float64{10, 20}
-	y := vec.Clone(y0)
+	y := slices.Clone(y0)
 	e.Xpay(0.5, x, y)
 	if y[0] != 6 || y[1] != -999 {
 		t.Fatalf("Xpay = %v, want the struck [6 -999]", y)
@@ -253,7 +254,7 @@ func TestVoteComparesBitPatterns(t *testing.T) {
 func TestOperandFlipBeforeTheUpdate(t *testing.T) {
 	x0, y0 := []float64{1, 2, 3}, []float64{10, 20, 30}
 	for _, strikeY := range []bool{false, true} {
-		x, y := vec.Clone(x0), vec.Clone(y0)
+		x, y := slices.Clone(x0), slices.Clone(y0)
 		if strikeY {
 			y[2] = -30 // the operand the update overwrites
 		} else {

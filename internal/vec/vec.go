@@ -3,9 +3,7 @@
 // element-wise helpers.
 //
 // All kernels operate on []float64 and panic on length mismatches, mirroring
-// the contract of the BLAS level-1 routines they stand in for. Each kernel
-// has a documented flop count (see Flops*) so the simulation clock in
-// internal/sim can convert operations into model time units.
+// the contract of the BLAS level-1 routines they stand in for.
 package vec
 
 import (
@@ -105,15 +103,6 @@ func Norm2Sq(a []float64) float64 {
 	return s
 }
 
-// Norm1 returns the 1-norm Σ|aᵢ|.
-func Norm1(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // NormInf returns the max-norm max|aᵢ|.
 func NormInf(a []float64) float64 {
 	var m float64
@@ -125,46 +114,6 @@ func NormInf(a []float64) float64 {
 	return m
 }
 
-// Sum returns Σaᵢ.
-func Sum(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v
-	}
-	return s
-}
-
-// WeightedSum returns Σ wᵢ aᵢ for arbitrary weights. It is the building block
-// of the ABFT checksum rows.
-func WeightedSum(w, a []float64) float64 {
-	checkLen("WeightedSum", w, a)
-	var s float64
-	for i, v := range a {
-		s += w[i] * v
-	}
-	return s
-}
-
-// Scale computes a ← alpha*a in place.
-func Scale(alpha float64, a []float64) {
-	for i := range a {
-		a[i] *= alpha
-	}
-}
-
-// Copy copies src into dst.
-func Copy(dst, src []float64) {
-	checkLen("Copy", dst, src)
-	copy(dst, src)
-}
-
-// Clone returns a newly allocated copy of a.
-func Clone(a []float64) []float64 {
-	out := make([]float64, len(a))
-	copy(out, a)
-	return out
-}
-
 // Sub computes dst ← a − b. dst may alias a or b.
 func Sub(dst, a, b []float64) {
 	checkLen("Sub", a, b)
@@ -173,48 +122,3 @@ func Sub(dst, a, b []float64) {
 		dst[i] = a[i] - b[i]
 	}
 }
-
-// Add computes dst ← a + b. dst may alias a or b.
-func Add(dst, a, b []float64) {
-	checkLen("Add", a, b)
-	checkLen("Add", dst, a)
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// Fill sets every element of a to v.
-func Fill(a []float64, v float64) {
-	for i := range a {
-		a[i] = v
-	}
-}
-
-// Zero sets every element of a to 0.
-func Zero(a []float64) { Fill(a, 0) }
-
-// Equal reports whether a and b are element-wise identical (bit-for-bit,
-// except that NaN==NaN is considered true so corrupted states compare sanely).
-func Equal(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
-			return false
-		}
-	}
-	return true
-}
-
-// Flop counts for the kernels above, in floating point operations, as used
-// by the cost model. n is the vector length.
-
-// FlopsDot is the flop count of Dot on length-n vectors.
-func FlopsDot(n int) int64 { return 2 * int64(n) }
-
-// FlopsAxpy is the flop count of Axpy on length-n vectors.
-func FlopsAxpy(n int) int64 { return 2 * int64(n) }
-
-// FlopsNorm2 is the flop count of Norm2 on a length-n vector.
-func FlopsNorm2(n int) int64 { return 2 * int64(n) }
