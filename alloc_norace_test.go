@@ -18,7 +18,7 @@ import (
 func TestZeroAllocPoolProducts(t *testing.T) {
 	p := pool.New(4)
 	defer p.Close()
-	a := sparse.Poisson2D(64, 64) // 4096 rows ≥ sparse.ParallelMinRows
+	a := sparse.Poisson2D(64, 64) // 4096 rows, above the parallel product's 2048-row cutoff
 	x, y := randVec(a.Cols, 1), make([]float64, a.Rows)
 	assertZeroAllocs(t, "MulVecParallel", func() { a.MulVecParallel(p, y, x) })
 }

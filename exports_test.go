@@ -113,28 +113,10 @@ var exportAllowlist = map[string]string{
 	"solver.BiCGstab":                        "diet",
 	"solver.CG":                              "diet",
 	"solver.Result":                          "diet",
-	"sparse.COO.AddSym":                      "diet",
-	"sparse.COO.Cols":                        "diet",
-	"sparse.COO.NNZ":                         "diet",
-	"sparse.COO.Rows":                        "diet",
 	"sparse.CSR.At":                          "diet",
-	"sparse.CSR.ColSums":                     "diet",
-	"sparse.CSR.DiagInto":                    "diet",
 	"sparse.CSR.Equal":                       "diet",
-	"sparse.CSR.InvalidatePlans":             "diet",
-	"sparse.CSR.IsDiagDominant":              "diet",
 	"sparse.CSR.IsSymmetric":                 "diet",
-	"sparse.CSR.MaxColNNZ":                   "diet",
-	"sparse.CSR.NNZPartition":                "diet",
-	"sparse.CSR.NormInf":                     "diet",
-	"sparse.CSR.PlanFor":                     "diet",
 	"sparse.Dense":                           "diet",
-	"sparse.Identity":                        "diet",
-	"sparse.ParallelMinRows":                 "diet",
-	"sparse.Partition":                       "diet",
-	"sparse.Partition.Chunks":                "diet",
-	"sparse.RowDot":                          "diet",
-	"sparse.RowDot4":                         "diet",
 	"supervisor.Child.Alive":                 "diet",
 	"supervisor.Child.PID":                   "diet",
 	"tmr.Executor.AxpyTo":                    "diet",

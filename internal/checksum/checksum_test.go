@@ -202,6 +202,47 @@ func TestShiftedChecksumIdentity(t *testing.T) {
 	}
 }
 
+// toleranceNorm is the norm-based tolerance of the paper's Eq. (9),
+//
+//	2 γ_{2n} n ‖w_r‖∞ ‖A‖₁ ‖x‖∞
+//
+// with ‖w1‖∞ = 1 and ‖w2‖∞ = n, which the componentwise Eq. (7) never
+// exceeds.
+func toleranceNorm(m *Matrix, r int, normXInf float64) float64 {
+	wInf := 1.0
+	if r == 2 {
+		wInf = float64(m.N)
+	}
+	base := 2 * Gamma(2*m.N) * float64(m.N) * wInf * m.Norm1 * normXInf
+	if r == 1 {
+		base += 2 * Gamma(2*m.N) * float64(m.N) * math.Abs(m.K) * normXInf
+	}
+	return base
+}
+
+func TestToleranceNormDominatesComponent(t *testing.T) {
+	a := sparse.RandomSPD(sparse.RandomSPDOptions{N: 100, Density: 0.05, DiagShift: 1, Seed: 4})
+	m := NewMatrix(a)
+	x := make([]float64, 100)
+	rng := rand.New(rand.NewSource(1))
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	var nx float64
+	for _, v := range x {
+		if av := math.Abs(v); av > nx {
+			nx = av
+		}
+	}
+	for r := 1; r <= 2; r++ {
+		comp := m.ToleranceComponent(r, x)
+		norm := toleranceNorm(m, r, nx)
+		if comp > norm {
+			t.Fatalf("row %d: component tolerance %v exceeds norm tolerance %v", r, comp, norm)
+		}
+	}
+}
+
 func TestVectorChecksumDefect(t *testing.T) {
 	v := []float64{1, 2, 3, 4}
 	c := NewVector(v)

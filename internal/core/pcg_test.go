@@ -120,7 +120,7 @@ func TestPCGValidation(t *testing.T) {
 	if _, _, err := Solve(a, b, Config{Recurrence: BiCGstab, Scheme: ABFTCorrection, M: m}); err == nil {
 		t.Fatal("expected BiCGstab to reject a preconditioner")
 	}
-	bad := sparse.Identity(3)
+	bad := sparse.Tridiag(3, 2, -1)
 	if _, _, err := Solve(a, b, Config{Scheme: ABFTCorrection, M: bad}); err == nil {
 		t.Fatal("expected preconditioner shape error")
 	}

@@ -136,7 +136,8 @@ func TestPCGBeatsOrMatchesCGOnSkewedDiagonal(t *testing.T) {
 		scale := math.Pow(10, 4*rng.Float64()) // diagonal spread 1..1e4
 		c.Add(i, i, scale)
 		if i > 0 {
-			c.AddSym(i, i-1, -0.1)
+			c.Add(i, i-1, -0.1)
+			c.Add(i-1, i, -0.1)
 		}
 	}
 	a := c.ToCSR()

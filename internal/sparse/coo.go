@@ -19,15 +19,6 @@ func NewCOO(rows, cols int) *COO {
 	return &COO{rows: rows, cols: cols}
 }
 
-// Rows returns the row dimension.
-func (c *COO) Rows() int { return c.rows }
-
-// Cols returns the column dimension.
-func (c *COO) Cols() int { return c.cols }
-
-// NNZ returns the number of accumulated triplets (before duplicate merging).
-func (c *COO) NNZ() int { return len(c.V) }
-
 // Add appends the entry A[i,j] += v. Panics on out-of-range indices: the
 // generators are deterministic, so this is a programming error.
 func (c *COO) Add(i, j int, v float64) {
@@ -37,15 +28,6 @@ func (c *COO) Add(i, j int, v float64) {
 	c.I = append(c.I, i)
 	c.J = append(c.J, j)
 	c.V = append(c.V, v)
-}
-
-// AddSym appends A[i,j] += v and, when i != j, A[j,i] += v. Convenient for
-// building symmetric matrices from their lower triangle.
-func (c *COO) AddSym(i, j int, v float64) {
-	c.Add(i, j, v)
-	if i != j {
-		c.Add(j, i, v)
-	}
 }
 
 // ToCSR converts the accumulated triplets into a CSR matrix with sorted

@@ -109,7 +109,7 @@ func (m *CSR) CopyFrom(src *CSR) {
 	copy(m.Rowidx, src.Rowidx)
 	// The restored Rowidx may differ from the one the cached partition
 	// plans were balanced for (a rollback can undo a repaired pointer).
-	m.InvalidatePlans()
+	m.invalidatePlans()
 }
 
 // Equal reports whether two matrices are structurally and numerically
@@ -153,7 +153,7 @@ func (m *CSR) mulRows(y, x []float64, r0, r1 int) {
 	lo, his := rowidx[r0], rowidx[r0+1:r1+1]
 	y = y[r0:][:len(his)]
 	for i, hi := range his {
-		y[i] = RowDot(val, col, x, lo, hi)
+		y[i] = rowDot(val, col, x, lo, hi)
 		lo = hi
 	}
 }
@@ -192,7 +192,7 @@ func (m *CSR) mulVec4(ys, xs [][]float64) {
 	lo, his := rowidx[0], rowidx[1:]
 	y0, y1, y2, y3 := Lanes4(ys, len(his))
 	for i, hi := range his {
-		y0[i], y1[i], y2[i], y3[i] = RowDot4(val, col, x0, x1, x2, x3, lo, hi)
+		y0[i], y1[i], y2[i], y3[i] = rowDot4(val, col, x0, x1, x2, x3, lo, hi)
 		lo = hi
 	}
 }
@@ -248,61 +248,11 @@ func (m *CSR) Norm1() float64 {
 	return max
 }
 
-// NormInf returns ‖A‖∞ = maxᵢ Σⱼ |aᵢⱼ| (maximum absolute row sum).
-func (m *CSR) NormInf() float64 {
-	var max float64
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-			s += math.Abs(m.Val[k])
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-// MaxColNNZ returns the maximum number of stored nonzeros in any column
-// (n' in the paper's accuracy discussion, Section 5.1).
-func (m *CSR) MaxColNNZ() int {
-	counts := make([]int, m.Cols)
-	for _, c := range m.Colid {
-		counts[c]++
-	}
-	var max int
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
-// ColSums returns the vector of column sums cⱼ = Σᵢ aᵢⱼ, i.e. the unshifted
-// ones-weighted checksum row of the matrix.
-func (m *CSR) ColSums() []float64 {
-	sums := make([]float64, m.Cols)
-	for k, v := range m.Val {
-		sums[m.Colid[k]] += v
-	}
-	return sums
-}
-
 // Diag returns the diagonal entries of the matrix (zero where no stored
 // diagonal entry exists). Used by the Jacobi preconditioner.
 func (m *CSR) Diag() []float64 {
-	return m.DiagInto(make([]float64, m.Rows))
-}
-
-// DiagInto fills d (length Rows, caller-provided so hot paths can reuse
-// scratch) with the diagonal entries and returns it.
-func (m *CSR) DiagInto(d []float64) []float64 {
-	if len(d) != m.Rows {
-		panic(fmt.Sprintf("sparse: DiagInto scratch length %d, want %d", len(d), m.Rows))
-	}
+	d := make([]float64, m.Rows)
 	for i := 0; i < m.Rows; i++ {
-		d[i] = 0
 		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
 			if m.Colid[k] == i {
 				d[i] = m.Val[k]
@@ -338,31 +288,6 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// IsDiagDominant reports whether |aᵢᵢ| ≥ Σ_{j≠i} |aᵢⱼ| for all rows, with
-// strict inequality in at least one row. Together with symmetry and positive
-// diagonal this certifies positive definiteness of the generated test
-// matrices.
-func (m *CSR) IsDiagDominant() bool {
-	strict := false
-	for i := 0; i < m.Rows; i++ {
-		var off, diag float64
-		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-			if m.Colid[k] == i {
-				diag = math.Abs(m.Val[k])
-			} else {
-				off += math.Abs(m.Val[k])
-			}
-		}
-		if diag < off {
-			return false
-		}
-		if diag > off {
-			strict = true
-		}
-	}
-	return strict
 }
 
 // FlopsMulVec returns the flop count of one SpMxV (a multiply and an add per

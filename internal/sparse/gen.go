@@ -356,15 +356,6 @@ func SuiteSPD(opt SuiteSPDOptions) *CSR {
 	return c.ToCSR()
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *CSR {
-	c := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		c.Add(i, i, 1)
-	}
-	return c.ToCSR()
-}
-
 // Dense converts a dense row-major matrix into CSR, dropping exact zeros.
 // Intended for small test fixtures.
 func Dense(rows, cols int, a []float64) *CSR {

@@ -13,10 +13,10 @@ import (
 // their last caller, bench/probes.go's sparse.mulvec_parallel_speedup.large,
 // and go with it.
 
-// ParallelMinRows is the row-count cutoff below which the parallel product
+// parallelMinRows is the row-count cutoff below which the parallel product
 // falls back to its sequential counterpart: under it the SpMxV fits in
 // cache and pool dispatch costs more than it saves.
-const ParallelMinRows = 2048
+const parallelMinRows = 2048
 
 // parallelRowGrain is the minimum number of rows per scheduled chunk,
 // bounding the NNZ-balanced partition's chunk count so dispatch overhead
@@ -36,13 +36,13 @@ func (m *CSR) MulVecParallel(p *pool.Pool, y, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVecParallel dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	if p == nil || p.Workers() == 1 || m.Rows < ParallelMinRows {
+	if p == nil || p.Workers() == 1 || m.Rows < parallelMinRows {
 		m.MulVec(y, x)
 		return
 	}
 	op := rangeOps.Get().(*rangeOp)
 	op.m, op.y, op.x = m, y, x
-	p.RunRanges(m.PlanFor(p.Workers()).Bounds, op.strict)
+	p.RunRanges(m.planFor(p.Workers()).Bounds, op.strict)
 	op.release()
 }
 

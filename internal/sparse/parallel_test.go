@@ -21,7 +21,7 @@ func randX(n int, seed int64) []float64 {
 // parallel product must be bitwise identical for any worker count and any
 // matrix size straddling the cutoff.
 func TestMulVecParallelMatchesSequential(t *testing.T) {
-	for _, side := range []int{20, 50, 80} { // n = 400, 2500, 6400: below and above ParallelMinRows
+	for _, side := range []int{20, 50, 80} { // n = 400, 2500, 6400: below and above parallelMinRows
 		a := Poisson2D(side, side)
 		x := randX(a.Cols, int64(side))
 		want := make([]float64, a.Rows)

@@ -17,7 +17,7 @@ import (
 // nonzeros — i.e. the same amount of SpMxV work — by binary-searching the
 // Rowidx prefix sums. Plans depend only on (Rowidx, chunk count), are
 // cached on the matrix per chunk count, and are invalidated by CopyFrom
-// (the rollback path) and InvalidatePlans.
+// (the rollback path) and invalidatePlans.
 //
 // Correctness never depends on a plan: chunk boundaries are row indices
 // covering [0, Rows) exactly once, every row is still computed by the same
@@ -30,28 +30,20 @@ import (
 // sparse.mulvec_parallel_speedup.large (see parallel.go); the file goes with
 // that probe.
 
-// Partition is a precomputed row partition: chunk c covers rows
+// partition is a precomputed row partition: chunk c covers rows
 // [Bounds[c], Bounds[c+1]). Bounds is strictly increasing with
 // Bounds[0] == 0 and Bounds[len-1] == Rows.
-type Partition struct {
+type partition struct {
 	Bounds []int
 }
 
-// Chunks returns the number of row chunks in the plan.
-func (p Partition) Chunks() int {
-	if len(p.Bounds) == 0 {
-		return 0
-	}
-	return len(p.Bounds) - 1
-}
-
-// NNZPartition splits the matrix rows into at most chunks ranges of
+// nnzPartition splits the matrix rows into at most chunks ranges of
 // approximately equal stored nonzeros. Cut points are found by binary
 // search on the Rowidx prefix sums, so planning costs
 // O(chunks · log rows). Degenerate inputs (chunks < 1, empty matrices,
 // fewer rows than chunks) collapse to fewer chunks; the result always
 // covers [0, Rows) exactly.
-func (m *CSR) NNZPartition(chunks int) Partition {
+func (m *CSR) nnzPartition(chunks int) partition {
 	rows := m.Rows
 	if chunks < 1 {
 		chunks = 1
@@ -60,7 +52,7 @@ func (m *CSR) NNZPartition(chunks int) Partition {
 		chunks = rows
 	}
 	if rows <= 0 {
-		return Partition{Bounds: []int{0, 0}}
+		return partition{Bounds: []int{0, 0}}
 	}
 	total := m.Rowidx[rows]
 	bounds := make([]int, 1, chunks+1)
@@ -84,7 +76,7 @@ func (m *CSR) NNZPartition(chunks int) Partition {
 		prev = cut
 	}
 	bounds = append(bounds, rows)
-	return Partition{Bounds: bounds}
+	return partition{Bounds: bounds}
 }
 
 // planCache memoises partition plans per chunk count. The zero value is
@@ -92,24 +84,24 @@ func (m *CSR) NNZPartition(chunks int) Partition {
 // shared matrix may race to plan it.
 type planCache struct {
 	mu    sync.Mutex
-	plans map[int]Partition
+	plans map[int]partition
 }
 
-// PlanFor returns the cached NNZ-balanced plan with the chunk count the
+// planFor returns the cached NNZ-balanced plan with the chunk count the
 // parallel kernels use for the given worker count (the same 4×workers
 // oversubscription as the pool's dynamic scheduler, capped by the
 // parallelRowGrain minimum chunk size), computing and caching it on first
 // use.
-func (m *CSR) PlanFor(workers int) Partition {
+func (m *CSR) planFor(workers int) partition {
 	chunks := planChunks(m.Rows, workers)
 	m.plan.mu.Lock()
 	defer m.plan.mu.Unlock()
 	if p, ok := m.plan.plans[chunks]; ok {
 		return p
 	}
-	p := m.NNZPartition(chunks)
+	p := m.nnzPartition(chunks)
 	if m.plan.plans == nil {
-		m.plan.plans = make(map[int]Partition)
+		m.plan.plans = make(map[int]partition)
 	}
 	m.plan.plans[chunks] = p
 	return p
@@ -129,11 +121,11 @@ func planChunks(rows, workers int) int {
 	return chunks
 }
 
-// InvalidatePlans drops the cached partition plans. Callers that mutate
+// invalidatePlans drops the cached partition plans. Callers that mutate
 // the matrix structure in place (beyond the silent bit flips of the fault
 // model, which plans tolerate by construction) should invalidate so the
 // next parallel product re-balances.
-func (m *CSR) InvalidatePlans() {
+func (m *CSR) invalidatePlans() {
 	m.plan.mu.Lock()
 	m.plan.plans = nil
 	m.plan.mu.Unlock()

@@ -20,7 +20,15 @@ func skewedCSR(rows int) *CSR {
 	return &CSR{Rows: rows, Cols: rows, Val: vals, Colid: cols, Rowidx: rowidx}
 }
 
-func checkPartition(t *testing.T, m *CSR, p Partition) {
+// chunkCount returns the number of row chunks in the plan.
+func chunkCount(p partition) int {
+	if len(p.Bounds) == 0 {
+		return 0
+	}
+	return len(p.Bounds) - 1
+}
+
+func checkPartition(t *testing.T, m *CSR, p partition) {
 	t.Helper()
 	if p.Bounds[0] != 0 || p.Bounds[len(p.Bounds)-1] != m.Rows {
 		t.Fatalf("partition does not cover [0,%d): bounds %v", m.Rows, p.Bounds)
@@ -35,13 +43,13 @@ func checkPartition(t *testing.T, m *CSR, p Partition) {
 func TestNNZPartitionBalance(t *testing.T) {
 	m := skewedCSR(4096)
 	const chunks = 8
-	p := m.NNZPartition(chunks)
+	p := m.nnzPartition(chunks)
 	checkPartition(t, m, p)
-	if p.Chunks() != chunks {
-		t.Fatalf("got %d chunks, want %d", p.Chunks(), chunks)
+	if chunkCount(p) != chunks {
+		t.Fatalf("got %d chunks, want %d", chunkCount(p), chunks)
 	}
 	ideal := m.NNZ() / chunks
-	for c := 0; c < p.Chunks(); c++ {
+	for c := 0; c < chunkCount(p); c++ {
 		got := m.Rowidx[p.Bounds[c+1]] - m.Rowidx[p.Bounds[c]]
 		if got > 2*ideal {
 			t.Errorf("chunk %d owns %d nnz, ideal %d: badly unbalanced %v", c, got, ideal, p.Bounds)
@@ -58,11 +66,11 @@ func TestNNZPartitionBalance(t *testing.T) {
 func TestNNZPartitionDegenerate(t *testing.T) {
 	m := skewedCSR(10)
 	for _, chunks := range []int{-1, 0, 1, 10, 50} {
-		checkPartition(t, m, m.NNZPartition(chunks))
+		checkPartition(t, m, m.nnzPartition(chunks))
 	}
 	empty := &CSR{Rows: 0, Cols: 0, Rowidx: []int{0}}
-	p := empty.NNZPartition(4)
-	if p.Chunks() != 1 || p.Bounds[0] != 0 || p.Bounds[1] != 0 {
+	p := empty.nnzPartition(4)
+	if chunkCount(p) != 1 || p.Bounds[0] != 0 || p.Bounds[1] != 0 {
 		t.Fatalf("empty-matrix partition: %v", p.Bounds)
 	}
 	// All nonzeros in a single row: cuts must stay strictly increasing.
@@ -70,28 +78,28 @@ func TestNNZPartitionDegenerate(t *testing.T) {
 		Val:    []float64{1, 1, 1, 1},
 		Colid:  []int{0, 1, 2, 3},
 		Rowidx: []int{0, 0, 4, 4, 4}}
-	checkPartition(t, heavy, heavy.NNZPartition(4))
+	checkPartition(t, heavy, heavy.nnzPartition(4))
 }
 
 func TestPlanForCachingAndInvalidation(t *testing.T) {
 	m := skewedCSR(4096)
-	p1 := m.PlanFor(4)
-	p2 := m.PlanFor(4)
+	p1 := m.planFor(4)
+	p2 := m.planFor(4)
 	if &p1.Bounds[0] != &p2.Bounds[0] {
-		t.Error("PlanFor did not return the cached plan")
+		t.Error("planFor did not return the cached plan")
 	}
 	checkPartition(t, m, p1)
 
-	m.InvalidatePlans()
-	p3 := m.PlanFor(4)
+	m.invalidatePlans()
+	p3 := m.planFor(4)
 	if &p1.Bounds[0] == &p3.Bounds[0] {
-		t.Error("InvalidatePlans kept the stale plan")
+		t.Error("invalidatePlans kept the stale plan")
 	}
 
 	// CopyFrom (the rollback path) must invalidate too.
-	m.PlanFor(4)
+	m.planFor(4)
 	m.CopyFrom(m.Clone())
-	p4 := m.PlanFor(4)
+	p4 := m.planFor(4)
 	if &p3.Bounds[0] == &p4.Bounds[0] {
 		t.Error("CopyFrom kept the stale plan")
 	}
@@ -99,15 +107,15 @@ func TestPlanForCachingAndInvalidation(t *testing.T) {
 
 func TestPlanForConcurrent(t *testing.T) {
 	m := skewedCSR(4096)
-	done := make(chan Partition, 8)
+	done := make(chan partition, 8)
 	for i := 0; i < 8; i++ {
-		go func() { done <- m.PlanFor(4) }()
+		go func() { done <- m.planFor(4) }()
 	}
 	first := <-done
 	for i := 1; i < 8; i++ {
 		p := <-done
-		if p.Chunks() != first.Chunks() {
-			t.Fatalf("concurrent PlanFor disagreed: %d vs %d chunks", p.Chunks(), first.Chunks())
+		if chunkCount(p) != chunkCount(first) {
+			t.Fatalf("concurrent planFor disagreed: %d vs %d chunks", chunkCount(p), chunkCount(first))
 		}
 	}
 }

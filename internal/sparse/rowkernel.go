@@ -34,12 +34,12 @@ func (m *CSR) Hoist() (val []float64, col []int, rowidx []int) {
 	return val, m.Colid[:len(val)], m.Rowidx[:m.Rows+1]
 }
 
-// RowDot returns Σ val[k]·x[col[k]] over k in [lo, hi): the strict row loop.
+// rowDot returns Σ val[k]·x[col[k]] over k in [lo, hi): the strict row loop.
 // It panics on a non-empty range that leaves the arrays — checked once for
 // the row, which frees the loop of a check per nonzero — and on a column
 // outside x, which is how the unprotected products report a corrupted
 // matrix. col must have the length of val (see Hoist).
-func RowDot(val []float64, col []int, x []float64, lo, hi int) (s float64) {
+func rowDot(val []float64, col []int, x []float64, lo, hi int) (s float64) {
 	if lo >= hi {
 		return 0
 	}
@@ -52,11 +52,11 @@ func RowDot(val []float64, col []int, x []float64, lo, hi int) (s float64) {
 	return s
 }
 
-// RowDot4 is RowDot for four lanes in one pass over the row: val[k] and
-// col[k] are loaded once, under RowDot's one check of the range, and feed
+// rowDot4 is rowDot for four lanes in one pass over the row: val[k] and
+// col[k] are loaded once, under rowDot's one check of the range, and feed
 // four independent sums. The lanes must have equal lengths, and the compiler
 // must know it (see Lanes4) for the lookup in the first to cover the others.
-func RowDot4(val []float64, col []int, x0, x1, x2, x3 []float64, lo, hi int) (s0, s1, s2, s3 float64) {
+func rowDot4(val []float64, col []int, x0, x1, x2, x3 []float64, lo, hi int) (s0, s1, s2, s3 float64) {
 	if lo >= hi {
 		return 0, 0, 0, 0
 	}
@@ -73,7 +73,7 @@ func RowDot4(val []float64, col []int, x0, x1, x2, x3 []float64, lo, hi int) (s0
 	return s0, s1, s2, s3
 }
 
-// Lanes4 unpacks the four lanes of a RowDot4 or RowDotRobust4 call, each
+// Lanes4 unpacks the four lanes of a rowDot4 or RowDotRobust4 call, each
 // re-sliced to n so that the compiler knows they have one length and the
 // check of a column against the first lane covers the other three. Every
 // lane must hold exactly n elements (outputs: at least n): the callers check
