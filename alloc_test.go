@@ -188,7 +188,7 @@ func TestZeroAllocTMRVectorOps(t *testing.T) {
 	var e tmr.Executor
 	assertZeroAllocs(t, "tmr updates", func() {
 		e.Axpy(1e-9, x, y)
-		e.AxpyTo(dst, 1e-9, x, y)
+		e.AxpyToGuarded(0, dst, 1e-9, x, y)
 		e.Xpay(0.5, x, y)
 	})
 	assertZeroAllocs(t, "tmr guarded updates", func() {

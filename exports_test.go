@@ -46,7 +46,6 @@ var exportAllowlist = map[string]string{
 	"api.SolveEvent.Terminal":                "diet",
 	"api.SolveRequest.ResolvedRHSSeed":       "diet",
 	"api.WithAdminToken":                     "diet",
-	"bitflip.IsSignificantFloat64":           "diet",
 	"chaos.ErrInjectedKill":                  "diet",
 	"chaos.ErrInjectedReset":                 "diet",
 	"chaos.Plan.Validate":                    "diet",
@@ -69,7 +68,6 @@ var exportAllowlist = map[string]string{
 	"harness.Result.Canonical":               "diet",
 	"harness.StdDev":                         "diet",
 	"harness.SuiteMatrix.ScaledN":            "diet",
-	"model.ExpectedExecutionTime":            "diet",
 	"model.OptimalPlacement":                 "diet",
 	"obs.Counter":                            "diet",
 	"obs.Counter.Add":                        "diet",
@@ -84,8 +82,6 @@ var exportAllowlist = map[string]string{
 	"obs.Tracer.NewID":                       "diet",
 	"obs.ValidTraceID":                       "diet",
 	"obs.Version":                            "diet",
-	"pool.Pool.RunErr":                       "diet",
-	"precond.ConditionProxy":                 "diet",
 	"router.ErrLastShard":                    "diet",
 	"router.ErrShardExists":                  "diet",
 	"router.ErrShardNotFound":                "diet",
@@ -109,7 +105,6 @@ var exportAllowlist = map[string]string{
 	"router.Shard.Validate":                  "diet",
 	"router.Topology.Validate":               "diet",
 	"router.TopologySchemaVersion":           "diet",
-	"sim.RunFigure1":                         "diet",
 	"solver.BiCGstab":                        "diet",
 	"solver.CG":                              "diet",
 	"solver.Result":                          "diet",
@@ -117,9 +112,6 @@ var exportAllowlist = map[string]string{
 	"sparse.CSR.Equal":                       "diet",
 	"sparse.CSR.IsSymmetric":                 "diet",
 	"sparse.Dense":                           "diet",
-	"supervisor.Child.Alive":                 "diet",
-	"supervisor.Child.PID":                   "diet",
-	"tmr.Executor.AxpyTo":                    "diet",
 	"vec.BlockSize":                          "diet",
 	"vec.NormInf":                            "diet",
 }

@@ -35,17 +35,3 @@ func Int(v int, bit uint) int {
 	}
 	return v ^ (1 << bit)
 }
-
-// IsSignificantFloat64 reports whether flipping `bit` of v changes its value
-// by more than relTol in relative terms. Low-order mantissa flips of small
-// values fall below any realistic detection threshold (the paper's Section
-// 5.1 discusses exactly these undetectable-but-harmless flips).
-func IsSignificantFloat64(v float64, bit uint, relTol float64) bool {
-	f := Float64(v, bit)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return true
-	}
-	d := math.Abs(f - v)
-	scale := math.Max(math.Abs(v), 1)
-	return d > relTol*scale
-}

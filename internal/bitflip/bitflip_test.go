@@ -78,22 +78,3 @@ func TestIntOutOfRangePanics(t *testing.T) {
 	}()
 	Int(1, 63)
 }
-
-func TestIsSignificantFloat64(t *testing.T) {
-	// Low mantissa bit of 1.0: relative change ~2^-52, insignificant at 1e-10.
-	if IsSignificantFloat64(1.0, 0, 1e-10) {
-		t.Error("low mantissa flip flagged significant")
-	}
-	// Sign bit of 1.0: change of 2, significant.
-	if !IsSignificantFloat64(1.0, 63, 1e-10) {
-		t.Error("sign flip not flagged significant")
-	}
-	// Exponent flips that make Inf must always be significant.
-	big := math.MaxFloat64
-	for bit := uint(52); bit < 64; bit++ {
-		f := Float64(big, bit)
-		if math.IsInf(f, 0) && !IsSignificantFloat64(big, bit, 1e-10) {
-			t.Errorf("Inf-producing flip at bit %d not significant", bit)
-		}
-	}
-}

@@ -183,21 +183,3 @@ func DalyPeriod(tcp, trec, lambda float64) float64 {
 	}
 	return w
 }
-
-// ExpectedExecutionTime returns the model's prediction for executing
-// `iters` iterations under the scheme: the number of frames times the
-// expected frame time, with a partial last frame prorated. chunkIters is
-// the number of iterations per chunk (d for Online-Detection, 1 for ABFT).
-func ExpectedExecutionTime(p Params, s, chunkIters, iters int) float64 {
-	if iters <= 0 {
-		return 0
-	}
-	chunks := (iters + chunkIters - 1) / chunkIters
-	frames := chunks / s
-	rem := chunks % s
-	t := float64(frames) * p.FrameTime(s)
-	if rem > 0 {
-		t += p.FrameTime(rem)
-	}
-	return t
-}

@@ -162,25 +162,6 @@ func TestYoungDaly(t *testing.T) {
 	}
 }
 
-func TestExpectedExecutionTime(t *testing.T) {
-	p := Params{T: 1, Tverif: 0.1, Tcp: 0.5, Trec: 0.2, Lambda: 0}
-	// 10 iterations, chunk = 1 iter, s = 5: two full frames.
-	got := ExpectedExecutionTime(p, 5, 1, 10)
-	want := 2 * p.FrameTime(5)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	// 12 iterations: two frames + partial frame of 2 chunks.
-	got = ExpectedExecutionTime(p, 5, 1, 12)
-	want = 2*p.FrameTime(5) + p.FrameTime(2)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	if ExpectedExecutionTime(p, 5, 1, 0) != 0 {
-		t.Fatal("zero iterations must cost zero")
-	}
-}
-
 func TestOptimalPlacementUniformMatchesPeriodic(t *testing.T) {
 	p := Params{T: 1, Tverif: 0.05, Tcp: 1, Trec: 0.5, Lambda: 0.02}
 	n := 60

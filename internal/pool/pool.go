@@ -30,7 +30,7 @@ import (
 
 // Pool is a reusable worker-pool execution engine. The zero value is not
 // usable; construct with New. A Pool may be shared freely between
-// goroutines; Run/ForEach/RunErr are safe for concurrent use. Close is the
+// goroutines; Run/ForEach/RunRanges are safe for concurrent use. Close is the
 // only exception: it must not overlap an in-flight Run.
 type Pool struct {
 	workers int
@@ -243,26 +243,4 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 			fn(i)
 		}
 	})
-}
-
-// RunErr is Run for chunk bodies that can fail. All chunks execute (a
-// failing chunk does not cancel its siblings — the hot paths have no
-// mid-flight cancellation semantics); the error of the lowest-indexed
-// failing chunk is returned, making the aggregate outcome deterministic
-// under any scheduling.
-func (p *Pool) RunErr(n, grain int, fn func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	nchunks, size := p.chunksFor(n, grain)
-	errs := make([]error, nchunks)
-	p.Run(n, grain, func(lo, hi int) {
-		errs[lo/size] = fn(lo, hi)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package pool
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -56,28 +54,6 @@ func TestDefaultPoolSizedByGOMAXPROCS(t *testing.T) {
 	}
 	if New(7).Workers() != 7 {
 		t.Fatal("New(7) must keep the explicit size")
-	}
-}
-
-func TestRunErrReturnsLowestIndexedFailure(t *testing.T) {
-	p := New(4)
-	errA := errors.New("a")
-	for trial := 0; trial < 10; trial++ {
-		err := p.RunErr(1000, 10, func(lo, hi int) error {
-			if lo >= 500 {
-				return fmt.Errorf("high chunk %d", lo)
-			}
-			if lo >= 240 {
-				return errA
-			}
-			return nil
-		})
-		if !errors.Is(err, errA) {
-			t.Fatalf("trial %d: RunErr = %v, want the lowest-indexed failure %v", trial, err, errA)
-		}
-	}
-	if err := p.RunErr(100, 1, func(lo, hi int) error { return nil }); err != nil {
-		t.Fatalf("all-success RunErr = %v", err)
 	}
 }
 
@@ -188,9 +164,6 @@ func TestRunZeroAndNegativeN(t *testing.T) {
 	p.Run(-5, 1, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("Run must not invoke fn for n <= 0")
-	}
-	if err := p.RunErr(0, 1, func(lo, hi int) error { return errors.New("x") }); err != nil {
-		t.Fatal("RunErr must be nil for n <= 0")
 	}
 }
 

@@ -120,24 +120,3 @@ func abs(v float64) float64 {
 	}
 	return v
 }
-
-// ConditionProxy estimates the Jacobi-scaled diagonal spread max(d)/min(d)
-// as a cheap proxy for how much diagonal preconditioning can help. Purely
-// diagnostic.
-func ConditionProxy(a *sparse.CSR) float64 {
-	d := a.Diag()
-	lo, hi := 0.0, 0.0
-	for i, v := range d {
-		av := abs(v)
-		if i == 0 || av < lo {
-			lo = av
-		}
-		if av > hi {
-			hi = av
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return hi / lo
-}

@@ -104,17 +104,12 @@ type Figure1Series struct {
 	Points map[core.Scheme][]Figure1Point
 }
 
-// RunFigure1 reproduces the paper's Figure 1 on the given suite: each cell
-// runs as a harness scenario (matrix built once per suite entry, trials
-// fanned out across the pool) and its record folds into the series.
-func RunFigure1(cfg Figure1Config, suite []harness.SuiteMatrix) []Figure1Series {
-	series, _ := RunFigure1Results(cfg, suite)
-	return series
-}
-
-// RunFigure1Results is RunFigure1 returning both the folded series and the
-// raw harness records of every cell, for the machine-readable pipeline
-// (faultsim -json, CI artifacts, shard merges).
+// RunFigure1Results reproduces the paper's Figure 1 on the given suite: each
+// cell runs as a harness scenario (matrix built once per suite entry, trials
+// fanned out across the pool) and its record folds into the series. It
+// returns both the folded series and the raw harness records of every cell,
+// for the machine-readable pipeline (faultsim -json, CI artifacts, shard
+// merges).
 func RunFigure1Results(cfg Figure1Config, suite []harness.SuiteMatrix) ([]Figure1Series, []harness.Result) {
 	cfg = cfg.withDefaults()
 	pl, done := harness.PoolFor(cfg.Workers)

@@ -166,7 +166,7 @@ func TestRunFigure1Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure1 smoke is slow")
 	}
-	series := RunFigure1(Figure1Config{
+	series, _ := RunFigure1Results(Figure1Config{
 		Scale: 80, Reps: 2, MTBFs: []float64{1e2, 1e4}, Seed: 2,
 	}, harness.PaperSuite[8:9])
 	if len(series) != 1 {

@@ -64,7 +64,7 @@ type Event struct {
 	Kind string
 	// PID is set on "start" and "exit".
 	PID int
-	// Err carries the start error or the exit status.
+	// Err carries the start error or the exit status ("exit" and "stop").
 	Err error
 	// Backoff is the delay before the next restart attempt ("start-error"
 	// and "exit" events).
@@ -83,6 +83,8 @@ type Child struct {
 	mu       sync.Mutex
 	cmd      *exec.Cmd
 	stopping bool
+	// waitErr is the wait status of the last process that exited.
+	waitErr error
 
 	stop chan struct{}
 	done chan struct{}
@@ -140,6 +142,7 @@ func (c *Child) loop() {
 			werr := cmd.Wait()
 			c.mu.Lock()
 			c.cmd = nil
+			c.waitErr = werr
 			stopping := c.stopping
 			c.mu.Unlock()
 			if stopping {
@@ -174,23 +177,6 @@ func (c *Child) loop() {
 	}
 }
 
-// Alive reports whether a child process is currently running.
-func (c *Child) Alive() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cmd != nil
-}
-
-// PID returns the running child's pid, or 0.
-func (c *Child) PID() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cmd == nil || c.cmd.Process == nil {
-		return 0
-	}
-	return c.cmd.Process.Pid
-}
-
 // Kill SIGKILLs the currently running process WITHOUT ending
 // supervision: the loop observes the death as a crash and restarts the
 // child after backoff. Reports whether a live process was signalled.
@@ -208,7 +194,8 @@ func (c *Child) Kill() bool {
 
 // Stop terminates the child for good: SIGTERM, a grace period, then
 // SIGKILL. No restart follows. Idempotent; returns once the process is
-// gone and the supervision loop has exited.
+// gone and the supervision loop has exited. The "stop" event carries the
+// process's wait status.
 func (c *Child) Stop() {
 	c.mu.Lock()
 	already := c.stopping
@@ -218,18 +205,19 @@ func (c *Child) Stop() {
 	if !already {
 		close(c.stop)
 	}
-	if cmd != nil && cmd.Process != nil {
-		_ = cmd.Process.Signal(syscall.SIGTERM)
-		select {
-		case <-c.done:
-			c.event("stop", cmd.Process.Pid, nil, 0, 0)
-			return
-		case <-time.After(c.cfg.Grace):
-			_ = cmd.Process.Kill()
-		}
+	if cmd == nil || cmd.Process == nil {
+		<-c.done
+		return
 	}
-	<-c.done
-	if cmd != nil && cmd.Process != nil {
-		c.event("stop", cmd.Process.Pid, nil, 0, 0)
+	_ = cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case <-c.done:
+	case <-time.After(c.cfg.Grace):
+		_ = cmd.Process.Kill()
+		<-c.done
 	}
+	c.mu.Lock()
+	werr := c.waitErr
+	c.mu.Unlock()
+	c.event("stop", cmd.Process.Pid, werr, 0, 0)
 }

@@ -1,6 +1,7 @@
 package supervisor
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -32,6 +34,42 @@ func TestMain(m *testing.M) {
 		}
 	}
 	os.Exit(code)
+}
+
+// alive reports whether a child process is currently running.
+func (c *Child) alive() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cmd != nil
+}
+
+// pid returns the running child's pid, or 0.
+func (c *Child) pid() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cmd == nil || c.cmd.Process == nil {
+		return 0
+	}
+	return c.cmd.Process.Pid
+}
+
+// stopSignal returns the signal that ended the child, read from the wait
+// status in the last "stop" event's Err.
+func stopSignal(t *testing.T, rec *recorder) syscall.Signal {
+	t.Helper()
+	events := rec.snapshot()
+	if len(events) == 0 || events[len(events)-1].Kind != "stop" {
+		t.Fatalf("events %+v do not end with a stop", events)
+	}
+	var ee *exec.ExitError
+	if err := events[len(events)-1].Err; !errors.As(err, &ee) {
+		t.Fatalf("stop event Err = %v, want the wait status", err)
+	}
+	ws := ee.Sys().(syscall.WaitStatus)
+	if !ws.Signaled() {
+		t.Fatalf("child exited with status %d, not by a signal", ws.ExitStatus())
+	}
+	return ws.Signal()
 }
 
 // recorder collects lifecycle events for assertions.
@@ -156,18 +194,17 @@ func TestStopTerminatesAndDoesNotRestart(t *testing.T) {
 		Grace:   2 * time.Second,
 		OnEvent: rec.observe,
 	})
-	waitUntil(t, "child start", c.Alive)
-	pid := c.PID()
+	waitUntil(t, "child start", c.alive)
+	pid := c.pid()
 	if pid == 0 {
 		t.Fatal("alive child has pid 0")
 	}
 
-	begun := time.Now()
 	c.Stop()
-	if took := time.Since(begun); took > 3*time.Second {
-		t.Errorf("Stop of a sleeping child took %s — SIGTERM not delivered?", took)
+	if sig := stopSignal(t, rec); sig != syscall.SIGTERM {
+		t.Errorf("child stopped by %v, want SIGTERM", sig)
 	}
-	if c.Alive() {
+	if c.alive() {
 		t.Error("child still alive after Stop")
 	}
 
@@ -199,12 +236,11 @@ func TestStopKillsStubbornChild(t *testing.T) {
 		return err == nil
 	})
 
-	begun := time.Now()
 	c.Stop()
-	if took := time.Since(begun); took > 5*time.Second {
-		t.Errorf("Stop took %s, want grace (100ms) + kill", took)
+	if sig := stopSignal(t, rec); sig != syscall.SIGKILL {
+		t.Errorf("child stopped by %v, want SIGKILL after the grace period", sig)
 	}
-	if c.Alive() {
+	if c.alive() {
 		t.Error("child survived SIGKILL")
 	}
 }
@@ -252,7 +288,7 @@ func TestCrashLoopExhaustion(t *testing.T) {
 	if got := rec.count("exhausted"); got != 1 {
 		t.Errorf("%d exhausted events, want exactly 1", got)
 	}
-	if c.Alive() {
+	if c.alive() {
 		t.Error("child alive after exhaustion")
 	}
 	// Terminal event ordering: nothing follows "exhausted".

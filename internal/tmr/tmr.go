@@ -46,10 +46,10 @@
 //
 // # Updates: one execution, verified by linearity
 //
-// Axpy, AxpyTo, Xpay and their Guarded forms are one kernel, z ← a + α·b,
-// executed once and in place. The Guarded forms return the checksum of z
-// under one or two weight rows, accumulated in index order as the elements
-// are written — the bits checksum.Sums would produce from re-reading z. The
+// Axpy, Xpay and the Guarded forms (AxpyToGuarded among them) are one
+// kernel, z ← a + α·b, executed once and in place. The Guarded forms return
+// the checksum of z under one or two weight rows, accumulated in index order
+// as the elements are written — the bits checksum.Sums would produce from re-reading z. The
 // caller holds them to wᵀa + α·wᵀb, computed from the reliable checksums it
 // already keeps of a and b (abft.VectorGuard.Linear), within the rounding of
 // the sums and of the update: 2γₙ₊₂ Σ wᵢ(|aᵢ| + |α·bᵢ| + |zᵢ|), the bound of
@@ -244,11 +244,6 @@ func (e *Executor) corrupted(replica int, r float64) float64 {
 // Axpy computes y ← y + alpha·x.
 func (e *Executor) Axpy(alpha float64, x, y []float64) { e.update(y, y, alpha, x, 0) }
 
-// AxpyTo computes dst ← y + alpha·x. dst may alias y or x.
-func (e *Executor) AxpyTo(dst []float64, alpha float64, x, y []float64) {
-	e.update(dst, y, alpha, x, 0)
-}
-
 // Xpay computes y ← x + alpha·y.
 func (e *Executor) Xpay(alpha float64, x, y []float64) { e.update(y, x, alpha, y, 0) }
 
@@ -259,7 +254,8 @@ func (e *Executor) AxpyGuarded(rows int, alpha float64, x, y []float64) checksum
 	return e.update(y, y, alpha, x, rows)
 }
 
-// AxpyToGuarded is AxpyTo returning the checksum of dst, as AxpyGuarded.
+// AxpyToGuarded computes dst ← y + alpha·x (dst may alias y or x) and
+// returns the checksum of dst, as AxpyGuarded; with rows 0 it returns none.
 func (e *Executor) AxpyToGuarded(rows int, dst []float64, alpha float64, x, y []float64) checksum.Vector {
 	return e.update(dst, y, alpha, x, rows)
 }

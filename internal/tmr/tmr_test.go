@@ -145,7 +145,7 @@ func TestAxpyTo(t *testing.T) {
 	x := []float64{1, 2}
 	y := []float64{10, 20}
 	dst := make([]float64, 2)
-	e.AxpyTo(dst, -1, x, y)
+	e.AxpyToGuarded(0, dst, -1, x, y)
 	if dst[0] != 9 || dst[1] != 18 {
 		t.Fatalf("AxpyTo = %v", dst)
 	}
