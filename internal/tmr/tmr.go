@@ -46,15 +46,16 @@
 //
 // # Updates: one execution, verified by linearity
 //
-// Axpy, Xpay and the Guarded forms (AxpyToGuarded among them) are one
-// kernel, z ← a + α·b, executed once and in place. The Guarded forms return
-// the checksum of z under one or two weight rows, accumulated in index order
-// as the elements are written — the bits checksum.Sums would produce from re-reading z. The
-// caller holds them to wᵀa + α·wᵀb, computed from the reliable checksums it
-// already keeps of a and b (abft.VectorGuard.Linear), within the rounding of
-// the sums and of the update: 2γₙ₊₂ Σ wᵢ(|aᵢ| + |α·bᵢ| + |zᵢ|), the bound of
-// the paper's Eq. (7) for this kernel. The sums that pass become the
-// reference of z, so no second pass captures it and no rounding accumulates.
+// Axpy, Xpay and the Guarded forms (AxpyToGuarded among them) are one kernel,
+// z ← a + α·b, executed once and in place. The Guarded forms return the
+// checksum of z under one or two weight rows, accumulated in index order as
+// the elements are written — the bits checksum.Sums would produce from
+// re-reading z. The caller holds them to wᵀa + α·wᵀb, computed from the reliable
+// checksums it already keeps of a and b (abft.VectorGuard.Linear), within the
+// rounding of the sums and of the update: 2γₙ₊₂ Σ wᵢ(|aᵢ| + |α·bᵢ| + |zᵢ|),
+// the bound of the paper's Eq. (7) for this kernel. The sums that pass become
+// the reference of z, so no second pass captures it and no rounding
+// accumulates.
 //
 // Because z is computed from the operands' memory while the expectation comes
 // from their references, that one comparison covers more than the arithmetic:
