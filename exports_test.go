@@ -20,7 +20,6 @@ import (
 // package's non-test code names, each with the reason it stays exported.
 // A reason starts with one of exportReasonKinds.
 var exportAllowlist = map[string]string{
-	"abft.Protected.Mode":                    "diet",
 	"abft.Protected.SetPolicy":               "diet",
 	"abft.Protected.Stats":                   "diet",
 	"abft.Stats":                             "diet",
@@ -58,16 +57,7 @@ var exportAllowlist = map[string]string{
 	"core.ErrNotConverged":                   "diet",
 	"core.ErrScale":                          "diet",
 	"core.OnlineMaxD":                        "diet",
-	"core.SetupCost":                         "diet",
-	"core.TcorrectVector":                    "diet",
-	"harness.All":                            "diet",
-	"harness.Mean":                           "diet",
-	"harness.MeanCI":                         "diet",
-	"harness.Min":                            "diet",
-	"harness.Register":                       "diet",
 	"harness.Result.Canonical":               "diet",
-	"harness.StdDev":                         "diet",
-	"harness.SuiteMatrix.ScaledN":            "diet",
 	"model.OptimalPlacement":                 "diet",
 	"obs.Counter":                            "diet",
 	"obs.Counter.Add":                        "diet",

@@ -257,9 +257,6 @@ func (p *Protected) encode() {
 // SetPolicy selects the tolerance policy (TolNorm by default).
 func (p *Protected) SetPolicy(policy TolerancePolicy) { p.policy = policy }
 
-// Mode returns the protection mode.
-func (p *Protected) Mode() Mode { return p.mode }
-
 // Stats returns a copy of the accumulated statistics.
 func (p *Protected) Stats() Stats { return p.stats }
 

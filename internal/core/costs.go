@@ -169,15 +169,15 @@ func NewCosts(a *sparse.CSR, scheme Scheme, cp CostParams) Costs {
 	return c
 }
 
-// TcorrectVector is the cost of repairing a single vector-guard error
+// tcorrectVector is the cost of repairing a single vector-guard error
 // (O(n): reconstruction by exclusion plus a recheck).
-func TcorrectVector(a *sparse.CSR, cp CostParams) float64 {
+func tcorrectVector(a *sparse.CSR, cp CostParams) float64 {
 	return float64(8*int64(a.Rows)) * cp.FlopTime
 }
 
-// SetupCost returns the one-off cost of building the ABFT checksum
+// setupCost returns the one-off cost of building the ABFT checksum
 // encoding (amortised over the whole solve; zero for the schemes without one).
-func SetupCost(a *sparse.CSR, scheme Scheme, cp CostParams) float64 {
+func setupCost(a *sparse.CSR, scheme Scheme, cp CostParams) float64 {
 	if !scheme.abft() {
 		return 0
 	}

@@ -278,10 +278,10 @@ func TestCostsSane(t *testing.T) {
 	if online.Tcp != det.Tcp || det.Tcp != cor.Tcp {
 		t.Fatal("checkpoint costs must be identical across methods")
 	}
-	if SetupCost(a, OnlineDetection, cp) != 0 {
+	if setupCost(a, OnlineDetection, cp) != 0 {
 		t.Fatal("online detection has no checksum setup")
 	}
-	if SetupCost(a, ABFTCorrection, cp) <= 0 {
+	if setupCost(a, ABFTCorrection, cp) <= 0 {
 		t.Fatal("ABFT setup must cost something")
 	}
 }

@@ -284,7 +284,7 @@ func (e *engine) start(ws *arena, lane int, a *sparse.CSR, b []float64, cfg Conf
 			default:
 				e.prot[slot] = ws.protected(slot, m, e.src[slot], abftMode(cfg.Scheme))
 			}
-			e.stats.SimTime += SetupCost(m, cfg.Scheme, cfg.Costs)
+			e.stats.SimTime += setupCost(m, cfg.Scheme, cfg.Costs)
 			// A matrix without an encoding (checksum.ErrNoShift) cannot be protected.
 			if err := e.prot[slot].CS.Err; err != nil {
 				return fmt.Errorf("core: %s%v: %w", label, cfg.Scheme, err)
@@ -648,7 +648,7 @@ func (e *engine) settle(out abft.Outcome, p *product) bool {
 	// re-read (ClassMultiple, corrected) has been charged already.
 	switch {
 	case p == nil || out.Class == abft.ClassX:
-		st.TimeVerif += TcorrectVector(e.mat[0], e.cfg.Costs)
+		st.TimeVerif += tcorrectVector(e.mat[0], e.cfg.Costs)
 	case out.Class != abft.ClassMultiple:
 		st.TimeVerif += e.costs.Tcorrect
 	}

@@ -271,7 +271,7 @@ func runTrials(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (outs []T
 // the pool (nil = sequential) against a prebuilt matrix and right-hand side
 // and returns the mean modeled time, the per-trial samples and the failure
 // count — deterministic in sc.Seed for any worker count.
-func TrialsOn(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (mean float64, samples []float64, failures int) {
+func TrialsOn(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (meanTime float64, samples []float64, failures int) {
 	outs, _ := runTrials(pl, a, b, sc)
 	samples = make([]float64, len(outs))
 	for i, o := range outs {
@@ -280,7 +280,7 @@ func TrialsOn(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (mean floa
 			failures++
 		}
 	}
-	return Mean(samples), samples, failures
+	return mean(samples), samples, failures
 }
 
 // RunOn runs the full scenario against a prebuilt matrix on the given pool

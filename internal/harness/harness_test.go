@@ -270,7 +270,7 @@ func TestNewMatrixSpec(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(All()) == 0 {
+	if len(registered()) == 0 {
 		t.Fatal("built-in catalog must register scenarios")
 	}
 	sc, ok := Lookup("smoke/cg/abft-correction/poisson2d")
@@ -297,15 +297,15 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("tag filter found nothing")
 	}
 	// Re-registering identically is idempotent; conflicting is an error.
-	if err := Register(sc); err != nil {
+	if err := register(sc); err != nil {
 		t.Fatalf("idempotent re-register failed: %v", err)
 	}
 	conflict := sc
 	conflict.Alpha = 0.5
-	if err := Register(conflict); err == nil {
+	if err := register(conflict); err == nil {
 		t.Fatal("conflicting re-register must fail")
 	}
-	if err := Register(Scenario{}); err == nil {
+	if err := register(Scenario{}); err == nil {
 		t.Fatal("nameless scenario must fail")
 	}
 }

@@ -18,9 +18,9 @@ var registry = struct {
 	byName map[string]Scenario
 }{byName: make(map[string]Scenario)}
 
-// Register adds a scenario to the registry. Re-registering a name is an
+// register adds a scenario to the registry. Re-registering a name is an
 // error unless the definition is unchanged.
-func Register(sc Scenario) error {
+func register(sc Scenario) error {
 	if sc.Name == "" {
 		return fmt.Errorf("harness: scenario needs a name")
 	}
@@ -49,9 +49,9 @@ func Register(sc Scenario) error {
 	return nil
 }
 
-// MustRegister is Register for static catalogs; it panics on error.
+// MustRegister is register for static catalogs; it panics on error.
 func MustRegister(sc Scenario) {
-	if err := Register(sc); err != nil {
+	if err := register(sc); err != nil {
 		panic(err)
 	}
 }
@@ -64,8 +64,8 @@ func Lookup(name string) (Scenario, bool) {
 	return sc, ok
 }
 
-// All returns every registered scenario, sorted by name.
-func All() []Scenario {
+// registered returns every registered scenario, sorted by name.
+func registered() []Scenario {
 	registry.Lock()
 	defer registry.Unlock()
 	out := make([]Scenario, 0, len(registry.byName))
@@ -79,7 +79,7 @@ func All() []Scenario {
 // Match returns the scenarios whose name or tags contain the filter
 // substring (every scenario for an empty filter), sorted by name.
 func Match(filter string) []Scenario {
-	all := All()
+	all := registered()
 	if filter == "" {
 		return all
 	}

@@ -153,7 +153,7 @@ func NewResult(sc Scenario, label string, a *sparse.CSR, trials []Trial, hash ui
 		r.MeanUsefulIters = useful / n
 		r.MeanTotalIters = total / n
 	}
-	r.MeanSimTime, r.CI95SimTime = MeanCI(r.SimTimes)
+	r.MeanSimTime, r.CI95SimTime = meanCI(r.SimTimes)
 	return r
 }
 

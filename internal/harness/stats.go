@@ -2,8 +2,8 @@ package harness
 
 import "math"
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean of xs (0 for empty input).
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -14,13 +14,13 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs (0 for fewer than two
+// stdDev returns the sample standard deviation of xs (0 for fewer than two
 // samples).
-func StdDev(xs []float64) float64 {
+func stdDev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	var ss float64
 	for _, x := range xs {
 		d := x - m
@@ -29,29 +29,15 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// MeanCI returns the mean and the half-width of its 95% normal confidence
+// meanCI returns the mean and the half-width of its 95% normal confidence
 // interval.
-func MeanCI(xs []float64) (mean, halfWidth float64) {
-	mean = Mean(xs)
+func meanCI(xs []float64) (m, halfWidth float64) {
+	m = mean(xs)
 	if len(xs) < 2 {
-		return mean, 0
+		return m, 0
 	}
-	halfWidth = 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-	return mean, halfWidth
-}
-
-// Min returns the smallest element (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
+	halfWidth = 1.96 * stdDev(xs) / math.Sqrt(float64(len(xs)))
+	return m, halfWidth
 }
 
 // LogSpace returns k points logarithmically spaced between lo and hi

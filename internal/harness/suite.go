@@ -67,11 +67,11 @@ func SelectSuite(ids string) ([]SuiteMatrix, error) {
 	return suite, nil
 }
 
-// ScaledN returns the dimension after downscaling by `scale` (≥ 1). The
+// scaledN returns the dimension after downscaling by `scale` (≥ 1). The
 // density is scaled up by the same factor, which preserves the
 // nonzeros-per-row profile — and with it every cost ratio of the model
 // (Titer/Tverif/Tcp are all per-row-profile quantities).
-func (sm SuiteMatrix) ScaledN(scale int) int {
+func (sm SuiteMatrix) scaledN(scale int) int {
 	if scale < 1 {
 		scale = 1
 	}
@@ -88,7 +88,7 @@ func (sm SuiteMatrix) ScaledN(scale int) int {
 // density with weak band couplings (see sparse.SuiteSPD). Deterministic for
 // fixed (id, scale).
 func (sm SuiteMatrix) Generate(scale int) *sparse.CSR {
-	n := sm.ScaledN(scale)
+	n := sm.scaledN(scale)
 	density := sm.Density * float64(sm.N) / float64(n) // preserve nnz/row
 	return sparse.SuiteSPD(sparse.SuiteSPDOptions{
 		N:       n,

@@ -66,26 +66,6 @@ func TestRHSDeterministic(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if harness.Mean(xs) != 2.5 {
-		t.Fatal("Mean wrong")
-	}
-	if math.Abs(harness.StdDev(xs)-math.Sqrt(5.0/3)) > 1e-12 {
-		t.Fatalf("StdDev = %v", harness.StdDev(xs))
-	}
-	if harness.Mean(nil) != 0 || harness.StdDev([]float64{1}) != 0 {
-		t.Fatal("degenerate stats wrong")
-	}
-	m, ci := harness.MeanCI(xs)
-	if m != 2.5 || ci <= 0 {
-		t.Fatal("MeanCI wrong")
-	}
-	if harness.Min(xs) != 1 || harness.Min(nil) != 0 {
-		t.Fatal("Min wrong")
-	}
-}
-
 func TestLogSpace(t *testing.T) {
 	xs := harness.LogSpace(100, 10000, 3)
 	want := []float64{100, 1000, 10000}
