@@ -517,11 +517,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 // recorder or interrupted copy leaves behind — fails with a clean error
 // naming the byte offset where decoding stopped, never a panic.
 func loadCampaign(path string) (Campaign, error) {
-	var camp Campaign
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return camp, err
+		return Campaign{}, err
 	}
+	return parseCampaign(path, raw)
+}
+
+// parseCampaign decodes and validates the bytes of the campaign file named
+// path.
+func parseCampaign(path string, raw []byte) (Campaign, error) {
+	var camp Campaign
 	if len(bytes.TrimSpace(raw)) == 0 {
 		return camp, fmt.Errorf("campaign %s: file is empty (truncated or never written?)", path)
 	}

@@ -45,10 +45,6 @@ var exportAllowlist = map[string]string{
 	"api.SolveEvent.Terminal":                "diet",
 	"api.SolveRequest.ResolvedRHSSeed":       "diet",
 	"api.WithAdminToken":                     "diet",
-	"chaos.ErrInjectedKill":                  "diet",
-	"chaos.ErrInjectedReset":                 "diet",
-	"chaos.Plan.Validate":                    "diet",
-	"chaos.PlanSchemaVersion":                "diet",
 	"checksum.ErrNoShift":                    "diet",
 	"checksum.Matrix.ToleranceComponentBoth": "diet",
 	"checksum.Vector.Defect":                 "diet",
@@ -59,19 +55,7 @@ var exportAllowlist = map[string]string{
 	"core.OnlineMaxD":                        "diet",
 	"harness.Result.Canonical":               "diet",
 	"model.OptimalPlacement":                 "diet",
-	"obs.Counter":                            "diet",
-	"obs.Counter.Add":                        "diet",
-	"obs.Counter.Inc":                        "diet",
-	"obs.Counter.Value":                      "diet",
-	"obs.DefBuckets":                         "diet",
-	"obs.Histogram.Count":                    "diet",
-	"obs.Histogram.Sum":                      "diet",
-	"obs.MaxDetections":                      "diet",
-	"obs.MaxSpans":                           "diet",
-	"obs.Registry.Counter":                   "diet",
-	"obs.Tracer.NewID":                       "diet",
 	"obs.ValidTraceID":                       "diet",
-	"obs.Version":                            "diet",
 	"router.ErrLastShard":                    "diet",
 	"router.ErrShardExists":                  "diet",
 	"router.ErrShardNotFound":                "diet",

@@ -42,8 +42,8 @@ import (
 	"repro/internal/sparse"
 )
 
-// PlanSchemaVersion identifies the chaos plan file layout.
-const PlanSchemaVersion = 1
+// planSchemaVersion identifies the chaos plan file layout.
+const planSchemaVersion = 1
 
 // Plan is the seeded fault mix, loaded from JSON:
 //
@@ -78,7 +78,7 @@ type Plan struct {
 	P503 float64 `json:"p_503"`
 	// PKill forwards the request, sends the target shard a kill signal
 	// through the configured KillFunc once the request is written, and
-	// fails the attempt as the death would (ErrInjectedKill) whatever the
+	// fails the attempt as the death would (errInjectedKill) whatever the
 	// shard still answered. Downgrades to a reset when no KillFunc is wired
 	// or MaxKills is spent.
 	PKill float64 `json:"p_kill"`
@@ -89,10 +89,10 @@ type Plan struct {
 	LatencyMillis int     `json:"latency_ms,omitempty"`
 }
 
-// Validate rejects malformed plans.
-func (p *Plan) Validate() error {
-	if p.Schema != 0 && p.Schema != PlanSchemaVersion {
-		return fmt.Errorf("chaos plan: unsupported schema %d (want %d)", p.Schema, PlanSchemaVersion)
+// validate rejects malformed plans.
+func (p *Plan) validate() error {
+	if p.Schema != 0 && p.Schema != planSchemaVersion {
+		return fmt.Errorf("chaos plan: unsupported schema %d (want %d)", p.Schema, planSchemaVersion)
 	}
 	sum := 0.0
 	for _, pr := range []struct {
@@ -123,15 +123,20 @@ func (p *Plan) Validate() error {
 
 // LoadPlan reads and validates a chaos plan file.
 func LoadPlan(path string) (Plan, error) {
-	var p Plan
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return p, err
+		return Plan{}, err
 	}
+	return parsePlan(path, raw)
+}
+
+// parsePlan decodes and validates the bytes of the plan file named path.
+func parsePlan(path string, raw []byte) (Plan, error) {
+	var p Plan
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return p, fmt.Errorf("chaos plan %s: %w", path, err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return p, fmt.Errorf("%s: %w", path, err)
 	}
 	if p.PKill > 0 && p.MaxKills == 0 {
@@ -169,13 +174,13 @@ func (f Fault) String() string {
 	}
 }
 
-// ErrInjectedReset is the transport error an injected connection reset
+// errInjectedReset is the transport error an injected connection reset
 // surfaces as.
-var ErrInjectedReset = errors.New("chaos: injected connection reset")
+var errInjectedReset = errors.New("chaos: injected connection reset")
 
-// ErrInjectedKill is the transport error the attempt that drew a kill
+// errInjectedKill is the transport error the attempt that drew a kill
 // surfaces as: its shard was signalled with the request on it.
-var ErrInjectedKill = errors.New("chaos: shard killed under the request")
+var errInjectedKill = errors.New("chaos: shard killed under the request")
 
 // maxTrackedIdentities bounds the per-identity attempt counters; beyond
 // the bound, unseen identities draw as attempt 0 every time (still
@@ -393,7 +398,7 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	switch fault {
 	case FaultReset:
 		in.resets.Add(1)
-		return nil, ErrInjectedReset
+		return nil, errInjectedReset
 	case Fault503:
 		in.storms.Add(1)
 		return synth503(req), nil
@@ -403,7 +408,7 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		in.killsSent.Add(1)
-		return nil, ErrInjectedKill
+		return nil, errInjectedKill
 	}
 
 	resp, err := in.base.RoundTrip(req)

@@ -85,7 +85,7 @@ func solveReq(t *testing.T, i int) *http.Request {
 }
 
 func forcedPlan(set func(p *Plan)) Plan {
-	p := Plan{Schema: PlanSchemaVersion, Seed: 42}
+	p := Plan{Schema: planSchemaVersion, Seed: 42}
 	set(&p)
 	return p
 }
@@ -100,18 +100,18 @@ func TestPlanValidate(t *testing.T) {
 		"neg kills":     {MaxKills: -1},
 	}
 	for name, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("%s: plan %+v accepted", name, p)
 		}
 	}
-	ok := Plan{Schema: PlanSchemaVersion, Seed: 1, PReset: 0.05, PTruncate: 0.05, PBitFlip: 0.08, P503: 0.03, PLatency: 0.5, LatencyMillis: 50}
-	if err := ok.Validate(); err != nil {
+	ok := Plan{Schema: planSchemaVersion, Seed: 1, PReset: 0.05, PTruncate: 0.05, PBitFlip: 0.08, P503: 0.03, PLatency: 0.5, LatencyMillis: 50}
+	if err := ok.validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 	// PLatency is an independent draw: it must not count against the
 	// primary-band sum.
 	indep := Plan{PReset: 0.6, PLatency: 0.9}
-	if err := indep.Validate(); err != nil {
+	if err := indep.validate(); err != nil {
 		t.Errorf("latency counted into the primary sum: %v", err)
 	}
 }
@@ -151,8 +151,8 @@ func TestLoadPlan(t *testing.T) {
 func TestInjectedReset(t *testing.T) {
 	in := New(forcedPlan(func(p *Plan) { p.PReset = 1 }), okShard())
 	_, err := in.RoundTrip(solveReq(t, 0))
-	if !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("err = %v, want ErrInjectedReset", err)
+	if !errors.Is(err, errInjectedReset) {
+		t.Fatalf("err = %v, want errInjectedReset", err)
 	}
 	if s := in.Stats(); s.Resets != 1 || s.Passed != 0 {
 		t.Errorf("stats %+v: want 1 reset, 0 passed", s)
@@ -257,8 +257,8 @@ func TestInjectedLatencySpike(t *testing.T) {
 func TestKillDegradesWithoutHook(t *testing.T) {
 	in := New(forcedPlan(func(p *Plan) { p.PKill = 1; p.MaxKills = 1 }), okShard())
 	_, err := in.RoundTrip(solveReq(t, 0))
-	if !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("err = %v, want degradation to ErrInjectedReset", err)
+	if !errors.Is(err, errInjectedReset) {
+		t.Fatalf("err = %v, want degradation to errInjectedReset", err)
 	}
 	if s := in.Stats(); s.Kills != 0 || s.Resets != 1 {
 		t.Errorf("stats %+v: want 0 kills, 1 reset", s)
@@ -277,15 +277,15 @@ func TestKillHookAndBudget(t *testing.T) {
 		}))
 
 	// First kill: hook fires, and the attempt fails as the shard's death.
-	if _, err := in.RoundTrip(solveReq(t, 0)); !errors.Is(err, ErrInjectedKill) {
-		t.Fatalf("kill err = %v, want ErrInjectedKill", err)
+	if _, err := in.RoundTrip(solveReq(t, 0)); !errors.Is(err, errInjectedKill) {
+		t.Fatalf("kill err = %v, want errInjectedKill", err)
 	}
 	if len(killed) != 1 || killed[0] != "127.0.0.1:19999" {
 		t.Fatalf("killed = %v, want the target host once", killed)
 	}
 	// Budget spent: further kill draws degrade to resets, hook untouched.
-	if _, err := in.RoundTrip(solveReq(t, 1)); !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("post-budget err = %v, want ErrInjectedReset", err)
+	if _, err := in.RoundTrip(solveReq(t, 1)); !errors.Is(err, errInjectedReset) {
+		t.Fatalf("post-budget err = %v, want errInjectedReset", err)
 	}
 	if len(killed) != 1 {
 		t.Errorf("hook fired %d times, want 1 (max_kills)", len(killed))
@@ -322,8 +322,8 @@ func TestKillLandsMidRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.RoundTrip(req); !errors.Is(err, ErrInjectedKill) {
-		t.Fatalf("kill err = %v, want ErrInjectedKill", err)
+	if _, err := in.RoundTrip(req); !errors.Is(err, errInjectedKill) {
+		t.Fatalf("kill err = %v, want errInjectedKill", err)
 	}
 	if s := in.Stats(); s.Kills != 1 || s.Requests != 1 {
 		t.Errorf("stats %+v: want 1 kill of 1 request", s)
@@ -351,8 +351,8 @@ func TestRefusedKillIsVoid(t *testing.T) {
 		t.Fatalf("after a refused connect: %d signals, stats %+v; want none", killed, s)
 	}
 	refuse = false
-	if _, err := in.RoundTrip(solveReq(t, 0)); !errors.Is(err, ErrInjectedKill) {
-		t.Fatalf("redrawn err = %v, want ErrInjectedKill", err)
+	if _, err := in.RoundTrip(solveReq(t, 0)); !errors.Is(err, errInjectedKill) {
+		t.Fatalf("redrawn err = %v, want errInjectedKill", err)
 	}
 	if s := in.Stats(); killed != 1 || s.Kills != 1 || s.Requests != 1 {
 		t.Errorf("after the redraw: %d signals, stats %+v; want one kill of one request", killed, s)
@@ -384,8 +384,8 @@ func TestOnlySolveTrafficIsTouched(t *testing.T) {
 		t.Errorf("%d solve requests counted for control-plane traffic", s.Requests)
 	}
 	// And solve traffic with the same plan is reset, proving the plan was live.
-	if _, err := in.RoundTrip(solveReq(t, 0)); !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("solve err = %v, want ErrInjectedReset", err)
+	if _, err := in.RoundTrip(solveReq(t, 0)); !errors.Is(err, errInjectedReset) {
+		t.Fatalf("solve err = %v, want errInjectedReset", err)
 	}
 }
 
@@ -393,7 +393,7 @@ func TestOnlySolveTrafficIsTouched(t *testing.T) {
 // chaos-smoke gate uses.
 func mixedPlan(seed int64) Plan {
 	return Plan{
-		Schema: PlanSchemaVersion, Seed: seed,
+		Schema: planSchemaVersion, Seed: seed,
 		PReset: 0.1, PTruncate: 0.1, PBitFlip: 0.15, P503: 0.1,
 		PLatency: 0.2, LatencyMillis: 1,
 	}

@@ -25,9 +25,9 @@ func NewLogger(w io.Writer, format string, quiet bool) *slog.Logger {
 	return slog.New(h)
 }
 
-// Version reports the main module's version from build info, falling back
+// moduleVersion reports the main module's version from build info, falling back
 // to "devel" for plain `go build` trees without VCS stamping.
-func Version() string {
+func moduleVersion() string {
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" && bi.Main.Version != "(devel)" {
 		return bi.Main.Version
 	}
@@ -36,5 +36,5 @@ func Version() string {
 
 // Runtime describes the running process for statusz build-info blocks.
 func Runtime() (version, goVersion string, maxProcs int) {
-	return Version(), runtime.Version(), runtime.GOMAXPROCS(0)
+	return moduleVersion(), runtime.Version(), runtime.GOMAXPROCS(0)
 }

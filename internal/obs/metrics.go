@@ -14,7 +14,7 @@ import (
 
 // Registry is a minimal metrics surface rendered in the Prometheus text
 // exposition format (version 0.0.4): counters, gauges and fixed-bucket
-// histograms, no labels except a histogram's le. Most series are
+// histograms, no labels except a histogram's le. Counters and gauges are
 // registered as CounterFunc/GaugeFunc closures over counters the service
 // already maintains, so exposition never double-counts and costs nothing
 // off the scrape path.
@@ -27,7 +27,6 @@ type Registry struct {
 type metricEntry struct {
 	name, help, kind string
 	value            func() float64 // counter and gauge kinds
-	counter          *Counter
 	hist             *Histogram
 }
 
@@ -46,24 +45,6 @@ func (r *Registry) register(e metricEntry) {
 	r.metrics = append(r.metrics, e)
 }
 
-// Counter is an owned monotonic counter for call sites that have no
-// existing atomic to map.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one; Add adds n.
-func (c *Counter) Inc()         { c.v.Add(1) }
-func (c *Counter) Add(n int64)  { c.v.Add(n) }
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Counter registers and returns an owned counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(metricEntry{name: name, help: help, kind: "counter", counter: c})
-	return c
-}
-
 // CounterFunc registers a monotonic counter read from fn at scrape time.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(metricEntry{name: name, help: help, kind: "counter", value: fn})
@@ -74,9 +55,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(metricEntry{name: name, help: help, kind: "gauge", value: fn})
 }
 
-// DefBuckets are the default latency buckets in seconds, spanning
+// defBuckets are the default latency buckets in seconds, spanning
 // sub-millisecond warm solves to multi-second cold ones.
-var DefBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+var defBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // Histogram is a fixed-bucket histogram. Observe is lock-free (atomic
 // bucket counters, CAS-accumulated sum) so it can sit on request paths.
@@ -88,10 +69,10 @@ type Histogram struct {
 }
 
 // Histogram registers a histogram with the given upper bucket bounds
-// (nil selects DefBuckets). Bounds are sorted; +Inf is implicit.
+// (nil selects defBuckets). Bounds are sorted; +Inf is implicit.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if len(buckets) == 0 {
-		buckets = DefBuckets
+		buckets = defBuckets
 	}
 	upper := append([]float64(nil), buckets...)
 	sort.Float64s(upper)
@@ -118,12 +99,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count is the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum is the accumulated observed value.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
 // formatValue renders a sample the way Prometheus expects: integers
 // bare, floats in shortest round-trip form.
 func formatValue(v float64) string {
@@ -146,16 +121,14 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.kind)
 		switch {
 		case m.hist != nil:
-			cum := int64(0)
+			cum, count := int64(0), m.hist.count.Load()
 			for i, ub := range m.hist.upper {
 				cum += m.hist.counts[i].Load()
 				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", m.name, formatValue(ub), cum)
 			}
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m.name, m.hist.Count())
-			fmt.Fprintf(&b, "%s_sum %s\n", m.name, formatValue(m.hist.Sum()))
-			fmt.Fprintf(&b, "%s_count %d\n", m.name, m.hist.Count())
-		case m.counter != nil:
-			fmt.Fprintf(&b, "%s %d\n", m.name, m.counter.Value())
+			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m.name, count)
+			fmt.Fprintf(&b, "%s_sum %s\n", m.name, formatValue(math.Float64frombits(m.hist.sumBits.Load())))
+			fmt.Fprintf(&b, "%s_count %d\n", m.name, count)
 		default:
 			fmt.Fprintf(&b, "%s %s\n", m.name, formatValue(m.value()))
 		}

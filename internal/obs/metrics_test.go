@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -9,8 +10,6 @@ import (
 
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_requests_total", "Requests handled.")
-	c.Add(7)
 	r.CounterFunc("test_mapped_total", "Mapped counter.", func() float64 { return 42 })
 	r.GaugeFunc("test_depth", "Queue depth.", func() float64 { return 3.5 })
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
@@ -25,8 +24,7 @@ func TestRegistryExposition(t *testing.T) {
 	}
 	text := b.String()
 	for _, want := range []string{
-		"# TYPE test_requests_total counter",
-		"test_requests_total 7",
+		"# TYPE test_mapped_total counter",
 		"test_mapped_total 42",
 		"# TYPE test_depth gauge",
 		"test_depth 3.5",
@@ -41,10 +39,10 @@ func TestRegistryExposition(t *testing.T) {
 			t.Errorf("exposition missing %q\n%s", want, text)
 		}
 	}
-	if h.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", h.Count())
+	if got := h.count.Load(); got != 4 {
+		t.Fatalf("count = %d, want 4", got)
 	}
-	if got := h.Sum(); got < 5.10 || got > 5.11 {
+	if got := math.Float64frombits(h.sumBits.Load()); got < 5.10 || got > 5.11 {
 		t.Fatalf("Sum = %v, want ~5.105", got)
 	}
 }
@@ -54,7 +52,7 @@ func TestRegistryExposition(t *testing.T) {
 // TYPE, samples are "name[{le="..."}] value" with a parseable float.
 func TestExpositionParses(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "A.").Inc()
+	r.CounterFunc("a_total", "A.", func() float64 { return 1 })
 	r.GaugeFunc("b", "B.", func() float64 { return 0.25 })
 	r.Histogram("c_seconds", "C.", nil).Observe(0.002)
 
@@ -109,7 +107,7 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 
 func TestRegistryHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("h_total", "H.").Add(3)
+	r.CounterFunc("h_total", "H.", func() float64 { return 3 })
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -132,13 +130,13 @@ func TestRegistryHandler(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup_total", "")
+	r.CounterFunc("dup_total", "", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Counter("dup_total", "")
+	r.GaugeFunc("dup_total", "", func() float64 { return 0 })
 }
 
 func TestFormatValue(t *testing.T) {

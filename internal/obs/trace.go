@@ -23,8 +23,8 @@ import (
 // the heap, and a trace that overflows reports how many it dropped
 // instead of growing.
 const (
-	MaxSpans      = 24
-	MaxDetections = 16
+	maxSpans      = 24
+	maxDetections = 16
 )
 
 // Canonical span names recorded by the tiers. The set is open — a span
@@ -109,7 +109,7 @@ type Active struct {
 	wallStart int64
 
 	mu           sync.Mutex
-	spans        [MaxSpans]span
+	spans        [maxSpans]span
 	nspans       int
 	droppedSpans int
 	errMsg       string
@@ -119,7 +119,7 @@ type Active struct {
 	// append its detection episodes through RecordDetection as it runs.
 	Solver       SolverTallies
 	solverFilled bool
-	dets         [MaxDetections]DetectionRecord
+	dets         [maxDetections]DetectionRecord
 	ndets        int
 }
 
@@ -131,13 +131,13 @@ func (a *Active) ID() string { return a.id }
 func (a *Active) Now() int64 { return time.Since(a.start).Nanoseconds() }
 
 // AddSpan records one completed stage. Safe for concurrent callers;
-// spans beyond MaxSpans are counted as dropped instead of grown.
+// spans beyond maxSpans are counted as dropped instead of grown.
 func (a *Active) AddSpan(name, shard, detail string, offsetNanos, durNanos int64) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	if a.nspans < MaxSpans {
+	if a.nspans < maxSpans {
 		a.spans[a.nspans] = span{name: name, shard: shard, detail: detail, offsetNanos: offsetNanos, durNanos: durNanos}
 		a.nspans++
 	} else {
@@ -164,7 +164,7 @@ func (a *Active) RecordDetection(iteration int, detections, corrections int64, r
 	if a == nil {
 		return
 	}
-	if a.ndets < MaxDetections {
+	if a.ndets < maxDetections {
 		a.dets[a.ndets] = DetectionRecord{Iteration: iteration, Detections: detections, Corrections: corrections, RolledBack: rolledBack}
 		a.ndets++
 	}
@@ -238,8 +238,8 @@ func mixID(a, b uint64, s string) uint64 {
 	return h
 }
 
-// NewID mints a process-unique trace identifier.
-func (t *Tracer) NewID() string {
+// newID mints a process-unique trace identifier.
+func (t *Tracer) newID() string {
 	return fmt.Sprintf("%016x%08x", t.idPrefix, t.idCtr.Add(1))
 }
 
@@ -268,7 +268,7 @@ func ValidTraceID(id string) bool {
 func (t *Tracer) Start(inboundID string) *Active {
 	a := t.pool.Get().(*Active)
 	if !ValidTraceID(inboundID) {
-		inboundID = t.NewID()
+		inboundID = t.newID()
 	}
 	a.id = inboundID
 	a.start = time.Now()

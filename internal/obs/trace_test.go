@@ -79,13 +79,13 @@ func TestTraceSpansAndSolverEvents(t *testing.T) {
 func TestTraceSpanOverflowCountsDrops(t *testing.T) {
 	tr := NewTracer("shard", 2)
 	a := tr.Start("overflow")
-	for i := 0; i < MaxSpans+5; i++ {
+	for i := 0; i < maxSpans+5; i++ {
 		a.AddSpan(SpanRetry, "", "", int64(i), 1)
 	}
 	tr.Finish(a)
 	rec := tr.Snapshot(1, "")[0]
-	if len(rec.Spans) != MaxSpans || rec.DroppedSpans != 5 {
-		t.Fatalf("got %d spans / %d dropped, want %d / 5", len(rec.Spans), rec.DroppedSpans, MaxSpans)
+	if len(rec.Spans) != maxSpans || rec.DroppedSpans != 5 {
+		t.Fatalf("got %d spans / %d dropped, want %d / 5", len(rec.Spans), rec.DroppedSpans, maxSpans)
 	}
 }
 
