@@ -31,19 +31,13 @@ var exportAllowlist = map[string]string{
 	"api.Client.AdminDrainShard":             "diet",
 	"api.Client.AdminRemoveShard":            "diet",
 	"api.Client.AdminTopology":               "diet",
-	"api.Client.Base":                        "diet",
-	"api.Client.RouterHealth":                "diet",
 	"api.Client.Tracez":                      "diet",
-	"api.CodeForStatus":                      "diet",
-	"api.ErrMalformedStream":                 "diet",
-	"api.InlineCSR.ToCSR":                    "diet",
 	"api.MaxBatchRHS":                        "diet",
 	"api.NewSSEReader":                       "diet",
 	"api.SSEReader":                          "diet",
 	"api.SSEReader.LastFrameData":            "diet",
 	"api.SSEReader.Next":                     "diet",
 	"api.SolveEvent.Terminal":                "diet",
-	"api.SolveRequest.ResolvedRHSSeed":       "diet",
 	"api.WithAdminToken":                     "diet",
 	"checksum.ErrNoShift":                    "diet",
 	"checksum.Matrix.ToleranceComponentBoth": "diet",

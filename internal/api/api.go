@@ -40,7 +40,7 @@ type InlineCSR struct {
 	Val    []float64 `json:"val"`
 }
 
-// ToCSR assembles and validates the matrix: its structure, and that every
+// toCSR assembles and validates the matrix: its structure, and that every
 // value is finite. It is where a shard admits an operand that arrives by
 // content, when a cache miss parses it (through InlineBytes.ToCSR, which
 // parses it first); the router relays what it refuses. JSON cannot spell
@@ -51,7 +51,7 @@ type InlineCSR struct {
 // systems only, and a square matrix has no dimension the body has not paid
 // for: Rows is bounded by len(Rowidx), so Cols may not be anything else (the
 // shard's Build sizes a vector by it).
-func (ic *InlineCSR) ToCSR() (*sparse.CSR, error) {
+func (ic *InlineCSR) toCSR() (*sparse.CSR, error) {
 	if ic.Rows != ic.Cols {
 		return nil, fmt.Errorf("inline matrix: %dx%d is not square", ic.Rows, ic.Cols)
 	}
@@ -172,15 +172,6 @@ func (r *SolveRequest) Scenario(spec harness.MatrixSpec, label string) harness.S
 		sc = sc.WithRHSSeed(*r.RHSSeed)
 	}
 	return sc
-}
-
-// ResolvedRHSSeed is the seed of the manufactured right-hand side: RHSSeed
-// when pinned, the trial seed otherwise.
-func (r *SolveRequest) ResolvedRHSSeed() int64 {
-	if r.RHSSeed != nil {
-		return *r.RHSSeed
-	}
-	return r.Seed
 }
 
 // SolveResponse is the body of a successful (HTTP 200) solve. A solve

@@ -71,9 +71,6 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	return c
 }
 
-// Base returns the client's base URL.
-func (c *Client) Base() string { return c.base }
-
 // Solve posts one solve request.
 func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
 	var out SolveResponse
@@ -167,15 +164,6 @@ func (c *Client) SolveStream(ctx context.Context, req *SolveRequest, onEvent fun
 func (c *Client) SolveBatch(ctx context.Context, req *BatchSolveRequest) (*BatchSolveResponse, error) {
 	var out BatchSolveResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/solve/batch", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// RouterHealth fetches a router's own /v1/healthz.
-func (c *Client) RouterHealth(ctx context.Context) (*RouterHealth, error) {
-	var out RouterHealth
-	if err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -314,7 +302,7 @@ func decode(resp *http.Response, method, path string, out any) error {
 		if json.Unmarshal(raw, &e) != nil || e.Message == "" {
 			e = Error{
 				Schema:  SchemaVersion,
-				Code:    CodeForStatus(resp.StatusCode),
+				Code:    codeForStatus(resp.StatusCode),
 				Message: fmt.Sprintf("%s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(raw)),
 			}
 		}

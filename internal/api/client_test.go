@@ -111,8 +111,8 @@ func TestCodeForStatusCoversEveryMappedStatus(t *testing.T) {
 		http.StatusInternalServerError: CodeInternal,
 	}
 	for status, code := range want {
-		if got := CodeForStatus(status); got != code {
-			t.Errorf("CodeForStatus(%d) = %q, want %q", status, got, code)
+		if got := codeForStatus(status); got != code {
+			t.Errorf("codeForStatus(%d) = %q, want %q", status, got, code)
 		}
 	}
 }

@@ -65,9 +65,9 @@ func (e *Error) Error() string {
 	return e.Code + ": " + e.Message
 }
 
-// CodeForStatus maps an HTTP status to the default envelope code, for
+// codeForStatus maps an HTTP status to the default envelope code, for
 // responders that have no more specific classification.
-func CodeForStatus(status int) string {
+func codeForStatus(status int) string {
 	switch status {
 	case http.StatusBadRequest:
 		return CodeBadRequest
@@ -118,7 +118,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // Retry-After header (rounded up to whole seconds).
 func WriteError(w http.ResponseWriter, status int, code string, err error, retryMillis int) {
 	if code == "" {
-		code = CodeForStatus(status)
+		code = codeForStatus(status)
 	}
 	if retryMillis > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", (retryMillis+999)/1000))

@@ -106,7 +106,7 @@ func (o *InlineBytes) Parse() (*InlineCSR, error) {
 	return f, nil
 }
 
-// ToCSR parses a Present operand and admits it as InlineCSR.ToCSR does. A
+// ToCSR parses a Present operand and admits it as InlineCSR.toCSR does. A
 // member that is not an object of InlineCSR's shape, or whose arrays hold a
 // number an int or a float64 cannot (1.5 or 1e2 as an index, 1e999), is
 // refused with an "inline matrix:" error.
@@ -118,7 +118,7 @@ func (o *InlineBytes) ToCSR() (*sparse.CSR, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inline matrix: %w", err)
 	}
-	return ic.ToCSR()
+	return ic.toCSR()
 }
 
 // decodeObject decodes one occurrence of the operand — a valid JSON value

@@ -162,11 +162,11 @@ func (s *SSEWriter) Send(ev *SolveEvent) error {
 	return nil
 }
 
-// ErrMalformedStream is wrapped by every error SSEReader.Next returns for the
+// errMalformedStream is wrapped by every error SSEReader.Next returns for the
 // bytes of a stream — a malformed line or frame, a digest mismatch, a frame
 // cut off by the end of the stream — as opposed to the error of the
 // transport beneath it.
-var ErrMalformedStream = errors.New("malformed event stream")
+var errMalformedStream = errors.New("malformed event stream")
 
 // SSEReader decodes a solve event stream frame by frame, verifying each
 // frame's id digest against its data bytes.
@@ -187,7 +187,7 @@ func NewSSEReader(r io.Reader) *SSEReader {
 }
 
 // Next returns the next decoded event, io.EOF at a clean end of stream,
-// an error wrapping ErrMalformedStream for malformed or corrupt frames, or
+// an error wrapping errMalformedStream for malformed or corrupt frames, or
 // the transport's error. A frame whose id digest does not match its data
 // bytes is corrupt — the streaming analogue of a body-digest mismatch.
 func (r *SSEReader) Next() (*SolveEvent, error) {
@@ -213,38 +213,38 @@ func (r *SSEReader) Next() (*SolveEvent, error) {
 		case strings.HasPrefix(line, ":"):
 			// comment/keep-alive line, ignore
 		default:
-			return nil, fmt.Errorf("%w: SSE line %q", ErrMalformedStream, line)
+			return nil, fmt.Errorf("%w: SSE line %q", errMalformedStream, line)
 		}
 	}
 	if err := r.sc.Err(); errors.Is(err, bufio.ErrTooLong) {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedStream, err)
+		return nil, fmt.Errorf("%w: %v", errMalformedStream, err)
 	} else if err != nil {
 		return nil, err
 	}
 	if seen {
 		// Connection died inside a frame.
-		return nil, fmt.Errorf("%w: stream truncated mid-frame", ErrMalformedStream)
+		return nil, fmt.Errorf("%w: stream truncated mid-frame", errMalformedStream)
 	}
 	return nil, io.EOF
 }
 
 func (r *SSEReader) assemble(kind, id string, data []byte) (*SolveEvent, error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: SSE frame %q has no data", ErrMalformedStream, kind)
+		return nil, fmt.Errorf("%w: SSE frame %q has no data", errMalformedStream, kind)
 	}
 	if !VerifyDigest(id, data) {
-		return nil, fmt.Errorf("%w: SSE frame digest mismatch (corrupt frame)", ErrMalformedStream)
+		return nil, fmt.Errorf("%w: SSE frame digest mismatch (corrupt frame)", errMalformedStream)
 	}
 	r.lastData = data
 	var ev SolveEvent
 	if err := json.Unmarshal(data, &ev); err != nil {
-		return nil, fmt.Errorf("%w: decoding SSE frame: %v", ErrMalformedStream, err)
+		return nil, fmt.Errorf("%w: decoding SSE frame: %v", errMalformedStream, err)
 	}
 	if ev.Schema != SchemaVersion {
-		return nil, fmt.Errorf("%w: SSE frame schema %d, want %d", ErrMalformedStream, ev.Schema, SchemaVersion)
+		return nil, fmt.Errorf("%w: SSE frame schema %d, want %d", errMalformedStream, ev.Schema, SchemaVersion)
 	}
 	if kind != "" && ev.Kind != kind {
-		return nil, fmt.Errorf("%w: SSE frame kind %q does not match event line %q", ErrMalformedStream, ev.Kind, kind)
+		return nil, fmt.Errorf("%w: SSE frame kind %q does not match event line %q", errMalformedStream, ev.Kind, kind)
 	}
 	return &ev, nil
 }

@@ -221,7 +221,7 @@ func TestSummarizeLatencies(t *testing.T) {
 
 // FuzzSSEReader holds the event-stream decoder to what a wire surface owes
 // any byte stream: events, then io.EOF or an error wrapping
-// ErrMalformedStream — no panic, no other error (the reader beneath cannot
+// errMalformedStream — no panic, no other error (the reader beneath cannot
 // fail), in bounded time and memory. Every event it returns carries this
 // schema. The seeds are the frames of the tests above, whole, corrupted and
 // cut.
@@ -264,8 +264,8 @@ func FuzzSSEReader(f *testing.F) {
 		}
 		took := time.Since(start)
 		runtime.ReadMemStats(&after)
-		if err != io.EOF && !errors.Is(err, ErrMalformedStream) {
-			t.Fatalf("error %v is neither io.EOF nor ErrMalformedStream", err)
+		if err != io.EOF && !errors.Is(err, errMalformedStream) {
+			t.Fatalf("error %v is neither io.EOF nor errMalformedStream", err)
 		}
 		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(src)); grew > ceiling {
 			t.Fatalf("%d bytes of input allocated %d, ceiling %d", len(src), grew, ceiling)

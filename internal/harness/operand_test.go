@@ -127,12 +127,16 @@ func fuzzOperand(n uint8, exp int16, sym bool, val []byte) (*sparse.CSR, error) 
 		}
 		ic.Rowidx = append(ic.Rowidx, len(ic.Val))
 	}
-	return ic.ToCSR()
+	op, err := api.MarshalInline(&ic)
+	if err != nil {
+		return nil, err
+	}
+	return op.ToCSR()
 }
 
 // FuzzOperandSolve is the contract of solveOperand over small operands of any
 // sign, symmetry and scale, taken the way the service takes them
-// (api.InlineCSR.ToCSR). The body runs under a deadline, so a loop a request
+// (api.InlineBytes.ToCSR). The body runs under a deadline, so a loop a request
 // can reach and nothing bounds is found as a failure instead of a stuck
 // worker.
 func FuzzOperandSolve(f *testing.F) {
