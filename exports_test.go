@@ -50,28 +50,6 @@ var exportAllowlist = map[string]string{
 	"harness.Result.Canonical":               "diet",
 	"model.OptimalPlacement":                 "diet",
 	"obs.ValidTraceID":                       "diet",
-	"router.ErrLastShard":                    "diet",
-	"router.ErrShardExists":                  "diet",
-	"router.ErrShardNotFound":                "diet",
-	"router.MockRuntime.Get":                 "diet",
-	"router.MockRuntime.StopAll":             "diet",
-	"router.MockShard.Conns":                 "diet",
-	"router.MockShard.KillMidStream":         "diet",
-	"router.MockShard.SetDelay":              "diet",
-	"router.MockShard.SetSaturated":          "diet",
-	"router.MockShard.Solves":                "diet",
-	"router.NewMockRuntime":                  "diet",
-	"router.Ring.AddN":                       "diet",
-	"router.Ring.Len":                        "diet",
-	"router.Ring.Remove":                     "diet",
-	"router.Ring.Shards":                     "diet",
-	"router.Ring.Successors":                 "diet",
-	"router.Ring.VNodes":                     "diet",
-	"router.Router.AddShard":                 "diet",
-	"router.Router.DrainShard":               "diet",
-	"router.Router.RemoveShard":              "diet",
-	"router.Shard.Validate":                  "diet",
-	"router.Topology.Validate":               "diet",
 	"router.TopologySchemaVersion":           "diet",
 	"solver.BiCGstab":                        "diet",
 	"solver.CG":                              "diet",

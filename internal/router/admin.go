@@ -70,11 +70,11 @@ func (r *Router) handleAdminAddShard(w http.ResponseWriter, req *http.Request) {
 		respondBadRequest(w, fmt.Errorf("unsupported schema %d (want %d)", body.Schema, api.SchemaVersion))
 		return
 	}
-	if err := (Shard{Name: body.Name, Addr: body.Addr, VnodeWeight: body.VnodeWeight}).Validate(); err != nil {
+	if err := (Shard{Name: body.Name, Addr: body.Addr, VnodeWeight: body.VnodeWeight}).validate(); err != nil {
 		respondBadRequest(w, err)
 		return
 	}
-	sh, err := r.AddShard(body.Name, body.Addr, body.VnodeWeight)
+	sh, err := r.addShard(body.Name, body.Addr, body.VnodeWeight)
 	if err != nil {
 		respondAdminErr(w, err)
 		return
@@ -83,7 +83,7 @@ func (r *Router) handleAdminAddShard(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleAdminDrainShard(w http.ResponseWriter, req *http.Request) {
-	sh, err := r.DrainShard(req.PathValue("label"))
+	sh, err := r.drainShard(req.PathValue("label"))
 	if err != nil {
 		respondAdminErr(w, err)
 		return
@@ -93,7 +93,7 @@ func (r *Router) handleAdminDrainShard(w http.ResponseWriter, req *http.Request)
 
 func (r *Router) handleAdminRemoveShard(w http.ResponseWriter, req *http.Request) {
 	label := req.PathValue("label")
-	if err := r.RemoveShard(label); err != nil {
+	if err := r.removeShard(label); err != nil {
 		respondAdminErr(w, err)
 		return
 	}
@@ -103,13 +103,13 @@ func (r *Router) handleAdminRemoveShard(w http.ResponseWriter, req *http.Request
 // Sentinel errors of the topology verbs; the admin surface maps them to
 // HTTP statuses.
 var (
-	// ErrShardNotFound: the named shard is not in the topology.
-	ErrShardNotFound = errors.New("router: shard not found")
-	// ErrShardExists: an add named a shard that is already active.
-	ErrShardExists = errors.New("router: shard already active")
-	// ErrLastShard: draining or removing the shard would leave the ring
+	// errShardNotFound: the named shard is not in the topology.
+	errShardNotFound = errors.New("router: shard not found")
+	// errShardExists: an add named a shard that is already active.
+	errShardExists = errors.New("router: shard already active")
+	// errLastShard: draining or removing the shard would leave the ring
 	// empty.
-	ErrLastShard = errors.New("router: refusing to take the last routable shard out of the ring")
+	errLastShard = errors.New("router: refusing to take the last routable shard out of the ring")
 )
 
 // respondAdminErr maps the topology verbs' sentinel errors onto the
@@ -117,9 +117,9 @@ var (
 // → 409, anything else (runtime start failures) → 500.
 func respondAdminErr(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrShardNotFound):
+	case errors.Is(err, errShardNotFound):
 		api.WriteError(w, http.StatusNotFound, api.CodeNotFound, err, 0)
-	case errors.Is(err, ErrShardExists), errors.Is(err, ErrLastShard):
+	case errors.Is(err, errShardExists), errors.Is(err, errLastShard):
 		api.WriteError(w, http.StatusConflict, api.CodeConflict, err, 0)
 	default:
 		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, err, 0)

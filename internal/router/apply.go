@@ -71,7 +71,7 @@ func (r *Router) reconcile(desired []want, joinProbe bool) (ApplyReport, error) 
 	r.ringMu.Lock()
 	for name, s := range r.shards {
 		if !keep[name] {
-			r.ring.Remove(name)
+			r.ring.remove(name)
 			delete(r.shards, name)
 			rep.Removed = append(rep.Removed, name)
 			offRing = append(offRing, name)
@@ -82,9 +82,9 @@ func (r *Router) reconcile(desired []want, joinProbe bool) (ApplyReport, error) 
 		name := st.s.name
 		st.s.place(st.next)
 		if was, now := r.ringPoints(st.old), r.ringPoints(st.next); was != now {
-			r.ring.Remove(name)
+			r.ring.remove(name)
 			if now > 0 {
-				r.ring.AddN(name, now)
+				r.ring.addN(name, now)
 			} else {
 				offRing = append(offRing, name)
 			}
@@ -156,11 +156,11 @@ func (r *Router) current(name string) (desired []want, i int) {
 // when there is no such shard, or it is the last one on the ring.
 func (r *Router) leaving(name string) (desired []want, i int, err error) {
 	if desired, i = r.current(name); i < 0 {
-		return nil, i, fmt.Errorf("%w: %q", ErrShardNotFound, name)
+		return nil, i, fmt.Errorf("%w: %q", errShardNotFound, name)
 	}
 	onRing := func(w want) bool { return !w.drained && w.name != name }
 	if !desired[i].drained && !slices.ContainsFunc(desired, onRing) {
-		return nil, i, fmt.Errorf("%w (%q is the only one left)", ErrLastShard, name)
+		return nil, i, fmt.Errorf("%w (%q is the only one left)", errLastShard, name)
 	}
 	return desired, i, nil
 }
@@ -171,7 +171,7 @@ func (r *Router) leaving(name string) (desired []want, i int, err error) {
 // entry with a new addr repoints its shard in place. On any error the
 // previous ring keeps serving untouched.
 func (r *Router) Apply(topo Topology) (ApplyReport, error) {
-	if err := topo.Validate(); err != nil {
+	if err := topo.validate(); err != nil {
 		return ApplyReport{}, err
 	}
 	desired := make([]want, len(topo.Shards))
@@ -183,15 +183,15 @@ func (r *Router) Apply(topo Topology) (ApplyReport, error) {
 	return r.reconcile(desired, false)
 }
 
-// AddShard joins a new shard, re-admits a drained one of the same name
+// addShard joins a new shard, re-admits a drained one of the same name
 // (clearing the latch; a non-empty addr repoints it) or rebalances an
 // active one whose weight changed. An empty addr asks the runtime for the
 // process; weight 0 is the default vnode count for a new shard and "as it
 // is" for a known one. The shard is probed before it enters the ring, so
 // its health picture is current the moment keys can land on it: a dead addr
 // joins ejected and the first good probe re-admits it like any ejection.
-func (r *Router) AddShard(name, addr string, weight float64) (api.AdminShard, error) {
-	if err := (Shard{Name: name, Addr: addr, VnodeWeight: weight}).Validate(); err != nil {
+func (r *Router) addShard(name, addr string, weight float64) (api.AdminShard, error) {
+	if err := (Shard{Name: name, Addr: addr, VnodeWeight: weight}).validate(); err != nil {
 		return api.AdminShard{}, err
 	}
 	r.applyMu.Lock()
@@ -201,7 +201,7 @@ func (r *Router) AddShard(name, addr string, weight float64) (api.AdminShard, er
 	case i < 0:
 		desired = append(desired, want{name, placement{addr: addr, weight: weight}})
 	case !desired[i].drained && (weight == 0 || weight == desired[i].weight):
-		return api.AdminShard{}, fmt.Errorf("%w: %q", ErrShardExists, name)
+		return api.AdminShard{}, fmt.Errorf("%w: %q", errShardExists, name)
 	default:
 		if desired[i].drained && addr != "" {
 			desired[i].addr = addr
@@ -217,11 +217,11 @@ func (r *Router) AddShard(name, addr string, weight float64) (api.AdminShard, er
 	return r.shards[name].adminView(), nil
 }
 
-// DrainShard latches the shard out of the ring: its keys move to their
+// drainShard latches the shard out of the ring: its keys move to their
 // ring successors, in-flight requests finish, probes keep watching it, and
 // only an add of the same name or a topology reload brings it back.
 // Draining the last routable shard is refused. Idempotent.
-func (r *Router) DrainShard(name string) (api.AdminShard, error) {
+func (r *Router) drainShard(name string) (api.AdminShard, error) {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	desired, i, err := r.leaving(name)
@@ -235,11 +235,11 @@ func (r *Router) DrainShard(name string) (api.AdminShard, error) {
 	return r.shards[name].adminView(), nil
 }
 
-// RemoveShard deletes the shard from the topology, stopping its process
+// removeShard deletes the shard from the topology, stopping its process
 // when the runtime started it. An active shard may be removed directly
 // (drain first to let in-flight work finish); removing the last routable
 // shard is refused.
-func (r *Router) RemoveShard(name string) error {
+func (r *Router) removeShard(name string) error {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	desired, i, err := r.leaving(name)

@@ -178,7 +178,7 @@ func TestNewStartFailureStopsStarted(t *testing.T) {
 // place.
 func TestApplyReAdmitsDrained(t *testing.T) {
 	r, _, _ := mockRouter(t, Config{}, "s0", "s1")
-	if _, err := r.DrainShard("s1"); err != nil {
+	if _, err := r.drainShard("s1"); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := r.Apply(Topology{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "s1"}}})
@@ -451,11 +451,11 @@ func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
 				weight = 17
 			}
 			what = fmt.Sprintf("AddShard(%q, %q, %g)", name, addr, weight)
-			view, err := r.AddShard(name, addr, weight)
+			view, err := r.addShard(name, addr, weight)
 			m := model[name]
 			switch {
-			case (Shard{Name: name, Addr: addr, VnodeWeight: weight}).Validate() != nil:
-				if err == nil || errors.Is(err, ErrShardExists) {
+			case (Shard{Name: name, Addr: addr, VnodeWeight: weight}).validate() != nil:
+				if err == nil || errors.Is(err, errShardExists) {
 					t.Fatalf("step %d %s: err %v, want a validation error", step, what, err)
 				}
 			case m == nil:
@@ -467,8 +467,8 @@ func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
 					t.Fatalf("step %d %s: joined %q, want %q", step, what, view.State, wantState)
 				}
 			case !m.drained && (weight == 0 || weight == m.weight):
-				if !errors.Is(err, ErrShardExists) {
-					t.Fatalf("step %d %s: err %v, want ErrShardExists", step, what, err)
+				if !errors.Is(err, errShardExists) {
+					t.Fatalf("step %d %s: err %v, want errShardExists", step, what, err)
 				}
 			default:
 				if err != nil {
@@ -485,15 +485,15 @@ func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
 		case op < 8:
 			name := pick()
 			what = fmt.Sprintf("DrainShard(%q)", name)
-			_, err := r.DrainShard(name)
+			_, err := r.drainShard(name)
 			switch m := model[name]; {
 			case m == nil:
-				if !errors.Is(err, ErrShardNotFound) {
-					t.Fatalf("step %d %s: err %v, want ErrShardNotFound", step, what, err)
+				if !errors.Is(err, errShardNotFound) {
+					t.Fatalf("step %d %s: err %v, want errShardNotFound", step, what, err)
 				}
 			case !m.drained && routable() <= 1:
-				if !errors.Is(err, ErrLastShard) {
-					t.Fatalf("step %d %s: err %v, want ErrLastShard", step, what, err)
+				if !errors.Is(err, errLastShard) {
+					t.Fatalf("step %d %s: err %v, want errLastShard", step, what, err)
 				}
 			default:
 				if err != nil {
@@ -504,15 +504,15 @@ func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
 		default:
 			name := pick()
 			what = fmt.Sprintf("RemoveShard(%q)", name)
-			err := r.RemoveShard(name)
+			err := r.removeShard(name)
 			switch m := model[name]; {
 			case m == nil:
-				if !errors.Is(err, ErrShardNotFound) {
-					t.Fatalf("step %d %s: err %v, want ErrShardNotFound", step, what, err)
+				if !errors.Is(err, errShardNotFound) {
+					t.Fatalf("step %d %s: err %v, want errShardNotFound", step, what, err)
 				}
 			case !m.drained && routable() <= 1:
-				if !errors.Is(err, ErrLastShard) {
-					t.Fatalf("step %d %s: err %v, want ErrLastShard", step, what, err)
+				if !errors.Is(err, errLastShard) {
+					t.Fatalf("step %d %s: err %v, want errLastShard", step, what, err)
 				}
 			default:
 				if err != nil {
@@ -536,7 +536,7 @@ func assertMatchesModel(t *testing.T, r *Router, rt *recordingRuntime, model map
 	fresh := NewRing(r.cfg.vnodes)
 	for n, m := range model {
 		if !m.drained {
-			fresh.AddN(n, r.vnodesFor(m.weight))
+			fresh.addN(n, r.vnodesFor(m.weight))
 		}
 	}
 	if !reflect.DeepEqual(r.ring.shards, fresh.shards) || !slices.Equal(r.ring.points, fresh.points) {

@@ -173,7 +173,7 @@ func TestFailoverDeterminism(t *testing.T) {
 			}
 		case shard == victim && victimMayAnswer:
 		default:
-			if want := r.ring.Successors(keys[i], 2)[1]; shard != want {
+			if want := r.ring.successors(keys[i], 2)[1]; shard != want {
 				t.Errorf("%s cell %d: victim's key served by %s, want next replica %s", phase, i, shard, want)
 			}
 		}

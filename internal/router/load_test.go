@@ -103,7 +103,7 @@ func boundedLoadAgainstModel(t *testing.T, seed int64, steps int, seen *[3]int) 
 			w := int64(1 + rng.Intn(64))
 			cands, spilled := r.candidates(key, w)
 			r.ringMu.RLock()
-			succ, onRing := r.ring.Successors(key, replicas), r.ring.Len()
+			succ, onRing := r.ring.successors(key, replicas), r.ring.size()
 			r.ringMu.RUnlock()
 			want, up := m.choose(succ, w, onRing)
 			got := cands[0].name
@@ -161,7 +161,7 @@ func boundedLoadAgainstModel(t *testing.T, seed int64, steps int, seen *[3]int) 
 			m.ejected[name] = !m.ejected[name]
 		case x < 19: // admin drain
 			name := topo[rng.Intn(len(topo))].Name
-			if _, err := r.DrainShard(name); err == nil {
+			if _, err := r.drainShard(name); err == nil {
 				m.drained[name] = true
 			}
 		default: // a reload names every shard: the drained re-join the ring

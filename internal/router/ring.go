@@ -23,10 +23,10 @@
 //	start-up (New)         the whole state, from empty  Topology.Validate
 //	reload (Apply)         the whole state: presence    Topology.Validate
 //	                       means on the ring
-//	admin add (AddShard)   one entry: joins, or latch   Shard.Validate, ErrShardExists
+//	admin add (AddShard)   one entry: joins, or latch   Shard.Validate, errShardExists
 //	                       cleared, or reweighted
-//	admin drain            one entry: latch set         ErrShardNotFound, ErrLastShard
-//	admin remove           one entry: deleted           ErrShardNotFound, ErrLastShard
+//	admin drain            one entry: latch set         errShardNotFound, errLastShard
+//	admin remove           one entry: deleted           errShardNotFound, errLastShard
 //
 // The last edit wins, and a reload edits everything: it re-admits what an
 // admin drained and removes what an admin added unless the file agrees.
@@ -75,16 +75,16 @@ func NewRing(vnodes int) *Ring {
 
 // Add inserts a shard's virtual nodes at the ring's default count. Adding
 // a present shard is a no-op.
-func (r *Ring) Add(shard string) { r.AddN(shard, r.vnodes) }
+func (r *Ring) Add(shard string) { r.addN(shard, r.vnodes) }
 
-// AddN inserts a shard with an explicit vnode count — the weighted-ring
+// addN inserts a shard with an explicit vnode count — the weighted-ring
 // primitive: a shard's share of the key space is proportional to its
 // count, and each vnode keeps its canonical "name#i" position, so
 // reweighting from n to m moves only the keys owned by the vnodes in the
 // difference. n is clamped to at least 1 (a member shard must own keys).
 // Adding a present shard is a no-op regardless of n; reweight via
-// Remove + AddN.
-func (r *Ring) AddN(shard string, n int) {
+// remove + addN.
+func (r *Ring) addN(shard string, n int) {
 	if _, ok := r.shards[shard]; ok {
 		return
 	}
@@ -105,11 +105,11 @@ func (r *Ring) AddN(shard string, n int) {
 	})
 }
 
-// VNodes returns a member shard's vnode count (0 for non-members).
-func (r *Ring) VNodes(shard string) int { return r.shards[shard] }
+// vnodesOf returns a member shard's vnode count (0 for non-members).
+func (r *Ring) vnodesOf(shard string) int { return r.shards[shard] }
 
-// Remove deletes a shard's virtual nodes; only its keys change owner.
-func (r *Ring) Remove(shard string) {
+// remove deletes a shard's virtual nodes; only its keys change owner.
+func (r *Ring) remove(shard string) {
 	if _, ok := r.shards[shard]; !ok {
 		return
 	}
@@ -123,18 +123,8 @@ func (r *Ring) Remove(shard string) {
 	r.points = kept
 }
 
-// Shards returns the member names, sorted.
-func (r *Ring) Shards() []string {
-	out := make([]string, 0, len(r.shards))
-	for s := range r.shards {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of member shards.
-func (r *Ring) Len() int { return len(r.shards) }
+// size returns the number of member shards.
+func (r *Ring) size() int { return len(r.shards) }
 
 // keyHash is the position of a routing key on the ring.
 func keyHash(key string) uint64 { return spread(sparse.FNV1aString(key)) }
@@ -167,10 +157,10 @@ func (r *Ring) Lookup(key string) string {
 	return r.points[r.at(keyHash(key))].shard
 }
 
-// Successors returns up to n distinct shards in ring order starting at
+// successors returns up to n distinct shards in ring order starting at
 // the key's owner — the failover sequence: if the owner is unreachable,
 // the next replica serves (and re-warms) the key.
-func (r *Ring) Successors(key string, n int) []string {
+func (r *Ring) successors(key string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}

@@ -60,7 +60,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 		t.Fatal("victim shard owned no keys; test is vacuous")
 	}
 
-	r.Remove(victim)
+	r.remove(victim)
 	moved := 0
 	for _, k := range keys {
 		after := r.Lookup(k)
@@ -117,7 +117,7 @@ func TestRingSuccessors(t *testing.T) {
 		r.Add(s)
 	}
 	for _, k := range testKeys(100) {
-		succ := r.Successors(k, 5)
+		succ := r.successors(k, 5)
 		if len(succ) != 3 {
 			t.Fatalf("Successors(%q, 5) = %v, want all 3 distinct shards", k, succ)
 		}
@@ -139,7 +139,7 @@ func TestRingEdgeCases(t *testing.T) {
 	if got := r.Lookup("k"); got != "" {
 		t.Errorf("empty ring Lookup = %q, want empty", got)
 	}
-	if got := r.Successors("k", 2); got != nil {
+	if got := r.successors("k", 2); got != nil {
 		t.Errorf("empty ring Successors = %v, want nil", got)
 	}
 	r.Add("only")
@@ -150,9 +150,9 @@ func TestRingEdgeCases(t *testing.T) {
 	if got := r.Lookup("k"); got != "only" {
 		t.Errorf("single-shard ring Lookup = %q", got)
 	}
-	r.Remove("absent") // no-op
-	r.Remove("only")
-	if r.Len() != 0 || len(r.points) != 0 {
-		t.Errorf("ring not empty after removing the only shard: %d shards, %d points", r.Len(), len(r.points))
+	r.remove("absent") // no-op
+	r.remove("only")
+	if r.size() != 0 || len(r.points) != 0 {
+		t.Errorf("ring not empty after removing the only shard: %d shards, %d points", r.size(), len(r.points))
 	}
 }

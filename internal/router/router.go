@@ -343,8 +343,8 @@ func (r *Router) Shutdown() {
 // reports that the owner was put second.
 func (r *Router) candidates(key string, w int64) (out []*shardState, spilled bool) {
 	r.ringMu.RLock()
-	names := r.ring.Successors(key, replicas)
-	onRing := r.ring.Len()
+	names := r.ring.successors(key, replicas)
+	onRing := r.ring.size()
 	out = make([]*shardState, 0, len(names))
 	var down []*shardState
 	for _, n := range names {
@@ -847,7 +847,7 @@ func (r *Router) routerz() api.RouterzResponse {
 	for _, n := range names {
 		// Report the shard's actual point count on the ring: weighted
 		// shards own more or fewer than the default, drained shards zero.
-		st := r.shards[n].status(r.ring.VNodes(n))
+		st := r.shards[n].status(r.ring.vnodesOf(n))
 		if st.Healthy {
 			healthy++
 		}

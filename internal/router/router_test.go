@@ -208,7 +208,7 @@ func TestRouterFailoverOnConnectionFailure(t *testing.T) {
 	if body == nil {
 		t.Fatal("no tridiag size maps to s1")
 	}
-	wantFailover := r.ring.Successors(key, 2)[1]
+	wantFailover := r.ring.successors(key, 2)[1]
 
 	fakes[1].ts.Close() // connection refused from now on
 

@@ -26,9 +26,9 @@ type Topology struct {
 	Shards []Shard `json:"shards"`
 }
 
-// Validate rejects malformed topologies: unknown schema, no shards,
+// validate rejects malformed topologies: unknown schema, no shards,
 // duplicate names, or an entry Shard.Validate refuses.
-func (t *Topology) Validate() error {
+func (t *Topology) validate() error {
 	if t.Schema != 0 && t.Schema != TopologySchemaVersion {
 		return fmt.Errorf("topology: unsupported schema %d (want %d)", t.Schema, TopologySchemaVersion)
 	}
@@ -37,7 +37,7 @@ func (t *Topology) Validate() error {
 	}
 	seen := make(map[string]bool, len(t.Shards))
 	for i, sh := range t.Shards {
-		if err := sh.Validate(); err != nil {
+		if err := sh.validate(); err != nil {
 			return fmt.Errorf("topology: entry %d: %w", i, err)
 		}
 		if seen[sh.Name] {
@@ -48,11 +48,11 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// Validate is the one check of a shard entry, whichever surface it came in
+// validate is the one check of a shard entry, whichever surface it came in
 // by (start-up flags, topology file, admin add): a name, a vnode_weight in
 // (0, 16] or 0 for the default, and an addr that is an http(s) base URL or
 // empty (the runtime starts the process).
-func (sh Shard) Validate() error {
+func (sh Shard) validate() error {
 	if sh.Name == "" {
 		return errors.New("shard has no name")
 	}

@@ -84,11 +84,11 @@ func FuzzTopology(f *testing.F) {
 				t.Fatalf("decode error %T %v is not the JSON decoder's", err, err)
 			}
 		case err != nil:
-			if verr := topo.Validate(); verr == nil || verr.Error() != err.Error() {
+			if verr := topo.validate(); verr == nil || verr.Error() != err.Error() {
 				t.Fatalf("Apply refused %+v with %v, Validate says %v", topo.Shards, err, verr)
 			}
 		default:
-			if verr := topo.Validate(); verr != nil {
+			if verr := topo.validate(); verr != nil {
 				t.Fatalf("Apply took %+v, which Validate refuses: %v", topo.Shards, verr)
 			}
 			var want ApplyReport

@@ -13,15 +13,15 @@ import (
 // what each member actually holds.
 func TestRingAddNSkewsOwnership(t *testing.T) {
 	r := NewRing(64)
-	r.AddN("small", 32)
-	r.AddN("big", 96)
-	if got := r.VNodes("small"); got != 32 {
+	r.addN("small", 32)
+	r.addN("big", 96)
+	if got := r.vnodesOf("small"); got != 32 {
 		t.Errorf("VNodes(small) = %d, want 32", got)
 	}
-	if got := r.VNodes("big"); got != 96 {
+	if got := r.vnodesOf("big"); got != 96 {
 		t.Errorf("VNodes(big) = %d, want 96", got)
 	}
-	if got := r.VNodes("absent"); got != 0 {
+	if got := r.vnodesOf("absent"); got != 0 {
 		t.Errorf("VNodes(absent) = %d, want 0", got)
 	}
 	owned := map[string]int{}
@@ -48,8 +48,8 @@ func TestRingReweightMinimalMovement(t *testing.T) {
 		before[k] = r.Lookup(k)
 	}
 
-	r.Remove("s1")
-	r.AddN("s1", 128) // double s1's share
+	r.remove("s1")
+	r.addN("s1", 128) // double s1's share
 
 	gained := 0
 	for _, k := range keys {
@@ -93,7 +93,7 @@ func TestVnodesFor(t *testing.T) {
 // updated — no restart, no remove/re-add churn.
 func TestApplyReweightsShard(t *testing.T) {
 	r, _, ts := mockRouter(t, Config{vnodes: 16}, "s0", "s1")
-	if got := r.ring.VNodes("s0"); got != 16 {
+	if got := r.ring.vnodesOf("s0"); got != 16 {
 		t.Fatalf("initial VNodes(s0) = %d, want 16", got)
 	}
 
@@ -112,10 +112,10 @@ func TestApplyReweightsShard(t *testing.T) {
 	if len(rep.Updated) != 1 || rep.Updated[0] != "s0" || len(rep.Added)+len(rep.Removed) != 0 {
 		t.Errorf("report %s: want exactly s0 updated", rep)
 	}
-	if got := r.ring.VNodes("s0"); got != 48 {
+	if got := r.ring.vnodesOf("s0"); got != 48 {
 		t.Errorf("VNodes(s0) = %d after reweight, want 48", got)
 	}
-	if got := r.ring.VNodes("s1"); got != 16 {
+	if got := r.ring.vnodesOf("s1"); got != 16 {
 		t.Errorf("VNodes(s1) = %d, want untouched 16", got)
 	}
 
@@ -161,7 +161,7 @@ func TestAdminAddShardWeighted(t *testing.T) {
 	if add.Shard.VnodeWeight != 2 {
 		t.Errorf("admin view weight %g, want 2", add.Shard.VnodeWeight)
 	}
-	if got := r.ring.VNodes("w0"); got != 32 {
+	if got := r.ring.vnodesOf("w0"); got != 32 {
 		t.Errorf("VNodes(w0) = %d, want 32", got)
 	}
 
@@ -169,7 +169,7 @@ func TestAdminAddShardWeighted(t *testing.T) {
 	if _, err := cl.AdminAddShardWeighted(ctx, "w0", "", 0.5); err != nil {
 		t.Fatalf("weighted re-add of an active shard: %v", err)
 	}
-	if got := r.ring.VNodes("w0"); got != 8 {
+	if got := r.ring.vnodesOf("w0"); got != 8 {
 		t.Errorf("VNodes(w0) = %d after rebalance, want 8", got)
 	}
 
