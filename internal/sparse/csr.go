@@ -251,8 +251,16 @@ func (m *CSR) Norm1() float64 {
 // Diag returns the diagonal entries of the matrix (zero where no stored
 // diagonal entry exists). Used by the Jacobi preconditioner.
 func (m *CSR) Diag() []float64 {
-	d := make([]float64, m.Rows)
+	return m.diagInto(make([]float64, m.Rows))
+}
+
+// diagInto fills d (length Rows) with the diagonal entries and returns it.
+func (m *CSR) diagInto(d []float64) []float64 {
+	if len(d) != m.Rows {
+		panic(fmt.Sprintf("sparse: diagInto scratch length %d, want %d", len(d), m.Rows))
+	}
 	for i := 0; i < m.Rows; i++ {
+		d[i] = 0
 		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
 			if m.Colid[k] == i {
 				d[i] = m.Val[k]
