@@ -20,10 +20,10 @@
 // the runtime's processes equal that state; five surfaces edit it:
 //
 //	surface                what it edits                validated by
-//	start-up (New)         the whole state, from empty  Topology.Validate
-//	reload (Apply)         the whole state: presence    Topology.Validate
+//	start-up (New)         the whole state, from empty  Topology.validate
+//	reload (Apply)         the whole state: presence    Topology.validate
 //	                       means on the ring
-//	admin add (AddShard)   one entry: joins, or latch   Shard.Validate, errShardExists
+//	admin add (addShard)   one entry: joins, or latch   Shard.validate, errShardExists
 //	                       cleared, or reweighted
 //	admin drain            one entry: latch set         errShardNotFound, errLastShard
 //	admin remove           one entry: deleted           errShardNotFound, errLastShard

@@ -160,7 +160,7 @@ func (m *CSR) mulRows(y, x []float64, r0, r1 int) {
 
 // MulVecBlock computes ys[j] ← A·xs[j] for every lane j. Lanes are taken
 // four at a time: one pass over a row's nonzeros loads each Val[k] and
-// Colid[k] once and feeds four independent sums (RowDot4), so four lanes
+// Colid[k] once and feeds four independent sums (rowDot4), so four lanes
 // cost well under four products — the sums' add chains overlap instead of
 // queueing one behind the other. The lanes left over (k mod 4) go through
 // the single-lane loop. Every lane is accumulated left-to-right exactly as
