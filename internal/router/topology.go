@@ -27,7 +27,7 @@ type Topology struct {
 }
 
 // validate rejects malformed topologies: unknown schema, no shards,
-// duplicate names, or an entry Shard.Validate refuses.
+// duplicate names, or an entry Shard.validate refuses.
 func (t *Topology) validate() error {
 	if t.Schema != 0 && t.Schema != TopologySchemaVersion {
 		return fmt.Errorf("topology: unsupported schema %d (want %d)", t.Schema, TopologySchemaVersion)
