@@ -29,20 +29,16 @@
 // concurrency, unless overridden) and fails -check unless every cell
 // reproduces its recorded residual hash.
 //
-// Tail-latency modes:
+// Streamed solves:
 //
 //	resload -addr ... -stream -check          # every solve streamed as SSE
-//	resload -addr ... -router -hedge -check   # unhedged-vs-hedged A/B
 //
 // -stream issues every request with Accept: text/event-stream, verifies
 // each frame and the stream trailer, and re-checks every terminal hash
-// against a buffered solve. -hedge runs a discarded warmup, an unhedged
-// pass (per-request opt-out header), then a hedged pass, and -check
-// requires the hedged P99 to beat the unhedged one with at least one
-// hedge armed and won.
+// against a buffered solve.
 //
 // The emitted record is schema-versioned JSON in the same style as the
-// campaign and benchmark tooling, so CI can gate on it.
+// campaign and benchmark tooling, so a script or a test can gate on it.
 package main
 
 import (
@@ -124,9 +120,6 @@ type Record struct {
 	// Stream is set in -stream mode: streamed terminal results
 	// cross-checked against buffered answers for the same cells.
 	Stream *StreamCheck `json:"stream,omitempty"`
-	// Hedge is set in -hedge mode: the unhedged-vs-hedged A/B latency
-	// comparison.
-	Hedge *HedgeCheck `json:"hedge,omitempty"`
 }
 
 // StreamCheck reports the -stream mode gates: every request of the main
@@ -160,16 +153,6 @@ func (c *crossCheck) recheck(ac *api.Client, cl *cell, want string) {
 	case out.hash != want:
 		c.Mismatches++
 	}
-}
-
-// HedgeCheck reports the -hedge A/B experiment: one unhedged pass (the
-// per-request opt-out header) and one hedged pass over the identical
-// mix, after a discarded warmup that removes the cache-cold bias.
-// Both passes' hashes feed the shared determinism gate, so the
-// comparison doubles as proof that hedging never perturbed a result.
-type HedgeCheck struct {
-	Unhedged api.LatencySummary `json:"unhedged"`
-	Hedged   api.LatencySummary `json:"hedged"`
 }
 
 // ReplayCheck reports how a replayed campaign compared to its recording.
@@ -310,7 +293,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		chaosMode = fs.Bool("chaos", false, "the target router runs a fault-injection plan (-chaos-plan): require the chaos section of its /v1/statusz, and -check additionally requires every injected bit flip to be detected and zero corrupt responses at this client")
 		shardsCSV = fs.String("shards", "", "comma-separated direct shard base URLs: re-issue each cell directly and cross-check residual hashes against the routed run")
 		streamOn  = fs.Bool("stream", false, "issue every solve as a streamed (SSE) request and cross-check each terminal hash against a buffered solve")
-		hedgeOn   = fs.Bool("hedge", false, "A/B the router's hedged reads: a discarded warmup, an unhedged pass, then a hedged pass over the same mix, with per-pass latency summaries (requires -router)")
 		recordTo  = fs.String("record", "", "write the request mix and observed hashes as a replayable campaign file")
 		replayOf  = fs.String("replay", "", "drive the mix from a recorded campaign file instead of the flag axes")
 	)
@@ -319,12 +301,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *chaosMode && !*isRouter {
 		return fmt.Errorf("-chaos requires -router (the chaos counters live in the router's /v1/statusz)")
-	}
-	if *hedgeOn && !*isRouter {
-		return fmt.Errorf("-hedge requires -router (hedging is a router behavior)")
-	}
-	if *hedgeOn && *streamOn {
-		return fmt.Errorf("-hedge and -stream are mutually exclusive (streams pass through unhedged by design)")
 	}
 	if *streamOn && *batchK > 1 {
 		return fmt.Errorf("-stream drives /v1/solve only; it cannot be combined with -batch > 1")
@@ -366,33 +342,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	logger := obs.NewLogger(stderr, *logFormat, *quiet)
 	logger.Info("firing", "requests", *n, "cells", len(mix), "workers", *c, "target", *addr)
 
-	var outcomes []outcome
-	var wall time.Duration
-	var hedgeChk *HedgeCheck
 	ac := clientFor(*addr, *timeoutMS)
-	if *hedgeOn {
-		// The unhedged baseline is a second client whose every request
-		// opts out of router hedging.
-		unhedged := clientFor(*addr, *timeoutMS, api.WithHeader(api.HedgeHeader, api.HedgeOff))
-		// Warmup (discarded): one solve per cell, unhedged, so neither
-		// measured pass pays the cache-cold compute cost and the shards'
-		// latency windows start filling before anything is timed.
-		fire(unhedged, mix, len(mix), min(*c, len(mix)), false)
-		outA, wallA := fire(unhedged, mix, *n, *c, false)
-		outB, wallB := fire(ac, mix, *n, *c, false)
-		hedgeChk = &HedgeCheck{
-			Unhedged: summarize(latenciesOf(outA)),
-			Hedged:   summarize(latenciesOf(outB)),
-		}
-		// Both passes aggregate into one record: the per-cell determinism
-		// gate then spans hedged and unhedged serving of the same cells.
-		outcomes = append(outA, outB...)
-		wall = wallA + wallB
-	} else {
-		outcomes, wall = fire(ac, mix, *n, *c, *streamOn)
-	}
+	outcomes, wall := fire(ac, mix, *n, *c, *streamOn)
 	rec := aggregate(*addr, *c, mix, outcomes, wall)
-	rec.Hedge = hedgeChk
 	rec.Replay = replay
 	if replay != nil {
 		for _, cl := range rec.Mix {
@@ -479,20 +431,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case rec.Stream != nil && (rec.Stream.Checks == 0 || rec.Stream.Mismatches > 0 || rec.Stream.Errors > 0):
 			return fmt.Errorf("check failed: streamed-vs-buffered cross-check: %d mismatches, %d errors over %d checks",
 				rec.Stream.Mismatches, rec.Stream.Errors, rec.Stream.Checks)
-		}
-		if rec.Hedge != nil {
-			switch {
-			case rec.Hedge.Hedged.P99Ms >= rec.Hedge.Unhedged.P99Ms:
-				return fmt.Errorf("check failed: hedging did not improve tail latency (hedged p99 %.2fms, unhedged p99 %.2fms)",
-					rec.Hedge.Hedged.P99Ms, rec.Hedge.Unhedged.P99Ms)
-			case rec.Router == nil || rec.Router.Hedge == nil:
-				return fmt.Errorf("check failed: -hedge given but the router reports no hedge counters")
-			case rec.Router.Hedge.Armed == 0:
-				return fmt.Errorf("check failed: the router never armed a hedge (is it running -hedge?)")
-			case rec.Router.Hedge.Wins == 0:
-				return fmt.Errorf("check failed: the router armed %d hedges but none won a race — the comparison is vacuous",
-					rec.Router.Hedge.Armed)
-			}
 		}
 		// Router counters (failovers, unroutable) are cumulative over the
 		// router's lifetime, not this run's, so they are reported but
@@ -594,15 +532,15 @@ func writeCampaign(path string, n, c int, cells []MixCell, mix []cell) error {
 	return f.Close()
 }
 
-// clientFor builds the typed client of one pass. It carries a hard timeout
-// above any server-side deadline, so a wedged server surfaces as transport
-// errors instead of hanging the run (and the CI gate) forever.
-func clientFor(addr string, timeoutMS int, opts ...api.ClientOption) *api.Client {
+// clientFor builds the typed client of one target. It carries a hard
+// timeout above any server-side deadline, so a wedged server surfaces as
+// transport errors instead of hanging the run forever.
+func clientFor(addr string, timeoutMS int) *api.Client {
 	timeout := 2 * time.Minute
 	if timeoutMS > 0 {
 		timeout = time.Duration(timeoutMS)*time.Millisecond + 30*time.Second
 	}
-	return api.NewClient(addr, append(opts, api.WithTimeout(timeout))...)
+	return api.NewClient(addr, api.WithTimeout(timeout))
 }
 
 // directCheck re-issues one request per deterministic cell straight at
@@ -843,15 +781,6 @@ func streamCheck(ac *api.Client, mix []cell, cells []MixCell, outcomes []outcome
 	return sc
 }
 
-// latenciesOf extracts one pass's round-trip times in milliseconds.
-func latenciesOf(outcomes []outcome) []float64 {
-	ms := make([]float64, 0, len(outcomes))
-	for _, o := range outcomes {
-		ms = append(ms, float64(o.latency)/1e6)
-	}
-	return ms
-}
-
 func aggregate(addr string, c int, mix []cell, outcomes []outcome, wall time.Duration) Record {
 	rec := Record{
 		Schema: Schema, Addr: addr,
@@ -980,13 +909,6 @@ func writeSummary(w io.Writer, rec Record) error {
 	if rec.Stream != nil {
 		if _, err := fmt.Fprintf(w, "stream requests=%d events=%d checks=%d mismatches=%d errors=%d\n",
 			rec.Stream.Requests, rec.Stream.Events, rec.Stream.Checks, rec.Stream.Mismatches, rec.Stream.Errors); err != nil {
-			return err
-		}
-	}
-	if rec.Hedge != nil {
-		if _, err := fmt.Fprintf(w, "hedge A/B unhedged p50=%.2fms p99=%.2fms p99.9=%.2fms | hedged p50=%.2fms p99=%.2fms p99.9=%.2fms\n",
-			rec.Hedge.Unhedged.P50Ms, rec.Hedge.Unhedged.P99Ms, rec.Hedge.Unhedged.P999Ms,
-			rec.Hedge.Hedged.P50Ms, rec.Hedge.Hedged.P99Ms, rec.Hedge.Hedged.P999Ms); err != nil {
 			return err
 		}
 	}

@@ -26,10 +26,9 @@ var ErrDigestMismatch = errors.New("response digest mismatch (corrupt body)")
 // Non-200 answers decode the unified envelope and come back as *Error, so
 // callers branch on the machine-readable code, never on message strings.
 type Client struct {
-	base   string
-	token  string
-	header http.Header
-	hc     *http.Client
+	base  string
+	token string
+	hc    *http.Client
 }
 
 // ClientOption customises a Client.
@@ -46,12 +45,6 @@ func WithAdminToken(token string) ClientOption {
 	return func(c *Client) { c.token = token }
 }
 
-// WithHeader stamps a fixed header on every request the client issues
-// (e.g. HedgeHeader: HedgeOff for an unhedged baseline pass).
-func WithHeader(key, value string) ClientOption {
-	return func(c *Client) { c.header.Set(key, value) }
-}
-
 // WithTimeout bounds every request issued by the client.
 func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.hc.Timeout = d }
@@ -61,9 +54,8 @@ func WithTimeout(d time.Duration) ClientOption {
 // "http://127.0.0.1:8723").
 func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
-		base:   strings.TrimRight(base, "/"),
-		header: http.Header{},
-		hc:     &http.Client{Timeout: 2 * time.Minute},
+		base: strings.TrimRight(base, "/"),
+		hc:   &http.Client{Timeout: 2 * time.Minute},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -245,8 +237,8 @@ func (c *Client) AdminRemoveShard(ctx context.Context, name string) (*AdminRemov
 	return &out, nil
 }
 
-// newRequest builds one request: the JSON body when in is non-nil, the
-// client's fixed headers and its bearer token.
+// newRequest builds one request: the JSON body when in is non-nil and the
+// client's bearer token.
 func (c *Client) newRequest(ctx context.Context, method, path string, in any) (*http.Request, error) {
 	var body io.Reader
 	if in != nil {
@@ -260,7 +252,6 @@ func (c *Client) newRequest(ctx context.Context, method, path string, in any) (*
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header = c.header.Clone()
 	if in != nil {
 		hreq.Header.Set("Content-Type", "application/json")
 	}

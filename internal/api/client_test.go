@@ -69,29 +69,24 @@ func TestClientSendsBearerToken(t *testing.T) {
 	}
 }
 
-// TestClientFixedHeaderAndDigestSentinel: WithHeader stamps its header on
-// buffered and streamed requests alike, and a body that fails its stamped
-// digest comes back as ErrDigestMismatch, not as a transport failure.
-func TestClientFixedHeaderAndDigestSentinel(t *testing.T) {
-	var got []string
+// TestClientDigestSentinel: a body that fails its stamped digest comes back
+// as ErrDigestMismatch, not as a transport failure, on buffered and
+// streamed requests alike.
+func TestClientDigestSentinel(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got = append(got, r.Header.Get(HedgeHeader))
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(DigestHeader, DigestBytes([]byte("something else")))
 		w.Write([]byte(`{"schema":1}`))
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, WithHeader(HedgeHeader, HedgeOff))
+	c := NewClient(ts.URL)
 	_, errBuffered := c.Solve(context.Background(), &SolveRequest{})
 	_, errStreamed := c.SolveStream(context.Background(), &SolveRequest{}, nil)
 	for _, err := range []error{errBuffered, errStreamed} {
 		if !errors.Is(err, ErrDigestMismatch) {
 			t.Errorf("error %v, want ErrDigestMismatch", err)
 		}
-	}
-	if len(got) != 2 || got[0] != HedgeOff || got[1] != HedgeOff {
-		t.Errorf("%s headers %q, want both %q", HedgeHeader, got, HedgeOff)
 	}
 }
 
