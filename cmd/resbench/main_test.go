@@ -68,25 +68,39 @@ func TestRunEmitsSchemaStableJSON(t *testing.T) {
 
 // TestRunDeterministicAcrossWorkers pins the CLI-level determinism
 // contract: -workers changes wall clock only, never the canonical record.
+// The whole smoke tier runs sequentially and on four workers, and the two
+// outputs must merge: harness.Merge refuses a scenario whose canonical
+// records differ.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	canonical := func(workersFlag string) string {
+	dir := t.TempDir()
+	var outs []string
+	for _, w := range []string{"1", "4"} {
+		out := filepath.Join(dir, "smoke-w"+w+".json")
 		var stdout, stderr bytes.Buffer
-		args := []string{"-run", "smoke/pcg/abft-correction/suite2213", "-json", "-q", "-workers", workersFlag}
-		if err := run(args, &stdout, &stderr); err != nil {
-			t.Fatalf("workers=%s: %v", workersFlag, err)
+		if err := run([]string{"-filter", "smoke", "-q", "-workers", w, "-out", out}, &stdout, &stderr); err != nil {
+			t.Fatalf("workers=%s: %v\nstderr: %s", w, err, stderr.String())
 		}
-		rs, err := harness.ReadResults(&stdout)
-		if err != nil || len(rs) != 1 {
-			t.Fatalf("workers=%s: bad output: %v", workersFlag, err)
-		}
-		b, _ := json.Marshal(rs[0].Canonical())
-		return string(b)
+		outs = append(outs, out)
 	}
-	want := canonical("1")
-	for _, w := range []string{"2", "4"} {
-		if got := canonical(w); got != want {
-			t.Fatalf("workers=%s record diverged:\n%s\nvs\n%s", w, got, want)
-		}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-merge", strings.Join(outs, ","), "-json"}, &stdout, &stderr); err != nil {
+		t.Fatalf("merging the 1- and 4-worker runs: %v", err)
+	}
+	merged, err := harness.ReadResults(&stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(outs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sequential, err := harness.ReadResults(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sequential) < 2 || len(merged) != len(sequential) {
+		t.Fatalf("merged %d records of a %d-scenario tier, want one per scenario", len(merged), len(sequential))
 	}
 }
 

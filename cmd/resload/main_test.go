@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/router"
 	"repro/internal/server"
 )
@@ -202,9 +203,10 @@ func TestRunBatchedMix(t *testing.T) {
 var updateGolden = flag.Bool("update", false, "re-record the golden replay campaign")
 
 // routerTarget boots three real solve-service shards behind an
-// in-process router and returns the router URL, the shard URLs and a
-// kill function for the first shard.
-func routerTarget(t *testing.T) (string, []string, func()) {
+// in-process router configured by cfg (its probes idle unless cfg paces
+// them) and returns the router URL, the shard URLs and a kill function for
+// the first shard.
+func routerTarget(t *testing.T, cfg router.Config) (string, []string, func()) {
 	t.Helper()
 	names := []string{"s0", "s1", "s2"}
 	shardURLs := make([]string, len(names))
@@ -226,7 +228,10 @@ func routerTarget(t *testing.T) (string, []string, func()) {
 			}
 		}
 	}
-	rt, err := router.New(router.Config{ProbeInterval: time.Hour}, shards)
+	if cfg.ProbeInterval == 0 {
+		cfg.ProbeInterval = time.Hour
+	}
+	rt, err := router.New(cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,33 +243,39 @@ func routerTarget(t *testing.T) (string, []string, func()) {
 	return rts.URL, shardURLs, killFirst
 }
 
-// TestRunRouterMode drives the sharded determinism gate end to end:
-// a routed campaign with a direct-shard cross-check, then a shard kill,
-// then a replay of the recorded campaign whose every hash must still
-// reproduce through the failover path.
+// load runs resload with args and -json -q, and returns its record; a run
+// that fails (under -check, any failed gate) fails the test.
+func load(t *testing.T, args ...string) Record {
+	t.Helper()
+	var stdout bytes.Buffer
+	if err := run(append(args, "-json", "-q"), &stdout, io.Discard); err != nil {
+		t.Fatalf("resload %s: %v", strings.Join(args, " "), err)
+	}
+	var rec Record
+	if err := json.Unmarshal(stdout.Bytes(), &rec); err != nil {
+		t.Fatalf("decoding record: %v\n%s", err, stdout.String())
+	}
+	return rec
+}
+
+// TestRunRouterMode drives the sharded determinism gate end to end: a
+// routed campaign with a direct-shard cross-check, batched and streamed
+// solves through the router, then a shard kill and a replay of the
+// recorded campaign whose every hash must still reproduce through the
+// failover path, and last the same replay through a router whose shard
+// traffic runs a seeded fault plan.
 func TestRunRouterMode(t *testing.T) {
-	routerURL, shardURLs, killFirst := routerTarget(t)
+	routerURL, shardURLs, killFirst := routerTarget(t, router.Config{})
 	campaign := filepath.Join(t.TempDir(), "campaign.json")
+	shards := strings.Join(shardURLs, ",")
 
 	// Phase 1: all shards healthy. Record the campaign, cross-check
 	// routed hashes against direct serving on every shard.
-	var stdout bytes.Buffer
-	args := []string{
-		"-addr", routerURL, "-router",
-		"-shards", strings.Join(shardURLs, ","),
+	rec1 := load(t, "-addr", routerURL, "-router", "-shards", shards,
 		"-n", "24", "-c", "4",
 		"-matrices", "poisson2d:100,poisson2d:144,tridiag:120,tridiag:160",
 		"-solvers", "cg", "-schemes", "abft-correction,unprotected",
-		"-record", campaign,
-		"-json", "-check", "-q",
-	}
-	if err := run(args, &stdout, io.Discard); err != nil {
-		t.Fatalf("phase 1: %v", err)
-	}
-	var rec1 Record
-	if err := json.Unmarshal(stdout.Bytes(), &rec1); err != nil {
-		t.Fatal(err)
-	}
+		"-record", campaign, "-check")
 	if rec1.Router == nil || rec1.Router.Shards != 3 || rec1.Router.HealthyShards != 3 {
 		t.Fatalf("phase 1 router summary %+v, want 3/3 shards", rec1.Router)
 	}
@@ -275,23 +286,35 @@ func TestRunRouterMode(t *testing.T) {
 		t.Errorf("router saw %d distinct keys, want 4", rec1.Router.DistinctKeys)
 	}
 
+	// The batched mix through the router: every right-hand side must
+	// answer what a single solve does, and every batched cell what the
+	// shards answer it directly.
+	recB := load(t, "-addr", routerURL, "-router", "-shards", shards,
+		"-n", "6", "-c", "2", "-matrices", "poisson2d:100,tridiag:120",
+		"-solvers", "cg", "-schemes", "abft-correction", "-batch", "3", "-check")
+	if recB.Batch == nil || recB.Batch.Checks != 6 || recB.Batch.Mismatches != 0 || recB.Batch.Errors != 0 {
+		t.Errorf("routed batch cross-check %+v, want 6 clean checks (2 cells × 3 RHS)", recB.Batch)
+	}
+	if recB.Direct == nil || recB.Direct.Checks != 2 || recB.Direct.Mismatches != 0 || recB.Direct.Errors != 0 {
+		t.Errorf("routed batch direct check %+v, want 2 clean checks", recB.Direct)
+	}
+
+	// Streams pass through the router: every terminal hash must equal a
+	// buffered re-issue of its cell.
+	recS := load(t, "-addr", routerURL, "-router", "-stream",
+		"-n", "8", "-c", "2", "-matrices", "poisson2d:100,tridiag:120",
+		"-solvers", "cg", "-schemes", "abft-correction,unprotected", "-check")
+	if st := recS.Stream; st == nil || st.Requests != 8 || st.Events < st.Requests ||
+		st.Checks != 4 || st.Mismatches != 0 || st.Errors != 0 {
+		t.Errorf("stream cross-check %+v, want 8 streamed requests with a frame each and 4 clean checks", recS.Stream)
+	}
+
 	// Phase 2: kill a shard, replay the recorded campaign through the
 	// router. Its keys fail over; every recorded hash must reproduce.
 	killFirst()
-	stdout.Reset()
-	args = []string{
-		"-addr", routerURL, "-router",
+	rec2 := load(t, "-addr", routerURL, "-router",
 		"-shards", strings.Join(shardURLs[1:], ","),
-		"-replay", campaign,
-		"-json", "-check", "-q",
-	}
-	if err := run(args, &stdout, io.Discard); err != nil {
-		t.Fatalf("phase 2 (post-kill replay): %v", err)
-	}
-	var rec2 Record
-	if err := json.Unmarshal(stdout.Bytes(), &rec2); err != nil {
-		t.Fatal(err)
-	}
+		"-replay", campaign, "-check")
 	if rec2.Replay == nil || rec2.Replay.RecordedCells == 0 || rec2.Replay.Mismatches != 0 {
 		t.Fatalf("phase 2 replay %+v, want recorded cells with 0 mismatches", rec2.Replay)
 	}
@@ -301,6 +324,12 @@ func TestRunRouterMode(t *testing.T) {
 	if rec2.Direct == nil || rec2.Direct.Mismatches != 0 || rec2.Direct.Errors != 0 {
 		t.Errorf("phase 2 direct check %+v, want clean", rec2.Direct)
 	}
+	// The killed shard owns keys of the campaign, so the replay must have
+	// failed over; without a failover the gate above proves nothing.
+	if rec2.Router.Failovers <= recS.Router.Failovers {
+		t.Errorf("failovers %d → %d across the kill: the killed shard served no key of the replay",
+			recS.Router.Failovers, rec2.Router.Failovers)
+	}
 	// The recorded hashes equal phase 1's observed hashes by
 	// construction, so zero replay mismatches IS the cross-failover
 	// determinism gate; double-check one cell explicitly.
@@ -308,6 +337,26 @@ func TestRunRouterMode(t *testing.T) {
 		if cl.RecordedHash == "" || cl.ResidualHash != cl.RecordedHash {
 			t.Errorf("cell %d (%s): replayed hash %q vs recorded %q", i, cl.Name, cl.ResidualHash, cl.RecordedHash)
 		}
+	}
+
+	// Phase 3: the campaign replayed one request at a time through a
+	// router over fresh shards that resets, truncates, corrupts and
+	// refuses their answers. -chaos -check requires the router's chaos
+	// section and every injected bit flip caught; every hash reproduces.
+	plan := chaos.Plan{Schema: 1, Seed: 1234, PReset: 0.05, PTruncate: 0.05, PBitFlip: 0.15, P503: 0.05}
+	inj := chaos.New(plan, nil)
+	chaosURL, _, _ := routerTarget(t, router.Config{
+		Transport: inj, ChaosStats: inj.Stats, RetryBudget: 8, RetryBackoff: time.Millisecond})
+	rec3 := load(t, "-addr", chaosURL, "-router", "-chaos", "-replay", campaign, "-c", "1", "-check")
+	if rec3.Replay == nil || rec3.Replay.RecordedCells == 0 || rec3.Replay.Mismatches != 0 {
+		t.Errorf("chaos replay %+v, want recorded cells with 0 mismatches", rec3.Replay)
+	}
+	ch, in := rec3.Router.Chaos, rec3.Router.Integrity
+	if ch == nil || ch.Resets == 0 || ch.Truncations == 0 || ch.BitFlips == 0 || ch.Storms503 == 0 {
+		t.Fatalf("chaos counters %+v: the plan injected no fault of some class", ch)
+	}
+	if in.CorruptResponses < ch.BitFlips || in.BudgetExhausted != 0 {
+		t.Errorf("integrity %+v after %d bit flips: want every flip caught and the budget never exhausted", in, ch.BitFlips)
 	}
 }
 

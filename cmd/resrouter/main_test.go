@@ -238,13 +238,13 @@ func TestRunChaosPlanKeepsAnswersClean(t *testing.T) {
 	if status.Chaos == nil {
 		t.Fatal("no chaos section in statusz with -chaos-plan")
 	}
-	if status.Chaos.BitFlips == 0 || status.Chaos.Resets == 0 {
-		t.Errorf("plan injected no resets/bit flips over %d requests: %+v", len(reqs), status.Chaos)
+	if status.Chaos.BitFlips == 0 || status.Chaos.Resets == 0 || status.Chaos.Truncations == 0 {
+		t.Errorf("plan injected no resets/truncations/bit flips over %d requests: %+v", len(reqs), status.Chaos)
 	}
-	// Detection must be total: every injected flip (and only genuinely
-	// corrupt bodies) shows up as a caught corrupt response.
-	if status.Integrity.CorruptResponses == 0 {
-		t.Errorf("bit flips injected but none detected: %+v", status.Integrity)
+	// Detection must be total: every injected flip shows up as a caught
+	// corrupt response.
+	if status.Integrity.CorruptResponses < status.Chaos.BitFlips {
+		t.Errorf("%d bit flips injected, %d detected: %+v", status.Chaos.BitFlips, status.Integrity.CorruptResponses, status.Integrity)
 	}
 	if status.Integrity.BudgetExhausted != 0 {
 		t.Errorf("retry budget exhausted %d times inside a generous budget", status.Integrity.BudgetExhausted)
@@ -265,7 +265,7 @@ func TestRunChaosPlanKeepsAnswersClean(t *testing.T) {
 		t.Errorf("trace diverged across runs of the same plan: %s vs %s",
 			status2.Chaos.TraceHash, status.Chaos.TraceHash)
 	}
-	if status2.Chaos.BitFlips != status.Chaos.BitFlips || status2.Chaos.Resets != status.Chaos.Resets {
+	if *status2.Chaos != *status.Chaos {
 		t.Errorf("fault counts diverged: %+v vs %+v", status2.Chaos, status.Chaos)
 	}
 }

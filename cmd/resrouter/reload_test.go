@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -313,7 +314,9 @@ func findShardPID(t *testing.T, bin, shard string) int {
 // TestSuperviseRestartsKilledShard is the watchdog end-to-end: real
 // resilientd children under -supervise, one killed with SIGKILL, a fresh
 // process comes back on the same port, is re-admitted by the health
-// probes, and serves the same keys with bit-identical residual hashes.
+// probes, and serves the same keys with bit-identical residual hashes. A
+// second router then kills a child through its chaos plan (-chaos-plan with
+// p_kill), the path that runs procRuntime.KillByAddr.
 func TestSuperviseRestartsKilledShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real child processes")
@@ -400,4 +403,67 @@ func TestSuperviseRestartsKilledShard(t *testing.T) {
 	if p := findShardPID(t, bin, victim); p != 0 {
 		t.Errorf("shard %s (pid %d) still running after drain", victim, p)
 	}
+
+	// The chaos injector's kill: under a plan with p_kill, the attempt that
+	// draws it SIGKILLs the supervised child serving it mid-request. The
+	// router retries elsewhere, the watchdog restarts the child, and every
+	// answer keeps its fault-free hash. solve posts to base, from here on
+	// this second router.
+	plan := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(plan, []byte(`{"schema":1,"seed":7,"p_kill":0.1,"max_kills":1,"p_truncate":0.2,"p_reset":0.05}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, cancel, done = boot(t, []string{
+		"-addr", "127.0.0.1:0", "-spawn", "2", "-supervise", "-shard-bin", bin,
+		"-restart-backoff", "50ms", "-restart-max", "250ms", "-probe-interval", "100ms",
+		"-chaos-plan", plan, "-retry-budget", "8", "-retry-backoff", "1ms", "-q"})
+	defer cancel()
+	for range 3 {
+		for _, n := range sizes {
+			code, rec := solve(n)
+			if code != http.StatusOK {
+				t.Fatalf("n=%d under the kill plan: status %d", n, code)
+			}
+			if rec.hash != baseline[n].hash {
+				t.Errorf("n=%d under the kill plan: hash %s, want %s", n, rec.hash, baseline[n].hash)
+			}
+		}
+	}
+	if ch := routerz(t, base).Chaos; ch == nil || ch.Kills < 1 || ch.Truncations == 0 {
+		t.Errorf("chaos counters %+v, want a kill and truncations", ch)
+	}
+	waitFor(t, "the watchdog to restart the child the plan killed", func() bool {
+		return supervisorRestarts(t, base) >= 1
+	})
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run returned %v after drain", err)
+	}
+}
+
+// supervisorRestarts reads the router's count of supervised-child
+// relaunches off its /metrics page.
+func supervisorRestarts(t *testing.T, base string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const series = "resilient_router_supervisor_restarts_total "
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s%q: %v", series, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s series", series)
+	return 0
 }

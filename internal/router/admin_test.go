@@ -112,6 +112,7 @@ func TestAdminDrainAddRemoveLifecycle(t *testing.T) {
 	for _, n := range sizes {
 		before[n] = owner(n)
 	}
+	keysBefore := r.routerz().Keys.PerShard
 
 	// Drain s1: response says draining, topology agrees, statusz shows
 	// it off the ring (vnodes 0) but still visible.
@@ -133,6 +134,11 @@ func TestAdminDrainAddRemoveLifecycle(t *testing.T) {
 		if s.Name != "s1" && s.VNodes == 0 {
 			t.Errorf("routerz %s: lost its vnodes on someone else's drain", s.Name)
 		}
+	}
+	// The drain forgets s1's key attributions at once; replays attribute
+	// them to the new owners.
+	if n := sz.Router.Keys.PerShard["s1"]; n != 0 {
+		t.Errorf("drained shard s1 still attributed %d keys", n)
 	}
 
 	// Idempotent: draining a drained shard re-answers its state.
@@ -161,6 +167,12 @@ func TestAdminDrainAddRemoveLifecycle(t *testing.T) {
 	}
 	if got := rt.Get("s1").Solves(); got != served {
 		t.Errorf("drained shard served %d new solves", got-served)
+	}
+	keysAfter := r.routerz().Keys.PerShard
+	for _, s := range []string{"s0", "s2"} {
+		if keysAfter[s] < keysBefore[s] {
+			t.Errorf("shard %s attributed %d keys before s1's drain, %d after", s, keysBefore[s], keysAfter[s])
+		}
 	}
 
 	// Re-add through the same name: latch clears, the synchronous probe
@@ -222,13 +234,12 @@ func TestAdminDrainAddRemoveLifecycle(t *testing.T) {
 	if len(topo.Shards) != 2 {
 		t.Errorf("topology has %d shards after remove, want 2", len(topo.Shards))
 	}
-	_ = r
 }
 
 // TestAdminAddMaterializesViaRuntime adds a brand-new shard with no addr:
 // the router must ask its runtime for a process and start routing to it.
 func TestAdminAddMaterializesViaRuntime(t *testing.T) {
-	_, rt, ts := mockRouter(t, Config{AdminToken: "sekrit"}, "s0", "s1")
+	r, rt, ts := mockRouter(t, Config{AdminToken: "sekrit"}, "s0", "s1")
 	cl := adminClient(ts.URL)
 
 	add, err := cl.AdminAddShard(context.Background(), "s2", "")
@@ -250,6 +261,9 @@ func TestAdminAddMaterializesViaRuntime(t *testing.T) {
 	}
 	if rt.Get("s2").Solves() == 0 {
 		t.Error("new shard never served a key")
+	}
+	if n := r.routerz().Keys.PerShard["s2"]; n == 0 {
+		t.Error("statusz attributes no key to the new shard")
 	}
 }
 

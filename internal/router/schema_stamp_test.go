@@ -75,6 +75,7 @@ func TestRouteTable(t *testing.T) {
 // success bodies, error envelopes, the admin plane, auth failures — and
 // asserts every single response carries the wire schema version. A client
 // must be able to version-check any answer it gets, including rejections.
+// The one exception is a profile the admin token unlocked: pprof writes it.
 func TestEveryEndpointStampsSchema(t *testing.T) {
 	_, _, ts := mockRouter(t, Config{AdminToken: "sekrit"}, "s0", "s1")
 	_, _, tsNoAdmin := mockRouter(t, Config{}, "s0")
@@ -112,6 +113,8 @@ func TestEveryEndpointStampsSchema(t *testing.T) {
 		{"tracez by id", ts.URL, http.MethodGet, "/v1/tracez?id=nosuchtrace", "", "", http.StatusOK},
 		{"tracez wrong method", ts.URL, http.MethodPost, "/v1/tracez", "", "", http.StatusMethodNotAllowed},
 		{"pprof no token", tsNoAdmin.URL, http.MethodGet, "/debug/pprof/", "", "", http.StatusForbidden},
+		{"pprof missing token", ts.URL, http.MethodGet, "/debug/pprof/", "", "", http.StatusUnauthorized},
+		{"pprof with token", ts.URL, http.MethodGet, "/debug/pprof/", "", "sekrit", http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,8 +144,11 @@ func TestEveryEndpointStampsSchema(t *testing.T) {
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, tc.wantStatus, raw)
 			}
-			if tc.wantStatus == http.StatusNotFound && !strings.HasPrefix(tc.path, "/v1/admin/") {
+			switch {
+			case tc.wantStatus == http.StatusNotFound && !strings.HasPrefix(tc.path, "/v1/admin/"):
 				return // no route, so no handler of ours to stamp anything
+			case tc.wantStatus == http.StatusOK && strings.HasPrefix(tc.path, "/debug/pprof/"):
+				return // net/http/pprof's own page, past the token gate
 			}
 			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 				t.Errorf("content type %q, want application/json", ct)
