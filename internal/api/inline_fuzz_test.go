@@ -157,7 +157,7 @@ func FuzzInlineCSR(f *testing.F) {
 		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(src)); grew > ceiling {
 			t.Fatalf("%d bytes of input allocated %d, ceiling %d", len(src), grew, ceiling)
 		}
-		if took > time.Second {
+		if took > api.FuzzDeadline {
 			t.Fatalf("%d bytes of input took %v", len(src), took)
 		}
 

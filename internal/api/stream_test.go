@@ -270,7 +270,7 @@ func FuzzSSEReader(f *testing.F) {
 		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(src)); grew > ceiling {
 			t.Fatalf("%d bytes of input allocated %d, ceiling %d", len(src), grew, ceiling)
 		}
-		if took > time.Second {
+		if took > FuzzDeadline {
 			t.Fatalf("%d bytes of input took %v", len(src), took)
 		}
 	})

@@ -18,9 +18,10 @@ const maxFuzzTopologyBytes = 4 << 10
 // to what a reload owes any bytes: either the state the file describes,
 // applied with the report and runtime calls the membership model predicts
 // (TestReconcileMatchesModel's invariants), or the JSON decoder's error or
-// a "topology:" refusal with the start-up state untouched, within 1 s. The
-// router starts from s0 and s1 (weight 2), both managed. Apply never probes,
-// so an addr in the input is never dialled.
+// a "topology:" refusal with the start-up state untouched, within
+// fuzzDeadline (1 s; 10 s under -race). The router starts from s0 and s1
+// (weight 2), both managed. Apply never probes, so an addr in the input is
+// never dialled.
 func FuzzTopology(f *testing.F) {
 	for _, src := range []string{
 		`{"schema":1,"shards":[{"name":"s0","addr":"http://127.0.0.1:9000"},{"name":"s1","addr":""}]}`,
@@ -140,7 +141,7 @@ func FuzzTopology(f *testing.F) {
 			}
 		}
 		assertMatchesModel(t, r, rt, model, starts, stops, names, "FuzzTopology")
-		if took > time.Second {
+		if took > fuzzDeadline {
 			t.Fatalf("%d bytes of input took %v", len(src), took)
 		}
 	})

@@ -198,7 +198,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(16<<20+512*len(src)); grew > ceiling {
 			t.Fatalf("%d bytes of input allocated %d, ceiling %d", len(src), grew, ceiling)
 		}
-		if took > 2*time.Second {
+		if took > fuzzDeadline {
 			t.Fatalf("%d bytes of input took %v", len(src), took)
 		}
 		if err != nil {
