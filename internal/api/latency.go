@@ -7,8 +7,7 @@ import (
 
 // LatencySummary is the shared latency digest of a sample set: mean,
 // nearest-rank tail percentiles and the maximum, in milliseconds. resload
-// reports one per run (and one per hedged/unhedged pass), and the hedge
-// CI gate compares two of them.
+// reports one per run.
 type LatencySummary struct {
 	Count  int     `json:"count,omitempty"`
 	MeanMs float64 `json:"mean_ms"`

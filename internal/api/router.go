@@ -85,7 +85,7 @@ type ChaosStats struct {
 	// TraceHash is the order-independent XOR-fold of every injection
 	// decision (identity, attempt, fault). Two runs of the same plan over
 	// the same request multiset produce the same hash — the determinism
-	// gate chaos-smoke pins in CI.
+	// gate resrouter's TestRunChaosPlanKeepsAnswersClean pins.
 	TraceHash string `json:"trace_hash"`
 }
 

@@ -13,8 +13,9 @@
 // at connect — down, or restarting after a kill — never left the router and
 // does not count: the identity draws the same fate again. The same plan
 // against the same request sequence therefore injects the same faults,
-// however many requests a restart window refuses — the property the
-// chaos-smoke CI gate pins by comparing trace hashes across runs.
+// however many requests a restart window refuses — the property
+// resrouter's TestRunChaosPlanKeepsAnswersClean pins by comparing trace
+// hashes across two routers.
 //
 // The router's end-to-end integrity machinery is the system under test:
 // resets and truncations must surface as retryable transport failures,

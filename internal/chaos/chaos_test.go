@@ -389,8 +389,8 @@ func TestOnlySolveTrafficIsTouched(t *testing.T) {
 	}
 }
 
-// mixedPlan has every fault on at modest probability — the shape the CI
-// chaos-smoke gate uses.
+// mixedPlan has every fault on at modest probability — the shape of the
+// plans the resrouter and resload tests replay through a router.
 func mixedPlan(seed int64) Plan {
 	return Plan{
 		Schema: planSchemaVersion, Seed: seed,
@@ -417,7 +417,7 @@ func runSequence(t *testing.T, plan Plan, order []int, attempts int) *api.ChaosS
 	return in.Stats()
 }
 
-// TestTraceDeterminism is the property the chaos-smoke CI gate leans on:
+// TestTraceDeterminism is the property resrouter's chaos test leans on:
 // the same plan over the same request multiset yields the same per-fault
 // counters and the same trace hash — even when the requests arrive in a
 // different order — and a different seed yields a different trace.

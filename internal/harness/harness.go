@@ -15,8 +15,9 @@
 // The experiment packages (internal/sim) define the paper's Table 1 and
 // Figure 1 campaigns as harness scenarios, cmd/resbench lists and runs
 // registered scenarios (optionally sharded across processes, with an
-// aggregator that merges shard outputs), and CI drives a smoke campaign
-// whose records gate regressions.
+// aggregator that merges shard outputs), and the smoke campaign's records
+// at one and four workers must merge (resbench's
+// TestRunDeterministicAcrossWorkers).
 //
 // Every scenario is deterministic in its seed: a trial is one sequential
 // solve, per-trial injector seeds are fixed by trial index and outcomes land

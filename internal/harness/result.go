@@ -183,7 +183,7 @@ func FormatHash(bits uint64) string {
 
 // Canonical returns the record with its non-deterministic fields zeroed:
 // two canonical records from the same scenario and seed must be identical
-// for any worker count. Tests and the CI determinism gate compare these.
+// for any worker count. Tests and Merge compare these.
 func (r Result) Canonical() Result {
 	r.WallSeconds = 0
 	r.Workers = 0

@@ -11,10 +11,10 @@ import (
 
 // Observability wiring for the routing tier: every statusz counter is
 // exported as a Prometheus series, so a scrape and a /v1/statusz snapshot
-// are two views of the same atomics — the obs-smoke CI job reconciles
-// them. All mapped series are scrape-time closures over the existing
-// counters (nothing is counted twice); the request-latency histogram is
-// the only metric the registry owns.
+// are two views of the same atomics — TestRouterMetricsReconcileWithRouterz
+// reconciles them. All mapped series are scrape-time closures over the
+// existing counters (nothing is counted twice); the request-latency
+// histogram is the only metric the registry owns.
 func (r *Router) registerMetrics() {
 	m := obs.NewRegistry()
 	m.GaugeFunc("resilient_schema_version", "Wire schema version stamped into every response.",

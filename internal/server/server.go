@@ -527,7 +527,7 @@ func (s *Server) response(a *admission, t *task, lane int) api.SolveResponse {
 // the solver runs, then exactly one terminal frame (the full SolveResponse,
 // or the error envelope) — and since both come from response(), the
 // terminal result's deterministic fields are bit-identical to the buffered
-// answer; CI gates that equality.
+// answer; TestStreamTerminalMatchesBuffered gates that equality.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req api.SolveRequest
 	a := s.admit(w, r, &req, &req)
