@@ -417,7 +417,13 @@ func TestSuperviseRestartsKilledShard(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-spawn", "2", "-supervise", "-shard-bin", bin,
 		"-restart-backoff", "50ms", "-restart-max", "250ms", "-probe-interval", "100ms",
 		"-chaos-plan", plan, "-retry-budget", "8", "-retry-backoff", "1ms", "-q"})
-	defer cancel()
+	// Drain even when an assertion below fails, so no child outlives the test.
+	t.Cleanup(func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run returned %v after drain", err)
+		}
+	})
 	for range 3 {
 		for _, n := range sizes {
 			code, rec := solve(n)
@@ -435,10 +441,6 @@ func TestSuperviseRestartsKilledShard(t *testing.T) {
 	waitFor(t, "the watchdog to restart the child the plan killed", func() bool {
 		return supervisorRestarts(t, base) >= 1
 	})
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("run returned %v after drain", err)
-	}
 }
 
 // supervisorRestarts reads the router's count of supervised-child
