@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,43 +11,74 @@ import (
 	"repro/internal/tmr"
 )
 
-// phaseFlip is one bit flip of a solver vector, struck at a numbered phase
-// boundary of the solve.
+// phaseFlip is one bit flip of a solver vector or of a word of the lane's
+// live copy of A or M, struck at a numbered phase boundary of the solve.
 type phaseFlip struct {
-	vec      string // r, p, x, q (BiCGstab's v), z (PCG), s or t (BiCGstab)
+	word     string // a vector: r, p, x, q (BiCGstab's v), z (PCG), s or t (BiCGstab); or a matrix array: A.Val, M.Colid, ...
 	index    int
 	bit      uint
 	boundary int
 }
 
 func (fl phaseFlip) String() string {
-	return fmt.Sprintf("%s[%d] bit %d @%d", fl.vec, fl.index, fl.bit, fl.boundary)
+	return fmt.Sprintf("%s[%d] bit %d @%d", fl.word, fl.index, fl.bit, fl.boundary)
 }
 
-// phaseVectors lists what a flip can strike in this system, in the order the
-// schedule's vector byte indexes.
-func (s *fwdSystem) phaseVectors() []string {
+// phaseWords lists what a flip can strike in this system, in the order the
+// schedule's word byte indexes: the solver vectors, then the arrays of A and,
+// under PCG, of M.
+func (s *fwdSystem) phaseWords() []string {
+	var ws []string
 	switch s.kind {
 	case "pcg":
-		return []string{"r", "p", "x", "q", "z"}
+		ws = []string{"r", "p", "x", "q", "z"}
 	case "bicgstab":
-		return []string{"r", "p", "x", "q", "s", "t"}
+		ws = []string{"r", "p", "x", "q", "s", "t"}
+	default:
+		ws = []string{"r", "p", "x", "q"}
 	}
-	return []string{"r", "p", "x", "q"}
+	ws = append(ws, "A.Val", "A.Colid", "A.Rowidx")
+	if s.m != nil {
+		ws = append(ws, "M.Val", "M.Colid", "M.Rowidx")
+	}
+	return ws
 }
 
-const phaseFlipBytes = 6 // vector, index, bit, boundary (two bytes), spare
+// phaseLen is the length of what a word names: n for a vector, nnz for Val
+// and Colid, n+1 for Rowidx.
+func (s *fwdSystem) phaseLen(word string) int {
+	m, array, _ := strings.Cut(word, ".")
+	a := s.a
+	if m == "M" {
+		a = s.m
+	}
+	switch array {
+	case "Val", "Colid":
+		return a.NNZ()
+	case "Rowidx":
+		return a.Rows + 1
+	}
+	return s.a.Rows
+}
+
+const phaseFlipBytes = 6 // word, index (low byte), bit, boundary (two bytes), index (high byte)
 
 // phaseDecode reads up to three flips; every field is reduced into range
-// (boundaries into the count of a clean solve, plus the few a rollback adds).
+// (boundaries into the count of a clean solve, plus the few a rollback adds;
+// the bits of an index word to the 30 the injector draws from).
 func (s *fwdSystem) phaseDecode(sched []byte, boundaries int) []phaseFlip {
 	var flips []phaseFlip
-	vs := s.phaseVectors()
+	ws := s.phaseWords()
 	for ; len(sched) >= phaseFlipBytes && len(flips) < 3; sched = sched[phaseFlipBytes:] {
+		word := ws[int(sched[0])%len(ws)]
+		bits := 64
+		if _, array, ok := strings.Cut(word, "."); ok && array != "Val" {
+			bits = 30
+		}
 		flips = append(flips, phaseFlip{
-			vec:      vs[int(sched[0])%len(vs)],
-			index:    int(sched[1]) % s.a.Rows,
-			bit:      uint(sched[2]) % 64,
+			word:     word,
+			index:    (int(sched[5])<<8 | int(sched[1])) % s.phaseLen(word),
+			bit:      uint(sched[2]) % uint(bits),
 			boundary: 1 + (int(sched[3])<<8|int(sched[4]))%(boundaries+16),
 		})
 	}
@@ -70,8 +102,26 @@ func (s *fwdSystem) phaseSolve(scheme Scheme, flips []phaseFlip) ([]float64, Sta
 			if fl.boundary != passed {
 				continue
 			}
-			v := map[string][]float64{"r": e.r, "p": e.p, "x": e.x, "q": e.q, "z": e.pcg.z, "s": e.bicg.s, "t": e.bicg.t}[fl.vec]
-			v[fl.index] = bitflip.Float64(v[fl.index], fl.bit)
+			m, array, ok := strings.Cut(fl.word, ".")
+			if !ok {
+				v := map[string][]float64{"r": e.r, "p": e.p, "x": e.x, "q": e.q, "z": e.pcg.z, "s": e.bicg.s, "t": e.bicg.t}[fl.word]
+				v[fl.index] = bitflip.Float64(v[fl.index], fl.bit)
+				continue
+			}
+			// The lane's live copy, never the caller's: that is the valid
+			// copy rollback and reread restore from.
+			a := e.mat[0]
+			if m == "M" {
+				a = e.mat[1]
+			}
+			switch array {
+			case "Val":
+				a.Val[fl.index] = bitflip.Float64(a.Val[fl.index], fl.bit)
+			case "Colid":
+				a.Colid[fl.index] = bitflip.Int(a.Colid[fl.index], fl.bit)
+			case "Rowidx":
+				a.Rowidx[fl.index] = bitflip.Int(a.Rowidx[fl.index], fl.bit)
+			}
 		}
 	}
 	e.exec = &tmr.Executor{Corrupt: func(replica int, scalar *float64, _ []float64) {
@@ -122,21 +172,26 @@ var phaseBoundaries = sync.OnceValue(func() map[string]int {
 // reads that stay unverified (internal/tmr's package doc lists them: the dot
 // products, BiCGstab's direction loop and half-step norm) can take a wrong
 // scalar or direction into the recurrence, which still iterates on a
-// consistent x and r. So for up to three flips of r, p, x, q, z (PCG), s and
-// t (BiCGstab), any word, any bit, any boundary, both ABFT schemes converge to
-// the unprotected solver's answer — ABFT-Correction repairing forward where
-// the defect names an element, ABFT-Detection rolling back — and a breakdown
-// or a failed confirmation on the way is a detection like any other.
+// consistent x and r. The words of the lane's live copy of A and M are read
+// by the protected products alone, so a struck one is caught by the next. So
+// for up to three flips of r, p, x, q, z (PCG), s and t (BiCGstab) and of
+// Val, Colid and Rowidx of A and M (PCG), any word, any bit (an index's low
+// 30), any boundary, both ABFT schemes converge to the unprotected solver's
+// answer — ABFT-Correction repairing forward where the defect names an
+// element, and always for matrix words, ABFT-Detection rolling back — and a
+// breakdown or a failed confirmation on the way is a detection like any other.
 func FuzzPhaseBoundaries(f *testing.F) {
 	systems := fwdSystems()
 	for si, s := range systems {
 		n := phaseBoundaries()[s.name+ABFTCorrection.String()]
-		vs := s.phaseVectors()
 		for scheme := uint8(0); scheme < 2; scheme++ {
 			f.Add(uint8(si), scheme, []byte{})
 			// Every vector at a spread of boundaries inside one iteration,
 			// mid-solve: low mantissa, high mantissa, exponent and sign bits.
-			for vi := range vs {
+			for vi, w := range s.phaseWords() {
+				if strings.Contains(w, ".") {
+					continue
+				}
 				for k, bit := range []byte{20, 51, 55, 62, 63} {
 					b := n/3 + 3*vi + k
 					f.Add(uint8(si), scheme, []byte{byte(vi), byte(17 * (vi + k)), bit, byte(b >> 8), byte(b), 0})
@@ -155,6 +210,26 @@ func FuzzPhaseBoundaries(f *testing.F) {
 	f.Add(uint8(1), uint8(1), []byte{4, 50, 55, 0, 236, 0})
 	f.Add(uint8(1), uint8(1), []byte{0, 48, 55, 0, 212, 0})
 
+	// Every array of A and, under PCG, of M, once per scheme, mid-solve: two
+	// words of it at one boundary, an exponent bit of a value or a low bit of
+	// an index, which no decoder pins on a single word — ABFT-Correction
+	// re-reads the matrix (engine.reread).
+	for si, s := range systems {
+		n := phaseBoundaries()[s.name+ABFTCorrection.String()]
+		for scheme := uint8(0); scheme < 2; scheme++ {
+			for wi, w := range s.phaseWords() {
+				bit := byte(3)
+				if strings.HasSuffix(w, ".Val") {
+					bit = 58
+				} else if !strings.Contains(w, ".") {
+					continue
+				}
+				b := n/3 + wi
+				f.Add(uint8(si), scheme, []byte{byte(wi), byte(11 * wi), bit, byte(b >> 8), byte(b), 0, byte(wi), byte(11*wi + 40), bit, byte(b >> 8), byte(b), 0})
+			}
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, system, scheme uint8, sched []byte) {
 		s := systems[int(system)%len(systems)]
 		sch := []Scheme{ABFTDetection, ABFTCorrection}[scheme%2]
@@ -170,6 +245,17 @@ func FuzzPhaseBoundaries(f *testing.F) {
 		// The same closeness FuzzForwardRecovery asks for, for its reasons.
 		if !(diff <= 1e-4*scale) || !(st.FinalResidual <= 1e-6) {
 			t.Fatalf("%s %v %v: x is off the reference by %.3g (‖x‖∞ = %.3g), residual %.3g, stats %+v", s.name, sch, flips, diff, scale, st.FinalResidual, st)
+		}
+		// The matrix words are FuzzForwardRecovery's too, and so is its
+		// forward clause: ABFT-Correction repairs them, or re-reads the
+		// matrix, without a rollback.
+		forward := sch == ABFTCorrection
+		for _, fl := range flips {
+			forward = forward && strings.Contains(fl.word, ".")
+		}
+		if forward && (st.Rollbacks != 0 || st.Detections != st.Corrections) {
+			t.Fatalf("%s %v: matrix words only, yet %d rollbacks, %d of %d detections corrected (%d re-reads)",
+				s.name, flips, st.Rollbacks, st.Corrections, st.Detections, st.Rereads)
 		}
 	})
 }
