@@ -190,8 +190,6 @@ type RouterSummary struct {
 	// Chaos is present when the router runs a fault-injection plan.
 	Integrity api.IntegrityStats `json:"integrity"`
 	Chaos     *api.ChaosStats    `json:"chaos,omitempty"`
-	// Hedge echoes the router's hedged-read counters.
-	Hedge *api.HedgeStats `json:"hedge,omitempty"`
 }
 
 // Campaign is the recorded request mix (-record / -replay): the
@@ -609,7 +607,6 @@ func fetchRouterz(addr string) (*RouterSummary, error) {
 		DistinctKeys:  rz.Keys.Distinct,
 		Integrity:     rz.Integrity,
 		Chaos:         rz.Chaos,
-		Hedge:         &rz.Hedge,
 	}, nil
 }
 
@@ -851,7 +848,8 @@ func aggregate(addr string, c int, mix []cell, outcomes []outcome, wall time.Dur
 }
 
 // summarize is the shared estimator from internal/api (nearest-rank
-// percentiles; see api.NearestRank for the rank-vs-rounding rationale).
+// percentiles; internal/api's nearestRank gives the rank-vs-rounding
+// rationale).
 func summarize(ms []float64) api.LatencySummary {
 	return api.SummarizeLatencies(ms)
 }
@@ -927,12 +925,6 @@ func writeSummary(w io.Writer, rec Record) error {
 		if _, err := fmt.Fprintf(w, "integrity digest_verified=%d corrupt_responses=%d retries_spent=%d budget_exhausted=%d\n",
 			in.DigestVerified, in.CorruptResponses, in.RetriesSpent, in.BudgetExhausted); err != nil {
 			return err
-		}
-		if hs := rec.Router.Hedge; hs != nil && hs.Enabled {
-			if _, err := fmt.Fprintf(w, "router hedge armed=%d wins=%d primary_wins=%d losers_canceled=%d streamed_passthrough=%d\n",
-				hs.Armed, hs.Wins, hs.PrimaryWins, hs.LosersCanceled, hs.StreamedPassthrough); err != nil {
-				return err
-			}
 		}
 		if ch := rec.Router.Chaos; ch != nil {
 			if _, err := fmt.Fprintf(w, "chaos seed=%d requests=%d resets=%d storms_503=%d kills=%d truncations=%d bit_flips=%d latency_spikes=%d trace=%s\n",

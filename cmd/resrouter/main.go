@@ -76,9 +76,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		retryBudget   = fs.Int("retry-budget", 4, "per-request attempt ceiling across ring candidates (first try included)")
 		retryBackoff  = fs.Duration("retry-backoff", 25*time.Millisecond, "base delay before the second attempt (doubles per attempt, ±50% jitter; a shard retry_after_ms hint overrides when longer)")
 		chaosPlan     = fs.String("chaos-plan", "", "seeded fault-injection plan (JSON) applied to shard-bound solve traffic; /v1/statusz grows a chaos section")
-		hedge         = fs.Bool("hedge", false, "hedge idempotent solves: arm a duplicate on the next ring replica after a tail-latency delay, first verified answer wins")
-		hedgeDelay    = fs.Duration("hedge-delay", 30*time.Millisecond, "hedge arm delay until a shard has a P99 estimate of its own")
-		hedgeMax      = fs.Duration("hedge-max-delay", 2*time.Second, "cap on the P99-derived hedge arm delay")
 		logFormat     = fs.String("log-format", "text", "log line format: text or json")
 		quiet         = fs.Bool("q", false, "log warnings and errors only")
 	)
@@ -134,9 +131,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		RetryBackoff:  *retryBackoff,
 		AdminToken:    *adminToken,
 		Runtime:       runtime,
-		HedgeEnabled:  *hedge,
-		HedgeDelay:    *hedgeDelay,
-		HedgeMaxDelay: *hedgeMax,
 		Logger:        logger,
 	}
 	if procs != nil {
@@ -147,9 +141,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 				"Supervised shard relaunches after a crash or failed start.",
 				func() float64 { return float64(procs.restarts.Load()) })
 		}
-	}
-	if *hedge {
-		logger.Info("tail-latency hedging enabled", "base_delay", hedgeDelay.String(), "max_delay", hedgeMax.String())
 	}
 	if *chaosPlan != "" {
 		plan, err := chaos.LoadPlan(*chaosPlan)

@@ -32,20 +32,20 @@ func SummarizeLatencies(ms []float64) LatencySummary {
 	return LatencySummary{
 		Count:  len(ms),
 		MeanMs: sum / float64(len(ms)),
-		P50Ms:  NearestRank(ms, 0.50),
-		P90Ms:  NearestRank(ms, 0.90),
-		P99Ms:  NearestRank(ms, 0.99),
-		P999Ms: NearestRank(ms, 0.999),
+		P50Ms:  nearestRank(ms, 0.50),
+		P90Ms:  nearestRank(ms, 0.90),
+		P99Ms:  nearestRank(ms, 0.99),
+		P999Ms: nearestRank(ms, 0.999),
 		MaxMs:  ms[len(ms)-1],
 	}
 }
 
-// NearestRank returns the q-th percentile of an ascending-sorted sample
+// nearestRank returns the q-th percentile of an ascending-sorted sample
 // by the nearest-rank method: the smallest element with at least q·n
 // samples at or below it. Ceil (not round) is the textbook definition —
 // with 26 samples, p90 is element ⌈0.9·26⌉ = 24, not 23 — and it
 // guarantees the result is always an observed sample.
-func NearestRank(sorted []float64, q float64) float64 {
+func nearestRank(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -21,9 +21,9 @@ type RouterzResponse struct {
 	Keys       KeyDistribution `json:"keys"`
 	// Integrity reports the router's end-to-end response verification.
 	Integrity IntegrityStats `json:"integrity"`
-	// Hedge reports the tail-latency hedging tier (always present; Enabled
-	// is false when the router runs unhedged).
-	Hedge HedgeStats `json:"hedge"`
+	// StreamedPassthrough counts streaming solves relayed on the
+	// non-idempotent fast path (never retried).
+	StreamedPassthrough int64 `json:"streamed_passthrough"`
 	// Chaos is present only when the router runs with a fault-injection
 	// plan (-chaos-plan); it snapshots the injector.
 	Chaos *ChaosStats `json:"chaos,omitempty"`
@@ -45,30 +45,6 @@ type IntegrityStats struct {
 	// BudgetExhausted counts requests that burned their whole per-request
 	// retry budget without a relayable answer.
 	BudgetExhausted int64 `json:"budget_exhausted"`
-}
-
-// HedgeStats reports the router's hedged-read tier: for each idempotent
-// solve the router picks the two healthiest replicas by EWMA latency,
-// sends to the best, and arms the second after a P99-derived delay —
-// first digest-verified answer wins, the loser's context is cancelled.
-type HedgeStats struct {
-	Enabled bool `json:"enabled"`
-	// BaseDelayMs is the configured floor of the arm delay; MaxDelayMs its
-	// ceiling. Between them, the primary shard's observed P99 decides.
-	BaseDelayMs float64 `json:"base_delay_ms,omitempty"`
-	MaxDelayMs  float64 `json:"max_delay_ms,omitempty"`
-	// Armed counts hedges actually launched (primary outlived the delay).
-	Armed int64 `json:"armed"`
-	// Wins counts hedges whose second request answered first; PrimaryWins
-	// counts armed hedges the primary still won.
-	Wins        int64 `json:"wins"`
-	PrimaryWins int64 `json:"primary_wins"`
-	// LosersCanceled counts in-flight loser requests cancelled after a
-	// winner was chosen.
-	LosersCanceled int64 `json:"losers_canceled"`
-	// StreamedPassthrough counts streaming solves relayed on the
-	// non-idempotent fast path (never hedged, never retried).
-	StreamedPassthrough int64 `json:"streamed_passthrough"`
 }
 
 // ChaosStats snapshots the router's fault injector (-chaos-plan).
@@ -111,10 +87,6 @@ type ShardStatus struct {
 	Healthy             bool    `json:"healthy"`
 	ConsecutiveFailures int     `json:"consecutive_failures"`
 	EWMALatencyMs       float64 `json:"ewma_latency_ms"`
-	// P99LatencyMs is the nearest-rank P99 over the shard's recent latency
-	// window (0 until enough samples accumulate) — the basis of the hedge
-	// arm delay.
-	P99LatencyMs        float64 `json:"p99_latency_ms,omitempty"`
 	LastError           string  `json:"last_error,omitempty"`
 	LastProbeAgeSeconds float64 `json:"last_probe_age_seconds,omitempty"`
 	// Inflight counts requests forwarded to the shard and not yet

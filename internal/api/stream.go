@@ -46,21 +46,6 @@ const (
 	EventError = "error"
 )
 
-// Hedging headers. Hedging is transparent to correctness (replicas are
-// bit-identical by construction) so it defaults on when the router
-// enables it; a client opts a single request out with "X-Resilient-Hedge:
-// off" (e.g. resload's unhedged baseline pass).
-const (
-	// HedgeHeader is the request header controlling per-request hedging.
-	HedgeHeader = "X-Resilient-Hedge"
-	// HedgeOff is the HedgeHeader value that disables hedging for one
-	// request.
-	HedgeOff = "off"
-	// HedgedHeader is set to "1" on relayed responses that were won by the
-	// hedge (the second, late-armed request) rather than the primary.
-	HedgedHeader = "X-Resilient-Hedged"
-)
-
 // SolveEvent is one frame of a streamed solve. Kind selects which fields
 // are meaningful; Schema stamps every frame like any other wire body.
 type SolveEvent struct {

@@ -10,7 +10,7 @@ import (
 // TraceHeader carries the request's trace identifier between tiers and
 // back to the client. The router mints one per request when the client
 // does not supply a valid ID (see obs.ValidTraceID), forwards it to the
-// shard it routes to — including every hedged and failover attempt — and
+// shard it routes to — including every failover attempt — and
 // echoes it on the response. Shards accept an inbound ID the same way,
 // so direct shard calls are traceable too.
 const TraceHeader = "X-Resilient-Trace"

@@ -34,7 +34,6 @@ const (
 	SpanRoute        = "route"
 	SpanAttempt      = "attempt"
 	SpanRetry        = "retry"
-	SpanHedgeArm     = "hedge-arm"
 	SpanStream       = "stream"
 	SpanDigestVerify = "digest-verify"
 	SpanQueueWait    = "queue-wait"
@@ -98,8 +97,9 @@ type span struct {
 
 // Active is one in-flight trace. It is drawn from the owning Tracer's
 // pool by Start and returned by Finish; between the two it is owned by
-// the request it traces. Spans may be added from concurrent goroutines
-// (the router's hedged fetches race) — AddSpan locks. Detection events
+// the request it traces. Spans may be added from concurrent goroutines —
+// AddSpan locks, one uncontended acquire per span, so no caller has to
+// prove it holds the trace alone (TestAddSpanConcurrent). Detection events
 // are written only from the solving goroutine, whose completion the
 // handler observes through the task's done channel before reading them,
 // so recording them takes no lock and allocates nothing.

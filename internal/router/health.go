@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,17 +15,6 @@ import (
 // heavy enough to track load shifts within a few probes, light enough
 // that one slow probe does not whipsaw the estimate.
 const ewmaAlpha = 0.3
-
-// latencyWindow is the per-shard ring of recent latency samples backing
-// the P99 estimate that derives the hedge arm delay. 256 samples is
-// enough for a stable tail read and small enough to copy-and-sort on
-// demand without contention.
-const latencyWindow = 256
-
-// latencyMinSamples is the floor below which latencyP99 declines to
-// estimate (callers fall back to the configured base delay): a tail
-// quantile over a handful of samples is noise.
-const latencyMinSamples = 20
 
 // shardState is everything the router knows about one shard: its place
 // in the topology plus the live health picture built from active probes
@@ -56,13 +44,8 @@ type shardState struct {
 	// is the half-open path.
 	passiveFails int
 	ewmaMs       float64
-	// latencies is a fixed ring of recent samples (ms), mixed probe +
-	// solve like the EWMA; latCount is the total ever recorded (the ring
-	// holds min(latCount, latencyWindow) valid entries).
-	latencies [latencyWindow]float64
-	latCount  int
-	lastErr   string
-	lastProbe time.Time
+	lastErr      string
+	lastProbe    time.Time
 
 	inflight atomic.Int64
 	// load is the right-hand sides in flight here (a batch counts its
@@ -140,42 +123,6 @@ func (s *shardState) updateEWMALocked(d time.Duration) {
 	} else {
 		s.ewmaMs = ewmaAlpha*ms + (1-ewmaAlpha)*s.ewmaMs
 	}
-	s.latencies[s.latCount%latencyWindow] = ms
-	s.latCount++
-}
-
-// ewmaLatency returns the shard's current EWMA estimate in milliseconds
-// (0 before the first sample).
-func (s *shardState) ewmaLatency() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ewmaMs
-}
-
-// latencyP99 estimates the shard's tail latency (ms) by nearest rank
-// over the recent sample window. It returns 0 while the window holds
-// fewer than latencyMinSamples samples — callers treat that as "no
-// estimate" and use the configured base hedge delay.
-func (s *shardState) latencyP99() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latencyP99Locked()
-}
-
-// latencyP99Locked is latencyP99 with s.mu already held. Sorting a ≤256
-// element copy under the lock is cheap against per-request work.
-func (s *shardState) latencyP99Locked() float64 {
-	n := s.latCount
-	if n > latencyWindow {
-		n = latencyWindow
-	}
-	if n < latencyMinSamples {
-		return 0
-	}
-	buf := make([]float64, n)
-	copy(buf, s.latencies[:n])
-	sort.Float64s(buf)
-	return api.NearestRank(buf, 0.99)
 }
 
 // probeResult is the outcome of one active health check.
@@ -240,7 +187,6 @@ func (s *shardState) status(vnodes int) api.ShardStatus {
 		Healthy:             s.healthy,
 		ConsecutiveFailures: max(s.probeFails, s.passiveFails),
 		EWMALatencyMs:       s.ewmaMs,
-		P99LatencyMs:        s.latencyP99Locked(),
 		LastError:           s.lastErr,
 		VNodes:              vnodes,
 		VnodeWeight:         s.placement.weight,

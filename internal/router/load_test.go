@@ -255,9 +255,8 @@ func batchBody(t *testing.T, gen string, n, k int) []byte {
 
 // TestLoadSettlesAtZero holds every shard's load and the router's total to
 // zero once traffic stops, on every way a forward can end: a batch that
-// carries its width while in flight, a hedged race whose loser is
-// canceled, failover after a kill, a 429 spill, a client that cancels, and
-// a stream that dies mid-stream.
+// carries its width while in flight, failover after a kill, a 429 spill, a
+// client that cancels, and a stream that dies mid-stream.
 func TestLoadSettlesAtZero(t *testing.T) {
 	body := solveBody(t, "poisson2d", 16)
 	t.Run("batch width", func(t *testing.T) {
@@ -281,18 +280,6 @@ func TestLoadSettlesAtZero(t *testing.T) {
 		}
 		if code := <-done; code != http.StatusOK {
 			t.Errorf("batch answered %d", code)
-		}
-		settled(t, r)
-	})
-	t.Run("hedged loser canceled", func(t *testing.T) {
-		r, rt, ts := mockRouter(t, Config{HedgeEnabled: true, HedgeDelay: 20 * time.Millisecond, HedgeMaxDelay: 50 * time.Millisecond}, "s0", "s1")
-		owner := ownerOf(t, ts.URL, body)
-		rt.Get(owner).SetDelay(400 * time.Millisecond)
-		if code, shard, _ := postRouted(t, ts.URL, body); code != http.StatusOK || shard == owner {
-			t.Fatalf("hedged solve: %d from %s, want 200 from the hedge", code, shard)
-		}
-		if rz := r.routerz(); rz.Hedge.LosersCanceled != 1 {
-			t.Errorf("losers_canceled = %d, want 1", rz.Hedge.LosersCanceled)
 		}
 		settled(t, r)
 	})

@@ -1,8 +1,11 @@
 package router
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
 	"sync"
+	"testing"
 	"time"
 )
 
@@ -20,12 +23,27 @@ func (m *MockShard) Conns() int64 { return m.conns.Load() }
 func (m *MockShard) SetSaturated(on bool) { m.saturated.Store(on) }
 
 // SetDelay stalls every subsequent solve answer by d, making this shard
-// the slow replica in a hedge race.
+// the slow replica.
 func (m *MockShard) SetDelay(d time.Duration) { m.delayNanos.Store(int64(d)) }
 
 // KillMidStream arms the mid-stream death mode: the next streamed solve
 // sends one iteration frame and then the shard dies.
 func (m *MockShard) KillMidStream() { m.killMidStream.Store(true) }
+
+// ownerOf posts one solve and returns which shard served it — the ring
+// owner for this body's key while every shard is healthy and idle.
+func ownerOf(t *testing.T, url string, body []byte) string {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner probe: status %d", resp.StatusCode)
+	}
+	return resp.Header.Get("X-Resilient-Shard")
+}
 
 // MockRuntime is a ShardRuntime backed by MockShards: the router's
 // "materialise this shard" requests start in-memory mock servers instead

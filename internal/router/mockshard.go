@@ -32,8 +32,8 @@ type MockShard struct {
 	// saturated makes every solve answer 429, like a shard whose queue is
 	// full.
 	saturated atomic.Bool
-	// delayNanos stalls every solve answer — the knob hedge tests turn to
-	// make this shard the slow replica.
+	// delayNanos stalls every solve answer — the knob tests turn to make
+	// this shard the slow replica.
 	delayNanos atomic.Int64
 	// killMidStream makes a streamed solve emit one iteration frame, flush
 	// it, then hard-kill the shard — the mid-stream death scenario.
@@ -108,7 +108,7 @@ func (m *MockShard) handleSolve(w http.ResponseWriter, req *http.Request) {
 		select {
 		case <-time.After(d):
 		case <-req.Context().Done():
-			return // canceled hedge loser: give the connection back
+			return // canceled request: give the connection back
 		}
 	}
 	canon, _ := json.Marshal(body)

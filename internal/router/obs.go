@@ -44,14 +44,6 @@ func (r *Router) registerMetrics() {
 		func() float64 { return float64(r.retriesSpent.Load()) })
 	m.CounterFunc("resilient_router_budget_exhausted_total", "Requests that spent their whole retry budget without an answer.",
 		func() float64 { return float64(r.budgetExhausted.Load()) })
-	m.CounterFunc("resilient_router_hedge_armed_total", "Hedged secondary requests actually launched.",
-		func() float64 { return float64(r.hedgeArmed.Load()) })
-	m.CounterFunc("resilient_router_hedge_wins_total", "Hedged races won by the secondary.",
-		func() float64 { return float64(r.hedgeWins.Load()) })
-	m.CounterFunc("resilient_router_hedge_primary_wins_total", "Hedged races won by the primary after the hedge armed.",
-		func() float64 { return float64(r.hedgePrimaryWins.Load()) })
-	m.CounterFunc("resilient_router_hedge_losers_canceled_total", "Hedge losers canceled while still in flight.",
-		func() float64 { return float64(r.hedgeCanceled.Load()) })
 	m.CounterFunc("resilient_router_streamed_passthrough_total", "Streaming solves relayed unbuffered.",
 		func() float64 { return float64(r.streamedPassthrough.Load()) })
 	m.GaugeFunc("resilient_router_healthy_shards", "Shards currently admitting routed traffic.",

@@ -21,8 +21,7 @@ import (
 
 // traceShard is a shard stand-in that records the trace header of every
 // solve it receives — the observability tests' probe for propagation.
-// It can refuse its first N requests with 503 (driving failover) and
-// stall answers (driving the hedge arm).
+// It can refuse its first N requests with 503 (driving failover).
 type traceShard struct {
 	name string
 	ts   *httptest.Server
@@ -30,7 +29,6 @@ type traceShard struct {
 	mu     sync.Mutex
 	seen   []string // trace header of each solve request, in arrival order
 	refuse int      // initial requests to refuse with 503
-	delay  time.Duration
 }
 
 func newTraceShard(t *testing.T, name string) *traceShard {
@@ -47,18 +45,10 @@ func newTraceShard(t *testing.T, name string) *traceShard {
 		if refuse {
 			f.refuse--
 		}
-		delay := f.delay
 		f.mu.Unlock()
 		if refuse {
 			api.WriteError(w, http.StatusServiceUnavailable, api.CodeDraining, errors.New("injected refusal"), 1)
 			return
-		}
-		if delay > 0 {
-			select {
-			case <-time.After(delay):
-			case <-r.Context().Done():
-				return // canceled hedge loser
-			}
 		}
 		resp := api.SolveResponse{Schema: api.SchemaVersion}
 		resp.Result.Schema = api.SchemaVersion
@@ -213,39 +203,6 @@ func TestRouterTraceSurvivesFailoverRetry(t *testing.T) {
 	}
 }
 
-func TestRouterTraceSurvivesHedgedRace(t *testing.T) {
-	// Both shards stall long enough that the 1ms arm delay always fires:
-	// the round is a genuine two-shard race, and the loser is canceled
-	// while in flight — exactly the shape that would trip a use-after-put
-	// on the pooled trace if any fetch goroutine touched it.
-	a, b := newTraceShard(t, "s0"), newTraceShard(t, "s1")
-	a.delay, b.delay = 50*time.Millisecond, 50*time.Millisecond
-	_, ts := traceRouter(t, Config{HedgeEnabled: true, HedgeDelay: time.Millisecond}, a, b)
-
-	status, id := postTraced(t, ts.URL, solveBody(t, "poisson2d", 16), "")
-	if status != http.StatusOK {
-		t.Fatalf("solve: status %d", status)
-	}
-	if !obs.ValidTraceID(id) {
-		t.Fatalf("invalid trace ID %q", id)
-	}
-	// Both racers carried the same ID.
-	for _, sh := range []*traceShard{a, b} {
-		got := sh.traces()
-		if len(got) != 1 || got[0] != id {
-			t.Errorf("%s saw traces %v, want [%s]", sh.name, got, id)
-		}
-	}
-	rec := routerTraceByID(t, ts.URL, id)
-	names := spanNames(rec)
-	if !names[obs.SpanHedgeArm] {
-		t.Errorf("hedged trace has no hedge-arm span: %+v", rec.Spans)
-	}
-	if !names[obs.SpanAttempt] || !names[obs.SpanRoute] {
-		t.Errorf("hedged trace missing attempt/route spans: %+v", rec.Spans)
-	}
-}
-
 func TestRouterTraceSurvivesStreamingPassThrough(t *testing.T) {
 	sh := newTraceShard(t, "s0")
 	_, ts := traceRouter(t, Config{}, sh)
@@ -355,11 +312,19 @@ func TestRouterMetricsReconcileWithRouterz(t *testing.T) {
 }
 
 func TestRouterStatuszBuildInfo(t *testing.T) {
-	sh := newTraceShard(t, "s0")
-	_, ts := traceRouter(t, Config{}, sh)
+	_, ts := traceRouter(t, Config{}, newTraceShard(t, "s0"), newTraceShard(t, "s1"))
 	st, err := api.NewClient(ts.URL).Statusz(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.Schema != api.SchemaVersion || st.Tier != api.TierRouter {
+		t.Errorf("statusz schema %d tier %q, want %d/%q", st.Schema, st.Tier, api.SchemaVersion, api.TierRouter)
+	}
+	if st.Router == nil || st.Shard != nil {
+		t.Fatalf("statusz sections: router=%v shard=%v, want router only", st.Router != nil, st.Shard != nil)
+	}
+	if len(st.Router.Shards) != 2 {
+		t.Errorf("statusz reports %d shards, want 2", len(st.Router.Shards))
 	}
 	if st.Build == nil {
 		t.Fatal("router statusz has no build info")
@@ -372,14 +337,11 @@ func TestRouterStatuszBuildInfo(t *testing.T) {
 	}
 }
 
-// TestTracePropagationAcrossTiers is the PR's acceptance scenario: real
-// solver shards behind a hedge-enabled router, one request, and the
-// trace ID from the response header retrievable from BOTH tiers'
-// /v1/tracez — router spans (route/attempt/hedge bookkeeping) on one
-// side, shard spans (queue-wait/solve) on the other, under one ID. The
-// shard held to the full span set is the one the response names: the
-// replica that lost the hedge race is canceled, and if that reached it
-// before a worker did it holds the ID with an error mark and no solve.
+// TestTracePropagationAcrossTiers: real solver shards behind a router, one
+// request, and the trace ID from the response header retrievable from BOTH
+// tiers' /v1/tracez — router spans (route/attempt) on one side, shard spans
+// (queue-wait/solve) on the other, under one ID. Only the shard the
+// response names was sent the request, so only it holds the ID.
 func TestTracePropagationAcrossTiers(t *testing.T) {
 	shardURLs := make([]string, 2)
 	shards := make([]Shard, 2)
@@ -390,7 +352,7 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 		shardURLs[i] = ts.URL
 		shards[i] = Shard{Name: name, Addr: ts.URL}
 	}
-	r, err := New(Config{HedgeEnabled: true, HedgeDelay: time.Millisecond}, shards)
+	r, err := New(Config{}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,38 +387,31 @@ func TestTracePropagationAcrossTiers(t *testing.T) {
 	}
 
 	// Shard tier: the same ID names the solve's trace on the replica that
-	// served it, and on the other one too when the hedge armed and raced.
-	found := false
+	// served it, and on no other.
 	for i, url := range shardURLs {
 		tz, err := api.NewClient(url).Tracez(context.Background(), 0, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tz.Traces) == 0 {
+		if shards[i].Name != served {
+			if len(tz.Traces) != 0 {
+				t.Errorf("shard %s, which did not serve the request, holds its trace: %+v", shards[i].Name, tz.Traces)
+			}
 			continue
+		}
+		if len(tz.Traces) != 1 {
+			t.Fatalf("shard %s, which served the request, holds %d traces under %s, want 1", served, len(tz.Traces), id)
 		}
 		srec := tz.Traces[0]
 		if srec.Tier != api.TierShard {
 			t.Errorf("shard %d trace tier = %q", i, srec.Tier)
 		}
 		snames := spanNames(srec)
-		if shards[i].Name != served {
-			// The hedge loser either solved anyway (a worker had it when the
-			// cancel arrived) or was refused, and says so.
-			if !snames[obs.SpanSolve] && srec.Error == "" {
-				t.Errorf("shard %d lost the race without solving, and its trace has no error mark: %+v", i, srec)
-			}
-			continue
-		}
-		found = true
 		if !snames[obs.SpanSolve] || !snames[obs.SpanQueueWait] {
 			t.Errorf("shard %d trace missing solve/queue-wait spans: %+v", i, srec.Spans)
 		}
 		if srec.Solver == nil || srec.Solver.Iterations == 0 {
 			t.Errorf("shard %d trace has no solver tallies", i)
 		}
-	}
-	if !found {
-		t.Fatalf("trace %s not found on shard %q, which served it", id, served)
 	}
 }

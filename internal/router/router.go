@@ -101,20 +101,6 @@ type Config struct {
 	// ChaosStats, when set, contributes a fault-injection snapshot to
 	// statusz (the chaos section is omitted otherwise).
 	ChaosStats func() *api.ChaosStats
-	// HedgeEnabled turns on hedged replica reads: an idempotent solve is
-	// armed on the next ring successor after a tail-latency delay, and the
-	// first digest-verified answer wins (the loser is canceled). Safe
-	// because every solve is deterministic — both replicas compute
-	// bit-identical bytes, so which one answers never changes the result.
-	HedgeEnabled bool
-	// HedgeDelay is the arm delay used until a shard has enough latency
-	// samples for a P99 estimate (default 30ms). Once the per-shard window
-	// fills, the observed P99 replaces it — the hedge then fires only for
-	// requests already slower than 99% of their peers.
-	HedgeDelay time.Duration
-	// HedgeMaxDelay caps the P99-derived arm delay (default 2s): a shard
-	// whose tail blew out still gets hedged within a bounded wait.
-	HedgeMaxDelay time.Duration
 	// Logger receives request-scoped structured log lines (failovers,
 	// budget exhaustion), each carrying the request's trace_id. Nil
 	// discards them.
@@ -149,12 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.HedgeDelay <= 0 {
-		c.HedgeDelay = 30 * time.Millisecond
-	}
-	if c.HedgeMaxDelay <= 0 {
-		c.HedgeMaxDelay = 2 * time.Second
 	}
 	return c
 }
@@ -234,11 +214,6 @@ type Router struct {
 	retriesSpent     atomic.Int64
 	budgetExhausted  atomic.Int64
 
-	// Hedge counters (the statusz hedge section).
-	hedgeArmed          atomic.Int64 // secondary requests actually launched
-	hedgeWins           atomic.Int64 // races won by the hedge
-	hedgePrimaryWins    atomic.Int64 // races won by the primary after arming
-	hedgeCanceled       atomic.Int64 // losers canceled while still in flight
 	streamedPassthrough atomic.Int64 // streaming solves relayed unbuffered
 
 	tracer  *obs.Tracer
@@ -471,16 +446,9 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 	if path == "/v1/solve" && api.WantsStream(req) {
 		// Streaming is explicitly non-idempotent at the relay layer: frames
 		// go to the client as they arrive, so once the stream starts there
-		// is nothing to retry, hedge or buffer. Dedicated pass-through path,
-		// to the key's home, or — when hedging makes the router read latency
-		// — to the hedged round's primary, the EWMA-best candidate.
-		target := home
-		if r.cfg.HedgeEnabled {
-			if ranked := byLatency(cands); len(ranked) > 0 {
-				target = ranked[0]
-			}
-		}
-		r.streamSolve(w, req, sreq, id.Key, body, target, tr)
+		// is nothing to retry or buffer. Dedicated pass-through path, to the
+		// key's home.
+		r.streamSolve(w, req, sreq, id.Key, body, home, tr)
 		return
 	}
 	budget := r.cfg.RetryBudget
@@ -493,19 +461,6 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 
 	ctx, cancel := context.WithTimeout(req.Context(), r.deadlineFor(sreq))
 	defer cancel()
-
-	// The first attempt may be hedged: when enabled and at least two
-	// routable replicas exist (racing a known-unhealthy shard would just
-	// double the failure), the request goes to the lowest-EWMA shard with a
-	// second copy armed on the next-best after a tail-derived delay. A
-	// hedged round is still one attempt against the budget — hedging trades
-	// a duplicate request for latency, never extra retries.
-	var hedge []*shardState
-	if r.cfg.HedgeEnabled && budget > 1 && req.Header.Get(api.HedgeHeader) != api.HedgeOff {
-		if ranked := byLatency(cands); len(ranked) >= 2 {
-			hedge = ranked[:2]
-		}
-	}
 
 	// Attempts cycle the candidate list until one response is relayable
 	// or the per-request budget is spent. The budget bounds every retry
@@ -523,37 +478,27 @@ func (r *Router) routeSolve(w http.ResponseWriter, req *http.Request) {
 				break
 			}
 		}
-		var rel *relayable
-		var hedgedWin bool
-		var hint time.Duration
-		var err error
-		if attempt == 0 && hedge != nil {
-			rel, hedgedWin, hint, err = r.fetchHedged(ctx, hedge[0], hedge[1], path, body, width, tr)
-		} else {
-			// Span bookkeeping stays on this goroutine: the fetch both
-			// starts and finishes here, so the span brackets it exactly.
-			shard := cands[attempt%len(cands)]
-			if attempt == 0 && spilled {
-				r.spilled.Add(1)
-			}
-			t0 := tr.Now()
-			rel, hint, err = r.fetch(ctx, shard, path, body, width, tr.ID())
-			name := obs.SpanAttempt
-			if attempt > 0 {
-				name = obs.SpanRetry
-			}
-			tr.AddSpan(name, shard.name, "", t0, tr.Now()-t0)
+		shard := cands[attempt%len(cands)]
+		if attempt == 0 && spilled {
+			r.spilled.Add(1)
 		}
+		t0 := tr.Now()
+		rel, hint, err := r.fetch(ctx, shard, path, body, width, tr.ID())
+		name := obs.SpanAttempt
+		if attempt > 0 {
+			name = obs.SpanRetry
+		}
+		tr.AddSpan(name, shard.name, "", t0, tr.Now()-t0)
 		if rel != nil {
 			if rel.verifyNanos > 0 {
 				tr.AddSpan(obs.SpanDigestVerify, rel.shard.name, "", tr.Now()-rel.verifyNanos, rel.verifyNanos)
 			}
 			tr.AddSpan(obs.SpanRoute, rel.shard.name, path, 0, tr.Now())
 			r.reqHist.Observe(float64(tr.Now()) / 1e9)
-			r.relay(w, rel, attempt > 0, hedgedWin)
+			r.relay(w, rel, attempt > 0)
 			r.routed.Add(1)
 			served := rel.shard
-			if attempt == 0 && hedge == nil {
+			if attempt == 0 {
 				served = home
 			}
 			r.trackKey(id.Key, served.name)
@@ -627,7 +572,7 @@ func shardRequest(ctx context.Context, s *shardState, path string, body []byte, 
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	// Propagate the trace so the shard's spans land under the same ID —
-	// every attempt of a hedged or failover round shares it.
+	// every attempt of a failover round shares it.
 	hreq.Header.Set(api.TraceHeader, traceID)
 	// GetBody lets seam transports (the chaos injector) fingerprint the
 	// request without consuming the primary reader.
@@ -679,8 +624,9 @@ func retryAfterHint(body []byte) time.Duration {
 
 // relayable is one fully verified shard answer, buffered and ready to
 // write to the client. Splitting fetch (talk to the shard, verify) from
-// relay (write to the client) is what makes hedging possible: two
-// fetches can race with no client-visible effect until one wins.
+// relay (write to the client) is what makes failover possible: an attempt
+// whose bytes fail to arrive whole or to verify has written nothing, so the
+// next replica can still answer.
 type relayable struct {
 	status  int
 	ctype   string
@@ -688,8 +634,7 @@ type relayable struct {
 	payload []byte
 	shard   *shardState
 	// verifyNanos is the time spent digest- and schema-verifying the
-	// payload; the winning answer's verification becomes a trace span,
-	// recorded by the routing goroutine (never a hedge loser's).
+	// payload; the relayed answer's verification becomes a trace span.
 	verifyNanos int64
 }
 
@@ -720,9 +665,9 @@ func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []b
 	latency := time.Since(start)
 	s.inflight.Add(-1)
 	if err != nil {
-		// A deadline, client disconnect or canceled hedge loser shows up
-		// here as a context error: that says nothing about the shard's
-		// health, so it must not feed the circuit breaker.
+		// A deadline or client disconnect shows up here as a context
+		// error: that says nothing about the shard's health, so it must
+		// not feed the circuit breaker.
 		if ctx.Err() == nil {
 			s.notePassive(false, err.Error(), r.cfg.failThreshold)
 		}
@@ -793,9 +738,9 @@ func (r *Router) fetch(ctx context.Context, s *shardState, path string, body []b
 }
 
 // relay writes one verified shard answer to the client, with the
-// provenance headers: which shard served it, whether it took a
-// failover, and whether the hedge won the race.
-func (r *Router) relay(w http.ResponseWriter, rel *relayable, isRetry, hedged bool) {
+// provenance headers: which shard served it and whether it took a
+// failover.
+func (r *Router) relay(w http.ResponseWriter, rel *relayable, isRetry bool) {
 	h := w.Header()
 	if rel.ctype != "" {
 		h.Set("Content-Type", rel.ctype)
@@ -807,9 +752,6 @@ func (r *Router) relay(w http.ResponseWriter, rel *relayable, isRetry, hedged bo
 	h.Set("X-Resilient-Shard", rel.shard.name)
 	if isRetry {
 		h.Set("X-Resilient-Failover", "true")
-	}
-	if hedged {
-		h.Set(api.HedgedHeader, "1")
 	}
 	w.WriteHeader(rel.status)
 	w.Write(rel.payload)
@@ -886,18 +828,7 @@ func (r *Router) routerz() api.RouterzResponse {
 			RetriesSpent:     r.retriesSpent.Load(),
 			BudgetExhausted:  r.budgetExhausted.Load(),
 		},
-		Hedge: api.HedgeStats{
-			Enabled:             r.cfg.HedgeEnabled,
-			Armed:               r.hedgeArmed.Load(),
-			Wins:                r.hedgeWins.Load(),
-			PrimaryWins:         r.hedgePrimaryWins.Load(),
-			LosersCanceled:      r.hedgeCanceled.Load(),
-			StreamedPassthrough: r.streamedPassthrough.Load(),
-		},
-	}
-	if r.cfg.HedgeEnabled {
-		out.Hedge.BaseDelayMs = float64(r.cfg.HedgeDelay) / 1e6
-		out.Hedge.MaxDelayMs = float64(r.cfg.HedgeMaxDelay) / 1e6
+		StreamedPassthrough: r.streamedPassthrough.Load(),
 	}
 	if r.cfg.ChaosStats != nil {
 		out.Chaos = r.cfg.ChaosStats()

@@ -22,7 +22,7 @@ import (
 
 // TestMain is the package's leak check: once every test has shut its
 // routers and shards down, the goroutine count must come back to where it
-// started — a prober, hedge loser or forward that outlives Shutdown shows
+// started — a prober or forward that outlives Shutdown shows
 // up here with its stack. Under -fuzz the check is off: the fuzzing
 // coordinator keeps a signal handler of its own running.
 func TestMain(m *testing.M) {

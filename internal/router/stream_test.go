@@ -60,67 +60,44 @@ func TestStreamPassThrough(t *testing.T) {
 		t.Errorf("saw %d events %v, want at least an iteration and the terminal", len(events), events)
 	}
 
-	rz := r.routerz()
-	if rz.Hedge.StreamedPassthrough != 1 {
-		t.Errorf("streamed_passthrough = %d, want 1", rz.Hedge.StreamedPassthrough)
+	if rz := r.routerz(); rz.StreamedPassthrough != 1 {
+		t.Errorf("streamed_passthrough = %d, want 1", rz.StreamedPassthrough)
 	}
 }
 
-// TestStreamPassThroughNeverHedges: even with hedging on and the
-// serving shard slow, a streamed solve takes the single-attempt
-// pass-through path and never arms a duplicate.
-func TestStreamPassThroughNeverHedges(t *testing.T) {
-	r, rt, ts := mockRouter(t, Config{
-		HedgeEnabled: true,
-		HedgeDelay:   5 * time.Millisecond,
-	}, "s0", "s1")
+// TestStreamGoesHome: with the key's home measurably slow and its successor
+// idle, a stream still goes to its home — placement reads ring and load
+// alone, as for a buffered request, never latency.
+func TestStreamGoesHome(t *testing.T) {
+	r, rt, ts := mockRouter(t, Config{}, "s0", "s1")
 	body := solveBody(t, "poisson2d", 16)
-	owner := ownerOf(t, ts.URL, body)
-	rt.Get(owner).SetDelay(60 * time.Millisecond)
-
+	home := ownerOf(t, ts.URL, body)
+	rt.Get(home).SetDelay(20 * time.Millisecond)
+	// Buffered traffic over many keys, one at a time, measures both shards.
+	for n := 8; n < 40; n++ {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(solveBody(t, "tridiag", n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	var other string
+	for _, st := range r.routerz().Shards {
+		if st.Name != home {
+			other = st.Name
+		}
+	}
+	slow, idle := r.shards[home].status(0), r.shards[other].status(0)
+	if slow.EWMALatencyMs <= idle.EWMALatencyMs || idle.Load != 0 {
+		t.Fatalf("home %s EWMA %.2f ms, successor %s EWMA %.2f ms load %d: want a slower home and an idle successor",
+			home, slow.EWMALatencyMs, other, idle.EWMALatencyMs, idle.Load)
+	}
+	before := rt.Get(home).Solves()
 	if _, err := api.NewClient(ts.URL).SolveStream(context.Background(), solveRequestOf(t, body), nil); err != nil {
 		t.Fatal(err)
 	}
-	rz := r.routerz()
-	if rz.Hedge.Armed != 0 {
-		t.Errorf("a streamed solve armed %d hedges, want 0", rz.Hedge.Armed)
-	}
-	if rz.Hedge.StreamedPassthrough != 1 {
-		t.Errorf("streamed_passthrough = %d, want 1", rz.Hedge.StreamedPassthrough)
-	}
-}
-
-// TestStreamPlacementFollowsHedging: with the key's home measurably slow, a
-// stream still goes to its home when hedging is off — placement reads ring
-// and load alone, as for a buffered request — and to the EWMA-best replica,
-// the hedged round's primary, when it is on.
-func TestStreamPlacementFollowsHedging(t *testing.T) {
-	for _, hedged := range []bool{false, true} {
-		_, rt, ts := mockRouter(t, Config{HedgeEnabled: hedged, HedgeDelay: 5 * time.Millisecond}, "s0", "s1")
-		body := solveBody(t, "poisson2d", 16)
-		home := ownerOf(t, ts.URL, body)
-		rt.Get(home).SetDelay(20 * time.Millisecond)
-		// Unhedged buffered traffic over many keys measures both shards (a
-		// hedge loser is canceled before it yields a sample).
-		for n := 8; n < 40; n++ {
-			hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(solveBody(t, "tridiag", n)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			hreq.Header.Set(api.HedgeHeader, api.HedgeOff)
-			resp, err := http.DefaultClient.Do(hreq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-		}
-		before := rt.Get(home).Solves()
-		if _, err := api.NewClient(ts.URL).SolveStream(context.Background(), solveRequestOf(t, body), nil); err != nil {
-			t.Fatal(err)
-		}
-		if onHome := rt.Get(home).Solves() > before; onHome == hedged {
-			t.Errorf("hedging %v: stream served by its slow home = %v, want %v", hedged, onHome, !hedged)
-		}
+	if rt.Get(home).Solves() == before {
+		t.Errorf("stream left its slow home %s", home)
 	}
 }
 
