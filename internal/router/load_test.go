@@ -321,6 +321,10 @@ func TestLoadSettlesAtZero(t *testing.T) {
 			t.Fatalf("a canceled request answered %d", resp.StatusCode)
 		}
 		settled(t, r)
+		// A canceled fetch says nothing about the shard: no passive failure.
+		if st := r.shards[owner].status(0); st.Inflight != 0 || st.ConsecutiveFailures != 0 || st.Errors != 0 {
+			t.Errorf("after a client cancel the owner reads inflight %d, consecutive failures %d, errors %d; want 0, 0, 0", st.Inflight, st.ConsecutiveFailures, st.Errors)
+		}
 	})
 	t.Run("stream dies mid-stream", func(t *testing.T) {
 		r, rt, ts := mockRouter(t, Config{}, "s0", "s1")
