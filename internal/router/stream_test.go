@@ -81,12 +81,7 @@ func TestStreamGoesHome(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	var other string
-	for _, st := range r.routerz().Shards {
-		if st.Name != home {
-			other = st.Name
-		}
-	}
+	other := map[string]string{"s0": "s1", "s1": "s0"}[home]
 	slow, idle := r.shards[home].status(0), r.shards[other].status(0)
 	if slow.EWMALatencyMs <= idle.EWMALatencyMs || idle.Load != 0 {
 		t.Fatalf("home %s EWMA %.2f ms, successor %s EWMA %.2f ms load %d: want a slower home and an idle successor",
