@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -121,6 +122,14 @@ func TestSSEReaderTruncatedMidFrame(t *testing.T) {
 	}
 }
 
+// testContext is a context canceled when t's test ends. (testing.T's own
+// Context method needs Go 1.24, and go.mod admits Go 1.22.)
+func testContext(t *testing.T) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // TestSolveStreamClient runs Client.SolveStream against streaming,
 // error-terminating and buffered-fallback servers.
 func TestSolveStreamClient(t *testing.T) {
@@ -140,7 +149,7 @@ func TestSolveStreamClient(t *testing.T) {
 		}))
 		defer ts.Close()
 		var events int
-		resp, err := NewClient(ts.URL).SolveStream(t.Context(), req, func(ev *SolveEvent) error {
+		resp, err := NewClient(ts.URL).SolveStream(testContext(t), req, func(ev *SolveEvent) error {
 			events++
 			return nil
 		})
@@ -164,7 +173,7 @@ func TestSolveStreamClient(t *testing.T) {
 			}})
 		}))
 		defer ts.Close()
-		_, err := NewClient(ts.URL).SolveStream(t.Context(), req, nil)
+		_, err := NewClient(ts.URL).SolveStream(testContext(t), req, nil)
 		var ae *Error
 		if !errors.As(err, &ae) || ae.Code != CodeExpired {
 			t.Fatalf("error = %v, want *Error with code %q", err, CodeExpired)
@@ -178,7 +187,7 @@ func TestSolveStreamClient(t *testing.T) {
 			WriteJSON(w, http.StatusOK, res)
 		}))
 		defer ts.Close()
-		resp, err := NewClient(ts.URL).SolveStream(t.Context(), req, nil)
+		resp, err := NewClient(ts.URL).SolveStream(testContext(t), req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +204,7 @@ func TestSolveStreamClient(t *testing.T) {
 		}))
 		defer ts.Close()
 		abort := errors.New("enough")
-		if _, err := NewClient(ts.URL).SolveStream(t.Context(), req, func(*SolveEvent) error { return abort }); !errors.Is(err, abort) {
+		if _, err := NewClient(ts.URL).SolveStream(testContext(t), req, func(*SolveEvent) error { return abort }); !errors.Is(err, abort) {
 			t.Errorf("error = %v, want the onEvent abort", err)
 		}
 	})
