@@ -64,9 +64,9 @@ var exportAllowlist = map[string]string{
 
 // exportReasonKinds are the reasons an export without a caller may keep:
 // a reference implementation tests compare against, a decision ROADMAP
-// item 5 or a bench/ debt of item 3 still holds, or a helper or sentinel
-// that the named packages' tests use.
-var exportReasonKinds = []string{"reference", "roadmap 5", "roadmap 3", "tests of "}
+// item 5 still holds, or a helper or sentinel that the named packages'
+// tests use.
+var exportReasonKinds = []string{"reference", "roadmap 5", "tests of "}
 
 // TestEveryExportHasACaller fails on an exported name or method in
 // internal/ that no non-test file of another package names, and on an
