@@ -71,10 +71,10 @@ type CostParams struct {
 	// so the default is 0. The wall pays less than one factor covers: a dot
 	// product runs twice fault-free (a surcharge of 1, and 2 when the two
 	// differ and a third execution votes), an update runs once with its
-	// checksum riding along (≈ 0.7 of a plain update at n = 4096, README
-	// Performance). Set 1 for an upper bound of the fault-free wall and 2 for
-	// the paper's three full executions (the ablation benchmark exercises
-	// all three).
+	// checksum riding along (≈ 0.7 of a plain update at n = 4096,
+	// docs/PERFORMANCE.md). Set 1 for an upper bound of the fault-free wall
+	// and 2 for the paper's three full executions (the ablation benchmark
+	// exercises all three).
 	RelModeExtra float64
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // No solve runs a product on the pool any more: the system is parallel over
-// solves, never inside one (README, "Parallelism"). MulVecParallel, the
-// partition plan behind it (partition.go) and pool.RunRanges are kept for
-// their last caller, bench/probes.go's sparse.mulvec_parallel_speedup.large,
-// and go with it.
+// solves, never inside one (docs/PERFORMANCE.md, "Parallelism").
+// MulVecParallel, the partition plan behind it (partition.go) and
+// pool.RunRanges are kept for their last caller, bench/probes.go's
+// sparse.mulvec_parallel_speedup.large, and go with it.
 
 // parallelMinRows is the row-count cutoff below which the parallel product
 // falls back to its sequential counterpart: under it the SpMxV fits in
