@@ -13,7 +13,8 @@ import (
 // contract: any bytes give either an error or a campaign whose every cell,
 // single or batch, validates, within fuzzDeadline and without a panic.
 func FuzzLoadCampaign(f *testing.F) {
-	const inline = `{"rows":3,"cols":3,"rowidx":[0,2,5,7],"colid":[0,1,0,1,2,1,2],"val":[4,-1,-1,4,-1,-1,4]}`
+	const inline = `{"rows":3,"cols":3,"rowidx":"AAAAAAIAAAAFAAAABwAAAA==","colid":"AAAAAAEAAAAAAAAAAQAAAAIAAAABAAAAAgAAAA==",` +
+		`"val":"AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEA="}`
 	seeds := [][]byte{
 		[]byte(`{"schema":1,"requests":4,"concurrency":2,"cells":[` +
 			`{"name":"single","request":{"inline":` + inline + `,"seed":3}},` +

@@ -424,7 +424,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 func TestReplayInlineCampaign(t *testing.T) {
 	url := loadTarget(t)
 	dir := t.TempDir()
-	const inline = `{"rows":3,"cols":3,"rowidx":[0,2,5,7],"colid":[0,1,0,1,2,1,2],"val":[4,-1,-1,4,-1,-1,4]}`
+	const inline = `{"rows":3,"cols":3,"rowidx":"AAAAAAIAAAAFAAAABwAAAA==","colid":"AAAAAAEAAAAAAAAAAQAAAAIAAAABAAAAAgAAAA==",` +
+		`"val":"AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEA="}`
 	campaign := filepath.Join(dir, "inline.json")
 	if err := os.WriteFile(campaign, []byte(`{"schema":1,"requests":4,"concurrency":2,"cells":[`+
 		`{"name":"single","request":{"inline":`+inline+`,"seed":3}},`+

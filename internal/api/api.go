@@ -9,6 +9,24 @@
 // The package also defines the unified error envelope (Error) every
 // non-200 answer carries, and a small typed HTTP client (Client) over the
 // whole surface, the admin control plane included.
+//
+// # Inline operands
+//
+// A request's "inline" member carries a matrix by content (InlineCSR) as
+// the words of its CSR arrays:
+//
+//	{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"AAAAAA==","val":"AAAAAAAAAEA="}
+//
+// is the 1×1 matrix [2]. "rows" and "cols" are JSON numbers. "rowidx" and
+// "colid" are base64 strings of little-endian int32 words, and "val" one of
+// little-endian IEEE-754 binary64 words; base64 is what encoding/json
+// writes for a []byte (standard alphabet, padded), and null is an absent
+// array. An index outside int32 has no word: MarshalJSON and Client refuse
+// it. A number array, a string that is not base64, or one whose length
+// is not a whole number of words is refused, and so are NaN and ±Inf bits
+// when the shard admits the matrix. The tiers name an operand by the
+// SHA-256 of these bytes as sent (InlineBytes), so two spellings of one
+// matrix are two cache entries with one answer.
 package api
 
 import (
@@ -22,7 +40,7 @@ import (
 // SchemaVersion identifies the request/response layout of the /v1 API
 // (/v1/statusz on both tiers and the /v1/admin surface stamp the same
 // version). Bump it on any incompatible change.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // MaxBatchRHS bounds the right-hand sides of one batch request.
 const MaxBatchRHS = 64
@@ -30,22 +48,22 @@ const MaxBatchRHS = 64
 // InlineCSR carries a matrix by content instead of by named generator
 // spec: the standard CSR triplet plus the dimensions. Inline matrices are
 // cached under a hash of their content, so resubmitting the same matrix
-// hits the warm artifacts. The tiers decode a request's operand as
-// InlineBytes instead, and parse it only when they must.
+// hits the warm artifacts. Its JSON is the word form the package doc
+// describes (MarshalJSON, UnmarshalJSON). The tiers decode a request's
+// operand as InlineBytes instead, and parse it only when they must.
 type InlineCSR struct {
-	Rows   int       `json:"rows"`
-	Cols   int       `json:"cols"`
-	Rowidx []int     `json:"rowidx"`
-	Colid  []int     `json:"colid"`
-	Val    []float64 `json:"val"`
+	Rows   int
+	Cols   int
+	Rowidx []int
+	Colid  []int
+	Val    []float64
 }
 
 // toCSR assembles and validates the matrix: its structure, and that every
 // value is finite. It is where a shard admits an operand that arrives by
 // content, when a cache miss parses it (through InlineBytes.ToCSR, which
-// parses it first); the router relays what it refuses. JSON cannot spell
-// NaN or ±Inf and the decoder rejects a number that overflows, so the
-// finiteness check only stops a caller that fills the struct itself.
+// parses it first); the router relays what it refuses. The wire's value
+// words can spell NaN and ±Inf, and the finiteness check refuses them.
 // Finite values whose column sums overflow are the shard's to refuse, once
 // per matrix (the Build of a server.Identity). The solvers take square
 // systems only, and a square matrix has no dimension the body has not paid

@@ -242,7 +242,7 @@ func (c *Client) AdminRemoveShard(ctx context.Context, name string) (*AdminRemov
 func (c *Client) newRequest(ctx context.Context, method, path string, in any) (*http.Request, error) {
 	var body io.Reader
 	if in != nil {
-		raw, err := json.Marshal(in)
+		raw, err := marshalBody(in)
 		if err != nil {
 			return nil, err
 		}
@@ -259,6 +259,39 @@ func (c *Client) newRequest(ctx context.Context, method, path string, in any) (*
 		hreq.Header.Set("Authorization", "Bearer "+c.token)
 	}
 	return hreq, nil
+}
+
+// marshalBody writes a request body as json.Marshal does, except that an
+// operand's words are marshalled as inlineWords in place of the request's
+// InlineCSR: encoding/json writes their []byte arrays natively, where it
+// would compact MarshalJSON's output in a second pass. The operand's bytes
+// are the same either way, so they key as ResolveIdentity keys them.
+func marshalBody(in any) ([]byte, error) {
+	switch r := in.(type) {
+	case *SolveRequest:
+		if r.Inline != nil {
+			w, err := r.Inline.words()
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(struct {
+				*SolveRequest
+				Inline *inlineWords `json:"inline"`
+			}{r, w})
+		}
+	case *BatchSolveRequest:
+		if r.Inline != nil {
+			w, err := r.Inline.words()
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(struct {
+				*BatchSolveRequest
+				Inline *inlineWords `json:"inline"`
+			}{r, w})
+		}
+	}
+	return json.Marshal(in)
 }
 
 // do issues one request and decodes the buffered answer.

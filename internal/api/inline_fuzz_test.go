@@ -76,42 +76,52 @@ func bytesKey(src []byte) string {
 // FuzzInlineCSR holds the shard's admission of an inline operand to what
 // a wire surface owes any bytes: a matrix the solvers can take — square,
 // valid, keyed by the SHA-256 of the operand's bytes — or an error of the
-// step that refused it (a number the operand's arrays cannot hold, 1e999
-// among them, at the Build's parse), in bounded time and memory. Equal
-// operand bytes, in a body that differs around them, give an equal key and
-// a Build that parses the same matrix bit for bit or refuses it the same
-// way. Every body is refused exactly when decoding it whole with
-// encoding/json, as the tiers did before they kept an operand's bytes,
-// refuses it, and an operand sent as the bytes encoding/json writes for its
-// decoded value is keyed as ResolveIdentity keys that value. The seeds
-// reach every refusal of an inline CSR: a decreasing Rowidx, a Colid out of
-// range, dimensions that promise more than the arrays hold, finite values
-// whose column sum overflows, and duplicate or non-object operands.
+// step that refused it (an array that is not a base64 string of whole
+// words, or NaN or ±Inf bits, at the Build's parse), in bounded time and
+// memory. Equal operand bytes, in a body that differs around them, give an
+// equal key and a Build that parses the same matrix bit for bit or refuses
+// it the same way. Every body is refused exactly when decoding it whole
+// with encoding/json, as the tiers did before they kept an operand's bytes,
+// refuses it, and an operand sent as the bytes encoding/json or Client
+// writes for its decoded value is keyed as ResolveIdentity keys that value:
+// an admitted matrix round-trips bit for bit. The seeds reach every refusal
+// of an inline CSR: a decreasing Rowidx, a Colid out of range or negative,
+// dimensions that promise more than the arrays hold, finite values whose
+// column sum overflows, NaN and +Inf, number arrays, a byte outside the
+// base64 alphabet, bad padding, a length that is not a whole number of
+// words, and duplicate or non-object operands.
 func FuzzInlineCSR(f *testing.F) {
+	const one = `"rowidx":"AAAAAAEAAAA=","colid":"AAAAAA=="`
 	for _, inline := range []string{
-		`{"rows":3,"cols":3,"rowidx":[0,2,5,7],"colid":[0,1,0,1,2,1,2],"val":[4,-1,-1,4,-1,-1,4]}`,
-		`{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[-1e20]}`,
-		`{"rows":2,"cols":2,"rowidx":[0,2,1],"colid":[0,1],"val":[1,1]}`,
-		`{"rows":2,"cols":2,"rowidx":[0,1,2],"colid":[0,2],"val":[1,1]}`,
-		`{"rows":2,"cols":2,"rowidx":[0,1,2],"colid":[0,-1],"val":[1,1]}`,
-		`{"rows":2,"cols":2,"rowidx":[0,1,3],"colid":[0,0,1],"val":[1e308,1e308,1]}`,
-		`{"rows":0,"cols":1125899906842624,"rowidx":[0]}`,
-		`{"rows":9223372036854775807,"cols":9223372036854775807,"rowidx":[0]}`,
-		`{"rows":2,"cols":2,"rowidx":[0,1],"colid":[0],"val":[1]}`,
-		`{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1e999]}`,
-		`{"rows":-1,"cols":-1,"rowidx":[]}`,
+		`{"rows":3,"cols":3,"rowidx":"AAAAAAIAAAAFAAAABwAAAA==","colid":"AAAAAAEAAAAAAAAAAQAAAAIAAAABAAAAAgAAAA==",` +
+			`"val":"AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEA="}`,
+		`{"rows":1,"cols":1,` + one + `,"val":"QIy1eB2vFcQ="}`,
+		`{"rows":2,"cols":2,"rowidx":"AAAAAAIAAAABAAAA","colid":"AAAAAAEAAAA=","val":"AAAAAAAA8D8AAAAAAADwPw=="}`,
+		`{"rows":2,"cols":2,"rowidx":"AAAAAAEAAAACAAAA","colid":"AAAAAAIAAAA=","val":"AAAAAAAA8D8AAAAAAADwPw=="}`,
+		`{"rows":2,"cols":2,"rowidx":"AAAAAAEAAAACAAAA","colid":"AAAAAP////8=","val":"AAAAAAAA8D8AAAAAAADwPw=="}`,
+		`{"rows":2,"cols":2,"rowidx":"AAAAAAEAAAADAAAA","colid":"AAAAAAAAAAABAAAA","val":"oMjrhfPM4X+gyOuF88zhfwAAAAAAAPA/"}`,
+		`{"rows":0,"cols":1125899906842624,"rowidx":"AAAAAA=="}`,
+		`{"rows":9223372036854775807,"cols":9223372036854775807,"rowidx":"AAAAAA=="}`,
+		`{"rows":2,"cols":2,` + one + `,"val":"AAAAAAAA8D8="}`,
+		`{"rows":1,"cols":1,` + one + `,"val":"AAAAAAAA+H8="}`,
+		`{"rows":1,"cols":1,` + one + `,"val":"AAAAAAAA8H8="}`,
+		`{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1]}`,
+		`{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"AA!AAA==","val":"AAAAAAAA8D8="}`,
+		`{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA","colid":"AAAAAA==","val":"AAAAAAAA8D8="}`,
+		`{"rows":1,"cols":1,` + one + `,"val":"AAAAAAAA8D8A"}`,
+		`{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"\u0041AAAAA==","val":"AAAAAAAA\/D8="}`,
+		`{"rows":-1,"cols":-1,"rowidx":""}`,
 	} {
 		f.Add([]byte(`{"inline":` + inline + `}`))
 		f.Add([]byte(`{"solver":"pcg","scheme":"abft-detection","inline":` + inline + `,"alpha":0.01}`))
 	}
-	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":16},"inline":{"rows":0,"cols":0,"rowidx":[0]}}`))
+	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":16},"inline":{"rows":0,"cols":0,"rowidx":"AAAAAA=="}}`))
 	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":16}}`))
-	f.Add([]byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1]},"schema":9}`))
-	f.Add([]byte(`{"inline":{"rows":2,"cols":2,"rowidx":[0,1,2],"colid":[0,1]},"inline":{"val":[2,3]}}`))
-	f.Add([]byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1]},"inline":null}`))
+	f.Add([]byte(`{"inline":{"rows":1,"cols":1,` + one + `,"val":"AAAAAAAA8D8="},"schema":9}`))
+	f.Add([]byte(`{"inline":{"rows":2,"cols":2,"rowidx":"AAAAAAEAAAACAAAA","colid":"AAAAAAEAAAA="},"inline":{"val":"AAAAAAAAAEAAAAAAAAAIQA=="}}`))
+	f.Add([]byte(`{"inline":{"rows":1,"cols":1,` + one + `,"val":"AAAAAAAA8D8="},"inline":null}`))
 	f.Add([]byte(`{"inline":5}`))
-	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":16},"inline":{"rowidx":[1.5]},"inline":null}`))
-	f.Add([]byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[1.0],"val":[null]}}`))
+	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":16},"inline":{"rowidx":"AAA"},"inline":null}`))
 	f.Add([]byte(`{"inline":`))
 	f.Add([]byte(`{"matrix":{"gen":"poisson2d","n":64},"solver":"cg"} trailing`))
 	f.Add([]byte{})
@@ -188,15 +198,18 @@ func FuzzInlineCSR(f *testing.F) {
 			return
 		}
 
-		// The operand as encoding/json writes it is keyed as ResolveIdentity
-		// keys the value, and builds the same matrix.
-		body, merr := json.Marshal(req)
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		id3, a3, _, err3 := admitInline(body)
-		if err3 != nil || id3.Key != plainID.Key || !sameCSR(a, a3) {
-			t.Fatalf("re-encoded operand keyed %q (%v), ResolveIdentity %q", id3.Key, err3, plainID.Key)
+		// The operand as encoding/json and as Client write it is keyed as
+		// ResolveIdentity keys the value, and builds the same matrix bit for
+		// bit.
+		for _, marshal := range []func(any) ([]byte, error){json.Marshal, api.MarshalBody} {
+			body, merr := marshal(req)
+			if merr != nil {
+				t.Fatal(merr)
+			}
+			id3, a3, _, err3 := admitInline(body)
+			if err3 != nil || id3.Key != plainID.Key || !sameCSR(a, a3) {
+				t.Fatalf("re-encoded operand keyed %q (%v), ResolveIdentity %q", id3.Key, err3, plainID.Key)
+			}
 		}
 	})
 }

@@ -3,11 +3,12 @@ package api
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 
 	"repro/internal/sparse"
@@ -29,6 +30,75 @@ type InlineBytes struct {
 func MarshalInline(ic *InlineCSR) (InlineBytes, error) {
 	b, err := json.Marshal(ic)
 	return InlineBytes{raw: [][]byte{b}}, err
+}
+
+// inlineWords is the operand's wire form (see the package doc): the arrays
+// as the bytes of their words, which encoding/json writes as base64.
+// InlineCSR.MarshalJSON writes it, and Client marshals it in place of the
+// request's operand, so that encoding/json writes its bytes natively
+// instead of compacting a Marshaler's output again: both write the same
+// bytes.
+type inlineWords struct {
+	Rows   int    `json:"rows"`
+	Cols   int    `json:"cols"`
+	Rowidx []byte `json:"rowidx"`
+	Colid  []byte `json:"colid"`
+	Val    []byte `json:"val"`
+}
+
+// words encodes ic's arrays as little-endian words, int32 for the indices
+// and IEEE-754 binary64 for the values; a nil array stays nil (null on the
+// wire). An index outside int32 is refused.
+func (ic *InlineCSR) words() (*inlineWords, error) {
+	w := &inlineWords{Rows: ic.Rows, Cols: ic.Cols}
+	var err error
+	if w.Rowidx, err = indexWords(ic.Rowidx, "rowidx"); err != nil {
+		return nil, err
+	}
+	if w.Colid, err = indexWords(ic.Colid, "colid"); err != nil {
+		return nil, err
+	}
+	if ic.Val != nil {
+		w.Val = make([]byte, 8*len(ic.Val))
+		for k, v := range ic.Val {
+			binary.LittleEndian.PutUint64(w.Val[8*k:], math.Float64bits(v))
+		}
+	}
+	return w, nil
+}
+
+// indexWords encodes x as little-endian int32 words, refusing an index
+// outside int32.
+func indexWords(x []int, name string) ([]byte, error) {
+	if x == nil {
+		return nil, nil
+	}
+	b := make([]byte, 4*len(x))
+	for k, v := range x {
+		if v != int(int32(v)) {
+			return nil, fmt.Errorf("%s[%d] = %d does not fit an int32 word", name, k, v)
+		}
+		binary.LittleEndian.PutUint32(b[4*k:], uint32(v))
+	}
+	return b, nil
+}
+
+// MarshalJSON writes the operand's wire form.
+func (ic InlineCSR) MarshalJSON() ([]byte, error) {
+	w, err := ic.words()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON reads the operand's wire form as decodeObject does; null,
+// by encoding/json's convention, is no change.
+func (ic *InlineCSR) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	return ic.decodeObject(b)
 }
 
 // SplitInline walks a request body once, validating it as json.Valid
@@ -88,7 +158,8 @@ func (o *InlineBytes) Sum() (sum [sha256.Size]byte) {
 // Parse decodes the kept occurrences in turn, refusing exactly what
 // encoding/json refuses when it decodes them into a *InlineCSR field —
 // an occurrence a later null dropped included — and returns the operand
-// that field would hold (nil when not Present).
+// that field would hold (nil when not Present). encoding/json hands each
+// occurrence but null to InlineCSR.UnmarshalJSON, so both decode it alike.
 func (o *InlineBytes) Parse() (*InlineCSR, error) {
 	var f *InlineCSR
 	for _, b := range o.raw {
@@ -107,9 +178,9 @@ func (o *InlineBytes) Parse() (*InlineCSR, error) {
 }
 
 // ToCSR parses a Present operand and admits it as InlineCSR.toCSR does. A
-// member that is not an object of InlineCSR's shape, or whose arrays hold a
-// number an int or a float64 cannot (1.5 or 1e2 as an index, 1e999), is
-// refused with an "inline matrix:" error.
+// member that is not an object of InlineCSR's shape, or whose arrays are
+// not base64 strings of whole words, is refused with an "inline matrix:"
+// error.
 func (o *InlineBytes) ToCSR() (*sparse.CSR, error) {
 	ic, err := o.Parse()
 	if err == nil && ic == nil {
@@ -123,12 +194,11 @@ func (o *InlineBytes) ToCSR() (*sparse.CSR, error) {
 
 // decodeObject decodes one occurrence of the operand — a valid JSON value
 // other than null, as SplitInline keeps it — into f as encoding/json
-// decodes it into the struct: a type error for anything but an object, and
+// decodes it into inlineWords: a refusal for anything but an object, and
 // each member in order into the field its key names, matched as
 // encoding/json matches it (unquoted, then equal under Unicode case
 // folding; no two of the fields fold alike), rows and cols by encoding/json
-// and the arrays by decodeArray. Unknown keys are skipped. The arrays are
-// read once by the walker and once by decodeArray, never by encoding/json.
+// and the arrays by decodeWords. Unknown keys are skipped. The arrays are read once by the walker and once by decodeWords.
 func (f *InlineCSR) decodeObject(b []byte) error {
 	var err error
 	if walk(b, func(key []byte, start, end int) {
@@ -141,16 +211,68 @@ func (f *InlineCSR) decodeObject(b []byte) error {
 		case keyIs(key, "cols"):
 			err = json.Unmarshal(v, &f.Cols)
 		case keyIs(key, "rowidx"):
-			f.Rowidx, err = decodeArray(v, f.Rowidx, parseInt)
+			f.Rowidx, err = decodeWords(v, "rowidx", 4, indices)
 		case keyIs(key, "colid"):
-			f.Colid, err = decodeArray(v, f.Colid, parseInt)
+			f.Colid, err = decodeWords(v, "colid", 4, indices)
 		case keyIs(key, "val"):
-			f.Val, err = decodeArray(v, f.Val, parseFloat)
+			f.Val, err = decodeWords(v, "val", 8, values)
 		}
 	}) != object {
 		return errNotObject
 	}
 	return err
+}
+
+// decodeWords decodes one array member — a valid JSON value — as
+// encoding/json decodes a string or null into a []byte field, and refuses
+// any other value, then a length that is not a whole number of size-byte
+// words; read cuts the bytes into the words (null stays nil). A string
+// without an escape is decoded in place; encoding/json would unquote it to
+// the same bytes (invalid UTF-8 becomes U+FFFD, which base64 refuses as it
+// refuses the byte it replaces). base64.StdEncoding skips '\r' and '\n', as
+// encoding/json's decode does.
+func decodeWords[T int | float64](v []byte, name string, size int, read func([]byte) []T) ([]T, error) {
+	var w []byte
+	switch {
+	case v[0] == 'n':
+		return nil, nil
+	case v[0] != '"':
+		return nil, fmt.Errorf("%s: not a base64 string", name)
+	case bytes.IndexByte(v, '\\') < 0:
+		s := v[1 : len(v)-1]
+		w = make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+		n, err := base64.StdEncoding.Decode(w, s)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		w = w[:n]
+	default:
+		if err := json.Unmarshal(v, &w); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	if len(w)%size != 0 {
+		return nil, fmt.Errorf("%s: %d bytes is not a whole number of %d-byte words", name, len(w), size)
+	}
+	return read(w), nil
+}
+
+// indices reads b as little-endian int32 words.
+func indices(b []byte) []int {
+	x := make([]int, len(b)/4)
+	for k := range x {
+		x[k] = int(int32(binary.LittleEndian.Uint32(b[4*k:])))
+	}
+	return x
+}
+
+// values reads b as little-endian IEEE-754 binary64 words.
+func values(b []byte) []float64 {
+	x := make([]float64, len(b)/8)
+	for k := range x {
+		x[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
+	}
+	return x
 }
 
 // errNotObject refuses an operand that is not a JSON object.
@@ -305,7 +427,13 @@ func scanObject(b []byte, i, depth int, visit func(key []byte, start, end int)) 
 // closing quote, or -1: a control byte, or an escape other than \", \\,
 // \/, \b, \f, \n, \r, \t and \u with four hex digits, is invalid. Other
 // bytes, invalid UTF-8 included, are accepted as json.Valid accepts them.
+// The span up to the next quote is taken whole when it holds neither an
+// escape nor a control byte (a word array is one long such string); only
+// a span that holds one is read byte by byte.
 func scanString(b []byte, i int) int {
+	if q := bytes.IndexByte(b[i+1:], '"'); q >= 0 && plain(b[i+1:i+1+q]) {
+		return i + q + 2
+	}
 	for i++; i < len(b); i++ {
 		switch c := b[i]; {
 		case c == '"':
@@ -336,6 +464,27 @@ func scanString(b []byte, i int) int {
 	return -1
 }
 
+// plain reports whether s holds neither a backslash nor a control byte.
+// It reads eight bytes a word: (w - 0x20 in each byte) &^ w sets a byte's
+// high bit exactly when some byte of w is below 0x20, and the same test of
+// w ^ '\\' in each byte against 1 finds a backslash.
+func plain(s []byte) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; len(s) >= 8; s = s[8:] {
+		w := binary.LittleEndian.Uint64(s)
+		x := w ^ '\\'*ones
+		if ((w-0x20*ones)&^w|(x-ones)&^x)&highs != 0 {
+			return false
+		}
+	}
+	for _, c := range s {
+		if c < 0x20 || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
 // scanLiteral returns the end of lit at b[i], or -1 if b does not spell it
 // there.
 func scanLiteral(b []byte, i int, lit string) int {
@@ -343,76 +492,6 @@ func scanLiteral(b []byte, i int, lit string) int {
 		return -1
 	}
 	return i + len(lit)
-}
-
-// errNotNumbers refuses a value encoding/json would not decode into a
-// slice of numbers: a syntax error, or a type error it reports as an
-// UnmarshalTypeError.
-var errNotNumbers = errors.New("not an array of numbers")
-
-// decodeArray decodes b — one JSON value with optional surrounding
-// whitespace — exactly as encoding/json decodes it into a slice whose
-// current value is prev, refusing every input encoding/json refuses:
-//   - null is a nil slice and [] a fresh empty one;
-//   - an array is decoded element by element into prev's backing array,
-//     grown as needed, then cut to the elements read; a null element keeps
-//     what that slot held (zero in new capacity);
-//   - a number is converted by conv; any other value is refused.
-func decodeArray[T int | float64](b []byte, prev []T, conv func([]byte) (T, bool)) ([]T, error) {
-	i := skipSpace(b, 0)
-	if bytes.HasPrefix(b[i:], []byte("null")) && skipSpace(b, i+4) == len(b) {
-		return nil, nil
-	}
-	if i == len(b) || b[i] != '[' {
-		return prev, errNotNumbers
-	}
-	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
-		if skipSpace(b, i+1) != len(b) {
-			return prev, errNotNumbers
-		}
-		return []T{}, nil
-	}
-	buf := prev[:cap(prev)]
-	if len(buf) == 0 {
-		buf = make([]T, bytes.Count(b, []byte(","))+1)
-	}
-	n := 0
-	for {
-		if n == len(buf) {
-			buf = append(buf, 0)
-			buf = buf[:cap(buf)]
-		}
-		switch {
-		case bytes.HasPrefix(b[i:], []byte("null")):
-			i += 4
-		default:
-			j := scanNumber(b, i)
-			if j < 0 {
-				return prev, errNotNumbers
-			}
-			v, ok := conv(b[i:j])
-			if !ok {
-				return prev, fmt.Errorf("%w: %s does not fit %T", errNotNumbers, b[i:j], v)
-			}
-			buf[n] = v
-			i = j
-		}
-		n++
-		if i = skipSpace(b, i); i == len(b) {
-			return prev, errNotNumbers
-		}
-		switch b[i] {
-		case ',':
-			i = skipSpace(b, i+1)
-		case ']':
-			if skipSpace(b, i+1) != len(b) {
-				return prev, errNotNumbers
-			}
-			return buf[:n], nil
-		default:
-			return prev, errNotNumbers
-		}
-	}
 }
 
 // skipSpace returns the index of the first byte at or after i that is not
@@ -463,18 +542,4 @@ func digits(b []byte, i int) int {
 		return -1
 	}
 	return j
-}
-
-// parseInt converts a JSON number to an int as encoding/json does: the
-// literal must be an integer (no fraction or exponent) that fits.
-func parseInt(lit []byte) (int, bool) {
-	n, err := strconv.Atoi(string(lit))
-	return n, err == nil
-}
-
-// parseFloat converts a JSON number to a float64 as encoding/json does,
-// refusing a literal beyond the float64 range.
-func parseFloat(lit []byte) (float64, bool) {
-	v, err := strconv.ParseFloat(string(lit), 64)
-	return v, err == nil
 }

@@ -91,7 +91,7 @@ func TestRepeatOperandParsedOncePerTier(t *testing.T) {
 		}
 	}
 
-	refused := []byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[1.5],"val":[1]}}`)
+	refused := []byte(`{"inline":{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":[0],"val":"AAAAAAAA8D8="}}`)
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(refused))
 	if err != nil {
 		t.Fatal(err)

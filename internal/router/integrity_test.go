@@ -60,7 +60,7 @@ func newEvilShard(t *testing.T, name string) *evilShard {
 			})
 			return
 		}
-		body := []byte(fmt.Sprintf(`{"schema":1,"served_by":%q}`+"\n", f.name))
+		body := []byte(fmt.Sprintf(`{"schema":%d,"served_by":%q}`+"\n", api.SchemaVersion, f.name))
 		if mode == "badschema" {
 			// Digest-consistent bytes claiming a schema this router does
 			// not speak: only the schema gate can catch it.

@@ -67,11 +67,11 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 		f.mu.Unlock()
 		if code != 0 {
 			w.WriteHeader(code)
-			fmt.Fprintf(w, `{"schema":1,"error":"injected %d"}`, code)
+			fmt.Fprintf(w, `{"schema":%d,"error":"injected %d"}`, api.SchemaVersion, code)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"schema":1,"served_by":%q}`, f.name)
+		fmt.Fprintf(w, `{"schema":%d,"served_by":%q}`, api.SchemaVersion, f.name)
 	})
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -576,7 +576,7 @@ func TestTrailingBytesRefusedOnBothTiers(t *testing.T) {
 func TestTypeErrorsNameTheAPITypes(t *testing.T) {
 	const (
 		spec    = `"matrix":{"gen":"poisson2d","n":64}`
-		inline  = `"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[2]}`
+		inline  = `"inline":{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"AAAAAA==","val":"AAAAAAAAAEA="}`
 		rhs     = `"rhs":[{"seed":1}]`
 		prefix  = "decoding request: json: cannot unmarshal "
 		single  = prefix + "number into Go struct field SolveRequest.solver of type string"
@@ -596,21 +596,33 @@ func TestTypeErrorsNameTheAPITypes(t *testing.T) {
 
 // TestParseRefusalsAnsweredAlikeOnBothTiers holds the tiers to one answer
 // for an operand that only its parse refuses — a type error inside it, a
-// row-pointer array of the wrong length, a non-square shape, a value beyond
-// float64 and a fractional index — on a single, a batch and a stream. The
-// router keys such an operand by its bytes and forwards it; the shard
-// refuses it and the router relays the 400. Fifty distinct refused operands
-// leave the shard's cache as they found it, a resident matrix included: no
-// entry, no hit, no miss.
+// row-pointer array of the wrong length, a non-square shape, a number array
+// where a base64 string is due, a byte outside the base64 alphabet, bad
+// padding, a length that is not a whole number of words, NaN and +Inf
+// value words and a negative index word — on a single, a batch and a
+// stream. The router keys such an operand by its bytes and forwards it;
+// the shard refuses it and the router relays the 400. The refusals leave
+// the shard's cache empty, and fifty more distinct refused operands leave
+// it as they found it, a resident matrix included: no entry, no hit, no
+// miss.
 func TestParseRefusalsAnsweredAlikeOnBothTiers(t *testing.T) {
-	const prefix = "inline matrix: "
+	const (
+		prefix = "inline matrix: "
+		one    = `"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"AAAAAA=="` // the 1×1 structure
+	)
 	var cases []tierCase
 	for _, op := range []struct{ inline, message string }{
-		{`{"rows":"3","cols":3,"rowidx":[0,1,2,3],"colid":[0,1,2],"val":[1,1,1]}`, prefix + "json: cannot unmarshal string into Go value of type int"},
-		{`{"rows":2,"cols":2,"rowidx":[0,1],"colid":[0],"val":[1]}`, prefix + "sparse: len(Rowidx)=2, want rows+1=3"},
-		{`{"rows":1,"cols":2,"rowidx":[0,2],"colid":[0,1],"val":[1,1]}`, prefix + "1x2 is not square"},
-		{`{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[1e999]}`, prefix + "not an array of numbers: 1e999 does not fit float64"},
-		{`{"rows":1,"cols":1,"rowidx":[0,1],"colid":[1.5],"val":[1]}`, prefix + "not an array of numbers: 1.5 does not fit int"},
+		{`{"rows":"3","cols":3,"rowidx":"AAAAAAEAAAACAAAAAwAAAA==","colid":"AAAAAAEAAAACAAAA","val":"AAAAAAAA8D8AAAAAAADwPwAAAAAAAPA/"}`,
+			prefix + "json: cannot unmarshal string into Go value of type int"},
+		{`{"rows":2,"cols":2,"rowidx":"AAAAAAEAAAA=","colid":"AAAAAA==","val":"AAAAAAAA8D8="}`, prefix + "sparse: len(Rowidx)=2, want rows+1=3"},
+		{`{"rows":1,"cols":2,"rowidx":"AAAAAAIAAAA=","colid":"AAAAAAEAAAA=","val":"AAAAAAAA8D8AAAAAAADwPw=="}`, prefix + "1x2 is not square"},
+		{`{"rows":1,"cols":1,"rowidx":[0,1],"colid":"AAAAAA==","val":"AAAAAAAA8D8="}`, prefix + "rowidx: not a base64 string"},
+		{`{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"AA!AAA==","val":"AAAAAAAA8D8="}`, prefix + "colid: illegal base64 data at input byte 2"},
+		{`{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA","colid":"AAAAAA==","val":"AAAAAAAA8D8="}`, prefix + "rowidx: illegal base64 data at input byte 8"},
+		{`{` + one + `,"val":"AAAAAAAA8D8A"}`, prefix + "val: 9 bytes is not a whole number of 8-byte words"},
+		{`{` + one + `,"val":"AAAAAAAA+H8="}`, prefix + "val[0] is not finite"},
+		{`{` + one + `,"val":"AAAAAAAA8H8="}`, prefix + "val[0] is not finite"},
+		{`{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"/////w==","val":"AAAAAAAA8D8="}`, prefix + "sparse: Colid[0]=-1 out of range [0,1)"},
 	} {
 		cases = append(cases,
 			tierCase{"/v1/solve", `{"inline":` + op.inline + `}`, http.StatusBadRequest, op.message},
@@ -626,14 +638,22 @@ func TestParseRefusalsAnsweredAlikeOnBothTiers(t *testing.T) {
 		}
 		return st.Shard.Cache
 	}
-	resident := []byte(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[2]}}`)
+	if c := cacheOf(); c.Entries != 0 || c.Hits != 0 || c.Misses != 0 {
+		t.Errorf("the refused operands moved the shard's cache to %+v", c)
+	}
+	resident := []byte(`{"inline":{` + one + `,"val":"AAAAAAAAAEA="}}`)
 	if code, _, _ := postRouted(t, router, resident); code != http.StatusOK {
 		t.Fatalf("resident operand: status %d", code)
 	}
 	before := cacheOf()
 	for i := range 50 {
-		body := fmt.Sprintf(`{"inline":{"rows":2,"cols":2,"rowidx":[0,1],"colid":[0],"val":[%d]}}`, i)
-		if code, _, _ := postRouted(t, router, []byte(body)); code != http.StatusBadRequest {
+		body, err := json.Marshal(&api.SolveRequest{Inline: &api.InlineCSR{
+			Rows: 2, Cols: 2, Rowidx: []int{0, 1}, Colid: []int{0}, Val: []float64{float64(i)},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, _, _ := postRouted(t, router, body); code != http.StatusBadRequest {
 			t.Fatalf("refused operand %d: status %d", i, code)
 		}
 	}

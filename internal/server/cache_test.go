@@ -209,11 +209,11 @@ func TestInlineFingerprintKeying(t *testing.T) {
 		t.Error("identical inline matrices keyed differently")
 	}
 
-	// The key vector: SHA-256 of the operand's JSON after its length as 8
-	// little-endian bytes.
-	const js = `{"rows":2,"cols":2,"rowidx":[0,2,3],"colid":[0,1,1],"val":[4,-1,4]}`
+	// The key vector: SHA-256 of the operand's JSON, in its word form, after
+	// its length as 8 little-endian bytes.
+	const js = `{"rows":2,"cols":2,"rowidx":"AAAAAAIAAAADAAAA","colid":"AAAAAAEAAAABAAAA","val":"AAAAAAAAEEAAAAAAAADwvwAAAAAAABBA"}`
 	sum := sha256.Sum256(append(binary.LittleEndian.AppendUint64(nil, uint64(len(js))), js...))
-	const pinned = "inline:sha256:fc7858d95453c343a0306143b99ac62be7884bc7f59d8eb157d7a7403886c9d0"
+	const pinned = "inline:sha256:20895259f5a38fc41f673170c8afd24c095fdb7c9612dd7b80b6ed2868cf5e30"
 	if want := "inline:sha256:" + hex.EncodeToString(sum[:]); id.Key != want || id.Key != pinned {
 		t.Errorf("key %q, want %q (pinned %q)", id.Key, want, pinned)
 	}
@@ -224,7 +224,7 @@ func TestInlineFingerprintKeying(t *testing.T) {
 	if want := "inline:5d90883957143fd9"; parsed.Label != want || parsed.Spec != (harness.MatrixSpec{Gen: "inline", N: 2}) {
 		t.Errorf("parsed %q %+v, want the fingerprint %q and n=2", parsed.Label, parsed.Spec, want)
 	}
-	spaced := decode(`{"inline": {"rows": 2, "cols": 2, "rowidx": [0, 2, 3], "colid": [0, 1, 1], "val": [4, -1, 4.0]}}`)
+	spaced := decode(`{"inline": {"rows": 2, "cols": 2, "rowidx": "AAAAAAIAAAADAAAA", "colid": "AAAAAAEAAAABAAAA", "val": "AAAAAAAAEEAA\nAAAAAADwvwAAAAAAABBA"}}`)
 	if again := parse(spaced); spaced.Key == id.Key || again.Label != parsed.Label || again.Spec != parsed.Spec {
 		t.Errorf("another encoding keyed %q and parsed to %q %+v; first %q, %q %+v",
 			spaced.Key, again.Label, again.Spec, id.Key, parsed.Label, parsed.Spec)
@@ -246,7 +246,7 @@ func TestInlineFingerprintKeying(t *testing.T) {
 	perturb("rows", func(ic *api.InlineCSR) { ic.Rows++ })
 	perturb("cols", func(ic *api.InlineCSR) { ic.Cols++ })
 	for i := range base.Rowidx {
-		perturb(fmt.Sprintf("rowidx[%d]", i), func(ic *api.InlineCSR) { ic.Rowidx[i] ^= 1 << 40 })
+		perturb(fmt.Sprintf("rowidx[%d]", i), func(ic *api.InlineCSR) { ic.Rowidx[i] ^= 1 << 30 })
 	}
 	for i := range base.Colid {
 		perturb(fmt.Sprintf("colid[%d]", i), func(ic *api.InlineCSR) { ic.Colid[i]++ })

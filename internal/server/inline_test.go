@@ -16,7 +16,13 @@ import (
 
 // inlineBody is a 1×1 operand request whose value is v.
 func inlineBody(v int) []byte {
-	return []byte(fmt.Sprintf(`{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[%d]}}`, v))
+	body, err := json.Marshal(&api.SolveRequest{Inline: &api.InlineCSR{
+		Rows: 1, Cols: 1, Rowidx: []int{0, 1}, Colid: []int{0}, Val: []float64{float64(v)},
+	}})
+	if err != nil {
+		panic(err)
+	}
+	return body
 }
 
 // fill is a shard's admission of body: Decode, then the cache fill.
@@ -101,7 +107,7 @@ func TestInlineFillConcurrent(t *testing.T) {
 func TestInlineShiftRefusalIsSticky(t *testing.T) {
 	s := New(Config{})
 	t.Cleanup(s.Shutdown)
-	body := []byte(`{"inline":{"rows":2,"cols":2,"rowidx":[0,1,3],"colid":[0,0,1],"val":[1e308,1e308,1]}}`)
+	body := []byte(`{"inline":{"rows":2,"cols":2,"rowidx":"AAAAAAEAAAADAAAA","colid":"AAAAAAAAAAABAAAA","val":"oMjrhfPM4X+gyOuF88zhfwAAAAAAAPA/"}}`)
 	for i := range 2 {
 		_, hit, err := fill(s, body)
 		if !errors.Is(err, checksum.ErrNoShift) || !strings.HasPrefix(err.Error(), "matrix inline:") || hit != (i == 1) {

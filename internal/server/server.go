@@ -285,13 +285,7 @@ func (s *Server) runGroup(ent *entry, sc harness.Scenario, group []*task) {
 			*out = solveOutcome{err: err, solveNanos: nanos}
 			if err == nil {
 				out.stats, out.err = c.sts[i], c.errs[i]
-				// A lane that could not start hashes its empty history; in a
-				// wider block it answers the zero hash the batch edge has
-				// always answered for it (wire_golden.json, "batch inline out
-				// of scale").
-				if k == 1 || out.stats != (core.Stats{}) {
-					out.hash = harness.HashBits(c.hists[i])
-				}
+				out.hash = harness.HashBits(c.hists[i])
 			}
 			i++
 		}

@@ -514,17 +514,18 @@ func TestHugeInlineOperandIsAnswered(t *testing.T) {
 	}
 
 	// Negative definite, so CG breaks down: a solve error, but an answer.
-	status, raw := post("/v1/solve", `{"inline":{"rows":1,"cols":1,"val":[-1e20],"colid":[0],"rowidx":[0,1]}}`)
+	status, raw := post("/v1/solve", `{"inline":{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"AAAAAA==","val":"QIy1eB2vFcQ="}}`)
 	var failed, ok api.SolveResponse
 	if err := json.Unmarshal(raw, &failed); status != http.StatusOK || err != nil || failed.SolveError == "" {
 		t.Fatalf("[-1e20]: status %d, body %s", status, raw)
 	}
-	status, raw = post("/v1/solve", `{"inline":{"rows":1,"cols":1,"val":[1e20],"colid":[0],"rowidx":[0,1]}}`)
+	status, raw = post("/v1/solve", `{"inline":{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"AAAAAA==","val":"QIy1eB2vFUQ="}}`)
 	if err := json.Unmarshal(raw, &ok); status != http.StatusOK || err != nil || ok.Result.Converged != 1 || ok.SolveError != "" {
 		t.Fatalf("[1e20]: status %d, body %s", status, raw)
 	}
 
-	overflow := `{"inline":{"rows":2,"cols":2,"val":[1e308,1e308,1],"colid":[0,0,1],"rowidx":[0,1,3]}`
+	// Finite values (1e308, 1e308, 1) whose column sum is not.
+	overflow := `{"inline":{"rows":2,"cols":2,"rowidx":"AAAAAAEAAAADAAAA","colid":"AAAAAAAAAAABAAAA","val":"oMjrhfPM4X+gyOuF88zhfwAAAAAAAPA/"}`
 	for path, body := range map[string]string{
 		"/v1/solve":       overflow + `}`,
 		"/v1/solve/batch": overflow + `,"rhs":[{"seed":1}]}`,
@@ -545,8 +546,8 @@ func TestHugeInlineOperandIsAnswered(t *testing.T) {
 func TestNonSquareInlineIsRefused(t *testing.T) {
 	_, ts := testServer(t, Config{Concurrency: 1})
 	for _, inline := range []string{
-		`{"rows":1,"cols":2,"val":[1,1],"colid":[0,1],"rowidx":[0,2]}`,
-		`{"rows":0,"cols":1125899906842624,"rowidx":[0]}`,
+		`{"rows":1,"cols":2,"rowidx":"AAAAAAIAAAA=","colid":"AAAAAAEAAAA=","val":"AAAAAAAA8D8AAAAAAADwPw=="}`,
+		`{"rows":0,"cols":1125899906842624,"rowidx":"AAAAAA=="}`,
 	} {
 		for path, body := range map[string]string{
 			"/v1/solve":       `{"inline":` + inline + `}`,
@@ -566,7 +567,7 @@ func TestNonSquareInlineIsRefused(t *testing.T) {
 		}
 	}
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
-		strings.NewReader(`{"inline":{"rows":1,"cols":1,"val":[2],"colid":[0],"rowidx":[0,1]}}`))
+		strings.NewReader(`{"inline":{"rows":1,"cols":1,"rowidx":"AAAAAAEAAAA=","colid":"AAAAAA==","val":"AAAAAAAAAEA="}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,8 +271,9 @@ func TestWireGolden(t *testing.T) {
 				[]byte(`{"matrix":{"gen":"poisson2d","n":16},"solver":"chebyshev","rhs":[{"seed":1}]}`), false))
 		}
 		add(exchange(t, "single bad inline csr", http.MethodPost, ts.URL+"/v1/solve", badInline, false))
-		// Finite values, a column sum that is not: no ABFT scheme can encode it.
-		noShift := `{"inline":{"rows":2,"cols":2,"val":[1e308,1e308,1],"colid":[0,0,1],"rowidx":[0,1,3]}`
+		// Finite values (1e308, 1e308, 1), a column sum that is not: no ABFT
+		// scheme can encode it.
+		noShift := `{"inline":{"rows":2,"cols":2,"rowidx":"AAAAAAEAAAADAAAA","colid":"AAAAAAAAAAABAAAA","val":"oMjrhfPM4X+gyOuF88zhfwAAAAAAAPA/"}`
 		add(exchange(t, "single inline without a shift", http.MethodPost, ts.URL+"/v1/solve", []byte(noShift+`}`), false))
 		add(exchange(t, "batch inline without a shift", http.MethodPost, ts.URL+"/v1/solve/batch", []byte(noShift+`,"rhs":[{"seed":1}]}`), false))
 		add(exchange(t, "batch empty rhs", http.MethodPost, ts.URL+"/v1/solve/batch",
