@@ -16,12 +16,13 @@ func FuzzLoadCampaign(f *testing.F) {
 	const inline = `{"rows":3,"cols":3,"rowidx":"AAAAAAIAAAAFAAAABwAAAA==","colid":"AAAAAAEAAAAAAAAAAQAAAAIAAAABAAAAAgAAAA==",` +
 		`"val":"AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEA="}`
 	seeds := [][]byte{
-		[]byte(`{"schema":1,"requests":4,"concurrency":2,"cells":[` +
+		[]byte(`{"schema":2,"requests":4,"concurrency":2,"cells":[` +
 			`{"name":"single","request":{"inline":` + inline + `,"seed":3}},` +
 			`{"name":"batch","request":{"inline":` + inline + `},"rhs":[{"seed":1},{"seed":2}]}]}`),
 		[]byte("{"),
 		[]byte(`{"schema":99,"cells":[{"name":"x","request":{"matrix":{"gen":"poisson2d","n":16}}}]}`),
 		[]byte(`{"schema":1,"cells":[]}`),
+		[]byte(`{"schema":1,"cells":[{"name":"x","request":{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[2]}}}]}`),
 		[]byte(`{"schema":1,"cells":[{"name":"x","request":{"solver":"warp","matrix":{"gen":"poisson2d","n":16}}}]}`),
 		[]byte(`{"schema":1,"cells":[{"name":"x","request":{"matrix":{"gen":"poisson2d","n":"16"}}}]}`),
 	}

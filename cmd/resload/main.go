@@ -27,7 +27,10 @@
 //
 // A replayed run drives the recorded request mix (and request count and
 // concurrency, unless overridden) and fails -check unless every cell
-// reproduces its recorded residual hash.
+// reproduces its recorded residual hash. A campaign recorded at schema 1
+// replays unless a cell carries an inline operand or a lane's zero hash,
+// which schema 2 changed; such a campaign is refused by the cell's name
+// and must be recorded again.
 //
 // Streamed solves:
 //
@@ -63,8 +66,9 @@ import (
 )
 
 // Schema identifies the resload record layout; bump on incompatible
-// changes.
-const Schema = 1
+// changes. Schema 2 came with api schema 2, which changed what a campaign
+// cell's request and hash may hold (parseCampaign).
+const Schema = 2
 
 // Record is one load run.
 type Record struct {
@@ -460,12 +464,47 @@ func loadCampaign(path string) (Campaign, error) {
 	return parseCampaign(path, raw)
 }
 
+// changedAtSchema2 names the first cell of a schema-1 campaign that
+// schema 2 reads differently, or "" when there is none, so that every
+// other schema-1 campaign loads as it was recorded. A cell differs when
+// its request carries an inline operand, whose arrays were decimal numbers
+// and are base64 words since, or when its hash pins the zero hash a batch
+// lane that could not start answered before it answered its empty
+// history's, as a single request does.
+func changedAtSchema2(raw []byte) string {
+	var old struct {
+		Cells []struct {
+			Name    string `json:"name"`
+			Request struct {
+				Inline json.RawMessage `json:"inline"`
+			} `json:"request"`
+			ResidualHash string `json:"residual_hash"`
+		} `json:"cells"`
+	}
+	json.Unmarshal(raw, &old) // the full decode reports what this one cannot read
+	for _, c := range old.Cells {
+		if c.Request.Inline != nil || strings.Contains(c.ResidualHash, "fnv1a:0000000000000000") {
+			return c.Name
+		}
+	}
+	return ""
+}
+
 // parseCampaign decodes and validates the bytes of the campaign file named
 // path.
 func parseCampaign(path string, raw []byte) (Campaign, error) {
 	var camp Campaign
 	if len(bytes.TrimSpace(raw)) == 0 {
 		return camp, fmt.Errorf("campaign %s: file is empty (truncated or never written?)", path)
+	}
+	var head struct {
+		Schema int `json:"schema"`
+	}
+	if json.Unmarshal(raw, &head) == nil && head.Schema == 1 {
+		if name := changedAtSchema2(raw); name != "" {
+			return camp, fmt.Errorf("campaign %s: schema 1, this resload speaks %d: cell %q holds an inline operand or a lane's zero hash, "+
+				"whose meaning changed in schema %d; record the campaign again", path, Schema, name, Schema)
+		}
 	}
 	if err := json.Unmarshal(raw, &camp); err != nil {
 		var syn *json.SyntaxError
@@ -481,7 +520,7 @@ func parseCampaign(path string, raw []byte) (Campaign, error) {
 			return camp, fmt.Errorf("campaign %s: %w", path, err)
 		}
 	}
-	if camp.Schema != Schema {
+	if camp.Schema != Schema && camp.Schema != 1 {
 		return camp, fmt.Errorf("campaign %s: schema %d, this resload speaks %d", path, camp.Schema, Schema)
 	}
 	if len(camp.Cells) == 0 {

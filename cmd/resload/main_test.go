@@ -427,7 +427,7 @@ func TestReplayInlineCampaign(t *testing.T) {
 	const inline = `{"rows":3,"cols":3,"rowidx":"AAAAAAIAAAAFAAAABwAAAA==","colid":"AAAAAAEAAAAAAAAAAQAAAAIAAAABAAAAAgAAAA==",` +
 		`"val":"AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEAAAAAAAADwvwAAAAAAAPC/AAAAAAAAEEA="}`
 	campaign := filepath.Join(dir, "inline.json")
-	if err := os.WriteFile(campaign, []byte(`{"schema":1,"requests":4,"concurrency":2,"cells":[`+
+	if err := os.WriteFile(campaign, []byte(`{"schema":2,"requests":4,"concurrency":2,"cells":[`+
 		`{"name":"single","request":{"inline":`+inline+`,"seed":3}},`+
 		`{"name":"batch","request":{"inline":`+inline+`},"rhs":[{"seed":1},{"seed":2}]}]}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -538,6 +538,29 @@ func TestLoadCampaignRejectsBad(t *testing.T) {
 	}
 	if _, err := loadCampaign(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestLoadCampaignSchema1 holds parseCampaign to schema 1: a campaign
+// whose cells schema 2 reads as they were recorded loads (the golden file
+// is one); one with an inline operand, decimal as schema 1 sent it, or a
+// lane's zero hash is refused by name, not by its operand's decode.
+func TestLoadCampaignSchema1(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "replay_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if camp, err := parseCampaign("golden.json", golden); err != nil || camp.Schema != 1 {
+		t.Fatalf("schema-1 golden: schema %d, err %v", camp.Schema, err)
+	}
+	for name, body := range map[string]string{
+		"inline":    `{"schema":1,"cells":[{"name":"x","request":{"inline":{"rows":1,"cols":1,"rowidx":[0,1],"colid":[0],"val":[2]}}}]}`,
+		"zero hash": `{"schema":1,"cells":[{"name":"x","request":{"matrix":{"gen":"poisson2d","n":16}},"rhs":[{"seed":1},{"seed":2}],"residual_hash":"fnv1a:0000000000000000+fnv1a:0000000000000000"}]}`,
+	} {
+		_, err := parseCampaign("old.json", []byte(body))
+		if err == nil || !strings.Contains(err.Error(), `schema 1, this resload speaks 2: cell "x"`) {
+			t.Errorf("%s: err %v, want the cell named as changed at schema 2", name, err)
+		}
 	}
 }
 

@@ -261,37 +261,36 @@ func (c *Client) newRequest(ctx context.Context, method, path string, in any) (*
 	return hreq, nil
 }
 
-// marshalBody writes a request body as json.Marshal does, except that an
-// operand's words are marshalled as inlineWords in place of the request's
-// InlineCSR: encoding/json writes their []byte arrays natively, where it
-// would compact MarshalJSON's output in a second pass. The operand's bytes
-// are the same either way, so they key as ResolveIdentity keys them.
+// wireRequest is a solve or batch request as Client writes it when it
+// carries an operand: the operand's words shadow the request's InlineCSR,
+// and RHS is a batch's right-hand sides (nil for a single request).
+type wireRequest struct {
+	*SolveRequest
+	Inline *inlineWords `json:"inline"`
+	RHS    *[]BatchRHS  `json:"rhs,omitempty"`
+}
+
+// marshalBody writes a request body as json.Marshal does, except that a
+// solve or batch request's operand is written through wireRequest:
+// encoding/json writes its []byte arrays natively, where it would compact
+// InlineCSR.MarshalJSON's output in a second pass. The operand's bytes are
+// the same either way, so they key as ResolveIdentity keys them.
 func marshalBody(in any) ([]byte, error) {
+	var w wireRequest
 	switch r := in.(type) {
 	case *SolveRequest:
-		if r.Inline != nil {
-			w, err := r.Inline.words()
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(struct {
-				*SolveRequest
-				Inline *inlineWords `json:"inline"`
-			}{r, w})
-		}
+		w.SolveRequest = r
 	case *BatchSolveRequest:
-		if r.Inline != nil {
-			w, err := r.Inline.words()
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(struct {
-				*BatchSolveRequest
-				Inline *inlineWords `json:"inline"`
-			}{r, w})
-		}
+		w.SolveRequest, w.RHS = &r.SolveRequest, &r.RHS
 	}
-	return json.Marshal(in)
+	if w.SolveRequest == nil || w.SolveRequest.Inline == nil {
+		return json.Marshal(in)
+	}
+	var err error
+	if w.Inline, err = w.SolveRequest.Inline.words(); err != nil {
+		return nil, err
+	}
+	return json.Marshal(&w)
 }
 
 // do issues one request and decodes the buffered answer.

@@ -465,18 +465,7 @@ func scanString(b []byte, i int) int {
 }
 
 // plain reports whether s holds neither a backslash nor a control byte.
-// It reads eight bytes a word: (w - 0x20 in each byte) &^ w sets a byte's
-// high bit exactly when some byte of w is below 0x20, and the same test of
-// w ^ '\\' in each byte against 1 finds a backslash.
 func plain(s []byte) bool {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	for ; len(s) >= 8; s = s[8:] {
-		w := binary.LittleEndian.Uint64(s)
-		x := w ^ '\\'*ones
-		if ((w-0x20*ones)&^w|(x-ones)&^x)&highs != 0 {
-			return false
-		}
-	}
 	for _, c := range s {
 		if c < 0x20 || c == '\\' {
 			return false

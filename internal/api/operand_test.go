@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -105,13 +106,28 @@ func (r *refOperand) csr() *InlineCSR {
 // outside the base64 alphabet, bad padding, a length that is not a whole
 // number of words — then NaN, +Inf and a negative index, which decode and
 // which the shard's admission refuses; escapes, and the \r and \n base64
-// skips.
+// skips. The number arrays and operands in decimal that follow hold the
+// walker's number grammar and whitespace to json.Valid; as an operand's
+// member each is refused, as an array or as no string.
 var operandSeeds = []string{
 	`"AAAAAAEAAAA="`, `"AAAAAAAAAEA="`, `""`, `null`, ` null `, `[0,1]`, `[]`, `[1.5]`, `5`, `true`, `{}`,
 	`"!AAA"`, `"AA-_"`, `"AAA="`, `"AA=="`, `"A==="`, `"AA=A"`, `"AAAA===="`, `"AAAAA"`, `"AAAAAA=="`, `"AAAAAAA="`,
 	`"AAAAAAAA+H8="`, `"AAAAAAAA8H8="`, `"AAAAAAAA8P8="`, `"/////w=="`, `"AAAAgA=="`,
 	`"AAAA\nAAAA"`, `"AAAA\r\nAAAA"`, `"AAAA\tAAAA"`, `"\/////w=="`, `"\u0041AAAAAAAAAA="`, `"AAAAAAA\u003d"`,
 	`"\u00e9AAA"`, "\"\xff\xfeAA\"", "\"AA\tAA\"", `"AAAA`, `"x"`,
+	`[1,2,3]`, ` [ 0 , -0 , null , 17 ] `, `[ ]`, `[null]`, `nul`, `[nul]`,
+	`[1.0]`, `[1e2]`, `[1E+2]`, `[-1e-2]`, `[1e999]`, `[-1e999]`, `[1e-400]`, `[0e999]`, `[2.5e-3,1e22,1e23]`,
+	`[9007199254740993]`, `[0.1000000000000000055511151231257827021181583404541015625]`,
+	`[4.9406564584124654e-324]`, `[1.7976931348623157e308]`, `[1.7976931348623159e308]`,
+	`[9223372036854775807]`, `[-9223372036854775808]`, `[9223372036854775808]`, `[123456789012345678]`,
+	`[[1],2]`, `[{"a":1}]`, `["1"]`, `[true]`, `[,1]`, `[1.]`, `[.5]`, `[-]`, `[+1]`,
+	`[1] `, "[\t1\n,\r2]", `7`, ``, `[`,
+	`{"rows":2,"cols":2,"rowidx":[0,1,2],"colid":[0,1],"val":[1,2]}`,
+	`{"ROWS":1,"Cols":1,"rowIdx":[0,1],"colid":[0],"val":[3],"extra":{"val":[9]}}`,
+	`{"rowidx":[1,2,3],"rowidx":[4],"rowidx":[null,null,null,null]}`,
+	`{"val":[1.5,2.5],"val":null,"val":[null]}`, `{"val":[],"val":[null,7]}`, `{"rows":3,"colid":[1e2]}`,
+	`{"inline":{"rows":1,"val":[1,2]},"Inline":{"val":[null]}}`,
+	`{"inline":{"val":[1e999]},"inline":null,"inline":{"cols":2}}`, `{"rowſ":1,"\u0063OLS":2,"Val":[1],"vaL":[2,3]}`,
 	`{"rows":2,"cols":2,"rowidx":"AAAAAAEAAAACAAAA","colid":"AAAAAAEAAAA=","val":"AAAAAAAA8D8AAAAAAAAAQA=="}`,
 	`{"ROWS":1,"Cols":1,"rowIdx":"AAAAAAEAAAA=","colid":"AAAAAA==","val":"AAAAAAAACEA=","extra":{"val":[9]}}`,
 	`{"rowidx":"AQAAAAIAAAADAAAA","rowidx":"BAAAAA==","rowidx":null}`,
@@ -269,13 +285,18 @@ func TestInlineCSRRoundTrip(t *testing.T) {
 		t.Fatalf("decoded again %+v, want %+v", again, req)
 	}
 
-	for _, in := range []any{&req, &BatchSolveRequest{SolveRequest: req, RHS: []BatchRHS{{Seed: 1}}}} {
+	for _, in := range []any{&req, &BatchSolveRequest{SolveRequest: req, RHS: []BatchRHS{{Seed: 1}}}, &BatchSolveRequest{SolveRequest: req}} {
 		body, err := marshalBody(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if op, _ := SplitInline(body); len(op.raw) != 1 || string(op.raw[0]) != operand {
 			t.Errorf("the client's body %s carries the operand %q, want %s", body, op.raw, operand)
+		}
+		plain, _ := json.Marshal(in)
+		var got, want map[string]any
+		if json.Unmarshal(body, &got) != nil || json.Unmarshal(plain, &want) != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("the client's body %s, json.Marshal's %s", body, plain)
 		}
 	}
 
