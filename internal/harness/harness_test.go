@@ -21,56 +21,132 @@ func testScenario() Scenario {
 	}
 }
 
-// TestRunOnDeterministicAcrossWorkers is the core harness guarantee: the
-// canonical record (wall time excluded) is bitwise identical whether the
-// scenario runs sequentially or fanned out across pools of any size.
-func TestRunOnDeterministicAcrossWorkers(t *testing.T) {
-	sc := testScenario()
+// runOn builds the scenario's matrix and runs it sequentially.
+func runOn(t *testing.T, sc Scenario) Result {
+	t.Helper()
 	a, err := sc.Matrix.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunOn(nil, a, sc)
+	res, err := RunOn(nil, a, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON, _ := json.Marshal(want.Canonical())
-	if want.Failures == want.Reps {
-		t.Fatalf("degenerate scenario: every trial failed: %+v", want)
-	}
-	if want.ResidualHash == HashHistory(nil) {
-		t.Fatal("residual hash must cover a non-empty history")
-	}
-	for _, workers := range []int{1, 2, 4} {
-		p := pool.New(workers)
-		got, err := RunOn(p, a, sc)
-		p.Close()
-		if err != nil {
-			t.Fatal(err)
+	return res
+}
+
+// TestRunOnDeterministicAcrossWorkers is the core harness guarantee: the
+// canonical record (wall time excluded) is bitwise identical whether the
+// scenario runs sequentially or fanned out across pools of any size. The
+// cells cover every solver, every scheme, four generators, faulty and
+// fault-free runs and the unprotected reference solve.
+func TestRunOnDeterministicAcrossWorkers(t *testing.T) {
+	cells := []Scenario{testScenario()}
+	for _, scheme := range []string{"unprotected", "online-detection", "abft-detection", "abft-correction"} {
+		alpha := 1.0 / 64
+		if scheme == "unprotected" {
+			alpha = 0
 		}
-		gotJSON, _ := json.Marshal(got.Canonical())
-		if string(gotJSON) != string(wantJSON) {
-			t.Fatalf("workers=%d: canonical record diverged:\n%s\nvs sequential:\n%s",
-				workers, gotJSON, wantJSON)
-		}
+		cells = append(cells, Scenario{
+			Name:     "cg/" + scheme + "/poisson2d",
+			Matrix:   MatrixSpec{Gen: "poisson2d", N: 900},
+			Solver:   "cg",
+			Scheme:   scheme,
+			Alpha:    alpha,
+			Reps:     3,
+			Seed:     1,
+			Baseline: scheme != "unprotected",
+		})
+	}
+	cells = append(cells,
+		Scenario{
+			Name:     "pcg/abft-correction/suite2213",
+			Matrix:   MatrixSpec{Gen: "suite", ID: 2213, Scale: 96},
+			Solver:   "pcg",
+			Precond:  "jacobi",
+			Scheme:   "abft-correction",
+			Alpha:    1.0 / 32,
+			Reps:     3,
+			Seed:     1,
+			Baseline: true,
+		},
+		Scenario{
+			Name:     "bicgstab/abft-detection/randomspd",
+			Matrix:   MatrixSpec{Gen: "randomspd", N: 600, Seed: 42},
+			Solver:   "bicgstab",
+			Scheme:   "abft-detection",
+			Alpha:    1.0 / 64,
+			Reps:     3,
+			Seed:     1,
+			Baseline: true,
+		},
+		Scenario{
+			Name:     "cg/abft-correction/tridiag",
+			Matrix:   MatrixSpec{Gen: "tridiag", N: 400},
+			Solver:   "cg",
+			Scheme:   "abft-correction",
+			Reps:     1,
+			Seed:     1,
+			Baseline: true,
+		},
+	)
+	for _, sc := range cells {
+		t.Run(sc.Name, func(t *testing.T) {
+			a, err := sc.Matrix.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunOn(nil, a, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, _ := json.Marshal(want.Canonical())
+			if want.Failures == want.Reps {
+				t.Fatalf("degenerate scenario: every trial failed: %+v", want)
+			}
+			if want.ResidualHash == HashHistory(nil) {
+				t.Fatal("residual hash must cover a non-empty history")
+			}
+			for _, workers := range []int{1, 2, 4} {
+				p := pool.New(workers)
+				got, err := RunOn(p, a, sc)
+				p.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotJSON, _ := json.Marshal(got.Canonical())
+				if string(gotJSON) != string(wantJSON) {
+					t.Fatalf("workers=%d: canonical record diverged:\n%s\nvs sequential:\n%s",
+						workers, gotJSON, wantJSON)
+				}
+			}
+		})
 	}
 }
 
-// TestRunBuildsMatrixAndEchoesScenario exercises the top-level Run entry.
+// TestRunBuildsMatrixAndEchoesScenario checks the record RunOn assembles:
+// header, scenario echo, matrix description, work accounting and wall time.
 func TestRunBuildsMatrixAndEchoesScenario(t *testing.T) {
 	sc := testScenario()
 	sc.Reps = 2
-	res, err := Run(sc, RunOptions{Workers: 2, Seed: 11})
+	sc.Seed = 11
+	a, err := sc.Matrix.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Scenario.Seed != 11 {
-		t.Fatalf("seed override not echoed: %+v", res.Scenario)
+	p := pool.New(2)
+	defer p.Close()
+	res, err := RunOn(p, a, sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Workers != 2 || res.Schema != SchemaVersion || res.Reps != 2 {
+	if res.Scenario.Seed != 11 || res.Scenario.Name != sc.Name {
+		t.Fatalf("scenario not echoed: %+v", res.Scenario)
+	}
+	if res.Schema != SchemaVersion || res.Reps != 2 {
 		t.Fatalf("record header wrong: %+v", res)
 	}
-	if res.Matrix.N != 400 || res.Matrix.NNZ == 0 {
+	if res.Matrix.N != 400 || res.Matrix.NNZ == 0 || res.Matrix.Label != sc.Matrix.String() {
 		t.Fatalf("matrix info missing: %+v", res.Matrix)
 	}
 	if res.FlopsPerIter <= 0 || res.MeanSimTime <= 0 {
@@ -131,10 +207,7 @@ func TestBaselineOverhead(t *testing.T) {
 		Seed:     1,
 		Baseline: true,
 	}
-	res, err := Run(sc, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOn(t, sc)
 	if res.BaselineTime <= 0 {
 		t.Fatalf("baseline not run: %+v", res)
 	}
@@ -184,10 +257,7 @@ func TestBaselineFailureIsRecorded(t *testing.T) {
 		Seed:     1,
 		Baseline: true,
 	}
-	res, err := Run(sc, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOn(t, sc)
 	if res.BaselineError == "" {
 		t.Fatalf("failed baseline must be recorded: %+v", res)
 	}
