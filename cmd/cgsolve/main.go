@@ -1,6 +1,6 @@
 // Command cgsolve solves a sparse SPD linear system with one of the
-// resilient CG schemes, optionally under silent-error injection, and
-// reports the execution statistics.
+// resilient CG schemes, optionally under silent-error injection, or with the
+// unprotected baseline, fault-free, and reports the execution statistics.
 //
 // The matrix comes from a Matrix Market file (-matrix) or from a built-in
 // generator (-gen poisson2d|poisson3d|tridiag|laplacian|randomspd|
@@ -12,6 +12,7 @@
 //
 //	cgsolve -gen poisson2d -n 10000 -scheme abft-correction -alpha 0.0625
 //	cgsolve -matrix A.mtx -scheme online-detection -alpha 0.01 -seed 7
+//	cgsolve -gen poisson2d -n 10000 -scheme unprotected
 package main
 
 import (
@@ -42,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		matrixPath = fs.String("matrix", "", "Matrix Market file with an SPD matrix")
 		gen        = fs.String("gen", "poisson2d", "generator when -matrix is empty: poisson2d, poisson3d, tridiag, laplacian, randomspd, suite:<id>")
 		n          = fs.Int("n", 10000, "target dimension for generated matrices")
-		schemeName = fs.String("scheme", "abft-correction", "resilience scheme: online-detection, abft-detection, abft-correction")
+		schemeName = fs.String("scheme", "abft-correction", "resilience scheme: online-detection, abft-detection, abft-correction, or unprotected (fault-free only)")
 		alpha      = fs.Float64("alpha", 0, "expected silent errors per iteration (0 = fault-free)")
 		tol        = fs.Float64("tol", 1e-8, "relative residual tolerance")
 		s          = fs.Int("s", 0, "checkpoint interval in chunks (0 = model-optimal)")
@@ -61,6 +62,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scheme, err := parseScheme(*schemeName)
 	if err != nil {
 		return err
+	}
+	if scheme == core.Unprotected && *alpha > 0 {
+		return fmt.Errorf("the unprotected baseline cannot run under fault injection (-alpha %g)", *alpha)
 	}
 
 	b, xTrue := harness.RHS(a, *seed)
@@ -109,16 +113,8 @@ func loadMatrix(path, gen string, n int) (*sparse.CSR, error) {
 	return ms.Build()
 }
 
-// parseScheme resolves the resilient scheme slugs (case-insensitively, so
-// historical spellings like "ABFT-Correction" keep working). The
-// unprotected baseline is resbench territory, not a resilient solve.
+// parseScheme resolves a scheme slug case-insensitively, so historical
+// spellings like "ABFT-Correction" keep working.
 func parseScheme(name string) (core.Scheme, error) {
-	scheme, err := harness.ParseScheme(strings.ToLower(name))
-	if err != nil {
-		return 0, err
-	}
-	if scheme == core.Unprotected {
-		return 0, fmt.Errorf("unknown scheme %q (cgsolve runs the resilient schemes; use resbench for unprotected baselines)", name)
-	}
-	return scheme, nil
+	return harness.ParseScheme(strings.ToLower(name))
 }

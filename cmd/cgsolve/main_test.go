@@ -36,6 +36,16 @@ func TestRunArgs(t *testing.T) {
 			wantOut: "converged:         true",
 		},
 		{
+			name:    "unprotected fault-free solve",
+			args:    []string{"-gen", "poisson2d", "-n", "100", "-scheme", "unprotected", "-seed", "3"},
+			wantOut: "scheme:            Unprotected",
+		},
+		{
+			name:    "unprotected under injection",
+			args:    []string{"-gen", "poisson2d", "-n", "100", "-scheme", "unprotected", "-alpha", "0.0625"},
+			wantErr: "cannot run under fault injection",
+		},
+		{
 			name:    "unknown scheme",
 			args:    []string{"-scheme", "nonesuch"},
 			wantErr: `unknown scheme "nonesuch"`,
@@ -84,7 +94,7 @@ func TestRunArgs(t *testing.T) {
 func TestParseScheme(t *testing.T) {
 	for name, want := range map[string]struct{ ok bool }{
 		"online": {true}, "abft-d": {true}, "ABFT-Correction": {true},
-		"bogus": {false}, "unprotected": {false}, "": {false},
+		"unprotected": {true}, "bogus": {false}, "": {false},
 	} {
 		_, err := parseScheme(name)
 		if (err == nil) != want.ok {

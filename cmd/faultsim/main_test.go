@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,13 +37,12 @@ func TestRunSmallSweep(t *testing.T) {
 	if lines := strings.Count(strings.TrimSpace(string(data)), "\n"); lines != 6 {
 		t.Fatalf("CSV has %d data rows, want 6", lines)
 	}
-	f, err := os.Open(jsonPath)
+	data, err = os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	records, err := harness.ReadResults(f)
-	if err != nil {
+	var records []harness.Result
+	if err := json.Unmarshal(data, &records); err != nil {
 		t.Fatal(err)
 	}
 	if len(records) != 6 {

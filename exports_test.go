@@ -47,7 +47,7 @@ var exportAllowlist = map[string]string{
 	"core.ErrNotConverged":                   "tests of harness",
 	"core.ErrScale":                          "tests of harness, server",
 	"core.OnlineMaxD":                        "tests of model",
-	"harness.Result.Canonical":               "tests of resbench, server",
+	"harness.Result.Canonical":               "tests of server",
 	"model.OptimalPlacement":                 "roadmap 5: the DP optimum the model is measured against",
 	"obs.ValidTraceID":                       "tests of router, server",
 	"router.TopologySchemaVersion":           "tests of resrouter",

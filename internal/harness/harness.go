@@ -12,12 +12,10 @@
 // — recurrence, preconditioner, one injector per system — and SolveWith, a
 // campaign trial, is its block of one.
 //
-// The experiment packages (internal/sim) define the paper's Table 1 and
-// Figure 1 campaigns as harness scenarios, cmd/resbench lists and runs
-// registered scenarios (optionally sharded across processes, with an
-// aggregator that merges shard outputs), and the smoke campaign's records
-// at one and four workers must merge (resbench's
-// TestRunDeterministicAcrossWorkers).
+// The experiment package (internal/sim) runs the paper's Table 1 and
+// Figure 1 campaigns as harness scenarios, and its commands (modelval,
+// faultsim -json) emit the records; the solve service answers each request
+// with one.
 //
 // Every scenario is deterministic in its seed: a trial is one sequential
 // solve, per-trial injector seeds are fixed by trial index and outcomes land
@@ -43,13 +41,9 @@ import (
 // protection scheme, a fault rate and the seeding. The zero value of every
 // optional field selects a sensible default (see withDefaults).
 type Scenario struct {
-	// Name uniquely identifies the scenario in the registry and in result
-	// records, conventionally path-like: "smoke/cg/abft-correction/poisson2d".
+	// Name identifies the scenario in result records, conventionally
+	// path-like: "figure1/m341/abft-correction/mtbf100".
 	Name string `json:"name"`
-	// Description is a one-line summary for listings.
-	Description string `json:"description,omitempty"`
-	// Tags support substring filtering beyond the name.
-	Tags []string `json:"tags,omitempty"`
 	// Matrix names the matrix source.
 	Matrix MatrixSpec `json:"matrix"`
 	// Solver is cg (default), pcg or bicgstab.
@@ -315,49 +309,6 @@ func RunOn(pl *pool.Pool, a *sparse.CSR, sc Scenario) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Run builds the scenario's matrix, sizes a pool from opt and runs it.
-func Run(sc Scenario, opt RunOptions) (Result, error) {
-	sc = sc.withDefaults()
-	if opt.Seed != 0 {
-		sc.Seed = opt.Seed
-	}
-	if opt.Reps > 0 {
-		sc.Reps = opt.Reps
-	}
-	if opt.Baseline {
-		sc.Baseline = true
-	}
-	if err := sc.Validate(); err != nil {
-		return Result{}, err
-	}
-	a, err := sc.Matrix.Build()
-	if err != nil {
-		return Result{}, fmt.Errorf("harness: %s: %w", sc.Name, err)
-	}
-	pl, done := PoolFor(opt.Workers)
-	defer done()
-	res, err := RunOn(pl, a, sc)
-	if err != nil {
-		return res, err
-	}
-	res.Workers = opt.Workers
-	return res, nil
-}
-
-// RunOptions are the per-invocation knobs of Run, overriding the scenario's
-// own values when set.
-type RunOptions struct {
-	// Workers sizes the worker pool: 0 = the shared GOMAXPROCS pool, 1 =
-	// sequential, otherwise a dedicated pool of that size.
-	Workers int
-	// Seed overrides the scenario seed when nonzero.
-	Seed int64
-	// Reps overrides the scenario repetitions when positive.
-	Reps int
-	// Baseline forces the unprotected reference solve on.
-	Baseline bool
 }
 
 // PoolFor resolves the Workers knob shared by the commands: 0 selects the

@@ -338,79 +338,3 @@ func TestNewMatrixSpec(t *testing.T) {
 		t.Errorf("suite:341 = %+v, %v", ms, err)
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	if len(registered()) == 0 {
-		t.Fatal("built-in catalog must register scenarios")
-	}
-	sc, ok := Lookup("smoke/cg/abft-correction/poisson2d")
-	if !ok {
-		t.Fatal("smoke catalog entry missing")
-	}
-	if sc.Matrix.Gen != "poisson2d" {
-		t.Fatalf("unexpected catalog entry: %+v", sc)
-	}
-	smoke := Match("smoke")
-	if len(smoke) < 6 {
-		t.Fatalf("smoke tier too small: %d", len(smoke))
-	}
-	for i := 1; i < len(smoke); i++ {
-		if smoke[i-1].Name >= smoke[i].Name {
-			t.Fatal("Match must sort by name")
-		}
-	}
-	if n := len(Match("no-such-scenario-xyz")); n != 0 {
-		t.Fatalf("bogus filter matched %d", n)
-	}
-	// Tags participate in matching.
-	if len(Match("ci")) == 0 {
-		t.Fatal("tag filter found nothing")
-	}
-	// Re-registering identically is idempotent; conflicting is an error.
-	if err := register(sc); err != nil {
-		t.Fatalf("idempotent re-register failed: %v", err)
-	}
-	conflict := sc
-	conflict.Alpha = 0.5
-	if err := register(conflict); err == nil {
-		t.Fatal("conflicting re-register must fail")
-	}
-	if err := register(Scenario{}); err == nil {
-		t.Fatal("nameless scenario must fail")
-	}
-}
-
-func TestShard(t *testing.T) {
-	scs := Match("smoke")
-	var merged []Scenario
-	for k := 0; k < 3; k++ {
-		part, err := Shard(scs, "0/1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = part
-	}
-	for k := 0; k < 3; k++ {
-		part, err := Shard(scs, shardSpec(k, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged = append(merged, part...)
-	}
-	if len(merged) != len(scs) {
-		t.Fatalf("shards cover %d of %d scenarios", len(merged), len(scs))
-	}
-	for _, bad := range []string{"x", "1/0", "3/3", "-1/2", "1/2/3"} {
-		if _, err := Shard(scs, bad); err == nil {
-			t.Errorf("Shard(%q) must fail", bad)
-		}
-	}
-	all, err := Shard(scs, "")
-	if err != nil || len(all) != len(scs) {
-		t.Fatal("empty spec must select everything")
-	}
-}
-
-func shardSpec(k, n int) string {
-	return string(rune('0'+k)) + "/" + string(rune('0'+n))
-}

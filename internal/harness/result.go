@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/sparse"
@@ -35,9 +34,9 @@ type Result struct {
 	// Scenario echoes the exact scenario that produced the record (with
 	// defaults resolved), so it can be replayed from the JSON alone.
 	Scenario Scenario `json:"scenario"`
-	// Workers is the size of the trial fan-out the run used (0 = shared
-	// default pool; a shard, which runs one solve per record, stamps 1); it
-	// never changes the record's deterministic fields.
+	// Workers is 1 on a solve service shard's records, which run one solve
+	// each, and 0 on campaign records; it never changes the record's
+	// deterministic fields.
 	Workers int `json:"workers"`
 	// Matrix describes the materialised matrix.
 	Matrix MatrixInfo `json:"matrix"`
@@ -63,7 +62,7 @@ type Result struct {
 	FaultsInjected int64 `json:"faults_injected"`
 	// MeanSimTime is the mean modeled execution time over the trials with
 	// the half-width of its 95% confidence interval; SimTimes keeps the raw
-	// per-trial samples so shard merges can recompute exact statistics.
+	// per-trial samples so a reader can recompute exact statistics.
 	MeanSimTime float64   `json:"mean_sim_time"`
 	CI95SimTime float64   `json:"ci95_sim_time"`
 	SimTimes    []float64 `json:"sim_times"`
@@ -183,7 +182,7 @@ func FormatHash(bits uint64) string {
 
 // Canonical returns the record with its non-deterministic fields zeroed:
 // two canonical records from the same scenario and seed must be identical
-// for any worker count. Tests and Merge compare these.
+// for any worker count. Tests compare these.
 func (r Result) Canonical() Result {
 	r.WallSeconds = 0
 	r.Workers = 0
@@ -192,57 +191,10 @@ func (r Result) Canonical() Result {
 	return r
 }
 
-// WriteResults encodes records as an indented JSON array (the resbench
-// on-disk format).
+// WriteResults encodes records as an indented JSON array (the format of
+// faultsim -json).
 func WriteResults(w io.Writer, rs []Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rs)
-}
-
-// ReadResults decodes a resbench JSON array.
-func ReadResults(r io.Reader) ([]Result, error) {
-	var rs []Result
-	if err := json.NewDecoder(r).Decode(&rs); err != nil {
-		return nil, fmt.Errorf("harness: decoding results: %w", err)
-	}
-	return rs, nil
-}
-
-// Merge combines shard outputs from a campaign split across processes into
-// one sorted record set. Records for the same scenario must agree in
-// canonical form (they are deduplicated); a conflict — two shards claiming
-// the same scenario with different deterministic content — is an error,
-// because it means the shards did not run the same code or seeds.
-func Merge(shards ...[]Result) ([]Result, error) {
-	byName := make(map[string]Result)
-	var order []string
-	for _, shard := range shards {
-		for _, r := range shard {
-			name := r.Scenario.Name
-			prev, ok := byName[name]
-			if !ok {
-				byName[name] = r
-				order = append(order, name)
-				continue
-			}
-			a, err := json.Marshal(prev.Canonical())
-			if err != nil {
-				return nil, err
-			}
-			b, err := json.Marshal(r.Canonical())
-			if err != nil {
-				return nil, err
-			}
-			if string(a) != string(b) {
-				return nil, fmt.Errorf("harness: conflicting results for scenario %q", name)
-			}
-		}
-	}
-	sort.Strings(order)
-	out := make([]Result, 0, len(order))
-	for _, name := range order {
-		out = append(out, byName[name])
-	}
-	return out, nil
 }

@@ -112,51 +112,6 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMergeShards(t *testing.T) {
-	mk := func(name string, mean float64) Result {
-		return Result{
-			Schema:      SchemaVersion,
-			Scenario:    Scenario{Name: name},
-			MeanSimTime: mean,
-			WallSeconds: mean * 10, // differs per shard; canonical ignores it
-		}
-	}
-	merged, err := Merge(
-		[]Result{mk("b", 2), mk("a", 1)},
-		[]Result{mk("c", 3), mk("a", 1)},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 3 {
-		t.Fatalf("merged %d records, want 3", len(merged))
-	}
-	for i, want := range []string{"a", "b", "c"} {
-		if merged[i].Scenario.Name != want {
-			t.Fatalf("merge order: %v", merged)
-		}
-	}
-	// Same scenario, different deterministic content: conflict.
-	if _, err := Merge([]Result{mk("a", 1)}, []Result{mk("a", 99)}); err == nil {
-		t.Fatal("conflicting shards must fail to merge")
-	}
-	// Same scenario, different wall time only: fine (deduplicated).
-	r1, r2 := mk("a", 1), mk("a", 1)
-	r2.WallSeconds = 1234
-	merged, err = Merge([]Result{r1}, []Result{r2})
-	if err != nil || len(merged) != 1 {
-		t.Fatalf("wall-time-only difference must dedupe: %v, %v", merged, err)
-	}
-	// Same scenario served by two different shards (a failover): the
-	// shard label is provenance, not content — never a merge conflict.
-	r1, r2 = mk("a", 1), mk("a", 1)
-	r1.Shard, r2.Shard = "s0", "s2"
-	merged, err = Merge([]Result{r1}, []Result{r2})
-	if err != nil || len(merged) != 1 {
-		t.Fatalf("shard-only difference must dedupe: %v, %v", merged, err)
-	}
-}
-
 func TestHashHistory(t *testing.T) {
 	h1 := HashHistory([]float64{1, 2, 3})
 	h2 := HashHistory([]float64{1, 2, 3})

@@ -783,13 +783,7 @@ func (r *Router) routerz() api.RouterzResponse {
 	for n := range r.shards {
 		names = append(names, n)
 	}
-	// The names are distinct, so a stable sort orders them as sort.Strings
-	// would. It is the binary's last user of sort's stable merge, whose
-	// 1 888 bytes of code the linker places ahead of the solver kernels:
-	// without them every kernel moves by 32 bytes mod 64, which read as a
-	// 26 % higher protection overhead in the benchmark's solve_clean
-	// workload on a 2-core Xeon.
-	sort.SliceStable(names, func(i, j int) bool { return names[i] < names[j] })
+	sort.Strings(names)
 	statuses := make([]api.ShardStatus, 0, len(names))
 	healthy := 0
 	for _, n := range names {

@@ -50,8 +50,7 @@ const maxBodyBytes = 64 << 20
 
 // solveWorkers is what the "workers" field of a result record and of
 // /v1/statusz reads: a solve runs on one core. The field stays on the wire
-// (harness.Result.Workers is resbench's fan-out size) until a schema bump
-// can drop it.
+// until a schema bump can drop it.
 const solveWorkers = 1
 
 // The shard's fixed limits.

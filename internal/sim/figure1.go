@@ -59,7 +59,6 @@ func (c Figure1Config) withDefaults() Figure1Config {
 func (c Figure1Config) cellScenario(mi int, sm harness.SuiteMatrix, scheme core.Scheme, xi int, mtbf float64) harness.Scenario {
 	return harness.Scenario{
 		Name: fmt.Sprintf("figure1/m%d/%s/mtbf%g", sm.ID, harness.SchemeSlug(scheme), mtbf),
-		Tags: []string{"figure1", "campaign"},
 		Matrix: harness.MatrixSpec{
 			Gen: "suite", ID: sm.ID, Scale: c.Scale,
 		},
@@ -70,22 +69,6 @@ func (c Figure1Config) cellScenario(mi int, sm harness.SuiteMatrix, scheme core.
 		Reps:   c.Reps,
 		Seed:   c.Seed + int64(mi*100000+int(scheme)*10000+xi*100),
 	}.WithRHSSeed(c.Seed + int64(sm.ID))
-}
-
-// Figure1Scenarios expands the sweep into its harness scenarios — one per
-// (matrix, scheme, MTBF) cell — for registration and sharded execution.
-// The position indices follow the given suite slice.
-func (c Figure1Config) Figure1Scenarios(suite []harness.SuiteMatrix) []harness.Scenario {
-	c = c.withDefaults()
-	var out []harness.Scenario
-	for mi, sm := range suite {
-		for _, scheme := range core.Schemes {
-			for xi, x := range c.MTBFs {
-				out = append(out, c.cellScenario(mi, sm, scheme, xi, x))
-			}
-		}
-	}
-	return out
 }
 
 // Figure1Point is one (MTBF, scheme) cell: the mean execution time and the
@@ -108,8 +91,7 @@ type Figure1Series struct {
 // cell runs as a harness scenario (matrix built once per suite entry, trials
 // fanned out across the pool) and its record folds into the series. It
 // returns both the folded series and the raw harness records of every cell,
-// for the machine-readable pipeline (faultsim -json, CI artifacts, shard
-// merges).
+// for the machine-readable pipeline (faultsim -json).
 func RunFigure1Results(cfg Figure1Config, suite []harness.SuiteMatrix) ([]Figure1Series, []harness.Result) {
 	cfg = cfg.withDefaults()
 	pl, done := harness.PoolFor(cfg.Workers)

@@ -64,7 +64,6 @@ func (c Table1Config) withDefaults() Table1Config {
 func (c Table1Config) cellScenario(mi int, sm harness.SuiteMatrix, si int, scheme core.Scheme, s int) harness.Scenario {
 	return harness.Scenario{
 		Name: fmt.Sprintf("table1/m%d/%s/s%d", sm.ID, harness.SchemeSlug(scheme), s),
-		Tags: []string{"table1", "campaign"},
 		Matrix: harness.MatrixSpec{
 			Gen: "suite", ID: sm.ID, Scale: c.Scale,
 		},
@@ -77,22 +76,6 @@ func (c Table1Config) cellScenario(mi int, sm harness.SuiteMatrix, si int, schem
 		Reps:   c.Reps,
 		Seed:   c.Seed + int64(mi*1000+si*100),
 	}.WithRHSSeed(c.Seed + int64(sm.ID))
-}
-
-// Table1Scenarios expands the experiment into its model-interval harness
-// scenarios (s = 0 lets the driver choose s̃ via Eq. (6)) — the registered
-// entry points; RunTable1 additionally scans the s* neighbourhood grid.
-func (c Table1Config) Table1Scenarios(suite []harness.SuiteMatrix) []harness.Scenario {
-	c = c.withDefaults()
-	var out []harness.Scenario
-	for mi, sm := range suite {
-		for si, scheme := range []core.Scheme{core.ABFTDetection, core.ABFTCorrection} {
-			sc := c.cellScenario(mi, sm, si, scheme, 0)
-			sc.Name = fmt.Sprintf("table1/m%d/%s/model-s", sm.ID, harness.SchemeSlug(scheme))
-			out = append(out, sc)
-		}
-	}
-	return out
 }
 
 // SchemeEval holds the Table-1 cells for one scheme on one matrix.
