@@ -13,9 +13,9 @@
 // campaign trial, is its block of one.
 //
 // The experiment package (internal/sim) runs the paper's Table 1 and
-// Figure 1 campaigns as harness scenarios, and its commands (modelval,
-// faultsim -json) emit the records; the solve service answers each request
-// with one.
+// Figure 1 campaigns (cmd/modelval, cmd/faultsim) as harness scenarios, and
+// faultsim -json writes their records; the solve service answers each
+// request with one.
 //
 // Every scenario is deterministic in its seed: a trial is one sequential
 // solve, per-trial injector seeds are fixed by trial index and outcomes land

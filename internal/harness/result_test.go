@@ -129,3 +129,22 @@ func TestHashHistory(t *testing.T) {
 		t.Fatal("length must be part of the hash")
 	}
 }
+
+// TestCanonicalIgnoresProvenance: two records of the same solve that differ
+// only in wall time, worker count, serving shard or trace are one canonical
+// record; a difference in content is not.
+func TestCanonicalIgnoresProvenance(t *testing.T) {
+	a := Result{Schema: SchemaVersion, Scenario: Scenario{Name: "a"}, MeanSimTime: 1,
+		WallSeconds: 10, Workers: 1, Shard: "s0", TraceID: "t0"}
+	b := a
+	b.WallSeconds, b.Workers, b.Shard, b.TraceID = 1234, 4, "s2", "t1"
+	ja, _ := json.Marshal(a.Canonical())
+	jb, _ := json.Marshal(b.Canonical())
+	if string(ja) != string(jb) {
+		t.Fatalf("provenance-only difference survived Canonical:\n%s\n%s", ja, jb)
+	}
+	b.MeanSimTime = 99
+	if jb, _ = json.Marshal(b.Canonical()); string(ja) == string(jb) {
+		t.Fatal("Canonical must keep the record's content")
+	}
+}
