@@ -38,10 +38,11 @@ func runOn(t *testing.T, sc Scenario) Result {
 // TestRunOnDeterministicAcrossWorkers is the core harness guarantee: the
 // canonical record (wall time excluded) is bitwise identical whether the
 // scenario runs sequentially or fanned out across pools of any size. The
-// cells cover every solver, every scheme, four generators, faulty and
-// fault-free runs and the unprotected reference solve.
+// "smoke" group holds the seven cells of the former smoke campaign; with
+// the test scenario they cover every solver, every scheme, four generators,
+// faulty and fault-free runs and the unprotected reference solve.
 func TestRunOnDeterministicAcrossWorkers(t *testing.T) {
-	cells := []Scenario{testScenario()}
+	var cells []Scenario
 	for _, scheme := range []string{"unprotected", "online-detection", "abft-detection", "abft-correction"} {
 		alpha := 1.0 / 64
 		if scheme == "unprotected" {
@@ -90,7 +91,7 @@ func TestRunOnDeterministicAcrossWorkers(t *testing.T) {
 			Baseline: true,
 		},
 	)
-	for _, sc := range cells {
+	check := func(t *testing.T, sc Scenario) {
 		t.Run(sc.Name, func(t *testing.T) {
 			a, err := sc.Matrix.Build()
 			if err != nil {
@@ -122,6 +123,12 @@ func TestRunOnDeterministicAcrossWorkers(t *testing.T) {
 			}
 		})
 	}
+	check(t, testScenario())
+	t.Run("smoke", func(t *testing.T) {
+		for _, sc := range cells {
+			check(t, sc)
+		}
+	})
 }
 
 // TestRunBuildsMatrixAndEchoesScenario checks the record RunOn assembles:
