@@ -187,6 +187,8 @@ type Protected struct {
 	tolX1Fac, tolX2Fac float64 // × ‖x‖∞, covers C_rᵀx rounding incl. shift
 	tolY1Fac, tolY2Fac float64 // × ‖y‖∞, covers w_rᵀy rounding
 	tolP1Fac, tolP2Fac float64 // × ‖x‖∞, covers the reference-sum defects
+	// Added to the dx tolerances: the underflow of the products (see encode).
+	tolX1Min, tolX2Min float64
 
 	// ySums and xSums are w_rᵀy and w_rᵀx as the last pass of defects summed
 	// them.
@@ -252,6 +254,14 @@ func (p *Protected) encode() {
 	p.tolY2Fac = g * n * n
 	p.tolP1Fac = g * n
 	p.tolP2Fac = g * n * n
+	// Eq. (9) bounds relative rounding. Under gradual underflow a
+	// multiplication can also be off by half the smallest subnormal, however
+	// small its operands: nnz of them in y, weighted up to ‖w_r‖∞ in w_rᵀy,
+	// and n in C_rᵀx. (Sums of subnormals are exact, and so is an integer
+	// weight times one, so the reference sums of x need no such term.)
+	nnz := float64(len(p.A.Val))
+	p.tolX1Min = (nnz + n) * 0x1p-1074
+	p.tolX2Min = (n*nnz + n) * 0x1p-1074
 }
 
 // SetPolicy selects the tolerance policy (TolNorm by default).
@@ -485,8 +495,8 @@ const normStride = 16
 func (p *Protected) normTolerances(y, x []float64, dx1, dx2, dxp1, dxp2 float64) (tolx1, tolx2, tolp1, tolp2 float64) {
 	for _, stride := range [2]int{normStride, 1} {
 		normX, normY := maxAbsEvery(stride, x), maxAbsEvery(stride, y)
-		tolx1 = p.tolX1Fac*normX + p.tolY1Fac*normY
-		tolx2 = p.tolX2Fac*normX + p.tolY2Fac*normY
+		tolx1 = p.tolX1Fac*normX + p.tolY1Fac*normY + p.tolX1Min
+		tolx2 = p.tolX2Fac*normX + p.tolY2Fac*normY + p.tolX2Min
 		tolp1 = p.tolP1Fac * normX
 		tolp2 = p.tolP2Fac * normX
 		if within(dx1, tolx1) && within(dx2, tolx2) && within(dxp1, tolp1) && within(dxp2, tolp2) {

@@ -148,7 +148,7 @@ func FuzzProtectedProducts(f *testing.F) {
 // exactTolerances returns the four defects and tolerances of a product as
 // they were computed before the tolerances became lazy, from standalone
 // loops: the sums of checksum.Sums and of vec.Dot, Eq. (9) at vec.NormInf's
-// exact max-norms under TolNorm, the rounding masses of ToleranceComponentBoth,
+// exact max-norms (plus the underflow term) under TolNorm, the rounding masses of ToleranceComponentBoth,
 // roundTolY and VectorTolerance under TolComponent. Row 2 is zero in Detect
 // mode, as in defects.
 func exactTolerances(p *Protected, y, x []float64, xRef checksum.Vector) (d, tol [4]float64) {
@@ -161,7 +161,7 @@ func exactTolerances(p *Protected, y, x []float64, xRef checksum.Vector) (d, tol
 		tol = [4]float64{tx1 + roundTolY(y, 1), tx2 + roundTolY(y, 2), tp1, tp2}
 	} else {
 		nx, ny := vec.NormInf(x), vec.NormInf(y)
-		tol = [4]float64{p.tolX1Fac*nx + p.tolY1Fac*ny, p.tolX2Fac*nx + p.tolY2Fac*ny, p.tolP1Fac * nx, p.tolP2Fac * nx}
+		tol = [4]float64{p.tolX1Fac*nx + p.tolY1Fac*ny + p.tolX1Min, p.tolX2Fac*nx + p.tolY2Fac*ny + p.tolX2Min, p.tolP1Fac * nx, p.tolP2Fac * nx}
 	}
 	if p.mode == Detect {
 		d[1], d[3], tol[1], tol[3] = 0, 0, 0, 0
