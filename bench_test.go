@@ -6,7 +6,7 @@
 //	BenchmarkSpMxV*     — the Section 3.2 overhead claims (protected vs
 //	                      plain product, checksum setup amortisation).
 //	Benchmark*Ablation* — the Section 5.1 design choices (ones vs random
-//	                      weight vectors, norm vs componentwise tolerance).
+//	                      weight vectors, the cost of Eq. (9)'s check).
 //
 // The experiment benchmarks default to downscaled matrices so a full
 // `go test -bench=.` stays tractable; the cmd/faultsim and cmd/modelval
@@ -282,20 +282,12 @@ func TestGeneralMatrixChecksum(t *testing.T) {
 	}
 }
 
+// BenchmarkToleranceAblationNorm prices one fault-free Verify — the
+// defects and their Eq. (9) tolerances — on suite matrix 341.
 func BenchmarkToleranceAblationNorm(b *testing.B) {
 	b.ReportAllocs()
-	benchTolerance(b, abft.TolNorm)
-}
-
-func BenchmarkToleranceAblationComponent(b *testing.B) {
-	b.ReportAllocs()
-	benchTolerance(b, abft.TolComponent)
-}
-
-func benchTolerance(b *testing.B, policy abft.TolerancePolicy) {
 	m, _ := benchMatrix(b, 341)
 	p := abft.NewProtected(m.a, abft.DetectCorrect)
-	p.SetPolicy(policy)
 	x := randVec(m.a.Rows, 1)
 	ref := checksum.NewVector(x)
 	y := make([]float64, m.a.Rows)

@@ -55,6 +55,33 @@ func TestRunSmallSweep(t *testing.T) {
 	}
 }
 
+// TestCellNamesCarryRoundMTBFs: the three log-spaced points of a default
+// sweep are named by their MTBFs, not by the rounding noise of LogSpace.
+func TestCellNamesCarryRoundMTBFs(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "fig1.json")
+	args := []string{"-scale", "128", "-reps", "1", "-points", "3", "-matrices", "341", "-q", "-json", jsonPath}
+	if err := run(args, &bytes.Buffer{}, &bytes.Buffer{}); err != nil {
+		t.Fatalf("run(%v) failed: %v", args, err)
+	}
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []harness.Result
+	if err := json.Unmarshal(data, &records); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"/mtbf100", "/mtbf1000", "/mtbf10000"}
+	if len(records) != 3*len(want) {
+		t.Fatalf("JSON has %d records, want 3 schemes x %d points", len(records), len(want))
+	}
+	for i, r := range records {
+		if name := r.Scenario.Name; !strings.HasSuffix(name, want[i%len(want)]) {
+			t.Errorf("record %d is named %q, want a name ending in %q", i, name, want[i%len(want)])
+		}
+	}
+}
+
 func TestRunBadArgs(t *testing.T) {
 	cases := []struct {
 		args    []string

@@ -20,46 +20,41 @@ import (
 // package's non-test code names, each with the reason it stays exported.
 // A reason starts with one of exportReasonKinds.
 var exportAllowlist = map[string]string{
-	"abft.Protected.SetPolicy":               "roadmap 5: the tolerance policy is item 5's decision",
-	"abft.Protected.Stats":                   "tests of core",
-	"abft.Stats":                             "tests of core",
-	"abft.TolComponent":                      "roadmap 5: the tolerance policy is item 5's decision",
-	"abft.TolNorm":                           "roadmap 5: the tolerance policy is item 5's decision",
-	"abft.TolerancePolicy":                   "roadmap 5: the tolerance policy is item 5's decision",
-	"api.Client.AdminAddShard":               "tests of router",
-	"api.Client.AdminAddShardWeighted":       "tests of router",
-	"api.Client.AdminDrainShard":             "tests of router, resrouter",
-	"api.Client.AdminRemoveShard":            "tests of router",
-	"api.Client.AdminTopology":               "tests of router",
-	"api.Client.Tracez":                      "tests of router, server",
-	"api.MaxBatchRHS":                        "tests of server",
-	"api.NewSSEReader":                       "tests of server",
-	"api.SSEReader":                          "tests of server",
-	"api.SSEReader.LastFrameData":            "tests of server",
-	"api.SSEReader.Next":                     "tests of server",
-	"api.SolveEvent.Terminal":                "tests of server",
-	"api.WithAdminToken":                     "tests of router, resrouter",
-	"checksum.ErrNoShift":                    "tests of abft, api, core, harness, server",
-	"checksum.Matrix.ToleranceComponentBoth": "tests of abft",
-	"checksum.Vector.Defect":                 "tests of abft",
-	"checksum.VectorTolerance":               "tests of abft",
-	"core.ErrBreakdown":                      "tests of harness, server",
-	"core.ErrNotConverged":                   "tests of harness",
-	"core.ErrScale":                          "tests of harness, server",
-	"core.OnlineMaxD":                        "tests of model",
-	"harness.Result.Canonical":               "tests of server",
-	"model.OptimalPlacement":                 "roadmap 5: the DP optimum the model is measured against",
-	"obs.ValidTraceID":                       "tests of router, server",
-	"router.TopologySchemaVersion":           "tests of resrouter",
-	"solver.BiCGstab":                        "reference: the unprotected BiCGstab core's tests compare against",
-	"solver.CG":                              "reference: the unprotected CG core's tests compare against",
-	"solver.Result":                          "reference: what CG and BiCGstab return",
-	"sparse.CSR.At":                          "tests of precond",
-	"sparse.CSR.Equal":                       "tests of abft, checkpoint, core, fault, harness, precond, sim",
-	"sparse.CSR.IsSymmetric":                 "tests of precond, sim",
-	"sparse.Dense":                           "tests of abft, checksum, core, precond, solver",
-	"vec.BlockSize":                          "tests of core, tmr, cgsolve and the root",
-	"vec.NormInf":                            "tests of abft, core, solver",
+	"abft.Protected.Stats":             "tests of core",
+	"abft.Stats":                       "tests of core",
+	"api.Client.AdminAddShard":         "tests of router",
+	"api.Client.AdminAddShardWeighted": "tests of router",
+	"api.Client.AdminDrainShard":       "tests of router, resrouter",
+	"api.Client.AdminRemoveShard":      "tests of router",
+	"api.Client.AdminTopology":         "tests of router",
+	"api.Client.Tracez":                "tests of router, server",
+	"api.MaxBatchRHS":                  "tests of server",
+	"api.NewSSEReader":                 "tests of server",
+	"api.SSEReader":                    "tests of server",
+	"api.SSEReader.LastFrameData":      "tests of server",
+	"api.SSEReader.Next":               "tests of server",
+	"api.SolveEvent.Terminal":          "tests of server",
+	"api.WithAdminToken":               "tests of router, resrouter",
+	"checksum.ErrNoShift":              "tests of abft, api, core, harness, server",
+	"checksum.Vector.Defect":           "tests of abft",
+	"checksum.VectorTolerance":         "tests of abft",
+	"core.ErrBreakdown":                "tests of harness, server",
+	"core.ErrNotConverged":             "tests of harness",
+	"core.ErrScale":                    "tests of harness, server",
+	"core.OnlineMaxD":                  "tests of model",
+	"harness.Result.Canonical":         "tests of server",
+	"model.OptimalPlacement":           "roadmap 5: the DP optimum the model is measured against",
+	"obs.ValidTraceID":                 "tests of router, server",
+	"router.TopologySchemaVersion":     "tests of resrouter",
+	"solver.BiCGstab":                  "reference: the unprotected BiCGstab core's tests compare against",
+	"solver.CG":                        "reference: the unprotected CG core's tests compare against",
+	"solver.Result":                    "reference: what CG and BiCGstab return",
+	"sparse.CSR.At":                    "tests of precond",
+	"sparse.CSR.Equal":                 "tests of abft, checkpoint, core, fault, harness, precond, sim",
+	"sparse.CSR.IsSymmetric":           "tests of precond, sim",
+	"sparse.Dense":                     "tests of abft, checksum, core, precond, solver",
+	"vec.BlockSize":                    "tests of core, tmr, cgsolve and the root",
+	"vec.NormInf":                      "tests of abft, core, solver",
 }
 
 // exportReasonKinds are the reasons an export without a caller may keep:

@@ -145,23 +145,6 @@ type Stats struct {
 	Encodings    int64 // O(nnz) builds of the checksum encoding, the arming one included
 }
 
-// TolerancePolicy selects how the rounding tolerances of the checksum
-// comparisons are computed.
-type TolerancePolicy int
-
-const (
-	// TolNorm uses the paper's Eq. (9): a norm bound whose matrix part is
-	// precomputed once, so each verification costs only the max-norms of x
-	// and y. Looser (more false negatives on low-order bit flips, which the
-	// paper shows are harmless) but cheap — this is the default, matching
-	// the paper's choice and its cost model.
-	TolNorm TolerancePolicy = iota
-	// TolComponent uses the componentwise bound of Eq. (7) with
-	// precomputed |w|ᵀ|A| rows: tighter by orders of magnitude but costs an
-	// extra O(n) pass per verification. Used by the ablation experiments.
-	TolComponent
-)
-
 // Protected wraps a live (corruptible) CSR matrix with its reliable
 // checksum encoding.
 type Protected struct {
@@ -179,11 +162,13 @@ type Protected struct {
 	// copy there is; Renew clears it.
 	Valid *sparse.CSR
 
-	mode   Mode
-	policy TolerancePolicy
-	stats  Stats
+	mode  Mode
+	stats Stats
 
-	// Precomputed norm-tolerance factors (TolNorm): tol = factor · ‖·‖∞.
+	// Precomputed Eq. (9) factors: tol = factor · ‖·‖∞. Eq. (9) is the
+	// paper's norm bound, so a verification costs only the max-norms of x
+	// and y; a low-order flip it lets through is the paper's harmless false
+	// negative.
 	tolX1Fac, tolX2Fac float64 // × ‖x‖∞, covers C_rᵀx rounding incl. shift
 	tolY1Fac, tolY2Fac float64 // × ‖y‖∞, covers w_rᵀy rounding
 	tolP1Fac, tolP2Fac float64 // × ‖x‖∞, covers the reference-sum defects
@@ -210,7 +195,7 @@ const positionEps = 1e-8
 const tolSafety = 4
 
 // NewProtected computes the checksum encoding of a (assumed fault-free at
-// this moment) and returns the protected wrapper with the TolNorm policy.
+// this moment) and returns the protected wrapper.
 func NewProtected(a *sparse.CSR, mode Mode) *Protected {
 	p := &Protected{
 		A:    a,
@@ -221,14 +206,13 @@ func NewProtected(a *sparse.CSR, mode Mode) *Protected {
 }
 
 // Renew re-targets a protected wrapper at a (possibly different) live
-// matrix, resetting mode, policy, tolerances and statistics to the state a
+// matrix, resetting mode, tolerances and statistics to the state a
 // fresh NewProtected would produce while reusing the checksum storage.
 // Workspaces use it so repeated protected solves allocate nothing.
 func (p *Protected) Renew(a *sparse.CSR, mode Mode) {
 	p.A = a
 	p.Valid = nil
 	p.mode = mode
-	p.policy = TolNorm
 	p.stats = Stats{}
 	p.encode()
 }
@@ -263,9 +247,6 @@ func (p *Protected) encode() {
 	p.tolX1Min = (nnz + n) * 0x1p-1074
 	p.tolX2Min = (n*nnz + n) * 0x1p-1074
 }
-
-// SetPolicy selects the tolerance policy (TolNorm by default).
-func (p *Protected) SetPolicy(policy TolerancePolicy) { p.policy = policy }
 
 // Stats returns a copy of the accumulated statistics.
 func (p *Protected) Stats() Stats { return p.stats }
@@ -377,9 +358,9 @@ func (p *Protected) mulVec4(ys, xs [][]float64) RowSums {
 // This is the fused verification kernel: the weighted sums of y, C₁ᵀx, C₂ᵀx
 // and the reference sums of x come from ONE loop that reads y and x side by
 // side — a sum is a serial chain of additions, so the chains of y and those
-// of x overlap instead of queueing — and what the tolerances need from a
-// second one: under TolComponent the six rounding masses, under TolNorm the
-// two max-norms, and those only for a defect that needs them (normTolerances).
+// of x overlap instead of queueing — and the Eq. (9) tolerances from the
+// max-norms of a second one, taken only for a defect that needs them
+// (normTolerances).
 // Each accumulator keeps the exact summation order of its former standalone
 // loop, so every defect and tolerance — and therefore every detection
 // outcome — is bitwise unchanged. y and x must have the matrix dimension
@@ -412,30 +393,6 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 	dx2 = sy2 - c2x
 	dxp1 = xRef.S1 - sx1
 	dxp2 = xRef.S2 - sx2
-
-	if p.policy == TolComponent {
-		// Componentwise bound (paper Eq. (7)) plus the rounding mass of the
-		// weighted sums of y — the same quantities ToleranceComponentBoth,
-		// roundTolY and VectorTolerance produce.
-		absC1, absC2 := sized(p.CS.AbsC1, n), sized(p.CS.AbsC2, n)
-		var ay1, ay2, ac1, ac2, ax1, ax2 float64
-		for i, v := range y {
-			av, ax, w := math.Abs(v), math.Abs(x[i]), float64(i+1)
-			ay1 += av
-			ay2 += w * av
-			ac1 += absC1[i] * ax
-			ac2 += absC2[i] * ax
-			ax1 += ax
-			ax2 += w * ax
-		}
-		gM := 2 * checksum.Gamma(2*n)
-		gV := 2 * checksum.Gamma(n)
-		tolx1 = gM*(ac1+math.Abs(p.CS.K)*ax1) + gV*ay1
-		tolx2 = gM*ac2 + gV*ay2
-		tolp1 = gV * ax1
-		tolp2 = gV * ax2
-		return
-	}
 	tolx1, tolx2, tolp1, tolp2 = p.normTolerances(y, x, dx1, dx2, dxp1, dxp2)
 	return
 }
@@ -457,21 +414,6 @@ func (p *Protected) defectsRow1(y, x []float64, xRef checksum.Vector) (dx1, tolx
 	p.ySums, p.xSums = checksum.Vector{S1: sy1}, checksum.Vector{S1: sx1}
 	dx1 = sy1 - c1x
 	dxp1 = xRef.S1 - sx1
-
-	if p.policy == TolComponent {
-		absC1 := sized(p.CS.AbsC1, n)
-		var ay1, ac1, ax1 float64
-		for i, v := range y {
-			ax := math.Abs(x[i])
-			ay1 += math.Abs(v)
-			ac1 += absC1[i] * ax
-			ax1 += ax
-		}
-		gV := 2 * checksum.Gamma(n)
-		tolx1 = 2*checksum.Gamma(2*n)*(ac1+math.Abs(p.CS.K)*ax1) + gV*ay1
-		tolp1 = gV * ax1
-		return
-	}
 	tolx1, _, tolp1, _ = p.normTolerances(y, x, dx1, 0, dxp1, 0)
 	return
 }
@@ -480,9 +422,9 @@ func (p *Protected) defectsRow1(y, x []float64, xRef checksum.Vector) (dx1, tolx
 const normStride = 16
 
 // normTolerances returns tolerances under which the four defects get the
-// verdict of TolNorm (paper Eq. (9): precomputed matrix factors times ‖x‖∞
-// and ‖y‖∞). The verdict comes first, the norms on demand: the factors are
-// non-negative and rounding is monotone, so Eq. (9) evaluated at LOWER bounds
+// verdict of Eq. (9) (precomputed matrix factors times ‖x‖∞ and ‖y‖∞). The
+// verdict comes first, the norms on demand: the factors are non-negative and
+// rounding is monotone, so Eq. (9) evaluated at LOWER bounds
 // of the two norms — the largest magnitude in a strided sample — is a lower
 // bound of the exact tolerance, and a finite defect within the lower bound is
 // within the exact one. A fault-free product's defects are rounding noise,
@@ -537,19 +479,6 @@ func maxAbs(m, v float64) float64 {
 		return -v
 	}
 	return m
-}
-
-// roundTolY bounds the rounding of the weighted sum of y itself.
-func roundTolY(y []float64, row int) float64 {
-	var s float64
-	for i, v := range y {
-		av := math.Abs(v)
-		if row == 2 {
-			av *= float64(i + 1)
-		}
-		s += av
-	}
-	return 2 * checksum.Gamma(len(y)) * s
 }
 
 // Verify runs the checksum tests on a completed product and, in
@@ -667,7 +596,8 @@ func nearestInt(v float64) (int, bool) {
 //
 // The shift k makes errors striking x detectable even in columns whose
 // unshifted checksum is zero (e.g. every column of a graph Laplacian).
-// It returns true when both tests pass within the rounding tolerance.
+// It returns true when both tests pass within the row-1 tolerance of Eq. (9)
+// at the exact max-norms (tolX1Fac covers the shift), underflow term included.
 func (p *Protected) ShiftedTest(y, x, xPrime []float64) bool {
 	sy, _ := checksum.Sums(y)
 	sx, _ := checksum.Sums(x)
@@ -680,17 +610,10 @@ func (p *Protected) ShiftedTest(y, x, xPrime []float64) bool {
 		lhs += c * x[j]
 		lhsPrime += c * xPrime[j]
 	}
-	tol := p.CS.ToleranceComponent(1, x) + roundTolY(y, 1) + 2*checksum.Gamma(len(x))*math.Abs(k)*sumAbs(x)
-	tolPrime := p.CS.ToleranceComponent(1, xPrime) + roundTolY(y, 1) + 2*checksum.Gamma(len(x))*math.Abs(k)*sumAbs(xPrime)
+	tolY := p.tolY1Fac*maxAbsEvery(1, y) + p.tolX1Min
+	tol := p.tolX1Fac*maxAbsEvery(1, x) + tolY
+	tolPrime := p.tolX1Fac*maxAbsEvery(1, xPrime) + tolY
 	return math.Abs(lhs-rhs) <= tol && math.Abs(lhsPrime-rhs) <= tolPrime
-}
-
-func sumAbs(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
 }
 
 // FlopsMulVec returns the flop count of the protected product itself

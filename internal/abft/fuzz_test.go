@@ -148,21 +148,14 @@ func FuzzProtectedProducts(f *testing.F) {
 // exactTolerances returns the four defects and tolerances of a product as
 // they were computed before the tolerances became lazy, from standalone
 // loops: the sums of checksum.Sums and of vec.Dot, Eq. (9) at vec.NormInf's
-// exact max-norms (plus the underflow term) under TolNorm, the rounding masses of ToleranceComponentBoth,
-// roundTolY and VectorTolerance under TolComponent. Row 2 is zero in Detect
-// mode, as in defects.
+// exact max-norms plus the underflow term. Row 2 is zero in Detect mode, as
+// in defects.
 func exactTolerances(p *Protected, y, x []float64, xRef checksum.Vector) (d, tol [4]float64) {
 	sy1, sy2 := checksum.Sums(y)
 	sx1, sx2 := checksum.Sums(x)
 	d = [4]float64{sy1 - vec.Dot(p.CS.C1, x), sy2 - vec.Dot(p.CS.C2, x), xRef.S1 - sx1, xRef.S2 - sx2}
-	if p.policy == TolComponent {
-		tx1, tx2 := p.CS.ToleranceComponentBoth(x)
-		tp1, tp2 := checksum.VectorTolerance(x)
-		tol = [4]float64{tx1 + roundTolY(y, 1), tx2 + roundTolY(y, 2), tp1, tp2}
-	} else {
-		nx, ny := vec.NormInf(x), vec.NormInf(y)
-		tol = [4]float64{p.tolX1Fac*nx + p.tolY1Fac*ny + p.tolX1Min, p.tolX2Fac*nx + p.tolY2Fac*ny + p.tolX2Min, p.tolP1Fac * nx, p.tolP2Fac * nx}
-	}
+	nx, ny := vec.NormInf(x), vec.NormInf(y)
+	tol = [4]float64{p.tolX1Fac*nx + p.tolY1Fac*ny + p.tolX1Min, p.tolX2Fac*nx + p.tolY2Fac*ny + p.tolX2Min, p.tolP1Fac * nx, p.tolP2Fac * nx}
 	if p.mode == Detect {
 		d[1], d[3], tol[1], tol[3] = 0, 0, 0, 0
 	}
@@ -207,13 +200,14 @@ func exactVerify(p *Protected, y, x []float64, xRef checksum.Vector, sr RowSums)
 // the verdict of the evidence in full. Protected.Verify, whose Eq. (9)
 // tolerances come from a strided sample of the operands unless a defect
 // needs the exact norms, returns the Outcome and leaves the bits in A, x and
-// y that exactVerify does — in both modes, under both policies, with and
-// without a valid copy, fault-free and with one bit flipped in Val, Colid,
+// y that exactVerify does — in both modes, with and without a valid copy, fault-free and with one bit flipped in Val, Colid,
 // Rowidx, x or y — on operands built to defeat the sample: a unit vector
 // whose spike the stride steps over, an all-zero x, a row scaled by 1e12,
 // NaN, ±Inf and −0 entries. VectorGuard.Check, which computes no tolerance
 // for a defect of exactly zero, agrees with the always-both-passes
-// twoPassCheck on the same x, struck and unstruck.
+// twoPassCheck on the same x, struck and unstruck. Of knobs, bit 0 picks the
+// mode and bit 2 the valid copy; bit 1 is unused (it chose a tolerance
+// policy once, and the seeds keep it).
 func FuzzVerdicts(f *testing.F) {
 	for shape := 0; shape < 6; shape++ {
 		for target := 0; target < 6; target++ {
@@ -228,7 +222,6 @@ func FuzzVerdicts(f *testing.F) {
 		n = 1 + int(uint(n)%160)
 		rng := rand.New(rand.NewSource(seed))
 		mode := Mode(knobs % 2)
-		policy := TolerancePolicy(knobs / 2 % 2)
 
 		// A square matrix of 0 to 5 nonzeros a row, its diagonal always set.
 		a := &sparse.CSR{Rows: n, Cols: n, Rowidx: make([]int, n+1)}
@@ -288,7 +281,6 @@ func FuzzVerdicts(f *testing.F) {
 		}
 		run := func(verify func(p *Protected, y, x []float64, xRef checksum.Vector, sr RowSums) Outcome) (Outcome, *Protected, []float64, []float64) {
 			p := NewProtected(a.Clone(), mode)
-			p.SetPolicy(policy)
 			if knobs/4%2 == 1 {
 				p.Valid = a
 			}
@@ -301,23 +293,23 @@ func FuzzVerdicts(f *testing.F) {
 		got, p, y1, x1 := run((*Protected).Verify)
 		want, q, y2, x2 := run(exactVerify)
 		if got != want {
-			t.Fatalf("%v, policy %d: Verify returns %+v, the exact tolerances give %+v", mode, policy, got, want)
+			t.Fatalf("%v: Verify returns %+v, the exact tolerances give %+v", mode, got, want)
 		}
 		for i := range x1 {
 			if !same(x1[i], x2[i]) || !same(y1[i], y2[i]) {
-				t.Fatalf("%v, policy %d: entry %d left as x=%x y=%x, the exact tolerances leave x=%x y=%x", mode, policy, i,
+				t.Fatalf("%v: entry %d left as x=%x y=%x, the exact tolerances leave x=%x y=%x", mode, i,
 					math.Float64bits(x1[i]), math.Float64bits(y1[i]), math.Float64bits(x2[i]), math.Float64bits(y2[i]))
 			}
 		}
 		for k := range p.A.Val {
 			if !same(p.A.Val[k], q.A.Val[k]) || p.A.Colid[k] != q.A.Colid[k] {
-				t.Fatalf("%v, policy %d: nonzero %d left as (%v, %d), the exact tolerances leave (%v, %d)", mode, policy, k,
+				t.Fatalf("%v: nonzero %d left as (%v, %d), the exact tolerances leave (%v, %d)", mode, k,
 					p.A.Val[k], p.A.Colid[k], q.A.Val[k], q.A.Colid[k])
 			}
 		}
 		for i := range p.A.Rowidx {
 			if p.A.Rowidx[i] != q.A.Rowidx[i] {
-				t.Fatalf("%v, policy %d: Rowidx[%d] left as %d, the exact tolerances leave %d", mode, policy, i, p.A.Rowidx[i], q.A.Rowidx[i])
+				t.Fatalf("%v: Rowidx[%d] left as %d, the exact tolerances leave %d", mode, i, p.A.Rowidx[i], q.A.Rowidx[i])
 			}
 		}
 
@@ -328,7 +320,7 @@ func FuzzVerdicts(f *testing.F) {
 		wd, wtol := exactTolerances(p, y1, x1, xRef)
 		for k := range d {
 			if !same(d[k], wd[k]) || exceeds(d[k], tol[k]) != exceeds(wd[k], wtol[k]) {
-				t.Fatalf("%v, policy %d: defect %d is %v against %v, the standalone loops give %v against %v", mode, policy, k, d[k], tol[k], wd[k], wtol[k])
+				t.Fatalf("%v: defect %d is %v against %v, the standalone loops give %v against %v", mode, k, d[k], tol[k], wd[k], wtol[k])
 			}
 		}
 

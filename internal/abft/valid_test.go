@@ -32,7 +32,6 @@ func smallestInRow(a *sparse.CSR, row int) int {
 // all of them: each later error still decodes as the single error it is.
 func TestRepairsTakeTheValidCopysBits(t *testing.T) {
 	h := newHarness(t, 80, DetectCorrect, 21)
-	h.p.SetPolicy(TolNorm)
 	a := h.p.A
 	k := smallestInRow(a, 30)
 	strikes := []struct {
@@ -130,7 +129,6 @@ func TestMislocatedRepairIsRefused(t *testing.T) {
 func TestRepairAbsorbingALatentFlipIsRefused(t *testing.T) {
 	for _, withValid := range []bool{false, true} {
 		h := newHarness(t, 80, DetectCorrect, 22)
-		h.p.SetPolicy(TolNorm)
 		a := h.p.A
 		if withValid {
 			h.p.Valid = h.orig

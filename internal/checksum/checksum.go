@@ -88,9 +88,9 @@ type Matrix struct {
 	// C1, C2 are the unshifted column checksums C_r[j] = Σᵢ w_r[i]·A[i][j].
 	C1, C2 []float64
 
-	// AbsC1, AbsC2 are the column checksums of |A| under |w_r|, used for the
-	// componentwise rounding tolerance (paper Eq. (7)).
-	AbsC1, AbsC2 []float64
+	// AbsC1 holds the column sums of |A|: ‖A‖₁ is their maximum, and the
+	// decoders bound a repaired value's rounding by them.
+	AbsC1 []float64
 
 	// K is the shift constant: C1[j] + K ≠ 0 for every column j, so errors
 	// striking x are detectable even in zero-sum columns (paper Theorem 1,
@@ -146,13 +146,12 @@ func NewMatrixInto(m *Matrix, a *sparse.CSR) *Matrix {
 			C1:    make([]float64, n),
 			C2:    make([]float64, n),
 			AbsC1: make([]float64, n),
-			AbsC2: make([]float64, n),
 		}
 	} else {
 		m.N = n
 		m.Norm1 = 0
 		for j := 0; j < n; j++ {
-			m.C1[j], m.C2[j], m.AbsC1[j], m.AbsC2[j] = 0, 0, 0, 0
+			m.C1[j], m.C2[j], m.AbsC1[j] = 0, 0, 0
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -170,11 +169,9 @@ func NewMatrixInto(m *Matrix, a *sparse.CSR) *Matrix {
 				continue
 			}
 			v := a.Val[k]
-			av := math.Abs(v)
 			m.C1[j] += v
 			m.C2[j] += w2 * v
-			m.AbsC1[j] += av
-			m.AbsC2[j] += w2 * av
+			m.AbsC1[j] += math.Abs(v)
 		}
 	}
 	m.CR1, m.CR2 = sumsInt(a.Rowidx)
@@ -206,64 +203,10 @@ func ShiftK(norm1 float64) (float64, error) {
 	return k, nil
 }
 
-// ToleranceComponent returns the componentwise rounding tolerance of the
-// paper's Eq. (7) for the weight row r ∈ {1, 2}:
-//
-//	2 γ_{2n} Σ_j AbsC_r[j]·|x_j|
-//
-// It costs one length-n pass per verification, and is far tighter than the
-// norm bound for matrices with uneven column weights.
-func (m *Matrix) ToleranceComponent(r int, x []float64) float64 {
-	absC := m.absRow(r)
-	var s float64
-	for j, xj := range x {
-		s += absC[j] * math.Abs(xj)
-	}
-	// The shift contributes |k|·Σ|x| to row 1's effective checksum when the
-	// shifted test is used; fold it in for safety.
-	if r == 1 {
-		var sx float64
-		for _, xj := range x {
-			sx += math.Abs(xj)
-		}
-		s += math.Abs(m.K) * sx
-	}
-	return 2 * Gamma(2*m.N) * s
-}
-
-// ToleranceComponentBoth returns the componentwise tolerances of both
-// weight rows in a single pass over x. Each accumulator follows the exact
-// summation order of the corresponding ToleranceComponent call, so the
-// results are bitwise identical to calling it twice at half the memory
-// traffic.
-func (m *Matrix) ToleranceComponentBoth(x []float64) (t1, t2 float64) {
-	var s1, s2, sx float64
-	for j, xj := range x {
-		ax := math.Abs(xj)
-		s1 += m.AbsC1[j] * ax
-		s2 += m.AbsC2[j] * ax
-		sx += ax
-	}
-	s1 += math.Abs(m.K) * sx
-	g := 2 * Gamma(2*m.N)
-	return g * s1, g * s2
-}
-
-func (m *Matrix) absRow(r int) []float64 {
-	switch r {
-	case 1:
-		return m.AbsC1
-	case 2:
-		return m.AbsC2
-	default:
-		panic("checksum: weight row index must be 1 or 2")
-	}
-}
-
 // Vector holds the reliable two-row checksum of a dense vector, refreshed
 // whenever the vector is (re)written by a verified operation. It is the
 // uniform extension of the paper's x-protection (auxiliary copy x′ and
-// checksum c_x) to all solver vectors; see DESIGN.md.
+// checksum c_x) to all solver vectors; see abft.VectorGuard.
 type Vector struct {
 	S1, S2 float64
 }

@@ -143,7 +143,7 @@ func NewCosts(a *sparse.CSR, scheme Scheme, cp CostParams) Costs {
 		c.Tverif = float64(verifFlops) * cp.FlopTime
 	case ABFTDetection, ABFTCorrection:
 		// Per-iteration overhead charged as wall time, matching the
-		// implementation under the TolNorm policy: the runtime Rowidx
+		// implementation's Eq. (9) tolerance: the runtime Rowidx
 		// counters (4n), the weighted sums of y (3n), C_rᵀx (2n per row),
 		// the reference sums of x (3n), the two max-norms (2n) and the
 		// checks of the vectors against their references (4n each for r and

@@ -55,10 +55,12 @@ func (c Figure1Config) withDefaults() Figure1Config {
 // cellScenario names the harness scenario of one (matrix, scheme, MTBF)
 // cell. The seed formula is position-based and matches the historical
 // campaign seeding, so the refactored sweep reproduces its previous
-// outputs exactly.
+// outputs exactly. The name carries the MTBF to 6 significant digits, since a
+// LogSpace point carries rounding noise (100.00000000000004). Alpha keeps
+// the rate as computed, because that is the rate the trials run at.
 func (c Figure1Config) cellScenario(mi int, sm harness.SuiteMatrix, scheme core.Scheme, xi int, mtbf float64) harness.Scenario {
 	return harness.Scenario{
-		Name: fmt.Sprintf("figure1/m%d/%s/mtbf%g", sm.ID, harness.SchemeSlug(scheme), mtbf),
+		Name: fmt.Sprintf("figure1/m%d/%s/mtbf%.6g", sm.ID, harness.SchemeSlug(scheme), mtbf),
 		Matrix: harness.MatrixSpec{
 			Gen: "suite", ID: sm.ID, Scale: c.Scale,
 		},

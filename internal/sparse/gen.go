@@ -179,7 +179,8 @@ type RandomSPDOptions struct {
 // the matrix SPD by Gershgorin's theorem.
 //
 // This is the synthetic stand-in for the UFL collection matrices used in the
-// paper: the experiments depend only on n, nnz and SPD-ness (see DESIGN.md).
+// paper: the experiments depend only on n, nnz and SPD-ness (see
+// internal/harness's SuiteMatrix).
 func RandomSPD(opt RandomSPDOptions) *CSR {
 	if opt.N <= 0 {
 		panic("sparse: RandomSPD needs N > 0")
