@@ -597,7 +597,7 @@ func nearestInt(v float64) (int, bool) {
 // The shift k makes errors striking x detectable even in columns whose
 // unshifted checksum is zero (e.g. every column of a graph Laplacian).
 // It returns true when both tests pass within the row-1 tolerance of Eq. (9)
-// at the exact max-norms (tolX1Fac covers the shift), underflow term included.
+// (normTolerances; tolX1Fac covers the shift).
 func (p *Protected) ShiftedTest(y, x, xPrime []float64) bool {
 	sy, _ := checksum.Sums(y)
 	sx, _ := checksum.Sums(x)
@@ -610,10 +610,10 @@ func (p *Protected) ShiftedTest(y, x, xPrime []float64) bool {
 		lhs += c * x[j]
 		lhsPrime += c * xPrime[j]
 	}
-	tolY := p.tolY1Fac*maxAbsEvery(1, y) + p.tolX1Min
-	tol := p.tolX1Fac*maxAbsEvery(1, x) + tolY
-	tolPrime := p.tolX1Fac*maxAbsEvery(1, xPrime) + tolY
-	return math.Abs(lhs-rhs) <= tol && math.Abs(lhsPrime-rhs) <= tolPrime
+	d, dPrime := lhs-rhs, lhsPrime-rhs
+	tol, _, _, _ := p.normTolerances(y, x, d, 0, 0, 0)
+	tolPrime, _, _, _ := p.normTolerances(y, xPrime, dPrime, 0, 0, 0)
+	return within(d, tol) && within(dPrime, tolPrime)
 }
 
 // FlopsMulVec returns the flop count of the protected product itself

@@ -206,8 +206,8 @@ func exactVerify(p *Protected, y, x []float64, xRef checksum.Vector, sr RowSums)
 // NaN, ±Inf and −0 entries. VectorGuard.Check, which computes no tolerance
 // for a defect of exactly zero, agrees with the always-both-passes
 // twoPassCheck on the same x, struck and unstruck. Of knobs, bit 0 picks the
-// mode and bit 2 the valid copy; bit 1 is unused (it chose a tolerance
-// policy once, and the seeds keep it).
+// mode and bit 2 the valid copy; bit 1 selects nothing, though the seeds
+// still set it.
 func FuzzVerdicts(f *testing.F) {
 	for shape := 0; shape < 6; shape++ {
 		for target := 0; target < 6; target++ {
