@@ -29,8 +29,8 @@ type MatrixSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Shift is the diagonal shift of the laplacian generator.
 	Shift float64 `json:"shift,omitempty"`
-	// Density is the target density of the randomspd generator (default
-	// 0.01).
+	// Density is the target density of the randomspd generator, in
+	// [0, 1] (0 selects the default 0.01).
 	Density float64 `json:"density,omitempty"`
 	// Path is the Matrix Market file (Gen == "file"). A file spec is for a
 	// command line (cgsolve -matrix); api.SolveRequest.Validate refuses one
@@ -98,8 +98,19 @@ func (ms MatrixSpec) Build() (*sparse.CSR, error) {
 		}
 		return sparse.Tridiag(ms.N, 2, -1), nil
 	case "laplacian":
+		// Degree 6 asks for 3n distinct edges, more than the n(n−1)/2 a
+		// graph of fewer than 7 vertices has.
+		if ms.N < 7 {
+			return nil, fmt.Errorf("laplacian needs n ≥ 7, got %d", ms.N)
+		}
 		return sparse.RandomGraphLaplacian(ms.N, 6, ms.Shift, ms.Seed), nil
 	case "randomspd":
+		if ms.N < 1 {
+			return nil, fmt.Errorf("randomspd needs n ≥ 1, got %d", ms.N)
+		}
+		if !(ms.Density >= 0 && ms.Density <= 1) {
+			return nil, fmt.Errorf("randomspd density %g outside [0, 1]", ms.Density)
+		}
 		density := ms.Density
 		if density == 0 {
 			density = 0.01

@@ -645,3 +645,44 @@ func TestFileSpecIsRefusedOnTheWire(t *testing.T) {
 		}
 	}
 }
+
+// TestUnbuildableSpecIsRefused: a generator spec its generator cannot build
+// is a 400 bad_request, the second time as the first, and the shard lives
+// on. A randomspd spec with no n used to panic inside the entry's build and
+// leave the entry half made, so a repeat killed the process from a worker; a
+// laplacian of 5 vertices spun a core forever holding the entry, hanging
+// every later request for it.
+func TestUnbuildableSpecIsRefused(t *testing.T) {
+	_, ts := testServer(t, Config{Concurrency: 1})
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, body := range []string{
+		`{"matrix":{"gen":"randomspd"}}`,
+		`{"matrix":{"gen":"randomspd","n":1000,"density":1000}}`,
+		`{"matrix":{"gen":"randomspd","n":10,"density":-0.5}}`,
+		`{"matrix":{"gen":"laplacian","n":5}}`,
+		`{"matrix":{"gen":"laplacian","n":1}}`,
+		`{"matrix":{"gen":"laplacian"}}`,
+		`{"matrix":{"gen":"tridiag","n":0}}`,
+	} {
+		for try := 1; try <= 2; try++ {
+			resp, err := client.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s (try %d): %v", body, try, err)
+			}
+			var e api.Error
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || e.Code != api.CodeBadRequest {
+				t.Errorf("%s (try %d): status %d, code %q, decode error %v", body, try, resp.StatusCode, e.Code, err)
+			}
+		}
+	}
+	resp, err := client.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the refusals: status %d", resp.StatusCode)
+	}
+}
