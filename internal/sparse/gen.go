@@ -104,9 +104,13 @@ func Tridiag(n int, diag, off float64) *CSR {
 // vertex, shifted by shift·I. With shift = 0 the matrix has exactly zero
 // column sums — the case that motivates the paper's shifted checksum vector
 // (Section 3.2) — and is positive semi-definite; any shift > 0 makes it SPD.
+// A degree above n−1 asks for more edges than a graph of n vertices has.
 func RandomGraphLaplacian(n, degree int, shift float64, seed int64) *CSR {
 	if n <= 1 || degree <= 0 {
 		panic("sparse: RandomGraphLaplacian needs n > 1 and degree > 0")
+	}
+	if degree > n-1 {
+		panic("sparse: RandomGraphLaplacian needs degree ≤ n−1")
 	}
 	rng := rand.New(rand.NewSource(seed))
 	// Collect unique undirected edges.

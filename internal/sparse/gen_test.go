@@ -98,6 +98,25 @@ func TestRandomGraphLaplacianDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandomGraphLaplacianDegreeBound: a degree the graph cannot have is a
+// panic, not an endless search for edges that do not exist; degree n−1 is
+// the complete graph.
+func TestRandomGraphLaplacianDegreeBound(t *testing.T) {
+	for _, c := range [][2]int{{2, 4}, {5, 6}, {7, 7}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("n = %d, degree %d: no panic", c[0], c[1])
+				}
+			}()
+			RandomGraphLaplacian(c[0], c[1], 0, 1)
+		}()
+	}
+	if m := RandomGraphLaplacian(7, 6, 0, 1); m.NNZ() != 7*7 {
+		t.Errorf("n = 7, degree 6: %d nonzeros, want the complete graph's 49", m.NNZ())
+	}
+}
+
 func TestRandomSPD(t *testing.T) {
 	m := RandomSPD(RandomSPDOptions{N: 200, Density: 0.05, DiagShift: 1, Seed: 1})
 	if err := m.Validate(); err != nil {
