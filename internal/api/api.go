@@ -8,7 +8,7 @@
 //
 // The package also defines the unified error envelope (Error) every
 // non-200 answer carries, and a small typed HTTP client (Client) over the
-// whole surface, the admin control plane included.
+// whole surface.
 //
 // # Inline operands
 //
@@ -38,8 +38,8 @@ import (
 )
 
 // SchemaVersion identifies the request/response layout of the /v1 API
-// (/v1/statusz on both tiers and the /v1/admin surface stamp the same
-// version). Bump it on any incompatible change.
+// (/v1/statusz on both tiers stamps the same version). Bump it on any
+// incompatible change.
 const SchemaVersion = 2
 
 // MaxBatchRHS bounds the right-hand sides of one batch request.

@@ -21,14 +21,12 @@ const maxResponseBytes = 64 << 20
 var ErrDigestMismatch = errors.New("response digest mismatch (corrupt body)")
 
 // Client is the typed HTTP client over the whole wire contract: the solve
-// and status surface of a resilientd shard or a resrouter front end, plus
-// the router's token-authenticated /v1/admin surface.
+// and status surface of a resilientd shard or a resrouter front end.
 // Non-200 answers decode the unified envelope and come back as *Error, so
 // callers branch on the machine-readable code, never on message strings.
 type Client struct {
-	base  string
-	token string
-	hc    *http.Client
+	base string
+	hc   *http.Client
 }
 
 // ClientOption customises a Client.
@@ -38,11 +36,6 @@ type ClientOption func(*Client)
 // transports, test doubles).
 func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *Client) { c.hc = hc }
-}
-
-// WithAdminToken attaches the bearer token the admin endpoints require.
-func WithAdminToken(token string) ClientOption {
-	return func(c *Client) { c.token = token }
 }
 
 // WithTimeout bounds every request issued by the client.
@@ -191,54 +184,7 @@ func (c *Client) Tracez(ctx context.Context, n int, id string) (*TraceResponse, 
 	return &out, nil
 }
 
-// AdminTopology fetches the live topology through the admin API.
-func (c *Client) AdminTopology(ctx context.Context) (*AdminTopologyResponse, error) {
-	var out AdminTopologyResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/admin/topology", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// AdminAddShard adds a shard to the ring (or re-admits a drained one).
-// An empty addr asks the router's shard runtime to materialise it.
-func (c *Client) AdminAddShard(ctx context.Context, name, addr string) (*AdminShardResponse, error) {
-	return c.AdminAddShardWeighted(ctx, name, addr, 0)
-}
-
-// AdminAddShardWeighted is AdminAddShard with an explicit ring weight
-// (0 = the router's default). Re-adding a known shard with a different
-// weight rebalances it in place.
-func (c *Client) AdminAddShardWeighted(ctx context.Context, name, addr string, weight float64) (*AdminShardResponse, error) {
-	var out AdminShardResponse
-	req := AdminAddShardRequest{Name: name, Addr: addr, VnodeWeight: weight}
-	if err := c.do(ctx, http.MethodPost, "/v1/admin/shards", &req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// AdminDrainShard latches the shard out of the ring: new keys route past
-// it, in-flight requests finish.
-func (c *Client) AdminDrainShard(ctx context.Context, name string) (*AdminShardResponse, error) {
-	var out AdminShardResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/admin/shards/"+name+"/drain", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// AdminRemoveShard removes the shard from the topology entirely.
-func (c *Client) AdminRemoveShard(ctx context.Context, name string) (*AdminRemoveResponse, error) {
-	var out AdminRemoveResponse
-	if err := c.do(ctx, http.MethodDelete, "/v1/admin/shards/"+name, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// newRequest builds one request: the JSON body when in is non-nil and the
-// client's bearer token.
+// newRequest builds one request, with the JSON body when in is non-nil.
 func (c *Client) newRequest(ctx context.Context, method, path string, in any) (*http.Request, error) {
 	var body io.Reader
 	if in != nil {
@@ -254,9 +200,6 @@ func (c *Client) newRequest(ctx context.Context, method, path string, in any) (*
 	}
 	if in != nil {
 		hreq.Header.Set("Content-Type", "application/json")
-	}
-	if c.token != "" {
-		hreq.Header.Set("Authorization", "Bearer "+c.token)
 	}
 	return hreq, nil
 }

@@ -48,27 +48,6 @@ func TestClientSynthesizesEnvelope(t *testing.T) {
 	}
 }
 
-// TestClientSendsBearerToken: WithAdminToken attaches the Authorization
-// header to every request; without it none is sent.
-func TestClientSendsBearerToken(t *testing.T) {
-	var got []string
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got = append(got, r.Header.Get("Authorization"))
-		WriteJSON(w, http.StatusOK, AdminTopologyResponse{Schema: SchemaVersion})
-	}))
-	defer ts.Close()
-
-	if _, err := NewClient(ts.URL, WithAdminToken("tok")).AdminTopology(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewClient(ts.URL).AdminTopology(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "Bearer tok" || got[1] != "" {
-		t.Errorf("Authorization headers %q, want [Bearer tok, empty]", got)
-	}
-}
-
 // TestClientDigestSentinel: a body that fails its stamped digest comes back
 // as ErrDigestMismatch, not as a transport failure, on buffered and
 // streamed requests alike.
@@ -94,11 +73,10 @@ func TestClientDigestSentinel(t *testing.T) {
 func TestCodeForStatusCoversEveryMappedStatus(t *testing.T) {
 	want := map[int]string{
 		http.StatusBadRequest:          CodeBadRequest,
-		http.StatusUnauthorized:        CodeUnauthorized,
-		http.StatusForbidden:           CodeForbidden,
-		http.StatusNotFound:            CodeNotFound,
+		http.StatusUnauthorized:        codeUnauthorized,
+		http.StatusForbidden:           codeForbidden,
+		http.StatusNotFound:            codeNotFound,
 		http.StatusMethodNotAllowed:    CodeMethodNotAllowed,
-		http.StatusConflict:            CodeConflict,
 		http.StatusTooManyRequests:     CodeSaturated,
 		http.StatusServiceUnavailable:  CodeDraining,
 		http.StatusGatewayTimeout:      CodeExpired,

@@ -13,19 +13,15 @@ import (
 const (
 	// CodeBadRequest marks a malformed or unsupported request (400).
 	CodeBadRequest = "bad_request"
-	// CodeUnauthorized marks a missing or wrong admin token (401).
-	CodeUnauthorized = "unauthorized"
-	// CodeForbidden marks an admin call against a router whose admin API
-	// is disabled (403).
-	CodeForbidden = "forbidden"
-	// CodeNotFound marks an unknown resource, e.g. an admin operation
-	// naming a shard that is not in the topology (404).
-	CodeNotFound = "not_found"
+	// codeUnauthorized marks a missing or wrong admin token (401).
+	codeUnauthorized = "unauthorized"
+	// codeForbidden marks a profiling call to a process started without
+	// an admin token (403).
+	codeForbidden = "forbidden"
+	// codeNotFound marks an unknown path (404).
+	codeNotFound = "not_found"
 	// CodeMethodNotAllowed marks a wrong HTTP method (405).
 	CodeMethodNotAllowed = "method_not_allowed"
-	// CodeConflict marks an admin operation the current topology state
-	// refuses, e.g. removing the last serving shard (409).
-	CodeConflict = "conflict"
 	// CodeSaturated marks backpressure: the solve queue (or every routing
 	// candidate's queue) is full. Retry after RetryAfterMillis (429).
 	CodeSaturated = "saturated"
@@ -43,7 +39,7 @@ const (
 )
 
 // Error is the unified JSON error envelope: the body of every non-200
-// answer from the solve service, the router and the admin API. It is
+// answer from the solve service and the router. It is
 // schema-versioned like the success bodies, and it implements error so a
 // typed client can return it directly.
 type Error struct {
@@ -72,15 +68,13 @@ func codeForStatus(status int) string {
 	case http.StatusBadRequest:
 		return CodeBadRequest
 	case http.StatusUnauthorized:
-		return CodeUnauthorized
+		return codeUnauthorized
 	case http.StatusForbidden:
-		return CodeForbidden
+		return codeForbidden
 	case http.StatusNotFound:
-		return CodeNotFound
+		return codeNotFound
 	case http.StatusMethodNotAllowed:
 		return CodeMethodNotAllowed
-	case http.StatusConflict:
-		return CodeConflict
 	case http.StatusTooManyRequests:
 		return CodeSaturated
 	case http.StatusServiceUnavailable:

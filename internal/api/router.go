@@ -65,13 +65,12 @@ type ChaosStats struct {
 	TraceHash string `json:"trace_hash"`
 }
 
-// Shard lifecycle states reported by statusz and the admin API. A shard
-// is active when it is on the ring and passing health probes, ejected
-// when probes (or passive circuit-breaking) took it out of rotation, and
-// draining when an operator latched it out of the ring: new keys route
-// past it, in-flight requests finish, and only an admin re-add returns it
-// to service — probe outcomes keep updating its health picture but cannot
-// clear the latch.
+// Shard lifecycle states reported by statusz. A shard is active when it is
+// on the ring and passing health probes, ejected when probes (or passive
+// circuit-breaking) took it out of rotation, and draining when its topology
+// entry sets the drained latch: new keys route past it, in-flight requests
+// finish, and only a reload that clears the latch returns it to service —
+// probe outcomes keep updating its health picture but cannot clear it.
 const (
 	ShardActive   = "active"
 	ShardEjected  = "ejected"
@@ -121,54 +120,4 @@ type RouterHealth struct {
 	Status        string `json:"status"`
 	HealthyShards int    `json:"healthy_shards"`
 	TotalShards   int    `json:"total_shards"`
-}
-
-// AdminShard is one shard of the admin API's topology picture.
-type AdminShard struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"`
-	// State is the lifecycle state: active, ejected or draining.
-	State   string `json:"state"`
-	Healthy bool   `json:"healthy"`
-	// Inflight counts requests currently forwarded to this shard — the
-	// signal an operator watches reach zero before removing a drained
-	// shard.
-	Inflight int64 `json:"inflight"`
-	// VnodeWeight is the shard's relative ring weight (1.0 when omitted).
-	VnodeWeight float64 `json:"vnode_weight,omitempty"`
-}
-
-// AdminTopologyResponse is the body of GET /v1/admin/topology.
-type AdminTopologyResponse struct {
-	Schema   int          `json:"schema"`
-	Vnodes   int          `json:"vnodes"`
-	Replicas int          `json:"replicas"`
-	Shards   []AdminShard `json:"shards"`
-}
-
-// AdminAddShardRequest is the body of POST /v1/admin/shards: add a new
-// shard to the ring, or re-admit a drained one (matching Name). An empty
-// Addr asks the router's shard runtime to materialise the process.
-type AdminAddShardRequest struct {
-	// Schema must be 0 (current) or SchemaVersion.
-	Schema int    `json:"schema,omitempty"`
-	Name   string `json:"name"`
-	Addr   string `json:"addr,omitempty"`
-	// VnodeWeight scales the shard's share of the ring relative to the
-	// router's default vnode count (0 or omitted = 1.0). A re-add of a
-	// known shard with a different weight rebalances it in place.
-	VnodeWeight float64 `json:"vnode_weight,omitempty"`
-}
-
-// AdminShardResponse is the body of a successful shard add or drain.
-type AdminShardResponse struct {
-	Schema int        `json:"schema"`
-	Shard  AdminShard `json:"shard"`
-}
-
-// AdminRemoveResponse is the body of a successful DELETE
-// /v1/admin/shards/{label}.
-type AdminRemoveResponse struct {
-	Schema  int    `json:"schema"`
-	Removed string `json:"removed"`
 }

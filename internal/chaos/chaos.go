@@ -59,8 +59,8 @@ const planSchemaVersion = 1
 // draw, cumulative bands, so they must sum to ≤ 1); the latency spike is
 // an independent draw that composes with any of them. Faults apply only
 // to solve traffic (POST /v1/solve and /v1/solve/batch) — health probes
-// and admin calls pass through untouched, so chaos distorts data paths,
-// not the control plane that is supposed to observe it.
+// and every other call pass through untouched, so chaos distorts data
+// paths, not the control plane that is supposed to observe it.
 type Plan struct {
 	Schema int   `json:"schema"`
 	Seed   int64 `json:"seed"`

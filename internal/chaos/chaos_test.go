@@ -359,15 +359,15 @@ func TestRefusedKillIsVoid(t *testing.T) {
 	}
 }
 
-// TestOnlySolveTrafficIsTouched: health probes and admin calls must pass
-// through even a 100%-reset plan — chaos distorts data paths, never the
-// control plane observing them.
+// TestOnlySolveTrafficIsTouched: health probes and other non-solve calls
+// must pass through even a 100%-reset plan — chaos distorts data paths,
+// never the control plane observing them.
 func TestOnlySolveTrafficIsTouched(t *testing.T) {
 	in := New(forcedPlan(func(p *Plan) { p.PReset = 1 }), okShard())
 	for _, c := range []struct{ method, path string }{
 		{http.MethodGet, "/v1/healthz"},
 		{http.MethodGet, "/v1/statusz"},
-		{http.MethodPost, "/v1/admin/shards"},
+		{http.MethodPost, "/v1/tracez"},
 		{http.MethodGet, "/v1/solve"}, // wrong method: not solve traffic
 	} {
 		req, err := http.NewRequest(c.method, "http://127.0.0.1:19999"+c.path, strings.NewReader("{}"))

@@ -2,14 +2,11 @@ package router
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-
-	"repro/internal/api"
 )
 
-// want is one entry of a desired state: a shard's name and what the control
-// plane decides about it. An empty addr means "where it is now" for a shard
+// want is one entry of a desired state: a shard's name and what its topology
+// entry decides about it. An empty addr means "where it is now" for a shard
 // the router holds and "ask the runtime" for a new one.
 type want struct {
 	name string
@@ -25,10 +22,9 @@ type want struct {
 // when its vnode count changes, and a vnode keeps its "name#i" position, so
 // a reweight moves the keys of the count difference and a join or leave
 // only that shard's keys. On error nothing has changed: joiners already
-// started are stopped again and the previous ring keeps serving. With
-// joinProbe every shard entering the ring — new, or drained before — is
-// health-checked first and one failure is enough: a dead shard joins ejected.
-func (r *Router) reconcile(desired []want, joinProbe bool) (ApplyReport, error) {
+// started are stopped again and the previous ring keeps serving. A joiner
+// starts healthy; the probes eject it if it does not answer.
+func (r *Router) reconcile(desired []want) (ApplyReport, error) {
 	type step struct {
 		s         *shardState
 		joins     bool // new to the router: attached or started below
@@ -58,11 +54,6 @@ func (r *Router) reconcile(desired []want, joinProbe bool) (ApplyReport, error) 
 			st.s = &shardState{name: w.name, managed: w.addr == "", healthy: true}
 			st.next.addr = addr
 			st.joins, st.old.drained = true, true // a joiner comes from off the ring
-		}
-		if joinProbe && st.old.drained && !st.next.drained {
-			// Off the ring, so the verdict cannot move a key before the
-			// placement it was taken for is published below.
-			st.s.noteProbe(r.healthCheck(st.next.addr), 1)
 		}
 		steps = append(steps, st)
 	}
@@ -139,112 +130,20 @@ func (r *Router) materialize(w want) (addr string, err error) {
 	return addr, nil
 }
 
-// current is the live membership as a desired state, for an admin verb to
-// edit name's entry of (index i; −1: no such shard). Callers hold applyMu.
-func (r *Router) current(name string) (desired []want, i int) {
-	i = -1
-	for n, s := range r.shards {
-		if n == name {
-			i = len(desired)
-		}
-		desired = append(desired, want{n, s.placed()})
-	}
-	return desired, i
-}
-
-// leaving is current for the verbs that take a shard off the ring: refused
-// when there is no such shard, or it is the last one on the ring.
-func (r *Router) leaving(name string) (desired []want, i int, err error) {
-	if desired, i = r.current(name); i < 0 {
-		return nil, i, fmt.Errorf("%w: %q", errShardNotFound, name)
-	}
-	onRing := func(w want) bool { return !w.drained && w.name != name }
-	if !desired[i].drained && !slices.ContainsFunc(desired, onRing) {
-		return nil, i, fmt.Errorf("%w (%q is the only one left)", errLastShard, name)
-	}
-	return desired, i, nil
-}
-
-// Apply reconciles the live ring with a topology under traffic. Presence
-// means desired-active: a drained shard the topology names is re-admitted,
-// a shard it does not name leaves, whichever admin verb put it there; an
-// entry with a new addr repoints its shard in place. On any error the
-// previous ring keeps serving untouched.
+// Apply reconciles the live ring with a topology under traffic. The file is
+// the whole desired state: a shard it names is on the ring unless its entry
+// sets the drained latch, a shard it does not name leaves, and an entry
+// with a new addr repoints its shard in place. On any error the previous
+// ring keeps serving untouched.
 func (r *Router) Apply(topo Topology) (ApplyReport, error) {
 	if err := topo.validate(); err != nil {
 		return ApplyReport{}, err
 	}
 	desired := make([]want, len(topo.Shards))
 	for i, sh := range topo.Shards {
-		desired[i] = want{sh.Name, placement{addr: sh.Addr, weight: sh.VnodeWeight}}
+		desired[i] = want{sh.Name, placement{addr: sh.Addr, weight: sh.VnodeWeight, drained: sh.Drained}}
 	}
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
-	return r.reconcile(desired, false)
-}
-
-// addShard joins a new shard, re-admits a drained one of the same name
-// (clearing the latch; a non-empty addr repoints it) or rebalances an
-// active one whose weight changed. An empty addr asks the runtime for the
-// process; weight 0 is the default vnode count for a new shard and "as it
-// is" for a known one. The shard is probed before it enters the ring, so
-// its health picture is current the moment keys can land on it: a dead addr
-// joins ejected and the first good probe re-admits it like any ejection.
-func (r *Router) addShard(name, addr string, weight float64) (api.AdminShard, error) {
-	if err := (Shard{Name: name, Addr: addr, VnodeWeight: weight}).validate(); err != nil {
-		return api.AdminShard{}, err
-	}
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	desired, i := r.current(name)
-	switch {
-	case i < 0:
-		desired = append(desired, want{name, placement{addr: addr, weight: weight}})
-	case !desired[i].drained && (weight == 0 || weight == desired[i].weight):
-		return api.AdminShard{}, fmt.Errorf("%w: %q", errShardExists, name)
-	default:
-		if desired[i].drained && addr != "" {
-			desired[i].addr = addr
-		}
-		if weight != 0 {
-			desired[i].weight = weight
-		}
-		desired[i].drained = false
-	}
-	if _, err := r.reconcile(desired, true); err != nil {
-		return api.AdminShard{}, err
-	}
-	return r.shards[name].adminView(), nil
-}
-
-// drainShard latches the shard out of the ring: its keys move to their
-// ring successors, in-flight requests finish, probes keep watching it, and
-// only an add of the same name or a topology reload brings it back.
-// Draining the last routable shard is refused. Idempotent.
-func (r *Router) drainShard(name string) (api.AdminShard, error) {
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	desired, i, err := r.leaving(name)
-	if err == nil {
-		desired[i].drained = true
-		_, err = r.reconcile(desired, false)
-	}
-	if err != nil {
-		return api.AdminShard{}, err
-	}
-	return r.shards[name].adminView(), nil
-}
-
-// removeShard deletes the shard from the topology, stopping its process
-// when the runtime started it. An active shard may be removed directly
-// (drain first to let in-flight work finish); removing the last routable
-// shard is refused.
-func (r *Router) removeShard(name string) error {
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	desired, i, err := r.leaving(name)
-	if err == nil {
-		_, err = r.reconcile(slices.Delete(desired, i, i+1), false)
-	}
-	return err
+	return r.reconcile(desired)
 }

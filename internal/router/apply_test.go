@@ -84,8 +84,8 @@ func TestApplyMinimalKeyMovement(t *testing.T) {
 }
 
 // TestApplyRejectsMalformedKeepsRing feeds Apply every malformed-topology
-// shape; each must be rejected whole with the previous ring untouched
-// and still serving.
+// shape; each must be rejected whole with the previous shard set and ring
+// untouched and still serving.
 func TestApplyRejectsMalformedKeepsRing(t *testing.T) {
 	r, rt, ts := mockRouter(t, Config{}, "s0", "s1")
 	before := ringOwners(r, 128)
@@ -95,8 +95,13 @@ func TestApplyRejectsMalformedKeepsRing(t *testing.T) {
 		{Schema: 99, Shards: []Shard{{Name: "s0"}}},                                                // unknown schema
 		{Schema: 1, Shards: []Shard{{Name: "a"}, {Name: "a"}}},                                     // duplicate labels
 		{Schema: 1, Shards: []Shard{{Name: ""}}},                                                   // empty name
+		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Addr: "http://127.0.0.1:9"}}},                   // a nameless entry
 		{Schema: 1, Shards: []Shard{{Name: "x", Addr: "not a url"}}},                               // bad addr
+		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "nohost", Addr: "http://"}}},              // an addr with no host
 		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "s1"}, {Name: "s2", Addr: "ftp://nope"}}}, // one bad entry poisons all
+		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "neg", VnodeWeight: -1}}},                 // weight below 0
+		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "big", VnodeWeight: 16.5}}},               // weight above 16
+		{Schema: 1, Shards: []Shard{{Name: "s0", Drained: true}, {Name: "s1", Drained: true}}},     // nothing left on the ring
 	}
 	for i, tp := range bad {
 		if _, err := r.Apply(tp); err == nil {
@@ -105,6 +110,9 @@ func TestApplyRejectsMalformedKeepsRing(t *testing.T) {
 	}
 	if got := ringOwners(r, 128); fmt.Sprint(got) != fmt.Sprint(before) {
 		t.Error("rejected topologies disturbed the ring")
+	}
+	if shards := r.routerz().Shards; len(shards) != 2 || shards[0].State != api.ShardActive || shards[1].State != api.ShardActive {
+		t.Errorf("rejected topologies changed the shard set: %+v", shards)
 	}
 	// The old ring is not just intact but serving.
 	code, _, _ := postRouted(t, ts.URL, solveBody(t, "poisson2d", 36))
@@ -124,9 +132,8 @@ func TestApplyStartFailureAborts(t *testing.T) {
 	if err == nil {
 		t.Fatal("apply with failing runtime succeeded")
 	}
-	topo := r.CurrentTopology()
-	if len(topo.Shards) != 1 || topo.Shards[0].Name != "s0" {
-		t.Errorf("membership %+v after aborted apply, want s0 only", topo.Shards)
+	if shards := r.routerz().Shards; len(shards) != 1 || shards[0].Name != "s0" {
+		t.Errorf("membership %+v after aborted apply, want s0 only", shards)
 	}
 	if rt.Get("s1") != nil {
 		t.Error("aborted apply leaked a running shard")
@@ -172,13 +179,11 @@ func TestNewStartFailureStopsStarted(t *testing.T) {
 	}
 }
 
-// TestApplyReAdmitsDrainedAndRepoints: presence in an applied topology
-// means desired-active — a drained shard named by the file comes back on
-// the ring — and an entry with a new addr repoints the retained shard in
-// place.
+// TestApplyReAdmitsDrained: an entry without the drained latch means on
+// the ring — a shard drained by the previous file comes back.
 func TestApplyReAdmitsDrained(t *testing.T) {
 	r, _, _ := mockRouter(t, Config{}, "s0", "s1")
-	if _, err := r.drainShard("s1"); err != nil {
+	if _, err := r.Apply(Topology{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "s1", Drained: true}}}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := r.Apply(Topology{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "s1"}}})
@@ -188,10 +193,169 @@ func TestApplyReAdmitsDrained(t *testing.T) {
 	if len(rep.Updated) != 1 || rep.Updated[0] != "s1" {
 		t.Fatalf("report %+v, want updated=[s1]", rep)
 	}
-	for _, sh := range r.CurrentTopology().Shards {
+	for _, sh := range r.routerz().Shards {
 		if sh.State != api.ShardActive {
 			t.Errorf("shard %s state %q after re-admitting apply", sh.Name, sh.State)
 		}
+	}
+}
+
+// TestFileDrainReadmitRemoveLifecycle walks a shard through the drain latch
+// of the topology file: active → drained (off the ring, keys move, probes
+// keep watching) → re-admitted (back on the ring, keys return) → drained →
+// removed (process stopped). Throughout, the surviving shards keep their
+// keys — a drain moves only the drained shard's keys — and a file that
+// drains every shard is refused.
+func TestFileDrainReadmitRemoveLifecycle(t *testing.T) {
+	r, rt, ts := mockRouter(t, Config{}, "s0", "s1", "s2")
+	file := func(drained ...string) Topology {
+		topo := Topology{Schema: TopologySchemaVersion}
+		for _, n := range []string{"s0", "s1", "s2"} {
+			topo.Shards = append(topo.Shards, Shard{Name: n, Drained: slices.Contains(drained, n)})
+		}
+		return topo
+	}
+	apply := func(topo Topology) ApplyReport {
+		t.Helper()
+		rep, err := r.Apply(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	// Route a spread of keys and remember each placement.
+	owner := func(n int) string {
+		code, shard, _ := postRouted(t, ts.URL, solveBody(t, "tridiag", n))
+		if code != http.StatusOK {
+			t.Fatalf("n=%d: status %d", n, code)
+		}
+		return shard
+	}
+	sizes := []int{16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60}
+	before := map[int]string{}
+	for _, n := range sizes {
+		before[n] = owner(n)
+	}
+	keysBefore := r.routerz().Keys.PerShard
+
+	// Drain s1: the report names it, and statusz shows it off the ring
+	// (vnodes 0) but still visible.
+	if rep := apply(file("s1")); fmt.Sprint(rep.Updated) != "[s1]" || len(rep.Kept) != 2 {
+		t.Errorf("drain report %s, want s1 updated and two kept", rep)
+	}
+	sz := routerzOf(t, ts.URL)
+	for _, s := range sz.Shards {
+		if s.Name == "s1" && (s.State != api.ShardDraining || s.VNodes != 0) {
+			t.Errorf("routerz s1: state %q vnodes %d, want draining/0", s.State, s.VNodes)
+		}
+		if s.Name != "s1" && s.VNodes == 0 {
+			t.Errorf("routerz %s: lost its vnodes on someone else's drain", s.Name)
+		}
+	}
+	// The drain forgets s1's key attributions at once; replays attribute
+	// them to the new owners.
+	if n := sz.Keys.PerShard["s1"]; n != 0 {
+		t.Errorf("drained shard s1 still attributed %d keys", n)
+	}
+
+	// Idempotent: the same file again changes nothing.
+	if rep := apply(file("s1")); rep.Changed() {
+		t.Errorf("second drain reported %s", rep)
+	}
+
+	// Only s1's keys move; every key that lived on s0 or s2 stays put,
+	// and nothing routes to s1 any more.
+	served := rt.Get("s1").Solves()
+	moved := 0
+	for _, n := range sizes {
+		now := owner(n)
+		if now == "s1" {
+			t.Errorf("n=%d still routed to the drained shard", n)
+		}
+		if before[n] != "s1" && now != before[n] {
+			t.Errorf("n=%d moved %s→%s though neither was drained", n, before[n], now)
+		}
+		if before[n] == "s1" {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Skip("hash spread put no test key on s1; widen sizes")
+	}
+	if got := rt.Get("s1").Solves(); got != served {
+		t.Errorf("drained shard served %d new solves", got-served)
+	}
+	keysAfter := r.routerz().Keys.PerShard
+	for _, s := range []string{"s0", "s2"} {
+		if keysAfter[s] < keysBefore[s] {
+			t.Errorf("shard %s attributed %d keys before s1's drain, %d after", s, keysBefore[s], keysAfter[s])
+		}
+	}
+
+	// Clear the latch: every key returns to its original owner.
+	apply(file())
+	for _, n := range sizes {
+		if now := owner(n); now != before[n] {
+			t.Errorf("n=%d: owner %s after re-admission, want %s", n, now, before[n])
+		}
+	}
+
+	// Drain down to one shard; a file that drains the last one too is
+	// refused and changes nothing.
+	apply(file("s0", "s2"))
+	ring := ringOwners(r, 64)
+	if _, err := r.Apply(file("s0", "s1", "s2")); err == nil {
+		t.Error("a file that drains every shard was accepted")
+	}
+	if got := ringOwners(r, 64); fmt.Sprint(got) != fmt.Sprint(ring) {
+		t.Error("the refused all-drained file disturbed the ring")
+	}
+
+	// Dropping the drained s0 from the file stops its managed process.
+	rep := apply(Topology{Schema: 1, Shards: []Shard{{Name: "s1"}, {Name: "s2", Drained: true}}})
+	if fmt.Sprint(rep.Removed) != "[s0]" {
+		t.Errorf("remove report %s, want s0 removed", rep)
+	}
+	if rt.Get("s0") != nil {
+		t.Error("removed shard's process still running")
+	}
+	if n := len(r.routerz().Shards); n != 2 {
+		t.Errorf("statusz lists %d shards after the remove, want 2", n)
+	}
+}
+
+// TestApplyMaterializesViaRuntime: a new entry with no addr asks the
+// router's runtime for a process, and the router starts routing to it.
+func TestApplyMaterializesViaRuntime(t *testing.T) {
+	r, rt, ts := mockRouter(t, Config{}, "s0", "s1")
+	rep, err := r.Apply(Topology{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "s1"}, {Name: "s2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rep.Added) != "[s2]" {
+		t.Errorf("report %s, want s2 added", rep)
+	}
+	if rt.Get("s2") == nil {
+		t.Fatal("runtime did not materialise the shard")
+	}
+	for _, sh := range r.routerz().Shards {
+		if sh.Name == "s2" && (sh.State != api.ShardActive || sh.Addr != rt.Get("s2").URL()) {
+			t.Errorf("added shard %+v, want active at %s", sh, rt.Get("s2").URL())
+		}
+	}
+	// Route a spread of keys: the new shard must end up serving some.
+	for n := 16; n <= 120; n += 4 {
+		code, _, _ := postRouted(t, ts.URL, solveBody(t, "tridiag", n))
+		if code != http.StatusOK {
+			t.Fatalf("n=%d: status %d", n, code)
+		}
+	}
+	if rt.Get("s2").Solves() == 0 {
+		t.Error("new shard never served a key")
+	}
+	if n := r.routerz().Keys.PerShard["s2"]; n == 0 {
+		t.Error("statusz attributes no key to the new shard")
 	}
 }
 
@@ -303,22 +467,18 @@ type modelShard struct {
 	managed bool
 }
 
-// TestReconcileMatchesModel is the property that replaces reading the five
-// entry points: random sequences of Apply, AddShard (new, re-admit,
-// reweight), DrainShard and RemoveShard, legal and refused, against a map
-// model. After every step the ring is exactly the one built from scratch
-// out of the model's undrained members and weights (placement is a pure
-// function of names and counts), CurrentTopology is the model, the runtime
-// has seen one Start per managed join and one Stop per managed leave, and a
-// refused verb — the model left as it was — changed none of that.
-func TestReconcileMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { reconcileAgainstModel(t, seed, 300) })
-	}
+// memberModel is the membership the accepted files leave, written apart
+// from reconcile: every shard's entry, and how often the runtime was asked
+// to start and to stop each name.
+type memberModel struct {
+	shards        map[string]*modelShard
+	starts, stops map[string]int
 }
 
-func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
-	rng := rand.New(rand.NewSource(seed))
+// newModelRouter starts the router the model tests share — s0 and s1
+// (weight 2), both managed, 8 vnodes, no probes — and its model.
+func newModelRouter(t *testing.T) (*Router, *recordingRuntime, *memberModel) {
+	t.Helper()
 	rt := &recordingRuntime{MockRuntime: NewMockRuntime()}
 	r, err := New(Config{Runtime: rt, vnodes: 8, ProbeInterval: time.Hour},
 		[]Shard{{Name: "s0"}, {Name: "s1", VnodeWeight: 2}})
@@ -329,236 +489,243 @@ func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
 		r.Shutdown()
 		rt.StopAll()
 	})
-	model := map[string]*modelShard{
-		"s0": {addr: rt.Get("s0").URL(), managed: true},
-		"s1": {addr: rt.Get("s1").URL(), weight: 2, managed: true},
+	return r, rt, &memberModel{
+		shards: map[string]*modelShard{
+			"s0": {addr: rt.Get("s0").URL(), managed: true},
+			"s1": {addr: rt.Get("s1").URL(), weight: 2, managed: true},
+		},
+		starts: map[string]int{"s0": 1, "s1": 1},
+		stops:  map[string]int{},
 	}
-	starts := map[string]int{"s0": 1, "s1": 1}
-	stops := map[string]int{}
+}
+
+// apply is the model's side of an Apply the router accepted: a named shard
+// takes the entry's weight and latch (and its addr, when the entry names
+// one), a new one joins — started by the runtime when the entry names no
+// addr — and an unnamed one leaves, stopped when the runtime started it.
+// It returns the report the model predicts.
+func (m *memberModel) apply(t *testing.T, rt *recordingRuntime, topo Topology) ApplyReport {
+	t.Helper()
+	var want ApplyReport
+	inTopo := map[string]bool{}
+	for _, sh := range topo.Shards {
+		inTopo[sh.Name] = true
+		ms := m.shards[sh.Name]
+		if ms == nil {
+			ms = &modelShard{addr: sh.Addr, weight: sh.VnodeWeight, drained: sh.Drained, managed: sh.Addr == ""}
+			if ms.managed {
+				m.starts[sh.Name]++
+				started := rt.Get(sh.Name)
+				if started == nil {
+					t.Fatalf("Apply(%+v) joined %q without starting it", topo.Shards, sh.Name)
+				}
+				ms.addr = started.URL()
+			}
+			m.shards[sh.Name] = ms
+			want.Added = append(want.Added, sh.Name)
+			continue
+		}
+		next := *ms
+		if sh.Addr != "" {
+			next.addr = sh.Addr
+		}
+		next.weight, next.drained = sh.VnodeWeight, sh.Drained
+		if next != *ms {
+			want.Updated = append(want.Updated, sh.Name)
+		} else {
+			want.Kept = append(want.Kept, sh.Name)
+		}
+		*ms = next
+	}
+	for n, ms := range m.shards {
+		if !inTopo[n] {
+			if ms.managed {
+				m.stops[n]++
+			}
+			delete(m.shards, n)
+			want.Removed = append(want.Removed, n)
+		}
+	}
+	for _, l := range []*[]string{&want.Added, &want.Removed, &want.Updated, &want.Kept} {
+		sort.Strings(*l)
+	}
+	return want
+}
+
+// file writes the model's membership as a topology file: every shard where
+// it is (no addr), with its weight and latch, in name order.
+func (m *memberModel) file() []Shard {
+	var out []Shard
+	for n, ms := range m.shards {
+		out = append(out, Shard{Name: n, VnodeWeight: ms.weight, Drained: ms.drained})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// TestReconcileMatchesModel is the property that replaces reading
+// reconcile: random sequences of reloads against a map model — random
+// files, and edits of the current one that drain an entry (a new name joins
+// drained), drop one, or put one on the ring (a join, a re-admission, a
+// reweight or a repoint), some malformed, some draining every shard, some
+// with a joiner that cannot start. After every step the ring is exactly the
+// one built from scratch out of the model's undrained members and weights
+// (placement is a pure function of names and counts), statusz is the model,
+// the runtime has seen one Start per managed join and one Stop per managed
+// leave, and a refused file — the model left as it was — changed none of
+// that.
+func TestReconcileMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { reconcileAgainstModel(t, seed, 300) })
+	}
+}
+
+func reconcileAgainstModel(t *testing.T, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	r, rt, m := newModelRouter(t)
 
 	const dead = "http://127.0.0.1:1" // an external shard nobody listens on
 	names := []string{"s0", "s1", "s2", "s3", "s4", "s5"}
 	pick := func() string { return names[rng.Intn(len(names))] }
 	weights := []float64{0, 0, 0.5, 1, 2, 3}
 	addrs := []string{"", "", "", dead, "ftp://nope", "not a url"}
-	routable := func() int {
-		n := 0
-		for _, m := range model {
-			if !m.drained {
-				n++
-			}
+	// set puts entry into the file, in place of the entry of its name.
+	set := func(file []Shard, entry Shard) []Shard {
+		if i := slices.IndexFunc(file, func(sh Shard) bool { return sh.Name == entry.Name }); i >= 0 {
+			file[i] = entry
+			return file
 		}
-		return n
+		return append(file, entry)
 	}
-	// join and leave are the model's side of a membership change.
-	join := func(name, addr string, weight float64) {
-		model[name] = &modelShard{addr: addr, weight: weight, managed: addr == ""}
-		if addr == "" {
-			starts[name]++
-			model[name].addr = rt.Get(name).URL()
-		}
-	}
-	leave := func(name string) {
-		if model[name].managed {
-			stops[name]++
-		}
-		delete(model, name)
-	}
-
+	seen := map[string]int{}
 	for step := 0; step < steps; step++ {
-		var what string
+		var topo Topology
+		valid := true
 		switch op := rng.Intn(10); {
-		case op < 3: // Apply a random topology, sometimes malformed, sometimes with a joiner that cannot start
-			var topo Topology
+		case op < 4:
 			for _, n := range names {
 				if rng.Intn(2) == 0 {
-					topo.Shards = append(topo.Shards, Shard{Name: n, VnodeWeight: weights[rng.Intn(len(weights))]})
+					topo.Shards = append(topo.Shards, Shard{Name: n, Addr: addrs[rng.Intn(len(addrs))],
+						VnodeWeight: weights[rng.Intn(len(weights))], Drained: rng.Intn(4) == 0})
 				}
 			}
 			rng.Shuffle(len(topo.Shards), func(i, j int) { topo.Shards[i], topo.Shards[j] = topo.Shards[j], topo.Shards[i] })
-			valid := len(topo.Shards) > 0
-			if valid {
-				switch rng.Intn(8) {
-				case 0:
-					topo.Shards = append(topo.Shards, topo.Shards[0])
-					valid = false
-				case 1:
-					topo.Shards[0].VnodeWeight = -1
-					valid = false
-				case 2:
-					topo.Shards[0].Addr = "ftp://nope"
-					valid = false
-				case 3:
-					rt.failOn = pick()
-				}
+			if len(topo.Shards) > 0 && rng.Intn(8) == 0 {
+				topo.Shards = append(topo.Shards, topo.Shards[0])
+				valid = false
 			}
-			what = fmt.Sprintf("Apply(%+v) failOn=%q", topo.Shards, rt.failOn)
-			// A joiner that cannot start aborts the apply; the joiners
-			// started ahead of it are stopped again.
+		case op < 7:
+			name := pick()
+			entry := Shard{Name: name, Drained: true}
+			if ms := m.shards[name]; ms != nil {
+				entry.VnodeWeight = ms.weight
+			}
+			topo.Shards = set(m.file(), entry)
+		case op < 9:
+			name := pick()
+			topo.Shards = slices.DeleteFunc(m.file(), func(sh Shard) bool { return sh.Name == name })
+		default:
+			entry := Shard{Name: pick(), Addr: addrs[rng.Intn(len(addrs))], VnodeWeight: weights[rng.Intn(len(weights))]}
+			if rng.Intn(12) == 0 {
+				entry.VnodeWeight = 17
+			}
+			topo.Shards = set(m.file(), entry)
+		}
+		if rng.Intn(8) == 0 {
+			rt.failOn = pick()
+		}
+		what := fmt.Sprintf("step %d Apply(%+v) failOn=%q", step, topo.Shards, rt.failOn)
+
+		// The model's verdict on the file: a refused entry, or every entry
+		// drained, refuses it whole.
+		onRing := false
+		for _, sh := range topo.Shards {
+			onRing = onRing || !sh.Drained
+			if (sh.Addr != "" && sh.Addr != dead) || !(sh.VnodeWeight >= 0 && sh.VnodeWeight <= maxVnodeWeight) {
+				valid = false
+			}
+		}
+		valid = valid && onRing
+		// A managed joiner that cannot start aborts the apply; the managed
+		// joiners started ahead of it are stopped again.
+		if valid {
 			var aborted []string
 			for _, sh := range topo.Shards {
-				if model[sh.Name] != nil {
+				if m.shards[sh.Name] != nil || sh.Addr != "" {
 					continue
 				}
 				if sh.Name == rt.failOn {
 					valid = false
 					for _, n := range aborted {
-						starts[n]++
-						stops[n]++
+						m.starts[n]++
+						m.stops[n]++
 					}
 					break
 				}
 				aborted = append(aborted, sh.Name)
 			}
-			rep, err := r.Apply(topo)
-			rt.failOn = ""
-			if (err == nil) != valid {
-				t.Fatalf("step %d %s: err %v, model says valid=%v", step, what, err, valid)
+		}
+		rep, err := r.Apply(topo)
+		rt.failOn = ""
+		if (err == nil) != valid {
+			t.Fatalf("%s: err %v, model says valid=%v", what, err, valid)
+		}
+		if valid {
+			if want := m.apply(t, rt, topo); !reflect.DeepEqual(rep, want) {
+				t.Fatalf("%s: report %+v, want %+v", what, rep, want)
 			}
-			if !valid {
+			seen["accepted"]++
+		} else if !onRing && len(topo.Shards) > 0 {
+			seen["all drained"]++
+		}
+		for _, ms := range m.shards {
+			if ms.drained {
+				seen["a shard drained"]++
 				break
 			}
-			var want ApplyReport
-			inTopo := map[string]bool{}
-			for _, sh := range topo.Shards {
-				inTopo[sh.Name] = true
-				switch m := model[sh.Name]; {
-				case m == nil:
-					join(sh.Name, "", sh.VnodeWeight)
-					want.Added = append(want.Added, sh.Name)
-				case m.drained || m.weight != sh.VnodeWeight:
-					m.drained, m.weight = false, sh.VnodeWeight
-					want.Updated = append(want.Updated, sh.Name)
-				default:
-					want.Kept = append(want.Kept, sh.Name)
-				}
-			}
-			for n := range model {
-				if !inTopo[n] {
-					leave(n)
-					want.Removed = append(want.Removed, n)
-				}
-			}
-			for _, l := range []*[]string{&want.Added, &want.Removed, &want.Updated, &want.Kept} {
-				sort.Strings(*l)
-			}
-			if !reflect.DeepEqual(rep, want) {
-				t.Fatalf("step %d %s: report %+v, want %+v", step, what, rep, want)
-			}
-		case op < 6: // AddShard: new, re-admit, reweight, duplicate, malformed
-			name, addr, weight := pick(), addrs[rng.Intn(len(addrs))], weights[rng.Intn(len(weights))]
-			if rng.Intn(12) == 0 {
-				weight = 17
-			}
-			what = fmt.Sprintf("AddShard(%q, %q, %g)", name, addr, weight)
-			view, err := r.addShard(name, addr, weight)
-			m := model[name]
-			switch {
-			case (Shard{Name: name, Addr: addr, VnodeWeight: weight}).validate() != nil:
-				if err == nil || errors.Is(err, errShardExists) {
-					t.Fatalf("step %d %s: err %v, want a validation error", step, what, err)
-				}
-			case m == nil:
-				if err != nil {
-					t.Fatalf("step %d %s: %v", step, what, err)
-				}
-				join(name, addr, weight)
-				if wantState := map[bool]string{true: api.ShardEjected, false: api.ShardActive}[addr == dead]; view.State != wantState {
-					t.Fatalf("step %d %s: joined %q, want %q", step, what, view.State, wantState)
-				}
-			case !m.drained && (weight == 0 || weight == m.weight):
-				if !errors.Is(err, errShardExists) {
-					t.Fatalf("step %d %s: err %v, want errShardExists", step, what, err)
-				}
-			default:
-				if err != nil {
-					t.Fatalf("step %d %s: %v", step, what, err)
-				}
-				if m.drained && addr != "" {
-					m.addr = addr
-				}
-				if weight != 0 {
-					m.weight = weight
-				}
-				m.drained = false
-			}
-		case op < 8:
-			name := pick()
-			what = fmt.Sprintf("DrainShard(%q)", name)
-			_, err := r.drainShard(name)
-			switch m := model[name]; {
-			case m == nil:
-				if !errors.Is(err, errShardNotFound) {
-					t.Fatalf("step %d %s: err %v, want errShardNotFound", step, what, err)
-				}
-			case !m.drained && routable() <= 1:
-				if !errors.Is(err, errLastShard) {
-					t.Fatalf("step %d %s: err %v, want errLastShard", step, what, err)
-				}
-			default:
-				if err != nil {
-					t.Fatalf("step %d %s: %v", step, what, err)
-				}
-				m.drained = true
-			}
-		default:
-			name := pick()
-			what = fmt.Sprintf("RemoveShard(%q)", name)
-			err := r.removeShard(name)
-			switch m := model[name]; {
-			case m == nil:
-				if !errors.Is(err, errShardNotFound) {
-					t.Fatalf("step %d %s: err %v, want errShardNotFound", step, what, err)
-				}
-			case !m.drained && routable() <= 1:
-				if !errors.Is(err, errLastShard) {
-					t.Fatalf("step %d %s: err %v, want errLastShard", step, what, err)
-				}
-			default:
-				if err != nil {
-					t.Fatalf("step %d %s: %v", step, what, err)
-				}
-				leave(name)
-			}
 		}
-
-		assertMatchesModel(t, r, rt, model, starts, stops, names, fmt.Sprintf("step %d %s", step, what))
+		assertMatchesModel(t, r, rt, m, names, what)
+	}
+	for _, k := range []string{"accepted", "all drained", "a shard drained"} {
+		if seen[k] == 0 {
+			t.Errorf("seed %d: the walk never reached a step with %s", seed, k)
+		}
 	}
 }
 
 // assertMatchesModel checks what every reconcile owes the membership model:
-// (i) the ring is the one the model builds from scratch, (ii)
-// CurrentTopology is the model, and (iii) the runtime has seen one Start per
-// managed join and one Stop per managed leave of each of names, and runs
-// exactly the managed shards the model holds.
-func assertMatchesModel(t *testing.T, r *Router, rt *recordingRuntime, model map[string]*modelShard, starts, stops map[string]int, names []string, what string) {
+// (i) the ring is the one the model builds from scratch, (ii) statusz is
+// the model, and (iii) the runtime has seen one Start per managed join and
+// one Stop per managed leave of each of names, and runs exactly the managed
+// shards the model holds.
+func assertMatchesModel(t *testing.T, r *Router, rt *recordingRuntime, m *memberModel, names []string, what string) {
 	t.Helper()
 	fresh := NewRing(r.cfg.vnodes)
-	for n, m := range model {
-		if !m.drained {
-			fresh.addN(n, r.vnodesFor(m.weight))
+	for n, ms := range m.shards {
+		if !ms.drained {
+			fresh.addN(n, r.vnodesFor(ms.weight))
 		}
 	}
 	if !reflect.DeepEqual(r.ring.shards, fresh.shards) || !slices.Equal(r.ring.points, fresh.points) {
 		t.Fatalf("%s: ring members %v, model builds %v", what, r.ring.shards, fresh.shards)
 	}
-	topo := r.CurrentTopology().Shards
-	if len(topo) != len(model) {
-		t.Fatalf("%s: topology %+v, model %d shards", what, topo, len(model))
+	shards := r.routerz().Shards
+	if len(shards) != len(m.shards) {
+		t.Fatalf("%s: statusz %+v, model %d shards", what, shards, len(m.shards))
 	}
-	for _, sh := range topo {
-		m := model[sh.Name]
-		if m == nil || sh.Addr != m.addr || sh.VnodeWeight != m.weight || (sh.State == api.ShardDraining) != m.drained {
-			t.Fatalf("%s: shard %+v, model %+v", what, sh, m)
+	for _, sh := range shards {
+		ms := m.shards[sh.Name]
+		if ms == nil || sh.Addr != ms.addr || sh.VnodeWeight != ms.weight || (sh.State == api.ShardDraining) != ms.drained {
+			t.Fatalf("%s: shard %+v, model %+v", what, sh, ms)
 		}
 	}
 	for _, n := range names {
 		gotStarts, gotStops := count(rt.started, n), count(rt.stopped, n)
-		if gotStarts != starts[n] || gotStops != stops[n] {
+		if gotStarts != m.starts[n] || gotStops != m.stops[n] {
 			t.Fatalf("%s: shard %s started %d× stopped %d×, model says %d× and %d×",
-				what, n, gotStarts, gotStops, starts[n], stops[n])
+				what, n, gotStarts, gotStops, m.starts[n], m.stops[n])
 		}
-		held := model[n] != nil && model[n].managed
+		held := m.shards[n] != nil && m.shards[n].managed
 		if running := rt.Get(n) != nil; running != held {
 			t.Fatalf("%s: shard %s running=%v, model holds it managed=%v", what, n, running, held)
 		}

@@ -22,8 +22,8 @@ const ewmaAlpha = 0.3
 type shardState struct {
 	name string
 	// managed marks a shard whose process the router's ShardRuntime
-	// started (topology entry or admin add with no addr): removal stops
-	// the process too. Immutable after creation.
+	// started (a topology entry with no addr): removal stops the process
+	// too. Immutable after creation.
 	managed bool
 
 	mu sync.Mutex
@@ -55,18 +55,18 @@ type shardState struct {
 	errors atomic.Int64 // transport failures + 5xx answers
 }
 
-// placement is what the control plane decided about a shard, as opposed to
-// what the probes observe.
+// placement is what the topology entry decided about a shard, as opposed
+// to what the probes observe.
 type placement struct {
 	// addr is the shard's base URL, e.g. http://127.0.0.1:8723.
 	addr string
 	// weight is the relative ring weight (0 = the router default).
 	weight float64
-	// drained is the admin drain latch: a drained shard is off the ring
+	// drained is the entry's drain latch: a drained shard is off the ring
 	// (new keys route past it) and stays out no matter what the probes
-	// say — only an admin add or a topology reload clears the latch.
-	// Probes keep running so the health picture stays current while the
-	// shard coasts to idle.
+	// say — only a reload that clears the latch brings it back. Probes
+	// keep running so the health picture stays current while the shard
+	// coasts to idle.
 	drained bool
 }
 
@@ -89,7 +89,7 @@ func (s *shardState) isHealthy() bool {
 }
 
 // isRoutable reports whether new keys may be sent here: healthy and not
-// latched out by an admin drain.
+// latched out by its drained entry.
 func (s *shardState) isRoutable() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -159,9 +159,17 @@ func boundedLoadAgainstModel(t *testing.T, seed int64, steps int, seen *[3]int) 
 			s.healthy = m.ejected[name]
 			s.mu.Unlock()
 			m.ejected[name] = !m.ejected[name]
-		case x < 19: // admin drain
+		case x < 19: // a reload that drains one more shard; one that drains them all is refused
 			name := topo[rng.Intn(len(topo))].Name
-			if _, err := r.drainShard(name); err == nil {
+			file, allDrained := make([]Shard, len(topo)), true
+			for i, sh := range topo {
+				sh.Drained = m.drained[sh.Name] || sh.Name == name
+				allDrained = allDrained && sh.Drained
+				file[i] = sh
+			}
+			if _, err := r.Apply(Topology{Shards: file}); (err != nil) != allDrained {
+				t.Fatalf("%s: draining %s by file: err %v, every shard drained: %v", what, name, err, allDrained)
+			} else if err == nil {
 				m.drained[name] = true
 			}
 		default: // a reload names every shard: the drained re-join the ring

@@ -4,10 +4,38 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 )
+
+// mockRouter builds a router whose shards are all MockRuntime-managed
+// mock processes, plus an HTTP front end — the contract-test rig, no real
+// solver processes involved.
+func mockRouter(t *testing.T, cfg Config, names ...string) (*Router, *MockRuntime, *httptest.Server) {
+	t.Helper()
+	rt := NewMockRuntime()
+	cfg.Runtime = rt
+	if cfg.ProbeInterval == 0 {
+		cfg.ProbeInterval = time.Hour // probes by hand in tests
+	}
+	shards := make([]Shard, len(names))
+	for i, n := range names {
+		shards[i] = Shard{Name: n}
+	}
+	r, err := New(cfg, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(r.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		r.Shutdown()
+		rt.StopAll()
+	})
+	return r, rt, ts
+}
 
 // The knobs and counters of MockShard that only this package's tests turn
 // and read, and the runtime that starts MockShards for them.

@@ -15,7 +15,7 @@ import (
 
 // MockShard is a stand-in resilientd for contract tests: it speaks just
 // enough of the wire protocol — /v1/healthz and deterministic /v1/solve
-// answers — that the router's routing, draining, probing and admin paths
+// answers — that the router's routing, draining, probing and reload paths
 // can be exercised without spawning real solver processes. The solve
 // answer is a pure function of the request body and the shard's name, so
 // a test can tell which shard served a key and assert that re-routing

@@ -15,21 +15,13 @@
 // circuit-breaking on 5xx; /v1/statusz exposes the shard map and per-shard
 // stats as schema-versioned JSON.
 //
-// Membership is data: per shard a name, an addr, a vnode weight and a drain
-// latch. reconcile is the only code that makes the ring, the shard map and
-// the runtime's processes equal that state; five surfaces edit it:
-//
-//	surface                what it edits                validated by
-//	start-up (New)         the whole state, from empty  Topology.validate
-//	reload (Apply)         the whole state: presence    Topology.validate
-//	                       means on the ring
-//	admin add (addShard)   one entry: joins, or latch   Shard.validate, errShardExists
-//	                       cleared, or reweighted
-//	admin drain            one entry: latch set         errShardNotFound, errLastShard
-//	admin remove           one entry: deleted           errShardNotFound, errLastShard
-//
-// The last edit wins, and a reload edits everything: it re-admits what an
-// admin drained and removes what an admin added unless the file agrees.
+// Membership is data, and the topology file is its one source: per shard a
+// name, an addr, a vnode weight and a drain latch. reconcile is the only
+// code that makes the ring, the shard map and the runtime's processes equal
+// that state, and Topology.validate the one check of it. New applies it
+// from the empty set at start-up, Apply on every reload: a named shard is
+// on the ring unless drained, an unnamed one leaves, and a file with no
+// undrained entry is refused.
 package router
 
 import (

@@ -87,13 +87,12 @@ type Config struct {
 	// retry_after_ms hint (429/503 envelope) overrides the backoff when
 	// longer. Backoff paces retries only; it never touches result bytes.
 	RetryBackoff time.Duration
-	// AdminToken enables the /v1/admin surface: requests must carry it as
-	// a bearer token. Empty disables the surface entirely (403).
+	// AdminToken gates /debug/pprof: requests must carry it as a bearer
+	// token. Empty disables profiling entirely (403).
 	AdminToken string
 	// Runtime materialises shards declared without an address — topology
-	// entries and admin adds whose addr is empty ask it to start the
-	// process and report where it listens. Nil means address-less shards
-	// are rejected.
+	// entries whose addr is empty ask it to start the process and report
+	// where it listens. Nil means address-less shards are rejected.
 	Runtime ShardRuntime
 	// Transport, when set, replaces the default shard-facing transport —
 	// the seam the chaos injector wires into (-chaos-plan).
@@ -142,11 +141,14 @@ func (c Config) withDefaults() Config {
 // Shard names one routing target: a unique label and the base URL of a
 // resilientd process. An empty Addr asks the configured ShardRuntime to
 // materialise the process. VnodeWeight scales the shard's share of the
-// ring relative to the router's default vnode count (0 = 1.0).
+// ring relative to the router's default vnode count (0 = 1.0). Drained
+// latches the shard off the ring: new keys route past it, in-flight
+// requests finish, and the probes keep watching it.
 type Shard struct {
 	Name        string  `json:"name"`
 	Addr        string  `json:"addr"`
 	VnodeWeight float64 `json:"vnode_weight,omitempty"`
+	Drained     bool    `json:"drained,omitempty"`
 }
 
 // maxVnodeWeight bounds a shard's relative ring weight: high enough for
@@ -269,7 +271,6 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 	mux.HandleFunc("/v1/tracez", r.handleTracez)
 	mux.Handle("/metrics", r.metrics.Handler())
 	api.MountPprof(mux, cfg.AdminToken)
-	r.mountAdmin(mux)
 	r.mux = mux
 	r.probing.Add(1)
 	go r.probeLoop(time.NewTicker(cfg.ProbeInterval))
@@ -277,7 +278,7 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 }
 
 // Handler returns the HTTP API: /v1/solve (routed), /v1/statusz,
-// /v1/healthz and the token-gated /v1/admin surface.
+// /v1/healthz, /v1/tracez, /metrics and the token-gated /debug/pprof.
 func (r *Router) Handler() http.Handler { return r.mux }
 
 // StartDraining refuses new solves with 503 without blocking.
@@ -296,7 +297,7 @@ func (r *Router) Shutdown() {
 	r.probing.Wait()
 	r.inflight.Wait()
 	r.applyMu.Lock()
-	_, _ = r.reconcile(nil, false) // to the empty set: nothing joins, so nothing can fail
+	_, _ = r.reconcile(nil) // to the empty set: nothing joins, so nothing can fail
 	r.applyMu.Unlock()
 	r.client.CloseIdleConnections()
 }

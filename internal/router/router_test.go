@@ -397,8 +397,8 @@ func TestRouterzEndpoint(t *testing.T) {
 }
 
 // TestZeroConfigDefaults pins what a deployment gets from zero configs on
-// both tiers: the router's ring and failover width on statusz and the admin
-// topology, and the shard's cache and queue bounds on statusz.
+// both tiers: the router's ring and failover width and the shard's cache
+// and queue bounds, each on its statusz.
 func TestZeroConfigDefaults(t *testing.T) {
 	srv := server.New(server.Config{})
 	shardTS := httptest.NewServer(srv.Handler())
@@ -420,9 +420,6 @@ func TestZeroConfigDefaults(t *testing.T) {
 	if rz.Vnodes != defaultVnodes || rz.Replicas != 2 || len(rz.Shards) != 1 || rz.Shards[0].VNodes != defaultVnodes {
 		t.Errorf("router statusz: vnodes %d, replicas %d, shards %+v; want %d, 2 and one shard of %d vnodes",
 			rz.Vnodes, rz.Replicas, rz.Shards, defaultVnodes, defaultVnodes)
-	}
-	if topo := r.CurrentTopology(); topo.Vnodes != defaultVnodes || topo.Replicas != 2 {
-		t.Errorf("admin topology: vnodes %d, replicas %d; want %d and 2", topo.Vnodes, topo.Replicas, defaultVnodes)
 	}
 
 	sz, err := api.NewClient(shardTS.URL).Statusz(context.Background())

@@ -15,26 +15,28 @@ import (
 // TestRouteTable enumerates the router's mux: every path it serves
 // resolves to the pattern registered for it and answers a schema-stamped
 // body even to a bare, unauthenticated GET (the POST-only routes with their
-// 405 envelope, admin and pprof with their 401/403, /metrics with the
-// schema gauge), and the retired status aliases resolve to nothing.
+// 405 envelope, pprof with its 401, /metrics with the schema gauge), and
+// the retired status aliases and the retired /v1/admin control plane —
+// membership is the topology file's alone — resolve to nothing.
 func TestRouteTable(t *testing.T) {
 	r, _, ts := mockRouter(t, Config{AdminToken: "sekrit"}, "s0")
 	routes := map[string]string{ // request path → registered pattern, "" = 404
-		"/v1/solve":               "/v1/solve",
-		"/v1/solve/batch":         "/v1/solve/batch",
-		"/v1/statusz":             "/v1/statusz",
-		"/v1/healthz":             "/v1/healthz",
-		"/v1/tracez":              "/v1/tracez",
-		"/metrics":                "/metrics",
-		"/debug/pprof/":           "/debug/pprof/",
-		"/debug/pprof/profile":    "/debug/pprof/profile",
-		"/v1/admin/topology":      "GET /v1/admin/topology",
-		"/v1/admin/shards":        "/v1/admin/", // POST-only: a GET falls to the envelope catch-all
-		"/v1/admin/shards/s0":     "/v1/admin/", // DELETE-only
-		"/v1/admin/anything/else": "/v1/admin/",
-		"/routerz":                "",
-		"/v1/stats":               "",
-		"/":                       "",
+		"/v1/solve":                 "/v1/solve",
+		"/v1/solve/batch":           "/v1/solve/batch",
+		"/v1/statusz":               "/v1/statusz",
+		"/v1/healthz":               "/v1/healthz",
+		"/v1/tracez":                "/v1/tracez",
+		"/metrics":                  "/metrics",
+		"/debug/pprof/":             "/debug/pprof/",
+		"/debug/pprof/profile":      "/debug/pprof/profile",
+		"/v1/admin/topology":        "",
+		"/v1/admin/shards":          "",
+		"/v1/admin/shards/s0":       "",
+		"/v1/admin/shards/s0/drain": "",
+		"/v1/admin/anything/else":   "",
+		"/routerz":                  "",
+		"/v1/stats":                 "",
+		"/":                         "",
 	}
 	for path, want := range routes {
 		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
@@ -72,7 +74,7 @@ func TestRouteTable(t *testing.T) {
 }
 
 // TestEveryEndpointStampsSchema sweeps the router's whole HTTP surface —
-// success bodies, error envelopes, the admin plane, auth failures — and
+// success bodies, error envelopes, auth failures — and
 // asserts every single response carries the wire schema version. A client
 // must be able to version-check any answer it gets, including rejections.
 // The one exception is a profile the admin token unlocked: pprof writes it.
@@ -99,21 +101,14 @@ func TestEveryEndpointStampsSchema(t *testing.T) {
 		{"solve bad body", ts.URL, http.MethodPost, "/v1/solve", "{not json", "", http.StatusBadRequest},
 		{"batch wrong method", ts.URL, http.MethodGet, "/v1/solve/batch", "", "", http.StatusMethodNotAllowed},
 		{"batch bad body", ts.URL, http.MethodPost, "/v1/solve/batch", "{not json", "", http.StatusBadRequest},
-		{"admin topology", ts.URL, http.MethodGet, "/v1/admin/topology", "", "sekrit", http.StatusOK},
-		{"admin no token", ts.URL, http.MethodGet, "/v1/admin/topology", "", "", http.StatusUnauthorized},
-		{"admin bad token", ts.URL, http.MethodGet, "/v1/admin/topology", "", "wrong", http.StatusUnauthorized},
-		{"admin disabled", tsNoAdmin.URL, http.MethodGet, "/v1/admin/topology", "", "", http.StatusForbidden},
-		{"admin unknown path", ts.URL, http.MethodGet, "/v1/admin/bogus", "", "sekrit", http.StatusNotFound},
-		{"admin add bad body", ts.URL, http.MethodPost, "/v1/admin/shards", "{not json", "sekrit", http.StatusBadRequest},
-		{"admin add conflict", ts.URL, http.MethodPost, "/v1/admin/shards", `{"name":"s0"}`, "sekrit", http.StatusConflict},
-		{"admin drain unknown", ts.URL, http.MethodPost, "/v1/admin/shards/nope/drain", "", "sekrit", http.StatusNotFound},
-		{"admin remove unknown", ts.URL, http.MethodDelete, "/v1/admin/shards/nope", "", "sekrit", http.StatusNotFound},
 		{"tracez", ts.URL, http.MethodGet, "/v1/tracez", "", "", http.StatusOK},
 		{"tracez last-n", ts.URL, http.MethodGet, "/v1/tracez?n=2", "", "", http.StatusOK},
 		{"tracez by id", ts.URL, http.MethodGet, "/v1/tracez?id=nosuchtrace", "", "", http.StatusOK},
 		{"tracez wrong method", ts.URL, http.MethodPost, "/v1/tracez", "", "", http.StatusMethodNotAllowed},
 		{"pprof no token", tsNoAdmin.URL, http.MethodGet, "/debug/pprof/", "", "", http.StatusForbidden},
 		{"pprof missing token", ts.URL, http.MethodGet, "/debug/pprof/", "", "", http.StatusUnauthorized},
+		{"pprof bad token", ts.URL, http.MethodGet, "/debug/pprof/", "", "wrong", http.StatusUnauthorized},
+		{"pprof near-miss token", ts.URL, http.MethodGet, "/debug/pprof/", "", "sekrit2", http.StatusUnauthorized},
 		{"pprof with token", ts.URL, http.MethodGet, "/debug/pprof/", "", "sekrit", http.StatusOK},
 	}
 	for _, tc := range cases {
@@ -145,7 +140,7 @@ func TestEveryEndpointStampsSchema(t *testing.T) {
 				t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, tc.wantStatus, raw)
 			}
 			switch {
-			case tc.wantStatus == http.StatusNotFound && !strings.HasPrefix(tc.path, "/v1/admin/"):
+			case tc.wantStatus == http.StatusNotFound:
 				return // no route, so no handler of ours to stamp anything
 			case tc.wantStatus == http.StatusOK && strings.HasPrefix(tc.path, "/debug/pprof/"):
 				return // net/http/pprof's own page, past the token gate

@@ -15,19 +15,22 @@ const TopologySchemaVersion = 1
 //	  "schema": 1,
 //	  "shards": [
 //	    {"name": "s0", "addr": "http://127.0.0.1:9000"},
-//	    {"name": "s1", "addr": ""}
+//	    {"name": "s1", "addr": ""},
+//	    {"name": "s2", "addr": "http://127.0.0.1:9002", "drained": true}
 //	  ]
 //	}
 //
 // A shard with an addr attaches to a running resilientd; a shard with an
-// empty addr is spawned in-process by resrouter on an ephemeral port.
+// empty addr is spawned in-process by resrouter on an ephemeral port; a
+// drained shard stays in the router, off the ring.
 type Topology struct {
 	Schema int     `json:"schema"`
 	Shards []Shard `json:"shards"`
 }
 
 // validate rejects malformed topologies: unknown schema, no shards,
-// duplicate names, or an entry Shard.validate refuses.
+// duplicate names, an entry Shard.validate refuses, or every entry drained
+// (the ring would be empty).
 func (t *Topology) validate() error {
 	if t.Schema != 0 && t.Schema != TopologySchemaVersion {
 		return fmt.Errorf("topology: unsupported schema %d (want %d)", t.Schema, TopologySchemaVersion)
@@ -36,6 +39,7 @@ func (t *Topology) validate() error {
 		return fmt.Errorf("topology: no shards")
 	}
 	seen := make(map[string]bool, len(t.Shards))
+	onRing := false
 	for i, sh := range t.Shards {
 		if err := sh.validate(); err != nil {
 			return fmt.Errorf("topology: entry %d: %w", i, err)
@@ -44,12 +48,16 @@ func (t *Topology) validate() error {
 			return fmt.Errorf("topology: duplicate shard name %q", sh.Name)
 		}
 		seen[sh.Name] = true
+		onRing = onRing || !sh.Drained
+	}
+	if !onRing {
+		return errors.New("topology: every shard is drained; one must stay on the ring")
 	}
 	return nil
 }
 
 // validate is the one check of a shard entry, whichever surface it came in
-// by (start-up flags, topology file, admin add): a name, a vnode_weight in
+// by (start-up flags or topology file): a name, a vnode_weight in
 // (0, 16] or 0 for the default, and an addr that is an http(s) base URL or
 // empty (the runtime starts the process).
 func (sh Shard) validate() error {

@@ -1,11 +1,8 @@
 package router
 
 import (
-	"context"
+	"slices"
 	"testing"
-	"time"
-
-	"repro/internal/api"
 )
 
 // TestRingAddNSkewsOwnership: a shard holding more vnodes must own a
@@ -90,7 +87,8 @@ func TestVnodesFor(t *testing.T) {
 
 // TestApplyReweightsShard: a topology reload that only changes a shard's
 // vnode_weight must rebalance the ring in place and report the shard as
-// updated — no restart, no remove/re-add churn.
+// updated — no restart, no remove/re-add churn — and a weighted joiner
+// takes its scaled share of the ring.
 func TestApplyReweightsShard(t *testing.T) {
 	r, _, ts := mockRouter(t, Config{vnodes: 16}, "s0", "s1")
 	if got := r.ring.vnodesOf("s0"); got != 16 {
@@ -98,7 +96,7 @@ func TestApplyReweightsShard(t *testing.T) {
 	}
 
 	topo := Topology{Schema: TopologySchemaVersion}
-	for _, sh := range r.CurrentTopology().Shards {
+	for _, sh := range r.routerz().Shards {
 		entry := Shard{Name: sh.Name, Addr: sh.Addr}
 		if sh.Name == "s0" {
 			entry.VnodeWeight = 3
@@ -143,50 +141,16 @@ func TestApplyReweightsShard(t *testing.T) {
 	if rep.Changed() {
 		t.Errorf("idempotent re-apply reported %s", rep)
 	}
-}
 
-// TestAdminAddShardWeighted drives the satellite end to end through the
-// typed client: a weighted add materializes with the scaled ring share,
-// and re-adding an active shard with a new weight rebalances in place.
-func TestAdminAddShardWeighted(t *testing.T) {
-	r, _, ts := mockRouter(t, Config{vnodes: 16, AdminToken: "sekrit"}, "s0")
-	cl := adminClient(ts.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	add, err := cl.AdminAddShardWeighted(ctx, "w0", "", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if add.Shard.VnodeWeight != 2 {
-		t.Errorf("admin view weight %g, want 2", add.Shard.VnodeWeight)
-	}
-	if got := r.ring.vnodesOf("w0"); got != 32 {
-		t.Errorf("VNodes(w0) = %d, want 32", got)
-	}
-
-	// In-place rebalance of an active shard: same name, new weight.
-	if _, err := cl.AdminAddShardWeighted(ctx, "w0", "", 0.5); err != nil {
-		t.Fatalf("weighted re-add of an active shard: %v", err)
-	}
-	if got := r.ring.vnodesOf("w0"); got != 8 {
-		t.Errorf("VNodes(w0) = %d after rebalance, want 8", got)
-	}
-
-	// Same weight again is the plain duplicate-add error.
-	if _, err := cl.AdminAddShardWeighted(ctx, "w0", "", 0.5); err == nil {
-		t.Error("duplicate add with unchanged weight accepted")
-	}
-
-	// Out-of-range weights are rejected at the API boundary.
-	if _, err := cl.AdminAddShardWeighted(ctx, "w1", "", maxVnodeWeight+1); err == nil {
-		t.Error("over-limit vnode_weight accepted")
-	} else if e := asAPIError(t, err); e.Code != api.CodeBadRequest {
-		t.Errorf("over-limit vnode_weight: code %q, want %q", e.Code, api.CodeBadRequest)
-	}
-	if _, err := cl.AdminAddShardWeighted(ctx, "w1", "", -1); err == nil {
-		t.Error("negative vnode_weight accepted")
-	} else if e := asAPIError(t, err); e.Code != api.CodeBadRequest {
-		t.Errorf("negative vnode_weight: code %q, want %q", e.Code, api.CodeBadRequest)
+	// A joiner of weight 2 holds twice the default points; reweighting it
+	// to 0.5 leaves it a quarter of that.
+	for _, w := range []float64{2, 0.5} {
+		grown := Topology{Schema: TopologySchemaVersion, Shards: append(slices.Clone(topo.Shards), Shard{Name: "w0", VnodeWeight: w})}
+		if _, err := r.Apply(grown); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.ring.vnodesOf("w0"), int(w*16); got != want {
+			t.Errorf("weight %g: VNodes(w0) = %d, want %d", w, got, want)
+		}
 	}
 }
