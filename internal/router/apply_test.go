@@ -95,12 +95,8 @@ func TestApplyRejectsMalformedKeepsRing(t *testing.T) {
 		{Schema: 99, Shards: []Shard{{Name: "s0"}}},                                                // unknown schema
 		{Schema: 1, Shards: []Shard{{Name: "a"}, {Name: "a"}}},                                     // duplicate labels
 		{Schema: 1, Shards: []Shard{{Name: ""}}},                                                   // empty name
-		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Addr: "http://127.0.0.1:9"}}},                   // a nameless entry
 		{Schema: 1, Shards: []Shard{{Name: "x", Addr: "not a url"}}},                               // bad addr
-		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "nohost", Addr: "http://"}}},              // an addr with no host
 		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "s1"}, {Name: "s2", Addr: "ftp://nope"}}}, // one bad entry poisons all
-		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "neg", VnodeWeight: -1}}},                 // weight below 0
-		{Schema: 1, Shards: []Shard{{Name: "s0"}, {Name: "big", VnodeWeight: 16.5}}},               // weight above 16
 		{Schema: 1, Shards: []Shard{{Name: "s0", Drained: true}, {Name: "s1", Drained: true}}},     // nothing left on the ring
 	}
 	for i, tp := range bad {
@@ -120,6 +116,37 @@ func TestApplyRejectsMalformedKeepsRing(t *testing.T) {
 		t.Errorf("solve after rejected reloads: status %d", code)
 	}
 	_ = rt
+}
+
+// TestAdminAddRefusesInvalidShard: adding a shard is a topology file that
+// names one more, and a joiner the file validation refuses — an addr that
+// is not an http(s) base URL, a weight outside (0, 16], no name — refuses
+// the whole file: the shard set and the ring are as they were, and no
+// process was started for it.
+func TestAdminAddRefusesInvalidShard(t *testing.T) {
+	r, rt, _ := mockRouter(t, Config{}, "s0")
+	before := ringOwners(r, 64)
+	for _, joiner := range []Shard{
+		{Name: "bad", Addr: "not a url at all"},
+		{Name: "ftp", Addr: "ftp://x/y"},
+		{Name: "nohost", Addr: "http://"},
+		{Name: "neg", VnodeWeight: -1},
+		{Name: "big", VnodeWeight: 16.5},
+		{Addr: "http://127.0.0.1:9"},
+	} {
+		if _, err := r.Apply(Topology{Schema: 1, Shards: []Shard{{Name: "s0"}, joiner}}); err == nil {
+			t.Errorf("add of %+v accepted", joiner)
+		}
+		if joiner.Name != "" && rt.Get(joiner.Name) != nil {
+			t.Errorf("refused add of %s started a shard", joiner.Name)
+		}
+	}
+	if shards := r.routerz().Shards; len(shards) != 1 || shards[0].Name != "s0" || shards[0].State != api.ShardActive {
+		t.Errorf("refused adds changed the shard set: %+v", shards)
+	}
+	if got := ringOwners(r, 64); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Error("refused adds disturbed the ring")
+	}
 }
 
 // TestApplyStartFailureAborts: when materialising any joiner fails, the

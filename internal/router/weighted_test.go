@@ -1,9 +1,6 @@
 package router
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // TestRingAddNSkewsOwnership: a shard holding more vnodes must own a
 // proportionally larger share of the keyspace, and VNodes must report
@@ -87,8 +84,7 @@ func TestVnodesFor(t *testing.T) {
 
 // TestApplyReweightsShard: a topology reload that only changes a shard's
 // vnode_weight must rebalance the ring in place and report the shard as
-// updated — no restart, no remove/re-add churn — and a weighted joiner
-// takes its scaled share of the ring.
+// updated — no restart, no remove/re-add churn.
 func TestApplyReweightsShard(t *testing.T) {
 	r, _, ts := mockRouter(t, Config{vnodes: 16}, "s0", "s1")
 	if got := r.ring.vnodesOf("s0"); got != 16 {
@@ -141,16 +137,46 @@ func TestApplyReweightsShard(t *testing.T) {
 	if rep.Changed() {
 		t.Errorf("idempotent re-apply reported %s", rep)
 	}
+}
 
-	// A joiner of weight 2 holds twice the default points; reweighting it
-	// to 0.5 leaves it a quarter of that.
-	for _, w := range []float64{2, 0.5} {
-		grown := Topology{Schema: TopologySchemaVersion, Shards: append(slices.Clone(topo.Shards), Shard{Name: "w0", VnodeWeight: w})}
-		if _, err := r.Apply(grown); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := r.ring.vnodesOf("w0"), int(w*16); got != want {
-			t.Errorf("weight %g: VNodes(w0) = %d, want %d", w, got, want)
-		}
+// TestAdminAddShardWeighted: a shard added with a vnode_weight joins
+// holding its scaled share of the ring's points, the same file with a new
+// weight rebalances it in place, and the same file again changes nothing.
+// Out-of-range weights are refused with the other invalid joiners
+// (TestAdminAddRefusesInvalidShard).
+func TestAdminAddShardWeighted(t *testing.T) {
+	r, _, _ := mockRouter(t, Config{vnodes: 16}, "s0")
+	withW0 := func(w float64) Topology {
+		return Topology{Schema: TopologySchemaVersion, Shards: []Shard{{Name: "s0"}, {Name: "w0", VnodeWeight: w}}}
+	}
+
+	rep, err := r.Apply(withW0(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Added) != 1 || rep.Added[0] != "w0" {
+		t.Errorf("report %s: want w0 added", rep)
+	}
+	if got := r.ring.vnodesOf("w0"); got != 32 {
+		t.Errorf("VNodes(w0) = %d, want 32", got)
+	}
+
+	// In-place rebalance of an active shard: same name, new weight.
+	if rep, err = r.Apply(withW0(0.5)); err != nil {
+		t.Fatalf("reweight of an active shard: %v", err)
+	}
+	if len(rep.Updated) != 1 || rep.Updated[0] != "w0" || len(rep.Added)+len(rep.Removed) != 0 {
+		t.Errorf("report %s: want exactly w0 updated", rep)
+	}
+	if got := r.ring.vnodesOf("w0"); got != 8 {
+		t.Errorf("VNodes(w0) = %d after rebalance, want 8", got)
+	}
+
+	// The same weight again is a reload that changes nothing.
+	if rep, err = r.Apply(withW0(0.5)); err != nil || rep.Changed() {
+		t.Errorf("re-apply with unchanged weight: report %s, err %v", rep, err)
+	}
+	if got := r.ring.vnodesOf("w0"); got != 8 {
+		t.Errorf("VNodes(w0) = %d after a no-change reload, want 8", got)
 	}
 }
