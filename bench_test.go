@@ -25,7 +25,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/pool"
 	"repro/internal/precond"
-	"repro/internal/sim"
 	"repro/internal/sparse"
 	"repro/internal/tmr"
 	"repro/internal/vec"
@@ -64,14 +63,27 @@ func BenchmarkTable1_ABFTCorrection_2213(b *testing.B) {
 }
 
 func benchTable1Cell(b *testing.B, scheme core.Scheme) {
-	m, rhs := benchMatrix(b, 2213)
+	m, _ := benchMatrix(b, 2213)
 	alpha := 1.0 / 16
 	_, sTilde := core.OptimalIntervals(m.a, scheme, alpha, core.DefaultCostParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mean, _, _ := sim.AverageTimePool(nil, m.a, rhs, scheme, alpha, sTilde, 1, 1e-8, int64(i), 3)
-		b.ReportMetric(mean, "model-s-time")
+		sc := harness.Scenario{
+			Solver: "cg", Scheme: harness.SchemeSlug(scheme),
+			Alpha: alpha, S: sTilde, D: 1, Tol: 1e-8, Reps: 3, Seed: int64(i),
+		}.WithRHSSeed(2213)
+		b.ReportMetric(runCampaignCell(b, nil, m.a, sc).MeanSimTime, "model-s-time")
 	}
+}
+
+// runCampaignCell runs one campaign cell through harness.RunOn, the
+// primitive behind cmd/modelval and cmd/faultsim.
+func runCampaignCell(b *testing.B, pl *pool.Pool, a *sparse.CSR, sc harness.Scenario) harness.Result {
+	res, err := harness.RunOn(pl, a, sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // --- Figure 1: execution time vs fault rate, one benchmark per scheme at
@@ -484,22 +496,29 @@ func BenchmarkPoolSpMVParallel(b *testing.B) {
 	}
 }
 
+// poolCampaignCell is the four-trial faulty cell the pool campaign
+// benchmarks fan out.
+var poolCampaignCell = harness.Scenario{
+	Solver: "cg", Scheme: "abft-correction",
+	Alpha: 1.0 / 16, S: 2, D: 1, Tol: 1e-8, Reps: 4, Seed: 1,
+}.WithRHSSeed(2213)
+
 func BenchmarkPoolCampaignSequential(b *testing.B) {
 	b.ReportAllocs()
-	m, rhs := benchMatrix(b, 2213)
+	m, _ := benchMatrix(b, 2213)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.AverageTimePool(nil, m.a, rhs, core.ABFTCorrection, 1.0/16, 2, 1, 1e-8, 1, 4)
+		runCampaignCell(b, nil, m.a, poolCampaignCell)
 	}
 }
 
 func BenchmarkPoolCampaignParallel(b *testing.B) {
 	b.ReportAllocs()
 	p := pool.Default()
-	m, rhs := benchMatrix(b, 2213)
+	m, _ := benchMatrix(b, 2213)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.AverageTimePool(p, m.a, rhs, core.ABFTCorrection, 1.0/16, 2, 1, 1e-8, 1, 4)
+		runCampaignCell(b, p, m.a, poolCampaignCell)
 	}
 }
 

@@ -8,14 +8,16 @@
 //	resload -addr ... -json -out load.json
 //	resload -addr ... -check        # nonzero exit unless all OK and deterministic
 //
-// Sharded deployments are verified end to end with the router modes:
+// After every run resload reads the target's /v1/statusz. A resrouter
+// answers with its router section, which is folded into the record; when
+// that section carries chaos counters (the router runs -chaos-plan), -check
+// also fails unless the router caught at least one of the injected bit
+// flips. Sharded deployments are verified end to end against the router:
 //
-//	resload -addr http://127.0.0.1:8900 -router -check
-//	resload -addr ... -router -shards http://127.0.0.1:9001,http://127.0.0.1:9002 -check
+//	resload -addr http://127.0.0.1:8900 -check
+//	resload -addr ... -shards http://127.0.0.1:9001,http://127.0.0.1:9002 -check
 //
-// -router treats the target as a resrouter (the router section of its
-// /v1/statusz must answer and is folded into the record); -shards
-// re-issues one request per cell directly against the listed shard
+// -shards re-issues one request per cell directly against the listed shard
 // addresses and fails -check unless every direct residual hash is
 // bit-identical to the routed one — the determinism gate across routing
 // paths, before and after failover.
@@ -118,8 +120,8 @@ type Record struct {
 	// Batch is set when the mix carried batched cells: each deterministic
 	// batched cell's per-RHS hashes re-checked against single solves.
 	Batch *BatchCheck `json:"batch,omitempty"`
-	// Router is set in -router mode: the router section of the target's
-	// /v1/statusz after the run.
+	// Router is set when the target is a resrouter: the router section of
+	// its /v1/statusz after the run.
 	Router *RouterSummary `json:"router,omitempty"`
 	// Stream is set in -stream mode: streamed terminal results
 	// cross-checked against buffered answers for the same cells.
@@ -291,8 +293,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		check     = fs.Bool("check", false, "exit nonzero unless every request succeeded, every cell hashed identically, and every enabled cross-check passed")
 		logFormat = fs.String("log-format", "text", "log line format: text or json")
 		quiet     = fs.Bool("q", false, "suppress progress output")
-		isRouter  = fs.Bool("router", false, "target is a resrouter: require and report the router section of its /v1/statusz")
-		chaosMode = fs.Bool("chaos", false, "the target router runs a fault-injection plan (-chaos-plan): require the chaos section of its /v1/statusz, and -check additionally requires every injected bit flip to be detected and zero corrupt responses at this client")
 		shardsCSV = fs.String("shards", "", "comma-separated direct shard base URLs: re-issue each cell directly and cross-check residual hashes against the routed run")
 		streamOn  = fs.Bool("stream", false, "issue every solve as a streamed (SSE) request and cross-check each terminal hash against a buffered solve")
 		recordTo  = fs.String("record", "", "write the request mix and observed hashes as a replayable campaign file")
@@ -300,9 +300,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *chaosMode && !*isRouter {
-		return fmt.Errorf("-chaos requires -router (the chaos counters live in the router's /v1/statusz)")
 	}
 	if *streamOn && *batchK > 1 {
 		return fmt.Errorf("-stream drives /v1/solve only; it cannot be combined with -batch > 1")
@@ -369,16 +366,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 			break
 		}
 	}
-	if *isRouter {
-		rs, err := fetchRouterz(*addr)
-		if err != nil {
-			if *check {
-				return fmt.Errorf("check failed: -router target has no router statusz: %w", err)
-			}
-			logger.Warn("router statusz unreachable", "error", err.Error())
-		}
-		rec.Router = rs
+	// A statusz that does not answer only warns: this run's own failures
+	// already surface under -check.
+	rs, err := fetchRouterz(*addr)
+	if err != nil {
+		logger.Warn("target statusz unreachable", "error", err.Error())
 	}
+	rec.Router = rs
 	if *recordTo != "" {
 		if err := writeCampaign(*recordTo, *n, *c, rec.Mix, mix); err != nil {
 			return err
@@ -437,16 +431,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// Router counters (failovers, unroutable) are cumulative over the
 		// router's lifetime, not this run's, so they are reported but
 		// never gated on — this run's own failures already surface above.
-		// The chaos gates below are the exception: a chaos campaign runs
-		// against a router started fresh for the experiment.
-		if *chaosMode {
-			switch {
-			case rec.Router == nil || rec.Router.Chaos == nil:
-				return fmt.Errorf("check failed: -chaos given but the target router reports no chaos section (is it running -chaos-plan?)")
-			case rec.Router.Chaos.BitFlips > 0 && rec.Router.Integrity.CorruptResponses == 0:
-				return fmt.Errorf("check failed: chaos injected %d bit flips but the router detected no corrupt responses — the digest check is vacuous",
-					rec.Router.Chaos.BitFlips)
-			}
+		// The chaos gate is the exception: a chaos campaign runs against
+		// a router started fresh for the experiment.
+		if rs != nil && rs.Chaos != nil && rs.Chaos.BitFlips > 0 && rs.Integrity.CorruptResponses == 0 {
+			return fmt.Errorf("check failed: chaos injected %d bit flips but the router detected no corrupt responses — the digest check is vacuous",
+				rs.Chaos.BitFlips)
 		}
 	}
 	return nil
@@ -624,8 +613,8 @@ func batchCheck(ac *api.Client, mix []cell, cells []MixCell) *BatchCheck {
 	return bc
 }
 
-// fetchRouterz snapshots the router's shard map after the run: the router
-// section of its /v1/statusz.
+// fetchRouterz snapshots the target's /v1/statusz after the run and
+// returns its router section, nil when the target is not a router.
 func fetchRouterz(addr string) (*RouterSummary, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -635,7 +624,7 @@ func fetchRouterz(addr string) (*RouterSummary, error) {
 	}
 	rz := sz.Router
 	if rz == nil {
-		return nil, fmt.Errorf("statusz answered by tier %q: not a router", sz.Tier)
+		return nil, nil
 	}
 	return &RouterSummary{
 		Shards:        len(rz.Shards),
@@ -882,15 +871,8 @@ func aggregate(addr string, c int, mix []cell, outcomes []outcome, wall time.Dur
 	if rec.WallSeconds > 0 {
 		rec.Throughput = float64(rec.OK) / rec.WallSeconds
 	}
-	rec.Latency = summarize(latencies)
+	rec.Latency = api.SummarizeLatencies(latencies)
 	return rec
-}
-
-// summarize is the shared estimator from internal/api (nearest-rank
-// percentiles; internal/api's nearestRank gives the rank-vs-rounding
-// rationale).
-func summarize(ms []float64) api.LatencySummary {
-	return api.SummarizeLatencies(ms)
 }
 
 func writeSummary(w io.Writer, rec Record) error {

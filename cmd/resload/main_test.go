@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/chaos"
 	"repro/internal/router"
 	"repro/internal/server"
@@ -153,14 +154,14 @@ func TestSummarizePercentiles(t *testing.T) {
 	}
 	for _, tc := range cases {
 		in := append([]float64(nil), tc.in...)
-		got := summarize(in)
+		got := api.SummarizeLatencies(in)
 		if got.P50Ms != tc.p50 || got.P90Ms != tc.p90 || got.P99Ms != tc.p99 || got.MaxMs != tc.max {
 			t.Errorf("%s: got p50=%v p90=%v p99=%v max=%v, want %v/%v/%v/%v",
 				tc.name, got.P50Ms, got.P90Ms, got.P99Ms, got.MaxMs, tc.p50, tc.p90, tc.p99, tc.max)
 		}
 	}
 	// Percentiles must never exceed the maximum or fall below the minimum.
-	s := summarize(seq(26))
+	s := api.SummarizeLatencies(seq(26))
 	if s.P99Ms > s.MaxMs || s.P50Ms < 1 {
 		t.Errorf("bounds violated: %+v", s)
 	}
@@ -271,7 +272,7 @@ func TestRunRouterMode(t *testing.T) {
 
 	// Phase 1: all shards healthy. Record the campaign, cross-check
 	// routed hashes against direct serving on every shard.
-	rec1 := load(t, "-addr", routerURL, "-router", "-shards", shards,
+	rec1 := load(t, "-addr", routerURL, "-shards", shards,
 		"-n", "24", "-c", "4",
 		"-matrices", "poisson2d:100,poisson2d:144,tridiag:120,tridiag:160",
 		"-solvers", "cg", "-schemes", "abft-correction,unprotected",
@@ -289,7 +290,7 @@ func TestRunRouterMode(t *testing.T) {
 	// The batched mix through the router: every right-hand side must
 	// answer what a single solve does, and every batched cell what the
 	// shards answer it directly.
-	recB := load(t, "-addr", routerURL, "-router", "-shards", shards,
+	recB := load(t, "-addr", routerURL, "-shards", shards,
 		"-n", "6", "-c", "2", "-matrices", "poisson2d:100,tridiag:120",
 		"-solvers", "cg", "-schemes", "abft-correction", "-batch", "3", "-check")
 	if recB.Batch == nil || recB.Batch.Checks != 6 || recB.Batch.Mismatches != 0 || recB.Batch.Errors != 0 {
@@ -301,7 +302,7 @@ func TestRunRouterMode(t *testing.T) {
 
 	// Streams pass through the router: every terminal hash must equal a
 	// buffered re-issue of its cell.
-	recS := load(t, "-addr", routerURL, "-router", "-stream",
+	recS := load(t, "-addr", routerURL, "-stream",
 		"-n", "8", "-c", "2", "-matrices", "poisson2d:100,tridiag:120",
 		"-solvers", "cg", "-schemes", "abft-correction,unprotected", "-check")
 	if st := recS.Stream; st == nil || st.Requests != 8 || st.Events < st.Requests ||
@@ -312,7 +313,7 @@ func TestRunRouterMode(t *testing.T) {
 	// Phase 2: kill a shard, replay the recorded campaign through the
 	// router. Its keys fail over; every recorded hash must reproduce.
 	killFirst()
-	rec2 := load(t, "-addr", routerURL, "-router",
+	rec2 := load(t, "-addr", routerURL,
 		"-shards", strings.Join(shardURLs[1:], ","),
 		"-replay", campaign, "-check")
 	if rec2.Replay == nil || rec2.Replay.RecordedCells == 0 || rec2.Replay.Mismatches != 0 {
@@ -341,13 +342,13 @@ func TestRunRouterMode(t *testing.T) {
 
 	// Phase 3: the campaign replayed one request at a time through a
 	// router over fresh shards that resets, truncates, corrupts and
-	// refuses their answers. -chaos -check requires the router's chaos
-	// section and every injected bit flip caught; every hash reproduces.
+	// refuses their answers. The record carries the router's chaos
+	// section, which arms -check's bit-flip gate; every hash reproduces.
 	plan := chaos.Plan{Schema: 1, Seed: 1234, PReset: 0.05, PTruncate: 0.05, PBitFlip: 0.15, P503: 0.05}
 	inj := chaos.New(plan, nil)
 	chaosURL, _, _ := routerTarget(t, router.Config{
 		Transport: inj, ChaosStats: inj.Stats, RetryBudget: 8, RetryBackoff: time.Millisecond})
-	rec3 := load(t, "-addr", chaosURL, "-router", "-chaos", "-replay", campaign, "-c", "1", "-check")
+	rec3 := load(t, "-addr", chaosURL, "-replay", campaign, "-c", "1", "-check")
 	if rec3.Replay == nil || rec3.Replay.RecordedCells == 0 || rec3.Replay.Mismatches != 0 {
 		t.Errorf("chaos replay %+v, want recorded cells with 0 mismatches", rec3.Replay)
 	}

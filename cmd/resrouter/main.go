@@ -6,20 +6,20 @@
 //
 //	resrouter -addr 127.0.0.1:8900 -topology shards.json
 //	resrouter -addr 127.0.0.1:8900 -spawn 3
-//	resrouter -addr 127.0.0.1:8900 -spawn 3 -supervise -shard-bin ./bin/resilientd
+//	resrouter -addr 127.0.0.1:8900 -spawn 3 -shard-bin ./bin/resilientd
 //
 // The topology file lists the shard set (see internal/router.Topology);
 // entries with an empty addr — and every shard under -spawn — are
 // materialised by the shard runtime: in-process servers by default, or
-// supervised resilientd child processes under -supervise (crashed
-// children restart with capped exponential backoff and re-admit through
-// the router's health probes). The topology is live: SIGHUP — and a
-// polling content watch (-topology-watch) — reloads the file and applies it
-// to the ring with minimal key movement; a malformed file is rejected and
-// the previous ring keeps serving. The file is the one source of
-// membership: an entry's "drained": true takes its shard off the ring
-// while in-flight requests finish, and dropping the entry removes it.
-// -admin-token gates /debug/pprof.
+// supervised child processes of the resilientd binary that -shard-bin
+// names (crashed children restart with capped exponential backoff and
+// re-admit through the router's health probes). The topology is live:
+// SIGHUP — and a polling content watch (-topology-watch) — reloads the
+// file and applies it to the ring with minimal key movement; a malformed
+// file is rejected and the previous ring keeps serving. The file is the
+// one source of membership: an entry's "drained": true takes its shard off
+// the ring while in-flight requests finish, and dropping the entry removes
+// it. -admin-token gates /debug/pprof.
 //
 // POST /v1/solve routes by matrix identity with health-checked failover
 // to the next ring replica; GET /v1/statusz exposes the shard map, key
@@ -68,8 +68,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		topoPath      = fs.String("topology", "", "JSON topology file naming the shard set")
 		topoWatch     = fs.Duration("topology-watch", 2*time.Second, "poll the topology file this often and reload when its content changed (0 = SIGHUP only)")
 		spawn         = fs.Int("spawn", 0, "materialise this many shards through the runtime (instead of, or in addition to, -topology)")
-		supervise     = fs.Bool("supervise", false, "materialise address-less shards as supervised resilientd child processes instead of in-process servers")
-		shardBin      = fs.String("shard-bin", "resilientd", "resilientd binary for -supervise (looked up in PATH unless a path is given)")
+		shardBin      = fs.String("shard-bin", "", "materialise address-less shards as supervised child processes of this resilientd binary, looked up in PATH unless a path is given (empty = in-process servers)")
 		restartBase   = fs.Duration("restart-backoff", 250*time.Millisecond, "first restart delay for a crashed supervised shard (doubles per crash)")
 		restartMax    = fs.Duration("restart-max", 5*time.Second, "restart-delay cap for a crash-looping supervised shard")
 		restartLimit  = fs.Int("restart-limit", 0, "consecutive crash-loop restarts before a supervised shard is given up on (0 = unlimited)")
@@ -114,7 +113,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 
 	var runtime router.ShardRuntime
 	var procs *procRuntime
-	if *supervise {
+	if *shardBin != "" {
 		procs = newProcRuntime(procConfig{
 			bin:         *shardBin,
 			backoff:     *restartBase,

@@ -312,7 +312,7 @@ func findShardPID(t *testing.T, bin, shard string) int {
 }
 
 // TestSuperviseRestartsKilledShard is the watchdog end-to-end: real
-// resilientd children under -supervise, one killed with SIGKILL, a fresh
+// resilientd children under -shard-bin, one killed with SIGKILL, a fresh
 // process comes back on the same port, is re-admitted by the health
 // probes, and serves the same keys with bit-identical residual hashes. A
 // second router then kills a child through its chaos plan (-chaos-plan with
@@ -327,7 +327,7 @@ func TestSuperviseRestartsKilledShard(t *testing.T) {
 	}
 
 	base, cancel, done := boot(t, []string{
-		"-addr", "127.0.0.1:0", "-spawn", "2", "-supervise", "-shard-bin", bin,
+		"-addr", "127.0.0.1:0", "-spawn", "2", "-shard-bin", bin,
 		"-restart-backoff", "50ms", "-restart-max", "250ms",
 		"-probe-interval", "100ms", "-q"})
 	defer cancel()
@@ -414,7 +414,7 @@ func TestSuperviseRestartsKilledShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, cancel, done = boot(t, []string{
-		"-addr", "127.0.0.1:0", "-spawn", "2", "-supervise", "-shard-bin", bin,
+		"-addr", "127.0.0.1:0", "-spawn", "2", "-shard-bin", bin,
 		"-restart-backoff", "50ms", "-restart-max", "250ms", "-probe-interval", "100ms",
 		"-chaos-plan", plan, "-retry-budget", "8", "-retry-backoff", "1ms", "-q"})
 	// Drain even when an assertion below fails, so no child outlives the test.

@@ -64,7 +64,7 @@ func (l *localRuntime) Stop(name string) error {
 }
 
 // procRuntime materialises shards as supervised resilientd child
-// processes: the -supervise watchdog. A crashed child restarts with
+// processes: the -shard-bin watchdog. A crashed child restarts with
 // capped exponential backoff on a stable port — the ring address never
 // changes — and rejoins traffic when the router's health probes see it
 // answer again, the same re-admission path as any ejected shard.
@@ -86,12 +86,12 @@ type procConfig struct {
 	// maxRestarts caps consecutive crash-loop restarts per child
 	// (0 = unlimited); see supervisor.Config.MaxRestarts.
 	maxRestarts int
-	// healthWait bounds how long Start waits for a fresh child's
-	// /v1/healthz (0 = 15s).
-	healthWait time.Duration
 	// log receives the structured lifecycle lines (nil discards them).
 	log *slog.Logger
 }
+
+// healthWait bounds how long Start waits for a fresh child's /v1/healthz.
+const healthWait = 15 * time.Second
 
 type procShard struct {
 	child *supervisor.Child
@@ -126,10 +126,6 @@ func (p *procRuntime) Start(name string) (string, error) {
 	})
 
 	addr := "http://" + hostport
-	healthWait := p.cfg.healthWait
-	if healthWait <= 0 {
-		healthWait = 15 * time.Second
-	}
 	if err := waitHealthy(addr, healthWait); err != nil {
 		child.Stop()
 		return "", fmt.Errorf("shard %q never became healthy: %w", name, err)

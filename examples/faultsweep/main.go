@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/pool"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -34,7 +33,6 @@ func run(w io.Writer, scale, reps int) error {
 		return fmt.Errorf("suite matrix 341 missing")
 	}
 	a := sm.Generate(scale) // nnz/row is preserved under downscaling
-	b, _ := harness.RHS(a, 7)
 
 	fmt.Fprintf(w, "matrix #%d at 1/%d scale: n=%d, nnz=%d\n\n", sm.ID, scale, a.Rows, a.NNZ())
 	fmt.Fprintf(w, "%-14s %-20s %-20s %-20s\n", "MTBF (1/α)",
@@ -44,12 +42,19 @@ func run(w io.Writer, scale, reps int) error {
 	for _, mtbf := range []float64{16, 50, 100, 1000, 10000} {
 		fmt.Fprintf(w, "%-14.0f", mtbf)
 		for _, scheme := range core.Schemes {
-			mean, _, fails := sim.AverageTimePool(pl, a, b, scheme, 1/mtbf, 0, 0, 1e-8, 99, reps)
+			sc := harness.Scenario{
+				Solver: "cg", Scheme: harness.SchemeSlug(scheme),
+				Alpha: 1 / mtbf, Tol: 1e-8, Reps: reps, Seed: 99,
+			}.WithRHSSeed(7)
+			res, err := harness.RunOn(pl, a, sc)
+			if err != nil {
+				return err
+			}
 			marker := ""
-			if fails > 0 {
+			if res.Failures > 0 {
 				marker = "*"
 			}
-			fmt.Fprintf(w, " %-19s", fmt.Sprintf("%.4fs%s", mean, marker))
+			fmt.Fprintf(w, " %-19s", fmt.Sprintf("%.4fs%s", res.MeanSimTime, marker))
 		}
 		fmt.Fprintln(w)
 	}

@@ -5,12 +5,11 @@
 // injector — into named, seeded, reproducible scenarios with a typed,
 // schema-versioned JSON result record.
 //
-// Every scheme, the baseline included, is one call into internal/core's
-// engine: an overhead reported here divides two runs of the same loop with
-// the same hooks. internal/solver is not on that path; tests compare the
-// engine against it. SolveBlockWith turns a scenario into one core.SolveBlock
-// — recurrence, preconditioner, one injector per system — and SolveWith, a
-// campaign trial, is its block of one.
+// Every scheme, the unprotected baseline included, is one call into
+// internal/core's engine. internal/solver is not on that path; tests
+// compare the engine against it. SolveBlockWith turns a scenario into one
+// core.SolveBlock — recurrence, preconditioner, one injector per system —
+// and SolveWith, a campaign trial, is its block of one.
 //
 // The experiment package (internal/sim) runs the paper's Table 1 and
 // Figure 1 campaigns (cmd/modelval, cmd/faultsim) as harness scenarios, and
@@ -73,9 +72,6 @@ type Scenario struct {
 	// campaigns share one RHS across cells whose trial seeds differ (see
 	// WithRHSSeed).
 	RHSSeed *int64 `json:"rhs_seed,omitempty"`
-	// Baseline requests an additional fault-free unprotected reference solve
-	// so the record reports the protection overhead.
-	Baseline bool `json:"baseline,omitempty"`
 }
 
 func (sc Scenario) withDefaults() Scenario {
@@ -233,14 +229,22 @@ func BuildPrecond(a *sparse.CSR, kind string) (*sparse.CSR, error) {
 // previous outputs).
 const trialSeedStride = 7919
 
-// runTrials executes sc.Reps independent trials, fanned out across the pool's
-// workers when there is one — each trial is one goroutine from start to end.
-// Trial 0 records the per-iteration recurrence history into hist. Outcomes
-// land in per-trial slots, so the result is deterministic for any worker
-// count.
-func runTrials(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (outs []Trial, hist []float64) {
+// RunOn is the campaign primitive: it runs the scenario's sc.Reps
+// independent trials against a prebuilt matrix, fanned out across the
+// pool's workers when there is one (nil = sequential; each trial is one
+// goroutine from start to end), and aggregates them into a Result record.
+// Trial 0 records the per-iteration recurrence history behind the residual
+// hash. Outcomes land in per-trial slots, so the record's canonical form is
+// deterministic in sc.Seed for any worker count.
+func RunOn(pl *pool.Pool, a *sparse.CSR, sc Scenario) (Result, error) {
 	sc = sc.withDefaults()
-	outs = make([]Trial, sc.Reps)
+	if err := sc.Validate(); err != nil {
+		return Result{}, err
+	}
+	b, _ := RHS(a, sc.rhsSeed())
+	start := time.Now()
+	outs := make([]Trial, sc.Reps)
+	var hist []float64
 	trial := func(rep int) {
 		var onIter func(int, float64)
 		if rep == 0 {
@@ -259,55 +263,10 @@ func runTrials(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (outs []T
 	} else {
 		pl.ForEach(sc.Reps, trial)
 	}
-	return outs, hist
-}
-
-// TrialsOn is the campaign primitive: it runs the scenario's repetitions on
-// the pool (nil = sequential) against a prebuilt matrix and right-hand side
-// and returns the mean modeled time, the per-trial samples and the failure
-// count — deterministic in sc.Seed for any worker count.
-func TrialsOn(pl *pool.Pool, a *sparse.CSR, b []float64, sc Scenario) (meanTime float64, samples []float64, failures int) {
-	outs, _ := runTrials(pl, a, b, sc)
-	samples = make([]float64, len(outs))
-	for i, o := range outs {
-		samples[i] = o.Stats.SimTime
-		if o.Failed {
-			failures++
-		}
-	}
-	return mean(samples), samples, failures
-}
-
-// RunOn runs the full scenario against a prebuilt matrix on the given pool
-// and aggregates the trials into a Result record.
-func RunOn(pl *pool.Pool, a *sparse.CSR, sc Scenario) (Result, error) {
-	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return Result{}, err
-	}
-	b, _ := RHS(a, sc.rhsSeed())
-	start := time.Now()
-	outs, hist := runTrials(pl, a, b, sc)
 	wall := time.Since(start).Seconds()
 
 	res := NewResult(sc, sc.Matrix.String(), a, outs, HashBits(hist))
 	res.WallSeconds = wall
-	if sc.Baseline && sc.Scheme != "unprotected" {
-		base := sc
-		base.Scheme = "unprotected"
-		base.Alpha = 0
-		base.Reps = 1
-		base.Baseline = false
-		switch _, st, err := SolveWith(a, b, base, base.Seed, SolveOpts{}); {
-		case err != nil:
-			res.BaselineError = err.Error()
-		case st.SimTime <= 0:
-			res.BaselineError = "baseline solve reported no time"
-		default:
-			res.BaselineTime = st.SimTime
-			res.Overhead = res.MeanSimTime/st.SimTime - 1
-		}
-	}
 	return res, nil
 }
 

@@ -75,13 +75,6 @@ type Result struct {
 	// recurrence history — the determinism and regression gate: it must be
 	// identical across worker counts and stable across commits.
 	ResidualHash string `json:"residual_hash"`
-	// BaselineTime and Overhead are reported when the scenario requested
-	// the unprotected reference: Overhead = MeanSimTime/BaselineTime − 1.
-	// If the reference solve itself failed, BaselineError records why and
-	// the other two fields are absent.
-	BaselineTime  float64 `json:"baseline_time,omitempty"`
-	Overhead      float64 `json:"overhead,omitempty"`
-	BaselineError string  `json:"baseline_error,omitempty"`
 	// WallSeconds is the measured wall-clock time of the run — the only
 	// non-deterministic field besides Shard.
 	WallSeconds float64 `json:"wall_seconds"`

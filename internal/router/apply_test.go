@@ -190,7 +190,7 @@ func (rt *recordingRuntime) Stop(name string) error {
 
 // TestNewStartFailureStopsStarted: a router that cannot be built leaves
 // nothing running — when the k-th managed shard fails to start, the k−1
-// started before it are stopped again (under -supervise they are child
+// started before it are stopped again (under -shard-bin they are child
 // processes nobody would ever reap).
 func TestNewStartFailureStopsStarted(t *testing.T) {
 	rt := &recordingRuntime{MockRuntime: NewMockRuntime(), failOn: "c"}

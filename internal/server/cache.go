@@ -282,9 +282,16 @@ type intervalKey struct {
 // materialise builds the matrix exactly once and arms the pool of solve
 // contexts, whose workspaces warm up — working matrix copy, checksum
 // encodings, vectors — in the first solve that carries them. Safe for
-// concurrent callers; the first error is sticky.
+// concurrent callers; the first error is sticky. A build that panics is
+// that error too: an entry left with no matrix and no error would hand the
+// next request for its key an unarmed pool.
 func (e *entry) materialise(build func() (*sparse.CSR, error)) error {
 	e.once.Do(func() {
+		defer func() {
+			if p := recover(); p != nil {
+				e.err = fmt.Errorf("matrix %s: build panicked: %v", e.label, p)
+			}
+		}()
 		a, err := build()
 		if err != nil {
 			e.err = fmt.Errorf("matrix %s: %w", e.label, err)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +97,25 @@ func TestEntryMaterialiseErrorSticky(t *testing.T) {
 	// The failed build must not rerun; the error is the entry's state.
 	if err := ent.materialise(func() (*sparse.CSR, error) { return sparse.Poisson2D(4, 4), nil }); !errors.Is(err, boom) {
 		t.Fatalf("second materialise: err = %v, want sticky boom", err)
+	}
+}
+
+// TestEntryMaterialisePanicIsStickyError: a build that panics becomes the
+// entry's sticky error, so no later request for the key reaches a solve
+// with no matrix and an unarmed context pool.
+func TestEntryMaterialisePanicIsStickyError(t *testing.T) {
+	c := newCache(4, cacheBytes, cacheTTL)
+	defer c.close()
+	ent, _ := c.get("panics", "panics", harness.MatrixSpec{})
+	build := func() (*sparse.CSR, error) { panic("generator bug") }
+	for call := 1; call <= 2; call++ {
+		err := ent.materialise(build)
+		if err == nil || !strings.Contains(err.Error(), "generator bug") {
+			t.Fatalf("call %d: err = %v, want the build's panic", call, err)
+		}
+	}
+	if ent.a != nil {
+		t.Fatalf("panicked build left a matrix: %+v", ent.a)
 	}
 }
 

@@ -3,36 +3,50 @@ package sim
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/pool"
 )
 
-// TestCampaignFanOutDeterministic runs the same fault campaign sequentially
-// and fanned out across pools of several sizes: per-trial injector seeds are
-// fixed by trial index and samples land in per-trial slots, so the sample
-// vector, mean and failure count must match exactly. Faults are injected in
+// TestCampaignFanOutDeterministic runs the same fault campaign cell
+// through harness.RunOn sequentially and fanned out across pools of several
+// sizes: per-trial injector seeds are fixed by trial index and samples land
+// in per-trial slots, so every rerun of the seed must return reps samples
+// and the same sample vector, mean and failure count. Faults are injected in
 // every trial (alpha = 1/16), so under -race this doubles as the campaign
 // concurrency stress test.
 func TestCampaignFanOutDeterministic(t *testing.T) {
 	sm, _ := harness.SuiteByID(341)
 	a := sm.Generate(96)
-	b, _ := harness.RHS(a, 3)
-
 	const reps = 8
-	wantMean, wantSamples, wantFailures := AverageTimePool(nil, a, b, core.ABFTCorrection, 1.0/16, 2, 1, 1e-8, 77, reps)
+	sc := harness.Scenario{
+		Solver: "cg", Scheme: "abft-correction",
+		Alpha: 1.0 / 16, S: 2, D: 1, Tol: 1e-8, Reps: reps, Seed: 77,
+	}.WithRHSSeed(3)
+
+	want, err := harness.RunOn(nil, a, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.SimTimes) != reps {
+		t.Fatalf("%d samples, want %d", len(want.SimTimes), reps)
+	}
 	for _, workers := range []int{1, 2, 4} {
 		p := pool.New(workers)
-		mean, samples, failures := AverageTimePool(p, a, b, core.ABFTCorrection, 1.0/16, 2, 1, 1e-8, 77, reps)
-		if mean != wantMean || failures != wantFailures {
-			t.Fatalf("workers=%d: mean/failures %v/%d, want %v/%d", workers, mean, failures, wantMean, wantFailures)
+		got, err := harness.RunOn(p, a, sc)
+		p.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(samples) != len(wantSamples) {
-			t.Fatalf("workers=%d: %d samples, want %d", workers, len(samples), len(wantSamples))
+		if got.MeanSimTime != want.MeanSimTime || got.Failures != want.Failures {
+			t.Fatalf("workers=%d: mean/failures %v/%d, want %v/%d",
+				workers, got.MeanSimTime, got.Failures, want.MeanSimTime, want.Failures)
 		}
-		for i := range samples {
-			if samples[i] != wantSamples[i] {
-				t.Fatalf("workers=%d: sample %d = %v, want %v", workers, i, samples[i], wantSamples[i])
+		if len(got.SimTimes) != len(want.SimTimes) {
+			t.Fatalf("workers=%d: %d samples, want %d", workers, len(got.SimTimes), len(want.SimTimes))
+		}
+		for i := range got.SimTimes {
+			if got.SimTimes[i] != want.SimTimes[i] {
+				t.Fatalf("workers=%d: sample %d = %v, want %v", workers, i, got.SimTimes[i], want.SimTimes[i])
 			}
 		}
 	}

@@ -79,19 +79,6 @@ func TestLogSpace(t *testing.T) {
 	}
 }
 
-func TestAverageTimePaired(t *testing.T) {
-	a := harness.PaperSuite[8].Generate(64)
-	b, _ := harness.RHS(a, 2)
-	m1, s1, _ := AverageTimePool(nil, a, b, core.ABFTDetection, 0.05, 5, 1, 1e-8, 7, 3)
-	m2, s2, _ := AverageTimePool(nil, a, b, core.ABFTDetection, 0.05, 5, 1, 1e-8, 7, 3)
-	if m1 != m2 || len(s1) != len(s2) {
-		t.Fatal("AverageTimePool not deterministic for equal seeds")
-	}
-	if len(s1) != 3 {
-		t.Fatalf("want 3 samples, got %d", len(s1))
-	}
-}
-
 func TestSGridContainsModelValueAndNeighborhood(t *testing.T) {
 	g := sGrid(12)
 	has := func(v int) bool {

@@ -1,5 +1,5 @@
 // Package supervisor restarts crashed child processes with capped
-// exponential backoff: the watchdog half of resrouter's -supervise mode.
+// exponential backoff: the watchdog half of resrouter's -shard-bin mode.
 // It owns only process lifecycle — starting, waiting, backing off,
 // stopping — and stays deliberately ignorant of what the children serve;
 // the router's health probes decide when a restarted shard is fit to
