@@ -79,6 +79,35 @@ func TestLogSpace(t *testing.T) {
 	}
 }
 
+// TestAverageTimePaired checks that two sequential runs of an equal-seed
+// ABFT-Detection cell return the same mean and the same samples, one per rep.
+func TestAverageTimePaired(t *testing.T) {
+	a := harness.PaperSuite[8].Generate(64)
+	sc := harness.Scenario{
+		Solver: "cg", Scheme: "abft-detection",
+		Alpha: 0.05, S: 5, D: 1, Tol: 1e-8, Reps: 3, Seed: 7,
+	}.WithRHSSeed(2)
+	r1, err := harness.RunOn(nil, a, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := harness.RunOn(nil, a, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.MeanSimTime != r2.MeanSimTime || len(r1.SimTimes) != len(r2.SimTimes) {
+		t.Fatal("RunOn not deterministic for equal seeds")
+	}
+	for i := range r1.SimTimes {
+		if r1.SimTimes[i] != r2.SimTimes[i] {
+			t.Fatalf("sample %d = %v, then %v", i, r1.SimTimes[i], r2.SimTimes[i])
+		}
+	}
+	if len(r1.SimTimes) != 3 {
+		t.Fatalf("want 3 samples, got %d", len(r1.SimTimes))
+	}
+}
+
 func TestSGridContainsModelValueAndNeighborhood(t *testing.T) {
 	g := sGrid(12)
 	has := func(v int) bool {
