@@ -100,15 +100,29 @@ func (p Params) overhead(q float64, s int) float64 {
 // bound, taken at maxS, has truly risen — once for its own noise, once for
 // that of any later candidate — and nothing after it can compute below the
 // minimum; the search asks for four times. Near q = 1 the bound is wide
-// (K/T ~ 1/(1 − q)) and at q = 1 infinite: there the objective falls all the
-// way and the scan runs to maxS, at a few nanoseconds a candidate now that
-// Q() is evaluated once.
+// (K/T ~ 1/(1 − q)) and at q = 1 infinite, but there Eq. (5) is the line
+// E(s) = s·(T + Tverif) + Tcp: with positive costs the objective
+// (T + Tverif)/T + Tcp/(sT) falls all the way to maxS, by at least
+// Tcp/(T·maxS·(maxS − 1)) over its last step, and each computed value is
+// five correctly rounded operations on positive operands, within 6·2⁻⁵³·o
+// of the true one. Where that last fall clears eps·(o + fall) — the scan's
+// own stopping margin, at least three times twice that noise — the value at
+// maxS computes below every earlier one, so it is returned without the
+// scan; elsewhere (a free checkpoint, a negative or non-finite cost, a fall
+// lost in rounding) the scan runs to maxS.
 func (p Params) OptimalS(maxS int) (s int, overhead float64) {
 	if maxS < 1 {
 		maxS = 1
 	}
 	q := p.Q()
 	eps := float64(maxS+8) * 0x1p-51
+	if q >= 1 && p.T > 0 && p.Tverif >= 0 && p.Tcp > 0 {
+		o := p.overhead(q, maxS)
+		fall := p.Tcp / p.T / (float64(maxS) * float64(maxS-1))
+		if fall > eps*(o+fall) { // false on a NaN or an infinity, as at maxS = 1
+			return maxS, o
+		}
+	}
 	noise := (p.Trec + (p.T+p.Tverif)/(1-q)) / p.T // K/T
 	if !(p.Tcp >= 0 && noise >= 0) {
 		noise = math.Inf(1) // a negative cost: nothing says convex, scan it all

@@ -118,6 +118,19 @@ func TestOptimalSearchMatchesExhaustiveScanOnEdges(t *testing.T) {
 		{"T=0", with(func(p *model.Params) { p.T = 0 }), 64},
 		{"T<0", with(func(p *model.Params) { p.T = -1 }), 64},
 		{"NaN rate", with(func(p *model.Params) { p.Lambda = math.NaN() }), 64},
+		{"fault-free, maxS=1", with(func(p *model.Params) { p.Lambda = 0 }), 1},
+		{"fault-free, maxS=2", with(func(p *model.Params) { p.Lambda = 0 }), 2},
+		{"fault-free, negative rate", with(func(p *model.Params) { p.Lambda = -1 }), 16384},
+		{"fault-free, Tcp<0: rises", with(func(p *model.Params) { p.Tcp, p.Lambda = -1, 0 }), 16384},
+		{"fault-free, Tverif<0", with(func(p *model.Params) { p.Tverif, p.Lambda = -0.999999, 0 }), 16384},
+		{"fault-free, Tcp=+Inf", with(func(p *model.Params) { p.Tcp, p.Lambda = math.Inf(1), 0 }), 16384},
+		{"fault-free, Tcp=NaN", with(func(p *model.Params) { p.Tcp, p.Lambda = math.NaN(), 0 }), 16384},
+		{"fault-free, T=+Inf", with(func(p *model.Params) { p.T, p.Lambda = math.Inf(1), 0 }), 16384},
+		{"fault-free, Tverif=+Inf", with(func(p *model.Params) { p.Tverif, p.Lambda = math.Inf(1), 0 }), 16384},
+		{"fault-free, Trec=NaN", with(func(p *model.Params) { p.Trec, p.Lambda = math.NaN(), 0 }), 16384},
+		{"fault-free, T=0", with(func(p *model.Params) { p.T, p.Lambda = 0, 0 }), 16384},
+		{"fault-free, T+Tverif<0: the fall lost in rounding", model.Params{T: 1, Tverif: -1e10 - 1, Tcp: 1}, 3000},
+		{"fault-free, huge costs overflow", with(func(p *model.Params) { p.Tverif, p.Tcp, p.Lambda = 1e305, 1e305, 0 }), 16384},
 	}
 	for _, c := range cases {
 		sameChoice(t, c.name, c.p, c.maxS)
@@ -137,5 +150,56 @@ func TestOptimalSearchMatchesExhaustiveScanOnEdges(t *testing.T) {
 			Correcting: i%2 == 1,
 		}
 		sameChoice(t, fmt.Sprintf("sweep %d", i), p, 1+rng.Intn(3000))
+	}
+}
+
+// TestOptimalSearchMatchesExhaustiveScanFaultFree holds the interval search
+// to the scan at λ = 0 (q = 1), where the objective falls all the way to
+// maxS and the search may answer without scanning: random positive costs
+// for both success laws and for OnlineParams.Optimal, with the checkpoint
+// cost spanning where the last fall clears rounding and where it is lost in
+// it (the scan then stops before maxS, and so must the search). A cheap
+// checkpoint, which a falling objective cannot tell from free, must match
+// the scan too.
+func TestOptimalSearchMatchesExhaustiveScanFaultFree(t *testing.T) {
+	lost := model.Params{T: 1, Tverif: 0.1, Tcp: 1e-13}
+	if s, _ := lost.OptimalS(16384); s == 16384 {
+		t.Fatalf("Tcp=%g: the fall is lost in rounding, yet the optimum is maxS", lost.Tcp)
+	}
+	sameChoice(t, "fall lost in rounding", lost, 16384)
+
+	rng := rand.New(rand.NewSource(29))
+	logUniform := func(lo, hi float64) float64 {
+		return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
+	}
+	atMax, before := 0, 0
+	for i := 0; i < 400; i++ {
+		p := model.Params{
+			T:          logUniform(1e-3, 1e3),
+			Tverif:     logUniform(1e-6, 1e3),
+			Tcp:        logUniform(1e-12, 1e3),
+			Trec:       logUniform(1e-3, 1e3),
+			Correcting: i%2 == 1,
+		}
+		maxS := 16384
+		if i%4 >= 2 {
+			maxS = 1 + rng.Intn(16384)
+		}
+		sameChoice(t, fmt.Sprintf("fault-free sweep %d", i), p, maxS)
+		if s, _ := p.OptimalS(maxS); s == maxS {
+			atMax++
+		} else {
+			before++
+		}
+
+		o := model.OnlineParams{Titer: p.T, Tverif: p.Tverif, Tcp: p.Tcp, Trec: p.Trec}
+		d, s, ov := o.Optimal(core.OnlineMaxD, 4096)
+		wd, ws, wov := scanDS(o, core.OnlineMaxD, 4096)
+		if d != wd || s != ws || math.Float64bits(ov) != math.Float64bits(wov) {
+			t.Errorf("fault-free sweep %d: Optimal = (%d, %d, %v), exhaustive scan (%d, %d, %v); params %+v", i, d, s, ov, wd, ws, wov, o)
+		}
+	}
+	if atMax == 0 || before == 0 {
+		t.Errorf("the sweep found %d optima at maxS and %d before it; it must reach both", atMax, before)
 	}
 }

@@ -25,15 +25,17 @@ func Jacobi(a *sparse.CSR) (*sparse.CSR, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("precond: Jacobi needs a square matrix")
 	}
-	d := a.Diag()
-	c := sparse.NewCOO(a.Rows, a.Rows)
-	for i, di := range d {
+	n := a.Rows
+	m := &sparse.CSR{Rows: n, Cols: n, Val: a.Diag(), Colid: make([]int, n), Rowidx: make([]int, n+1)}
+	for i, di := range m.Val {
 		if di == 0 {
 			return nil, fmt.Errorf("precond: zero diagonal at row %d", i)
 		}
-		c.Add(i, i, 1/di)
+		m.Val[i] = 1 / di
+		m.Colid[i] = i
+		m.Rowidx[i+1] = i + 1
 	}
-	return c.ToCSR(), nil
+	return m, nil
 }
 
 // NeumannOptions configures the truncated Neumann-series approximate

@@ -113,41 +113,72 @@ func RandomGraphLaplacian(n, degree int, shift float64, seed int64) *CSR {
 		panic("sparse: RandomGraphLaplacian needs degree ≤ n−1")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// Collect unique undirected edges.
-	edges := make(map[[2]int]bool)
+	want := n * degree / 2
+	edges := newPairSet(max(n, want))
+	deg := make([]int, n)
+	c := newCOOCap(n, n, 2*max(n, want)+n) // both halves of each edge, the diagonal
+	// edge records the undirected edge {i, j} unless it is already present.
+	edge := func(i, j int) {
+		if i > j {
+			i, j = j, i
+		}
+		if edges.add(i*n + j) {
+			c.Add(i, j, -1)
+			c.Add(j, i, -1)
+			deg[i]++
+			deg[j]++
+		}
+	}
 	// A Hamiltonian ring keeps the graph connected.
 	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		a, b := i, j
-		if a > b {
-			a, b = b, a
-		}
-		edges[[2]int{a, b}] = true
+		edge(i, (i+1)%n)
 	}
-	want := n * degree / 2
-	for len(edges) < want {
+	for edges.count < want {
 		i := rng.Intn(n)
 		j := rng.Intn(n)
 		if i == j {
 			continue
 		}
-		if i > j {
-			i, j = j, i
-		}
-		edges[[2]int{i, j}] = true
-	}
-	deg := make([]int, n)
-	c := NewCOO(n, n)
-	for e := range edges {
-		c.Add(e[0], e[1], -1)
-		c.Add(e[1], e[0], -1)
-		deg[e[0]]++
-		deg[e[1]]++
+		edge(i, j)
 	}
 	for i := 0; i < n; i++ {
 		c.Add(i, i, float64(deg[i])+shift)
 	}
 	return c.ToCSR()
+}
+
+// pairSet is an open-addressing set of the keys i·n+j of distinct index
+// pairs, sized for a known number of them: a membership test without a Go
+// map's hashing and allocation per entry.
+type pairSet struct {
+	slots []uint64 // key+1; 0 marks an empty slot
+	shift uint
+	count int
+}
+
+// newPairSet returns a set with room for size keys at a load of at most ½.
+func newPairSet(size int) *pairSet {
+	shift := uint(63)
+	for 1<<(64-shift) < 2*size {
+		shift--
+	}
+	return &pairSet{slots: make([]uint64, 1<<(64-shift)), shift: shift}
+}
+
+// add inserts key and reports whether it was absent.
+func (s *pairSet) add(key int) bool {
+	k := uint64(key) + 1
+	mask := uint64(len(s.slots) - 1)
+	for h := k * 0x9e3779b97f4a7c15 >> s.shift; ; h = (h + 1) & mask {
+		switch s.slots[h] {
+		case 0:
+			s.slots[h] = k
+			s.count++
+			return true
+		case k:
+			return false
+		}
+	}
 }
 
 // RandomSPDOptions configures RandomSPD.
@@ -165,20 +196,13 @@ type RandomSPDOptions struct {
 	// smallest eigenvalue, so smaller shifts give harder CG problems (more
 	// iterations). Must be > 0.
 	DiagShift float64
-	// ValueDecades spreads the off-diagonal magnitudes over this many
-	// decades (|value| ∈ 10^[-ValueDecades, 0)), mimicking heterogeneous
-	// diffusion coefficients. Zero keeps the magnitudes within one decade,
-	// which yields well-conditioned expander-like matrices that CG solves
-	// in a handful of iterations; 3–4 decades produce the hundreds of
-	// iterations typical of the paper's PDE matrices.
-	ValueDecades float64
 	// Seed drives the deterministic RNG.
 	Seed int64
 }
 
 // RandomSPD generates a symmetric strictly diagonally dominant (hence
 // positive definite) matrix of dimension N with approximately Density·N²
-// stored nonzeros. Off-diagonal values are drawn uniformly from [-1, 0);
+// stored nonzeros. Off-diagonal values are drawn uniformly from [-1, -0.1);
 // each diagonal entry is the absolute row sum plus DiagShift, which makes
 // the matrix SPD by Gershgorin's theorem.
 //
@@ -212,10 +236,11 @@ func RandomSPD(opt RandomSPDOptions) *CSR {
 		band = n
 	}
 
-	type key struct{ i, j int }
-	seen := make(map[key]bool, n*upperPerRow)
-	c := NewCOO(n, n)
+	c := newCOOCap(n, n, 2*n*upperPerRow+n) // both halves of each pair, the diagonal
 	rowAbs := make([]float64, n)
+	// seen[j] == i+1 once row i's pass has placed (i, j): each pass places
+	// only its own row's pairs, so no mark needs clearing.
+	seen := make([]int, n)
 	for i := 0; i < n; i++ {
 		placed := 0
 		attempts := 0
@@ -230,15 +255,11 @@ func RandomSPD(opt RandomSPDOptions) *CSR {
 				break
 			}
 			j := lo + rng.Intn(hi-lo+1)
-			k := key{i, j}
-			if seen[k] {
+			if seen[j] == i+1 {
 				continue
 			}
-			seen[k] = true
+			seen[j] = i + 1
 			v := -(rng.Float64()*0.9 + 0.1) // uniform in [-1, -0.1)
-			if opt.ValueDecades > 0 {
-				v = -math.Pow(10, -opt.ValueDecades*rng.Float64())
-			}
 			c.Add(i, j, v)
 			c.Add(j, i, v)
 			rowAbs[i] += -v
@@ -282,7 +303,10 @@ func SuiteSPD(opt SuiteSPDOptions) *CSR {
 		ny = 2
 	}
 
-	c := NewCOO(n, n)
+	extraPerRow := int(opt.Density*float64(n)) - 5
+	// The backbone couples a row to at most two later rows; then the fill
+	// pairs and the diagonal.
+	c := newCOOCap(n, n, 4*n+2*n*max(extraPerRow/2, 0)+n)
 	rowAbs := make([]float64, n)
 	deficit := make([]float64, n) // Dirichlet boundary surplus per row
 
@@ -324,10 +348,8 @@ func SuiteSPD(opt SuiteSPDOptions) *CSR {
 	// Weak band fill to the target density: these couplings are 1e-3 of
 	// the backbone scale, so they dominate the memory and flop counts of
 	// the suite matrices without changing the conditioning.
-	extraPerRow := int(opt.Density*float64(n)) - 5
 	band := 4 * ny
-	type key struct{ i, j int }
-	seen := make(map[key]bool)
+	seen := make([]int, n) // seen[j] == i+1: row i's pass placed (i, j)
 	for i := 0; i < n && extraPerRow > 0; i++ {
 		placed, attempts := 0, 0
 		upper := extraPerRow / 2
@@ -341,11 +363,10 @@ func SuiteSPD(opt SuiteSPDOptions) *CSR {
 				break
 			}
 			j := lo + rng.Intn(hi-lo+1)
-			k := key{i, j}
-			if seen[k] || (j-i) == ny {
+			if seen[j] == i+1 || (j-i) == ny {
 				continue
 			}
-			seen[k] = true
+			seen[j] = i + 1
 			w := 1e-3 * (0.1 + rng.Float64())
 			c.Add(i, j, -w)
 			c.Add(j, i, -w)

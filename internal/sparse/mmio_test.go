@@ -193,8 +193,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		runtime.ReadMemStats(&after)
 
 		// 8 MiB is maxMMEmptyDim rows; an entry costs its line a few bytes
-		// and the reader under 200 (COO, the sort's copy, CSR; twice when
-		// symmetric).
+		// and the reader under 200 (COO, CSR, the scratch of a long row;
+		// twice when symmetric).
 		if grew, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(16<<20+512*len(src)); grew > ceiling {
 			t.Fatalf("%d bytes of input allocated %d, ceiling %d", len(src), grew, ceiling)
 		}
