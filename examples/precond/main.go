@@ -39,7 +39,7 @@ func run(w io.Writer, n int) error {
 	if err != nil {
 		return err
 	}
-	neumann, err := precond.Neumann(a, precond.NeumannOptions{Terms: 2})
+	neumann, err := precond.Neumann(a)
 	if err != nil {
 		return err
 	}

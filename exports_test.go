@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -57,6 +58,14 @@ var exportAllowlist = map[string]string{
 // tests use.
 var exportReasonKinds = []string{"reference", "roadmap 5", "tests of "}
 
+// fieldAllowlist holds the exported fields of internal/'s exported structs
+// that no non-test code writes, each with the reason it stays. A reason
+// starts with one of exportReasonKinds.
+var fieldAllowlist = map[string]string{
+	"fault.Config.Disabled": "tests of core, fault",
+	"tmr.Executor.Corrupt":  "tests of core, tmr",
+}
+
 // TestEveryExportHasACaller fails on an exported name or method in
 // internal/ that no non-test file of another package names, and on an
 // allowlist entry that is no longer such a name. A failure lists the names;
@@ -67,10 +76,30 @@ func TestEveryExportHasACaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range checkAllowlist(dead, exportAllowlist) {
+	for _, p := range checkAllowlist("no caller: ", dead, exportAllowlist) {
 		t.Error(p)
 	}
 	for name, reason := range exportAllowlist {
+		if !hasReasonKind(reason) {
+			t.Errorf("allowlist entry %s: reason %q starts with none of %q", name, reason, exportReasonKinds)
+		}
+	}
+}
+
+// TestEveryFieldHasASetter fails on an exported field of an exported struct
+// in internal/ that no non-test code under callerRoots writes and no json
+// tag fills, and on an allowlist entry that is no longer such a field. A
+// failure lists the fields; give each a setter, delete it (a default every
+// caller runs is a constant), or allowlist it with one of exportReasonKinds.
+func TestEveryFieldHasASetter(t *testing.T) {
+	unset, err := unsetFields(".", "repro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range checkAllowlist("no setter: ", unset, fieldAllowlist) {
+		t.Error(p)
+	}
+	for name, reason := range fieldAllowlist {
 		if !hasReasonKind(reason) {
 			t.Errorf("allowlist entry %s: reason %q starts with none of %q", name, reason, exportReasonKinds)
 		}
@@ -86,10 +115,29 @@ func TestExportGateRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := checkAllowlist(dead, map[string]string{"lib.Gone": "reference"})
+	got := checkAllowlist("no caller: ", dead, map[string]string{"lib.Gone": "reference"})
 	want := []string{
 		"no caller: lib.Dead",
 		"stale allowlist entry: lib.Gone",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("gate reported\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestFieldGateRules runs the field gate over testdata/exportgate: of
+// lib.Options, one field is set nowhere, one only through an index and one
+// is filled by its json tag; lib.Pair is set only by a positional literal;
+// and one allowlist entry is stale.
+func TestFieldGateRules(t *testing.T) {
+	unset, err := unsetFields(filepath.Join("testdata", "exportgate"), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := checkAllowlist("no setter: ", unset, map[string]string{"lib.Options.Gone": "reference"})
+	want := []string{
+		"no setter: lib.Options.Never",
+		"stale allowlist entry: lib.Options.Gone",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("gate reported\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -105,19 +153,20 @@ func hasReasonKind(reason string) bool {
 	return false
 }
 
-// checkAllowlist returns, sorted, one line per dead name the allowlist
-// misses and one per allowlist entry that names no dead export.
-func checkAllowlist(dead []string, allow map[string]string) []string {
+// checkAllowlist returns, sorted, one line per found name the allowlist
+// misses, prefixed by what it lacks, and one per allowlist entry that names
+// nothing found.
+func checkAllowlist(lacks string, found []string, allow map[string]string) []string {
 	var out []string
-	isDead := map[string]bool{}
-	for _, n := range dead {
-		isDead[n] = true
+	isFound := map[string]bool{}
+	for _, n := range found {
+		isFound[n] = true
 		if _, ok := allow[n]; !ok {
-			out = append(out, "no caller: "+n)
+			out = append(out, lacks+n)
 		}
 	}
 	for n := range allow {
-		if !isDead[n] {
+		if !isFound[n] {
 			out = append(out, "stale allowlist entry: "+n)
 		}
 	}
@@ -138,34 +187,9 @@ var callerRoots = []string{"internal", "cmd", "examples", "bench", "."}
 // an interface declared in any loaded package, or when it is a constant of
 // a named type.
 func deadExports(dir, mod string) ([]string, error) {
-	// Cgo variants of the standard library add nothing to who names what
-	// and would need a C toolchain.
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	m := &module{
-		fset: fset, dir: dir, mod: mod,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*modPkg{},
-	}
-	var paths []string
-	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); p != dir && (name == "testdata" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		rel, _ := filepath.Rel(dir, p)
-		paths = append(paths, path.Join(mod, filepath.ToSlash(rel)))
-		return nil
-	})
+	m, err := loadModule(dir, mod)
 	if err != nil {
 		return nil, err
-	}
-	for _, p := range paths {
-		if _, err := m.load(p); err != nil {
-			return nil, err
-		}
 	}
 
 	// The exported names under internal/, by object.
@@ -316,6 +340,112 @@ func deadExports(dir, mod string) ([]string, error) {
 	return dead, nil
 }
 
+// unsetFields type-checks the non-test files of the module rooted at dir
+// (module path mod) and returns, as "pkg.Type.Field", the exported fields
+// of its internal/ packages' exported structs that no caller writes and no
+// json tag other than "-" names. A write is a keyed or positional element
+// of a composite literal, the left side of an assignment or of ++/--, also
+// through an index (x.F[i] = v), or &x.F.
+func unsetFields(dir, mod string) ([]string, error) {
+	m, err := loadModule(dir, mod)
+	if err != nil {
+		return nil, err
+	}
+	names := map[types.Object]string{}
+	for _, p := range m.pkgs {
+		if p == nil {
+			continue
+		}
+		short, ok := strings.CutPrefix(p.types.Path(), mod+"/internal/")
+		if !ok {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); !f.Exported() || ok && tag != "-" {
+					continue
+				}
+				names[f] = short + "." + n + "." + f.Name()
+			}
+		}
+	}
+
+	set := map[types.Object]bool{}
+	for _, p := range m.pkgs {
+		if p == nil || !isCaller(p.types.Path(), mod) {
+			continue
+		}
+		mark := func(obj types.Object) {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				set[origin(v)] = true
+			}
+		}
+		// target marks the field an assigned expression writes, if any.
+		target := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+					continue
+				case *ast.IndexExpr:
+					e = x.X
+					continue
+				case *ast.SelectorExpr:
+					mark(p.info.Uses[x.Sel])
+				}
+				return
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						target(l)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				case *ast.CompositeLit:
+					st, _ := p.info.TypeOf(n).Underlying().(*types.Struct)
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								mark(p.info.Uses[id])
+							}
+						} else if st != nil {
+							mark(st.Field(i))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	for obj, n := range names {
+		if !set[obj] {
+			unset = append(unset, n)
+		}
+	}
+	sort.Strings(unset)
+	return unset, nil
+}
+
 func isCaller(pkgPath, mod string) bool {
 	rel := strings.TrimPrefix(strings.TrimPrefix(pkgPath, mod), "/")
 	top, _, _ := strings.Cut(rel, "/")
@@ -386,6 +516,41 @@ func loadedInterfaces(m *module) map[string][]*types.Interface {
 	return out
 }
 
+// loadModule type-checks the non-test files of every package of the module
+// rooted at dir (module path mod), skipping testdata and dot directories.
+func loadModule(dir, mod string) (*module, error) {
+	// Cgo variants of the standard library add nothing to who names what
+	// and would need a C toolchain.
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	m := &module{
+		fset: fset, dir: dir, mod: mod,
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*modPkg{},
+	}
+	var paths []string
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); p != dir && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(dir, p)
+		paths = append(paths, path.Join(mod, filepath.ToSlash(rel)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range paths {
+		if _, err := m.load(p); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
 // module type-checks the non-test files of one module's packages, taking
 // the standard library from source.
 type module struct {
@@ -398,6 +563,7 @@ type module struct {
 type modPkg struct {
 	types *types.Package
 	info  *types.Info
+	files []*ast.File
 }
 
 func (m *module) Import(p string) (*types.Package, error) {
@@ -437,13 +603,13 @@ func (m *module) load(p string) (*modPkg, error) {
 		}
 		files = append(files, af)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 	conf := types.Config{Importer: m}
 	tp, err := conf.Check(p, m.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	mp := &modPkg{types: tp, info: info}
+	mp := &modPkg{types: tp, info: info, files: files}
 	m.pkgs[p] = mp
 	return mp, nil
 }

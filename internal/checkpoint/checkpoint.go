@@ -18,9 +18,9 @@
 //     reports. The engine's checkpoints therefore carry vectors and scalars
 //     only, and a rollback restores the live matrices from the caller's.
 //
-// A State may still name matrices, and Save and Restore copy them like any
-// vector — the benchmark's checkpoint probes time exactly that, the full
-// checkpoint the engine no longer takes.
+// A State may still name the matrix A, and Save and Restore copy it like
+// any vector — the benchmark's checkpoint probes time exactly that, the
+// full checkpoint the engine no longer takes.
 //
 // Checkpoints are only ever taken right after a verification, so the saved
 // state is always valid; recovery rolls the live state back to it. Both
@@ -33,12 +33,9 @@ import (
 
 // State is the solver state covered by a checkpoint: the matrix and the
 // named iteration vectors (CG needs x, r, p; other solvers register what
-// they use).
+// they use). A is nil in the engine's own view (see the package doc).
 type State struct {
-	A *sparse.CSR
-	// M is an explicit sparse preconditioner, saved and restored exactly
-	// like A. Both are nil in the engine's own view (see the package doc).
-	M         *sparse.CSR
+	A         *sparse.CSR
 	Vectors   map[string][]float64
 	Iteration int
 	// Scalars preserves recurrence scalars (e.g. ‖r‖² of the checkpointed
@@ -66,9 +63,6 @@ func (s *Store) Save(live *State) {
 		if live.A != nil {
 			snap.A.CopyFrom(live.A)
 		}
-		if live.M != nil {
-			snap.M.CopyFrom(live.M)
-		}
 		for name, v := range live.Vectors {
 			copy(snap.Vectors[name], v)
 		}
@@ -86,9 +80,6 @@ func (s *Store) Save(live *State) {
 	if live.A != nil {
 		snap.A = live.A.Clone()
 	}
-	if live.M != nil {
-		snap.M = live.M.Clone()
-	}
 	for name, v := range live.Vectors {
 		cp := make([]float64, len(v))
 		copy(cp, v)
@@ -103,13 +94,10 @@ func (s *Store) Save(live *State) {
 // sameShape reports whether the snapshot can absorb the live state without
 // reallocating.
 func sameShape(snap, live *State) bool {
-	if (snap.A == nil) != (live.A == nil) || (snap.M == nil) != (live.M == nil) {
+	if (snap.A == nil) != (live.A == nil) {
 		return false
 	}
 	if snap.A != nil && (snap.A.Rows != live.A.Rows || snap.A.Cols != live.A.Cols || len(snap.A.Val) != len(live.A.Val)) {
-		return false
-	}
-	if snap.M != nil && (snap.M.Rows != live.M.Rows || snap.M.Cols != live.M.Cols || len(snap.M.Val) != len(live.M.Val)) {
 		return false
 	}
 	if len(snap.Vectors) != len(live.Vectors) {
@@ -138,12 +126,6 @@ func (s *Store) Restore(live *State) {
 	}
 	if snap.A != nil {
 		live.A.CopyFrom(snap.A)
-	}
-	if (snap.M == nil) != (live.M == nil) {
-		panic("checkpoint: preconditioner presence mismatch")
-	}
-	if snap.M != nil {
-		live.M.CopyFrom(snap.M)
 	}
 	for name, v := range snap.Vectors {
 		dst, ok := live.Vectors[name]

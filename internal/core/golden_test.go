@@ -98,7 +98,7 @@ func TestDriverGolden(t *testing.T) {
 			case "jacobi":
 				m, err = precond.Jacobi(mat.a)
 			case "neumann":
-				m, err = precond.Neumann(mat.a, precond.NeumannOptions{})
+				m, err = precond.Neumann(mat.a)
 			}
 			if err != nil {
 				t.Fatal(err)

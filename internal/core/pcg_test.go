@@ -94,7 +94,7 @@ func TestPCGPreconditionerFaultsAreHandled(t *testing.T) {
 
 func TestPCGWithNeumannPreconditioner(t *testing.T) {
 	a := sparse.SuiteSPD(sparse.SuiteSPDOptions{N: 900, Density: 0.01, Seed: 5})
-	m, err := precond.Neumann(a, precond.NeumannOptions{Terms: 2})
+	m, err := precond.Neumann(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,6 +45,11 @@ const (
 	numTargets
 )
 
+// indexBits caps the bits flipped in index words (Colid, Rowidx): bits 0–29
+// give both in-range corruptions, which ABFT corrects, and far out-of-range
+// ones, which it detects. Every campaign and golden is drawn with this cap.
+const indexBits = 30
+
 // String returns the short name used in logs and statistics.
 func (t Target) String() string {
 	switch t {
@@ -122,11 +127,6 @@ type Config struct {
 	Alpha float64
 	// Seed drives the deterministic RNG.
 	Seed int64
-	// IndexBits caps the bit positions flipped in integer index arrays
-	// (Colid, Rowidx). Zero means the default of 30, which produces both
-	// in-range index corruptions (correctable by ABFT) and wildly
-	// out-of-range ones (detectable, not correctable).
-	IndexBits uint
 	// Disabled lists targets that must never be struck (used by ablations,
 	// e.g. matrix-only or vector-only campaigns).
 	Disabled []Target
@@ -141,11 +141,10 @@ type Stats struct {
 
 // Injector draws fault counts and applies bit flips to a State.
 type Injector struct {
-	alpha     float64
-	indexBits uint
-	rng       *rand.Rand
-	disabled  [numTargets]bool
-	stats     Stats
+	alpha    float64
+	rng      *rand.Rand
+	disabled [numTargets]bool
+	stats    Stats
 }
 
 // New returns an injector for the given configuration.
@@ -153,18 +152,7 @@ func New(cfg Config) *Injector {
 	if cfg.Alpha < 0 {
 		panic("fault: negative Alpha")
 	}
-	bits := cfg.IndexBits
-	if bits == 0 {
-		bits = 30
-	}
-	if bits > 62 {
-		bits = 62
-	}
-	in := &Injector{
-		alpha:     cfg.Alpha,
-		indexBits: bits,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-	}
+	in := &Injector{alpha: cfg.Alpha, rng: rand.New(rand.NewSource(cfg.Seed))}
 	for _, t := range cfg.Disabled {
 		in.disabled[t] = true
 	}
@@ -279,7 +267,7 @@ func (in *Injector) choose(st *State) (Event, bool) {
 
 	ev := Event{Target: tgt, Index: idx}
 	if tgt == TargetColid || tgt == TargetRowidx || tgt == TargetMColid || tgt == TargetMRowidx {
-		ev.Bit = uint(in.rng.Intn(int(in.indexBits)))
+		ev.Bit = uint(in.rng.Intn(indexBits))
 	} else {
 		ev.Bit = uint(in.rng.Intn(bitflip.Float64Bits))
 	}

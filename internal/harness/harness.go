@@ -218,7 +218,7 @@ func (sc Scenario) injectors(seeds []int64) []*fault.Injector {
 func BuildPrecond(a *sparse.CSR, kind string) (*sparse.CSR, error) {
 	switch kind {
 	case "neumann":
-		return precond.Neumann(a, precond.NeumannOptions{})
+		return precond.Neumann(a)
 	default:
 		return precond.Jacobi(a)
 	}

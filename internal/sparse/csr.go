@@ -259,11 +259,12 @@ func (m *CSR) diagInto(d []float64) []float64 {
 	if len(d) != m.Rows {
 		panic(fmt.Sprintf("sparse: diagInto scratch length %d, want %d", len(d), m.Rows))
 	}
-	for i := 0; i < m.Rows; i++ {
+	rowidx, colid, val := m.Rowidx, m.Colid, m.Val
+	for i := range d {
 		d[i] = 0
-		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-			if m.Colid[k] == i {
-				d[i] = m.Val[k]
+		for k := rowidx[i]; k < rowidx[i+1]; k++ {
+			if colid[k] == i {
+				d[i] = val[k] // the first stored (i, i) entry
 				break
 			}
 		}

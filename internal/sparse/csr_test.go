@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +144,22 @@ func TestColSumsDiagAt(t *testing.T) {
 	}
 	if m.At(0, 1) != -1 || m.At(0, 2) != 0 {
 		t.Fatal("At wrong")
+	}
+}
+
+// TestDiagTakesFirstStoredEntry holds Diag's contract on a CSR no
+// assembly would build: columns out of order, a row that stores (i, i)
+// twice, and a row with no diagonal entry.
+func TestDiagTakesFirstStoredEntry(t *testing.T) {
+	m := &CSR{
+		Rows: 3, Cols: 3,
+		Rowidx: []int{0, 3, 5, 6},
+		Colid:  []int{2, 0, 0, 1, 1, 0},
+		Val:    []float64{-1, 4, 9, 3, 7, -2},
+	}
+	d := m.Diag()
+	if want := []float64{4, 3, 0}; !slices.Equal(d, want) {
+		t.Fatalf("Diag = %v, want %v", d, want)
 	}
 }
 

@@ -188,10 +188,6 @@ type RandomSPDOptions struct {
 	// Density is the target nnz/N² (the generator matches it to within the
 	// rounding of the per-row off-diagonal count).
 	Density float64
-	// Bandwidth limits off-diagonal entries to |i−j| ≤ Bandwidth. Zero means
-	// unlimited (columns drawn uniformly). A finite band mimics the locality
-	// of discretised operators and keeps SpMxV cache behaviour realistic.
-	Bandwidth int
 	// DiagShift is added to the row-sum diagonal; it lower-bounds the
 	// smallest eigenvalue, so smaller shifts give harder CG problems (more
 	// iterations). Must be > 0.
@@ -231,30 +227,17 @@ func RandomSPD(opt RandomSPDOptions) *CSR {
 		upperPerRow = 1
 	}
 
-	band := opt.Bandwidth
-	if band <= 0 {
-		band = n
-	}
-
 	c := newCOOCap(n, n, 2*n*upperPerRow+n) // both halves of each pair, the diagonal
 	rowAbs := make([]float64, n)
 	// seen[j] == i+1 once row i's pass has placed (i, j): each pass places
 	// only its own row's pairs, so no mark needs clearing.
 	seen := make([]int, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n-1; i++ {
 		placed := 0
 		attempts := 0
 		for placed < upperPerRow && attempts < 20*upperPerRow {
 			attempts++
-			lo := i + 1
-			hi := i + band
-			if hi > n-1 {
-				hi = n - 1
-			}
-			if lo > hi {
-				break
-			}
-			j := lo + rng.Intn(hi-lo+1)
+			j := i + 1 + rng.Intn(n-1-i)
 			if seen[j] == i+1 {
 				continue
 			}

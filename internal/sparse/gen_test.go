@@ -143,18 +143,6 @@ func TestRandomSPDDeterministic(t *testing.T) {
 	}
 }
 
-func TestRandomSPDBandwidth(t *testing.T) {
-	band := 10
-	m := RandomSPD(RandomSPDOptions{N: 150, Density: 0.02, Bandwidth: band, DiagShift: 1, Seed: 9})
-	for i := 0; i < m.Rows; i++ {
-		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-			if d := m.Colid[k] - i; d > band || d < -band {
-				t.Fatalf("entry (%d,%d) outside bandwidth %d", i, m.Colid[k], band)
-			}
-		}
-	}
-}
-
 func TestDensePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

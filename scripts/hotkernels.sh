@@ -15,14 +15,20 @@ if [ $# -ne 2 ]; then
 	exit 2
 fi
 kernels='sparse.(*CSR).mulRows
+sparse.(*CSR).mulVec4
 sparse.(*CSR).mulRowsRobust
 checksum.NewMatrixInto
 abft.(*Protected).MulVec
+abft.(*Protected).mulVec4
 abft.(*Protected).defects
 abft.(*Protected).defectsRow1
 abft.(*Protected).verify
+abft.(*VectorGuard).Linear
+vec.Norm2SqBlocked
+vec.DotBlocked
 vec.Dot
 vec.Axpy
+vec.AxpyTo
 vec.Xpay
 tmr.axpyBlock'
 base=$(go tool nm -n "$1")
@@ -33,7 +39,7 @@ addr() {
 	echo "$1" | awk -v s="repro/internal/$2" '$2 == "T" && $3 == s { print $1; exit }'
 }
 
-printf '%-30s %10s %5s  %10s %5s\n' kernel base mod64 head mod64
+printf '%-32s %10s %5s  %10s %5s\n' kernel base mod64 head mod64
 echo "$kernels" | while read -r k; do
 	a=$(addr "$base" "$k")
 	b=$(addr "$head" "$k")
@@ -43,5 +49,5 @@ echo "$kernels" | while read -r k; do
 	[ -n "$b" ] && rb=$((0x$b % 64))
 	note=
 	[ "$ra" != "$rb" ] && note='  moved'
-	printf '%-30s %10s %5s  %10s %5s%s\n' "$k" "${a:--}" "$ra" "${b:--}" "$rb" "$note"
+	printf '%-32s %10s %5s  %10s %5s%s\n' "$k" "${a:--}" "$ra" "${b:--}" "$rb" "$note"
 done

@@ -1,5 +1,6 @@
-// Package lib is the export gate's fixture: each name below is kept by
-// exactly one of the gate's caller rules, except Dead, which none keeps.
+// Package lib is the export and field gates' fixture: each name below is
+// kept by exactly one of the export gate's caller rules, except Dead, which
+// none keeps.
 package lib
 
 import "strings"
@@ -32,3 +33,14 @@ func (s *Stream) Read(p []byte) (int, error) { return s.r.Read(p) }
 
 // Dead is named by nobody.
 func Dead() int { return 0 }
+
+// Options is named by cmd/app, which writes Indexed only through an index.
+// Nothing writes Never; encoding/json would fill Tagged.
+type Options struct {
+	Never   int
+	Indexed [2]int
+	Tagged  string `json:"tagged"`
+}
+
+// Pair is named by cmd/app, whose positional literal alone sets its fields.
+type Pair struct{ Lo, Hi int }
