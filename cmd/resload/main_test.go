@@ -347,7 +347,7 @@ func TestRunRouterMode(t *testing.T) {
 	plan := chaos.Plan{Schema: 1, Seed: 1234, PReset: 0.05, PTruncate: 0.05, PBitFlip: 0.15, P503: 0.05}
 	inj := chaos.New(plan, nil)
 	chaosURL, _, _ := routerTarget(t, router.Config{
-		Transport: inj, ChaosStats: inj.Stats, RetryBudget: 8, RetryBackoff: time.Millisecond})
+		Transport: inj, ChaosStats: inj.Stats, RetryBudget: 8})
 	rec3 := load(t, "-addr", chaosURL, "-replay", campaign, "-c", "1", "-check")
 	if rec3.Replay == nil || rec3.Replay.RecordedCells == 0 || rec3.Replay.Mismatches != 0 {
 		t.Errorf("chaos replay %+v, want recorded cells with 0 mismatches", rec3.Replay)

@@ -69,13 +69,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 		topoWatch     = fs.Duration("topology-watch", 2*time.Second, "poll the topology file this often and reload when its content changed (0 = SIGHUP only)")
 		spawn         = fs.Int("spawn", 0, "materialise this many shards through the runtime (instead of, or in addition to, -topology)")
 		shardBin      = fs.String("shard-bin", "", "materialise address-less shards as supervised child processes of this resilientd binary, looked up in PATH unless a path is given (empty = in-process servers)")
-		restartBase   = fs.Duration("restart-backoff", 250*time.Millisecond, "first restart delay for a crashed supervised shard (doubles per crash)")
-		restartMax    = fs.Duration("restart-max", 5*time.Second, "restart-delay cap for a crash-looping supervised shard")
-		restartLimit  = fs.Int("restart-limit", 0, "consecutive crash-loop restarts before a supervised shard is given up on (0 = unlimited)")
 		adminToken    = fs.String("admin-token", "", "bearer token gating /debug/pprof (empty = disabled)")
 		probeInterval = fs.Duration("probe-interval", 2*time.Second, "active health-check period")
 		retryBudget   = fs.Int("retry-budget", 4, "per-request attempt ceiling across ring candidates (first try included)")
-		retryBackoff  = fs.Duration("retry-backoff", 25*time.Millisecond, "base delay before the second attempt (doubles per attempt, ±50% jitter; a shard retry_after_ms hint overrides when longer)")
 		chaosPlan     = fs.String("chaos-plan", "", "seeded fault-injection plan (JSON) applied to shard-bound solve traffic; /v1/statusz grows a chaos section")
 		logFormat     = fs.String("log-format", "text", "log line format: text or json")
 		quiet         = fs.Bool("q", false, "log warnings and errors only")
@@ -114,13 +110,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	var runtime router.ShardRuntime
 	var procs *procRuntime
 	if *shardBin != "" {
-		procs = newProcRuntime(procConfig{
-			bin:         *shardBin,
-			backoff:     *restartBase,
-			maxBackoff:  *restartMax,
-			maxRestarts: *restartLimit,
-			log:         logger,
-		})
+		procs = newProcRuntime(procConfig{bin: *shardBin, log: logger})
 		runtime = procs
 	} else {
 		runtime = newLocalRuntime()
@@ -129,7 +119,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, started chan<- ne
 	cfg := router.Config{
 		ProbeInterval: *probeInterval,
 		RetryBudget:   *retryBudget,
-		RetryBackoff:  *retryBackoff,
 		AdminToken:    *adminToken,
 		Runtime:       runtime,
 		Logger:        logger,

@@ -199,7 +199,7 @@ func TestRunChaosPlanKeepsAnswersClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	chaosArgs := []string{"-addr", "127.0.0.1:0", "-spawn", "2", "-q",
-		"-chaos-plan", plan, "-retry-budget", "8", "-retry-backoff", "1ms"}
+		"-chaos-plan", plan, "-retry-budget", "8"}
 
 	baseClean, cancelClean, _ := boot(t, []string{"-addr", "127.0.0.1:0", "-spawn", "2", "-q"})
 	defer cancelClean()

@@ -328,7 +328,6 @@ func TestSuperviseRestartsKilledShard(t *testing.T) {
 
 	base, cancel, done := boot(t, []string{
 		"-addr", "127.0.0.1:0", "-spawn", "2", "-shard-bin", bin,
-		"-restart-backoff", "50ms", "-restart-max", "250ms",
 		"-probe-interval", "100ms", "-q"})
 	defer cancel()
 
@@ -414,9 +413,8 @@ func TestSuperviseRestartsKilledShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, cancel, done = boot(t, []string{
-		"-addr", "127.0.0.1:0", "-spawn", "2", "-shard-bin", bin,
-		"-restart-backoff", "50ms", "-restart-max", "250ms", "-probe-interval", "100ms",
-		"-chaos-plan", plan, "-retry-budget", "8", "-retry-backoff", "1ms", "-q"})
+		"-addr", "127.0.0.1:0", "-spawn", "2", "-shard-bin", bin, "-probe-interval", "100ms",
+		"-chaos-plan", plan, "-retry-budget", "8", "-q"})
 	// Drain even when an assertion below fails, so no child outlives the test.
 	t.Cleanup(func() {
 		cancel()

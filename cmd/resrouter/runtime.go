@@ -80,12 +80,7 @@ type procRuntime struct {
 }
 
 type procConfig struct {
-	bin        string
-	backoff    time.Duration
-	maxBackoff time.Duration
-	// maxRestarts caps consecutive crash-loop restarts per child
-	// (0 = unlimited); see supervisor.Config.MaxRestarts.
-	maxRestarts int
+	bin string
 	// log receives the structured lifecycle lines (nil discards them).
 	log *slog.Logger
 }
@@ -118,12 +113,7 @@ func (p *procRuntime) Start(name string) (string, error) {
 			"-shard", name,
 			"-q",
 		)
-	}, supervisor.Config{
-		Backoff:     p.cfg.backoff,
-		MaxBackoff:  p.cfg.maxBackoff,
-		MaxRestarts: p.cfg.maxRestarts,
-		OnEvent:     p.logEvent,
-	})
+	}, p.logEvent)
 
 	addr := "http://" + hostport
 	if err := waitHealthy(addr, healthWait); err != nil {
@@ -169,8 +159,8 @@ func (p *procRuntime) KillByAddr(hostport string) bool {
 }
 
 func (p *procRuntime) logEvent(ev supervisor.Event) {
-	// Every crash or failed start schedules a relaunch (until the budget
-	// is exhausted): that is the restart tally operators alert on.
+	// Every crash or failed start schedules a relaunch: that is the
+	// restart tally operators alert on.
 	if ev.Kind == "exit" || ev.Kind == "start-error" {
 		p.restarts.Add(1)
 	}

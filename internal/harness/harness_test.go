@@ -215,6 +215,31 @@ func TestUnprotectedNeumannPCG(t *testing.T) {
 	}
 }
 
+// TestPCGAnswersThePreconditionersRefusal: a preconditioner that cannot be
+// built finite fails the solve with its own error under every scheme,
+// before the checksums or the recurrence meet its infinities.
+func TestPCGAnswersThePreconditionersRefusal(t *testing.T) {
+	for _, tc := range []struct {
+		precond string
+		a       *sparse.CSR
+	}{
+		{"neumann", sparse.Tridiag(40, 1e-200, -1e-201)},
+		{"jacobi", sparse.Tridiag(8, 5e-324, 0)},
+	} {
+		b := make([]float64, tc.a.Rows)
+		for i := range b {
+			b[i] = 1
+		}
+		for _, scheme := range []string{"unprotected", "online-detection", "abft-detection", "abft-correction"} {
+			sc := Scenario{Solver: "pcg", Precond: tc.precond, Scheme: scheme}
+			_, _, err := SolveWith(tc.a, b, sc, 1, SolveOpts{})
+			if err == nil || !strings.Contains(err.Error(), "precond: non-finite entry") {
+				t.Errorf("%s/%s: error %v, want the preconditioner's refusal", tc.precond, scheme, err)
+			}
+		}
+	}
+}
+
 // TestRHSSeedZeroIsHonoured guards the sentinel regression: a pinned
 // right-hand-side seed of exactly 0 must be used, not silently replaced by
 // the per-cell trial seed.

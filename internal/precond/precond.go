@@ -14,13 +14,15 @@ package precond
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sparse"
 )
 
 // Jacobi returns the diagonal preconditioner M = D⁻¹ as an explicit sparse
 // matrix, so it can be wrapped in the same ABFT protection as A. Returns an
-// error if any diagonal entry is zero.
+// error if any diagonal entry is zero or any entry of M is not finite (a
+// subnormal diagonal overflows its inverse).
 func Jacobi(a *sparse.CSR) (*sparse.CSR, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("precond: Jacobi needs a square matrix")
@@ -32,6 +34,9 @@ func Jacobi(a *sparse.CSR) (*sparse.CSR, error) {
 			return nil, fmt.Errorf("precond: zero diagonal at row %d", i)
 		}
 		m.Val[i] = 1 / di
+		if !finite(m.Val[i]) {
+			return nil, nonFinite(i, i)
+		}
 		m.Colid[i] = i
 		m.Rowidx[i+1] = i + 1
 	}
@@ -46,6 +51,8 @@ func Jacobi(a *sparse.CSR) (*sparse.CSR, error) {
 // applied as an SpMxV — the approximate-inverse class the paper's
 // conclusion targets. M[i][j] = 2/d_i·δ_ij − a_ij/(d_i·d_j) on A's pattern,
 // less the entries that come out zero, so M is symmetric whenever A is.
+// Returns an error if any diagonal entry is zero or any entry of M is not
+// finite (a product d_i·d_j that underflows to zero makes one infinite).
 func Neumann(a *sparse.CSR) (*sparse.CSR, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("precond: Neumann needs a square matrix")
@@ -65,10 +72,19 @@ func Neumann(a *sparse.CSR) (*sparse.CSR, error) {
 			if i == j {
 				v += 2 / d[i]
 			}
+			if !finite(v) {
+				return nil, nonFinite(i, j)
+			}
 			if v != 0 {
 				c.Add(i, j, v)
 			}
 		}
 	}
 	return c.ToCSR(), nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func nonFinite(i, j int) error {
+	return fmt.Errorf("precond: non-finite entry at row %d, column %d", i, j)
 }

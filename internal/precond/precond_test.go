@@ -40,6 +40,45 @@ func TestJacobiNonSquare(t *testing.T) {
 	}
 }
 
+// TestNonFiniteEntriesRefused: a finite operand whose diagonal inverts or
+// multiplies out of range would give M an infinite or NaN entry; both
+// preconditioners refuse it by row and column instead, as they refuse a
+// zero diagonal.
+func TestNonFiniteEntriesRefused(t *testing.T) {
+	nan := sparse.Dense(2, 2, []float64{1, 0, 0, math.NaN()})
+	for _, tc := range []struct {
+		name  string
+		build func(*sparse.CSR) (*sparse.CSR, error)
+		a     *sparse.CSR
+		want  string
+	}{
+		{"Jacobi/subnormal", Jacobi, sparse.Tridiag(8, 5e-324, 0), "row 0, column 0"},
+		{"Jacobi/nan", Jacobi, nan, "row 1, column 1"},
+		{"Neumann/underflow", Neumann, sparse.Tridiag(40, 1e-200, -1e-201), "row 0, column 0"},
+		{"Neumann/offdiagonal", Neumann, sparse.Dense(2, 2, []float64{1e-160, 1e300, 1e300, 1e-160}), "row 0, column 1"},
+		{"Neumann/nan", Neumann, nan, "row 1, column 1"},
+	} {
+		m, err := tc.build(tc.a)
+		if err == nil {
+			t.Errorf("%s: no error, and %d of M's %d entries are not finite", tc.name, countNonFinite(m), m.NNZ())
+			continue
+		}
+		if want := "precond: non-finite entry at " + tc.want; err.Error() != want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, want)
+		}
+	}
+}
+
+func countNonFinite(m *sparse.CSR) int {
+	n := 0
+	for _, v := range m.Val {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestNeumannTwoTermsSymmetric(t *testing.T) {
 	a := sparse.RandomSPD(sparse.RandomSPDOptions{N: 60, Density: 0.1, DiagShift: 1, Seed: 3})
 	m, err := Neumann(a)

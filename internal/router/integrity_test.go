@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,20 +28,15 @@ func readAll(t *testing.T, r io.Reader) []byte {
 // stamps digests like a real resilientd, then (per mode) corrupts what
 // it sends — the upstream half of the router's end-to-end verification.
 type evilShard struct {
-	name string
-	ts   *httptest.Server
-
-	mu         sync.Mutex
+	stub
 	mode       string // "ok", "corrupt", "badschema", "refuse-once"
-	served     int
-	retryAfter int // retry_after_ms carried by "refuse-once"
+	retryAfter int    // retry_after_ms carried by "refuse-once"
 }
 
 func newEvilShard(t *testing.T, name string) *evilShard {
 	t.Helper()
-	f := &evilShard{name: name, mode: "ok"}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) {
+	f := &evilShard{stub: stub{name: name}, mode: "ok"}
+	f.serve(t, func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		f.served++
 		mode := f.mode
@@ -75,12 +68,7 @@ func newEvilShard(t *testing.T, name string) *evilShard {
 			body[len(body)/2] ^= 0x04
 		}
 		w.Write(body)
-	})
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(api.HealthResponse{Schema: api.SchemaVersion, Status: "ok"})
-	})
-	f.ts = httptest.NewServer(mux)
-	t.Cleanup(f.ts.Close)
+	}, nil)
 	return f
 }
 
@@ -89,30 +77,6 @@ func (f *evilShard) setMode(mode string, retryAfter int) {
 	f.mode = mode
 	f.retryAfter = retryAfter
 	f.mu.Unlock()
-}
-
-func (f *evilShard) servedCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.served
-}
-
-func evilRouter(t *testing.T, cfg Config, fakes ...*evilShard) (*Router, *httptest.Server) {
-	t.Helper()
-	shards := make([]Shard, len(fakes))
-	for i, f := range fakes {
-		shards[i] = Shard{Name: f.name, Addr: f.ts.URL}
-	}
-	r, err := New(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(r.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		r.Shutdown()
-	})
-	return r, ts
 }
 
 // routerzOf fetches the router section of /v1/statusz.
@@ -135,8 +99,8 @@ func routerzOf(t *testing.T, base string) api.RouterzResponse {
 func TestRouterRejectsCorruptResponse(t *testing.T) {
 	s0 := newEvilShard(t, "s0")
 	s1 := newEvilShard(t, "s1")
-	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, RetryBackoff: time.Millisecond}
-	r, ts := evilRouter(t, cfg, s0, s1)
+	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, retryBackoff: time.Millisecond}
+	r, ts := testRouter(t, cfg, s0, s1)
 
 	body := solveBody(t, "poisson2d", 48)
 	// Discover the owner with both shards clean, then corrupt it.
@@ -198,8 +162,8 @@ func TestRouterRejectsCorruptResponse(t *testing.T) {
 func TestRouterRejectsSchemaViolation(t *testing.T) {
 	s0 := newEvilShard(t, "s0")
 	s1 := newEvilShard(t, "s1")
-	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, RetryBackoff: time.Millisecond}
-	r, ts := evilRouter(t, cfg, s0, s1)
+	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, retryBackoff: time.Millisecond}
+	r, ts := testRouter(t, cfg, s0, s1)
 
 	body := solveBody(t, "poisson2d", 49)
 	_, _, owner := postRouted(t, ts.URL, body)
@@ -222,8 +186,8 @@ func TestRouterRejectsSchemaViolation(t *testing.T) {
 func TestRouterRetryBudgetBoundsCorruption(t *testing.T) {
 	s0 := newEvilShard(t, "s0")
 	s0.setMode("corrupt", 0)
-	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, RetryBudget: 3, RetryBackoff: time.Millisecond}
-	r, ts := evilRouter(t, cfg, s0)
+	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, RetryBudget: 3, retryBackoff: time.Millisecond}
+	r, ts := testRouter(t, cfg, s0)
 
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bodyReader(solveBody(t, "poisson2d", 50)))
 	if err != nil {
@@ -262,8 +226,8 @@ func TestRouterHonorsRetryAfterHint(t *testing.T) {
 	const hintMillis = 150
 	s0 := newEvilShard(t, "s0")
 	s0.setMode("refuse-once", hintMillis)
-	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, RetryBudget: 2, RetryBackoff: time.Millisecond}
-	_, ts := evilRouter(t, cfg, s0)
+	cfg := Config{ProbeInterval: time.Hour, failThreshold: 100, RetryBudget: 2, retryBackoff: time.Millisecond}
+	_, ts := testRouter(t, cfg, s0)
 
 	start := time.Now()
 	status, _, servedBy := postRouted(t, ts.URL, solveBody(t, "poisson2d", 51))

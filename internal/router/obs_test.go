@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,22 +22,15 @@ import (
 // solve it receives — the observability tests' probe for propagation.
 // It can refuse its first N requests with 503 (driving failover).
 type traceShard struct {
-	name string
-	ts   *httptest.Server
-
-	mu     sync.Mutex
+	stub
 	seen   []string // trace header of each solve request, in arrival order
 	refuse int      // initial requests to refuse with 503
 }
 
 func newTraceShard(t *testing.T, name string) *traceShard {
 	t.Helper()
-	f := &traceShard{name: name}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		api.WriteJSON(w, http.StatusOK, api.HealthResponse{Schema: api.SchemaVersion, Status: "ok"})
-	})
-	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) {
+	f := &traceShard{stub: stub{name: name}}
+	f.serve(t, func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		f.seen = append(f.seen, r.Header.Get(api.TraceHeader))
 		refuse := f.refuse > 0
@@ -66,9 +58,7 @@ func newTraceShard(t *testing.T, name string) *traceShard {
 			return
 		}
 		api.WriteJSON(w, http.StatusOK, resp)
-	})
-	f.ts = httptest.NewServer(mux)
-	t.Cleanup(f.ts.Close)
+	}, nil)
 	return f
 }
 
@@ -77,24 +67,6 @@ func (f *traceShard) traces() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]string(nil), f.seen...)
-}
-
-func traceRouter(t *testing.T, cfg Config, fakes ...*traceShard) (*Router, *httptest.Server) {
-	t.Helper()
-	shards := make([]Shard, len(fakes))
-	for i, f := range fakes {
-		shards[i] = Shard{Name: f.name, Addr: f.ts.URL}
-	}
-	r, err := New(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(r.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		r.Shutdown()
-	})
-	return r, ts
 }
 
 // postTraced posts a solve with an optional inbound trace header and
@@ -140,7 +112,7 @@ func spanNames(rec obs.TraceRecord) map[string]bool {
 
 func TestRouterMintsTraceAndPropagatesToShard(t *testing.T) {
 	sh := newTraceShard(t, "s0")
-	_, ts := traceRouter(t, Config{}, sh)
+	_, ts := testRouter(t, Config{}, sh)
 
 	body := solveBody(t, "poisson2d", 16)
 	status, id := postTraced(t, ts.URL, body, "")
@@ -180,7 +152,7 @@ func TestRouterTraceSurvivesFailoverRetry(t *testing.T) {
 	// order the key hashes to.
 	a, b := newTraceShard(t, "s0"), newTraceShard(t, "s1")
 	a.refuse, b.refuse = 1, 1
-	_, ts := traceRouter(t, Config{RetryBackoff: time.Millisecond}, a, b)
+	_, ts := testRouter(t, Config{retryBackoff: time.Millisecond}, a, b)
 
 	status, id := postTraced(t, ts.URL, solveBody(t, "poisson2d", 16), "")
 	if status != http.StatusOK {
@@ -205,7 +177,7 @@ func TestRouterTraceSurvivesFailoverRetry(t *testing.T) {
 
 func TestRouterTraceSurvivesStreamingPassThrough(t *testing.T) {
 	sh := newTraceShard(t, "s0")
-	_, ts := traceRouter(t, Config{}, sh)
+	_, ts := testRouter(t, Config{}, sh)
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(solveBody(t, "poisson2d", 16)))
 	if err != nil {
@@ -270,7 +242,7 @@ func scrapeRouterMetrics(t *testing.T, url string) map[string]float64 {
 
 func TestRouterMetricsReconcileWithRouterz(t *testing.T) {
 	sh := newTraceShard(t, "s0")
-	r, ts := traceRouter(t, Config{}, sh)
+	r, ts := testRouter(t, Config{}, sh)
 
 	body := solveBody(t, "poisson2d", 16)
 	for i := 0; i < 3; i++ {
@@ -312,7 +284,7 @@ func TestRouterMetricsReconcileWithRouterz(t *testing.T) {
 }
 
 func TestRouterStatuszBuildInfo(t *testing.T) {
-	_, ts := traceRouter(t, Config{}, newTraceShard(t, "s0"), newTraceShard(t, "s1"))
+	_, ts := testRouter(t, Config{}, newTraceShard(t, "s0"), newTraceShard(t, "s1"))
 	st, err := api.NewClient(ts.URL).Statusz(context.Background())
 	if err != nil {
 		t.Fatal(err)

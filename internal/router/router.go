@@ -56,6 +56,9 @@ const (
 	// key's owner only, in a single attempt, instead of pinning the buffer
 	// across retries.
 	retryBodyBytes = 8 << 20
+	// retryBackoff is the base delay before the second attempt, doubling
+	// per attempt with ±50% jitter (see retrySleep).
+	retryBackoff = 25 * time.Millisecond
 	// loadSlack bounds a shard's share of the router's in-flight right-hand
 	// sides: a request leaves its key's owner for the ring successor only
 	// while the owner would hold more than loadSlack times an even share
@@ -82,11 +85,6 @@ type Config struct {
 	// injected fault storm from amplifying into a retry storm — corrupt
 	// responses, resets and 5xxs all draw from the same pool.
 	RetryBudget int
-	// RetryBackoff is the base delay before the second attempt (default
-	// 25ms), doubling per attempt with ±50% jitter. A shard-supplied
-	// retry_after_ms hint (429/503 envelope) overrides the backoff when
-	// longer. Backoff paces retries only; it never touches result bytes.
-	RetryBackoff time.Duration
 	// AdminToken gates /debug/pprof: requests must carry it as a bearer
 	// token. Empty disables profiling entirely (403).
 	AdminToken string
@@ -114,6 +112,7 @@ type Config struct {
 	vnodes         int
 	failThreshold  int
 	retryBodyBytes int64
+	retryBackoff   time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -132,8 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 4
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
+	if c.retryBackoff <= 0 {
+		c.retryBackoff = retryBackoff
 	}
 	return c
 }
@@ -591,12 +590,13 @@ var errSaturated = errors.New("shard queue saturated (429)")
 const maxRetryAfterHint = 2 * time.Second
 
 // retrySleep paces one retry: the jittered exponential backoff
-// (RetryBackoff·2^(attempt−1), ±50%) or the shard's retry_after hint,
-// whichever is longer. Returns false when the request deadline expires
-// mid-wait. Jitter decorrelates concurrent retry waves; it never touches
-// result bytes, so the determinism gates are indifferent to it.
+// (retryBackoff·2^(attempt−1), ±50%) or the shard's retry_after hint
+// (429/503 envelope), whichever is longer. Returns false when the request
+// deadline expires mid-wait. Jitter decorrelates concurrent retry waves;
+// it never touches result bytes, so the determinism gates are indifferent
+// to it.
 func (r *Router) retrySleep(ctx context.Context, attempt int, hint time.Duration) bool {
-	d := r.cfg.RetryBackoff << uint(attempt-1)
+	d := r.cfg.retryBackoff << uint(attempt-1)
 	d = d/2 + time.Duration(rand.Int63n(int64(d)+1))
 	if hint > maxRetryAfterHint {
 		hint = maxRetryAfterHint

@@ -43,24 +43,74 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
+// stub is the part every shard double of these tests shares: its name, the
+// server answering for it, and a count of the solves it took (under mu,
+// which the doubles' own state shares).
+type stub struct {
+	name string
+	ts   *httptest.Server
+
+	mu     sync.Mutex
+	served int
+}
+
+// serve starts the double's server for the life of the test: solve answers
+// /v1/solve, and healthz /v1/healthz (nil answers "ok").
+func (s *stub) serve(t *testing.T, solve, healthz http.HandlerFunc) {
+	if healthz == nil {
+		healthz = func(w http.ResponseWriter, r *http.Request) {
+			api.WriteJSON(w, http.StatusOK, api.HealthResponse{Schema: api.SchemaVersion, Status: "ok"})
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/solve", solve)
+	mux.HandleFunc("/v1/healthz", healthz)
+	s.ts = httptest.NewServer(mux)
+	t.Cleanup(s.ts.Close)
+}
+
+// shard is the double's (name, URL) pair, as a router's shard list takes it.
+func (s *stub) shard() Shard { return Shard{Name: s.name, Addr: s.ts.URL} }
+
+func (s *stub) servedCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.served
+}
+
+// testRouter builds a router over the doubles and an HTTP front end for it;
+// both shut down with the test.
+func testRouter[S interface{ shard() Shard }](t *testing.T, cfg Config, doubles ...S) (*Router, *httptest.Server) {
+	t.Helper()
+	shards := make([]Shard, len(doubles))
+	for i, d := range doubles {
+		shards[i] = d.shard()
+	}
+	r, err := New(cfg, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(r.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		r.Shutdown()
+	})
+	return r, ts
+}
+
 // fakeShard is a minimal shard-API stand-in: it answers /v1/solve with a
 // canned body naming itself and /v1/healthz with a settable status, and
 // records which requests it served.
 type fakeShard struct {
-	name string
-	ts   *httptest.Server
-
-	mu      sync.Mutex
-	served  int
+	stub
 	healthy bool
 	code    int // /v1/solve status to answer (0 = 200)
 }
 
 func newFakeShard(t *testing.T, name string) *fakeShard {
 	t.Helper()
-	f := &fakeShard{name: name, healthy: true}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) {
+	f := &fakeShard{stub: stub{name: name}, healthy: true}
+	f.serve(t, func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		f.served++
 		code := f.code
@@ -72,8 +122,7 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"schema":%d,"served_by":%q}`, api.SchemaVersion, f.name)
-	})
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+	}, func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		ok := f.healthy
 		f.mu.Unlock()
@@ -83,8 +132,6 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 		}
 		json.NewEncoder(w).Encode(api.HealthResponse{Schema: api.SchemaVersion, Status: status})
 	})
-	f.ts = httptest.NewServer(mux)
-	t.Cleanup(f.ts.Close)
 	return f
 }
 
@@ -98,30 +145,6 @@ func (f *fakeShard) setSolveCode(code int) {
 	f.mu.Lock()
 	f.code = code
 	f.mu.Unlock()
-}
-
-func (f *fakeShard) servedCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.served
-}
-
-func testRouter(t *testing.T, cfg Config, fakes ...*fakeShard) (*Router, *httptest.Server) {
-	t.Helper()
-	shards := make([]Shard, len(fakes))
-	for i, f := range fakes {
-		shards[i] = Shard{Name: f.name, Addr: f.ts.URL}
-	}
-	r, err := New(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(r.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		r.Shutdown()
-	})
-	return r, ts
 }
 
 func solveBody(t *testing.T, gen string, n int) []byte {

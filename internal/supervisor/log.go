@@ -5,12 +5,11 @@ import (
 	"time"
 )
 
-// LogEvents adapts a structured logger into an OnEvent hook: every
-// lifecycle transition becomes one slog line with typed fields, severity
-// graded by how alarming the transition is — routine starts and stops at
-// Info, crashes and failed launches at Warn, a spent crash-loop budget
-// at Error. The field names are part of the operational contract (the
-// obs tests parse them), so change them like any other schema.
+// LogEvents adapts a structured logger into Supervise's onEvent hook:
+// every lifecycle transition becomes one slog line with typed fields,
+// routine starts and stops at Info, crashes and failed launches at Warn.
+// The field names are part of the operational contract (the obs tests
+// parse them), so change them like any other schema.
 func LogEvents(log *slog.Logger) func(Event) {
 	return func(ev Event) {
 		args := []any{
@@ -27,12 +26,9 @@ func LogEvents(log *slog.Logger) func(Event) {
 			args = append(args, slog.Float64("backoff_ms", float64(ev.Backoff)/float64(time.Millisecond)))
 		}
 		args = append(args, slog.Int("restarts", ev.Restarts))
-		switch ev.Kind {
-		case "exhausted":
-			log.Error("supervised child exhausted restart budget", args...)
-		case "exit", "start-error":
+		if ev.Kind == "exit" || ev.Kind == "start-error" {
 			log.Warn("supervised child down", args...)
-		default: // "start", "stop"
+		} else { // "start", "stop"
 			log.Info("supervised child "+ev.Kind, args...)
 		}
 	}

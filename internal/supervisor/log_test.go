@@ -30,26 +30,32 @@ func (w *syncWriter) String() string {
 	return w.buf.String()
 }
 
-// TestLogEventsEmitsStructuredFields crash-loops a child to exhaustion
-// under a JSON slog handler and asserts the lifecycle lines carry the
-// typed fields operators (and the obs tooling) key on: child name, kind,
-// restart count, backoff, and severity graded per kind.
+// TestLogEventsEmitsStructuredFields crash-loops a child three times
+// under a JSON slog handler, then stops it, and asserts the lifecycle
+// lines carry the typed fields operators (and the obs tooling) key on:
+// child name, kind, restart count, backoff, and severity graded per kind.
+// A crash loop is never an ERROR: the child is retried for as long as it
+// is supervised.
 func TestLogEventsEmitsStructuredFields(t *testing.T) {
 	var w syncWriter
 	logger := slog.New(slog.NewJSONHandler(&w, nil))
-	c := Supervise("shard-x", func() *exec.Cmd {
+	var c *Child // set by tune, before the loop starts
+	builds := 0  // touched by the supervision loop only
+	superviseOn("shard-x", func() *exec.Cmd {
+		if builds++; builds > 3 {
+			<-c.stop // exactly three runs: the fourth waits for Stop
+		}
 		return exec.Command("/bin/sh", "-c", "exit 3")
-	}, Config{
-		Backoff:     time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-		MaxRestarts: 2,
-		OnEvent:     LogEvents(logger),
+	}, LogEvents(logger), func(ch *Child) {
+		c = ch
+		c.backoff, c.maxBackoff = time.Millisecond, 2*time.Millisecond
 	})
 	defer c.Stop()
 
-	waitUntil(t, "exhaustion line", func() bool {
-		return strings.Contains(w.String(), "exhausted")
+	waitUntil(t, "the third exit line", func() bool {
+		return strings.Count(w.String(), `"kind":"exit"`) == 3
 	})
+	c.Stop()
 
 	type line struct {
 		Level    string  `json:"level"`
@@ -73,8 +79,8 @@ func TestLogEventsEmitsStructuredFields(t *testing.T) {
 		byKind[l.Kind] = append(byKind[l.Kind], l)
 	}
 
-	starts, exits, exhausted := byKind["start"], byKind["exit"], byKind["exhausted"]
-	if len(starts) != 3 { // initial run + MaxRestarts relaunches
+	starts, exits := byKind["start"], byKind["exit"]
+	if len(starts) != 3 {
 		t.Errorf("start lines = %d, want 3", len(starts))
 	}
 	for _, l := range starts {
@@ -99,12 +105,10 @@ func TestLogEventsEmitsStructuredFields(t *testing.T) {
 	if len(exits) >= 2 && exits[1].Restarts != 1 {
 		t.Errorf("second exit restarts = %d, want 1", exits[1].Restarts)
 	}
-	if len(exhausted) != 1 || exhausted[0].Level != "ERROR" {
-		t.Fatalf("exhausted lines = %+v, want one ERROR", exhausted)
+	if len(exits) == 3 && exits[2].Restarts != 2 {
+		t.Errorf("third exit restarts = %d, want 2", exits[2].Restarts)
 	}
-	// All three runs (initial + MaxRestarts relaunches) exited before the
-	// terminal event, so it reports three completed restarts.
-	if exhausted[0].Restarts != 3 {
-		t.Errorf("exhausted restarts = %d, want 3", exhausted[0].Restarts)
+	if strings.Contains(w.String(), `"level":"ERROR"`) {
+		t.Errorf("a crash loop logged an ERROR line:\n%s", w.String())
 	}
 }

@@ -14,53 +14,24 @@ import (
 	"time"
 )
 
-// Config tunes one supervised child. Zero values select the defaults.
-type Config struct {
-	// Backoff is the delay before the first restart (default 250ms);
-	// each consecutive crash doubles it up to MaxBackoff (default 5s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// ResetAfter is the healthy uptime that forgives past crashes: a
-	// child that ran at least this long restarts at Backoff again
-	// (default 10s).
-	ResetAfter time.Duration
-	// Grace is how long Stop waits after SIGTERM before SIGKILL
-	// (default 5s).
-	Grace time.Duration
-	// MaxRestarts caps the consecutive restarts a crash-looping child
-	// gets: after the cap is spent (the initial run plus MaxRestarts
-	// relaunches all died before ResetAfter), supervision gives up with a
-	// terminal "exhausted" event instead of relaunching forever. 0 means
-	// unlimited. A run of at least ResetAfter forgives the count along
-	// with the backoff.
-	MaxRestarts int
-	// OnEvent, when set, observes every lifecycle transition.
-	OnEvent func(Event)
-}
-
-func (c Config) withDefaults() Config {
-	if c.Backoff <= 0 {
-		c.Backoff = 250 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
-	if c.ResetAfter <= 0 {
-		c.ResetAfter = 10 * time.Second
-	}
-	if c.Grace <= 0 {
-		c.Grace = 5 * time.Second
-	}
-	return c
-}
+// The restart policy every supervised child runs: the first restart
+// waits backoff, each consecutive crash doubles the delay up to
+// maxBackoff, and a run of at least resetAfter forgives past crashes, so
+// the next one restarts at backoff again. A crash-looping child is thus
+// retried every maxBackoff for as long as it is supervised. Stop waits
+// grace after SIGTERM before SIGKILL.
+const (
+	backoff    = 250 * time.Millisecond
+	maxBackoff = 5 * time.Second
+	resetAfter = 10 * time.Second
+	grace      = 5 * time.Second
+)
 
 // Event is one lifecycle transition of a supervised child.
 type Event struct {
 	// Name labels the child (the shard name in resrouter).
 	Name string
-	// Kind is "start", "start-error", "exit", "exhausted" or "stop".
-	// "exhausted" is terminal: the crash-loop spent MaxRestarts and no
-	// further restart follows.
+	// Kind is "start", "start-error", "exit" or "stop".
 	Kind string
 	// PID is set on "start" and "exit".
 	PID int
@@ -76,9 +47,11 @@ type Event struct {
 // Child is one supervised process. Construct with Supervise; Stop to
 // terminate for good.
 type Child struct {
-	name  string
-	build func() *exec.Cmd
-	cfg   Config
+	name    string
+	build   func() *exec.Cmd
+	onEvent func(Event)
+	// Tests override the fixed schedule of the same names here.
+	backoff, maxBackoff, resetAfter, grace time.Duration
 
 	mu       sync.Mutex
 	cmd      *exec.Cmd
@@ -93,32 +66,33 @@ type Child struct {
 // Supervise launches the child and keeps it running: every exit that was
 // not requested through Stop triggers a restart after the current
 // backoff. build must return a fresh, unstarted command each call (a
-// started *exec.Cmd cannot be reused).
-func Supervise(name string, build func() *exec.Cmd, cfg Config) *Child {
-	c := &Child{
-		name:  name,
-		build: build,
-		cfg:   cfg.withDefaults(),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
+// started *exec.Cmd cannot be reused). onEvent, when not nil, observes
+// every lifecycle transition.
+func Supervise(name string, build func() *exec.Cmd, onEvent func(Event)) *Child {
+	c := newChild(name, build, onEvent)
 	go c.loop()
 	return c
 }
 
-func (c *Child) event(kind string, pid int, err error, backoff time.Duration, restarts int) {
-	if c.cfg.OnEvent != nil {
-		c.cfg.OnEvent(Event{Name: c.name, Kind: kind, PID: pid, Err: err, Backoff: backoff, Restarts: restarts})
+// newChild returns an unstarted Child on the fixed schedule.
+func newChild(name string, build func() *exec.Cmd, onEvent func(Event)) *Child {
+	return &Child{
+		name: name, build: build, onEvent: onEvent,
+		backoff: backoff, maxBackoff: maxBackoff, resetAfter: resetAfter, grace: grace,
+		stop: make(chan struct{}), done: make(chan struct{}),
+	}
+}
+
+func (c *Child) event(kind string, pid int, err error, delay time.Duration, restarts int) {
+	if c.onEvent != nil {
+		c.onEvent(Event{Name: c.name, Kind: kind, PID: pid, Err: err, Backoff: delay, Restarts: restarts})
 	}
 }
 
 func (c *Child) loop() {
 	defer close(c.done)
-	backoff := c.cfg.Backoff
+	delay := c.backoff
 	restarts := 0
-	// loopCrashes counts consecutive short-lived runs; a run of at least
-	// ResetAfter forgives it together with the backoff.
-	loopCrashes := 0
 	for {
 		cmd := c.build()
 		c.mu.Lock()
@@ -133,8 +107,7 @@ func (c *Child) loop() {
 		c.mu.Unlock()
 
 		if err != nil {
-			c.event("start-error", 0, err, backoff, restarts)
-			loopCrashes++
+			c.event("start-error", 0, err, delay, restarts)
 		} else {
 			pid := cmd.Process.Pid
 			c.event("start", pid, nil, 0, restarts)
@@ -148,32 +121,20 @@ func (c *Child) loop() {
 			if stopping {
 				return
 			}
-			if time.Since(began) >= c.cfg.ResetAfter {
+			if time.Since(began) >= c.resetAfter {
 				// Long enough a run to call the crash fresh, not a loop.
-				backoff = c.cfg.Backoff
-				loopCrashes = 0
+				delay = c.backoff
 			}
-			c.event("exit", pid, werr, backoff, restarts)
+			c.event("exit", pid, werr, delay, restarts)
 			restarts++
-			loopCrashes++
-		}
-		if c.cfg.MaxRestarts > 0 && loopCrashes > c.cfg.MaxRestarts {
-			// The initial run plus MaxRestarts relaunches all died young:
-			// this child is beyond supervision. Terminal — no relaunch, and
-			// nothing (port, process slot) stays reserved behind it.
-			c.event("exhausted", 0, nil, 0, restarts)
-			return
 		}
 
 		select {
 		case <-c.stop:
 			return
-		case <-time.After(backoff):
+		case <-time.After(delay):
 		}
-		backoff *= 2
-		if backoff > c.cfg.MaxBackoff {
-			backoff = c.cfg.MaxBackoff
-		}
+		delay = min(2*delay, c.maxBackoff)
 	}
 }
 
@@ -212,7 +173,7 @@ func (c *Child) Stop() {
 	_ = cmd.Process.Signal(syscall.SIGTERM)
 	select {
 	case <-c.done:
-	case <-time.After(c.cfg.Grace):
+	case <-time.After(c.grace):
 		_ = cmd.Process.Kill()
 		<-c.done
 	}

@@ -3,12 +3,12 @@ package supervisor
 import (
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"syscall"
 	"testing"
@@ -123,19 +123,26 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// superviseOn is Supervise on a schedule that tune overrides before the
+// supervision loop starts.
+func superviseOn(name string, build func() *exec.Cmd, onEvent func(Event), tune func(*Child)) *Child {
+	c := newChild(name, build, onEvent)
+	tune(c)
+	go c.loop()
+	return c
+}
+
 // TestRestartsCrashedChildWithCappedBackoff runs a child that exits
 // immediately: the supervisor must keep restarting it, doubling the
 // backoff per crash up to the cap, and every exit event must carry the
 // delay that was actually about to be slept.
 func TestRestartsCrashedChildWithCappedBackoff(t *testing.T) {
 	rec := &recorder{}
-	c := Supervise("crashy", func() *exec.Cmd {
+	c := superviseOn("crashy", func() *exec.Cmd {
 		return exec.Command("/bin/sh", "-c", "exit 3")
-	}, Config{
-		Backoff:    10 * time.Millisecond,
-		MaxBackoff: 40 * time.Millisecond,
-		ResetAfter: time.Hour, // a fast-exiting child never earns forgiveness
-		OnEvent:    rec.observe,
+	}, rec.observe, func(c *Child) {
+		c.backoff, c.maxBackoff = 10*time.Millisecond, 40*time.Millisecond
+		c.resetAfter = time.Hour // a fast-exiting child never earns forgiveness
 	})
 	defer c.Stop()
 
@@ -159,18 +166,16 @@ func TestRestartsCrashedChildWithCappedBackoff(t *testing.T) {
 	}
 }
 
-// TestResetAfterForgivesLongRuns: a child that stays up past ResetAfter
+// TestResetAfterForgivesLongRuns: a child that stays up past resetAfter
 // restarts at the base backoff again, not at wherever the crash loop
 // left off.
 func TestResetAfterForgivesLongRuns(t *testing.T) {
 	rec := &recorder{}
-	c := Supervise("steady", func() *exec.Cmd {
+	c := superviseOn("steady", func() *exec.Cmd {
 		return exec.Command("/bin/sh", "-c", "sleep 0.2; exit 1")
-	}, Config{
-		Backoff:    10 * time.Millisecond,
-		MaxBackoff: 80 * time.Millisecond,
-		ResetAfter: 100 * time.Millisecond, // 200ms uptime counts as healthy
-		OnEvent:    rec.observe,
+	}, rec.observe, func(c *Child) {
+		c.backoff, c.maxBackoff = 10*time.Millisecond, 80*time.Millisecond
+		c.resetAfter = 100 * time.Millisecond // 200ms uptime counts as healthy
 	})
 	defer c.Stop()
 
@@ -184,16 +189,13 @@ func TestResetAfterForgivesLongRuns(t *testing.T) {
 }
 
 // TestStopTerminatesAndDoesNotRestart: Stop must bring down a
-// long-running child promptly (SIGTERM) and no restart may follow.
+// long-running child promptly (SIGTERM, well inside the grace period) and
+// no restart may follow.
 func TestStopTerminatesAndDoesNotRestart(t *testing.T) {
 	rec := &recorder{}
 	c := Supervise("longrun", func() *exec.Cmd {
 		return exec.Command("/bin/sh", "-c", "sleep 60")
-	}, Config{
-		Backoff: 5 * time.Millisecond,
-		Grace:   2 * time.Second,
-		OnEvent: rec.observe,
-	})
+	}, rec.observe)
 	waitUntil(t, "child start", c.alive)
 	pid := c.pid()
 	if pid == 0 {
@@ -225,12 +227,9 @@ func TestStopTerminatesAndDoesNotRestart(t *testing.T) {
 func TestStopKillsStubbornChild(t *testing.T) {
 	rec := &recorder{}
 	trapped := filepath.Join(t.TempDir(), "trapped")
-	c := Supervise("stubborn", func() *exec.Cmd {
+	c := superviseOn("stubborn", func() *exec.Cmd {
 		return exec.Command("/bin/sh", "-c", "trap '' TERM; : > \"$0\"; sleep 60 & wait", trapped)
-	}, Config{
-		Grace:   100 * time.Millisecond,
-		OnEvent: rec.observe,
-	})
+	}, rec.observe, func(c *Child) { c.grace = 100 * time.Millisecond })
 	waitUntil(t, "the shell to install its trap", func() bool {
 		_, err := os.Stat(trapped)
 		return err == nil
@@ -245,89 +244,45 @@ func TestStopKillsStubbornChild(t *testing.T) {
 	}
 }
 
-// TestCrashLoopExhaustion pins the restart-limit contract: a child that
-// dies instantly gets its initial run plus MaxRestarts relaunches, then a
-// terminal "exhausted" event — no further restarts, nothing left holding
-// the port the child was supposed to serve on, and Stop stays safe to
-// call on the given-up child.
-func TestCrashLoopExhaustion(t *testing.T) {
-	// Reserve a port the way resrouter's proc runtime does for a
-	// supervised shard: the address must be reusable once supervision
-	// gives the child up.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hostport := ln.Addr().String()
-	ln.Close()
-
-	const maxRestarts = 3
-	rec := &recorder{}
-	c := Supervise("doomed", func() *exec.Cmd {
-		return exec.Command("/bin/sh", "-c", "exit 7")
-	}, Config{
-		Backoff:     5 * time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
-		ResetAfter:  time.Hour, // instant deaths never earn forgiveness
-		MaxRestarts: maxRestarts,
-		OnEvent:     rec.observe,
-	})
-	defer c.Stop()
-
-	waitUntil(t, "exhaustion", func() bool { return rec.count("exhausted") == 1 })
-
-	// The supervision loop must have fully exited, not be sleeping toward
-	// another relaunch.
-	waitUntil(t, "the supervision loop to exit", func() bool { return loopExited(c) })
-	if got := rec.count("start"); got != maxRestarts+1 {
-		t.Errorf("%d starts, want initial run + %d restarts = %d", got, maxRestarts, maxRestarts+1)
-	}
-	if got := rec.count("exit"); got != maxRestarts+1 {
-		t.Errorf("%d exits, want %d", got, maxRestarts+1)
-	}
-	if got := rec.count("exhausted"); got != 1 {
-		t.Errorf("%d exhausted events, want exactly 1", got)
-	}
-	if c.alive() {
-		t.Error("child alive after exhaustion")
-	}
-	// Terminal event ordering: nothing follows "exhausted".
-	events := rec.snapshot()
-	if last := events[len(events)-1]; last.Kind != "exhausted" {
-		t.Errorf("last event %q, want exhausted", last.Kind)
-	}
-
-	// The reserved port is free again — an exhausted child leaks nothing.
-	ln2, err := net.Listen("tcp", hostport)
-	if err != nil {
-		t.Errorf("reserved port not rebindable after exhaustion: %v", err)
-	} else {
-		ln2.Close()
-	}
-
-	// Stop on an exhausted child signals nothing and is idempotent.
-	c.Stop()
-	c.Stop()
-	if got := rec.count("stop"); got != 0 {
-		t.Errorf("%d stop events for an exhausted child, want none: no process is left to stop", got)
-	}
-}
-
-// TestUnlimitedRestartsWithoutCap: MaxRestarts 0 keeps the pre-limit
-// behavior — the crash loop just keeps relaunching.
+// TestUnlimitedRestartsWithoutCap pins the restart policy: every child
+// runs the fixed schedule, and a crash-looping child is relaunched for as
+// long as it is supervised, at maxBackoff once the doubling reaches it —
+// no number of crashes ends supervision.
 func TestUnlimitedRestartsWithoutCap(t *testing.T) {
+	fixed := newChild("policy", nil, nil)
+	got := []time.Duration{fixed.backoff, fixed.maxBackoff, fixed.resetAfter, fixed.grace}
+	want := []time.Duration{250 * time.Millisecond, 5 * time.Second, 10 * time.Second, 5 * time.Second}
+	if !slices.Equal(got, want) {
+		t.Errorf("schedule (backoff, maxBackoff, resetAfter, grace) = %v, want %v", got, want)
+	}
+
 	rec := &recorder{}
-	c := Supervise("forever", func() *exec.Cmd {
+	c := superviseOn("forever", func() *exec.Cmd {
 		return exec.Command("/bin/sh", "-c", "exit 1")
-	}, Config{
-		Backoff:    2 * time.Millisecond,
-		MaxBackoff: 4 * time.Millisecond,
-		ResetAfter: time.Hour,
-		OnEvent:    rec.observe,
+	}, rec.observe, func(c *Child) {
+		c.backoff, c.maxBackoff = 2*time.Millisecond, 4*time.Millisecond
+		c.resetAfter = time.Hour
 	})
 	defer c.Stop()
-	waitUntil(t, "many restarts", func() bool { return rec.count("start") >= 8 })
-	if got := rec.count("exhausted"); got != 0 {
-		t.Errorf("%d exhausted events with no cap configured", got)
+	waitUntil(t, "many restarts", func() bool { return rec.count("exit") >= 8 })
+	if loopExited(c) {
+		t.Error("supervision ended on its own during a crash loop")
+	}
+	c.Stop()
+	exits := 0
+	for _, ev := range rec.snapshot() {
+		switch ev.Kind {
+		case "start", "stop":
+		case "exit":
+			if ev.Restarts != exits {
+				t.Errorf("exit %d reports %d restarts", exits, ev.Restarts)
+			}
+			if exits >= 1 && ev.Backoff != 4*time.Millisecond {
+				t.Errorf("exit %d backed off %s, want the 4ms cap", exits, ev.Backoff)
+			}
+			exits++
+		default:
+			t.Errorf("unexpected %q event in a crash loop", ev.Kind)
+		}
 	}
 }
