@@ -154,12 +154,15 @@ type Protected struct {
 	// to be good. Its Err is set when A has none (‖A‖₁ not finite): such a
 	// wrapper protects nothing and its products must not be run.
 	CS *checksum.Matrix
-	// Valid, when set, is the read-only matrix A was copied from before the
-	// wrapper was armed — the paper's valid copy, which no fault strikes. The
+	// Valid, when set, is the read-only matrix A holds the bits of when the
+	// wrapper is armed — the paper's valid copy, which no fault strikes. The
 	// decoders finish every matrix repair against it (correct.go), so a
 	// repaired A holds its bits and CS, derived from those bits, goes on
-	// describing A without a Reencode. Nil for a wrapper armed over the only
-	// copy there is; Renew clears it.
+	// describing A without a Reencode. A may be Valid itself: the wrapper
+	// then reads the caller's matrix in place and takes a private copy of it
+	// before a decoder's first write (own), and setting A back to Valid
+	// drops that copy. Nil for a wrapper armed over the only copy there is;
+	// Renew clears it.
 	Valid *sparse.CSR
 
 	mode  Mode
@@ -181,6 +184,8 @@ type Protected struct {
 
 	// scratch for correction (avoid per-verify allocations)
 	cPrime1, cPrime2 []float64
+	// spare holds the private copy own makes of Valid; kept across Renew.
+	spare sparse.CSR
 }
 
 // positionEps is the integer-proximity threshold for the position ratios of
@@ -207,7 +212,8 @@ func NewProtected(a *sparse.CSR, mode Mode) *Protected {
 
 // Renew re-targets a protected wrapper at a (possibly different) live
 // matrix, resetting mode, tolerances and statistics to the state a
-// fresh NewProtected would produce while reusing the checksum storage.
+// fresh NewProtected would produce while reusing the checksum storage and
+// the buffer of a private copy (own).
 // Workspaces use it so repeated protected solves allocate nothing.
 func (p *Protected) Renew(a *sparse.CSR, mode Mode) {
 	p.A = a

@@ -13,7 +13,8 @@ import (
 // re-verifies the full test battery once. A failed re-verification means
 // the single-error assumption was violated and the caller must fall back on
 // its valid copy of the data. Every repair of a matrix word ends in finish,
-// which holds it against that copy when the wrapper knows one.
+// which holds it against that copy when the wrapper knows one, and starts
+// with own, so that no decoder writes the caller's copy itself.
 
 // exceeds reports whether a defect is beyond its tolerance. Non-finite
 // defects (a bit flip in an exponent can turn a value into ±Inf or NaN,
@@ -48,6 +49,7 @@ func (p *Protected) correctRowidx(y, x []float64, xRef checksum.Vector, dr1, dr2
 	if !ok {
 		return fail
 	}
+	p.own()
 	p.A.Rowidx[j] += delta
 	return p.finish(y, x, xRef, ClassRowidx, j, j)
 }
@@ -162,6 +164,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 				if p.A.Colid[k] != f {
 					return fail
 				}
+				p.own()
 				p.A.Val[k] = p.CS.C1[f] - p.colSumExcluding(f, k)
 				return p.finish(y, x, xRef, ClassVal, k, row)
 			}
@@ -172,6 +175,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 		// corruption magnitude, including Inf/NaN).
 		for k := p.A.Rowidx[d]; k < p.A.Rowidx[d+1]; k++ {
 			if p.A.Colid[k] == f {
+				p.own()
 				p.A.Val[k] = p.CS.C1[f] - p.colSumExcluding(f, k)
 				return p.finish(y, x, xRef, ClassVal, k, d)
 			}
@@ -181,6 +185,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 		// Restore the first out-of-range index in row d to column f.
 		for k := p.A.Rowidx[d]; k < p.A.Rowidx[d+1]; k++ {
 			if c := p.A.Colid[k]; c < 0 || c >= p.A.Cols {
+				p.own()
 				p.A.Colid[k] = f
 				return p.finish(y, x, xRef, ClassColid, k, d)
 			}
@@ -208,6 +213,7 @@ func (p *Protected) correctMatrixOrComputation(y, x []float64, xRef checksum.Vec
 			default:
 				continue
 			}
+			p.own()
 			p.A.Colid[k] = oth
 			oldY := y[d]
 			if out := p.finish(y, x, xRef, ClassColid, k, d); out.Corrected {
@@ -243,6 +249,7 @@ func (p *Protected) finish(y, x []float64, xRef checksum.Vector, cls ErrorClass,
 			if !(math.Abs(p.A.Val[k]-v.Val[k]) <= bound) {
 				return fail
 			}
+			p.own()
 			p.A.Val[k] = v.Val[k]
 		case ClassColid:
 			if p.A.Colid[k] != v.Colid[k] {
@@ -266,6 +273,19 @@ func (p *Protected) finish(y, x []float64, xRef checksum.Vector, cls ErrorClass,
 		return fail
 	}
 	return Outcome{Detected: true, Corrected: true, Class: cls}
+}
+
+// own gives the wrapper a private copy of Valid before a decoder writes a
+// word of A, if A is Valid itself: a wrapper armed over the caller's
+// read-only matrix reads it in place until then. The copy is made in spare,
+// which reallocates only to grow, and a caller drops it by setting A back to
+// Valid.
+func (p *Protected) own() {
+	if p.Valid == nil || p.A != p.Valid {
+		return
+	}
+	p.spare.CopyFrom(p.Valid)
+	p.A = &p.spare
 }
 
 // repairNonFiniteX restores a single non-finite entry of x from the

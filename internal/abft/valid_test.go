@@ -1,6 +1,8 @@
 package abft
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bitflip"
@@ -158,6 +160,69 @@ func TestRepairAbsorbingALatentFlipIsRefused(t *testing.T) {
 		}
 		if withValid && out.Class != ClassMultiple {
 			t.Errorf("refused repair reported as %v, want %v", out.Class, ClassMultiple)
+		}
+	}
+}
+
+// sameBits reports whether two matrices hold the same words, bit for bit.
+func sameBits(a, b *sparse.CSR) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && sameFloats(a.Val, b.Val) &&
+		slices.Equal(a.Colid, b.Colid) && slices.Equal(a.Rowidx, b.Rowidx)
+}
+
+// sameFloats compares two vectors bit for bit.
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+}
+
+// TestRepairCopiesASharedMatrixFirst arms a wrapper over its valid copy
+// itself (A == Valid), as the resilient drivers arm a fault-free system over
+// the caller's matrix, and gives it a matrix its encoding contradicts — the
+// false positive such a system never meets, and the one place a decoder could
+// write to the caller's copy. Before the Val, Colid or Rowidx decoder writes a
+// word, the wrapper takes a private copy: the valid copy keeps its bits, and
+// the outcome, the product and the words the decoder leaves are those of a
+// wrapper armed over a copy of its own from the start. Pointing A back at
+// Valid drops the copy, and the next private copy reuses its storage.
+func TestRepairCopiesASharedMatrixFirst(t *testing.T) {
+	strikes := []struct {
+		name   string
+		strike func(a *sparse.CSR, k int)
+	}{
+		{"Val", func(a *sparse.CSR, k int) { a.Val[k] = bitflip.Float64(a.Val[k], 54) }},
+		{"Val non-finite", func(a *sparse.CSR, k int) { a.Val[k+1] = bitflip.Float64(a.Val[k+1], 62) }},
+		{"Colid in range", func(a *sparse.CSR, _ int) { a.Colid[a.Rowidx[12]] = bitflip.Int(a.Colid[a.Rowidx[12]], 2) }},
+		{"Colid out of range", func(a *sparse.CSR, _ int) { a.Colid[a.Rowidx[50]+1] = bitflip.Int(a.Colid[a.Rowidx[50]+1], 20) }},
+		{"Rowidx", func(a *sparse.CSR, _ int) { a.Rowidx[40] = bitflip.Int(a.Rowidx[40], 1) }},
+	}
+	for _, s := range strikes {
+		shared := newHarness(t, 80, DetectCorrect, 21)
+		valid := shared.p.A
+		s.strike(valid, smallestInRow(valid, 30))
+		pristine := valid.Clone()
+		shared.p.Valid = valid
+
+		owned := newHarness(t, 80, DetectCorrect, 21)
+		owned.p.A, owned.p.Valid = valid.Clone(), valid
+
+		got, want := shared.run(), owned.run()
+		if !want.Detected {
+			t.Fatalf("%s: the contradicted encoding flagged nothing", s.name)
+		}
+		if !sameBits(valid, pristine) {
+			t.Fatalf("%s: a decoder wrote to the valid copy the wrapper was armed over", s.name)
+		}
+		if shared.p.A == valid {
+			t.Fatalf("%s: the wrapper still reads the valid copy after a decoder ran", s.name)
+		}
+		if got != want || !sameBits(shared.p.A, owned.p.A) || !sameFloats(shared.y, owned.y) {
+			t.Fatalf("%s: outcome %+v, want %+v, or the product or the matrix left differ from a wrapper that owns its copy", s.name, got, want)
+		}
+
+		copied := &shared.p.A.Val[0]
+		shared.p.A = shared.p.Valid
+		if shared.run(); shared.p.A == valid || &shared.p.A.Val[0] != copied || !sameBits(valid, pristine) {
+			t.Fatalf("%s: after the copy was dropped, the next repair did not copy into the same storage", s.name)
 		}
 	}
 }

@@ -16,7 +16,8 @@
 //     exists: the caller's own matrix, which the engine never writes (the
 //     injector strikes a working copy) and already trusts for the residual it
 //     reports. The engine's checkpoints therefore carry vectors and scalars
-//     only, and a rollback restores the live matrices from the caller's.
+//     only, and a rollback restores an injected solve's working copies from
+//     the caller's (a fault-free solve reads the caller's matrices in place).
 //
 // A State may still name the matrix A, and Save and Restore copy it like
 // any vector — the benchmark's checkpoint probes time exactly that, the

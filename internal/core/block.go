@@ -13,7 +13,8 @@ import (
 // workspace, so a warm call allocates nothing. The caller's matrices are
 // never modified — faults are injected into internal working copies — and
 // must not be modified by anyone else while the solve runs: they are the
-// valid copy a rollback restores from, and what an Unprotected solve reads.
+// valid copy a rollback restores from, and what a fault-free solve reads.
+// Concurrent solves, each with its own workspace, may share them.
 func Solve(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 	if cfg.Ws == nil {
 		cfg.Ws = NewWorkspace()
@@ -37,11 +38,14 @@ func Solve(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 // iteration are two rounds, and a system that converges at the half step
 // pends on nothing in the second.
 //
-// The fault-free systems share one live copy and one encoding of A, and of M.
-// A product runs alone, through the engine's own kernel, for a system with an
-// injector — it owns its live matrices, so a flip strikes one solve, not k,
-// and an injected k-wide block holds k copies — for an Online-Detection
-// system, whose robust product has no blocked form, and for a group of one.
+// The fault-free systems read the caller's A and M themselves, through one
+// encoding of each under ABFT: they hold no copy of either, and a wrapper
+// copies a matrix only before a repair would write a word of it
+// (abft.Protected.Valid). A product runs alone, through the engine's own
+// kernel, for a system with an injector — it owns working copies of the
+// matrices, so a flip strikes one solve, not k, and an injected k-wide block
+// holds k copies — for an Online-Detection system, whose robust product has
+// no blocked form, and for a group of one.
 //
 // Each system's trajectory — iterates, residual history, statistics, error —
 // is bitwise that of the block of one on it under the same injector: the
@@ -68,7 +72,7 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg Config, sts []Stats, errs []e
 	return w.finish(sts, errs), nil
 }
 
-// start starts every system's engine, arming the shared matrices for the
+// start starts every system's engine, arming the shared wrappers for the
 // first fault-free one.
 func (w *Workspace) start(a *sparse.CSR, bs [][]float64, cfg Config) error {
 	label, n := cfg.label(), a.Rows
@@ -84,7 +88,7 @@ func (w *Workspace) start(a *sparse.CSR, bs [][]float64, cfg Config) error {
 	armed := false
 	for j, b := range bs {
 		l := w.lane(j)
-		var shared *matrices
+		var shared *[2]*abft.Protected
 		if cfg.injector(j) == nil && cfg.Scheme != Unprotected {
 			if !armed {
 				if err := w.arm(label, a, cfg); err != nil {
@@ -99,18 +103,19 @@ func (w *Workspace) start(a *sparse.CSR, bs [][]float64, cfg Config) error {
 	return nil
 }
 
-// arm refreshes the shared live copies of A and M from the caller's and, under
-// ABFT, re-arms their encodings.
+// arm re-arms the shared wrappers of A and M, under ABFT, over the caller's
+// matrices themselves (abft.Protected.A == Valid): the fault-free systems
+// read them in place, and Online-Detection's robust product needs nothing
+// armed.
 func (w *Workspace) arm(label string, a *sparse.CSR, cfg Config) error {
+	if !cfg.Scheme.abft() {
+		return nil
+	}
 	for slot, src := range [2]*sparse.CSR{a, cfg.M} {
 		if src == nil {
 			continue
 		}
-		live := w.shared.liveCopy(slot, src)
-		if !cfg.Scheme.abft() {
-			continue
-		}
-		if err := w.shared.protected(slot, live, src, abftMode(cfg.Scheme)).CS.Err; err != nil {
+		if err := rearm(&w.shared[slot], src, src, abftMode(cfg.Scheme)).CS.Err; err != nil {
 			return fmt.Errorf("core: %s%v: %w", label, cfg.Scheme, err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sparse"
 )
 
 // bitsEqual compares two vectors bit for bit, any NaN equal to any NaN.
@@ -31,9 +32,18 @@ var blockAlphas = []float64{0, 1.0 / 64, 1.0 / 16}
 // system under an injector of the same seed. Fault-free systems share
 // matrices and blocked products; injected ones own theirs and multiply alone;
 // a refusal (BiCGstab under Online-Detection, an injector under Unprotected)
-// is the block of one's refusal.
+// is the block of one's refusal. Neither writes the caller's matrices: A and
+// M are bit for bit what they were after every block and every block of one,
+// fault-free or injected.
 func FuzzBlockLanes(f *testing.F) {
 	systems := fwdSystems()
+	pristine := make([][2]*sparse.CSR, len(systems))
+	for si, s := range systems {
+		pristine[si][0] = s.a.Clone()
+		if s.m != nil {
+			pristine[si][1] = s.m.Clone()
+		}
+	}
 	for si := range systems {
 		for scheme := range 4 {
 			f.Add(uint8(si), uint8(scheme), uint8(4), uint8(0), int64(11))
@@ -44,7 +54,13 @@ func FuzzBlockLanes(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, system, scheme, width, rate uint8, seed int64) {
-		s := systems[int(system)%len(systems)]
+		si := int(system) % len(systems)
+		s := systems[si]
+		untouched := func(what string) {
+			if !sameCSR(s.a, pristine[si][0]) || (s.m != nil && !sameCSR(s.m, pristine[si][1])) {
+				t.Fatalf("%s %v: %s wrote to the caller's matrices", s.name, Scheme(scheme%4), what)
+			}
+		}
 		k := 1 + int(width)%5
 		alpha := blockAlphas[int(rate)%len(blockAlphas)]
 		injector := func(j int) *fault.Injector {
@@ -65,10 +81,12 @@ func FuzzBlockLanes(f *testing.F) {
 		}
 		sts, errs := make([]Stats, k), make([]error, k)
 		xs, blockErr := SolveBlock(s.a, bs, block, sts, errs)
+		untouched("the block")
 
 		for j, b := range bs {
 			cfg.Injectors = []*fault.Injector{injector(j)}
 			x, st, err := Solve(s.a, b, cfg)
+			untouched(fmt.Sprintf("system %d alone", j))
 			if blockErr != nil {
 				if err == nil || err.Error() != blockErr.Error() {
 					t.Fatalf("%s: the block refused with %v, system %d alone answers %v", name, blockErr, j, err)

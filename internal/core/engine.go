@@ -132,7 +132,7 @@ type engine struct {
 	ws      *arena
 
 	src  [2]*sparse.CSR     // the caller's A, and M or nil: read-only input, the valid copy
-	mat  [2]*sparse.CSR     // live working copies of src, which the injector strikes (src itself when plain)
+	mat  [2]*sparse.CSR     // working copies of src, which the injector strikes (src itself without an injector)
 	prot [2]*abft.Protected // their ABFT wrappers (ABFT schemes only)
 	b    []float64          // the caller's right-hand side
 	x, r []float64          // iterate and recurrence residual
@@ -176,10 +176,10 @@ type engine struct {
 }
 
 // start validates system lane of the block and builds its initial resilient
-// state in the arena ws. A fault-free system reads the live copies and
-// encodings of shared, which SolveBlock armed over A and M; a system with an
-// injector passes nil and uses its arena's own.
-func (e *engine) start(ws *arena, lane int, a *sparse.CSR, b []float64, cfg Config, shared *matrices) error {
+// state in the arena ws. A fault-free system reads the caller's matrices and,
+// under ABFT, the wrappers of shared, which SolveBlock armed over them; a
+// system with an injector passes nil and works on its arena's own copies.
+func (e *engine) start(ws *arena, lane int, a *sparse.CSR, b []float64, cfg Config, shared *[2]*abft.Protected) error {
 	if bicg := cfg.Recurrence == BiCGstab; bicg && cfg.Scheme == OnlineDetection {
 		return fmt.Errorf("core: BiCGstab supports the ABFT schemes only")
 	} else if bicg && cfg.M != nil {
@@ -214,11 +214,7 @@ func (e *engine) start(ws *arena, lane int, a *sparse.CSR, b []float64, cfg Conf
 
 	e.mat = e.src
 	for slot, src := range e.src {
-		switch {
-		case src == nil || plain:
-		case shared != nil:
-			e.mat[slot] = shared.live[slot]
-		default:
+		if src != nil && !plain && shared == nil {
 			e.mat[slot] = ws.liveCopy(slot, src)
 		}
 	}
@@ -280,9 +276,9 @@ func (e *engine) start(ws *arena, lane int, a *sparse.CSR, b []float64, cfg Conf
 			case m == nil:
 				continue
 			case shared != nil:
-				e.prot[slot] = shared.prot[slot]
+				e.prot[slot] = shared[slot]
 			default:
-				e.prot[slot] = ws.protected(slot, m, e.src[slot], abftMode(cfg.Scheme))
+				e.prot[slot] = rearm(&ws.prot[slot], m, e.src[slot], abftMode(cfg.Scheme))
 			}
 			e.stats.SimTime += setupCost(m, cfg.Scheme, cfg.Costs)
 			// A matrix without an encoding (checksum.ErrNoShift) cannot be protected.
@@ -615,7 +611,7 @@ func (e *engine) complete(sr abft.RowSums) {
 func (e *engine) reread(p *product) abft.Outcome {
 	st, cp, prot := &e.stats, &e.cfg.Costs, e.prot[p.slot]
 	st.Rereads++
-	e.mat[p.slot].CopyFrom(e.src[p.slot])
+	e.restore(p.slot)
 	st.TimeRecovery += float64(e.src[p.slot].MemoryWords()) * cp.WordTime
 	st.TimeIter += float64(prot.FlopsMulVec()) * cp.FlopTime
 	st.TimeVerif += float64(prot.FlopsVerify()) * cp.FlopTime
@@ -771,7 +767,7 @@ func (e *engine) rollback() {
 	// from those very bits, and no repair moves them, so they stand.
 	for slot, src := range e.src {
 		if src != nil {
-			e.mat[slot].CopyFrom(src)
+			e.restore(slot)
 		}
 	}
 	e.stuck++

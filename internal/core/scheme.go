@@ -78,8 +78,9 @@ type Config struct {
 	Recurrence Recurrence
 	// M, when non-nil, is an explicit sparse SPD preconditioner M ≈ A⁻¹
 	// (e.g. precond.Jacobi or precond.Neumann output): CG then runs PCG,
-	// with a working copy of M living in corruptible memory, protected and
-	// recovered exactly like A's. BiCGstab takes none.
+	// M protected and recovered exactly like A — read in place by a
+	// fault-free system, struck in a working copy under an injector.
+	// BiCGstab takes none.
 	M *sparse.CSR
 	// S is the checkpoint interval in chunks (the paper's s). 0 means
 	// model-optimal via Eq. (6).

@@ -8,21 +8,23 @@ import (
 )
 
 // Workspace is the reusable arena of the solver. A solve that carries one
-// (Config.Ws) draws its working matrix copies, iteration vectors, checksum
-// encodings, vector guards and checkpoint stores from the workspace instead
-// of the heap, so repeated solves — the inner loop of every fault campaign,
-// a shard's every request — allocate nothing once the workspace is warm. It
-// holds one copy of each matrix per owner, the live one: the fault-free
-// systems of a block share one copy and one encoding of A and of M, an
-// injected system owns its own; checkpoints carry vectors and scalars only,
-// and recovery re-reads the caller's matrix. Storage grows with the widest
-// block, the largest matrix and the longest recurrence seen, and is recycled
-// across solvers, schemes and sizes; sharing one workspace between
-// concurrent solves is not supported.
+// (Config.Ws) draws its iteration vectors, checksum encodings, vector guards,
+// checkpoint stores and working matrix copies from the workspace instead of
+// the heap, so repeated solves — the inner loop of every fault campaign, a
+// shard's every request — allocate nothing once the workspace is warm. The
+// fault-free systems of a block hold no matrix copy: they read the caller's
+// A and M, through one encoding of each under ABFT, and a wrapper takes a
+// private copy only before a repair writes a word (abft.Protected.Valid),
+// which the fault model leaves to injected faults. An injected system owns
+// a working copy of each, which its injector strikes; checkpoints carry
+// vectors and scalars only, and recovery re-reads the caller's matrix.
+// Storage grows with the widest block, the largest matrix and the longest
+// recurrence seen, and is recycled across solvers, schemes and sizes;
+// sharing one workspace between concurrent solves is not supported.
 type Workspace struct {
-	shared matrices // what the fault-free systems share
-	lanes  []*arena // one per system, in block order
-	k      int      // width of the block in flight
+	shared [2]*abft.Protected // the fault-free systems' wrappers of A and M
+	lanes  []*arena           // one per system, in block order
+	k      int                // width of the block in flight
 	// The round's pending products: by matrix slot those that may join
 	// another system's, and those that run alone.
 	pend  [2][]*engine
@@ -49,18 +51,12 @@ func (w *Workspace) lane(j int) *arena {
 	return w.lanes[j]
 }
 
-// matrices holds live working copies of A (slot 0) and M (slot 1) with their
-// ABFT wrappers.
-type matrices struct {
-	live [2]*sparse.CSR
-	prot [2]*abft.Protected
-}
-
 // arena is the solve state of one system: its vectors, guards, checkpoint
-// store and engine, and the live matrices it owns when it does not share the
-// block's.
+// store and engine, and — when it has an injector — its working copies of A
+// (slot 0) and M (slot 1) with their ABFT wrappers.
 type arena struct {
-	matrices
+	live   [2]*sparse.CSR
+	prot   [2]*abft.Protected
 	bufs   [][]float64
 	next   int
 	guards [6]*abft.VectorGuard
@@ -102,29 +98,42 @@ func (w *arena) takeZero(n int) []float64 {
 	return b
 }
 
-// liveCopy returns the workspace's working copy of a in the given matrix
-// slot, refreshed from a (in place when the shapes match, so the caller's
-// matrix is never aliased and a warm workspace never reallocates it).
-func (w *matrices) liveCopy(slot int, a *sparse.CSR) *sparse.CSR {
-	if l := w.live[slot]; l != nil && l.Rows == a.Rows && l.Cols == a.Cols && len(l.Val) == len(a.Val) {
-		l.CopyFrom(a)
-		return l
+// liveCopy returns the working copy of a in the given matrix slot, refreshed
+// from a in the arrays it already has (sparse.CSR.CopyFrom): the caller's
+// matrix is never aliased, and a workspace that alternates matrices
+// reallocates only to grow.
+func (w *arena) liveCopy(slot int, a *sparse.CSR) *sparse.CSR {
+	if w.live[slot] == nil {
+		w.live[slot] = new(sparse.CSR)
 	}
-	w.live[slot] = a.Clone()
+	w.live[slot].CopyFrom(a)
 	return w.live[slot]
 }
 
-// protected returns the slot's ABFT wrapper re-armed over live, a fresh copy
-// of the caller's matrix src, which the wrapper's repairs are finished
-// against.
-func (w *matrices) protected(slot int, live, src *sparse.CSR, mode abft.Mode) *abft.Protected {
-	if w.prot[slot] == nil {
-		w.prot[slot] = abft.NewProtected(live, mode)
-	} else {
-		w.prot[slot].Renew(live, mode)
+// restore makes matrix slot the caller's again, as a rollback or a re-read
+// needs it: a working copy is refreshed from it, and a system without one
+// drops the copy its wrapper may have taken at a repair by pointing the
+// wrapper back at the caller's matrix — nothing is copied.
+func (e *engine) restore(slot int) {
+	if e.mat[slot] != e.src[slot] {
+		e.mat[slot].CopyFrom(e.src[slot])
+	} else if p := e.prot[slot]; p != nil {
+		p.A = p.Valid
 	}
-	w.prot[slot].Valid = src
-	return w.prot[slot]
+}
+
+// rearm returns *p re-armed over live, which holds the bits of the caller's
+// matrix src — src itself for the fault-free systems, a working copy for an
+// injected one — with src as the valid copy its repairs are finished
+// against.
+func rearm(p **abft.Protected, live, src *sparse.CSR, mode abft.Mode) *abft.Protected {
+	if *p == nil {
+		*p = abft.NewProtected(live, mode)
+	} else {
+		(*p).Renew(live, mode)
+	}
+	(*p).Valid = src
+	return *p
 }
 
 // guard returns the i-th reusable vector guard re-armed over v.

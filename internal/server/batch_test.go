@@ -377,9 +377,10 @@ func TestBatchSurvivesMidQueueEviction(t *testing.T) {
 
 // TestBatchCacheAccounting pins the footprint-weighted eviction rule for
 // blocked solves: an entry that served a k-wide batch weighs its base
-// footprint plus k per-lane arenas, the charge grows monotonically with
-// the high-water width, and widening can push the cache over its byte
-// budget and evict colder entries.
+// footprint plus k per-lane arenas, and k working matrix copies once k lanes
+// ran with injectors; each charge grows monotonically with its high-water
+// width, and widening can push the cache over its byte budget and evict
+// colder entries.
 func TestBatchCacheAccounting(t *testing.T) {
 	s := New(Config{Concurrency: 1})
 	defer s.Shutdown()
@@ -392,22 +393,32 @@ func TestBatchCacheAccounting(t *testing.T) {
 		t.Fatalf("materialised bytes %d, want entryFootprint %d", base, entryFootprint(ent.a))
 	}
 
-	s.cache.noteBatchWidth(ent, 4)
+	s.cache.noteBatchWidth(ent, 4, false)
 	want := base + 4*perRHSFootprint(ent.a)
 	if got := s.cache.stats().Bytes; got != want {
 		t.Errorf("after k=4: bytes %d, want %d (base + 4 lanes)", got, want)
 	}
 	// Narrower and repeated widths never shrink or double-charge.
-	s.cache.noteBatchWidth(ent, 2)
-	s.cache.noteBatchWidth(ent, 4)
+	s.cache.noteBatchWidth(ent, 2, false)
+	s.cache.noteBatchWidth(ent, 4, false)
 	if got := s.cache.stats().Bytes; got != want {
 		t.Errorf("after re-noting ≤ widths: bytes %d, want unchanged %d", got, want)
 	}
 	// Widening charges only the delta.
-	s.cache.noteBatchWidth(ent, 6)
+	s.cache.noteBatchWidth(ent, 6, false)
 	want = base + 6*perRHSFootprint(ent.a)
 	if got := s.cache.stats().Bytes; got != want {
 		t.Errorf("after k=6: bytes %d, want %d", got, want)
+	}
+	// Lanes that ran with injectors add their working matrix copies, by
+	// their own high-water width: a single injected solve charges one, a
+	// group of four three more, and fault-free groups none.
+	s.cache.noteBatchWidth(ent, 1, true)
+	s.cache.noteBatchWidth(ent, 4, true)
+	s.cache.noteBatchWidth(ent, 2, true)
+	want += 4 * injectedFootprint(ent.a)
+	if got := s.cache.stats().Bytes; got != want {
+		t.Errorf("after injected groups of 1, 4 and 2: bytes %d, want %d", got, want)
 	}
 
 	// Eviction on the byte budget: a second entry fits beside the first
@@ -425,7 +436,7 @@ func TestBatchCacheAccounting(t *testing.T) {
 	// entA is the LRU entry; widening it overflows the budget and the
 	// eviction loop drops from the LRU end, so entA itself goes and the
 	// MRU entry survives.
-	s2.cache.noteBatchWidth(entA, 64)
+	s2.cache.noteBatchWidth(entA, 64, false)
 	st := s2.cache.stats()
 	if st.Entries != 1 || st.Evictions == 0 {
 		t.Errorf("after over-budget widening: %+v, want 1 entry and an eviction", st)

@@ -181,47 +181,66 @@ func (c *cache) removeLocked(el *list.Element) {
 	c.evictions++
 }
 
-// entryFootprint estimates the resident bytes of one entry's shareable
-// artifacts. Everything scales with the CSR: the matrix itself is
-// NNZ+rows words of values plus NNZ+rows+1 of indices, and the checksum
-// encodings and warm workspaces are small multiples of it — 3× covers
-// them without per-artifact bookkeeping.
+// wordBytes is the size of a CSR word: a float64 value or an int index.
+const wordBytes = 8
+
+// entryFootprint estimates the resident bytes of one entry that has served
+// a fault-free solve: the matrix, NNZ+rows words of values plus NNZ+rows+1
+// of indices, which that solve reads in place, and 32 vectors of n words —
+// up to maxRHSPerEntry cached right-hand sides, and the workspace's checksum
+// encodings, iteration vectors, guards and checkpoint store, about 13, with
+// room for a preconditioner and BiCGstab's extra vectors.
+// TestEntryFootprintCoversHeldBytes holds it to what a warm entry keeps
+// alive.
 func entryFootprint(a *sparse.CSR) int64 {
-	const wordBytes = 8
-	return 3 * wordBytes * int64(a.MemoryWords()+a.Rows)
+	return wordBytes * int64(a.MemoryWords()+32*a.Rows)
 }
 
 // perRHSFootprint estimates the resident bytes one blocked-solve lane adds
-// on top of entryFootprint: each lane owns its iteration vectors, guards
-// and checkpoint store (~10 lane vectors), and a lane that ran with an
-// injector keeps its own live copy of the matrices, which the 2× CSR words
-// cover. A fault-free lane shares the block's copy and is overcharged by
-// that much. Re-basing the estimate moves what a byte budget evicts and is
-// left to ROADMAP item 3.
+// on top of entryFootprint: its iteration vectors, guards and checkpoint
+// store, about 10 vectors (12 are charged). A fault-free lane holds no
+// matrix copy: it reads the entry's.
 func perRHSFootprint(a *sparse.CSR) int64 {
-	const wordBytes = 8
-	return wordBytes * int64(2*a.MemoryWords()+10*a.Rows)
+	return wordBytes * int64(12*a.Rows)
 }
 
-// noteBatchWidth charges the block workspaces of an entry that has served
-// a k-wide blocked solve: lane arenas persist in the entry's batch-context
-// pool, so the footprint grows by high-water RHS width, not per request.
-// Widening may push the cache over its byte budget and evict colder
-// entries. Never called with the entry's own cache lock held.
-func (c *cache) noteBatchWidth(e *entry, k int) {
-	if k <= 1 || e.a == nil {
+// injectedFootprint estimates what a lane that ran with an injector adds on
+// top of perRHSFootprint: its own working copy of A, and of a Jacobi M
+// (3n+1 words).
+func injectedFootprint(a *sparse.CSR) int64 {
+	return wordBytes * int64(a.MemoryWords()+3*a.Rows+1)
+}
+
+// noteBatchWidth charges the workspaces of an entry that has served a
+// k-wide blocked solve, and the working matrix copies of one whose k lanes
+// ran with injectors: lane arenas persist in the entry's batch-context pool,
+// so the footprint grows by high-water RHS width, with and without
+// injectors, not per request. Widening may push the cache over its byte
+// budget and evict colder entries. Never called with the entry's own cache
+// lock held.
+func (c *cache) noteBatchWidth(e *entry, k int, injected bool) {
+	if (k <= 1 && !injected) || e.a == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[e.key]
-	if !ok || el.Value.(*entry) != e || e.weight == 0 || k <= e.blockK {
-		// Unknown, evicted-while-building, not yet charged, or already
-		// charged at this width or wider.
+	if !ok || el.Value.(*entry) != e || e.weight == 0 {
+		// Unknown, evicted-while-building or not yet charged.
 		return
 	}
-	delta := int64(k-e.blockK) * perRHSFootprint(e.a)
-	e.blockK = k
+	var delta int64
+	if k > 1 && k > e.blockK {
+		delta += int64(k-e.blockK) * perRHSFootprint(e.a)
+		e.blockK = k
+	}
+	if injected && k > e.injectedK {
+		delta += int64(k-e.injectedK) * injectedFootprint(e.a)
+		e.injectedK = k
+	}
+	if delta == 0 {
+		return // already charged at this width or wider
+	}
 	e.weight += delta
 	c.bytes += delta
 	c.evictOverBudgetLocked()
@@ -251,14 +270,16 @@ type entry struct {
 	label string
 	spec  harness.MatrixSpec
 
-	// weight, blockK and lastUsed belong to the owning cache (guarded by
-	// its mu): the charged footprint in bytes (0 until materialised and
-	// charged), the widest blocked solve charged so far (its lane arenas
-	// stay resident in the bctxs pool), and the admission/last-hit time
-	// driving TTL aging.
-	weight   int64
-	blockK   int
-	lastUsed time.Time
+	// weight, blockK, injectedK and lastUsed belong to the owning cache
+	// (guarded by its mu): the charged footprint in bytes (0 until
+	// materialised and charged), the widest blocked solve charged so far
+	// (its lane arenas stay resident in the bctxs pool), the widest one
+	// charged for injected lanes' working matrix copies, and the
+	// admission/last-hit time driving TTL aging.
+	weight    int64
+	blockK    int
+	injectedK int
+	lastUsed  time.Time
 
 	once sync.Once
 	err  error
@@ -280,8 +301,9 @@ type intervalKey struct {
 }
 
 // materialise builds the matrix exactly once and arms the pool of solve
-// contexts, whose workspaces warm up — working matrix copy, checksum
-// encodings, vectors — in the first solve that carries them. Safe for
+// contexts, whose workspaces warm up — checksum encodings, vectors, and an
+// injected lane's working matrix copies — in the first solve that carries
+// them; a fault-free solve reads the entry's matrix itself. Safe for
 // concurrent callers; the first error is sticky. A build that panics is
 // that error too: an entry left with no matrix and no error would hand the
 // next request for its key an unarmed pool.

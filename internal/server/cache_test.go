@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -420,5 +421,62 @@ func TestCacheTTLExpiry(t *testing.T) {
 	c.sweepOnce(time.Now())
 	if _, hit := c.get("fresh", "fresh", harness.MatrixSpec{}); !hit {
 		t.Error("just-touched entry was swept")
+	}
+}
+
+// heapHeld returns the bytes of heap that build's result keeps alive.
+func heapHeld(build func() any) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	held := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(held)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestEntryFootprintCoversHeldBytes holds the byte budget's estimates to
+// what a warm entry keeps alive — its matrix, right-hand sides and the
+// pooled workspace of a fault-free solve, measured as heapHeld measures it —
+// on a matrix of the benchmark's denserow size and one of its inline
+// operands' size, after a single solve and after a k = 4 batch: the charge is
+// at least what is held and at most twice that.
+func TestEntryFootprintCoversHeldBytes(t *testing.T) {
+	for _, spec := range []harness.MatrixSpec{
+		{Gen: "suite", ID: 341, N: 2880},
+		{Gen: "randomspd", N: 1024, Seed: 7},
+	} {
+		for _, k := range []int{1, 4} {
+			s := New(Config{Concurrency: 1})
+			req := &api.SolveRequest{Matrix: &spec, Solver: "cg", Scheme: "abft-correction", Seed: 3}
+			var ent *entry
+			held := heapHeld(func() any {
+				var sc harness.Scenario
+				ent, sc = warmEntry(t, s, req)
+				s.cache.noteMaterialised(ent)
+				// Held here as well as pooled: a pool may drop what it holds
+				// (at random, under -race).
+				var ctx any
+				ent.bctxs.New = func() any { ctx = newBatchCtx(); return ctx }
+				rhs := make([]api.BatchRHS, k)
+				for j := range rhs {
+					rhs[j].Seed = int64(j + 1)
+				}
+				s.runGroup(ent, sc, []*task{newTask("", rhs)})
+				return [2]any{ent, ctx}
+			})
+			s.cache.mu.Lock()
+			charge := ent.weight
+			s.cache.mu.Unlock()
+			s.Shutdown()
+			t.Logf("%s k=%d: held %d bytes, charged %d (%.2f×)", ent.label, k, held, charge, float64(charge)/float64(held))
+			if held < int64(8*ent.a.MemoryWords()) {
+				t.Fatalf("%s k=%d: %d bytes held, less than the matrix itself: the measurement is broken", ent.label, k, held)
+			}
+			if charge < held || charge > 2*held {
+				t.Errorf("%s k=%d: charged %d bytes for %d held, want within [1, 2]× of it", ent.label, k, charge, held)
+			}
+		}
 	}
 }

@@ -246,7 +246,7 @@ func (s *Server) runGroup(ent *entry, sc harness.Scenario, group []*task) {
 	for _, t := range group {
 		k += len(t.specs)
 	}
-	s.cache.noteBatchWidth(ent, k)
+	s.cache.noteBatchWidth(ent, k, sc.Alpha > 0)
 	c := ent.bctxs.Get().(*batchCtx)
 	defer ent.bctxs.Put(c)
 	c.grow(k)

@@ -81,9 +81,7 @@ func (m *CSR) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the matrix. The resilient drivers take their
-// working copy with it, so that faults strike the copy and a rollback can
-// restore it from the caller's matrix (CopyFrom).
+// Clone returns a deep copy of the matrix.
 func (m *CSR) Clone() *CSR {
 	out := &CSR{
 		Rows:   m.Rows,
@@ -98,15 +96,17 @@ func (m *CSR) Clone() *CSR {
 	return out
 }
 
-// CopyFrom restores the receiver's arrays from src without reallocating.
-// Panics if the shapes differ; rollback only ever restores like for like.
+// CopyFrom makes the receiver a copy of src in its own arrays, resliced to
+// src's lengths: an array reallocates only when it lacks the capacity, so a
+// working copy refreshed from matrices of several shapes stops allocating
+// once it has held the largest. The resilient drivers keep their working
+// copies with it — faults strike the copy, and a rollback restores it from
+// the caller's matrix.
 func (m *CSR) CopyFrom(src *CSR) {
-	if m.Rows != src.Rows || m.Cols != src.Cols || len(m.Val) != len(src.Val) {
-		panic("sparse: CopyFrom shape mismatch")
-	}
-	copy(m.Val, src.Val)
-	copy(m.Colid, src.Colid)
-	copy(m.Rowidx, src.Rowidx)
+	m.Rows, m.Cols = src.Rows, src.Cols
+	m.Val = append(m.Val[:0], src.Val...)
+	m.Colid = append(m.Colid[:0], src.Colid...)
+	m.Rowidx = append(m.Rowidx[:0], src.Rowidx...)
 	// The restored Rowidx may differ from the one the cached partition
 	// plans were balanced for (a rollback can undo a repaired pointer).
 	m.invalidatePlans()
