@@ -2,8 +2,9 @@
 // the HTTP/JSON API of internal/server — POST /v1/solve, GET /v1/statusz,
 // GET /v1/healthz — scheduling solve requests over -concurrency solver
 // slots (one goroutine per solve) with a bounded queue, per-request
-// deadlines and a per-matrix artifact cache that keeps checksum encodings,
-// preconditioners and warm solver workspaces resident between requests.
+// deadlines, a per-matrix artifact cache that keeps matrices,
+// preconditioners and right-hand sides resident between requests, and one
+// pool of warm solver workspaces that every matrix shares.
 //
 //	resilientd -addr 127.0.0.1:8723
 //	resilientd -concurrency 4 -queue 128

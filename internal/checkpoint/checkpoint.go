@@ -53,64 +53,42 @@ type Store struct {
 func NewStore() *Store { return &Store{} }
 
 // Save deep-copies the live state into the store, replacing any previous
-// snapshot. When the previous snapshot has exactly the live state's shape
-// (same matrix dimensions, same vector names and lengths) the copy happens
-// in place, so periodic checkpointing in a steady-state solve allocates
-// nothing; otherwise fresh storage is taken.
+// snapshot. The snapshot's vectors are refilled in place wherever their
+// capacity suffices, and only a vector that is too short or newly named is
+// allocated, so periodic checkpointing allocates nothing once the store has
+// seen the largest state — across solves, solvers and matrix sizes alike. A
+// vector the live state no longer names keeps its storage at length 0, out
+// of Restore's reach.
 func (s *Store) Save(live *State) {
-	if s.saved != nil && sameShape(s.saved, live) {
-		snap := s.saved
-		snap.Iteration = live.Iteration
-		if live.A != nil {
-			snap.A.CopyFrom(live.A)
+	snap := s.saved
+	if snap == nil {
+		snap = &State{
+			Vectors: make(map[string][]float64, len(live.Vectors)),
+			Scalars: make(map[string]float64, len(live.Scalars)),
 		}
-		for name, v := range live.Vectors {
-			copy(snap.Vectors[name], v)
-		}
-		clear(snap.Scalars)
-		for name, v := range live.Scalars {
-			snap.Scalars[name] = v
-		}
-		return
+		s.saved = snap
 	}
-	snap := &State{
-		Iteration: live.Iteration,
-		Vectors:   make(map[string][]float64, len(live.Vectors)),
-		Scalars:   make(map[string]float64, len(live.Scalars)),
-	}
-	if live.A != nil {
+	snap.Iteration = live.Iteration
+	switch {
+	case live.A == nil:
+		snap.A = nil
+	case snap.A == nil:
 		snap.A = live.A.Clone()
+	default:
+		snap.A.CopyFrom(live.A)
+	}
+	for name, v := range snap.Vectors {
+		if _, ok := live.Vectors[name]; !ok {
+			snap.Vectors[name] = v[:0]
+		}
 	}
 	for name, v := range live.Vectors {
-		cp := make([]float64, len(v))
-		copy(cp, v)
-		snap.Vectors[name] = cp
+		snap.Vectors[name] = append(snap.Vectors[name][:0], v...)
 	}
+	clear(snap.Scalars)
 	for name, v := range live.Scalars {
 		snap.Scalars[name] = v
 	}
-	s.saved = snap
-}
-
-// sameShape reports whether the snapshot can absorb the live state without
-// reallocating.
-func sameShape(snap, live *State) bool {
-	if (snap.A == nil) != (live.A == nil) {
-		return false
-	}
-	if snap.A != nil && (snap.A.Rows != live.A.Rows || snap.A.Cols != live.A.Cols || len(snap.A.Val) != len(live.A.Val)) {
-		return false
-	}
-	if len(snap.Vectors) != len(live.Vectors) {
-		return false
-	}
-	for name, v := range live.Vectors {
-		sv, ok := snap.Vectors[name]
-		if !ok || len(sv) != len(v) {
-			return false
-		}
-	}
-	return true
 }
 
 // Restore copies the snapshot back into the live state (in place: the live
@@ -128,9 +106,9 @@ func (s *Store) Restore(live *State) {
 	if snap.A != nil {
 		live.A.CopyFrom(snap.A)
 	}
-	for name, v := range snap.Vectors {
-		dst, ok := live.Vectors[name]
-		if !ok || len(dst) != len(v) {
+	for name, dst := range live.Vectors {
+		v, ok := snap.Vectors[name]
+		if !ok || len(v) != len(dst) {
 			panic("checkpoint: vector shape mismatch for " + name)
 		}
 		copy(dst, v)

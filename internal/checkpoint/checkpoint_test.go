@@ -111,3 +111,56 @@ func TestNoMatrixState(t *testing.T) {
 		t.Fatal("vector-only state not restored")
 	}
 }
+
+// TestRoundTripAfterALargerSnapshot holds Save's reuse by capacity: after a
+// larger snapshot, with a vector the smaller state does not name, the
+// smaller state round-trips exactly; the stale name is out of Restore's
+// reach; and alternating the two shapes allocates nothing once both were
+// seen.
+func TestRoundTripAfterALargerSnapshot(t *testing.T) {
+	big := liveState(20)
+	big.Vectors["z"] = make([]float64, 20)
+	st := liveState(10)
+	store := NewStore()
+	store.Save(big)
+	store.Save(st)
+
+	st.A.Val[0] = 999
+	st.Vectors["x"][3] = -1
+	st.Vectors["r"][9] = 42
+	st.Iteration = 99
+	st.Scalars["rho"] = -1
+	store.Restore(st)
+	want := liveState(10)
+	if !st.A.Equal(want.A) {
+		t.Fatal("matrix not restored")
+	}
+	for name, v := range want.Vectors {
+		if len(st.Vectors[name]) != len(v) {
+			t.Fatalf("vector %s: length %d, want %d", name, len(st.Vectors[name]), len(v))
+		}
+		for i := range v {
+			if st.Vectors[name][i] != v[i] {
+				t.Fatalf("vector %s not restored", name)
+			}
+		}
+	}
+	if st.Iteration != 7 || st.Scalars["rho"] != 3.5 {
+		t.Fatal("scalars not restored")
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("restoring a vector the last snapshot did not name did not panic")
+			}
+		}()
+		stale := liveState(10)
+		stale.Vectors["z"] = make([]float64, 10)
+		store.Restore(stale)
+	}()
+
+	if allocs := testing.AllocsPerRun(10, func() { store.Save(big); store.Save(st) }); allocs != 0 {
+		t.Errorf("%v allocs per pair of saves alternating shapes, want 0", allocs)
+	}
+}

@@ -129,31 +129,30 @@ func NewMatrix(a *sparse.CSR) *Matrix {
 	return NewMatrixInto(nil, a)
 }
 
-// NewMatrixInto recomputes the checksum encoding of a into m, reusing its
-// checksum rows when the dimension matches; a nil or mis-sized m gets fresh
-// storage, so a warm workspace arms solve after solve without allocating.
-// The accumulation order is identical to a fresh NewMatrix, so the encoding
-// is bitwise the same either way.
+// NewMatrixInto recomputes the checksum encoding of a into m, reslicing its
+// checksum rows to a's dimension when their capacity suffices; a nil m, or
+// rows too short, get fresh storage, so a warm workspace arms solve after
+// solve, and matrix after matrix, without allocating. The accumulation order
+// is identical to a fresh NewMatrix, so the encoding is bitwise the same
+// either way.
 func NewMatrixInto(m *Matrix, a *sparse.CSR) *Matrix {
 	if a.Rows != a.Cols {
 		panic("checksum: NewMatrix requires a square matrix")
 	}
 	n := a.Rows
 	nnz := len(a.Val)
-	if m == nil || len(m.C1) != n {
-		m = &Matrix{
-			N:     n,
-			C1:    make([]float64, n),
-			C2:    make([]float64, n),
-			AbsC1: make([]float64, n),
-		}
+	if m == nil {
+		m = new(Matrix)
+	}
+	if cap(m.C1) < n || cap(m.C2) < n || cap(m.AbsC1) < n {
+		m.C1, m.C2, m.AbsC1 = make([]float64, n), make([]float64, n), make([]float64, n)
 	} else {
-		m.N = n
-		m.Norm1 = 0
+		m.C1, m.C2, m.AbsC1 = m.C1[:n], m.C2[:n], m.AbsC1[:n]
 		for j := 0; j < n; j++ {
 			m.C1[j], m.C2[j], m.AbsC1[j] = 0, 0, 0
 		}
 	}
+	m.N, m.Norm1 = n, 0
 	for i := 0; i < n; i++ {
 		w2 := float64(i + 1)
 		lo, hi := a.Rowidx[i], a.Rowidx[i+1]

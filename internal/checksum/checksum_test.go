@@ -365,10 +365,37 @@ func TestNewMatrixIntoReusesAndMatches(t *testing.T) {
 	if fresh.K != reused.K || fresh.Norm1 != reused.Norm1 || fresh.CR1 != reused.CR1 || fresh.CR2 != reused.CR2 {
 		t.Fatal("scalar encoding differs between fresh and reused")
 	}
-	// Mis-sized reuse falls back to fresh storage.
+	// Rows too short for a's dimension get fresh storage.
 	small := NewMatrix(sparse.Poisson2D(4, 4))
 	grown := NewMatrixInto(small, a)
 	if grown.N != a.Rows || len(grown.C1) != a.Rows {
 		t.Fatalf("mis-sized reuse: N=%d len=%d", grown.N, len(grown.C1))
+	}
+}
+
+// TestNewMatrixIntoAfterALargerEncoding holds the reuse by capacity: an
+// encoding of a larger matrix re-encodes a smaller one in its own storage,
+// bit for bit as a fresh NewMatrix does.
+func TestNewMatrixIntoAfterALargerEncoding(t *testing.T) {
+	a := sparse.Poisson2D(10, 10)
+	fresh := NewMatrix(a)
+	big := NewMatrix(sparse.Poisson2D(20, 20))
+	row := &big.C1[0]
+	m := NewMatrixInto(big, a)
+	if m != big || &m.C1[0] != row {
+		t.Fatal("a larger encoding's storage was not reused")
+	}
+	if m.N != a.Rows || len(m.C1) != a.Rows || len(m.C2) != a.Rows || len(m.AbsC1) != a.Rows {
+		t.Fatalf("N=%d, rows of %d, %d, %d; want %d", m.N, len(m.C1), len(m.C2), len(m.AbsC1), a.Rows)
+	}
+	bits := math.Float64bits
+	for j := range fresh.C1 {
+		if bits(fresh.C1[j]) != bits(m.C1[j]) || bits(fresh.C2[j]) != bits(m.C2[j]) || bits(fresh.AbsC1[j]) != bits(m.AbsC1[j]) {
+			t.Fatalf("column %d: re-encoded in a larger encoding's storage, it differs from fresh", j)
+		}
+	}
+	if bits(fresh.K) != bits(m.K) || bits(fresh.Norm1) != bits(m.Norm1) || bits(fresh.CR1) != bits(m.CR1) ||
+		bits(fresh.CR2) != bits(m.CR2) || fresh.Err != m.Err {
+		t.Fatal("scalar encoding differs from fresh")
 	}
 }

@@ -11,13 +11,14 @@ import (
 // (Config.Ws) draws its iteration vectors, checksum encodings, vector guards,
 // checkpoint stores and working matrix copies from the workspace instead of
 // the heap, so repeated solves — the inner loop of every fault campaign, a
-// shard's every request — allocate nothing once the workspace is warm. The
-// fault-free systems of a block hold no matrix copy: they read the caller's
-// A and M, through one encoding of each under ABFT, and a wrapper takes a
-// private copy only before a repair writes a word (abft.Protected.Valid),
-// which the fault model leaves to injected faults. An injected system owns
-// a working copy of each, which its injector strikes; checkpoints carry
-// vectors and scalars only, and recovery re-reads the caller's matrix.
+// shard's solves of whichever matrix — allocate nothing once the workspace
+// is warm. The fault-free systems of a block hold no matrix copy: they read
+// the caller's A and M, through one encoding of each under ABFT, and a
+// wrapper takes a private copy only before a repair writes a word
+// (abft.Protected.Valid), which the fault model leaves to injected faults.
+// An injected system owns a working copy of each, which its injector
+// strikes; checkpoints carry vectors and scalars only, and recovery re-reads
+// the caller's matrix.
 // Storage grows with the widest block, the largest matrix and the longest
 // recurrence seen, and is recycled across solvers, schemes and sizes;
 // sharing one workspace between concurrent solves is not supported.
@@ -148,7 +149,7 @@ func (w *arena) guard(i int, v []float64, mode abft.Mode) *abft.VectorGuard {
 
 // checkpoints returns the rolling checkpoint store. A stale snapshot from a
 // previous solve is simply overwritten by the engine's first Save (in place
-// when shapes match).
+// wherever its vectors' capacity suffices).
 func (w *arena) checkpoints() *checkpoint.Store {
 	if w.store == nil {
 		w.store = checkpoint.NewStore()

@@ -89,6 +89,39 @@ func TestZeroAllocWarmSolvePath(t *testing.T) {
 		}
 		s.tracer.Finish(tr)
 	}
+
+	// One pool serves every matrix: once a pass has warmed it, groups that
+	// alternate three entries of different sizes — each width and
+	// recurrence in turn — re-arm the server's contexts without allocating.
+	var alternate []func()
+	for _, run := range []struct {
+		solver string
+		seeds  []int64
+	}{
+		{"cg", []int64{3}}, {"cg", []int64{3, 4, 5, 6}},
+		{"pcg", []int64{3}}, {"pcg", []int64{3, 4, 5, 6}},
+		{"bicgstab", []int64{3}}, {"bicgstab", []int64{3, 4, 5, 6}},
+	} {
+		for _, spec := range []harness.MatrixSpec{
+			{Gen: "suite", ID: 341, N: 2880},
+			{Gen: "poisson2d", N: 4096},
+			{Gen: "poisson2d", N: 225},
+		} {
+			req := &api.SolveRequest{Matrix: &spec, Solver: run.solver, Scheme: "abft-correction"}
+			ent, sc := warmEntry(t, s, req)
+			solve, _ := warmGroup(t, s, ent, sc, ent.label+"/"+run.solver, run.seeds...)
+			alternate = append(alternate, solve)
+		}
+	}
+	pass := func() {
+		for _, solve := range alternate {
+			solve()
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(2, pass); allocs != 0 {
+		t.Errorf("%v allocs per pass of %d groups alternating three matrices, want 0", allocs, len(alternate))
+	}
 }
 
 // TestZeroAllocWarmBatchPath extends the gate to wider groups: a warm

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/harness"
+	"repro/internal/sparse"
 )
 
 // postBatch posts the batch request and decodes the body into out (a
@@ -375,73 +377,43 @@ func TestBatchSurvivesMidQueueEviction(t *testing.T) {
 	}
 }
 
-// TestBatchCacheAccounting pins the footprint-weighted eviction rule for
-// blocked solves: an entry that served a k-wide batch weighs its base
-// footprint plus k per-lane arenas, and k working matrix copies once k lanes
-// ran with injectors; each charge grows monotonically with its high-water
-// width, and widening can push the cache over its byte budget and evict
-// colder entries.
+// TestBatchCacheAccounting pins what a blocked solve costs the byte budget:
+// nothing past the entry's footprint, whatever its width and fault rate — its
+// lanes' scratch is the server's pool's, not the entry's — and that a charge
+// which overflows the budget evicts from the LRU end, even the entry being
+// charged, while the MRU entry survives.
 func TestBatchCacheAccounting(t *testing.T) {
 	s := New(Config{Concurrency: 1})
 	defer s.Shutdown()
 
-	req := poisson2DRequest(100)
-	ent, _ := warmEntry(t, s, req)
+	ent, sc := warmEntry(t, s, poisson2DRequest(100))
 	s.cache.noteMaterialised(ent)
-	base := s.cache.stats().Bytes
-	if base != entryFootprint(ent.a) {
-		t.Fatalf("materialised bytes %d, want entryFootprint %d", base, entryFootprint(ent.a))
+	if got, want := s.cache.stats().Bytes, entryFootprint(ent.a); got != want {
+		t.Fatalf("materialised bytes %d, want entryFootprint %d", got, want)
+	}
+	rhs := []api.BatchRHS{{Seed: 1}, {Seed: 2}, {Seed: 3}, {Seed: 4}}
+	s.runGroup(ent, sc, []*task{newTask("", rhs)})
+	sc.Alpha = 1.0 / 16
+	s.runGroup(ent, sc, []*task{newTask("", rhs)})
+	if got, want := s.cache.stats().Bytes, entryFootprint(ent.a); got != want {
+		t.Errorf("after a k=4 batch, fault-free and injected: bytes %d, want %d", got, want)
 	}
 
-	s.cache.noteBatchWidth(ent, 4, false)
-	want := base + 4*perRHSFootprint(ent.a)
-	if got := s.cache.stats().Bytes; got != want {
-		t.Errorf("after k=4: bytes %d, want %d (base + 4 lanes)", got, want)
+	// Room for only one of two matrices. The first admitted is the LRU
+	// entry by the time its build finishes, so its charge evicts itself and
+	// the MRU entry stays.
+	c := newCache(8, entryFootprint(sparse.Poisson2D(8, 8))+entryFootprint(sparse.Poisson2D(10, 10))-1, cacheTTL)
+	defer c.close()
+	late, _ := c.get("late", "late", harness.MatrixSpec{})
+	materialised(t, c, "mru", 8)
+	if err := late.materialise(func() (*sparse.CSR, error) { return sparse.Poisson2D(10, 10), nil }); err != nil {
+		t.Fatal(err)
 	}
-	// Narrower and repeated widths never shrink or double-charge.
-	s.cache.noteBatchWidth(ent, 2, false)
-	s.cache.noteBatchWidth(ent, 4, false)
-	if got := s.cache.stats().Bytes; got != want {
-		t.Errorf("after re-noting ≤ widths: bytes %d, want unchanged %d", got, want)
+	c.noteMaterialised(late)
+	if st := c.stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Errorf("after an over-budget charge: %+v, want 1 entry and 1 eviction", st)
 	}
-	// Widening charges only the delta.
-	s.cache.noteBatchWidth(ent, 6, false)
-	want = base + 6*perRHSFootprint(ent.a)
-	if got := s.cache.stats().Bytes; got != want {
-		t.Errorf("after k=6: bytes %d, want %d", got, want)
-	}
-	// Lanes that ran with injectors add their working matrix copies, by
-	// their own high-water width: a single injected solve charges one, a
-	// group of four three more, and fault-free groups none.
-	s.cache.noteBatchWidth(ent, 1, true)
-	s.cache.noteBatchWidth(ent, 4, true)
-	s.cache.noteBatchWidth(ent, 2, true)
-	want += 4 * injectedFootprint(ent.a)
-	if got := s.cache.stats().Bytes; got != want {
-		t.Errorf("after injected groups of 1, 4 and 2: bytes %d, want %d", got, want)
-	}
-
-	// Eviction on the byte budget: a second entry fits beside the first
-	// only until the first widens past the budget.
-	budget := entryFootprint(ent.a) + 6*perRHSFootprint(ent.a) + 2*entryFootprint(ent.a)
-	s2 := New(Config{Concurrency: 1, cacheBytes: budget})
-	defer s2.Shutdown()
-	entA, _ := warmEntry(t, s2, poisson2DRequest(100))
-	s2.cache.noteMaterialised(entA)
-	entB, _ := warmEntry(t, s2, poisson2DRequest(64))
-	s2.cache.noteMaterialised(entB)
-	if got := s2.cache.stats().Entries; got != 2 {
-		t.Fatalf("both entries admitted: got %d", got)
-	}
-	// entA is the LRU entry; widening it overflows the budget and the
-	// eviction loop drops from the LRU end, so entA itself goes and the
-	// MRU entry survives.
-	s2.cache.noteBatchWidth(entA, 64, false)
-	st := s2.cache.stats()
-	if st.Entries != 1 || st.Evictions == 0 {
-		t.Errorf("after over-budget widening: %+v, want 1 entry and an eviction", st)
-	}
-	if _, hit := s2.cache.get(entB.key, entB.label, entB.spec); !hit {
+	if _, hit := c.get("mru", "mru", harness.MatrixSpec{}); !hit {
 		t.Error("survivor is not the MRU entry")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
@@ -184,66 +183,14 @@ func (c *cache) removeLocked(el *list.Element) {
 // wordBytes is the size of a CSR word: a float64 value or an int index.
 const wordBytes = 8
 
-// entryFootprint estimates the resident bytes of one entry that has served
-// a fault-free solve: the matrix, NNZ+rows words of values plus NNZ+rows+1
-// of indices, which that solve reads in place, and 32 vectors of n words —
-// up to maxRHSPerEntry cached right-hand sides, and the workspace's checksum
-// encodings, iteration vectors, guards and checkpoint store, about 13, with
-// room for a preconditioner and BiCGstab's extra vectors.
-// TestEntryFootprintCoversHeldBytes holds it to what a warm entry keeps
-// alive.
+// entryFootprint estimates the resident bytes of one entry: its matrix,
+// NNZ+rows words of values plus NNZ+rows+1 of indices, which every solve
+// reads in place; up to maxRHSPerEntry cached right-hand sides of n words;
+// and a Jacobi preconditioner, 3n+1 words. Solve scratch is not an entry's:
+// the server's pool of warm contexts holds it (runGroup).
+// TestEntryFootprintCoversHeldBytes holds it to what an entry keeps alive.
 func entryFootprint(a *sparse.CSR) int64 {
-	return wordBytes * int64(a.MemoryWords()+32*a.Rows)
-}
-
-// perRHSFootprint estimates the resident bytes one blocked-solve lane adds
-// on top of entryFootprint: its iteration vectors, guards and checkpoint
-// store, about 10 vectors (12 are charged). A fault-free lane holds no
-// matrix copy: it reads the entry's.
-func perRHSFootprint(a *sparse.CSR) int64 {
-	return wordBytes * int64(12*a.Rows)
-}
-
-// injectedFootprint estimates what a lane that ran with an injector adds on
-// top of perRHSFootprint: its own working copy of A, and of a Jacobi M
-// (3n+1 words).
-func injectedFootprint(a *sparse.CSR) int64 {
-	return wordBytes * int64(a.MemoryWords()+3*a.Rows+1)
-}
-
-// noteBatchWidth charges the workspaces of an entry that has served a
-// k-wide blocked solve, and the working matrix copies of one whose k lanes
-// ran with injectors: lane arenas persist in the entry's batch-context pool,
-// so the footprint grows by high-water RHS width, with and without
-// injectors, not per request. Widening may push the cache over its byte
-// budget and evict colder entries. Never called with the entry's own cache
-// lock held.
-func (c *cache) noteBatchWidth(e *entry, k int, injected bool) {
-	if (k <= 1 && !injected) || e.a == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[e.key]
-	if !ok || el.Value.(*entry) != e || e.weight == 0 {
-		// Unknown, evicted-while-building or not yet charged.
-		return
-	}
-	var delta int64
-	if k > 1 && k > e.blockK {
-		delta += int64(k-e.blockK) * perRHSFootprint(e.a)
-		e.blockK = k
-	}
-	if injected && k > e.injectedK {
-		delta += int64(k-e.injectedK) * injectedFootprint(e.a)
-		e.injectedK = k
-	}
-	if delta == 0 {
-		return // already charged at this width or wider
-	}
-	e.weight += delta
-	c.bytes += delta
-	c.evictOverBudgetLocked()
+	return wordBytes * int64(a.MemoryWords()+(maxRHSPerEntry+3)*a.Rows+1)
 }
 
 func (c *cache) stats() api.CacheStats {
@@ -270,16 +217,11 @@ type entry struct {
 	label string
 	spec  harness.MatrixSpec
 
-	// weight, blockK, injectedK and lastUsed belong to the owning cache
-	// (guarded by its mu): the charged footprint in bytes (0 until
-	// materialised and charged), the widest blocked solve charged so far
-	// (its lane arenas stay resident in the bctxs pool), the widest one
-	// charged for injected lanes' working matrix copies, and the
-	// admission/last-hit time driving TTL aging.
-	weight    int64
-	blockK    int
-	injectedK int
-	lastUsed  time.Time
+	// weight and lastUsed belong to the owning cache (guarded by its mu):
+	// the charged footprint in bytes (0 until materialised and charged) and
+	// the admission/last-hit time driving TTL aging.
+	weight   int64
+	lastUsed time.Time
 
 	once sync.Once
 	err  error
@@ -289,9 +231,6 @@ type entry struct {
 	rhs       map[int64][]float64
 	preconds  map[string]*sparse.CSR
 	intervals map[intervalKey][2]int
-
-	// bctxs pools warm solve contexts (see batchCtx).
-	bctxs sync.Pool
 }
 
 // intervalKey identifies one cached model-optimal (d, s) pair.
@@ -300,13 +239,10 @@ type intervalKey struct {
 	alpha  float64
 }
 
-// materialise builds the matrix exactly once and arms the pool of solve
-// contexts, whose workspaces warm up — checksum encodings, vectors, and an
-// injected lane's working matrix copies — in the first solve that carries
-// them; a fault-free solve reads the entry's matrix itself. Safe for
-// concurrent callers; the first error is sticky. A build that panics is
-// that error too: an entry left with no matrix and no error would hand the
-// next request for its key an unarmed pool.
+// materialise builds the matrix exactly once. Safe for concurrent callers;
+// the first error is sticky. A build that panics is that error too: an
+// entry left with no matrix and no error would hand the next request for
+// its key a nil matrix.
 func (e *entry) materialise(build func() (*sparse.CSR, error)) error {
 	e.once.Do(func() {
 		defer func() {
@@ -320,7 +256,6 @@ func (e *entry) materialise(build func() (*sparse.CSR, error)) error {
 			return
 		}
 		e.a = a
-		e.bctxs.New = func() any { return newBatchCtx() }
 	})
 	return e.err
 }
@@ -407,52 +342,4 @@ func (e *entry) artifactsFor(sc harness.Scenario) (harness.Scenario, *sparse.CSR
 		}
 	}
 	return sc, m, nil
-}
-
-// batchCtx is the per-group execution context of a solve, drawn from an
-// entry's bctxs pool: the reusable block workspace plus the per-lane
-// argument and result slices and the observer closures. All slices grow to
-// the high-water lane count and persist, and the closures are built once,
-// so a warm request — a single one included — reuses everything.
-type batchCtx struct {
-	ws     *core.Workspace
-	bs     [][]float64
-	seeds  []int64
-	hists  [][]float64
-	sts    []core.Stats
-	errs   []error
-	record func(rhs, it int, rho float64)
-	detect func(rhs int, ev core.DetectionEvent)
-	// The leader's trace and observers, set for the duration of a solve:
-	// record forwards each iteration to onIter, and detect — armed for a
-	// streamed group only — each episode to the trace and to onDet.
-	trace  *obs.Active
-	onIter func(it int, rho float64)
-	onDet  func(core.DetectionEvent)
-}
-
-func newBatchCtx() *batchCtx {
-	c := &batchCtx{ws: core.NewWorkspace()}
-	c.record = func(rhs, it int, rho float64) {
-		c.hists[rhs] = append(c.hists[rhs], rho)
-		if c.onIter != nil {
-			c.onIter(it, rho)
-		}
-	}
-	c.detect = func(_ int, ev core.DetectionEvent) {
-		if tr := c.trace; tr != nil {
-			tr.RecordDetection(ev.Iteration, ev.Detections, ev.Corrections, ev.RolledBack)
-		}
-		c.onDet(ev)
-	}
-	return c
-}
-
-// grow sizes the per-lane slices for a k-wide block, preserving warm
-// capacity (hists keep their backing arrays across uses).
-func (c *batchCtx) grow(k int) {
-	for len(c.bs) < k {
-		c.bs, c.seeds, c.hists = append(c.bs, nil), append(c.seeds, 0), append(c.hists, nil)
-		c.sts, c.errs = append(c.sts, core.Stats{}), append(c.errs, nil)
-	}
 }

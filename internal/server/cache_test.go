@@ -424,9 +424,13 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-// heapHeld returns the bytes of heap that build's result keeps alive.
+// heapHeld returns the bytes of heap that build's result keeps alive. The
+// two collections before the first reading empty the victim caches of the
+// sync.Pools earlier tests filled, which would otherwise be freed during
+// the measurement.
 func heapHeld(build func() any) int64 {
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	held := build()
@@ -436,13 +440,17 @@ func heapHeld(build func() any) int64 {
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
-// TestEntryFootprintCoversHeldBytes holds the byte budget's estimates to
-// what a warm entry keeps alive — its matrix, right-hand sides and the
-// pooled workspace of a fault-free solve, measured as heapHeld measures it —
-// on a matrix of the benchmark's denserow size and one of its inline
-// operands' size, after a single solve and after a k = 4 batch: the charge is
-// at least what is held and at most twice that.
+// TestEntryFootprintCoversHeldBytes holds the byte budget's estimate to what
+// an entry keeps alive — its matrix, right-hand sides and cached intervals,
+// measured as heapHeld measures it, without the solve context that served
+// it (the server's, not the entry's) — on a matrix of the benchmark's
+// denserow size and one of its inline operands' size, after a single solve
+// and after a k = 4 batch: the charge is at least what is held and at most
+// twice that.
 func TestEntryFootprintCoversHeldBytes(t *testing.T) {
+	// One P: a sync.Pool keeps a context per P, and the Get below must find
+	// the one the solve put back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, spec := range []harness.MatrixSpec{
 		{Gen: "suite", ID: 341, N: 2880},
 		{Gen: "randomspd", N: 1024, Seed: 7},
@@ -455,16 +463,9 @@ func TestEntryFootprintCoversHeldBytes(t *testing.T) {
 				var sc harness.Scenario
 				ent, sc = warmEntry(t, s, req)
 				s.cache.noteMaterialised(ent)
-				// Held here as well as pooled: a pool may drop what it holds
-				// (at random, under -race).
-				var ctx any
-				ent.bctxs.New = func() any { ctx = newBatchCtx(); return ctx }
-				rhs := make([]api.BatchRHS, k)
-				for j := range rhs {
-					rhs[j].Seed = int64(j + 1)
-				}
-				s.runGroup(ent, sc, []*task{newTask("", rhs)})
-				return [2]any{ent, ctx}
+				s.runGroup(ent, sc, []*task{newTask("", seeds(k))})
+				s.ctxs.Get() // takes the solve's context out of the pool, and drops it
+				return ent
 			})
 			s.cache.mu.Lock()
 			charge := ent.weight
@@ -479,4 +480,63 @@ func TestEntryFootprintCoversHeldBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// seeds returns k right-hand sides of trial seeds 1…k.
+func seeds(k int) []api.BatchRHS {
+	rhs := make([]api.BatchRHS, k)
+	for j := range rhs {
+		rhs[j].Seed = int64(j + 1)
+	}
+	return rhs
+}
+
+// TestEntriesDoNotHoldSolveContexts holds a shard's solve scratch to the
+// solves it runs at once, not to its resident entries: after 8 entries of a
+// Concurrency 1 server each served a k = 4 batch, what the server keeps
+// alive stays below the cache's charges for them plus one warm context.
+func TestEntriesDoNotHoldSolveContexts(t *testing.T) {
+	// One P, as in TestEntryFootprintCoversHeldBytes: on two, the pool may
+	// keep a context for each.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := New(Config{Concurrency: 1})
+	defer s.Shutdown()
+	var ents []*entry
+	var scs []harness.Scenario
+	held := heapHeld(func() any {
+		for side := 4; side < 12; side++ {
+			req := poisson2DRequest(side * side)
+			req.Solver, req.Scheme = "bicgstab", "abft-correction"
+			ent, sc := warmEntry(t, s, req)
+			s.cache.noteMaterialised(ent)
+			s.runGroup(ent, sc, []*task{newTask("", seeds(4))})
+			ents, scs = append(ents, ent), append(scs, sc)
+		}
+		return ents
+	})
+	var charged int64
+	s.cache.mu.Lock()
+	for _, ent := range ents {
+		charged += ent.weight
+	}
+	s.cache.mu.Unlock()
+	last := len(ents) - 1
+	warm := heapHeld(func() any { return warmContext(ents[last], scs[last], 4) })
+	t.Logf("held %d bytes; charged %d, one warm context %d", held, charged, warm)
+	if held >= charged+warm {
+		t.Errorf("8 entries hold %d bytes, at least their charges (%d) plus one warm context (%d): they hold solve contexts of their own",
+			held, charged, warm)
+	}
+}
+
+// warmContext returns a fresh solve context warmed as runGroup warms one by
+// a k-wide group of seeds 1…k on ent.
+func warmContext(ent *entry, sc harness.Scenario, k int) *batchCtx {
+	c := newBatchCtx()
+	c.grow(k)
+	for j := range k {
+		c.bs[j], c.seeds[j] = ent.rhsFor(int64(j+1)), int64(j+1)
+	}
+	harness.SolveBlockWith(ent.a, c.bs[:k], sc, c.seeds[:k], harness.BlockOpts{Ws: c.ws, OnIteration: c.record}, c.sts[:k], c.errs[:k])
+	return c
 }

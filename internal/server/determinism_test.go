@@ -62,4 +62,69 @@ func TestWarmSolveBitIdentical(t *testing.T) {
 				tc.solver, tc.scheme, len(hashes), hashes)
 		}
 	}
+
+	// A context carries nothing from one matrix to the next: one that last
+	// served a larger matrix — fault-free, injected (its arenas hold working
+	// copies, and a wrapper may hold a copy-on-write spare), four lanes wide,
+	// or another recurrence — answers every solver × protected scheme bit for
+	// bit as a fresh server does, fault-free and at α = 1, where every cell
+	// detects, and rolls back or corrects. (Under -race the pool drops
+	// contexts at random; the comparison holds either way.)
+	larger, err := harness.NewMatrixSpec("poisson2d", 1024, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, solver := range []string{"cg", "pcg", "bicgstab"} {
+		for _, scheme := range []string{"online-detection", "abft-detection", "abft-correction"} {
+			if solver == "bicgstab" && scheme == "online-detection" {
+				continue // refused: Online-Detection's checks are CG's
+			}
+			other := map[string]string{"cg": "bicgstab", "pcg": "cg", "bicgstab": "pcg"}[solver]
+			if other == "bicgstab" && scheme == "online-detection" {
+				other = "pcg"
+			}
+			befores := []struct {
+				name   string
+				solver string
+				alpha  float64
+				k      int
+			}{
+				{"a larger matrix", solver, 0, 1},
+				{"an injected solve", solver, 1.0 / 16, 1},
+				{"a k=4 block", solver, 0, 4},
+				{"another recurrence", other, 0, 1},
+			}
+			for _, alpha := range []float64{0, 1} {
+				req := &api.SolveRequest{Matrix: &spec, Solver: solver, Scheme: scheme, Alpha: alpha, Seed: 11}
+				fresh := New(Config{Concurrency: 1})
+				want := soloOutcome(t, fresh, req)
+				fresh.Shutdown()
+				for _, before := range befores {
+					s := New(Config{Concurrency: 1})
+					prev := &api.SolveRequest{Matrix: &larger, Solver: before.solver, Scheme: scheme, Alpha: before.alpha}
+					ent, sc := warmEntry(t, s, prev)
+					s.runGroup(ent, sc, []*task{newTask("", seeds(before.k))})
+					if got := soloOutcome(t, s, req); got != want {
+						t.Errorf("%s/%s α=%g after %s: %+v, a fresh server answers %+v",
+							solver, scheme, alpha, before.name, got, want)
+					}
+					s.Shutdown()
+				}
+			}
+		}
+	}
+}
+
+// soloOutcome solves req alone on s and returns its outcome.
+func soloOutcome(t *testing.T, s *Server, req *api.SolveRequest) solveOutcome {
+	t.Helper()
+	ent, sc := warmEntry(t, s, req)
+	tk := newTask("", []api.BatchRHS{{Seed: req.Seed}})
+	s.runGroup(ent, sc, []*task{tk})
+	out := tk.outs[0]
+	if out.err != nil {
+		t.Fatalf("%s/%s α=%g: %v", req.Solver, req.Scheme, req.Alpha, out.err)
+	}
+	out.solveNanos = 0
+	return out
 }

@@ -7,13 +7,16 @@
 // and answers with the same schema-versioned result records the campaign
 // tooling emits.
 //
-// Its core is a per-matrix artifact cache: the assembled CSR, the ABFT
-// checksum encodings, explicit preconditioners, manufactured right-hand
-// sides, model-optimal checkpoint/verification intervals and a pool of warm
-// solver workspaces are all built once per matrix and reused across
-// requests, so a warm fault-free solve of a known matrix performs zero heap
-// allocations on the request hot path (gated by alloc_test.go) and repeated
-// identical requests return bit-identical residual-history hashes.
+// Its core is a per-matrix artifact cache: the assembled CSR, explicit
+// preconditioners, manufactured right-hand sides and model-optimal
+// checkpoint/verification intervals are built once per matrix and reused
+// across requests. Solve scratch is the server's, not a matrix's: one pool
+// of warm solve contexts serves every matrix, re-armed per solve (the ABFT
+// checksum encodings included), so it scales with the solves running at
+// once, not with the resident entries. A warm fault-free solve of a known
+// matrix performs zero heap allocations on the request hot path (gated by
+// alloc_test.go), and repeated identical requests return bit-identical
+// residual-history hashes.
 //
 // Every solve request, whatever its edge — buffered single, multi-RHS
 // batch or SSE stream — runs through one pipeline: admit (decode, validate,
@@ -35,6 +38,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -84,7 +88,9 @@ const DrainTimeout = maxTimeout
 type Config struct {
 	// Concurrency is the number of solves executing at once (default
 	// GOMAXPROCS/2, at least 1), each on one goroutine: the slots are all
-	// the parallelism a shard has.
+	// the parallelism a shard has. It also bounds the solve scratch a shard
+	// keeps warm: one context per running solve, each up to
+	// api.MaxBatchRHS lanes of the largest matrix served.
 	Concurrency int
 	// QueueDepth bounds the requests queued but not yet solving (default
 	// 64); submissions beyond it are rejected with HTTP 429.
@@ -126,9 +132,12 @@ func (c Config) withDefaults() Config {
 // Server is the resident solve service. Construct with New, mount
 // Handler on an http.Server, and Shutdown to drain.
 type Server struct {
-	cfg      Config
-	cache    *cache
-	sched    *scheduler
+	cfg   Config
+	cache *cache
+	sched *scheduler
+	// ctxs pools the warm solve contexts (batchCtx) of every matrix: the
+	// scratch of the solves running at once, not of the resident entries.
+	ctxs     sync.Pool
 	mux      *http.ServeMux
 	started  time.Time
 	draining atomic.Bool
@@ -162,6 +171,7 @@ func New(cfg Config) *Server {
 		started: time.Now(),
 		tracer:  obs.NewTracer(api.TierShard, obs.DefaultTraceRing),
 	}
+	s.ctxs.New = func() any { return newBatchCtx() }
 	s.registerMetrics()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", s.handleSolve)
@@ -231,7 +241,8 @@ func coalesceKey(idKey string, r *api.SolveRequest) string {
 // leader's scenario; key equality guarantees every member shares its axes,
 // so only the per-RHS seeds vary.
 //
-// It draws a warm block context from the entry's pool and resolves every
+// It draws a warm block context from the server's pool — whichever matrix,
+// width or recurrence that context served last — and resolves every
 // per-matrix artifact from the cache (right-hand sides, preconditioner,
 // model-optimal intervals), so a warm fault-free group performs zero heap
 // allocations (gated by alloc_test.go); fault-injecting groups additionally
@@ -246,9 +257,8 @@ func (s *Server) runGroup(ent *entry, sc harness.Scenario, group []*task) {
 	for _, t := range group {
 		k += len(t.specs)
 	}
-	s.cache.noteBatchWidth(ent, k, sc.Alpha > 0)
-	c := ent.bctxs.Get().(*batchCtx)
-	defer ent.bctxs.Put(c)
+	c := s.ctxs.Get().(*batchCtx)
+	defer s.ctxs.Put(c)
 	c.grow(k)
 	i := 0
 	for _, t := range group {
@@ -288,6 +298,56 @@ func (s *Server) runGroup(ent *entry, sc harness.Scenario, group []*task) {
 			}
 			i++
 		}
+	}
+}
+
+// batchCtx is the per-group execution context of a solve, drawn from the
+// server's pool: the reusable block workspace plus the per-lane argument and
+// result slices and the observer closures. It belongs to no matrix: a
+// context that last served another matrix, width or recurrence is re-armed
+// by the next solve, and its storage only grows — to the widest block, the
+// largest matrix and the longest recurrence it has served — so a warm
+// request, a single one included, reuses everything.
+type batchCtx struct {
+	ws     *core.Workspace
+	bs     [][]float64
+	seeds  []int64
+	hists  [][]float64
+	sts    []core.Stats
+	errs   []error
+	record func(rhs, it int, rho float64)
+	detect func(rhs int, ev core.DetectionEvent)
+	// The leader's trace and observers, set for the duration of a solve:
+	// record forwards each iteration to onIter, and detect — armed for a
+	// streamed group only — each episode to the trace and to onDet.
+	trace  *obs.Active
+	onIter func(it int, rho float64)
+	onDet  func(core.DetectionEvent)
+}
+
+func newBatchCtx() *batchCtx {
+	c := &batchCtx{ws: core.NewWorkspace()}
+	c.record = func(rhs, it int, rho float64) {
+		c.hists[rhs] = append(c.hists[rhs], rho)
+		if c.onIter != nil {
+			c.onIter(it, rho)
+		}
+	}
+	c.detect = func(_ int, ev core.DetectionEvent) {
+		if tr := c.trace; tr != nil {
+			tr.RecordDetection(ev.Iteration, ev.Detections, ev.Corrections, ev.RolledBack)
+		}
+		c.onDet(ev)
+	}
+	return c
+}
+
+// grow sizes the per-lane slices for a k-wide block, preserving warm
+// capacity (hists keep their backing arrays across uses).
+func (c *batchCtx) grow(k int) {
+	for len(c.bs) < k {
+		c.bs, c.seeds, c.hists = append(c.bs, nil), append(c.seeds, 0), append(c.hists, nil)
+		c.sts, c.errs = append(c.sts, core.Stats{}), append(c.errs, nil)
 	}
 }
 

@@ -37,9 +37,9 @@ func FNV1aString(s string) uint64 {
 // Fingerprint returns a 64-bit FNV-1a content hash of the matrix: the
 // dimensions, the row pointers, the column indices and the IEEE-754 bit
 // patterns of the values, in that order. Matrices with identical content
-// always agree. Content-addressed caches of per-matrix artifacts —
-// checksum encodings, partition plans, warm solver workspaces — key on it
-// when the matrix arrives inline rather than as a named generator spec.
+// always agree. The solve service labels a matrix that arrives inline,
+// rather than as a named generator spec, with it (a label only: its cache
+// keys an inline operand on the SHA-256 of its bytes).
 func (m *CSR) Fingerprint() uint64 {
 	h := uint64(FNV1aOffset64)
 	h = FNVMix64(h, uint64(m.Rows))
